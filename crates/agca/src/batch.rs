@@ -47,39 +47,38 @@
 //!    that violate it (e.g. a statement reading a sibling statement's target)
 //!    fall back to entry-at-a-time processing inside the batch.
 //!
-//! ## Second-order batch-delta programs
+//! ## Batch-delta programs
 //!
-//! Statement-major execution still fires each statement once *per entry*. The
-//! compiler goes one step further and derives, per relation, a **whole-batch
-//! trigger program** (`derive_batch_corrections` in `dbtoaster-compiler`): treat
-//! the run's net delta `ΔR = Σₑ mₑ{tₑ}` as a single update and expand each
-//! maintained map in the GMR ring,
+//! Statement-major execution is only legal when no statement reads what the
+//! run writes. The compiler goes one step further and derives, per relation,
+//! a **whole-run trigger program** (`derive_run_linear` in
+//! `dbtoaster-compiler`): treat the run's net delta `ΔR = Σₑ mₑ{tₑ}` as one
+//! update. Every statement is evaluated for all entries back-to-back against
+//! the *pre-run* state; for a statement whose right-hand side is affine in
+//! the maps the run itself writes,
 //!
 //! ```text
-//! M(S + ΔR) = M(S) + Σₑ mₑ · dM(tₑ)              (first order)
-//!           + ½ Σₓ Σᵧ mₓ mᵧ · d²M(tₓ, tᵧ)        (pair correction)
-//!           − ½ Σₑ |mₑ| · d²M(tₑ, tₑ)            (diagonal; |mₑ| = mₑ²
-//!                                                  for unit-step entries)
+//! rhs(e; M_pre + ΔM_<e) = rhs(e; M_pre) + lin(e; ΔM_<e)
 //! ```
 //!
-//! The first-order statements are the ordinary trigger statements evaluated
-//! against the *pre-batch* state for every entry back-to-back; the correction
-//! statements are the second delta fired over entry pairs. Because AGCA
-//! deltas of polynomial queries terminate, the expansion is exact — not a
-//! truncation — whenever the third delta simplifies to zero: linear queries
-//! have empty corrections, and quadratic self-joins close at the pair term.
+//! so the interaction between the run's entries is restored by evaluating
+//! the statement's *run-linear part* `lin` — the terms of the same
+//! right-hand side that read a run-written map, lowered to the same kind of
+//! kernel — once per firing, in entry order, against an overlay that holds
+//! only what the run's earlier firings wrote. Linear queries read nothing
+//! their own run writes and have no run-linear part; quadratic self-joins
+//! read their own auxiliary maps and close with one overlay pass, whose cost
+//! follows the run's own interacting rows rather than the maintained state.
 //!
 //! Derivation bails out (and dispatch stays statement-major or entry-major)
-//! when the expansion cannot be both exact and pre-state-evaluable: a trigger
-//! with non-`Increment` statements (`:=` re-evaluation is not linear), a
-//! statement reading a map an earlier statement of the same trigger writes,
-//! a nonzero third delta, or a second delta that still mentions a *stream*
-//! atom (its mid-run state would be read; static tables are fine). One
-//! runtime guard remains: pair corrections are O(entries²), so runs whose
-//! correction firing count exceeds a small cap fall back to entry-major.
-//! That cap depends only on the run's shape, never on wall-clock, so a WAL
-//! replay makes the same choice as the live run. The dispatch actually taken
-//! is observable through
+//! when that argument does not hold: a trigger with non-`Increment`
+//! statements (`:=` re-evaluation is not linear), a statement reading a map
+//! an earlier statement of the same trigger writes, a nonzero third delta, or
+//! a right-hand side not affine in the run-written maps (two such atoms in
+//! one product, or one under a lift, comparison or `EXISTS`). The choice is
+//! static per relation — it never depends on a run's size or on the state —
+//! so a WAL replay takes the same strategy sequence as the live run. The
+//! dispatch actually taken is observable through
 //! `EngineStats::{batch_delta_runs, statement_major_runs, entry_major_runs}`
 //! and per run via `BatchReport::runs` under `Engine::set_run_recording`.
 //!
@@ -106,23 +105,6 @@
 
 use crate::delta::{UpdateEvent, UpdateSign};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
-
-/// Name of the pseudo-relation under which second-order batch correction
-/// statements read a run's **signed** net multiplicities (`ΔR` as a GMR). The
-/// `@` prefix keeps the name disjoint from every SQL-addressable relation; the
-/// engine resolves it against the in-flight [`RelationDelta`] instead of the
-/// store.
-pub fn delta_relation_name(relation: &str) -> String {
-    format!("@delta:{relation}")
-}
-
-/// Name of the pseudo-relation exposing a run's **absolute** net
-/// multiplicities (`|ΔR|`) — the diagonal weighting of the second-order
-/// correction, matching the `|mult|` trigger firings the first-order
-/// statements perform per entry.
-pub fn delta_abs_relation_name(relation: &str) -> String {
-    format!("@delta_abs:{relation}")
-}
 
 /// One key of a per-relation delta: the net multiplicity of all events in the
 /// run that carried this tuple, plus how many events were folded in.

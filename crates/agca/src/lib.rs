@@ -53,9 +53,7 @@ pub mod opt;
 pub mod plan;
 pub mod scope;
 
-pub use batch::{
-    delta_abs_relation_name, delta_relation_name, DeltaBatch, DeltaEntry, RelationDelta,
-};
+pub use batch::{DeltaBatch, DeltaEntry, RelationDelta};
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
 pub use eval::{eval, eval_scalar, Bindings, EvalError, EvalScratch, MemSource, RelationSource};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};

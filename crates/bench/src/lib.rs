@@ -507,7 +507,7 @@ pub fn micro_benchmarks(config: &ExperimentConfig) -> Vec<MicroResult> {
     // (default) compiled trigger path — the `fig6_ho_*` series, keeping the
     // perf trajectory comparable across runs — and once with the kernels
     // bypassed (`*_interp`), so the compiled-vs-interpreted gap stays visible.
-    for name in ["q1", "q3", "q6", "axf", "bsv"] {
+    for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
         let q = match workloads::query(name) {
             Some(q) => q,
             None => continue,
@@ -636,12 +636,14 @@ fn batch_run(
 /// [`BATCH_SIZES`] entry. Per-event throughput is expected to *rise* with
 /// the batch size for every query now that batch-delta programs are the
 /// default dispatch: linear queries amortize dispatch and fused-scan
-/// preludes, and axfinder — formerly the flat entry-major straggler —
+/// preludes, axfinder — formerly the flat entry-major straggler —
 /// additionally answers its price-band scans from sorted per-run prefix-sum
-/// caches, so its gain grows with the run length.
+/// caches, so its gain grows with the run length, and the self-joins `bsp`
+/// and `bsv` read their own run's writes through the batch-delta overlay
+/// pass instead of falling back to per-event firing.
 pub fn batch_benchmarks(config: &ExperimentConfig) -> Vec<MicroResult> {
     let mut out = Vec::new();
-    for name in ["q1", "q3", "q6", "axf", "bsv"] {
+    for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
         let q = match workloads::query(name) {
             Some(q) => q,
             None => continue,

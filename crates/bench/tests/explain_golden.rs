@@ -1,12 +1,12 @@
 //! EXPLAIN golden tests over the full workload suite.
 //!
 //! For every workload query the rendered EXPLAIN must tell the truth about
-//! execution: each live [`BatchReport`] run record's strategy must agree with
-//! the strategy EXPLAIN printed for that relation. One legitimate divergence
-//! is allowed — a relation explained as `batch-delta` may execute a specific
-//! run entry-major, because the runtime cost gate (correction-firing count vs
-//! observed map sizes) decides per batch; the reverse (EXPLAIN claiming a
-//! cheaper strategy than what ran) is a bug.
+//! execution: each live [`BatchReport`] run record's strategy must be exactly
+//! the strategy EXPLAIN printed for that relation — the dispatch is static, no
+//! run is re-routed by its size or by the state. The `reason:` and
+//! `run-linear on …:` lines of the batch-delta overlay pass are pinned as
+//! goldens on the three shapes the workload has: no run-linear part (`q1`),
+//! an overlay of the query's own auxiliary maps (`bsp`), and a bail.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! the explained strategy must follow `DBTOASTER_FORCE_BATCH_STRATEGY`
@@ -64,19 +64,16 @@ fn check_query(q: &workloads::WorkloadQuery, forced: Option<BatchStrategy>) {
             q.name
         );
         let explained = rel.strategy.as_str();
-        let agrees = match live {
-            BatchStrategy::BatchDelta => explained == "batch-delta",
-            BatchStrategy::StatementMajor => explained == "statement-major",
-            // A batch-delta relation may fall back to entry-major per batch
-            // (the runtime cost gate); entry-major dispatch always runs so.
-            BatchStrategy::EntryMajor => explained == "entry-major" || explained == "batch-delta",
-        };
-        assert!(
-            agrees,
+        assert_eq!(
+            explained,
+            live.as_str(),
             "{}: relation {relation} explained as {explained} but ran {}",
             q.name,
             live.as_str()
         );
+    }
+    if forced.is_none() {
+        check_goldens(q.name, &ex);
     }
     // The JSON form round-trips structurally.
     let json = ex.render_json();
@@ -87,6 +84,54 @@ fn check_query(q: &workloads::WorkloadQuery, forced: Option<BatchStrategy>) {
         "{}: explain JSON round-trip changed the tree",
         q.name
     );
+}
+
+/// Golden `reason:` / run-linear lines under the default dispatch.
+fn check_goldens(query: &str, ex: &ProgramExplain) {
+    let reason = |relation: &str| -> &str {
+        let rel = ex.relations.iter().find(|r| r.relation == relation);
+        &rel.unwrap_or_else(|| panic!("{query}: no relation {relation}"))
+            .reason
+    };
+    let text = ex.render_text();
+    match query {
+        "q1" => {
+            assert_eq!(
+                reason("Lineitem"),
+                "batch-delta derived (no statement reads run-written state; no overlay pass)"
+            );
+            assert!(!text.contains("run-linear on"), "{text}");
+        }
+        "bsp" => {
+            assert_eq!(
+                reason("Bids"),
+                "batch-delta derived (2 run-linear statements over an overlay of \
+                 `m_bsp_1`, `m_bsp_2`)"
+            );
+            // The run-linear part of the result statement: the four terms
+            // that read the auxiliary maps, not the two state-free ones.
+            let part = "run-linear on insert:\n  bsp[bids@broker_id] += \
+                ((Sum[](($m_bsp_1(bids@broker_id, y_t) * (bids@t > y_t))) * bids@volume * bids@price) \
+                + Sum[](($m_bsp_2(bids@broker_id, x_t) * (x_t > bids@t))) \
+                + (-1 * Sum[](($m_bsp_2(bids@broker_id, y_t) * (bids@t > y_t)))) \
+                + (-1 * Sum[](($m_bsp_1(bids@broker_id, x_t) * (x_t > bids@t))) * bids@volume * bids@price))\n    \
+                kernel: compiled\n";
+            assert!(text.contains(part), "{text}");
+            assert!(text.contains("run-linear on delete:\n  bsp[bids@broker_id] += "));
+            assert!(
+                text.contains(" overlay="),
+                "ANALYZE shows overlay firings: {text}"
+            );
+        }
+        "q17a" => assert!(
+            reason("Lineitem").starts_with(
+                "batch-delta ineligible: `q17a` has a nonzero third delta (more than quadratic); "
+            ),
+            "{}",
+            reason("Lineitem")
+        ),
+        _ => {}
+    }
 }
 
 /// One test function on purpose: `DBTOASTER_FORCE_BATCH_STRATEGY` is process

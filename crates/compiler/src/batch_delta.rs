@@ -1,6 +1,6 @@
-//! Second-order **batch** delta derivation: compile whole-run trigger
-//! corrections so batch execution no longer depends on sequential per-entry
-//! application.
+//! **Batch-delta** programs: run a whole relation run's trigger statements at
+//! the pre-run state, and restore the interaction between the run's entries
+//! with the *same first-order kernels* evaluated over a run-local overlay.
 //!
 //! ## The problem
 //!
@@ -9,48 +9,41 @@
 //! [`RelationDelta`](dbtoaster_agca::RelationDelta) against the **pre-run**
 //! state drops the interaction between entries of the same run: for a map `M`
 //! quadratic in the updated relation `R`, the delta of a later entry depends
-//! on the earlier entries already being applied.
+//! on the earlier entries already being applied — through the auxiliary maps
+//! (or `R`'s stored slice) that the statement reads and the same run writes.
 //!
-//! ## The fix: differentiate once more
+//! ## The fix: the right-hand side is affine in what the run writes
 //!
-//! Write the run's net delta as the GMR `Δ = Σₑ mₑ·tₑ` and expand `M` around
-//! the pre-run state `R`:
-//!
-//! ```text
-//! M(R + Δ) − M(R) = L(Δ) + B(Δ, Δ)
-//! ```
-//!
-//! with `L` the linear part at `R` and `B` the (state-free, by the gates
-//! below) bilinear part. The compiled per-tuple statement computes
-//! `rhs^s(x) = M(R ± x) − M(R) = ±L(x) + B(x, x)`, so firing it `|mₑ|` times
-//! per entry at the pre-run state accumulates
+//! Call a map **run-written** when some statement of `R`'s triggers targets
+//! it, and count `R`'s own stored slice among them. Under the gates below a
+//! statement's right-hand side is *affine* in the run-written state: every
+//! product term holds at most one run-written atom, and holds it in
+//! multiplicity position. Writing `M_pre` for the pre-run state and `ΔM_<e`
+//! for everything the run's earlier firings have written,
 //!
 //! ```text
-//! S1 = Σₑ |mₑ|·rhs^{sₑ}(tₑ) = L(Δ) + Σₑ |mₑ|·B(tₑ, tₑ)
+//! rhs(e; M_pre + ΔM_<e) = rhs(e; M_pre) + lin(e; ΔM_<e)
 //! ```
 //!
-//! The missing piece is exactly
+//! where `lin` — the statement's **run-linear part** — keeps exactly the
+//! product terms with one run-written atom (terms with none are constant in
+//! the run and cancel). The first summand is the ordinary statement evaluated
+//! for every entry back-to-back against the pre-run store (prelude scans and
+//! banded prefix-sum caches amortized over the run); the second is the same
+//! statement shape, lowered by the same
+//! [`lower_statement`], evaluated per firing
+//! against an overlay that holds only what the run itself has written so far.
+//! Its cost is proportional to the run's own interacting rows — never to the
+//! maintained state, and never to `|run|²` pairs of unrelated entries — which
+//! is the factorization the materialized higher-order deltas exist for.
 //!
-//! ```text
-//! S2 = B(Δ, Δ) − Σₑ |mₑ|·B(tₑ, tₑ)
-//!    = ½·Σₑ,f mₑ·m_f·d²M(tₑ, t_f)  −  Σₑ |mₑ|·½·d²M(tₑ, tₑ)
-//! ```
-//!
-//! where `d²M(x, y) = δ_y δ_x M` is the **second delta of the map's
-//! definition** with two independent fresh tuples of trigger variables (so
-//! cross-entry join constraints — e.g. both tuples sharing a group key —
-//! survive; extracting `B` from the diagonal of `rhs` alone would lose them).
-//! This module compiles `S2` into ordinary increment statements whose atoms
-//! are the run's delta pseudo-relations [`@delta:R`] (signed net
-//! multiplicities `mₑ`) and [`@delta_abs:R`] (absolute multiplicities
-//! `|mₑ|`), joined with `d²M`; the engine resolves those atoms against the
-//! in-flight `RelationDelta` instead of the store.
-//!
-//! All identities above are exact in the GMR ring; over floating-point
-//! multiplicities they are exact whenever the stream arithmetic is (integer
-//! weights and aggregates below 2⁵³ reproduce per-event results bit for bit —
-//! the `½` factors are powers of two and lossless). When a run nets to a
-//! single firing, `S2` is identically zero and the engine skips it.
+//! The identity is exact in the GMR ring; over floating-point multiplicities
+//! it is exact whenever the stream arithmetic is (integer weights and
+//! aggregates below 2⁵³ reproduce per-event results bit for bit; float
+//! aggregates to summation order). Relations whose statements read no
+//! run-written state — every linear query — have no run-linear part, and a
+//! run of at most one firing has nothing to interact with: both skip the
+//! overlay pass entirely.
 //!
 //! ## Eligibility (per relation)
 //!
@@ -66,62 +59,50 @@
 //!    reproduce);
 //! 3. for every map the relation affects, the **third** delta of its
 //!    definition vanishes (the map is at most quadratic in `R`), and the
-//!    second delta reads no state that changes mid-run: static tables and
-//!    the stored slices of *other* stream relations (constant during an
-//!    `R`-run) are fine, derived views are not.
+//!    second delta reads no derived view;
+//! 4. every statement is affine in the run-written state as written: no
+//!    product term holds two run-written atoms, and none holds one under a
+//!    lift, comparison, `EXISTS` or scalar function.
 //!
 //! Underivable relations keep the read-before-write analysis of
 //! [`TriggerProgram::batch_dispatch`]: statement-major where legal,
 //! entry-major as the exact per-event oracle.
 //!
-//! [`@delta:R`]: dbtoaster_agca::batch::delta_relation_name
-//! [`@delta_abs:R`]: dbtoaster_agca::batch::delta_abs_relation_name
 //! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
 //! [`TriggerProgram::batch_dispatch`]: crate::program::TriggerProgram::batch_dispatch
 
 use crate::compile::reorder_products;
 use crate::program::{
-    BatchCorrection, BatchDeltaBail, BatchDeltaOutcome, Catalog, MapDecl, Statement, StmtOp,
-    Trigger,
+    BatchDeltaBail, BatchDeltaOutcome, Catalog, MapDecl, RunLinear, RunLinearStmt, Statement,
+    StmtOp, Trigger,
 };
-use dbtoaster_agca::batch::{delta_abs_relation_name, delta_relation_name};
-use dbtoaster_agca::{delta, simplify, AtomKind, Expr, TupleUpdate, UpdateSign};
-use dbtoaster_gmr::FastMap;
+use dbtoaster_agca::{
+    delta, lower_statement, simplify, AtomKind, Expr, RelRef, TupleUpdate, UpdateSign,
+};
 use std::collections::BTreeSet;
 
-/// Derive the per-relation second-order batch corrections of a trigger
-/// program (see the module docs). Returns one [`BatchCorrection`] per
-/// eligible relation — possibly with zero statements, when every affected map
-/// is linear in it. Kernels are **not** lowered here; the caller lowers each
-/// statement alongside the trigger statements.
-pub fn derive_batch_corrections(
+/// Derive the per-relation run-linear programs of a trigger program (see the
+/// module docs): one [`RunLinear`] per eligible relation — with no statements
+/// when nothing the relation's triggers read is run-written — plus, for every
+/// relation, the outcome record (eligible, or the first gate that bailed; the
+/// data behind EXPLAIN's strategy reasons). Kernels are lowered here.
+pub fn derive_run_linear(
     maps: &[MapDecl],
     triggers: &[Trigger],
     catalog: &Catalog,
-) -> Vec<BatchCorrection> {
-    derive_batch_corrections_with_reasons(maps, triggers, catalog).0
-}
-
-/// [`derive_batch_corrections`] plus the per-relation outcome record: for each
-/// relation, either eligibility or the first bail gate that fired (the data
-/// behind EXPLAIN's strategy reasons).
-pub fn derive_batch_corrections_with_reasons(
-    maps: &[MapDecl],
-    triggers: &[Trigger],
-    catalog: &Catalog,
-) -> (Vec<BatchCorrection>, Vec<BatchDeltaOutcome>) {
+) -> (Vec<RunLinear>, Vec<BatchDeltaOutcome>) {
     let mut relations: Vec<&str> = Vec::new();
     for t in triggers {
         if !relations.contains(&t.relation.as_str()) {
             relations.push(&t.relation);
         }
     }
-    let mut corrections = Vec::new();
+    let mut programs = Vec::new();
     let mut outcomes = Vec::new();
     for rel in relations {
         let bail = match derive_relation(rel, maps, triggers, catalog) {
-            Ok(c) => {
-                corrections.push(c);
+            Ok(p) => {
+                programs.push(p);
                 None
             }
             Err(bail) => Some(bail),
@@ -131,7 +112,7 @@ pub fn derive_batch_corrections_with_reasons(
             bail,
         });
     }
-    (corrections, outcomes)
+    (programs, outcomes)
 }
 
 fn derive_relation(
@@ -139,17 +120,21 @@ fn derive_relation(
     maps: &[MapDecl],
     triggers: &[Trigger],
     catalog: &Catalog,
-) -> Result<BatchCorrection, BatchDeltaBail> {
-    let rel_triggers: Vec<&Trigger> = triggers.iter().filter(|t| t.relation == relation).collect();
+) -> Result<RunLinear, BatchDeltaBail> {
+    let rel_triggers: Vec<(usize, &Trigger)> = triggers
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| t.relation == relation)
+        .collect();
     // Gate 1: increments only.
     if rel_triggers
         .iter()
-        .any(|t| t.statements.iter().any(|s| s.op != StmtOp::Increment))
+        .any(|(_, t)| t.statements.iter().any(|s| s.op != StmtOp::Increment))
     {
         return Err(BatchDeltaBail::ReplaceStatement);
     }
     // Gate 2: every read of an in-trigger target precedes its write.
-    for t in &rel_triggers {
+    for (_, t) in &rel_triggers {
         for (i, s) in t.statements.iter().enumerate() {
             let reads = s.reads();
             if let Some(w) = t.statements[..=i]
@@ -163,6 +148,8 @@ fn derive_relation(
         }
     }
 
+    // Gate 3: every affected map is at most quadratic in the relation, and
+    // its second delta reads no derived view.
     let meta = catalog
         .get(relation)
         .ok_or(BatchDeltaBail::UnknownRelation)?;
@@ -173,16 +160,6 @@ fn derive_relation(
         trigger_vars: u1.trigger_vars.iter().map(|v| format!("{v}@{n}")).collect(),
     };
     let (u2, u3) = (fresh(2), fresh(3));
-    let signed = delta_relation_name(relation);
-    let absolute = delta_abs_relation_name(relation);
-    let rename_y_to_x: FastMap<String, String> = u2
-        .trigger_vars
-        .iter()
-        .cloned()
-        .zip(u1.trigger_vars.iter().cloned())
-        .collect();
-
-    let mut statements = Vec::new();
     for m in maps {
         let d1 = simplify(&delta(&m.definition, &u1));
         if d1.is_zero() {
@@ -190,69 +167,143 @@ fn derive_relation(
         }
         let d2 = simplify(&delta(&d1, &u2));
         if d2.is_zero() {
-            continue; // map linear in this relation: no interaction term
+            continue; // map linear in this relation: no interaction
         }
-        // Gate 3: at most quadratic, and the bilinear part is state-free
-        // (static tables excepted — they never change mid-run).
         if !simplify(&delta(&d2, &u3)).is_zero() {
             return Err(BatchDeltaBail::NonzeroThirdDelta {
                 map: m.name.clone(),
             });
         }
-        // A *stream* atom `X ≠ R` surviving into the bilinear part is
-        // constant for the duration of an `R`-run: runs are per-relation and
-        // corrections evaluate at the pre-run store, so `X`'s stored slice IS
-        // its pre-run state. (`X = R` cannot survive — its delta would make
-        // the third delta nonzero, caught above.) The compiler keeps every
-        // such relation in `stored_relations` (see `compile`). Only a derived
-        // *view* atom — whose mid-run value the pre-state evaluation cannot
-        // see — forces a bail; map definitions range over base relations, so
-        // this gate is defensive.
+        // Map definitions range over base relations, so this is defensive.
         if d2.atoms().iter().any(|a| a.kind == AtomKind::View) {
             return Err(BatchDeltaBail::SurvivingViewAtom {
                 map: m.name.clone(),
             });
         }
+    }
 
-        // ½·Σₑ,f mₑ·m_f·d²M(tₑ, t_f): join the signed delta with itself.
-        let pair = Expr::agg_sum(
-            m.out_vars.clone(),
-            Expr::product_of([
-                Expr::view(&signed, u1.trigger_vars.clone()),
-                Expr::view(&signed, u2.trigger_vars.clone()),
-                Expr::val(0.5),
-                d2.clone(),
-            ]),
-        );
-        // −Σₑ |mₑ|·½·d²M(tₑ, tₑ): the diagonal the first-order firings
-        // already accumulated.
-        let diag = Expr::agg_sum(
-            m.out_vars.clone(),
-            Expr::product_of([
-                Expr::view(&absolute, u1.trigger_vars.clone()),
-                Expr::val(-0.5),
-                d2.rename_vars(&rename_y_to_x),
-            ]),
-        );
-        for rhs in [pair, diag] {
-            let rhs = reorder_products(&simplify(&rhs), &BTreeSet::new());
-            if rhs.is_zero() {
+    // Gate 4 and the derivation proper: split every statement's right-hand
+    // side by its degree in the run-written state and keep the linear part.
+    let targets: BTreeSet<&str> = rel_triggers
+        .iter()
+        .flat_map(|(_, t)| t.statements.iter().map(|s| s.target.as_str()))
+        .collect();
+    let run_written = |a: &RelRef| match a.kind {
+        AtomKind::View => targets.contains(a.name.as_str()),
+        _ => a.name == relation,
+    };
+    let mut statements = Vec::new();
+    let mut overlay_maps = BTreeSet::new();
+    for &(ti, t) in &rel_triggers {
+        let bound: BTreeSet<String> = t.trigger_vars.iter().cloned().collect();
+        for (si, s) in t.statements.iter().enumerate() {
+            let (_, lin) = split_by_degree(&s.rhs, &run_written).map_err(|read| {
+                BatchDeltaBail::NonAffineRunRead {
+                    target: s.target.clone(),
+                    read,
+                }
+            })?;
+            let lin = reorder_products(&simplify(&lin), &bound);
+            if lin.is_zero() {
                 continue;
             }
-            statements.push(Statement {
-                target: m.name.clone(),
-                key_vars: m.out_vars.clone(),
-                loop_vars: m.out_vars.clone(),
-                op: StmtOp::Increment,
-                rhs,
+            overlay_maps.extend(lin.atoms().into_iter().filter(&run_written).map(|a| a.name));
+            let kernel = lower_statement(&t.trigger_vars, &s.key_vars, &lin);
+            statements.push(RunLinearStmt {
+                trigger: ti,
+                stmt: si,
+                statement: Statement {
+                    rhs: lin,
+                    ..s.clone()
+                },
+                kernel,
             });
         }
     }
-    Ok(BatchCorrection {
+    Ok(RunLinear {
         relation: relation.to_string(),
         statements,
-        compiled: Vec::new(),
+        overlay_maps: overlay_maps.into_iter().collect(),
     })
+}
+
+/// Split `e` by its degree in the run-written atoms: `e = constant + linear`,
+/// where `constant` holds no run-written atom and every product term of
+/// `linear` holds exactly one, in multiplicity position (reached only through
+/// sums, products, negation and group-by summation — the operators linear in
+/// a factor's multiplicity). `Err(name)` names the run-written atom that
+/// makes `e` non-affine: the second one of a product term, or one under a
+/// lift, comparison, `EXISTS` or scalar function.
+fn split_by_degree(
+    e: &Expr,
+    run_written: &dyn Fn(&RelRef) -> bool,
+) -> Result<(Expr, Expr), String> {
+    match e {
+        Expr::Const(_) | Expr::Var(_) => Ok((e.clone(), Expr::zero())),
+        Expr::Rel(r) if run_written(r) => Ok((Expr::zero(), e.clone())),
+        Expr::Rel(_) => Ok((e.clone(), Expr::zero())),
+        Expr::Add(ts) => {
+            let (mut cs, mut ls) = (Vec::new(), Vec::new());
+            for t in ts {
+                let (c, l) = split_by_degree(t, run_written)?;
+                cs.push(c);
+                ls.push(l);
+            }
+            Ok((Expr::Add(cs), Expr::Add(ls)))
+        }
+        Expr::Neg(inner) => {
+            let (c, l) = split_by_degree(inner, run_written)?;
+            Ok((Expr::neg(c), Expr::neg(l)))
+        }
+        Expr::AggSum(gb, inner) => {
+            let (c, l) = split_by_degree(inner, run_written)?;
+            Ok((
+                Expr::AggSum(gb.clone(), Box::new(c)),
+                Expr::AggSum(gb.clone(), Box::new(l)),
+            ))
+        }
+        Expr::Mul(fs) => {
+            // Π(cᵢ + lᵢ): the constant part is Πcᵢ, the linear part is
+            // lₖ·Π_{i≠k} cᵢ for the one factor with a linear part; a second
+            // such factor would make the product quadratic.
+            let mut consts = Vec::with_capacity(fs.len());
+            let mut linear: Option<(usize, Expr)> = None;
+            for (i, f) in fs.iter().enumerate() {
+                let (c, l) = split_by_degree(f, run_written)?;
+                if !simplify(&l).is_zero() {
+                    if linear.is_some() {
+                        let second = run_written_atom(f, run_written);
+                        return Err(second.expect("a linear part holds a run-written atom"));
+                    }
+                    linear = Some((i, l));
+                }
+                consts.push(c);
+            }
+            let lin = match linear {
+                None => Expr::zero(),
+                Some((k, l)) => {
+                    let mut factors = consts.clone();
+                    factors[k] = l;
+                    Expr::Mul(factors)
+                }
+            };
+            Ok((Expr::Mul(consts), lin))
+        }
+        Expr::Lift(..) | Expr::Cmp(..) | Expr::Exists(..) | Expr::Apply(..) => {
+            match run_written_atom(e, run_written) {
+                Some(name) => Err(name),
+                None => Ok((e.clone(), Expr::zero())),
+            }
+        }
+    }
+}
+
+/// The name of the first run-written atom anywhere in `e`.
+fn run_written_atom(e: &Expr, run_written: &dyn Fn(&RelRef) -> bool) -> Option<String> {
+    e.atoms()
+        .into_iter()
+        .find(|a| run_written(a))
+        .map(|a| a.name)
 }
 
 #[cfg(test)]
@@ -299,29 +350,129 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_query_gets_a_nonzero_correction_and_batch_delta_dispatch() {
-        let program = compile(
-            &[selfj()],
-            &catalog(),
-            &CompileOptions::for_mode(CompileMode::HigherOrder),
-        )
-        .unwrap();
-        let corr = program.batch_correction("R").expect("R eligible");
-        assert!(
-            !corr.statements.is_empty(),
-            "self-join must produce interaction terms"
-        );
-        for s in &corr.statements {
-            assert_eq!(s.op, crate::program::StmtOp::Increment);
+    fn quadratic_query_gets_a_run_linear_part_and_batch_delta_dispatch() {
+        for mode in [CompileMode::HigherOrder, CompileMode::FirstOrder] {
+            let program = compile(&[selfj()], &catalog(), &CompileOptions::for_mode(mode)).unwrap();
+            let rl = program.run_linear_for("R").expect("R eligible");
+            assert!(
+                !rl.statements.is_empty(),
+                "{mode}: the self-join statement reads what its own run writes"
+            );
+            for s in &rl.statements {
+                let t = &program.triggers[s.trigger];
+                let full = &t.statements[s.stmt];
+                // Same statement shape, cut-down right-hand side, compiled.
+                assert_eq!(t.relation, "R");
+                assert_eq!(s.statement.target, full.target);
+                assert_eq!(s.statement.key_vars, full.key_vars);
+                assert!(s.kernel.is_some(), "{mode}: {}", s.statement);
+                // Every atom the overlay has to answer is listed.
+                for a in s.statement.rhs.atoms() {
+                    let written = t.statements.iter().any(|w| w.target == a.name) || a.name == "R";
+                    assert_eq!(written, rl.overlay_maps.contains(&a.name), "{mode}: {a:?}");
+                }
+            }
+            // Higher-order reads the auxiliary map; first-order IVM reads the
+            // stored slice of R itself.
+            assert_eq!(
+                rl.overlay_maps.contains(&"R".to_string()),
+                mode == CompileMode::FirstOrder,
+                "{mode}: {:?}",
+                rl.overlay_maps
+            );
+            let dispatch = program.batch_dispatch();
+            let r = dispatch.iter().find(|d| d.relation == "R").unwrap();
+            assert_eq!(r.strategy, BatchStrategy::BatchDelta);
         }
-        assert_eq!(corr.compiled.len(), corr.statements.len());
-        let dispatch = program.batch_dispatch();
-        let r = dispatch.iter().find(|d| d.relation == "R").unwrap();
-        assert_eq!(r.strategy, BatchStrategy::BatchDelta);
     }
 
     #[test]
-    fn linear_query_is_eligible_with_empty_correction() {
+    fn run_linear_part_keeps_exactly_the_terms_with_one_run_written_atom() {
+        let written = |a: &dbtoaster_agca::RelRef| a.name == "M";
+        // 2·Sum[](M(a)·(a > 3))·x  +  x·x  +  (−Sum[](N(a)))
+        let m_term = Expr::product_of([
+            Expr::val(2),
+            Expr::agg_sum(
+                Vec::<String>::new(),
+                Expr::product_of([
+                    Expr::view("M", ["a"]),
+                    Expr::cmp(CmpOp::Gt, Expr::var("a"), Expr::val(3)),
+                ]),
+            ),
+            Expr::var("x"),
+        ]);
+        let rhs = Expr::sum_of([
+            m_term.clone(),
+            Expr::product_of([Expr::var("x"), Expr::var("x")]),
+            Expr::neg(Expr::agg_sum(Vec::<String>::new(), Expr::view("N", ["a"]))),
+        ]);
+        let (_, lin) = super::split_by_degree(&rhs, &written).unwrap();
+        assert_eq!(
+            dbtoaster_agca::simplify(&lin),
+            dbtoaster_agca::simplify(&m_term)
+        );
+
+        // Two run-written atoms in one term, or one under a lift, comparison
+        // or EXISTS, is not affine.
+        let sum_m = Expr::agg_sum(Vec::<String>::new(), Expr::view("M", ["a"]));
+        for bad in [
+            Expr::product_of([Expr::view("M", ["a"]), Expr::view("M", ["b"])]),
+            Expr::product_of([Expr::lift("z", sum_m.clone()), Expr::var("z")]),
+            Expr::cmp(CmpOp::Lt, Expr::var("x"), sum_m.clone()),
+            Expr::exists(Expr::view("M", ["a"])),
+        ] {
+            assert_eq!(
+                super::split_by_degree(&bad, &written),
+                Err("M".to_string()),
+                "{bad}"
+            );
+        }
+        // ...while the same shapes over a map the run does not write are constant.
+        let (c, l) =
+            super::split_by_degree(&Expr::exists(Expr::view("N", ["a"])), &written).unwrap();
+        assert!(dbtoaster_agca::simplify(&l).is_zero() && !c.is_zero());
+    }
+
+    #[test]
+    fn non_affine_read_of_run_written_state_bails_with_its_own_reason() {
+        use crate::program::{BatchDeltaBail, Statement, StmtOp, Trigger};
+        use dbtoaster_agca::UpdateSign;
+        // Q += Exists(M(a)); M[a] += 1 — ordered for pre-event reads, nothing
+        // cubic, but Q is not affine in M, which the same trigger writes.
+        let stmt = |target: &str, key: &[&str], rhs: Expr| Statement {
+            target: target.into(),
+            key_vars: key.iter().map(|k| k.to_string()).collect(),
+            loop_vars: vec![],
+            op: StmtOp::Increment,
+            rhs,
+        };
+        let triggers = [Trigger {
+            relation: "R".into(),
+            sign: UpdateSign::Insert,
+            trigger_vars: vec!["a".into(), "b".into()],
+            statements: vec![
+                stmt("Q", &[], Expr::exists(Expr::view("M", ["a"]))),
+                stmt("M", &["a"], Expr::one()),
+            ],
+        }];
+        let (programs, outcomes) = super::derive_run_linear(&[], &triggers, &catalog());
+        assert!(programs.is_empty());
+        let bail = outcomes[0].bail.clone().expect("R must bail");
+        assert_eq!(
+            bail,
+            BatchDeltaBail::NonAffineRunRead {
+                target: "Q".into(),
+                read: "M".into()
+            }
+        );
+        assert_eq!(
+            bail.describe(),
+            "the statement for `Q` is not affine in run-written `M`"
+        );
+    }
+
+    #[test]
+    fn linear_query_is_eligible_with_no_run_linear_part() {
         let program = compile(
             &[linear()],
             &catalog(),
@@ -329,11 +480,11 @@ mod tests {
         )
         .unwrap();
         for rel in ["R", "S"] {
-            let corr = program.batch_correction(rel).expect("linear is eligible");
+            let rl = program.run_linear_for(rel).expect("linear is eligible");
             assert!(
-                corr.statements.is_empty(),
-                "{rel}: linear maps need no interaction terms: {:?}",
-                corr.statements
+                rl.statements.is_empty() && rl.overlay_maps.is_empty(),
+                "{rel}: linear maps read nothing their own run writes: {:?}",
+                rl.statements
             );
             let dispatch = program.batch_dispatch();
             let d = dispatch.iter().find(|d| d.relation == rel).unwrap();
@@ -349,7 +500,7 @@ mod tests {
             &CompileOptions::for_mode(CompileMode::Reevaluate),
         )
         .unwrap();
-        assert!(program.batch_corrections.is_empty());
+        assert!(program.run_linear.is_empty());
         for d in program.batch_dispatch() {
             assert_ne!(d.strategy, BatchStrategy::BatchDelta);
         }
@@ -383,8 +534,8 @@ mod tests {
         // state-reading or replace-bearing trigger may claim batch-delta.
         for d in program.batch_dispatch() {
             if d.strategy == BatchStrategy::BatchDelta {
-                let corr = program.batch_correction(&d.relation).unwrap();
-                assert!(corr.statements.iter().all(|s| !s.rhs.is_zero()));
+                let rl = program.run_linear_for(&d.relation).unwrap();
+                assert!(rl.statements.iter().all(|s| !s.statement.rhs.is_zero()));
             }
         }
     }

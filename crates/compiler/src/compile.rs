@@ -239,38 +239,11 @@ pub fn compile(
         })
         .collect();
 
-    // Second-order batch corrections: per eligible relation, the statements
-    // completing pre-run-state batch execution (see `crate::batch_delta`).
-    // Lowered through the same kernel pipeline as trigger statements, with no
-    // trigger variables — a correction runs once per run, scanning the run's
-    // delta pseudo-relations.
-    let (mut batch_corrections, batch_delta_reasons) =
-        crate::batch_delta::derive_batch_corrections_with_reasons(&maps, &triggers, catalog);
-    for c in &mut batch_corrections {
-        c.compiled = c
-            .statements
-            .iter()
-            .map(|s| dbtoaster_agca::lower_statement(&[], &s.key_vars, &s.rhs))
-            .collect();
-    }
-    // A correction may read a *surviving* stream atom — another relation's
-    // stored slice, constant during the run (see `crate::batch_delta` gate
-    // 3b). Keep those relations stored even when no trigger statement reads
-    // them directly, so the correction's pre-run read has state to probe.
-    for c in &batch_corrections {
-        for s in &c.statements {
-            for rel in s.base_reads() {
-                match catalog.get(&rel).map(|m| m.kind) {
-                    Some(AtomKind::Table) => {
-                        static_tables.insert(rel);
-                    }
-                    _ => {
-                        stored_relations.insert(rel);
-                    }
-                }
-            }
-        }
-    }
+    // Batch-delta: per eligible relation, the run-linear parts of its trigger
+    // statements (see `crate::batch_delta`), lowered through the same kernel
+    // pipeline. They read nothing their statements do not already read.
+    let (run_linear, batch_delta_reasons) =
+        crate::batch_delta::derive_run_linear(&maps, &triggers, catalog);
 
     Ok(TriggerProgram {
         maps,
@@ -279,7 +252,7 @@ pub fn compile(
         results,
         stored_relations,
         static_tables,
-        batch_corrections,
+        run_linear,
         batch_delta_reasons,
         report,
     })

@@ -3,8 +3,9 @@
 //! Higher-order delta compilation turns a query into opaque flat trigger
 //! kernels; this module renders them back into an operator tree an operator
 //! can read. Per relation it reports the [`BatchStrategy`] a multi-entry
-//! delta batch will use **and why** — whether second-order batch-delta
-//! derivation succeeded or which eligibility gate bailed
+//! delta batch will use **and why** — whether batch-delta derivation
+//! succeeded (and which statements carry a run-linear part for the overlay
+//! pass) or which eligibility gate bailed
 //! ([`BatchDeltaBail`](crate::program::BatchDeltaBail)), and which
 //! statement-major rule failed
 //! ([`StatementMajorBlock`](crate::program::StatementMajorBlock)) — and per
@@ -14,7 +15,7 @@
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
 //! attach per-target-view counters ([`ViewStats`] — rows written, probes,
-//! scans, entries scanned, fused/banded prelude hits, correction firings,
+//! scans, entries scanned, fused/banded prelude hits, overlay firings,
 //! current map size) via [`ProgramExplain::attach_stats`]. Both a text
 //! rendering and a dependency-free JSON form (round-trippable through
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
@@ -44,8 +45,8 @@ pub struct ViewStats {
     pub banded_hits: u64,
     /// Banded prelude lookups that fell back to a full traversal.
     pub banded_bails: u64,
-    /// Second-order batch-correction statement firings.
-    pub correction_firings: u64,
+    /// Run-linear kernel firings of the batch-delta overlay pass.
+    pub overlay_firings: u64,
     /// Current number of entries in the map.
     pub map_size: u64,
 }
@@ -96,8 +97,10 @@ pub struct RelationExplain {
     pub shard: String,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
-    /// Second-order batch-correction statements, when batch-delta eligible.
-    pub corrections: Vec<StmtExplain>,
+    /// The run-linear parts the batch-delta overlay pass fires, per sign
+    /// trigger (empty when ineligible or when no statement reads what the
+    /// relation's own triggers write).
+    pub run_linear: Vec<TriggerExplain>,
 }
 
 /// A full EXPLAIN (or, with stats attached, EXPLAIN ANALYZE) of a compiled
@@ -124,18 +127,23 @@ pub fn explain(program: &TriggerProgram, force: Option<BatchStrategy>) -> Progra
                 .flatten()
                 .map(|i| explain_trigger(program, i))
                 .collect();
-            let corrections = program
-                .batch_correction(&d.relation)
-                .map(|c| {
-                    c.statements
+            let run_linear = [d.insert, d.delete]
+                .into_iter()
+                .flatten()
+                .filter_map(|i| {
+                    let statements: Vec<StmtExplain> = program
+                        .run_linear_for(&d.relation)?
+                        .statements
                         .iter()
-                        .enumerate()
-                        .map(|(j, s)| {
-                            explain_statement(s, c.compiled.get(j).and_then(|k| k.as_ref()))
-                        })
-                        .collect()
+                        .filter(|s| s.trigger == i)
+                        .map(|s| explain_statement(&s.statement, s.kernel.as_ref()))
+                        .collect();
+                    (!statements.is_empty()).then(|| TriggerExplain {
+                        sign: sign_str(program.triggers[i].sign),
+                        statements,
+                    })
                 })
-                .unwrap_or_default();
+                .collect();
             RelationExplain {
                 reason: strategy_reason(program, &d.relation, d.strategy, force),
                 shard: shard_plan
@@ -145,7 +153,7 @@ pub fn explain(program: &TriggerProgram, force: Option<BatchStrategy>) -> Progra
                 relation: d.relation,
                 strategy: d.strategy.as_str().to_string(),
                 triggers,
-                corrections,
+                run_linear,
             }
         })
         .collect();
@@ -164,21 +172,26 @@ fn strategy_reason(
     if force == Some(BatchStrategy::EntryMajor) {
         return "forced entry-major override".to_string();
     }
-    let derivation = || match program.batch_correction(relation) {
-        Some(c) if c.statements.is_empty() => {
-            "second-order correction derived (all affected maps linear; no interaction terms)"
+    let derivation = || match program.run_linear_for(relation) {
+        Some(rl) if rl.statements.is_empty() => {
+            "batch-delta derived (no statement reads run-written state; no overlay pass)"
                 .to_string()
         }
-        Some(c) => format!(
-            "second-order correction derived ({} interaction statements)",
-            c.statements.len()
+        Some(rl) => format!(
+            "batch-delta derived ({} run-linear statements over an overlay of {})",
+            rl.statements.len(),
+            rl.overlay_maps
+                .iter()
+                .map(|m| format!("`{m}`"))
+                .collect::<Vec<_>>()
+                .join(", ")
         ),
         None => match program
             .batch_delta_reason(relation)
             .and_then(|o| o.bail.as_ref())
         {
             Some(bail) => format!("batch-delta ineligible: {}", bail.describe()),
-            None => "batch-delta correction not derived".to_string(),
+            None => "batch-delta not derived".to_string(),
         },
     };
     let rules = || match program.statement_major_block(relation) {
@@ -211,11 +224,15 @@ fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
         })
         .collect();
     TriggerExplain {
-        sign: match t.sign {
-            UpdateSign::Insert => "insert".to_string(),
-            UpdateSign::Delete => "delete".to_string(),
-        },
+        sign: sign_str(t.sign),
         statements,
+    }
+}
+
+fn sign_str(sign: UpdateSign) -> String {
+    match sign {
+        UpdateSign::Insert => "insert".to_string(),
+        UpdateSign::Delete => "delete".to_string(),
     }
 }
 
@@ -470,8 +487,8 @@ impl ProgramExplain {
             for stmt in rel
                 .triggers
                 .iter_mut()
+                .chain(rel.run_linear.iter_mut())
                 .flat_map(|t| t.statements.iter_mut())
-                .chain(rel.corrections.iter_mut())
             {
                 stmt.analyze = lookup(&stmt.target);
             }
@@ -498,9 +515,9 @@ impl ProgramExplain {
                     render_stmt(&mut out, s);
                 }
             }
-            if !rel.corrections.is_empty() {
-                let _ = writeln!(out, "batch corrections:");
-                for s in &rel.corrections {
+            for t in &rel.run_linear {
+                let _ = writeln!(out, "run-linear on {}:", t.sign);
+                for s in &t.statements {
                     render_stmt(&mut out, s);
                 }
             }
@@ -532,30 +549,9 @@ impl ProgramExplain {
                 json_escape(&rel.reason),
                 json_escape(&rel.shard)
             );
-            for (j, t) in rel.triggers.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"sign\":\"{}\",\"statements\":[",
-                    json_escape(&t.sign)
-                );
-                for (k, s) in t.statements.iter().enumerate() {
-                    if k > 0 {
-                        out.push(',');
-                    }
-                    stmt_json(&mut out, s);
-                }
-                out.push_str("]}");
-            }
-            out.push_str("],\"corrections\":[");
-            for (k, s) in rel.corrections.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                stmt_json(&mut out, s);
-            }
+            triggers_json(&mut out, &rel.triggers);
+            out.push_str("],\"run_linear\":[");
+            triggers_json(&mut out, &rel.run_linear);
             out.push_str("]}");
         }
         out.push_str("]}");
@@ -575,22 +571,8 @@ impl ProgramExplain {
         let mut relations = Vec::new();
         for rv in obj.get("relations")?.as_array()? {
             let r = rv.as_object()?;
-            let mut triggers = Vec::new();
-            for tv in r.get("triggers")?.as_array()? {
-                let t = tv.as_object()?;
-                let mut statements = Vec::new();
-                for sv in t.get("statements")?.as_array()? {
-                    statements.push(stmt_from_json(sv)?);
-                }
-                triggers.push(TriggerExplain {
-                    sign: t.get("sign")?.as_str()?.to_string(),
-                    statements,
-                });
-            }
-            let mut corrections = Vec::new();
-            for sv in r.get("corrections")?.as_array()? {
-                corrections.push(stmt_from_json(sv)?);
-            }
+            let triggers = triggers_from_json(r.get("triggers")?)?;
+            let run_linear = triggers_from_json(r.get("run_linear")?)?;
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 strategy: r.get("strategy")?.as_str()?.to_string(),
@@ -602,7 +584,7 @@ impl ProgramExplain {
                     .unwrap_or_default()
                     .to_string(),
                 triggers,
-                corrections,
+                run_linear,
             });
         }
         Some(ProgramExplain { forced, relations })
@@ -630,7 +612,7 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
         let _ = writeln!(
             out,
             "    analyze: rows={} probes={} scans={} entries={} fused={} banded={}/{} \
-             corrections={} map_size={}",
+             overlay={} map_size={}",
             a.rows_written,
             a.probes,
             a.scans,
@@ -638,10 +620,48 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
             a.fused_scans,
             a.banded_hits,
             a.banded_bails,
-            a.correction_firings,
+            a.overlay_firings,
             a.map_size
         );
     }
+}
+
+fn triggers_json(out: &mut String, triggers: &[TriggerExplain]) {
+    for (j, t) in triggers.iter().enumerate() {
+        if j > 0 {
+            out.push(',');
+        }
+        let _ = write!(
+            out,
+            "{{\"sign\":\"{}\",\"statements\":[",
+            json_escape(&t.sign)
+        );
+        for (k, s) in t.statements.iter().enumerate() {
+            if k > 0 {
+                out.push(',');
+            }
+            stmt_json(out, s);
+        }
+        out.push_str("]}");
+    }
+}
+
+fn triggers_from_json(v: &json::Json) -> Option<Vec<TriggerExplain>> {
+    v.as_array()?
+        .iter()
+        .map(|tv| {
+            let t = tv.as_object()?;
+            Some(TriggerExplain {
+                sign: t.get("sign")?.as_str()?.to_string(),
+                statements: t
+                    .get("statements")?
+                    .as_array()?
+                    .iter()
+                    .map(stmt_from_json)
+                    .collect::<Option<_>>()?,
+            })
+        })
+        .collect()
 }
 
 fn stmt_json(out: &mut String, s: &StmtExplain) {
@@ -674,7 +694,7 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
                 out,
                 "{{\"rows_written\":{},\"probes\":{},\"scans\":{},\"entries_scanned\":{},\
                  \"fused_scans\":{},\"banded_hits\":{},\"banded_bails\":{},\
-                 \"correction_firings\":{},\"map_size\":{}}}",
+                 \"overlay_firings\":{},\"map_size\":{}}}",
                 a.rows_written,
                 a.probes,
                 a.scans,
@@ -682,7 +702,7 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
                 a.fused_scans,
                 a.banded_hits,
                 a.banded_bails,
-                a.correction_firings,
+                a.overlay_firings,
                 a.map_size
             );
         }
@@ -713,7 +733,7 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
                 fused_scans: field("fused_scans")?,
                 banded_hits: field("banded_hits")?,
                 banded_bails: field("banded_bails")?,
-                correction_firings: field("correction_firings")?,
+                overlay_firings: field("overlay_firings")?,
                 map_size: field("map_size")?,
             })
         }
@@ -1024,11 +1044,7 @@ mod tests {
         assert_eq!(ex.relations.len(), 2);
         for rel in &ex.relations {
             assert_eq!(rel.strategy, "batch-delta");
-            assert!(
-                rel.reason.contains("second-order correction derived"),
-                "{}",
-                rel.reason
-            );
+            assert!(rel.reason.contains("batch-delta derived"), "{}", rel.reason);
             assert!(!rel.triggers.is_empty());
             for t in &rel.triggers {
                 for s in &t.statements {

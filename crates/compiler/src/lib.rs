@@ -44,15 +44,15 @@ pub mod materialize;
 pub mod program;
 pub mod shard;
 
-pub use batch_delta::{derive_batch_corrections, derive_batch_corrections_with_reasons};
+pub use batch_delta::derive_run_linear;
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{explain, ProgramExplain, RelationExplain, StmtExplain, ViewStats};
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
-    BatchCorrection, BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode,
-    CompileOptions, CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec,
-    RelationDispatch, RelationMeta, ResultAccess, Statement, StatementMajorBlock, StmtOp, Trigger,
-    TriggerProgram,
+    BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
+    CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
+    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StatementMajorBlock, StmtOp,
+    Trigger, TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -63,10 +63,10 @@ pub mod prelude {
     pub use crate::compile::{compile, CompileError};
     pub use crate::explain::{explain, ProgramExplain, ViewStats};
     pub use crate::program::{
-        BatchCorrection, BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode,
-        CompileOptions, CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec,
-        RelationDispatch, RelationMeta, ResultAccess, Statement, StatementMajorBlock, StmtOp,
-        Trigger, TriggerProgram,
+        BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
+        CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
+        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StatementMajorBlock,
+        StmtOp, Trigger, TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

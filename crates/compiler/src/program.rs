@@ -333,11 +333,11 @@ pub struct TriggerProgram {
     pub stored_relations: BTreeSet<String>,
     /// Static tables referenced by the program (always stored).
     pub static_tables: BTreeSet<String>,
-    /// Per-relation second-order batch corrections, for every relation whose
+    /// Per-relation run-linear programs, one for every relation whose
     /// triggers are batch-delta eligible (see [`BatchStrategy::BatchDelta`]).
     /// Derived data, like [`TriggerProgram::compiled`]: excluded from the
     /// program fingerprint.
-    pub batch_corrections: Vec<BatchCorrection>,
+    pub run_linear: Vec<RunLinear>,
     /// Per-relation batch-delta derivation outcomes: eligible, or which gate
     /// bailed. Derived data like [`TriggerProgram::compiled`]: excluded from
     /// the program fingerprint and empty for hand-assembled programs.
@@ -365,10 +365,11 @@ pub enum BatchStrategy {
     /// Batch-delta: the whole run is one delta GMR. Every incremental
     /// statement of both sign triggers is evaluated against the **pre-run**
     /// state (all writes buffered and applied after the last read), and the
-    /// relation's [`BatchCorrection`] statements add the explicit second-order
-    /// terms that account for entries of the same run interacting. Chosen
-    /// whenever the correction derivation succeeds — see
-    /// [`crate::batch_delta`] for the derivation and its eligibility gates.
+    /// relation's [`RunLinear`] statements — the same right-hand sides cut
+    /// down to the terms that read what the run writes — are evaluated per
+    /// firing over a run-local overlay to account for entries of the same run
+    /// interacting. Chosen whenever the derivation succeeds — see
+    /// [`crate::batch_delta`] for the argument and its eligibility gates.
     BatchDelta,
 }
 
@@ -390,26 +391,41 @@ impl fmt::Display for BatchStrategy {
     }
 }
 
-/// The second-order batch correction program of one relation: statements whose
-/// right-hand sides join the run's delta pseudo-relations
-/// (`@delta:R` / `@delta_abs:R`, see [`dbtoaster_agca::batch`]) with the
-/// mode-independent second delta of each affected map's definition. Executing
-/// the relation's first-order statements against the pre-run state and then
-/// these corrections reproduces sequential per-event processing exactly (in
-/// the GMR ring).
+/// The run-linear program of one batch-delta eligible relation (see
+/// [`crate::batch_delta`]): for every trigger statement that reads a map — or
+/// the relation's own stored slice — that the same relation's triggers write,
+/// the part of its right-hand side linear in that run-written state. Executing
+/// the relation's statements against the pre-run state and these, per firing
+/// in entry order, against an overlay of what the run has written so far
+/// reproduces sequential per-event processing exactly (in the GMR ring).
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct BatchCorrection {
-    /// The stream relation whose runs this correction completes.
+pub struct RunLinear {
+    /// The stream relation whose runs this program completes.
     pub relation: String,
-    /// Correction statements (always [`StmtOp::Increment`]); may be empty when
-    /// every map affected by the relation is linear in it — the relation is
-    /// still batch-delta eligible, the interaction terms are just zero.
-    pub statements: Vec<Statement>,
-    /// Compiled kernels aligned with `statements` (`None` = interpret).
-    pub compiled: Vec<Option<CompiledStmt>>,
+    /// The run-linear parts, in `(trigger, statement)` order; empty when no
+    /// statement of the relation reads run-written state — the relation is
+    /// still batch-delta eligible, its runs just have no interaction.
+    pub statements: Vec<RunLinearStmt>,
+    /// The run-written names those parts read, sorted: exactly the maps the
+    /// engine's run-local overlay has to hold.
+    pub overlay_maps: Vec<String>,
 }
 
-/// Which eligibility gate stopped second-order batch-delta derivation for a
+/// The run-linear part of one trigger statement.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct RunLinearStmt {
+    /// Index into [`TriggerProgram::triggers`] of the statement's trigger.
+    pub trigger: usize,
+    /// Index into that trigger's [`Trigger::statements`].
+    pub stmt: usize,
+    /// The trigger statement with its right-hand side cut down to the product
+    /// terms holding exactly one run-written atom.
+    pub statement: Statement,
+    /// Its compiled kernel (`None` = interpret).
+    pub kernel: Option<CompiledStmt>,
+}
+
+/// Which eligibility gate stopped batch-delta derivation for a
 /// relation (see [`crate::batch_delta`] for the gates themselves). Recorded at
 /// compile time so EXPLAIN can name the exact condition instead of a generic
 /// "not eligible".
@@ -436,11 +452,19 @@ pub enum BatchDeltaBail {
     },
     /// Gate 3b: a derived *view* atom survives into `map`'s second delta,
     /// which must read no state that changes mid-run. (Stream atoms of
-    /// *other* relations are allowed: they are constant during the run and
-    /// their stored pre-run slice is materialized for the correction.)
+    /// *other* relations are allowed: they are constant during the run.)
     SurvivingViewAtom {
         /// The offending map.
         map: String,
+    },
+    /// Gate 4: the statement for `target` is not affine in `read`, which the
+    /// same relation's triggers write: a product term holds two run-written
+    /// atoms, or one under a lift, comparison, `EXISTS` or scalar function.
+    NonAffineRunRead {
+        /// The statement's target map.
+        target: String,
+        /// The run-written map (or the relation's stored slice) read.
+        read: String,
     },
 }
 
@@ -459,6 +483,9 @@ impl BatchDeltaBail {
             BatchDeltaBail::SurvivingViewAtom { map } => {
                 format!("a view atom survives into `{map}`'s second delta")
             }
+            BatchDeltaBail::NonAffineRunRead { target, read } => {
+                format!("the statement for `{target}` is not affine in run-written `{read}`")
+            }
         }
     }
 }
@@ -468,7 +495,7 @@ impl BatchDeltaBail {
 pub struct BatchDeltaOutcome {
     /// The stream relation.
     pub relation: String,
-    /// `None` — derivation succeeded (the relation has a [`BatchCorrection`]);
+    /// `None` — derivation succeeded (the relation has a [`RunLinear`]);
     /// `Some` — the first gate that fired.
     pub bail: Option<BatchDeltaBail>,
 }
@@ -591,9 +618,9 @@ impl TriggerProgram {
     /// per-event processing inside the batch and therefore always exact.
     ///
     /// [`BatchStrategy::BatchDelta`] supersedes both whenever the relation has
-    /// a derived [`BatchCorrection`] (including an empty one): the first-order
-    /// statements run against the pre-run state with buffered writes, and the
-    /// correction statements add the intra-run interaction terms.
+    /// a derived [`RunLinear`] (including an empty one): the statements run
+    /// against the pre-run state with buffered writes, and the run-linear
+    /// parts add the intra-run interaction over a run-local overlay.
     pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
         self.batch_dispatch_forced(None)
     }
@@ -631,7 +658,7 @@ impl TriggerProgram {
                         self.relation_batch_strategy(rel, insert, delete)
                     }
                     Some(BatchStrategy::BatchDelta) | None => {
-                        if self.batch_correction(rel).is_some() {
+                        if self.run_linear_for(rel).is_some() {
                             BatchStrategy::BatchDelta
                         } else {
                             self.relation_batch_strategy(rel, insert, delete)
@@ -648,12 +675,10 @@ impl TriggerProgram {
             .collect()
     }
 
-    /// The second-order batch correction for `relation`, if its triggers are
-    /// batch-delta eligible.
-    pub fn batch_correction(&self, relation: &str) -> Option<&BatchCorrection> {
-        self.batch_corrections
-            .iter()
-            .find(|c| c.relation == relation)
+    /// The run-linear program for `relation`, if its triggers are batch-delta
+    /// eligible.
+    pub fn run_linear_for(&self, relation: &str) -> Option<&RunLinear> {
+        self.run_linear.iter().find(|c| c.relation == relation)
     }
 
     /// The recorded batch-delta derivation outcome for `relation`, if the

@@ -38,7 +38,7 @@
 //!   per-shard values. Exact because every statement *writing* it is local,
 //!   i.e. each event's full contribution is computed on one shard. (Over
 //!   integer-weighted streams the addition is exact; float workloads
-//!   reassociate the sum — same caveat as batch-delta corrections.)
+//!   reassociate the sum — same caveat as batch-delta execution.)
 //! * [`Global`](MapClass::Global) — everything else, maintained only by the
 //!   exchange executor.
 //!
@@ -47,13 +47,13 @@
 //! any statement targeting **or reading** it is global (the executor must own
 //! the full value it reads). The local and global slices are therefore closed
 //! under their own reads, and [`slice_program`] can re-derive each slice's
-//! second-order batch corrections independently.
+//! run-linear batch-delta program independently.
 //!
-//! Within one shard, a run's intra-batch pair interactions are handled by the
-//! slice's own batch-delta corrections; *cross-shard* pairs cannot arise for
-//! local statements, because any surviving pair term joins the two updates
+//! Within one shard, a run's intra-batch interactions are handled by the
+//! slice's own batch-delta overlay pass; *cross-shard* interactions cannot
+//! arise for local statements, because any read of run-written state goes
 //! through the very probe key the analysis proved equal to both partition
-//! variables — co-partitioned pairs land on the same shard.
+//! variables — co-partitioned entries land on the same shard.
 //!
 //! [`TriggerProgram::batch_dispatch`]: crate::program::TriggerProgram::batch_dispatch
 //! [`RelationDelta`]: dbtoaster_agca::RelationDelta
@@ -145,7 +145,7 @@ impl ShardPlan {
 #[derive(Clone, Debug)]
 pub struct ShardSlices {
     /// Statements proven co-partitioned, with their own re-derived kernels
-    /// and batch corrections.
+    /// and run-linear program.
     pub local: TriggerProgram,
     /// The exchange executor's program (`None` when fully local).
     pub global: Option<TriggerProgram>,
@@ -342,7 +342,7 @@ pub fn analyze_sharding(program: &TriggerProgram) -> ShardPlan {
 /// every shard over its partition of the stream) and the exchange executor's
 /// global program (run over the full stream), if one is needed. Each slice is
 /// a complete, self-contained [`TriggerProgram`]: kernels are re-lowered and
-/// second-order batch corrections re-derived over the slice's own maps, so a
+/// the run-linear batch-delta program re-derived over the slice's own maps, so a
 /// slice engine dispatches batch strategies exactly as an unsharded engine
 /// would for that statement subset.
 pub fn slice_program(program: &TriggerProgram, plan: &ShardPlan, catalog: &Catalog) -> ShardSlices {
@@ -405,15 +405,8 @@ fn build_slice(
                 .collect(),
         })
         .collect();
-    let (mut batch_corrections, batch_delta_reasons) =
-        crate::batch_delta::derive_batch_corrections_with_reasons(&maps, &triggers, catalog);
-    for c in &mut batch_corrections {
-        c.compiled = c
-            .statements
-            .iter()
-            .map(|s| dbtoaster_agca::lower_statement(&[], &s.key_vars, &s.rhs))
-            .collect();
-    }
+    let (run_linear, batch_delta_reasons) =
+        crate::batch_delta::derive_run_linear(&maps, &triggers, catalog);
     // Stored relations / static tables, recomputed for the slice exactly as
     // `compile` does for the full program.
     let mut stored_relations = BTreeSet::new();
@@ -428,11 +421,6 @@ fn build_slice(
     };
     for t in &triggers {
         for s in &t.statements {
-            s.base_reads().into_iter().for_each(&mut classify);
-        }
-    }
-    for c in &batch_corrections {
-        for s in &c.statements {
             s.base_reads().into_iter().for_each(&mut classify);
         }
     }
@@ -467,7 +455,7 @@ fn build_slice(
         results,
         stored_relations,
         static_tables,
-        batch_corrections,
+        run_linear,
         batch_delta_reasons,
         report: program.report.clone(),
     }
@@ -695,7 +683,7 @@ mod tests {
     }
 
     /// Scalar self-join with a join key: quadratic, but co-partitioned pairs
-    /// always share a shard, so the per-shard corrections stay exact.
+    /// always share a shard, so the per-shard overlay passes stay exact.
     fn selfj() -> QuerySpec {
         QuerySpec {
             name: "SELFJ".into(),
@@ -748,13 +736,13 @@ mod tests {
         assert!(plan.fully_local(), "plan: {plan:#?}");
         assert_eq!(plan.partition_index("R"), Some(1), "join key B");
         assert_eq!(plan.class("SELFJ"), MapClass::Summed);
-        // The local slice must re-derive the second-order correction for the
-        // quadratic map: within-shard pair interactions still need it.
+        // The local slice must re-derive the run-linear program for the
+        // quadratic map: within-shard interactions still need it.
         let slices = slice_program(&program, &plan, &catalog());
-        let corr = slices.local.batch_correction("R").expect("R eligible");
+        let rl = slices.local.run_linear_for("R").expect("R eligible");
         assert!(
-            !corr.statements.is_empty(),
-            "quadratic self-join needs a pair correction on each shard"
+            !rl.statements.is_empty(),
+            "quadratic self-join needs an overlay pass on each shard"
         );
     }
 

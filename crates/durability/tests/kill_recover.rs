@@ -435,10 +435,10 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     // Strategy equivalence under recovery, at run granularity: replay rebuilds
     // one delta batch per WAL record and drives it through the same
     // `process_batch` dispatch as the live writer, so the full sequence of
-    // (relation, strategy, events) run records — across uneven micro-batches,
-    // a mid-batch poison event, and any runtime batch-delta cost-gate
-    // fallback — must be identical. The aggregate-counter check in the poison
-    // test above could mask compensating swaps; this one cannot.
+    // (relation, strategy, events) run records — across uneven micro-batches
+    // and a mid-batch poison event — must be identical. The aggregate-counter
+    // check in the poison test above could mask compensating swaps; this one
+    // cannot.
     use dbtoaster::agca::DeltaBatch;
     use dbtoaster::compiler::BatchStrategy;
     use dbtoaster::runtime::{Engine, RunRecord};
@@ -448,11 +448,10 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
 
-    // The revenue query's batch-delta corrections are empty (its deltas are
-    // linear), so it alone never consults the correction cost gate. The
-    // Lineitem self-join adds a query whose delta re-reads a map Lineitem
-    // itself maintains — non-empty second-order corrections, and a per-batch
-    // gate decision fed by observed map sizes.
+    // The revenue query's deltas are linear: its relations have no run-linear
+    // part. The Lineitem self-join adds a query whose delta re-reads a map
+    // Lineitem itself maintains, so multi-firing Lineitem runs make the
+    // batch-delta overlay pass.
     let program = QueryEngineBuilder::new(catalog())
         .add_query(
             "revenue",
@@ -530,25 +529,23 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
             .any(|r| r.strategy == BatchStrategy::BatchDelta),
         "the revenue query's relations should dispatch batch-delta: {live_runs:?}"
     );
-    // The deterministic correction cost gate (batch firing count vs the
-    // observed sizes of the maps the relation's triggers read) must flip
-    // within this stream: early wide batches meet near-empty maps and fall
-    // back to entry-major, while later batches run their second-order
-    // corrections once the maps outgrow the firing count. Both outcomes on
-    // one batch-delta relation pin the decision path; the sequence equality
-    // below then proves replay re-derives every decision from rebuilt engine
-    // state rather than from anything the live process remembered.
-    let gate_flipped = live_runs.iter().any(|r| {
-        r.strategy == BatchStrategy::EntryMajor
-            && r.events > 3
-            && live_runs
-                .iter()
-                .any(|b| b.relation == r.relation && b.strategy == BatchStrategy::BatchDelta)
-    });
+    // The strategy of a run is a function of the program alone: whatever the
+    // run's size and however small the maps it reads, a relation never
+    // changes strategy mid-stream (the old firing-count cost gate is gone).
+    for r in &live_runs {
+        assert_eq!(
+            r.strategy,
+            BatchStrategy::BatchDelta,
+            "run of {} events on {} left the static batch-delta dispatch: {live_runs:?}",
+            r.events,
+            r.relation
+        );
+    }
     assert!(
-        gate_flipped,
-        "expected the batch-delta cost gate to fall back to entry-major at least once \
-         while the read maps were small: {live_runs:?}"
+        live_runs
+            .iter()
+            .any(|r| r.relation == "Lineitem" && r.events > 3),
+        "expected multi-firing Lineitem runs (the overlay pass): {live_runs:?}"
     );
     assert_eq!(
         live_runs, replay_runs,

@@ -21,18 +21,29 @@
 //! [`TriggerProgram::batch_dispatch`]:
 //!
 //! * **Batch-delta** (the preferred path; chosen whenever the compiler derived a
-//!   second-order batch program — see the derivation in the compiler's
-//!   `batch_delta` module): every incremental statement of both sign triggers is
-//!   evaluated against the *pre-run* state with its writes buffered, then the
-//!   compiled correction statements — which join the run's delta with itself
-//!   through the `@delta:R` / `@delta_abs:R` pseudo-relations — run once per run
-//!   to account for intra-batch interaction, and only then do all buffered
-//!   statement writes and the base update land. One target resolution, one
-//!   change-log entry and one version bump per statement per run. Any evaluation
-//!   error discards the (still unapplied) buffers and replays the whole run
-//!   entry-major, reproducing per-event poison semantics exactly.
+//!   run-linear program for the relation — see the compiler's `batch_delta`
+//!   module): every incremental statement of both sign triggers is evaluated
+//!   for all entries back-to-back against the *pre-run* state with its writes
+//!   buffered (statement prelude, loop-invariant fused scans and banded
+//!   prefix-sum caches amortized over the run). When some statement reads a map
+//!   the same run writes, one ordered **overlay pass** over the run's firings
+//!   follows: each statement's *run-linear part* — the same right-hand side cut
+//!   down to the terms that read run-written state, lowered by the same kernel
+//!   pipeline — is executed against a run-local overlay that holds only what the
+//!   run's earlier firings wrote (every other name passes through to the
+//!   store), its rows join the statement's buffer, and the firing's own rows
+//!   are folded into the overlay. Because those right-hand sides are affine in
+//!   the run-written state, pre-run rows plus overlay rows equal the rows of
+//!   sequential per-event firing. The pass costs what the run's own entries
+//!   interact, independent of the maintained state; it is skipped for runs of
+//!   at most one firing and for relations with no run-linear part. Only then do
+//!   all buffered statement writes and the base update land: one target
+//!   resolution, one change-log entry and one version bump per statement per
+//!   run. Any evaluation error discards the (still unapplied) buffers and
+//!   replays the whole run entry-major, reproducing per-event poison semantics
+//!   exactly.
 //! * **Statement-major** (legacy fallback — triggers whose statements never read
-//!   anything the same run writes, when no batch program was derived): each
+//!   anything the same run writes, when no batch-delta program was derived): each
 //!   incremental statement is dispatched *once* per batch and driven over all
 //!   delta entries back-to-back — the kernel prelude and loop-invariant fused
 //!   scans run once, rows are buffered with entry boundaries, and the target map
@@ -41,19 +52,21 @@
 //!   `:=` statements fire once, bound to the run's last event — exactly the
 //!   firing whose output survives event-at-a-time processing.
 //! * **Entry-major** (the oracle and last-resort fallback — `:=` replace
-//!   semantics, increment chains that read their own targets such as the
-//!   brokerspread query's self-referencing `m_bsv` map, or shapes whose
-//!   second-order correction the compiler could not derive): each surviving
-//!   entry fires the full per-event sequence `|mult|` times. Always exact;
-//!   amortizes only the per-batch dispatch.
+//!   semantics, increment chains that read their own targets, or right-hand
+//!   sides that are not affine in what the run writes): each surviving entry
+//!   fires the full per-event sequence `|mult|` times. Always exact; amortizes
+//!   only the per-batch dispatch.
 //!
-//! All paths are driven by the same loops for compiled kernels and the AST
-//! interpreter, so the interpreter remains the differential-testing oracle for batch
-//! execution too. See the ring-linearity argument in [`dbtoaster_agca::batch`] for
-//! why statement-major reproduces per-event processing, and the compiler's
-//! `batch_delta` module for the Taylor-style first-plus-second-order argument
-//! behind batch-delta (both bit-exactly on integer-weighted streams; to summation
-//! order on float aggregates).
+//! The strategy of a run depends on the program and the override setting alone —
+//! never on the run's size or the state — so a WAL replay takes the same
+//! sequence as the live run. All paths are driven by the same loops for
+//! compiled kernels and the AST interpreter (both read through
+//! [`RelationSource`]), so the interpreter remains the differential-testing
+//! oracle for batch execution too. See the ring-linearity argument in
+//! [`dbtoaster_agca::batch`] for why statement-major reproduces per-event
+//! processing, and the compiler's `batch_delta` module for the affine-split
+//! argument behind batch-delta (both bit-exactly on integer-weighted streams;
+//! to summation order on float aggregates).
 //!
 //! When a program is increment-only, [`Engine::process_batch`] additionally
 //! *merges* same-relation runs of a batch before processing (ring addition of
@@ -61,18 +74,15 @@
 //! telescoping sum over merged runs is exact, and interleaved streams (e.g.
 //! alternating bids/asks) collapse from many short runs into one per relation.
 
-use crate::store::{CachedSource, Database};
-use dbtoaster_agca::batch::{
-    delta_abs_relation_name, delta_relation_name, DeltaBatch, RelationDelta,
-};
+use crate::store::{CachedSource, Database, ViewMap};
+use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::{
-    eval_with, eval_with_scratch, matches_pattern, Bindings, EvalError, EvalScratch, RelationSource,
+    eval_with, eval_with_scratch, Bindings, EvalError, EvalScratch, RelationSource,
 };
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchCorrection, BatchStrategy, Catalog, ResultAccess, Statement, StmtOp, Trigger,
-    TriggerProgram,
+    BatchStrategy, Catalog, ResultAccess, RunLinear, Statement, StmtOp, Trigger, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
@@ -116,8 +126,11 @@ fn env_forces_interpreter() -> bool {
 /// * `auto` / `batch-delta` / unset — the default dispatch: batch-delta where
 ///   derived, legacy strategies elsewhere.
 ///
-/// Useful for differential testing (all strategies must agree bit-exactly on
-/// integer-weighted streams) and as an escape hatch. Like
+/// Whatever the setting, a relation's strategy is fixed for the life of the
+/// engine: no run is re-routed by its size or by the state (the one runtime
+/// fallback, batch-delta → entry-major, is taken only when a statement fails
+/// to evaluate). Useful for differential testing (all strategies must agree
+/// bit-exactly on integer-weighted streams) and as an escape hatch. Like
 /// [`FORCE_INTERPRETER_ENV`], a durable deployment should keep the same
 /// setting across restarts so float view state replays identically.
 pub const FORCE_BATCH_STRATEGY_ENV: &str = "DBTOASTER_FORCE_BATCH_STRATEGY";
@@ -134,6 +147,15 @@ pub fn parse_batch_strategy(name: &str) -> Option<BatchStrategy> {
         "entry" | "entry-major" | "entry_major" => Some(BatchStrategy::EntryMajor),
         "statement" | "statement-major" | "statement_major" => Some(BatchStrategy::StatementMajor),
         _ => None,
+    }
+}
+
+/// Seed the frame's trigger slots — the ones the kernel reads — from an event
+/// tuple (after [`KernelState::prepare`], before execution).
+#[inline]
+fn seed_frame(state: &mut KernelState, kernel: &CompiledStmt, tuple: &[Value]) {
+    for &slot in &kernel.used_trigger_slots {
+        state.frame[slot as usize] = tuple[slot as usize].clone();
     }
 }
 
@@ -362,7 +384,7 @@ pub struct EngineStats {
     /// interpreter path (see [`FORCE_INTERPRETER_ENV`]).
     pub compiled_triggers: u64,
     /// Relation runs executed on the batch-delta path (pre-state evaluation
-    /// plus second-order corrections; see the module docs).
+    /// plus the overlay pass where entries interact; see the module docs).
     pub batch_delta_runs: u64,
     /// Relation runs executed statement-major (the legacy buffered path).
     pub statement_major_runs: u64,
@@ -439,9 +461,11 @@ struct DispatchEntry {
     insert: Option<u16>,
     delete: Option<u16>,
     strategy: BatchStrategy,
-    /// Index into [`TriggerProgram::batch_corrections`] when the strategy is
-    /// batch-delta (resolved once at dispatch-build time).
-    correction: Option<u16>,
+    /// Index into [`TriggerProgram::run_linear`] when the strategy is
+    /// batch-delta and some statement has a run-linear part, i.e. when
+    /// multi-firing runs need the overlay pass (resolved once at
+    /// dispatch-build time).
+    run_linear: Option<u16>,
 }
 
 /// One entry's emitted row range within the shared row buffer, plus how many
@@ -472,9 +496,9 @@ struct BatchScratch {
 /// statement, the apply phase walks them in order.
 #[derive(Debug, Default)]
 struct DeferredStmt {
-    /// Trigger index, or `u16::MAX` for a second-order correction statement.
+    /// Trigger index.
     tidx: u16,
-    /// Statement index within the trigger (or correction list).
+    /// Statement index within the trigger.
     stmt: u16,
     /// Entry boundaries into `rows` with per-entry repetition counts.
     segs: Vec<Seg>,
@@ -507,47 +531,32 @@ impl BdScratch {
     }
 }
 
-/// A [`RelationSource`] overlay resolving the compiler's `@delta:R` /
-/// `@delta_abs:R` pseudo-relations (see
-/// [`dbtoaster_agca::batch::delta_relation_name`]) against the in-flight
-/// [`RelationDelta`], delegating every real name to the wrapped source. The
-/// signed view streams each distinct surviving key with its net multiplicity;
-/// the absolute view streams `|net|` — exactly the Δ and |Δ| factors of the
-/// second-order correction statements.
-///
-/// The pair correction joins the delta with *itself*, so inner-side probes
-/// arrive with some columns bound (the join's equality constraints). A lazy
-/// per-bound-column-mask hash index keeps each probe proportional to its
-/// matches instead of the whole delta — the total correction cost is then the
-/// number of *real* interacting pairs, not `|Δ|²`.
-struct DeltaOverlay<'a, S: RelationSource + ?Sized> {
-    inner: &'a S,
-    run: &'a RelationDelta,
-    signed: &'a str,
-    absolute: &'a str,
-    /// mask of bound pattern columns → (bound values → entry indexes); built
-    /// on first probe with that mask.
-    index: std::cell::RefCell<FastMap<u32, FastMap<Tuple, Vec<u32>>>>,
+/// The [`RelationSource`] the batch-delta overlay pass evaluates run-linear
+/// kernels against: the relation's run-written maps (`names`, index-aligned
+/// with `maps`) resolve to the run-local overlay — what the run's earlier
+/// firings wrote, nothing else — and every other name passes through to the
+/// pre-run store. A run-linear right-hand side reads each run-written map
+/// through exactly one atom per product term, so name-based routing is exact.
+struct RunOverlay<'a, 'db> {
+    store: &'a CachedSource<'db>,
+    names: &'a [String],
+    maps: &'a [ViewMap],
 }
 
-impl<'a, S: RelationSource + ?Sized> DeltaOverlay<'a, S> {
-    fn new(inner: &'a S, run: &'a RelationDelta, signed: &'a str, absolute: &'a str) -> Self {
-        DeltaOverlay {
-            inner,
-            run,
-            signed,
-            absolute,
-            index: std::cell::RefCell::new(FastMap::default()),
-        }
+impl RunOverlay<'_, '_> {
+    fn overlay(&self, name: &str) -> Option<&ViewMap> {
+        self.names
+            .iter()
+            .position(|n| n == name)
+            .map(|i| &self.maps[i])
     }
 }
 
-impl<S: RelationSource + ?Sized> RelationSource for DeltaOverlay<'_, S> {
+impl RelationSource for RunOverlay<'_, '_> {
     fn relation_arity(&self, name: &str) -> Option<usize> {
-        if name == self.signed || name == self.absolute {
-            Some(self.run.arity())
-        } else {
-            self.inner.relation_arity(name)
+        match self.overlay(name) {
+            Some(m) => Some(m.schema().arity()),
+            None => self.store.relation_arity(name),
         }
     }
 
@@ -557,67 +566,13 @@ impl<S: RelationSource + ?Sized> RelationSource for DeltaOverlay<'_, S> {
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError> {
-        let absolute = name == self.absolute;
-        if !absolute && name != self.signed {
-            return self.inner.for_each_matching(name, pattern, visit);
-        }
-        let entries = self.run.entries();
-        let mask: u32 =
-            pattern
-                .iter()
-                .enumerate()
-                .fold(0, |m, (i, p)| if p.is_some() { m | (1 << i) } else { m });
-        if mask == 0 || pattern.len() > 32 {
-            // Full scan (the outer side of the pair join, and the whole
-            // diagonal term); wide tuples also land here and filter inline.
-            for entry in entries {
-                let key = entry.key.as_slice();
-                if entry.mult != 0.0 && (mask == 0 || matches_pattern(key, pattern)) {
-                    visit(
-                        key,
-                        if absolute {
-                            entry.mult.abs()
-                        } else {
-                            entry.mult
-                        },
-                    );
-                }
+        match self.overlay(name) {
+            Some(m) => {
+                m.for_each(pattern, visit);
+                Ok(())
             }
-            return Ok(());
+            None => self.store.for_each_matching(name, pattern, visit),
         }
-        let mut index = self.index.borrow_mut();
-        let by_key = index.entry(mask).or_insert_with(|| {
-            let mut by_key: FastMap<Tuple, Vec<u32>> = FastMap::default();
-            for (i, entry) in entries.iter().enumerate() {
-                if entry.mult == 0.0 {
-                    continue;
-                }
-                let bound: Tuple = entry
-                    .key
-                    .iter()
-                    .enumerate()
-                    .filter(|(c, _)| mask & (1 << c) != 0)
-                    .map(|(_, v)| v.clone())
-                    .collect();
-                by_key.entry(bound).or_default().push(i as u32);
-            }
-            by_key
-        });
-        let probe: Tuple = pattern.iter().flatten().cloned().collect();
-        if let Some(hits) = by_key.get(&probe) {
-            for &i in hits {
-                let entry = &entries[i as usize];
-                visit(
-                    entry.key.as_slice(),
-                    if absolute {
-                        entry.mult.abs()
-                    } else {
-                        entry.mult
-                    },
-                );
-            }
-        }
-        Ok(())
     }
 }
 
@@ -655,11 +610,13 @@ pub struct Engine {
     /// [`TriggerProgram::batch_dispatch_forced`] at construction (and on
     /// [`Engine::set_force_batch_strategy`]).
     dispatch: FastMap<String, DispatchEntry>,
-    /// Per-correction (index-aligned with `program.batch_corrections`) view
-    /// names read by the relation's first-order trigger statements — the maps
-    /// entry-major processing scans once per firing. Precomputed so the
-    /// batch-delta cost gate reads map sizes without allocating.
-    corr_read_maps: Vec<Vec<String>>,
+    /// Run-local overlays for the batch-delta overlay pass: per relation
+    /// program (index-aligned with `program.run_linear`) one [`ViewMap`] per
+    /// overlay map (index-aligned with [`RunLinear::overlay_maps`]). Emptied
+    /// at the start of every pass and never larger than one run's rows; not
+    /// part of the database, so invisible to snapshots and
+    /// [`Engine::memory_bytes`].
+    overlays: Vec<Vec<ViewMap>>,
     /// Ignore compiled kernels and interpret every statement (differential
     /// testing / escape hatch; see [`FORCE_INTERPRETER_ENV`]).
     force_interpreter: bool,
@@ -696,7 +653,7 @@ struct RunScratch {
     events: u64,
     entries: u64,
     nanos: u64,
-    corrections: u64,
+    overlay_firings: u64,
     stmts: Vec<StmtScratch>,
     stmts_live: usize,
 }
@@ -719,11 +676,9 @@ struct TelemetryState {
     map_names: Vec<String>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
-    pending_corrections: Vec<u64>,
+    pending_overlay: Vec<u64>,
     /// `[tidx][stmt]` → view slot of the trigger statement's target.
     stmt_slot: Vec<Vec<u32>>,
-    /// `[correction idx][stmt]` → view slot of the correction's target.
-    corr_slot: Vec<Vec<u32>>,
     /// Events/batches already folded into the telemetry counters.
     flushed_events: u64,
     flushed_batches: u64,
@@ -765,9 +720,20 @@ impl TelemetryState {
         r.events = events;
         r.entries = entries as u64;
         r.nanos = 0;
-        r.corrections = 0;
+        r.overlay_firings = 0;
         r.stmts_live = 0;
         self.runs_live += 1;
+    }
+
+    /// Count one run-linear kernel firing of the overlay pass for statement
+    /// `j` of trigger `tidx`, returning the counter slot of its target view.
+    fn note_overlay_firing(&mut self, tidx: usize, j: usize) -> Option<usize> {
+        if self.armed && self.runs_live > 0 {
+            self.runs[self.runs_live - 1].overlay_firings += 1;
+        }
+        let slot = *self.stmt_slot.get(tidx)?.get(j)? as usize;
+        *self.pending_overlay.get_mut(slot)? += 1;
+        Some(slot)
     }
 
     /// Close the current run span.
@@ -812,7 +778,7 @@ impl TelemetryState {
                     events: r.events,
                     entries: r.entries,
                     nanos: r.nanos,
-                    correction_firings: r.corrections,
+                    overlay_firings: r.overlay_firings,
                     statements: r.stmts[..r.stmts_live]
                         .iter()
                         .map(|s| StmtSpan {
@@ -861,6 +827,19 @@ impl Engine {
             .triggers
             .iter()
             .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
+        let overlays = program
+            .run_linear
+            .iter()
+            .map(|rl| {
+                rl.overlay_maps
+                    .iter()
+                    .map(|n| {
+                        let stored = db.view(n).expect("overlay maps are declared views");
+                        ViewMap::new(stored.schema().clone())
+                    })
+                    .collect()
+            })
+            .collect();
         let mut engine = Engine {
             program: Arc::new(program),
             db,
@@ -874,7 +853,7 @@ impl Engine {
             merged: DeltaBatch::new(),
             merge_runs,
             dispatch: FastMap::default(),
-            corr_read_maps: Vec::new(),
+            overlays,
             force_interpreter: false,
             forced_strategy: None,
             record_runs: false,
@@ -897,11 +876,11 @@ impl Engine {
             .batch_dispatch_forced(force)
             .into_iter()
             .map(|d| {
-                let correction = self
+                let run_linear = self
                     .program
-                    .batch_corrections
+                    .run_linear
                     .iter()
-                    .position(|c| c.relation == d.relation)
+                    .position(|rl| rl.relation == d.relation && !rl.statements.is_empty())
                     .map(|i| i as u16);
                 (
                     d.relation,
@@ -909,32 +888,9 @@ impl Engine {
                         insert: d.insert.map(|i| i as u16),
                         delete: d.delete.map(|i| i as u16),
                         strategy: d.strategy,
-                        correction,
+                        run_linear,
                     },
                 )
-            })
-            .collect();
-        // Precompute, per correction set, the views the relation's first-order
-        // statements read: the batch-delta cost gate compares the correction's
-        // O(firings²) pair join against entry-major's O(firings × read-map
-        // size) scans, and must not allocate per run.
-        self.corr_read_maps = self
-            .program
-            .batch_corrections
-            .iter()
-            .map(|c| {
-                let mut names = std::collections::BTreeSet::new();
-                for t in self
-                    .program
-                    .triggers
-                    .iter()
-                    .filter(|t| t.relation == c.relation)
-                {
-                    for s in &t.statements {
-                        names.extend(s.reads());
-                    }
-                }
-                names.into_iter().collect()
             })
             .collect();
     }
@@ -1508,13 +1464,14 @@ impl Engine {
 
     /// Batch-delta execution of one run (see the module docs): phase one
     /// evaluates every incremental statement over the run's entries against
-    /// the pre-run state and the second-order correction statements once
-    /// against the run's delta, buffering all rows; phase two applies the
-    /// buffers in statement order followed by the base update. Returns the
-    /// strategy that actually executed: any phase-one error discards the
-    /// (still unapplied) buffers — the database is untouched at that point —
-    /// and replays the whole run entry-major, which reproduces per-event
-    /// poison semantics exactly and does its own failure accounting.
+    /// the pre-run state and — for a multi-firing run of a relation with a
+    /// run-linear part — makes the overlay pass, buffering all rows; phase
+    /// two applies the buffers in statement order followed by the base
+    /// update. Returns the strategy that actually executed: any phase-one
+    /// error discards the (still unapplied) buffers — the database is
+    /// untouched at that point — and replays the whole run entry-major, which
+    /// reproduces per-event poison semantics exactly and does its own failure
+    /// accounting.
     fn run_batch_delta(
         &mut self,
         program: &TriggerProgram,
@@ -1522,39 +1479,7 @@ impl Engine {
         run: &RelationDelta,
         report: &mut BatchReport,
     ) -> BatchStrategy {
-        let corr = disp
-            .correction
-            .map(|i| &program.batch_corrections[i as usize]);
-        // Cost gate for quadratic queries: the pair correction joins the run's
-        // delta with itself, so its work grows as O(firings²), while firing
-        // the run entry-major pays O(firings × |read maps|) scanning the
-        // maintained maps once per event. The break-even is therefore
-        // firings ≈ observed read-map entries: below it the correction can no
-        // longer win against cheap per-event statements; above it (large
-        // maintained state, as in bsv's long runs) per-event scans dominate
-        // and batch-delta stays on. Every input — the firing count and the
-        // map sizes — is engine state reproduced bit-for-bit by WAL replay,
-        // so recovery picks the identical strategy sequence. Relations whose
-        // maps are all linear in the relation (empty correction set) never
-        // hit the gate.
-        const MIN_CORRECTION_FIRINGS: u64 = 3;
-        if corr.is_some_and(|c| !c.statements.is_empty()) {
-            let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
-            let observed_entries: u64 = disp
-                .correction
-                .and_then(|ci| self.corr_read_maps.get(ci as usize))
-                .map(|maps| {
-                    maps.iter()
-                        .map(|n| self.db.view(n).map_or(0, |v| v.len() as u64))
-                        .sum()
-                })
-                .unwrap_or(0);
-            if firings > MIN_CORRECTION_FIRINGS.max(observed_entries) {
-                self.run_entry_major(program, disp, run, report);
-                return BatchStrategy::EntryMajor;
-            }
-        }
-        if self.collect_batch_delta(program, disp, corr, run).is_err() {
+        if self.collect_batch_delta(program, disp, run).is_err() {
             self.bd.live = 0;
             self.run_entry_major(program, disp, run, report);
             return BatchStrategy::EntryMajor;
@@ -1571,34 +1496,19 @@ impl Engine {
                 ..
             } = self;
             for ds in &bd.stmts[..bd.live] {
-                let target = if ds.tidx == u16::MAX {
-                    let corr = corr.expect("correction rows imply a correction set");
-                    &corr.statements[ds.stmt as usize].target
-                } else {
-                    &program.triggers[ds.tidx as usize].statements[ds.stmt as usize].target
-                };
+                let target =
+                    &program.triggers[ds.tidx as usize].statements[ds.stmt as usize].target;
                 if let Err(e) = apply_buffered_statement(db, changes, target, &ds.segs, &ds.rows) {
                     first_err.get_or_insert(e);
                 } else if let Some(ts) = tel.as_deref_mut() {
                     // Rows are credited at apply time (not collection), so a
                     // run that falls back entry-major never double-counts.
-                    let slot = if ds.tidx == u16::MAX {
-                        disp.correction.and_then(|ci| {
-                            ts.corr_slot
-                                .get(ci as usize)
-                                .and_then(|v| v.get(ds.stmt as usize))
-                                .copied()
-                        })
-                    } else {
-                        ts.stmt_slot
-                            .get(ds.tidx as usize)
-                            .and_then(|v| v.get(ds.stmt as usize))
-                            .copied()
-                    };
-                    if let Some(slot) = slot {
-                        if let Some(r) = ts.pending_rows.get_mut(slot as usize) {
-                            *r += segs_rows(&ds.segs);
-                        }
+                    let slot = ts
+                        .stmt_slot
+                        .get(ds.tidx as usize)
+                        .and_then(|v| v.get(ds.stmt as usize));
+                    if let Some(r) = slot.and_then(|&s| ts.pending_rows.get_mut(s as usize)) {
+                        *r += segs_rows(&ds.segs);
                     }
                 }
             }
@@ -1613,22 +1523,28 @@ impl Engine {
     }
 
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
-    /// statement's rows (evaluated against the pre-run state) and then the
-    /// correction statements' rows (evaluated once against the run's delta
-    /// through a [`DeltaOverlay`]), touching no view. On `Err` the database
+    /// statement's rows (evaluated against the pre-run state), then — when
+    /// the run has more than one firing and the relation a run-linear part —
+    /// the rows of the overlay pass, touching no view. On `Err` the database
     /// is guaranteed untouched so the caller can fall back wholesale.
     fn collect_batch_delta(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        corr: Option<&BatchCorrection>,
         run: &RelationDelta,
     ) -> Result<(), RuntimeError> {
         self.bd.live = 0;
-        for (sign, tidx) in [
+        // First deferred-statement slot of each sign's trigger (statement `j`
+        // of the trigger lands in slot `base + j`).
+        let mut base = [0usize; 2];
+        for (s, (sign, tidx)) in [
             (UpdateSign::Insert, disp.insert),
             (UpdateSign::Delete, disp.delete),
-        ] {
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            base[s] = self.bd.live;
             let Some(tidx) = tidx else { continue };
             if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
                 continue;
@@ -1651,75 +1567,145 @@ impl Engine {
                     None => self.collect_interp_over(stmt, trigger, run, sign, tidx, j as u16)?,
                 }
                 if st0.is_some() {
-                    let rows = self
-                        .bd
-                        .stmts
-                        .get(self.bd.live.wrapping_sub(1))
-                        .map_or(0, |ds| segs_rows(&ds.segs));
+                    let rows = segs_rows(&self.bd.stmts[self.bd.live - 1].segs);
                     self.note_stmt(st0, &stmt.target, rows);
                 }
             }
         }
-        let Some(corr) = corr else { return Ok(()) };
-        if corr.statements.is_empty() {
+        let Some(rl) = disp.run_linear else {
             return Ok(());
-        }
-        // With at most one total firing there is no intra-batch interaction:
-        // the second-order term is exactly zero (its pair and diagonal parts
-        // cancel), so it is skipped — this also keeps the batch-of-1 path
-        // free of overlay setup.
+        };
+        // With at most one firing there is nothing for it to interact with —
+        // which also keeps the batch-of-1 path free of any overlay work.
         let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
         if firings <= 1 {
             return Ok(());
         }
-        let signed = delta_relation_name(run.relation());
-        let absolute = delta_abs_relation_name(run.relation());
-        let aligned = corr.compiled.len() == corr.statements.len();
-        for (j, stmt) in corr.statements.iter().enumerate() {
-            if !self.db.contains(&stmt.target) {
-                return Err(RuntimeError::UnknownView(stmt.target.clone()));
-            }
-            let kernel = if self.force_interpreter || !aligned {
-                None
-            } else {
-                flat_get(&corr.compiled, j)
-            };
-            if let (Some(ts), Some(ci)) = (self.tel.as_deref(), disp.correction) {
-                if let Some(&slot) = ts.corr_slot.get(ci as usize).and_then(|v| v.get(j)) {
-                    if slot != u32::MAX {
-                        self.kernel.counter_slot = slot as usize;
+        let st0 = self.armed_instant();
+        let rows = self.overlay_pass(program, disp, rl as usize, run, base)?;
+        self.note_stmt(st0, "(overlay pass)", rows);
+        Ok(())
+    }
+
+    /// The overlay pass of a batch-delta run (see the module docs): walk the
+    /// run's firings in entry order; per firing, execute the run-linear part
+    /// of each of its trigger's statements against the run-local overlay and
+    /// append the rows to that statement's deferred buffer (`base + j`), then
+    /// fold what the firing writes — its pre-run rows, already buffered, plus
+    /// the overlay rows just produced — into the overlay. A statement never
+    /// reads its own or an earlier statement's target (dispatch gate 2), so
+    /// folding statement by statement is still a pre-event read for the rest
+    /// of the firing. Returns the number of overlay rows buffered.
+    fn overlay_pass(
+        &mut self,
+        program: &TriggerProgram,
+        disp: DispatchEntry,
+        rl_idx: usize,
+        run: &RelationDelta,
+        base: [usize; 2],
+    ) -> Result<u64, RuntimeError> {
+        let Engine {
+            db,
+            kernel: state,
+            scratch,
+            batch,
+            bd,
+            overlays,
+            stats,
+            tel,
+            force_interpreter,
+            ..
+        } = self;
+        let rl: &RunLinear = &program.run_linear[rl_idx];
+        let maps = &mut overlays[rl_idx];
+        maps.iter_mut().for_each(ViewMap::clear);
+        let store = CachedSource::new(db);
+        let overlay_of = |name: &str| rl.overlay_maps.iter().position(|n| n == name);
+        let base_overlay = overlay_of(run.relation());
+        // The last firing's writes have no later firing to read them.
+        let last = run.entries().iter().rposition(|e| e.firings() > 0);
+        // Entries of each sign met so far: entry `k` of a sign owns segment
+        // `k` of every deferred statement of that sign's trigger.
+        let mut seen = [0usize; 2];
+        let mut overlay_rows = 0u64;
+        batch.bindings.clear();
+        for (ei, entry) in run.entries().iter().enumerate() {
+            let Some(sign) = entry.sign() else { continue };
+            let s = usize::from(sign == UpdateSign::Delete);
+            let k = seen[s];
+            seen[s] += 1;
+            let tidx = [disp.insert, disp.delete][s];
+            let trigger = tidx.map(|t| &program.triggers[t as usize]);
+            let statements = trigger.map_or(&[][..], |t| &t.statements);
+            for rep in 0..entry.firings() {
+                let fold = Some(ei) != last || rep + 1 < entry.firings();
+                let mut parts = rl
+                    .statements
+                    .iter()
+                    .filter(|p| Some(p.trigger) == tidx.map(usize::from))
+                    .peekable();
+                for (j, stmt) in statements.iter().enumerate() {
+                    let ds = &mut bd.stmts[base[s] + j];
+                    let start = ds.rows.len();
+                    if let Some(part) = parts.next_if(|p| p.stmt == j) {
+                        stats.statements += 1;
+                        if let Some(slot) = tel
+                            .as_deref_mut()
+                            .and_then(|ts| ts.note_overlay_firing(part.trigger, j))
+                        {
+                            state.counter_slot = slot;
+                        }
+                        let src = RunOverlay {
+                            store: &store,
+                            names: &rl.overlay_maps,
+                            maps,
+                        };
+                        match part.kernel.as_ref().filter(|_| !*force_interpreter) {
+                            Some(kernel) => {
+                                state.prepare(kernel);
+                                seed_frame(state, kernel, &entry.key);
+                                let res = kernel.execute(&src, state);
+                                ds.rows.append(&mut state.out);
+                                res.map_err(RuntimeError::Eval)?;
+                            }
+                            None => {
+                                let vars = trigger.map_or(&[][..], |t| &t.trigger_vars);
+                                for (var, value) in vars.iter().zip(entry.key.iter()) {
+                                    batch.bindings.set(var, value.clone());
+                                }
+                                interp_statement_rows(
+                                    &src,
+                                    scratch,
+                                    &mut batch.bindings,
+                                    &part.statement,
+                                    &mut ds.rows,
+                                )?;
+                            }
+                        }
+                        if ds.rows.len() > start {
+                            overlay_rows += (ds.rows.len() - start) as u64;
+                            ds.segs.push(Seg {
+                                start,
+                                end: ds.rows.len(),
+                                reps: 1,
+                            });
+                        }
                     }
-                }
-            }
-            let st0 = self.armed_instant();
-            match kernel {
-                Some(k) => {
-                    self.collect_correction_compiled(k, run, &signed, &absolute, j as u16)?
-                }
-                None => self.collect_correction_interp(stmt, run, &signed, &absolute, j as u16)?,
-            }
-            if let Some(ts) = self.tel.as_deref_mut() {
-                if ts.armed && ts.runs_live > 0 {
-                    ts.runs[ts.runs_live - 1].corrections += 1;
-                }
-                if let Some(ci) = disp.correction {
-                    if let Some(&slot) = ts.corr_slot.get(ci as usize).and_then(|v| v.get(j)) {
-                        if let Some(c) = ts.pending_corrections.get_mut(slot as usize) {
-                            *c += 1;
+                    if let (true, Some(o)) = (fold, overlay_of(&stmt.target)) {
+                        let own = ds.segs[k];
+                        for (key, mult) in
+                            ds.rows[own.start..own.end].iter().chain(&ds.rows[start..])
+                        {
+                            maps[o].add(key.clone(), *mult);
                         }
                     }
                 }
-            }
-            if st0.is_some() {
-                let rows = self
-                    .bd
-                    .stmts
-                    .get(self.bd.live.wrapping_sub(1))
-                    .map_or(0, |ds| segs_rows(&ds.segs));
-                self.note_stmt(st0, &stmt.target, rows);
+                if let (true, Some(o)) = (fold, base_overlay) {
+                    maps[o].add(entry.key.clone(), sign.multiplier());
+                }
             }
         }
-        Ok(())
+        Ok(overlay_rows)
     }
 
     /// Buffer one compiled incremental statement's rows over all of a run's
@@ -1752,9 +1738,7 @@ impl Engine {
             }
             stats.statements += 1;
             let start = state.out.len();
-            for &s in &kernel.used_trigger_slots {
-                state.frame[s as usize] = entry.key[s as usize].clone();
-            }
+            seed_frame(state, kernel, &entry.key);
             match kernel.execute_batch_entry(&src, state, first) {
                 Ok(()) => {
                     first = false;
@@ -1815,73 +1799,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Buffer one compiled second-order correction statement's rows: the
-    /// kernel runs once per run (corrections carry no trigger variables) with
-    /// the delta pseudo-relations resolved by a [`DeltaOverlay`] over the
-    /// same snapshot-cached source the first-order pass reads.
-    fn collect_correction_compiled(
-        &mut self,
-        kernel: &CompiledStmt,
-        run: &RelationDelta,
-        signed: &str,
-        absolute: &str,
-        stmt_j: u16,
-    ) -> Result<(), RuntimeError> {
-        let Engine {
-            db,
-            kernel: state,
-            bd,
-            stats,
-            ..
-        } = self;
-        let slot = bd.acquire(u16::MAX, stmt_j);
-        stats.statements += 1;
-        state.prepare(kernel);
-        let cached = CachedSource::new(db);
-        let overlay = DeltaOverlay::new(&cached, run, signed, absolute);
-        if let Err(e) = kernel.execute(&overlay, state) {
-            state.out.clear();
-            return Err(RuntimeError::Eval(e));
-        }
-        slot.segs.push(Seg {
-            start: 0,
-            end: state.out.len(),
-            reps: 1,
-        });
-        std::mem::swap(&mut slot.rows, &mut state.out);
-        Ok(())
-    }
-
-    /// The interpreter twin of [`Engine::collect_correction_compiled`].
-    fn collect_correction_interp(
-        &mut self,
-        stmt: &Statement,
-        run: &RelationDelta,
-        signed: &str,
-        absolute: &str,
-        stmt_j: u16,
-    ) -> Result<(), RuntimeError> {
-        let Engine {
-            db,
-            scratch,
-            batch,
-            bd,
-            stats,
-            ..
-        } = self;
-        let slot = bd.acquire(u16::MAX, stmt_j);
-        stats.statements += 1;
-        batch.bindings.clear();
-        let overlay = DeltaOverlay::new(&*db, run, signed, absolute);
-        interp_statement_rows(&overlay, scratch, &mut batch.bindings, stmt, &mut slot.rows)?;
-        slot.segs.push(Seg {
-            start: 0,
-            end: slot.rows.len(),
-            reps: 1,
-        });
-        Ok(())
-    }
-
     /// The compiled kernels for a trigger, when present, aligned with its
     /// statement list and not overridden by the interpreter escape hatch.
     fn kernels_for<'p>(
@@ -1934,9 +1851,7 @@ impl Engine {
             }
             stats.statements += 1;
             let start = state.out.len();
-            for &slot in &kernel.used_trigger_slots {
-                state.frame[slot as usize] = entry.key[slot as usize].clone();
-            }
+            seed_frame(state, kernel, &entry.key);
             match kernel.execute_batch_entry(&src, state, first) {
                 Ok(()) => {
                     first = false;
@@ -2094,9 +2009,7 @@ impl Engine {
                 db, kernel: state, ..
             } = self;
             state.prepare(kernel);
-            for &slot in &kernel.used_trigger_slots {
-                state.frame[slot as usize] = tuple[slot as usize].clone();
-            }
+            seed_frame(state, kernel, tuple);
             kernel.execute(db, state).map_err(RuntimeError::Eval)?;
         }
         let Engine {
@@ -2249,7 +2162,7 @@ impl Engine {
                     fused_scans: v.fused_scans.load(Relaxed),
                     banded_hits: v.banded_hits.load(Relaxed),
                     banded_bails: v.banded_bails.load(Relaxed),
-                    correction_firings: v.correction_firings.load(Relaxed),
+                    overlay_firings: v.overlay_firings.load(Relaxed),
                     map_size: v.map_size.load(Relaxed),
                 })
             });
@@ -2288,12 +2201,6 @@ impl Engine {
             .iter()
             .map(|t| t.statements.iter().map(|s| slot_of(&s.target)).collect())
             .collect();
-        let corr_slot: Vec<Vec<u32>> = self
-            .program
-            .batch_corrections
-            .iter()
-            .map(|c| c.statements.iter().map(|s| slot_of(&s.target)).collect())
-            .collect();
         let (slow_threshold_nanos, arm_min_events) = {
             let c = tel.config().expect("enabled handle");
             (
@@ -2320,9 +2227,8 @@ impl Engine {
             views,
             map_names,
             pending_rows: vec![0; n],
-            pending_corrections: vec![0; n],
+            pending_overlay: vec![0; n],
             stmt_slot,
-            corr_slot,
             flushed_events: self.stats.events,
             flushed_batches: self.stats.delta_batches,
             slow_threshold_nanos,
@@ -2381,9 +2287,9 @@ impl Engine {
             if rows != 0 {
                 view.rows_written.fetch_add(rows, Relaxed);
             }
-            let corr = std::mem::take(&mut ts.pending_corrections[i]);
-            if corr != 0 {
-                view.correction_firings.fetch_add(corr, Relaxed);
+            let overlay = std::mem::take(&mut ts.pending_overlay[i]);
+            if overlay != 0 {
+                view.overlay_firings.fetch_add(overlay, Relaxed);
             }
             if let Some(v) = self.db.view(&ts.map_names[i]) {
                 view.map_size.store(v.len() as u64, Relaxed);
@@ -2507,8 +2413,8 @@ impl<'a, I: Iterator<Item = (&'a Tuple, f64)>> Iterator for Coalesce<'a, I> {
 /// Evaluate one incremental statement for the interpreter batch paths,
 /// appending `(key, multiplicity)` rows to `out` instead of touching the
 /// target map (the caller applies them buffered). Generic over the relation
-/// source so the batch-delta correction path can substitute a
-/// [`DeltaOverlay`] for the plain database.
+/// source so the batch-delta overlay pass can substitute a [`RunOverlay`] for
+/// the plain database.
 fn interp_statement_rows(
     src: &dyn RelationSource,
     scratch: &mut EvalScratch,

@@ -8,15 +8,24 @@
 //! path.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Per thread: the tests of this binary run concurrently, and each must
+    // count only the allocations of its own engine.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn down.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +34,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -34,7 +43,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn alloc_count() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 use dbtoaster_agca::{Expr, UpdateEvent};
@@ -172,6 +181,63 @@ fn compiled_path_with_telemetry_allocates_nothing_in_steady_state() {
     let snap = tel.snapshot();
     assert_eq!(snap.batch_latency.count, 3 * batch.len() as u64);
     assert_eq!(snap.events, 3 * batch.len() as u64);
+}
+
+/// The batch-delta overlay pass reuses its buffers: a keyed self-join reads
+/// the auxiliary map its own run writes, so every multi-entry run fires the
+/// run-linear kernels against the run-local overlay — pooled maps emptied per
+/// run, deferred row buffers recycled — and a warm engine allocates nothing
+/// per run. (Overlay maps that serve *partial*-pattern scans additionally
+/// rebuild their secondary-index buckets each run; point probes do not.)
+#[test]
+fn overlay_pass_allocates_nothing_in_steady_state() {
+    use dbtoaster_agca::DeltaBatch;
+    let catalog = [RelationMeta::stream("R", ["A", "B"])]
+        .into_iter()
+        .collect();
+    let q = QuerySpec {
+        name: "SELFJ".into(),
+        out_vars: vec![],
+        expr: Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([Expr::rel("R", ["a", "b"]), Expr::rel("R", ["a2", "b"])]),
+        ),
+    };
+    let program = compile(
+        &[q],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    let rl = program.run_linear_for("R").expect("R is batch-delta");
+    assert!(!rl.statements.is_empty(), "the self-join needs the overlay");
+    let mut engine = Engine::new(program, &catalog);
+
+    let tuple = |i: i64| vec![Value::long(i), Value::long(i % 7)];
+    let inserts: Vec<UpdateEvent> = (0..64)
+        .map(|i| UpdateEvent::insert("R", tuple(i)))
+        .collect();
+    let deletes: Vec<UpdateEvent> = (0..64)
+        .map(|i| UpdateEvent::delete("R", tuple(i)))
+        .collect();
+    let cycle = [
+        DeltaBatch::from_events(&inserts),
+        DeltaBatch::from_events(&deletes),
+    ];
+    let run_cycle = |engine: &mut Engine| {
+        for b in &cycle {
+            assert!(engine.process_batch(b).first_error.is_none());
+        }
+    };
+    run_cycle(&mut engine);
+    run_cycle(&mut engine);
+
+    let before = alloc_count();
+    run_cycle(&mut engine);
+    let allocs = alloc_count() - before;
+    assert_eq!(allocs, 0, "overlay pass allocated {allocs} times per cycle");
+    assert_eq!(engine.stats().entry_major_runs, 0);
+    assert_eq!(engine.result("SELFJ").unwrap().scalar_value(), 0.0);
 }
 
 #[test]

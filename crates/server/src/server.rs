@@ -1994,7 +1994,7 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 fused_scans: v.fused_scans,
                 banded_hits: v.banded_hits,
                 banded_bails: v.banded_bails,
-                correction_firings: v.correction_firings,
+                overlay_firings: v.overlay_firings,
                 map_size: v.map_size,
             })
         });
@@ -2079,7 +2079,7 @@ pub(crate) fn views_body(shared: &Shared) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
              \"entries_scanned\":{},\"fused_scans\":{},\"banded_hits\":{},\
-             \"banded_bails\":{},\"correction_firings\":{},\"map_size\":{}}}",
+             \"banded_bails\":{},\"overlay_firings\":{},\"map_size\":{}}}",
             json_escape(&v.name),
             v.rows_written,
             v.probes,
@@ -2088,7 +2088,7 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             v.fused_scans,
             v.banded_hits,
             v.banded_bails,
-            v.correction_firings,
+            v.overlay_firings,
             v.map_size
         ));
     }

@@ -382,10 +382,9 @@ pub struct ViewCounters {
     pub banded_hits: AtomicU64,
     /// Banded prelude lookups that bailed to a full traversal.
     pub banded_bails: AtomicU64,
-    /// Second-order batch correction statements fired into this view.
-    pub correction_firings: AtomicU64,
-    /// Observed map size (entries) at the last engine flush — the input the
-    /// correction-cap cost model needs.
+    /// Run-linear kernels fired into this view by batch-delta overlay passes.
+    pub overlay_firings: AtomicU64,
+    /// Observed map size (entries) at the last engine flush.
     pub map_size: AtomicU64,
 }
 
@@ -408,8 +407,8 @@ pub struct ViewSummary {
     pub banded_hits: u64,
     /// See [`ViewCounters::banded_bails`].
     pub banded_bails: u64,
-    /// See [`ViewCounters::correction_firings`].
-    pub correction_firings: u64,
+    /// See [`ViewCounters::overlay_firings`].
+    pub overlay_firings: u64,
     /// See [`ViewCounters::map_size`].
     pub map_size: u64,
 }
@@ -441,8 +440,8 @@ pub struct RunSpan {
     /// Wall time of the run in nanoseconds (for single-run batches this is
     /// the whole batch's measurement).
     pub nanos: u64,
-    /// Second-order correction statements fired for the run.
-    pub correction_firings: u64,
+    /// Run-linear kernels the run's overlay pass fired.
+    pub overlay_firings: u64,
     /// Per-statement spans, present when the batch was large enough to arm
     /// statement timing (see [`TelemetryConfig::trace_arm_min_events`]).
     pub statements: Vec<StmtSpan>,
@@ -477,13 +476,13 @@ impl SlowBatchTrace {
             }
             out.push_str(&format!(
                 "{{\"relation\":\"{}\",\"strategy\":\"{}\",\"events\":{},\"entries\":{},\
-                 \"ns\":{},\"correction_firings\":{},\"statements\":[",
+                 \"ns\":{},\"overlay_firings\":{},\"statements\":[",
                 json_escape(&r.relation),
                 json_escape(&r.strategy),
                 r.events,
                 r.entries,
                 r.nanos,
-                r.correction_firings
+                r.overlay_firings
             ));
             for (j, s) in r.statements.iter().enumerate() {
                 if j > 0 {
@@ -775,7 +774,7 @@ impl Telemetry {
                 fused_scans: v.fused_scans.load(Relaxed),
                 banded_hits: v.banded_hits.load(Relaxed),
                 banded_bails: v.banded_bails.load(Relaxed),
-                correction_firings: v.correction_firings.load(Relaxed),
+                overlay_firings: v.overlay_firings.load(Relaxed),
                 map_size: v.map_size.load(Relaxed),
             })
             .collect();
@@ -1038,9 +1037,9 @@ impl MetricsSnapshot {
         );
         view_counter(
             &mut out,
-            "correction_firings_total",
-            "Second-order batch correction statements fired into the view.",
-            &|v| v.correction_firings,
+            "overlay_firings_total",
+            "Run-linear kernels fired into the view by batch-delta overlay passes.",
+            &|v| v.overlay_firings,
         );
         header(
             &mut out,
@@ -1387,7 +1386,7 @@ mod tests {
                 events: 3,
                 entries: 2,
                 nanos: 40,
-                correction_firings: 1,
+                overlay_firings: 1,
                 statements: vec![StmtSpan {
                     target: "V".into(),
                     nanos: 12,

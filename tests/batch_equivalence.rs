@@ -13,11 +13,14 @@
 //! insert/delete cancellations inside one batch are generated on purpose.
 //!
 //! The query set spans all three batch strategies: linear aggregates and
-//! group-bys (batch-delta with empty corrections, statement-major when
+//! group-bys (batch-delta with no run-linear part, statement-major when
 //! batch-delta is disabled), a quadratic self-join whose intra-batch
-//! interaction is carried by the derived pair correction, and a stream-scaled
-//! self-join whose second delta keeps a live stream atom, defeating the
-//! derivation (entry-major fallback), plus a nested-aggregate shape.
+//! interaction is carried by the overlay pass, a stream-scaled self-join
+//! whose overlay pass also reads another stream's stored slice, and a
+//! nested-aggregate shape. The order-book section drives the workload's own
+//! self-join queries — `bsp` alone and `axf+bsp+bsv` in one engine, the
+//! program the `book_join` benchmark serves — at the served batch sizes, and
+//! pins the work a batch does (entries scanned) at or below its events'.
 
 use dbtoaster::agca::{CmpOp, DeltaBatch, Expr, UpdateEvent};
 use dbtoaster::compiler::{
@@ -65,9 +68,9 @@ fn queries() -> Vec<QuerySpec> {
                 ]),
             ),
         },
-        // Self-join: quadratic in R. The pair correction (second delta) covers
-        // intra-batch interaction exactly, so this is batch-delta eligible —
-        // the query the second-order derivation exists for.
+        // Self-join: quadratic in R. The statement reads the auxiliary map its
+        // own run writes; the overlay pass covers that intra-batch interaction
+        // exactly, so this is batch-delta eligible.
         QuerySpec {
             name: "SELFJ".into(),
             out_vars: vec![],
@@ -79,9 +82,8 @@ fn queries() -> Vec<QuerySpec> {
         // Self-join scaled by a second stream: quadratic in R, and the second
         // delta w.r.t. R keeps a live S atom — a *stream*, not a static
         // table. S is constant during an R-run (runs are per-relation), so
-        // the pair correction reads S's stored pre-run slice and the
-        // derivation still succeeds: batch-delta, with a correction that
-        // joins the run's delta pseudo-relations against stored S.
+        // the derivation still succeeds: batch-delta, with run-linear parts
+        // whose non-run-written reads pass through to the pre-run store.
         QuerySpec {
             name: "SCALED".into(),
             out_vars: vec![],
@@ -226,26 +228,8 @@ fn check_case_n(
     let events = random_stream(seed, len);
     let batches = random_partition(&events, seed ^ 0xabcdef);
 
-    let mut reference = Engine::new(program.clone(), &catalog());
-    reference.set_force_interpreter(force_interp);
-    reference
-        .process_all(&events)
-        .unwrap_or_else(|e| panic!("per-event [{mode}]: {e}"));
-
-    let mut batched = Engine::new(program, &catalog());
-    batched.set_force_interpreter(force_interp);
-    batched.set_force_batch_strategy(force_strategy);
-    let mut covered = 0u64;
-    for b in &batches {
-        let report = batched.process_batch(b);
-        assert!(
-            report.first_error.is_none(),
-            "batched [{mode}]: {:?}",
-            report.first_error
-        );
-        covered += report.events;
-    }
-    assert_eq!(covered, events.len() as u64);
+    let reference = per_event_engine(&program, &catalog(), force_interp, &events);
+    let batched = batched_engine(&program, &catalog(), force_interp, force_strategy, &batches);
     assert_eq!(batched.stats().events, reference.stats().events);
 
     // Forcing must actually disable the disallowed strategies.
@@ -271,8 +255,8 @@ fn check_case_n(
 }
 
 /// Guard the suite's own premise: the HO-compiled query set must exercise
-/// batch-delta (including the stream-scaled self-join, whose correction reads
-/// a surviving stream atom), the entry-major fallback must still exist for
+/// batch-delta (including the stream-scaled self-join, whose second delta
+/// keeps a surviving stream atom), the entry-major fallback must still exist for
 /// genuinely ineligible shapes, and disabling batch-delta must reveal the
 /// legacy statement-major dispatch.
 #[test]
@@ -288,7 +272,7 @@ fn query_set_spans_all_batch_strategies() {
         dispatch
             .iter()
             .any(|d| d.strategy == BatchStrategy::BatchDelta),
-        "linear queries should derive batch-delta corrections somewhere: {dispatch:?}"
+        "linear queries should derive batch-delta somewhere: {dispatch:?}"
     );
     assert!(
         dispatch
@@ -298,8 +282,7 @@ fn query_set_spans_all_batch_strategies() {
          pre-run state, so every relation here is batch-delta: {dispatch:?}"
     );
     // A cubic self-join has a nonzero *third* delta — permanently ineligible
-    // for the second-order correction, so entry-major survives as the exact
-    // fallback. (Compiled only: the cubic per-event path is a known latent
+    // for batch-delta, so entry-major survives as the exact fallback. (Compiled only: the cubic per-event path is a known latent
     // bug, see ROADMAP residue (c).)
     let cubic = compile(
         &[QuerySpec {
@@ -353,12 +336,12 @@ fn query_set_spans_all_batch_strategies() {
 /// Coverage guard for the batch benchmark sweep: every query it measures must
 /// dispatch batch-delta on all of its stream relations in higher-order mode —
 /// if one regresses to a fallback strategy, the sweep silently stops
-/// measuring the second-order path. (Other workload queries — e.g. the
+/// measuring the batch-delta path (and, for `bsp`/`bsv`, its overlay pass). (Other workload queries — e.g. the
 /// EXISTS-correlated TPC-H q4 — legitimately stay on the fallbacks.)
 #[test]
 fn batch_sweep_queries_dispatch_batch_delta() {
     use dbtoaster::prelude::*;
-    for name in ["q1", "q3", "q6", "axf", "bsv"] {
+    for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
         let q = dbtoaster::workloads::query(name).unwrap();
         let engine = QueryEngineBuilder::new(dbtoaster::workloads::full_catalog())
             .add_query(q.name, q.sql)
@@ -509,5 +492,333 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Order-book self-joins: the workload's own quadratic queries
+// ---------------------------------------------------------------------------
+
+/// The compiled program (and its catalog) for a set of workload queries in
+/// one engine, through the SQL front end.
+fn book_program(
+    names: &[&str],
+    mode: CompileMode,
+) -> (dbtoaster::compiler::TriggerProgram, Catalog) {
+    let catalog = dbtoaster::workloads::full_catalog();
+    let mut b = dbtoaster::QueryEngineBuilder::new(catalog.clone());
+    for name in names {
+        let q = dbtoaster::workloads::query(name).unwrap();
+        b = b.add_query(q.name, q.sql);
+    }
+    let program = b
+        .mode(mode)
+        .build()
+        .unwrap_or_else(|e| panic!("compile {names:?} [{mode}]: {e}"))
+        .program()
+        .clone();
+    (program, dbtoaster::to_compiler_catalog(&catalog))
+}
+
+/// One order: `(t, id, broker_id, price, volume)`, typed like the workload
+/// generator's. Prices are multiples of 500 around axfinder's 1000 band and
+/// everything is a small integer, so every aggregate of `axf`, `bsp` and
+/// `bsv` (whose 0.5 factor is a power of two) is exact in f64.
+fn order(t: i64, id: i64, broker: i64, price: i64, volume: i64) -> Vec<Value> {
+    vec![
+        Value::long(t),
+        Value::long(id),
+        Value::long(broker),
+        Value::double((price * 500) as f64),
+        Value::double(volume as f64),
+    ]
+}
+
+/// Deterministic order-book stream over `Bids`/`Asks`: timestamps shared by
+/// neighbouring orders (so `x.t > y.t` has ties), three brokers, deletes drawn
+/// from the live multiset — often the order just placed, which cancels inside
+/// its batch — and occasional re-inserts of a live order (a repeated key,
+/// net multiplicity 2 in its run).
+fn book_stream(seed: u64, len: usize) -> Vec<UpdateEvent> {
+    let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(11);
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % bound
+    };
+    let mut live: [Vec<Vec<Value>>; 2] = [Vec::new(), Vec::new()];
+    let mut out = Vec::with_capacity(len);
+    for i in 0..len {
+        let side = next(2) as usize;
+        let rel = ["Bids", "Asks"][side];
+        let book = &mut live[side];
+        let roll = next(100);
+        if roll < 30 && !book.is_empty() {
+            let idx = if next(3) == 0 {
+                book.len() - 1
+            } else {
+                next(book.len() as u64) as usize
+            };
+            out.push(UpdateEvent::delete(rel, book.swap_remove(idx)));
+        } else if roll < 36 && !book.is_empty() {
+            let again = book[next(book.len() as u64) as usize].clone();
+            book.push(again.clone());
+            out.push(UpdateEvent::insert(rel, again));
+        } else {
+            let tuple = order(
+                (i / 2) as i64,
+                i as i64,
+                next(3) as i64,
+                next(8) as i64,
+                1 + next(9) as i64,
+            );
+            book.push(tuple.clone());
+            out.push(UpdateEvent::insert(rel, tuple));
+        }
+    }
+    out
+}
+
+fn fixed_partition(events: &[UpdateEvent], size: usize) -> Vec<DeltaBatch> {
+    events.chunks(size).map(DeltaBatch::from_events).collect()
+}
+
+fn per_event_engine(
+    program: &dbtoaster::compiler::TriggerProgram,
+    catalog: &Catalog,
+    force_interp: bool,
+    events: &[UpdateEvent],
+) -> Engine {
+    let mut reference = Engine::new(program.clone(), catalog);
+    reference.set_force_interpreter(force_interp);
+    reference
+        .process_all(events)
+        .unwrap_or_else(|e| panic!("per-event: {e}"));
+    reference
+}
+
+fn batched_engine(
+    program: &dbtoaster::compiler::TriggerProgram,
+    catalog: &Catalog,
+    force_interp: bool,
+    force_strategy: Option<BatchStrategy>,
+    batches: &[DeltaBatch],
+) -> Engine {
+    let mut batched = Engine::new(program.clone(), catalog);
+    batched.set_force_interpreter(force_interp);
+    batched.set_force_batch_strategy(force_strategy);
+    for b in batches {
+        let report = batched.process_batch(b);
+        assert!(report.first_error.is_none(), "{:?}", report.first_error);
+    }
+    batched
+}
+
+/// `bsp` alone and `axf+bsp+bsv` in one engine, at the batch sizes the batch
+/// sweep and the server use and over random partitions, in all four compile
+/// modes, compiled and interpreted, under every strategy override: bit-exact
+/// against per-event processing. Re-evaluation mode recomputes a quadratic
+/// join per event, so it gets a shorter stream.
+#[test]
+fn order_book_self_joins_batch_bit_exact() {
+    const BOOK_SEED: u64 = 20120826;
+    for names in [&["bsp"][..], &["axf", "bsp", "bsv"][..]] {
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let len = if mode == CompileMode::Reevaluate {
+                140
+            } else {
+                700
+            };
+            let events = book_stream(BOOK_SEED, len);
+            let (program, catalog) = book_program(names, mode);
+            let mut partitions: Vec<(String, Vec<DeltaBatch>)> = [1usize, 8, 64, 512]
+                .into_iter()
+                .map(|n| (format!("batch {n}"), fixed_partition(&events, n)))
+                .collect();
+            for seed in [3u64, 4, 5] {
+                partitions.push((format!("random {seed}"), random_partition(&events, seed)));
+            }
+            for force_interp in [false, true] {
+                let reference = per_event_engine(&program, &catalog, force_interp, &events);
+                for force in [
+                    None,
+                    Some(BatchStrategy::StatementMajor),
+                    Some(BatchStrategy::EntryMajor),
+                ] {
+                    for (label, batches) in &partitions {
+                        let batched =
+                            batched_engine(&program, &catalog, force_interp, force, batches);
+                        assert_eq!(batched.stats().events, events.len() as u64);
+                        if mode == CompileMode::HigherOrder && force.is_none() {
+                            // The dispatch is static: nothing re-routes a run.
+                            assert_eq!(batched.stats().entry_major_runs, 0, "{names:?} {label}");
+                            assert_eq!(batched.stats().statement_major_runs, 0);
+                        }
+                        let path = if force_interp { "interp" } else { "compiled" };
+                        let strat = force.map_or("auto", |s| s.as_str());
+                        assert_engines_identical(
+                            &reference,
+                            &batched,
+                            &format!("{names:?} {label} [{mode}/{path}/{strat}]"),
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The three run shapes the overlay pass has to get right, planted in one
+/// `Bids` run: a repeated key (net multiplicity ±2 — the firing's second
+/// repetition must see the first), an insert-then-delete that cancels inside
+/// the run (fires nothing, feeds the overlay nothing), and mixed signs
+/// (delete-trigger rows interleaved with insert-trigger rows in entry order).
+#[test]
+fn order_book_planted_runs_batch_bit_exact() {
+    let prefix = vec![
+        UpdateEvent::insert("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(2, 2, 0, 5, 2)),
+        UpdateEvent::insert("Bids", order(2, 3, 1, 1, 7)),
+        UpdateEvent::insert("Asks", order(2, 4, 0, 6, 4)),
+        UpdateEvent::insert("Bids", order(3, 5, 0, 4, 1)),
+        UpdateEvent::insert("Bids", order(3, 5, 0, 4, 1)), // stored twice
+    ];
+    let run = vec![
+        UpdateEvent::insert("Bids", order(4, 6, 0, 7, 5)),
+        UpdateEvent::insert("Bids", order(4, 6, 0, 7, 5)), // repeated key: +2
+        UpdateEvent::insert("Bids", order(5, 7, 0, 3, 9)),
+        UpdateEvent::delete("Bids", order(5, 7, 0, 3, 9)), // cancels in-run
+        UpdateEvent::delete("Bids", order(2, 2, 0, 5, 2)), // mixed sign
+        UpdateEvent::insert("Bids", order(6, 8, 1, 0, 6)),
+        UpdateEvent::delete("Bids", order(3, 5, 0, 4, 1)),
+        UpdateEvent::delete("Bids", order(3, 5, 0, 4, 1)), // repeated key: −2
+        UpdateEvent::insert("Bids", order(7, 9, 0, 2, 2)),
+    ];
+    let planted = DeltaBatch::from_events(&run);
+    let mults: Vec<f64> = planted.runs()[0].entries().iter().map(|e| e.mult).collect();
+    assert_eq!(planted.runs().len(), 1);
+    assert_eq!(mults, [2.0, 0.0, -1.0, 1.0, -2.0, 1.0]);
+
+    let events: Vec<UpdateEvent> = prefix.iter().chain(&run).cloned().collect();
+    let batches = vec![DeltaBatch::from_events(&prefix), planted];
+    for names in [&["bsp"][..], &["axf", "bsp", "bsv"][..]] {
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let (program, catalog) = book_program(names, mode);
+            for force_interp in [false, true] {
+                let reference = per_event_engine(&program, &catalog, force_interp, &events);
+                // Not vacuous: the run moved the self-join results.
+                assert!(!reference.view("bsp").unwrap().is_empty());
+                let batched = batched_engine(&program, &catalog, force_interp, None, &batches);
+                assert_engines_identical(
+                    &reference,
+                    &batched,
+                    &format!("planted {names:?} [{mode}/interp={force_interp}]"),
+                );
+            }
+        }
+    }
+}
+
+/// `mddb1` is the workload's widest overlay (two run-linear statements over
+/// fourteen auxiliary maps) and its aggregates are genuine floats, so batches
+/// reassociate sums: every maintained map must match per-event processing to
+/// a relative 1e-9 rather than bit for bit.
+#[test]
+fn mddb1_overlay_batches_match_per_event_within_float_tolerance() {
+    let q = dbtoaster::workloads::query("mddb1").unwrap();
+    let data = dbtoaster::workloads::mddb::generate(&dbtoaster::workloads::MddbConfig {
+        atoms: 12,
+        steps: 20,
+        seed: 7,
+    });
+    let build = || {
+        let mut engine = dbtoaster::QueryEngineBuilder::new(dbtoaster::workloads::full_catalog())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap();
+        for (table, rows) in &data.tables {
+            engine.load_table(table, rows.clone()).unwrap();
+        }
+        engine.init().unwrap();
+        engine
+    };
+    let mut reference = build();
+    reference.process_all(&data.events).unwrap();
+    for size in [8usize, 64, 512] {
+        let mut batched = build();
+        for b in fixed_partition(&data.events, size) {
+            assert!(batched.process_batch(&b).first_error.is_none());
+        }
+        assert!(batched.stats().batch_delta_runs > 0);
+        assert_eq!(batched.stats().entry_major_runs, 0);
+        for m in &reference.program().maps {
+            let (a, b) = (
+                reference.view(&m.name).unwrap(),
+                batched.view(&m.name).unwrap(),
+            );
+            // Both directions; an absent key reads as 0.
+            for (key, _) in a.iter().chain(b.iter()) {
+                let (x, y) = (a.get(key), b.get(key));
+                assert!(
+                    (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0),
+                    "batch {size}: {}{key:?}: {x} vs {y}",
+                    m.name
+                );
+            }
+        }
+    }
+}
+
+/// Timing-free regression guard for "a batch must never be slower than its
+/// events": on a fixed 5k-event order book, the entries the kernels scan —
+/// summed over every view's counters — at batch 512 must not exceed the same
+/// sum at batch 1, and no run may leave the static batch-delta dispatch. (The
+/// pair-correction design this replaced failed both: its cost gate re-routed
+/// large `Bids` runs entry-major, and where it did not, the `@delta` self-join
+/// scanned the run once per entry.)
+#[test]
+fn order_book_batch_512_scans_no_more_than_per_event() {
+    use dbtoaster::runtime::{Telemetry, TelemetryConfig};
+    let data = dbtoaster::workloads::finance::generate(&dbtoaster::workloads::FinanceConfig {
+        events: 5_000,
+        seed: 42,
+        ..Default::default()
+    });
+    for names in [&["bsp"][..], &["axf", "bsp", "bsv"][..]] {
+        let (program, catalog) = book_program(names, CompileMode::HigherOrder);
+        let scanned = |batch: usize| -> u64 {
+            let mut engine = Engine::new(program.clone(), &catalog);
+            let tel = Telemetry::with_config(TelemetryConfig::default());
+            engine.set_telemetry(tel.clone());
+            for b in fixed_partition(&data.events, batch) {
+                let report = engine.process_batch(&b);
+                assert!(report.first_error.is_none(), "{:?}", report.first_error);
+            }
+            assert_eq!(
+                engine.stats().entry_major_runs,
+                0,
+                "{names:?}: batch {batch} re-routed a run entry-major"
+            );
+            engine.flush_telemetry();
+            tel.snapshot().views.iter().map(|v| v.entries_scanned).sum()
+        };
+        let (per_event, batched) = (scanned(1), scanned(512));
+        assert!(per_event > 0, "{names:?}: the counters saw no scans");
+        assert!(
+            batched <= per_event,
+            "{names:?}: batch 512 scanned {batched} entries, its events scan {per_event}"
+        );
     }
 }
