@@ -34,28 +34,23 @@
 //!    of the base stream, and the net stream is identical). Cancelled pairs
 //!    contribute nothing to the net stream, which is why net-zero keys can be
 //!    dropped.
-//! 2. **Ring linearity makes statement-major execution exact** when a
-//!    trigger's statements never read anything the same run writes (its own
-//!    targets, or the updated base relation where stored). Then the delta a
-//!    statement computes for entry `tᵢ` is the same whether the other entries
-//!    have been applied or not, so the per-statement work can run over all
-//!    entries back-to-back — statement prelude and loop-invariant fused scans
-//!    amortized across the batch — and the buffered results applied in entry
-//!    order. This *read-before-write discipline across the statements of one
-//!    relation* is checked statically per trigger
-//!    (`TriggerProgram::batch_dispatch` in `dbtoaster-compiler`); triggers
-//!    that violate it (e.g. a statement reading a sibling statement's target)
-//!    fall back to entry-at-a-time processing inside the batch.
+//! 2. **Ring linearity lets a statement run over the whole delta at once.**
+//!    Where a trigger's incremental statements read nothing the same run
+//!    writes (their own targets, or the updated base relation where stored),
+//!    the delta a statement computes for entry `tᵢ` is the same whether the
+//!    other entries have been applied or not, so the per-statement work can
+//!    run over all entries back-to-back — statement prelude and
+//!    loop-invariant fused scans amortized across the batch — with the
+//!    buffered results applied afterwards. Where they do read what the run
+//!    writes, the next section restores the interaction.
 //!
 //! ## Batch-delta programs
 //!
-//! Statement-major execution is only legal when no statement reads what the
-//! run writes. The compiler goes one step further and derives, per relation,
-//! a **whole-run trigger program** (`derive_run_linear` in
-//! `dbtoaster-compiler`): treat the run's net delta `ΔR = Σₑ mₑ{tₑ}` as one
-//! update. Every statement is evaluated for all entries back-to-back against
-//! the *pre-run* state; for a statement whose right-hand side is affine in
-//! the maps the run itself writes,
+//! The compiler derives, per relation, a **whole-run trigger program**
+//! (`derive_run_linear` in `dbtoaster-compiler`): treat the run's net delta
+//! `ΔR = Σₑ mₑ{tₑ}` as one update. Every incremental statement is evaluated
+//! for all entries back-to-back against the *pre-run* state; for a statement
+//! whose right-hand side is affine in the maps the run itself writes,
 //!
 //! ```text
 //! rhs(e; M_pre + ΔM_<e) = rhs(e; M_pre) + lin(e; ΔM_<e)
@@ -69,18 +64,22 @@
 //! their own run writes and have no run-linear part; quadratic self-joins
 //! read their own auxiliary maps and close with one overlay pass, whose cost
 //! follows the run's own interacting rows rather than the maintained state.
+//! Re-evaluation (`:=`) statements need no delta form: of a run's per-event
+//! firings only the last one's output survives, so they fire once, for the
+//! run's last event, after the buffered writes and the base update.
 //!
-//! Derivation bails out (and dispatch stays statement-major or entry-major)
-//! when that argument does not hold: a trigger with non-`Increment`
-//! statements (`:=` re-evaluation is not linear), a statement reading a map
-//! an earlier statement of the same trigger writes, a nonzero third delta, or
-//! a right-hand side not affine in the run-written maps (two such atoms in
-//! one product, or one under a lift, comparison or `EXISTS`). The choice is
+//! Derivation bails out — and the relation runs entry-major, each surviving
+//! entry firing the full per-event sequence — when that argument does not
+//! hold: `:=` statements that are not a trigger's tail or not mirrored across
+//! both sign triggers, an incremental statement reading a map an earlier
+//! statement of the same trigger writes, or a right-hand side not affine in
+//! the run-written maps (two such atoms in one product, one under a lift,
+//! comparison or `EXISTS`, or any read of a `:=` target). The choice is
 //! static per relation — it never depends on a run's size or on the state —
 //! so a WAL replay takes the same strategy sequence as the live run. The
 //! dispatch actually taken is observable through
-//! `EngineStats::{batch_delta_runs, statement_major_runs, entry_major_runs}`
-//! and per run via `BatchReport::runs` under `Engine::set_run_recording`.
+//! `EngineStats::{batch_delta_runs, entry_major_runs}` and per run via
+//! `BatchReport::runs` under `Engine::set_run_recording`.
 //!
 //! Both arguments are exact in the GMR ring. Over floating-point
 //! multiplicities they are exact up to summation order: integer-weighted
@@ -183,13 +182,6 @@ impl RelationDelta {
     pub fn last_event(&self) -> Option<(UpdateSign, &Tuple)> {
         self.last
             .map(|(sign, i)| (sign, &self.entries[i as usize].key))
-    }
-
-    /// Sign and **entry index** of the last event pushed into this run (the
-    /// index form of [`RelationDelta::last_event`], for callers tracking
-    /// per-entry state).
-    pub fn last_event_index(&self) -> Option<(UpdateSign, usize)> {
-        self.last.map(|(sign, i)| (sign, i as usize))
     }
 
     /// Events whose work vanished through ring cancellation: the difference

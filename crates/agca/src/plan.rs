@@ -2040,8 +2040,8 @@ impl CompiledStmt {
     /// `run_invariant_preludes` is `false`, prelude scans marked
     /// [`FusedScan::entry_invariant`] are skipped — their result slots still
     /// hold the totals computed for the batch's first entry, which are valid
-    /// for every entry because such scans read no trigger slot and (by the
-    /// statement-major safety analysis) nothing the batch writes. Rows are
+    /// for every entry because such scans read no trigger slot and the store
+    /// they read is unchanged until the run's buffered writes are applied. Rows are
     /// **appended** to `state.out`; the batch executor tracks entry
     /// boundaries itself.
     pub fn execute_batch_entry(

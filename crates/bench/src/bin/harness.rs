@@ -11,12 +11,7 @@
 //! `traces` (Figures 13–18), `explain`, `export`, `all`.
 //!
 //! Flags: `--events N`, `--budget SECS`, `--seed N`, `--label NAME`,
-//! `--json PATH`, `--shards 1,2,4,8` (the `shard` sweep's shard counts),
-//! and `--strategy entry|statement|auto` — which pins the
-//! delta-batch dispatch via the `DBTOASTER_FORCE_BATCH_STRATEGY` environment
-//! override (the batch twin of `DBTOASTER_FORCE_INTERPRETER`): `entry` is the
-//! per-event oracle, `statement` the legacy pre-batch-delta dispatch, `auto`
-//! the default batch-delta-where-derived choice.
+//! `--json PATH`, `--shards 1,2,4,8` (the `shard` sweep's shard counts).
 //!
 //! Observability:
 //!
@@ -45,7 +40,6 @@ struct Args {
     seed: u64,
     json: Option<String>,
     label: String,
-    strategy: Option<String>,
     query: Option<String>,
     addr: String,
     hold: Duration,
@@ -62,7 +56,6 @@ fn parse_args() -> Args {
         seed: 42,
         json: None,
         label: "run".to_string(),
-        strategy: None,
         query: None,
         addr: "127.0.0.1:0".to_string(),
         hold: Duration::from_secs(0),
@@ -97,10 +90,6 @@ fn parse_args() -> Args {
             }
             "--label" => {
                 args.label = argv.get(i + 1).cloned().unwrap_or(args.label);
-                i += 2;
-            }
-            "--strategy" => {
-                args.strategy = argv.get(i + 1).cloned();
                 i += 2;
             }
             "--query" => {
@@ -895,18 +884,6 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
 
 fn main() {
     let args = parse_args();
-    // `--strategy entry|statement|auto` pins the batch dispatch for every
-    // engine the harness builds, through the same environment override a
-    // deployment would use (`DBTOASTER_FORCE_BATCH_STRATEGY`, the batch
-    // twin of `DBTOASTER_FORCE_INTERPRETER`). `auto` (or any unrecognised
-    // value) keeps the compiler's dispatch: batch-delta where derived.
-    if let Some(name) = &args.strategy {
-        match dbtoaster::runtime::parse_batch_strategy(name) {
-            Some(s) => println!("forcing batch strategy: {s}"),
-            None => println!("batch strategy: automatic (batch-delta where derived)"),
-        }
-        std::env::set_var(dbtoaster::runtime::FORCE_BATCH_STRATEGY_ENV, name);
-    }
     let config = ExperimentConfig {
         events: args.events,
         time_budget: args.budget,

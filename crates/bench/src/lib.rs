@@ -610,9 +610,6 @@ fn batch_run(
     if stats.batch_delta_runs > 0 {
         used.push("batch-delta");
     }
-    if stats.statement_major_runs > 0 {
-        used.push("statement-major");
-    }
     if stats.entry_major_runs > 0 {
         used.push("entry-major");
     }

@@ -5,13 +5,15 @@
 //! the strategy EXPLAIN printed for that relation — the dispatch is static, no
 //! run is re-routed by its size or by the state. The `reason:` and
 //! `run-linear on …:` lines of the batch-delta overlay pass are pinned as
-//! goldens on the three shapes the workload has: no run-linear part (`q1`),
-//! an overlay of the query's own auxiliary maps (`bsp`), and a bail.
+//! goldens on the four shapes the workload has: no run-linear part (`q1`),
+//! an overlay of the query's own auxiliary maps (`bsp`), a `:=` tail (`vwap`)
+//! and a bail (`q17a`). A census pins how many relations each compile mode
+//! dispatches to each strategy, so a gate change that silently demotes a
+//! relation to the per-event path fails by name.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
-//! the explained strategy must follow `DBTOASTER_FORCE_BATCH_STRATEGY`
-//! overrides exactly as the live dispatch does — all in one test function
-//! because the override is process-global state.
+//! the explained strategy must follow the entry-major override exactly as the
+//! live dispatch does.
 
 use dbtoaster::prelude::*;
 use dbtoaster::workloads;
@@ -23,9 +25,13 @@ const CHUNK: usize = 32;
 
 /// Replay a query's stream in multi-event delta batches, returning every run
 /// record plus the engine for explaining.
-fn run_batched(q: &workloads::WorkloadQuery) -> (QueryEngine, Vec<(String, BatchStrategy)>) {
+fn run_batched(
+    q: &workloads::WorkloadQuery,
+    force_entry_major: bool,
+) -> (QueryEngine, Vec<(String, BatchStrategy)>) {
     let data = dataset_for(q.family, EVENTS, SEED);
     let mut engine = build_engine(q, CompileMode::HigherOrder, &data);
+    engine.set_force_entry_major(force_entry_major);
     engine.set_telemetry(Telemetry::with_config(TelemetryConfig::default()));
     engine.set_run_recording(true);
     let mut runs = Vec::new();
@@ -42,14 +48,14 @@ fn run_batched(q: &workloads::WorkloadQuery) -> (QueryEngine, Vec<(String, Batch
     (engine, runs)
 }
 
-fn check_query(q: &workloads::WorkloadQuery, forced: Option<BatchStrategy>) {
-    let (mut engine, runs) = run_batched(q);
+fn check_query(q: &workloads::WorkloadQuery, force_entry_major: bool) {
+    let (mut engine, runs) = run_batched(q, force_entry_major);
     assert!(!runs.is_empty(), "{}: no batch runs recorded", q.name);
     let ex = engine.explain();
     assert_eq!(
         ex.forced.as_deref(),
-        forced.map(|f| f.as_str()),
-        "{}: explained override disagrees with the environment",
+        force_entry_major.then_some("entry-major"),
+        "{}: explained override disagrees with the engine's",
         q.name
     );
     for (relation, live) in &runs {
@@ -72,7 +78,7 @@ fn check_query(q: &workloads::WorkloadQuery, forced: Option<BatchStrategy>) {
             live.as_str()
         );
     }
-    if forced.is_none() {
+    if !force_entry_major {
         check_goldens(q.name, &ex);
     }
     // The JSON form round-trips structurally.
@@ -123,43 +129,81 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 "ANALYZE shows overlay firings: {text}"
             );
         }
-        "q17a" => assert!(
-            reason("Lineitem").starts_with(
-                "batch-delta ineligible: `q17a` has a nonzero third delta (more than quadratic); "
-            ),
-            "{}",
-            reason("Lineitem")
+        "vwap" => {
+            // Three O(1) increments that read nothing the run writes, then
+            // the nested-aggregate re-evaluation as the run's `:=` tail.
+            assert_eq!(
+                reason("Bids"),
+                "batch-delta derived (no statement reads run-written state; no overlay pass); \
+                 1 replace (`:=`) statement fired once per run, for its last event"
+            );
+            assert!(!text.contains("run-linear on"), "{text}");
+        }
+        "q17a" => assert_eq!(
+            reason("Lineitem"),
+            "batch-delta ineligible: the statement for `q17a` is not affine in run-written \
+             `m_q17a_1`"
         ),
         _ => {}
     }
 }
 
-/// One test function on purpose: `DBTOASTER_FORCE_BATCH_STRATEGY` is process
-/// state, and tests within a binary run concurrently.
+/// Default dispatch: batch-delta where derived, on every workload query.
 #[test]
-fn explained_strategies_match_live_batch_runs_across_overrides() {
+fn explained_strategies_match_live_batch_runs() {
     let queries = workloads::all_queries();
     assert!(queries.len() >= 15, "workload suite shrank?");
-
-    // Default dispatch: batch-delta where derived.
-    std::env::remove_var(dbtoaster::runtime::FORCE_BATCH_STRATEGY_ENV);
     for q in &queries {
-        check_query(q, None);
+        check_query(q, false);
     }
+}
 
-    // Forced overrides must show up identically in EXPLAIN and in the runs.
-    // (A spot-check subset keeps the test inside a reasonable budget.)
-    for (name, forced) in [
-        ("entry", BatchStrategy::EntryMajor),
-        ("statement", BatchStrategy::StatementMajor),
-    ] {
-        std::env::set_var(dbtoaster::runtime::FORCE_BATCH_STRATEGY_ENV, name);
-        for q in queries
-            .iter()
-            .filter(|q| ["q1", "q3", "axf", "bsv", "vwap", "mddb1"].contains(&q.name))
-        {
-            check_query(q, Some(forced));
-        }
+/// The entry-major override must show up identically in EXPLAIN and in the
+/// runs. (A spot-check subset keeps the test inside a reasonable budget.)
+#[test]
+fn explained_strategies_follow_the_entry_major_override() {
+    for name in ["q1", "q3", "axf", "bsv", "vwap", "mddb1"] {
+        check_query(&workloads::query(name).unwrap(), true);
     }
-    std::env::remove_var(dbtoaster::runtime::FORCE_BATCH_STRATEGY_ENV);
+}
+
+/// Dispatch census: `(batch-delta, entry-major)` relation counts over every
+/// workload query, per compile mode. A relation leaving batch-delta is a
+/// silent slowdown of one to two orders of magnitude at batch 512 (PR 15's
+/// post-mortem), so the counts are pinned and a mismatch names the relations.
+#[test]
+fn dispatch_census_per_compile_mode() {
+    for (mode, batch_delta, entry_major) in [
+        (CompileMode::HigherOrder, 35, 4),
+        (CompileMode::FirstOrder, 29, 10),
+        (CompileMode::NaiveViewlet, 29, 10),
+        (CompileMode::Reevaluate, 39, 0),
+    ] {
+        let mut counts = (0, 0);
+        let mut per_event = Vec::new();
+        for q in workloads::all_queries() {
+            let engine = QueryEngineBuilder::new(workloads::full_catalog())
+                .add_query(q.name, q.sql)
+                .mode(mode)
+                .build()
+                .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
+            let ex = dbtoaster::compiler::explain(engine.program(), false);
+            for rel in ex.relations {
+                match rel.strategy.as_str() {
+                    "batch-delta" => counts.0 += 1,
+                    "entry-major" => {
+                        counts.1 += 1;
+                        per_event.push(format!("{}.{}: {}", q.name, rel.relation, rel.reason));
+                    }
+                    other => panic!("{}.{}: strategy {other}", q.name, rel.relation),
+                }
+            }
+        }
+        assert_eq!(
+            counts,
+            (batch_delta, entry_major),
+            "[{mode}] entry-major relations:\n{}",
+            per_event.join("\n")
+        );
+    }
 }

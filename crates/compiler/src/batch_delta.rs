@@ -45,40 +45,51 @@
 //! run of at most one firing has nothing to interact with: both skip the
 //! overlay pass entirely.
 //!
+//! ## The `:=` tail
+//!
+//! A re-evaluation statement wipes its target and rebuilds it from the
+//! *current* state, so of a run's per-event firings only the last one's
+//! output survives. When every `:=` statement follows every `+=` statement in
+//! its trigger, and both sign triggers re-evaluate the same targets, that
+//! surviving firing reads exactly the state the run's buffered increments and
+//! base update leave behind (the compiler orders a trigger's `:=` statements
+//! writer before reader, `order_statements`). The `:=` statements therefore
+//! need no delta form: the engine fires the last event's once, after the base
+//! update. A trigger that is *only* `:=` statements — every trigger of
+//! re-evaluation mode — is the degenerate case: an empty increment phase and
+//! the tail.
+//!
 //! ## Eligibility (per relation)
 //!
 //! Derivation succeeds — and [`BatchStrategy::BatchDelta`] is chosen — iff:
 //!
-//! 1. every statement of both sign triggers is an increment (`:=`
-//!    re-evaluation statements are bound to one specific event of the run and
-//!    have no delta form);
-//! 2. the statement order realizes pre-event reads: no statement reads its
-//!    own target or the target of an earlier statement in its trigger (this
-//!    is the topological order the compiler aims for; a cycle falls back to
-//!    an order whose per-event semantics a pre-state evaluation cannot
-//!    reproduce);
-//! 3. for every map the relation affects, the **third** delta of its
-//!    definition vanishes (the map is at most quadratic in `R`), and the
-//!    second delta reads no derived view;
-//! 4. every statement is affine in the run-written state as written: no
-//!    product term holds two run-written atoms, and none holds one under a
-//!    lift, comparison, `EXISTS` or scalar function.
+//! 1. the `:=` statements form a mirrored tail: in each sign trigger every
+//!    `+=` precedes every `:=`, and if any `:=` exists, both sign triggers
+//!    exist and re-evaluate the same set of targets;
+//! 2. the increment order realizes pre-event reads: no `+=` statement reads
+//!    its own target or the target of an earlier statement in its trigger
+//!    (this is the topological order the compiler aims for; a cycle falls
+//!    back to an order whose per-event semantics a pre-state evaluation
+//!    cannot reproduce);
+//! 3. every `+=` statement is affine in the run-written state as written: no
+//!    product term holds two run-written atoms, none holds one under a lift,
+//!    comparison, `EXISTS` or scalar function, and none reads a `:=` target
+//!    at all (it is rewritten wholesale per event, not added to).
 //!
-//! Underivable relations keep the read-before-write analysis of
-//! [`TriggerProgram::batch_dispatch`]: statement-major where legal,
-//! entry-major as the exact per-event oracle.
+//! Nothing else is required — in particular no bound on a map's degree in
+//! `R`: by induction over the run's firings, gates 2 and 3 alone make every
+//! firing's buffered rows equal its per-event rows.
+//!
+//! An underivable relation runs entry-major — per-event firing inside the
+//! batch — and EXPLAIN prints the gate that bailed.
 //!
 //! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
-//! [`TriggerProgram::batch_dispatch`]: crate::program::TriggerProgram::batch_dispatch
 
 use crate::compile::reorder_products;
 use crate::program::{
-    BatchDeltaBail, BatchDeltaOutcome, Catalog, MapDecl, RunLinear, RunLinearStmt, Statement,
-    StmtOp, Trigger,
+    BatchDeltaBail, BatchDeltaOutcome, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
 };
-use dbtoaster_agca::{
-    delta, lower_statement, simplify, AtomKind, Expr, RelRef, TupleUpdate, UpdateSign,
-};
+use dbtoaster_agca::{lower_statement, simplify, AtomKind, Expr, RelRef};
 use std::collections::BTreeSet;
 
 /// Derive the per-relation run-linear programs of a trigger program (see the
@@ -86,11 +97,7 @@ use std::collections::BTreeSet;
 /// when nothing the relation's triggers read is run-written — plus, for every
 /// relation, the outcome record (eligible, or the first gate that bailed; the
 /// data behind EXPLAIN's strategy reasons). Kernels are lowered here.
-pub fn derive_run_linear(
-    maps: &[MapDecl],
-    triggers: &[Trigger],
-    catalog: &Catalog,
-) -> (Vec<RunLinear>, Vec<BatchDeltaOutcome>) {
+pub fn derive_run_linear(triggers: &[Trigger]) -> (Vec<RunLinear>, Vec<BatchDeltaOutcome>) {
     let mut relations: Vec<&str> = Vec::new();
     for t in triggers {
         if !relations.contains(&t.relation.as_str()) {
@@ -100,7 +107,7 @@ pub fn derive_run_linear(
     let mut programs = Vec::new();
     let mut outcomes = Vec::new();
     for rel in relations {
-        let bail = match derive_relation(rel, maps, triggers, catalog) {
+        let bail = match derive_relation(rel, triggers) {
             Ok(p) => {
                 programs.push(p);
                 None
@@ -115,27 +122,37 @@ pub fn derive_run_linear(
     (programs, outcomes)
 }
 
-fn derive_relation(
-    relation: &str,
-    maps: &[MapDecl],
-    triggers: &[Trigger],
-    catalog: &Catalog,
-) -> Result<RunLinear, BatchDeltaBail> {
+fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<RunLinear, BatchDeltaBail> {
     let rel_triggers: Vec<(usize, &Trigger)> = triggers
         .iter()
         .enumerate()
         .filter(|(_, t)| t.relation == relation)
         .collect();
-    // Gate 1: increments only.
-    if rel_triggers
-        .iter()
-        .any(|(_, t)| t.statements.iter().any(|s| s.op != StmtOp::Increment))
-    {
-        return Err(BatchDeltaBail::ReplaceStatement);
-    }
-    // Gate 2: every read of an in-trigger target precedes its write.
+    // Gate 1: the `:=` statements are a tail, mirrored across the signs.
+    let mut replaced: Vec<BTreeSet<&str>> = Vec::new();
     for (_, t) in &rel_triggers {
-        for (i, s) in t.statements.iter().enumerate() {
+        let tail = &t.statements[t.increments().len()..];
+        if let Some(s) = tail.iter().find(|s| s.op == StmtOp::Increment) {
+            return Err(BatchDeltaBail::IncrementAfterReplace {
+                target: s.target.clone(),
+            });
+        }
+        replaced.push(tail.iter().map(|s| s.target.as_str()).collect());
+    }
+    if replaced.iter().any(|r| !r.is_empty()) {
+        match replaced.as_slice() {
+            [ins, del] if ins == del => {}
+            [_, _] => return Err(BatchDeltaBail::UnmirroredReplace),
+            // A sign without a trigger would skip the re-evaluation its
+            // counterpart relies on.
+            _ => return Err(BatchDeltaBail::OneSidedReplace),
+        }
+    }
+    // Mirrored, so either sign's set is the relation's.
+    let replaced = &replaced[0];
+    // Gate 2: every increment's read of an in-trigger target precedes its write.
+    for (_, t) in &rel_triggers {
+        for (i, s) in t.increments().iter().enumerate() {
             let reads = s.reads();
             if let Some(w) = t.statements[..=i]
                 .iter()
@@ -148,41 +165,7 @@ fn derive_relation(
         }
     }
 
-    // Gate 3: every affected map is at most quadratic in the relation, and
-    // its second delta reads no derived view.
-    let meta = catalog
-        .get(relation)
-        .ok_or(BatchDeltaBail::UnknownRelation)?;
-    let u1 = TupleUpdate::new(relation, UpdateSign::Insert, &meta.columns);
-    let fresh = |n: u32| TupleUpdate {
-        relation: u1.relation.clone(),
-        sign: UpdateSign::Insert,
-        trigger_vars: u1.trigger_vars.iter().map(|v| format!("{v}@{n}")).collect(),
-    };
-    let (u2, u3) = (fresh(2), fresh(3));
-    for m in maps {
-        let d1 = simplify(&delta(&m.definition, &u1));
-        if d1.is_zero() {
-            continue; // map unaffected by this relation
-        }
-        let d2 = simplify(&delta(&d1, &u2));
-        if d2.is_zero() {
-            continue; // map linear in this relation: no interaction
-        }
-        if !simplify(&delta(&d2, &u3)).is_zero() {
-            return Err(BatchDeltaBail::NonzeroThirdDelta {
-                map: m.name.clone(),
-            });
-        }
-        // Map definitions range over base relations, so this is defensive.
-        if d2.atoms().iter().any(|a| a.kind == AtomKind::View) {
-            return Err(BatchDeltaBail::SurvivingViewAtom {
-                map: m.name.clone(),
-            });
-        }
-    }
-
-    // Gate 4 and the derivation proper: split every statement's right-hand
+    // Gate 3 and the derivation proper: split every increment's right-hand
     // side by its degree in the run-written state and keep the linear part.
     let targets: BTreeSet<&str> = rel_triggers
         .iter()
@@ -196,12 +179,20 @@ fn derive_relation(
     let mut overlay_maps = BTreeSet::new();
     for &(ti, t) in &rel_triggers {
         let bound: BTreeSet<String> = t.trigger_vars.iter().cloned().collect();
-        for (si, s) in t.statements.iter().enumerate() {
-            let (_, lin) = split_by_degree(&s.rhs, &run_written).map_err(|read| {
-                BatchDeltaBail::NonAffineRunRead {
-                    target: s.target.clone(),
-                    read,
-                }
+        for (si, s) in t.increments().iter().enumerate() {
+            // A `:=` target is run-written, but never additively: any read
+            // of one is non-affine.
+            let replaced_read = s
+                .reads()
+                .into_iter()
+                .find(|r| replaced.contains(r.as_str()));
+            let (_, lin) = match replaced_read {
+                Some(read) => Err(read),
+                None => split_by_degree(&s.rhs, &run_written),
+            }
+            .map_err(|read| BatchDeltaBail::NonAffineRunRead {
+                target: s.target.clone(),
+                read,
             })?;
             let lin = reorder_products(&simplify(&lin), &bound);
             if lin.is_zero() {
@@ -309,10 +300,12 @@ fn run_written_atom(e: &Expr, run_written: &dyn Fn(&RelRef) -> bool) -> Option<S
 #[cfg(test)]
 mod tests {
     use crate::compile::compile;
+    use crate::program::StmtOp::{Increment, Replace};
     use crate::program::{
-        BatchStrategy, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
+        BatchDeltaBail, BatchStrategy, Catalog, CompileMode, CompileOptions, QuerySpec,
+        RelationMeta, Statement, StmtOp, Trigger,
     };
-    use dbtoaster_agca::{CmpOp, Expr};
+    use dbtoaster_agca::{CmpOp, Expr, UpdateSign};
 
     fn catalog() -> Catalog {
         [
@@ -433,31 +426,44 @@ mod tests {
         assert!(dbtoaster_agca::simplify(&l).is_zero() && !c.is_zero());
     }
 
-    #[test]
-    fn non_affine_read_of_run_written_state_bails_with_its_own_reason() {
-        use crate::program::{BatchDeltaBail, Statement, StmtOp, Trigger};
-        use dbtoaster_agca::UpdateSign;
-        // Q += Exists(M(a)); M[a] += 1 — ordered for pre-event reads, nothing
-        // cubic, but Q is not affine in M, which the same trigger writes.
-        let stmt = |target: &str, key: &[&str], rhs: Expr| Statement {
+    fn stmt(target: &str, key: &[&str], op: StmtOp, rhs: Expr) -> Statement {
+        Statement {
             target: target.into(),
             key_vars: key.iter().map(|k| k.to_string()).collect(),
             loop_vars: vec![],
-            op: StmtOp::Increment,
+            op,
             rhs,
-        };
-        let triggers = [Trigger {
+        }
+    }
+
+    fn trigger(sign: UpdateSign, statements: Vec<Statement>) -> Trigger {
+        Trigger {
             relation: "R".into(),
-            sign: UpdateSign::Insert,
+            sign,
             trigger_vars: vec!["a".into(), "b".into()],
-            statements: vec![
-                stmt("Q", &[], Expr::exists(Expr::view("M", ["a"]))),
-                stmt("M", &["a"], Expr::one()),
+            statements,
+        }
+    }
+
+    /// The first gate that bails for `R` (`None` = derived).
+    fn bail_of(triggers: &[Trigger]) -> Option<BatchDeltaBail> {
+        let (programs, outcomes) = super::derive_run_linear(triggers);
+        assert_eq!(programs.len(), usize::from(outcomes[0].bail.is_none()));
+        outcomes[0].bail.clone()
+    }
+
+    #[test]
+    fn non_affine_read_of_run_written_state_bails_with_its_own_reason() {
+        // Q += Exists(M(a)); M[a] += 1 — ordered for pre-event reads, nothing
+        // cubic, but Q is not affine in M, which the same trigger writes.
+        let bail = bail_of(&[trigger(
+            UpdateSign::Insert,
+            vec![
+                stmt("Q", &[], Increment, Expr::exists(Expr::view("M", ["a"]))),
+                stmt("M", &["a"], Increment, Expr::one()),
             ],
-        }];
-        let (programs, outcomes) = super::derive_run_linear(&[], &triggers, &catalog());
-        assert!(programs.is_empty());
-        let bail = outcomes[0].bail.clone().expect("R must bail");
+        )])
+        .expect("R must bail");
         assert_eq!(
             bail,
             BatchDeltaBail::NonAffineRunRead {
@@ -469,6 +475,56 @@ mod tests {
             bail.describe(),
             "the statement for `Q` is not affine in run-written `M`"
         );
+    }
+
+    #[test]
+    fn replace_statements_must_form_a_mirrored_tail() {
+        let inc = || stmt("M", &["a"], Increment, Expr::one());
+        let rep = |target: &str| stmt(target, &[], Replace, count_of("M"));
+        let both = |ins: Vec<Statement>, del: Vec<Statement>| {
+            [
+                trigger(UpdateSign::Insert, ins),
+                trigger(UpdateSign::Delete, del),
+            ]
+        };
+        // Increments, then the same `:=` targets under both signs: derived,
+        // and the tail contributes nothing to the run-linear program.
+        assert_eq!(
+            bail_of(&both(vec![inc(), rep("Q")], vec![inc(), rep("Q")])),
+            None
+        );
+        // Replace-only triggers (re-evaluation mode) are the degenerate case.
+        assert_eq!(bail_of(&both(vec![rep("Q")], vec![rep("Q")])), None);
+        assert_eq!(
+            bail_of(&both(vec![rep("Q"), inc()], vec![inc(), rep("Q")])),
+            Some(BatchDeltaBail::IncrementAfterReplace { target: "M".into() })
+        );
+        assert_eq!(
+            bail_of(&both(vec![inc(), rep("Q")], vec![inc(), rep("P")])),
+            Some(BatchDeltaBail::UnmirroredReplace)
+        );
+        assert_eq!(
+            bail_of(&both(vec![inc(), rep("Q")], vec![inc()])),
+            Some(BatchDeltaBail::UnmirroredReplace)
+        );
+        assert_eq!(
+            bail_of(&[trigger(UpdateSign::Insert, vec![inc(), rep("Q")])]),
+            Some(BatchDeltaBail::OneSidedReplace)
+        );
+        // An increment reading a `:=` target bails even where the read is
+        // affine as written: the target is rewritten, not added to.
+        let reads_q = || stmt("M", &["a"], Increment, count_of("Q"));
+        assert_eq!(
+            bail_of(&both(vec![reads_q(), rep("Q")], vec![reads_q(), rep("Q")])),
+            Some(BatchDeltaBail::NonAffineRunRead {
+                target: "M".into(),
+                read: "Q".into()
+            })
+        );
+    }
+
+    fn count_of(view: &str) -> Expr {
+        Expr::agg_sum(Vec::<String>::new(), Expr::view(view, Vec::<String>::new()))
     }
 
     #[test]
@@ -493,66 +549,19 @@ mod tests {
     }
 
     #[test]
-    fn replace_statements_disable_derivation() {
+    fn reevaluation_mode_derives_an_empty_increment_phase_plus_the_tail() {
         let program = compile(
             &[linear()],
             &catalog(),
             &CompileOptions::for_mode(CompileMode::Reevaluate),
         )
         .unwrap();
-        assert!(program.run_linear.is_empty());
         for d in program.batch_dispatch() {
-            assert_ne!(d.strategy, BatchStrategy::BatchDelta);
-        }
-    }
-
-    #[test]
-    fn nested_aggregate_shapes_fall_back() {
-        let inner = Expr::agg_sum(
-            Vec::<String>::new(),
-            Expr::product_of([Expr::rel("S", ["b2", "c"]), Expr::var("c")]),
-        );
-        let nested = QuerySpec {
-            name: "NESTED".into(),
-            out_vars: vec![],
-            expr: Expr::agg_sum(
-                Vec::<String>::new(),
-                Expr::product_of([
-                    Expr::rel("R", ["a", "b"]),
-                    Expr::lift("z", inner),
-                    Expr::cmp(CmpOp::Lt, Expr::var("b"), Expr::var("z")),
-                ]),
-            ),
-        };
-        let program = compile(
-            &[nested],
-            &catalog(),
-            &CompileOptions::for_mode(CompileMode::HigherOrder),
-        )
-        .unwrap();
-        // Whatever statement shapes the heuristic picked, no relation with a
-        // state-reading or replace-bearing trigger may claim batch-delta.
-        for d in program.batch_dispatch() {
-            if d.strategy == BatchStrategy::BatchDelta {
-                let rl = program.run_linear_for(&d.relation).unwrap();
-                assert!(rl.statements.iter().all(|s| !s.statement.rhs.is_zero()));
-            }
-        }
-    }
-
-    #[test]
-    fn forced_dispatch_downgrades() {
-        let program = compile(
-            &[selfj()],
-            &catalog(),
-            &CompileOptions::for_mode(CompileMode::HigherOrder),
-        )
-        .unwrap();
-        for d in program.batch_dispatch_forced(Some(BatchStrategy::EntryMajor)) {
-            assert_eq!(d.strategy, BatchStrategy::EntryMajor);
-        }
-        for d in program.batch_dispatch_forced(Some(BatchStrategy::StatementMajor)) {
-            assert_ne!(d.strategy, BatchStrategy::BatchDelta);
+            assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{}", d.relation);
+            let rl = program.run_linear_for(&d.relation).unwrap();
+            assert!(rl.statements.is_empty() && rl.overlay_maps.is_empty());
+            let t = &program.triggers[d.insert.unwrap()];
+            assert!(t.increments().is_empty() && !t.statements.is_empty());
         }
     }
 }

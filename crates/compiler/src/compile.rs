@@ -242,8 +242,7 @@ pub fn compile(
     // Batch-delta: per eligible relation, the run-linear parts of its trigger
     // statements (see `crate::batch_delta`), lowered through the same kernel
     // pipeline. They read nothing their statements do not already read.
-    let (run_linear, batch_delta_reasons) =
-        crate::batch_delta::derive_run_linear(&maps, &triggers, catalog);
+    let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
 
     Ok(TriggerProgram {
         maps,

@@ -4,14 +4,12 @@
 //! kernels; this module renders them back into an operator tree an operator
 //! can read. Per relation it reports the [`BatchStrategy`] a multi-entry
 //! delta batch will use **and why** — whether batch-delta derivation
-//! succeeded (and which statements carry a run-linear part for the overlay
-//! pass) or which eligibility gate bailed
-//! ([`BatchDeltaBail`](crate::program::BatchDeltaBail)), and which
-//! statement-major rule failed
-//! ([`StatementMajorBlock`](crate::program::StatementMajorBlock)) — and per
-//! statement the compiled plan: probes
-//! vs scans, product order, fused-prelude signatures, band specs and slot
-//! assignments, straight from [`dbtoaster_agca::plan`].
+//! succeeded (which statements carry a run-linear part for the overlay pass,
+//! and whether a `:=` tail fires once per run) or which eligibility gate
+//! bailed ([`BatchDeltaBail`](crate::program::BatchDeltaBail)) — and per
+//! statement the compiled plan: probes vs scans, product order, fused-prelude
+//! signatures, band specs and slot assignments, straight from
+//! [`dbtoaster_agca::plan`].
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
 //! attach per-target-view counters ([`ViewStats`] — rows written, probes,
@@ -21,7 +19,7 @@
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
 
-use crate::program::{BatchStrategy, StmtOp, Trigger, TriggerProgram};
+use crate::program::{BatchStrategy, RelationDispatch, StmtOp, Trigger, TriggerProgram};
 use dbtoaster_agca::plan::{FastOp, FusedScan, NumExpr, Op, Scalar};
 use dbtoaster_agca::UpdateSign;
 use std::fmt::Write as _;
@@ -89,7 +87,7 @@ pub struct RelationExplain {
     /// The chosen [`BatchStrategy`], as its stable lowercase name.
     pub strategy: String,
     /// Why that strategy was chosen (derivation success, the exact bail gate,
-    /// the failed statement-major rule, or the forced override).
+    /// or the forced override).
     pub reason: String,
     /// The shardability verdict for the relation (see
     /// [`crate::shard::analyze_sharding`]): `shard-local (...)` or
@@ -107,19 +105,20 @@ pub struct RelationExplain {
 /// trigger program.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgramExplain {
-    /// The forced strategy override in effect, if any (the stable name).
+    /// The forced strategy override in effect, if any (the stable name;
+    /// `"entry-major"` is the only one there is).
     pub forced: Option<String>,
     /// Per-relation strategy, reason and plans.
     pub relations: Vec<RelationExplain>,
 }
 
-/// Explain `program` under an optional forced strategy override (the
-/// `DBTOASTER_FORCE_BATCH_STRATEGY` resolution — pass the engine's forced
-/// strategy so EXPLAIN reports exactly what the dispatch table holds).
-pub fn explain(program: &TriggerProgram, force: Option<BatchStrategy>) -> ProgramExplain {
+/// Explain `program`. `force_entry_major` is the engine's per-event-oracle
+/// override (`Engine::set_force_entry_major` in the runtime) — pass the
+/// engine's setting so EXPLAIN reports exactly what the dispatch table holds.
+pub fn explain(program: &TriggerProgram, force_entry_major: bool) -> ProgramExplain {
     let shard_plan = crate::shard::analyze_sharding(program);
     let relations = program
-        .batch_dispatch_forced(force)
+        .batch_dispatch()
         .into_iter()
         .map(|d| {
             let triggers = [d.insert, d.delete]
@@ -144,40 +143,53 @@ pub fn explain(program: &TriggerProgram, force: Option<BatchStrategy>) -> Progra
                     })
                 })
                 .collect();
+            let strategy = if force_entry_major {
+                BatchStrategy::EntryMajor
+            } else {
+                d.strategy
+            };
             RelationExplain {
-                reason: strategy_reason(program, &d.relation, d.strategy, force),
+                reason: strategy_reason(program, &d, force_entry_major),
                 shard: shard_plan
                     .relation_plan(&d.relation)
                     .map(|r| r.reason.clone())
                     .unwrap_or_default(),
                 relation: d.relation,
-                strategy: d.strategy.as_str().to_string(),
+                strategy: strategy.as_str().to_string(),
                 triggers,
                 run_linear,
             }
         })
         .collect();
     ProgramExplain {
-        forced: force.map(|f| f.as_str().to_string()),
+        forced: force_entry_major.then(|| BatchStrategy::EntryMajor.as_str().to_string()),
         relations,
     }
 }
 
+/// One reason per relation: how batch-delta was derived, or the gate that
+/// bailed (which is why the relation runs entry-major).
 fn strategy_reason(
     program: &TriggerProgram,
-    relation: &str,
-    strategy: BatchStrategy,
-    force: Option<BatchStrategy>,
+    d: &RelationDispatch,
+    force_entry_major: bool,
 ) -> String {
-    if force == Some(BatchStrategy::EntryMajor) {
+    if force_entry_major {
         return "forced entry-major override".to_string();
     }
-    let derivation = || match program.run_linear_for(relation) {
-        Some(rl) if rl.statements.is_empty() => {
-            "batch-delta derived (no statement reads run-written state; no overlay pass)"
-                .to_string()
-        }
-        Some(rl) => format!(
+    let Some(rl) = program.run_linear_for(&d.relation) else {
+        return match program
+            .batch_delta_reason(&d.relation)
+            .and_then(|o| o.bail.as_ref())
+        {
+            Some(bail) => format!("batch-delta ineligible: {}", bail.describe()),
+            None => "batch-delta not derived".to_string(),
+        };
+    };
+    let mut reason = if rl.statements.is_empty() {
+        "batch-delta derived (no statement reads run-written state; no overlay pass)".to_string()
+    } else {
+        format!(
             "batch-delta derived ({} run-linear statements over an overlay of {})",
             rl.statements.len(),
             rl.overlay_maps
@@ -185,27 +197,21 @@ fn strategy_reason(
                 .map(|m| format!("`{m}`"))
                 .collect::<Vec<_>>()
                 .join(", ")
-        ),
-        None => match program
-            .batch_delta_reason(relation)
-            .and_then(|o| o.bail.as_ref())
-        {
-            Some(bail) => format!("batch-delta ineligible: {}", bail.describe()),
-            None => "batch-delta not derived".to_string(),
-        },
+        )
     };
-    let rules = || match program.statement_major_block(relation) {
-        None => "read-before-write analysis passed".to_string(),
-        Some(block) => format!("statement-major illegal: {}", block.describe()),
-    };
-    match strategy {
-        BatchStrategy::BatchDelta => derivation(),
-        BatchStrategy::StatementMajor if force == Some(BatchStrategy::StatementMajor) => {
-            format!("batch-delta disabled by forced override; {}", rules())
-        }
-        BatchStrategy::StatementMajor => format!("{}; {}", derivation(), rules()),
-        BatchStrategy::EntryMajor => format!("{}; {}", derivation(), rules()),
+    // Mirrored across the signs (eligibility gate 1), so either trigger counts.
+    let tail = d.insert.map_or(0, |i| {
+        let t = &program.triggers[i];
+        t.statements.len() - t.increments().len()
+    });
+    if tail > 0 {
+        let _ = write!(
+            reason,
+            "; {tail} replace (`:=`) statement{} fired once per run, for its last event",
+            if tail == 1 { "" } else { "s" }
+        );
     }
+    reason
 }
 
 fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
@@ -1040,7 +1046,7 @@ mod tests {
     #[test]
     fn explain_reports_strategy_and_reason_per_relation() {
         let p = program();
-        let ex = explain(&p, None);
+        let ex = explain(&p, false);
         assert_eq!(ex.relations.len(), 2);
         for rel in &ex.relations {
             assert_eq!(rel.strategy, "batch-delta");
@@ -1058,23 +1064,19 @@ mod tests {
     #[test]
     fn forced_overrides_are_reflected() {
         let p = program();
-        let entry = explain(&p, Some(BatchStrategy::EntryMajor));
+        let entry = explain(&p, true);
         assert_eq!(entry.forced.as_deref(), Some("entry-major"));
         for rel in &entry.relations {
             assert_eq!(rel.strategy, "entry-major");
             assert_eq!(rel.reason, "forced entry-major override");
         }
-        let stmt = explain(&p, Some(BatchStrategy::StatementMajor));
-        for rel in &stmt.relations {
-            assert_ne!(rel.strategy, "batch-delta");
-            assert!(rel.reason.contains("disabled by forced override"));
-        }
+        assert_eq!(explain(&p, false).forced, None);
     }
 
     #[test]
     fn json_round_trips_with_and_without_stats() {
         let p = program();
-        let mut ex = explain(&p, None);
+        let mut ex = explain(&p, false);
         let parsed = ProgramExplain::parse_json(&ex.render_json()).expect("parses");
         assert_eq!(parsed, ex);
         ex.attach_stats(|_| {
@@ -1093,7 +1095,7 @@ mod tests {
     #[test]
     fn text_rendering_contains_the_load_bearing_lines() {
         let p = program();
-        let text = explain(&p, None).render_text();
+        let text = explain(&p, false).render_text();
         assert!(text.contains("== relation R =="));
         assert!(text.contains("strategy: batch-delta"));
         assert!(text.contains("reason: "));

@@ -51,8 +51,8 @@ pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
     CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
-    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StatementMajorBlock, StmtOp,
-    Trigger, TriggerProgram,
+    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
+    TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -65,8 +65,8 @@ pub mod prelude {
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
         CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
-        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StatementMajorBlock,
-        StmtOp, Trigger, TriggerProgram,
+        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
+        TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

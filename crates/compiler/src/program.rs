@@ -226,6 +226,20 @@ pub struct Trigger {
     pub statements: Vec<Statement>,
 }
 
+impl Trigger {
+    /// The trigger's leading `+=` statements. The compiler orders every
+    /// increment before every re-evaluation (`order_statements`), so for its
+    /// triggers this is all of them; batch-delta eligibility requires it.
+    pub fn increments(&self) -> &[Statement] {
+        let n = self
+            .statements
+            .iter()
+            .take_while(|s| s.op == StmtOp::Increment)
+            .count();
+        &self.statements[..n]
+    }
+}
+
 impl fmt::Display for Trigger {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -350,17 +364,10 @@ pub struct TriggerProgram {
 /// delta batch (see [`TriggerProgram::batch_dispatch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchStrategy {
-    /// Statement-major: each trigger statement is dispatched **once per
-    /// batch** and driven over all delta entries back-to-back (statement
-    /// prelude and loop-invariant fused scans amortized), base updates are
-    /// applied in one pass, and re-evaluation statements fire once, bound to
-    /// the run's last event. Legal only when the read-before-write discipline
-    /// holds across the relation's statements — see the eligibility rules on
-    /// [`TriggerProgram::batch_dispatch`].
-    StatementMajor,
     /// Entry-major: each delta entry fires the full per-event trigger sequence
-    /// (`|mult|` times), exactly like event-at-a-time processing. The safe
-    /// fallback for triggers that read what they write.
+    /// (`|mult|` times), exactly like event-at-a-time processing. The per-event
+    /// oracle, the path of every relation batch-delta derivation bailed on,
+    /// and the replay path of a batch-delta run that hit an evaluation error.
     EntryMajor,
     /// Batch-delta: the whole run is one delta GMR. Every incremental
     /// statement of both sign triggers is evaluated against the **pre-run**
@@ -368,17 +375,18 @@ pub enum BatchStrategy {
     /// relation's [`RunLinear`] statements — the same right-hand sides cut
     /// down to the terms that read what the run writes — are evaluated per
     /// firing over a run-local overlay to account for entries of the same run
-    /// interacting. Chosen whenever the derivation succeeds — see
-    /// [`crate::batch_delta`] for the argument and its eligibility gates.
+    /// interacting. The base update follows, and the `:=` statements of the
+    /// run's last event fire once against the new state — the one firing
+    /// whose output survives per-event processing. Chosen whenever the
+    /// derivation succeeds — see [`crate::batch_delta`] for the argument and
+    /// its eligibility gates.
     BatchDelta,
 }
 
 impl BatchStrategy {
-    /// Stable lowercase name (used in bench reports and the
-    /// `DBTOASTER_FORCE_BATCH_STRATEGY` override).
+    /// Stable lowercase name (used in EXPLAIN, run spans and bench reports).
     pub fn as_str(&self) -> &'static str {
         match self {
-            BatchStrategy::StatementMajor => "statement-major",
             BatchStrategy::EntryMajor => "entry-major",
             BatchStrategy::BatchDelta => "batch-delta",
         }
@@ -431,9 +439,20 @@ pub struct RunLinearStmt {
 /// "not eligible".
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchDeltaBail {
-    /// Gate 1: a trigger of the relation contains a `:=` (re-evaluation)
-    /// statement, which is bound to one specific event and has no delta form.
-    ReplaceStatement,
+    /// Gate 1: an incremental statement follows a re-evaluation statement in
+    /// its trigger, so the `:=` statements are not a tail that can fire once
+    /// after the run's increments.
+    IncrementAfterReplace {
+        /// The increment's target map.
+        target: String,
+    },
+    /// Gate 1: the insert and delete triggers re-evaluate different target
+    /// sets, so which `:=` output survives depends on the per-event
+    /// interleaving of signs.
+    UnmirroredReplace,
+    /// Gate 1: a re-evaluation statement exists but one update sign has no
+    /// trigger to mirror it.
+    OneSidedReplace,
     /// Gate 2: a statement reads `target` at or after the point its own
     /// trigger writes it, so pre-run-state evaluation cannot reproduce the
     /// per-event order.
@@ -441,25 +460,11 @@ pub enum BatchDeltaBail {
         /// The map read before (or at) its own write.
         target: String,
     },
-    /// The updated relation has no catalog entry to mint fresh trigger
-    /// variables from.
-    UnknownRelation,
-    /// Gate 3a: `map`'s definition is more than quadratic in the relation —
-    /// its third delta does not vanish.
-    NonzeroThirdDelta {
-        /// The offending map.
-        map: String,
-    },
-    /// Gate 3b: a derived *view* atom survives into `map`'s second delta,
-    /// which must read no state that changes mid-run. (Stream atoms of
-    /// *other* relations are allowed: they are constant during the run.)
-    SurvivingViewAtom {
-        /// The offending map.
-        map: String,
-    },
-    /// Gate 4: the statement for `target` is not affine in `read`, which the
+    /// Gate 3: the statement for `target` is not affine in `read`, which the
     /// same relation's triggers write: a product term holds two run-written
-    /// atoms, or one under a lift, comparison, `EXISTS` or scalar function.
+    /// atoms, or one under a lift, comparison, `EXISTS` or scalar function —
+    /// or `read` is rewritten wholesale by a `:=` statement, which no overlay
+    /// of additive writes can stand for.
     NonAffineRunRead {
         /// The statement's target map.
         target: String,
@@ -472,16 +477,17 @@ impl BatchDeltaBail {
     /// Stable human-readable description (used by EXPLAIN; golden-tested).
     pub fn describe(&self) -> String {
         match self {
-            BatchDeltaBail::ReplaceStatement => "replace (`:=`) statement in trigger".to_string(),
+            BatchDeltaBail::IncrementAfterReplace { target } => {
+                format!("increment of `{target}` follows a replace (`:=`) statement")
+            }
+            BatchDeltaBail::UnmirroredReplace => {
+                "insert and delete triggers replace different targets".to_string()
+            }
+            BatchDeltaBail::OneSidedReplace => {
+                "a replace statement lacks a mirroring trigger for the other sign".to_string()
+            }
             BatchDeltaBail::ReadAfterWrite { target } => {
                 format!("statement reads `{target}` at or after its own write")
-            }
-            BatchDeltaBail::UnknownRelation => "relation missing from the catalog".to_string(),
-            BatchDeltaBail::NonzeroThirdDelta { map } => {
-                format!("`{map}` has a nonzero third delta (more than quadratic)")
-            }
-            BatchDeltaBail::SurvivingViewAtom { map } => {
-                format!("a view atom survives into `{map}`'s second delta")
             }
             BatchDeltaBail::NonAffineRunRead { target, read } => {
                 format!("the statement for `{target}` is not affine in run-written `{read}`")
@@ -498,61 +504,6 @@ pub struct BatchDeltaOutcome {
     /// `None` — derivation succeeded (the relation has a [`RunLinear`]);
     /// `Some` — the first gate that fired.
     pub bail: Option<BatchDeltaBail>,
-}
-
-/// Which statement-major eligibility rule failed for a relation's triggers
-/// (the rules are documented on [`TriggerProgram::batch_dispatch`]). `None`
-/// from [`TriggerProgram::statement_major_block`] means statement-major
-/// execution is legal.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum StatementMajorBlock {
-    /// Rule 1: an incremental statement reads `read`, which some statement of
-    /// the relation writes mid-batch (or `read` is the stored updated
-    /// relation itself).
-    IncrementReadsBatchWrite {
-        /// The batch-variant map or stored relation being read.
-        read: String,
-    },
-    /// Rule 2: two incremental statements of one trigger share `target`, so
-    /// per-key write order would diverge from per-event order.
-    DuplicateIncrementTarget {
-        /// The repeated target map.
-        target: String,
-    },
-    /// Rule 2: an incremental statement follows a re-evaluation statement.
-    IncrementAfterReplace {
-        /// The increment's target map.
-        target: String,
-    },
-    /// Rule 3: the insert and delete triggers re-evaluate different target
-    /// sets, so only per-event interleaving is exact.
-    UnmirroredReplace,
-    /// Rule 3: a re-evaluation statement exists but one update sign has no
-    /// trigger to mirror it.
-    OneSidedReplace,
-}
-
-impl StatementMajorBlock {
-    /// Stable human-readable description (used by EXPLAIN; golden-tested).
-    pub fn describe(&self) -> String {
-        match self {
-            StatementMajorBlock::IncrementReadsBatchWrite { read } => {
-                format!("an increment reads batch-written `{read}`")
-            }
-            StatementMajorBlock::DuplicateIncrementTarget { target } => {
-                format!("two increments share target `{target}`")
-            }
-            StatementMajorBlock::IncrementAfterReplace { target } => {
-                format!("increment of `{target}` follows a replace")
-            }
-            StatementMajorBlock::UnmirroredReplace => {
-                "insert and delete triggers replace different targets".to_string()
-            }
-            StatementMajorBlock::OneSidedReplace => {
-                "a replace statement lacks a mirroring trigger for the other sign".to_string()
-            }
-        }
-    }
 }
 
 /// The per-relation trigger grouping used by batch execution: both sign
@@ -593,49 +544,13 @@ impl TriggerProgram {
     }
 
     /// Group the program's triggers by relation and choose, per relation, how
-    /// a multi-entry delta batch may drive them (the runtime resolves the
-    /// result into its dispatch table once, at engine construction).
-    ///
-    /// [`BatchStrategy::StatementMajor`] requires the **read-before-write
-    /// discipline across the statements of one relation**: evaluating an
-    /// incremental statement for a later entry against the pre-batch state
-    /// must equal evaluating it against the rolling per-event state. That
-    /// holds exactly when
-    ///
-    /// 1. no incremental statement of either sign trigger reads a map any
-    ///    statement of the relation writes, nor the updated base relation
-    ///    itself (when stored) — so every read is batch-invariant;
-    /// 2. within each trigger, incremental statements have pairwise distinct
-    ///    targets and precede all re-evaluation statements — so the per-key
-    ///    write order of each target map matches the per-event order;
-    /// 3. re-evaluation statements, which wipe their target and rebuild it
-    ///    from the *current* state, either do not occur, or occur in **both**
-    ///    sign triggers with the same target set — then only the run's last
-    ///    firing survives per-event processing, and firing them once at the
-    ///    end of the batch (bound to the last event) reproduces it.
-    ///
-    /// Anything else falls back to [`BatchStrategy::EntryMajor`], which is
-    /// per-event processing inside the batch and therefore always exact.
-    ///
-    /// [`BatchStrategy::BatchDelta`] supersedes both whenever the relation has
-    /// a derived [`RunLinear`] (including an empty one): the statements run
-    /// against the pre-run state with buffered writes, and the run-linear
-    /// parts add the intra-run interaction over a run-local overlay.
+    /// a multi-entry delta batch drives them (the runtime resolves the result
+    /// into its dispatch table once, at engine construction):
+    /// [`BatchStrategy::BatchDelta`] when the relation has a derived
+    /// [`RunLinear`] (including an empty one), [`BatchStrategy::EntryMajor`] —
+    /// per-event processing inside the batch, always exact — otherwise. The
+    /// reason a relation is entry-major is its [`BatchDeltaOutcome`].
     pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
-        self.batch_dispatch_forced(None)
-    }
-
-    /// [`TriggerProgram::batch_dispatch`] with an optional forced strategy
-    /// (differential debugging; the `DBTOASTER_FORCE_BATCH_STRATEGY` engine
-    /// override resolves to this):
-    ///
-    /// * `Some(EntryMajor)` — every relation entry-major (the oracle);
-    /// * `Some(StatementMajor)` — disable batch-delta: each relation gets the
-    ///   read-before-write analysis result (statement-major where legal,
-    ///   entry-major otherwise), i.e. the pre-batch-delta dispatch;
-    /// * `Some(BatchDelta)` or `None` — the automatic choice (batch-delta
-    ///   cannot be forced onto underivable relations).
-    pub fn batch_dispatch_forced(&self, force: Option<BatchStrategy>) -> Vec<RelationDispatch> {
         let mut relations: Vec<&str> = Vec::new();
         for t in &self.triggers {
             if !relations.contains(&t.relation.as_str()) {
@@ -650,26 +565,14 @@ impl TriggerProgram {
                         .iter()
                         .position(|t| t.relation == rel && t.sign == sign)
                 };
-                let insert = idx_of(UpdateSign::Insert);
-                let delete = idx_of(UpdateSign::Delete);
-                let strategy = match force {
-                    Some(BatchStrategy::EntryMajor) => BatchStrategy::EntryMajor,
-                    Some(BatchStrategy::StatementMajor) => {
-                        self.relation_batch_strategy(rel, insert, delete)
-                    }
-                    Some(BatchStrategy::BatchDelta) | None => {
-                        if self.run_linear_for(rel).is_some() {
-                            BatchStrategy::BatchDelta
-                        } else {
-                            self.relation_batch_strategy(rel, insert, delete)
-                        }
-                    }
-                };
                 RelationDispatch {
                     relation: rel.to_string(),
-                    insert,
-                    delete,
-                    strategy,
+                    insert: idx_of(UpdateSign::Insert),
+                    delete: idx_of(UpdateSign::Delete),
+                    strategy: match self.run_linear_for(rel) {
+                        Some(_) => BatchStrategy::BatchDelta,
+                        None => BatchStrategy::EntryMajor,
+                    },
                 }
             })
             .collect()
@@ -687,117 +590,6 @@ impl TriggerProgram {
         self.batch_delta_reasons
             .iter()
             .find(|o| o.relation == relation)
-    }
-
-    fn relation_batch_strategy(
-        &self,
-        relation: &str,
-        insert: Option<usize>,
-        delete: Option<usize>,
-    ) -> BatchStrategy {
-        match self.statement_major_block_for(relation, insert, delete) {
-            Some(_) => BatchStrategy::EntryMajor,
-            None => BatchStrategy::StatementMajor,
-        }
-    }
-
-    /// Why statement-major batch execution is illegal for `relation`'s
-    /// triggers — the first of rules 1–3 (see
-    /// [`TriggerProgram::batch_dispatch`]) that fails — or `None` when the
-    /// read-before-write analysis passes and statement-major is exact.
-    pub fn statement_major_block(&self, relation: &str) -> Option<StatementMajorBlock> {
-        let idx_of = |sign: UpdateSign| {
-            self.triggers
-                .iter()
-                .position(|t| t.relation == relation && t.sign == sign)
-        };
-        self.statement_major_block_for(
-            relation,
-            idx_of(UpdateSign::Insert),
-            idx_of(UpdateSign::Delete),
-        )
-    }
-
-    fn statement_major_block_for(
-        &self,
-        relation: &str,
-        insert: Option<usize>,
-        delete: Option<usize>,
-    ) -> Option<StatementMajorBlock> {
-        let triggers: Vec<&Trigger> = insert
-            .into_iter()
-            .chain(delete)
-            .map(|i| &self.triggers[i])
-            .collect();
-        // Rule 1: batch-invariant reads for every incremental statement.
-        let mut writes: BTreeSet<&str> = triggers
-            .iter()
-            .flat_map(|t| t.statements.iter().map(|s| s.target.as_str()))
-            .collect();
-        if self.stored_relations.contains(relation) || self.static_tables.contains(relation) {
-            // The base update writes the stored relation mid-batch.
-            writes.insert(relation);
-        }
-        for t in &triggers {
-            for s in t.statements.iter().filter(|s| s.op == StmtOp::Increment) {
-                if let Some(read) = s
-                    .reads()
-                    .iter()
-                    .chain(s.base_reads().iter())
-                    .find(|r| writes.contains(r.as_str()))
-                {
-                    return Some(StatementMajorBlock::IncrementReadsBatchWrite {
-                        read: read.clone(),
-                    });
-                }
-            }
-        }
-        // Rule 2: distinct increment targets, increments before replaces.
-        for t in &triggers {
-            let mut seen: BTreeSet<&str> = BTreeSet::new();
-            let mut saw_replace = false;
-            for s in &t.statements {
-                match s.op {
-                    StmtOp::Increment => {
-                        if saw_replace {
-                            return Some(StatementMajorBlock::IncrementAfterReplace {
-                                target: s.target.clone(),
-                            });
-                        }
-                        if !seen.insert(&s.target) {
-                            return Some(StatementMajorBlock::DuplicateIncrementTarget {
-                                target: s.target.clone(),
-                            });
-                        }
-                    }
-                    StmtOp::Replace => saw_replace = true,
-                }
-            }
-        }
-        // Rule 3: replaces only when mirrored across both sign triggers.
-        let replace_targets = |t: &Trigger| -> BTreeSet<String> {
-            t.statements
-                .iter()
-                .filter(|s| s.op == StmtOp::Replace)
-                .map(|s| s.target.clone())
-                .collect()
-        };
-        let any_replace = triggers
-            .iter()
-            .any(|t| t.statements.iter().any(|s| s.op == StmtOp::Replace));
-        if any_replace {
-            match (insert, delete) {
-                (Some(i), Some(d)) => {
-                    if replace_targets(&self.triggers[i]) != replace_targets(&self.triggers[d]) {
-                        return Some(StatementMajorBlock::UnmirroredReplace);
-                    }
-                }
-                // A sign without a trigger would skip the re-evaluation its
-                // counterpart relies on; per-event and batch orders diverge.
-                _ => return Some(StatementMajorBlock::OneSidedReplace),
-            }
-        }
-        None
     }
 }
 

@@ -405,8 +405,7 @@ fn build_slice(
                 .collect(),
         })
         .collect();
-    let (run_linear, batch_delta_reasons) =
-        crate::batch_delta::derive_run_linear(&maps, &triggers, catalog);
+    let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
     // Stored relations / static tables, recomputed for the slice exactly as
     // `compile` does for the full program.
     let mut stored_relations = BTreeSet::new();

@@ -210,12 +210,18 @@ impl QueryEngine {
 
     /// Force (or un-force) the AST-interpreter path, bypassing compiled
     /// trigger kernels. The compiled path is the default; the interpreter
-    /// remains available as the differential-testing oracle and as an escape
-    /// hatch (also via the `DBTOASTER_FORCE_INTERPRETER` environment
-    /// variable). `EngineStats::compiled_triggers` reports how many
-    /// statements currently run compiled.
+    /// remains available as the differential-testing oracle.
+    /// `EngineStats::compiled_triggers` reports how many statements
+    /// currently run compiled.
     pub fn set_force_interpreter(&mut self, force: bool) {
         self.engine.set_force_interpreter(force);
+    }
+
+    /// Force (or un-force) entry-major — per-event — execution of every
+    /// relation run: the batch-execution oracle, the twin of
+    /// [`QueryEngine::set_force_interpreter`].
+    pub fn set_force_entry_major(&mut self, force: bool) {
+        self.engine.set_force_entry_major(force);
     }
 
     /// The compiled trigger program.

@@ -18,55 +18,58 @@
 //! ## Batch execution
 //!
 //! How a multi-entry delta drives that sequence is chosen statically per relation by
-//! [`TriggerProgram::batch_dispatch`]:
+//! [`TriggerProgram::batch_dispatch`] — two strategies, one firing order:
 //!
-//! * **Batch-delta** (the preferred path; chosen whenever the compiler derived a
-//!   run-linear program for the relation — see the compiler's `batch_delta`
-//!   module): every incremental statement of both sign triggers is evaluated
-//!   for all entries back-to-back against the *pre-run* state with its writes
-//!   buffered (statement prelude, loop-invariant fused scans and banded
-//!   prefix-sum caches amortized over the run). When some statement reads a map
-//!   the same run writes, one ordered **overlay pass** over the run's firings
-//!   follows: each statement's *run-linear part* — the same right-hand side cut
-//!   down to the terms that read run-written state, lowered by the same kernel
-//!   pipeline — is executed against a run-local overlay that holds only what the
-//!   run's earlier firings wrote (every other name passes through to the
-//!   store), its rows join the statement's buffer, and the firing's own rows
-//!   are folded into the overlay. Because those right-hand sides are affine in
-//!   the run-written state, pre-run rows plus overlay rows equal the rows of
-//!   sequential per-event firing. The pass costs what the run's own entries
-//!   interact, independent of the maintained state; it is skipped for runs of
-//!   at most one firing and for relations with no run-linear part. Only then do
-//!   all buffered statement writes and the base update land: one target
-//!   resolution, one change-log entry and one version bump per statement per
-//!   run. Any evaluation error discards the (still unapplied) buffers and
-//!   replays the whole run entry-major, reproducing per-event poison semantics
-//!   exactly.
-//! * **Statement-major** (legacy fallback — triggers whose statements never read
-//!   anything the same run writes, when no batch-delta program was derived): each
-//!   incremental statement is dispatched *once* per batch and driven over all
-//!   delta entries back-to-back — the kernel prelude and loop-invariant fused
-//!   scans run once, rows are buffered with entry boundaries, and the target map
-//!   is written in one pass (one change-log entry resolution and one
-//!   snapshot-cache bump per statement). Base updates follow in one pass, and
-//!   `:=` statements fire once, bound to the run's last event — exactly the
-//!   firing whose output survives event-at-a-time processing.
-//! * **Entry-major** (the oracle and last-resort fallback — `:=` replace
-//!   semantics, increment chains that read their own targets, or right-hand
-//!   sides that are not affine in what the run writes): each surviving entry
-//!   fires the full per-event sequence `|mult|` times. Always exact; amortizes
-//!   only the per-batch dispatch.
+//! * **Batch-delta** (chosen whenever the compiler derived a run-linear
+//!   program for the relation — see the compiler's `batch_delta` module) is
+//!   the three phases above run once per *run* instead of once per event:
+//!   1. every incremental statement of both sign triggers is evaluated for
+//!      all entries back-to-back against the *pre-run* state with its writes
+//!      buffered (statement prelude, loop-invariant fused scans and banded
+//!      prefix-sum caches amortized over the run). When some statement reads
+//!      a map the same run writes, one ordered **overlay pass** over the
+//!      run's firings follows: each statement's *run-linear part* — the same
+//!      right-hand side cut down to the terms that read run-written state,
+//!      lowered by the same kernel pipeline — is executed against a run-local
+//!      overlay that holds only what the run's earlier firings wrote (every
+//!      other name passes through to the store), its rows join the
+//!      statement's buffer, and the firing's own rows are folded into the
+//!      overlay. Because those right-hand sides are affine in the run-written
+//!      state, pre-run rows plus overlay rows equal the rows of sequential
+//!      per-event firing. The pass costs what the run's own entries interact,
+//!      independent of the maintained state; it is skipped for runs of at
+//!      most one firing and for relations with no run-linear part. Then all
+//!      buffered statement writes land: one target resolution, one change-log
+//!      entry and one version bump per statement per run;
+//!   2. the base update, one pass over the run's net entries;
+//!   3. the `:=` statements of the run's **last event**, once, against the
+//!      new state — of a run's per-event `:=` firings only the last one's
+//!      output survives, and this is it. A trigger of nothing but `:=`
+//!      statements (re-evaluation mode) is the degenerate run: an empty
+//!      phase 1 and one re-evaluation per run instead of one per event.
 //!
-//! The strategy of a run depends on the program and the override setting alone —
-//! never on the run's size or the state — so a WAL replay takes the same
-//! sequence as the live run. All paths are driven by the same loops for
-//! compiled kernels and the AST interpreter (both read through
-//! [`RelationSource`]), so the interpreter remains the differential-testing
-//! oracle for batch execution too. See the ring-linearity argument in
-//! [`dbtoaster_agca::batch`] for why statement-major reproduces per-event
-//! processing, and the compiler's `batch_delta` module for the affine-split
-//! argument behind batch-delta (both bit-exactly on integer-weighted streams;
-//! to summation order on float aggregates).
+//!   Any evaluation error in phase 1 discards the (still unapplied) buffers
+//!   and replays the whole run entry-major, reproducing per-event poison
+//!   semantics exactly. A failing `:=` in phase 3 counts its binding event as
+//!   failed, like the per-event path does.
+//! * **Entry-major** (the per-event oracle, the path of every relation the
+//!   derivation bailed on — increment chains that read their own targets,
+//!   right-hand sides not affine in what the run writes, `:=` statements that
+//!   are not a mirrored tail — and the replay path above): each surviving
+//!   entry fires the full per-event sequence `|mult|` times. Always exact;
+//!   amortizes only the per-batch dispatch.
+//!
+//! The strategy of a run depends on the program and the
+//! [`Engine::set_force_entry_major`] setting alone — never on the run's size
+//! or the state — so a WAL replay takes the same sequence as the live run.
+//! Both strategies evaluate statements through one function,
+//! `Evaluator::rows`, the only place that chooses between a compiled kernel
+//! and the AST interpreter (both read through [`RelationSource`] and emit
+//! `(key, multiplicity)` rows), so the interpreter remains the
+//! differential-testing oracle for batch execution too. See the compiler's
+//! `batch_delta` module for the affine-split argument and the `:=` tail
+//! (bit-exact on integer-weighted streams; to summation order on float
+//! aggregates).
 //!
 //! When a program is increment-only, [`Engine::process_batch`] additionally
 //! *merges* same-relation runs of a batch before processing (ring addition of
@@ -91,73 +94,6 @@ use dbtoaster_telemetry::{
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Environment variable forcing the engine onto the AST-interpreter path even
-/// when compiled kernels are available (`1`/`true`/`yes`; any other value or
-/// absence leaves kernels enabled). The programmatic equivalent is
-/// [`Engine::set_force_interpreter`].
-///
-/// **Durability caveat:** the two paths agree bit-for-bit on integer data but
-/// may differ in the last ulp on floating-point aggregates (different
-/// summation orders). A durable deployment should therefore keep the same
-/// execution path across restarts: recovering a crashed compiled-path server
-/// with the interpreter forced (or vice versa) reproduces float view state to
-/// relative ~1e-15, not bit-exactly.
-pub const FORCE_INTERPRETER_ENV: &str = "DBTOASTER_FORCE_INTERPRETER";
-
-fn env_forces_interpreter() -> bool {
-    std::env::var(FORCE_INTERPRETER_ENV)
-        .map(|v| {
-            let v = v.trim().to_ascii_lowercase();
-            !v.is_empty() && v != "0" && v != "false" && v != "no"
-        })
-        .unwrap_or(false)
-}
-
-/// Environment variable forcing a particular [`BatchStrategy`] for every
-/// relation, overriding the compiler's dispatch analysis at engine
-/// construction. The programmatic equivalent is
-/// [`Engine::set_force_batch_strategy`].
-///
-/// * `entry` / `entry-major` — the per-event oracle: every run fires the full
-///   single-tuple sequence per surviving entry.
-/// * `statement` / `statement-major` — the legacy analysis without batch-delta
-///   programs (relations the analysis deems unsafe still run entry-major).
-/// * `auto` / `batch-delta` / unset — the default dispatch: batch-delta where
-///   derived, legacy strategies elsewhere.
-///
-/// Whatever the setting, a relation's strategy is fixed for the life of the
-/// engine: no run is re-routed by its size or by the state (the one runtime
-/// fallback, batch-delta → entry-major, is taken only when a statement fails
-/// to evaluate). Useful for differential testing (all strategies must agree
-/// bit-exactly on integer-weighted streams) and as an escape hatch. Like
-/// [`FORCE_INTERPRETER_ENV`], a durable deployment should keep the same
-/// setting across restarts so float view state replays identically.
-pub const FORCE_BATCH_STRATEGY_ENV: &str = "DBTOASTER_FORCE_BATCH_STRATEGY";
-
-fn env_forced_batch_strategy() -> Option<BatchStrategy> {
-    let v = std::env::var(FORCE_BATCH_STRATEGY_ENV).unwrap_or_default();
-    parse_batch_strategy(&v)
-}
-
-/// Parse a strategy override name (see [`FORCE_BATCH_STRATEGY_ENV`]);
-/// unrecognised values mean "automatic".
-pub fn parse_batch_strategy(name: &str) -> Option<BatchStrategy> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "entry" | "entry-major" | "entry_major" => Some(BatchStrategy::EntryMajor),
-        "statement" | "statement-major" | "statement_major" => Some(BatchStrategy::StatementMajor),
-        _ => None,
-    }
-}
-
-/// Seed the frame's trigger slots — the ones the kernel reads — from an event
-/// tuple (after [`KernelState::prepare`], before execution).
-#[inline]
-fn seed_frame(state: &mut KernelState, kernel: &CompiledStmt, tuple: &[Value]) {
-    for &slot in &kernel.used_trigger_slots {
-        state.frame[slot as usize] = tuple[slot as usize].clone();
-    }
-}
 
 /// Kernel for statement `j`, when the trigger has one.
 fn flat_get(kernels: &[Option<CompiledStmt>], j: usize) -> Option<&CompiledStmt> {
@@ -381,21 +317,25 @@ pub struct EngineStats {
     /// Number of trigger statements executing through compiled kernels
     /// (slot-addressed plans) rather than the AST interpreter. 0 when the
     /// program carries no kernels or the engine was forced onto the
-    /// interpreter path (see [`FORCE_INTERPRETER_ENV`]).
+    /// interpreter path (see [`Engine::set_force_interpreter`]).
     pub compiled_triggers: u64,
-    /// Relation runs executed on the batch-delta path (pre-state evaluation
-    /// plus the overlay pass where entries interact; see the module docs).
+    /// Relation runs executed on the batch-delta path (pre-state evaluation,
+    /// the overlay pass where entries interact, the `:=` tail; see the module
+    /// docs).
     pub batch_delta_runs: u64,
-    /// Relation runs executed statement-major (the legacy buffered path).
+    /// Always 0: the statement-major strategy was folded into batch-delta.
+    /// Kept, never written, only because the frozen benchmark reads it for
+    /// its `runtime.runs_statement_major` ledger row; goes with that row
+    /// (ROADMAP item 6(e)).
     pub statement_major_runs: u64,
     /// Relation runs executed entry-major — per-event firing, either by
-    /// dispatch (replace semantics / self-referencing triggers) or as the
-    /// runtime fallback of a failed batch-delta run.
+    /// dispatch (the relation's batch-delta derivation bailed, or the oracle
+    /// override) or as the replay of a batch-delta run that hit an error.
     pub entry_major_runs: u64,
 }
 
-impl EngineStats {
-    fn new() -> Self {
+impl Default for EngineStats {
+    fn default() -> Self {
         EngineStats {
             events: 0,
             statements: 0,
@@ -415,7 +355,9 @@ impl EngineStats {
             entry_major_runs: 0,
         }
     }
+}
 
+impl EngineStats {
     /// Average events per processed delta batch (0.0 before the first batch).
     /// Since the batch-first refactor this reflects the size of the
     /// [`DeltaBatch`]es actually driven through the engine, not raw serving
@@ -468,6 +410,16 @@ struct DispatchEntry {
     run_linear: Option<u16>,
 }
 
+impl DispatchEntry {
+    /// The trigger fired by events of `sign`, if the relation has one.
+    fn trigger(&self, sign: UpdateSign) -> Option<u16> {
+        match sign {
+            UpdateSign::Insert => self.insert,
+            UpdateSign::Delete => self.delete,
+        }
+    }
+}
+
 /// One entry's emitted row range within the shared row buffer, plus how many
 /// times it is applied (`|net multiplicity|` single-tuple firings).
 #[derive(Clone, Copy, Debug)]
@@ -477,18 +429,95 @@ struct Seg {
     reps: u32,
 }
 
-/// Reusable buffers for statement-major batch execution.
+/// One statement as the evaluator sees it: a trigger statement, or the
+/// run-linear part of one (same shape, cut-down right-hand side).
+#[derive(Clone, Copy)]
+struct StmtRef<'a> {
+    /// The trigger's variables, positionally bound to the event tuple.
+    trigger_vars: &'a [String],
+    stmt: &'a Statement,
+    /// The statement's compiled kernel; `None` = interpret the AST.
+    kernel: Option<&'a CompiledStmt>,
+}
+
+/// Everything statement evaluation needs besides a relation source, reused
+/// across events — zero per-event allocation in steady state on the compiled
+/// path.
 #[derive(Debug, Default)]
-struct BatchScratch {
-    /// Per-entry failure flags for the current run (a failed entry is skipped
-    /// by later statements, the base-update pass and the `:=` phase).
-    failed: Vec<bool>,
-    /// Entry boundaries into the row buffer for the statement being applied.
-    segs: Vec<Seg>,
-    /// Interpreter-path row buffer (the compiled path uses `KernelState::out`).
-    rows: Vec<(Tuple, f64)>,
-    /// Interpreter-path bindings, re-seeded per entry (cleared per statement).
+struct Evaluator {
+    /// Compiled-kernel execution state (frame, pattern buffers, scratch
+    /// maps, banded caches, work counters).
+    kernel: KernelState,
+    /// Interpreter scratch: memoized product orders + recycled pattern buffer.
+    scratch: EvalScratch,
+    /// Interpreter trigger-variable bindings, re-seeded per evaluation.
     bindings: Bindings,
+}
+
+impl Evaluator {
+    /// Evaluate statement `s` for one event `tuple` against `src`, appending
+    /// its `(key, multiplicity)` rows to `out` and touching no view. This is
+    /// the one place that chooses between a compiled kernel and the AST
+    /// interpreter; collection, the overlay pass and single firings all come
+    /// through here, so the two evaluators cannot drift apart by call site.
+    ///
+    /// `first_of` is `Some(n)` for the first of `n` back-to-back evaluations
+    /// of `s` against an unchanged `src` (statement prelude, loop-invariant
+    /// fused scans and banded caches are set up, and amortized over the `n`),
+    /// `None` for the rest of them.
+    fn rows(
+        &mut self,
+        src: &dyn RelationSource,
+        s: StmtRef<'_>,
+        tuple: &[Value],
+        first_of: Option<usize>,
+        out: &mut Vec<(Tuple, f64)>,
+    ) -> Result<(), RuntimeError> {
+        match s.kernel {
+            Some(kernel) => {
+                let state = &mut self.kernel;
+                if let Some(entries) = first_of {
+                    state.prepare(kernel);
+                    state.set_run_entries(entries);
+                }
+                for &slot in &kernel.used_trigger_slots {
+                    state.frame[slot as usize] = tuple[slot as usize].clone();
+                }
+                // The kernel appends to `state.out`: lend it the caller's
+                // buffer for the call instead of copying rows across.
+                std::mem::swap(&mut state.out, out);
+                let res = kernel.execute_batch_entry(src, state, first_of.is_some());
+                std::mem::swap(&mut state.out, out);
+                res.map_err(RuntimeError::Eval)
+            }
+            None => {
+                if first_of.is_some() {
+                    // No stale name may leak across triggers.
+                    self.bindings.clear();
+                }
+                for (var, value) in s.trigger_vars.iter().zip(tuple) {
+                    self.bindings.set(var, value.clone());
+                }
+                let result =
+                    eval_with_scratch(&s.stmt.rhs, src, &mut self.bindings, &mut self.scratch)?;
+                if result.is_empty() {
+                    return Ok(());
+                }
+                let key_sources = resolve_key_sources(s.stmt, &self.bindings, result.schema())?;
+                for (row, mult) in result.iter() {
+                    let key: Tuple = key_sources
+                        .iter()
+                        .map(|s| match s {
+                            Ok(v) => v.clone(),
+                            Err(i) => row[*i].clone(),
+                        })
+                        .collect();
+                    out.push((key, mult));
+                }
+                Ok(())
+            }
+        }
+    }
 }
 
 /// One statement's deferred (buffered but not yet applied) rows on the
@@ -583,16 +612,10 @@ pub struct Engine {
     stats: EngineStats,
     /// Changed-key log, present only while change tracking is enabled.
     changes: Option<ChangeSet>,
-    /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
-    /// row buffer) for the compiled trigger path — zero per-event allocation
-    /// in steady state.
-    kernel: KernelState,
-    /// Interpreter scratch: memoized product orders + recycled pattern buffer
-    /// for statements without compiled kernels (and the interpreter-forced
-    /// mode).
-    scratch: EvalScratch,
-    /// Statement-major batch execution buffers.
-    batch: BatchScratch,
+    /// Reusable statement-evaluation state, shared by every execution path.
+    eval: Evaluator,
+    /// Recycled row buffer of a single firing (entry-major, the `:=` tail).
+    rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
     bd: BdScratch,
     /// Recycled batch-of-1 for [`Engine::process`] (zero-allocation wrapper).
@@ -607,8 +630,8 @@ pub struct Engine {
     /// their original run boundaries.
     merge_runs: bool,
     /// Per-relation batch dispatch, resolved from
-    /// [`TriggerProgram::batch_dispatch_forced`] at construction (and on
-    /// [`Engine::set_force_batch_strategy`]).
+    /// [`TriggerProgram::batch_dispatch`] at construction (and on
+    /// [`Engine::set_force_entry_major`]).
     dispatch: FastMap<String, DispatchEntry>,
     /// Run-local overlays for the batch-delta overlay pass: per relation
     /// program (index-aligned with `program.run_linear`) one [`ViewMap`] per
@@ -617,11 +640,12 @@ pub struct Engine {
     /// part of the database, so invisible to snapshots and
     /// [`Engine::memory_bytes`].
     overlays: Vec<Vec<ViewMap>>,
-    /// Ignore compiled kernels and interpret every statement (differential
-    /// testing / escape hatch; see [`FORCE_INTERPRETER_ENV`]).
+    /// Ignore compiled kernels and interpret every statement (the
+    /// differential-testing oracle; see [`Engine::set_force_interpreter`]).
     force_interpreter: bool,
-    /// Strategy override in effect (`None` = the compiler's dispatch).
-    forced_strategy: Option<BatchStrategy>,
+    /// Run every relation entry-major (the per-event oracle; see
+    /// [`Engine::set_force_entry_major`]).
+    force_entry_major: bool,
     /// Fill [`BatchReport::runs`] with per-run strategy records (off by
     /// default; see [`Engine::set_run_recording`]).
     record_runs: bool,
@@ -668,8 +692,8 @@ struct TelemetryState {
     /// Whole-batch latency (the existing busy-time `Instant` pair re-used).
     batch_hist: LocalHistogram,
     /// Kernel-execute latency split by executed strategy:
-    /// `[batch-delta, statement-major, entry-major]`.
-    stage_hists: [LocalHistogram; 3],
+    /// `[batch-delta, entry-major]`.
+    stage_hists: [LocalHistogram; 2],
     /// Shared per-view counter blocks, index-aligned with `map_names` and
     /// with the kernel's [`dbtoaster_agca::KernelCounters`] slots.
     views: Vec<Arc<ViewCounters>>,
@@ -695,15 +719,13 @@ impl TelemetryState {
     fn stage_index(strategy: BatchStrategy) -> usize {
         match strategy {
             BatchStrategy::BatchDelta => 0,
-            BatchStrategy::StatementMajor => 1,
-            BatchStrategy::EntryMajor => 2,
+            BatchStrategy::EntryMajor => 1,
         }
     }
 
     fn stage_of(idx: usize) -> Stage {
         match idx {
             0 => Stage::KernelBatchDelta,
-            1 => Stage::KernelStatementMajor,
             _ => Stage::KernelEntryMajor,
         }
     }
@@ -843,11 +865,10 @@ impl Engine {
         let mut engine = Engine {
             program: Arc::new(program),
             db,
-            stats: EngineStats::new(),
+            stats: EngineStats::default(),
             changes: None,
-            kernel: KernelState::new(),
-            scratch: EvalScratch::default(),
-            batch: BatchScratch::default(),
+            eval: Evaluator::default(),
+            rows: Vec::new(),
             bd: BdScratch::default(),
             single: DeltaBatch::new(),
             merged: DeltaBatch::new(),
@@ -855,25 +876,26 @@ impl Engine {
             dispatch: FastMap::default(),
             overlays,
             force_interpreter: false,
-            forced_strategy: None,
+            force_entry_major: false,
             record_runs: false,
             tel: None,
         };
-        engine.set_force_batch_strategy(env_forced_batch_strategy());
-        engine.set_force_interpreter(env_forces_interpreter());
+        engine.set_force_entry_major(false);
+        engine.set_force_interpreter(false);
         engine
     }
 
-    /// Force (or with `None` un-force) one [`BatchStrategy`] for every
-    /// relation, rebuilding the dispatch table through
-    /// [`TriggerProgram::batch_dispatch_forced`]. Used by differential tests
-    /// and as an escape hatch; also settable via the
-    /// [`FORCE_BATCH_STRATEGY_ENV`] environment variable at construction.
-    pub fn set_force_batch_strategy(&mut self, force: Option<BatchStrategy>) {
-        self.forced_strategy = force;
+    /// Force (or un-force) [`BatchStrategy::EntryMajor`] for every relation,
+    /// rebuilding the dispatch table: the per-event oracle the differential
+    /// suites compare batch-delta against. Like
+    /// [`Engine::set_force_interpreter`], it selects a reference path that
+    /// agrees with the default bit-for-bit on integer data and to summation
+    /// order on float aggregates.
+    pub fn set_force_entry_major(&mut self, force: bool) {
+        self.force_entry_major = force;
         self.dispatch = self
             .program
-            .batch_dispatch_forced(force)
+            .batch_dispatch()
             .into_iter()
             .map(|d| {
                 let run_linear = self
@@ -887,7 +909,11 @@ impl Engine {
                     DispatchEntry {
                         insert: d.insert.map(|i| i as u16),
                         delete: d.delete.map(|i| i as u16),
-                        strategy: d.strategy,
+                        strategy: if force {
+                            BatchStrategy::EntryMajor
+                        } else {
+                            d.strategy
+                        },
                         run_linear,
                     },
                 )
@@ -895,9 +921,9 @@ impl Engine {
             .collect();
     }
 
-    /// The strategy override in effect (`None` = automatic dispatch).
-    pub fn forced_batch_strategy(&self) -> Option<BatchStrategy> {
-        self.forced_strategy
+    /// Is every relation forced entry-major?
+    pub fn force_entry_major(&self) -> bool {
+        self.force_entry_major
     }
 
     /// Enable or disable per-run strategy records in [`BatchReport::runs`]
@@ -909,9 +935,12 @@ impl Engine {
     }
 
     /// Force (or un-force) the AST-interpreter path for every statement,
-    /// ignoring compiled kernels. Used by differential tests and as an escape
-    /// hatch; also settable via the [`FORCE_INTERPRETER_ENV`] environment
-    /// variable at engine construction.
+    /// ignoring compiled kernels: the reference evaluator the equivalence
+    /// suites compare kernels against. The two paths agree bit-for-bit on
+    /// integer data but may differ in the last ulp on floating-point
+    /// aggregates (different summation orders), so a durable deployment that
+    /// flipped this across a restart would replay float view state to
+    /// relative ~1e-15, not bit-exactly.
     pub fn set_force_interpreter(&mut self, force: bool) {
         self.force_interpreter = force;
         // Count only kernels the dispatcher will actually use: a trigger whose
@@ -1188,7 +1217,7 @@ impl Engine {
             // No trigger for this relation under either sign (e.g. an update
             // to a relation no query depends on): still keep the stored base
             // relation consistent.
-            self.apply_base_run(run, false);
+            self.apply_base_run(run);
             return None;
         };
         // Arity gate, per run (runs are arity-uniform by construction): a
@@ -1209,19 +1238,14 @@ impl Engine {
             }
         }
         let executed = match disp.strategy {
-            BatchStrategy::StatementMajor => {
-                self.run_statement_major(program, disp, run, report);
-                BatchStrategy::StatementMajor
-            }
+            BatchStrategy::BatchDelta => self.run_batch_delta(program, disp, run, report),
             BatchStrategy::EntryMajor => {
                 self.run_entry_major(program, disp, run, report);
                 BatchStrategy::EntryMajor
             }
-            BatchStrategy::BatchDelta => self.run_batch_delta(program, disp, run, report),
         };
         match executed {
             BatchStrategy::BatchDelta => self.stats.batch_delta_runs += 1,
-            BatchStrategy::StatementMajor => self.stats.statement_major_runs += 1,
             BatchStrategy::EntryMajor => self.stats.entry_major_runs += 1,
         }
         if self.record_runs {
@@ -1241,7 +1265,7 @@ impl Engine {
         if let Some(ts) = self.tel.as_deref() {
             if let Some(&slot) = ts.stmt_slot.get(tidx as usize).and_then(|v| v.get(j)) {
                 if slot != u32::MAX {
-                    self.kernel.counter_slot = slot as usize;
+                    self.eval.kernel.counter_slot = slot as usize;
                 }
             }
         }
@@ -1275,15 +1299,15 @@ impl Engine {
             return;
         }
         if let Some(ts) = self.tel.as_deref_mut() {
-            if let Some(r) = ts.pending_rows.get_mut(self.kernel.counter_slot) {
+            if let Some(r) = ts.pending_rows.get_mut(self.eval.kernel.counter_slot) {
                 *r += rows;
             }
         }
     }
 
-    /// Entry-major fallback: every surviving entry fires the full per-event
-    /// trigger sequence `|mult|` times — identical to event-at-a-time
-    /// processing of the net stream.
+    /// Entry-major execution of one run: every surviving entry fires the full
+    /// per-event trigger sequence `|mult|` times — identical to
+    /// event-at-a-time processing of the net stream.
     fn run_entry_major(
         &mut self,
         program: &TriggerProgram,
@@ -1293,12 +1317,14 @@ impl Engine {
     ) {
         for entry in run.entries() {
             let Some(sign) = entry.sign() else { continue };
-            let tidx = match sign {
-                UpdateSign::Insert => disp.insert,
-                UpdateSign::Delete => disp.delete,
-            };
             for _ in 0..entry.firings() {
-                if let Err(e) = self.fire_single(program, run.relation(), tidx, sign, &entry.key) {
+                if let Err(e) = self.fire_single(
+                    program,
+                    run.relation(),
+                    disp.trigger(sign),
+                    sign,
+                    &entry.key,
+                ) {
                     report.failed_events += 1;
                     report.first_error.get_or_insert(e);
                 }
@@ -1320,157 +1346,68 @@ impl Engine {
             self.apply_base_raw(relation, key, sign.multiplier());
             return Ok(());
         };
-        let trigger = &program.triggers[tidx as usize];
-        let kernels = self.kernels_for(program, tidx);
-        // Interpreter context, built lazily: a fully compiled trigger
-        // never allocates the per-event name bindings.
-        let mut bindings: Option<Bindings> = None;
-
+        let statements = &program.triggers[tidx as usize].statements;
+        let of_op = |op: StmtOp| (0..statements.len()).filter(move |&j| statements[j].op == op);
         // Phase 1: incremental statements read the old state.
-        for (j, stmt) in trigger.statements.iter().enumerate() {
-            if stmt.op == StmtOp::Increment {
-                self.set_counter_slot(tidx, j);
-                self.exec_dispatch(
-                    stmt,
-                    flat_get(kernels, j),
-                    key.as_slice(),
-                    trigger,
-                    &mut bindings,
-                )?;
-            }
+        for j in of_op(StmtOp::Increment) {
+            self.fire_statement(program, tidx, j, key)?;
         }
         // Phase 2: reflect the update in the stored base relation (if stored).
         self.apply_base_raw(relation, key, sign.multiplier());
         // Phase 3: re-evaluation statements read the new state.
-        for (j, stmt) in trigger.statements.iter().enumerate() {
-            if stmt.op == StmtOp::Replace {
-                self.set_counter_slot(tidx, j);
-                self.exec_dispatch(
-                    stmt,
-                    flat_get(kernels, j),
-                    key.as_slice(),
-                    trigger,
-                    &mut bindings,
-                )?;
-            }
+        for j in of_op(StmtOp::Replace) {
+            self.fire_statement(program, tidx, j, key)?;
         }
         Ok(())
     }
 
-    /// Statement-major execution of one run (see the module docs): increments
-    /// driven over all entries per statement, one base-update pass, replaces
-    /// once for the run's last event. Legal by the dispatch analysis.
-    fn run_statement_major(
+    /// Evaluate statement `j` of trigger `tidx` for one event tuple against
+    /// the current state and apply its rows. Returns the rows produced.
+    fn fire_statement(
         &mut self,
         program: &TriggerProgram,
-        disp: DispatchEntry,
-        run: &RelationDelta,
-        report: &mut BatchReport,
-    ) {
-        self.batch.failed.clear();
-        self.batch.failed.resize(run.entries().len(), false);
-
-        // Phase 1: incremental statements, insert entries then delete entries.
-        for (sign, tidx) in [
-            (UpdateSign::Insert, disp.insert),
-            (UpdateSign::Delete, disp.delete),
-        ] {
-            let Some(tidx) = tidx else { continue };
-            if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
-                continue;
-            }
-            let trigger = &program.triggers[tidx as usize];
-            let kernels = self.kernels_for(program, tidx);
-            for (j, stmt) in trigger.statements.iter().enumerate() {
-                if stmt.op != StmtOp::Increment {
-                    continue;
-                }
-                self.set_counter_slot(tidx, j);
-                let st0 = self.armed_instant();
-                let res = match flat_get(kernels, j) {
-                    Some(k) => self.increment_compiled_over(stmt, k, run, sign, report),
-                    None => self.increment_interp_over(stmt, trigger, run, sign, report),
-                };
-                if self.tel.is_some() && res.is_ok() {
-                    // `batch.segs` still holds this statement's entry
-                    // boundaries after the buffered apply.
-                    let rows = segs_rows(&self.batch.segs);
-                    self.note_rows(rows);
-                    self.note_stmt(st0, &stmt.target, rows);
-                }
-                if let Err(e) = res {
-                    // Statement-level failure (missing target view): program
-                    // corruption rather than a poison event. The buffered
-                    // rows were discarded; fail the sign's remaining entries
-                    // so the base-update and `:=` phases skip them — the
-                    // per-event path would likewise die before its base
-                    // update.
-                    for (ei, entry) in run.entries().iter().enumerate() {
-                        if !self.batch.failed[ei] && entry.sign() == Some(sign) {
-                            self.batch.failed[ei] = true;
-                            report.failed_events += entry.events as u64;
-                        }
-                    }
-                    report.first_error.get_or_insert(e);
-                }
-            }
-        }
-
-        // Phase 2: one base-update pass over the surviving entries.
-        self.apply_base_run(run, true);
-
-        // Phase 3: re-evaluation statements fire once, bound to the run's
-        // last event — the firing whose output survives per-event processing.
-        let Some((sign, last_idx)) = run.last_event_index() else {
-            return;
-        };
-        if self.batch.failed[last_idx] {
-            // The binding event failed its increments; per-event it would not
-            // have reached its `:=` phase either.
-            return;
-        }
-        let tidx = match sign {
-            UpdateSign::Insert => disp.insert,
-            UpdateSign::Delete => disp.delete,
-        };
-        let Some(tidx) = tidx else { return };
+        tidx: u16,
+        j: usize,
+        tuple: &[Value],
+    ) -> Result<u64, RuntimeError> {
         let trigger = &program.triggers[tidx as usize];
-        if !trigger.statements.iter().any(|s| s.op == StmtOp::Replace) {
-            return;
-        }
-        let key = run.entries()[last_idx].key.clone();
-        let kernels = self.kernels_for(program, tidx);
-        let mut bindings: Option<Bindings> = None;
-        for (j, stmt) in trigger.statements.iter().enumerate() {
-            if stmt.op != StmtOp::Replace {
-                continue;
-            }
-            self.set_counter_slot(tidx, j);
-            if let Err(e) = self.exec_dispatch(
-                stmt,
-                flat_get(kernels, j),
-                key.as_slice(),
-                trigger,
-                &mut bindings,
-            ) {
-                // Mirror the single-event contract: the binding event counts
-                // as failed and its remaining statements are skipped.
-                report.failed_events += 1;
-                report.first_error.get_or_insert(e);
-                break;
-            }
-        }
+        let stmt = &trigger.statements[j];
+        let s = StmtRef {
+            trigger_vars: &trigger.trigger_vars,
+            stmt,
+            kernel: flat_get(self.kernels_for(program, tidx), j),
+        };
+        self.set_counter_slot(tidx, j);
+        self.stats.statements += 1;
+        let Engine {
+            db,
+            eval,
+            rows,
+            changes,
+            ..
+        } = self;
+        rows.clear();
+        eval.rows(&*db, s, tuple, Some(1), rows)?;
+        let all = Seg {
+            start: 0,
+            end: rows.len(),
+            reps: 1,
+        };
+        apply_statement_rows(db, changes, stmt, &[all], rows)?;
+        let produced = rows.len() as u64;
+        self.note_rows(produced);
+        Ok(produced)
     }
 
-    /// Batch-delta execution of one run (see the module docs): phase one
-    /// evaluates every incremental statement over the run's entries against
-    /// the pre-run state and — for a multi-firing run of a relation with a
-    /// run-linear part — makes the overlay pass, buffering all rows; phase
-    /// two applies the buffers in statement order followed by the base
-    /// update. Returns the strategy that actually executed: any phase-one
-    /// error discards the (still unapplied) buffers — the database is
-    /// untouched at that point — and replays the whole run entry-major, which
-    /// reproduces per-event poison semantics exactly and does its own failure
+    /// Batch-delta execution of one run (see the module docs): collect every
+    /// incremental statement's rows over the run's entries against the
+    /// pre-run state (plus, for a multi-firing run of a relation with a
+    /// run-linear part, the overlay pass), apply the buffers in statement
+    /// order, apply the base update, fire the last event's `:=` statements.
+    /// Returns the strategy that actually executed: any collection error
+    /// discards the (still unapplied) buffers — the database is untouched at
+    /// that point — and replays the whole run entry-major, which reproduces
+    /// per-event poison semantics exactly and does its own failure
     /// accounting.
     fn run_batch_delta(
         &mut self,
@@ -1496,9 +1433,8 @@ impl Engine {
                 ..
             } = self;
             for ds in &bd.stmts[..bd.live] {
-                let target =
-                    &program.triggers[ds.tidx as usize].statements[ds.stmt as usize].target;
-                if let Err(e) = apply_buffered_statement(db, changes, target, &ds.segs, &ds.rows) {
+                let stmt = &program.triggers[ds.tidx as usize].statements[ds.stmt as usize];
+                if let Err(e) = apply_statement_rows(db, changes, stmt, &ds.segs, &ds.rows) {
                     first_err.get_or_insert(e);
                 } else if let Some(ts) = tel.as_deref_mut() {
                     // Rows are credited at apply time (not collection), so a
@@ -1514,12 +1450,49 @@ impl Engine {
             }
         }
         self.bd.live = 0;
-        self.apply_base_run(run, false);
+        self.apply_base_run(run);
         if let Some(e) = first_err {
             report.failed_events += run.events();
             report.first_error.get_or_insert(e);
         }
+        self.fire_replace_tail(program, disp, run, report);
         BatchStrategy::BatchDelta
+    }
+
+    /// The `:=` tail of a batch-delta run: the re-evaluation statements of
+    /// the run's **last event** (cancelled or not — it is the event whose
+    /// firing per-event processing ends on), once, against the state the
+    /// run's increments and base update left. Eligibility gate 1 makes the
+    /// `:=` statements the trigger's tail and mirrors them across the signs,
+    /// so whichever sign came last re-evaluates the same targets.
+    fn fire_replace_tail(
+        &mut self,
+        program: &TriggerProgram,
+        disp: DispatchEntry,
+        run: &RelationDelta,
+        report: &mut BatchReport,
+    ) {
+        let Some((sign, key)) = run.last_event() else {
+            return;
+        };
+        let Some(tidx) = disp.trigger(sign) else {
+            return;
+        };
+        let trigger = &program.triggers[tidx as usize];
+        for j in trigger.increments().len()..trigger.statements.len() {
+            let st0 = self.armed_instant();
+            match self.fire_statement(program, tidx, j, key) {
+                Ok(rows) => self.note_stmt(st0, &trigger.statements[j].target, rows),
+                Err(e) => {
+                    // Mirror the single-event contract: the binding event
+                    // counts as failed and its remaining statements are
+                    // skipped.
+                    report.failed_events += 1;
+                    report.first_error.get_or_insert(e);
+                    break;
+                }
+            }
+        }
     }
 
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
@@ -1551,21 +1524,18 @@ impl Engine {
             }
             let trigger = &program.triggers[tidx as usize];
             let kernels = self.kernels_for(program, tidx);
-            for (j, stmt) in trigger.statements.iter().enumerate() {
-                debug_assert_eq!(
-                    stmt.op,
-                    StmtOp::Increment,
-                    "batch-delta dispatch requires increment-only triggers"
-                );
+            for (j, stmt) in trigger.increments().iter().enumerate() {
                 if !self.db.contains(&stmt.target) {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
                 }
                 self.set_counter_slot(tidx, j);
                 let st0 = self.armed_instant();
-                match flat_get(kernels, j) {
-                    Some(k) => self.collect_compiled_over(k, run, sign, tidx, j as u16)?,
-                    None => self.collect_interp_over(stmt, trigger, run, sign, tidx, j as u16)?,
-                }
+                let s = StmtRef {
+                    trigger_vars: &trigger.trigger_vars,
+                    stmt,
+                    kernel: flat_get(kernels, j),
+                };
+                self.collect_statement_over(s, run, sign, tidx, j as u16)?;
                 if st0.is_some() {
                     let rows = segs_rows(&self.bd.stmts[self.bd.live - 1].segs);
                     self.note_stmt(st0, &stmt.target, rows);
@@ -1606,9 +1576,7 @@ impl Engine {
     ) -> Result<u64, RuntimeError> {
         let Engine {
             db,
-            kernel: state,
-            scratch,
-            batch,
+            eval,
             bd,
             overlays,
             stats,
@@ -1628,15 +1596,21 @@ impl Engine {
         // `k` of every deferred statement of that sign's trigger.
         let mut seen = [0usize; 2];
         let mut overlay_rows = 0u64;
-        batch.bindings.clear();
+        // Per sign: the trigger, its `+=` statements and its variables.
+        let sides = [disp.insert, disp.delete].map(|tidx| {
+            let trigger = tidx.map(|t| &program.triggers[t as usize]);
+            (
+                tidx,
+                trigger.map_or(&[][..], Trigger::increments),
+                trigger.map_or(&[][..], |t| &t.trigger_vars[..]),
+            )
+        });
         for (ei, entry) in run.entries().iter().enumerate() {
             let Some(sign) = entry.sign() else { continue };
             let s = usize::from(sign == UpdateSign::Delete);
             let k = seen[s];
             seen[s] += 1;
-            let tidx = [disp.insert, disp.delete][s];
-            let trigger = tidx.map(|t| &program.triggers[t as usize]);
-            let statements = trigger.map_or(&[][..], |t| &t.statements);
+            let (tidx, statements, trigger_vars) = sides[s];
             for rep in 0..entry.firings() {
                 let fold = Some(ei) != last || rep + 1 < entry.firings();
                 let mut parts = rl
@@ -1653,35 +1627,21 @@ impl Engine {
                             .as_deref_mut()
                             .and_then(|ts| ts.note_overlay_firing(part.trigger, j))
                         {
-                            state.counter_slot = slot;
+                            eval.kernel.counter_slot = slot;
                         }
                         let src = RunOverlay {
                             store: &store,
                             names: &rl.overlay_maps,
                             maps,
                         };
-                        match part.kernel.as_ref().filter(|_| !*force_interpreter) {
-                            Some(kernel) => {
-                                state.prepare(kernel);
-                                seed_frame(state, kernel, &entry.key);
-                                let res = kernel.execute(&src, state);
-                                ds.rows.append(&mut state.out);
-                                res.map_err(RuntimeError::Eval)?;
-                            }
-                            None => {
-                                let vars = trigger.map_or(&[][..], |t| &t.trigger_vars);
-                                for (var, value) in vars.iter().zip(entry.key.iter()) {
-                                    batch.bindings.set(var, value.clone());
-                                }
-                                interp_statement_rows(
-                                    &src,
-                                    scratch,
-                                    &mut batch.bindings,
-                                    &part.statement,
-                                    &mut ds.rows,
-                                )?;
-                            }
-                        }
+                        let s = StmtRef {
+                            trigger_vars,
+                            stmt: &part.statement,
+                            kernel: part.kernel.as_ref().filter(|_| !*force_interpreter),
+                        };
+                        // The overlay moves between firings: every evaluation
+                        // is the first against its state.
+                        eval.rows(&src, s, &entry.key, Some(1), &mut ds.rows)?;
                         if ds.rows.len() > start {
                             overlay_rows += (ds.rows.len() - start) as u64;
                             ds.segs.push(Seg {
@@ -1708,13 +1668,13 @@ impl Engine {
         Ok(overlay_rows)
     }
 
-    /// Buffer one compiled incremental statement's rows over all of a run's
-    /// entries of one sign without applying them — the batch-delta twin of
-    /// [`Engine::increment_compiled_over`]. Any kernel error aborts the whole
-    /// collection (the caller falls back entry-major).
-    fn collect_compiled_over(
+    /// Buffer one incremental statement's rows over all of a run's entries of
+    /// one sign without applying them: setup once, then back-to-back
+    /// evaluations against the unchanged pre-run store. Any evaluation error
+    /// aborts the whole collection (the caller replays entry-major).
+    fn collect_statement_over(
         &mut self,
-        kernel: &CompiledStmt,
+        s: StmtRef<'_>,
         run: &RelationDelta,
         sign: UpdateSign,
         tidx: u16,
@@ -1722,74 +1682,23 @@ impl Engine {
     ) -> Result<(), RuntimeError> {
         let Engine {
             db,
-            kernel: state,
+            eval,
             bd,
             stats,
             ..
         } = self;
         let slot = bd.acquire(tidx, stmt_j);
-        state.prepare(kernel);
-        state.set_run_entries(run.entries().len());
+        // Nothing is written until the apply phase, so probe and scan targets
+        // can be resolved once per name for the run.
         let src = CachedSource::new(db);
-        let mut first = true;
+        let mut first_of = Some(run.entries().len());
         for entry in run.entries() {
             if entry.sign() != Some(sign) {
                 continue;
             }
             stats.statements += 1;
-            let start = state.out.len();
-            seed_frame(state, kernel, &entry.key);
-            match kernel.execute_batch_entry(&src, state, first) {
-                Ok(()) => {
-                    first = false;
-                    slot.segs.push(Seg {
-                        start,
-                        end: state.out.len(),
-                        reps: entry.firings(),
-                    });
-                }
-                Err(e) => {
-                    state.out.clear();
-                    return Err(RuntimeError::Eval(e));
-                }
-            }
-        }
-        // Hand the collected rows to the deferred slot; the (cleared) old
-        // slot buffer becomes the kernel's next row buffer.
-        std::mem::swap(&mut slot.rows, &mut state.out);
-        Ok(())
-    }
-
-    /// The interpreter twin of [`Engine::collect_compiled_over`].
-    fn collect_interp_over(
-        &mut self,
-        stmt: &Statement,
-        trigger: &Trigger,
-        run: &RelationDelta,
-        sign: UpdateSign,
-        tidx: u16,
-        stmt_j: u16,
-    ) -> Result<(), RuntimeError> {
-        let Engine {
-            db,
-            scratch,
-            batch,
-            bd,
-            stats,
-            ..
-        } = self;
-        let slot = bd.acquire(tidx, stmt_j);
-        batch.bindings.clear();
-        for entry in run.entries() {
-            if entry.sign() != Some(sign) {
-                continue;
-            }
-            stats.statements += 1;
-            for (var, value) in trigger.trigger_vars.iter().zip(entry.key.iter()) {
-                batch.bindings.set(var, value.clone());
-            }
             let start = slot.rows.len();
-            interp_statement_rows(&*db, scratch, &mut batch.bindings, stmt, &mut slot.rows)?;
+            eval.rows(&src, s, &entry.key, first_of.take(), &mut slot.rows)?;
             slot.segs.push(Seg {
                 start,
                 end: slot.rows.len(),
@@ -1800,7 +1709,7 @@ impl Engine {
     }
 
     /// The compiled kernels for a trigger, when present, aligned with its
-    /// statement list and not overridden by the interpreter escape hatch.
+    /// statement list and not overridden by [`Engine::set_force_interpreter`].
     fn kernels_for<'p>(
         &self,
         program: &'p TriggerProgram,
@@ -1818,140 +1727,15 @@ impl Engine {
             .unwrap_or(&[])
     }
 
-    /// Drive one compiled incremental statement over all of a run's entries of
-    /// one sign: prelude + loop-invariant fused scans once, rows buffered with
-    /// entry boundaries, then one buffered apply (single target resolution,
-    /// change-log entry and snapshot-cache bump).
-    fn increment_compiled_over(
-        &mut self,
-        stmt: &Statement,
-        kernel: &CompiledStmt,
-        run: &RelationDelta,
-        sign: UpdateSign,
-        report: &mut BatchReport,
-    ) -> Result<(), RuntimeError> {
-        let Engine {
-            db,
-            kernel: state,
-            batch,
-            stats,
-            changes,
-            ..
-        } = self;
-        batch.segs.clear();
-        state.prepare(kernel);
-        state.set_run_entries(run.entries().len());
-        // The whole entries pass is read-only (rows are buffered), so probe
-        // and scan targets can be resolved once per name for the batch.
-        let src = CachedSource::new(db);
-        let mut first = true;
-        for (ei, entry) in run.entries().iter().enumerate() {
-            if batch.failed[ei] || entry.sign() != Some(sign) {
-                continue;
-            }
-            stats.statements += 1;
-            let start = state.out.len();
-            seed_frame(state, kernel, &entry.key);
-            match kernel.execute_batch_entry(&src, state, first) {
-                Ok(()) => {
-                    first = false;
-                    batch.segs.push(Seg {
-                        start,
-                        end: state.out.len(),
-                        reps: entry.firings(),
-                    });
-                }
-                Err(e) => {
-                    // Nothing of this entry's statement is applied (rows are
-                    // dropped), matching the per-event all-or-nothing apply.
-                    state.out.truncate(start);
-                    batch.failed[ei] = true;
-                    report.failed_events += entry.events as u64;
-                    report.first_error.get_or_insert(RuntimeError::Eval(e));
-                }
-            }
-        }
-        // `src` (immutable borrow of `db`) ends here; the apply needs `&mut`.
-        let _ = src;
-        let res = apply_buffered_statement(db, changes, &stmt.target, &batch.segs, &state.out);
-        state.out.clear();
-        res
-    }
-
-    /// The interpreter twin of [`Engine::increment_compiled_over`]: same entry
-    /// loop, same buffered apply, with the right-hand side evaluated by the
-    /// AST evaluator — keeping the two paths oracles of each other on the
-    /// batch path too.
-    fn increment_interp_over(
-        &mut self,
-        stmt: &Statement,
-        trigger: &Trigger,
-        run: &RelationDelta,
-        sign: UpdateSign,
-        report: &mut BatchReport,
-    ) -> Result<(), RuntimeError> {
-        let Engine {
-            db,
-            scratch,
-            batch,
-            stats,
-            changes,
-            ..
-        } = self;
-        batch.segs.clear();
-        batch.rows.clear();
-        batch.bindings.clear();
-        for (ei, entry) in run.entries().iter().enumerate() {
-            if batch.failed[ei] || entry.sign() != Some(sign) {
-                continue;
-            }
-            stats.statements += 1;
-            for (var, value) in trigger.trigger_vars.iter().zip(entry.key.iter()) {
-                batch.bindings.set(var, value.clone());
-            }
-            let start = batch.rows.len();
-            let res =
-                interp_statement_rows(&*db, scratch, &mut batch.bindings, stmt, &mut batch.rows);
-            match res {
-                Ok(()) => batch.segs.push(Seg {
-                    start,
-                    end: batch.rows.len(),
-                    reps: entry.firings(),
-                }),
-                Err(e) => {
-                    batch.rows.truncate(start);
-                    batch.failed[ei] = true;
-                    report.failed_events += entry.events as u64;
-                    report.first_error.get_or_insert(e);
-                }
-            }
-        }
-        let res = apply_buffered_statement(db, changes, &stmt.target, &batch.segs, &batch.rows);
-        batch.rows.clear();
-        res
-    }
-
-    /// One base-update pass for a whole run: each surviving entry's net
-    /// multiplicity is applied in one write (exact — net multiplicities are
-    /// integers). `respect_failed` skips entries whose trigger work failed,
-    /// mirroring the per-event path where a poison event never reaches its
-    /// base update.
-    fn apply_base_run(&mut self, run: &RelationDelta, respect_failed: bool) {
-        let Engine {
-            db, changes, batch, ..
-        } = self;
+    /// One base-update pass for a whole run: each entry's net multiplicity is
+    /// applied in one write (exact — net multiplicities are integers).
+    fn apply_base_run(&mut self, run: &RelationDelta) {
+        let Engine { db, changes, .. } = self;
         let Some(view) = db.view_mut(run.relation()) else {
             return;
         };
         let mut change = changes.as_mut().map(|c| c.entry(run.relation()));
-        let failed: &[bool] = &batch.failed;
-        let rows = run.entries().iter().enumerate().filter_map(|(ei, e)| {
-            if e.mult == 0.0 || (respect_failed && failed[ei]) {
-                None
-            } else {
-                Some((&e.key, e.mult))
-            }
-        });
+        let rows = run.entries().iter().map(|e| (&e.key, e.mult));
         view.add_rows(rows, &mut |k| {
             if let Some(c) = change.as_mut() {
                 c.keys.insert(k.clone(), ());
@@ -1967,130 +1751,6 @@ impl Engine {
                 log.record_key(relation, key.clone());
             }
         }
-    }
-
-    /// Route one statement to its compiled kernel or the interpreter
-    /// (single-firing path).
-    fn exec_dispatch(
-        &mut self,
-        stmt: &Statement,
-        kernel: Option<&CompiledStmt>,
-        tuple: &[Value],
-        trigger: &Trigger,
-        bindings: &mut Option<Bindings>,
-    ) -> Result<(), RuntimeError> {
-        match kernel {
-            Some(k) => self.exec_compiled(stmt, k, tuple),
-            None => {
-                let ctx = bindings.get_or_insert_with(|| {
-                    let mut b = Bindings::with_capacity(trigger.trigger_vars.len());
-                    for (var, value) in trigger.trigger_vars.iter().zip(tuple.iter()) {
-                        b.insert(var.clone(), value.clone());
-                    }
-                    b
-                });
-                self.exec_statement(stmt, ctx)
-            }
-        }
-    }
-
-    /// Execute a statement through its compiled kernel: seed the frame from
-    /// the event tuple, run the plan into the reusable row buffer, then apply
-    /// the buffered rows to the target map.
-    fn exec_compiled(
-        &mut self,
-        stmt: &Statement,
-        kernel: &CompiledStmt,
-        tuple: &[Value],
-    ) -> Result<(), RuntimeError> {
-        self.stats.statements += 1;
-        {
-            let Engine {
-                db, kernel: state, ..
-            } = self;
-            state.prepare(kernel);
-            seed_frame(state, kernel, tuple);
-            kernel.execute(db, state).map_err(RuntimeError::Eval)?;
-        }
-        let Engine {
-            db,
-            kernel: state,
-            changes,
-            tel,
-            ..
-        } = self;
-        if let Some(ts) = tel.as_deref_mut() {
-            if let Some(r) = ts.pending_rows.get_mut(state.counter_slot) {
-                *r += state.out.len() as u64;
-            }
-        }
-        let target = db
-            .view_mut(&stmt.target)
-            .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
-        if stmt.op == StmtOp::Replace {
-            target.clear();
-            if let Some(log) = changes.as_mut() {
-                log.record_clear(&stmt.target);
-            }
-        }
-        for (key, mult) in state.out.drain(..) {
-            if mult == 0.0 {
-                // A collapsed row that cancelled to zero: the interpreter's
-                // result GMR drops such entries, so neither the change log
-                // nor the target should see the key.
-                continue;
-            }
-            if let Some(log) = changes.as_mut() {
-                log.record_key(&stmt.target, key.clone());
-            }
-            target.add(key, mult);
-        }
-        Ok(())
-    }
-
-    fn exec_statement(
-        &mut self,
-        stmt: &Statement,
-        bindings: &mut Bindings,
-    ) -> Result<(), RuntimeError> {
-        self.stats.statements += 1;
-        let result = {
-            let Engine { db, scratch, .. } = self;
-            eval_with_scratch(&stmt.rhs, &*db, bindings, scratch)?
-        };
-        let target = self
-            .db
-            .view_mut(&stmt.target)
-            .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
-        if stmt.op == StmtOp::Replace {
-            target.clear();
-            if let Some(log) = self.changes.as_mut() {
-                log.record_clear(&stmt.target);
-            }
-        }
-        if result.is_empty() {
-            return Ok(());
-        }
-        if let Some(ts) = self.tel.as_deref_mut() {
-            if let Some(r) = ts.pending_rows.get_mut(self.kernel.counter_slot) {
-                *r += result.len() as u64;
-            }
-        }
-        let key_sources = resolve_key_sources(stmt, bindings, result.schema())?;
-        for (row, mult) in result.iter() {
-            let key: Tuple = key_sources
-                .iter()
-                .map(|s| match s {
-                    Ok(v) => v.clone(),
-                    Err(i) => row[*i].clone(),
-                })
-                .collect();
-            if let Some(log) = self.changes.as_mut() {
-                log.record_key(&stmt.target, key.clone());
-            }
-            target.add(key, mult);
-        }
-        Ok(())
     }
 
     /// Snapshot a query result as a GMR over its output columns.
@@ -2148,7 +1808,7 @@ impl Engine {
     /// [`ProgramExplain::render_json`]: dbtoaster_compiler::ProgramExplain::render_json
     pub fn explain(&mut self) -> dbtoaster_compiler::ProgramExplain {
         self.flush_telemetry();
-        let mut ex = dbtoaster_compiler::explain(&self.program, self.forced_strategy);
+        let mut ex = dbtoaster_compiler::explain(&self.program, self.force_entry_major);
         if let Some(ts) = self.tel.as_deref() {
             use std::sync::atomic::Ordering::Relaxed;
             ex.attach_stats(|name| {
@@ -2181,7 +1841,7 @@ impl Engine {
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         if !tel.is_enabled() {
             self.tel = None;
-            self.kernel.counter_slot = 0;
+            self.eval.kernel.counter_slot = 0;
             return;
         }
         let map_names: Vec<String> = self.db.names().map(|n| n.to_string()).collect();
@@ -2210,20 +1870,16 @@ impl Engine {
         };
         // One kernel counter block per view; reset anything a previous
         // attachment left behind so counts start from zero.
-        self.kernel.ensure_counter_slots(map_names.len());
-        for c in &self.kernel.counter_slots {
+        self.eval.kernel.ensure_counter_slots(map_names.len());
+        for c in &self.eval.kernel.counter_slots {
             let _ = c.take();
         }
-        self.kernel.counter_slot = 0;
+        self.eval.kernel.counter_slot = 0;
         let n = map_names.len();
         self.tel = Some(Box::new(TelemetryState {
             tel,
             batch_hist: LocalHistogram::new(),
-            stage_hists: [
-                LocalHistogram::new(),
-                LocalHistogram::new(),
-                LocalHistogram::new(),
-            ],
+            stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
             views,
             map_names,
             pending_rows: vec![0; n],
@@ -2265,7 +1921,7 @@ impl Engine {
             );
         }
         for (i, view) in ts.views.iter().enumerate() {
-            if let Some(c) = self.kernel.counter_slots.get(i) {
+            if let Some(c) = self.eval.kernel.counter_slots.get(i) {
                 let w = c.take();
                 if w.probes
                     | w.scans
@@ -2319,23 +1975,28 @@ impl Engine {
     }
 }
 
-/// Apply one statement's buffered rows to its target map: a single target
-/// resolution, change-log entry and snapshot-cache bump per (statement,
-/// batch), shared by the compiled and interpreter batch twins. A missing
-/// target view (program corruption — compiled programs always declare their
-/// targets) applies nothing; the caller discards the buffers and fails the
-/// affected entries.
-fn apply_buffered_statement(
+/// The one row applier: write a statement's buffered rows to its target map
+/// — a single target resolution, change-log entry and snapshot-cache bump per
+/// call, whether the rows are one firing's or a whole run's. A `:=` statement
+/// clears its target first. A missing target view (program corruption —
+/// compiled programs always declare their targets) applies nothing.
+fn apply_statement_rows(
     db: &mut Database,
     changes: &mut Option<ChangeSet>,
-    target_name: &str,
+    stmt: &Statement,
     segs: &[Seg],
     rows: &[(Tuple, f64)],
 ) -> Result<(), RuntimeError> {
     let target = db
-        .view_mut(target_name)
-        .ok_or_else(|| RuntimeError::UnknownView(target_name.to_string()))?;
-    let mut change = changes.as_mut().map(|c| c.entry(target_name));
+        .view_mut(&stmt.target)
+        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+    if stmt.op == StmtOp::Replace {
+        target.clear();
+        if let Some(log) = changes.as_mut() {
+            log.record_clear(&stmt.target);
+        }
+    }
+    let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
     let it = segs.iter().flat_map(|s| {
         let slice = &rows[s.start..s.end];
         (0..s.reps).flat_map(move |_| slice.iter().map(|(k, m)| (k, *m)))
@@ -2350,8 +2011,7 @@ fn apply_buffered_statement(
 
 /// Resolve each of a statement's key variables to its source — a trigger
 /// binding (range restriction, `Ok`) or a result-column position (`Err`) —
-/// once per evaluation, outside the row loop. Shared by the strict
-/// interpreter path and its batch twin so the two cannot drift.
+/// once per evaluation, outside the row loop.
 fn resolve_key_sources(
     stmt: &Statement,
     bindings: &Bindings,
@@ -2408,36 +2068,6 @@ impl<'a, I: Iterator<Item = (&'a Tuple, f64)>> Iterator for Coalesce<'a, I> {
         }
         Some((key, mult))
     }
-}
-
-/// Evaluate one incremental statement for the interpreter batch paths,
-/// appending `(key, multiplicity)` rows to `out` instead of touching the
-/// target map (the caller applies them buffered). Generic over the relation
-/// source so the batch-delta overlay pass can substitute a [`RunOverlay`] for
-/// the plain database.
-fn interp_statement_rows(
-    src: &dyn RelationSource,
-    scratch: &mut EvalScratch,
-    bindings: &mut Bindings,
-    stmt: &Statement,
-    out: &mut Vec<(Tuple, f64)>,
-) -> Result<(), RuntimeError> {
-    let result = eval_with_scratch(&stmt.rhs, src, bindings, scratch)?;
-    if result.is_empty() {
-        return Ok(());
-    }
-    let key_sources = resolve_key_sources(stmt, bindings, result.schema())?;
-    for (row, mult) in result.iter() {
-        let key: Tuple = key_sources
-            .iter()
-            .map(|s| match s {
-                Ok(v) => v.clone(),
-                Err(i) => row[*i].clone(),
-            })
-            .collect();
-        out.push((key, mult));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

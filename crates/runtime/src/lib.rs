@@ -42,8 +42,7 @@ pub mod shard;
 pub mod store;
 
 pub use engine::{
-    parse_batch_strategy, BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError,
-    TraceSample, ViewChange, FORCE_BATCH_STRATEGY_ENV, FORCE_INTERPRETER_ENV,
+    BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample, ViewChange,
 };
 pub use shard::{shard_for, ExchangeStats, ShardedEngine};
 pub use store::{CachedSource, Database, ViewMap};
@@ -55,8 +54,8 @@ pub use dbtoaster_telemetry::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::engine::{
-        parse_batch_strategy, BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError,
-        TraceSample, ViewChange, FORCE_BATCH_STRATEGY_ENV, FORCE_INTERPRETER_ENV,
+        BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
+        ViewChange,
     };
     pub use crate::shard::{shard_for, ExchangeStats, ShardedEngine};
     pub use crate::store::{CachedSource, Database, ViewMap};

@@ -204,10 +204,10 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Broadcast a batch-strategy override to every engine.
-    pub fn set_force_batch_strategy(&mut self, force: Option<dbtoaster_compiler::BatchStrategy>) {
+    /// Broadcast the entry-major oracle override to every engine.
+    pub fn set_force_entry_major(&mut self, force: bool) {
         for e in self.shards.iter_mut().chain(self.executor.as_mut()) {
-            e.set_force_batch_strategy(force);
+            e.set_force_entry_major(force);
         }
     }
 

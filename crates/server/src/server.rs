@@ -43,7 +43,7 @@ use crate::results::{assemble_result, ResultRow, ResultTable};
 use crate::swap::EpochCell;
 use dbtoaster_agca::eval::{eval_with, matches_pattern, Bindings, EvalError, RelationSource};
 use dbtoaster_agca::UpdateEvent;
-use dbtoaster_compiler::{BatchStrategy, ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
+use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
 use dbtoaster_durability::{
     checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, WalWriter,
 };
@@ -341,10 +341,9 @@ struct StatsCell {
     /// Static per-program count (trigger statements running as compiled
     /// kernels); mirrored so readers see it without touching the engine.
     compiled_triggers: AtomicU64,
-    /// Per-strategy relation-run counters (batch-delta / statement-major /
-    /// entry-major), mirrored from the engine after each drained batch.
+    /// Per-strategy relation-run counters (batch-delta / entry-major),
+    /// mirrored from the engine after each drained batch.
     batch_delta_runs: AtomicU64,
-    statement_major_runs: AtomicU64,
     entry_major_runs: AtomicU64,
     /// Watermark (events applied) of the newest successfully written
     /// checkpoint; `/healthz` reports `events - watermark` as checkpoint lag.
@@ -357,10 +356,10 @@ pub(crate) struct Shared {
     stats: StatsCell,
     queries: FastMap<String, ServedQuery>,
     program: Arc<TriggerProgram>,
-    /// The engine's batch-strategy override at spawn time (it cannot change
+    /// The engine's entry-major override at spawn time (it cannot change
     /// while the writer owns the engine), so `/explain` reports the dispatch
     /// the writer actually runs.
-    forced_strategy: Option<BatchStrategy>,
+    force_entry_major: bool,
     /// Is the server durable? Gates the checkpoint-lag readout in `/healthz`.
     durable: bool,
     error: Mutex<Option<RuntimeError>>,
@@ -450,14 +449,13 @@ impl ViewServer {
                 recovery_replayed_events: AtomicU64::new(engine.stats().recovery_replayed_events),
                 compiled_triggers: AtomicU64::new(engine.stats().compiled_triggers),
                 batch_delta_runs: AtomicU64::new(engine.stats().batch_delta_runs),
-                statement_major_runs: AtomicU64::new(engine.stats().statement_major_runs),
                 entry_major_runs: AtomicU64::new(engine.stats().entry_major_runs),
                 checkpoint_watermark: AtomicU64::new(0),
                 started: Instant::now(),
             },
             queries: queries.into_iter().map(|q| (q.name.clone(), q)).collect(),
             program: engine.program_shared(),
-            forced_strategy: engine.forced_batch_strategy(),
+            force_entry_major: engine.force_entry_major(),
             durable: config.durability.is_some(),
             error: Mutex::new(None),
             durability_error: Mutex::new(None),
@@ -646,8 +644,8 @@ impl ViewServer {
             recovery_replayed_events: s.recovery_replayed_events.load(Relaxed),
             compiled_triggers: s.compiled_triggers.load(Relaxed),
             batch_delta_runs: s.batch_delta_runs.load(Relaxed),
-            statement_major_runs: s.statement_major_runs.load(Relaxed),
             entry_major_runs: s.entry_major_runs.load(Relaxed),
+            ..EngineStats::default()
         }
     }
 
@@ -1801,10 +1799,6 @@ fn writer_loop(
             .store(s.batch_delta_runs, Relaxed);
         shared
             .stats
-            .statement_major_runs
-            .store(s.statement_major_runs, Relaxed);
-        shared
-            .stats
             .entry_major_runs
             .store(s.entry_major_runs, Relaxed);
         shared
@@ -1982,7 +1976,7 @@ fn json_opt_string(v: Option<String>) -> String {
 /// and dispatch decisions, with live per-view counters joined in from the
 /// telemetry registry.
 pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
-    let mut ex = dbtoaster_compiler::explain(&shared.program, shared.forced_strategy);
+    let mut ex = dbtoaster_compiler::explain(&shared.program, shared.force_entry_major);
     let snap = shared.tel.snapshot();
     if snap.enabled {
         ex.attach_stats(|name| {

@@ -287,7 +287,6 @@ impl ShardedViewServer {
             out.subscriber_deltas += st.subscriber_deltas;
             out.compiled_triggers += st.compiled_triggers;
             out.batch_delta_runs += st.batch_delta_runs;
-            out.statement_major_runs += st.statement_major_runs;
             out.entry_major_runs += st.entry_major_runs;
         }
         out

@@ -317,7 +317,10 @@ pub enum Stage {
     WalAppend,
     /// Kernel execution of a relation run under the batch-delta strategy.
     KernelBatchDelta,
-    /// Kernel execution of a relation run under the statement-major strategy.
+    /// Always zero: the strategy it timed was folded into batch-delta. Kept,
+    /// never recorded into, only because the frozen benchmark reads it for
+    /// its `telemetry.stage_kernel_statement_major_ns_per_event` ledger row;
+    /// goes with that row (ROADMAP item 6(e)).
     KernelStatementMajor,
     /// Kernel execution of a relation run under the entry-major strategy.
     KernelEntryMajor,
@@ -430,8 +433,8 @@ pub struct StmtSpan {
 pub struct RunSpan {
     /// Relation of the run.
     pub relation: String,
-    /// Batch strategy that actually executed ("batch-delta",
-    /// "statement-major", "entry-major").
+    /// Batch strategy that actually executed ("batch-delta" or
+    /// "entry-major"; "base-only" for a run that fired no trigger).
     pub strategy: String,
     /// Events in the run.
     pub events: u64,

@@ -79,8 +79,8 @@ fn main() -> Result<(), DbToasterError> {
         stats.wal_bytes_written
     );
     println!(
-        "[act 1] batch strategies: {} batch-delta runs, {} statement-major, {} entry-major",
-        stats.batch_delta_runs, stats.statement_major_runs, stats.entry_major_runs
+        "[act 1] batch strategies: {} batch-delta runs, {} entry-major",
+        stats.batch_delta_runs, stats.entry_major_runs
     );
     println!("[act 1] killing the server: no flush, no final checkpoint");
     server.kill();
@@ -149,8 +149,8 @@ fn main() -> Result<(), DbToasterError> {
     );
     println!(
         "[act 2] batch strategies (incl. recovery replay): {} batch-delta runs, \
-         {} statement-major, {} entry-major",
-        stats.batch_delta_runs, stats.statement_major_runs, stats.entry_major_runs
+         {} entry-major",
+        stats.batch_delta_runs, stats.entry_major_runs
     );
 
     // Telemetry: the server carries latency histograms and per-stage timings

@@ -5,19 +5,20 @@
 //! batches, `Engine::process_batch` over the partition produces final view
 //! maps **bit-exactly** equal to `Engine::process` over the events one at a
 //! time — in all four compile modes, on the compiled-kernel path and with the
-//! interpreter forced, and under every forced batch strategy (the batch-delta
-//! default, the pre-batch-delta statement-major dispatch, and the entry-major
-//! oracle). Streams are integer-weighted (all arithmetic exact in f64), which
+//! interpreter forced, under the default dispatch (batch-delta where derived)
+//! and with the entry-major oracle forced. Streams are integer-weighted (all arithmetic exact in f64), which
 //! is exactly the regime where the ring-linearity argument of
 //! `dbtoaster_agca::batch` promises bit equality; duplicate keys and
 //! insert/delete cancellations inside one batch are generated on purpose.
 //!
-//! The query set spans all three batch strategies: linear aggregates and
-//! group-bys (batch-delta with no run-linear part, statement-major when
-//! batch-delta is disabled), a quadratic self-join whose intra-batch
-//! interaction is carried by the overlay pass, a stream-scaled self-join
-//! whose overlay pass also reads another stream's stored slice, and a
-//! nested-aggregate shape. The order-book section drives the workload's own
+//! The query set spans both batch strategies: linear aggregates and
+//! group-bys (batch-delta with no run-linear part), a quadratic self-join
+//! whose intra-batch interaction is carried by the overlay pass, a
+//! stream-scaled self-join whose overlay pass also reads another stream's
+//! stored slice, a nested-aggregate shape whose re-evaluation statement is
+//! the run's `:=` tail, and a cubic self-join that stays entry-major. The
+//! replace-tail section plants the run shapes the tail has to get right, on
+//! that nested shape and on the workload's `vwap`. The order-book section drives the workload's own
 //! self-join queries — `bsp` alone and `axf+bsp+bsv` in one engine, the
 //! program the `book_join` benchmark serves — at the served batch sizes, and
 //! pins the work a batch does (entries scanned) at or below its events'.
@@ -100,7 +101,7 @@ fn queries() -> Vec<QuerySpec> {
 }
 
 /// A nested-aggregate query (compiled separately: its re-evaluation statements
-/// exercise the once-per-run `:=` phase).
+/// exercise the once-per-run `:=` tail).
 fn nested_query() -> QuerySpec {
     let inner = Expr::agg_sum(
         Vec::<String>::new(),
@@ -115,6 +116,26 @@ fn nested_query() -> QuerySpec {
                 Expr::rel("R", ["a", "b"]),
                 Expr::lift("z", inner),
                 Expr::cmp(CmpOp::Lt, Expr::var("b"), Expr::var("z")),
+            ]),
+        ),
+    }
+}
+
+/// A three-way self-join on one column: its statements hold two run-written
+/// atoms in one product term, so batch-delta derivation bails and `R` runs
+/// entry-major (compiled separately — dispatch is per relation, and sharing a
+/// program would drag the other queries' `R` triggers onto the per-event path
+/// with it).
+fn cubic_query() -> QuerySpec {
+    QuerySpec {
+        name: "CUBIC".into(),
+        out_vars: vec![],
+        expr: Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["a", "b"]),
+                Expr::rel("R", ["a2", "b"]),
+                Expr::rel("R", ["a3", "b"]),
             ]),
         ),
     }
@@ -209,17 +230,17 @@ fn check_case(
     specs: &[QuerySpec],
     mode: CompileMode,
     force_interp: bool,
-    force_strategy: Option<BatchStrategy>,
+    force_entry_major: bool,
     seed: u64,
 ) {
-    check_case_n(specs, mode, force_interp, force_strategy, seed, 300);
+    check_case_n(specs, mode, force_interp, force_entry_major, seed, 300);
 }
 
 fn check_case_n(
     specs: &[QuerySpec],
     mode: CompileMode,
     force_interp: bool,
-    force_strategy: Option<BatchStrategy>,
+    force_entry_major: bool,
     seed: u64,
     len: usize,
 ) {
@@ -229,24 +250,20 @@ fn check_case_n(
     let batches = random_partition(&events, seed ^ 0xabcdef);
 
     let reference = per_event_engine(&program, &catalog(), force_interp, &events);
-    let batched = batched_engine(&program, &catalog(), force_interp, force_strategy, &batches);
+    let batched = batched_engine(
+        &program,
+        &catalog(),
+        force_interp,
+        force_entry_major,
+        &batches,
+    );
     assert_eq!(batched.stats().events, reference.stats().events);
-
-    // Forcing must actually disable the disallowed strategies.
-    let stats = batched.stats();
-    match force_strategy {
-        Some(BatchStrategy::EntryMajor) => {
-            assert_eq!(stats.batch_delta_runs, 0, "[{mode}] forced entry-major");
-            assert_eq!(stats.statement_major_runs, 0, "[{mode}] forced entry-major");
-        }
-        Some(BatchStrategy::StatementMajor) => {
-            assert_eq!(stats.batch_delta_runs, 0, "[{mode}] batch-delta disabled");
-        }
-        Some(BatchStrategy::BatchDelta) | None => {}
+    if force_entry_major {
+        assert_eq!(batched.stats().batch_delta_runs, 0, "[{mode}] forced");
     }
 
     let path = if force_interp { "interp" } else { "compiled" };
-    let strat = force_strategy.map_or("auto", |s| s.as_str());
+    let strat = if force_entry_major { "entry" } else { "auto" };
     assert_engines_identical(
         &reference,
         &batched,
@@ -255,81 +272,68 @@ fn check_case_n(
 }
 
 /// Guard the suite's own premise: the HO-compiled query set must exercise
-/// batch-delta (including the stream-scaled self-join, whose second delta
-/// keeps a surviving stream atom), the entry-major fallback must still exist for
-/// genuinely ineligible shapes, and disabling batch-delta must reveal the
-/// legacy statement-major dispatch.
+/// batch-delta on every relation (including the stream-scaled self-join, whose
+/// run-linear parts read another stream's stored slice), the nested shape
+/// must carry a `:=` tail on a batch-delta relation, re-evaluation mode must
+/// be batch-delta throughout (all tail), and the entry-major path must still
+/// exist for a genuinely ineligible shape.
 #[test]
-fn query_set_spans_all_batch_strategies() {
-    let program = compile(
-        &queries(),
-        &catalog(),
-        &CompileOptions::for_mode(CompileMode::HigherOrder),
-    )
-    .unwrap();
+fn query_set_spans_both_batch_strategies() {
+    use dbtoaster::compiler::StmtOp;
+    let ho = CompileOptions::for_mode(CompileMode::HigherOrder);
+    let program = compile(&queries(), &catalog(), &ho).unwrap();
     let dispatch = program.batch_dispatch();
     assert!(
         dispatch
             .iter()
-            .any(|d| d.strategy == BatchStrategy::BatchDelta),
-        "linear queries should derive batch-delta somewhere: {dispatch:?}"
+            .all(|d| d.strategy == BatchStrategy::BatchDelta),
+        "every relation of the main query set is batch-delta: {dispatch:?}"
     );
     assert!(
-        dispatch
+        program
+            .run_linear
             .iter()
-            .all(|d| d.strategy == BatchStrategy::BatchDelta),
-        "the stream-scaled self-join's surviving S atom now reads stored \
-         pre-run state, so every relation here is batch-delta: {dispatch:?}"
+            .any(|rl| !rl.statements.is_empty()),
+        "the self-joins need the overlay pass"
     );
-    // A cubic self-join has a nonzero *third* delta — permanently ineligible
-    // for batch-delta, so entry-major survives as the exact fallback. (Compiled only: the cubic per-event path is a known latent
-    // bug, see ROADMAP residue (c).)
-    let cubic = compile(
-        &[QuerySpec {
-            name: "CUBIC".into(),
-            out_vars: vec![],
-            expr: Expr::agg_sum(
-                Vec::<String>::new(),
-                Expr::product_of([
-                    Expr::rel("R", ["a", "b"]),
-                    Expr::rel("R", ["a2", "b"]),
-                    Expr::rel("R", ["a3", "b"]),
-                ]),
-            ),
-        }],
-        &catalog(),
-        &CompileOptions::for_mode(CompileMode::HigherOrder),
-    )
-    .unwrap();
+
+    let has_tail = |program: &dbtoaster::compiler::TriggerProgram, relation: &str| {
+        program
+            .triggers
+            .iter()
+            .filter(|t| t.relation == relation)
+            .all(|t| t.statements.iter().any(|s| s.op == StmtOp::Replace))
+    };
+    let nested = compile(&[nested_query()], &catalog(), &ho).unwrap();
+    let tailed: Vec<_> = nested
+        .batch_dispatch()
+        .into_iter()
+        .filter(|d| has_tail(&nested, &d.relation))
+        .collect();
+    assert!(
+        !tailed.is_empty(),
+        "NESTED lost its re-evaluation statement"
+    );
+    for d in &tailed {
+        assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{}", d.relation);
+        let t = &nested.triggers[d.insert.unwrap()];
+        assert!(!t.increments().is_empty(), "increments before the tail");
+    }
+    let rep = CompileOptions::for_mode(CompileMode::Reevaluate);
+    let reeval = compile(&queries(), &catalog(), &rep).unwrap();
+    for d in reeval.batch_dispatch() {
+        assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{}", d.relation);
+        assert!(has_tail(&reeval, &d.relation));
+    }
+
+    let cubic = compile(&[cubic_query()], &catalog(), &ho).unwrap();
     assert!(
         cubic
             .batch_dispatch()
             .iter()
-            .any(|d| d.strategy == BatchStrategy::EntryMajor),
-        "a cubic self-join must keep the entry-major fallback: {:?}",
-        cubic.batch_dispatch()
-    );
-    // Forcing statement-major recovers the pre-batch-delta dispatch.
-    let legacy = program.batch_dispatch_forced(Some(BatchStrategy::StatementMajor));
-    assert!(
-        legacy
-            .iter()
-            .all(|d| d.strategy != BatchStrategy::BatchDelta),
-        "forced statement-major must disable batch-delta: {legacy:?}"
-    );
-    assert!(
-        legacy
-            .iter()
-            .any(|d| d.strategy == BatchStrategy::StatementMajor),
-        "linear queries should allow statement-major somewhere: {legacy:?}"
-    );
-    // Forcing entry-major is the oracle: everything entry-major.
-    let oracle = program.batch_dispatch_forced(Some(BatchStrategy::EntryMajor));
-    assert!(
-        oracle
-            .iter()
             .all(|d| d.strategy == BatchStrategy::EntryMajor),
-        "forced entry-major must cover every relation: {oracle:?}"
+        "a cubic self-join must stay entry-major: {:?}",
+        cubic.batch_dispatch()
     );
 }
 
@@ -367,7 +371,7 @@ fn batch_sweep_queries_dispatch_batch_delta() {
 /// trigger variables (the alpha-renamed `{map}@@k{i}` columns). The R×R×R
 /// cubic chain used to panic at compile time and the R·S·R path chain used to
 /// diverge; here they must additionally stay bit-exact under every batch
-/// partition and every forced batch strategy. Streams are short — the cubic
+/// partition, also with entry-major forced. Streams are short — the cubic
 /// query is cubic in |R| and runs under Reevaluate + interpreter too.
 fn chain_queries() -> Vec<QuerySpec> {
     vec![
@@ -407,28 +411,22 @@ fn trigger_variable_chains_batch_bit_exact_all_modes() {
         CompileMode::Reevaluate,
     ] {
         for force_interp in [false, true] {
-            check_case_n(&chain_queries(), mode, force_interp, None, 7, 80);
+            check_case_n(&chain_queries(), mode, force_interp, false, 7, 80);
         }
     }
 }
 
 #[test]
-fn trigger_variable_chains_batch_bit_exact_forced_strategies() {
-    for force in [
-        Some(BatchStrategy::EntryMajor),
-        Some(BatchStrategy::StatementMajor),
-        Some(BatchStrategy::BatchDelta),
-    ] {
-        for force_interp in [false, true] {
-            check_case_n(
-                &chain_queries(),
-                CompileMode::HigherOrder,
-                force_interp,
-                force,
-                3,
-                80,
-            );
-        }
+fn trigger_variable_chains_batch_bit_exact_forced_entry_major() {
+    for force_interp in [false, true] {
+        check_case_n(
+            &chain_queries(),
+            CompileMode::HigherOrder,
+            force_interp,
+            true,
+            3,
+            80,
+        );
     }
 }
 
@@ -445,22 +443,26 @@ proptest! {
             CompileMode::Reevaluate,
         ] {
             for force_interp in [false, true] {
-                check_case(&queries(), mode, force_interp, None, seed);
+                check_case(&queries(), mode, force_interp, false, seed);
             }
         }
     }
 
+    /// The two shapes that need a program of their own: the `:=` tail and
+    /// the entry-major cubic self-join.
     #[test]
-    fn nested_aggregates_random_partitions_are_bit_exact(seed32 in 0u32..1_000_000u32) {
+    fn nested_and_cubic_random_partitions_are_bit_exact(seed32 in 0u32..1_000_000u32) {
         let seed = seed32 as u64;
-        for mode in [
-            CompileMode::HigherOrder,
-            CompileMode::FirstOrder,
-            CompileMode::NaiveViewlet,
-            CompileMode::Reevaluate,
-        ] {
-            for force_interp in [false, true] {
-                check_case(std::slice::from_ref(&nested_query()), mode, force_interp, None, seed);
+        for spec in [nested_query(), cubic_query()] {
+            for mode in [
+                CompileMode::HigherOrder,
+                CompileMode::FirstOrder,
+                CompileMode::NaiveViewlet,
+                CompileMode::Reevaluate,
+            ] {
+                for force_interp in [false, true] {
+                    check_case(std::slice::from_ref(&spec), mode, force_interp, false, seed);
+                }
             }
         }
     }
@@ -469,27 +471,19 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Same property under every forced batch strategy: the entry-major
-    /// oracle, the legacy statement-major dispatch, and explicit batch-delta
-    /// (which equals the automatic choice) must all stay bit-exact with
-    /// per-event processing.
+    /// Same property with the entry-major oracle forced: per-event firing
+    /// inside the batch must stay bit-exact with per-event processing.
     #[test]
-    fn forced_strategies_are_bit_exact(seed32 in 0u32..1_000_000u32) {
+    fn forced_entry_major_is_bit_exact(seed32 in 0u32..1_000_000u32) {
         let seed = seed32 as u64;
-        for force in [
-            Some(BatchStrategy::EntryMajor),
-            Some(BatchStrategy::StatementMajor),
-            Some(BatchStrategy::BatchDelta),
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
         ] {
-            for mode in [
-                CompileMode::HigherOrder,
-                CompileMode::FirstOrder,
-                CompileMode::NaiveViewlet,
-                CompileMode::Reevaluate,
-            ] {
-                for force_interp in [false, true] {
-                    check_case(&queries(), mode, force_interp, force, seed);
-                }
+            for force_interp in [false, true] {
+                check_case(&queries(), mode, force_interp, true, seed);
             }
         }
     }
@@ -602,12 +596,12 @@ fn batched_engine(
     program: &dbtoaster::compiler::TriggerProgram,
     catalog: &Catalog,
     force_interp: bool,
-    force_strategy: Option<BatchStrategy>,
+    force_entry_major: bool,
     batches: &[DeltaBatch],
 ) -> Engine {
     let mut batched = Engine::new(program.clone(), catalog);
     batched.set_force_interpreter(force_interp);
-    batched.set_force_batch_strategy(force_strategy);
+    batched.set_force_entry_major(force_entry_major);
     for b in batches {
         let report = batched.process_batch(b);
         assert!(report.first_error.is_none(), "{:?}", report.first_error);
@@ -617,8 +611,8 @@ fn batched_engine(
 
 /// `bsp` alone and `axf+bsp+bsv` in one engine, at the batch sizes the batch
 /// sweep and the server use and over random partitions, in all four compile
-/// modes, compiled and interpreted, under every strategy override: bit-exact
-/// against per-event processing. Re-evaluation mode recomputes a quadratic
+/// modes, compiled and interpreted, with and without the entry-major
+/// override: bit-exact against per-event processing. Re-evaluation mode recomputes a quadratic
 /// join per event, so it gets a shorter stream.
 #[test]
 fn order_book_self_joins_batch_bit_exact() {
@@ -646,22 +640,17 @@ fn order_book_self_joins_batch_bit_exact() {
             }
             for force_interp in [false, true] {
                 let reference = per_event_engine(&program, &catalog, force_interp, &events);
-                for force in [
-                    None,
-                    Some(BatchStrategy::StatementMajor),
-                    Some(BatchStrategy::EntryMajor),
-                ] {
+                for force in [false, true] {
                     for (label, batches) in &partitions {
                         let batched =
                             batched_engine(&program, &catalog, force_interp, force, batches);
                         assert_eq!(batched.stats().events, events.len() as u64);
-                        if mode == CompileMode::HigherOrder && force.is_none() {
+                        if mode == CompileMode::HigherOrder && !force {
                             // The dispatch is static: nothing re-routes a run.
                             assert_eq!(batched.stats().entry_major_runs, 0, "{names:?} {label}");
-                            assert_eq!(batched.stats().statement_major_runs, 0);
                         }
                         let path = if force_interp { "interp" } else { "compiled" };
-                        let strat = force.map_or("auto", |s| s.as_str());
+                        let strat = if force { "entry" } else { "auto" };
                         assert_engines_identical(
                             &reference,
                             &batched,
@@ -719,7 +708,7 @@ fn order_book_planted_runs_batch_bit_exact() {
                 let reference = per_event_engine(&program, &catalog, force_interp, &events);
                 // Not vacuous: the run moved the self-join results.
                 assert!(!reference.view("bsp").unwrap().is_empty());
-                let batched = batched_engine(&program, &catalog, force_interp, None, &batches);
+                let batched = batched_engine(&program, &catalog, force_interp, false, &batches);
                 assert_engines_identical(
                     &reference,
                     &batched,
@@ -727,6 +716,295 @@ fn order_book_planted_runs_batch_bit_exact() {
                 );
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Replace-tail runs: `+=` statements, the base update, then `:=` once
+// ---------------------------------------------------------------------------
+
+/// The run shapes the `:=` tail has to get right, planted as the second batch
+/// after `prefix`: the run's last event decides which sign trigger's `:=`
+/// statements fire, and its entry may have cancelled in-run or carry a net
+/// multiplicity beyond one. Every shape must land bit-exactly on per-event
+/// processing in all compile modes and both evaluators, and no higher-order
+/// run may leave batch-delta.
+fn check_planted_tail_runs(
+    program_for: &dyn Fn(CompileMode) -> (dbtoaster::compiler::TriggerProgram, Catalog),
+    prefix: &[UpdateEvent],
+    runs: &[(&str, Vec<UpdateEvent>)],
+    result: &str,
+) {
+    for (label, run) in runs {
+        let planted = DeltaBatch::from_events(run);
+        assert_eq!(planted.runs().len(), 1, "{label}: one relation run");
+        let events: Vec<UpdateEvent> = prefix.iter().chain(run).cloned().collect();
+        let batches = vec![DeltaBatch::from_events(prefix), planted];
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let (program, catalog) = program_for(mode);
+            for force_interp in [false, true] {
+                let reference = per_event_engine(&program, &catalog, force_interp, &events);
+                // Not vacuous: the result is live when the run ends.
+                assert!(!reference.view(result).unwrap().is_empty(), "{label}");
+                let batched = batched_engine(&program, &catalog, force_interp, false, &batches);
+                if mode == CompileMode::HigherOrder {
+                    assert_eq!(batched.stats().entry_major_runs, 0, "{label}");
+                }
+                assert_engines_identical(
+                    &reference,
+                    &batched,
+                    &format!("{label} [{mode}/interp={force_interp}]"),
+                );
+            }
+        }
+    }
+}
+
+/// `vwap`: three O(1) increments and the nested-aggregate `:=` per `Bids`
+/// trigger — the program the `book_nested` benchmark serves.
+#[test]
+fn vwap_replace_tail_planted_runs_batch_bit_exact() {
+    let ins = |t, id, price, volume| UpdateEvent::insert("Bids", order(t, id, 0, price, volume));
+    let del = |t, id, price, volume| UpdateEvent::delete("Bids", order(t, id, 0, price, volume));
+    let prefix = vec![
+        ins(1, 1, 2, 3),
+        ins(1, 2, 5, 2),
+        ins(2, 3, 1, 7),
+        ins(2, 4, 6, 4),
+        ins(3, 5, 4, 1),
+        ins(3, 5, 4, 1), // stored twice
+    ];
+    let runs = vec![
+        (
+            "last event an insert",
+            vec![del(1, 2, 5, 2), ins(4, 6, 7, 5), ins(4, 7, 3, 9)],
+        ),
+        (
+            "last event a delete",
+            vec![ins(4, 6, 7, 5), ins(4, 7, 3, 9), del(2, 3, 1, 7)],
+        ),
+        (
+            "last entry nets to zero",
+            vec![
+                ins(4, 6, 7, 5),
+                del(1, 1, 2, 3),
+                ins(4, 7, 3, 9),
+                del(4, 7, 3, 9),
+            ],
+        ),
+        (
+            "net multiplicity +2, then -2 last",
+            vec![
+                ins(4, 6, 7, 5),
+                ins(4, 6, 7, 5),
+                del(3, 5, 4, 1),
+                del(3, 5, 4, 1),
+            ],
+        ),
+        ("whole run cancels", vec![ins(4, 6, 7, 5), del(4, 6, 7, 5)]),
+    ];
+    check_planted_tail_runs(
+        &|mode| book_program(&["vwap"], mode),
+        &prefix,
+        &runs,
+        "vwap",
+    );
+}
+
+/// `NESTED`: `S` carries one increment and the `:=`; `R` only increments that
+/// read the map `S` maintains.
+#[test]
+fn nested_replace_tail_planted_runs_batch_bit_exact() {
+    let t = |a: i64, b: i64| vec![Value::long(a), Value::long(b)];
+    let prefix = vec![
+        UpdateEvent::insert("R", t(1, 2)),
+        UpdateEvent::insert("R", t(2, 5)),
+        UpdateEvent::insert("R", t(3, 9)),
+        UpdateEvent::insert("S", t(1, 4)),
+        UpdateEvent::insert("S", t(2, 3)),
+        UpdateEvent::insert("S", t(2, 3)), // stored twice
+    ];
+    let ins = |b, c| UpdateEvent::insert("S", t(b, c));
+    let del = |b, c| UpdateEvent::delete("S", t(b, c));
+    let runs = vec![
+        (
+            "last event an insert",
+            vec![del(1, 4), ins(3, 1), ins(4, 2)],
+        ),
+        ("last event a delete", vec![ins(3, 1), ins(4, 2), del(1, 4)]),
+        (
+            "last entry nets to zero",
+            vec![ins(3, 1), ins(4, 2), del(4, 2)],
+        ),
+        (
+            "net multiplicity +2, then -2 last",
+            vec![ins(3, 6), ins(3, 6), del(2, 3), del(2, 3)],
+        ),
+    ];
+    let program_for = |mode| {
+        let options = CompileOptions::for_mode(mode);
+        (
+            compile(&[nested_query()], &catalog(), &options).unwrap(),
+            catalog(),
+        )
+    };
+    check_planted_tail_runs(&program_for, &prefix, &runs, "NESTED");
+}
+
+/// A poison event in the middle of a replace-tail run: an order whose volume
+/// is a string fails `vwap`'s first increment. Collection aborts before
+/// anything is applied and the run replays entry-major, so the report's
+/// failure count and first error, and every map, equal per-event processing —
+/// there is no per-entry failure bookkeeping on the batch path to get wrong.
+#[test]
+fn poison_event_in_a_replace_tail_run_matches_per_event() {
+    let mut poison = order(5, 8, 0, 4, 1);
+    poison[4] = Value::str("not a volume");
+    let prefix = vec![
+        UpdateEvent::insert("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(2, 2, 0, 5, 2)),
+    ];
+    let run = vec![
+        UpdateEvent::insert("Bids", order(3, 3, 0, 1, 7)),
+        UpdateEvent::insert("Bids", order(4, 4, 0, 6, 4)),
+        UpdateEvent::insert("Bids", poison),
+        UpdateEvent::delete("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(6, 9, 0, 3, 2)),
+    ];
+    let (program, catalog) = book_program(&["vwap"], CompileMode::HigherOrder);
+    for force_interp in [false, true] {
+        let mut reference = Engine::new(program.clone(), &catalog);
+        reference.set_force_interpreter(force_interp);
+        let errors: Vec<_> = prefix
+            .iter()
+            .chain(&run)
+            .filter_map(|e| reference.process(e).err())
+            .collect();
+        assert_eq!(
+            errors.len(),
+            1,
+            "exactly the poison event fails: {errors:?}"
+        );
+
+        let mut batched = Engine::new(program.clone(), &catalog);
+        batched.set_force_interpreter(force_interp);
+        batched.set_run_recording(true);
+        let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
+        assert!(report.first_error.is_none());
+        let report = batched.process_batch(&DeltaBatch::from_events(&run));
+        assert_eq!(report.events, run.len() as u64);
+        assert_eq!(report.failed_events, 1);
+        assert_eq!(report.first_error.as_ref(), errors.first());
+        assert_eq!(report.runs.len(), 1);
+        assert_eq!(
+            report.runs[0].strategy,
+            BatchStrategy::EntryMajor,
+            "replayed"
+        );
+        assert_eq!(batched.stats().events, reference.stats().events);
+        assert!(!reference.view("vwap").unwrap().is_empty());
+        assert_engines_identical(
+            &reference,
+            &batched,
+            &format!("poisoned run [interp={force_interp}]"),
+        );
+    }
+}
+
+/// Timing-free work guard for the tail: at batch 512 a `:=` statement is
+/// evaluated once per run, not once per event — `vwap` in higher-order mode
+/// (three increments per event plus the tail) and `q1` in re-evaluation mode
+/// (nothing but tails) — and no run leaves batch-delta. The streams are
+/// insert-only with distinct keys, so firings equal events.
+#[test]
+fn replace_statements_fire_once_per_run_not_per_event() {
+    use dbtoaster::compiler::StmtOp;
+    use dbtoaster::prelude::*;
+    use dbtoaster::workloads;
+    let book = workloads::finance::generate(&workloads::FinanceConfig {
+        events: 2_048,
+        seed: 42,
+        ..Default::default()
+    });
+    let mut tpch = workloads::tpch::generate(&workloads::TpchConfig::scaled(0.002, 42));
+    tpch.truncate(1_024);
+    for (name, mode, data) in [
+        ("vwap", CompileMode::HigherOrder, book),
+        ("q1", CompileMode::Reevaluate, tpch),
+    ] {
+        let q = workloads::query(name).unwrap();
+        let mut engine = QueryEngineBuilder::new(workloads::full_catalog())
+            .add_query(q.name, q.sql)
+            .mode(mode)
+            .build()
+            .unwrap();
+        for (table, rows) in &data.tables {
+            engine.load_table(table, rows.clone()).unwrap();
+        }
+        engine.init().unwrap();
+        engine.set_run_recording(true);
+        // Statements per firing, by kind, of each relation's insert trigger.
+        let shape: Vec<(String, u64, u64)> = engine
+            .program()
+            .triggers
+            .iter()
+            .filter(|t| t.sign == UpdateSign::Insert)
+            .map(|t| {
+                let replaces = t.statements.iter().filter(|s| s.op == StmtOp::Replace);
+                (
+                    t.relation.clone(),
+                    t.increments().len() as u64,
+                    replaces.count() as u64,
+                )
+            })
+            .collect();
+        assert!(shape.iter().any(|(_, _, r)| *r > 0), "{name}: no `:=` left");
+        let inserts: Vec<UpdateEvent> = data
+            .events
+            .iter()
+            .filter(|e| e.sign == UpdateSign::Insert)
+            .filter(|e| shape.iter().any(|(rel, _, _)| *rel == e.relation))
+            .cloned()
+            .collect();
+        let (mut expected, mut runs) = (0u64, 0u64);
+        for chunk in inserts.chunks(512) {
+            let batch = DeltaBatch::from_events(chunk);
+            let report = engine.process_batch(&batch);
+            assert!(
+                report.first_error.is_none(),
+                "{name}: {:?}",
+                report.first_error
+            );
+            for (run, rec) in batch.runs().iter().zip(&report.runs) {
+                assert_eq!(rec.strategy, BatchStrategy::BatchDelta, "{name}");
+                let (_, increments, replaces) = shape
+                    .iter()
+                    .find(|(rel, _, _)| rel == run.relation())
+                    .unwrap();
+                let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
+                assert_eq!(firings, run.events(), "{name}: distinct insert keys");
+                expected += increments * firings + replaces;
+                runs += 1;
+            }
+        }
+        let stats = engine.stats();
+        assert_eq!(stats.entry_major_runs, 0, "{name}");
+        assert_eq!(stats.batch_delta_runs, runs, "{name}");
+        assert!(
+            runs < stats.events / 100,
+            "{name}: {runs} runs for {} events",
+            stats.events
+        );
+        assert_eq!(
+            stats.statements, expected,
+            "{name}: a `:=` fired per event ({} events, {runs} runs)",
+            stats.events
+        );
     }
 }
 
