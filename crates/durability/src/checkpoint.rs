@@ -112,8 +112,8 @@ pub struct Checkpoint {
 
 /// Serialize a snapshot to `dir` under the atomic-rename protocol and return
 /// the final path. `maps` is the engine's [`snapshot`](dbtoaster_runtime::Engine::snapshot)
-/// output — shared copy-on-write GMRs, so the caller's hot path pays nothing
-/// while this runs.
+/// output — shared immutable GMRs, so the caller's hot path does not wait
+/// while this runs (it copies, instead of recycling, the buffers held here).
 pub fn write_checkpoint<'a>(
     dir: &Path,
     fingerprint: u64,

@@ -204,6 +204,14 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     );
 
     // --- Phase 3: replay the remainder and converge ------------------------
+    // Checkpoints are taken mid-run here too, and the checkpoint thread holds
+    // the snapshot it serializes: the writer must copy around those buffers,
+    // never patch them, for the state below to stay bit-exact.
+    let pinned_copies = |server: &ViewServer| -> u64 {
+        let views = server.metrics().views;
+        views.iter().map(|v| v.snapshot_full_copies[1]).sum()
+    };
+    let (pinned_before, checkpoints_before) = (pinned_copies(&server), stats.checkpoints_taken);
     let n = server
         .handle()
         .send_batch(stream[applied..].to_vec())
@@ -215,6 +223,19 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     assert_eq!(final_stats.events as usize, EVENTS);
     assert!(final_stats.wal_bytes_written > 0);
     assert_snapshot_matches_engine(&reader.snapshot(), &reference, "after full replay");
+    // Nothing but the checkpoint thread held a snapshot during the replay, so
+    // full copies forced by a pinned buffer track checkpoints (at most one
+    // per view per checkpoint, one more for a checkpoint still being
+    // written) — not publishes, of which there were dozens.
+    let checkpoints = final_stats.checkpoints_taken - checkpoints_before;
+    let pinned = pinned_copies(&server) - pinned_before;
+    let views = server.metrics().views.len() as u64;
+    assert!(checkpoints >= 1, "the replay was long enough to checkpoint");
+    assert!(
+        pinned <= (checkpoints + 1) * views,
+        "{pinned} pinned-buffer copies for {checkpoints} checkpoints over {views} views"
+    );
+    assert!(final_stats.snapshots_published > 4 * (checkpoints + 1));
 
     // --- Phase 4: clean shutdown reopens with zero replay ------------------
     let engine = server.shutdown().unwrap();

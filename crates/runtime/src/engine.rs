@@ -77,7 +77,7 @@
 //! telescoping sum over merged runs is exact, and interleaved streams (e.g.
 //! alternating bids/asks) collapse from many short runs into one per relation.
 
-use crate::store::{CachedSource, Database, ViewMap};
+use crate::store::{CachedSource, Database, SnapshotWork, ViewMap};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::{
     eval_with, eval_with_scratch, Bindings, EvalError, EvalScratch, RelationSource,
@@ -277,9 +277,10 @@ pub struct RunRecord {
 /// Runtime statistics: event counts, processing time and memory footprint.
 ///
 /// The serving-level counters (`batches`, `snapshots_published`,
-/// `subscriber_deltas`) stay zero on a plain single-threaded engine; the
-/// serving layer fills them in and surfaces the merged view through
-/// `ViewServer::stats()`.
+/// `subscriber_deltas`, `snapshot_*`) stay zero on a plain single-threaded
+/// engine; the serving layer fills them in and surfaces the merged view
+/// through `ViewServer::stats()`. ([`Engine::snapshot`] takes `&self`; a plain
+/// engine's snapshot work is read from [`Engine::snapshot_work`].)
 #[derive(Clone, Debug)]
 pub struct EngineStats {
     /// Events processed so far. On a plain engine only successfully applied
@@ -305,6 +306,15 @@ pub struct EngineStats {
     pub batch_events_collapsed: u64,
     /// Snapshots published for concurrent readers.
     pub snapshots_published: u64,
+    /// Logged keys replayed into recycled snapshot buffers, over all views
+    /// and every snapshot taken (publishes and checkpoint hand-offs).
+    pub snapshot_keys_patched: u64,
+    /// Entries copied by full snapshot copies, over all views.
+    pub snapshot_entries_copied: u64,
+    /// Per-view full copies taken instead of a patch (first two snapshots of
+    /// a view, a pinned buffer, an abandoned write log; `/metrics` splits
+    /// them by reason).
+    pub snapshot_full_copies: u64,
     /// Output-delta records fanned out to subscribers (sum over subscribers).
     pub subscriber_deltas: u64,
     /// Bytes appended to the write-ahead log by a durable serving writer.
@@ -345,6 +355,9 @@ impl Default for EngineStats {
             delta_batches: 0,
             batch_events_collapsed: 0,
             snapshots_published: 0,
+            snapshot_keys_patched: 0,
+            snapshot_entries_copied: 0,
+            snapshot_full_copies: 0,
             subscriber_deltas: 0,
             wal_bytes_written: 0,
             checkpoints_taken: 0,
@@ -1016,9 +1029,18 @@ impl Engine {
     }
 
     /// A consistent point-in-time snapshot of every view and stored relation:
-    /// name → GMR sharing the view's copy-on-write map. O(number of views).
+    /// name → shared GMR. Costs O(number of views) plus the keys written since
+    /// the previous two snapshots — each written view patches a recycled
+    /// buffer — or a full copy of a view whose buffer a reader still holds
+    /// (see [`crate::store`]).
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
         self.db.snapshot()
+    }
+
+    /// What the snapshots taken so far cost, summed over views: keys patched,
+    /// entries copied, full copies by reason.
+    pub fn snapshot_work(&self) -> SnapshotWork {
+        self.db.snapshot_work()
     }
 
     /// Mutable access to the statistics (the serving layer records batch-level
@@ -1949,6 +1971,17 @@ impl Engine {
             }
             if let Some(v) = self.db.view(&ts.map_names[i]) {
                 view.map_size.store(v.len() as u64, Relaxed);
+                let w = v.snapshot_work();
+                view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
+                view.snapshot_entries_copied
+                    .store(w.entries_copied, Relaxed);
+                for (slot, n) in view.snapshot_full_copies.iter().zip([
+                    w.first_copies,
+                    w.pinned_copies,
+                    w.abandoned_copies,
+                ]) {
+                    slot.store(n, Relaxed);
+                }
             }
         }
         ts.tel.add_events(

@@ -45,7 +45,7 @@ pub use engine::{
     BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample, ViewChange,
 };
 pub use shard::{shard_for, ExchangeStats, ShardedEngine};
-pub use store::{CachedSource, Database, ViewMap};
+pub use store::{CachedSource, Database, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{
     HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -58,7 +58,7 @@ pub mod prelude {
         ViewChange,
     };
     pub use crate::shard::{shard_for, ExchangeStats, ShardedEngine};
-    pub use crate::store::{CachedSource, Database, ViewMap};
+    pub use crate::store::{CachedSource, Database, SnapshotWork, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
     };

@@ -32,12 +32,28 @@
 //! the [`RelationSource`] trait) can build an index on first use; afterwards every
 //! partial lookup is a hash probe, which is what gives compiled trigger statements
 //! their constant-time behaviour.
+//!
+//! ## Snapshots cost what was written, not what is stored
+//!
+//! [`ViewMap::to_gmr`] hands readers a plain `Arc<FastMap<Tuple, f64>>`. A view
+//! that is snapshotted keeps the last **two** buffers it handed out and an
+//! append-only log of the keys written since the older one was current; the
+//! next snapshot takes the older buffer back, and if nobody else still holds
+//! it, *patches* it — per logged key, copy the live multiplicity or remove the
+//! key — instead of copying the map. A snapshot therefore costs O(keys written
+//! in the last two epochs). It falls back to one full O(n) copy when the
+//! buffer is still pinned (a reader, a subscriber baseline, the checkpoint
+//! thread), when the view has not yet handed out two buffers, or when the log
+//! was abandoned (`clear`, `load_gmr`, or more logged writes than
+//! `1/PATCH_BUDGET_DIVISOR` of the entries). Steady state is three resident
+//! copies of a written view's primary map: the live one and the two buffers
+//! (secondary indexes are never copied). Logging starts at a view's first
+//! snapshot, so an engine that never snapshots pays one branch per write.
 
 use dbtoaster_agca::eval::{EvalError, RelationSource};
 use dbtoaster_gmr::hash::fast_map_with_capacity;
 use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A secondary index: projected key → (full key → multiplicity). Multiplicities
 /// are mirrored into the buckets so a partial-pattern scan is pure iteration —
@@ -53,40 +69,144 @@ type Index = FastMap<Tuple, FastMap<Tuple, f64>>;
 /// which never actually copies on the engine's single-threaded write path
 /// (no scan handle is alive while `&mut self` methods run).
 type IndexRegistry = FastMap<u64, Arc<Index>>;
-/// A cached snapshot: the shared map and the view version it reflects.
-type SnapshotCache = Option<(u64, Arc<FastMap<Tuple, f64>>)>;
+/// What readers get: an immutable shared copy of a view's primary map.
+type Buffer = Arc<FastMap<Tuple, f64>>;
+
+/// Both locks of a [`ViewMap`] guard values that are consistent after every
+/// single update (the index registry only sees whole-entry inserts and
+/// `clear`; for the snapshot state see [`SnapshotState`]), so a lock poisoned
+/// by a panicking visitor is recovered rather than propagated.
+fn unpoisoned<G>(lock_result: Result<G, PoisonError<G>>) -> G {
+    lock_result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The write log is abandoned — and the next snapshots are full copies — once
+/// it holds more keys than `len() / PATCH_BUDGET_DIVISOR`. Measured on
+/// `tpch_dash` (310k entries in 45 views, seed 42, 2-core host; the
+/// benchmark's batch-512 pass, a snapshot every fourth batch): a full copy
+/// costs 46–65 ns per entry — building it and freeing the buffer it replaces,
+/// 14–20 ms per snapshot before buffers were recycled — and a patched key
+/// 265–490 ns (3.1–5.7 ms per 11.6k logged keys), because each one is a probe
+/// into the live map and an insert into a buffer that has fallen out of the
+/// caches. Run back to back, one logged key is worth 7–8 copied entries, so
+/// at 8 a patch costs at most about what the copy would have. The same bound
+/// keeps the log under an eighth of the view's key count however long a view
+/// goes between snapshots, and sends small hot views (a handful of groups,
+/// hundreds of writes per batch) down the copy branch, which for them is the
+/// cheap one.
+const PATCH_BUDGET_DIVISOR: usize = 8;
+
+/// Work done by [`ViewMap::to_gmr`] since the view was created (summed over
+/// views by [`Database::snapshot_work`]). Timing-free: the counts depend only
+/// on the sequence of writes, snapshots and buffer holds.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SnapshotWork {
+    /// Logged keys replayed into a reclaimed buffer (duplicates included).
+    pub keys_patched: u64,
+    /// Entries copied by full copies.
+    pub entries_copied: u64,
+    /// Full copies because the view had not yet handed out two buffers.
+    pub first_copies: u64,
+    /// Full copies because someone still held the buffer due for reuse — a
+    /// reader that never lets go, a subscriber baseline, a checkpoint being
+    /// written.
+    pub pinned_copies: u64,
+    /// Full copies (up to two per abandonment) because the write log was
+    /// abandoned: a `clear`/`load_gmr`, or more writes than the patch budget.
+    pub abandoned_copies: u64,
+}
+
+impl SnapshotWork {
+    /// Full copies for any reason.
+    pub fn full_copies(&self) -> u64 {
+        self.first_copies + self.pinned_copies + self.abandoned_copies
+    }
+}
+
+impl std::ops::AddAssign for SnapshotWork {
+    fn add_assign(&mut self, o: SnapshotWork) {
+        self.keys_patched += o.keys_patched;
+        self.entries_copied += o.entries_copied;
+        self.first_copies += o.first_copies;
+        self.pinned_copies += o.pinned_copies;
+        self.abandoned_copies += o.abandoned_copies;
+    }
+}
+
+/// The buffers a view has handed out and the log that brings them up to date.
+/// Every update leaves it consistent: a buffer is taken out before it is
+/// patched, and the log is trimmed only after.
+#[derive(Debug, Default)]
+struct SnapshotState {
+    /// The buffer handed out last: `data` as of `log[mark..]` not yet applied.
+    /// `Some` is also what turns write logging on.
+    newer: Option<Buffer>,
+    /// The buffer handed out before it: `data` as of none of `log` applied.
+    older: Option<Buffer>,
+    /// Keys written since `older` was current (since `newer`, while there is
+    /// no `older`), in write order, duplicates included.
+    log: Vec<Tuple>,
+    /// `log[..mark]` was written before `newer` was handed out.
+    mark: usize,
+    /// The log was abandoned and no patch has succeeded since.
+    abandoned: bool,
+    work: SnapshotWork,
+}
+
+impl SnapshotState {
+    /// Log one written key of a view that holds `entries` entries. Out of
+    /// line, so the write loop of a view that is never snapshotted stays as
+    /// small as it was before there was a log.
+    #[inline(never)]
+    fn log_key(&mut self, key: &Tuple, entries: usize) {
+        self.log.push(key.clone());
+        if self.log.len() * PATCH_BUDGET_DIVISOR > entries {
+            self.abandon();
+        }
+    }
+
+    /// Give up on patching: forget both buffers (their holders keep them
+    /// alive) and stop logging until the next snapshot.
+    fn abandon(&mut self) {
+        if self.newer.is_some() {
+            self.newer = None;
+            self.older = None;
+            self.log.clear();
+            self.mark = 0;
+            self.abandoned = true;
+        }
+    }
+}
 
 /// A materialized view: tuples over a fixed-arity key mapped to `f64` multiplicities,
 /// with secondary hash indexes per binding pattern.
 ///
 /// [`ViewMap::to_gmr`] hands out an immutable *shared* snapshot of the map
-/// ([`Gmr::from_shared`]) through a version-stamped cache: repeated snapshots
-/// of an unmutated view are O(1) Arc clones, and the O(n) copy is paid at most
-/// once per snapshot-after-mutation — at snapshot time, never on the write
-/// path. Writes stay plain hash-map operations with zero synchronization
-/// overhead (a version bump is one integer increment); this is what lets the
-/// serving layer publish consistent snapshots per micro-batch without slowing
-/// the single-threaded trigger hot path.
+/// ([`Gmr::from_shared`]): O(1) while the view is unwritten since the last one,
+/// otherwise O(keys written since the reused buffer was current) — see the
+/// module docs for when that degrades to a full copy. The write path pays one
+/// branch (is the view being snapshotted?) and, when it is, one key clone into
+/// the log; this is what lets the serving layer publish consistent snapshots
+/// per micro-batch without slowing the single-threaded trigger hot path.
 #[derive(Debug)]
 pub struct ViewMap {
     schema: Schema,
     data: FastMap<Tuple, f64>,
-    /// Bumped on every mutation; stamps the snapshot cache.
-    version: u64,
-    /// Last snapshot handed out, valid while its version matches.
-    snapshot_cache: RwLock<SnapshotCache>,
+    /// Snapshot buffers, write log and work counters.
+    snapshots: Mutex<SnapshotState>,
     /// Secondary indexes: bitmask of bound key positions → shared index.
     indexes: RwLock<IndexRegistry>,
 }
 
+/// A clone starts with no snapshot buffers of its own: sharing the source's
+/// would pin them.
 impl Clone for ViewMap {
     fn clone(&self) -> Self {
         ViewMap {
             schema: self.schema.clone(),
             data: self.data.clone(),
-            version: self.version,
-            snapshot_cache: RwLock::new(self.snapshot_cache.read().clone()),
-            indexes: RwLock::new(self.indexes.read().clone()),
+            snapshots: Mutex::default(),
+            indexes: RwLock::new(unpoisoned(self.indexes.read()).clone()),
         }
     }
 }
@@ -97,9 +217,8 @@ impl ViewMap {
         ViewMap {
             schema,
             data: FastMap::default(),
-            version: 0,
-            snapshot_cache: RwLock::new(None),
-            indexes: RwLock::new(IndexRegistry::default()),
+            snapshots: Mutex::default(),
+            indexes: RwLock::default(),
         }
     }
 
@@ -137,40 +256,47 @@ impl ViewMap {
         if mult == 0.0 {
             return;
         }
-        self.version = self.version.wrapping_add(1);
-        self.add_unversioned(key.into(), mult);
+        let key = key.into();
+        self.log_write(&key);
+        self.add_unlogged(key, mult);
     }
 
     /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
-    /// in iteration order, with **one** version bump — i.e. one snapshot-cache
-    /// invalidation — for the whole batch instead of one per write, and
-    /// `on_write` invoked per applied row (the engine's change-log hook).
+    /// in iteration order, with `on_write` invoked per applied row (the
+    /// engine's change-log hook).
     pub fn add_rows<'a>(
         &mut self,
         rows: impl IntoIterator<Item = (&'a Tuple, f64)>,
         on_write: &mut dyn FnMut(&Tuple),
     ) {
-        let mut bumped = false;
         for (key, mult) in rows {
             if mult == 0.0 {
                 continue;
             }
-            if !bumped {
-                self.version = self.version.wrapping_add(1);
-                bumped = true;
-            }
             on_write(key);
-            self.add_unversioned(key.clone(), mult);
+            self.log_write(key);
+            self.add_unlogged(key.clone(), mult);
+        }
+    }
+
+    /// Record a write for the snapshot buffers: nothing (one branch) until the
+    /// view's first snapshot, then one key clone, until the log outgrows the
+    /// patch budget and is abandoned.
+    #[inline]
+    fn log_write(&mut self, key: &Tuple) {
+        let s = unpoisoned(self.snapshots.get_mut());
+        if s.newer.is_some() {
+            s.log_key(key, self.data.len());
         }
     }
 
     /// The shared write path behind [`ViewMap::add`] / [`ViewMap::add_rows`]:
-    /// everything except the version bump. `mult` must be non-zero.
-    fn add_unversioned(&mut self, key: Tuple, mult: f64) {
+    /// everything except the snapshot log. `mult` must be non-zero.
+    fn add_unlogged(&mut self, key: Tuple, mult: f64) {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
 
-        let indexes = self.indexes.get_mut();
+        let indexes = unpoisoned(self.indexes.get_mut());
         if indexes.is_empty() {
             // Fast path: no index maintenance, no key clone.
             match self.data.entry(key) {
@@ -231,9 +357,9 @@ impl ViewMap {
 
     /// Remove all entries (used by `:=` statements).
     pub fn clear(&mut self) {
-        self.version = self.version.wrapping_add(1);
+        unpoisoned(self.snapshots.get_mut()).abandon();
         self.data.clear();
-        self.indexes.get_mut().clear();
+        unpoisoned(self.indexes.get_mut()).clear();
     }
 
     /// Stream the entries matching a partial binding pattern into `visit`,
@@ -262,7 +388,7 @@ impl ViewMap {
         // Clone the index handle and drop the registry guard before visiting:
         // visitors may re-enter `for_each` (compiled kernels nest scans), and
         // a nested `ensure_index` must be able to take the write lock.
-        let index = self.indexes.read().get(&mask).cloned();
+        let index = unpoisoned(self.indexes.read()).get(&mask).cloned();
         if let Some(bucket) = index.as_ref().and_then(|idx| idx.get(&probe)) {
             for (k, &m) in bucket.iter() {
                 visit(k, m);
@@ -280,7 +406,7 @@ impl ViewMap {
 
     /// Build (if needed) the secondary index for a binding-pattern mask.
     pub fn ensure_index(&self, mask: u64) {
-        if mask == 0 || self.indexes.read().contains_key(&mask) {
+        if mask == 0 || unpoisoned(self.indexes.read()).contains_key(&mask) {
             return;
         }
         let mut index: Index = fast_map_with_capacity(self.data.len());
@@ -290,24 +416,56 @@ impl ViewMap {
                 .or_default()
                 .insert(k.clone(), m);
         }
-        self.indexes.write().insert(mask, Arc::new(index));
+        unpoisoned(self.indexes.write()).insert(mask, Arc::new(index));
     }
 
     /// Snapshot the view contents as an immutable shared GMR. O(1) while the
-    /// view is unmutated since the last snapshot (the cached Arc is reused);
-    /// otherwise one O(n) copy, paid here rather than on the write path.
+    /// view is unwritten since the last snapshot (the same buffer is handed out
+    /// again); otherwise the older of the two buffers is brought up to date
+    /// from the write log, or — when it is pinned, missing, or the log was
+    /// abandoned — replaced by one O(n) copy (see the module docs).
     pub fn to_gmr(&self) -> Gmr {
-        {
-            let cache = self.snapshot_cache.read();
-            if let Some((version, arc)) = cache.as_ref() {
-                if *version == self.version {
-                    return Gmr::from_shared(self.schema.clone(), arc.clone());
-                }
-            }
+        let mut guard = unpoisoned(self.snapshots.lock());
+        let s = &mut *guard;
+        if let Some(newer) = s.newer.as_ref().filter(|_| s.log.len() == s.mark) {
+            return Gmr::from_shared(self.schema.clone(), newer.clone());
         }
-        let arc = Arc::new(self.data.clone());
-        *self.snapshot_cache.write() = Some((self.version, arc.clone()));
-        Gmr::from_shared(self.schema.clone(), arc)
+        let mut reused = s.older.take();
+        let current = match reused.as_mut().and_then(Arc::get_mut) {
+            Some(buffer) => {
+                for key in &s.log {
+                    match self.data.get(key) {
+                        Some(&m) => drop(buffer.insert(key.clone(), m)),
+                        None => drop(buffer.remove(key)),
+                    }
+                }
+                s.work.keys_patched += s.log.len() as u64;
+                s.abandoned = false;
+                reused.expect("patched in place")
+            }
+            None => {
+                if reused.is_some() {
+                    s.work.pinned_copies += 1;
+                } else if s.abandoned {
+                    s.work.abandoned_copies += 1;
+                } else {
+                    s.work.first_copies += 1;
+                }
+                s.work.entries_copied += self.data.len() as u64;
+                Arc::new(self.data.clone())
+            }
+        };
+        // Rotate: what was newer is now the older buffer, and the log keeps
+        // only what was written since it was handed out.
+        s.log.drain(..s.mark);
+        s.mark = s.log.len();
+        s.older = s.newer.replace(current.clone());
+        Gmr::from_shared(self.schema.clone(), current)
+    }
+
+    /// Cumulative snapshot work of this view (see [`SnapshotWork`]).
+    pub fn snapshot_work(&self) -> SnapshotWork {
+        unpoisoned(self.snapshots.lock()).work
     }
 
     /// Replace the contents of the view from a GMR (columns matched by name when the
@@ -315,17 +473,9 @@ impl ViewMap {
     pub fn load_gmr(&mut self, gmr: &Gmr) {
         self.clear();
         if gmr.schema() == &self.schema {
-            // Identical schemas: copy the map wholesale; a shared source also
-            // primes the snapshot cache (the contents are identical).
-            match gmr.shared_data() {
-                Some(arc) => {
-                    self.data = (**arc).clone();
-                    *self.snapshot_cache.get_mut() = Some((self.version, arc.clone()));
-                }
-                None => {
-                    self.data = gmr.iter().map(|(t, m)| (t.clone(), m)).collect();
-                }
-            }
+            // Identical schemas: copy the map wholesale (`clear` stopped the
+            // snapshot log, so bypassing `add` loses nothing).
+            self.data = gmr.iter().map(|(t, m)| (t.clone(), m)).collect();
             return;
         }
         let positions: Option<Vec<usize>> = if gmr.schema().same_columns(&self.schema) {
@@ -360,9 +510,7 @@ impl ViewMap {
                 }
         };
         let base: usize = self.data.keys().map(entry).sum();
-        let idx: usize = self
-            .indexes
-            .read()
+        let idx: usize = unpoisoned(self.indexes.read())
             .values()
             .map(|i| {
                 i.iter()
@@ -443,13 +591,25 @@ impl Database {
         self.maps.values().map(|m| m.approx_bytes()).sum()
     }
 
-    /// A consistent point-in-time snapshot of every view: name → GMR sharing the
-    /// view's copy-on-write map. O(number of views), independent of their sizes.
+    /// A consistent point-in-time snapshot of every view: name → shared GMR
+    /// ([`ViewMap::to_gmr`]). Costs the name table (O(number of views)) plus,
+    /// per view, the keys written since the buffer it reuses was current — or
+    /// a full copy of the view where that buffer is pinned or its log was
+    /// abandoned.
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
         self.maps
             .iter()
             .map(|(n, v)| (n.clone(), v.to_gmr()))
             .collect()
+    }
+
+    /// Snapshot work summed over all views.
+    pub fn snapshot_work(&self) -> SnapshotWork {
+        let mut total = SnapshotWork::default();
+        for v in self.maps.values() {
+            total += v.snapshot_work();
+        }
+        total
     }
 }
 

@@ -240,6 +240,51 @@ fn overlay_pass_allocates_nothing_in_steady_state() {
     assert_eq!(engine.result("SELFJ").unwrap().scalar_value(), 0.0);
 }
 
+/// A publish must not allocate per entry: with a fixed key set (writes only
+/// change multiplicities), a steady-state [`Engine::snapshot`] after a batch
+/// patches recycled buffers in place and allocates only the name → GMR table
+/// it returns (plus a fresh copy of the one-entry result, whose write log
+/// never fits the patch budget) — O(#views), whatever the views hold.
+#[test]
+fn steady_state_snapshot_allocates_per_view_not_per_entry() {
+    const KEYS: i64 = 8_192;
+    let mut engine = build_engine();
+    engine.process_all(&events(KEYS, 0)).unwrap();
+    // Two alternating batches over 64 of the keys: the second undoes the
+    // first, so no entry is ever inserted or removed.
+    let churn = churn_events(64);
+    let (up, down): (Vec<_>, Vec<_>) = churn.chunks(4).map(|c| (&c[..2], &c[2..])).unzip();
+    let batches = [up.concat(), down.concat()];
+
+    // The serving writer's hold pattern: the previous snapshot is dropped only
+    // once the next one exists. Warm-up hands out both buffers of every view
+    // and sizes the write logs.
+    let mut last = engine.snapshot();
+    for round in 0..6 {
+        engine.process_all(&batches[round % 2]).unwrap();
+        last = engine.snapshot();
+    }
+    let views = last.len() as u64;
+    let entries: usize = last.values().map(|g| g.len()).sum();
+    assert!(entries > 2 * KEYS as usize, "the views hold the key set");
+
+    for round in 0..4 {
+        engine.process_all(&batches[round % 2]).unwrap();
+        let (work, before) = (engine.snapshot_work(), alloc_count());
+        let next = engine.snapshot();
+        let allocs = alloc_count() - before;
+        let work_after = engine.snapshot_work();
+        assert!(
+            allocs <= 4 * views,
+            "snapshot() of {entries} entries in {views} views allocated {allocs} times"
+        );
+        assert!(work_after.keys_patched > work.keys_patched);
+        assert!(work_after.entries_copied - work.entries_copied <= views);
+        last = next;
+    }
+    drop(last);
+}
+
 #[test]
 fn per_event_allocations_are_small_and_constant() {
     let mut engine = build_engine();

@@ -13,10 +13,12 @@
 //!   queue, fires the compiled triggers, and publishes after every batch.
 //! * **Snapshots** — publication swaps an `Arc<`[`Snapshot`]`>` into an
 //!   [`EpochCell`]: an epoch-pinned pointer cell whose read
-//!   path is wait-free and whose publish never waits on readers. Snapshots are
-//!   cheap because every view's tuple map is copy-on-write
-//!   ([`Gmr::shared_data`](dbtoaster_gmr::Gmr::shared_data)) — taking one is
-//!   O(#views), not O(total entries).
+//!   path is wait-free and whose publish never waits on readers. Taking a
+//!   snapshot costs O(#views) plus the keys written since the previous two:
+//!   every written view patches a recycled buffer
+//!   ([`Gmr::shared_data`](dbtoaster_gmr::Gmr::shared_data) is what readers
+//!   get) and copies its whole map only when a reader, subscriber baseline or
+//!   checkpoint still holds that buffer, or a bulk write outgrew the log.
 //! * **Subscriptions** — consumers register for a query's **output deltas**:
 //!   after each batch the writer turns the engine's changed-key log into
 //!   `(key, old multiplicity, new multiplicity)` records per subscribed query

@@ -17,8 +17,11 @@
 //! [`UpdateEvent`]s through a bounded channel ([`IngestHandle::send`] applies
 //! backpressure when the queue is full). The writer drains up to
 //! [`ServerConfig::max_batch`] queued events at a time, fires the compiled
-//! triggers for each, and then **publishes**: it takes an O(#views) snapshot
-//! (each view's copy-on-write map is shared, not copied), computes per-query
+//! triggers for each, and then **publishes**: it takes a snapshot (O(#views)
+//! plus the keys written since the last two — each written view patches the
+//! buffer it handed out two publishes ago, which the writer and the
+//! [`EpochCell`] have dropped by then unless a reader pinned it; a pinned
+//! buffer costs that view one full copy), computes per-query
 //! output deltas from the engine's changed-key log, swaps the snapshot into an
 //! [`EpochCell`], and fans the deltas out to subscribers.
 //!
@@ -73,7 +76,8 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Coalescing window: under sustained load the writer publishes a fresh
     /// snapshot at least this often rather than after every drained batch,
-    /// amortizing the per-publish copy-on-write cost. Zero publishes after
+    /// amortizing the per-publish cost (the name table, and a patch or copy
+    /// per written view). Zero publishes after
     /// every batch. Barriers ([`ViewServer::flush`]) always force a publish,
     /// so staleness is bounded by this interval.
     pub publish_interval: Duration,
@@ -334,6 +338,11 @@ struct StatsCell {
     delta_batches: AtomicU64,
     batch_events_collapsed: AtomicU64,
     snapshots_published: AtomicU64,
+    /// Snapshot work summed over views, mirrored from the engine after each
+    /// publish.
+    snapshot_keys_patched: AtomicU64,
+    snapshot_entries_copied: AtomicU64,
+    snapshot_full_copies: AtomicU64,
     subscriber_deltas: AtomicU64,
     wal_bytes_written: AtomicU64,
     checkpoints_taken: AtomicU64,
@@ -443,6 +452,9 @@ impl ViewServer {
                 delta_batches: AtomicU64::new(engine.stats().delta_batches),
                 batch_events_collapsed: AtomicU64::new(engine.stats().batch_events_collapsed),
                 snapshots_published: AtomicU64::new(0),
+                snapshot_keys_patched: AtomicU64::new(0),
+                snapshot_entries_copied: AtomicU64::new(0),
+                snapshot_full_copies: AtomicU64::new(0),
                 subscriber_deltas: AtomicU64::new(0),
                 wal_bytes_written: AtomicU64::new(0),
                 checkpoints_taken: AtomicU64::new(0),
@@ -638,6 +650,9 @@ impl ViewServer {
             delta_batches: s.delta_batches.load(Relaxed),
             batch_events_collapsed: s.batch_events_collapsed.load(Relaxed),
             snapshots_published: s.snapshots_published.load(Relaxed),
+            snapshot_keys_patched: s.snapshot_keys_patched.load(Relaxed),
+            snapshot_entries_copied: s.snapshot_entries_copied.load(Relaxed),
+            snapshot_full_copies: s.snapshot_full_copies.load(Relaxed),
             subscriber_deltas: s.subscriber_deltas.load(Relaxed),
             wal_bytes_written: s.wal_bytes_written.load(Relaxed),
             checkpoints_taken: s.checkpoints_taken.load(Relaxed),
@@ -1052,9 +1067,12 @@ impl Subscription {
 // Durable pipeline (writer-side WAL + background checkpointer)
 // ---------------------------------------------------------------------------
 
-/// A snapshot handed to the checkpoint thread: shared copy-on-write maps, so
-/// building the job is O(#views) on the hot path and the serialization cost
-/// is paid entirely off it.
+/// A snapshot handed to the checkpoint thread: the buffers of the publish
+/// that just happened (the views are unwritten since, so building the job is
+/// O(#views) on the hot path) and the serialization cost is paid off it.
+/// While the thread holds them those buffers cannot be recycled: each written
+/// view pays one full copy per checkpoint (`snapshot_full_copies`, reason
+/// `pinned`).
 struct CkptJob {
     maps: FastMap<String, Gmr>,
     watermark: u64,
@@ -1607,7 +1625,7 @@ fn writer_loop(
     // Publishing is *coalesced*: under sustained load the writer publishes once
     // per `publish_interval` (or every `max_batch` events, whichever comes
     // first) instead of after every drained batch, amortizing the per-publish
-    // copy-on-write cost while keeping snapshot staleness bounded.
+    // cost while keeping snapshot staleness bounded.
     let mut pending = ChangeSet::default();
     let mut pending_events = 0u64;
     let mut last_publish = Instant::now();
@@ -1755,11 +1773,14 @@ fn writer_loop(
             };
             let t_swap = Instant::now();
             shared.cell.publish(snap.clone());
-            // Snapshot construction (the O(#views) copy-on-write clone) plus
-            // the epoch swap; fan-out is timed separately above.
+            // Snapshot construction (per written view: patch the buffer of
+            // two publishes ago, or copy the view if someone still holds it)
+            // plus the epoch swap; fan-out is timed separately above.
             shared
                 .tel
                 .record_stage(Stage::SnapshotPublish, snap_cost + t_swap.elapsed());
+            // Letting go of the previous snapshot (the cell retired it in
+            // `publish`) is what makes its buffers patchable two publishes on.
             last = snap;
             last_publish = Instant::now();
 
@@ -1772,10 +1793,11 @@ fn writer_loop(
             // registry at every publish, so a barrier-acked reader's
             // `metrics()` covers all its events.
             engine.flush_telemetry();
+            mirror_snapshot_work(&mut engine, &shared);
         }
-        // Checkpoint accounting rides the batch boundary: the O(#views)
-        // snapshot handoff happens here, the serialization in the checkpoint
-        // thread.
+        // Checkpoint accounting rides the batch boundary: the snapshot
+        // handoff happens here (O(#views) right after a publish; otherwise it
+        // patches like one), the serialization in the checkpoint thread.
         if let Some(d) = durable.as_mut() {
             if drained > 0 {
                 d.maybe_checkpoint(&engine, drained);
@@ -1843,12 +1865,30 @@ fn writer_loop(
     if let Some(d) = durable.take() {
         d.shutdown(&engine, !crashed, &shared);
     }
-    // Fold the durability counters into the engine's own stats so a
-    // `shutdown()` caller gets the complete picture.
+    // Fold the durability counters (and the final checkpoint's snapshot)
+    // into the engine's own stats so a `shutdown()` caller gets the complete
+    // picture.
+    mirror_snapshot_work(&mut engine, &shared);
     let s = engine.stats_mut();
     s.wal_bytes_written = shared.stats.wal_bytes_written.load(Relaxed);
     s.checkpoints_taken = shared.stats.checkpoints_taken.load(Relaxed);
     engine
+}
+
+/// Copy what the engine's snapshots have cost so far — publishes and
+/// checkpoint hand-offs alike — into its stats and the shared mirror.
+fn mirror_snapshot_work(engine: &mut Engine, shared: &Shared) {
+    let w = engine.snapshot_work();
+    let stats = engine.stats_mut();
+    stats.snapshot_keys_patched = w.keys_patched;
+    stats.snapshot_entries_copied = w.entries_copied;
+    stats.snapshot_full_copies = w.full_copies();
+    let mirror = &shared.stats;
+    mirror.snapshot_keys_patched.store(w.keys_patched, Relaxed);
+    mirror
+        .snapshot_entries_copied
+        .store(w.entries_copied, Relaxed);
+    mirror.snapshot_full_copies.store(w.full_copies(), Relaxed);
 }
 
 /// Compute and deliver each subscriber's delta batch, dropping subscribers
@@ -2073,7 +2113,9 @@ pub(crate) fn views_body(shared: &Shared) -> String {
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
              \"entries_scanned\":{},\"fused_scans\":{},\"banded_hits\":{},\
-             \"banded_bails\":{},\"overlay_firings\":{},\"map_size\":{}}}",
+             \"banded_bails\":{},\"overlay_firings\":{},\"map_size\":{},\
+             \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
+             \"snapshot_full_copies\":{{\"first\":{},\"pinned\":{},\"abandoned\":{}}}}}",
             json_escape(&v.name),
             v.rows_written,
             v.probes,
@@ -2083,7 +2125,12 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             v.banded_hits,
             v.banded_bails,
             v.overlay_firings,
-            v.map_size
+            v.map_size,
+            v.snapshot_keys_patched,
+            v.snapshot_entries_copied,
+            v.snapshot_full_copies[0],
+            v.snapshot_full_copies[1],
+            v.snapshot_full_copies[2]
         ));
     }
     out.push_str("]}");

@@ -162,6 +162,15 @@ fn views_and_traces_endpoints_serve_json() {
     assert!(views.body.contains("\"events\":50"), "{}", views.body);
     assert!(views.body.contains("\"views\":["));
     assert!(views.body.contains("\"rows_written\":"));
+    assert!(views.body.contains("\"snapshot_keys_patched\":"));
+    assert!(views.body.contains("\"snapshot_entries_copied\":"));
+    assert!(
+        views
+            .body
+            .contains("\"snapshot_full_copies\":{\"first\":1,\"pinned\":0,\"abandoned\":"),
+        "{}",
+        views.body
+    );
 
     let traces = get(addr, "/traces");
     assert_eq!(traces.status, 200);

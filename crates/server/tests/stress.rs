@@ -9,17 +9,27 @@
 //!   stream of a group-by query (inserts *and* deletes) on top of the
 //!   subscription's baseline and requires bit-exact agreement with the final
 //!   view, including the old-multiplicity of every delta record.
+//! * `held_snapshot_survives_a_thousand_publishes_under_concurrent_readers` —
+//!   snapshots are patched recycled buffers, so a reader that holds one must
+//!   never see it change: one thread pins a snapshot of a 16k-entry view
+//!   across ≥ 1,000 publishes (three times over) and compares it bit for bit,
+//!   while three others check conservation on every fresh snapshot.
+//! * `long_holds_cost_one_copy_each_not_one_per_publish` — the same hold
+//!   pattern in lock-step on one thread, where the work is deterministic: a
+//!   held snapshot costs each written view exactly one full copy, the other
+//!   publishes patch.
 
 use dbtoaster_agca::{Expr, UpdateEvent};
 use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta, ResultAccess};
-use dbtoaster_gmr::{FastMap, Tuple, Value};
+use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_runtime::Engine;
-use dbtoaster_server::{ServerConfig, ViewServer};
+use dbtoaster_server::{ServerConfig, Snapshot, ViewServer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 fn catalog() -> Catalog {
     [RelationMeta::stream("R", ["A", "V"])]
@@ -261,4 +271,211 @@ fn subscription_replay_reconstructs_final_view() {
             "replayed multiplicity differs for {key:?}"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Held snapshots over patched buffers
+// ---------------------------------------------------------------------------
+
+/// Distinct keys of the per-key view: large enough that a 64-event batch stays
+/// far inside the patch budget, so steady-state publishes patch.
+const KEYS: i64 = 16_384;
+const BATCH: usize = 64;
+
+/// `PER_KEY[a] = Sum(R(a,v) * v)` beside the two scalar views of
+/// [`conservation_engine`], served with one publish per `BATCH` events and
+/// pre-loaded with one event per key. Returns the map names of
+/// (PER_KEY, TOTAL, CNT).
+fn per_key_server() -> (ViewServer, [String; 3]) {
+    let spec = |name: &str, group: bool, weighted: bool| QuerySpec {
+        name: name.into(),
+        out_vars: if group { vec!["a".into()] } else { vec![] },
+        expr: Expr::agg_sum(
+            if group { vec!["a".to_string()] } else { vec![] },
+            if weighted {
+                Expr::product_of([Expr::rel("R", ["a", "v"]), Expr::var("v")])
+            } else {
+                Expr::rel("R", ["a", "v"])
+            },
+        ),
+    };
+    let queries = [
+        spec("PER_KEY", true, true),
+        spec("TOTAL", false, true),
+        spec("CNT", false, false),
+    ];
+    let program = compile(&queries, &catalog(), &CompileOptions::default()).unwrap();
+    let names = ["PER_KEY", "TOTAL", "CNT"].map(|q| {
+        match &program.results.iter().find(|r| r.name == q).unwrap().access {
+            ResultAccess::Map(m) => m.clone(),
+            ResultAccess::Computed { .. } => panic!("expected a map-backed result for {q}"),
+        }
+    });
+    let server = ViewServer::spawn(
+        Engine::new(program, &catalog()),
+        vec![],
+        ServerConfig {
+            max_batch: BATCH,
+            publish_interval: Duration::ZERO,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("spawn without durability is infallible");
+    let ingest = server.handle();
+    ingest
+        .send_batch(
+            (0..KEYS).map(|a| UpdateEvent::insert("R", vec![Value::long(a), Value::long(1)])),
+        )
+        .unwrap();
+    server.flush().unwrap();
+    (server, names)
+}
+
+/// One publish: `BATCH` weight-1 inserts at random keys, then a barrier.
+fn publish_one(server: &ViewServer, rng: &mut StdRng) {
+    let events: Vec<_> = (0..BATCH)
+        .map(|_| {
+            let a = rng.random_range(0..KEYS);
+            UpdateEvent::insert("R", vec![Value::long(a), Value::long(1)])
+        })
+        .collect();
+    server.handle().send_batch(events).unwrap();
+    server.flush().unwrap();
+}
+
+/// Every event inserts `(key, 1)`: the per-key sums, the SUM view, the COUNT
+/// view and the snapshot's event counter must agree on every snapshot.
+fn assert_conserved(snap: &Snapshot, names: &[String; 3]) {
+    let per_key: f64 = snap.view(&names[0]).unwrap().iter().map(|(_, m)| m).sum();
+    let total = snap.view(&names[1]).unwrap().scalar_value();
+    let cnt = snap.view(&names[2]).unwrap().scalar_value();
+    let applied = snap.events_applied() as f64;
+    assert!(
+        per_key == applied && total == applied && cnt == applied,
+        "torn snapshot at epoch {}: per-key {per_key}, SUM {total}, COUNT {cnt}, applied {applied}",
+        snap.epoch()
+    );
+}
+
+fn bits(gmr: &Gmr) -> Vec<(Tuple, u64)> {
+    let mut rows: Vec<_> = gmr.iter().map(|(k, m)| (k.clone(), m.to_bits())).collect();
+    rows.sort();
+    rows
+}
+
+#[test]
+fn held_snapshot_survives_a_thousand_publishes_under_concurrent_readers() {
+    const HOLDS: u64 = 3;
+    const HOLD_PUBLISHES: u64 = 1_000;
+    let (server, names) = per_key_server();
+    let done = Arc::new(AtomicBool::new(false));
+    let holds_done = Arc::new(AtomicU64::new(0));
+
+    let cyclers: Vec<_> = (0..3)
+        .map(|_| {
+            let (reader, done, names) = (server.reader(), done.clone(), names.clone());
+            thread::spawn(move || {
+                let mut checked = 0u64;
+                while !done.load(SeqCst) {
+                    assert_conserved(&reader.snapshot(), &names);
+                    checked += 1;
+                }
+                checked
+            })
+        })
+        .collect();
+    let holder = {
+        let (reader, names, holds_done) = (server.reader(), names.clone(), holds_done.clone());
+        thread::spawn(move || {
+            for _ in 0..HOLDS {
+                let held = reader.snapshot();
+                let expected = bits(held.view(&names[0]).unwrap());
+                // Waiting on the writer's progress, not forcing an interleaving.
+                while reader.epoch() < held.epoch() + HOLD_PUBLISHES {
+                    thread::sleep(Duration::from_millis(1));
+                }
+                assert_conserved(&held, &names);
+                assert_eq!(
+                    bits(held.view(&names[0]).unwrap()),
+                    expected,
+                    "the snapshot held since epoch {} changed",
+                    held.epoch()
+                );
+                holds_done.fetch_add(1, SeqCst);
+            }
+        })
+    };
+
+    let mut rng = StdRng::seed_from_u64(17);
+    let mut publishes = 0u64;
+    while holds_done.load(SeqCst) < HOLDS {
+        publish_one(&server, &mut rng);
+        publishes += 1;
+        assert!(
+            publishes < 50 * HOLDS * HOLD_PUBLISHES,
+            "the holder made no progress"
+        );
+    }
+    done.store(true, SeqCst);
+    holder.join().expect("holder thread panicked");
+    for c in cyclers {
+        assert!(c.join().expect("reader thread panicked") > 0);
+    }
+    assert!(publishes >= HOLDS * HOLD_PUBLISHES);
+    assert!(server.last_error().is_none());
+    assert_conserved(&server.current_snapshot(), &names);
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn long_holds_cost_one_copy_each_not_one_per_publish() {
+    const HOLDS: u64 = 3;
+    const HOLD_PUBLISHES: u64 = 1_000;
+    let (server, names) = per_key_server();
+    let (held_reader, cycling_reader) = (server.reader(), server.reader());
+    let mut rng = StdRng::seed_from_u64(23);
+    // Past warm-up: every view has handed out two buffers.
+    for _ in 0..4 {
+        publish_one(&server, &mut rng);
+    }
+    let pinned = |server: &ViewServer| -> u64 {
+        let views = server.metrics().views;
+        views.iter().map(|v| v.snapshot_full_copies[1]).sum()
+    };
+    let (before, pinned_before) = (server.stats(), pinned(&server));
+
+    for _ in 0..HOLDS {
+        let held = held_reader.snapshot();
+        let expected = bits(held.view(&names[0]).unwrap());
+        for _ in 0..HOLD_PUBLISHES {
+            publish_one(&server, &mut rng);
+            // The cycling reader lets go before the next publish.
+            assert_conserved(&cycling_reader.snapshot(), &names);
+        }
+        assert_eq!(bits(held.view(&names[0]).unwrap()), expected);
+    }
+
+    let after = server.stats();
+    assert_eq!(
+        after.snapshots_published - before.snapshots_published,
+        HOLDS * HOLD_PUBLISHES
+    );
+    // A held snapshot pins one buffer of the per-key view (the scalar views
+    // are copied on every publish anyway — one entry each, their log never
+    // fits the patch budget): one full copy per hold, every other publish
+    // patches two epochs of writes.
+    assert_eq!(pinned(&server) - pinned_before, HOLDS);
+    let copied = after.snapshot_entries_copied - before.snapshot_entries_copied;
+    let scalar_copies = 2 * HOLDS * HOLD_PUBLISHES;
+    assert!(
+        copied <= HOLDS * KEYS as u64 + scalar_copies,
+        "{copied} entries copied over {HOLDS} holds: more than one copy per hold"
+    );
+    let patched = after.snapshot_keys_patched - before.snapshot_keys_patched;
+    assert!(
+        patched <= 2 * BATCH as u64 * HOLDS * HOLD_PUBLISHES,
+        "{patched} keys patched: more than two epochs of writes per publish"
+    );
+    assert!(patched >= BATCH as u64 * (HOLDS * HOLD_PUBLISHES - 2 * HOLDS));
+    server.shutdown().expect("clean shutdown");
 }

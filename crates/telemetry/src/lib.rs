@@ -389,7 +389,20 @@ pub struct ViewCounters {
     pub overlay_firings: AtomicU64,
     /// Observed map size (entries) at the last engine flush.
     pub map_size: AtomicU64,
+    /// Logged keys replayed into recycled snapshot buffers (cumulative, as of
+    /// the last engine flush — like the four snapshot counters below).
+    pub snapshot_keys_patched: AtomicU64,
+    /// Entries copied by full snapshot copies.
+    pub snapshot_entries_copied: AtomicU64,
+    /// Full snapshot copies by reason, in [`SNAPSHOT_COPY_REASONS`] order.
+    pub snapshot_full_copies: [AtomicU64; 3],
 }
+
+/// Why a snapshot copied a whole view instead of patching a recycled buffer:
+/// the view had not yet handed out two buffers; a reader, subscriber baseline
+/// or checkpoint still held the buffer due for reuse; the write log was
+/// abandoned (a `:=`/bulk load, or more writes than a patch is worth).
+pub const SNAPSHOT_COPY_REASONS: [&str; 3] = ["first", "pinned", "abandoned"];
 
 /// Point-in-time copy of one view's counters.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -414,6 +427,12 @@ pub struct ViewSummary {
     pub overlay_firings: u64,
     /// See [`ViewCounters::map_size`].
     pub map_size: u64,
+    /// See [`ViewCounters::snapshot_keys_patched`].
+    pub snapshot_keys_patched: u64,
+    /// See [`ViewCounters::snapshot_entries_copied`].
+    pub snapshot_entries_copied: u64,
+    /// See [`ViewCounters::snapshot_full_copies`].
+    pub snapshot_full_copies: [u64; 3],
 }
 
 /// One per-statement span of a slow-batch trace.
@@ -779,6 +798,11 @@ impl Telemetry {
                 banded_bails: v.banded_bails.load(Relaxed),
                 overlay_firings: v.overlay_firings.load(Relaxed),
                 map_size: v.map_size.load(Relaxed),
+                snapshot_keys_patched: v.snapshot_keys_patched.load(Relaxed),
+                snapshot_entries_copied: v.snapshot_entries_copied.load(Relaxed),
+                snapshot_full_copies: std::array::from_fn(|r| {
+                    v.snapshot_full_copies[r].load(Relaxed)
+                }),
             })
             .collect();
         MetricsSnapshot {
@@ -1044,6 +1068,32 @@ impl MetricsSnapshot {
             "Run-linear kernels fired into the view by batch-delta overlay passes.",
             &|v| v.overlay_firings,
         );
+        view_counter(
+            &mut out,
+            "snapshot_keys_patched_total",
+            "Logged keys replayed into recycled snapshot buffers of the view.",
+            &|v| v.snapshot_keys_patched,
+        );
+        view_counter(
+            &mut out,
+            "snapshot_entries_copied_total",
+            "Entries copied by full snapshot copies of the view.",
+            &|v| v.snapshot_entries_copied,
+        );
+        header(
+            &mut out,
+            "dbtoaster_view_snapshot_full_copies_total",
+            "Snapshots that copied the whole view, by reason.",
+            "counter",
+        );
+        for v in &self.views {
+            for (reason, n) in SNAPSHOT_COPY_REASONS.iter().zip(v.snapshot_full_copies) {
+                out.push_str(&format!(
+                    "dbtoaster_view_snapshot_full_copies_total{{view=\"{}\",reason=\"{reason}\"}} {n}\n",
+                    prometheus_escape_label(&v.name),
+                ));
+            }
+        }
         header(
             &mut out,
             "dbtoaster_view_map_size",

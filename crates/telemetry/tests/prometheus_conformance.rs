@@ -9,7 +9,9 @@
 //!
 //! [`MetricsSnapshot::render_prometheus`]: dbtoaster_telemetry::MetricsSnapshot::render_prometheus
 
-use dbtoaster_telemetry::{Stage, Telemetry, TelemetryConfig, PROMETHEUS_CONTENT_TYPE};
+use dbtoaster_telemetry::{
+    Stage, Telemetry, TelemetryConfig, PROMETHEUS_CONTENT_TYPE, SNAPSHOT_COPY_REASONS,
+};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
 use std::time::Duration;
@@ -40,6 +42,10 @@ fn populated() -> Telemetry {
     v.scans.fetch_add(2, Relaxed);
     v.entries_scanned.fetch_add(40, Relaxed);
     v.map_size.store(13, Relaxed);
+    v.snapshot_keys_patched.store(11, Relaxed);
+    v.snapshot_entries_copied.store(26, Relaxed);
+    v.snapshot_full_copies[0].store(2, Relaxed);
+    v.snapshot_full_copies[1].store(1, Relaxed);
     let evil = tel.view("weird\"name\\with\nnewline").unwrap();
     evil.rows_written.fetch_add(1, Relaxed);
     tel
@@ -356,4 +362,42 @@ fn durability_metrics_declare_their_kinds_and_gauges_may_decrease() {
             > value(&first, "dbtoaster_degraded_transitions"),
         "the transition counter still only goes up"
     );
+}
+
+#[test]
+fn snapshot_work_is_exported_per_view_with_full_copies_split_by_reason() {
+    let exp = parse_exposition(&populated().render_prometheus());
+    let sample = |name: &str, labels: &[(&str, &str)]| -> f64 {
+        exp.samples
+            .iter()
+            .find(|s| {
+                s.name == name
+                    && labels
+                        .iter()
+                        .all(|(k, v)| s.labels.iter().any(|(lk, lv)| lk == k && lv == v))
+            })
+            .unwrap_or_else(|| panic!("no sample {name} {labels:?}"))
+            .value
+    };
+    let view = ("view", "m_axf_1");
+    for (family, want) in [
+        ("dbtoaster_view_snapshot_keys_patched_total", 11.0),
+        ("dbtoaster_view_snapshot_entries_copied_total", 26.0),
+    ] {
+        assert_eq!(exp.types.get(family).map(String::as_str), Some("counter"));
+        assert_eq!(sample(family, &[view]), want);
+    }
+    let family = "dbtoaster_view_snapshot_full_copies_total";
+    assert_eq!(exp.types.get(family).map(String::as_str), Some("counter"));
+    for (reason, want) in SNAPSHOT_COPY_REASONS.iter().zip([2.0, 1.0, 0.0]) {
+        assert_eq!(
+            sample(family, &[view, ("reason", reason)]),
+            want,
+            "{reason}"
+        );
+    }
+    // One series per (view, reason): an operator can tell a reader that never
+    // lets go (`pinned`) from a bulk load (`abandoned`).
+    let series = exp.samples.iter().filter(|s| s.name == family).count();
+    assert_eq!(series, 2 * SNAPSHOT_COPY_REASONS.len());
 }
