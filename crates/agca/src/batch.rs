@@ -48,22 +48,17 @@
 //!
 //! The compiler derives, per relation, a **whole-run trigger program**
 //! (`derive_run_linear` in `dbtoaster-compiler`): treat the run's net delta
-//! `ΔR = Σₑ mₑ{tₑ}` as one update. Every incremental statement is evaluated
-//! for all entries back-to-back against the *pre-run* state; for a statement
-//! whose right-hand side is affine in the maps the run itself writes,
-//!
-//! ```text
-//! rhs(e; M_pre + ΔM_<e) = rhs(e; M_pre) + lin(e; ΔM_<e)
-//! ```
-//!
-//! so the interaction between the run's entries is restored by evaluating
-//! the statement's *run-linear part* `lin` — the terms of the same
-//! right-hand side that read a run-written map, lowered to the same kind of
-//! kernel — once per firing, in entry order, against an overlay that holds
-//! only what the run's earlier firings wrote. Linear queries read nothing
-//! their own run writes and have no run-linear part; quadratic self-joins
-//! read their own auxiliary maps and close with one overlay pass, whose cost
-//! follows the run's own interacting rows rather than the maintained state.
+//! `ΔR = Σₑ mₑ{tₑ}` as one update. Every incremental statement that reads
+//! nothing the run itself writes is evaluated for all entries back-to-back
+//! against the *pre-run* state. A statement whose right-hand side has a
+//! *run-linear part* — product terms that read a map the run writes — is
+//! where the order of the run's entries matters: those statements fire once
+//! per firing, in entry order, and the maps they read are written firing by
+//! firing too, so each reads exactly what per-event processing would have it
+//! read, through the same single lookup. Linear queries read nothing their
+//! own run writes and have no such statement; quadratic self-joins read
+//! their own auxiliary maps and close with one such *live pass*, which costs
+//! what those statements cost per event.
 //! Re-evaluation (`:=`) statements need no delta form: of a run's per-event
 //! firings only the last one's output survives, so they fire once, for the
 //! run's last event, after the buffered writes and the base update.

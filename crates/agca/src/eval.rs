@@ -219,6 +219,32 @@ pub trait RelationSource {
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError>;
+
+    /// Range sums over an ordered index, for sources that keep one:
+    /// `sums[i]` = Σ multiplicity over the tuples matching `pattern` — which
+    /// leaves exactly one position free — whose value at that position lies
+    /// in `ranges[i].0 ≤ value < ranges[i].1`. Range ends are integers or
+    /// infinite; `bound_mag` bounds the magnitude of every number the
+    /// caller's original comparisons went through (see the plan module's
+    /// "Range sums over ordered indexes").
+    ///
+    /// `Ok(Some(n))` — answered, bit-identical to summing the matching
+    /// tuples in any order, after comparing `n` entries. `Ok(None)` — the
+    /// source has no ordered index for the pattern, or the addressed group
+    /// cannot answer exactly right now; the caller sums over
+    /// [`RelationSource::for_each_matching`] instead. The default has no
+    /// ordered indexes.
+    fn range_sums(
+        &self,
+        name: &str,
+        pattern: &[Option<Value>],
+        bound_mag: f64,
+        ranges: &[(f64, f64)],
+        sums: &mut [f64],
+    ) -> Result<Option<u64>, EvalError> {
+        let _ = (name, pattern, bound_mag, ranges, sums);
+        Ok(None)
+    }
 }
 
 /// Does `tuple` satisfy the partial binding pattern?

@@ -78,34 +78,40 @@
 //! engine falls back to the AST interpreter for that statement — which is also
 //! the differential-testing oracle for the statements that *do* compile.
 //!
-//! ## Banded prelude scans
+//! ## Range sums over ordered indexes
 //!
 //! Statements like axfinder's spend their time in a *prelude*: a fused scan
 //! over a loop-invariant map filtered by a range predicate on the event tuple
-//! (`b_price > t_price + k`, say). Driven over a multi-entry batch run, the
-//! same map is walked once per entry with only the bound changing. Lowering
-//! detects this shape statically ([`BandSpec`]): a fused-scan comparison
-//! whose two sides are linear in exactly one scan-bound key slot with `±1`
-//! coefficients, rearranged into `key < bound` / `key > bound` (or their
-//! inclusive forms) where `bound` is computable before the scan binds
-//! anything. At run time, when a statement is driven over a run of
-//! [`BAND_MIN_RUN_ENTRIES`] or more entries, the executor builds a
-//! `BandCache` for the scanned map once per (prelude, loop-invariant
-//! bounds) pair: keys sorted ascending with prefix sums of the scan's
-//! emissions. Each entry's range predicate then resolves to a contiguous
-//! band of the sorted keys, answered by binary search plus a prefix-sum
-//! subtraction instead of a full traversal.
+//! (`b_price > t_price + k`, say) — an inequality self-join, in the query.
+//! Lowering detects this shape statically ([`BandSpec`]): a fused-scan
+//! comparison whose two sides are linear in exactly one scan-bound key slot
+//! with `±1` coefficients, rearranged into `key < bound` / `key > bound` (or
+//! their inclusive forms) where `bound` is computable before the scan binds
+//! anything. A member made only of such comparisons is the sum of the
+//! multiplicities whose key falls in one interval. When the scan binds at
+//! least one column by equality, leaves exactly one column free and every
+//! member is such a sum over that column, the scan is a **range-sum scan**
+//! ([`FusedScan::band_pos`]): the compiler declares the scan's secondary
+//! index *ordered* on the free column, the store keeps each group of it as a
+//! sorted run with running sums, and the executor answers every member with
+//! one [`RelationSource::range_sums`] call — two binary searches per interval
+//! end instead of a walk over the group — on every execution: a single
+//! event, an entry of a delta run, or a firing of the batch-delta live pass,
+//! which reads the same stored maps. A scan of that kind that does not
+//! qualify is traversed, and EXPLAIN says what disqualified it
+//! ([`FusedScan::range_sum_bail`]).
 //!
-//! **Exactness.** A prefix-sum subtraction reassociates the float additions a
-//! traversal would do in map order, so the cache is only used when the sums
-//! are exactly representable: every emitted multiplicity and every key must
-//! be a finite integer-valued double, magnitudes (and their running sums)
-//! bounded well inside `2^53`, and the comparison bound itself an exact
-//! integer. Any violation — at build time or per lookup — disables the cache
-//! for that prelude and the executor falls back to the plain traversal, so
-//! banded and unbanded execution are bit-identical, not approximately equal.
-//! Caches live for one run: `prepare` resets the run-entry count to 1, so
-//! per-event and entry-major processing never see a stale band.
+//! **Exactness.** A difference of running sums reassociates the float
+//! additions a traversal would do, and the rearranged comparison is only an
+//! *algebraic* identity, so a range sum is used only where both are exact:
+//! every multiplicity and every key of the addressed group a finite
+//! integer-valued double (keys non-zero), `Σ|multiplicity| < 2^53`, every
+//! bound-expression leaf a non-zero integer, and the bound magnitudes plus
+//! the largest key below `2^53`. The executor checks the bounds per lookup,
+//! the index keeps count of the entries that break the rest per group (see
+//! the runtime's `ordered` module), and any violation sends that one lookup
+//! down the plain traversal — counted as a `banded_bail` — so the two ways of
+//! computing a member are bit-identical, not approximately equal.
 
 use crate::eval::{matches_pattern, product_order_by, EvalError, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
@@ -270,31 +276,28 @@ pub struct FusedMember {
     pub fast: Option<Vec<FastOp>>,
     /// Frame slot receiving the member's total (as a double).
     pub dest: Slot,
-    /// Banded-lookup specialization of `fast`: present when every fast op is
-    /// a range comparison linear in one scanned column (see [`BandSpec`]).
+    /// Range-sum specialization of `fast`: present when every fast op is a
+    /// range comparison linear in one scanned column (see [`BandSpec`]).
     pub band: Option<BandSpec>,
 }
 
-/// A banded-lookup specialization of one fused member: every op of its fast
+/// A range-sum specialization of one fused member: every op of its fast
 /// pipeline is a range comparison (`<`, `<=`, `>`, `>=`) that is linear, with
 /// coefficient ±1, in exactly one scanned column — so the member's total is
 /// the sum of the multiplicities of the entries whose key falls in one
-/// interval. When a delta run re-executes the same prelude scan for many
-/// batch entries, the executor sorts the scanned entries by that column
-/// *once* per distinct set of bound template values and answers each member
-/// with two binary searches over prefix sums instead of a full traversal
-/// (axfinder's six price-band aggregates are the canonical case: O(log n)
-/// per batch entry instead of O(n)).
+/// interval, which an ordered index answers with two binary searches per
+/// interval end instead of a traversal (axfinder's six price-band aggregates
+/// are the canonical case: O(log n) per event instead of O(n)).
 ///
-/// Bit-exactness with the per-entry traversal is guaranteed by runtime
-/// guards, not by construction: the banded answer is used only when every
-/// scanned key, every multiplicity and every bound-expression leaf is a
-/// nonzero integer-valued finite number and all magnitude sums stay below
-/// 2^53. In that regime every f64 addition both paths perform is exact
-/// integer arithmetic, so the algebraic rearrangement `price - key > 1000 ⇔
-/// key < price - 1000` is an identity and prefix-sum differences equal the
-/// traversal's running sums. Any guard violation falls back to the full
-/// traversal for that batch entry (or marks the cache line unusable).
+/// Bit-exactness with the traversal is guaranteed by runtime guards, not by
+/// construction: the range sum is used only when every key and multiplicity
+/// of the addressed group and every bound-expression leaf is a nonzero
+/// integer-valued finite number and all magnitude sums stay below 2^53. In
+/// that regime every f64 addition both paths perform is exact integer
+/// arithmetic, so the algebraic rearrangement `price - key > 1000 ⇔ key <
+/// price - 1000` is an identity and differences of running sums equal the
+/// traversal's accumulators. Any guard violation falls back to the full
+/// traversal for that one execution.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct BandSpec {
     /// The scanned tuple position whose value is the band key.
@@ -338,9 +341,12 @@ pub struct FusedScan {
     /// batch executor runs it **once per batch** instead of once per entry
     /// (see [`CompiledStmt::execute_batch_entry`]).
     pub entry_invariant: bool,
-    /// When every member carries a [`BandSpec`] on the same scanned position,
-    /// that position: the whole traversal can be replaced by banded lookups
-    /// against a sorted per-run cache (see [`BandSpec`]).
+    /// The scanned position a range-sum scan sums over: set when the
+    /// template binds at least one position, leaves exactly this one free,
+    /// and every member (at most [`MAX_RANGE_MEMBERS`]) carries a
+    /// [`BandSpec`] on it. The scan's `(relation, bound positions)` index is
+    /// then declared ordered on this position and the traversal is replaced
+    /// by one [`RelationSource::range_sums`] call (see the module docs).
     pub band_pos: Option<u16>,
 }
 
@@ -1146,7 +1152,10 @@ fn num_expr(s: &Scalar) -> Option<NumExpr> {
     }
 }
 
-const EXACT_INT_BOUND: f64 = (1u64 << 53) as f64;
+/// 2^53: integers of smaller magnitude are exactly representable in an `f64`,
+/// and so is every sum of them that stays below it — the bound of every
+/// exactness guard here and in the runtime's ordered indexes.
+pub const EXACT_INT_BOUND: f64 = (1u64 << 53) as f64;
 
 /// Evaluate a [`NumExpr`] against the frame. Returns `(value, int_pure)`
 /// where `int_pure` tracks whether the [`Value`]-level evaluator would have
@@ -1201,7 +1210,7 @@ fn eval_num(e: &NumExpr, frame: &[Value]) -> Option<(f64, bool)> {
     }
 }
 
-/// Evaluate a banded range bound: `Add`/`Neg` folds over finite, nonzero,
+/// Evaluate a range-sum bound: `Add`/`Neg` folds over finite, nonzero,
 /// integer-valued leaves only. Returns `(value, Σ|leaf|)`; the magnitude sum
 /// is what bounds every intermediate of both the original and the rearranged
 /// comparison (see [`BandSpec`]). `None` = fall back to the full traversal.
@@ -1304,18 +1313,49 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     stmt.plan = plan;
     stmt.frame_size = h.next_slot as u16;
     stmt.prelude = h.groups;
-    // A scan is banded only when every fused member banded on the same
-    // scanned position (members joining a group later may not have).
     for g in &mut stmt.prelude {
-        g.band_pos = match g.members.split_first() {
-            Some((first, rest)) => first.band.as_ref().map(|b| b.key_pos).filter(|&p| {
-                rest.iter()
-                    .all(|m| m.band.as_ref().is_some_and(|b| b.key_pos == p))
-            }),
-            None => None,
-        };
+        g.band_pos = g.range_sum_position().ok();
     }
 }
+
+impl FusedScan {
+    /// The position a range-sum scan sums over (see [`FusedScan::band_pos`]):
+    /// every fused member (members joining a group later may not be) carries
+    /// a [`BandSpec`] on one position, it is the only free one, at least one
+    /// other is bound, and the members fit [`MAX_RANGE_MEMBERS`]. `Err` says
+    /// why such a scan is traversed instead — `None` when its members are not
+    /// all sums over one band key, which needs no saying.
+    fn range_sum_position(&self) -> Result<u16, Option<&'static str>> {
+        let band_of = |m: &FusedMember| m.band.as_ref().map(|b| b.key_pos);
+        let p = self.members.first().and_then(band_of).ok_or(None)?;
+        if self.members.iter().any(|m| band_of(m) != Some(p)) {
+            return Err(None);
+        }
+        let free = self.template.iter().filter(|t| t.is_none()).count();
+        Err(Some(if free == self.template.len() {
+            "no column bound by equality"
+        } else if free > 1 {
+            "more than one free column"
+        } else if !self.eqs.is_empty() {
+            "a column constrained to equal another"
+        } else if self.members.len() > MAX_RANGE_MEMBERS {
+            "too many members"
+        } else {
+            return Ok(p);
+        }))
+    }
+
+    /// Why this scan is traversed although every member sums a band of one
+    /// key column — what EXPLAIN prints next to it. `None` for a range-sum
+    /// scan and for one whose members are not all such sums.
+    pub fn range_sum_bail(&self) -> Option<&'static str> {
+        self.range_sum_position().err().flatten()
+    }
+}
+
+/// Most members one range-sum scan answers (their intervals live in a
+/// fixed-size buffer on the executor's stack; axfinder's scans have three).
+pub const MAX_RANGE_MEMBERS: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Execution
@@ -1336,9 +1376,11 @@ pub struct KernelCounters {
     pub entries_scanned: Cell<u64>,
     /// Fused prelude traversals (one bucket walk answering every member).
     pub fused_scans: Cell<u64>,
-    /// Banded prelude lookups answered from the sorted prefix-sum cache.
+    /// Range-sum scans answered from an ordered index (the entries their
+    /// binary searches compared count into `entries_scanned`).
     pub banded_hits: Cell<u64>,
-    /// Banded prelude lookups that bailed to a full traversal.
+    /// Range-sum scans that bailed to a full traversal: a bound or a group
+    /// outside the exactness contract, or a source without ordered indexes.
     pub banded_bails: Cell<u64>,
 }
 
@@ -1391,13 +1433,6 @@ pub struct KernelState {
     scratch: Vec<FastMap<Tuple, f64>>,
     /// Per-member accumulators for fused prelude scans.
     fused_accs: Vec<Cell<f64>>,
-    /// Banded prelude cache lines, keyed by `(prelude index, bound template
-    /// values)`. Valid only while the store is unchanged — cleared by
-    /// [`KernelState::prepare`].
-    bands: FastMap<(u16, Tuple), BandCache>,
-    /// Number of delta-run entries the caller will execute against the
-    /// current prepared state (see [`KernelState::set_run_entries`]).
-    run_entries: u32,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
     /// Work-counter blocks, one per attribution slot (the engine maps slots
@@ -1442,18 +1477,7 @@ impl KernelState {
         if self.fused_accs.len() < members {
             self.fused_accs.resize(members, Cell::new(0.0));
         }
-        self.bands.clear();
-        self.run_entries = 1;
         self.out.clear();
-    }
-
-    /// Tell the kernel how many delta-run entries the caller will execute
-    /// against the current prepared state (the store must stay unchanged in
-    /// between, which the buffered-apply discipline guarantees). Runs of at
-    /// least [`BAND_MIN_RUN_ENTRIES`] entries enable the banded prelude
-    /// cache; [`KernelState::prepare`] resets the count to 1.
-    pub fn set_run_entries(&mut self, n: usize) {
-        self.run_entries = n.min(u32::MAX as usize) as u32;
     }
 
     /// Make sure at least `n` counter blocks exist (never shrinks).
@@ -1462,26 +1486,6 @@ impl KernelState {
             self.counter_slots.push(KernelCounters::default());
         }
     }
-}
-
-/// Minimum delta-run entries before a banded prelude pays for its sort.
-pub const BAND_MIN_RUN_ENTRIES: u32 = 4;
-
-/// One banded prelude cache line: the matching entries of one fused scan for
-/// one set of bound template values, sorted by band key, with exact integer
-/// prefix sums of their multiplicities.
-#[derive(Debug, Default)]
-struct BandCache {
-    /// Did every build-time guard hold (integer nonzero keys and integer
-    /// multiplicities, magnitudes within the exact-f64 range)? `false` is a
-    /// negative cache: these bound values keep full traversals.
-    ok: bool,
-    /// Band-key values, ascending by `total_cmp`.
-    keys: Vec<f64>,
-    /// `prefix[i]` = exact sum of the first `i` entries' multiplicities.
-    prefix: Vec<f64>,
-    /// Largest |key|, part of the rearrangement-exactness magnitude bound.
-    max_abs_key: f64,
 }
 
 /// Downstream continuation of an emission: the remaining pipeline stages plus
@@ -1506,8 +1510,6 @@ struct Exec<'a> {
     patterns: &'a mut [Vec<Option<Value>>],
     scratch: &'a mut [FastMap<Tuple, f64>],
     accs: &'a [Cell<f64>],
-    bands: &'a mut FastMap<(u16, Tuple), BandCache>,
-    run_entries: u32,
     counters: &'a KernelCounters,
     out: &'a mut Vec<(Tuple, f64)>,
     /// Rows below this index belong to earlier batch entries: the sink's
@@ -1526,6 +1528,16 @@ impl Exec<'_> {
         }
     }
 
+    /// Take pattern buffer `buf` out of the state with its bound holes filled
+    /// from the frame; the caller puts it back.
+    fn take_pattern(&mut self, buf: u16, template: &[Option<Slot>]) -> Vec<Option<Value>> {
+        let mut pattern = std::mem::take(&mut self.patterns[buf as usize]);
+        for (p, t) in pattern.iter_mut().zip(template.iter()) {
+            *p = t.map(|slot| self.frame[slot as usize].clone());
+        }
+        pattern
+    }
+
     /// Stream the entries of a partially bound atom: fill the pattern buffer
     /// from the frame, re-check bound positions (sources may over-approximate),
     /// enforce repeated-variable equalities, bind the free-position slots, and
@@ -1541,10 +1553,7 @@ impl Exec<'_> {
         on_match: &mut dyn FnMut(&mut Self, f64),
     ) {
         bump(&self.counters.scans);
-        let mut pattern = std::mem::take(&mut self.patterns[buf as usize]);
-        for (p, t) in pattern.iter_mut().zip(template.iter()) {
-            *p = t.map(|slot| self.frame[slot as usize].clone());
-        }
+        let pattern = self.take_pattern(buf, template);
         let arity = template.len();
         let src = self.src;
         let result = src.for_each_matching(rel, &pattern, &mut |t, m| {
@@ -1758,21 +1767,22 @@ impl Exec<'_> {
 
     /// Run one fused prelude scan: a single bucket traversal feeding every
     /// member's filter chain into its own accumulator, then write the totals
-    /// into the members' result slots. Over a long enough delta run, a fully
-    /// banded scan (see [`BandSpec`]) is answered from a sorted cache
-    /// instead.
-    fn run_prelude(&mut self, idx: u16, fs: &FusedScan) {
+    /// into the members' result slots. A range-sum scan (see [`BandSpec`]) is
+    /// answered from the source's ordered index instead, whenever the index
+    /// can answer exactly.
+    fn run_prelude(&mut self, fs: &FusedScan) {
         if self.error.is_some() {
             return;
         }
-        if self.run_entries >= BAND_MIN_RUN_ENTRIES {
-            if let Some(pos) = fs.band_pos {
-                if self.run_banded(idx, fs, pos) || self.error.is_some() {
-                    bump(&self.counters.banded_hits);
-                    return;
-                }
-                bump(&self.counters.banded_bails);
+        if fs.band_pos.is_some() {
+            if self.run_range_sums(fs) {
+                bump(&self.counters.banded_hits);
+                return;
             }
+            if self.error.is_some() {
+                return;
+            }
+            bump(&self.counters.banded_bails);
         }
         bump(&self.counters.fused_scans);
         let accs = self.accs;
@@ -1809,30 +1819,26 @@ impl Exec<'_> {
         }
     }
 
-    /// Answer every member of a banded prelude scan from sorted prefix sums.
-    /// Returns `false` — caller falls back to the full traversal, which is
-    /// the bit-exactness baseline — whenever any exactness guard trips: a
-    /// bound-expression leaf, scanned key or multiplicity that is not a
-    /// finite integer-valued number (keys and leaves must also be nonzero,
-    /// which rules the `-0.0`/`+0.0` `total_cmp` corner cases out of both
-    /// evaluation orders), or a magnitude sum reaching 2^53. Within the
-    /// guards every addition either path performs is exact, so the banded
-    /// interval sums equal the traversal's accumulators bit for bit.
-    fn run_banded(&mut self, idx: u16, fs: &FusedScan, pos: u16) -> bool {
-        // Evaluate every member's bounds first (they read only trigger
-        // slots); any failure bails before any state is touched.
-        const MAX_RANGES: usize = 16;
-        let mut bounds = [(CmpOp::Lt, 0.0f64); MAX_RANGES];
-        let mut mags = [0.0f64; MAX_RANGES];
-        let mut n = 0usize;
-        for m in &fs.members {
+    /// Answer every member of a range-sum scan from the source's ordered
+    /// index. Returns `false` — the caller falls back to the full traversal,
+    /// which is the bit-exactness baseline — when a bound-expression leaf is
+    /// not a finite non-zero integer-valued number (which rules the
+    /// `-0.0`/`+0.0` `total_cmp` corner cases out of both evaluation orders)
+    /// or a magnitude sum reaches 2^53, when the source keeps no ordered index
+    /// for the scan, or when the addressed group cannot answer exactly.
+    /// Within the guards every addition either path performs is exact, so the
+    /// range sums equal the traversal's accumulators bit for bit.
+    fn run_range_sums(&mut self, fs: &FusedScan) -> bool {
+        // Each member's constraints, intersected into one `lo ≤ key < hi`.
+        // Keys and bounds are integers, so `key ≤ b ⇔ key < b + 1` and
+        // `key > b ⇔ key ≥ b + 1`; `|b| < 2^53` keeps `b + 1` exact.
+        let mut ranges = [(f64::NEG_INFINITY, f64::INFINITY); MAX_RANGE_MEMBERS];
+        let mut bound_mag = 0.0f64;
+        for (range, m) in ranges.iter_mut().zip(&fs.members) {
             let Some(band) = &m.band else {
                 return false;
             };
             for (cmp, be) in &band.ranges {
-                if n == MAX_RANGES || matches!(cmp, CmpOp::Eq | CmpOp::Ne) {
-                    return false;
-                }
                 let Some((b, mag)) = eval_bound(be, self.frame) else {
                     return false;
                 };
@@ -1841,146 +1847,38 @@ impl Exec<'_> {
                 if b == 0.0 && b.is_sign_negative() {
                     return false;
                 }
-                bounds[n] = (*cmp, b);
-                mags[n] = mag;
-                n += 1;
-            }
-        }
-        let probe: Tuple = fs
-            .template
-            .iter()
-            .flatten()
-            .map(|&s| self.frame[s as usize].clone())
-            .collect();
-        let probe = (idx, probe);
-        if !self.bands.contains_key(&probe) {
-            let cache = self.build_band_cache(fs, pos);
-            if self.error.is_some() {
-                // The traversal error stands; `execute` will surface it.
-                return true;
-            }
-            self.bands.insert(probe.clone(), cache);
-        }
-        let cache = &self.bands[&probe];
-        if !cache.ok {
-            return false;
-        }
-        // Σ|leaf| + |key| < 2^53 bounds every intermediate of both the
-        // original and the rearranged comparison, making them identical.
-        if mags[..n]
-            .iter()
-            .any(|&mag| mag + cache.max_abs_key >= EXACT_INT_BOUND)
-        {
-            return false;
-        }
-        let len = cache.keys.len();
-        let mut r = 0usize;
-        for m in &fs.members {
-            let band = m.band.as_ref().expect("checked above");
-            let (mut lo, mut hi) = (0usize, len);
-            for _ in &band.ranges {
-                let (cmp, b) = bounds[r];
-                r += 1;
-                // `partition_point` closures mirror `num_cmp`'s `total_cmp`
-                // ordering exactly.
-                use std::cmp::Ordering::{Greater, Less};
+                bound_mag = bound_mag.max(mag);
                 match cmp {
-                    CmpOp::Lt => {
-                        hi = hi.min(cache.keys.partition_point(|k| k.total_cmp(&b) == Less))
-                    }
-                    CmpOp::Le => {
-                        hi = hi.min(cache.keys.partition_point(|k| k.total_cmp(&b) != Greater))
-                    }
-                    CmpOp::Gt => {
-                        lo = lo.max(cache.keys.partition_point(|k| k.total_cmp(&b) != Greater))
-                    }
-                    CmpOp::Ge => {
-                        lo = lo.max(cache.keys.partition_point(|k| k.total_cmp(&b) == Less))
-                    }
-                    CmpOp::Eq | CmpOp::Ne => {} // rejected above
+                    CmpOp::Lt => range.1 = range.1.min(b),
+                    CmpOp::Le => range.1 = range.1.min(b + 1.0),
+                    CmpOp::Gt => range.0 = range.0.max(b + 1.0),
+                    CmpOp::Ge => range.0 = range.0.max(b),
+                    CmpOp::Eq | CmpOp::Ne => return false,
                 }
             }
-            let total = if hi > lo {
-                cache.prefix[hi] - cache.prefix[lo]
-            } else {
-                0.0
-            };
-            self.frame[m.dest as usize] = Value::double(total);
         }
-        true
-    }
-
-    /// Build one banded cache line: traverse the scan once (respecting the
-    /// template and equality checks exactly as the per-entry path does),
-    /// collect `(band key, multiplicity)` pairs, sort by key and integrate.
-    /// Any guard violation yields a `!ok` negative line.
-    fn build_band_cache(&mut self, fs: &FusedScan, pos: u16) -> BandCache {
-        let Some(&(_, slot)) = fs.binds.iter().find(|(p, _)| *p == pos) else {
-            return BandCache::default();
-        };
-        let binds = [(pos, slot)];
-        let mut pairs: Vec<(f64, f64)> = Vec::new();
-        let mut ok = true;
-        let mut max_abs = 0.0f64;
-        self.scan_atom(
-            &fs.rel,
-            fs.buf,
-            &fs.template,
-            &fs.eqs,
-            &binds,
-            &mut |me, m| {
-                if !ok {
-                    return;
+        let n = fs.members.len();
+        let mut sums = [0.0f64; MAX_RANGE_MEMBERS];
+        let pattern = self.take_pattern(fs.buf, &fs.template);
+        let answer =
+            self.src
+                .range_sums(&fs.rel, &pattern, bound_mag, &ranges[..n], &mut sums[..n]);
+        self.patterns[fs.buf as usize] = pattern;
+        match answer {
+            Ok(Some(compared)) => {
+                let scanned = &self.counters.entries_scanned;
+                scanned.set(scanned.get() + compared);
+                for (m, &sum) in fs.members.iter().zip(&sums) {
+                    self.frame[m.dest as usize] = Value::double(sum);
                 }
-                let k = match &me.frame[slot as usize] {
-                    Value::Long(v) if v.unsigned_abs() <= (1u64 << 53) => *v as f64,
-                    Value::Double(d) => *d,
-                    _ => {
-                        ok = false;
-                        return;
-                    }
-                };
-                if !(k.is_finite() && k.fract() == 0.0 && k != 0.0 && k.abs() <= EXACT_INT_BOUND)
-                    || !(m.is_finite() && m.fract() == 0.0 && m.abs() <= EXACT_INT_BOUND)
-                {
-                    ok = false;
-                    return;
-                }
-                max_abs = max_abs.max(k.abs());
-                pairs.push((k, m));
-            },
-        );
-        if self.error.is_some() {
-            return BandCache::default();
-        }
-        if ok {
-            pairs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let mut keys = Vec::with_capacity(pairs.len());
-            let mut prefix = Vec::with_capacity(pairs.len() + 1);
-            let (mut acc, mut cum_abs) = (0.0f64, 0.0f64);
-            prefix.push(0.0);
-            for (k, m) in pairs {
-                // Bounding Σ|m| (not just each running prefix) keeps every
-                // partial sum of *any* contiguous range exact.
-                cum_abs += m.abs();
-                if cum_abs >= EXACT_INT_BOUND {
-                    ok = false;
-                    break;
-                }
-                acc += m;
-                keys.push(k);
-                prefix.push(acc);
+                true
             }
-            if ok {
-                return BandCache {
-                    ok: true,
-                    keys,
-                    prefix,
-                    max_abs_key: max_abs,
-                };
+            Ok(None) => false,
+            Err(e) => {
+                self.fail(e);
+                false
             }
         }
-        BandCache::default()
     }
 
     fn eval_scalar(&mut self, s: &Scalar) -> Result<Value, EvalError> {
@@ -2062,17 +1960,15 @@ impl CompiledStmt {
             patterns: &mut state.patterns,
             scratch: &mut state.scratch,
             accs: &state.fused_accs,
-            bands: &mut state.bands,
-            run_entries: state.run_entries,
             counters: &state.counter_slots[counter_slot],
             out: &mut state.out,
             merge_floor,
             key_slots: &self.key_slots,
             error: None,
         };
-        for (i, fs) in self.prelude.iter().enumerate() {
+        for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {
-                exec.run_prelude(i as u16, fs);
+                exec.run_prelude(fs);
             }
         }
         exec.exec(&self.plan, 1.0, &Tail::Rows);
@@ -2146,6 +2042,39 @@ mod tests {
             compiled.equivalent(&expected, 0.0),
             "compiled ≠ interpreted for {rhs}\ncompiled:\n{compiled}\nexpected:\n{expected}"
         );
+    }
+
+    /// A sum over a band of one key column is a range-sum scan when the
+    /// pattern binds the other column; when it binds none, the scan is
+    /// traversed and says why.
+    #[test]
+    fn range_sum_scans_need_a_bound_column_and_say_so() {
+        let banded = |first: &str| {
+            Expr::product_of([
+                Expr::agg_sum(
+                    Vec::<String>::new(),
+                    Expr::product_of([
+                        Expr::rel("R", [first, "b"]),
+                        Expr::cmp(OpC::Gt, Expr::var("b"), Expr::var("x")),
+                    ]),
+                ),
+                Expr::var("x"),
+            ])
+        };
+        let tvars = ["x".to_string(), "y".to_string()];
+        let bound = lower_statement(&tvars, &[], &banded("y")).unwrap();
+        assert_eq!(bound.prelude.len(), 1);
+        assert_eq!(bound.prelude[0].band_pos, Some(1));
+        assert_eq!(bound.prelude[0].range_sum_bail(), None);
+        let free = lower_statement(&tvars, &[], &banded("a")).unwrap();
+        assert_eq!(free.prelude.len(), 1);
+        assert_eq!(free.prelude[0].band_pos, None);
+        assert_eq!(
+            free.prelude[0].range_sum_bail(),
+            Some("no column bound by equality")
+        );
+        check(&banded("y"), &[("x", 2), ("y", 3)], &[]);
+        check(&banded("a"), &[("x", 2), ("y", 3)], &[]);
     }
 
     #[test]

@@ -633,11 +633,10 @@ fn batch_run(
 /// [`BATCH_SIZES`] entry. Per-event throughput is expected to *rise* with
 /// the batch size for every query now that batch-delta programs are the
 /// default dispatch: linear queries amortize dispatch and fused-scan
-/// preludes, axfinder — formerly the flat entry-major straggler —
-/// additionally answers its price-band scans from sorted per-run prefix-sum
-/// caches, so its gain grows with the run length, and the self-joins `bsp`
-/// and `bsv` read their own run's writes through the batch-delta overlay
-/// pass instead of falling back to per-event firing.
+/// preludes, axfinder answers its price-band aggregates from ordered
+/// indexes at every batch size, and the self-joins `bsp` and `bsv` read
+/// their own run's writes through the batch-delta live pass instead of
+/// falling back to per-event firing.
 pub fn batch_benchmarks(config: &ExperimentConfig) -> Vec<MicroResult> {
     let mut out = Vec::new();
     for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {

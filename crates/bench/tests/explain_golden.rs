@@ -3,13 +3,16 @@
 //! For every workload query the rendered EXPLAIN must tell the truth about
 //! execution: each live [`BatchReport`] run record's strategy must be exactly
 //! the strategy EXPLAIN printed for that relation — the dispatch is static, no
-//! run is re-routed by its size or by the state. The `reason:` and
-//! `run-linear on …:` lines of the batch-delta overlay pass are pinned as
-//! goldens on the four shapes the workload has: no run-linear part (`q1`),
-//! an overlay of the query's own auxiliary maps (`bsp`), a `:=` tail (`vwap`)
-//! and a bail (`q17a`). A census pins how many relations each compile mode
+//! run is re-routed by its size or by the state. The `reason:` line and the
+//! `run: live` marks of the batch-delta live pass are pinned as goldens on
+//! the four shapes the workload has: no statement that reads what its run
+//! writes (`q1`), one that reads the query's own auxiliary maps (`bsp`), a
+//! `:=` tail (`vwap`) and a bail (`q17a`). A census pins how many relations each compile mode
 //! dispatches to each strategy, so a gate change that silently demotes a
-//! relation to the per-event path fails by name.
+//! relation to the per-event path fails by name. `axf` pins the range-sum
+//! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
+//! they read gets a `== map … ==` block with its ordered index, and a second
+//! census pins which maps of which queries carry one.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! the explained strategy must follow the entry-major override exactly as the
@@ -92,7 +95,7 @@ fn check_query(q: &workloads::WorkloadQuery, force_entry_major: bool) {
     );
 }
 
-/// Golden `reason:` / run-linear lines under the default dispatch.
+/// Golden `reason:` / `run: live` lines under the default dispatch.
 fn check_goldens(query: &str, ex: &ProgramExplain) {
     let reason = |relation: &str| -> &str {
         let rel = ex.relations.iter().find(|r| r.relation == relation);
@@ -106,28 +109,55 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 reason("Lineitem"),
                 "batch-delta derived (no statement reads run-written state; no overlay pass)"
             );
-            assert!(!text.contains("run-linear on"), "{text}");
+            assert!(!text.contains("run: live"), "{text}");
         }
         "bsp" => {
             assert_eq!(
                 reason("Bids"),
-                "batch-delta derived (2 run-linear statements over an overlay of \
-                 `m_bsp_1`, `m_bsp_2`)"
+                "batch-delta derived (2 live statements, fired entry by entry, read \
+                 run-written `m_bsp_1`, `m_bsp_2`)"
             );
-            // The run-linear part of the result statement: the four terms
-            // that read the auxiliary maps, not the two state-free ones.
-            let part = "run-linear on insert:\n  bsp[bids@broker_id] += \
-                ((Sum[](($m_bsp_1(bids@broker_id, y_t) * (bids@t > y_t))) * bids@volume * bids@price) \
-                + Sum[](($m_bsp_2(bids@broker_id, x_t) * (x_t > bids@t))) \
-                + (-1 * Sum[](($m_bsp_2(bids@broker_id, y_t) * (bids@t > y_t)))) \
-                + (-1 * Sum[](($m_bsp_1(bids@broker_id, x_t) * (x_t > bids@t))) * bids@volume * bids@price))\n    \
-                kernel: compiled\n";
-            assert!(text.contains(part), "{text}");
-            assert!(text.contains("run-linear on delete:\n  bsp[bids@broker_id] += "));
+            // The result statement of either sign reads the auxiliary maps
+            // its own run writes; the statements that write them read nothing.
+            let live = "  bsp[bids@broker_id] += ((Sum[](($m_bsp_1(bids@broker_id, y_t) * \
+                        (bids@t > y_t))) * bids@volume * bids@price) + ";
+            assert_eq!(
+                text.matches("    kernel: compiled\n    run: live\n")
+                    .count(),
+                2
+            );
+            for (at, _) in text.match_indices("    kernel: compiled\n    run: live\n") {
+                let stmt = text[..at].lines().last().unwrap();
+                assert!(stmt.starts_with("  bsp[bids@broker_id] += "), "{stmt}");
+            }
+            assert!(text.contains(live), "{text}");
             assert!(
                 text.contains(" overlay="),
-                "ANALYZE shows overlay firings: {text}"
+                "ANALYZE shows live-pass firings: {text}"
             );
+        }
+        "axf" => {
+            // Six price-band aggregates per `Asks` event, fused into two
+            // scans, each answered from an ordered index.
+            for line in [
+                "    prelude: range-sum m_axf_1[=$2, >$5] members=3 ordered@t1; →$11 \
+                 fast[$3 + -($5) > 1000] band(t1: key < $3 + -(1000)); ",
+                "    prelude: range-sum m_axf_3[>$5, =$2] members=3 ordered@t0; ",
+            ] {
+                assert!(text.contains(line), "{text}");
+            }
+            assert!(!text.contains("fused scan"), "{text}");
+            let maps: Vec<&str> = ex.maps.iter().map(|m| m.name.as_str()).collect();
+            assert_eq!(maps, ["m_axf_1", "m_axf_2", "m_axf_3", "m_axf_4"]);
+            let block = "== map m_axf_3 ==\n  index (m_axf_3@@k1): ordered by a_price\n    \
+                         analyze: indexes hash=0 ordered=1 entries=";
+            assert!(text.contains(block), "{text}");
+            // ANALYZE: every range sum of the replay came from an index.
+            for rel in &ex.relations {
+                let a = rel.triggers[0].statements[0].analyze.expect("telemetry on");
+                assert!(a.banded_hits > 0 && a.banded_bails == 0, "{a:?}");
+                assert_eq!((a.scans, a.fused_scans), (0, 0), "{a:?}");
+            }
         }
         "vwap" => {
             // Three O(1) increments that read nothing the run writes, then
@@ -137,7 +167,12 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 "batch-delta derived (no statement reads run-written state; no overlay pass); \
                  1 replace (`:=`) statement fired once per run, for its last event"
             );
-            assert!(!text.contains("run-linear on"), "{text}");
+            assert!(!text.contains("run: live"), "{text}");
+            // Its nested range sum binds no column by equality: there is no
+            // secondary index to keep ordered, and the plan scans as before.
+            assert!(ex.maps.is_empty() && !text.contains("== map"), "{text}");
+            assert!(!text.contains("range-sum"), "{text}");
+            assert!(text.contains("scan m_vwap_2[>$7]"), "{text}");
         }
         "q17a" => assert_eq!(
             reason("Lineitem"),
@@ -205,5 +240,48 @@ fn dispatch_census_per_compile_mode() {
             "[{mode}] entry-major relations:\n{}",
             per_event.join("\n")
         );
+    }
+}
+
+/// Ordered-index census: which `(map, bound columns)` the compiler declares
+/// ordered over the whole workload suite, per compile mode. Three
+/// higher-order programs have range-sum scans — `q4` (ship dates after an
+/// order's date, per order), `axf` and `bsp`; first-order and re-evaluation
+/// mode scan base relations, which leave more than one column free.
+#[test]
+fn ordered_index_census_per_compile_mode() {
+    for mode in [
+        CompileMode::HigherOrder,
+        CompileMode::FirstOrder,
+        CompileMode::NaiveViewlet,
+        CompileMode::Reevaluate,
+    ] {
+        let mut declared = Vec::new();
+        for q in workloads::all_queries() {
+            let engine = QueryEngineBuilder::new(workloads::full_catalog())
+                .add_query(q.name, q.sql)
+                .mode(mode)
+                .build()
+                .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
+            for d in engine.program().ordered_indexes() {
+                declared.push(format!("{}[{:#b}]@t{}", d.map, d.mask, d.key_pos));
+            }
+        }
+        // `q4`'s auxiliary count map is the same in the naive viewlet
+        // transform as in higher-order mode.
+        let expected: &[&str] = match mode {
+            CompileMode::HigherOrder => &[
+                "m_q4_3[0b10]@t0",
+                "m_axf_1[0b1]@t1",
+                "m_axf_2[0b1]@t1",
+                "m_axf_3[0b10]@t0",
+                "m_axf_4[0b10]@t0",
+                "m_bsp_1[0b1]@t1",
+                "m_bsp_2[0b1]@t1",
+            ],
+            CompileMode::NaiveViewlet => &["m_q4_3[0b10]@t0"],
+            _ => &[],
+        };
+        assert_eq!(declared, expected, "[{mode}]");
     }
 }

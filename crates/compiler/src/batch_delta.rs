@@ -1,6 +1,6 @@
 //! **Batch-delta** programs: run a whole relation run's trigger statements at
-//! the pre-run state, and restore the interaction between the run's entries
-//! with the *same first-order kernels* evaluated over a run-local overlay.
+//! the pre-run state — except the ones that read what the run itself writes,
+//! which fire entry by entry against maps the run keeps current.
 //!
 //! ## The problem
 //!
@@ -12,38 +12,33 @@
 //! on the earlier entries already being applied — through the auxiliary maps
 //! (or `R`'s stored slice) that the statement reads and the same run writes.
 //!
-//! ## The fix: the right-hand side is affine in what the run writes
+//! ## The fix: only some statements, and only some maps, see the order
 //!
 //! Call a map **run-written** when some statement of `R`'s triggers targets
-//! it, and count `R`'s own stored slice among them. Under the gates below a
-//! statement's right-hand side is *affine* in the run-written state: every
-//! product term holds at most one run-written atom, and holds it in
-//! multiplicity position. Writing `M_pre` for the pre-run state and `ΔM_<e`
-//! for everything the run's earlier firings have written,
+//! it, and count `R`'s own stored slice among them. Split every right-hand
+//! side by its degree in the run-written state (`split_by_degree`): the
+//! product terms with no run-written atom are constant over the run, the
+//! others are the statement's **run-linear part**. A statement whose
+//! run-linear part is empty produces the same rows whenever in the run it is
+//! evaluated, so it is evaluated for every entry back-to-back against the
+//! pre-run store (loop-invariant prelude scans amortized over the run) and
+//! its writes are buffered. The statements that have one — the relation's
+//! [`RunLinear`] program — are evaluated firing by firing, in entry order,
+//! and the run-written maps they read (the **live maps**) are written firing
+//! by firing too: the firing's rows for every statement that targets one,
+//! evaluated or already buffered, land before the next statement is
+//! evaluated. What such a statement reads is therefore exactly what per-event
+//! processing would have it read — one lookup into one structure, whatever
+//! the index — and everything else about the run stays a batch.
 //!
-//! ```text
-//! rhs(e; M_pre + ΔM_<e) = rhs(e; M_pre) + lin(e; ΔM_<e)
-//! ```
-//!
-//! where `lin` — the statement's **run-linear part** — keeps exactly the
-//! product terms with one run-written atom (terms with none are constant in
-//! the run and cancel). The first summand is the ordinary statement evaluated
-//! for every entry back-to-back against the pre-run store (prelude scans and
-//! banded prefix-sum caches amortized over the run); the second is the same
-//! statement shape, lowered by the same
-//! [`lower_statement`], evaluated per firing
-//! against an overlay that holds only what the run itself has written so far.
-//! Its cost is proportional to the run's own interacting rows — never to the
-//! maintained state, and never to `|run|²` pairs of unrelated entries — which
-//! is the factorization the materialized higher-order deltas exist for.
-//!
-//! The identity is exact in the GMR ring; over floating-point multiplicities
-//! it is exact whenever the stream arithmetic is (integer weights and
+//! A statement's rows are the same as per event either way, so the results
+//! are exact wherever the stream arithmetic is (integer weights and
 //! aggregates below 2⁵³ reproduce per-event results bit for bit; float
-//! aggregates to summation order). Relations whose statements read no
-//! run-written state — every linear query — have no run-linear part, and a
-//! run of at most one firing has nothing to interact with: both skip the
-//! overlay pass entirely.
+//! aggregates to summation order, because buffered rows are applied statement
+//! by statement, not event by event). Relations whose statements read no
+//! run-written state — every linear query — have an empty program, and a run
+//! of at most one firing has nothing to interact with: both skip the
+//! firing-by-firing pass entirely.
 //!
 //! ## The `:=` tail
 //!
@@ -74,29 +69,30 @@
 //! 3. every `+=` statement is affine in the run-written state as written: no
 //!    product term holds two run-written atoms, none holds one under a lift,
 //!    comparison, `EXISTS` or scalar function, and none reads a `:=` target
-//!    at all (it is rewritten wholesale per event, not added to).
+//!    at all (it is rewritten once per run, not per firing).
 //!
-//! Nothing else is required — in particular no bound on a map's degree in
-//! `R`: by induction over the run's firings, gates 2 and 3 alone make every
-//! firing's buffered rows equal its per-event rows.
+//! Gate 1 and the `:=` clause of gate 3 are what the execution needs: a
+//! statement fired entry by entry against the maps themselves reads what it
+//! reads per event, whatever its shape. The rest of gates 2 and 3 is
+//! stricter than that and only keeps the dispatch of the bundled queries
+//! where it is (ROADMAP item 2(e)).
 //!
 //! An underivable relation runs entry-major — per-event firing inside the
 //! batch — and EXPLAIN prints the gate that bailed.
 //!
 //! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
 
-use crate::compile::reorder_products;
 use crate::program::{
-    BatchDeltaBail, BatchDeltaOutcome, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
+    BatchDeltaBail, BatchDeltaOutcome, RunLinear, RunLinearStmt, StmtOp, Trigger,
 };
-use dbtoaster_agca::{lower_statement, simplify, AtomKind, Expr, RelRef};
+use dbtoaster_agca::{simplify, AtomKind, Expr, RelRef};
 use std::collections::BTreeSet;
 
 /// Derive the per-relation run-linear programs of a trigger program (see the
 /// module docs): one [`RunLinear`] per eligible relation — with no statements
 /// when nothing the relation's triggers read is run-written — plus, for every
 /// relation, the outcome record (eligible, or the first gate that bailed; the
-/// data behind EXPLAIN's strategy reasons). Kernels are lowered here.
+/// data behind EXPLAIN's strategy reasons).
 pub fn derive_run_linear(triggers: &[Trigger]) -> (Vec<RunLinear>, Vec<BatchDeltaOutcome>) {
     let mut relations: Vec<&str> = Vec::new();
     for t in triggers {
@@ -166,7 +162,8 @@ fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<RunLinear, Ba
     }
 
     // Gate 3 and the derivation proper: split every increment's right-hand
-    // side by its degree in the run-written state and keep the linear part.
+    // side by its degree in the run-written state; a non-empty linear part
+    // lists the statement.
     let targets: BTreeSet<&str> = rel_triggers
         .iter()
         .flat_map(|(_, t)| t.statements.iter().map(|s| s.target.as_str()))
@@ -176,9 +173,8 @@ fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<RunLinear, Ba
         _ => a.name == relation,
     };
     let mut statements = Vec::new();
-    let mut overlay_maps = BTreeSet::new();
+    let mut live_maps = BTreeSet::new();
     for &(ti, t) in &rel_triggers {
-        let bound: BTreeSet<String> = t.trigger_vars.iter().cloned().collect();
         for (si, s) in t.increments().iter().enumerate() {
             // A `:=` target is run-written, but never additively: any read
             // of one is non-affine.
@@ -194,27 +190,21 @@ fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<RunLinear, Ba
                 target: s.target.clone(),
                 read,
             })?;
-            let lin = reorder_products(&simplify(&lin), &bound);
+            let lin = simplify(&lin);
             if lin.is_zero() {
                 continue;
             }
-            overlay_maps.extend(lin.atoms().into_iter().filter(&run_written).map(|a| a.name));
-            let kernel = lower_statement(&t.trigger_vars, &s.key_vars, &lin);
+            live_maps.extend(lin.atoms().into_iter().filter(&run_written).map(|a| a.name));
             statements.push(RunLinearStmt {
                 trigger: ti,
                 stmt: si,
-                statement: Statement {
-                    rhs: lin,
-                    ..s.clone()
-                },
-                kernel,
             });
         }
     }
     Ok(RunLinear {
         relation: relation.to_string(),
         statements,
-        overlay_maps: overlay_maps.into_iter().collect(),
+        live_maps: live_maps.into_iter().collect(),
     })
 }
 
@@ -354,24 +344,24 @@ mod tests {
             for s in &rl.statements {
                 let t = &program.triggers[s.trigger];
                 let full = &t.statements[s.stmt];
-                // Same statement shape, cut-down right-hand side, compiled.
                 assert_eq!(t.relation, "R");
-                assert_eq!(s.statement.target, full.target);
-                assert_eq!(s.statement.key_vars, full.key_vars);
-                assert!(s.kernel.is_some(), "{mode}: {}", s.statement);
-                // Every atom the overlay has to answer is listed.
-                for a in s.statement.rhs.atoms() {
-                    let written = t.statements.iter().any(|w| w.target == a.name) || a.name == "R";
-                    assert_eq!(written, rl.overlay_maps.contains(&a.name), "{mode}: {a:?}");
+                // Listed because it reads something the run writes, and every
+                // such map is a live map.
+                let written =
+                    |name: &str| t.statements.iter().any(|w| w.target == name) || name == "R";
+                let reads: Vec<String> = full.rhs.atoms().into_iter().map(|a| a.name).collect();
+                assert!(reads.iter().any(|r| written(r)), "{mode}: {full}");
+                for r in &reads {
+                    assert_eq!(written(r), rl.live_maps.contains(r), "{mode}: {r}");
                 }
             }
             // Higher-order reads the auxiliary map; first-order IVM reads the
             // stored slice of R itself.
             assert_eq!(
-                rl.overlay_maps.contains(&"R".to_string()),
+                rl.live_maps.contains(&"R".to_string()),
                 mode == CompileMode::FirstOrder,
                 "{mode}: {:?}",
-                rl.overlay_maps
+                rl.live_maps
             );
             let dispatch = program.batch_dispatch();
             let r = dispatch.iter().find(|d| d.relation == "R").unwrap();
@@ -538,7 +528,7 @@ mod tests {
         for rel in ["R", "S"] {
             let rl = program.run_linear_for(rel).expect("linear is eligible");
             assert!(
-                rl.statements.is_empty() && rl.overlay_maps.is_empty(),
+                rl.statements.is_empty() && rl.live_maps.is_empty(),
                 "{rel}: linear maps read nothing their own run writes: {:?}",
                 rl.statements
             );
@@ -559,7 +549,7 @@ mod tests {
         for d in program.batch_dispatch() {
             assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{}", d.relation);
             let rl = program.run_linear_for(&d.relation).unwrap();
-            assert!(rl.statements.is_empty() && rl.overlay_maps.is_empty());
+            assert!(rl.statements.is_empty() && rl.live_maps.is_empty());
             let t = &program.triggers[d.insert.unwrap()];
             assert!(t.increments().is_empty() && !t.statements.is_empty());
         }

@@ -4,17 +4,23 @@
 //! kernels; this module renders them back into an operator tree an operator
 //! can read. Per relation it reports the [`BatchStrategy`] a multi-entry
 //! delta batch will use **and why** — whether batch-delta derivation
-//! succeeded (which statements carry a run-linear part for the overlay pass,
-//! and whether a `:=` tail fires once per run) or which eligibility gate
+//! succeeded (which statements read what their own run writes and so fire
+//! entry by entry — marked `run: live` — and whether a `:=` tail fires once
+//! per run) or which eligibility gate
 //! bailed ([`BatchDeltaBail`](crate::program::BatchDeltaBail)) — and per
 //! statement the compiled plan: probes vs scans, product order, fused-prelude
-//! signatures, band specs and slot assignments, straight from
-//! [`dbtoaster_agca::plan`].
+//! signatures (`range-sum` where the scan is answered from an ordered index),
+//! band specs and slot assignments, straight from [`dbtoaster_agca::plan`].
+//! Every map the compiler declared an ordered index on gets a `== map … ==`
+//! block naming the index's bound columns and the column it is sorted on.
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
 //! attach per-target-view counters ([`ViewStats`] — rows written, probes,
-//! scans, entries scanned, fused/banded prelude hits, overlay firings,
-//! current map size) via [`ProgramExplain::attach_stats`]. Both a text
+//! scans, entries scanned, fused scans, range-sum hits/bails, live-pass
+//! firings, current map size) via [`ProgramExplain::attach_stats`] and the
+//! maps' live secondary indexes ([`IndexStats`] — how many of each
+//! representation, entries, bytes) via
+//! [`ProgramExplain::attach_index_stats`]. Both a text
 //! rendering and a dependency-free JSON form (round-trippable through
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
@@ -39,11 +45,13 @@ pub struct ViewStats {
     pub entries_scanned: u64,
     /// Fused prelude traversals.
     pub fused_scans: u64,
-    /// Banded prelude lookups answered from the sorted cache.
+    /// Range-sum scans answered from an ordered index.
     pub banded_hits: u64,
-    /// Banded prelude lookups that fell back to a full traversal.
+    /// Range-sum scans that fell back to a full traversal.
     pub banded_bails: u64,
-    /// Run-linear kernel firings of the batch-delta overlay pass.
+    /// Firings of the batch-delta live pass: evaluations, inside multi-firing
+    /// runs, of statements that read what their own run writes (the name
+    /// dates from when they ran against a run-local overlay).
     pub overlay_firings: u64,
     /// Current number of entries in the map.
     pub map_size: u64,
@@ -62,6 +70,11 @@ pub struct StmtExplain {
     pub op: String,
     /// Did the statement lower to a compiled kernel (`false` = interpreted)?
     pub compiled: bool,
+    /// Does the statement read what its own relation's runs write? Inside a
+    /// multi-firing run such a statement fires entry by entry, against maps
+    /// the run keeps current, instead of once per entry at the pre-run state
+    /// (see [`crate::batch_delta`]).
+    pub live: bool,
     /// One line per hoisted fused-prelude scan.
     pub prelude: Vec<String>,
     /// The plan tree, one indented line per operator.
@@ -95,10 +108,42 @@ pub struct RelationExplain {
     pub shard: String,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
-    /// The run-linear parts the batch-delta overlay pass fires, per sign
-    /// trigger (empty when ineligible or when no statement reads what the
-    /// relation's own triggers write).
-    pub run_linear: Vec<TriggerExplain>,
+}
+
+/// The live secondary indexes of one map, joined in for EXPLAIN ANALYZE
+/// (and served on `/views`): how many there are of each representation, and
+/// what they hold in total under the store's cost model.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct IndexStats {
+    /// Hash indexes (built by the first partial-pattern lookup of a mask).
+    pub hash: u64,
+    /// Ordered indexes (declared by the compiler).
+    pub ordered: u64,
+    /// Entries indexed, summed over the indexes.
+    pub entries: u64,
+    /// Bytes held, summed over the indexes.
+    pub bytes: u64,
+}
+
+/// One ordered secondary index the compiler declared (see
+/// [`TriggerProgram::ordered_indexes`]), with its columns named.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct OrderedIndexExplain {
+    /// The key columns the index's scans bind by equality.
+    pub bound: Vec<String>,
+    /// The key column the groups are sorted on.
+    pub key: String,
+}
+
+/// The index story of one map that carries an ordered index.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MapExplain {
+    /// The map.
+    pub name: String,
+    /// Its declared ordered indexes.
+    pub ordered: Vec<OrderedIndexExplain>,
+    /// Its live secondary indexes (EXPLAIN ANALYZE only).
+    pub analyze: Option<IndexStats>,
 }
 
 /// A full EXPLAIN (or, with stats attached, EXPLAIN ANALYZE) of a compiled
@@ -110,6 +155,8 @@ pub struct ProgramExplain {
     pub forced: Option<String>,
     /// Per-relation strategy, reason and plans.
     pub relations: Vec<RelationExplain>,
+    /// The maps that carry an ordered secondary index, by name.
+    pub maps: Vec<MapExplain>,
 }
 
 /// Explain `program`. `force_entry_major` is the engine's per-event-oracle
@@ -126,23 +173,6 @@ pub fn explain(program: &TriggerProgram, force_entry_major: bool) -> ProgramExpl
                 .flatten()
                 .map(|i| explain_trigger(program, i))
                 .collect();
-            let run_linear = [d.insert, d.delete]
-                .into_iter()
-                .flatten()
-                .filter_map(|i| {
-                    let statements: Vec<StmtExplain> = program
-                        .run_linear_for(&d.relation)?
-                        .statements
-                        .iter()
-                        .filter(|s| s.trigger == i)
-                        .map(|s| explain_statement(&s.statement, s.kernel.as_ref()))
-                        .collect();
-                    (!statements.is_empty()).then(|| TriggerExplain {
-                        sign: sign_str(program.triggers[i].sign),
-                        statements,
-                    })
-                })
-                .collect();
             let strategy = if force_entry_major {
                 BatchStrategy::EntryMajor
             } else {
@@ -157,14 +187,44 @@ pub fn explain(program: &TriggerProgram, force_entry_major: bool) -> ProgramExpl
                 relation: d.relation,
                 strategy: strategy.as_str().to_string(),
                 triggers,
-                run_linear,
             }
         })
         .collect();
     ProgramExplain {
         forced: force_entry_major.then(|| BatchStrategy::EntryMajor.as_str().to_string()),
         relations,
+        maps: explain_maps(program),
     }
+}
+
+/// One block per map with a declared ordered index. Columns are named from
+/// the map's declaration (`t<i>` for a stored relation, which has none).
+fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
+    let mut maps: Vec<MapExplain> = Vec::new();
+    for decl in program.ordered_indexes() {
+        let column = |i: usize| {
+            program
+                .map(&decl.map)
+                .and_then(|m| m.out_vars.get(i).cloned())
+                .unwrap_or_else(|| format!("t{i}"))
+        };
+        let index = OrderedIndexExplain {
+            bound: (0..63)
+                .filter(|i| decl.mask & (1 << i) != 0)
+                .map(column)
+                .collect(),
+            key: column(decl.key_pos as usize),
+        };
+        match maps.last_mut().filter(|m| m.name == decl.map) {
+            Some(m) => m.ordered.push(index),
+            None => maps.push(MapExplain {
+                name: decl.map,
+                ordered: vec![index],
+                analyze: None,
+            }),
+        }
+    }
+    maps
 }
 
 /// One reason per relation: how batch-delta was derived, or the gate that
@@ -187,12 +247,14 @@ fn strategy_reason(
         };
     };
     let mut reason = if rl.statements.is_empty() {
+        // Wording kept from when the live pass ran against a run-local
+        // overlay: the EXPLAIN of a program without one must not change.
         "batch-delta derived (no statement reads run-written state; no overlay pass)".to_string()
     } else {
         format!(
-            "batch-delta derived ({} run-linear statements over an overlay of {})",
+            "batch-delta derived ({} live statements, fired entry by entry, read run-written {})",
             rl.statements.len(),
-            rl.overlay_maps
+            rl.live_maps
                 .iter()
                 .map(|m| format!("`{m}`"))
                 .collect::<Vec<_>>()
@@ -216,6 +278,7 @@ fn strategy_reason(
 
 fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
     let t: &Trigger = &program.triggers[idx];
+    let rl = program.run_linear_for(&t.relation);
     let statements = t
         .statements
         .iter()
@@ -226,7 +289,10 @@ fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
                 .get(idx)
                 .and_then(|c| c.stmts.get(j))
                 .and_then(|k| k.as_ref());
-            explain_statement(s, kernel)
+            StmtExplain {
+                live: rl.is_some_and(|rl| rl.lists(idx, j)),
+                ..explain_statement(s, kernel)
+            }
         })
         .collect();
     TriggerExplain {
@@ -263,6 +329,7 @@ fn explain_statement(
             StmtOp::Replace => ":=".to_string(),
         },
         compiled: kernel.is_some(),
+        live: false,
         prelude,
         plan,
         analyze: None,
@@ -444,7 +511,12 @@ fn scalar_subplans(op: &Op) -> Vec<&Op> {
 
 fn fused_scan_line(fs: &FusedScan) -> String {
     let mut line = format!(
-        "fused scan {}[{}] members={}",
+        "{} {}[{}] members={}",
+        if fs.band_pos.is_some() {
+            "range-sum"
+        } else {
+            "fused scan"
+        },
         fs.rel,
         pattern_str(&fs.template, &fs.binds),
         fs.members.len()
@@ -453,7 +525,10 @@ fn fused_scan_line(fs: &FusedScan) -> String {
         line.push_str(" entry-invariant");
     }
     if let Some(pos) = fs.band_pos {
-        line.push_str(&format!(" banded@t{pos}"));
+        line.push_str(&format!(" ordered@t{pos}"));
+    }
+    if let Some(why) = fs.range_sum_bail() {
+        let _ = write!(line, " (not a range sum: {why})");
     }
     for m in &fs.members {
         let _ = write!(line, "; →${}", m.dest);
@@ -493,11 +568,22 @@ impl ProgramExplain {
             for stmt in rel
                 .triggers
                 .iter_mut()
-                .chain(rel.run_linear.iter_mut())
                 .flat_map(|t| t.statements.iter_mut())
             {
                 stmt.analyze = lookup(&stmt.target);
             }
+        }
+    }
+
+    /// Attach the live secondary indexes of the explained maps: `lookup`
+    /// maps a map name to its [`IndexStats`]. Maps the lookup cannot resolve
+    /// keep `analyze: None`.
+    pub fn attach_index_stats<F>(&mut self, lookup: F)
+    where
+        F: Fn(&str) -> Option<IndexStats>,
+    {
+        for m in &mut self.maps {
+            m.analyze = lookup(&m.name);
         }
     }
 
@@ -521,11 +607,23 @@ impl ProgramExplain {
                     render_stmt(&mut out, s);
                 }
             }
-            for t in &rel.run_linear {
-                let _ = writeln!(out, "run-linear on {}:", t.sign);
-                for s in &t.statements {
-                    render_stmt(&mut out, s);
-                }
+        }
+        for m in &self.maps {
+            let _ = writeln!(out, "== map {} ==", m.name);
+            for i in &m.ordered {
+                let _ = writeln!(
+                    out,
+                    "  index ({}): ordered by {}",
+                    i.bound.join(", "),
+                    i.key
+                );
+            }
+            if let Some(a) = &m.analyze {
+                let _ = writeln!(
+                    out,
+                    "    analyze: indexes hash={} ordered={} entries={} bytes={}",
+                    a.hash, a.ordered, a.entries, a.bytes
+                );
             }
         }
         out
@@ -556,9 +654,42 @@ impl ProgramExplain {
                 json_escape(&rel.shard)
             );
             triggers_json(&mut out, &rel.triggers);
-            out.push_str("],\"run_linear\":[");
-            triggers_json(&mut out, &rel.run_linear);
             out.push_str("]}");
+        }
+        out.push_str("],\"maps\":[");
+        for (i, m) in self.maps.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"name\":\"{}\",\"ordered\":[", json_escape(&m.name));
+            for (j, idx) in m.ordered.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let bound: Vec<String> = idx
+                    .bound
+                    .iter()
+                    .map(|b| format!("\"{}\"", json_escape(b)))
+                    .collect();
+                let _ = write!(
+                    out,
+                    "{{\"bound\":[{}],\"key\":\"{}\"}}",
+                    bound.join(","),
+                    json_escape(&idx.key)
+                );
+            }
+            out.push_str("],\"analyze\":");
+            match &m.analyze {
+                Some(a) => {
+                    let _ = write!(
+                        out,
+                        "{{\"hash\":{},\"ordered\":{},\"entries\":{},\"bytes\":{}}}",
+                        a.hash, a.ordered, a.entries, a.bytes
+                    );
+                }
+                None => out.push_str("null"),
+            }
+            out.push('}');
         }
         out.push_str("]}");
         out
@@ -578,7 +709,6 @@ impl ProgramExplain {
         for rv in obj.get("relations")?.as_array()? {
             let r = rv.as_object()?;
             let triggers = triggers_from_json(r.get("triggers")?)?;
-            let run_linear = triggers_from_json(r.get("run_linear")?)?;
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 strategy: r.get("strategy")?.as_str()?.to_string(),
@@ -590,10 +720,49 @@ impl ProgramExplain {
                     .unwrap_or_default()
                     .to_string(),
                 triggers,
-                run_linear,
             });
         }
-        Some(ProgramExplain { forced, relations })
+        // Absent in documents that predate ordered indexes.
+        let mut maps = Vec::new();
+        for mv in obj.get("maps").and_then(|m| m.as_array()).unwrap_or(&[]) {
+            let m = mv.as_object()?;
+            let mut ordered = Vec::new();
+            for iv in m.get("ordered")?.as_array()? {
+                let i = iv.as_object()?;
+                ordered.push(OrderedIndexExplain {
+                    bound: i
+                        .get("bound")?
+                        .as_array()?
+                        .iter()
+                        .map(|b| b.as_str().map(str::to_string))
+                        .collect::<Option<_>>()?,
+                    key: i.get("key")?.as_str()?.to_string(),
+                });
+            }
+            let analyze = match m.get("analyze")? {
+                json::Json::Null => None,
+                a => {
+                    let a = a.as_object()?;
+                    let field = |k: &str| a.get(k).and_then(json::Json::as_u64);
+                    Some(IndexStats {
+                        hash: field("hash")?,
+                        ordered: field("ordered")?,
+                        entries: field("entries")?,
+                        bytes: field("bytes")?,
+                    })
+                }
+            };
+            maps.push(MapExplain {
+                name: m.get("name")?.as_str()?.to_string(),
+                ordered,
+                analyze,
+            });
+        }
+        Some(ProgramExplain {
+            forced,
+            relations,
+            maps,
+        })
     }
 }
 
@@ -608,6 +777,9 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
             "interpreted"
         }
     );
+    if s.live {
+        let _ = writeln!(out, "    run: live");
+    }
     for p in &s.prelude {
         let _ = writeln!(out, "    prelude: {p}");
     }
@@ -673,11 +845,12 @@ fn triggers_from_json(v: &json::Json) -> Option<Vec<TriggerExplain>> {
 fn stmt_json(out: &mut String, s: &StmtExplain) {
     let _ = write!(
         out,
-        "{{\"statement\":\"{}\",\"target\":\"{}\",\"op\":\"{}\",\"compiled\":{}",
+        "{{\"statement\":\"{}\",\"target\":\"{}\",\"op\":\"{}\",\"compiled\":{},\"live\":{}",
         json_escape(&s.statement),
         json_escape(&s.target),
         json_escape(&s.op),
-        s.compiled
+        s.compiled,
+        s.live
     );
     out.push_str(",\"prelude\":[");
     for (i, p) in s.prelude.iter().enumerate() {
@@ -749,6 +922,7 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
         target: o.get("target")?.as_str()?.to_string(),
         op: o.get("op")?.as_str()?.to_string(),
         compiled: o.get("compiled")?.as_bool()?,
+        live: o.get("live")?.as_bool()?,
         prelude: strings("prelude")?,
         plan: strings("plan")?,
         analyze,

@@ -46,13 +46,16 @@ pub mod shard;
 
 pub use batch_delta::derive_run_linear;
 pub use compile::{compile, fix_atom_kinds, CompileError};
-pub use explain::{explain, ProgramExplain, RelationExplain, StmtExplain, ViewStats};
+pub use explain::{
+    explain, IndexStats, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
+    StmtExplain, ViewStats,
+};
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-    CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
-    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
-    TriggerProgram,
+    CompileReport, CompiledTrigger, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
+    RelationDispatch, RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp,
+    Trigger, TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -61,12 +64,12 @@ pub use shard::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::compile::{compile, CompileError};
-    pub use crate::explain::{explain, ProgramExplain, ViewStats};
+    pub use crate::explain::{explain, IndexStats, ProgramExplain, ViewStats};
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-        CompileReport, CompiledTrigger, MapDecl, QueryResult, QuerySpec, RelationDispatch,
-        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
-        TriggerProgram,
+        CompileReport, CompiledTrigger, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
+        RelationDispatch, RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp,
+        Trigger, TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

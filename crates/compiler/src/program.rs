@@ -370,16 +370,16 @@ pub enum BatchStrategy {
     /// and the replay path of a batch-delta run that hit an evaluation error.
     EntryMajor,
     /// Batch-delta: the whole run is one delta GMR. Every incremental
-    /// statement of both sign triggers is evaluated against the **pre-run**
-    /// state (all writes buffered and applied after the last read), and the
-    /// relation's [`RunLinear`] statements — the same right-hand sides cut
-    /// down to the terms that read what the run writes — are evaluated per
-    /// firing over a run-local overlay to account for entries of the same run
-    /// interacting. The base update follows, and the `:=` statements of the
-    /// run's last event fire once against the new state — the one firing
-    /// whose output survives per-event processing. Chosen whenever the
-    /// derivation succeeds — see [`crate::batch_delta`] for the argument and
-    /// its eligibility gates.
+    /// statement of both sign triggers that reads nothing the run writes is
+    /// evaluated for all entries against the **pre-run** state, its writes
+    /// buffered; the relation's [`RunLinear`] statements — the ones that do
+    /// read what the run writes — are evaluated firing by firing against
+    /// maps the run keeps current as it goes, to account for entries of the
+    /// same run interacting. The buffered writes and the base update follow,
+    /// and the `:=` statements of the run's last event fire once against the
+    /// new state — the one firing whose output survives per-event
+    /// processing. Chosen whenever the derivation succeeds — see
+    /// [`crate::batch_delta`] for the argument and its eligibility gates.
     BatchDelta,
 }
 
@@ -400,37 +400,44 @@ impl fmt::Display for BatchStrategy {
 }
 
 /// The run-linear program of one batch-delta eligible relation (see
-/// [`crate::batch_delta`]): for every trigger statement that reads a map — or
-/// the relation's own stored slice — that the same relation's triggers write,
-/// the part of its right-hand side linear in that run-written state. Executing
-/// the relation's statements against the pre-run state and these, per firing
-/// in entry order, against an overlay of what the run has written so far
-/// reproduces sequential per-event processing exactly (in the GMR ring).
+/// [`crate::batch_delta`]): the trigger statements whose right-hand side has
+/// a *run-linear part* — product terms that read a map, or the relation's own
+/// stored slice, that the same relation's triggers write — and the maps those
+/// terms read. A multi-firing run evaluates every other statement once per
+/// entry against the pre-run state, and these firing by firing in entry
+/// order, writing the maps they read as it goes: sequential per-event
+/// processing for exactly the part of the program where the order of a run's
+/// entries matters.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct RunLinear {
     /// The stream relation whose runs this program completes.
     pub relation: String,
-    /// The run-linear parts, in `(trigger, statement)` order; empty when no
-    /// statement of the relation reads run-written state — the relation is
-    /// still batch-delta eligible, its runs just have no interaction.
+    /// The statements with a run-linear part, in `(trigger, statement)`
+    /// order; empty when no statement of the relation reads run-written state
+    /// — the relation is still batch-delta eligible, its runs just have no
+    /// interaction.
     pub statements: Vec<RunLinearStmt>,
-    /// The run-written names those parts read, sorted: exactly the maps the
-    /// engine's run-local overlay has to hold.
-    pub overlay_maps: Vec<String>,
+    /// The run-written names those statements read, sorted: the *live maps*,
+    /// which a run writes firing by firing instead of once at its end.
+    pub live_maps: Vec<String>,
 }
 
-/// The run-linear part of one trigger statement.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+impl RunLinear {
+    /// Is statement `stmt` of trigger `trigger` one of [`RunLinear::statements`]?
+    pub fn lists(&self, trigger: usize, stmt: usize) -> bool {
+        self.statements
+            .iter()
+            .any(|s| s.trigger == trigger && s.stmt == stmt)
+    }
+}
+
+/// One trigger statement with a run-linear part, by position.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunLinearStmt {
     /// Index into [`TriggerProgram::triggers`] of the statement's trigger.
     pub trigger: usize,
     /// Index into that trigger's [`Trigger::statements`].
     pub stmt: usize,
-    /// The trigger statement with its right-hand side cut down to the product
-    /// terms holding exactly one run-written atom.
-    pub statement: Statement,
-    /// Its compiled kernel (`None` = interpret).
-    pub kernel: Option<CompiledStmt>,
 }
 
 /// Which eligibility gate stopped batch-delta derivation for a
@@ -463,8 +470,8 @@ pub enum BatchDeltaBail {
     /// Gate 3: the statement for `target` is not affine in `read`, which the
     /// same relation's triggers write: a product term holds two run-written
     /// atoms, or one under a lift, comparison, `EXISTS` or scalar function —
-    /// or `read` is rewritten wholesale by a `:=` statement, which no overlay
-    /// of additive writes can stand for.
+    /// or `read` is rewritten wholesale by a `:=` statement, which a run fires
+    /// once, after its last entry, not per firing.
     NonAffineRunRead {
         /// The statement's target map.
         target: String,
@@ -520,7 +527,47 @@ pub struct RelationDispatch {
     pub strategy: BatchStrategy,
 }
 
+/// A secondary index the compiler declares *ordered*: the index of `map`
+/// over the key positions in `mask` is kept sorted on `key_pos`, the one
+/// position the mask leaves free, so the range-sum scans that read it (see
+/// [`dbtoaster_agca::plan`]) cost two binary searches per interval end
+/// instead of a walk over the group. An ordered index *replaces* the hash
+/// index of the same mask; it is not kept beside it.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct OrderedIndexDecl {
+    /// The map (or stored relation) indexed.
+    pub map: String,
+    /// Bitmask of the key positions the scans bind by equality.
+    pub mask: u64,
+    /// The free position the index is sorted on.
+    pub key_pos: u16,
+}
+
 impl TriggerProgram {
+    /// The ordered secondary indexes of the program, sorted: one per `(map,
+    /// bound positions)` some compiled kernel reads through a range-sum scan
+    /// ([`dbtoaster_agca::plan::FusedScan::band_pos`]). Derived from the
+    /// kernels, like they are from the statements; the runtime declares these
+    /// on the stored maps.
+    pub fn ordered_indexes(&self) -> Vec<OrderedIndexDecl> {
+        let decls: BTreeSet<OrderedIndexDecl> = self
+            .compiled
+            .iter()
+            .flat_map(|c| c.stmts.iter().flatten())
+            .flat_map(|k| &k.prelude)
+            .filter_map(|fs| {
+                Some(OrderedIndexDecl {
+                    map: fs.rel.clone(),
+                    mask: (0..fs.template.len().min(63))
+                        .filter(|&i| fs.template[i].is_some())
+                        .fold(0, |m, i| m | 1 << i),
+                    key_pos: fs.band_pos?,
+                })
+            })
+            .collect();
+        decls.into_iter().collect()
+    }
+
     /// Find a map declaration by name.
     pub fn map(&self, name: &str) -> Option<&MapDecl> {
         self.maps.iter().find(|m| m.name == name)

@@ -50,7 +50,7 @@
 //! run-linear batch-delta program independently.
 //!
 //! Within one shard, a run's intra-batch interactions are handled by the
-//! slice's own batch-delta overlay pass; *cross-shard* interactions cannot
+//! slice's own batch-delta live pass; *cross-shard* interactions cannot
 //! arise for local statements, because any read of run-written state goes
 //! through the very probe key the analysis proved equal to both partition
 //! variables — co-partitioned entries land on the same shard.
@@ -682,7 +682,7 @@ mod tests {
     }
 
     /// Scalar self-join with a join key: quadratic, but co-partitioned pairs
-    /// always share a shard, so the per-shard overlay passes stay exact.
+    /// always share a shard, so the per-shard live passes stay exact.
     fn selfj() -> QuerySpec {
         QuerySpec {
             name: "SELFJ".into(),
@@ -741,7 +741,7 @@ mod tests {
         let rl = slices.local.run_linear_for("R").expect("R eligible");
         assert!(
             !rl.statements.is_empty(),
-            "quadratic self-join needs an overlay pass on each shard"
+            "quadratic self-join needs a live pass on each shard"
         );
     }
 

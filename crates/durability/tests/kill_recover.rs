@@ -257,6 +257,119 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Ordered secondary indexes are derived state: a checkpoint holds the maps,
+/// not the indexes, so recovery has to leave every ordered index of `axf`'s
+/// four auxiliary maps as if it had been maintained all along — refilled by
+/// the checkpoint load, then written through by WAL replay. Kill past a
+/// checkpoint, reopen, finish the stream: every view equals a never-crashed engine bit
+/// for bit, each index holds its map's entries, and the range sums of the
+/// events after recovery were all answered from the indexes. A clean
+/// shutdown and reopen (checkpoint only, zero replay) must do the same.
+#[test]
+fn ordered_indexes_survive_checkpoint_kill_and_recover() {
+    use dbtoaster::workloads;
+    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-kill-axf-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let axf = workloads::query("axf").unwrap();
+    let builder = || {
+        QueryEngineBuilder::new(workloads::full_catalog())
+            .add_query(axf.name, axf.sql)
+            .mode(CompileMode::HigherOrder)
+    };
+    let config = || {
+        let mut c = config(&dir);
+        c.durability.as_mut().unwrap().checkpoint_every_events = 4_096;
+        c
+    };
+    let stream = workloads::finance::generate(&workloads::FinanceConfig {
+        events: 9_000,
+        seed: 5,
+        ..Default::default()
+    })
+    .events;
+    let ordered = builder().build().unwrap().program().ordered_indexes();
+    let maps: Vec<&str> = ordered.iter().map(|d| d.map.as_str()).collect();
+    assert_eq!(maps, ["m_axf_1", "m_axf_2", "m_axf_3", "m_axf_4"]);
+    // Every ordered index holds exactly its map's entries.
+    let assert_indexes_full = |server: &ViewServer, context: &str| {
+        let views = server.metrics().views;
+        for map in &maps {
+            let v = views.iter().find(|v| v.name == *map).unwrap();
+            assert!(v.map_size > 0, "{context}: {map} is empty");
+            assert_eq!(
+                v.indexes[..3],
+                [0, 1, v.map_size],
+                "{context}: {map} [hash, ordered, entries]"
+            );
+        }
+    };
+
+    // Killed with a periodic checkpoint behind it and 500 applied events
+    // past it (fewer than a checkpoint interval, so they are in the WAL only).
+    let server = builder().open_or_create_with(config()).unwrap();
+    server
+        .handle()
+        .send_batch(stream[..4_500].to_vec())
+        .unwrap();
+    server.flush().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(120);
+    while server.stats().checkpoints_taken < 2 {
+        assert!(Instant::now() < deadline, "no periodic checkpoint");
+        std::thread::yield_now();
+    }
+    let applied = 5_000;
+    server
+        .handle()
+        .send_batch(stream[4_500..applied].to_vec())
+        .unwrap();
+    server.flush().unwrap();
+    server.kill();
+
+    let server = builder().open_or_create_with(config()).unwrap();
+    assert_eq!(server.stats().events as usize, applied);
+    let replayed = server.stats().recovery_replayed_events;
+    assert!((500..applied as u64).contains(&replayed), "{replayed}");
+    let mut reference = builder().build().unwrap();
+    reference.init().unwrap();
+    reference.process_all(&stream[..applied]).unwrap();
+    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf recovered");
+
+    server
+        .handle()
+        .send_batch(stream[applied..].to_vec())
+        .unwrap();
+    server.flush().unwrap();
+    reference.process_all(&stream[applied..]).unwrap();
+    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf replayed");
+    assert_indexes_full(&server, "after recovery");
+    let views = server.metrics().views;
+    let result = views.iter().find(|v| v.name == "axf").unwrap();
+    assert!(
+        result.banded_hits > 0 && result.banded_bails == 0 && result.fused_scans == 0,
+        "range sums after recovery must come from the indexes: {result:?}"
+    );
+
+    // Checkpoint only: a clean shutdown reopens with nothing to replay.
+    server.shutdown().unwrap();
+    let server = builder().open_or_create_with(config()).unwrap();
+    assert_eq!(server.stats().recovery_replayed_events, 0);
+    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf reopened");
+    // The gauges are refreshed when a batch is applied: place and cancel one
+    // order (an ordered-index insert and removal on top of the loaded state).
+    let (book, order) = (&stream[0].relation, &stream[0].tuple);
+    for touch in [
+        UpdateEvent::insert(book, order.clone()),
+        UpdateEvent::delete(book, order.clone()),
+    ] {
+        server.handle().send_batch(vec![touch]).unwrap();
+        server.flush().unwrap();
+    }
+    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf touched");
+    assert_indexes_full(&server, "after a clean reopen");
+    drop(server);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Group commit under `FsyncPolicy::Always`: a wide window lets WAL appends
 /// share fsyncs (the telemetry counter proves coalescing happened), a flush
 /// barrier forces the deferred sync, and a kill + reopen still recovers the
@@ -464,7 +577,7 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     // The revenue query's deltas are linear: its relations have no run-linear
     // part. The Lineitem self-join adds a query whose delta re-reads a map
     // Lineitem itself maintains, so multi-firing Lineitem runs make the
-    // batch-delta overlay pass. The `vwap`-shaped nested aggregate (the
+    // batch-delta live pass. The `vwap`-shaped nested aggregate (the
     // order-book query, over Lineitem prices) gives Lineitem a `:=`
     // statement: its runs end in the replace tail, and replay must bind it to
     // the same last event the live run did.
@@ -575,7 +688,7 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
         live_runs
             .iter()
             .any(|r| r.relation == "Lineitem" && r.events > 3),
-        "expected multi-firing Lineitem runs (the overlay pass): {live_runs:?}"
+        "expected multi-firing Lineitem runs (the live pass): {live_runs:?}"
     );
     assert_eq!(
         live_runs, replay_runs,

@@ -23,33 +23,35 @@
 //! * **Batch-delta** (chosen whenever the compiler derived a run-linear
 //!   program for the relation — see the compiler's `batch_delta` module) is
 //!   the three phases above run once per *run* instead of once per event:
-//!   1. every incremental statement of both sign triggers is evaluated for
-//!      all entries back-to-back against the *pre-run* state with its writes
-//!      buffered (statement prelude, loop-invariant fused scans and banded
-//!      prefix-sum caches amortized over the run). When some statement reads
-//!      a map the same run writes, one ordered **overlay pass** over the
-//!      run's firings follows: each statement's *run-linear part* — the same
-//!      right-hand side cut down to the terms that read run-written state,
-//!      lowered by the same kernel pipeline — is executed against a run-local
-//!      overlay that holds only what the run's earlier firings wrote (every
-//!      other name passes through to the store), its rows join the
-//!      statement's buffer, and the firing's own rows are folded into the
-//!      overlay. Because those right-hand sides are affine in the run-written
-//!      state, pre-run rows plus overlay rows equal the rows of sequential
-//!      per-event firing. The pass costs what the run's own entries interact,
-//!      independent of the maintained state; it is skipped for runs of at
-//!      most one firing and for relations with no run-linear part. Then all
-//!      buffered statement writes land: one target resolution, one change-log
-//!      entry and one version bump per statement per run;
-//!   2. the base update, one pass over the run's net entries;
+//!   1. every incremental statement of both sign triggers that reads nothing
+//!      the run writes is evaluated for all entries back-to-back against the
+//!      *pre-run* state with its writes buffered (statement prelude and
+//!      loop-invariant fused scans amortized over the run). When some
+//!      statement does read a map the same run writes — the relation's
+//!      run-linear program lists it, and the maps it reads are the relation's
+//!      *live maps* — one **live pass** over the run's firings follows, in
+//!      entry order: each listed statement is evaluated for the firing
+//!      against the store, and whatever the firing writes to a live map —
+//!      rows just evaluated or rows buffered before the pass, the base
+//!      update included — is written at once, so the next firing reads what
+//!      per-event processing would have it read, through the same single
+//!      lookup (a range sum stays one search of one ordered index, whatever
+//!      the run has added to it). Those writes are remembered and taken back
+//!      if the pass fails. The pass costs what its statements cost per event;
+//!      it is skipped for runs of at most one firing and for relations with
+//!      an empty program. Then all writes still buffered land: one target
+//!      resolution, one change-log entry and one version bump per statement
+//!      per run;
+//!   2. the base update, one pass over the run's net entries (unless the
+//!      live pass made it, firing by firing);
 //!   3. the `:=` statements of the run's **last event**, once, against the
 //!      new state — of a run's per-event `:=` firings only the last one's
 //!      output survives, and this is it. A trigger of nothing but `:=`
 //!      statements (re-evaluation mode) is the degenerate run: an empty
 //!      phase 1 and one re-evaluation per run instead of one per event.
 //!
-//!   Any evaluation error in phase 1 discards the (still unapplied) buffers
-//!   and replays the whole run entry-major, reproducing per-event poison
+//!   Any evaluation error in phase 1 discards the (still unapplied) buffers,
+//!   undoes the live pass's writes and replays the whole run entry-major, reproducing per-event poison
 //!   semantics exactly. A failing `:=` in phase 3 counts its binding event as
 //!   failed, like the per-event path does.
 //! * **Entry-major** (the per-event oracle, the path of every relation the
@@ -77,7 +79,7 @@
 //! telescoping sum over merged runs is exact, and interleaved streams (e.g.
 //! alternating bids/asks) collapse from many short runs into one per relation.
 
-use crate::store::{CachedSource, Database, SnapshotWork, ViewMap};
+use crate::store::{CachedSource, Database, SnapshotWork};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::{
     eval_with, eval_with_scratch, Bindings, EvalError, EvalScratch, RelationSource,
@@ -330,7 +332,7 @@ pub struct EngineStats {
     /// interpreter path (see [`Engine::set_force_interpreter`]).
     pub compiled_triggers: u64,
     /// Relation runs executed on the batch-delta path (pre-state evaluation,
-    /// the overlay pass where entries interact, the `:=` tail; see the module
+    /// the live pass where entries interact, the `:=` tail; see the module
     /// docs).
     pub batch_delta_runs: u64,
     /// Always 0: the statement-major strategy was folded into batch-delta.
@@ -418,7 +420,7 @@ struct DispatchEntry {
     strategy: BatchStrategy,
     /// Index into [`TriggerProgram::run_linear`] when the strategy is
     /// batch-delta and some statement has a run-linear part, i.e. when
-    /// multi-firing runs need the overlay pass (resolved once at
+    /// multi-firing runs need the live pass (resolved once at
     /// dispatch-build time).
     run_linear: Option<u16>,
 }
@@ -442,8 +444,7 @@ struct Seg {
     reps: u32,
 }
 
-/// One statement as the evaluator sees it: a trigger statement, or the
-/// run-linear part of one (same shape, cut-down right-hand side).
+/// One trigger statement as the evaluator sees it.
 #[derive(Clone, Copy)]
 struct StmtRef<'a> {
     /// The trigger's variables, positionally bound to the event tuple.
@@ -459,7 +460,7 @@ struct StmtRef<'a> {
 #[derive(Debug, Default)]
 struct Evaluator {
     /// Compiled-kernel execution state (frame, pattern buffers, scratch
-    /// maps, banded caches, work counters).
+    /// maps, work counters).
     kernel: KernelState,
     /// Interpreter scratch: memoized product orders + recycled pattern buffer.
     scratch: EvalScratch,
@@ -471,27 +472,26 @@ impl Evaluator {
     /// Evaluate statement `s` for one event `tuple` against `src`, appending
     /// its `(key, multiplicity)` rows to `out` and touching no view. This is
     /// the one place that chooses between a compiled kernel and the AST
-    /// interpreter; collection, the overlay pass and single firings all come
+    /// interpreter; collection, the live pass and single firings all come
     /// through here, so the two evaluators cannot drift apart by call site.
     ///
-    /// `first_of` is `Some(n)` for the first of `n` back-to-back evaluations
-    /// of `s` against an unchanged `src` (statement prelude, loop-invariant
-    /// fused scans and banded caches are set up, and amortized over the `n`),
-    /// `None` for the rest of them.
+    /// `first` marks the first of a series of back-to-back evaluations of `s`
+    /// against an unchanged `src`: the kernel's buffers are sized and its
+    /// loop-invariant fused scans run, and the rest of the series reuses
+    /// both.
     fn rows(
         &mut self,
         src: &dyn RelationSource,
         s: StmtRef<'_>,
         tuple: &[Value],
-        first_of: Option<usize>,
+        first: bool,
         out: &mut Vec<(Tuple, f64)>,
     ) -> Result<(), RuntimeError> {
         match s.kernel {
             Some(kernel) => {
                 let state = &mut self.kernel;
-                if let Some(entries) = first_of {
+                if first {
                     state.prepare(kernel);
-                    state.set_run_entries(entries);
                 }
                 for &slot in &kernel.used_trigger_slots {
                     state.frame[slot as usize] = tuple[slot as usize].clone();
@@ -499,12 +499,12 @@ impl Evaluator {
                 // The kernel appends to `state.out`: lend it the caller's
                 // buffer for the call instead of copying rows across.
                 std::mem::swap(&mut state.out, out);
-                let res = kernel.execute_batch_entry(src, state, first_of.is_some());
+                let res = kernel.execute_batch_entry(src, state, first);
                 std::mem::swap(&mut state.out, out);
                 res.map_err(RuntimeError::Eval)
             }
             None => {
-                if first_of.is_some() {
+                if first {
                     // No stale name may leak across triggers.
                     self.bindings.clear();
                 }
@@ -546,6 +546,9 @@ struct DeferredStmt {
     segs: Vec<Seg>,
     /// Buffered `(key, multiplicity)` rows.
     rows: Vec<(Tuple, f64)>,
+    /// The live pass already applied these rows (the target is a map the
+    /// run's own statements read): the apply phase only accounts for them.
+    applied: bool,
 }
 
 /// Pooled [`DeferredStmt`] buffers for batch-delta execution. `live` marks
@@ -555,6 +558,9 @@ struct DeferredStmt {
 struct BdScratch {
     stmts: Vec<DeferredStmt>,
     live: usize,
+    /// The live pass already applied the run's base update, firing by firing
+    /// (the relation's own stored slice is a map its statements read).
+    base_applied: bool,
 }
 
 impl BdScratch {
@@ -569,52 +575,8 @@ impl BdScratch {
         slot.stmt = stmt;
         slot.segs.clear();
         slot.rows.clear();
+        slot.applied = false;
         slot
-    }
-}
-
-/// The [`RelationSource`] the batch-delta overlay pass evaluates run-linear
-/// kernels against: the relation's run-written maps (`names`, index-aligned
-/// with `maps`) resolve to the run-local overlay — what the run's earlier
-/// firings wrote, nothing else — and every other name passes through to the
-/// pre-run store. A run-linear right-hand side reads each run-written map
-/// through exactly one atom per product term, so name-based routing is exact.
-struct RunOverlay<'a, 'db> {
-    store: &'a CachedSource<'db>,
-    names: &'a [String],
-    maps: &'a [ViewMap],
-}
-
-impl RunOverlay<'_, '_> {
-    fn overlay(&self, name: &str) -> Option<&ViewMap> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| &self.maps[i])
-    }
-}
-
-impl RelationSource for RunOverlay<'_, '_> {
-    fn relation_arity(&self, name: &str) -> Option<usize> {
-        match self.overlay(name) {
-            Some(m) => Some(m.schema().arity()),
-            None => self.store.relation_arity(name),
-        }
-    }
-
-    fn for_each_matching(
-        &self,
-        name: &str,
-        pattern: &[Option<Value>],
-        visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError> {
-        match self.overlay(name) {
-            Some(m) => {
-                m.for_each(pattern, visit);
-                Ok(())
-            }
-            None => self.store.for_each_matching(name, pattern, visit),
-        }
     }
 }
 
@@ -646,13 +608,11 @@ pub struct Engine {
     /// [`TriggerProgram::batch_dispatch`] at construction (and on
     /// [`Engine::set_force_entry_major`]).
     dispatch: FastMap<String, DispatchEntry>,
-    /// Run-local overlays for the batch-delta overlay pass: per relation
-    /// program (index-aligned with `program.run_linear`) one [`ViewMap`] per
-    /// overlay map (index-aligned with [`RunLinear::overlay_maps`]). Emptied
-    /// at the start of every pass and never larger than one run's rows; not
-    /// part of the database, so invisible to snapshots and
-    /// [`Engine::memory_bytes`].
-    overlays: Vec<Vec<ViewMap>>,
+    /// Undo log of the batch-delta live pass: per write it made to a view
+    /// ahead of the apply phase, the view (an index into the relation's
+    /// [`RunLinear::live_maps`]), the key and the multiplicity the key had
+    /// before. Replayed backwards when the pass fails; empty between passes.
+    undo: Vec<(u16, Tuple, f64)>,
     /// Ignore compiled kernels and interpret every statement (the
     /// differential-testing oracle; see [`Engine::set_force_interpreter`]).
     force_interpreter: bool,
@@ -690,7 +650,7 @@ struct RunScratch {
     events: u64,
     entries: u64,
     nanos: u64,
-    overlay_firings: u64,
+    live_firings: u64,
     stmts: Vec<StmtScratch>,
     stmts_live: usize,
 }
@@ -713,7 +673,7 @@ struct TelemetryState {
     map_names: Vec<String>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
-    pending_overlay: Vec<u64>,
+    pending_live: Vec<u64>,
     /// `[tidx][stmt]` → view slot of the trigger statement's target.
     stmt_slot: Vec<Vec<u32>>,
     /// Events/batches already folded into the telemetry counters.
@@ -755,19 +715,19 @@ impl TelemetryState {
         r.events = events;
         r.entries = entries as u64;
         r.nanos = 0;
-        r.overlay_firings = 0;
+        r.live_firings = 0;
         r.stmts_live = 0;
         self.runs_live += 1;
     }
 
-    /// Count one run-linear kernel firing of the overlay pass for statement
-    /// `j` of trigger `tidx`, returning the counter slot of its target view.
-    fn note_overlay_firing(&mut self, tidx: usize, j: usize) -> Option<usize> {
+    /// Count one live-pass evaluation of statement `j` of trigger `tidx`,
+    /// returning the counter slot of its target view.
+    fn note_live_firing(&mut self, tidx: usize, j: usize) -> Option<usize> {
         if self.armed && self.runs_live > 0 {
-            self.runs[self.runs_live - 1].overlay_firings += 1;
+            self.runs[self.runs_live - 1].live_firings += 1;
         }
         let slot = *self.stmt_slot.get(tidx)?.get(j)? as usize;
-        *self.pending_overlay.get_mut(slot)? += 1;
+        *self.pending_live.get_mut(slot)? += 1;
         Some(slot)
     }
 
@@ -813,7 +773,7 @@ impl TelemetryState {
                     events: r.events,
                     entries: r.entries,
                     nanos: r.nanos,
-                    overlay_firings: r.overlay_firings,
+                    overlay_firings: r.live_firings,
                     statements: r.stmts[..r.stmts_live]
                         .iter()
                         .map(|s| StmtSpan {
@@ -862,19 +822,11 @@ impl Engine {
             .triggers
             .iter()
             .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
-        let overlays = program
-            .run_linear
-            .iter()
-            .map(|rl| {
-                rl.overlay_maps
-                    .iter()
-                    .map(|n| {
-                        let stored = db.view(n).expect("overlay maps are declared views");
-                        ViewMap::new(stored.schema().clone())
-                    })
-                    .collect()
-            })
-            .collect();
+        for decl in program.ordered_indexes() {
+            if let Some(view) = db.view_mut(&decl.map) {
+                view.declare_ordered(decl.mask, decl.key_pos as usize);
+            }
+        }
         let mut engine = Engine {
             program: Arc::new(program),
             db,
@@ -887,7 +839,7 @@ impl Engine {
             merged: DeltaBatch::new(),
             merge_runs,
             dispatch: FastMap::default(),
-            overlays,
+            undo: Vec::new(),
             force_interpreter: false,
             force_entry_major: false,
             record_runs: false,
@@ -1409,7 +1361,7 @@ impl Engine {
             ..
         } = self;
         rows.clear();
-        eval.rows(&*db, s, tuple, Some(1), rows)?;
+        eval.rows(&*db, s, tuple, true, rows)?;
         let all = Seg {
             start: 0,
             end: rows.len(),
@@ -1423,14 +1375,14 @@ impl Engine {
 
     /// Batch-delta execution of one run (see the module docs): collect every
     /// incremental statement's rows over the run's entries against the
-    /// pre-run state (plus, for a multi-firing run of a relation with a
-    /// run-linear part, the overlay pass), apply the buffers in statement
-    /// order, apply the base update, fire the last event's `:=` statements.
-    /// Returns the strategy that actually executed: any collection error
-    /// discards the (still unapplied) buffers — the database is untouched at
-    /// that point — and replays the whole run entry-major, which reproduces
-    /// per-event poison semantics exactly and does its own failure
-    /// accounting.
+    /// pre-run state (for a multi-firing run of a relation with a run-linear
+    /// program: the live pass in place of that program's statements), apply
+    /// the buffers in statement order, apply the base update, fire the last
+    /// event's `:=` statements. Returns the strategy that actually executed:
+    /// any collection error discards the (still unapplied) buffers — the
+    /// database is as the run found it at that point — and replays the whole
+    /// run entry-major, which reproduces per-event poison semantics exactly
+    /// and does its own failure accounting.
     fn run_batch_delta(
         &mut self,
         program: &TriggerProgram,
@@ -1456,7 +1408,11 @@ impl Engine {
             } = self;
             for ds in &bd.stmts[..bd.live] {
                 let stmt = &program.triggers[ds.tidx as usize].statements[ds.stmt as usize];
-                if let Err(e) = apply_statement_rows(db, changes, stmt, &ds.segs, &ds.rows) {
+                let applied = match ds.applied {
+                    true => Ok(()),
+                    false => apply_statement_rows(db, changes, stmt, &ds.segs, &ds.rows),
+                };
+                if let Err(e) = applied {
                     first_err.get_or_insert(e);
                 } else if let Some(ts) = tel.as_deref_mut() {
                     // Rows are credited at apply time (not collection), so a
@@ -1472,7 +1428,9 @@ impl Engine {
             }
         }
         self.bd.live = 0;
-        self.apply_base_run(run);
+        if !self.bd.base_applied {
+            self.apply_base_run(run);
+        }
         if let Some(e) = first_err {
             report.failed_events += run.events();
             report.first_error.get_or_insert(e);
@@ -1518,10 +1476,12 @@ impl Engine {
     }
 
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
-    /// statement's rows (evaluated against the pre-run state), then — when
-    /// the run has more than one firing and the relation a run-linear part —
-    /// the rows of the overlay pass, touching no view. On `Err` the database
-    /// is guaranteed untouched so the caller can fall back wholesale.
+    /// statement's rows, evaluated against the pre-run state and touching no
+    /// view — except, when the run has more than one firing and the relation
+    /// a run-linear program, the statements that program lists, which the
+    /// live pass then evaluates (and whose inputs it writes) firing by
+    /// firing. On `Err` the database is as it was before the call, so the
+    /// caller can fall back wholesale.
     fn collect_batch_delta(
         &mut self,
         program: &TriggerProgram,
@@ -1529,6 +1489,14 @@ impl Engine {
         run: &RelationDelta,
     ) -> Result<(), RuntimeError> {
         self.bd.live = 0;
+        self.bd.base_applied = false;
+        // With at most one firing there is nothing for it to interact with —
+        // which also keeps the batch-of-1 path free of any live-pass work.
+        let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
+        let rl = disp
+            .run_linear
+            .filter(|_| firings > 1)
+            .map(|i| &program.run_linear[i as usize]);
         // First deferred-statement slot of each sign's trigger (statement `j`
         // of the trigger lands in slot `base + j`).
         let mut base = [0usize; 2];
@@ -1550,6 +1518,11 @@ impl Engine {
                 if !self.db.contains(&stmt.target) {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
                 }
+                if rl.is_some_and(|rl| rl.lists(tidx as usize, j)) {
+                    // Left to the live pass, which fills this slot.
+                    self.bd.acquire(tidx, j as u16);
+                    continue;
+                }
                 self.set_counter_slot(tidx, j);
                 let st0 = self.armed_instant();
                 let s = StmtRef {
@@ -1564,130 +1537,140 @@ impl Engine {
                 }
             }
         }
-        let Some(rl) = disp.run_linear else {
+        let Some(rl) = rl else {
             return Ok(());
         };
-        // With at most one firing there is nothing for it to interact with —
-        // which also keeps the batch-of-1 path free of any overlay work.
-        let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
-        if firings <= 1 {
-            return Ok(());
-        }
         let st0 = self.armed_instant();
-        let rows = self.overlay_pass(program, disp, rl as usize, run, base)?;
-        self.note_stmt(st0, "(overlay pass)", rows);
-        Ok(())
+        let rows = self.live_pass(program, disp, rl, run, base);
+        if rows.is_err() {
+            // Take back what the pass wrote, last write first.
+            for (map, key, before) in self.undo.drain(..).rev() {
+                if let Some(view) = self.db.view_mut(&rl.live_maps[map as usize]) {
+                    view.set(key, before);
+                }
+            }
+        }
+        self.undo.clear();
+        self.note_stmt(st0, "(live pass)", *rows.as_ref().unwrap_or(&0));
+        rows.map(drop)
     }
 
-    /// The overlay pass of a batch-delta run (see the module docs): walk the
-    /// run's firings in entry order; per firing, execute the run-linear part
-    /// of each of its trigger's statements against the run-local overlay and
-    /// append the rows to that statement's deferred buffer (`base + j`), then
-    /// fold what the firing writes — its pre-run rows, already buffered, plus
-    /// the overlay rows just produced — into the overlay. A statement never
-    /// reads its own or an earlier statement's target (dispatch gate 2), so
-    /// folding statement by statement is still a pre-event read for the rest
-    /// of the firing. Returns the number of overlay rows buffered.
-    fn overlay_pass(
+    /// The live pass of a batch-delta run (see the module docs): walk the
+    /// run's firings in entry order; per firing and statement of its trigger,
+    /// in statement order, evaluate the statement if the run-linear program
+    /// lists it — against the store as the run's earlier firings left it —
+    /// and append the rows to the statement's deferred buffer (`base + j`);
+    /// then, if the statement's target is one of the relation's live maps,
+    /// apply what the firing writes to it (the rows just evaluated, or the
+    /// firing's segment of the rows buffered before the pass) at once,
+    /// remembering what each key held. The base update follows the same
+    /// rule. A statement never reads its own or an earlier statement's target
+    /// (dispatch gate 2), so writing statement by statement is still a
+    /// pre-event read for the rest of the firing — as it is per event.
+    /// Returns the number of rows the pass evaluated.
+    fn live_pass(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        rl_idx: usize,
+        rl: &RunLinear,
         run: &RelationDelta,
         base: [usize; 2],
     ) -> Result<u64, RuntimeError> {
-        let Engine {
-            db,
-            eval,
-            bd,
-            overlays,
-            stats,
-            tel,
-            force_interpreter,
-            ..
-        } = self;
-        let rl: &RunLinear = &program.run_linear[rl_idx];
-        let maps = &mut overlays[rl_idx];
-        maps.iter_mut().for_each(ViewMap::clear);
-        let store = CachedSource::new(db);
-        let overlay_of = |name: &str| rl.overlay_maps.iter().position(|n| n == name);
-        let base_overlay = overlay_of(run.relation());
-        // The last firing's writes have no later firing to read them.
-        let last = run.entries().iter().rposition(|e| e.firings() > 0);
-        // Entries of each sign met so far: entry `k` of a sign owns segment
-        // `k` of every deferred statement of that sign's trigger.
-        let mut seen = [0usize; 2];
-        let mut overlay_rows = 0u64;
-        // Per sign: the trigger, its `+=` statements and its variables.
+        // Per sign: the trigger, its `+=` statements, their kernels and its
+        // variables.
         let sides = [disp.insert, disp.delete].map(|tidx| {
             let trigger = tidx.map(|t| &program.triggers[t as usize]);
             (
                 tidx,
                 trigger.map_or(&[][..], Trigger::increments),
+                tidx.map_or(&[][..], |t| self.kernels_for(program, t)),
                 trigger.map_or(&[][..], |t| &t.trigger_vars[..]),
             )
         });
-        for (ei, entry) in run.entries().iter().enumerate() {
+        let Engine {
+            db,
+            eval,
+            bd,
+            undo,
+            changes,
+            stats,
+            tel,
+            ..
+        } = self;
+        let live_of = |name: &str| rl.live_maps.iter().position(|n| n == name);
+        let base_map = live_of(run.relation());
+        bd.base_applied = base_map.is_some();
+        // Entries of each sign met so far: entry `k` of a sign owns segment
+        // `k` of every statement of that sign's trigger buffered before the
+        // pass.
+        let mut seen = [0usize; 2];
+        let mut evaluated = 0u64;
+        for entry in run.entries() {
             let Some(sign) = entry.sign() else { continue };
             let s = usize::from(sign == UpdateSign::Delete);
             let k = seen[s];
             seen[s] += 1;
-            let (tidx, statements, trigger_vars) = sides[s];
-            for rep in 0..entry.firings() {
-                let fold = Some(ei) != last || rep + 1 < entry.firings();
-                let mut parts = rl
-                    .statements
-                    .iter()
-                    .filter(|p| Some(p.trigger) == tidx.map(usize::from))
-                    .peekable();
+            // A sign without a trigger has no statements: only the stored
+            // slice moves.
+            let (tidx, statements, kernels, trigger_vars) = sides[s];
+            for _ in 0..entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
                     let ds = &mut bd.stmts[base[s] + j];
-                    let start = ds.rows.len();
-                    if let Some(part) = parts.next_if(|p| p.stmt == j) {
+                    let own = if tidx.is_some_and(|t| rl.lists(t as usize, j)) {
                         stats.statements += 1;
                         if let Some(slot) = tel
                             .as_deref_mut()
-                            .and_then(|ts| ts.note_overlay_firing(part.trigger, j))
+                            .and_then(|ts| ts.note_live_firing(tidx? as usize, j))
                         {
                             eval.kernel.counter_slot = slot;
                         }
-                        let src = RunOverlay {
-                            store: &store,
-                            names: &rl.overlay_maps,
-                            maps,
-                        };
                         let s = StmtRef {
                             trigger_vars,
-                            stmt: &part.statement,
-                            kernel: part.kernel.as_ref().filter(|_| !*force_interpreter),
+                            stmt,
+                            kernel: flat_get(kernels, j),
                         };
-                        // The overlay moves between firings: every evaluation
+                        // The store moves between firings: every evaluation
                         // is the first against its state.
-                        eval.rows(&src, s, &entry.key, Some(1), &mut ds.rows)?;
-                        if ds.rows.len() > start {
-                            overlay_rows += (ds.rows.len() - start) as u64;
+                        let start = ds.rows.len();
+                        eval.rows(&*db, s, &entry.key, true, &mut ds.rows)?;
+                        let end = ds.rows.len();
+                        if end > start {
+                            evaluated += (end - start) as u64;
                             ds.segs.push(Seg {
                                 start,
-                                end: ds.rows.len(),
+                                end,
                                 reps: 1,
                             });
                         }
-                    }
-                    if let (true, Some(o)) = (fold, overlay_of(&stmt.target)) {
-                        let own = ds.segs[k];
-                        for (key, mult) in
-                            ds.rows[own.start..own.end].iter().chain(&ds.rows[start..])
-                        {
-                            maps[o].add(key.clone(), *mult);
+                        start..end
+                    } else {
+                        ds.segs[k].start..ds.segs[k].end
+                    };
+                    if let Some(map) = live_of(&stmt.target) {
+                        ds.applied = true;
+                        let view = db
+                            .view_mut(&stmt.target)
+                            .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+                        let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
+                        for (key, mult) in ds.rows[own].iter().filter(|(_, m)| *m != 0.0) {
+                            if let Some(c) = change.as_mut() {
+                                c.keys.insert(key.clone(), ());
+                            }
+                            let before = view.add_returning_previous(key.clone(), *mult);
+                            undo.push((map as u16, key.clone(), before));
                         }
                     }
                 }
-                if let (true, Some(o)) = (fold, base_overlay) {
-                    maps[o].add(entry.key.clone(), sign.multiplier());
+                if let (Some(map), Some(view)) = (base_map, db.view_mut(run.relation())) {
+                    if let Some(log) = changes.as_mut() {
+                        log.record_key(run.relation(), entry.key.clone());
+                    }
+                    let before = view.add_returning_previous(entry.key.clone(), sign.multiplier());
+                    undo.push((map as u16, entry.key.clone(), before));
                 }
             }
         }
-        Ok(overlay_rows)
+        Ok(evaluated)
     }
 
     /// Buffer one incremental statement's rows over all of a run's entries of
@@ -1713,14 +1696,20 @@ impl Engine {
         // Nothing is written until the apply phase, so probe and scan targets
         // can be resolved once per name for the run.
         let src = CachedSource::new(db);
-        let mut first_of = Some(run.entries().len());
+        let mut first = true;
         for entry in run.entries() {
             if entry.sign() != Some(sign) {
                 continue;
             }
             stats.statements += 1;
             let start = slot.rows.len();
-            eval.rows(&src, s, &entry.key, first_of.take(), &mut slot.rows)?;
+            eval.rows(
+                &src,
+                s,
+                &entry.key,
+                std::mem::take(&mut first),
+                &mut slot.rows,
+            )?;
             slot.segs.push(Seg {
                 start,
                 end: slot.rows.len(),
@@ -1849,6 +1838,7 @@ impl Engine {
                 })
             });
         }
+        ex.attach_index_stats(|name| Some(self.db.view(name)?.index_totals()));
         ex
     }
 
@@ -1905,7 +1895,7 @@ impl Engine {
             views,
             map_names,
             pending_rows: vec![0; n],
-            pending_overlay: vec![0; n],
+            pending_live: vec![0; n],
             stmt_slot,
             flushed_events: self.stats.events,
             flushed_batches: self.stats.delta_batches,
@@ -1965,12 +1955,20 @@ impl Engine {
             if rows != 0 {
                 view.rows_written.fetch_add(rows, Relaxed);
             }
-            let overlay = std::mem::take(&mut ts.pending_overlay[i]);
-            if overlay != 0 {
-                view.overlay_firings.fetch_add(overlay, Relaxed);
+            let live = std::mem::take(&mut ts.pending_live[i]);
+            if live != 0 {
+                view.overlay_firings.fetch_add(live, Relaxed);
             }
             if let Some(v) = self.db.view(&ts.map_names[i]) {
                 view.map_size.store(v.len() as u64, Relaxed);
+                let t = v.index_totals();
+                for (gauge, n) in view
+                    .indexes
+                    .iter()
+                    .zip([t.hash, t.ordered, t.entries, t.bytes])
+                {
+                    gauge.store(n, Relaxed);
+                }
                 let w = v.snapshot_work();
                 view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
                 view.snapshot_entries_copied

@@ -16,20 +16,34 @@
 //!   entries to a visitor; nothing on the read path clones a key. The collecting
 //!   [`ViewMap::lookup`] remains for tests and cold callers.
 //! * **Index maintenance pays only when indexes exist** — [`ViewMap::add`] takes the
-//!   fast path (a single map probe, zero clones) until the first partial-pattern
-//!   lookup creates a secondary index; afterwards every write mirrors the new
-//!   multiplicity into each index bucket (one probe per index; the key is cloned
-//!   only when the entry is new). Buckets store `(key, multiplicity)`, so a
-//!   partial-pattern scan is pure bucket iteration with no per-entry probe back
-//!   into the primary map — the cost profile compiled trigger kernels rely on.
-//! * **Cost model** — [`ViewMap::approx_bytes`] charges each entry its map-slot
-//!   footprint; spilled (arity > 4) tuples add their shared value slab. `Value`
-//!   itself is 24 bytes inline; string values are interned `Arc<str>`s whose bodies
-//!   are shared, and dates are plain `yyyymmdd` longs, so the slab estimate does not
-//!   double-count string storage.
+//!   fast path (a single map probe, zero clones) until the view has a secondary
+//!   index; afterwards every write is mirrored into each index (one group probe
+//!   per index).
+//! * **Two index representations, one per mask** — a *hash* index is created by
+//!   the first partial-pattern lookup of its mask: projected key → bucket of
+//!   `(full key, multiplicity)`, so a partial-pattern scan is pure bucket
+//!   iteration with no probe back into the primary map, and a write is one
+//!   bucket probe (the key is cloned only when the entry is new). An *ordered*
+//!   index is declared up front ([`ViewMap::declare_ordered`]) for a mask that
+//!   leaves one column free: projected key → run of `(free-column value,
+//!   multiplicity)` sorted by that value with running sums, which answers
+//!   [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
+//!   amortized (see [`crate::ordered`] for the layout and the exactness
+//!   contract). It stores no full keys, so scanning it costs a primary probe
+//!   per entry — the fallback path, not the one it is declared for.
+//! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry and
+//!   each hash-bucket entry its map-slot footprint (spilled — arity > 3 —
+//!   tuples add their shared value slab; a bucket entry adds its mirrored
+//!   multiplicity, a bucket its projected key), and an ordered group its key
+//!   once plus 24 bytes per entry and one `Vec` header per block. Index
+//!   footprints are maintained per write, so [`ViewMap::index_totals`] is
+//!   `O(indexes)`. `Value` itself is 24 bytes inline; string values are
+//!   interned `Arc<str>`s whose bodies are shared, and dates are plain
+//!   `yyyymmdd` longs, so the slab estimate does not double-count string
+//!   storage.
 //!
 //! Secondary indexes live behind an [`RwLock`] so that read-only evaluation (through
-//! the [`RelationSource`] trait) can build an index on first use; afterwards every
+//! the [`RelationSource`] trait) can build a hash index on first use; afterwards every
 //! partial lookup is a hash probe, which is what gives compiled trigger statements
 //! their constant-time behaviour.
 //!
@@ -50,17 +64,84 @@
 //! (secondary indexes are never copied). Logging starts at a view's first
 //! snapshot, so an engine that never snapshots pays one branch per write.
 
+use crate::ordered::{tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{EvalError, RelationSource};
+use dbtoaster_compiler::IndexStats;
 use dbtoaster_gmr::hash::fast_map_with_capacity;
 use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
-/// A secondary index: projected key → (full key → multiplicity). Multiplicities
-/// are mirrored into the buckets so a partial-pattern scan is pure iteration —
-/// no per-entry probe back into the primary map. Maintenance is O(1) per write
-/// per index (one bucket probe), paid only by views that both receive writes
-/// and serve partial-pattern lookups.
-type Index = FastMap<Tuple, FastMap<Tuple, f64>>;
+/// A hash secondary index: projected key → (full key → multiplicity).
+/// Multiplicities are mirrored into the buckets so a partial-pattern scan is
+/// pure iteration — no per-entry probe back into the primary map. Maintenance
+/// is O(1) per write (one bucket probe).
+#[derive(Clone, Debug, Default)]
+struct HashIndex {
+    buckets: FastMap<Tuple, FastMap<Tuple, f64>>,
+    /// Footprint, maintained per write.
+    bytes: usize,
+}
+
+impl HashIndex {
+    /// Mirror one primary-map write: `full` (projecting to `group`) now has
+    /// multiplicity `mult`, `0.0` meaning it is gone.
+    fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
+        let held = tuple_slot_bytes(full) + std::mem::size_of::<f64>();
+        if mult == 0.0 {
+            if let Some(bucket) = self.buckets.get_mut(&group) {
+                if bucket.remove(full.as_slice()).is_some() {
+                    self.bytes -= held;
+                }
+                if bucket.is_empty() {
+                    self.buckets.remove(&group);
+                    self.bytes -= tuple_slot_bytes(&group) + 8;
+                }
+            }
+            return;
+        }
+        use std::collections::hash_map::Entry;
+        let bucket = match self.buckets.entry(group) {
+            Entry::Occupied(o) => o.into_mut(),
+            Entry::Vacant(v) => {
+                self.bytes += tuple_slot_bytes(v.key()) + 8;
+                v.insert(FastMap::default())
+            }
+        };
+        // Overwrite in place when the entry exists, so multiplicity-only
+        // updates cost one probe and no key clone.
+        match bucket.get_mut(full.as_slice()) {
+            Some(slot) => *slot = mult,
+            None => {
+                bucket.insert(full.clone(), mult);
+                self.bytes += held;
+            }
+        }
+    }
+}
+
+/// The secondary index of one binding-pattern mask (see the module docs).
+#[derive(Clone, Debug)]
+enum Index {
+    Hash(HashIndex),
+    Ordered(OrderedIndex),
+}
+
+impl Index {
+    fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
+        match self {
+            Index::Hash(h) => h.set(group, full, mult),
+            Index::Ordered(o) => o.set(group, full, mult),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        match self {
+            Index::Hash(h) => h.bytes,
+            Index::Ordered(o) => o.bytes(),
+        }
+    }
+}
+
 /// Indexes are held behind `Arc`s so a scan can clone the handle and release
 /// the registry lock *before* iterating. Compiled trigger kernels re-enter
 /// scans from inside scan callbacks (nested sub-aggregates over the same
@@ -253,12 +334,34 @@ impl ViewMap {
     /// the key; once indexes exist, the key is cloned only when the entry set
     /// changes (insert of a new key or removal of a cancelled one).
     pub fn add(&mut self, key: impl Into<Tuple>, mult: f64) {
-        if mult == 0.0 {
-            return;
+        if mult != 0.0 {
+            self.add_returning_previous(key.into(), mult);
         }
-        let key = key.into();
+    }
+
+    /// [`ViewMap::add`] a non-zero `mult`, returning the multiplicity the key
+    /// had before (`0.0` when it was absent) — what [`ViewMap::set`] takes to
+    /// undo the write exactly.
+    pub fn add_returning_previous(&mut self, key: Tuple, mult: f64) -> f64 {
+        debug_assert!(mult != 0.0);
         self.log_write(&key);
-        self.add_unlogged(key, mult);
+        self.add_unlogged(key, mult)
+    }
+
+    /// Set the multiplicity of `key` outright, `0.0` removing the entry
+    /// (primary map, every secondary index and the snapshot log follow). The
+    /// engine's rollback: `x + m - m` need not be `x` in floating point, a
+    /// remembered `x` is.
+    pub fn set(&mut self, key: Tuple, mult: f64) {
+        self.log_write(&key);
+        if mult == 0.0 {
+            self.data.remove(key.as_slice());
+        } else {
+            self.data.insert(key.clone(), mult);
+        }
+        for (mask, index) in unpoisoned(self.indexes.get_mut()).iter_mut() {
+            Arc::make_mut(index).set(project_mask(&key, *mask), &key, mult);
+        }
     }
 
     /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
@@ -291,75 +394,87 @@ impl ViewMap {
     }
 
     /// The shared write path behind [`ViewMap::add`] / [`ViewMap::add_rows`]:
-    /// everything except the snapshot log. `mult` must be non-zero.
-    fn add_unlogged(&mut self, key: Tuple, mult: f64) {
+    /// everything except the snapshot log. `mult` must be non-zero. Returns
+    /// the key's multiplicity before the write.
+    fn add_unlogged(&mut self, key: Tuple, mult: f64) -> f64 {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
 
         let indexes = unpoisoned(self.indexes.get_mut());
         if indexes.is_empty() {
             // Fast path: no index maintenance, no key clone.
-            match self.data.entry(key) {
+            return match self.data.entry(key) {
                 Entry::Occupied(mut o) => {
                     let v = o.get_mut();
+                    let previous = *v;
                     *v += mult;
                     if *v == 0.0 {
                         o.remove();
                     }
+                    previous
                 }
                 Entry::Vacant(v) => {
                     v.insert(mult);
+                    0.0
                 }
-            }
-            return;
+            };
         }
 
-        let (removed, new_mult) = match self.data.entry(key.clone()) {
+        let (previous, new_mult) = match self.data.entry(key.clone()) {
             Entry::Occupied(mut o) => {
                 let v = o.get_mut();
+                let previous = *v;
                 *v += mult;
                 if *v == 0.0 {
                     o.remove();
-                    (true, 0.0)
+                    (previous, 0.0)
                 } else {
-                    (false, *v)
+                    (previous, *v)
                 }
             }
             Entry::Vacant(v) => {
                 v.insert(mult);
-                (false, mult)
+                (0.0, mult)
             }
         };
         for (mask, index) in indexes.iter_mut() {
-            let index = Arc::make_mut(index);
-            let proj = project_mask(&key, *mask);
-            if removed {
-                if let Some(bucket) = index.get_mut(&proj) {
-                    bucket.remove(key.as_slice());
-                    if bucket.is_empty() {
-                        index.remove(&proj);
-                    }
-                }
-            } else {
-                // Mirror the new multiplicity into the bucket (overwriting in
-                // place when the entry already exists, so multiplicity-only
-                // updates cost one probe and no key clone).
-                let bucket = index.entry(proj).or_default();
-                match bucket.get_mut(key.as_slice()) {
-                    Some(slot) => *slot = new_mult,
-                    None => {
-                        bucket.insert(key.clone(), new_mult);
-                    }
-                }
-            }
+            Arc::make_mut(index).set(project_mask(&key, *mask), &key, new_mult);
         }
+        previous
     }
 
-    /// Remove all entries (used by `:=` statements).
+    /// Remove all entries (used by `:=` statements). Hash indexes go with
+    /// them (the next lookup rebuilds the ones still in use); ordered indexes
+    /// are declarations and stay, empty.
     pub fn clear(&mut self) {
         unpoisoned(self.snapshots.get_mut()).abandon();
         self.data.clear();
-        unpoisoned(self.indexes.get_mut()).clear();
+        unpoisoned(self.indexes.get_mut()).retain(|_, index| match Arc::make_mut(index) {
+            Index::Hash(_) => false,
+            Index::Ordered(o) => {
+                o.clear();
+                true
+            }
+        });
+    }
+
+    /// Keep the secondary index of `mask` as an ordered index on the key
+    /// column `key_pos` — the one column the mask must leave free — from now
+    /// on (built from the current contents, replacing a hash index of the
+    /// same mask). Unlike a hash index the declaration survives
+    /// [`ViewMap::clear`].
+    pub fn declare_ordered(&mut self, mask: u64, key_pos: usize) {
+        let arity = self.schema.arity();
+        assert!(
+            mask != 0 && (0..arity).all(|i| (i < 63 && mask & (1 << i) != 0) != (i == key_pos)),
+            "an ordered index binds every key column but the one it is sorted on \
+             (mask {mask:#b}, sorted on {key_pos}, arity {arity})"
+        );
+        let mut index = OrderedIndex::new(key_pos);
+        for (k, &m) in self.data.iter() {
+            index.set(project_mask(k, mask), k, m);
+        }
+        unpoisoned(self.indexes.get_mut()).insert(mask, Arc::new(Index::Ordered(index)));
     }
 
     /// Stream the entries matching a partial binding pattern into `visit`,
@@ -389,11 +504,56 @@ impl ViewMap {
         // visitors may re-enter `for_each` (compiled kernels nest scans), and
         // a nested `ensure_index` must be able to take the write lock.
         let index = unpoisoned(self.indexes.read()).get(&mask).cloned();
-        if let Some(bucket) = index.as_ref().and_then(|idx| idx.get(&probe)) {
-            for (k, &m) in bucket.iter() {
-                visit(k, m);
+        match index.as_deref() {
+            Some(Index::Hash(h)) => {
+                for (k, &m) in h.buckets.get(&probe).into_iter().flatten() {
+                    visit(k, m);
+                }
             }
+            // An ordered group holds no full keys: rebuild each from the
+            // pattern and probe the primary map, which also knows whether the
+            // sorted column was stored as a long or a double.
+            Some(Index::Ordered(o)) => o.for_each_key(&probe, &mut |key| {
+                let band;
+                let full: &[Value] = match key {
+                    GroupKey::Full(full) => full.as_slice(),
+                    GroupKey::Band(k) => {
+                        band = pattern
+                            .iter()
+                            .map(|p| p.clone().unwrap_or(Value::Double(k)))
+                            .collect::<Tuple>();
+                        band.as_slice()
+                    }
+                };
+                if let Some((k, &m)) = self.data.get_key_value(full) {
+                    visit(k, m);
+                }
+            }),
+            None => {}
         }
+    }
+
+    /// Range sums over the ordered index of `pattern`'s mask: `sums[i]` = Σ
+    /// multiplicity over the entries matching `pattern` whose one free
+    /// column lies in `ranges[i].0 ≤ value < ranges[i].1` (integer or
+    /// infinite ends; `bound_mag` as in
+    /// [`RelationSource::range_sums`]). Returns the number of entries
+    /// compared — `O(log n)` — or `None` when the mask has no ordered index
+    /// or the group cannot answer exactly; the caller then traverses
+    /// ([`ViewMap::for_each`]).
+    pub fn range_sums(
+        &self,
+        pattern: &[Option<Value>],
+        bound_mag: f64,
+        ranges: &[(f64, f64)],
+        sums: &mut [f64],
+    ) -> Option<u64> {
+        let registry = unpoisoned(self.indexes.read());
+        let Index::Ordered(index) = registry.get(&pattern_mask(pattern))?.as_ref() else {
+            return None;
+        };
+        let probe: Tuple = pattern.iter().flatten().cloned().collect();
+        index.range_sums(&probe, bound_mag, ranges, sums)
     }
 
     /// Entries matching a partial binding pattern, collected into a vector.
@@ -404,19 +564,20 @@ impl ViewMap {
         out
     }
 
-    /// Build (if needed) the secondary index for a binding-pattern mask.
+    /// Build (if the mask has none yet) a hash index for a binding-pattern
+    /// mask.
     pub fn ensure_index(&self, mask: u64) {
         if mask == 0 || unpoisoned(self.indexes.read()).contains_key(&mask) {
             return;
         }
-        let mut index: Index = fast_map_with_capacity(self.data.len());
+        let mut index = HashIndex {
+            buckets: fast_map_with_capacity(self.data.len()),
+            bytes: 0,
+        };
         for (k, &m) in self.data.iter() {
-            index
-                .entry(project_mask(k, mask))
-                .or_default()
-                .insert(k.clone(), m);
+            index.set(project_mask(k, mask), k, m);
         }
-        unpoisoned(self.indexes.write()).insert(mask, Arc::new(index));
+        unpoisoned(self.indexes.write()).insert(mask, Arc::new(Index::Hash(index)));
     }
 
     /// Snapshot the view contents as an immutable shared GMR. O(1) while the
@@ -474,8 +635,15 @@ impl ViewMap {
         self.clear();
         if gmr.schema() == &self.schema {
             // Identical schemas: copy the map wholesale (`clear` stopped the
-            // snapshot log, so bypassing `add` loses nothing).
+            // snapshot log and left only the — empty — ordered indexes, so
+            // bypassing `add` loses nothing once those are refilled).
             self.data = gmr.iter().map(|(t, m)| (t.clone(), m)).collect();
+            for (mask, index) in unpoisoned(self.indexes.get_mut()).iter_mut() {
+                let index = Arc::make_mut(index);
+                for (k, &m) in self.data.iter() {
+                    index.set(project_mask(k, *mask), k, m);
+                }
+            }
             return;
         }
         let positions: Option<Vec<usize>> = if gmr.schema().same_columns(&self.schema) {
@@ -499,31 +667,31 @@ impl ViewMap {
     /// Approximate heap footprint in bytes (entries plus secondary indexes).
     /// See the module docs for the cost model.
     pub fn approx_bytes(&self) -> usize {
-        let per_value = std::mem::size_of::<Value>();
-        let entry = |t: &Tuple| {
-            std::mem::size_of::<Tuple>()
-                + 16
-                + if t.is_inline() {
-                    0
-                } else {
-                    t.len() * per_value + 16
+        let base: usize = self.data.keys().map(tuple_slot_bytes).sum();
+        base + self.index_totals().bytes as usize
+    }
+
+    /// How many secondary indexes of each representation the view has, and
+    /// what they hold: entries summed over the indexes (every primary entry
+    /// appears once in each) and bytes under the cost model of
+    /// [`ViewMap::approx_bytes`]. `O(indexes)` — footprints are maintained
+    /// per write.
+    pub fn index_totals(&self) -> IndexStats {
+        let mut t = IndexStats::default();
+        for index in unpoisoned(self.indexes.read()).values() {
+            match index.as_ref() {
+                Index::Hash(_) => {
+                    t.hash += 1;
+                    t.entries += self.data.len() as u64;
                 }
-        };
-        let base: usize = self.data.keys().map(entry).sum();
-        let idx: usize = unpoisoned(self.indexes.read())
-            .values()
-            .map(|i| {
-                i.iter()
-                    .map(|(k, v)| {
-                        entry(k)
-                            + v.keys().map(entry).sum::<usize>()
-                            + v.len() * std::mem::size_of::<f64>()
-                            + 8
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
-        base + idx
+                Index::Ordered(o) => {
+                    t.ordered += 1;
+                    t.entries += o.entries() as u64;
+                }
+            }
+            t.bytes += index.bytes() as u64;
+        }
+        t
     }
 }
 
@@ -631,6 +799,21 @@ impl RelationSource for Database {
         m.for_each(pattern, visit);
         Ok(())
     }
+
+    fn range_sums(
+        &self,
+        name: &str,
+        pattern: &[Option<Value>],
+        bound_mag: f64,
+        ranges: &[(f64, f64)],
+        sums: &mut [f64],
+    ) -> Result<Option<u64>, EvalError> {
+        let m = self
+            .maps
+            .get(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        Ok(m.range_sums(pattern, bound_mag, ranges, sums))
+    }
 }
 
 /// A read-only [`Database`] view that memoizes name→view resolution.
@@ -698,6 +881,20 @@ impl RelationSource for CachedSource<'_> {
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
         m.for_each(pattern, visit);
         Ok(())
+    }
+
+    fn range_sums(
+        &self,
+        name: &str,
+        pattern: &[Option<Value>],
+        bound_mag: f64,
+        ranges: &[(f64, f64)],
+        sums: &mut [f64],
+    ) -> Result<Option<u64>, EvalError> {
+        let m = self
+            .resolve(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        Ok(m.range_sums(pattern, bound_mag, ranges, sums))
     }
 }
 
@@ -832,6 +1029,120 @@ mod tests {
         assert!(v.is_empty());
     }
 
+    /// Every ordered index of `v` must be what declaring it afresh over the
+    /// primary map builds, and structurally sound.
+    fn assert_ordered_indexes_match_a_rebuild(v: &ViewMap) {
+        let mut fresh = ViewMap::new(v.schema().clone());
+        fresh.data = v.data.clone();
+        let mut ordered = 0;
+        for (&mask, index) in unpoisoned(v.indexes.read()).iter() {
+            let Index::Ordered(kept) = index.as_ref() else {
+                continue;
+            };
+            kept.check();
+            let key_pos = (0..v.schema().arity())
+                .find(|i| mask & (1 << i) == 0)
+                .unwrap();
+            fresh.declare_ordered(mask, key_pos);
+            let registry = unpoisoned(fresh.indexes.read());
+            let Index::Ordered(rebuilt) = registry[&mask].as_ref() else {
+                panic!("declared ordered");
+            };
+            assert_eq!(kept.contents(), rebuilt.contents(), "mask {mask:#b}");
+            assert_eq!(kept.entries(), v.len());
+            ordered += 1;
+        }
+        assert!(ordered > 0, "no ordered index to check");
+    }
+
+    /// `[group, t] → m` entries: three groups of exact entries, plus one
+    /// inexact multiplicity and one key that cannot be a band key.
+    fn ordered_fixture() -> ViewMap {
+        let mut v = ViewMap::new(Schema::new(["g", "t"]));
+        v.declare_ordered(0b01, 1);
+        for i in 1..=90i64 {
+            v.add(key(&[i % 3, i]), (i % 5 + 1) as f64);
+        }
+        v.add(key(&[2, 1000]), 0.5);
+        v.add(key(&[2, 0]), 1.0);
+        v
+    }
+
+    fn range(v: &ViewMap, group: i64, lo: f64, hi: f64) -> Option<f64> {
+        let mut sums = [0.0];
+        v.range_sums(
+            &[Some(Value::long(group)), None],
+            0.0,
+            &[(lo, hi)],
+            &mut sums,
+        )
+        .map(|_| sums[0])
+    }
+
+    #[test]
+    fn ordered_index_answers_range_sums_and_traverses_like_a_hash_index() {
+        let v = ordered_fixture();
+        assert_ordered_indexes_match_a_rebuild(&v);
+        // Group 1 holds t = 1, 4, …, 88 with multiplicity t % 5 + 1.
+        let want: f64 = (10..40)
+            .filter(|t| t % 3 == 1)
+            .map(|t| (t % 5 + 1) as f64)
+            .sum();
+        assert_eq!(range(&v, 1, 10.0, 40.0), Some(want));
+        assert_eq!(range(&v, 7, 10.0, 40.0), Some(0.0), "absent group");
+        assert_eq!(range(&v, 2, 10.0, 40.0), None, "group 2 holds offenders");
+        // A mask without an ordered index has no range sums.
+        let mut sums = [0.0];
+        let by_t = [None, Some(Value::long(4))];
+        assert_eq!(v.range_sums(&by_t, 0.0, &[(0.0, 9.0)], &mut sums), None);
+        // Traversal hands out the stored keys and multiplicities, offenders
+        // included, exactly as a hash index over the same contents does.
+        let mut hashed = ViewMap::new(v.schema().clone());
+        hashed.data = v.data.clone();
+        for g in 0..4 {
+            let pattern = [Some(Value::long(g)), None];
+            let (mut a, mut b) = (v.lookup(&pattern), hashed.lookup(&pattern));
+            a.sort_by(|x, y| x.0.cmp(&y.0));
+            b.sort_by(|x, y| x.0.cmp(&y.0));
+            assert_eq!(a, b, "group {g}");
+        }
+        assert_eq!(hashed.index_totals().hash, 1);
+    }
+
+    /// The cost model, pinned: a hash index pays a full key slot (plus the
+    /// mirrored multiplicity) per entry, an ordered one 24 bytes per entry
+    /// plus its block headers; both pay the group key once.
+    #[test]
+    fn approx_bytes_charges_each_index_what_it_holds() {
+        let tuple = std::mem::size_of::<Tuple>() as u64;
+        let mut ordered = ViewMap::new(Schema::new(["g", "t"]));
+        ordered.declare_ordered(0b01, 1);
+        let mut hashed = ViewMap::new(Schema::new(["g", "t"]));
+        hashed.ensure_index(0b01);
+        let (groups, per_group) = (4u64, 1000u64);
+        for v in [&mut ordered, &mut hashed] {
+            for i in 0..(groups * per_group) as i64 {
+                v.add(key(&[i % groups as i64, 1 + i]), 1.0);
+            }
+        }
+        let n = groups * per_group;
+        let primary = n * (tuple + 16);
+        let h = hashed.index_totals();
+        assert_eq!((h.hash, h.ordered, h.entries), (1, 0, n));
+        assert_eq!(h.bytes, n * (tuple + 16 + 8) + groups * (tuple + 16 + 8));
+        assert_eq!(hashed.approx_bytes() as u64, primary + h.bytes);
+        let o = ordered.index_totals();
+        assert_eq!((o.hash, o.ordered, o.entries), (0, 1, n));
+        let per_entry = (o.bytes - groups * (tuple + 16)) as f64 / n as f64;
+        assert!(
+            (24.0..26.0).contains(&per_entry),
+            "an ordered entry costs its 24 bytes and a share of a block header, not {per_entry}"
+        );
+        assert_eq!(ordered.approx_bytes() as u64, primary + o.bytes);
+        assert!(o.bytes * 4 < h.bytes, "{} vs {}", o.bytes, h.bytes);
+        assert_ordered_indexes_match_a_rebuild(&ordered);
+    }
+
     #[test]
     fn clear_resets_indexes() {
         let mut v = ViewMap::new(Schema::new(["a", "b"]));
@@ -839,7 +1150,72 @@ mod tests {
         v.lookup(&[Some(Value::long(1)), None]);
         v.clear();
         assert!(v.is_empty());
+        assert_eq!(v.index_totals(), IndexStats::default());
         assert!(v.lookup(&[Some(Value::long(1)), None]).is_empty());
+
+        // An ordered index is a declaration: it survives the clear, empty,
+        // and tracks the writes that follow.
+        let mut v = ordered_fixture();
+        v.clear();
+        assert_eq!(
+            v.index_totals(),
+            IndexStats {
+                ordered: 1,
+                ..IndexStats::default()
+            }
+        );
+        assert_eq!(range(&v, 1, 0.0, 100.0), Some(0.0));
+        v.add(key(&[1, 10]), 3.0);
+        v.add(key(&[1, 20]), 4.0);
+        assert_eq!(range(&v, 1, 0.0, 15.0), Some(3.0));
+        assert_ordered_indexes_match_a_rebuild(&v);
+    }
+
+    /// `set` is how the engine takes back a write: handed what
+    /// `add_returning_previous` returned, it restores the key bit for bit —
+    /// where adding the negated multiplicity would not — and every index
+    /// follows, ordered ones included.
+    #[test]
+    fn set_undoes_an_add_exactly_in_the_map_and_its_indexes() {
+        let mut v = ordered_fixture();
+        v.lookup(&[None, Some(Value::long(10))]);
+        let reference = v.clone();
+        let held = key(&[1, 10]);
+        let fresh = key(&[1, 11]);
+        let x = v.get(&held);
+        assert!(x != 0.0 && v.get(&fresh) == 0.0);
+        v.set(held.clone(), 0.1);
+        assert_ne!((0.1f64 + 0.2) - 0.2, 0.1, "the values must not round-trip");
+        let mut undo = vec![
+            (held.clone(), v.add_returning_previous(held.clone(), 0.2)),
+            (fresh.clone(), v.add_returning_previous(fresh.clone(), 5.0)),
+            (
+                held.clone(),
+                v.add_returning_previous(held.clone(), -0.30000000000000004),
+            ),
+        ];
+        assert_eq!(undo[0].1, 0.1);
+        assert_eq!(undo[1].1, 0.0);
+        assert_eq!(v.get(&held), 0.0, "cancelled, so removed");
+        while let Some((k, before)) = undo.pop() {
+            v.set(k, before);
+        }
+        assert_eq!(v.get(&held).to_bits(), 0.1f64.to_bits());
+        assert_eq!(v.get(&fresh), 0.0);
+        assert_ordered_indexes_match_a_rebuild(&v);
+        v.set(held, x);
+        assert_eq!(v.data, reference.data);
+        assert_eq!(range(&v, 1, 0.0, 100.0), range(&reference, 1, 0.0, 100.0));
+        for g in 0..4 {
+            let by_group = [Some(Value::long(g)), None];
+            let (mut a, mut b) = (v.lookup(&by_group), reference.lookup(&by_group));
+            a.sort_by(|x, y| x.0.cmp(&y.0));
+            b.sort_by(|x, y| x.0.cmp(&y.0));
+            assert_eq!(a, b, "group {g}");
+        }
+        let by_t = [None, Some(Value::long(10))];
+        assert_eq!(v.lookup(&by_t).len(), reference.lookup(&by_t).len());
+        assert_ordered_indexes_match_a_rebuild(&v);
     }
 
     #[test]
@@ -850,5 +1226,35 @@ mod tests {
         let c = v.clone();
         assert_eq!(c.get(&key(&[1, 10])), 1.0);
         assert_eq!(c.lookup(&[Some(Value::long(1)), None]).len(), 1);
+
+        // A clone's ordered index is its own: writes to either side leave
+        // the other's answers alone.
+        let mut v = ordered_fixture();
+        let mut c = v.clone();
+        let before = range(&v, 1, 0.0, 100.0);
+        c.add(key(&[1, 50]), 7.0);
+        v.add(key(&[2, 1000]), -0.5);
+        assert_eq!(range(&v, 1, 0.0, 100.0), before);
+        assert_eq!(range(&c, 1, 0.0, 100.0), before.map(|s| s + 7.0));
+        assert_eq!(range(&c, 2, 0.0, 100.0), None);
+        assert_ordered_indexes_match_a_rebuild(&v);
+        assert_ordered_indexes_match_a_rebuild(&c);
+    }
+
+    #[test]
+    fn load_gmr_refills_ordered_indexes() {
+        let source = ordered_fixture();
+        // Same schema (the wholesale copy) and renamed columns (the per-row
+        // path), into a view that held something else.
+        for columns in [["g", "t"], ["x", "y"]] {
+            let mut v = ViewMap::new(Schema::new(columns));
+            v.declare_ordered(0b01, 1);
+            v.add(key(&[9, 9]), 9.0);
+            v.load_gmr(&source.to_gmr());
+            assert_eq!(v.len(), source.len());
+            assert_eq!(range(&v, 9, 0.0, 100.0), Some(0.0));
+            assert_eq!(range(&v, 1, 10.0, 40.0), range(&source, 1, 10.0, 40.0));
+            assert_ordered_indexes_match_a_rebuild(&v);
+        }
     }
 }

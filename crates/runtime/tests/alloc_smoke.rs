@@ -183,14 +183,13 @@ fn compiled_path_with_telemetry_allocates_nothing_in_steady_state() {
     assert_eq!(snap.events, 3 * batch.len() as u64);
 }
 
-/// The batch-delta overlay pass reuses its buffers: a keyed self-join reads
-/// the auxiliary map its own run writes, so every multi-entry run fires the
-/// run-linear kernels against the run-local overlay — pooled maps emptied per
-/// run, deferred row buffers recycled — and a warm engine allocates nothing
-/// per run. (Overlay maps that serve *partial*-pattern scans additionally
-/// rebuild their secondary-index buckets each run; point probes do not.)
+/// The batch-delta live pass reuses its buffers: a keyed self-join reads the
+/// auxiliary map its own run writes, so every multi-entry run fires that
+/// statement entry by entry and writes the map as it goes — deferred row
+/// buffers and the undo log recycled — and a warm engine allocates nothing
+/// per run.
 #[test]
-fn overlay_pass_allocates_nothing_in_steady_state() {
+fn live_pass_allocates_nothing_in_steady_state() {
     use dbtoaster_agca::DeltaBatch;
     let catalog = [RelationMeta::stream("R", ["A", "B"])]
         .into_iter()
@@ -210,7 +209,10 @@ fn overlay_pass_allocates_nothing_in_steady_state() {
     )
     .unwrap();
     let rl = program.run_linear_for("R").expect("R is batch-delta");
-    assert!(!rl.statements.is_empty(), "the self-join needs the overlay");
+    assert!(
+        !rl.statements.is_empty(),
+        "the self-join reads what its run writes"
+    );
     let mut engine = Engine::new(program, &catalog);
 
     let tuple = |i: i64| vec![Value::long(i), Value::long(i % 7)];
@@ -235,9 +237,91 @@ fn overlay_pass_allocates_nothing_in_steady_state() {
     let before = alloc_count();
     run_cycle(&mut engine);
     let allocs = alloc_count() - before;
-    assert_eq!(allocs, 0, "overlay pass allocated {allocs} times per cycle");
+    assert_eq!(allocs, 0, "live pass allocated {allocs} times per cycle");
     assert_eq!(engine.stats().entry_major_runs, 0);
     assert_eq!(engine.result("SELFJ").unwrap().scalar_value(), 0.0);
+}
+
+/// Ordered secondary indexes stay inside the same budget: an inequality
+/// self-join (`bsp`'s shape) maintains two `[group, t]` maps the compiler
+/// declares ordered on `t`; every event writes both — an insertion into or a
+/// removal from a sorted block, running sums fixed up behind it — and answers
+/// four range sums from them. Over a fixed key range the blocks settle at
+/// their high-water capacity, so a warm engine allocates nothing per event.
+#[test]
+fn ordered_index_writes_and_range_sums_allocate_nothing_in_steady_state() {
+    use dbtoaster_agca::CmpOp;
+    use dbtoaster_runtime::{Telemetry, TelemetryConfig};
+    let catalog = [RelationMeta::stream("R", ["G", "T", "V"])]
+        .into_iter()
+        .collect();
+    let q = QuerySpec {
+        name: "LATER".into(),
+        out_vars: vec!["g".into()],
+        expr: Expr::agg_sum(
+            ["g"],
+            Expr::product_of([
+                Expr::rel("R", ["g", "t", "v"]),
+                Expr::rel("R", ["g", "t2", "v2"]),
+                Expr::cmp(CmpOp::Gt, Expr::var("t"), Expr::var("t2")),
+                Expr::var("v"),
+            ]),
+        ),
+    };
+    let program = compile(
+        &[q],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    let ordered = program.ordered_indexes();
+    assert_eq!(ordered.len(), 2, "{ordered:?}");
+    let mut engine = Engine::new(program, &catalog);
+    let tel = Telemetry::with_config(TelemetryConfig {
+        slow_batch_threshold: std::time::Duration::from_secs(3600),
+        ..TelemetryConfig::default()
+    });
+    engine.set_telemetry(tel.clone());
+
+    // A standing book of 4 groups x 300 timestamps (several blocks a group),
+    // and a churn pass that adds and removes a further 100 per group, in an
+    // order that lands all over the sorted runs.
+    let order = |i: i64| {
+        vec![
+            Value::long(i % 4),
+            Value::long(1 + i),
+            Value::long(2 + i % 5),
+        ]
+    };
+    let standing: Vec<UpdateEvent> = (0..1200)
+        .map(|i| UpdateEvent::insert("R", order(i * 3)))
+        .collect();
+    let churn: Vec<UpdateEvent> = (0..400)
+        .map(|i| UpdateEvent::insert("R", order((i * 37 % 400) * 9 + 1)))
+        .chain((0..400).map(|i| UpdateEvent::delete("R", order((i * 91 % 400) * 9 + 1))))
+        .collect();
+    engine.process_all(&standing).unwrap();
+    engine.process_all(&churn).unwrap();
+    engine.process_all(&churn).unwrap();
+
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "ordered-index path allocated {allocs} times over {} steady-state events",
+        churn.len()
+    );
+    // Not vacuous: every event's range sums were answered from the indexes.
+    engine.flush_telemetry();
+    let views = tel.snapshot().views;
+    let later = views.iter().find(|v| v.name == "LATER").unwrap();
+    assert!(
+        later.banded_hits > 0 && later.banded_bails == 0,
+        "{later:?}"
+    );
+    assert_eq!(later.fused_scans, 0, "{later:?}");
 }
 
 /// A publish must not allocate per entry: with a fixed key set (writes only

@@ -11,6 +11,14 @@
 //! The work guards are timing-free: they read [`ViewMap::snapshot_work`] and
 //! pin that a snapshot costs the keys written in the last two epochs, and a
 //! held buffer one full copy — not one per epoch.
+//!
+//! The same interleavings — writes, row batches, `clear`, `load_gmr`, `Clone`,
+//! a lazily built hash index beside it — also drive a view that carries an
+//! **ordered** secondary index (the `axf` shape: `[group, price]` sorted on
+//! the price), and after every step the index must agree with the primary
+//! map: a traversal hands out the group's entries bit for bit, and a range
+//! sum is the exact sum when every entry of the group is inside the
+//! exactness contract and refused (`None`) when one is not.
 
 use dbtoaster_gmr::{Gmr, Schema, Tuple, Value};
 use dbtoaster_runtime::ViewMap;
@@ -80,8 +88,55 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 /// the generator never reaches the patch branch.
 static PATCHED: AtomicU64 = AtomicU64::new(0);
 
-fn run_case(steps: Vec<Step>) {
+/// The ordered index over `[a = group, b sorted]` must agree with the
+/// primary map, group by group (see the module docs). The band key `b = 0`
+/// and most of [`MULTS`] are outside the exactness contract.
+fn assert_ordered_index_agrees(view: &ViewMap, step: u8) {
+    let totals = view.index_totals();
+    assert_eq!(totals.ordered, 1, "step {step}: the declaration is gone");
+    assert_eq!(
+        totals.entries,
+        view.len() as u64 * (totals.hash + totals.ordered),
+        "step {step}"
+    );
+    for a in 0..KEYS_A {
+        let pattern = [Some(Value::long(a)), None];
+        let group: Vec<(&Tuple, f64)> = view
+            .iter()
+            .filter(|(k, _)| k[0] == Value::long(a))
+            .collect();
+        let mut seen = Vec::new();
+        view.for_each(&pattern, &mut |k, m| {
+            seen.push((Tuple::from(k), m.to_bits()))
+        });
+        seen.sort();
+        assert_eq!(
+            seen,
+            sorted_bits(group.iter().map(|&(k, m)| (k, m))),
+            "step {step}: traversal of group {a}"
+        );
+        let exact = group.iter().all(|(k, m)| {
+            k[1] != Value::long(0) && m.fract() == 0.0 && m.abs() < (1u64 << 53) as f64
+        });
+        let (lo, hi) = (3.0, 11.0);
+        let mut sums = [f64::NAN];
+        let answered = view.range_sums(&pattern, 0.0, &[(lo, hi)], &mut sums);
+        assert_eq!(answered.is_some(), exact, "step {step}: group {a}");
+        if exact {
+            let want: f64 = group
+                .iter()
+                .filter(|(k, _)| (lo..hi).contains(&k[1].as_f64().unwrap()))
+                .fold(0.0, |sum, (_, m)| sum + m);
+            assert_eq!(sums[0].to_bits(), want.to_bits(), "step {step}: group {a}");
+        }
+    }
+}
+
+fn run_case(steps: Vec<Step>, ordered: bool) {
     let mut view = ViewMap::new(Schema::new(["a", "b"]));
+    if ordered {
+        view.declare_ordered(0b01, 1);
+    }
     // Enough entries that a handful of writes stays inside the patch budget.
     for a in 0..KEYS_A {
         for b in 0..KEYS_B {
@@ -152,6 +207,9 @@ fn run_case(steps: Vec<Step>) {
                 "a held snapshot changed after step kind {kind}"
             );
         }
+        if ordered {
+            assert_ordered_index_agrees(&view, kind);
+        }
     }
     assert_eq!(contents(&view.to_gmr()), full_copy(&view));
 }
@@ -161,7 +219,12 @@ proptest! {
 
     #[test]
     fn snapshots_equal_full_copies_and_never_change(steps in steps()) {
-        run_case(steps);
+        run_case(steps, false);
+    }
+
+    #[test]
+    fn an_ordered_index_agrees_with_the_primary_after_every_step(steps in steps()) {
+        run_case(steps, true);
     }
 }
 
@@ -172,7 +235,8 @@ proptest! {
 fn snapshots_equal_full_copies_and_never_change_soak() {
     let mut rng = TestRng::from_name("snapshots_equal_full_copies_and_never_change_soak");
     for _ in 0..2000 {
-        run_case(steps().generate(&mut rng));
+        run_case(steps().generate(&mut rng), false);
+        run_case(steps().generate(&mut rng), true);
     }
     assert!(
         PATCHED.load(Relaxed) > 0,
@@ -184,7 +248,7 @@ fn snapshots_equal_full_copies_and_never_change_soak() {
 fn the_generator_reaches_the_patch_branch() {
     let mut rng = TestRng::from_name("the_generator_reaches_the_patch_branch");
     for _ in 0..50 {
-        run_case(steps().generate(&mut rng));
+        run_case(steps().generate(&mut rng), false);
     }
     assert!(
         PATCHED.load(Relaxed) > 0,

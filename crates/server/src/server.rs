@@ -2032,6 +2032,14 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 map_size: v.map_size,
             })
         });
+        ex.attach_index_stats(|name| {
+            snap.view(name).map(|v| dbtoaster_compiler::IndexStats {
+                hash: v.indexes[0],
+                ordered: v.indexes[1],
+                entries: v.indexes[2],
+                bytes: v.indexes[3],
+            })
+        });
     }
     ex
 }
@@ -2097,8 +2105,10 @@ pub(crate) fn health_body(shared: &Shared) -> (bool, String) {
     (healthy, body)
 }
 
-/// `/views`: per-view work counters and observed sizes from a fresh
-/// [`MetricsSnapshot`], as one JSON object.
+/// `/views`: per-view work counters, observed sizes and secondary indexes
+/// (how many of each representation, the columns the ordered ones are sorted
+/// on, entries and bytes) from a fresh [`MetricsSnapshot`], as one JSON
+/// object.
 pub(crate) fn views_body(shared: &Shared) -> String {
     use dbtoaster_telemetry::json_escape;
     let snap = shared.tel.snapshot();
@@ -2106,14 +2116,30 @@ pub(crate) fn views_body(shared: &Shared) -> String {
         "{{\"events\":{},\"batches\":{},\"traces_pending\":{},\"views\":[",
         snap.events, snap.batches, snap.traces_pending
     );
+    let ordered = shared.program.ordered_indexes();
     for (i, v) in snap.views.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        // The columns the view's ordered indexes are sorted on (declared by
+        // the compiler; everything else about the indexes is live).
+        let ordered_on: Vec<String> = ordered
+            .iter()
+            .filter(|d| d.map == v.name)
+            .map(|d| {
+                let column = shared.program.map(&d.map);
+                match column.and_then(|m| m.out_vars.get(d.key_pos as usize)) {
+                    Some(c) => format!("\"{}\"", json_escape(c)),
+                    None => format!("\"t{}\"", d.key_pos),
+                }
+            })
+            .collect();
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
              \"entries_scanned\":{},\"fused_scans\":{},\"banded_hits\":{},\
              \"banded_bails\":{},\"overlay_firings\":{},\"map_size\":{},\
+             \"indexes\":{{\"hash\":{},\"ordered\":{},\"ordered_on\":[{}],\
+             \"entries\":{},\"bytes\":{}}},\
              \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
              \"snapshot_full_copies\":{{\"first\":{},\"pinned\":{},\"abandoned\":{}}}}}",
             json_escape(&v.name),
@@ -2126,6 +2152,11 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             v.banded_bails,
             v.overlay_firings,
             v.map_size,
+            v.indexes[0],
+            v.indexes[1],
+            ordered_on.join(","),
+            v.indexes[2],
+            v.indexes[3],
             v.snapshot_keys_patched,
             v.snapshot_entries_copied,
             v.snapshot_full_copies[0],

@@ -162,6 +162,12 @@ fn views_and_traces_endpoints_serve_json() {
     assert!(views.body.contains("\"events\":50"), "{}", views.body);
     assert!(views.body.contains("\"views\":["));
     assert!(views.body.contains("\"rows_written\":"));
+    assert!(
+        views.body.contains("\"indexes\":{\"hash\":"),
+        "{}",
+        views.body
+    );
+    assert!(views.body.contains("\"ordered_on\":["), "{}", views.body);
     assert!(views.body.contains("\"snapshot_keys_patched\":"));
     assert!(views.body.contains("\"snapshot_entries_copied\":"));
     assert!(

@@ -381,11 +381,14 @@ pub struct ViewCounters {
     pub entries_scanned: AtomicU64,
     /// Fused prelude scan executions.
     pub fused_scans: AtomicU64,
-    /// Banded prelude lookups answered from the sorted prefix-sum cache.
+    /// Range-sum scans answered from an ordered index (the counter keeps the
+    /// name it had when the sorted structure was a per-run cache).
     pub banded_hits: AtomicU64,
-    /// Banded prelude lookups that bailed to a full traversal.
+    /// Range-sum scans that bailed to a full traversal.
     pub banded_bails: AtomicU64,
-    /// Run-linear kernels fired into this view by batch-delta overlay passes.
+    /// Firings of batch-delta live passes into this view: evaluations, inside
+    /// multi-firing runs, of statements that read what their own run writes
+    /// (the name dates from when they ran against a run-local overlay).
     pub overlay_firings: AtomicU64,
     /// Observed map size (entries) at the last engine flush.
     pub map_size: AtomicU64,
@@ -396,7 +399,15 @@ pub struct ViewCounters {
     pub snapshot_entries_copied: AtomicU64,
     /// Full snapshot copies by reason, in [`SNAPSHOT_COPY_REASONS`] order.
     pub snapshot_full_copies: [AtomicU64; 3],
+    /// The view's secondary indexes at the last engine flush, in
+    /// [`INDEX_GAUGES`] order.
+    pub indexes: [AtomicU64; 4],
 }
+
+/// What a view's index gauges count: how many hash and how many ordered
+/// secondary indexes it has, the entries they index and the bytes they hold
+/// (each summed over the indexes).
+pub const INDEX_GAUGES: [&str; 4] = ["hash", "ordered", "entries", "bytes"];
 
 /// Why a snapshot copied a whole view instead of patching a recycled buffer:
 /// the view had not yet handed out two buffers; a reader, subscriber baseline
@@ -433,6 +444,8 @@ pub struct ViewSummary {
     pub snapshot_entries_copied: u64,
     /// See [`ViewCounters::snapshot_full_copies`].
     pub snapshot_full_copies: [u64; 3],
+    /// See [`ViewCounters::indexes`].
+    pub indexes: [u64; 4],
 }
 
 /// One per-statement span of a slow-batch trace.
@@ -462,7 +475,7 @@ pub struct RunSpan {
     /// Wall time of the run in nanoseconds (for single-run batches this is
     /// the whole batch's measurement).
     pub nanos: u64,
-    /// Run-linear kernels the run's overlay pass fired.
+    /// Statement evaluations of the run's live pass.
     pub overlay_firings: u64,
     /// Per-statement spans, present when the batch was large enough to arm
     /// statement timing (see [`TelemetryConfig::trace_arm_min_events`]).
@@ -803,6 +816,7 @@ impl Telemetry {
                 snapshot_full_copies: std::array::from_fn(|r| {
                     v.snapshot_full_copies[r].load(Relaxed)
                 }),
+                indexes: std::array::from_fn(|i| v.indexes[i].load(Relaxed)),
             })
             .collect();
         MetricsSnapshot {
@@ -1053,19 +1067,19 @@ impl MetricsSnapshot {
         view_counter(
             &mut out,
             "banded_hits_total",
-            "Banded prelude lookups answered from the sorted cache.",
+            "Range-sum scans answered from an ordered index.",
             &|v| v.banded_hits,
         );
         view_counter(
             &mut out,
             "banded_bails_total",
-            "Banded prelude lookups that fell back to a full traversal.",
+            "Range-sum scans that fell back to a full traversal.",
             &|v| v.banded_bails,
         );
         view_counter(
             &mut out,
             "overlay_firings_total",
-            "Run-linear kernels fired into the view by batch-delta overlay passes.",
+            "Statements fired into the view by batch-delta live passes.",
             &|v| v.overlay_firings,
         );
         view_counter(

@@ -13,21 +13,23 @@
 //!
 //! The query set spans both batch strategies: linear aggregates and
 //! group-bys (batch-delta with no run-linear part), a quadratic self-join
-//! whose intra-batch interaction is carried by the overlay pass, a
-//! stream-scaled self-join whose overlay pass also reads another stream's
+//! whose intra-batch interaction is carried by the live pass, a
+//! stream-scaled self-join whose live pass also reads another stream's
 //! stored slice, a nested-aggregate shape whose re-evaluation statement is
 //! the run's `:=` tail, and a cubic self-join that stays entry-major. The
 //! replace-tail section plants the run shapes the tail has to get right, on
 //! that nested shape and on the workload's `vwap`. The order-book section drives the workload's own
 //! self-join queries — `bsp` alone and `axf+bsp+bsv` in one engine, the
-//! program the `book_join` benchmark serves — at the served batch sizes, and
-//! pins the work a batch does (entries scanned) at or below its events'.
+//! program the `book_join` benchmark serves — at the served batch sizes, plants
+//! values outside the range sums' exactness contract, and pins the work a
+//! batch does (entries touched) against its events' and against the size of
+//! the buckets it reads.
 
 use dbtoaster::agca::{CmpOp, DeltaBatch, Expr, UpdateEvent};
 use dbtoaster::compiler::{
     compile, BatchStrategy, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
 };
-use dbtoaster::gmr::Value;
+use dbtoaster::gmr::{Tuple, Value};
 use dbtoaster::runtime::Engine;
 use proptest::prelude::*;
 
@@ -70,7 +72,7 @@ fn queries() -> Vec<QuerySpec> {
             ),
         },
         // Self-join: quadratic in R. The statement reads the auxiliary map its
-        // own run writes; the overlay pass covers that intra-batch interaction
+        // own run writes; the live pass covers that intra-batch interaction
         // exactly, so this is batch-delta eligible.
         QuerySpec {
             name: "SELFJ".into(),
@@ -83,8 +85,8 @@ fn queries() -> Vec<QuerySpec> {
         // Self-join scaled by a second stream: quadratic in R, and the second
         // delta w.r.t. R keeps a live S atom — a *stream*, not a static
         // table. S is constant during an R-run (runs are per-relation), so
-        // the derivation still succeeds: batch-delta, with run-linear parts
-        // whose non-run-written reads pass through to the pre-run store.
+        // the derivation still succeeds: batch-delta, with live statements
+        // whose non-run-written reads see the pre-run store.
         QuerySpec {
             name: "SCALED".into(),
             out_vars: vec![],
@@ -294,7 +296,7 @@ fn query_set_spans_both_batch_strategies() {
             .run_linear
             .iter()
             .any(|rl| !rl.statements.is_empty()),
-        "the self-joins need the overlay pass"
+        "the self-joins need the live pass"
     );
 
     let has_tail = |program: &dbtoaster::compiler::TriggerProgram, relation: &str| {
@@ -340,7 +342,7 @@ fn query_set_spans_both_batch_strategies() {
 /// Coverage guard for the batch benchmark sweep: every query it measures must
 /// dispatch batch-delta on all of its stream relations in higher-order mode —
 /// if one regresses to a fallback strategy, the sweep silently stops
-/// measuring the batch-delta path (and, for `bsp`/`bsv`, its overlay pass). (Other workload queries — e.g. the
+/// measuring the batch-delta path (and, for `bsp`/`bsv`, its live pass). (Other workload queries — e.g. the
 /// EXISTS-correlated TPC-H q4 — legitimately stay on the fallbacks.)
 #[test]
 fn batch_sweep_queries_dispatch_batch_delta() {
@@ -663,10 +665,10 @@ fn order_book_self_joins_batch_bit_exact() {
     }
 }
 
-/// The three run shapes the overlay pass has to get right, planted in one
+/// The three run shapes the live pass has to get right, planted in one
 /// `Bids` run: a repeated key (net multiplicity ±2 — the firing's second
 /// repetition must see the first), an insert-then-delete that cancels inside
-/// the run (fires nothing, feeds the overlay nothing), and mixed signs
+/// the run (fires nothing, writes nothing), and mixed signs
 /// (delete-trigger rows interleaved with insert-trigger rows in entry order).
 #[test]
 fn order_book_planted_runs_batch_bit_exact() {
@@ -714,6 +716,135 @@ fn order_book_planted_runs_batch_bit_exact() {
                     &batched,
                     &format!("planted {names:?} [{mode}/interp={force_interp}]"),
                 );
+            }
+        }
+    }
+}
+
+/// Values outside the range sums' exactness contract, met *under
+/// maintenance*: an ordered index learns of an offender when it is written,
+/// has to answer the group's range sums by traversal while it is there, and
+/// has to resume the moment it is gone — counted per group, not latched. On
+/// top of an ordinary three-broker book, brokers 5–8 each get one kind of
+/// offender in the middle of a run of ordinary orders on both sides of the
+/// book: half-unit volumes (placed, traded around, cancelled), `-0.0`
+/// volumes, a 2^53 volume (placed, traded around, cancelled), a NaN volume
+/// (never cancelled: `NaN - NaN` is not zero, so no incremental strategy
+/// could forget it), and an order cancelled before it is placed (a `-1`
+/// multiplicity in between). `axf` and `bsp` in every incremental mode, at
+/// batch 1, 8 and 512, must equal re-evaluation bit for bit (all NaNs being
+/// one value, as they are to `Value`); the offending brokers' volumes are
+/// dyadic and coarse enough that every sum is exact in any order.
+#[test]
+fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
+    use dbtoaster::runtime::{Telemetry, TelemetryConfig};
+    let hostile = |t: i64, id: i64, broker: i64, price: i64, volume: f64| {
+        let mut o = order(t, id, broker, price, 0);
+        o[4] = Value::double(volume);
+        o
+    };
+    let big = (1u64 << 53) as f64;
+    let coarse = (1u64 << 20) as f64;
+    let mut events = book_stream(77, 420);
+    let mut id = 10_000;
+    let mut plant = |events: &mut Vec<UpdateEvent>, at: usize, broker: i64, bad: f64, unit: f64| {
+        // Ordinary orders around the offender on both sides of the book (so
+        // its group is read while it is there), then the offender's own
+        // cancellation where `bad - bad` is zero, then more ordinary orders.
+        let mut run = Vec::new();
+        let mut place = |run: &mut Vec<UpdateEvent>, rel: &str, t: i64, price: i64, vol: f64| {
+            id += 1;
+            let o = hostile(t, id, broker, price, vol);
+            run.push(UpdateEvent::insert(rel, o.clone()));
+            o
+        };
+        place(&mut run, "Bids", 3, 1, unit);
+        place(&mut run, "Asks", 4, 5, 2.0 * unit);
+        let offender = place(&mut run, "Bids", 5, 2, bad);
+        let other = place(&mut run, "Asks", 5, 6, bad);
+        place(&mut run, "Bids", 6, 7, 3.0 * unit);
+        place(&mut run, "Asks", 7, 1, unit);
+        place(&mut run, "Bids", 8, 4, 2.0 * unit);
+        if !bad.is_nan() {
+            run.push(UpdateEvent::delete("Bids", offender));
+            run.push(UpdateEvent::delete("Asks", other));
+        }
+        place(&mut run, "Asks", 9, 3, 4.0 * unit);
+        place(&mut run, "Bids", 9, 6, unit);
+        events.splice(at..at, run);
+    };
+    plant(&mut events, 400, 8, f64::NAN, 1.0);
+    plant(&mut events, 310, 7, big, coarse);
+    plant(&mut events, 205, 6, -0.0, 1.0);
+    plant(&mut events, 100, 5, 0.5, 1.0);
+    // Cancelled before it is placed.
+    let early = order(50, 20_000, 5, 3, 4);
+    events.insert(130, UpdateEvent::delete("Bids", early.clone()));
+    events.insert(180, UpdateEvent::insert("Bids", early));
+
+    let names = ["axf", "bsp"];
+    let results = |engine: &Engine| -> Vec<(String, Vec<(Tuple, u64)>)> {
+        names
+            .iter()
+            .map(|n| {
+                let view = engine.view(n).unwrap();
+                let mut rows: Vec<(Tuple, u64)> = view
+                    .iter()
+                    .map(|(k, m)| (k.clone(), Value::numeric_bits(m)))
+                    .collect();
+                rows.sort();
+                (n.to_string(), rows)
+            })
+            .collect()
+    };
+    let (program, catalog) = book_program(&names, CompileMode::Reevaluate);
+    let expected = results(&per_event_engine(&program, &catalog, false, &events));
+    for broker in [5, 6, 7, 8] {
+        assert!(
+            expected
+                .iter()
+                .all(|(_, rows)| rows.iter().any(|(k, _)| k[0] == Value::long(broker))),
+            "broker {broker} has no result to get wrong: {expected:?}"
+        );
+    }
+    let nan = Value::numeric_bits(f64::NAN);
+    assert!(expected.iter().all(|(_, rows)| rows
+        .iter()
+        .any(|(k, m)| k[0] == Value::long(8) && *m == nan)));
+
+    for mode in [
+        CompileMode::HigherOrder,
+        CompileMode::FirstOrder,
+        CompileMode::NaiveViewlet,
+    ] {
+        let (program, catalog) = book_program(&names, mode);
+        for batch in [1, 8, 512] {
+            let mut engine = Engine::new(program.clone(), &catalog);
+            let tel = Telemetry::with_config(TelemetryConfig::default());
+            engine.set_telemetry(tel.clone());
+            for b in fixed_partition(&events, batch) {
+                let report = engine.process_batch(&b);
+                assert!(report.first_error.is_none(), "{:?}", report.first_error);
+            }
+            assert_eq!(
+                results(&engine),
+                expected,
+                "[{mode}] batch {batch} diverges from re-evaluation"
+            );
+            if mode == CompileMode::HigherOrder {
+                // Both ways of answering a range sum were taken.
+                engine.flush_telemetry();
+                for v in tel
+                    .snapshot()
+                    .views
+                    .iter()
+                    .filter(|v| names.contains(&&*v.name))
+                {
+                    assert!(
+                        v.banded_hits > 0 && v.banded_bails > 0,
+                        "batch {batch}: {v:?}"
+                    );
+                }
             }
         }
     }
@@ -916,6 +1047,82 @@ fn poison_event_in_a_replace_tail_run_matches_per_event() {
     }
 }
 
+/// A poison event *after* the live pass has written. In first-order mode
+/// `bsp`'s one statement reads the stored slice of `Bids`, which its own run
+/// writes: inside a run the engine applies the base update firing
+/// by firing — and has to take those writes back when a later firing fails
+/// (an order whose volume is a string fails the statement's arithmetic). The
+/// run then replays entry-major, and the report, every map and the stored
+/// relation equal per-event processing bit for bit. In the other incremental
+/// modes the same order already fails a statement that is collected before
+/// the live pass starts; the outcome must be the same.
+#[test]
+fn poison_event_after_live_writes_is_rolled_back() {
+    use dbtoaster::runtime::{Telemetry, TelemetryConfig};
+    let mut poison = order(5, 8, 0, 4, 1);
+    poison[4] = Value::str("not a volume");
+    let prefix = vec![
+        UpdateEvent::insert("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(2, 2, 0, 5, 2)),
+    ];
+    let run = vec![
+        UpdateEvent::insert("Bids", order(3, 3, 0, 1, 7)),
+        UpdateEvent::delete("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", poison),
+        UpdateEvent::insert("Bids", order(6, 9, 0, 3, 2)),
+    ];
+    for mode in [
+        CompileMode::HigherOrder,
+        CompileMode::FirstOrder,
+        CompileMode::NaiveViewlet,
+    ] {
+        let (program, catalog) = book_program(&["bsp"], mode);
+        for force_interp in [false, true] {
+            let mut reference = Engine::new(program.clone(), &catalog);
+            reference.set_force_interpreter(force_interp);
+            let errors: Vec<_> = prefix
+                .iter()
+                .chain(&run)
+                .filter_map(|e| reference.process(e).err())
+                .collect();
+            assert_eq!(
+                errors.len(),
+                1,
+                "[{mode}] only the poison fails: {errors:?}"
+            );
+
+            let mut batched = Engine::new(program.clone(), &catalog);
+            batched.set_force_interpreter(force_interp);
+            batched.set_run_recording(true);
+            let tel = Telemetry::with_config(TelemetryConfig::default());
+            batched.set_telemetry(tel.clone());
+            let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
+            assert!(report.first_error.is_none());
+            batched.flush_telemetry();
+            let live_firings = |tel: &Telemetry| -> u64 {
+                tel.snapshot().views.iter().map(|v| v.overlay_firings).sum()
+            };
+            let before = live_firings(&tel);
+            let report = batched.process_batch(&DeltaBatch::from_events(&run));
+            assert_eq!(report.failed_events, 1, "[{mode}]");
+            assert_eq!(report.first_error.as_ref(), errors.first());
+            assert_eq!(report.runs[0].strategy, BatchStrategy::EntryMajor);
+            batched.flush_telemetry();
+            if mode == CompileMode::FirstOrder {
+                // Not vacuous: the pass had fired (and written the stored
+                // slice) before it met the poison.
+                assert!(live_firings(&tel) >= before + 2, "[{mode}]");
+            }
+            assert!(!reference.view("bsp").unwrap().is_empty());
+            assert_engines_identical(
+                &reference,
+                &batched,
+                &format!("rolled-back run [{mode}/interp={force_interp}]"),
+            );
+        }
+    }
+}
+
 /// Timing-free work guard for the tail: at batch 512 a `:=` statement is
 /// evaluated once per run, not once per event — `vwap` in higher-order mode
 /// (three increments per event plus the tail) and `q1` in re-evaluation mode
@@ -1008,12 +1215,12 @@ fn replace_statements_fire_once_per_run_not_per_event() {
     }
 }
 
-/// `mddb1` is the workload's widest overlay (two run-linear statements over
-/// fourteen auxiliary maps) and its aggregates are genuine floats, so batches
+/// `mddb1` has the workload's widest live pass (two statements reading
+/// fourteen auxiliary maps their own run writes) and its aggregates are genuine floats, so batches
 /// reassociate sums: every maintained map must match per-event processing to
 /// a relative 1e-9 rather than bit for bit.
 #[test]
-fn mddb1_overlay_batches_match_per_event_within_float_tolerance() {
+fn mddb1_live_pass_batches_match_per_event_within_float_tolerance() {
     let q = dbtoaster::workloads::query("mddb1").unwrap();
     let data = dbtoaster::workloads::mddb::generate(&dbtoaster::workloads::MddbConfig {
         atoms: 12,
@@ -1059,44 +1266,111 @@ fn mddb1_overlay_batches_match_per_event_within_float_tolerance() {
     }
 }
 
-/// Timing-free regression guard for "a batch must never be slower than its
-/// events": on a fixed 5k-event order book, the entries the kernels scan —
-/// summed over every view's counters — at batch 512 must not exceed the same
-/// sum at batch 1, and no run may leave the static batch-delta dispatch. (The
-/// pair-correction design this replaced failed both: its cost gate re-routed
-/// large `Bids` runs entry-major, and where it did not, the `@delta` self-join
-/// scanned the run once per entry.)
-#[test]
-fn order_book_batch_512_scans_no_more_than_per_event() {
+/// Σ `entries_scanned` over every view of an engine that replays `events` in
+/// batches of `batch`, with the static dispatch checked on the way.
+fn entries_scanned(
+    program: &dbtoaster::compiler::TriggerProgram,
+    catalog: &Catalog,
+    events: &[UpdateEvent],
+    batch: usize,
+) -> u64 {
     use dbtoaster::runtime::{Telemetry, TelemetryConfig};
+    let mut engine = Engine::new(program.clone(), catalog);
+    let tel = Telemetry::with_config(TelemetryConfig::default());
+    engine.set_telemetry(tel.clone());
+    for b in fixed_partition(events, batch) {
+        let report = engine.process_batch(&b);
+        assert!(report.first_error.is_none(), "{:?}", report.first_error);
+    }
+    assert_eq!(
+        engine.stats().entry_major_runs,
+        0,
+        "batch {batch} re-routed a run entry-major"
+    );
+    engine.flush_telemetry();
+    tel.snapshot().views.iter().map(|v| v.entries_scanned).sum()
+}
+
+/// Timing-free regression guard for "a batch must never be slower than its
+/// events": on a fixed 5k-event order book, the entries the kernels touch —
+/// summed over every view's counters — at batch 8, 64 and 512 are no more
+/// than the same sum at batch 1, and no run may leave the static batch-delta
+/// dispatch. Two designs have failed it: PR 15's predecessor re-routed large
+/// `Bids` runs entry-major and scanned the run once per entry where it did
+/// not (5× to 100× the work); and any scheme that answers a statement from
+/// two structures — the pre-run state plus something holding the run's own
+/// writes — fails it once lookups are searches, because `log a + log b >
+/// log (a + b)` (+4 % at batch 8, +38 % at batch 512 on `bsp`). It holds
+/// because a statement that reads what its run writes makes one lookup per
+/// firing, into maps the run keeps current, exactly as per event.
+///
+/// The second assertion pins that a lookup is a search at all: a bucket of
+/// this stream holds ~250 bids on average, a search compares under ten.
+#[test]
+fn order_book_batches_scan_no_more_than_their_events() {
     let data = dbtoaster::workloads::finance::generate(&dbtoaster::workloads::FinanceConfig {
         events: 5_000,
         seed: 42,
         ..Default::default()
     });
-    for names in [&["bsp"][..], &["axf", "bsp", "bsv"][..]] {
+    for names in [&["bsp"][..], &["axf"][..], &["axf", "bsp", "bsv"][..]] {
         let (program, catalog) = book_program(names, CompileMode::HigherOrder);
-        let scanned = |batch: usize| -> u64 {
-            let mut engine = Engine::new(program.clone(), &catalog);
-            let tel = Telemetry::with_config(TelemetryConfig::default());
-            engine.set_telemetry(tel.clone());
-            for b in fixed_partition(&data.events, batch) {
-                let report = engine.process_batch(&b);
-                assert!(report.first_error.is_none(), "{:?}", report.first_error);
-            }
-            assert_eq!(
-                engine.stats().entry_major_runs,
-                0,
-                "{names:?}: batch {batch} re-routed a run entry-major"
-            );
-            engine.flush_telemetry();
-            tel.snapshot().views.iter().map(|v| v.entries_scanned).sum()
-        };
-        let (per_event, batched) = (scanned(1), scanned(512));
+        let per_event = entries_scanned(&program, &catalog, &data.events, 1);
         assert!(per_event > 0, "{names:?}: the counters saw no scans");
+        // `bsv` is O(1) per event and scans nothing; `axf` and `bsp` make two
+        // range-sum scans per event each.
+        let scans = data.events.len() as u64 * if names.len() == 1 { 1 } else { 3 };
         assert!(
-            batched <= per_event,
-            "{names:?}: batch 512 scanned {batched} entries, its events scan {per_event}"
+            per_event < 60 * scans,
+            "{names:?}: {per_event} entries for {scans} scans is a traversal, not a search"
+        );
+        for batch in [8, 64, 512] {
+            let batched = entries_scanned(&program, &catalog, &data.events, batch);
+            assert!(
+                batched <= per_event,
+                "{names:?}: batch {batch} touched {batched} entries, its events touch {per_event}"
+            );
+        }
+    }
+}
+
+/// The other half of the work oracle: what an `axf` or `bsp` event costs must
+/// not follow the size of the bucket it reads. Over 5k, 10k and 20k events of
+/// the same order book the buckets (`[broker, price]` / `[broker, t]` groups
+/// of the auxiliary maps) grow fourfold; the entries compared per event —
+/// binary searches over sorted runs, so two more comparisons per search on
+/// top of six or seven — must grow by less than half.
+#[test]
+fn order_book_work_per_event_does_not_follow_the_bucket_size() {
+    for name in ["axf", "bsp"] {
+        let (program, catalog) = book_program(&[name], CompileMode::HigherOrder);
+        let measure = |events: usize| -> (f64, usize) {
+            let data =
+                dbtoaster::workloads::finance::generate(&dbtoaster::workloads::FinanceConfig {
+                    events,
+                    seed: 42,
+                    ..Default::default()
+                });
+            let scanned = entries_scanned(&program, &catalog, &data.events, 1);
+            let mut engine = Engine::new(program.clone(), &catalog);
+            engine.process_all(&data.events).unwrap();
+            let bucket = program
+                .ordered_indexes()
+                .iter()
+                .map(|d| engine.view(&d.map).unwrap().len())
+                .max()
+                .unwrap();
+            (scanned as f64 / events as f64, bucket)
+        };
+        let sweep = [5_000, 10_000, 20_000].map(measure);
+        let ((small, small_bucket), (large, large_bucket)) = (sweep[0], sweep[2]);
+        assert!(
+            large_bucket as f64 >= 3.5 * small_bucket as f64,
+            "{name}: the buckets were meant to grow fourfold: {sweep:?}"
+        );
+        assert!(
+            small > 0.0 && large < 1.5 * small,
+            "{name}: entries per event follow the bucket: {sweep:?}"
         );
     }
 }

@@ -52,18 +52,22 @@ fn dataset_for(family: Family, events: usize) -> workloads::Dataset {
     }
 }
 
+/// One engine maintaining every query of `qs` (which share a family, hence a
+/// dataset) over the same stream.
 fn run_engine(
-    q: &workloads::WorkloadQuery,
+    qs: &[workloads::WorkloadQuery],
     mode: CompileMode,
     data: &workloads::Dataset,
     force_interpreter: bool,
 ) -> QueryEngine {
-    let catalog = workloads::full_catalog();
-    let mut engine = QueryEngineBuilder::new(catalog)
-        .add_query(q.name, q.sql)
-        .mode(mode)
+    let names: Vec<&str> = qs.iter().map(|q| q.name).collect();
+    let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+    for q in qs {
+        builder = builder.add_query(q.name, q.sql);
+    }
+    let mut engine = builder
         .build()
-        .unwrap_or_else(|e| panic!("{} [{mode}]: build failed: {e}", q.name));
+        .unwrap_or_else(|e| panic!("{names:?} [{mode}]: build failed: {e}"));
     engine.set_force_interpreter(force_interpreter);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone()).unwrap();
@@ -71,7 +75,7 @@ fn run_engine(
     engine.init().unwrap();
     engine
         .process_all(&data.events)
-        .unwrap_or_else(|e| panic!("{} [{mode}]: processing failed: {e}", q.name));
+        .unwrap_or_else(|e| panic!("{names:?} [{mode}]: processing failed: {e}"));
     engine
 }
 
@@ -94,13 +98,22 @@ fn assert_maps_match(context: &str, map: &str, got: &Gmr, expected: &Gmr, rel_ep
 }
 
 fn check_workload(name: &str, events: usize, modes: &[CompileMode]) {
-    let q = workloads::query(name).unwrap_or_else(|| panic!("unknown query {name}"));
-    let data = dataset_for(q.family, events);
+    check_program(&[name], events, modes);
+}
+
+/// Kernels on vs interpreter forced, for one engine maintaining all of
+/// `names`: every maintained map must agree.
+fn check_program(names: &[&str], events: usize, modes: &[CompileMode]) {
+    let qs: Vec<workloads::WorkloadQuery> = names
+        .iter()
+        .map(|n| workloads::query(n).unwrap_or_else(|| panic!("unknown query {n}")))
+        .collect();
+    let data = dataset_for(qs[0].family, events);
     for &mode in modes {
-        let compiled = run_engine(&q, mode, &data, false);
-        let interpreted = run_engine(&q, mode, &data, true);
+        let compiled = run_engine(&qs, mode, &data, false);
+        let interpreted = run_engine(&qs, mode, &data, true);
         assert_eq!(interpreted.stats().compiled_triggers, 0);
-        let context = format!("{name} [{mode}]");
+        let context = format!("{names:?} [{mode}]");
         for m in &compiled.program().maps {
             let got = compiled
                 .view(&m.name)
@@ -121,7 +134,12 @@ fn representative_queries_actually_compile() {
     for name in ["q1", "q3", "q6", "q12", "axf", "bsv", "vwap"] {
         let q = workloads::query(name).unwrap();
         let data = dataset_for(q.family, 50);
-        let engine = run_engine(&q, CompileMode::HigherOrder, &data, false);
+        let engine = run_engine(
+            std::slice::from_ref(&q),
+            CompileMode::HigherOrder,
+            &data,
+            false,
+        );
         assert!(
             engine.stats().compiled_triggers > 0,
             "{name}: no statement lowered to a compiled kernel"
@@ -218,7 +236,24 @@ fn axf_compiled_equals_interpreted() {
 
 #[test]
 fn bsp_compiled_equals_interpreted() {
-    check_workload("bsp", 500, &[CompileMode::HigherOrder]);
+    check_workload(
+        "bsp",
+        500,
+        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
+    );
+}
+
+/// The program the `book_join` benchmark serves: three queries sharing
+/// `Bids` in one engine. The kernels answer `axf`'s and `bsp`'s range sums
+/// from ordered indexes; the interpreter walks the same indexes entry by
+/// entry.
+#[test]
+fn book_join_program_compiled_equals_interpreted() {
+    check_program(
+        &["axf", "bsp", "bsv"],
+        500,
+        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
+    );
 }
 
 #[test]

@@ -350,6 +350,70 @@ fn workload_queries_span_both_shard_plans() {
     );
 }
 
+/// Ordered secondary indexes are declared from the kernels of whatever
+/// program an engine runs, so every slice of a sharded program — `bsp`'s
+/// shard-local slices, `axf`'s exchange executor — must come out with the
+/// indexes of the maps it keeps: the merged views equal the unsharded engine
+/// bit for bit, and each slice's index holds exactly its map's entries.
+#[test]
+fn ordered_indexes_survive_shard_slicing() {
+    use dbtoaster::prelude::*;
+    let sql_catalog = dbtoaster::workloads::full_catalog();
+    let cat = dbtoaster::to_compiler_catalog(&sql_catalog);
+    let events = dbtoaster::workloads::finance::generate(&dbtoaster::workloads::FinanceConfig {
+        events: 3_000,
+        seed: 9,
+        ..Default::default()
+    })
+    .events;
+    for (name, exchanges) in [("bsp", false), ("axf", true)] {
+        let q = dbtoaster::workloads::query(name).unwrap();
+        let program = QueryEngineBuilder::new(sql_catalog.clone())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap()
+            .program()
+            .clone();
+        let declared = program.ordered_indexes();
+        assert!(!declared.is_empty(), "{name}: nothing to survive");
+        let mut reference = Engine::new(program.clone(), &cat);
+        reference.process_all(&events).unwrap();
+
+        let mut sharded = ShardedEngine::new(program, &cat, 2);
+        assert_eq!(sharded.has_executor(), exchanges, "{name}");
+        for chunk in events.chunks(97) {
+            assert!(sharded.process_events(chunk).first_error.is_none());
+        }
+        assert_merged_matches(&reference, &sharded, name);
+
+        let (shards, executor, _, _) = sharded.into_parts();
+        let mut indexed = 0;
+        for mut engine in shards.into_iter().chain(executor) {
+            let ex = engine.explain();
+            for m in &ex.maps {
+                let live = m.analyze.expect("a live engine attaches its indexes");
+                let entries = engine.view(&m.name).unwrap().len() as u64;
+                assert_eq!(
+                    (live.hash, live.ordered, live.entries),
+                    (0, 1, entries),
+                    "{name}: {}",
+                    m.name
+                );
+                indexed += entries;
+            }
+        }
+        let total: usize = declared
+            .iter()
+            .map(|d| reference.view(&d.map).unwrap().len())
+            .sum();
+        assert_eq!(
+            indexed, total as u64,
+            "{name}: entries under ordered indexes"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

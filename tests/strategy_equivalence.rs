@@ -42,24 +42,36 @@ fn dataset_for(family: Family, events: usize) -> workloads::Dataset {
     }
 }
 
-fn run_query(q: &workloads::WorkloadQuery, mode: CompileMode, events: usize) -> ResultTable {
-    let catalog = workloads::full_catalog();
-    let mut engine = QueryEngineBuilder::new(catalog)
-        .add_query(q.name, q.sql)
-        .mode(mode)
+/// The results of one engine maintaining every query of `qs` (which share a
+/// family, hence a dataset), in `qs` order.
+fn run_queries(
+    qs: &[workloads::WorkloadQuery],
+    mode: CompileMode,
+    events: usize,
+) -> Vec<ResultTable> {
+    let names: Vec<&str> = qs.iter().map(|q| q.name).collect();
+    let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+    for q in qs {
+        builder = builder.add_query(q.name, q.sql);
+    }
+    let mut engine = builder
         .build()
-        .unwrap_or_else(|e| panic!("{} [{mode}]: build failed: {e}", q.name));
-    let data = dataset_for(q.family, events);
+        .unwrap_or_else(|e| panic!("{names:?} [{mode}]: build failed: {e}"));
+    let data = dataset_for(qs[0].family, events);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone()).unwrap();
     }
     engine.init().unwrap();
     engine
         .process_all(&data.events)
-        .unwrap_or_else(|e| panic!("{} [{mode}]: processing failed: {e}", q.name));
-    engine
-        .result(q.name)
-        .unwrap_or_else(|e| panic!("{} [{mode}]: result failed: {e}", q.name))
+        .unwrap_or_else(|e| panic!("{names:?} [{mode}]: processing failed: {e}"));
+    qs.iter()
+        .map(|q| {
+            engine
+                .result(q.name)
+                .unwrap_or_else(|e| panic!("{} [{mode}]: result failed: {e}", q.name))
+        })
+        .collect()
 }
 
 /// Compare two result tables modulo row order and floating-point noise.
@@ -96,15 +108,28 @@ fn assert_equivalent(query: &str, mode: CompileMode, got: &ResultTable, expected
 }
 
 fn check_query(name: &str, events: usize, modes: &[CompileMode]) {
-    let q = workloads::query(name).unwrap_or_else(|| panic!("unknown query {name}"));
-    let reference = run_query(&q, CompileMode::Reevaluate, events);
-    assert!(
-        !reference.columns.is_empty(),
-        "{name}: reference result has no columns"
-    );
+    check_program(&[name], events, modes);
+}
+
+/// Every incremental mode against re-evaluation, for one engine maintaining
+/// all of `names`.
+fn check_program(names: &[&str], events: usize, modes: &[CompileMode]) {
+    let qs: Vec<workloads::WorkloadQuery> = names
+        .iter()
+        .map(|n| workloads::query(n).unwrap_or_else(|| panic!("unknown query {n}")))
+        .collect();
+    let reference = run_queries(&qs, CompileMode::Reevaluate, events);
+    for (name, r) in names.iter().zip(&reference) {
+        assert!(
+            !r.columns.is_empty(),
+            "{name}: reference result has no columns"
+        );
+    }
     for &mode in modes {
-        let got = run_query(&q, mode, events);
-        assert_equivalent(name, mode, &got, &reference);
+        let got = run_queries(&qs, mode, events);
+        for ((name, g), r) in names.iter().zip(&got).zip(&reference) {
+            assert_equivalent(name, mode, g, r);
+        }
     }
 }
 
@@ -192,6 +217,13 @@ fn axf_equivalence() {
 #[test]
 fn bsp_equivalence() {
     check_query("bsp", 500, STANDARD_MODES);
+}
+
+/// The program the `book_join` benchmark serves: three queries sharing
+/// `Bids` in one engine.
+#[test]
+fn book_join_program_equivalence() {
+    check_program(&["axf", "bsp", "bsv"], 500, ALL_MODES);
 }
 
 #[test]
