@@ -80,8 +80,8 @@
 //! multiplicities they are exact up to summation order: integer-weighted
 //! streams reproduce the per-event state bit for bit, while float aggregates
 //! can differ in the last ulp when a batch reorders or cancels contributions
-//! (the same caveat as switching between the compiled and interpreted
-//! execution paths). Batch processing is *deterministic* either way: the same
+//! (the same caveat as comparing against a recomputation of the view
+//! definitions). Batch processing is *deterministic* either way: the same
 //! events partitioned the same way — in particular a live serving run and its
 //! WAL replay, which share the batch boundaries — produce identical bits.
 //!

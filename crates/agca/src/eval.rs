@@ -6,13 +6,14 @@
 //! information passing), comparisons and lifts evaluate their operands as scalars in the
 //! current context, and `Sum_A` projects while summing multiplicities.
 //!
-//! The evaluator is the semantic ground truth of the whole system: the runtime executes
-//! compiled trigger statements with it, and the test-suite checks every compilation
-//! strategy against re-evaluation through it.
+//! The evaluator is the semantic ground truth of the whole system, and it lives outside
+//! the executor: the runtime runs every trigger statement and static view as a compiled
+//! kernel ([`crate::plan`]), and the test suites check every maintained map against this
+//! evaluator's re-evaluation of the map's definition over the base relations.
 //!
-//! ## Hot-path design
+//! ## Inner loops
 //!
-//! Per-event evaluation is engineered to stay allocation-free in its inner loops:
+//! Evaluation stays cheap enough to re-evaluate whole map definitions in tests:
 //!
 //! * **Cursor protocol** — [`RelationSource::for_each_matching`] streams borrowed
 //!   `(&[Value], f64)` entries straight out of the backing store into a visitor
@@ -33,12 +34,11 @@
 //!   value is already computable are hoisted ahead of relation atoms that
 //!   would otherwise be scanned with unbound arguments (see
 //!   `product_order_by`), turning the compiler's delta-statement pattern
-//!   `M(ok) * (ok := t)` into an indexed probe. The hoisted order depends only
-//!   on the expression's structure, so a persistent [`EvalScratch`] memoizes
-//!   it per product node instead of re-deriving it per event.
+//!   `M(ok) * (ok := t)` into an indexed probe. The plan compiler bakes the
+//!   same order into compiled kernels.
 
 use crate::expr::{AtomKind, CmpOp, Expr, ScalarFn};
-use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
+use dbtoaster_gmr::{Gmr, Schema, Tuple, Value};
 use std::fmt;
 use std::sync::Arc;
 
@@ -69,23 +69,6 @@ impl Bindings {
             Some(slot) => slot.1 = value,
             None => self.entries.push((name, value)),
         }
-    }
-
-    /// [`Bindings::insert`] from a borrowed name: clones the name only when the
-    /// binding is new. The batch executor re-seeds the same trigger variables
-    /// once per delta entry, so steady-state re-binding allocates nothing.
-    pub fn set(&mut self, name: &str, value: Value) {
-        match self.entries.iter_mut().rev().find(|(n, _)| n == name) {
-            Some(slot) => slot.1 = value,
-            None => self.entries.push((name.to_string(), value)),
-        }
-    }
-
-    /// Drop every binding, retaining capacity (the batch executor clears its
-    /// reused context between statements so no stale name can leak across
-    /// triggers).
-    pub fn clear(&mut self) {
-        self.entries.clear();
     }
 
     /// The value bound to `name`, if any (innermost binding wins).
@@ -316,34 +299,6 @@ impl RelationSource for MemSource {
     }
 }
 
-/// Reusable evaluation scratch state: per-`Mul`-node join-order cache and a
-/// recycled lookup-pattern buffer.
-///
-/// The interpreter re-derives the product evaluation order (`product_order_by`)
-/// and re-probes `scalar_ready` for every product it evaluates — work that is
-/// invariant per expression node, because the *set* of bound variables at any
-/// node is determined by the expression's structure, never by the data. A
-/// long-lived `EvalScratch` (the runtime engine keeps one per engine) memoizes
-/// the order per node so repeated evaluations of the same statement pay O(1)
-/// instead of O(factors²) per event, and recycles the atom-lookup pattern
-/// buffer so `eval_atom` stops allocating one `Vec` per atom per event.
-///
-/// **Cache-key invariant:** orders are keyed by the address of the `Mul` node's
-/// factor slice, so a scratch must not outlive the expressions it has seen, and
-/// must only be reused across evaluations where each node is evaluated under
-/// the same *bound-variable set* (always true for a fixed set of expression
-/// roots, e.g. the statements of one trigger program). Fresh-scratch entry
-/// points ([`eval`], [`eval_with`]) trivially satisfy both conditions.
-#[derive(Debug, Default)]
-pub struct EvalScratch {
-    /// Mul-node factor-slice address → hoisted evaluation order
-    /// (`None` = natural left-to-right order, nothing to hoist).
-    product_orders: FastMap<usize, Option<Arc<[u16]>>>,
-    /// Recycled lookup-pattern buffer for [`eval_atom`]; `None` while a
-    /// (hypothetically re-entrant) atom evaluation is using it.
-    pattern_buf: Option<Vec<Option<Value>>>,
-}
-
 /// Evaluate an expression to a GMR over its output variables.
 pub fn eval(expr: &Expr, src: &dyn RelationSource, ctx: &Bindings) -> Result<Gmr, EvalError> {
     let mut scratch = ctx.clone();
@@ -358,17 +313,6 @@ pub fn eval_with(
     src: &dyn RelationSource,
     ctx: &mut Bindings,
 ) -> Result<Gmr, EvalError> {
-    eval_with_scratch(expr, src, ctx, &mut EvalScratch::default())
-}
-
-/// [`eval_with`] against a caller-owned [`EvalScratch`], letting repeated
-/// evaluations of the same statements reuse cached join orders and buffers.
-pub fn eval_with_scratch(
-    expr: &Expr,
-    src: &dyn RelationSource,
-    ctx: &mut Bindings,
-    scratch: &mut EvalScratch,
-) -> Result<Gmr, EvalError> {
     match expr {
         Expr::Const(v) => Ok(Gmr::scalar(v.as_f64().map_err(EvalError::from)?)),
         Expr::Var(x) => {
@@ -377,11 +321,11 @@ pub fn eval_with_scratch(
                 .ok_or_else(|| EvalError::UnboundVariable(x.clone()))?;
             Ok(Gmr::scalar(v.as_f64().map_err(EvalError::from)?))
         }
-        Expr::Rel(r) => eval_atom(r, src, ctx, scratch),
+        Expr::Rel(r) => eval_atom(r, src, ctx),
         Expr::Add(terms) => {
             let mut acc = Gmr::new(Schema::empty());
             for t in terms {
-                let g = eval_with_scratch(t, src, ctx, scratch)?;
+                let g = eval_with(t, src, ctx)?;
                 if acc.is_empty() {
                     acc = g;
                 } else if !g.is_empty() {
@@ -390,10 +334,10 @@ pub fn eval_with_scratch(
             }
             Ok(acc)
         }
-        Expr::Mul(factors) => eval_product(factors, src, ctx, scratch),
-        Expr::Neg(e) => Ok(eval_with_scratch(e, src, ctx, scratch)?.negate()),
+        Expr::Mul(factors) => eval_product(factors, src, ctx),
+        Expr::Neg(e) => Ok(eval_with(e, src, ctx)?.negate()),
         Expr::AggSum(gb, e) => {
-            let inner = eval_with_scratch(e, src, ctx, scratch)?;
+            let inner = eval_with(e, src, ctx)?;
             let mut out = Gmr::new(Schema::new(gb.iter().cloned()));
             if inner.is_empty() {
                 return Ok(out);
@@ -424,7 +368,7 @@ pub fn eval_with_scratch(
             Ok(out)
         }
         Expr::Lift(x, e) => {
-            let v = eval_scalar_scratch(e, src, ctx, scratch)?;
+            let v = eval_scalar_with(e, src, ctx)?;
             // If the variable is already bound, the lift degenerates into an equality
             // check on the bound value (Section 3.2's distinction between `=` and `:=`
             // is handled here by the context).
@@ -437,8 +381,8 @@ pub fn eval_with_scratch(
             Ok(Gmr::singleton(Schema::new([x.clone()]), [v], 1.0))
         }
         Expr::Cmp(op, l, r) => {
-            let lv = eval_scalar_scratch(l, src, ctx, scratch)?;
-            let rv = eval_scalar_scratch(r, src, ctx, scratch)?;
+            let lv = eval_scalar_with(l, src, ctx)?;
+            let rv = eval_scalar_with(r, src, ctx)?;
             if op.eval(&lv, &rv) {
                 Ok(Gmr::scalar(1.0))
             } else {
@@ -446,13 +390,13 @@ pub fn eval_with_scratch(
             }
         }
         Expr::Exists(e) => {
-            let g = eval_with_scratch(e, src, ctx, scratch)?;
+            let g = eval_with(e, src, ctx)?;
             Ok(g.map_multiplicities(|m| if m != 0.0 { 1.0 } else { 0.0 }))
         }
         Expr::Apply(f, args) => {
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_scalar_scratch(a, src, ctx, scratch))
+                .map(|a| eval_scalar_with(a, src, ctx))
                 .collect::<Result<_, _>>()?;
             let v = apply_scalar_fn(f, &vals)?;
             Ok(Gmr::scalar(v.as_f64().map_err(EvalError::from)?))
@@ -464,7 +408,6 @@ fn eval_atom(
     r: &crate::expr::RelRef,
     src: &dyn RelationSource,
     ctx: &mut Bindings,
-    scratch: &mut EvalScratch,
 ) -> Result<Gmr, EvalError> {
     let _ = AtomKind::Stream; // all kinds are looked up the same way at evaluation time
     if let Some(arity) = src.relation_arity(&r.name) {
@@ -476,14 +419,8 @@ fn eval_atom(
             });
         }
     }
-    // Partial binding pattern from the context, built in the recycled scratch
-    // buffer (no per-call allocation once the buffer has grown to the maximum
-    // atom arity). The visitor below never recurses into evaluation, so the
-    // buffer cannot be needed re-entrantly; the take/put-back protocol falls
-    // back to a fresh allocation if that ever changes.
-    let mut pattern = scratch.pattern_buf.take().unwrap_or_default();
-    pattern.clear();
-    pattern.extend(r.args.iter().map(|a| ctx.get(a).cloned()));
+    // Partial binding pattern from the context.
+    let pattern: Vec<Option<Value>> = r.args.iter().map(|a| ctx.get(a).cloned()).collect();
 
     // Output schema: argument variables, deduplicated in order (repeated variables add
     // an implicit self-equality constraint).
@@ -543,8 +480,6 @@ fn eval_atom(
             out.add_tuple(Tuple::from(t), m);
         }
     });
-    pattern.clear();
-    scratch.pattern_buf = Some(pattern);
     streamed?;
     if let Some(e) = arity_err {
         return Err(e);
@@ -599,8 +534,8 @@ fn push_outputs<'e>(f: &'e Expr, extra: &mut Vec<&'e str>) {
 /// Returns `None` when the hoisted order is the natural left-to-right order
 /// (the common case), so callers can skip the indirection entirely. The order
 /// depends only on which variables are bound — never on their values — which
-/// is what lets both [`EvalScratch`] memoize it per node and the plan compiler
-/// ([`mod@crate::plan`]) bake it into compiled kernels.
+/// is what lets the plan compiler ([`mod@crate::plan`]) bake it into compiled
+/// kernels.
 pub(crate) fn product_order_by(
     factors: &[Expr],
     is_bound: &dyn Fn(&str) -> bool,
@@ -643,27 +578,8 @@ fn eval_product(
     factors: &[Expr],
     src: &dyn RelationSource,
     ctx: &mut Bindings,
-    scratch: &mut EvalScratch,
 ) -> Result<Gmr, EvalError> {
-    // The hoisted order is invariant per node (see `product_order_by`): compute
-    // it once per node per scratch lifetime, not per event.
-    let cache_key = factors.as_ptr() as usize;
-    let cached = scratch.product_orders.get(&cache_key);
-    // Guard against a violated lifetime invariant (a new expression's factor
-    // slice reusing a freed slice's address): a cached permutation of the
-    // wrong length is treated as a miss instead of indexing out of bounds.
-    let valid = match &cached {
-        Some(Some(o)) => o.len() == factors.len(),
-        Some(None) => true,
-        None => false,
-    };
-    let order: Option<Arc<[u16]>> = if valid {
-        cached.cloned().unwrap()
-    } else {
-        let computed = product_order_by(factors, &|n| ctx.contains_key(n));
-        scratch.product_orders.insert(cache_key, computed.clone());
-        computed
-    };
+    let order = product_order_by(factors, &|n| ctx.contains_key(n));
     let factor_at = |i: usize| match &order {
         Some(o) => &factors[o[i] as usize],
         None => &factors[i],
@@ -691,7 +607,7 @@ fn eval_product(
             for (i, v) in t.iter().enumerate() {
                 ctx.set_slot(mark + i, v.clone());
             }
-            let r = match eval_with_scratch(factor, src, ctx, scratch) {
+            let r = match eval_with(factor, src, ctx) {
                 Ok(r) => r,
                 Err(e) => {
                     failure = Some(e);
@@ -750,35 +666,26 @@ pub fn eval_scalar_with(
     src: &dyn RelationSource,
     ctx: &mut Bindings,
 ) -> Result<Value, EvalError> {
-    eval_scalar_scratch(expr, src, ctx, &mut EvalScratch::default())
-}
-
-fn eval_scalar_scratch(
-    expr: &Expr,
-    src: &dyn RelationSource,
-    ctx: &mut Bindings,
-    scratch: &mut EvalScratch,
-) -> Result<Value, EvalError> {
     match expr {
         Expr::Const(v) => Ok(v.clone()),
         Expr::Var(x) => ctx
             .get(x)
             .cloned()
             .ok_or_else(|| EvalError::UnboundVariable(x.clone())),
-        Expr::Neg(e) => Ok(eval_scalar_scratch(e, src, ctx, scratch)?.neg()?),
+        Expr::Neg(e) => Ok(eval_scalar_with(e, src, ctx)?.neg()?),
         Expr::Apply(f, args) => {
             let vals: Vec<Value> = args
                 .iter()
-                .map(|a| eval_scalar_scratch(a, src, ctx, scratch))
+                .map(|a| eval_scalar_with(a, src, ctx))
                 .collect::<Result<_, _>>()?;
             apply_scalar_fn(f, &vals)
         }
         Expr::Add(terms) => terms.iter().try_fold(Value::long(0), |acc, t| {
-            let v = eval_scalar_scratch(t, src, ctx, scratch)?;
+            let v = eval_scalar_with(t, src, ctx)?;
             Ok(acc.add(&v)?)
         }),
         Expr::Mul(factors) => factors.iter().try_fold(Value::long(1), |acc, t| {
-            let v = eval_scalar_scratch(t, src, ctx, scratch)?;
+            let v = eval_scalar_with(t, src, ctx)?;
             Ok(acc.mul(&v)?)
         }),
         // General case: evaluate to a GMR, which must be nullary (a scalar) — or have
@@ -786,7 +693,7 @@ fn eval_scalar_scratch(
         // `Sum[OK](LI(OK,Q)*Q)` looked up with OK bound), in which case the sum of its
         // multiplicities is the scalar value.
         other => {
-            let g = eval_with_scratch(other, src, ctx, scratch)?;
+            let g = eval_with(other, src, ctx)?;
             if g.schema().is_empty() || g.is_empty() {
                 Ok(Value::double(g.scalar_value()))
             } else if g.schema().columns().iter().all(|c| ctx.contains_key(c)) {

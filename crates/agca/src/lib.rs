@@ -7,6 +7,7 @@
 //!   comparisons, `+`, `*`, `Sum_A`), Section 3.2;
 //! * [`scope`] — binding-pattern analysis (input/output variables), Section 3.3;
 //! * [`mod@eval`] — the reference evaluation semantics over GMRs, Section 3.2;
+//! * [`plan`] — trigger statements lowered to compiled, slot-addressed kernels;
 //! * [`mod@delta`] — the delta transform for single-tuple updates, Section 3.4;
 //! * [`opt`] — the expression rewrites of Section 5.3: partial evaluation, polynomial
 //!   expansion, unification, range-restriction extraction, decorrelation and
@@ -14,8 +15,9 @@
 //!
 //! The Higher-Order IVM compiler (`dbtoaster-compiler`) is a client of this crate: it
 //! repeatedly takes deltas, simplifies them and decides which subexpressions to
-//! materialize; the runtime (`dbtoaster-runtime`) evaluates the resulting trigger
-//! statements with [`eval::eval`].
+//! materialize, and lowers every resulting trigger statement with
+//! [`lower_statement`]; the runtime (`dbtoaster-runtime`) executes only those kernels.
+//! [`eval::eval`] is the oracle the test suites check the maintained maps against.
 //!
 //! ## Example: Example 2 of the paper
 //!
@@ -55,10 +57,12 @@ pub mod scope;
 
 pub use batch::{DeltaBatch, DeltaEntry, RelationDelta};
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
-pub use eval::{eval, eval_scalar, Bindings, EvalError, EvalScratch, MemSource, RelationSource};
+pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelationSource};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
 pub use opt::{canonical_key, decorrelate, expand, simplify, Monomial, Polynomial};
-pub use plan::{lower_statement, CompiledStmt, KernelCounters, KernelState, KernelWork};
+pub use plan::{
+    lower_statement, CompiledStmt, KernelCounters, KernelState, KernelWork, Unsupported,
+};
 pub use scope::{input_vars, output_vars, var_info, VarInfo};
 
 /// Convenience re-exports for downstream crates.

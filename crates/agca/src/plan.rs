@@ -71,12 +71,13 @@
 //! | `Exists(A)` | [`Op::Exists`] (scratch group map, clamp to 1) |
 //! | scalar positions | [`Scalar`] (value-level ops + [`Scalar::SubSum`] sub-plans) |
 //!
-//! Lowering is best-effort: any construct whose static boundness cannot be
-//! established (an unbound variable, sum terms with mismatched outputs, a
+//! Lowering is total or it fails: any construct whose static boundness cannot
+//! be established (an unbound variable, sum terms with mismatched outputs, a
 //! collection with unbound columns in scalar position, a non-numeric constant
-//! in multiplicity position) makes [`lower_statement`] return `None` and the
-//! engine falls back to the AST interpreter for that statement — which is also
-//! the differential-testing oracle for the statements that *do* compile.
+//! in multiplicity position) makes [`lower_statement`] return [`Unsupported`]
+//! with the reason, and the compiler rejects the program. There is no
+//! interpreter to fall back to at run time; the AST evaluator
+//! ([`mod@crate::eval`]) is the test suites' oracle only.
 //!
 //! ## Range sums over ordered indexes
 //!
@@ -110,7 +111,7 @@
 //! the largest key below `2^53`. The executor checks the bounds per lookup,
 //! the index keeps count of the entries that break the rest per group (see
 //! the runtime's `ordered` module), and any violation sends that one lookup
-//! down the plain traversal — counted as a `banded_bail` — so the two ways of
+//! down the plain traversal — counted as a `range_sum_bail` — so the two ways of
 //! computing a member are bit-identical, not approximately equal.
 
 use crate::eval::{matches_pattern, product_order_by, EvalError, RelationSource};
@@ -381,9 +382,9 @@ pub struct CompiledStmt {
 // Lowering
 // ---------------------------------------------------------------------------
 
-/// Why a statement could not be lowered (the engine falls back to the
-/// interpreter; the reason is only used by tests and diagnostics).
-#[derive(Clone, Copy, Debug)]
+/// Why a statement could not be lowered; the compiler reports it as the
+/// reason the program is rejected.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Unsupported(pub &'static str);
 
 struct Lowerer {
@@ -623,10 +624,10 @@ impl Lowerer {
                 // land in the same frame positions.
                 self.pinned.extend(self.scope[mark..].iter().cloned());
             } else if outputs != first_outputs {
-                // The interpreter unions term results by column *set*; terms
-                // with different output sets would panic there, and a term
-                // binding a pinned name only in a dead inner scope would leave
-                // a slot aliased — fall back to interpretation for both.
+                // The reference evaluator unions term results by column
+                // *set*; terms with different output sets have no meaning
+                // there, and a term binding a pinned name only in a dead
+                // inner scope would leave a slot aliased — reject both.
                 self.pinned.truncate(pin_mark);
                 return Err(Unsupported("sum terms bind different outputs"));
             }
@@ -671,7 +672,7 @@ impl Lowerer {
             // Collection-valued expression in scalar position: compile a
             // sub-plan and sum its emissions. Sound only when every output
             // column is already bound — if the sub-plan binds new visible
-            // slots, the interpreter would raise `NotScalar`; fall back.
+            // slots, the reference evaluator raises `NotScalar`; reject.
             Expr::Rel(_) | Expr::AggSum(..) | Expr::Lift(..) | Expr::Exists(_) => {
                 let mark = self.scope.len();
                 let op = self.lower_op(e)?;
@@ -685,29 +686,33 @@ impl Lowerer {
     }
 }
 
-/// Lower one trigger statement to a compiled kernel. `trigger_vars` seed frame
-/// slots `0..n` (positionally matching the event tuple); `key_vars` name the
-/// target map's key columns. Returns `None` when any construct cannot be
-/// statically resolved — the engine then interprets this statement.
+/// Lower one trigger statement (or, with no trigger variables, a static
+/// view's definition) to a compiled kernel. `trigger_vars` seed frame slots
+/// `0..n` (positionally matching the event tuple); `key_vars` name the target
+/// map's key columns. Fails with the first construct that cannot be
+/// statically resolved.
 pub fn lower_statement(
     trigger_vars: &[String],
     key_vars: &[String],
     rhs: &Expr,
-) -> Option<CompiledStmt> {
+) -> Result<CompiledStmt, Unsupported> {
     let mut lw = Lowerer::new();
     for v in trigger_vars {
         // Duplicate trigger variable names shadow like the interpreter's
         // context: every position gets a slot, innermost lookup wins.
-        lw.bind(v).ok()?;
+        lw.bind(v)?;
     }
-    let plan = lw.lower_op(rhs).ok()?;
+    let plan = lw.lower_op(rhs)?;
     // A bound name is never re-bound during lowering, so innermost lookup is
     // equivalent to the interpreter's trigger-bindings-first key resolution.
-    let key_slots: Option<Vec<Slot>> = key_vars.iter().map(|kv| lw.lookup(kv)).collect();
+    let key_slots = key_vars
+        .iter()
+        .map(|kv| lw.lookup(kv).ok_or(Unsupported("unbound key variable")))
+        .collect::<Result<Vec<Slot>, _>>()?;
     let mut stmt = CompiledStmt {
         prelude: Vec::new(),
         plan,
-        key_slots: key_slots?,
+        key_slots,
         frame_size: lw.next_slot as u16,
         pattern_arities: lw.pattern_arities,
         scratch_maps: lw.scratch_maps,
@@ -716,7 +721,7 @@ pub fn lower_statement(
     };
     hoist_invariant_subsums(&mut stmt);
     stmt.used_trigger_slots = used_trigger_slots(&stmt);
-    Some(stmt)
+    Ok(stmt)
 }
 
 /// The trigger slots a compiled statement consumes: reads of the main plan,
@@ -1378,10 +1383,10 @@ pub struct KernelCounters {
     pub fused_scans: Cell<u64>,
     /// Range-sum scans answered from an ordered index (the entries their
     /// binary searches compared count into `entries_scanned`).
-    pub banded_hits: Cell<u64>,
+    pub range_sum_hits: Cell<u64>,
     /// Range-sum scans that bailed to a full traversal: a bound or a group
     /// outside the exactness contract, or a source without ordered indexes.
-    pub banded_bails: Cell<u64>,
+    pub range_sum_bails: Cell<u64>,
 }
 
 /// A drained, plain-integer copy of one [`KernelCounters`] block.
@@ -1395,10 +1400,10 @@ pub struct KernelWork {
     pub entries_scanned: u64,
     /// See [`KernelCounters::fused_scans`].
     pub fused_scans: u64,
-    /// See [`KernelCounters::banded_hits`].
-    pub banded_hits: u64,
-    /// See [`KernelCounters::banded_bails`].
-    pub banded_bails: u64,
+    /// See [`KernelCounters::range_sum_hits`].
+    pub range_sum_hits: u64,
+    /// See [`KernelCounters::range_sum_bails`].
+    pub range_sum_bails: u64,
 }
 
 impl KernelCounters {
@@ -1409,8 +1414,8 @@ impl KernelCounters {
             scans: self.scans.take(),
             entries_scanned: self.entries_scanned.take(),
             fused_scans: self.fused_scans.take(),
-            banded_hits: self.banded_hits.take(),
-            banded_bails: self.banded_bails.take(),
+            range_sum_hits: self.range_sum_hits.take(),
+            range_sum_bails: self.range_sum_bails.take(),
         }
     }
 }
@@ -1776,13 +1781,13 @@ impl Exec<'_> {
         }
         if fs.band_pos.is_some() {
             if self.run_range_sums(fs) {
-                bump(&self.counters.banded_hits);
+                bump(&self.counters.range_sum_hits);
                 return;
             }
             if self.error.is_some() {
                 return;
             }
-            bump(&self.counters.banded_bails);
+            bump(&self.counters.range_sum_bails);
         }
         bump(&self.counters.fused_scans);
         let accs = self.accs;
@@ -2005,8 +2010,8 @@ mod tests {
     fn check(rhs: &Expr, trigger: &[(&str, i64)], key_vars: &[&str]) {
         let tvars: Vec<String> = trigger.iter().map(|(n, _)| n.to_string()).collect();
         let kvars: Vec<String> = key_vars.iter().map(|k| k.to_string()).collect();
-        let stmt =
-            lower_statement(&tvars, &kvars, rhs).unwrap_or_else(|| panic!("failed to lower {rhs}"));
+        let stmt = lower_statement(&tvars, &kvars, rhs)
+            .unwrap_or_else(|e| panic!("failed to lower {rhs}: {}", e.0));
         let src = db();
         let mut state = KernelState::new();
         state.prepare(&stmt);
@@ -2187,13 +2192,27 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_shapes_fall_back() {
-        // Unbound variable in multiplicity position.
-        assert!(lower_statement(&[], &[], &Expr::var("nope")).is_none());
-        // Key variable not bound anywhere.
-        assert!(lower_statement(&[], &["k".into()], &Expr::one()).is_none());
-        // String constant in multiplicity position.
-        assert!(lower_statement(&[], &[], &Expr::Const(Value::str("x"))).is_none());
+    fn unsupported_shapes_are_rejected_with_a_reason() {
+        let reason = |keys: &[&str], e: &Expr| {
+            let keys: Vec<String> = keys.iter().map(|k| k.to_string()).collect();
+            lower_statement(&[], &keys, e).unwrap_err().0
+        };
+        assert_eq!(
+            reason(&[], &Expr::var("nope")),
+            "unbound variable in multiplicity position"
+        );
+        assert_eq!(reason(&["k"], &Expr::one()), "unbound key variable");
+        assert_eq!(
+            reason(&[], &Expr::Const(Value::str("x"))),
+            "non-numeric constant in multiplicity position"
+        );
+        assert_eq!(
+            reason(
+                &[],
+                &Expr::sum_of([Expr::rel("R", ["a", "b"]), Expr::rel("S", ["b", "c"])])
+            ),
+            "sum terms bind different outputs"
+        );
     }
 
     #[test]

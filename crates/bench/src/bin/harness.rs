@@ -606,16 +606,13 @@ fn torture_iteration(
     let mut delta = DeltaBatch::new();
 
     let snap0 = live.snapshot();
-    let setup = checkpoint::write_checkpoint_with(
-        vfs.as_ref(),
-        &live_dir,
+    let setup = checkpoint::write_checkpoint(
+        (&live_dir, &vfs),
         fp,
         0,
         snap0.iter().map(|(n, g)| (n.as_str(), g)),
     )
-    .and_then(|_| {
-        WalWriter::open_with(&live_dir, fp, 1, FsyncPolicy::EveryBatch, 512, vfs.clone())
-    });
+    .and_then(|_| WalWriter::open((&live_dir, &vfs), fp, 1, FsyncPolicy::EveryBatch, 512));
     let (mut wal, mut health) = match setup {
         Ok(w) => {
             floor = Some(0);
@@ -655,9 +652,8 @@ fn torture_iteration(
                 // log on a fresh segment right above it.
                 rearms += 1;
                 let snap = live.snapshot();
-                let res = checkpoint::write_checkpoint_with(
-                    vfs.as_ref(),
-                    &live_dir,
+                let res = checkpoint::write_checkpoint(
+                    (&live_dir, &vfs),
                     fp,
                     applied,
                     snap.iter().map(|(n, g)| (n.as_str(), g)),
@@ -704,9 +700,8 @@ fn torture_iteration(
         if matches!(health, Health::Armed) && since_ckpt >= 100 {
             since_ckpt = 0;
             let snap = live.snapshot();
-            let res = checkpoint::write_checkpoint_with(
-                vfs.as_ref(),
-                &live_dir,
+            let res = checkpoint::write_checkpoint(
+                (&live_dir, &vfs),
                 fp,
                 applied,
                 snap.iter().map(|(n, g)| (n.as_str(), g)),

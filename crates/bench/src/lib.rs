@@ -11,8 +11,8 @@
 //! | Figure 11 (stream-length scaling) | [`figure11_rows`] | `harness fig11` |
 //! | Figure 12 (compilation flags) | documented in EXPERIMENTS.md | — |
 //!
-//! The absolute numbers differ from the paper (interpreted statements on different
-//! hardware rather than compiled C++ on a 2009 Xeon), but the *shape* — which strategy
+//! The absolute numbers differ from the paper (compiled Rust kernels on different
+//! hardware rather than generated C++ on a 2009 Xeon), but the *shape* — which strategy
 //! wins, by how many orders of magnitude, and how it evolves along the stream — is the
 //! reproduction target.
 
@@ -117,25 +117,12 @@ pub fn build_engine(
     mode: CompileMode,
     data: &workloads::Dataset,
 ) -> QueryEngine {
-    build_engine_opts(q, mode, data, false)
-}
-
-/// [`build_engine`] with an explicit execution-path choice: `force_interpreter`
-/// bypasses compiled trigger kernels so the AST-interpreter baseline stays
-/// measurable after the compiled path became the default.
-pub fn build_engine_opts(
-    q: &WorkloadQuery,
-    mode: CompileMode,
-    data: &workloads::Dataset,
-    force_interpreter: bool,
-) -> QueryEngine {
     let catalog = workloads::full_catalog();
     let mut engine = QueryEngineBuilder::new(catalog)
         .add_query(q.name, q.sql)
         .mode(mode)
         .build()
         .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
-    engine.set_force_interpreter(force_interpreter);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone()).unwrap();
     }
@@ -150,19 +137,7 @@ pub fn run_stream(
     data: &workloads::Dataset,
     budget: Duration,
 ) -> RunStats {
-    run_stream_opts(q, mode, data, budget, false)
-}
-
-/// [`run_stream`] with an explicit execution-path choice (see
-/// [`build_engine_opts`]).
-pub fn run_stream_opts(
-    q: &WorkloadQuery,
-    mode: CompileMode,
-    data: &workloads::Dataset,
-    budget: Duration,
-    force_interpreter: bool,
-) -> RunStats {
-    let mut engine = build_engine_opts(q, mode, data, force_interpreter);
+    let mut engine = build_engine(q, mode, data);
     // Measure with telemetry ENABLED: the published figures carry its (small)
     // cost, and the latency percentiles come from the same run. Slow-batch
     // tracing is parked with an unreachable threshold so no trace ever
@@ -502,34 +477,23 @@ pub fn micro_benchmarks(config: &ExperimentConfig) -> Vec<MicroResult> {
         }
     }));
 
-    // fig6 refresh rate, Higher-Order IVM only, representative query subset.
-    // Each query is measured twice since the compiled-kernel PR: once on the
-    // (default) compiled trigger path — the `fig6_ho_*` series, keeping the
-    // perf trajectory comparable across runs — and once with the kernels
-    // bypassed (`*_interp`), so the compiled-vs-interpreted gap stays visible.
+    // fig6 refresh rate, Higher-Order IVM only, representative query subset
+    // (the `fig6_ho_*` series of the perf trajectory).
     for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
         let q = match workloads::query(name) {
             Some(q) => q,
             None => continue,
         };
         let data = dataset_for(q.family, config.events, config.seed);
-        for (suffix, force_interpreter) in [("", false), ("_interp", true)] {
-            let stats = run_stream_opts(
-                &q,
-                CompileMode::HigherOrder,
-                &data,
-                config.time_budget,
-                force_interpreter,
-            );
-            out.push(MicroResult {
-                name: format!("fig6_ho_{name}{suffix}"),
-                ops_per_sec: stats.refresh_rate,
-                ops: stats.processed,
-                elapsed_secs: stats.elapsed,
-                latency: stats.latency,
-                ..Default::default()
-            });
-        }
+        let stats = run_stream(&q, CompileMode::HigherOrder, &data, config.time_budget);
+        out.push(MicroResult {
+            name: format!("fig6_ho_{name}"),
+            ops_per_sec: stats.refresh_rate,
+            ops: stats.processed,
+            elapsed_secs: stats.elapsed,
+            latency: stats.latency,
+            ..Default::default()
+        });
     }
     out
 }
@@ -596,7 +560,7 @@ fn batch_run(
     engine.flush_telemetry();
     let snap = tel.snapshot();
     debug_assert!(!snap.enabled || snap.events == processed as u64);
-    // Single source of truth (see run_stream_opts).
+    // Single source of truth (see run_stream).
     let processed = if snap.enabled {
         snap.events as usize
     } else {

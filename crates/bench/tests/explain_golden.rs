@@ -121,18 +121,14 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // its own run writes; the statements that write them read nothing.
             let live = "  bsp[bids@broker_id] += ((Sum[](($m_bsp_1(bids@broker_id, y_t) * \
                         (bids@t > y_t))) * bids@volume * bids@price) + ";
-            assert_eq!(
-                text.matches("    kernel: compiled\n    run: live\n")
-                    .count(),
-                2
-            );
-            for (at, _) in text.match_indices("    kernel: compiled\n    run: live\n") {
+            assert_eq!(text.matches("\n    run: live\n").count(), 2);
+            for (at, _) in text.match_indices("\n    run: live\n") {
                 let stmt = text[..at].lines().last().unwrap();
                 assert!(stmt.starts_with("  bsp[bids@broker_id] += "), "{stmt}");
             }
             assert!(text.contains(live), "{text}");
             assert!(
-                text.contains(" overlay="),
+                text.contains(" live="),
                 "ANALYZE shows live-pass firings: {text}"
             );
         }
@@ -155,7 +151,7 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // ANALYZE: every range sum of the replay came from an index.
             for rel in &ex.relations {
                 let a = rel.triggers[0].statements[0].analyze.expect("telemetry on");
-                assert!(a.banded_hits > 0 && a.banded_bails == 0, "{a:?}");
+                assert!(a.range_sum_hits > 0 && a.range_sum_bails == 0, "{a:?}");
                 assert_eq!((a.scans, a.fused_scans), (0, 0), "{a:?}");
             }
         }

@@ -75,7 +75,7 @@
 //! statement fired entry by entry against the maps themselves reads what it
 //! reads per event, whatever its shape. The rest of gates 2 and 3 is
 //! stricter than that and only keeps the dispatch of the bundled queries
-//! where it is (ROADMAP item 2(e)).
+//! where it is (ROADMAP item 3(b)).
 //!
 //! An underivable relation runs entry-major — per-event firing inside the
 //! batch — and EXPLAIN prints the gate that bailed.
@@ -417,13 +417,16 @@ mod tests {
     }
 
     fn stmt(target: &str, key: &[&str], op: StmtOp, rhs: Expr) -> Statement {
-        Statement {
-            target: target.into(),
-            key_vars: key.iter().map(|k| k.to_string()).collect(),
-            loop_vars: vec![],
+        let key_vars = key.iter().map(|k| k.to_string()).collect();
+        Statement::new(
+            &["a".into(), "b".into()],
+            target.into(),
+            key_vars,
+            vec![],
             op,
             rhs,
-        }
+        )
+        .unwrap()
     }
 
     fn trigger(sign: UpdateSign, statements: Vec<Statement>) -> Trigger {

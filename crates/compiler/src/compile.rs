@@ -15,8 +15,8 @@
 
 use crate::materialize::{contains_base_atoms, MapRegistry, Materializer};
 use crate::program::{
-    Catalog, CompileMode, CompileOptions, CompileReport, CompiledTrigger, MapDecl, QueryResult,
-    QuerySpec, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+    Catalog, CompileMode, CompileOptions, CompileReport, MapDecl, QueryResult, QuerySpec,
+    ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
 };
 use dbtoaster_agca::opt::{extract_range_restrictions, order_factors, unify_factors, Monomial};
 use dbtoaster_agca::scope::output_vars;
@@ -40,6 +40,14 @@ pub enum CompileError {
     },
     /// No queries were given.
     NoQueries,
+    /// A trigger statement (or a static view's definition) has a shape the
+    /// kernel compiler cannot lower; the runtime has no other way to run it.
+    Unlowerable {
+        /// The statement, as the trigger program prints it.
+        statement: String,
+        /// What the kernel compiler could not resolve.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -55,6 +63,9 @@ impl fmt::Display for CompileError {
                 "relation {relation} has {actual} columns, atom uses {expected}"
             ),
             CompileError::NoQueries => write!(f, "no queries to compile"),
+            CompileError::Unlowerable { statement, reason } => {
+                write!(f, "cannot compile statement {statement}: {reason}")
+            }
         }
     }
 }
@@ -100,13 +111,14 @@ pub fn compile(
                         .get(&rel)
                         .ok_or_else(|| CompileError::UnknownRelation(rel.clone()))?;
                     let update = TupleUpdate::new(&rel, sign, &meta.columns);
-                    let stmt = Statement {
-                        target: q.name.clone(),
-                        key_vars: q.out_vars.clone(),
-                        loop_vars: q.out_vars.clone(),
-                        op: StmtOp::Replace,
-                        rhs: expr.clone(),
-                    };
+                    let stmt = Statement::new(
+                        &update.trigger_vars,
+                        q.name.clone(),
+                        q.out_vars.clone(),
+                        q.out_vars.clone(),
+                        StmtOp::Replace,
+                        expr.clone(),
+                    )?;
                     report.statements += 1;
                     push_statement(&mut triggers, &rel, sign, &update.trigger_vars, stmt);
                 }
@@ -136,7 +148,6 @@ pub fn compile(
                     && nested_requires_reevaluation(&decl.definition, &rel_name);
                 for sign in UpdateSign::both() {
                     let update = TupleUpdate::new(&rel_name, sign, &meta.columns);
-                    let bound: BTreeSet<String> = update.trigger_vars.iter().cloned().collect();
                     report.max_delta_order = report.max_delta_order.max(depth + 1);
 
                     let stmt = if reeval {
@@ -155,13 +166,14 @@ pub fn compile(
                             &BTreeSet::new(),
                         );
                         let rhs = reorder_products(&rhs, &BTreeSet::new());
-                        Some(Statement {
-                            target: decl.name.clone(),
-                            key_vars: decl.out_vars.clone(),
-                            loop_vars: decl.out_vars.clone(),
-                            op: StmtOp::Replace,
+                        Some(Statement::new(
+                            &update.trigger_vars,
+                            decl.name.clone(),
+                            decl.out_vars.clone(),
+                            decl.out_vars.clone(),
+                            StmtOp::Replace,
                             rhs,
-                        })
+                        )?)
                     } else {
                         if has_equality_correlated_nested(&decl.definition, &rel_name) {
                             report.used_incremental_nested = true;
@@ -175,13 +187,13 @@ pub fn compile(
                             make_increment_statement(
                                 &decl,
                                 d,
-                                &bound,
+                                &update.trigger_vars,
                                 &mut registry,
                                 options,
                                 &mut report,
                                 depth,
                                 materialize_here,
-                            )
+                            )?
                         }
                     };
                     if let Some(stmt) = stmt {
@@ -194,7 +206,7 @@ pub fn compile(
     }
 
     // ----------------------------------------------------------------- finalize
-    let maps = registry.into_maps();
+    let maps = registry.into_maps()?;
     let mut stored_relations = BTreeSet::new();
     let mut static_tables = BTreeSet::new();
     for t in &triggers {
@@ -224,30 +236,14 @@ pub fn compile(
         order_statements(t);
     }
 
-    // Lower every statement to a compiled kernel where its shape allows (the
-    // runtime interprets the rest). This is the compile-once step that retires
-    // per-event AST interpretation on the hot path; it must run after
-    // `order_statements` so kernels align index-for-index with the statements.
-    let compiled: Vec<CompiledTrigger> = triggers
-        .iter()
-        .map(|t| CompiledTrigger {
-            stmts: t
-                .statements
-                .iter()
-                .map(|s| dbtoaster_agca::lower_statement(&t.trigger_vars, &s.key_vars, &s.rhs))
-                .collect(),
-        })
-        .collect();
-
     // Batch-delta: per eligible relation, the run-linear parts of its trigger
-    // statements (see `crate::batch_delta`), lowered through the same kernel
-    // pipeline. They read nothing their statements do not already read.
+    // statements (see `crate::batch_delta`). They read nothing their
+    // statements do not already read.
     let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
 
     Ok(TriggerProgram {
         maps,
         triggers,
-        compiled,
         results,
         stored_relations,
         static_tables,
@@ -325,18 +321,20 @@ fn push_statement(
     }
 }
 
-/// Build an incremental (`+=`) update statement from a simplified delta expression.
+/// Build an incremental (`+=`) update statement from a simplified delta expression
+/// (`None` when the delta vanishes).
 #[allow(clippy::too_many_arguments)]
 fn make_increment_statement(
     decl: &MapDecl,
     d: Expr,
-    bound: &BTreeSet<String>,
+    trigger_vars: &[String],
     registry: &mut MapRegistry,
     options: &CompileOptions,
     report: &mut CompileReport,
     depth: usize,
     materialize: bool,
-) -> Option<Statement> {
+) -> Result<Option<Statement>, CompileError> {
+    let bound: &BTreeSet<String> = &trigger_vars.iter().cloned().collect();
     // Strip a top-level AggSum that matches the target's key columns.
     let out_vars = decl.out_vars.clone();
     let body = match d {
@@ -350,7 +348,7 @@ fn make_increment_statement(
     let protected: BTreeSet<String> = out_vars.iter().cloned().collect();
     let poly = expand(&body);
     if poly.monomials.is_empty() {
-        return None;
+        return Ok(None);
     }
     if poly.monomials.len() > 1 {
         report.used_expansion = true;
@@ -431,16 +429,18 @@ fn make_increment_statement(
     }
     let rhs = simplify(&Expr::sum_of(terms));
     if rhs.is_zero() {
-        return None;
+        return Ok(None);
     }
     let rhs = reorder_products(&rhs, bound);
-    Some(Statement {
-        target: decl.name.clone(),
+    Statement::new(
+        trigger_vars,
+        decl.name.clone(),
         key_vars,
         loop_vars,
-        op: StmtOp::Increment,
+        StmtOp::Increment,
         rhs,
-    })
+    )
+    .map(Some)
 }
 
 /// Recursively re-order the factors of every product so that each factor's input
@@ -539,9 +539,9 @@ fn order_statements(trigger: &mut Trigger) {
         stmts.into_iter().partition(|s| s.op == StmtOp::Increment);
 
     // Kahn's algorithm over "must precede" edges: reader -> writer for increments.
-    let ordered_inc = topo_order(&increments, |a, b| a.reads().contains(&b.target));
+    let ordered_inc = topo_order(increments, |a, b| a.reads().contains(&b.target));
     // For replaces: writer -> reader (a replace reading map m runs after m's replace).
-    let ordered_rep = topo_order(&replaces, |a, b| b.reads().contains(&a.target));
+    let ordered_rep = topo_order(replaces, |a, b| b.reads().contains(&a.target));
 
     trigger.statements = ordered_inc.into_iter().chain(ordered_rep).collect();
 }
@@ -549,7 +549,7 @@ fn order_statements(trigger: &mut Trigger) {
 /// Stable topological order where `precedes(a, b)` means `a` must come before `b`.
 /// Falls back to the original order if the constraint graph has a cycle.
 fn topo_order(
-    stmts: &[Statement],
+    stmts: Vec<Statement>,
     precedes: impl Fn(&Statement, &Statement) -> bool,
 ) -> Vec<Statement> {
     let n = stmts.len();
@@ -563,26 +563,24 @@ fn topo_order(
             }
         }
     }
-    let mut out = Vec::with_capacity(n);
+    let mut order = Vec::with_capacity(n);
     let mut placed = vec![false; n];
-    loop {
-        let next = (0..n).find(|&i| !placed[i] && indegree[i] == 0);
-        match next {
-            Some(i) => {
-                placed[i] = true;
-                out.push(stmts[i].clone());
-                for &j in &edges[i] {
-                    indegree[j] = indegree[j].saturating_sub(1);
-                }
-            }
-            None => break,
+    while let Some(i) = (0..n).find(|&i| !placed[i] && indegree[i] == 0) {
+        placed[i] = true;
+        order.push(i);
+        for &j in &edges[i] {
+            indegree[j] = indegree[j].saturating_sub(1);
         }
     }
-    if out.len() != n {
+    if order.len() != n {
         // Cycle: keep the original order.
-        return stmts.to_vec();
+        return stmts;
     }
-    out
+    let mut slots: Vec<Option<Statement>> = stmts.into_iter().map(Some).collect();
+    order
+        .into_iter()
+        .map(|i| slots[i].take().expect("each index is placed once"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -720,7 +718,7 @@ mod tests {
         assert!(prog.trigger("Nation", UpdateSign::Insert).is_none());
         assert!(prog.static_tables.contains("Nation"));
         // The delta map over Nation alone is initialized from tables.
-        assert!(prog.maps.iter().any(|m| m.init_from_tables));
+        assert!(prog.maps.iter().any(|m| m.init.is_some()));
     }
 
     #[test]
@@ -753,6 +751,58 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CompileError::ArityMismatch { .. }));
+    }
+
+    #[test]
+    fn unlowerable_statements_are_rejected_with_their_reason() {
+        let scalar = |f: Expr| {
+            Expr::agg_sum(
+                Vec::<String>::new(),
+                Expr::product_of([Expr::rel("R", ["A", "B"]), f]),
+            )
+        };
+        let sum_of_atoms = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::sum_of([Expr::rel("R", ["A", "B"]), Expr::rel("S", ["B1", "C"])]),
+        );
+        for (expr, mode, statement, reason) in [
+            (
+                scalar(Expr::var("z")),
+                CompileMode::HigherOrder,
+                "Q[] += z",
+                "unbound variable in multiplicity position",
+            ),
+            (
+                scalar(Expr::Const(dbtoaster_gmr::Value::str("x"))),
+                CompileMode::HigherOrder,
+                "Q[] += 'x'",
+                "non-numeric constant in multiplicity position",
+            ),
+            (
+                sum_of_atoms,
+                CompileMode::Reevaluate,
+                "Q[] := (R(A, B) + S(B1, C))",
+                "sum terms bind different outputs",
+            ),
+        ] {
+            let q = QuerySpec {
+                name: "Q".into(),
+                out_vars: vec![],
+                expr,
+            };
+            let err = compile(&[q], &rs_catalog(), &CompileOptions::for_mode(mode)).unwrap_err();
+            assert_eq!(
+                err,
+                CompileError::Unlowerable {
+                    statement: statement.into(),
+                    reason: reason.into(),
+                }
+            );
+            assert_eq!(
+                err.to_string(),
+                format!("cannot compile statement {statement}: {reason}")
+            );
+        }
     }
 
     #[test]

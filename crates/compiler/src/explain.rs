@@ -46,19 +46,18 @@ pub struct ViewStats {
     /// Fused prelude traversals.
     pub fused_scans: u64,
     /// Range-sum scans answered from an ordered index.
-    pub banded_hits: u64,
+    pub range_sum_hits: u64,
     /// Range-sum scans that fell back to a full traversal.
-    pub banded_bails: u64,
+    pub range_sum_bails: u64,
     /// Firings of the batch-delta live pass: evaluations, inside multi-firing
-    /// runs, of statements that read what their own run writes (the name
-    /// dates from when they ran against a run-local overlay).
-    pub overlay_firings: u64,
+    /// runs, of statements that read what their own run writes.
+    pub live_firings: u64,
     /// Current number of entries in the map.
     pub map_size: u64,
 }
 
-/// One explained trigger statement: its source text, compilation status,
-/// fused-prelude signatures, rendered plan tree, and (after
+/// One explained trigger statement: its source text, fused-prelude
+/// signatures, rendered kernel plan tree, and (after
 /// [`ProgramExplain::attach_stats`]) the live counters of its target view.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StmtExplain {
@@ -68,8 +67,6 @@ pub struct StmtExplain {
     pub target: String,
     /// `+=` or `:=`.
     pub op: String,
-    /// Did the statement lower to a compiled kernel (`false` = interpreted)?
-    pub compiled: bool,
     /// Does the statement read what its own relation's runs write? Inside a
     /// multi-firing run such a statement fires entry by entry, against maps
     /// the run keeps current, instead of once per entry at the pre-run state
@@ -283,16 +280,9 @@ fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
         .statements
         .iter()
         .enumerate()
-        .map(|(j, s)| {
-            let kernel = program
-                .compiled
-                .get(idx)
-                .and_then(|c| c.stmts.get(j))
-                .and_then(|k| k.as_ref());
-            StmtExplain {
-                live: rl.is_some_and(|rl| rl.lists(idx, j)),
-                ..explain_statement(s, kernel)
-            }
+        .map(|(j, s)| StmtExplain {
+            live: rl.is_some_and(|rl| rl.lists(idx, j)),
+            ..explain_statement(s)
         })
         .collect();
     TriggerExplain {
@@ -308,19 +298,9 @@ fn sign_str(sign: UpdateSign) -> String {
     }
 }
 
-fn explain_statement(
-    s: &crate::program::Statement,
-    kernel: Option<&dbtoaster_agca::CompiledStmt>,
-) -> StmtExplain {
-    let (prelude, plan) = match kernel {
-        Some(k) => {
-            let prelude = k.prelude.iter().map(fused_scan_line).collect();
-            let mut plan = Vec::new();
-            push_op(&mut plan, 0, &k.plan);
-            (prelude, plan)
-        }
-        None => (Vec::new(), vec!["<interpreted: AST evaluator>".to_string()]),
-    };
+fn explain_statement(s: &crate::program::Statement) -> StmtExplain {
+    let mut plan = Vec::new();
+    push_op(&mut plan, 0, &s.kernel.plan);
     StmtExplain {
         statement: s.to_string(),
         target: s.target.clone(),
@@ -328,9 +308,8 @@ fn explain_statement(
             StmtOp::Increment => "+=".to_string(),
             StmtOp::Replace => ":=".to_string(),
         },
-        compiled: kernel.is_some(),
         live: false,
-        prelude,
+        prelude: s.kernel.prelude.iter().map(fused_scan_line).collect(),
         plan,
         analyze: None,
     }
@@ -768,15 +747,6 @@ impl ProgramExplain {
 
 fn render_stmt(out: &mut String, s: &StmtExplain) {
     let _ = writeln!(out, "  {}", s.statement);
-    let _ = writeln!(
-        out,
-        "    kernel: {}",
-        if s.compiled {
-            "compiled"
-        } else {
-            "interpreted"
-        }
-    );
     if s.live {
         let _ = writeln!(out, "    run: live");
     }
@@ -789,16 +759,16 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
     if let Some(a) = &s.analyze {
         let _ = writeln!(
             out,
-            "    analyze: rows={} probes={} scans={} entries={} fused={} banded={}/{} \
-             overlay={} map_size={}",
+            "    analyze: rows={} probes={} scans={} entries={} fused={} range_sums={}/{} \
+             live={} map_size={}",
             a.rows_written,
             a.probes,
             a.scans,
             a.entries_scanned,
             a.fused_scans,
-            a.banded_hits,
-            a.banded_bails,
-            a.overlay_firings,
+            a.range_sum_hits,
+            a.range_sum_bails,
+            a.live_firings,
             a.map_size
         );
     }
@@ -845,11 +815,10 @@ fn triggers_from_json(v: &json::Json) -> Option<Vec<TriggerExplain>> {
 fn stmt_json(out: &mut String, s: &StmtExplain) {
     let _ = write!(
         out,
-        "{{\"statement\":\"{}\",\"target\":\"{}\",\"op\":\"{}\",\"compiled\":{},\"live\":{}",
+        "{{\"statement\":\"{}\",\"target\":\"{}\",\"op\":\"{}\",\"live\":{}",
         json_escape(&s.statement),
         json_escape(&s.target),
         json_escape(&s.op),
-        s.compiled,
         s.live
     );
     out.push_str(",\"prelude\":[");
@@ -872,16 +841,16 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
             let _ = write!(
                 out,
                 "{{\"rows_written\":{},\"probes\":{},\"scans\":{},\"entries_scanned\":{},\
-                 \"fused_scans\":{},\"banded_hits\":{},\"banded_bails\":{},\
-                 \"overlay_firings\":{},\"map_size\":{}}}",
+                 \"fused_scans\":{},\"range_sum_hits\":{},\"range_sum_bails\":{},\
+                 \"live_firings\":{},\"map_size\":{}}}",
                 a.rows_written,
                 a.probes,
                 a.scans,
                 a.entries_scanned,
                 a.fused_scans,
-                a.banded_hits,
-                a.banded_bails,
-                a.overlay_firings,
+                a.range_sum_hits,
+                a.range_sum_bails,
+                a.live_firings,
                 a.map_size
             );
         }
@@ -910,9 +879,9 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
                 scans: field("scans")?,
                 entries_scanned: field("entries_scanned")?,
                 fused_scans: field("fused_scans")?,
-                banded_hits: field("banded_hits")?,
-                banded_bails: field("banded_bails")?,
-                overlay_firings: field("overlay_firings")?,
+                range_sum_hits: field("range_sum_hits")?,
+                range_sum_bails: field("range_sum_bails")?,
+                live_firings: field("live_firings")?,
                 map_size: field("map_size")?,
             })
         }
@@ -921,7 +890,6 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
         statement: o.get("statement")?.as_str()?.to_string(),
         target: o.get("target")?.as_str()?.to_string(),
         op: o.get("op")?.as_str()?.to_string(),
-        compiled: o.get("compiled")?.as_bool()?,
         live: o.get("live")?.as_bool()?,
         prelude: strings("prelude")?,
         plan: strings("plan")?,
@@ -1228,7 +1196,6 @@ mod tests {
             assert!(!rel.triggers.is_empty());
             for t in &rel.triggers {
                 for s in &t.statements {
-                    assert!(s.compiled, "workload statements lower: {}", s.statement);
                     assert!(!s.plan.is_empty());
                 }
             }
@@ -1274,7 +1241,10 @@ mod tests {
         assert!(text.contains("strategy: batch-delta"));
         assert!(text.contains("reason: "));
         assert!(text.contains("shard: "));
-        assert!(text.contains("kernel: compiled"));
+        assert!(
+            text.contains("    | "),
+            "every statement prints its kernel's plan"
+        );
     }
 
     #[test]

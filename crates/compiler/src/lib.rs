@@ -53,9 +53,9 @@ pub use explain::{
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-    CompileReport, CompiledTrigger, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
-    RelationDispatch, RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp,
-    Trigger, TriggerProgram,
+    CompileReport, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
+    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
+    TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -67,9 +67,9 @@ pub mod prelude {
     pub use crate::explain::{explain, IndexStats, ProgramExplain, ViewStats};
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-        CompileReport, CompiledTrigger, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
-        RelationDispatch, RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp,
-        Trigger, TriggerProgram,
+        CompileReport, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
+        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
+        TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

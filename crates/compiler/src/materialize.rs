@@ -20,7 +20,8 @@
 //! Duplicate view elimination is performed by the [`MapRegistry`], which keys maps by
 //! the canonical form of their definition.
 
-use crate::program::{CompileOptions, CompileReport, MapDecl};
+use crate::compile::CompileError;
+use crate::program::{CompileOptions, CompileReport, MapDecl, Statement, StmtOp};
 use dbtoaster_agca::opt::{canonical_key, order_factors, unify_factors, Monomial};
 use dbtoaster_agca::scope::var_info;
 use dbtoaster_agca::{simplify, AtomKind, Expr};
@@ -51,9 +52,25 @@ impl MapRegistry {
         &self.maps
     }
 
-    /// Consume the registry, returning the map declarations.
-    pub fn into_maps(self) -> Vec<MapDecl> {
-        self.maps
+    /// Consume the registry, returning the map declarations, each static one
+    /// (no stream atom in its definition) with the kernel that initializes it
+    /// from the tables.
+    pub fn into_maps(self) -> Result<Vec<MapDecl>, CompileError> {
+        let mut maps = self.maps;
+        for m in &mut maps {
+            if !m.definition.contains_atom_kind(AtomKind::Stream) {
+                let init = Statement::new(
+                    &[],
+                    m.name.clone(),
+                    m.out_vars.clone(),
+                    m.out_vars.clone(),
+                    StmtOp::Replace,
+                    m.definition.clone(),
+                )?;
+                m.init = Some(init.kernel);
+            }
+        }
+        Ok(maps)
     }
 
     /// Canonical key of a prospective map (definition + key order).
@@ -74,13 +91,12 @@ impl MapRegistry {
         depth: usize,
     ) -> usize {
         let key = Self::key_of(&definition, &out_vars);
-        let init_from_tables = !definition.contains_atom_kind(AtomKind::Stream);
         self.maps.push(MapDecl {
             name: name.to_string(),
             out_vars,
             definition,
             is_query_result,
-            init_from_tables,
+            init: None,
         });
         self.canon_keys.push(key);
         self.depths.push(depth);
@@ -137,13 +153,12 @@ impl MapRegistry {
         } else {
             (out_vars.clone(), definition)
         };
-        let init_from_tables = !definition.contains_atom_kind(AtomKind::Stream);
         self.maps.push(MapDecl {
             name: name.clone(),
             out_vars: stored_out_vars,
             definition,
             is_query_result: false,
-            init_from_tables,
+            init: None,
         });
         self.canon_keys.push(key);
         self.depths.push(depth);
@@ -582,7 +597,7 @@ mod tests {
         };
         let needed: Vec<String> = needed.iter().map(|s| s.to_string()).collect();
         let e = mat.materialize_monomial(&Monomial::of(factors), &needed, &bound(bnd));
-        (e, reg.into_maps(), report)
+        (e, reg.into_maps().unwrap(), report)
     }
 
     #[test]

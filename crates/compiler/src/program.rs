@@ -13,7 +13,8 @@
 //! where `Q'` is an AGCA expression over the other materialized views, the trigger
 //! variables and (in the baseline modes) the stored base relations.
 
-use dbtoaster_agca::{AtomKind, CompiledStmt, Expr, UpdateSign};
+use crate::compile::CompileError;
+use dbtoaster_agca::{lower_statement, AtomKind, CompiledStmt, Expr, UpdateSign};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -125,9 +126,10 @@ pub struct MapDecl {
     pub definition: Expr,
     /// Is this map one of the user-visible query results?
     pub is_query_result: bool,
-    /// Must the map be initialized by evaluating its definition over the static tables
-    /// at engine start-up (true when the definition references no stream relation)?
-    pub init_from_tables: bool,
+    /// The definition's kernel, present exactly when the definition references no
+    /// stream relation: such a map is initialized once, from the static tables, at
+    /// engine start-up and never updated.
+    pub init: Option<CompiledStmt>,
 }
 
 /// `+=` or `:=`.
@@ -163,9 +165,38 @@ pub struct Statement {
     /// Right-hand side, over views, trigger variables and (in baseline modes) base
     /// relations.
     pub rhs: Expr,
+    /// The right-hand side lowered to the compiled kernel the runtime executes.
+    pub kernel: CompiledStmt,
 }
 
 impl Statement {
+    /// A statement of the trigger binding `trigger_vars`, with its right-hand
+    /// side lowered to its kernel. A shape the kernel compiler cannot lower
+    /// rejects the program ([`CompileError::Unlowerable`]).
+    pub fn new(
+        trigger_vars: &[String],
+        target: String,
+        key_vars: Vec<String>,
+        loop_vars: Vec<String>,
+        op: StmtOp,
+        rhs: Expr,
+    ) -> Result<Statement, CompileError> {
+        match lower_statement(trigger_vars, &key_vars, &rhs) {
+            Ok(kernel) => Ok(Statement {
+                target,
+                key_vars,
+                loop_vars,
+                op,
+                rhs,
+                kernel,
+            }),
+            Err(e) => Err(CompileError::Unlowerable {
+                statement: render(&target, &key_vars, &loop_vars, op, &rhs),
+                reason: e.0.to_string(),
+            }),
+        }
+    }
+
     /// Map names read by the right-hand side.
     pub fn reads(&self) -> BTreeSet<String> {
         self.rhs
@@ -187,28 +218,31 @@ impl Statement {
     }
 }
 
+/// A statement's source text (what [`Statement`]'s `Display` prints).
+fn render(
+    target: &str,
+    key_vars: &[String],
+    loop_vars: &[String],
+    op: StmtOp,
+    rhs: &Expr,
+) -> String {
+    let head = format!("{target}[{}] {op} {rhs}", key_vars.join(", "));
+    if loop_vars.is_empty() {
+        head
+    } else {
+        format!("foreach {} do {head}", loop_vars.join(", "))
+    }
+}
+
 impl fmt::Display for Statement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.loop_vars.is_empty() {
-            write!(
-                f,
-                "{}[{}] {} {}",
-                self.target,
-                self.key_vars.join(", "),
-                self.op,
-                self.rhs
-            )
-        } else {
-            write!(
-                f,
-                "foreach {} do {}[{}] {} {}",
-                self.loop_vars.join(", "),
-                self.target,
-                self.key_vars.join(", "),
-                self.op,
-                self.rhs
-            )
-        }
+        f.write_str(&render(
+            &self.target,
+            &self.key_vars,
+            &self.loop_vars,
+            self.op,
+            &self.rhs,
+        ))
     }
 }
 
@@ -260,19 +294,13 @@ impl fmt::Display for Trigger {
     }
 }
 
-/// How a user-visible query result is obtained from the maintained maps.
+/// How a user-visible query result is obtained from the maintained maps: every
+/// result is one maintained map (derived columns such as `AVG = SUM / COUNT` are
+/// assembled from several results by the serving layer).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum ResultAccess {
     /// The result is a single maintained map.
     Map(String),
-    /// The result is computed on access from maintained maps (generalized Higher-Order
-    /// IVM, e.g. `AVG = SUM / COUNT`).
-    Computed {
-        /// Expression over view atoms.
-        expr: Expr,
-        /// Output variables of the computed result.
-        out_vars: Vec<String>,
-    },
 }
 
 /// A named query result of the program.
@@ -312,23 +340,6 @@ pub struct CompileReport {
     pub max_delta_order: usize,
 }
 
-/// The compiled kernels of one trigger: one entry per statement, in statement
-/// order. `None` marks a statement whose shape could not be lowered — the
-/// runtime interprets it through the AST evaluator instead (see
-/// [`dbtoaster_agca::plan`]).
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct CompiledTrigger {
-    /// Per-statement kernels, aligned with [`Trigger::statements`].
-    pub stmts: Vec<Option<CompiledStmt>>,
-}
-
-impl CompiledTrigger {
-    /// Number of statements that compiled to kernels.
-    pub fn compiled_count(&self) -> usize {
-        self.stmts.iter().flatten().count()
-    }
-}
-
 /// A compiled trigger program.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TriggerProgram {
@@ -336,11 +347,6 @@ pub struct TriggerProgram {
     pub maps: Vec<MapDecl>,
     /// Triggers, one per (stream relation, sign) with at least one statement.
     pub triggers: Vec<Trigger>,
-    /// Compiled trigger kernels, aligned index-for-index with
-    /// [`TriggerProgram::triggers`] (empty when kernels were not built, e.g.
-    /// for hand-assembled programs). Derived data: excluded from the program
-    /// fingerprint, which hashes the canonical rendering only.
-    pub compiled: Vec<CompiledTrigger>,
     /// User-visible query results.
     pub results: Vec<QueryResult>,
     /// Base relations that must be kept in storage because some statement reads them.
@@ -349,12 +355,12 @@ pub struct TriggerProgram {
     pub static_tables: BTreeSet<String>,
     /// Per-relation run-linear programs, one for every relation whose
     /// triggers are batch-delta eligible (see [`BatchStrategy::BatchDelta`]).
-    /// Derived data, like [`TriggerProgram::compiled`]: excluded from the
-    /// program fingerprint.
+    /// Derived data, like the statements' kernels: excluded from the program
+    /// fingerprint, which hashes the canonical rendering only.
     pub run_linear: Vec<RunLinear>,
     /// Per-relation batch-delta derivation outcomes: eligible, or which gate
-    /// bailed. Derived data like [`TriggerProgram::compiled`]: excluded from
-    /// the program fingerprint and empty for hand-assembled programs.
+    /// bailed. Derived data: excluded from the program fingerprint and empty
+    /// for hand-assembled programs.
     pub batch_delta_reasons: Vec<BatchDeltaOutcome>,
     /// Compilation report (rule usage, counts).
     pub report: CompileReport,
@@ -551,10 +557,10 @@ impl TriggerProgram {
     /// on the stored maps.
     pub fn ordered_indexes(&self) -> Vec<OrderedIndexDecl> {
         let decls: BTreeSet<OrderedIndexDecl> = self
-            .compiled
+            .triggers
             .iter()
-            .flat_map(|c| c.stmts.iter().flatten())
-            .flat_map(|k| &k.prelude)
+            .flat_map(|t| &t.statements)
+            .flat_map(|s| &s.kernel.prelude)
             .filter_map(|fs| {
                 Some(OrderedIndexDecl {
                     map: fs.rel.clone(),
@@ -585,9 +591,11 @@ impl TriggerProgram {
         self.triggers.iter().map(|t| t.statements.len()).sum()
     }
 
-    /// Total number of statements lowered to compiled kernels.
+    /// Total number of statements lowered to compiled kernels: every statement
+    /// (an unlowerable one rejects the program). Kept for the benchmark's
+    /// `compiler.kernel_coverage` row.
     pub fn compiled_statement_count(&self) -> usize {
-        self.compiled.iter().map(|c| c.compiled_count()).sum()
+        self.statement_count()
     }
 
     /// Group the program's triggers by relation and choose, per relation, how
@@ -782,13 +790,15 @@ mod tests {
 
     #[test]
     fn statement_reads_distinguish_views_from_base() {
-        let s = Statement {
-            target: "Q".into(),
-            key_vars: vec!["a".into()],
-            loop_vars: vec!["a".into()],
-            op: StmtOp::Increment,
-            rhs: Expr::product_of([Expr::view("M1", ["a"]), Expr::rel("R", ["a", "b"])]),
-        };
+        let s = Statement::new(
+            &[],
+            "Q".into(),
+            vec!["a".into()],
+            vec!["a".into()],
+            StmtOp::Increment,
+            Expr::product_of([Expr::view("M1", ["a"]), Expr::rel("R", ["a", "b"])]),
+        )
+        .unwrap();
         assert!(s.reads().contains("M1"));
         assert!(!s.reads().contains("R"));
         assert!(s.base_reads().contains("R"));
@@ -810,13 +820,35 @@ mod tests {
 
     #[test]
     fn display_of_statement_without_loop_vars() {
-        let s = Statement {
-            target: "Q".into(),
-            key_vars: vec!["o_ck".into()],
-            loop_vars: vec![],
-            op: StmtOp::Replace,
-            rhs: Expr::one(),
-        };
+        let s = Statement::new(
+            &["o_ck".into()],
+            "Q".into(),
+            vec!["o_ck".into()],
+            vec![],
+            StmtOp::Replace,
+            Expr::one(),
+        )
+        .unwrap();
         assert_eq!(s.to_string(), "Q[o_ck] := 1");
+    }
+
+    #[test]
+    fn an_unlowerable_statement_names_itself_and_the_reason() {
+        let err = Statement::new(
+            &[],
+            "Q".into(),
+            vec!["k".into()],
+            vec![],
+            StmtOp::Replace,
+            Expr::one(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            CompileError::Unlowerable {
+                statement: "Q[k] := 1".into(),
+                reason: "unbound key variable".into(),
+            }
+        );
     }
 }

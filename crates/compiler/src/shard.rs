@@ -59,9 +59,7 @@
 //! [`RelationDelta`]: dbtoaster_agca::RelationDelta
 //! [`RelationDelta::to_gmr`]: dbtoaster_agca::RelationDelta::to_gmr
 
-use crate::program::{
-    Catalog, CompiledTrigger, MapDecl, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
-};
+use crate::program::{Catalog, MapDecl, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram};
 use dbtoaster_agca::{AtomKind, CmpOp, Expr};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -144,8 +142,8 @@ impl ShardPlan {
 /// the exchange executor, over the full stream), if any statement needs it.
 #[derive(Clone, Debug)]
 pub struct ShardSlices {
-    /// Statements proven co-partitioned, with their own re-derived kernels
-    /// and run-linear program.
+    /// Statements proven co-partitioned, with their own re-derived run-linear
+    /// program.
     pub local: TriggerProgram,
     /// The exchange executor's program (`None` when fully local).
     pub global: Option<TriggerProgram>,
@@ -271,7 +269,7 @@ pub fn analyze_sharding(program: &TriggerProgram) -> ShardPlan {
     for m in &program.maps {
         let class = if !writers.contains_key(m.name.as_str()) {
             MapClass::Replicated
-        } else if global_maps.contains(&m.name) || m.init_from_tables {
+        } else if global_maps.contains(&m.name) || m.init.is_some() {
             // (A stream-written map with a table-only init would double-count
             // its init under addition; the compiler never emits one, but the
             // executor handles it exactly if it ever appears.)
@@ -341,10 +339,11 @@ pub fn analyze_sharding(program: &TriggerProgram) -> ShardPlan {
 /// Slice a program along its shard plan into the shard-local program (run by
 /// every shard over its partition of the stream) and the exchange executor's
 /// global program (run over the full stream), if one is needed. Each slice is
-/// a complete, self-contained [`TriggerProgram`]: kernels are re-lowered and
-/// the run-linear batch-delta program re-derived over the slice's own maps, so a
-/// slice engine dispatches batch strategies exactly as an unsharded engine
-/// would for that statement subset.
+/// a complete, self-contained [`TriggerProgram`]: its statements keep their
+/// kernels (a kernel depends on the statement alone) and the run-linear
+/// batch-delta program is re-derived over the slice's own maps, so a slice
+/// engine dispatches batch strategies exactly as an unsharded engine would for
+/// that statement subset.
 pub fn slice_program(program: &TriggerProgram, plan: &ShardPlan, catalog: &Catalog) -> ShardSlices {
     ShardSlices {
         local: build_slice(program, plan, catalog, true),
@@ -395,16 +394,6 @@ fn build_slice(
             });
         }
     }
-    let compiled: Vec<CompiledTrigger> = triggers
-        .iter()
-        .map(|t| CompiledTrigger {
-            stmts: t
-                .statements
-                .iter()
-                .map(|s| dbtoaster_agca::lower_statement(&t.trigger_vars, &s.key_vars, &s.rhs))
-                .collect(),
-        })
-        .collect();
     let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
     // Stored relations / static tables, recomputed for the slice exactly as
     // `compile` does for the full program.
@@ -438,19 +427,15 @@ fn build_slice(
     let results = program
         .results
         .iter()
-        .filter(|r| match &r.access {
-            ResultAccess::Map(m) => maps.iter().any(|d| &d.name == m),
-            ResultAccess::Computed { expr, .. } => expr
-                .atoms()
-                .iter()
-                .all(|a| maps.iter().any(|d| d.name == a.name)),
+        .filter(|r| {
+            let ResultAccess::Map(m) = &r.access;
+            maps.iter().any(|d| &d.name == m)
         })
         .cloned()
         .collect();
     TriggerProgram {
         maps,
         triggers,
-        compiled,
         results,
         stored_relations,
         static_tables,

@@ -208,18 +208,8 @@ impl QueryEngine {
         self.mode
     }
 
-    /// Force (or un-force) the AST-interpreter path, bypassing compiled
-    /// trigger kernels. The compiled path is the default; the interpreter
-    /// remains available as the differential-testing oracle.
-    /// `EngineStats::compiled_triggers` reports how many statements
-    /// currently run compiled.
-    pub fn set_force_interpreter(&mut self, force: bool) {
-        self.engine.set_force_interpreter(force);
-    }
-
     /// Force (or un-force) entry-major — per-event — execution of every
-    /// relation run: the batch-execution oracle, the twin of
-    /// [`QueryEngine::set_force_interpreter`].
+    /// relation run: the batch-execution oracle.
     pub fn set_force_entry_major(&mut self, force: bool) {
         self.engine.set_force_entry_major(force);
     }
@@ -341,11 +331,10 @@ impl QueryEngine {
         };
         let recovered = {
             let _t = tel.stage_guard(dbtoaster_telemetry::Stage::RecoveryReplay);
-            dbtoaster_durability::recover_with_vfs(
-                &dcfg.dir,
+            dbtoaster_durability::recover(
+                (&dcfg.dir, &dcfg.vfs),
                 self.engine.program().clone(),
                 &self.catalog,
-                dcfg.vfs.clone(),
             )
             .map_err(|e| DbToasterError::Serve(ServeError::Durability(e)))?
         };

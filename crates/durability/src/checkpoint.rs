@@ -27,10 +27,10 @@
 //! retained** checkpoint's watermark, keeping every fallback path replayable.
 
 use crate::codec::{self, crc32, Reader, FORMAT_VERSION};
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::VfsPath;
 use crate::{io_err, DurabilityError};
 use dbtoaster_gmr::Gmr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Magic prefix of every checkpoint file.
 pub const CKPT_MAGIC: &[u8; 6] = b"DBTCKP";
@@ -43,15 +43,10 @@ fn ckpt_name(watermark: u64) -> String {
 /// first). Read-only: stray `.tmp` files are skipped, not touched — cleanup
 /// is [`clean_tmp_files`], which must only run under the WAL writer lock
 /// (deleting another live process's in-flight `.tmp` would fail its rename).
-pub fn list_checkpoints(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
-    list_checkpoints_with(&StdVfs, dir)
-}
-
-/// [`list_checkpoints`] through an explicit [`Vfs`].
-pub fn list_checkpoints_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
+pub fn list_checkpoints<'a>(
+    dir: impl Into<VfsPath<'a>>,
 ) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
+    let VfsPath { path: dir, vfs } = dir.into();
     let mut out = Vec::new();
     if !vfs.exists(dir) {
         return Ok(out);
@@ -77,12 +72,8 @@ pub fn list_checkpoints_with(
 /// Call only while holding the directory's writer lock (a live checkpointer's
 /// in-flight `.tmp` must not be pulled out from under its rename). Returns
 /// the number removed.
-pub fn clean_tmp_files(dir: &Path) -> Result<usize, DurabilityError> {
-    clean_tmp_files_with(&StdVfs, dir)
-}
-
-/// [`clean_tmp_files`] through an explicit [`Vfs`].
-pub fn clean_tmp_files_with(vfs: &dyn Vfs, dir: &Path) -> Result<usize, DurabilityError> {
+pub fn clean_tmp_files<'a>(dir: impl Into<VfsPath<'a>>) -> Result<usize, DurabilityError> {
+    let VfsPath { path: dir, vfs } = dir.into();
     let mut removed = 0;
     if !vfs.exists(dir) {
         return Ok(removed);
@@ -114,23 +105,13 @@ pub struct Checkpoint {
 /// the final path. `maps` is the engine's [`snapshot`](dbtoaster_runtime::Engine::snapshot)
 /// output — shared immutable GMRs, so the caller's hot path does not wait
 /// while this runs (it copies, instead of recycling, the buffers held here).
-pub fn write_checkpoint<'a>(
-    dir: &Path,
+pub fn write_checkpoint<'a, 'd>(
+    dir: impl Into<VfsPath<'d>>,
     fingerprint: u64,
     watermark: u64,
     maps: impl IntoIterator<Item = (&'a str, &'a Gmr)>,
 ) -> Result<PathBuf, DurabilityError> {
-    write_checkpoint_with(&StdVfs, dir, fingerprint, watermark, maps)
-}
-
-/// [`write_checkpoint`] through an explicit [`Vfs`].
-pub fn write_checkpoint_with<'a>(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    fingerprint: u64,
-    watermark: u64,
-    maps: impl IntoIterator<Item = (&'a str, &'a Gmr)>,
-) -> Result<PathBuf, DurabilityError> {
+    let VfsPath { path: dir, vfs } = dir.into();
     vfs.create_dir_all(dir)
         .map_err(|e| io_err("creating", dir, e))?;
     let mut body = Vec::with_capacity(4096);
@@ -181,12 +162,9 @@ pub fn write_checkpoint_with<'a>(
 /// map payload starts at byte 24 and ends 4 bytes before the end (the CRC
 /// trailer). Both [`load_checkpoint`] and [`verify_checkpoint`] go through
 /// here so the two can never disagree about what counts as valid.
-fn read_envelope(
-    vfs: &dyn Vfs,
-    path: &Path,
-    fingerprint: u64,
-) -> Result<(u64, Vec<u8>), DurabilityError> {
-    let bytes = vfs.read(path).map_err(|e| io_err("reading", path, e))?;
+fn read_envelope(at: VfsPath<'_>, fingerprint: u64) -> Result<(u64, Vec<u8>), DurabilityError> {
+    let path = at.path;
+    let bytes = at.vfs.read(path).map_err(|e| io_err("reading", path, e))?;
     let file = path.display().to_string();
     let corrupt = |offset: u64, detail: String| DurabilityError::Corrupt {
         file: file.clone(),
@@ -229,17 +207,13 @@ fn read_envelope(
 }
 
 /// Load and verify one checkpoint file.
-pub fn load_checkpoint(path: &Path, fingerprint: u64) -> Result<Checkpoint, DurabilityError> {
-    load_checkpoint_with(&StdVfs, path, fingerprint)
-}
-
-/// [`load_checkpoint`] through an explicit [`Vfs`].
-pub fn load_checkpoint_with(
-    vfs: &dyn Vfs,
-    path: &Path,
+pub fn load_checkpoint<'a>(
+    path: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<Checkpoint, DurabilityError> {
-    let (watermark, bytes) = read_envelope(vfs, path, fingerprint)?;
+    let at = path.into();
+    let path = at.path;
+    let (watermark, bytes) = read_envelope(at, fingerprint)?;
     let body = &bytes[..bytes.len() - 4];
     let mut r = Reader::new(&body[24..]);
     let count = r.u32().map_err(DurabilityError::Codec)? as usize;
@@ -263,22 +237,14 @@ pub fn load_checkpoint_with(
 /// fallback case — it means the compiled program changed, and quietly
 /// restoring an older incompatible state would diverge; it surfaces as a hard
 /// error instead.
-pub fn load_latest(
-    dir: &Path,
+pub fn load_latest<'a>(
+    dir: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<(Option<Checkpoint>, Vec<String>), DurabilityError> {
-    load_latest_with(&StdVfs, dir, fingerprint)
-}
-
-/// [`load_latest`] through an explicit [`Vfs`].
-pub fn load_latest_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    fingerprint: u64,
-) -> Result<(Option<Checkpoint>, Vec<String>), DurabilityError> {
+    let dir = dir.into();
     let mut skipped = Vec::new();
-    for (_, path) in list_checkpoints_with(vfs, dir)? {
-        match load_checkpoint_with(vfs, &path, fingerprint) {
+    for (_, path) in list_checkpoints(dir.clone())? {
+        match load_checkpoint(dir.on(&path), fingerprint) {
             Ok(c) => return Ok((Some(c), skipped)),
             Err(e @ DurabilityError::FingerprintMismatch { .. }) => return Err(e),
             Err(e @ DurabilityError::VersionMismatch { .. }) => return Err(e),
@@ -291,17 +257,11 @@ pub fn load_latest_with(
 /// Cheap integrity check of a checkpoint file — the shared envelope
 /// validation (whole-file CRC, magic, version, fingerprint) *without*
 /// decoding the maps. Returns the watermark.
-pub fn verify_checkpoint(path: &Path, fingerprint: u64) -> Result<u64, DurabilityError> {
-    verify_checkpoint_with(&StdVfs, path, fingerprint)
-}
-
-/// [`verify_checkpoint`] through an explicit [`Vfs`].
-pub fn verify_checkpoint_with(
-    vfs: &dyn Vfs,
-    path: &Path,
+pub fn verify_checkpoint<'a>(
+    path: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<u64, DurabilityError> {
-    read_envelope(vfs, path, fingerprint).map(|(watermark, _)| watermark)
+    read_envelope(path.into(), fingerprint).map(|(watermark, _)| watermark)
 }
 
 /// Retention: keep the newest `keep` checkpoints that **verify** (whole-file
@@ -312,23 +272,14 @@ pub fn verify_checkpoint_with(
 /// good fallback, and a bit-rotted file must never license pruning the WAL
 /// its fallbacks would need. Returns the watermark pruning was keyed on
 /// (0 = nothing verified, nothing deleted or pruned).
-pub fn retain_and_prune_wal(
-    dir: &Path,
+pub fn retain_and_prune_wal<'a>(
+    dir: impl Into<VfsPath<'a>>,
     keep: usize,
     fingerprint: u64,
 ) -> Result<u64, DurabilityError> {
-    retain_and_prune_wal_with(&StdVfs, dir, keep, fingerprint)
-}
-
-/// [`retain_and_prune_wal`] through an explicit [`Vfs`].
-pub fn retain_and_prune_wal_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
-    keep: usize,
-    fingerprint: u64,
-) -> Result<u64, DurabilityError> {
+    let dir = dir.into();
     let keep = keep.max(1);
-    let checkpoints = list_checkpoints_with(vfs, dir)?; // newest first
+    let checkpoints = list_checkpoints(dir.clone())?; // newest first
     let mut retained = 0usize;
     let mut oldest_verified = 0u64;
     let mut expendable: Vec<&PathBuf> = Vec::new();
@@ -337,7 +288,7 @@ pub fn retain_and_prune_wal_with(
             expendable.push(path); // older than the verified window
             continue;
         }
-        match verify_checkpoint_with(vfs, path, fingerprint) {
+        match verify_checkpoint(dir.on(path), fingerprint) {
             Ok(_) => {
                 retained += 1;
                 oldest_verified = *w;
@@ -351,10 +302,11 @@ pub fn retain_and_prune_wal_with(
         return Ok(0); // nothing trustworthy: touch nothing
     }
     for path in expendable {
-        vfs.remove_file(path)
+        dir.vfs
+            .remove_file(path)
             .map_err(|e| io_err("removing", path, e))?;
     }
-    crate::wal::prune_segments_with(vfs, dir, oldest_verified)?;
+    crate::wal::prune_segments(dir, oldest_verified)?;
     Ok(oldest_verified)
 }
 

@@ -89,8 +89,8 @@ pub mod wal;
 
 pub use checkpoint::{list_checkpoints, load_latest, write_checkpoint, Checkpoint};
 pub use codec::{CodecError, FORMAT_VERSION};
-pub use recover::{has_state, recover, recover_with_vfs, Recovery};
-pub use vfs::{std_vfs, FaultConfig, FaultVfs, StdVfs, Vfs, VfsFile};
+pub use recover::{has_state, recover, Recovery};
+pub use vfs::{std_vfs, FaultConfig, FaultVfs, StdVfs, Vfs, VfsFile, VfsPath};
 pub use wal::{
     acquire_dir_lock, list_segments, prune_segments, ReplayStats, WalReader, WalRecord, WalWriter,
 };

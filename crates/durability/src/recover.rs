@@ -9,14 +9,12 @@
 //! there is no separate recovery interpreter to drift out of sync.
 
 use crate::checkpoint;
-use crate::vfs::{std_vfs, Vfs};
+use crate::vfs::VfsPath;
 use crate::wal::{self, WalReader};
 use crate::{program_fingerprint, DurabilityError};
 use dbtoaster_agca::DeltaBatch;
 use dbtoaster_compiler::{Catalog, TriggerProgram};
 use dbtoaster_runtime::Engine;
-use std::path::Path;
-use std::sync::Arc;
 
 /// The result of [`recover`]: a warm engine plus provenance of how it was
 /// rebuilt.
@@ -45,12 +43,15 @@ pub struct Recovery {
 }
 
 /// Does `dir` hold any durable state (checkpoints or WAL segments)?
-pub fn has_state(dir: &Path) -> Result<bool, DurabilityError> {
-    Ok(!checkpoint::list_checkpoints(dir)?.is_empty() || !wal::list_segments(dir)?.is_empty())
+pub fn has_state<'a>(dir: impl Into<VfsPath<'a>>) -> Result<bool, DurabilityError> {
+    let dir = dir.into();
+    Ok(!checkpoint::list_checkpoints(dir.clone())?.is_empty()
+        || !wal::list_segments(dir)?.is_empty())
 }
 
-/// Rebuild an engine from the durable state in `dir`, or return `Ok(None)`
-/// when the directory holds none (a fresh start).
+/// Rebuild an engine from the durable state in `dir` (a bare path, or a
+/// `(path, &vfs)` pair for a non-default [`crate::Vfs`]), or return
+/// `Ok(None)` when the directory holds none (a fresh start).
 ///
 /// Steps:
 /// 1. load the newest checkpoint whose CRC verifies (older ones are fallbacks;
@@ -68,29 +69,17 @@ pub fn has_state(dir: &Path) -> Result<bool, DurabilityError> {
 /// a racing restart), take [`crate::acquire_dir_lock`] first so its
 /// checkpointer cannot prune files mid-scan — the facade's `open_or_create`
 /// does exactly that.
-pub fn recover(
-    dir: &Path,
+pub fn recover<'a>(
+    dir: impl Into<VfsPath<'a>>,
     program: TriggerProgram,
     catalog: &Catalog,
 ) -> Result<Option<Recovery>, DurabilityError> {
-    recover_with_vfs(dir, program, catalog, std_vfs())
-}
-
-/// [`recover`] through an explicit [`Vfs`] (fault-injection tests; production
-/// callers use [`recover`], which is this with [`crate::StdVfs`]).
-pub fn recover_with_vfs(
-    dir: &Path,
-    program: TriggerProgram,
-    catalog: &Catalog,
-    vfs: Arc<dyn Vfs>,
-) -> Result<Option<Recovery>, DurabilityError> {
+    let dir = dir.into();
     let fingerprint = program_fingerprint(&program);
-    if checkpoint::list_checkpoints_with(vfs.as_ref(), dir)?.is_empty()
-        && wal::list_segments_with(vfs.as_ref(), dir)?.is_empty()
-    {
+    if !has_state(dir.clone())? {
         return Ok(None);
     }
-    let (ckpt, skipped_checkpoints) = checkpoint::load_latest_with(vfs.as_ref(), dir, fingerprint)?;
+    let (ckpt, skipped_checkpoints) = checkpoint::load_latest(dir.clone(), fingerprint)?;
     let (checkpoint_watermark, mut engine) = match ckpt {
         Some(c) => {
             let w = c.watermark;
@@ -107,7 +96,7 @@ pub fn recover_with_vfs(
             (0, e)
         }
     };
-    let reader = WalReader::open_with(dir, fingerprint, vfs)?;
+    let reader = WalReader::open(dir, fingerprint)?;
     let mut failed_events = 0u64;
     let mut first_failure = None;
     let mut delta = DeltaBatch::new();

@@ -126,6 +126,45 @@ pub fn std_vfs() -> Arc<dyn Vfs> {
     Arc::new(StdVfs)
 }
 
+/// A file or directory path together with the [`Vfs`] it lives on: what every
+/// durability entry point takes. A bare `&Path` (or `&PathBuf`) means the real
+/// file system, [`StdVfs`]; a `(path, &vfs)` pair goes through `vfs`.
+#[derive(Clone, Debug)]
+pub struct VfsPath<'a> {
+    /// The path.
+    pub path: &'a Path,
+    /// The file system it is resolved on.
+    pub vfs: Arc<dyn Vfs>,
+}
+
+impl<'a> VfsPath<'a> {
+    /// Another path on the same file system.
+    pub fn on<'b>(&self, path: &'b Path) -> VfsPath<'b> {
+        VfsPath {
+            path,
+            vfs: self.vfs.clone(),
+        }
+    }
+}
+
+impl<'a, P: AsRef<Path> + ?Sized> From<&'a P> for VfsPath<'a> {
+    fn from(path: &'a P) -> Self {
+        VfsPath {
+            path: path.as_ref(),
+            vfs: std_vfs(),
+        }
+    }
+}
+
+impl<'a, P: AsRef<Path> + ?Sized> From<(&'a P, &Arc<dyn Vfs>)> for VfsPath<'a> {
+    fn from((path, vfs): (&'a P, &Arc<dyn Vfs>)) -> Self {
+        VfsPath {
+            path: path.as_ref(),
+            vfs: vfs.clone(),
+        }
+    }
+}
+
 impl VfsFile for File {
     fn write_all(&mut self, buf: &[u8]) -> io::Result<()> {
         io::Write::write_all(self, buf)

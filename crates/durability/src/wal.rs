@@ -31,7 +31,7 @@
 //! to the last valid record boundary, and resumes appending there.
 
 use crate::codec::{self, crc32, CodecError, Reader, FORMAT_VERSION};
-use crate::vfs::{StdVfs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile, VfsPath};
 use crate::{io_err, DurabilityError, FsyncPolicy};
 use dbtoaster_agca::UpdateEvent;
 use std::fs::{self, File, OpenOptions};
@@ -52,15 +52,10 @@ fn segment_name(start: u64) -> String {
 }
 
 /// List the WAL segments of `dir`, sorted by start sequence number.
-pub fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
-    list_segments_with(&StdVfs, dir)
-}
-
-/// [`list_segments`] through an explicit [`Vfs`].
-pub fn list_segments_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
+pub fn list_segments<'a>(
+    dir: impl Into<VfsPath<'a>>,
 ) -> Result<Vec<(u64, PathBuf)>, DurabilityError> {
+    let VfsPath { path: dir, vfs } = dir.into();
     let mut out = Vec::new();
     if !vfs.exists(dir) {
         return Ok(out);
@@ -289,20 +284,15 @@ pub struct WalReader {
 impl WalReader {
     /// Open the WAL in `dir`. Cheap: segment contents are read during
     /// [`WalReader::replay`].
-    pub fn open(dir: &Path, fingerprint: u64) -> Result<Self, DurabilityError> {
-        Self::open_with(dir, fingerprint, crate::vfs::std_vfs())
-    }
-
-    /// [`WalReader::open`] through an explicit [`Vfs`].
-    pub fn open_with(
-        dir: &Path,
+    pub fn open<'a>(
+        dir: impl Into<VfsPath<'a>>,
         fingerprint: u64,
-        vfs: Arc<dyn Vfs>,
     ) -> Result<Self, DurabilityError> {
+        let dir = dir.into();
         Ok(WalReader {
-            segments: list_segments_with(vfs.as_ref(), dir)?,
+            segments: list_segments(dir.clone())?,
             fingerprint,
-            vfs,
+            vfs: dir.vfs,
         })
     }
 
@@ -473,74 +463,34 @@ impl WalWriter {
     /// segment is started at the expected sequence — the checkpoint covers the
     /// missing range. A log ending *above* the expected sequence is a caller
     /// error (recovery must replay the log first) and is refused.
-    pub fn open(
-        dir: &Path,
+    pub fn open<'a>(
+        dir: impl Into<VfsPath<'a>>,
         fingerprint: u64,
         expected_next_seq: u64,
         policy: FsyncPolicy,
         rotate_at: u64,
     ) -> Result<Self, DurabilityError> {
-        let lock = acquire_dir_lock(dir)?;
+        let dir = dir.into();
+        let lock = acquire_dir_lock(dir.path)?;
         Self::open_locked(dir, fingerprint, expected_next_seq, policy, rotate_at, lock)
-    }
-
-    /// [`WalWriter::open`] through an explicit [`Vfs`].
-    pub fn open_with(
-        dir: &Path,
-        fingerprint: u64,
-        expected_next_seq: u64,
-        policy: FsyncPolicy,
-        rotate_at: u64,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<Self, DurabilityError> {
-        let lock = acquire_dir_lock(dir)?;
-        Self::open_locked_with(
-            dir,
-            fingerprint,
-            expected_next_seq,
-            policy,
-            rotate_at,
-            lock,
-            vfs,
-        )
     }
 
     /// [`WalWriter::open`] with a lock already held (from
     /// [`acquire_dir_lock`]) — for callers that must mutate the directory
     /// (tmp cleanup, an initial checkpoint) *between* taking the lock and
-    /// opening the log, without a window for a second writer.
-    pub fn open_locked(
-        dir: &Path,
+    /// opening the log, without a window for a second writer. The advisory
+    /// lock stays real whatever the vfs (see the [`crate::vfs`] docs).
+    pub fn open_locked<'a>(
+        dir: impl Into<VfsPath<'a>>,
         fingerprint: u64,
         expected_next_seq: u64,
         policy: FsyncPolicy,
         rotate_at: u64,
         lock: File,
     ) -> Result<Self, DurabilityError> {
-        Self::open_locked_with(
-            dir,
-            fingerprint,
-            expected_next_seq,
-            policy,
-            rotate_at,
-            lock,
-            crate::vfs::std_vfs(),
-        )
-    }
-
-    /// [`WalWriter::open_locked`] through an explicit [`Vfs`]. The advisory
-    /// lock stays real regardless of the vfs (see the [`crate::vfs`] docs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn open_locked_with(
-        dir: &Path,
-        fingerprint: u64,
-        expected_next_seq: u64,
-        policy: FsyncPolicy,
-        rotate_at: u64,
-        lock: File,
-        vfs: Arc<dyn Vfs>,
-    ) -> Result<Self, DurabilityError> {
-        let segments = list_segments_with(vfs.as_ref(), dir)?;
+        let at = dir.into();
+        let segments = list_segments(at.clone())?;
+        let VfsPath { path: dir, vfs } = at.clone();
         let rotate_at = rotate_at.max(1);
         if let Some((start, path)) = segments.last() {
             let scan = scan_segment(vfs.as_ref(), path, fingerprint, true)?;
@@ -552,14 +502,13 @@ impl WalWriter {
                 // segment — remove it and redo the open against what remains.
                 vfs.remove_file(path)
                     .map_err(|e| io_err("removing torn segment", path, e))?;
-                return Self::open_locked_with(
-                    dir,
+                return Self::open_locked(
+                    at,
                     fingerprint,
                     expected_next_seq,
                     policy,
                     rotate_at,
                     lock,
-                    vfs,
                 );
             }
             let derived_next = scan
@@ -808,21 +757,16 @@ impl WalWriter {
 /// `None` when the directory holds no segments. Torn-tail tolerant (a torn
 /// final record does not count). Lets callers validate that a log is not
 /// *ahead* of an engine before mutating the directory in any way.
-pub fn log_end_seq(dir: &Path, fingerprint: u64) -> Result<Option<u64>, DurabilityError> {
-    log_end_seq_with(&StdVfs, dir, fingerprint)
-}
-
-/// [`log_end_seq`] through an explicit [`Vfs`].
-pub fn log_end_seq_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
+pub fn log_end_seq<'a>(
+    dir: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<Option<u64>, DurabilityError> {
-    let segments = list_segments_with(vfs, dir)?;
+    let dir = dir.into();
+    let segments = list_segments(dir.clone())?;
     let Some((start, path)) = segments.last() else {
         return Ok(None);
     };
-    let scan = scan_segment(vfs, path, fingerprint, true)?;
+    let scan = scan_segment(dir.vfs.as_ref(), path, fingerprint, true)?;
     Ok(Some(
         scan.records
             .last()
@@ -886,17 +830,13 @@ fn start_segment(
 /// Delete segments whose entire event range lies at or below `watermark`
 /// (they are covered by a retained checkpoint). The newest segment is always
 /// kept — it is the writer's append target. Returns the number removed.
-pub fn prune_segments(dir: &Path, watermark: u64) -> Result<usize, DurabilityError> {
-    prune_segments_with(&StdVfs, dir, watermark)
-}
-
-/// [`prune_segments`] through an explicit [`Vfs`].
-pub fn prune_segments_with(
-    vfs: &dyn Vfs,
-    dir: &Path,
+pub fn prune_segments<'a>(
+    dir: impl Into<VfsPath<'a>>,
     watermark: u64,
 ) -> Result<usize, DurabilityError> {
-    let segments = list_segments_with(vfs, dir)?;
+    let dir = dir.into();
+    let vfs = dir.vfs.clone();
+    let segments = list_segments(dir)?;
     let mut removed = 0;
     for window in segments.windows(2) {
         let (_, ref path) = window[0];
@@ -914,6 +854,7 @@ pub fn prune_segments_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::StdVfs;
     use dbtoaster_gmr::Value;
 
     fn ev(i: i64) -> UpdateEvent {
@@ -1232,8 +1173,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
             syncs: syncs.clone(),
         });
-        let mut w =
-            WalWriter::open_with(&dir, 9, 1, FsyncPolicy::Always, 1 << 20, vfs.clone()).unwrap();
+        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
         // A wide-open window: none of these appends should fsync inline.
         w.set_group_commit_window(Duration::from_secs(3600));
         let baseline = syncs.load(Ordering::Relaxed); // segment-header sync
@@ -1255,10 +1195,7 @@ mod tests {
 
         // Everything appended is decodable (StdVfs wrote through the page
         // cache regardless of sync timing; this guards the framing).
-        let (records, torn) = WalReader::open_with(&dir, 9, vfs)
-            .unwrap()
-            .records()
-            .unwrap();
+        let (records, torn) = WalReader::open((&dir, &vfs), 9).unwrap().records().unwrap();
         assert!(!torn);
         assert_eq!(records.len(), 11);
         let _ = fs::remove_dir_all(&dir);
@@ -1271,7 +1208,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
             syncs: syncs.clone(),
         });
-        let mut w = WalWriter::open_with(&dir, 9, 1, FsyncPolicy::Always, 1 << 20, vfs).unwrap();
+        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
         w.set_group_commit_window(Duration::from_millis(1));
         w.append(&[ev(1)]).unwrap(); // opens the 1 ms window
         let baseline = syncs.load(Ordering::Relaxed);
@@ -1292,7 +1229,7 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
             syncs: syncs.clone(),
         });
-        let mut w = WalWriter::open_with(&dir, 9, 1, FsyncPolicy::Always, 1 << 20, vfs).unwrap();
+        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
         let baseline = syncs.load(Ordering::Relaxed);
         w.append(&[ev(1)]).unwrap();
         w.append(&[ev(2)]).unwrap();

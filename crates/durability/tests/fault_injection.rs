@@ -61,9 +61,8 @@ fn enospc_during_checkpoint_is_invisible() {
     // A healthy baseline: one checkpoint at watermark 10 and a WAL carrying
     // events 11.. across several small segments (rotate early and often).
     let map = Gmr::scalar(42.0);
-    checkpoint::write_checkpoint_with(vfs.as_ref(), &dir, FP, 10, [("TOTAL", &map)]).unwrap();
-    let mut w =
-        WalWriter::open_with(&dir, FP, 11, FsyncPolicy::EveryBatch, 64, vfs.clone()).unwrap();
+    checkpoint::write_checkpoint((&dir, &vfs), FP, 10, [("TOTAL", &map)]).unwrap();
+    let mut w = WalWriter::open((&dir, &vfs), FP, 11, FsyncPolicy::EveryBatch, 64).unwrap();
     for chunk in events(40, 11).chunks(5) {
         w.append(chunk).unwrap();
         w.batch_boundary().unwrap();
@@ -78,7 +77,7 @@ fn enospc_during_checkpoint_is_invisible() {
     // Disk full mid-checkpoint: the write at watermark 50 must fail loudly...
     fault.fail_writes_with(ENOSPC);
     let big = Gmr::scalar(51.0);
-    let err = checkpoint::write_checkpoint_with(vfs.as_ref(), &dir, FP, 50, [("TOTAL", &big)])
+    let err = checkpoint::write_checkpoint((&dir, &vfs), FP, 50, [("TOTAL", &big)])
         .expect_err("checkpoint under ENOSPC must fail");
     assert!(err.is_transient(), "ENOSPC must classify transient: {err}");
     fault.heal();
@@ -112,7 +111,7 @@ fn enospc_during_checkpoint_is_invisible() {
     assert_eq!(replayed, 40, "WAL events above the watermark were pruned");
 
     // The directory stays fully usable once space returns.
-    checkpoint::write_checkpoint_with(vfs.as_ref(), &dir, FP, 50, [("TOTAL", &big)]).unwrap();
+    checkpoint::write_checkpoint((&dir, &vfs), FP, 50, [("TOTAL", &big)]).unwrap();
     let (latest, _) = checkpoint::load_latest(&dir, FP).unwrap();
     assert_eq!(latest.unwrap().watermark, 50);
 
@@ -124,8 +123,7 @@ fn failed_append_truncates_and_resumes_cleanly() {
     let dir = temp_dir("append-retry");
     let (fault, vfs) = quiet_fault();
 
-    let mut w =
-        WalWriter::open_with(&dir, FP, 1, FsyncPolicy::EveryBatch, 1 << 20, vfs.clone()).unwrap();
+    let mut w = WalWriter::open((&dir, &vfs), FP, 1, FsyncPolicy::EveryBatch, 1 << 20).unwrap();
     w.append(&events(5, 1)).unwrap();
     w.batch_boundary().unwrap();
 

@@ -345,7 +345,7 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
     let views = server.metrics().views;
     let result = views.iter().find(|v| v.name == "axf").unwrap();
     assert!(
-        result.banded_hits > 0 && result.banded_bails == 0 && result.fused_scans == 0,
+        result.range_sum_hits > 0 && result.range_sum_bails == 0 && result.fused_scans == 0,
         "range sums after recovery must come from the indexes: {result:?}"
     );
 

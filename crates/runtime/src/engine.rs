@@ -64,11 +64,12 @@
 //! The strategy of a run depends on the program and the
 //! [`Engine::set_force_entry_major`] setting alone — never on the run's size
 //! or the state — so a WAL replay takes the same sequence as the live run.
-//! Both strategies evaluate statements through one function,
-//! `Evaluator::rows`, the only place that chooses between a compiled kernel
-//! and the AST interpreter (both read through [`RelationSource`] and emit
-//! `(key, multiplicity)` rows), so the interpreter remains the
-//! differential-testing oracle for batch execution too. See the compiler's
+//! Both strategies evaluate statements through one function, `kernel_rows`,
+//! which runs the statement's compiled kernel (read through
+//! [`RelationSource`], emitting `(key, multiplicity)` rows); the compiler
+//! rejects a program with a statement it cannot lower, so there is no other
+//! evaluator in the engine. The reference semantics — `dbtoaster_agca::eval`
+//! over the map definitions — is the test suites' oracle. See the compiler's
 //! `batch_delta` module for the affine-split argument and the `:=` tail
 //! (bit-exact on integer-weighted streams; to summation order on float
 //! aggregates).
@@ -81,9 +82,7 @@
 
 use crate::store::{CachedSource, Database, SnapshotWork};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
-use dbtoaster_agca::eval::{
-    eval_with, eval_with_scratch, Bindings, EvalError, EvalScratch, RelationSource,
-};
+use dbtoaster_agca::eval::{EvalError, RelationSource};
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
@@ -96,11 +95,6 @@ use dbtoaster_telemetry::{
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Kernel for statement `j`, when the trigger has one.
-fn flat_get(kernels: &[Option<CompiledStmt>], j: usize) -> Option<&CompiledStmt> {
-    kernels.get(j).and_then(|k| k.as_ref())
-}
 
 /// The keys of one view that were touched since the last [`Engine::take_changes`].
 ///
@@ -188,9 +182,6 @@ pub enum RuntimeError {
     Eval(EvalError),
     /// A statement targets a view that was never declared.
     UnknownView(String),
-    /// A statement's key variable is neither bound by the trigger nor produced by the
-    /// right-hand side.
-    MissingKeyVariable { statement: String, variable: String },
     /// An event's tuple arity does not match the trigger's variables.
     EventArityMismatch {
         relation: String,
@@ -206,15 +197,6 @@ impl fmt::Display for RuntimeError {
         match self {
             RuntimeError::Eval(e) => write!(f, "evaluation error: {e}"),
             RuntimeError::UnknownView(v) => write!(f, "unknown view {v}"),
-            RuntimeError::MissingKeyVariable {
-                statement,
-                variable,
-            } => {
-                write!(
-                    f,
-                    "key variable {variable} not available in statement {statement}"
-                )
-            }
             RuntimeError::EventArityMismatch {
                 relation,
                 expected,
@@ -326,11 +308,6 @@ pub struct EngineStats {
     /// Events replayed from the WAL when this engine was recovered from disk
     /// (0 for engines built fresh or restored purely from a checkpoint).
     pub recovery_replayed_events: u64,
-    /// Number of trigger statements executing through compiled kernels
-    /// (slot-addressed plans) rather than the AST interpreter. 0 when the
-    /// program carries no kernels or the engine was forced onto the
-    /// interpreter path (see [`Engine::set_force_interpreter`]).
-    pub compiled_triggers: u64,
     /// Relation runs executed on the batch-delta path (pre-state evaluation,
     /// the live pass where entries interact, the `:=` tail; see the module
     /// docs).
@@ -338,7 +315,7 @@ pub struct EngineStats {
     /// Always 0: the statement-major strategy was folded into batch-delta.
     /// Kept, never written, only because the frozen benchmark reads it for
     /// its `runtime.runs_statement_major` ledger row; goes with that row
-    /// (ROADMAP item 6(e)).
+    /// (ROADMAP item 7(b)).
     pub statement_major_runs: u64,
     /// Relation runs executed entry-major — per-event firing, either by
     /// dispatch (the relation's batch-delta derivation bailed, or the oracle
@@ -364,7 +341,6 @@ impl Default for EngineStats {
             wal_bytes_written: 0,
             checkpoints_taken: 0,
             recovery_replayed_events: 0,
-            compiled_triggers: 0,
             batch_delta_runs: 0,
             statement_major_runs: 0,
             entry_major_runs: 0,
@@ -444,93 +420,36 @@ struct Seg {
     reps: u32,
 }
 
-/// One trigger statement as the evaluator sees it.
-#[derive(Clone, Copy)]
-struct StmtRef<'a> {
-    /// The trigger's variables, positionally bound to the event tuple.
-    trigger_vars: &'a [String],
-    stmt: &'a Statement,
-    /// The statement's compiled kernel; `None` = interpret the AST.
-    kernel: Option<&'a CompiledStmt>,
-}
-
-/// Everything statement evaluation needs besides a relation source, reused
-/// across events — zero per-event allocation in steady state on the compiled
-/// path.
-#[derive(Debug, Default)]
-struct Evaluator {
-    /// Compiled-kernel execution state (frame, pattern buffers, scratch
-    /// maps, work counters).
-    kernel: KernelState,
-    /// Interpreter scratch: memoized product orders + recycled pattern buffer.
-    scratch: EvalScratch,
-    /// Interpreter trigger-variable bindings, re-seeded per evaluation.
-    bindings: Bindings,
-}
-
-impl Evaluator {
-    /// Evaluate statement `s` for one event `tuple` against `src`, appending
-    /// its `(key, multiplicity)` rows to `out` and touching no view. This is
-    /// the one place that chooses between a compiled kernel and the AST
-    /// interpreter; collection, the live pass and single firings all come
-    /// through here, so the two evaluators cannot drift apart by call site.
-    ///
-    /// `first` marks the first of a series of back-to-back evaluations of `s`
-    /// against an unchanged `src`: the kernel's buffers are sized and its
-    /// loop-invariant fused scans run, and the rest of the series reuses
-    /// both.
-    fn rows(
-        &mut self,
-        src: &dyn RelationSource,
-        s: StmtRef<'_>,
-        tuple: &[Value],
-        first: bool,
-        out: &mut Vec<(Tuple, f64)>,
-    ) -> Result<(), RuntimeError> {
-        match s.kernel {
-            Some(kernel) => {
-                let state = &mut self.kernel;
-                if first {
-                    state.prepare(kernel);
-                }
-                for &slot in &kernel.used_trigger_slots {
-                    state.frame[slot as usize] = tuple[slot as usize].clone();
-                }
-                // The kernel appends to `state.out`: lend it the caller's
-                // buffer for the call instead of copying rows across.
-                std::mem::swap(&mut state.out, out);
-                let res = kernel.execute_batch_entry(src, state, first);
-                std::mem::swap(&mut state.out, out);
-                res.map_err(RuntimeError::Eval)
-            }
-            None => {
-                if first {
-                    // No stale name may leak across triggers.
-                    self.bindings.clear();
-                }
-                for (var, value) in s.trigger_vars.iter().zip(tuple) {
-                    self.bindings.set(var, value.clone());
-                }
-                let result =
-                    eval_with_scratch(&s.stmt.rhs, src, &mut self.bindings, &mut self.scratch)?;
-                if result.is_empty() {
-                    return Ok(());
-                }
-                let key_sources = resolve_key_sources(s.stmt, &self.bindings, result.schema())?;
-                for (row, mult) in result.iter() {
-                    let key: Tuple = key_sources
-                        .iter()
-                        .map(|s| match s {
-                            Ok(v) => v.clone(),
-                            Err(i) => row[*i].clone(),
-                        })
-                        .collect();
-                    out.push((key, mult));
-                }
-                Ok(())
-            }
-        }
+/// Run `kernel` for one event `tuple` against `src`, appending its `(key,
+/// multiplicity)` rows to `out` and touching no view. Collection, the live
+/// pass, single firings and static-view initialization all come through
+/// here. `state` is reused across events — zero per-event allocation in
+/// steady state.
+///
+/// `first` marks the first of a series of back-to-back evaluations of
+/// `kernel` against an unchanged `src`: the kernel's buffers are sized and
+/// its loop-invariant fused scans run, and the rest of the series reuses
+/// both.
+fn kernel_rows(
+    state: &mut KernelState,
+    src: &dyn RelationSource,
+    kernel: &CompiledStmt,
+    tuple: &[Value],
+    first: bool,
+    out: &mut Vec<(Tuple, f64)>,
+) -> Result<(), RuntimeError> {
+    if first {
+        state.prepare(kernel);
     }
+    for &slot in &kernel.used_trigger_slots {
+        state.frame[slot as usize] = tuple[slot as usize].clone();
+    }
+    // The kernel appends to `state.out`: lend it the caller's buffer for the
+    // call instead of copying rows across.
+    std::mem::swap(&mut state.out, out);
+    let res = kernel.execute_batch_entry(src, state, first);
+    std::mem::swap(&mut state.out, out);
+    res.map_err(RuntimeError::Eval)
 }
 
 /// One statement's deferred (buffered but not yet applied) rows on the
@@ -587,8 +506,9 @@ pub struct Engine {
     stats: EngineStats,
     /// Changed-key log, present only while change tracking is enabled.
     changes: Option<ChangeSet>,
-    /// Reusable statement-evaluation state, shared by every execution path.
-    eval: Evaluator,
+    /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
+    /// work counters), shared by every execution path.
+    kernel: KernelState,
     /// Recycled row buffer of a single firing (entry-major, the `:=` tail).
     rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
@@ -613,9 +533,6 @@ pub struct Engine {
     /// [`RunLinear::live_maps`]), the key and the multiplicity the key had
     /// before. Replayed backwards when the pass fails; empty between passes.
     undo: Vec<(u16, Tuple, f64)>,
-    /// Ignore compiled kernels and interpret every statement (the
-    /// differential-testing oracle; see [`Engine::set_force_interpreter`]).
-    force_interpreter: bool,
     /// Run every relation entry-major (the per-event oracle; see
     /// [`Engine::set_force_entry_major`]).
     force_entry_major: bool,
@@ -773,7 +690,7 @@ impl TelemetryState {
                     events: r.events,
                     entries: r.entries,
                     nanos: r.nanos,
-                    overlay_firings: r.live_firings,
+                    live_firings: r.live_firings,
                     statements: r.stmts[..r.stmts_live]
                         .iter()
                         .map(|s| StmtSpan {
@@ -832,7 +749,7 @@ impl Engine {
             db,
             stats: EngineStats::default(),
             changes: None,
-            eval: Evaluator::default(),
+            kernel: KernelState::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
             single: DeltaBatch::new(),
@@ -840,22 +757,19 @@ impl Engine {
             merge_runs,
             dispatch: FastMap::default(),
             undo: Vec::new(),
-            force_interpreter: false,
             force_entry_major: false,
             record_runs: false,
             tel: None,
         };
         engine.set_force_entry_major(false);
-        engine.set_force_interpreter(false);
         engine
     }
 
     /// Force (or un-force) [`BatchStrategy::EntryMajor`] for every relation,
     /// rebuilding the dispatch table: the per-event oracle the differential
-    /// suites compare batch-delta against. Like
-    /// [`Engine::set_force_interpreter`], it selects a reference path that
-    /// agrees with the default bit-for-bit on integer data and to summation
-    /// order on float aggregates.
+    /// suites compare batch-delta against. It agrees with the default
+    /// bit-for-bit on integer data and to summation order on float
+    /// aggregates.
     pub fn set_force_entry_major(&mut self, force: bool) {
         self.force_entry_major = force;
         self.dispatch = self
@@ -897,36 +811,6 @@ impl Engine {
     /// [`EngineStats`] are always maintained.
     pub fn set_run_recording(&mut self, enabled: bool) {
         self.record_runs = enabled;
-    }
-
-    /// Force (or un-force) the AST-interpreter path for every statement,
-    /// ignoring compiled kernels: the reference evaluator the equivalence
-    /// suites compare kernels against. The two paths agree bit-for-bit on
-    /// integer data but may differ in the last ulp on floating-point
-    /// aggregates (different summation orders), so a durable deployment that
-    /// flipped this across a restart would replay float view state to
-    /// relative ~1e-15, not bit-exactly.
-    pub fn set_force_interpreter(&mut self, force: bool) {
-        self.force_interpreter = force;
-        // Count only kernels the dispatcher will actually use: a trigger whose
-        // kernel list is misaligned with its statement list falls back to the
-        // interpreter wholesale (see `process`), and the stat must agree.
-        self.stats.compiled_triggers = if force {
-            0
-        } else {
-            self.program
-                .triggers
-                .iter()
-                .zip(self.program.compiled.iter())
-                .filter(|(t, c)| c.stmts.len() == t.statements.len())
-                .map(|(_, c)| c.compiled_count() as u64)
-                .sum()
-        };
-    }
-
-    /// Is the engine on the interpreter-only path?
-    pub fn force_interpreter(&self) -> bool {
-        self.force_interpreter
     }
 
     /// Rebuild an engine from a checkpointed snapshot: every map is restored
@@ -1034,17 +918,24 @@ impl Engine {
         }
     }
 
-    /// Evaluate the definitions of views that depend only on static tables and load the
-    /// results (the paper's handling of `Nation`, `Region` and the MDDB metadata).
+    /// Run the kernels of the views that depend only on static tables and load
+    /// the results (the paper's handling of `Nation`, `Region` and the MDDB
+    /// metadata).
     pub fn init_static_views(&mut self) -> Result<(), RuntimeError> {
         let program = self.program.clone();
         for m in &program.maps {
-            if !m.init_from_tables {
-                continue;
-            }
-            let result = eval_with(&m.definition, &self.db, &mut Bindings::new())?;
-            if let Some(view) = self.db.view_mut(&m.name) {
-                view.load_gmr(&result);
+            let Some(init) = &m.init else { continue };
+            let Engine {
+                db, kernel, rows, ..
+            } = self;
+            rows.clear();
+            kernel_rows(kernel, &*db, init, &[], true, rows)?;
+            if let Some(view) = db.view_mut(&m.name) {
+                view.clear();
+                view.add_rows(
+                    Coalesce::new(rows.iter().map(|(k, m)| (k, *m))),
+                    &mut |_| {},
+                );
             }
         }
         Ok(())
@@ -1239,7 +1130,7 @@ impl Engine {
         if let Some(ts) = self.tel.as_deref() {
             if let Some(&slot) = ts.stmt_slot.get(tidx as usize).and_then(|v| v.get(j)) {
                 if slot != u32::MAX {
-                    self.eval.kernel.counter_slot = slot as usize;
+                    self.kernel.counter_slot = slot as usize;
                 }
             }
         }
@@ -1273,7 +1164,7 @@ impl Engine {
             return;
         }
         if let Some(ts) = self.tel.as_deref_mut() {
-            if let Some(r) = ts.pending_rows.get_mut(self.eval.kernel.counter_slot) {
+            if let Some(r) = ts.pending_rows.get_mut(self.kernel.counter_slot) {
                 *r += rows;
             }
         }
@@ -1344,24 +1235,18 @@ impl Engine {
         j: usize,
         tuple: &[Value],
     ) -> Result<u64, RuntimeError> {
-        let trigger = &program.triggers[tidx as usize];
-        let stmt = &trigger.statements[j];
-        let s = StmtRef {
-            trigger_vars: &trigger.trigger_vars,
-            stmt,
-            kernel: flat_get(self.kernels_for(program, tidx), j),
-        };
+        let stmt = &program.triggers[tidx as usize].statements[j];
         self.set_counter_slot(tidx, j);
         self.stats.statements += 1;
         let Engine {
             db,
-            eval,
+            kernel,
             rows,
             changes,
             ..
         } = self;
         rows.clear();
-        eval.rows(&*db, s, tuple, true, rows)?;
+        kernel_rows(kernel, &*db, &stmt.kernel, tuple, true, rows)?;
         let all = Seg {
             start: 0,
             end: rows.len(),
@@ -1513,7 +1398,6 @@ impl Engine {
                 continue;
             }
             let trigger = &program.triggers[tidx as usize];
-            let kernels = self.kernels_for(program, tidx);
             for (j, stmt) in trigger.increments().iter().enumerate() {
                 if !self.db.contains(&stmt.target) {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
@@ -1525,12 +1409,7 @@ impl Engine {
                 }
                 self.set_counter_slot(tidx, j);
                 let st0 = self.armed_instant();
-                let s = StmtRef {
-                    trigger_vars: &trigger.trigger_vars,
-                    stmt,
-                    kernel: flat_get(kernels, j),
-                };
-                self.collect_statement_over(s, run, sign, tidx, j as u16)?;
+                self.collect_statement_over(&stmt.kernel, run, sign, tidx, j as u16)?;
                 if st0.is_some() {
                     let rows = segs_rows(&self.bd.stmts[self.bd.live - 1].segs);
                     self.note_stmt(st0, &stmt.target, rows);
@@ -1576,20 +1455,14 @@ impl Engine {
         run: &RelationDelta,
         base: [usize; 2],
     ) -> Result<u64, RuntimeError> {
-        // Per sign: the trigger, its `+=` statements, their kernels and its
-        // variables.
+        // Per sign: the trigger and its `+=` statements.
         let sides = [disp.insert, disp.delete].map(|tidx| {
             let trigger = tidx.map(|t| &program.triggers[t as usize]);
-            (
-                tidx,
-                trigger.map_or(&[][..], Trigger::increments),
-                tidx.map_or(&[][..], |t| self.kernels_for(program, t)),
-                trigger.map_or(&[][..], |t| &t.trigger_vars[..]),
-            )
+            (tidx, trigger.map_or(&[][..], Trigger::increments))
         });
         let Engine {
             db,
-            eval,
+            kernel,
             bd,
             undo,
             changes,
@@ -1612,7 +1485,7 @@ impl Engine {
             seen[s] += 1;
             // A sign without a trigger has no statements: only the stored
             // slice moves.
-            let (tidx, statements, kernels, trigger_vars) = sides[s];
+            let (tidx, statements) = sides[s];
             for _ in 0..entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
                     let ds = &mut bd.stmts[base[s] + j];
@@ -1622,17 +1495,12 @@ impl Engine {
                             .as_deref_mut()
                             .and_then(|ts| ts.note_live_firing(tidx? as usize, j))
                         {
-                            eval.kernel.counter_slot = slot;
+                            kernel.counter_slot = slot;
                         }
-                        let s = StmtRef {
-                            trigger_vars,
-                            stmt,
-                            kernel: flat_get(kernels, j),
-                        };
                         // The store moves between firings: every evaluation
                         // is the first against its state.
                         let start = ds.rows.len();
-                        eval.rows(&*db, s, &entry.key, true, &mut ds.rows)?;
+                        kernel_rows(kernel, &*db, &stmt.kernel, &entry.key, true, &mut ds.rows)?;
                         let end = ds.rows.len();
                         if end > start {
                             evaluated += (end - start) as u64;
@@ -1679,7 +1547,7 @@ impl Engine {
     /// aborts the whole collection (the caller replays entry-major).
     fn collect_statement_over(
         &mut self,
-        s: StmtRef<'_>,
+        stmt_kernel: &CompiledStmt,
         run: &RelationDelta,
         sign: UpdateSign,
         tidx: u16,
@@ -1687,7 +1555,7 @@ impl Engine {
     ) -> Result<(), RuntimeError> {
         let Engine {
             db,
-            eval,
+            kernel,
             bd,
             stats,
             ..
@@ -1703,9 +1571,10 @@ impl Engine {
             }
             stats.statements += 1;
             let start = slot.rows.len();
-            eval.rows(
+            kernel_rows(
+                kernel,
                 &src,
-                s,
+                stmt_kernel,
                 &entry.key,
                 std::mem::take(&mut first),
                 &mut slot.rows,
@@ -1717,25 +1586,6 @@ impl Engine {
             });
         }
         Ok(())
-    }
-
-    /// The compiled kernels for a trigger, when present, aligned with its
-    /// statement list and not overridden by [`Engine::set_force_interpreter`].
-    fn kernels_for<'p>(
-        &self,
-        program: &'p TriggerProgram,
-        tidx: u16,
-    ) -> &'p [Option<CompiledStmt>] {
-        if self.force_interpreter {
-            return &[];
-        }
-        let trigger = &program.triggers[tidx as usize];
-        program
-            .compiled
-            .get(tidx as usize)
-            .map(|c| c.stmts.as_slice())
-            .filter(|s| s.len() == trigger.statements.len())
-            .unwrap_or(&[])
     }
 
     /// One base-update pass for a whole run: each entry's net multiplicity is
@@ -1772,16 +1622,11 @@ impl Engine {
             .iter()
             .find(|r| r.name == query)
             .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
-        match &qr.access {
-            ResultAccess::Map(name) => self
-                .db
-                .view(name)
-                .map(|v| v.to_gmr())
-                .ok_or_else(|| RuntimeError::UnknownView(name.clone())),
-            ResultAccess::Computed { expr, .. } => {
-                eval_with(expr, &self.db, &mut Bindings::new()).map_err(RuntimeError::from)
-            }
-        }
+        let ResultAccess::Map(name) = &qr.access;
+        self.db
+            .view(name)
+            .map(|v| v.to_gmr())
+            .ok_or_else(|| RuntimeError::UnknownView(name.clone()))
     }
 
     /// Direct access to a view's contents (for tests and debugging).
@@ -1831,9 +1676,9 @@ impl Engine {
                     scans: v.scans.load(Relaxed),
                     entries_scanned: v.entries_scanned.load(Relaxed),
                     fused_scans: v.fused_scans.load(Relaxed),
-                    banded_hits: v.banded_hits.load(Relaxed),
-                    banded_bails: v.banded_bails.load(Relaxed),
-                    overlay_firings: v.overlay_firings.load(Relaxed),
+                    range_sum_hits: v.range_sum_hits.load(Relaxed),
+                    range_sum_bails: v.range_sum_bails.load(Relaxed),
+                    live_firings: v.live_firings.load(Relaxed),
                     map_size: v.map_size.load(Relaxed),
                 })
             });
@@ -1853,7 +1698,7 @@ impl Engine {
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         if !tel.is_enabled() {
             self.tel = None;
-            self.eval.kernel.counter_slot = 0;
+            self.kernel.counter_slot = 0;
             return;
         }
         let map_names: Vec<String> = self.db.names().map(|n| n.to_string()).collect();
@@ -1882,11 +1727,11 @@ impl Engine {
         };
         // One kernel counter block per view; reset anything a previous
         // attachment left behind so counts start from zero.
-        self.eval.kernel.ensure_counter_slots(map_names.len());
-        for c in &self.eval.kernel.counter_slots {
+        self.kernel.ensure_counter_slots(map_names.len());
+        for c in &self.kernel.counter_slots {
             let _ = c.take();
         }
-        self.eval.kernel.counter_slot = 0;
+        self.kernel.counter_slot = 0;
         let n = map_names.len();
         self.tel = Some(Box::new(TelemetryState {
             tel,
@@ -1933,22 +1778,22 @@ impl Engine {
             );
         }
         for (i, view) in ts.views.iter().enumerate() {
-            if let Some(c) = self.eval.kernel.counter_slots.get(i) {
+            if let Some(c) = self.kernel.counter_slots.get(i) {
                 let w = c.take();
                 if w.probes
                     | w.scans
                     | w.entries_scanned
                     | w.fused_scans
-                    | w.banded_hits
-                    | w.banded_bails
+                    | w.range_sum_hits
+                    | w.range_sum_bails
                     != 0
                 {
                     view.probes.fetch_add(w.probes, Relaxed);
                     view.scans.fetch_add(w.scans, Relaxed);
                     view.entries_scanned.fetch_add(w.entries_scanned, Relaxed);
                     view.fused_scans.fetch_add(w.fused_scans, Relaxed);
-                    view.banded_hits.fetch_add(w.banded_hits, Relaxed);
-                    view.banded_bails.fetch_add(w.banded_bails, Relaxed);
+                    view.range_sum_hits.fetch_add(w.range_sum_hits, Relaxed);
+                    view.range_sum_bails.fetch_add(w.range_sum_bails, Relaxed);
                 }
             }
             let rows = std::mem::take(&mut ts.pending_rows[i]);
@@ -1957,7 +1802,7 @@ impl Engine {
             }
             let live = std::mem::take(&mut ts.pending_live[i]);
             if live != 0 {
-                view.overlay_firings.fetch_add(live, Relaxed);
+                view.live_firings.fetch_add(live, Relaxed);
             }
             if let Some(v) = self.db.view(&ts.map_names[i]) {
                 view.map_size.store(v.len() as u64, Relaxed);
@@ -2038,31 +1883,6 @@ fn apply_statement_rows(
         }
     });
     Ok(())
-}
-
-/// Resolve each of a statement's key variables to its source — a trigger
-/// binding (range restriction, `Ok`) or a result-column position (`Err`) —
-/// once per evaluation, outside the row loop.
-fn resolve_key_sources(
-    stmt: &Statement,
-    bindings: &Bindings,
-    schema: &dbtoaster_gmr::Schema,
-) -> Result<Vec<Result<Value, usize>>, RuntimeError> {
-    stmt.key_vars
-        .iter()
-        .map(|kv| {
-            if let Some(v) = bindings.get(kv) {
-                Ok(Ok(v.clone()))
-            } else if let Some(i) = schema.index_of(kv) {
-                Ok(Err(i))
-            } else {
-                Err(RuntimeError::MissingKeyVariable {
-                    statement: stmt.to_string(),
-                    variable: kv.clone(),
-                })
-            }
-        })
-        .collect()
 }
 
 /// Coalesce consecutive same-key rows of a buffered application stream into

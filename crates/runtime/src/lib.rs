@@ -6,7 +6,7 @@
 //! * [`store`] — the [`ViewMap`] keyed multiplicity map with secondary
 //!   indexes per binding pattern, and the [`Database`] namespace of
 //!   views, stored base relations and static tables;
-//! * [`ordered`] — the sorted, sum-annotated representation of a secondary
+//! * `ordered` — the sorted, sum-annotated representation of a secondary
 //!   index that answers range sums in `O(log n)`;
 //! * [`engine`] — the [`Engine`] that binds trigger variables, executes
 //!   update statements in read-old / write / read-new order and exposes query results,

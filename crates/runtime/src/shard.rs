@@ -50,7 +50,6 @@
 
 use crate::engine::{BatchReport, Engine, EngineStats, RuntimeError};
 use dbtoaster_agca::batch::DeltaBatch;
-use dbtoaster_agca::eval::{eval_with, Bindings};
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::program::{Catalog, ResultAccess, TriggerProgram};
 use dbtoaster_compiler::shard::{analyze_sharding, slice_program, MapClass, ShardPlan};
@@ -211,13 +210,6 @@ impl ShardedEngine {
         }
     }
 
-    /// Broadcast an interpreter-path override to every engine.
-    pub fn set_force_interpreter(&mut self, force: bool) {
-        for e in self.shards.iter_mut().chain(self.executor.as_mut()) {
-            e.set_force_interpreter(force);
-        }
-    }
-
     /// Process one event: scatter-of-one to its owning shard (plus the
     /// executor when the program has a global slice).
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
@@ -350,29 +342,9 @@ impl ShardedEngine {
             .iter()
             .find(|r| r.name == query)
             .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
-        match &qr.access {
-            ResultAccess::Map(name) => self
-                .merged_view(name)
-                .ok_or_else(|| RuntimeError::UnknownView(name.clone())),
-            ResultAccess::Computed { expr, .. } => {
-                // Rebuild a database of exactly the views the expression
-                // reads, from merged state, and evaluate over it.
-                let mut db = crate::store::Database::new();
-                for atom in expr.atoms() {
-                    if db.contains(&atom.name) {
-                        continue;
-                    }
-                    let g = self
-                        .merged_view(&atom.name)
-                        .ok_or_else(|| RuntimeError::UnknownView(atom.name.clone()))?;
-                    db.declare(atom.name.clone(), g.schema().columns().iter().cloned());
-                    if let Some(v) = db.view_mut(&atom.name) {
-                        v.load_gmr(&g);
-                    }
-                }
-                eval_with(expr, &db, &mut Bindings::new()).map_err(RuntimeError::from)
-            }
-        }
+        let ResultAccess::Map(name) = &qr.access;
+        self.merged_view(name)
+            .ok_or_else(|| RuntimeError::UnknownView(name.clone()))
     }
 
     /// Total events processed (sum of per-shard counts; the executor's copy

@@ -28,7 +28,7 @@
 //!   leaves one column free: projected key → run of `(free-column value,
 //!   multiplicity)` sorted by that value with running sums, which answers
 //!   [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
-//!   amortized (see [`crate::ordered`] for the layout and the exactness
+//!   amortized (see the `ordered` module for the layout and the exactness
 //!   contract). It stores no full keys, so scanning it costs a primary probe
 //!   per entry — the fallback path, not the one it is declared for.
 //! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry and

@@ -44,13 +44,12 @@
 use crate::http::{HttpConfig, HttpExporter};
 use crate::results::{assemble_result, ResultRow, ResultTable};
 use crate::swap::EpochCell;
-use dbtoaster_agca::eval::{eval_with, matches_pattern, Bindings, EvalError, RelationSource};
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
 use dbtoaster_durability::{
     checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, WalWriter,
 };
-use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
+use dbtoaster_gmr::{FastMap, Gmr, Tuple};
 use dbtoaster_runtime::{ChangeSet, Engine, EngineStats, RuntimeError};
 use dbtoaster_sql::OutputColumn;
 use dbtoaster_telemetry::{
@@ -134,8 +133,6 @@ pub enum ServeError {
     Closed,
     /// A runtime error recorded by the writer thread.
     Runtime(RuntimeError),
-    /// Evaluating a computed result against a snapshot failed.
-    Eval(EvalError),
     /// The durability layer failed (WAL open/append or checkpoint write).
     Durability(DurabilityError),
     /// The HTTP exporter could not bind or start its listener thread.
@@ -162,7 +159,6 @@ impl fmt::Display for ServeError {
             ),
             ServeError::Closed => write!(f, "view server is shut down"),
             ServeError::Runtime(e) => write!(f, "runtime error: {e}"),
-            ServeError::Eval(e) => write!(f, "evaluation error: {e}"),
             ServeError::Durability(e) => write!(f, "durability error: {e}"),
             ServeError::Http(e) => write!(f, "http exporter error: {e}"),
             ServeError::Spawn(e) => write!(f, "thread spawn error: {e}"),
@@ -240,39 +236,6 @@ impl Snapshot {
     }
 }
 
-impl RelationSource for Snapshot {
-    fn relation_arity(&self, name: &str) -> Option<usize> {
-        self.views.get(name).map(|g| g.schema().arity())
-    }
-
-    fn for_each_matching(
-        &self,
-        name: &str,
-        pattern: &[Option<Value>],
-        visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError> {
-        let g = self
-            .views
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        if !pattern.is_empty() && pattern.iter().all(Option::is_some) {
-            // Fully bound: a single map probe instead of a scan.
-            let key: Tuple = pattern.iter().map(|p| p.clone().unwrap()).collect();
-            let m = g.get(&key);
-            if m != 0.0 {
-                visit(&key, m);
-            }
-            return Ok(());
-        }
-        for (t, m) in g.iter() {
-            if matches_pattern(t, pattern) {
-                visit(t, m);
-            }
-        }
-        Ok(())
-    }
-}
-
 /// One output change of a subscribed query: a key moved from `old_mult` to
 /// `new_mult` (either side may be 0.0 for appearing/disappearing keys).
 #[derive(Clone, Debug, PartialEq)]
@@ -318,13 +281,14 @@ enum Msg {
 }
 
 struct SubscribeReq {
-    access: ResultAccess,
+    /// The maintained view whose changes the subscriber receives.
+    view: String,
     tx: mpsc::Sender<OutputDeltaBatch>,
     ack: mpsc::Sender<Arc<Snapshot>>,
 }
 
 struct Subscriber {
-    access: ResultAccess,
+    view: String,
     tx: mpsc::Sender<OutputDeltaBatch>,
 }
 
@@ -347,9 +311,6 @@ struct StatsCell {
     wal_bytes_written: AtomicU64,
     checkpoints_taken: AtomicU64,
     recovery_replayed_events: AtomicU64,
-    /// Static per-program count (trigger statements running as compiled
-    /// kernels); mirrored so readers see it without touching the engine.
-    compiled_triggers: AtomicU64,
     /// Per-strategy relation-run counters (batch-delta / entry-major),
     /// mirrored from the engine after each drained batch.
     batch_delta_runs: AtomicU64,
@@ -459,7 +420,6 @@ impl ViewServer {
                 wal_bytes_written: AtomicU64::new(0),
                 checkpoints_taken: AtomicU64::new(0),
                 recovery_replayed_events: AtomicU64::new(engine.stats().recovery_replayed_events),
-                compiled_triggers: AtomicU64::new(engine.stats().compiled_triggers),
                 batch_delta_runs: AtomicU64::new(engine.stats().batch_delta_runs),
                 entry_major_runs: AtomicU64::new(engine.stats().entry_major_runs),
                 checkpoint_watermark: AtomicU64::new(0),
@@ -554,19 +514,15 @@ impl ViewServer {
     /// its first delta batch line up exactly: replaying every received batch on
     /// the baseline reconstructs the current result.
     ///
-    /// Map-backed queries (the common case) compute deltas from the engine's
-    /// changed-key log — O(changed keys) per publish. Queries with
-    /// `ResultAccess::Computed` are re-evaluated against the old and new
-    /// snapshots on every publish, and snapshot evaluation has no secondary
-    /// indexes; keep such subscriptions off large views or widen
-    /// [`ServerConfig::publish_interval`].
+    /// Every served result is one maintained view, so deltas come from the
+    /// engine's changed-key log — O(changed keys) per publish.
     pub fn subscribe(&self, query: &str) -> Result<Subscription, ServeError> {
-        let access = self.resolve_access(query)?;
+        let view = self.resolve_view(query)?;
         let (tx, rx) = mpsc::channel();
         let (ack_tx, ack_rx) = mpsc::channel();
         self.tx
             .send(Msg::Subscribe(SubscribeReq {
-                access,
+                view,
                 tx,
                 ack: ack_tx,
             }))
@@ -579,8 +535,9 @@ impl ViewServer {
         })
     }
 
-    /// How a query's output is read, for delta computation.
-    fn resolve_access(&self, query: &str) -> Result<ResultAccess, ServeError> {
+    /// The maintained view a query's output is read from, for delta
+    /// computation.
+    fn resolve_view(&self, query: &str) -> Result<String, ServeError> {
         // 1. A query served with a SQL plan: a single aggregate output reads its
         //    backing view directly. Multi-aggregate (or AVG) queries spread
         //    their output over several views — each is subscribable on its own,
@@ -592,7 +549,7 @@ impl ViewServer {
                 .filter(|o| !matches!(o, OutputColumn::GroupBy { .. }))
                 .collect();
             if let [OutputColumn::Aggregate { view, .. }] = aggs.as_slice() {
-                return Ok(ResultAccess::Map(view.clone()));
+                return Ok(view.clone());
             }
             if !aggs.is_empty() {
                 let mut views = Vec::new();
@@ -618,11 +575,12 @@ impl ViewServer {
         }
         // 2. A compiled program result (covers engine-level spawns).
         if let Some(r) = self.shared.program.results.iter().find(|r| r.name == query) {
-            return Ok(r.access.clone());
+            let ResultAccess::Map(view) = &r.access;
+            return Ok(view.clone());
         }
         // 3. A raw maintained view or stored relation.
         if self.shared.cell.load_unpinned().view(query).is_some() {
-            return Ok(ResultAccess::Map(query.to_string()));
+            return Ok(query.to_string());
         }
         Err(ServeError::UnknownQuery(query.to_string()))
     }
@@ -657,7 +615,6 @@ impl ViewServer {
             wal_bytes_written: s.wal_bytes_written.load(Relaxed),
             checkpoints_taken: s.checkpoints_taken.load(Relaxed),
             recovery_replayed_events: s.recovery_replayed_events.load(Relaxed),
-            compiled_triggers: s.compiled_triggers.load(Relaxed),
             batch_delta_runs: s.batch_delta_runs.load(Relaxed),
             entry_major_runs: s.entry_major_runs.load(Relaxed),
             ..EngineStats::default()
@@ -996,16 +953,11 @@ impl ReaderHandle {
             }
         }
         if let Some(r) = self.shared.program.results.iter().find(|r| r.name == name) {
-            let gmr = match &r.access {
-                ResultAccess::Map(v) => snap
-                    .view(v)
-                    .cloned()
-                    .ok_or_else(|| ServeError::UnknownView(v.clone()))?,
-                ResultAccess::Computed { expr, .. } => {
-                    eval_with(expr, &*snap, &mut Bindings::new()).map_err(ServeError::Eval)?
-                }
-            };
-            return Ok(table_from_gmr(name, &gmr));
+            let ResultAccess::Map(v) = &r.access;
+            let gmr = snap
+                .view(v)
+                .ok_or_else(|| ServeError::UnknownView(v.clone()))?;
+            return Ok(table_from_gmr(name, gmr));
         }
         match snap.view(name) {
             Some(g) => Ok(table_from_gmr(name, g)),
@@ -1156,8 +1108,9 @@ impl DurableState {
         // could delete the live checkpointer's in-flight `.tmp` or interleave
         // an initial checkpoint write.
         let lock = dbtoaster_durability::wal::acquire_dir_lock(&cfg.dir)?;
-        checkpoint::clean_tmp_files_with(cfg.vfs.as_ref(), &cfg.dir)?;
-        let checkpoints = checkpoint::list_checkpoints_with(cfg.vfs.as_ref(), &cfg.dir)?;
+        let dir = (&cfg.dir, &cfg.vfs);
+        checkpoint::clean_tmp_files(dir)?;
+        let checkpoints = checkpoint::list_checkpoints(dir)?;
         // A checkpoint or WAL *ahead* of this engine means the directory holds
         // state the caller never recovered (durable `serve_with` on a used
         // directory instead of `open_or_create`). Adopting it would fork
@@ -1170,7 +1123,7 @@ impl DurableState {
         // `open_or_create` refuse its own result.
         let mut newest_verified: Option<u64> = None;
         for (_, path) in &checkpoints {
-            match checkpoint::verify_checkpoint_with(cfg.vfs.as_ref(), path, fingerprint) {
+            match checkpoint::verify_checkpoint((path, &cfg.vfs), fingerprint) {
                 Ok(w) => {
                     newest_verified = Some(w);
                     break;
@@ -1194,9 +1147,7 @@ impl DurableState {
         // once more. Threading one scan through all three would save at most
         // one segment read per process start — correctness-critical paths stay
         // independent instead.)
-        if let Some(end) =
-            dbtoaster_durability::wal::log_end_seq_with(cfg.vfs.as_ref(), &cfg.dir, fingerprint)?
-        {
+        if let Some(end) = dbtoaster_durability::wal::log_end_seq(dir, fingerprint)? {
             if end > watermark + 1 {
                 return Err(DurabilityError::Config(format!(
                     "durability dir {} holds a WAL ending at seq {}, ahead of this engine's \
@@ -1216,9 +1167,8 @@ impl DurableState {
         // recovery would replay against an engine missing the tables.
         if checkpoints.is_empty() {
             let snap = engine.snapshot();
-            checkpoint::write_checkpoint_with(
-                cfg.vfs.as_ref(),
-                &cfg.dir,
+            checkpoint::write_checkpoint(
+                dir,
                 fingerprint,
                 watermark,
                 snap.iter().map(|(n, g)| (n.as_str(), g)),
@@ -1229,14 +1179,13 @@ impl DurableState {
             .stats
             .checkpoint_watermark
             .fetch_max(newest_verified.unwrap_or(watermark), Relaxed);
-        let mut wal = WalWriter::open_locked_with(
-            &cfg.dir,
+        let mut wal = WalWriter::open_locked(
+            dir,
             fingerprint,
             watermark + 1,
             cfg.fsync,
             cfg.segment_bytes,
             lock,
-            cfg.vfs.clone(),
         )?;
         wal.set_group_commit_window(cfg.group_commit_window);
         let io_retries = shared.tel.counter("io_retries");
@@ -1258,20 +1207,14 @@ impl DurableState {
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         let _t = shared.tel.stage_guard(Stage::CheckpointWrite);
-                        let res = checkpoint::write_checkpoint_with(
-                            vfs.as_ref(),
-                            &dir,
+                        let res = checkpoint::write_checkpoint(
+                            (&dir, &vfs),
                             fingerprint,
                             job.watermark,
                             job.maps.iter().map(|(n, g)| (n.as_str(), g)),
                         )
                         .and_then(|_| {
-                            checkpoint::retain_and_prune_wal_with(
-                                vfs.as_ref(),
-                                &dir,
-                                keep,
-                                fingerprint,
-                            )
+                            checkpoint::retain_and_prune_wal((&dir, &vfs), keep, fingerprint)
                         });
                         match res {
                             Ok(_) => {
@@ -1465,9 +1408,8 @@ impl DurableState {
         shared.durability_retries.fetch_add(1, Relaxed);
         let watermark = engine.stats().events;
         let snap = engine.snapshot();
-        let res = checkpoint::write_checkpoint_with(
-            self.vfs.as_ref(),
-            &self.dir,
+        let res = checkpoint::write_checkpoint(
+            (&self.dir, &self.vfs),
             self.fingerprint,
             watermark,
             snap.iter().map(|(n, g)| (n.as_str(), g)),
@@ -1769,7 +1711,7 @@ fn writer_loop(
             pending_events = 0;
             let fanned = {
                 let _t = shared.tel.stage_guard(Stage::Fanout);
-                fan_out(&mut subscribers, &changes, &last, &snap, epoch, &shared)
+                fan_out(&mut subscribers, &changes, &last, &snap, epoch)
             };
             let t_swap = Instant::now();
             shared.cell.publish(snap.clone());
@@ -1833,7 +1775,7 @@ fn writer_loop(
             // first delta batch is computed against exactly that state.
             let _ = req.ack.send(last.clone());
             subscribers.push(Subscriber {
-                access: req.access,
+                view: req.view,
                 tx: req.tx,
             });
         }
@@ -1902,21 +1844,10 @@ fn fan_out(
     old: &Snapshot,
     new: &Snapshot,
     epoch: u64,
-    shared: &Shared,
 ) -> u64 {
     let mut fanned = 0u64;
     subscribers.retain(|sub| {
-        let deltas = match output_deltas(&sub.access, changes, old, new) {
-            Ok(deltas) => deltas,
-            Err(e) => {
-                // A failed evaluation must not masquerade as "no changes":
-                // record it and drop nothing — the subscriber keeps its stream
-                // and the error surfaces through `last_error`.
-                let mut slot = shared.error.lock().unwrap_or_else(|p| p.into_inner());
-                slot.get_or_insert(RuntimeError::Eval(e));
-                Vec::new()
-            }
-        };
+        let deltas = output_deltas(&sub.view, changes, old, new);
         let count = deltas.len() as u64;
         if sub.tx.send(OutputDeltaBatch { epoch, deltas }).is_ok() {
             fanned += count;
@@ -1928,43 +1859,34 @@ fn fan_out(
     fanned
 }
 
-/// The output deltas of one query between two consecutive snapshots.
+/// The output deltas of one view between two consecutive snapshots.
 fn output_deltas(
-    access: &ResultAccess,
+    view: &str,
     changes: &ChangeSet,
     old: &Snapshot,
     new: &Snapshot,
-) -> Result<Vec<OutputDelta>, EvalError> {
-    match access {
-        ResultAccess::Map(view) => {
-            let Some(ch) = changes.views.get(view) else {
-                return Ok(Vec::new());
-            };
-            let old_view = old.view(view);
-            let new_view = new.view(view);
-            if ch.cleared {
-                return Ok(full_diff(old_view, new_view));
-            }
-            let mut out = Vec::new();
-            for key in ch.keys.keys() {
-                let o = old_view.map_or(0.0, |g| g.get(key));
-                let n = new_view.map_or(0.0, |g| g.get(key));
-                if o != n {
-                    out.push(OutputDelta {
-                        key: key.clone(),
-                        old_mult: o,
-                        new_mult: n,
-                    });
-                }
-            }
-            Ok(out)
-        }
-        ResultAccess::Computed { expr, .. } => {
-            let old_res = eval_with(expr, old, &mut Bindings::new())?;
-            let new_res = eval_with(expr, new, &mut Bindings::new())?;
-            Ok(full_diff(Some(&old_res), Some(&new_res)))
+) -> Vec<OutputDelta> {
+    let Some(ch) = changes.views.get(view) else {
+        return Vec::new();
+    };
+    let old_view = old.view(view);
+    let new_view = new.view(view);
+    if ch.cleared {
+        return full_diff(old_view, new_view);
+    }
+    let mut out = Vec::new();
+    for key in ch.keys.keys() {
+        let o = old_view.map_or(0.0, |g| g.get(key));
+        let n = new_view.map_or(0.0, |g| g.get(key));
+        if o != n {
+            out.push(OutputDelta {
+                key: key.clone(),
+                old_mult: o,
+                new_mult: n,
+            });
         }
     }
+    out
 }
 
 /// Diff two result states key-by-key.
@@ -2026,9 +1948,9 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 scans: v.scans,
                 entries_scanned: v.entries_scanned,
                 fused_scans: v.fused_scans,
-                banded_hits: v.banded_hits,
-                banded_bails: v.banded_bails,
-                overlay_firings: v.overlay_firings,
+                range_sum_hits: v.range_sum_hits,
+                range_sum_bails: v.range_sum_bails,
+                live_firings: v.live_firings,
                 map_size: v.map_size,
             })
         });
@@ -2136,8 +2058,8 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             .collect();
         out.push_str(&format!(
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
-             \"entries_scanned\":{},\"fused_scans\":{},\"banded_hits\":{},\
-             \"banded_bails\":{},\"overlay_firings\":{},\"map_size\":{},\
+             \"entries_scanned\":{},\"fused_scans\":{},\"range_sum_hits\":{},\
+             \"range_sum_bails\":{},\"live_firings\":{},\"map_size\":{},\
              \"indexes\":{{\"hash\":{},\"ordered\":{},\"ordered_on\":[{}],\
              \"entries\":{},\"bytes\":{}}},\
              \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
@@ -2148,9 +2070,9 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             v.scans,
             v.entries_scanned,
             v.fused_scans,
-            v.banded_hits,
-            v.banded_bails,
-            v.overlay_firings,
+            v.range_sum_hits,
+            v.range_sum_bails,
+            v.live_firings,
             v.map_size,
             v.indexes[0],
             v.indexes[1],

@@ -34,7 +34,6 @@
 //! [`MapClass`]: dbtoaster_compiler::MapClass
 
 use crate::server::{ServeError, ServerConfig, Snapshot, ViewServer};
-use dbtoaster_agca::eval::{eval_with, Bindings};
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::shard::{MapClass, ShardPlan};
 use dbtoaster_compiler::{ResultAccess, TriggerProgram};
@@ -258,16 +257,11 @@ impl ShardedViewServer {
             .iter()
             .find(|r| r.name == query)
             .ok_or_else(|| ServeError::UnknownQuery(query.to_string()))?;
-        let snap = self.snapshot();
-        match &qr.access {
-            ResultAccess::Map(name) => snap
-                .view(name)
-                .cloned()
-                .ok_or_else(|| ServeError::UnknownView(name.clone())),
-            ResultAccess::Computed { expr, .. } => {
-                eval_with(expr, snap.as_ref(), &mut Bindings::new()).map_err(ServeError::Eval)
-            }
-        }
+        let ResultAccess::Map(name) = &qr.access;
+        self.snapshot()
+            .view(name)
+            .cloned()
+            .ok_or_else(|| ServeError::UnknownView(name.clone()))
     }
 
     /// Merged engine + serving statistics, summed across shards (the
@@ -285,7 +279,6 @@ impl ShardedViewServer {
             out.batch_events_collapsed += st.batch_events_collapsed;
             out.snapshots_published += st.snapshots_published;
             out.subscriber_deltas += st.subscriber_deltas;
-            out.compiled_triggers += st.compiled_triggers;
             out.batch_delta_runs += st.batch_delta_runs;
             out.entry_major_runs += st.entry_major_runs;
         }

@@ -54,16 +54,9 @@ fn conservation_engine() -> (Engine, String, String) {
     };
     let program = compile(&[total, cnt], &catalog(), &CompileOptions::default()).unwrap();
     let map_of = |name: &str| -> String {
-        match &program
-            .results
-            .iter()
-            .find(|r| r.name == name)
-            .expect("result present")
-            .access
-        {
-            ResultAccess::Map(m) => m.clone(),
-            ResultAccess::Computed { .. } => panic!("expected map-backed result for {name}"),
-        }
+        let r = program.results.iter().find(|r| r.name == name);
+        let ResultAccess::Map(m) = &r.expect("result present").access;
+        m.clone()
     };
     let (total_map, cnt_map) = (map_of("TOTAL"), map_of("CNT"));
     (Engine::new(program, &catalog()), total_map, cnt_map)
@@ -184,10 +177,7 @@ fn subscription_replay_reconstructs_final_view() {
         ),
     };
     let program = compile(&[per_key], &catalog(), &CompileOptions::default()).unwrap();
-    let view_name = match &program.results[0].access {
-        ResultAccess::Map(m) => m.clone(),
-        ResultAccess::Computed { .. } => panic!("expected map-backed result"),
-    };
+    let ResultAccess::Map(view_name) = program.results[0].access.clone();
     let engine = Engine::new(program, &catalog());
     let server = ViewServer::spawn(
         engine,
@@ -306,10 +296,8 @@ fn per_key_server() -> (ViewServer, [String; 3]) {
     ];
     let program = compile(&queries, &catalog(), &CompileOptions::default()).unwrap();
     let names = ["PER_KEY", "TOTAL", "CNT"].map(|q| {
-        match &program.results.iter().find(|r| r.name == q).unwrap().access {
-            ResultAccess::Map(m) => m.clone(),
-            ResultAccess::Computed { .. } => panic!("expected a map-backed result for {q}"),
-        }
+        let ResultAccess::Map(m) = &program.results.iter().find(|r| r.name == q).unwrap().access;
+        m.clone()
     });
     let server = ViewServer::spawn(
         Engine::new(program, &catalog()),

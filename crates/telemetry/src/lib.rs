@@ -320,7 +320,7 @@ pub enum Stage {
     /// Always zero: the strategy it timed was folded into batch-delta. Kept,
     /// never recorded into, only because the frozen benchmark reads it for
     /// its `telemetry.stage_kernel_statement_major_ns_per_event` ledger row;
-    /// goes with that row (ROADMAP item 6(e)).
+    /// goes with that row (ROADMAP item 7(b)).
     KernelStatementMajor,
     /// Kernel execution of a relation run under the entry-major strategy.
     KernelEntryMajor,
@@ -365,9 +365,8 @@ impl Stage {
 }
 
 /// Per-view work counters, all relaxed atomics. The engine accumulates these
-/// in plain pending cells and folds them in on its flush cadence; the kernel
-/// scan counters cover the compiled path (the AST interpreter is a
-/// differential-testing oracle, not a measured production path).
+/// in plain pending cells and folds them in on its flush cadence; the scan
+/// counters are the compiled kernels' own.
 #[derive(Debug, Default)]
 pub struct ViewCounters {
     /// Rows applied to the view by trigger statements (repetitions included).
@@ -381,15 +380,13 @@ pub struct ViewCounters {
     pub entries_scanned: AtomicU64,
     /// Fused prelude scan executions.
     pub fused_scans: AtomicU64,
-    /// Range-sum scans answered from an ordered index (the counter keeps the
-    /// name it had when the sorted structure was a per-run cache).
-    pub banded_hits: AtomicU64,
+    /// Range-sum scans answered from an ordered index.
+    pub range_sum_hits: AtomicU64,
     /// Range-sum scans that bailed to a full traversal.
-    pub banded_bails: AtomicU64,
+    pub range_sum_bails: AtomicU64,
     /// Firings of batch-delta live passes into this view: evaluations, inside
-    /// multi-firing runs, of statements that read what their own run writes
-    /// (the name dates from when they ran against a run-local overlay).
-    pub overlay_firings: AtomicU64,
+    /// multi-firing runs, of statements that read what their own run writes.
+    pub live_firings: AtomicU64,
     /// Observed map size (entries) at the last engine flush.
     pub map_size: AtomicU64,
     /// Logged keys replayed into recycled snapshot buffers (cumulative, as of
@@ -430,12 +427,12 @@ pub struct ViewSummary {
     pub entries_scanned: u64,
     /// See [`ViewCounters::fused_scans`].
     pub fused_scans: u64,
-    /// See [`ViewCounters::banded_hits`].
-    pub banded_hits: u64,
-    /// See [`ViewCounters::banded_bails`].
-    pub banded_bails: u64,
-    /// See [`ViewCounters::overlay_firings`].
-    pub overlay_firings: u64,
+    /// See [`ViewCounters::range_sum_hits`].
+    pub range_sum_hits: u64,
+    /// See [`ViewCounters::range_sum_bails`].
+    pub range_sum_bails: u64,
+    /// See [`ViewCounters::live_firings`].
+    pub live_firings: u64,
     /// See [`ViewCounters::map_size`].
     pub map_size: u64,
     /// See [`ViewCounters::snapshot_keys_patched`].
@@ -476,7 +473,7 @@ pub struct RunSpan {
     /// the whole batch's measurement).
     pub nanos: u64,
     /// Statement evaluations of the run's live pass.
-    pub overlay_firings: u64,
+    pub live_firings: u64,
     /// Per-statement spans, present when the batch was large enough to arm
     /// statement timing (see [`TelemetryConfig::trace_arm_min_events`]).
     pub statements: Vec<StmtSpan>,
@@ -511,13 +508,13 @@ impl SlowBatchTrace {
             }
             out.push_str(&format!(
                 "{{\"relation\":\"{}\",\"strategy\":\"{}\",\"events\":{},\"entries\":{},\
-                 \"ns\":{},\"overlay_firings\":{},\"statements\":[",
+                 \"ns\":{},\"live_firings\":{},\"statements\":[",
                 json_escape(&r.relation),
                 json_escape(&r.strategy),
                 r.events,
                 r.entries,
                 r.nanos,
-                r.overlay_firings
+                r.live_firings
             ));
             for (j, s) in r.statements.iter().enumerate() {
                 if j > 0 {
@@ -807,9 +804,9 @@ impl Telemetry {
                 scans: v.scans.load(Relaxed),
                 entries_scanned: v.entries_scanned.load(Relaxed),
                 fused_scans: v.fused_scans.load(Relaxed),
-                banded_hits: v.banded_hits.load(Relaxed),
-                banded_bails: v.banded_bails.load(Relaxed),
-                overlay_firings: v.overlay_firings.load(Relaxed),
+                range_sum_hits: v.range_sum_hits.load(Relaxed),
+                range_sum_bails: v.range_sum_bails.load(Relaxed),
+                live_firings: v.live_firings.load(Relaxed),
                 map_size: v.map_size.load(Relaxed),
                 snapshot_keys_patched: v.snapshot_keys_patched.load(Relaxed),
                 snapshot_entries_copied: v.snapshot_entries_copied.load(Relaxed),
@@ -1066,21 +1063,21 @@ impl MetricsSnapshot {
         );
         view_counter(
             &mut out,
-            "banded_hits_total",
+            "range_sum_hits_total",
             "Range-sum scans answered from an ordered index.",
-            &|v| v.banded_hits,
+            &|v| v.range_sum_hits,
         );
         view_counter(
             &mut out,
-            "banded_bails_total",
+            "range_sum_bails_total",
             "Range-sum scans that fell back to a full traversal.",
-            &|v| v.banded_bails,
+            &|v| v.range_sum_bails,
         );
         view_counter(
             &mut out,
-            "overlay_firings_total",
+            "live_firings_total",
             "Statements fired into the view by batch-delta live passes.",
-            &|v| v.overlay_firings,
+            &|v| v.live_firings,
         );
         view_counter(
             &mut out,
@@ -1453,7 +1450,7 @@ mod tests {
                 events: 3,
                 entries: 2,
                 nanos: 40,
-                overlay_firings: 1,
+                live_firings: 1,
                 statements: vec![StmtSpan {
                     target: "V".into(),
                     nanos: 12,

@@ -42,6 +42,9 @@ fn populated() -> Telemetry {
     v.scans.fetch_add(2, Relaxed);
     v.entries_scanned.fetch_add(40, Relaxed);
     v.map_size.store(13, Relaxed);
+    v.range_sum_hits.fetch_add(9, Relaxed);
+    v.range_sum_bails.fetch_add(1, Relaxed);
+    v.live_firings.fetch_add(4, Relaxed);
     v.snapshot_keys_patched.store(11, Relaxed);
     v.snapshot_entries_copied.store(26, Relaxed);
     v.snapshot_full_copies[0].store(2, Relaxed);
@@ -400,4 +403,30 @@ fn snapshot_work_is_exported_per_view_with_full_copies_split_by_reason() {
     // lets go (`pinned`) from a bulk load (`abandoned`).
     let series = exp.samples.iter().filter(|s| s.name == family).count();
     assert_eq!(series, 2 * SNAPSHOT_COPY_REASONS.len());
+}
+
+/// The work counters are named for what they count: range sums answered from
+/// an ordered index or bailed to a traversal, and live-pass firings — not the
+/// per-run band cache and run-local overlay those once were.
+#[test]
+fn range_sum_and_live_pass_counters_are_exported_under_their_names() {
+    let text = populated().render_prometheus();
+    let exp = parse_exposition(&text);
+    for (family, want) in [
+        ("dbtoaster_view_range_sum_hits_total", 9.0),
+        ("dbtoaster_view_range_sum_bails_total", 1.0),
+        ("dbtoaster_view_live_firings_total", 4.0),
+    ] {
+        assert_eq!(exp.types.get(family).map(String::as_str), Some("counter"));
+        let s = exp
+            .samples
+            .iter()
+            .find(|s| s.name == family && s.labels.iter().any(|(_, v)| v == "m_axf_1"))
+            .unwrap_or_else(|| panic!("no sample {family}"));
+        assert_eq!(s.value, want, "{family}");
+    }
+    assert!(
+        !text.contains("banded") && !text.contains("overlay"),
+        "{text}"
+    );
 }

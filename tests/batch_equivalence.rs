@@ -4,9 +4,11 @@
 //! Property: for any event stream and **any** partition of it into delta
 //! batches, `Engine::process_batch` over the partition produces final view
 //! maps **bit-exactly** equal to `Engine::process` over the events one at a
-//! time — in all four compile modes, on the compiled-kernel path and with the
-//! interpreter forced, under the default dispatch (batch-delta where derived)
-//! and with the entry-major oracle forced. Streams are integer-weighted (all arithmetic exact in f64), which
+//! time — in all four compile modes, under the default dispatch (batch-delta
+//! where derived) and with the entry-major oracle forced — and both equal to
+//! every map's definition recomputed from the final base relations (the
+//! shared [`common::Recompute`] oracle, which shares no code with the
+//! engine). Streams are integer-weighted (all arithmetic exact in f64), which
 //! is exactly the regime where the ring-linearity argument of
 //! `dbtoaster_agca::batch` promises bit equality; duplicate keys and
 //! insert/delete cancellations inside one batch are generated on purpose.
@@ -25,6 +27,9 @@
 //! batch does (entries touched) against its events' and against the size of
 //! the buckets it reads.
 
+mod common;
+
+use common::Recompute;
 use dbtoaster::agca::{CmpOp, DeltaBatch, Expr, UpdateEvent};
 use dbtoaster::compiler::{
     compile, BatchStrategy, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
@@ -228,20 +233,24 @@ fn assert_engines_identical(a: &Engine, b: &Engine, ctx: &str) {
     }
 }
 
-fn check_case(
-    specs: &[QuerySpec],
-    mode: CompileMode,
-    force_interp: bool,
-    force_entry_major: bool,
-    seed: u64,
-) {
-    check_case_n(specs, mode, force_interp, force_entry_major, seed, 300);
+/// The batched engine against the definition-recompute oracle over
+/// `events`, bit for bit (every stream here is exact in f64).
+fn assert_recomputes(batched: &Engine, catalog: &Catalog, events: &[UpdateEvent], ctx: &str) {
+    Recompute::new(catalog, &Default::default(), events).check(
+        ctx,
+        batched.program(),
+        &|m| batched.view(m),
+        0.0,
+    );
+}
+
+fn check_case(specs: &[QuerySpec], mode: CompileMode, force_entry_major: bool, seed: u64) {
+    check_case_n(specs, mode, force_entry_major, seed, 300);
 }
 
 fn check_case_n(
     specs: &[QuerySpec],
     mode: CompileMode,
-    force_interp: bool,
     force_entry_major: bool,
     seed: u64,
     len: usize,
@@ -251,26 +260,17 @@ fn check_case_n(
     let events = random_stream(seed, len);
     let batches = random_partition(&events, seed ^ 0xabcdef);
 
-    let reference = per_event_engine(&program, &catalog(), force_interp, &events);
-    let batched = batched_engine(
-        &program,
-        &catalog(),
-        force_interp,
-        force_entry_major,
-        &batches,
-    );
+    let reference = per_event_engine(&program, &catalog(), &events);
+    let batched = batched_engine(&program, &catalog(), force_entry_major, &batches);
     assert_eq!(batched.stats().events, reference.stats().events);
     if force_entry_major {
         assert_eq!(batched.stats().batch_delta_runs, 0, "[{mode}] forced");
     }
 
-    let path = if force_interp { "interp" } else { "compiled" };
     let strat = if force_entry_major { "entry" } else { "auto" };
-    assert_engines_identical(
-        &reference,
-        &batched,
-        &format!("seed {seed} [{mode}/{path}/{strat}]"),
-    );
+    let ctx = format!("seed {seed} [{mode}/{strat}]");
+    assert_engines_identical(&reference, &batched, &ctx);
+    assert_recomputes(&batched, &catalog(), &events, &ctx);
 }
 
 /// Guard the suite's own premise: the HO-compiled query set must exercise
@@ -374,7 +374,7 @@ fn batch_sweep_queries_dispatch_batch_delta() {
 /// cubic chain used to panic at compile time and the R·S·R path chain used to
 /// diverge; here they must additionally stay bit-exact under every batch
 /// partition, also with entry-major forced. Streams are short — the cubic
-/// query is cubic in |R| and runs under Reevaluate + interpreter too.
+/// query is cubic in |R| and runs under Reevaluate too.
 fn chain_queries() -> Vec<QuerySpec> {
     vec![
         QuerySpec {
@@ -412,24 +412,13 @@ fn trigger_variable_chains_batch_bit_exact_all_modes() {
         CompileMode::NaiveViewlet,
         CompileMode::Reevaluate,
     ] {
-        for force_interp in [false, true] {
-            check_case_n(&chain_queries(), mode, force_interp, false, 7, 80);
-        }
+        check_case_n(&chain_queries(), mode, false, 7, 80);
     }
 }
 
 #[test]
 fn trigger_variable_chains_batch_bit_exact_forced_entry_major() {
-    for force_interp in [false, true] {
-        check_case_n(
-            &chain_queries(),
-            CompileMode::HigherOrder,
-            force_interp,
-            true,
-            3,
-            80,
-        );
-    }
+    check_case_n(&chain_queries(), CompileMode::HigherOrder, true, 3, 80);
 }
 
 proptest! {
@@ -444,9 +433,7 @@ proptest! {
             CompileMode::NaiveViewlet,
             CompileMode::Reevaluate,
         ] {
-            for force_interp in [false, true] {
-                check_case(&queries(), mode, force_interp, false, seed);
-            }
+            check_case(&queries(), mode, false, seed);
         }
     }
 
@@ -462,9 +449,7 @@ proptest! {
                 CompileMode::NaiveViewlet,
                 CompileMode::Reevaluate,
             ] {
-                for force_interp in [false, true] {
-                    check_case(std::slice::from_ref(&spec), mode, force_interp, false, seed);
-                }
+                check_case(std::slice::from_ref(&spec), mode, false, seed);
             }
         }
     }
@@ -484,9 +469,7 @@ proptest! {
             CompileMode::NaiveViewlet,
             CompileMode::Reevaluate,
         ] {
-            for force_interp in [false, true] {
-                check_case(&queries(), mode, force_interp, true, seed);
-            }
+            check_case(&queries(), mode, true, seed);
         }
     }
 }
@@ -583,11 +566,9 @@ fn fixed_partition(events: &[UpdateEvent], size: usize) -> Vec<DeltaBatch> {
 fn per_event_engine(
     program: &dbtoaster::compiler::TriggerProgram,
     catalog: &Catalog,
-    force_interp: bool,
     events: &[UpdateEvent],
 ) -> Engine {
     let mut reference = Engine::new(program.clone(), catalog);
-    reference.set_force_interpreter(force_interp);
     reference
         .process_all(events)
         .unwrap_or_else(|e| panic!("per-event: {e}"));
@@ -597,12 +578,10 @@ fn per_event_engine(
 fn batched_engine(
     program: &dbtoaster::compiler::TriggerProgram,
     catalog: &Catalog,
-    force_interp: bool,
     force_entry_major: bool,
     batches: &[DeltaBatch],
 ) -> Engine {
     let mut batched = Engine::new(program.clone(), catalog);
-    batched.set_force_interpreter(force_interp);
     batched.set_force_entry_major(force_entry_major);
     for b in batches {
         let report = batched.process_batch(b);
@@ -613,9 +592,10 @@ fn batched_engine(
 
 /// `bsp` alone and `axf+bsp+bsv` in one engine, at the batch sizes the batch
 /// sweep and the server use and over random partitions, in all four compile
-/// modes, compiled and interpreted, with and without the entry-major
-/// override: bit-exact against per-event processing. Re-evaluation mode recomputes a quadratic
-/// join per event, so it gets a shorter stream.
+/// modes, with and without the entry-major override: bit-exact against
+/// per-event processing and against the recomputed definitions.
+/// Re-evaluation mode recomputes a quadratic join per event, so it gets a
+/// shorter stream.
 #[test]
 fn order_book_self_joins_batch_bit_exact() {
     const BOOK_SEED: u64 = 20120826;
@@ -640,25 +620,27 @@ fn order_book_self_joins_batch_bit_exact() {
             for seed in [3u64, 4, 5] {
                 partitions.push((format!("random {seed}"), random_partition(&events, seed)));
             }
-            for force_interp in [false, true] {
-                let reference = per_event_engine(&program, &catalog, force_interp, &events);
-                for force in [false, true] {
-                    for (label, batches) in &partitions {
-                        let batched =
-                            batched_engine(&program, &catalog, force_interp, force, batches);
-                        assert_eq!(batched.stats().events, events.len() as u64);
-                        if mode == CompileMode::HigherOrder && !force {
-                            // The dispatch is static: nothing re-routes a run.
-                            assert_eq!(batched.stats().entry_major_runs, 0, "{names:?} {label}");
-                        }
-                        let path = if force_interp { "interp" } else { "compiled" };
-                        let strat = if force { "entry" } else { "auto" };
-                        assert_engines_identical(
-                            &reference,
-                            &batched,
-                            &format!("{names:?} {label} [{mode}/{path}/{strat}]"),
-                        );
+            let reference = per_event_engine(&program, &catalog, &events);
+            assert_recomputes(
+                &reference,
+                &catalog,
+                &events,
+                &format!("{names:?} [{mode}]"),
+            );
+            for force in [false, true] {
+                for (label, batches) in &partitions {
+                    let batched = batched_engine(&program, &catalog, force, batches);
+                    assert_eq!(batched.stats().events, events.len() as u64);
+                    if mode == CompileMode::HigherOrder && !force {
+                        // The dispatch is static: nothing re-routes a run.
+                        assert_eq!(batched.stats().entry_major_runs, 0, "{names:?} {label}");
                     }
+                    let strat = if force { "entry" } else { "auto" };
+                    assert_engines_identical(
+                        &reference,
+                        &batched,
+                        &format!("{names:?} {label} [{mode}/{strat}]"),
+                    );
                 }
             }
         }
@@ -706,17 +688,13 @@ fn order_book_planted_runs_batch_bit_exact() {
             CompileMode::Reevaluate,
         ] {
             let (program, catalog) = book_program(names, mode);
-            for force_interp in [false, true] {
-                let reference = per_event_engine(&program, &catalog, force_interp, &events);
-                // Not vacuous: the run moved the self-join results.
-                assert!(!reference.view("bsp").unwrap().is_empty());
-                let batched = batched_engine(&program, &catalog, force_interp, false, &batches);
-                assert_engines_identical(
-                    &reference,
-                    &batched,
-                    &format!("planted {names:?} [{mode}/interp={force_interp}]"),
-                );
-            }
+            let reference = per_event_engine(&program, &catalog, &events);
+            // Not vacuous: the run moved the self-join results.
+            assert!(!reference.view("bsp").unwrap().is_empty());
+            let batched = batched_engine(&program, &catalog, false, &batches);
+            let ctx = format!("planted {names:?} [{mode}]");
+            assert_engines_identical(&reference, &batched, &ctx);
+            assert_recomputes(&batched, &catalog, &events, &ctx);
         }
     }
 }
@@ -798,7 +776,7 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
             .collect()
     };
     let (program, catalog) = book_program(&names, CompileMode::Reevaluate);
-    let expected = results(&per_event_engine(&program, &catalog, false, &events));
+    let expected = results(&per_event_engine(&program, &catalog, &events));
     for broker in [5, 6, 7, 8] {
         assert!(
             expected
@@ -831,6 +809,8 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
                 expected,
                 "[{mode}] batch {batch} diverges from re-evaluation"
             );
+            let ctx = format!("offenders [{mode}] batch {batch}");
+            assert_recomputes(&engine, &catalog, &events, &ctx);
             if mode == CompileMode::HigherOrder {
                 // Both ways of answering a range sum were taken.
                 engine.flush_telemetry();
@@ -841,7 +821,7 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
                     .filter(|v| names.contains(&&*v.name))
                 {
                     assert!(
-                        v.banded_hits > 0 && v.banded_bails > 0,
+                        v.range_sum_hits > 0 && v.range_sum_bails > 0,
                         "batch {batch}: {v:?}"
                     );
                 }
@@ -858,8 +838,8 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
 /// after `prefix`: the run's last event decides which sign trigger's `:=`
 /// statements fire, and its entry may have cancelled in-run or carry a net
 /// multiplicity beyond one. Every shape must land bit-exactly on per-event
-/// processing in all compile modes and both evaluators, and no higher-order
-/// run may leave batch-delta.
+/// processing and on the recomputed definitions in all compile modes, and no
+/// higher-order run may leave batch-delta.
 fn check_planted_tail_runs(
     program_for: &dyn Fn(CompileMode) -> (dbtoaster::compiler::TriggerProgram, Catalog),
     prefix: &[UpdateEvent],
@@ -878,20 +858,16 @@ fn check_planted_tail_runs(
             CompileMode::Reevaluate,
         ] {
             let (program, catalog) = program_for(mode);
-            for force_interp in [false, true] {
-                let reference = per_event_engine(&program, &catalog, force_interp, &events);
-                // Not vacuous: the result is live when the run ends.
-                assert!(!reference.view(result).unwrap().is_empty(), "{label}");
-                let batched = batched_engine(&program, &catalog, force_interp, false, &batches);
-                if mode == CompileMode::HigherOrder {
-                    assert_eq!(batched.stats().entry_major_runs, 0, "{label}");
-                }
-                assert_engines_identical(
-                    &reference,
-                    &batched,
-                    &format!("{label} [{mode}/interp={force_interp}]"),
-                );
+            let reference = per_event_engine(&program, &catalog, &events);
+            // Not vacuous: the result is live when the run ends.
+            assert!(!reference.view(result).unwrap().is_empty(), "{label}");
+            let batched = batched_engine(&program, &catalog, false, &batches);
+            if mode == CompileMode::HigherOrder {
+                assert_eq!(batched.stats().entry_major_runs, 0, "{label}");
             }
+            let ctx = format!("{label} [{mode}]");
+            assert_engines_identical(&reference, &batched, &ctx);
+            assert_recomputes(&batched, &catalog, &events, &ctx);
         }
     }
 }
@@ -1008,43 +984,49 @@ fn poison_event_in_a_replace_tail_run_matches_per_event() {
         UpdateEvent::insert("Bids", order(6, 9, 0, 3, 2)),
     ];
     let (program, catalog) = book_program(&["vwap"], CompileMode::HigherOrder);
-    for force_interp in [false, true] {
-        let mut reference = Engine::new(program.clone(), &catalog);
-        reference.set_force_interpreter(force_interp);
-        let errors: Vec<_> = prefix
-            .iter()
-            .chain(&run)
-            .filter_map(|e| reference.process(e).err())
-            .collect();
-        assert_eq!(
-            errors.len(),
-            1,
-            "exactly the poison event fails: {errors:?}"
-        );
+    let mut reference = Engine::new(program.clone(), &catalog);
+    let errors: Vec<_> = prefix
+        .iter()
+        .chain(&run)
+        .filter_map(|e| reference.process(e).err())
+        .collect();
+    assert_eq!(
+        errors.len(),
+        1,
+        "exactly the poison event fails: {errors:?}"
+    );
 
-        let mut batched = Engine::new(program.clone(), &catalog);
-        batched.set_force_interpreter(force_interp);
-        batched.set_run_recording(true);
-        let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
-        assert!(report.first_error.is_none());
-        let report = batched.process_batch(&DeltaBatch::from_events(&run));
-        assert_eq!(report.events, run.len() as u64);
-        assert_eq!(report.failed_events, 1);
-        assert_eq!(report.first_error.as_ref(), errors.first());
-        assert_eq!(report.runs.len(), 1);
-        assert_eq!(
-            report.runs[0].strategy,
-            BatchStrategy::EntryMajor,
-            "replayed"
-        );
-        assert_eq!(batched.stats().events, reference.stats().events);
-        assert!(!reference.view("vwap").unwrap().is_empty());
-        assert_engines_identical(
-            &reference,
-            &batched,
-            &format!("poisoned run [interp={force_interp}]"),
-        );
-    }
+    let mut batched = Engine::new(program.clone(), &catalog);
+    batched.set_run_recording(true);
+    let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
+    assert!(report.first_error.is_none());
+    let report = batched.process_batch(&DeltaBatch::from_events(&run));
+    assert_eq!(report.events, run.len() as u64);
+    assert_eq!(report.failed_events, 1);
+    assert_eq!(report.first_error.as_ref(), errors.first());
+    assert_eq!(report.runs.len(), 1);
+    assert_eq!(
+        report.runs[0].strategy,
+        BatchStrategy::EntryMajor,
+        "replayed"
+    );
+    assert_eq!(batched.stats().events, reference.stats().events);
+    assert!(!reference.view("vwap").unwrap().is_empty());
+    assert_engines_identical(&reference, &batched, "poisoned run");
+    // The poison event failed before writing anything: the state is the
+    // stream without it.
+    let applied: Vec<UpdateEvent> = prefix
+        .iter()
+        .chain(&run)
+        .filter(|e| !is_poison(e))
+        .cloned()
+        .collect();
+    assert_recomputes(&batched, &catalog, &applied, "poisoned run");
+}
+
+/// The order of the poison tests: its volume is a string.
+fn is_poison(e: &UpdateEvent) -> bool {
+    matches!(e.tuple[4], Value::Str(_))
 }
 
 /// A poison event *after* the live pass has written. In first-order mode
@@ -1077,49 +1059,48 @@ fn poison_event_after_live_writes_is_rolled_back() {
         CompileMode::NaiveViewlet,
     ] {
         let (program, catalog) = book_program(&["bsp"], mode);
-        for force_interp in [false, true] {
-            let mut reference = Engine::new(program.clone(), &catalog);
-            reference.set_force_interpreter(force_interp);
-            let errors: Vec<_> = prefix
-                .iter()
-                .chain(&run)
-                .filter_map(|e| reference.process(e).err())
-                .collect();
-            assert_eq!(
-                errors.len(),
-                1,
-                "[{mode}] only the poison fails: {errors:?}"
-            );
+        let mut reference = Engine::new(program.clone(), &catalog);
+        let errors: Vec<_> = prefix
+            .iter()
+            .chain(&run)
+            .filter_map(|e| reference.process(e).err())
+            .collect();
+        assert_eq!(
+            errors.len(),
+            1,
+            "[{mode}] only the poison fails: {errors:?}"
+        );
 
-            let mut batched = Engine::new(program.clone(), &catalog);
-            batched.set_force_interpreter(force_interp);
-            batched.set_run_recording(true);
-            let tel = Telemetry::with_config(TelemetryConfig::default());
-            batched.set_telemetry(tel.clone());
-            let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
-            assert!(report.first_error.is_none());
-            batched.flush_telemetry();
-            let live_firings = |tel: &Telemetry| -> u64 {
-                tel.snapshot().views.iter().map(|v| v.overlay_firings).sum()
-            };
-            let before = live_firings(&tel);
-            let report = batched.process_batch(&DeltaBatch::from_events(&run));
-            assert_eq!(report.failed_events, 1, "[{mode}]");
-            assert_eq!(report.first_error.as_ref(), errors.first());
-            assert_eq!(report.runs[0].strategy, BatchStrategy::EntryMajor);
-            batched.flush_telemetry();
-            if mode == CompileMode::FirstOrder {
-                // Not vacuous: the pass had fired (and written the stored
-                // slice) before it met the poison.
-                assert!(live_firings(&tel) >= before + 2, "[{mode}]");
-            }
-            assert!(!reference.view("bsp").unwrap().is_empty());
-            assert_engines_identical(
-                &reference,
-                &batched,
-                &format!("rolled-back run [{mode}/interp={force_interp}]"),
-            );
+        let mut batched = Engine::new(program.clone(), &catalog);
+        batched.set_run_recording(true);
+        let tel = Telemetry::with_config(TelemetryConfig::default());
+        batched.set_telemetry(tel.clone());
+        let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
+        assert!(report.first_error.is_none());
+        batched.flush_telemetry();
+        let live_firings =
+            |tel: &Telemetry| -> u64 { tel.snapshot().views.iter().map(|v| v.live_firings).sum() };
+        let before = live_firings(&tel);
+        let report = batched.process_batch(&DeltaBatch::from_events(&run));
+        assert_eq!(report.failed_events, 1, "[{mode}]");
+        assert_eq!(report.first_error.as_ref(), errors.first());
+        assert_eq!(report.runs[0].strategy, BatchStrategy::EntryMajor);
+        batched.flush_telemetry();
+        if mode == CompileMode::FirstOrder {
+            // Not vacuous: the pass had fired (and written the stored
+            // slice) before it met the poison.
+            assert!(live_firings(&tel) >= before + 2, "[{mode}]");
         }
+        assert!(!reference.view("bsp").unwrap().is_empty());
+        let ctx = format!("rolled-back run [{mode}]");
+        assert_engines_identical(&reference, &batched, &ctx);
+        let applied: Vec<UpdateEvent> = prefix
+            .iter()
+            .chain(&run)
+            .filter(|e| !is_poison(e))
+            .cloned()
+            .collect();
+        assert_recomputes(&batched, &catalog, &applied, &ctx);
     }
 }
 
@@ -1241,6 +1222,8 @@ fn mddb1_live_pass_batches_match_per_event_within_float_tolerance() {
     };
     let mut reference = build();
     reference.process_all(&data.events).unwrap();
+    let catalog = dbtoaster::to_compiler_catalog(&dbtoaster::workloads::full_catalog());
+    let oracle = Recompute::new(&catalog, &data.tables, &data.events);
     for size in [8usize, 64, 512] {
         let mut batched = build();
         for b in fixed_partition(&data.events, size) {
@@ -1263,6 +1246,8 @@ fn mddb1_live_pass_batches_match_per_event_within_float_tolerance() {
                 );
             }
         }
+        let ctx = format!("mddb1 batch {size}");
+        oracle.check(&ctx, batched.program(), &|m| batched.view(m), 1e-9);
     }
 }
 

@@ -206,3 +206,66 @@ fn query_engine_reports_compilation_features() {
         );
     }
 }
+
+/// A statement the kernel compiler cannot lower is a compile error, naming
+/// the statement and the reason — never a program that fails per event at
+/// run time. `SUM('x')` puts a string in multiplicity position.
+#[test]
+fn unlowerable_sql_is_rejected_by_build() {
+    use dbtoaster::compiler::CompileError;
+    let catalog: SqlCatalog = [TableDef::stream("R", ["a", "b"])].into_iter().collect();
+    for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
+        let err = QueryEngineBuilder::new(catalog.clone())
+            .add_query("q", "SELECT SUM('x') FROM R r")
+            .mode(mode)
+            .build()
+            .err()
+            .unwrap_or_else(|| panic!("[{mode}] an unlowerable program built"));
+        let DbToasterError::Compile(CompileError::Unlowerable { statement, reason }) = &err else {
+            panic!("[{mode}] expected Unlowerable, got {err}");
+        };
+        assert!(
+            statement.starts_with("q[] ") && statement.contains("'x'"),
+            "{statement}"
+        );
+        assert_eq!(reason, "non-numeric constant in multiplicity position");
+        assert!(err.to_string().contains(reason.as_str()), "{err}");
+    }
+}
+
+/// The program fingerprint guards WAL and checkpoint replay, so a change to
+/// the IR that leaks into it orphans every durable directory. Pinned to the
+/// values the bundled programs had before statements carried their kernels.
+#[test]
+fn bundled_program_fingerprints_are_pinned() {
+    for (names, mode, fingerprint) in [
+        (
+            &["q1"][..],
+            CompileMode::HigherOrder,
+            0xe840_3195_ddcb_fba6_u64,
+        ),
+        (
+            &["axf", "bsp", "bsv"][..],
+            CompileMode::HigherOrder,
+            0xe1ff_ccc0_123d_c93c,
+        ),
+        (
+            &["vwap"][..],
+            CompileMode::HigherOrder,
+            0xec8d_5845_de39_75e7,
+        ),
+        (&["q3"][..], CompileMode::FirstOrder, 0xa609_ac01_192e_2f04),
+    ] {
+        let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+        for name in names {
+            let q = workloads::query(name).unwrap();
+            builder = builder.add_query(q.name, q.sql);
+        }
+        let engine = builder.build().unwrap();
+        assert_eq!(
+            dbtoaster::durability::program_fingerprint(engine.program()),
+            fingerprint,
+            "{names:?} [{mode}]"
+        );
+    }
+}

@@ -1,14 +1,15 @@
 //! Differential tests for compiled trigger kernels.
 //!
-//! The AST interpreter is the semantic ground truth; the compiled
-//! slot-addressed plan path (`dbtoaster_agca::plan`) must agree with it on
-//! every maintained map — not just the query result — because any divergence
-//! in an auxiliary view eventually surfaces in a result.
+//! The engine runs nothing but compiled kernels (`dbtoaster_agca::plan`).
+//! The semantic ground truth is the AST evaluator, outside the engine: every
+//! maintained map — not just the query result, because any divergence in an
+//! auxiliary view eventually surfaces in a result — must equal its own
+//! definition re-evaluated over the final base relations (the shared
+//! [`common::Recompute`] oracle).
 //!
-//! Two layers:
+//! Three layers:
 //!
-//! * every benchmark workload query runs twice (kernels on / interpreter
-//!   forced) over the same stream, comparing all maintained maps. Workload
+//! * every bundled workload query, in all four compile modes. Workload
 //!   data contains non-dyadic doubles (TPC-H cent prices), so sums may differ
 //!   in the last ulp between summation orders; maps are compared with a tight
 //!   *relative* tolerance (1e-9, about seven orders of magnitude above ulp
@@ -16,7 +17,12 @@
 //! * proptest-generated random programs (joins, group-bys, comparisons,
 //!   lifts, nested aggregates, negation) over integer-valued streams, where
 //!   f64 arithmetic is exact in any order — compared **bit-exact** (eps 0.0).
+//! * self-join chains keyed by trigger variables, in every compile mode.
 
+mod common;
+
+use common::Recompute;
+use dbtoaster::agca::AtomKind;
 use dbtoaster::prelude::*;
 use dbtoaster::workloads::{self, Family};
 
@@ -58,7 +64,6 @@ fn run_engine(
     qs: &[workloads::WorkloadQuery],
     mode: CompileMode,
     data: &workloads::Dataset,
-    force_interpreter: bool,
 ) -> QueryEngine {
     let names: Vec<&str> = qs.iter().map(|q| q.name).collect();
     let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
@@ -68,7 +73,6 @@ fn run_engine(
     let mut engine = builder
         .build()
         .unwrap_or_else(|e| panic!("{names:?} [{mode}]: build failed: {e}"));
-    engine.set_force_interpreter(force_interpreter);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone()).unwrap();
     }
@@ -79,206 +83,176 @@ fn run_engine(
     engine
 }
 
-/// Compare two GMRs key-by-key with a relative tolerance.
-fn assert_maps_match(context: &str, map: &str, got: &Gmr, expected: &Gmr, rel_eps: f64) {
-    let keys: Vec<_> = got
-        .iter()
-        .map(|(t, _)| t.clone())
-        .chain(expected.iter().map(|(t, _)| t.clone()))
-        .collect();
-    for key in keys {
-        let g = got.get(&key);
-        let e = expected.get(&key);
-        let scale = 1.0_f64.max(g.abs()).max(e.abs());
-        assert!(
-            (g - e).abs() <= rel_eps * scale,
-            "{context}: map {map} diverges at key {key:?}: compiled {g} vs interpreted {e}"
-        );
-    }
+const ALL_MODES: [CompileMode; 4] = [
+    CompileMode::HigherOrder,
+    CompileMode::FirstOrder,
+    CompileMode::NaiveViewlet,
+    CompileMode::Reevaluate,
+];
+
+fn check_workload(name: &str, events: usize) {
+    check_program(&[name], events);
 }
 
-fn check_workload(name: &str, events: usize, modes: &[CompileMode]) {
-    check_program(&[name], events, modes);
-}
-
-/// Kernels on vs interpreter forced, for one engine maintaining all of
-/// `names`: every maintained map must agree.
-fn check_program(names: &[&str], events: usize, modes: &[CompileMode]) {
+/// One engine maintaining all of `names`, in every compile mode: every
+/// maintained map must equal its recomputed definition.
+fn check_program(names: &[&str], events: usize) {
     let qs: Vec<workloads::WorkloadQuery> = names
         .iter()
         .map(|n| workloads::query(n).unwrap_or_else(|| panic!("unknown query {n}")))
         .collect();
     let data = dataset_for(qs[0].family, events);
-    for &mode in modes {
-        let compiled = run_engine(&qs, mode, &data, false);
-        let interpreted = run_engine(&qs, mode, &data, true);
-        assert_eq!(interpreted.stats().compiled_triggers, 0);
-        let context = format!("{names:?} [{mode}]");
-        for m in &compiled.program().maps {
-            let got = compiled
-                .view(&m.name)
-                .unwrap_or_else(|| panic!("{context}: missing view {}", m.name));
-            let expect = interpreted
-                .view(&m.name)
-                .unwrap_or_else(|| panic!("{context}: missing view {}", m.name));
-            assert_maps_match(&context, &m.name, &got, &expect, 1e-9);
+    let catalog = dbtoaster::to_compiler_catalog(&workloads::full_catalog());
+    let oracle = Recompute::new(&catalog, &data.tables, &data.events);
+    for mode in ALL_MODES {
+        let engine = run_engine(&qs, mode, &data);
+        oracle.check(
+            &format!("{names:?} [{mode}]"),
+            engine.program(),
+            &|m| engine.view(m),
+            1e-9,
+        );
+    }
+}
+
+/// Every bundled query compiles in every mode. A trigger statement owns its
+/// kernel by construction (one that does not lower rejects the program); a
+/// static view — a map over tables only — must carry its init kernel.
+#[test]
+fn representative_queries_actually_compile() {
+    for q in workloads::all_queries() {
+        for mode in ALL_MODES {
+            let engine = QueryEngineBuilder::new(workloads::full_catalog())
+                .add_query(q.name, q.sql)
+                .mode(mode)
+                .build()
+                .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
+            let program = engine.program();
+            assert!(program.statement_count() > 0, "{} [{mode}]", q.name);
+            for m in &program.maps {
+                let is_static = !m.definition.contains_atom_kind(AtomKind::Stream);
+                assert_eq!(
+                    m.init.is_some(),
+                    is_static,
+                    "{} [{mode}] {}",
+                    q.name,
+                    m.name
+                );
+            }
         }
     }
 }
 
-/// Higher-Order IVM must compile the hot path of these queries: if a future
-/// lowering change silently regresses one of them to the interpreter, this
-/// fails before the benchmark numbers do.
-#[test]
-fn representative_queries_actually_compile() {
-    for name in ["q1", "q3", "q6", "q12", "axf", "bsv", "vwap"] {
-        let q = workloads::query(name).unwrap();
-        let data = dataset_for(q.family, 50);
-        let engine = run_engine(
-            std::slice::from_ref(&q),
-            CompileMode::HigherOrder,
-            &data,
-            false,
-        );
-        assert!(
-            engine.stats().compiled_triggers > 0,
-            "{name}: no statement lowered to a compiled kernel"
-        );
-    }
-}
+// The per-query test names predate the oracle: "interpreted" is now every
+// map's definition re-evaluated by the AST evaluator, outside the engine.
 
 #[test]
 fn q1_compiled_equals_interpreted() {
-    check_workload(
-        "q1",
-        700,
-        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
-    );
+    check_workload("q1", 700);
 }
 
 #[test]
 fn q3_compiled_equals_interpreted() {
-    check_workload("q3", 700, &[CompileMode::HigherOrder]);
+    check_workload("q3", 700);
 }
 
 #[test]
 fn q4_compiled_equals_interpreted() {
-    check_workload("q4", 400, &[CompileMode::HigherOrder]);
+    check_workload("q4", 400);
 }
 
 #[test]
 fn q5_compiled_equals_interpreted() {
-    check_workload("q5", 500, &[CompileMode::HigherOrder]);
+    check_workload("q5", 500);
 }
 
 #[test]
 fn q6_compiled_equals_interpreted() {
-    check_workload(
-        "q6",
-        700,
-        &[
-            CompileMode::HigherOrder,
-            CompileMode::FirstOrder,
-            CompileMode::NaiveViewlet,
-            CompileMode::Reevaluate,
-        ],
-    );
+    check_workload("q6", 700);
 }
 
 #[test]
 fn q10_compiled_equals_interpreted() {
-    check_workload("q10", 600, &[CompileMode::HigherOrder]);
+    check_workload("q10", 600);
 }
 
 #[test]
 fn q11a_compiled_equals_interpreted() {
-    check_workload("q11a", 600, &[CompileMode::HigherOrder]);
+    check_workload("q11a", 600);
 }
 
 #[test]
 fn q12_compiled_equals_interpreted() {
-    check_workload("q12", 600, &[CompileMode::HigherOrder]);
+    check_workload("q12", 600);
 }
 
 #[test]
 fn q17a_compiled_equals_interpreted() {
-    check_workload("q17a", 400, &[CompileMode::HigherOrder]);
+    check_workload("q17a", 400);
 }
 
 #[test]
 fn q18a_compiled_equals_interpreted() {
-    check_workload("q18a", 400, &[CompileMode::HigherOrder]);
+    check_workload("q18a", 400);
 }
 
 #[test]
 fn q22a_compiled_equals_interpreted() {
-    check_workload("q22a", 400, &[CompileMode::HigherOrder]);
+    check_workload("q22a", 400);
 }
 
 #[test]
 fn ssb4_compiled_equals_interpreted() {
-    check_workload("ssb4", 500, &[CompileMode::HigherOrder]);
+    check_workload("ssb4", 500);
 }
 
 #[test]
 fn vwap_compiled_equals_interpreted() {
-    check_workload("vwap", 150, &[CompileMode::HigherOrder]);
+    check_workload("vwap", 150);
 }
 
 #[test]
 fn axf_compiled_equals_interpreted() {
-    check_workload(
-        "axf",
-        500,
-        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
-    );
+    check_workload("axf", 500);
 }
 
 #[test]
 fn bsp_compiled_equals_interpreted() {
-    check_workload(
-        "bsp",
-        500,
-        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
-    );
+    check_workload("bsp", 500);
 }
 
 /// The program the `book_join` benchmark serves: three queries sharing
 /// `Bids` in one engine. The kernels answer `axf`'s and `bsp`'s range sums
-/// from ordered indexes; the interpreter walks the same indexes entry by
-/// entry.
+/// from ordered indexes; the oracle sums plain relations.
 #[test]
 fn book_join_program_compiled_equals_interpreted() {
-    check_program(
-        &["axf", "bsp", "bsv"],
-        500,
-        &[CompileMode::HigherOrder, CompileMode::FirstOrder],
-    );
+    check_program(&["axf", "bsp", "bsv"], 500);
 }
 
 #[test]
 fn bsv_compiled_equals_interpreted() {
-    check_workload("bsv", 500, &[CompileMode::HigherOrder]);
+    check_workload("bsv", 500);
 }
 
 #[test]
 fn mst_compiled_equals_interpreted() {
-    check_workload("mst", 60, &[CompileMode::HigherOrder]);
+    check_workload("mst", 60);
 }
 
 #[test]
 fn psp_compiled_equals_interpreted() {
-    check_workload("psp", 250, &[CompileMode::HigherOrder]);
+    check_workload("psp", 250);
 }
 
 #[test]
 fn mddb1_compiled_equals_interpreted() {
-    check_workload("mddb1", 200, &[CompileMode::HigherOrder]);
+    check_workload("mddb1", 200);
 }
 
 // ------------------------------------------------- proptest random programs
 
 mod random_programs {
+    use super::common::Recompute;
     use dbtoaster::agca::{Expr, UpdateEvent};
     use dbtoaster::compiler::{
         compile, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
@@ -403,13 +377,15 @@ mod random_programs {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Compiled kernels reproduce the interpreter **bit-exactly** on
-        /// random programs over integer data, in every compilation mode.
+        /// Compiled kernels reproduce every map's recomputed definition
+        /// **bit-exactly** on random programs over integer data, in every
+        /// compilation mode.
         #[test]
         fn compiled_is_bit_exact_on_random_programs(seed in 0u32..1_000_000) {
             let seed = seed as u64;
             let q = random_query(seed);
             let events = stream(seed, 200);
+            let oracle = Recompute::new(&catalog(), &Default::default(), &events);
             for mode in [
                 CompileMode::HigherOrder,
                 CompileMode::FirstOrder,
@@ -423,28 +399,16 @@ mod random_programs {
                 )
                 .unwrap_or_else(|e| panic!("seed {seed} [{mode}]: {e}"));
 
-                let mut compiled = Engine::new(program.clone(), &catalog());
-                compiled
+                let mut engine = Engine::new(program, &catalog());
+                engine
                     .process_all(&events)
-                    .unwrap_or_else(|e| panic!("seed {seed} [{mode}] compiled: {e}"));
-
-                let mut interp = Engine::new(program, &catalog());
-                interp.set_force_interpreter(true);
-                interp
-                    .process_all(&events)
-                    .unwrap_or_else(|e| panic!("seed {seed} [{mode}] interpreted: {e}"));
-
-                let got = compiled.snapshot();
-                let expect = interp.snapshot();
-                prop_assert_eq!(got.len(), expect.len());
-                for (name, g) in got.iter() {
-                    let e = expect.get(name).expect("same view set");
-                    prop_assert!(
-                        g.equivalent(e, 0.0),
-                        "seed {} [{}]: map {} differs\ncompiled:\n{}\ninterpreted:\n{}",
-                        seed, mode, name, g, e
-                    );
-                }
+                    .unwrap_or_else(|e| panic!("seed {seed} [{mode}]: {e}"));
+                oracle.check(
+                    &format!("seed {seed} [{mode}] {}", q.expr),
+                    engine.program(),
+                    &|m| engine.view(m),
+                    0.0,
+                );
             }
         }
     }
@@ -458,14 +422,15 @@ mod random_programs {
 /// same map name with clashing schemas: the cubic R×R×R query panicked at
 /// compile time ("cannot union schemas") and the R·S·R path join compiled but
 /// silently diverged from ground truth on mixed insert/delete streams. Both
-/// are pinned here against a from-scratch re-evaluation oracle, across every
-/// compile mode, on the compiled-kernel path and with the interpreter forced.
+/// are pinned here against the definition-recompute oracle, on every map,
+/// across every compile mode.
 mod trigger_variable_capture {
-    use dbtoaster::agca::{DeltaBatch, Expr, UpdateEvent};
+    use super::common::Recompute;
+    use dbtoaster::agca::{Expr, UpdateEvent};
     use dbtoaster::compiler::{
         compile, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
     };
-    use dbtoaster::gmr::{Gmr, Value};
+    use dbtoaster::gmr::Value;
     use dbtoaster::runtime::Engine;
 
     fn catalog() -> Catalog {
@@ -541,56 +506,31 @@ mod trigger_variable_capture {
         out
     }
 
-    /// Ground truth independent of the incremental machinery: one big
-    /// re-evaluation batch on the interpreter recomputes the query from the
-    /// final relation state.
-    fn recompute(q: &QuerySpec, events: &[UpdateEvent]) -> Gmr {
-        let program = compile(
-            std::slice::from_ref(q),
-            &catalog(),
-            &CompileOptions::for_mode(CompileMode::Reevaluate),
-        )
-        .unwrap();
-        let mut engine = Engine::new(program, &catalog());
-        engine.set_force_interpreter(true);
-        let mut batch = DeltaBatch::new();
-        for e in events {
-            batch.push(e);
-        }
-        let report = engine.process_batch(&batch);
-        assert!(report.first_error.is_none(), "{:?}", report.first_error);
-        engine.view(&q.name).unwrap()
-    }
-
     fn check_against_oracle(q: &QuerySpec, seed: u64, len: usize) {
         let events = stream(seed, len);
-        let truth = recompute(q, &events);
+        let oracle = Recompute::new(&catalog(), &Default::default(), &events);
         for mode in [
             CompileMode::HigherOrder,
             CompileMode::FirstOrder,
             CompileMode::NaiveViewlet,
             CompileMode::Reevaluate,
         ] {
-            for force_interp in [false, true] {
-                let program = compile(
-                    std::slice::from_ref(q),
-                    &catalog(),
-                    &CompileOptions::for_mode(mode),
-                )
-                .unwrap_or_else(|e| panic!("compile {} [{mode}]: {e}", q.name));
-                let mut engine = Engine::new(program, &catalog());
-                engine.set_force_interpreter(force_interp);
-                engine
-                    .process_all(&events)
-                    .unwrap_or_else(|e| panic!("{} [{mode}/interp={force_interp}]: {e}", q.name));
-                let got = engine.view(&q.name).unwrap();
-                assert!(
-                    got.equivalent(&truth, 1e-6),
-                    "{} [{mode}/interp={force_interp}] diverges from recompute oracle\n\
-                     got:\n{got}\ntruth:\n{truth}",
-                    q.name
-                );
-            }
+            let program = compile(
+                std::slice::from_ref(q),
+                &catalog(),
+                &CompileOptions::for_mode(mode),
+            )
+            .unwrap_or_else(|e| panic!("compile {} [{mode}]: {e}", q.name));
+            let mut engine = Engine::new(program, &catalog());
+            engine
+                .process_all(&events)
+                .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
+            oracle.check(
+                &format!("{} [{mode}]", q.name),
+                engine.program(),
+                &|m| engine.view(m),
+                0.0,
+            );
         }
     }
 

@@ -2,9 +2,10 @@
 //!
 //! Property: for any event stream, any partition of it into ingest batches,
 //! and any shard count N ∈ {1, 2, 4, 8}, [`ShardedEngine`]'s merged views are
-//! **bit-exactly** equal to a per-event single [`Engine`] AND to the 1-shard
-//! sharded engine — in all four compile modes and on both the compiled-kernel
-//! and forced-interpreter paths. Streams are integer-weighted, which is the
+//! **bit-exactly** equal to a per-event single [`Engine`], to the 1-shard
+//! sharded engine and to every map's definition recomputed from the final
+//! base relations (the shared [`common::Recompute`] oracle) — in all four
+//! compile modes. Streams are integer-weighted, which is the
 //! regime where every merge class (disjoint union for partitioned maps, GMR
 //! addition for summed scalars) is exact in f64; duplicate keys and
 //! insert/delete cancellations are generated on purpose.
@@ -17,6 +18,9 @@
 //! queries so the property suite can't silently drift into testing only one
 //! plan shape.
 
+mod common;
+
+use common::Recompute;
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent};
 use dbtoaster::compiler::{compile, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta};
 use dbtoaster::gmr::Value;
@@ -198,12 +202,10 @@ fn run_sharded(
     program: &dbtoaster::compiler::TriggerProgram,
     cat: &Catalog,
     n: usize,
-    force_interp: bool,
     chunks: &[&[UpdateEvent]],
     ctx: &str,
 ) -> ShardedEngine {
     let mut sharded = ShardedEngine::new(program.clone(), cat, n);
-    sharded.set_force_interpreter(force_interp);
     for chunk in chunks {
         let report = sharded.process_events(chunk);
         assert!(
@@ -216,11 +218,11 @@ fn run_sharded(
 }
 
 /// The core property check: per-event reference vs 1-shard vs N-shard, over
-/// the same random stream and the same random batch boundaries.
+/// the same random stream and the same random batch boundaries, and each
+/// merged state against the recomputed definitions.
 fn check_case(
     specs: &[QuerySpec],
     mode: CompileMode,
-    force_interp: bool,
     seed: u64,
     len: usize,
     expect_executor: Option<bool>,
@@ -230,31 +232,21 @@ fn check_case(
         .unwrap_or_else(|e| panic!("compile [{mode}]: {e}"));
     let events = random_stream(seed, len);
     let chunks = random_chunks(&events, seed ^ 0xabcdef);
+    let oracle = Recompute::new(&cat, &Default::default(), &events);
 
     let mut reference = Engine::new(program.clone(), &cat);
-    reference.set_force_interpreter(force_interp);
     reference
         .process_all(&events)
         .unwrap_or_else(|e| panic!("per-event [{mode}]: {e}"));
 
-    let path = if force_interp { "interp" } else { "compiled" };
-    let single = run_sharded(
-        &program,
-        &cat,
-        1,
-        force_interp,
-        &chunks,
-        &format!("seed {seed} [{mode}/{path}/1-shard]"),
-    );
-    assert_merged_matches(
-        &reference,
-        &single,
-        &format!("seed {seed} [{mode}/{path}/1-shard]"),
-    );
+    let ctx = format!("seed {seed} [{mode}/1-shard]");
+    let single = run_sharded(&program, &cat, 1, &chunks, &ctx);
+    assert_merged_matches(&reference, &single, &ctx);
+    oracle.check(&ctx, &program, &|m| single.merged_view(m), 0.0);
 
     for n in SHARD_COUNTS {
-        let ctx = format!("seed {seed} [{mode}/{path}/{n}-shard]");
-        let sharded = run_sharded(&program, &cat, n, force_interp, &chunks, &ctx);
+        let ctx = format!("seed {seed} [{mode}/{n}-shard]");
+        let sharded = run_sharded(&program, &cat, n, &chunks, &ctx);
         if let Some(want) = expect_executor {
             assert_eq!(
                 sharded.has_executor(),
@@ -277,6 +269,7 @@ fn check_case(
                 _ => panic!("{ctx}: view {name} present at only one shard count"),
             }
         }
+        oracle.check(&ctx, &program, &|m| sharded.merged_view(m), 0.0);
     }
 }
 
@@ -380,12 +373,18 @@ fn ordered_indexes_survive_shard_slicing() {
         let mut reference = Engine::new(program.clone(), &cat);
         reference.process_all(&events).unwrap();
 
-        let mut sharded = ShardedEngine::new(program, &cat, 2);
+        let mut sharded = ShardedEngine::new(program.clone(), &cat, 2);
         assert_eq!(sharded.has_executor(), exchanges, "{name}");
         for chunk in events.chunks(97) {
             assert!(sharded.process_events(chunk).first_error.is_none());
         }
         assert_merged_matches(&reference, &sharded, name);
+        Recompute::new(&cat, &Default::default(), &events).check(
+            name,
+            &program,
+            &|m| sharded.merged_view(m),
+            0.0,
+        );
 
         let (shards, executor, _, _) = sharded.into_parts();
         let mut indexed = 0;
@@ -417,8 +416,8 @@ fn ordered_indexes_survive_shard_slicing() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Co-partitioned queries: N shards ≡ 1 shard ≡ per-event, all modes,
-    /// both execution paths.
+    /// Co-partitioned queries: N shards ≡ 1 shard ≡ per-event ≡ recomputed,
+    /// all modes.
     #[test]
     fn local_plans_are_bit_exact_across_shard_counts(seed32 in 0u32..1_000_000u32) {
         let seed = seed32 as u64;
@@ -428,9 +427,7 @@ proptest! {
             CompileMode::NaiveViewlet,
             CompileMode::Reevaluate,
         ] {
-            for force_interp in [false, true] {
-                check_case(&local_queries(), mode, force_interp, seed, 240, None);
-            }
+            check_case(&local_queries(), mode, seed, 240, None);
         }
     }
 }
@@ -449,16 +446,7 @@ proptest! {
             CompileMode::NaiveViewlet,
             CompileMode::Reevaluate,
         ] {
-            for force_interp in [false, true] {
-                check_case(
-                    &cross_queries(),
-                    mode,
-                    force_interp,
-                    seed,
-                    120,
-                    Some(true),
-                );
-            }
+            check_case(&cross_queries(), mode, seed, 120, Some(true));
         }
     }
 }
@@ -474,15 +462,6 @@ proptest! {
         let seed = seed32 as u64;
         let mut specs = local_queries();
         specs.extend(cross_queries());
-        for force_interp in [false, true] {
-            check_case(
-                &specs,
-                CompileMode::HigherOrder,
-                force_interp,
-                seed,
-                160,
-                Some(true),
-            );
-        }
+        check_case(&specs, CompileMode::HigherOrder, seed, 160, Some(true));
     }
 }
