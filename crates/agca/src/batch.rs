@@ -47,15 +47,15 @@
 //! ## Batch-delta programs
 //!
 //! The compiler derives, per relation, a **whole-run trigger program**
-//! (`derive_run_linear` in `dbtoaster-compiler`): treat the run's net delta
+//! (`derive_live_passes` in `dbtoaster-compiler`): treat the run's net delta
 //! `ΔR = Σₑ mₑ{tₑ}` as one update. Every incremental statement that reads
 //! nothing the run itself writes is evaluated for all entries back-to-back
-//! against the *pre-run* state. A statement whose right-hand side has a
-//! *run-linear part* — product terms that read a map the run writes — is
-//! where the order of the run's entries matters: those statements fire once
-//! per firing, in entry order, and the maps they read are written firing by
-//! firing too, so each reads exactly what per-event processing would have it
-//! read, through the same single lookup. Linear queries read nothing their
+//! against the *pre-run* state. A statement whose right-hand side reads a map
+//! the run writes — in any shape — is where the order of the run's entries
+//! matters: those statements fire once per firing, in entry order, and the
+//! maps they read are written firing by firing too, so each reads exactly
+//! what per-event processing would have it read, through the same single
+//! lookup. Linear queries read nothing their
 //! own run writes and have no such statement; quadratic self-joins read
 //! their own auxiliary maps and close with one such *live pass*, which costs
 //! what those statements cost per event.
@@ -64,14 +64,13 @@
 //! run's last event, after the buffered writes and the base update.
 //!
 //! Derivation bails out — and the relation runs entry-major, each surviving
-//! entry firing the full per-event sequence — when that argument does not
-//! hold: `:=` statements that are not a trigger's tail or not mirrored across
-//! both sign triggers, an incremental statement reading a map an earlier
-//! statement of the same trigger writes, or a right-hand side not affine in
-//! the run-written maps (two such atoms in one product, one under a lift,
-//! comparison or `EXISTS`, or any read of a `:=` target). The choice is
-//! static per relation — it never depends on a run's size or on the state —
-//! so a WAL replay takes the same strategy sequence as the live run. The
+//! entry firing the full per-event sequence — only when the `:=` statements
+//! cannot be the run's tail: they are not a trigger's tail, not mirrored
+//! across both sign triggers, or an incremental statement reads one's target
+//! (rewritten once per run, not once per firing). No relation of a compiled
+//! workload program bails in any compile mode. The choice is static per
+//! relation — it never depends on a run's size or on the state — so a WAL
+//! replay takes the same strategy sequence as the live run. The
 //! dispatch actually taken is observable through
 //! `EngineStats::{batch_delta_runs, entry_major_runs}` and per run via
 //! `BatchReport::runs` under `Engine::set_run_recording`.

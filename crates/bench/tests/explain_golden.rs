@@ -7,9 +7,10 @@
 //! `run: live` marks of the batch-delta live pass are pinned as goldens on
 //! the four shapes the workload has: no statement that reads what its run
 //! writes (`q1`), one that reads the query's own auxiliary maps (`bsp`), a
-//! `:=` tail (`vwap`) and a bail (`q17a`). A census pins how many relations each compile mode
-//! dispatches to each strategy, so a gate change that silently demotes a
-//! relation to the per-event path fails by name. `axf` pins the range-sum
+//! `:=` tail (`vwap`) and one that reads them under a lift and a comparison
+//! (`q17a`). A census pins how many relations each compile mode dispatches to
+//! each strategy — every one batch-delta — so a change that silently demotes
+//! a relation to the per-event path fails by name. `axf` pins the range-sum
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
 //! census pins which maps of which queries carry one.
@@ -107,7 +108,7 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
         "q1" => {
             assert_eq!(
                 reason("Lineitem"),
-                "batch-delta derived (no statement reads run-written state; no overlay pass)"
+                "batch-delta derived (no statement reads run-written state; no live pass)"
             );
             assert!(!text.contains("run: live"), "{text}");
         }
@@ -160,7 +161,7 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // the nested-aggregate re-evaluation as the run's `:=` tail.
             assert_eq!(
                 reason("Bids"),
-                "batch-delta derived (no statement reads run-written state; no overlay pass); \
+                "batch-delta derived (no statement reads run-written state; no live pass); \
                  1 replace (`:=`) statement fired once per run, for its last event"
             );
             assert!(!text.contains("run: live"), "{text}");
@@ -170,11 +171,20 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             assert!(!text.contains("range-sum"), "{text}");
             assert!(text.contains("scan m_vwap_2[>$7]"), "{text}");
         }
-        "q17a" => assert_eq!(
-            reason("Lineitem"),
-            "batch-delta ineligible: the statement for `q17a` is not affine in run-written \
-             `m_q17a_1`"
-        ),
+        "q17a" => {
+            // The result statement of either sign reads the auxiliary maps
+            // its own run writes under a lift and a comparison.
+            assert_eq!(
+                reason("Lineitem"),
+                "batch-delta derived (2 live statements, fired entry by entry, read \
+                 run-written `m_q17a_1`, `m_q17a_2`)"
+            );
+            assert_eq!(text.matches("\n    run: live\n").count(), 2);
+            for (at, _) in text.match_indices("\n    run: live\n") {
+                let stmt = text[..at].lines().last().unwrap();
+                assert!(stmt.starts_with("  q17a[] += "), "{stmt}");
+            }
+        }
         _ => {}
     }
 }
@@ -205,9 +215,9 @@ fn explained_strategies_follow_the_entry_major_override() {
 #[test]
 fn dispatch_census_per_compile_mode() {
     for (mode, batch_delta, entry_major) in [
-        (CompileMode::HigherOrder, 35, 4),
-        (CompileMode::FirstOrder, 29, 10),
-        (CompileMode::NaiveViewlet, 29, 10),
+        (CompileMode::HigherOrder, 39, 0),
+        (CompileMode::FirstOrder, 39, 0),
+        (CompileMode::NaiveViewlet, 39, 0),
         (CompileMode::Reevaluate, 39, 0),
     ] {
         let mut counts = (0, 0);

@@ -236,10 +236,9 @@ pub fn compile(
         order_statements(t);
     }
 
-    // Batch-delta: per eligible relation, the run-linear parts of its trigger
-    // statements (see `crate::batch_delta`). They read nothing their
-    // statements do not already read.
-    let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
+    // Batch-delta: per eligible relation, the statements that read what its
+    // own runs write (see `crate::batch_delta`).
+    let (live_passes, batch_delta_reasons) = crate::batch_delta::derive_live_passes(&triggers);
 
     Ok(TriggerProgram {
         maps,
@@ -247,7 +246,7 @@ pub fn compile(
         results,
         stored_relations,
         static_tables,
-        run_linear,
+        live_passes,
         batch_delta_reasons,
         report,
     })

@@ -6,7 +6,7 @@
 //! delta batch will use **and why** — whether batch-delta derivation
 //! succeeded (which statements read what their own run writes and so fire
 //! entry by entry — marked `run: live` — and whether a `:=` tail fires once
-//! per run) or which eligibility gate
+//! per run) or which eligibility condition
 //! bailed ([`BatchDeltaBail`](crate::program::BatchDeltaBail)) — and per
 //! statement the compiled plan: probes vs scans, product order, fused-prelude
 //! signatures (`range-sum` where the scan is answered from an ordered index),
@@ -96,8 +96,8 @@ pub struct RelationExplain {
     pub relation: String,
     /// The chosen [`BatchStrategy`], as its stable lowercase name.
     pub strategy: String,
-    /// Why that strategy was chosen (derivation success, the exact bail gate,
-    /// or the forced override).
+    /// Why that strategy was chosen (derivation success, the exact condition
+    /// that bailed, or the forced override).
     pub reason: String,
     /// The shardability verdict for the relation (see
     /// [`crate::shard::analyze_sharding`]): `shard-local (...)` or
@@ -224,8 +224,8 @@ fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
     maps
 }
 
-/// One reason per relation: how batch-delta was derived, or the gate that
-/// bailed (which is why the relation runs entry-major).
+/// One reason per relation: how batch-delta was derived, or the condition
+/// that bailed (which is why the relation runs entry-major).
 fn strategy_reason(
     program: &TriggerProgram,
     d: &RelationDispatch,
@@ -234,7 +234,7 @@ fn strategy_reason(
     if force_entry_major {
         return "forced entry-major override".to_string();
     }
-    let Some(rl) = program.run_linear_for(&d.relation) else {
+    let Some(lp) = program.live_pass_for(&d.relation) else {
         return match program
             .batch_delta_reason(&d.relation)
             .and_then(|o| o.bail.as_ref())
@@ -243,22 +243,20 @@ fn strategy_reason(
             None => "batch-delta not derived".to_string(),
         };
     };
-    let mut reason = if rl.statements.is_empty() {
-        // Wording kept from when the live pass ran against a run-local
-        // overlay: the EXPLAIN of a program without one must not change.
-        "batch-delta derived (no statement reads run-written state; no overlay pass)".to_string()
+    let mut reason = if lp.statements.is_empty() {
+        "batch-delta derived (no statement reads run-written state; no live pass)".to_string()
     } else {
         format!(
             "batch-delta derived ({} live statements, fired entry by entry, read run-written {})",
-            rl.statements.len(),
-            rl.live_maps
+            lp.statements.len(),
+            lp.live_maps
                 .iter()
                 .map(|m| format!("`{m}`"))
                 .collect::<Vec<_>>()
                 .join(", ")
         )
     };
-    // Mirrored across the signs (eligibility gate 1), so either trigger counts.
+    // Mirrored across the signs (the tail condition), so either trigger counts.
     let tail = d.insert.map_or(0, |i| {
         let t = &program.triggers[i];
         t.statements.len() - t.increments().len()
@@ -275,13 +273,13 @@ fn strategy_reason(
 
 fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
     let t: &Trigger = &program.triggers[idx];
-    let rl = program.run_linear_for(&t.relation);
+    let lp = program.live_pass_for(&t.relation);
     let statements = t
         .statements
         .iter()
         .enumerate()
         .map(|(j, s)| StmtExplain {
-            live: rl.is_some_and(|rl| rl.lists(idx, j)),
+            live: lp.is_some_and(|lp| lp.lists(idx, j)),
             ..explain_statement(s)
         })
         .collect();

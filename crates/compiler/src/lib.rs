@@ -44,7 +44,7 @@ pub mod materialize;
 pub mod program;
 pub mod shard;
 
-pub use batch_delta::derive_run_linear;
+pub use batch_delta::derive_live_passes;
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
     explain, IndexStats, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
@@ -53,9 +53,8 @@ pub use explain::{
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-    CompileReport, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
-    RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
-    TriggerProgram,
+    CompileReport, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
+    RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -67,9 +66,8 @@ pub mod prelude {
     pub use crate::explain::{explain, IndexStats, ProgramExplain, ViewStats};
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-        CompileReport, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
-        RelationMeta, ResultAccess, RunLinear, RunLinearStmt, Statement, StmtOp, Trigger,
-        TriggerProgram,
+        CompileReport, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
+        RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

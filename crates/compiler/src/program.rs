@@ -353,14 +353,14 @@ pub struct TriggerProgram {
     pub stored_relations: BTreeSet<String>,
     /// Static tables referenced by the program (always stored).
     pub static_tables: BTreeSet<String>,
-    /// Per-relation run-linear programs, one for every relation whose
-    /// triggers are batch-delta eligible (see [`BatchStrategy::BatchDelta`]).
-    /// Derived data, like the statements' kernels: excluded from the program
+    /// Per-relation live passes, one for every relation whose triggers are
+    /// batch-delta eligible (see [`BatchStrategy::BatchDelta`]). Derived
+    /// data, like the statements' kernels: excluded from the program
     /// fingerprint, which hashes the canonical rendering only.
-    pub run_linear: Vec<RunLinear>,
-    /// Per-relation batch-delta derivation outcomes: eligible, or which gate
-    /// bailed. Derived data: excluded from the program fingerprint and empty
-    /// for hand-assembled programs.
+    pub live_passes: Vec<LivePass>,
+    /// Per-relation batch-delta derivation outcomes: eligible, or which
+    /// condition bailed. Derived data: excluded from the program fingerprint
+    /// and empty for hand-assembled programs.
     pub batch_delta_reasons: Vec<BatchDeltaOutcome>,
     /// Compilation report (rule usage, counts).
     pub report: CompileReport,
@@ -371,21 +371,23 @@ pub struct TriggerProgram {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchStrategy {
     /// Entry-major: each delta entry fires the full per-event trigger sequence
-    /// (`|mult|` times), exactly like event-at-a-time processing. The per-event
-    /// oracle, the path of every relation batch-delta derivation bailed on,
-    /// and the replay path of a batch-delta run that hit an evaluation error.
+    /// (`|mult|` times), exactly like event-at-a-time processing. Never the
+    /// static choice for a relation of a compiled workload program; it is the
+    /// per-event oracle (`Engine::set_force_entry_major`), the replay of a
+    /// batch-delta run that hit an evaluation error, and the fallback for a
+    /// hand-assembled trigger whose `:=` statements cannot be the run's tail.
     EntryMajor,
     /// Batch-delta: the whole run is one delta GMR. Every incremental
     /// statement of both sign triggers that reads nothing the run writes is
     /// evaluated for all entries against the **pre-run** state, its writes
-    /// buffered; the relation's [`RunLinear`] statements — the ones that do
+    /// buffered; the relation's [`LivePass`] statements — the ones that do
     /// read what the run writes — are evaluated firing by firing against
     /// maps the run keeps current as it goes, to account for entries of the
     /// same run interacting. The buffered writes and the base update follow,
     /// and the `:=` statements of the run's last event fire once against the
     /// new state — the one firing whose output survives per-event
     /// processing. Chosen whenever the derivation succeeds — see
-    /// [`crate::batch_delta`] for the argument and its eligibility gates.
+    /// [`crate::batch_delta`] for the argument and its eligibility conditions.
     BatchDelta,
 }
 
@@ -405,31 +407,30 @@ impl fmt::Display for BatchStrategy {
     }
 }
 
-/// The run-linear program of one batch-delta eligible relation (see
-/// [`crate::batch_delta`]): the trigger statements whose right-hand side has
-/// a *run-linear part* — product terms that read a map, or the relation's own
-/// stored slice, that the same relation's triggers write — and the maps those
-/// terms read. A multi-firing run evaluates every other statement once per
-/// entry against the pre-run state, and these firing by firing in entry
-/// order, writing the maps they read as it goes: sequential per-event
-/// processing for exactly the part of the program where the order of a run's
-/// entries matters.
+/// The live pass of one batch-delta eligible relation (see
+/// [`crate::batch_delta`]): the `+=` statements whose right-hand side reads a
+/// map, or the relation's own stored slice, that the same relation's triggers
+/// write, and the maps they read of those. A multi-firing run evaluates every
+/// other statement once per entry against the pre-run state, and these firing
+/// by firing in entry order, writing the maps they read as it goes: sequential
+/// per-event processing for exactly the part of the program where the order
+/// of a run's entries matters.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct RunLinear {
-    /// The stream relation whose runs this program completes.
+pub struct LivePass {
+    /// The stream relation whose runs this pass completes.
     pub relation: String,
-    /// The statements with a run-linear part, in `(trigger, statement)`
-    /// order; empty when no statement of the relation reads run-written state
-    /// — the relation is still batch-delta eligible, its runs just have no
-    /// interaction.
-    pub statements: Vec<RunLinearStmt>,
+    /// The statements that read run-written state, in `(trigger, statement)`
+    /// order; empty when no statement of the relation reads run-written
+    /// state — the relation is still batch-delta eligible, its runs just have
+    /// no interaction.
+    pub statements: Vec<LiveStmt>,
     /// The run-written names those statements read, sorted: the *live maps*,
     /// which a run writes firing by firing instead of once at its end.
     pub live_maps: Vec<String>,
 }
 
-impl RunLinear {
-    /// Is statement `stmt` of trigger `trigger` one of [`RunLinear::statements`]?
+impl LivePass {
+    /// Is statement `stmt` of trigger `trigger` one of [`LivePass::statements`]?
     pub fn lists(&self, trigger: usize, stmt: usize) -> bool {
         self.statements
             .iter()
@@ -437,51 +438,42 @@ impl RunLinear {
     }
 }
 
-/// One trigger statement with a run-linear part, by position.
+/// One trigger statement that reads run-written state, by position.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RunLinearStmt {
+pub struct LiveStmt {
     /// Index into [`TriggerProgram::triggers`] of the statement's trigger.
     pub trigger: usize,
     /// Index into that trigger's [`Trigger::statements`].
     pub stmt: usize,
 }
 
-/// Which eligibility gate stopped batch-delta derivation for a
-/// relation (see [`crate::batch_delta`] for the gates themselves). Recorded at
+/// Which eligibility condition stopped batch-delta derivation for a relation
+/// (see [`crate::batch_delta`] for the conditions themselves). Recorded at
 /// compile time so EXPLAIN can name the exact condition instead of a generic
 /// "not eligible".
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchDeltaBail {
-    /// Gate 1: an incremental statement follows a re-evaluation statement in
+    /// Tail: an incremental statement follows a re-evaluation statement in
     /// its trigger, so the `:=` statements are not a tail that can fire once
     /// after the run's increments.
     IncrementAfterReplace {
         /// The increment's target map.
         target: String,
     },
-    /// Gate 1: the insert and delete triggers re-evaluate different target
+    /// Tail: the insert and delete triggers re-evaluate different target
     /// sets, so which `:=` output survives depends on the per-event
     /// interleaving of signs.
     UnmirroredReplace,
-    /// Gate 1: a re-evaluation statement exists but one update sign has no
+    /// Tail: a re-evaluation statement exists but one update sign has no
     /// trigger to mirror it.
     OneSidedReplace,
-    /// Gate 2: a statement reads `target` at or after the point its own
-    /// trigger writes it, so pre-run-state evaluation cannot reproduce the
-    /// per-event order.
-    ReadAfterWrite {
-        /// The map read before (or at) its own write.
-        target: String,
-    },
-    /// Gate 3: the statement for `target` is not affine in `read`, which the
-    /// same relation's triggers write: a product term holds two run-written
-    /// atoms, or one under a lift, comparison, `EXISTS` or scalar function —
-    /// or `read` is rewritten wholesale by a `:=` statement, which a run fires
-    /// once, after its last entry, not per firing.
-    NonAffineRunRead {
+    /// The gate: the statement for `target` reads `read`, which a `:=`
+    /// statement of the same relation's triggers rewrites wholesale — once
+    /// per run, after its last entry, not once per firing.
+    ReadsReplaceTarget {
         /// The statement's target map.
         target: String,
-        /// The run-written map (or the relation's stored slice) read.
+        /// The `:=` target read.
         read: String,
     },
 }
@@ -499,12 +491,10 @@ impl BatchDeltaBail {
             BatchDeltaBail::OneSidedReplace => {
                 "a replace statement lacks a mirroring trigger for the other sign".to_string()
             }
-            BatchDeltaBail::ReadAfterWrite { target } => {
-                format!("statement reads `{target}` at or after its own write")
-            }
-            BatchDeltaBail::NonAffineRunRead { target, read } => {
-                format!("the statement for `{target}` is not affine in run-written `{read}`")
-            }
+            BatchDeltaBail::ReadsReplaceTarget { target, read } => format!(
+                "the statement for `{target}` reads `{read}`, which a replace (`:=`) statement \
+                 rewrites once per run"
+            ),
         }
     }
 }
@@ -514,8 +504,8 @@ impl BatchDeltaBail {
 pub struct BatchDeltaOutcome {
     /// The stream relation.
     pub relation: String,
-    /// `None` — derivation succeeded (the relation has a [`RunLinear`]);
-    /// `Some` — the first gate that fired.
+    /// `None` — derivation succeeded (the relation has a [`LivePass`]);
+    /// `Some` — the first condition that failed.
     pub bail: Option<BatchDeltaBail>,
 }
 
@@ -602,7 +592,7 @@ impl TriggerProgram {
     /// a multi-entry delta batch drives them (the runtime resolves the result
     /// into its dispatch table once, at engine construction):
     /// [`BatchStrategy::BatchDelta`] when the relation has a derived
-    /// [`RunLinear`] (including an empty one), [`BatchStrategy::EntryMajor`] —
+    /// [`LivePass`] (including an empty one), [`BatchStrategy::EntryMajor`] —
     /// per-event processing inside the batch, always exact — otherwise. The
     /// reason a relation is entry-major is its [`BatchDeltaOutcome`].
     pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
@@ -624,7 +614,7 @@ impl TriggerProgram {
                     relation: rel.to_string(),
                     insert: idx_of(UpdateSign::Insert),
                     delete: idx_of(UpdateSign::Delete),
-                    strategy: match self.run_linear_for(rel) {
+                    strategy: match self.live_pass_for(rel) {
                         Some(_) => BatchStrategy::BatchDelta,
                         None => BatchStrategy::EntryMajor,
                     },
@@ -633,10 +623,10 @@ impl TriggerProgram {
             .collect()
     }
 
-    /// The run-linear program for `relation`, if its triggers are batch-delta
+    /// The live pass for `relation`, if its triggers are batch-delta
     /// eligible.
-    pub fn run_linear_for(&self, relation: &str) -> Option<&RunLinear> {
-        self.run_linear.iter().find(|c| c.relation == relation)
+    pub fn live_pass_for(&self, relation: &str) -> Option<&LivePass> {
+        self.live_passes.iter().find(|c| c.relation == relation)
     }
 
     /// The recorded batch-delta derivation outcome for `relation`, if the

@@ -47,7 +47,7 @@
 //! any statement targeting **or reading** it is global (the executor must own
 //! the full value it reads). The local and global slices are therefore closed
 //! under their own reads, and [`slice_program`] can re-derive each slice's
-//! run-linear batch-delta program independently.
+//! batch-delta live pass independently.
 //!
 //! Within one shard, a run's intra-batch interactions are handled by the
 //! slice's own batch-delta live pass; *cross-shard* interactions cannot
@@ -142,8 +142,8 @@ impl ShardPlan {
 /// the exchange executor, over the full stream), if any statement needs it.
 #[derive(Clone, Debug)]
 pub struct ShardSlices {
-    /// Statements proven co-partitioned, with their own re-derived run-linear
-    /// program.
+    /// Statements proven co-partitioned, with their own re-derived live
+    /// passes.
     pub local: TriggerProgram,
     /// The exchange executor's program (`None` when fully local).
     pub global: Option<TriggerProgram>,
@@ -340,8 +340,8 @@ pub fn analyze_sharding(program: &TriggerProgram) -> ShardPlan {
 /// every shard over its partition of the stream) and the exchange executor's
 /// global program (run over the full stream), if one is needed. Each slice is
 /// a complete, self-contained [`TriggerProgram`]: its statements keep their
-/// kernels (a kernel depends on the statement alone) and the run-linear
-/// batch-delta program is re-derived over the slice's own maps, so a slice
+/// kernels (a kernel depends on the statement alone) and the batch-delta
+/// live passes are re-derived over the slice's own maps, so a slice
 /// engine dispatches batch strategies exactly as an unsharded engine would for
 /// that statement subset.
 pub fn slice_program(program: &TriggerProgram, plan: &ShardPlan, catalog: &Catalog) -> ShardSlices {
@@ -394,7 +394,7 @@ fn build_slice(
             });
         }
     }
-    let (run_linear, batch_delta_reasons) = crate::batch_delta::derive_run_linear(&triggers);
+    let (live_passes, batch_delta_reasons) = crate::batch_delta::derive_live_passes(&triggers);
     // Stored relations / static tables, recomputed for the slice exactly as
     // `compile` does for the full program.
     let mut stored_relations = BTreeSet::new();
@@ -439,7 +439,7 @@ fn build_slice(
         results,
         stored_relations,
         static_tables,
-        run_linear,
+        live_passes,
         batch_delta_reasons,
         report: program.report.clone(),
     }
@@ -720,12 +720,12 @@ mod tests {
         assert!(plan.fully_local(), "plan: {plan:#?}");
         assert_eq!(plan.partition_index("R"), Some(1), "join key B");
         assert_eq!(plan.class("SELFJ"), MapClass::Summed);
-        // The local slice must re-derive the run-linear program for the
-        // quadratic map: within-shard interactions still need it.
+        // The local slice must re-derive the live pass for the quadratic
+        // map: within-shard interactions still need it.
         let slices = slice_program(&program, &plan, &catalog());
-        let rl = slices.local.run_linear_for("R").expect("R eligible");
+        let lp = slices.local.live_pass_for("R").expect("R eligible");
         assert!(
-            !rl.statements.is_empty(),
+            !lp.statements.is_empty(),
             "quadratic self-join needs a live pass on each shard"
         );
     }

@@ -574,8 +574,8 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
 
-    // The revenue query's deltas are linear: its relations have no run-linear
-    // part. The Lineitem self-join adds a query whose delta re-reads a map
+    // The revenue query's deltas are linear: its relations have an empty live
+    // pass. The Lineitem self-join adds a query whose delta re-reads a map
     // Lineitem itself maintains, so multi-firing Lineitem runs make the
     // batch-delta live pass. The `vwap`-shaped nested aggregate (the
     // order-book query, over Lineitem prices) gives Lineitem a `:=`

@@ -20,15 +20,16 @@
 //! How a multi-entry delta drives that sequence is chosen statically per relation by
 //! [`TriggerProgram::batch_dispatch`] — two strategies, one firing order:
 //!
-//! * **Batch-delta** (chosen whenever the compiler derived a run-linear
-//!   program for the relation — see the compiler's `batch_delta` module) is
-//!   the three phases above run once per *run* instead of once per event:
+//! * **Batch-delta** (chosen whenever the compiler derived a live pass for
+//!   the relation — every relation of every compiled workload program; see
+//!   the compiler's `batch_delta` module) is the three phases above run once
+//!   per *run* instead of once per event:
 //!   1. every incremental statement of both sign triggers that reads nothing
 //!      the run writes is evaluated for all entries back-to-back against the
 //!      *pre-run* state with its writes buffered (statement prelude and
 //!      loop-invariant fused scans amortized over the run). When some
 //!      statement does read a map the same run writes — the relation's
-//!      run-linear program lists it, and the maps it reads are the relation's
+//!      live pass lists it, and the maps it reads are the relation's
 //!      *live maps* — one **live pass** over the run's firings follows, in
 //!      entry order: each listed statement is evaluated for the firing
 //!      against the store, and whatever the firing writes to a live map —
@@ -39,7 +40,7 @@
 //!      the run has added to it). Those writes are remembered and taken back
 //!      if the pass fails. The pass costs what its statements cost per event;
 //!      it is skipped for runs of at most one firing and for relations with
-//!      an empty program. Then all writes still buffered land: one target
+//!      an empty live pass. Then all writes still buffered land: one target
 //!      resolution, one change-log entry and one version bump per statement
 //!      per run;
 //!   2. the base update, one pass over the run's net entries (unless the
@@ -51,13 +52,17 @@
 //!      phase 1 and one re-evaluation per run instead of one per event.
 //!
 //!   Any evaluation error in phase 1 discards the (still unapplied) buffers,
-//!   undoes the live pass's writes and replays the whole run entry-major, reproducing per-event poison
-//!   semantics exactly. A failing `:=` in phase 3 counts its binding event as
-//!   failed, like the per-event path does.
-//! * **Entry-major** (the per-event oracle, the path of every relation the
-//!   derivation bailed on — increment chains that read their own targets,
-//!   right-hand sides not affine in what the run writes, `:=` statements that
-//!   are not a mirrored tail — and the replay path above): each surviving
+//!   undoes the live pass's writes and replays the whole run entry-major,
+//!   reproducing per-event poison semantics exactly. A failing `:=` in phase
+//!   3 counts its binding event as failed, like the per-event path does —
+//!   but the tail fires once per run, so where every `:=` of a stream fails
+//!   (a poison value stored in a base relation the re-evaluation reads),
+//!   per-event processing reports one failure per event and a batch one per
+//!   run (see [`BatchReport::failed_events`]).
+//! * **Entry-major** (the per-event oracle behind
+//!   [`Engine::set_force_entry_major`], the replay path above, and the
+//!   fallback for a hand-assembled trigger whose `:=` statements cannot be
+//!   the run's tail — no compiled workload program has one): each surviving
 //!   entry fires the full per-event sequence `|mult|` times. Always exact;
 //!   amortizes only the per-batch dispatch.
 //!
@@ -70,7 +75,7 @@
 //! rejects a program with a statement it cannot lower, so there is no other
 //! evaluator in the engine. The reference semantics — `dbtoaster_agca::eval`
 //! over the map definitions — is the test suites' oracle. See the compiler's
-//! `batch_delta` module for the affine-split argument and the `:=` tail
+//! `batch_delta` module for the live-pass argument and the `:=` tail
 //! (bit-exact on integer-weighted streams; to summation order on float
 //! aggregates).
 //!
@@ -86,7 +91,7 @@ use dbtoaster_agca::eval::{EvalError, RelationSource};
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, ResultAccess, RunLinear, Statement, StmtOp, Trigger, TriggerProgram,
+    BatchStrategy, Catalog, LivePass, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
@@ -229,7 +234,11 @@ pub struct BatchReport {
     pub events: u64,
     /// Events whose trigger work failed (counted by the delta entries or
     /// firings they were folded into; such events may be *partially* applied —
-    /// there is no statement rollback).
+    /// there is no statement rollback). A batch-delta run fires its `:=`
+    /// statements once, for its last event, so a failing `:=` counts one
+    /// failure per run, not one per event: where a poison value stored in a
+    /// base relation makes every later re-evaluation fail, per-event
+    /// processing reports every event and a batch reports every run.
     pub failed_events: u64,
     /// The first error encountered, if any.
     pub first_error: Option<RuntimeError>,
@@ -394,11 +403,11 @@ struct DispatchEntry {
     insert: Option<u16>,
     delete: Option<u16>,
     strategy: BatchStrategy,
-    /// Index into [`TriggerProgram::run_linear`] when the strategy is
-    /// batch-delta and some statement has a run-linear part, i.e. when
+    /// Index into [`TriggerProgram::live_passes`] when the strategy is
+    /// batch-delta and some statement reads run-written state, i.e. when
     /// multi-firing runs need the live pass (resolved once at
     /// dispatch-build time).
-    run_linear: Option<u16>,
+    live_pass: Option<u16>,
 }
 
 impl DispatchEntry {
@@ -530,7 +539,7 @@ pub struct Engine {
     dispatch: FastMap<String, DispatchEntry>,
     /// Undo log of the batch-delta live pass: per write it made to a view
     /// ahead of the apply phase, the view (an index into the relation's
-    /// [`RunLinear::live_maps`]), the key and the multiplicity the key had
+    /// [`LivePass::live_maps`]), the key and the multiplicity the key had
     /// before. Replayed backwards when the pass fails; empty between passes.
     undo: Vec<(u16, Tuple, f64)>,
     /// Run every relation entry-major (the per-event oracle; see
@@ -777,11 +786,11 @@ impl Engine {
             .batch_dispatch()
             .into_iter()
             .map(|d| {
-                let run_linear = self
+                let live_pass = self
                     .program
-                    .run_linear
+                    .live_passes
                     .iter()
-                    .position(|rl| rl.relation == d.relation && !rl.statements.is_empty())
+                    .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
                     .map(|i| i as u16);
                 (
                     d.relation,
@@ -793,7 +802,7 @@ impl Engine {
                         } else {
                             d.strategy
                         },
-                        run_linear,
+                        live_pass,
                     },
                 )
             })
@@ -1260,8 +1269,8 @@ impl Engine {
 
     /// Batch-delta execution of one run (see the module docs): collect every
     /// incremental statement's rows over the run's entries against the
-    /// pre-run state (for a multi-firing run of a relation with a run-linear
-    /// program: the live pass in place of that program's statements), apply
+    /// pre-run state (for a multi-firing run of a relation with a non-empty
+    /// live pass: that pass in place of the statements it lists), apply
     /// the buffers in statement order, apply the base update, fire the last
     /// event's `:=` statements. Returns the strategy that actually executed:
     /// any collection error discards the (still unapplied) buffers — the
@@ -1363,9 +1372,8 @@ impl Engine {
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
     /// statement's rows, evaluated against the pre-run state and touching no
     /// view — except, when the run has more than one firing and the relation
-    /// a run-linear program, the statements that program lists, which the
-    /// live pass then evaluates (and whose inputs it writes) firing by
-    /// firing. On `Err` the database is as it was before the call, so the
+    /// a non-empty live pass, the statements that pass lists, which it then
+    /// evaluates (and whose inputs it writes) firing by firing. On `Err` the database is as it was before the call, so the
     /// caller can fall back wholesale.
     fn collect_batch_delta(
         &mut self,
@@ -1378,10 +1386,10 @@ impl Engine {
         // With at most one firing there is nothing for it to interact with —
         // which also keeps the batch-of-1 path free of any live-pass work.
         let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
-        let rl = disp
-            .run_linear
+        let lp = disp
+            .live_pass
             .filter(|_| firings > 1)
-            .map(|i| &program.run_linear[i as usize]);
+            .map(|i| &program.live_passes[i as usize]);
         // First deferred-statement slot of each sign's trigger (statement `j`
         // of the trigger lands in slot `base + j`).
         let mut base = [0usize; 2];
@@ -1402,7 +1410,7 @@ impl Engine {
                 if !self.db.contains(&stmt.target) {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
                 }
-                if rl.is_some_and(|rl| rl.lists(tidx as usize, j)) {
+                if lp.is_some_and(|lp| lp.lists(tidx as usize, j)) {
                     // Left to the live pass, which fills this slot.
                     self.bd.acquire(tidx, j as u16);
                     continue;
@@ -1416,15 +1424,15 @@ impl Engine {
                 }
             }
         }
-        let Some(rl) = rl else {
+        let Some(lp) = lp else {
             return Ok(());
         };
         let st0 = self.armed_instant();
-        let rows = self.live_pass(program, disp, rl, run, base);
+        let rows = self.live_pass(program, disp, lp, run, base);
         if rows.is_err() {
             // Take back what the pass wrote, last write first.
             for (map, key, before) in self.undo.drain(..).rev() {
-                if let Some(view) = self.db.view_mut(&rl.live_maps[map as usize]) {
+                if let Some(view) = self.db.view_mut(&lp.live_maps[map as usize]) {
                     view.set(key, before);
                 }
             }
@@ -1436,22 +1444,23 @@ impl Engine {
 
     /// The live pass of a batch-delta run (see the module docs): walk the
     /// run's firings in entry order; per firing and statement of its trigger,
-    /// in statement order, evaluate the statement if the run-linear program
-    /// lists it — against the store as the run's earlier firings left it —
-    /// and append the rows to the statement's deferred buffer (`base + j`);
-    /// then, if the statement's target is one of the relation's live maps,
+    /// in statement order, evaluate the statement if the live pass lists it —
+    /// against the store as the run's earlier firings and the firing's
+    /// earlier statements left it — and append the rows to the statement's
+    /// deferred buffer (`base + j`); then, if the statement's target is one of
+    /// the relation's live maps,
     /// apply what the firing writes to it (the rows just evaluated, or the
     /// firing's segment of the rows buffered before the pass) at once,
     /// remembering what each key held. The base update follows the same
-    /// rule. A statement never reads its own or an earlier statement's target
-    /// (dispatch gate 2), so writing statement by statement is still a
-    /// pre-event read for the rest of the firing — as it is per event.
-    /// Returns the number of rows the pass evaluated.
+    /// rule. A statement that reads its own or an earlier statement's target
+    /// reads a live map, written statement by statement — the order
+    /// per-event processing reads it in. Returns the number of rows the pass
+    /// evaluated.
     fn live_pass(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        rl: &RunLinear,
+        lp: &LivePass,
         run: &RelationDelta,
         base: [usize; 2],
     ) -> Result<u64, RuntimeError> {
@@ -1470,7 +1479,7 @@ impl Engine {
             tel,
             ..
         } = self;
-        let live_of = |name: &str| rl.live_maps.iter().position(|n| n == name);
+        let live_of = |name: &str| lp.live_maps.iter().position(|n| n == name);
         let base_map = live_of(run.relation());
         bd.base_applied = base_map.is_some();
         // Entries of each sign met so far: entry `k` of a sign owns segment
@@ -1489,7 +1498,7 @@ impl Engine {
             for _ in 0..entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
                     let ds = &mut bd.stmts[base[s] + j];
-                    let own = if tidx.is_some_and(|t| rl.lists(t as usize, j)) {
+                    let own = if tidx.is_some_and(|t| lp.lists(t as usize, j)) {
                         stats.statements += 1;
                         if let Some(slot) = tel
                             .as_deref_mut()

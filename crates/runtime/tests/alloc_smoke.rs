@@ -193,9 +193,9 @@ fn live_pass_allocates_nothing_in_steady_state() {
         &CompileOptions::for_mode(CompileMode::HigherOrder),
     )
     .unwrap();
-    let rl = program.run_linear_for("R").expect("R is batch-delta");
+    let lp = program.live_pass_for("R").expect("R is batch-delta");
     assert!(
-        !rl.statements.is_empty(),
+        !lp.statements.is_empty(),
         "the self-join reads what its run writes"
     );
     let mut engine = Engine::new(program, &catalog);

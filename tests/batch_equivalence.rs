@@ -14,11 +14,13 @@
 //! insert/delete cancellations inside one batch are generated on purpose.
 //!
 //! The query set spans both batch strategies: linear aggregates and
-//! group-bys (batch-delta with no run-linear part), a quadratic self-join
+//! group-bys (batch-delta with an empty live pass), a quadratic self-join
 //! whose intra-batch interaction is carried by the live pass, a
 //! stream-scaled self-join whose live pass also reads another stream's
 //! stored slice, a nested-aggregate shape whose re-evaluation statement is
-//! the run's `:=` tail, and a cubic self-join that stays entry-major. The
+//! the run's `:=` tail, and a cubic self-join whose statements hold two
+//! run-written atoms in one product — batch-delta too, its live pass firing
+//! them entry by entry; entry-major is the forced per-event oracle. The
 //! replace-tail section plants the run shapes the tail has to get right, on
 //! that nested shape and on the workload's `vwap`. The order-book section drives the workload's own
 //! self-join queries — `bsp` alone and `axf+bsp+bsv` in one engine, the
@@ -129,10 +131,9 @@ fn nested_query() -> QuerySpec {
 }
 
 /// A three-way self-join on one column: its statements hold two run-written
-/// atoms in one product term, so batch-delta derivation bails and `R` runs
-/// entry-major (compiled separately — dispatch is per relation, and sharing a
-/// program would drag the other queries' `R` triggers onto the per-event path
-/// with it).
+/// atoms in one product term. The live pass fires them entry by entry like
+/// any other statement that reads what its run writes, so `R` is batch-delta
+/// (compiled separately, so its live pass is the only one of its program).
 fn cubic_query() -> QuerySpec {
     QuerySpec {
         name: "CUBIC".into(),
@@ -275,10 +276,11 @@ fn check_case_n(
 
 /// Guard the suite's own premise: the HO-compiled query set must exercise
 /// batch-delta on every relation (including the stream-scaled self-join, whose
-/// run-linear parts read another stream's stored slice), the nested shape
+/// live statements read another stream's stored slice), the nested shape
 /// must carry a `:=` tail on a batch-delta relation, re-evaluation mode must
-/// be batch-delta throughout (all tail), and the entry-major path must still
-/// exist for a genuinely ineligible shape.
+/// be batch-delta throughout (all tail), the cubic self-join is batch-delta
+/// with a live pass, and the entry-major path is reached through the forced
+/// override.
 #[test]
 fn query_set_spans_both_batch_strategies() {
     use dbtoaster::compiler::StmtOp;
@@ -293,9 +295,9 @@ fn query_set_spans_both_batch_strategies() {
     );
     assert!(
         program
-            .run_linear
+            .live_passes
             .iter()
-            .any(|rl| !rl.statements.is_empty()),
+            .any(|lp| !lp.statements.is_empty()),
         "the self-joins need the live pass"
     );
 
@@ -333,17 +335,32 @@ fn query_set_spans_both_batch_strategies() {
         cubic
             .batch_dispatch()
             .iter()
-            .all(|d| d.strategy == BatchStrategy::EntryMajor),
-        "a cubic self-join must stay entry-major: {:?}",
+            .all(|d| d.strategy == BatchStrategy::BatchDelta),
+        "a cubic self-join is batch-delta: {:?}",
         cubic.batch_dispatch()
     );
+    let lp = cubic.live_pass_for("R").expect("R derives");
+    assert!(!lp.statements.is_empty(), "the cubic self-join fires live");
+
+    // Entry-major: the forced oracle, run by run.
+    let mut engine = Engine::new(cubic, &catalog());
+    engine.set_force_entry_major(true);
+    engine.set_run_recording(true);
+    let report = engine.process_batch(&DeltaBatch::from_events(&random_stream(5, 40)));
+    assert!(report.first_error.is_none(), "{:?}", report.first_error);
+    assert!(!report.runs.is_empty());
+    assert!(report
+        .runs
+        .iter()
+        .all(|r| r.strategy == BatchStrategy::EntryMajor));
+    assert_eq!(engine.stats().batch_delta_runs, 0);
 }
 
 /// Coverage guard for the batch benchmark sweep: every query it measures must
 /// dispatch batch-delta on all of its stream relations in higher-order mode —
 /// if one regresses to a fallback strategy, the sweep silently stops
-/// measuring the batch-delta path (and, for `bsp`/`bsv`, its live pass). (Other workload queries — e.g. the
-/// EXISTS-correlated TPC-H q4 — legitimately stay on the fallbacks.)
+/// measuring the batch-delta path (and, for `bsp`/`bsv`, its live pass). (The
+/// census in `explain_golden` pins every other workload query batch-delta.)
 #[test]
 fn batch_sweep_queries_dispatch_batch_delta() {
     use dbtoaster::prelude::*;
@@ -438,7 +455,7 @@ proptest! {
     }
 
     /// The two shapes that need a program of their own: the `:=` tail and
-    /// the entry-major cubic self-join.
+    /// the cubic self-join's live pass.
     #[test]
     fn nested_and_cubic_random_partitions_are_bit_exact(seed32 in 0u32..1_000_000u32) {
         let seed = seed32 as u64;
@@ -1024,6 +1041,63 @@ fn poison_event_in_a_replace_tail_run_matches_per_event() {
     assert_recomputes(&batched, &catalog, &applied, "poisoned run");
 }
 
+/// The `:=` tail's one residue: a failing re-evaluation counts once per run,
+/// not once per event. In re-evaluation mode `vwap`'s triggers are nothing
+/// but `:=` statements over the stored `Bids`; an order whose volume is a
+/// string is stored by its own firing (the base update precedes the tail)
+/// and makes every later re-evaluation fail. Per event that is one failure
+/// per event from the poison on; a batch-delta run fires the tail once, for
+/// its last event, and reports one failure per run. The state agrees — the
+/// base relation holds the poison either way, and `vwap` keeps the last
+/// value computed before it, since the poison opens its run.
+#[test]
+fn poisoned_replace_tail_fails_once_per_run_not_per_event() {
+    let mut poison = order(5, 8, 0, 4, 1);
+    poison[4] = Value::str("not a volume");
+    let prefix = vec![
+        UpdateEvent::insert("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(2, 2, 0, 5, 2)),
+    ];
+    let run = vec![
+        UpdateEvent::insert("Bids", poison),
+        UpdateEvent::insert("Bids", order(3, 3, 0, 1, 7)),
+        UpdateEvent::delete("Bids", order(1, 1, 0, 2, 3)),
+        UpdateEvent::insert("Bids", order(4, 4, 0, 6, 4)),
+    ];
+    let after = vec![
+        UpdateEvent::insert("Bids", order(6, 9, 0, 3, 2)),
+        UpdateEvent::insert("Bids", order(7, 10, 0, 2, 5)),
+        UpdateEvent::delete("Bids", order(2, 2, 0, 5, 2)),
+    ];
+    let (program, catalog) = book_program(&["vwap"], CompileMode::Reevaluate);
+    let mut reference = Engine::new(program.clone(), &catalog);
+    let errors: Vec<_> = prefix
+        .iter()
+        .chain(&run)
+        .chain(&after)
+        .filter_map(|e| reference.process(e).err())
+        .collect();
+    assert_eq!(errors.len(), run.len() + after.len(), "one per event");
+
+    let mut batched = Engine::new(program, &catalog);
+    batched.set_run_recording(true);
+    let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
+    assert!(report.first_error.is_none());
+    for (label, events) in [("poisoned run", &run), ("later run", &after)] {
+        let report = batched.process_batch(&DeltaBatch::from_events(events));
+        assert_eq!(report.failed_events, 1, "{label}: one per run");
+        assert_eq!(report.first_error.as_ref(), errors.first(), "{label}");
+        assert_eq!(report.runs.len(), 1, "{label}");
+        assert_eq!(
+            report.runs[0].strategy,
+            BatchStrategy::BatchDelta,
+            "{label}"
+        );
+    }
+    assert!(!reference.view("vwap").unwrap().is_empty());
+    assert_engines_identical(&reference, &batched, "poisoned tail");
+}
+
 /// The order of the poison tests: its volume is a string.
 fn is_poison(e: &UpdateEvent) -> bool {
     matches!(e.tuple[4], Value::Str(_))
@@ -1251,29 +1325,96 @@ fn mddb1_live_pass_batches_match_per_event_within_float_tolerance() {
     }
 }
 
-/// Σ `entries_scanned` over every view of an engine that replays `events` in
-/// batches of `batch`, with the static dispatch checked on the way.
-fn entries_scanned(
+/// The work an engine does replaying `events` in batches of `batch`, with the
+/// static dispatch checked on the way unless entry-major is forced.
+struct Work {
+    /// Σ `entries_scanned` over every view.
+    scanned: u64,
+    /// `EngineStats::statements`.
+    statements: u64,
+    /// Σ live-pass firings over every view.
+    live_firings: u64,
+}
+
+fn batch_work(
     program: &dbtoaster::compiler::TriggerProgram,
     catalog: &Catalog,
     events: &[UpdateEvent],
     batch: usize,
-) -> u64 {
+    force_entry_major: bool,
+) -> Work {
     use dbtoaster::runtime::{Telemetry, TelemetryConfig};
     let mut engine = Engine::new(program.clone(), catalog);
+    engine.set_force_entry_major(force_entry_major);
     let tel = Telemetry::with_config(TelemetryConfig::default());
     engine.set_telemetry(tel.clone());
     for b in fixed_partition(events, batch) {
         let report = engine.process_batch(&b);
         assert!(report.first_error.is_none(), "{:?}", report.first_error);
     }
-    assert_eq!(
-        engine.stats().entry_major_runs,
-        0,
-        "batch {batch} re-routed a run entry-major"
-    );
+    if !force_entry_major {
+        assert_eq!(
+            engine.stats().entry_major_runs,
+            0,
+            "batch {batch} re-routed a run entry-major"
+        );
+    }
     engine.flush_telemetry();
-    tel.snapshot().views.iter().map(|v| v.entries_scanned).sum()
+    let views = tel.snapshot().views;
+    Work {
+        scanned: views.iter().map(|v| v.entries_scanned).sum(),
+        statements: engine.stats().statements,
+        live_firings: views.iter().map(|v| v.live_firings).sum(),
+    }
+}
+
+/// Timing-free guard for "promotion never costs work": the relations that
+/// became batch-delta when the affine split went — their statements read
+/// run-written state under a lift, comparison or `EXISTS`, or twice in one
+/// product — do no more work in batches of 64 under the default dispatch
+/// (their live pass) than with entry-major forced: Σ `entries_scanned` and
+/// `stats.statements` are each no larger.
+#[test]
+fn promoted_relations_do_no_more_work_than_entry_major() {
+    use dbtoaster::workloads::{self, FinanceConfig, TpchConfig};
+    let mut tpch = workloads::tpch::generate(&TpchConfig::scaled(0.002, 42));
+    tpch.truncate(1_500);
+    let book = |events| {
+        workloads::finance::generate(&FinanceConfig {
+            events,
+            seed: 42,
+            ..Default::default()
+        })
+    };
+    // None of these queries reads a static table.
+    for (name, mode, events) in [
+        ("q17a", CompileMode::HigherOrder, &tpch.events),
+        ("q18a", CompileMode::HigherOrder, &tpch.events),
+        ("vwap", CompileMode::FirstOrder, &book(600).events),
+        ("psp", CompileMode::FirstOrder, &book(300).events),
+        ("mst", CompileMode::NaiveViewlet, &book(200).events),
+    ] {
+        let (program, catalog) = book_program(&[name], mode);
+        let live = batch_work(&program, &catalog, events, 64, false);
+        let forced = batch_work(&program, &catalog, events, 64, true);
+        // Not vacuous: the live pass ran and the kernels scanned.
+        assert!(
+            live.live_firings > 0 && forced.scanned > 0,
+            "{name} [{mode}]"
+        );
+        assert!(
+            live.scanned <= forced.scanned,
+            "{name} [{mode}]: batch-delta scanned {} entries, entry-major {}",
+            live.scanned,
+            forced.scanned
+        );
+        assert!(
+            live.statements <= forced.statements,
+            "{name} [{mode}]: batch-delta ran {} statements, entry-major {}",
+            live.statements,
+            forced.statements
+        );
+    }
 }
 
 /// Timing-free regression guard for "a batch must never be slower than its
@@ -1300,7 +1441,7 @@ fn order_book_batches_scan_no_more_than_their_events() {
     });
     for names in [&["bsp"][..], &["axf"][..], &["axf", "bsp", "bsv"][..]] {
         let (program, catalog) = book_program(names, CompileMode::HigherOrder);
-        let per_event = entries_scanned(&program, &catalog, &data.events, 1);
+        let per_event = batch_work(&program, &catalog, &data.events, 1, false).scanned;
         assert!(per_event > 0, "{names:?}: the counters saw no scans");
         // `bsv` is O(1) per event and scans nothing; `axf` and `bsp` make two
         // range-sum scans per event each.
@@ -1310,7 +1451,7 @@ fn order_book_batches_scan_no_more_than_their_events() {
             "{names:?}: {per_event} entries for {scans} scans is a traversal, not a search"
         );
         for batch in [8, 64, 512] {
-            let batched = entries_scanned(&program, &catalog, &data.events, batch);
+            let batched = batch_work(&program, &catalog, &data.events, batch, false).scanned;
             assert!(
                 batched <= per_event,
                 "{names:?}: batch {batch} touched {batched} entries, its events touch {per_event}"
@@ -1336,7 +1477,7 @@ fn order_book_work_per_event_does_not_follow_the_bucket_size() {
                     seed: 42,
                     ..Default::default()
                 });
-            let scanned = entries_scanned(&program, &catalog, &data.events, 1);
+            let scanned = batch_work(&program, &catalog, &data.events, 1, false).scanned;
             let mut engine = Engine::new(program.clone(), &catalog);
             engine.process_all(&data.events).unwrap();
             let bucket = program

@@ -9,14 +9,17 @@
 //!
 //! Three layers:
 //!
-//! * every bundled workload query, in all four compile modes. Workload
-//!   data contains non-dyadic doubles (TPC-H cent prices), so sums may differ
-//!   in the last ulp between summation orders; maps are compared with a tight
-//!   *relative* tolerance (1e-9, about seven orders of magnitude above ulp
-//!   noise and seven below any real divergence).
+//! * every bundled workload query, in all four compile modes, processed
+//!   event by event and in delta batches of 64 — where every relation must
+//!   run batch-delta, none entry-major. Workload data contains non-dyadic
+//!   doubles (TPC-H cent prices), so sums may differ in the last ulp between
+//!   summation orders; maps are compared with a tight *relative* tolerance
+//!   (1e-9, about seven orders of magnitude above ulp noise and seven below
+//!   any real divergence).
 //! * proptest-generated random programs (joins, group-bys, comparisons,
 //!   lifts, nested aggregates, negation) over integer-valued streams, where
-//!   f64 arithmetic is exact in any order — compared **bit-exact** (eps 0.0).
+//!   f64 arithmetic is exact in any order — compared **bit-exact** (eps 0.0),
+//!   event by event and over a random partition into batches.
 //! * self-join chains keyed by trigger variables, in every compile mode.
 
 mod common;
@@ -59,8 +62,8 @@ fn dataset_for(family: Family, events: usize) -> workloads::Dataset {
 }
 
 /// One engine maintaining every query of `qs` (which share a family, hence a
-/// dataset) over the same stream.
-fn run_engine(
+/// dataset), its static tables loaded, before any event.
+fn new_engine(
     qs: &[workloads::WorkloadQuery],
     mode: CompileMode,
     data: &workloads::Dataset,
@@ -78,9 +81,6 @@ fn run_engine(
     }
     engine.init().unwrap();
     engine
-        .process_all(&data.events)
-        .unwrap_or_else(|e| panic!("{names:?} [{mode}]: processing failed: {e}"));
-    engine
 }
 
 const ALL_MODES: [CompileMode; 4] = [
@@ -94,8 +94,9 @@ fn check_workload(name: &str, events: usize) {
     check_program(&[name], events);
 }
 
-/// One engine maintaining all of `names`, in every compile mode: every
-/// maintained map must equal its recomputed definition.
+/// One engine maintaining all of `names`, in every compile mode, fed event by
+/// event and in batches of 64: every maintained map must equal its recomputed
+/// definition, and no batch run may take the entry-major path.
 fn check_program(names: &[&str], events: usize) {
     let qs: Vec<workloads::WorkloadQuery> = names
         .iter()
@@ -105,11 +106,33 @@ fn check_program(names: &[&str], events: usize) {
     let catalog = dbtoaster::to_compiler_catalog(&workloads::full_catalog());
     let oracle = Recompute::new(&catalog, &data.tables, &data.events);
     for mode in ALL_MODES {
-        let engine = run_engine(&qs, mode, &data);
+        let mut engine = new_engine(&qs, mode, &data);
+        engine
+            .process_all(&data.events)
+            .unwrap_or_else(|e| panic!("{names:?} [{mode}]: processing failed: {e}"));
         oracle.check(
             &format!("{names:?} [{mode}]"),
             engine.program(),
             &|m| engine.view(m),
+            1e-9,
+        );
+
+        let mut batched = new_engine(&qs, mode, &data);
+        for chunk in data.events.chunks(64) {
+            let report = batched.process_batch(&DeltaBatch::from_events(chunk));
+            assert!(
+                report.first_error.is_none(),
+                "{names:?} [{mode}] batch 64: {:?}",
+                report.first_error
+            );
+        }
+        let stats = batched.stats();
+        assert_eq!(stats.entry_major_runs, 0, "{names:?} [{mode}] batch 64");
+        assert!(stats.batch_delta_runs > 0, "{names:?} [{mode}] batch 64");
+        oracle.check(
+            &format!("{names:?} [{mode}] batch 64"),
+            batched.program(),
+            &|m| batched.view(m),
             1e-9,
         );
     }
@@ -253,7 +276,7 @@ fn mddb1_compiled_equals_interpreted() {
 
 mod random_programs {
     use super::common::Recompute;
-    use dbtoaster::agca::{Expr, UpdateEvent};
+    use dbtoaster::agca::{DeltaBatch, Expr, UpdateEvent};
     use dbtoaster::compiler::{
         compile, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta,
     };
@@ -379,12 +402,21 @@ mod random_programs {
 
         /// Compiled kernels reproduce every map's recomputed definition
         /// **bit-exactly** on random programs over integer data, in every
-        /// compilation mode.
+        /// compilation mode — event by event and over a random partition of
+        /// the stream into batches of 1–40 events, none run entry-major.
         #[test]
         fn compiled_is_bit_exact_on_random_programs(seed in 0u32..1_000_000) {
             let seed = seed as u64;
             let q = random_query(seed);
             let events = stream(seed, 200);
+            let mut g = Gen(seed ^ 0x5eed);
+            let mut batches = Vec::new();
+            let mut rest = &events[..];
+            while !rest.is_empty() {
+                let (batch, tail) = rest.split_at((1 + g.next(40)).min(rest.len()));
+                batches.push(DeltaBatch::from_events(batch));
+                rest = tail;
+            }
             let oracle = Recompute::new(&catalog(), &Default::default(), &events);
             for mode in [
                 CompileMode::HigherOrder,
@@ -399,7 +431,7 @@ mod random_programs {
                 )
                 .unwrap_or_else(|e| panic!("seed {seed} [{mode}]: {e}"));
 
-                let mut engine = Engine::new(program, &catalog());
+                let mut engine = Engine::new(program.clone(), &catalog());
                 engine
                     .process_all(&events)
                     .unwrap_or_else(|e| panic!("seed {seed} [{mode}]: {e}"));
@@ -407,6 +439,19 @@ mod random_programs {
                     &format!("seed {seed} [{mode}] {}", q.expr),
                     engine.program(),
                     &|m| engine.view(m),
+                    0.0,
+                );
+
+                let mut batched = Engine::new(program, &catalog());
+                for b in &batches {
+                    let report = batched.process_batch(b);
+                    prop_assert!(report.first_error.is_none(), "{:?}", report.first_error);
+                }
+                prop_assert_eq!(batched.stats().entry_major_runs, 0);
+                oracle.check(
+                    &format!("seed {seed} [{mode}] batched {}", q.expr),
+                    batched.program(),
+                    &|m| batched.view(m),
                     0.0,
                 );
             }
