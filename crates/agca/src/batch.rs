@@ -63,8 +63,8 @@
 //! firings only the last one's output survives, so they fire once, for the
 //! run's last event, after the buffered writes and the base update.
 //!
-//! Derivation bails out — and the relation runs entry-major, each surviving
-//! entry firing the full per-event sequence — only when the `:=` statements
+//! Derivation bails out — and the relation runs entry-major, the same
+//! executor over runs of one firing each — only when the `:=` statements
 //! cannot be the run's tail: they are not a trigger's tail, not mirrored
 //! across both sign triggers, or an incremental statement reads one's target
 //! (rewritten once per run, not once per firing). No relation of a compiled
@@ -299,9 +299,11 @@ impl DeltaBatch {
     /// begins. Insert/delete events of one relation share a run — that is
     /// what lets opposite-sign same-key events cancel.
     pub fn push(&mut self, event: &UpdateEvent) {
-        let run = self.run_for(&event.relation, event.tuple.len());
-        run.push_key(Tuple::from(event.tuple.as_slice()), event.sign);
-        self.events += 1;
+        self.push_key(
+            &event.relation,
+            Tuple::from(event.tuple.as_slice()),
+            event.sign,
+        );
     }
 
     /// [`DeltaBatch::push`] taking the event by value: the tuple's values are
@@ -309,8 +311,13 @@ impl DeltaBatch {
     /// for producers that own their events (the serving writer's drained
     /// micro-batches, WAL replay records).
     pub fn push_owned(&mut self, event: UpdateEvent) {
-        let run = self.run_for(&event.relation, event.tuple.len());
-        run.push_key(Tuple::from(event.tuple), event.sign);
+        self.push_key(&event.relation, Tuple::from(event.tuple), event.sign);
+    }
+
+    /// [`DeltaBatch::push`] of an event given as its parts, the tuple already
+    /// a key (the engine's runs of one firing).
+    pub fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
+        self.run_for(relation, key.len()).push_key(key, sign);
         self.events += 1;
     }
 

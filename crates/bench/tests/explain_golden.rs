@@ -16,26 +16,43 @@
 //! census pins which maps of which queries carry one.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
-//! the explained strategy must follow the entry-major override exactly as the
-//! live dispatch does.
+//! a program without live passes — a hand-assembled one, whose derivation
+//! never ran — must be explained entry-major exactly as it runs.
 
 use dbtoaster::prelude::*;
+use dbtoaster::runtime::Engine;
 use dbtoaster::workloads;
-use dbtoaster_bench::{build_engine, dataset_for};
+use dbtoaster_bench::dataset_for;
 
 const EVENTS: usize = 400;
 const SEED: u64 = 7;
 const CHUNK: usize = 32;
 
 /// Replay a query's stream in multi-event delta batches, returning every run
-/// record plus the engine for explaining.
+/// record plus the engine for explaining. `underivable` drops the compiled
+/// program's live passes first, so every relation dispatches entry-major.
 fn run_batched(
     q: &workloads::WorkloadQuery,
-    force_entry_major: bool,
-) -> (QueryEngine, Vec<(String, BatchStrategy)>) {
+    underivable: bool,
+) -> (Engine, Vec<(String, BatchStrategy)>) {
     let data = dataset_for(q.family, EVENTS, SEED);
-    let mut engine = build_engine(q, CompileMode::HigherOrder, &data);
-    engine.set_force_entry_major(force_entry_major);
+    let catalog = workloads::full_catalog();
+    let mut program = QueryEngineBuilder::new(catalog.clone())
+        .add_query(q.name, q.sql)
+        .mode(CompileMode::HigherOrder)
+        .build()
+        .unwrap_or_else(|e| panic!("{}: {e}", q.name))
+        .program()
+        .clone();
+    if underivable {
+        program.live_passes.clear();
+        program.batch_delta_reasons.clear();
+    }
+    let mut engine = Engine::new(program, &dbtoaster::to_compiler_catalog(&catalog));
+    for (table, rows) in &data.tables {
+        engine.load_table(table, rows.clone());
+    }
+    engine.init_static_views().unwrap();
     engine.set_telemetry(Telemetry::with_config(TelemetryConfig::default()));
     engine.set_run_recording(true);
     let mut runs = Vec::new();
@@ -52,16 +69,10 @@ fn run_batched(
     (engine, runs)
 }
 
-fn check_query(q: &workloads::WorkloadQuery, force_entry_major: bool) {
-    let (mut engine, runs) = run_batched(q, force_entry_major);
+fn check_query(q: &workloads::WorkloadQuery, underivable: bool) {
+    let (mut engine, runs) = run_batched(q, underivable);
     assert!(!runs.is_empty(), "{}: no batch runs recorded", q.name);
     let ex = engine.explain();
-    assert_eq!(
-        ex.forced.as_deref(),
-        force_entry_major.then_some("entry-major"),
-        "{}: explained override disagrees with the engine's",
-        q.name
-    );
     for (relation, live) in &runs {
         let rel = ex
             .relations
@@ -82,7 +93,14 @@ fn check_query(q: &workloads::WorkloadQuery, force_entry_major: bool) {
             live.as_str()
         );
     }
-    if !force_entry_major {
+    if underivable {
+        for rel in &ex.relations {
+            assert_eq!(rel.strategy, "entry-major", "{}", q.name);
+            assert_eq!(rel.reason, "batch-delta not derived", "{}", q.name);
+        }
+        assert!(engine.stats().entry_major_runs > 0, "{}", q.name);
+        assert!(!ex.render_text().contains("run: live"), "{}", q.name);
+    } else {
         check_goldens(q.name, &ex);
     }
     // The JSON form round-trips structurally.
@@ -199,8 +217,9 @@ fn explained_strategies_match_live_batch_runs() {
     }
 }
 
-/// The entry-major override must show up identically in EXPLAIN and in the
-/// runs. (A spot-check subset keeps the test inside a reasonable budget.)
+/// A program without live passes runs every relation entry-major, and
+/// EXPLAIN must say so, identically to the runs. (A spot-check subset keeps
+/// the test inside a reasonable budget.)
 #[test]
 fn explained_strategies_follow_the_entry_major_override() {
     for name in ["q1", "q3", "axf", "bsv", "vwap", "mddb1"] {
@@ -228,7 +247,7 @@ fn dispatch_census_per_compile_mode() {
                 .mode(mode)
                 .build()
                 .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
-            let ex = dbtoaster::compiler::explain(engine.program(), false);
+            let ex = dbtoaster::compiler::explain(engine.program());
             for rel in ex.relations {
                 match rel.strategy.as_str() {
                     "batch-delta" => counts.0 += 1,

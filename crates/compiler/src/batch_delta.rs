@@ -22,15 +22,17 @@
 //! its writes are buffered. The statements that do read one — the relation's
 //! [`LivePass`] — are evaluated firing by firing, in entry order, and the
 //! run-written maps they read (the **live maps**) are written firing by
-//! firing too: the firing's rows for every statement that targets one,
-//! evaluated or already buffered, land before the next statement is
-//! evaluated. What such a statement reads is therefore exactly what per-event
+//! firing too. Within a firing the order is per-event's: every listed
+//! statement is evaluated first — all `+=` statements of a firing read the
+//! state before it — and then the firing's rows for every statement that
+//! targets a live map, evaluated or already buffered, land, the base update
+//! last. What such a statement reads is therefore exactly what per-event
 //! processing would have it read, whatever its shape — two run-written atoms
 //! in one product, one under a lift, comparison or `EXISTS` — and whatever
 //! its place in the trigger: a read of its own target, or of an earlier
-//! statement's, is a read of a live map, which the pass writes in statement
-//! order, as per event. It is one lookup into one structure, whatever the
-//! index, and everything else about the run stays a batch.
+//! statement's, sees the earlier firings' writes and not its own firing's. It
+//! is one lookup into one structure, whatever the index, and everything else
+//! about the run stays a batch.
 //!
 //! A statement's rows are the same as per event either way, so the results
 //! are exact wherever the stream arithmetic is (integer weights and
@@ -38,8 +40,8 @@
 //! aggregates to summation order, because buffered rows are applied statement
 //! by statement, not event by event). Relations whose statements read no
 //! run-written state — every linear query — have an empty live pass, and a
-//! run of at most one firing has nothing to interact with: both skip the
-//! firing-by-firing pass entirely.
+//! run of at most one firing has nothing to interact with (see below): both
+//! skip the firing-by-firing pass entirely.
 //!
 //! ## The `:=` tail
 //!
@@ -70,8 +72,22 @@
 //! The `+=` statements' shapes and order are not checked: the live pass
 //! reproduces per-event reads for any right-hand side. Every relation of the
 //! bundled workload derives in every compile mode; an underivable one — a
-//! hand-assembled trigger, say — runs entry-major (per-event firing inside
-//! the batch), and EXPLAIN prints the condition that bailed.
+//! hand-assembled trigger, say — runs entry-major, and EXPLAIN prints the
+//! condition that bailed.
+//!
+//! ## Runs of one firing
+//!
+//! A run of one firing — the batch of one event — has nothing to interact
+//! with: no live pass, every `+=` evaluated against the state before the
+//! firing and applied in statement order, the base update, then the
+//! firing's `:=` statements. The engine takes the statements by op, not by
+//! position, so such a run needs none of the conditions above, and
+//! **entry-major** is no second executor: it is this one over a run split
+//! into runs of one firing each, `|mult|` per surviving entry in entry order
+//! — per-event processing of the run's net stream. A firing whose `+=`
+//! statements fail writes nothing, base update included; a multi-firing run
+//! whose collection fails has its live-pass writes taken back and is
+//! replayed entry-major, so only the failing firings write nothing.
 //!
 //! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
 

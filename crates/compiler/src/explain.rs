@@ -2,7 +2,8 @@
 //!
 //! Higher-order delta compilation turns a query into opaque flat trigger
 //! kernels; this module renders them back into an operator tree an operator
-//! can read. Per relation it reports the [`BatchStrategy`] a multi-entry
+//! can read. Per relation it reports the
+//! [`BatchStrategy`](crate::program::BatchStrategy) a multi-entry
 //! delta batch will use **and why** — whether batch-delta derivation
 //! succeeded (which statements read what their own run writes and so fire
 //! entry by entry — marked `run: live` — and whether a `:=` tail fires once
@@ -25,7 +26,7 @@
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
 
-use crate::program::{BatchStrategy, RelationDispatch, StmtOp, Trigger, TriggerProgram};
+use crate::program::{RelationDispatch, StmtOp, Trigger, TriggerProgram};
 use dbtoaster_agca::plan::{FastOp, FusedScan, NumExpr, Op, Scalar};
 use dbtoaster_agca::UpdateSign;
 use std::fmt::Write as _;
@@ -94,10 +95,11 @@ pub struct TriggerExplain {
 pub struct RelationExplain {
     /// The stream relation.
     pub relation: String,
-    /// The chosen [`BatchStrategy`], as its stable lowercase name.
+    /// The chosen [`BatchStrategy`](crate::program::BatchStrategy), as its
+    /// stable lowercase name.
     pub strategy: String,
-    /// Why that strategy was chosen (derivation success, the exact condition
-    /// that bailed, or the forced override).
+    /// Why that strategy was chosen (derivation success, or the exact
+    /// condition that bailed).
     pub reason: String,
     /// The shardability verdict for the relation (see
     /// [`crate::shard::analyze_sharding`]): `shard-local (...)` or
@@ -147,19 +149,14 @@ pub struct MapExplain {
 /// trigger program.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgramExplain {
-    /// The forced strategy override in effect, if any (the stable name;
-    /// `"entry-major"` is the only one there is).
-    pub forced: Option<String>,
     /// Per-relation strategy, reason and plans.
     pub relations: Vec<RelationExplain>,
     /// The maps that carry an ordered secondary index, by name.
     pub maps: Vec<MapExplain>,
 }
 
-/// Explain `program`. `force_entry_major` is the engine's per-event-oracle
-/// override (`Engine::set_force_entry_major` in the runtime) — pass the
-/// engine's setting so EXPLAIN reports exactly what the dispatch table holds.
-pub fn explain(program: &TriggerProgram, force_entry_major: bool) -> ProgramExplain {
+/// Explain `program`: exactly the dispatch an engine running it builds.
+pub fn explain(program: &TriggerProgram) -> ProgramExplain {
     let shard_plan = crate::shard::analyze_sharding(program);
     let relations = program
         .batch_dispatch()
@@ -170,25 +167,19 @@ pub fn explain(program: &TriggerProgram, force_entry_major: bool) -> ProgramExpl
                 .flatten()
                 .map(|i| explain_trigger(program, i))
                 .collect();
-            let strategy = if force_entry_major {
-                BatchStrategy::EntryMajor
-            } else {
-                d.strategy
-            };
             RelationExplain {
-                reason: strategy_reason(program, &d, force_entry_major),
+                reason: strategy_reason(program, &d),
                 shard: shard_plan
                     .relation_plan(&d.relation)
                     .map(|r| r.reason.clone())
                     .unwrap_or_default(),
                 relation: d.relation,
-                strategy: strategy.as_str().to_string(),
+                strategy: d.strategy.as_str().to_string(),
                 triggers,
             }
         })
         .collect();
     ProgramExplain {
-        forced: force_entry_major.then(|| BatchStrategy::EntryMajor.as_str().to_string()),
         relations,
         maps: explain_maps(program),
     }
@@ -226,14 +217,7 @@ fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
 
 /// One reason per relation: how batch-delta was derived, or the condition
 /// that bailed (which is why the relation runs entry-major).
-fn strategy_reason(
-    program: &TriggerProgram,
-    d: &RelationDispatch,
-    force_entry_major: bool,
-) -> String {
-    if force_entry_major {
-        return "forced entry-major override".to_string();
-    }
+fn strategy_reason(program: &TriggerProgram, d: &RelationDispatch) -> String {
     let Some(lp) = program.live_pass_for(&d.relation) else {
         return match program
             .batch_delta_reason(&d.relation)
@@ -568,9 +552,6 @@ impl ProgramExplain {
     /// default).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        if let Some(f) = &self.forced {
-            let _ = writeln!(out, "forced strategy override: {f}");
-        }
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "strategy: {}", rel.strategy);
@@ -610,14 +591,7 @@ impl ProgramExplain {
     /// parseable back via [`ProgramExplain::parse_json`]).
     pub fn render_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"forced\":");
-        match &self.forced {
-            Some(f) => {
-                let _ = write!(out, "\"{}\"", json_escape(f));
-            }
-            None => out.push_str("null"),
-        }
-        out.push_str(",\"relations\":[");
+        out.push_str("{\"relations\":[");
         for (i, rel) in self.relations.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -677,11 +651,6 @@ impl ProgramExplain {
     pub fn parse_json(s: &str) -> Option<ProgramExplain> {
         let v = json::parse(s)?;
         let obj = v.as_object()?;
-        let forced = match obj.get("forced")? {
-            json::Json::Null => None,
-            json::Json::Str(f) => Some(f.clone()),
-            _ => return None,
-        };
         let mut relations = Vec::new();
         for rv in obj.get("relations")?.as_array()? {
             let r = rv.as_object()?;
@@ -735,11 +704,7 @@ impl ProgramExplain {
                 analyze,
             });
         }
-        Some(ProgramExplain {
-            forced,
-            relations,
-            maps,
-        })
+        Some(ProgramExplain { relations, maps })
     }
 }
 
@@ -1186,7 +1151,7 @@ mod tests {
     #[test]
     fn explain_reports_strategy_and_reason_per_relation() {
         let p = program();
-        let ex = explain(&p, false);
+        let ex = explain(&p);
         assert_eq!(ex.relations.len(), 2);
         for rel in &ex.relations {
             assert_eq!(rel.strategy, "batch-delta");
@@ -1200,22 +1165,50 @@ mod tests {
         }
     }
 
+    /// A relation whose derivation bails is explained entry-major, with the
+    /// condition that bailed as its reason; the others stay batch-delta.
     #[test]
     fn forced_overrides_are_reflected() {
-        let p = program();
-        let entry = explain(&p, true);
-        assert_eq!(entry.forced.as_deref(), Some("entry-major"));
-        for rel in &entry.relations {
-            assert_eq!(rel.strategy, "entry-major");
-            assert_eq!(rel.reason, "forced entry-major override");
+        let mut p = program();
+        let t = p
+            .triggers
+            .iter_mut()
+            .find(|t| t.relation == "R" && t.sign == UpdateSign::Insert)
+            .unwrap();
+        let target = t.statements[0].target.clone();
+        let replace = crate::program::Statement::new(
+            &t.trigger_vars,
+            "Q".into(),
+            vec![],
+            vec![],
+            StmtOp::Replace,
+            Expr::one(),
+        )
+        .unwrap();
+        t.statements.insert(0, replace);
+        (p.live_passes, p.batch_delta_reasons) = crate::derive_live_passes(&p.triggers);
+        let ex = explain(&p);
+        for rel in &ex.relations {
+            if rel.relation == "R" {
+                assert_eq!(rel.strategy, "entry-major");
+                assert_eq!(
+                    rel.reason,
+                    format!(
+                        "batch-delta ineligible: increment of `{target}` follows a replace \
+                         (`:=`) statement"
+                    )
+                );
+            } else {
+                assert_eq!(rel.strategy, "batch-delta");
+            }
         }
-        assert_eq!(explain(&p, false).forced, None);
+        assert_eq!(ProgramExplain::parse_json(&ex.render_json()), Some(ex));
     }
 
     #[test]
     fn json_round_trips_with_and_without_stats() {
         let p = program();
-        let mut ex = explain(&p, false);
+        let mut ex = explain(&p);
         let parsed = ProgramExplain::parse_json(&ex.render_json()).expect("parses");
         assert_eq!(parsed, ex);
         ex.attach_stats(|_| {
@@ -1234,7 +1227,7 @@ mod tests {
     #[test]
     fn text_rendering_contains_the_load_bearing_lines() {
         let p = program();
-        let text = explain(&p, false).render_text();
+        let text = explain(&p).render_text();
         assert!(text.contains("== relation R =="));
         assert!(text.contains("strategy: batch-delta"));
         assert!(text.contains("reason: "));

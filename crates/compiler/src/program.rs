@@ -370,12 +370,14 @@ pub struct TriggerProgram {
 /// delta batch (see [`TriggerProgram::batch_dispatch`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BatchStrategy {
-    /// Entry-major: each delta entry fires the full per-event trigger sequence
-    /// (`|mult|` times), exactly like event-at-a-time processing. Never the
-    /// static choice for a relation of a compiled workload program; it is the
-    /// per-event oracle (`Engine::set_force_entry_major`), the replay of a
-    /// batch-delta run that hit an evaluation error, and the fallback for a
-    /// hand-assembled trigger whose `:=` statements cannot be the run's tail.
+    /// Entry-major: the run split into runs of one firing each (`|mult|` per
+    /// surviving entry, in entry order), each executed batch-delta — exactly
+    /// event-at-a-time processing, where every `+=` statement of a firing
+    /// reads the state before it. Not a second executor, and never the
+    /// static choice for a relation of a compiled workload program: it is
+    /// the replay of a batch-delta run that hit an evaluation error, and the
+    /// dispatch of a relation whose derivation bailed (a hand-assembled
+    /// trigger whose `:=` statements cannot be the run's tail).
     EntryMajor,
     /// Batch-delta: the whole run is one delta GMR. Every incremental
     /// statement of both sign triggers that reads nothing the run writes is
@@ -593,7 +595,7 @@ impl TriggerProgram {
     /// into its dispatch table once, at engine construction):
     /// [`BatchStrategy::BatchDelta`] when the relation has a derived
     /// [`LivePass`] (including an empty one), [`BatchStrategy::EntryMajor`] —
-    /// per-event processing inside the batch, always exact — otherwise. The
+    /// runs of one firing, per-event processing inside the batch — otherwise. The
     /// reason a relation is entry-major is its [`BatchDeltaOutcome`].
     pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
         let mut relations: Vec<&str> = Vec::new();

@@ -208,12 +208,6 @@ impl QueryEngine {
         self.mode
     }
 
-    /// Force (or un-force) entry-major — per-event — execution of every
-    /// relation run: the batch-execution oracle.
-    pub fn set_force_entry_major(&mut self, force: bool) {
-        self.engine.set_force_entry_major(force);
-    }
-
     /// The compiled trigger program.
     pub fn program(&self) -> &TriggerProgram {
         self.engine.program()
@@ -255,7 +249,7 @@ impl QueryEngine {
 
     /// Record per-relation run execution into
     /// [`BatchReport::runs`](dbtoaster_runtime::BatchReport::runs) (which
-    /// strategy actually executed, after any runtime fallback). Off by
+    /// strategy actually executed, after any replay of a failed run). Off by
     /// default: recording costs one small allocation per run.
     pub fn set_run_recording(&mut self, on: bool) {
         self.engine.set_run_recording(on);

@@ -9,75 +9,74 @@
 //!
 //! Per single-tuple firing the execution order is the paper's (Section 7.2):
 //!
-//! 1. all incremental (`+=`) statements of the matching trigger, which by construction
-//!    read the *old* versions of the views they use;
+//! 1. all incremental (`+=`) statements of the matching trigger, which all read the
+//!    *old* versions of the views they use — the state before the firing;
 //! 2. the update itself is applied to the stored base relation (if it is stored at all —
 //!    full Higher-Order IVM usually does not need the base relations);
 //! 3. all re-evaluation (`:=`) statements, which read the *new* versions.
 //!
+//! A firing whose `+=` statements fail writes nothing — no statement's rows, no base
+//! update — and counts one failed event, like an event whose arity does not match its
+//! trigger.
+//!
 //! ## Batch execution
 //!
-//! How a multi-entry delta drives that sequence is chosen statically per relation by
-//! [`TriggerProgram::batch_dispatch`] — two strategies, one firing order:
+//! One executor, **batch-delta**, runs that sequence once per *run* instead of once
+//! per event (see the compiler's `batch_delta` module for the derivation):
 //!
-//! * **Batch-delta** (chosen whenever the compiler derived a live pass for
-//!   the relation — every relation of every compiled workload program; see
-//!   the compiler's `batch_delta` module) is the three phases above run once
-//!   per *run* instead of once per event:
-//!   1. every incremental statement of both sign triggers that reads nothing
-//!      the run writes is evaluated for all entries back-to-back against the
-//!      *pre-run* state with its writes buffered (statement prelude and
-//!      loop-invariant fused scans amortized over the run). When some
-//!      statement does read a map the same run writes — the relation's
-//!      live pass lists it, and the maps it reads are the relation's
-//!      *live maps* — one **live pass** over the run's firings follows, in
-//!      entry order: each listed statement is evaluated for the firing
-//!      against the store, and whatever the firing writes to a live map —
-//!      rows just evaluated or rows buffered before the pass, the base
-//!      update included — is written at once, so the next firing reads what
-//!      per-event processing would have it read, through the same single
-//!      lookup (a range sum stays one search of one ordered index, whatever
-//!      the run has added to it). Those writes are remembered and taken back
-//!      if the pass fails. The pass costs what its statements cost per event;
-//!      it is skipped for runs of at most one firing and for relations with
-//!      an empty live pass. Then all writes still buffered land: one target
-//!      resolution, one change-log entry and one version bump per statement
-//!      per run;
-//!   2. the base update, one pass over the run's net entries (unless the
-//!      live pass made it, firing by firing);
-//!   3. the `:=` statements of the run's **last event**, once, against the
-//!      new state — of a run's per-event `:=` firings only the last one's
-//!      output survives, and this is it. A trigger of nothing but `:=`
-//!      statements (re-evaluation mode) is the degenerate run: an empty
-//!      phase 1 and one re-evaluation per run instead of one per event.
+//! 1. every `+=` statement of both sign triggers that reads nothing the run writes is
+//!    evaluated for all entries back-to-back against the *pre-run* state with its
+//!    writes buffered (statement prelude and loop-invariant fused scans amortized over
+//!    the run). When some statement does read a map the same run writes — the
+//!    relation's live pass lists it, and the maps it reads are the relation's *live
+//!    maps* — one **live pass** over the run's firings follows, in entry order: per
+//!    firing, every listed statement is evaluated against the store, then whatever the
+//!    firing writes to a live map — rows just evaluated or rows buffered before the
+//!    pass, the base update last — is written at once, so the next firing reads what
+//!    per-event processing would have it read, through the same single lookup (a range
+//!    sum stays one search of one ordered index, whatever the run has added to it).
+//!    Those writes are remembered and taken back if the pass fails. The pass costs what
+//!    its statements cost per event; it is skipped for runs of at most one firing and
+//!    for relations with an empty live pass. Then all writes still buffered land: one
+//!    target resolution, one change-log entry and one version bump per statement per
+//!    run;
+//! 2. the base update, one pass over the run's net entries (unless the live pass made
+//!    it, firing by firing);
+//! 3. the `:=` statements of the run's **last event**, once, against the new state — of
+//!    a run's per-event `:=` firings only the last one's output survives, and this is
+//!    it. A trigger of nothing but `:=` statements (re-evaluation mode) is the
+//!    degenerate run: an empty phase 1 and one re-evaluation per run instead of one per
+//!    event.
 //!
-//!   Any evaluation error in phase 1 discards the (still unapplied) buffers,
-//!   undoes the live pass's writes and replays the whole run entry-major,
-//!   reproducing per-event poison semantics exactly. A failing `:=` in phase
-//!   3 counts its binding event as failed, like the per-event path does —
-//!   but the tail fires once per run, so where every `:=` of a stream fails
-//!   (a poison value stored in a base relation the re-evaluation reads),
-//!   per-event processing reports one failure per event and a batch one per
-//!   run (see [`BatchReport::failed_events`]).
-//! * **Entry-major** (the per-event oracle behind
-//!   [`Engine::set_force_entry_major`], the replay path above, and the
-//!   fallback for a hand-assembled trigger whose `:=` statements cannot be
-//!   the run's tail — no compiled workload program has one): each surviving
-//!   entry fires the full per-event sequence `|mult|` times. Always exact;
-//!   amortizes only the per-batch dispatch.
+//! A run of one firing — [`Engine::process`], the batch of one event — is the same
+//! sequence for one event. **Entry-major** ([`BatchStrategy::EntryMajor`]) is not a
+//! second executor: it is the same executor over the run split into runs of one firing
+//! each, `|mult|` per surviving entry, in entry order — exactly per-event processing of
+//! the run's net stream. A run takes it in two cases, and is counted once, as one
+//! entry-major run:
 //!
-//! The strategy of a run depends on the program and the
-//! [`Engine::set_force_entry_major`] setting alone — never on the run's size
-//! or the state — so a WAL replay takes the same sequence as the live run.
-//! Both strategies evaluate statements through one function, `kernel_rows`,
-//! which runs the statement's compiled kernel (read through
-//! [`RelationSource`], emitting `(key, multiplicity)` rows); the compiler
-//! rejects a program with a statement it cannot lower, so there is no other
-//! evaluator in the engine. The reference semantics — `dbtoaster_agca::eval`
-//! over the map definitions — is the test suites' oracle. See the compiler's
-//! `batch_delta` module for the live-pass argument and the `:=` tail
-//! (bit-exact on integer-weighted streams; to summation order on float
-//! aggregates).
+//! * the relation's batch-delta derivation bailed (a hand-assembled trigger whose `:=`
+//!   statements cannot be the run's tail — no compiled workload program has one), so
+//!   [`TriggerProgram::batch_dispatch`] chose it statically;
+//! * phase 1 of a batch-delta run failed: the (still unapplied) buffers are discarded,
+//!   the live pass's writes undone, and the run replayed firing by firing, which
+//!   reproduces per-event poison semantics exactly.
+//!
+//! A failing `:=` in phase 3 counts its binding event as failed, like the per-event path
+//! does — but the tail fires once per run, so where every `:=` of a stream fails (a
+//! poison value stored in a base relation the re-evaluation reads), per-event processing
+//! reports one failure per event and a batch one per run (see
+//! [`BatchReport::failed_events`]).
+//!
+//! The dispatch of a run depends on the program alone — never on the run's size or the
+//! state — so a WAL replay takes the same sequence as the live run. Statements are
+//! evaluated through one function, `kernel_rows`, which runs the statement's compiled
+//! kernel (read through [`RelationSource`], emitting `(key, multiplicity)` rows); the
+//! compiler rejects a program with a statement it cannot lower, so there is no other
+//! evaluator in the engine. The references are per-event processing and the definitions
+//! recomputed by `dbtoaster_agca::eval` (the test suites' oracle). See the compiler's
+//! `batch_delta` module for the live-pass argument and the `:=` tail (bit-exact on
+//! integer-weighted streams; to summation order on float aggregates).
 //!
 //! When a program is increment-only, [`Engine::process_batch`] additionally
 //! *merges* same-relation runs of a batch before processing (ring addition of
@@ -232,22 +231,23 @@ impl From<EvalError> for RuntimeError {
 pub struct BatchReport {
     /// Stream events the batch covered (successful + failed).
     pub events: u64,
-    /// Events whose trigger work failed (counted by the delta entries or
-    /// firings they were folded into; such events may be *partially* applied —
-    /// there is no statement rollback). A batch-delta run fires its `:=`
-    /// statements once, for its last event, so a failing `:=` counts one
-    /// failure per run, not one per event: where a poison value stored in a
-    /// base relation makes every later re-evaluation fail, per-event
-    /// processing reports every event and a batch reports every run.
+    /// Events whose trigger work failed, counted per firing. A firing whose
+    /// `+=` statements fail writes nothing, not even its base update; a
+    /// failing `:=` leaves the firing's increments and base update applied.
+    /// A batch-delta run fires its `:=` statements once, for its last event,
+    /// so a failing `:=` counts one failure per run, not one per event: where
+    /// a poison value stored in a base relation makes every later
+    /// re-evaluation fail, per-event processing reports every event and a
+    /// batch reports every run.
     pub failed_events: u64,
     /// The first error encountered, if any.
     pub first_error: Option<RuntimeError>,
     /// Which strategy actually executed each relation run, in processing
-    /// order (after any run merging and after any runtime fallback from
-    /// batch-delta to entry-major). Runs with no trigger under either sign —
-    /// base-relation-only updates — are not recorded. Deterministic for a
-    /// given program, override setting and batch boundaries, so a WAL replay
-    /// produces the same sequence as live processing. Empty unless
+    /// order (after any run merging and after any replay of a failed
+    /// batch-delta run firing by firing). Runs with no trigger under either
+    /// sign — base-relation-only updates — are not recorded. Deterministic
+    /// for a given program and batch boundaries, so a WAL replay produces
+    /// the same sequence as live processing. Empty unless
     /// [`Engine::set_run_recording`] is on (recording costs one small
     /// allocation per run, which the zero-allocation steady-state contract
     /// of the batch-of-1 path cannot afford by default).
@@ -260,8 +260,8 @@ pub struct RunRecord {
     /// The run's relation name.
     pub relation: String,
     /// The strategy that actually executed (the dispatch choice, or
-    /// [`BatchStrategy::EntryMajor`] when a batch-delta run fell back at
-    /// runtime).
+    /// [`BatchStrategy::EntryMajor`] when a batch-delta run failed and was
+    /// replayed firing by firing).
     pub strategy: BatchStrategy,
     /// Stream events the run covered.
     pub events: u64,
@@ -326,9 +326,9 @@ pub struct EngineStats {
     /// its `runtime.runs_statement_major` ledger row; goes with that row
     /// (ROADMAP item 7(b)).
     pub statement_major_runs: u64,
-    /// Relation runs executed entry-major — per-event firing, either by
-    /// dispatch (the relation's batch-delta derivation bailed, or the oracle
-    /// override) or as the replay of a batch-delta run that hit an error.
+    /// Relation runs executed entry-major — as runs of one firing each,
+    /// either by dispatch (the relation's batch-delta derivation bailed) or
+    /// as the replay of a batch-delta run that hit an error.
     pub entry_major_runs: u64,
 }
 
@@ -431,7 +431,7 @@ struct Seg {
 
 /// Run `kernel` for one event `tuple` against `src`, appending its `(key,
 /// multiplicity)` rows to `out` and touching no view. Collection, the live
-/// pass, single firings and static-view initialization all come through
+/// pass, the `:=` tail and static-view initialization all come through
 /// here. `state` is reused across events — zero per-event allocation in
 /// steady state.
 ///
@@ -518,12 +518,15 @@ pub struct Engine {
     /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
     /// work counters), shared by every execution path.
     kernel: KernelState,
-    /// Recycled row buffer of a single firing (entry-major, the `:=` tail).
+    /// Recycled row buffer of one statement firing (the `:=` tail, static
+    /// views).
     rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
     bd: BdScratch,
     /// Recycled batch-of-1 for [`Engine::process`] (zero-allocation wrapper).
     single: DeltaBatch,
+    /// Recycled run of one firing for entry-major execution.
+    firing: DeltaBatch,
     /// Recycled merged-run batch for [`Engine::process_batch`]'s run merging.
     merged: DeltaBatch,
     /// May same-relation runs of one batch be merged before processing? True
@@ -534,17 +537,13 @@ pub struct Engine {
     /// their original run boundaries.
     merge_runs: bool,
     /// Per-relation batch dispatch, resolved from
-    /// [`TriggerProgram::batch_dispatch`] at construction (and on
-    /// [`Engine::set_force_entry_major`]).
+    /// [`TriggerProgram::batch_dispatch`] at construction.
     dispatch: FastMap<String, DispatchEntry>,
     /// Undo log of the batch-delta live pass: per write it made to a view
     /// ahead of the apply phase, the view (an index into the relation's
     /// [`LivePass::live_maps`]), the key and the multiplicity the key had
     /// before. Replayed backwards when the pass fails; empty between passes.
     undo: Vec<(u16, Tuple, f64)>,
-    /// Run every relation entry-major (the per-event oracle; see
-    /// [`Engine::set_force_entry_major`]).
-    force_entry_major: bool,
     /// Fill [`BatchReport::runs`] with per-run strategy records (off by
     /// default; see [`Engine::set_run_recording`]).
     record_runs: bool,
@@ -753,41 +752,11 @@ impl Engine {
                 view.declare_ordered(decl.mask, decl.key_pos as usize);
             }
         }
-        let mut engine = Engine {
-            program: Arc::new(program),
-            db,
-            stats: EngineStats::default(),
-            changes: None,
-            kernel: KernelState::default(),
-            rows: Vec::new(),
-            bd: BdScratch::default(),
-            single: DeltaBatch::new(),
-            merged: DeltaBatch::new(),
-            merge_runs,
-            dispatch: FastMap::default(),
-            undo: Vec::new(),
-            force_entry_major: false,
-            record_runs: false,
-            tel: None,
-        };
-        engine.set_force_entry_major(false);
-        engine
-    }
-
-    /// Force (or un-force) [`BatchStrategy::EntryMajor`] for every relation,
-    /// rebuilding the dispatch table: the per-event oracle the differential
-    /// suites compare batch-delta against. It agrees with the default
-    /// bit-for-bit on integer data and to summation order on float
-    /// aggregates.
-    pub fn set_force_entry_major(&mut self, force: bool) {
-        self.force_entry_major = force;
-        self.dispatch = self
-            .program
+        let dispatch = program
             .batch_dispatch()
             .into_iter()
             .map(|d| {
-                let live_pass = self
-                    .program
+                let live_pass = program
                     .live_passes
                     .iter()
                     .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
@@ -797,21 +766,29 @@ impl Engine {
                     DispatchEntry {
                         insert: d.insert.map(|i| i as u16),
                         delete: d.delete.map(|i| i as u16),
-                        strategy: if force {
-                            BatchStrategy::EntryMajor
-                        } else {
-                            d.strategy
-                        },
+                        strategy: d.strategy,
                         live_pass,
                     },
                 )
             })
             .collect();
-    }
-
-    /// Is every relation forced entry-major?
-    pub fn force_entry_major(&self) -> bool {
-        self.force_entry_major
+        Engine {
+            program: Arc::new(program),
+            db,
+            stats: EngineStats::default(),
+            changes: None,
+            kernel: KernelState::default(),
+            rows: Vec::new(),
+            bd: BdScratch::default(),
+            single: DeltaBatch::new(),
+            firing: DeltaBatch::new(),
+            merged: DeltaBatch::new(),
+            merge_runs,
+            dispatch,
+            undo: Vec::new(),
+            record_runs: false,
+            tel: None,
+        }
     }
 
     /// Enable or disable per-run strategy records in [`BatchReport::runs`]
@@ -1111,12 +1088,13 @@ impl Engine {
                 return None;
             }
         }
-        let executed = match disp.strategy {
-            BatchStrategy::BatchDelta => self.run_batch_delta(program, disp, run, report),
-            BatchStrategy::EntryMajor => {
-                self.run_entry_major(program, disp, run, report);
-                BatchStrategy::EntryMajor
-            }
+        let executed = if disp.strategy == BatchStrategy::BatchDelta
+            && self.run_batch_delta(program, disp, run, report).is_ok()
+        {
+            BatchStrategy::BatchDelta
+        } else {
+            self.run_firing_by_firing(program, disp, run, report);
+            BatchStrategy::EntryMajor
         };
         match executed {
             BatchStrategy::BatchDelta => self.stats.batch_delta_runs += 1,
@@ -1179,60 +1157,30 @@ impl Engine {
         }
     }
 
-    /// Entry-major execution of one run: every surviving entry fires the full
-    /// per-event trigger sequence `|mult|` times — identical to
-    /// event-at-a-time processing of the net stream.
-    fn run_entry_major(
+    /// Entry-major execution of one run: the batch-delta executor over runs
+    /// of one firing each — every surviving entry `|mult|` times, in entry
+    /// order — which is event-at-a-time processing of the net stream. A
+    /// firing that fails writes nothing and counts one failed event.
+    fn run_firing_by_firing(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
         report: &mut BatchReport,
     ) {
+        let mut one = std::mem::take(&mut self.firing);
         for entry in run.entries() {
             let Some(sign) = entry.sign() else { continue };
             for _ in 0..entry.firings() {
-                if let Err(e) = self.fire_single(
-                    program,
-                    run.relation(),
-                    disp.trigger(sign),
-                    sign,
-                    &entry.key,
-                ) {
+                one.clear();
+                one.push_key(run.relation(), entry.key.clone(), sign);
+                if let Err(e) = self.run_batch_delta(program, disp, &one.runs()[0], report) {
                     report.failed_events += 1;
                     report.first_error.get_or_insert(e);
                 }
             }
         }
-    }
-
-    /// One complete single-tuple firing: increments, base update, replaces.
-    fn fire_single(
-        &mut self,
-        program: &TriggerProgram,
-        relation: &str,
-        tidx: Option<u16>,
-        sign: UpdateSign,
-        key: &Tuple,
-    ) -> Result<(), RuntimeError> {
-        let Some(tidx) = tidx else {
-            // This sign has no trigger: only the stored base relation moves.
-            self.apply_base_raw(relation, key, sign.multiplier());
-            return Ok(());
-        };
-        let statements = &program.triggers[tidx as usize].statements;
-        let of_op = |op: StmtOp| (0..statements.len()).filter(move |&j| statements[j].op == op);
-        // Phase 1: incremental statements read the old state.
-        for j in of_op(StmtOp::Increment) {
-            self.fire_statement(program, tidx, j, key)?;
-        }
-        // Phase 2: reflect the update in the stored base relation (if stored).
-        self.apply_base_raw(relation, key, sign.multiplier());
-        // Phase 3: re-evaluation statements read the new state.
-        for j in of_op(StmtOp::Replace) {
-            self.fire_statement(program, tidx, j, key)?;
-        }
-        Ok(())
+        self.firing = one;
     }
 
     /// Evaluate statement `j` of trigger `tidx` for one event tuple against
@@ -1272,22 +1220,20 @@ impl Engine {
     /// pre-run state (for a multi-firing run of a relation with a non-empty
     /// live pass: that pass in place of the statements it lists), apply
     /// the buffers in statement order, apply the base update, fire the last
-    /// event's `:=` statements. Returns the strategy that actually executed:
-    /// any collection error discards the (still unapplied) buffers — the
-    /// database is as the run found it at that point — and replays the whole
-    /// run entry-major, which reproduces per-event poison semantics exactly
-    /// and does its own failure accounting.
+    /// event's `:=` statements. A collection error discards the (still
+    /// unapplied) buffers and is returned with the database as the run found
+    /// it: the run wrote nothing, and the caller decides what to replay and
+    /// what to report.
     fn run_batch_delta(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
         report: &mut BatchReport,
-    ) -> BatchStrategy {
-        if self.collect_batch_delta(program, disp, run).is_err() {
+    ) -> Result<(), RuntimeError> {
+        if let Err(e) = self.collect_batch_delta(program, disp, run) {
             self.bd.live = 0;
-            self.run_entry_major(program, disp, run, report);
-            return BatchStrategy::EntryMajor;
+            return Err(e);
         }
         // Apply phase. Targets were verified during collection, so these
         // applies cannot fail; surface a defensive error anyway.
@@ -1310,7 +1256,7 @@ impl Engine {
                     first_err.get_or_insert(e);
                 } else if let Some(ts) = tel.as_deref_mut() {
                     // Rows are credited at apply time (not collection), so a
-                    // run that falls back entry-major never double-counts.
+                    // run replayed firing by firing never double-counts.
                     let slot = ts
                         .stmt_slot
                         .get(ds.tidx as usize)
@@ -1330,15 +1276,16 @@ impl Engine {
             report.first_error.get_or_insert(e);
         }
         self.fire_replace_tail(program, disp, run, report);
-        BatchStrategy::BatchDelta
+        Ok(())
     }
 
     /// The `:=` tail of a batch-delta run: the re-evaluation statements of
     /// the run's **last event** (cancelled or not — it is the event whose
     /// firing per-event processing ends on), once, against the state the
-    /// run's increments and base update left. Eligibility gate 1 makes the
-    /// `:=` statements the trigger's tail and mirrors them across the signs,
-    /// so whichever sign came last re-evaluates the same targets.
+    /// run's increments and base update left. For a multi-firing run the
+    /// derivation makes the `:=` statements the trigger's tail and mirrors
+    /// them across the signs, so whichever sign came last re-evaluates the
+    /// same targets; a run of one firing needs neither.
     fn fire_replace_tail(
         &mut self,
         program: &TriggerProgram,
@@ -1352,11 +1299,14 @@ impl Engine {
         let Some(tidx) = disp.trigger(sign) else {
             return;
         };
-        let trigger = &program.triggers[tidx as usize];
-        for j in trigger.increments().len()..trigger.statements.len() {
+        let statements = &program.triggers[tidx as usize].statements;
+        for (j, stmt) in statements.iter().enumerate() {
+            if stmt.op != StmtOp::Replace {
+                continue;
+            }
             let st0 = self.armed_instant();
             match self.fire_statement(program, tidx, j, key) {
-                Ok(rows) => self.note_stmt(st0, &trigger.statements[j].target, rows),
+                Ok(rows) => self.note_stmt(st0, &stmt.target, rows),
                 Err(e) => {
                     // Mirror the single-event contract: the binding event
                     // counts as failed and its remaining statements are
@@ -1370,11 +1320,12 @@ impl Engine {
     }
 
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
-    /// statement's rows, evaluated against the pre-run state and touching no
+    /// statement's rows, in statement order whatever the trigger's order of
+    /// `+=` and `:=`, evaluated against the pre-run state and touching no
     /// view — except, when the run has more than one firing and the relation
     /// a non-empty live pass, the statements that pass lists, which it then
-    /// evaluates (and whose inputs it writes) firing by firing. On `Err` the database is as it was before the call, so the
-    /// caller can fall back wholesale.
+    /// evaluates (and whose inputs it writes) firing by firing. On `Err` the
+    /// database is as it was before the call.
     fn collect_batch_delta(
         &mut self,
         program: &TriggerProgram,
@@ -1390,8 +1341,9 @@ impl Engine {
             .live_pass
             .filter(|_| firings > 1)
             .map(|i| &program.live_passes[i as usize]);
-        // First deferred-statement slot of each sign's trigger (statement `j`
-        // of the trigger lands in slot `base + j`).
+        // First deferred-statement slot of each sign's trigger (where there
+        // is a live pass the `+=` statements lead their triggers, so
+        // statement `j` of the trigger lands in slot `base + j`).
         let mut base = [0usize; 2];
         for (s, (sign, tidx)) in [
             (UpdateSign::Insert, disp.insert),
@@ -1405,8 +1357,14 @@ impl Engine {
             if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
                 continue;
             }
-            let trigger = &program.triggers[tidx as usize];
-            for (j, stmt) in trigger.increments().iter().enumerate() {
+            for (j, stmt) in program.triggers[tidx as usize]
+                .statements
+                .iter()
+                .enumerate()
+            {
+                if stmt.op != StmtOp::Increment {
+                    continue;
+                }
                 if !self.db.contains(&stmt.target) {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
                 }
@@ -1443,19 +1401,14 @@ impl Engine {
     }
 
     /// The live pass of a batch-delta run (see the module docs): walk the
-    /// run's firings in entry order; per firing and statement of its trigger,
-    /// in statement order, evaluate the statement if the live pass lists it —
-    /// against the store as the run's earlier firings and the firing's
-    /// earlier statements left it — and append the rows to the statement's
-    /// deferred buffer (`base + j`); then, if the statement's target is one of
-    /// the relation's live maps,
-    /// apply what the firing writes to it (the rows just evaluated, or the
-    /// firing's segment of the rows buffered before the pass) at once,
-    /// remembering what each key held. The base update follows the same
-    /// rule. A statement that reads its own or an earlier statement's target
-    /// reads a live map, written statement by statement — the order
-    /// per-event processing reads it in. Returns the number of rows the pass
-    /// evaluated.
+    /// run's firings in entry order. Per firing, evaluate every statement the
+    /// live pass lists against the store as the run's earlier firings left
+    /// it — the state before the firing, which every `+=` of a firing reads —
+    /// and append its rows to the statement's deferred buffer (`base + j`);
+    /// then apply what the firing writes to the relation's live maps (the
+    /// rows just evaluated, or the firing's segment of the rows buffered
+    /// before the pass), the base update last, remembering what each key
+    /// held. Returns the number of rows the pass evaluated.
     fn live_pass(
         &mut self,
         program: &TriggerProgram,
@@ -1495,47 +1448,57 @@ impl Engine {
             // A sign without a trigger has no statements: only the stored
             // slice moves.
             let (tidx, statements) = sides[s];
+            let listed = |j: usize| tidx.is_some_and(|t| lp.lists(t as usize, j));
             for _ in 0..entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
+                    if !listed(j) {
+                        continue;
+                    }
+                    stats.statements += 1;
+                    if let Some(slot) = tel
+                        .as_deref_mut()
+                        .and_then(|ts| ts.note_live_firing(tidx? as usize, j))
+                    {
+                        kernel.counter_slot = slot;
+                    }
+                    // The store moves between firings: every evaluation is
+                    // the first against its state.
                     let ds = &mut bd.stmts[base[s] + j];
-                    let own = if tidx.is_some_and(|t| lp.lists(t as usize, j)) {
-                        stats.statements += 1;
-                        if let Some(slot) = tel
-                            .as_deref_mut()
-                            .and_then(|ts| ts.note_live_firing(tidx? as usize, j))
-                        {
-                            kernel.counter_slot = slot;
-                        }
-                        // The store moves between firings: every evaluation
-                        // is the first against its state.
-                        let start = ds.rows.len();
-                        kernel_rows(kernel, &*db, &stmt.kernel, &entry.key, true, &mut ds.rows)?;
-                        let end = ds.rows.len();
-                        if end > start {
-                            evaluated += (end - start) as u64;
-                            ds.segs.push(Seg {
-                                start,
-                                end,
-                                reps: 1,
-                            });
-                        }
-                        start..end
-                    } else {
-                        ds.segs[k].start..ds.segs[k].end
+                    let start = ds.rows.len();
+                    kernel_rows(kernel, &*db, &stmt.kernel, &entry.key, true, &mut ds.rows)?;
+                    let end = ds.rows.len();
+                    evaluated += (end - start) as u64;
+                    ds.segs.push(Seg {
+                        start,
+                        end,
+                        reps: 1,
+                    });
+                }
+                for (j, stmt) in statements.iter().enumerate() {
+                    let Some(map) = live_of(&stmt.target) else {
+                        continue;
                     };
-                    if let Some(map) = live_of(&stmt.target) {
-                        ds.applied = true;
-                        let view = db
-                            .view_mut(&stmt.target)
-                            .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
-                        let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
-                        for (key, mult) in ds.rows[own].iter().filter(|(_, m)| *m != 0.0) {
-                            if let Some(c) = change.as_mut() {
-                                c.keys.insert(key.clone(), ());
-                            }
-                            let before = view.add_returning_previous(key.clone(), *mult);
-                            undo.push((map as u16, key.clone(), before));
+                    let ds = &mut bd.stmts[base[s] + j];
+                    ds.applied = true;
+                    // This firing's segment: just evaluated, or buffered.
+                    let seg = if listed(j) {
+                        ds.segs[ds.segs.len() - 1]
+                    } else {
+                        ds.segs[k]
+                    };
+                    let view = db
+                        .view_mut(&stmt.target)
+                        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+                    let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
+                    for (key, mult) in ds.rows[seg.start..seg.end]
+                        .iter()
+                        .filter(|(_, m)| *m != 0.0)
+                    {
+                        if let Some(c) = change.as_mut() {
+                            c.keys.insert(key.clone(), ());
                         }
+                        let before = view.add_returning_previous(key.clone(), *mult);
+                        undo.push((map as u16, key.clone(), before));
                     }
                 }
                 if let (Some(map), Some(view)) = (base_map, db.view_mut(run.relation())) {
@@ -1553,7 +1516,7 @@ impl Engine {
     /// Buffer one incremental statement's rows over all of a run's entries of
     /// one sign without applying them: setup once, then back-to-back
     /// evaluations against the unchanged pre-run store. Any evaluation error
-    /// aborts the whole collection (the caller replays entry-major).
+    /// aborts the whole collection.
     fn collect_statement_over(
         &mut self,
         stmt_kernel: &CompiledStmt,
@@ -1613,16 +1576,6 @@ impl Engine {
         });
     }
 
-    /// Apply one single-tuple base update (the entry-major / no-trigger path).
-    fn apply_base_raw(&mut self, relation: &str, key: &Tuple, mult: f64) {
-        if let Some(view) = self.db.view_mut(relation) {
-            view.add(key.clone(), mult);
-            if let Some(log) = self.changes.as_mut() {
-                log.record_key(relation, key.clone());
-            }
-        }
-    }
-
     /// Snapshot a query result as a GMR over its output columns.
     pub fn result(&self, query: &str) -> Result<Gmr, RuntimeError> {
         let qr = self
@@ -1673,7 +1626,7 @@ impl Engine {
     /// [`ProgramExplain::render_json`]: dbtoaster_compiler::ProgramExplain::render_json
     pub fn explain(&mut self) -> dbtoaster_compiler::ProgramExplain {
         self.flush_telemetry();
-        let mut ex = dbtoaster_compiler::explain(&self.program, self.force_entry_major);
+        let mut ex = dbtoaster_compiler::explain(&self.program);
         if let Some(ts) = self.tel.as_deref() {
             use std::sync::atomic::Ordering::Relaxed;
             ex.attach_stats(|name| {

@@ -203,13 +203,6 @@ impl ShardedEngine {
         Ok(())
     }
 
-    /// Broadcast the entry-major oracle override to every engine.
-    pub fn set_force_entry_major(&mut self, force: bool) {
-        for e in self.shards.iter_mut().chain(self.executor.as_mut()) {
-            e.set_force_entry_major(force);
-        }
-    }
-
     /// Process one event: scatter-of-one to its owning shard (plus the
     /// executor when the program has a global slice).
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {

@@ -326,10 +326,6 @@ pub(crate) struct Shared {
     stats: StatsCell,
     queries: FastMap<String, ServedQuery>,
     program: Arc<TriggerProgram>,
-    /// The engine's entry-major override at spawn time (it cannot change
-    /// while the writer owns the engine), so `/explain` reports the dispatch
-    /// the writer actually runs.
-    force_entry_major: bool,
     /// Is the server durable? Gates the checkpoint-lag readout in `/healthz`.
     durable: bool,
     error: Mutex<Option<RuntimeError>>,
@@ -427,7 +423,6 @@ impl ViewServer {
             },
             queries: queries.into_iter().map(|q| (q.name.clone(), q)).collect(),
             program: engine.program_shared(),
-            force_entry_major: engine.force_entry_major(),
             durable: config.durability.is_some(),
             error: Mutex::new(None),
             durability_error: Mutex::new(None),
@@ -1938,7 +1933,7 @@ fn json_opt_string(v: Option<String>) -> String {
 /// and dispatch decisions, with live per-view counters joined in from the
 /// telemetry registry.
 pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
-    let mut ex = dbtoaster_compiler::explain(&shared.program, shared.force_entry_major);
+    let mut ex = dbtoaster_compiler::explain(&shared.program);
     let snap = shared.tel.snapshot();
     if snap.enabled {
         ex.attach_stats(|name| {
