@@ -6,12 +6,13 @@
 //! cargo run --release -p dbtoaster-bench --bin harness -- fig8
 //! ```
 //!
-//! Subcommands: `micro`, `serve`, `recover`, `batch`, `shard`, `fig2`,
+//! Subcommands: `micro`, `serve`, `recover`, `batch`, `fig2`,
 //! `fig6` (also covers Figure 7), `fig8`, `fig9`, `fig10`, `fig11`,
-//! `traces` (Figures 13–18), `explain`, `export`, `all`.
+//! `traces` (Figures 13–18), `explain`, `export`, `torture`, `all`.
 //!
 //! Flags: `--events N`, `--budget SECS`, `--seed N`, `--label NAME`,
-//! `--json PATH`, `--shards 1,2,4,8` (the `shard` sweep's shard counts).
+//! `--json PATH`, `--query NAME` (`explain`), `--addr HOST:PORT` and
+//! `--hold SECS` (`export`), `--iters N` (`torture`).
 //!
 //! Observability:
 //!
@@ -44,7 +45,6 @@ struct Args {
     addr: String,
     hold: Duration,
     iters: usize,
-    shards: Vec<usize>,
 }
 
 fn parse_args() -> Args {
@@ -60,7 +60,6 @@ fn parse_args() -> Args {
         addr: "127.0.0.1:0".to_string(),
         hold: Duration::from_secs(0),
         iters: 200,
-        shards: vec![1, 2, 4, 8],
     };
     let mut i = 1;
     while i < argv.len() {
@@ -110,18 +109,6 @@ fn parse_args() -> Args {
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or(args.iters);
-                i += 2;
-            }
-            "--shards" => {
-                if let Some(list) = argv.get(i + 1) {
-                    let parsed: Vec<usize> = list
-                        .split(',')
-                        .filter_map(|v| v.trim().parse().ok())
-                        .collect();
-                    if !parsed.is_empty() {
-                        args.shards = parsed;
-                    }
-                }
                 i += 2;
             }
             "--explain" => {
@@ -198,37 +185,6 @@ fn batch(config: &ExperimentConfig, label: &str, json: Option<&str>) {
                 .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
             println!("wrote {path} ({blocks} latency blocks validated)");
         }
-    }
-}
-
-fn shard(config: &ExperimentConfig, counts: &[usize], label: &str, json: Option<&str>) {
-    println!("=== shard: shard-parallel engine sweep (scatter + local triggers + merge) ===");
-    println!(
-        "(queries {:?}, shard counts {counts:?}, {} events, {}s budget per run)\n",
-        SHARD_QUERIES,
-        config.events,
-        config.time_budget.as_secs()
-    );
-    let sweep = shard_sweep(config, counts);
-    println!("{}", format_micro(&sweep.results));
-    println!("query      shards  plan       exchange-bytes  bit-exact");
-    for r in &sweep.rows {
-        println!(
-            "{:<10} {:>6}  {:<9} {:>15}  {}",
-            r.query,
-            r.shards,
-            if r.fully_local { "local" } else { "exchange" },
-            r.exchange_bytes,
-            r.bit_exact
-        );
-    }
-    // `shard_sweep` panics on any divergence, so reaching this line IS the
-    // invariance proof; CI greps for it.
-    println!("{}", shard_invariance_line(&sweep));
-    if let Some(path) = json {
-        let payload = shard_json(label, config, &sweep);
-        std::fs::write(path, &payload).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("wrote {path}");
     }
 }
 
@@ -890,7 +846,6 @@ fn main() {
         "serve" => serve(&config, &args.label, args.json.as_deref()),
         "recover" => recover(&config, &args.label, args.json.as_deref()),
         "batch" => batch(&config, &args.label, args.json.as_deref()),
-        "shard" => shard(&config, &args.shards, &args.label, args.json.as_deref()),
         "fig2" => fig2(),
         "fig6" | "fig7" => fig6(&config),
         "fig8" => traces_for(&["q1", "q3", "q11a", "q12"], "Figure 8", &config),
@@ -918,7 +873,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other}; expected micro|serve|recover|batch|shard|fig2|fig6|fig8|fig9|fig10|fig11|traces|explain|export|torture|all"
+                "unknown command {other}; expected micro|serve|recover|batch|fig2|fig6|fig8|fig9|fig10|fig11|traces|explain|export|torture|all"
             );
             std::process::exit(2);
         }

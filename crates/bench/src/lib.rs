@@ -1155,306 +1155,6 @@ pub fn format_figure11(rows: &[Figure11Row]) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Shard-parallel sweep (harness `shard`)
-// ---------------------------------------------------------------------------
-
-/// Queries the shard sweep runs: a mix chosen so the sharding analysis lands
-/// both fully shard-local plans and plans that route cross-shard terms
-/// through the exchange executor (which of the two each query got is part of
-/// the report).
-pub const SHARD_QUERIES: &[&str] = &["q1", "q3", "q6", "vwap", "axf"];
-
-/// One (query, shard count) verdict of the shard sweep's invariance pass.
-#[derive(Clone, Debug)]
-pub struct ShardRow {
-    /// Query name.
-    pub query: String,
-    /// Shard count of this run.
-    pub shards: usize,
-    /// The whole trigger program ran shard-local (no exchange executor).
-    pub fully_local: bool,
-    /// Interchange-form bytes shipped to the exchange executor.
-    pub exchange_bytes: u64,
-    /// Merged state matched the single-engine oracle bit for bit (false =
-    /// equal only up to float-addition reassociation in Summed-class merges).
-    pub bit_exact: bool,
-}
-
-/// Everything the harness `shard` subcommand reports.
-pub struct ShardSweep {
-    /// Throughput per (query, shard count), `MicroResult::strategy` carrying
-    /// `local` / `exchange`.
-    pub results: Vec<MicroResult>,
-    /// Invariance verdict per (query, shard count).
-    pub rows: Vec<ShardRow>,
-    /// The shard counts swept.
-    pub counts: Vec<usize>,
-    /// Queries whose merged state matched the oracle at every shard count.
-    pub verified: usize,
-    /// Queries swept.
-    pub total: usize,
-    /// Queries bit-exact at every shard count (subset of `verified`).
-    pub bit_exact: usize,
-    /// Queries with a fully shard-local plan.
-    pub local: usize,
-    /// Queries that needed the exchange executor.
-    pub exchanging: usize,
-}
-
-/// Compare a view against the oracle: `(equal, bit_exact)`. Equality allows
-/// the relative rounding that merging per-shard float sums can introduce
-/// (same caveat as batch-delta reassociation, see `crates/agca/src/batch.rs`);
-/// bit-exactness is reported separately because Partitioned-class merges are
-/// disjoint unions and must not drift at all.
-fn gmr_matches(want: &Gmr, got: &Gmr) -> (bool, bool) {
-    // Canonicalize away explicit zero-multiplicity entries: whether a zero is
-    // retained or dropped is a storage detail that differs between a merged
-    // union and a single map, not an answer difference.
-    let canon = |g: &Gmr| -> std::collections::BTreeMap<String, f64> {
-        g.iter()
-            .filter(|(_, m)| *m != 0.0)
-            .map(|(t, m)| (format!("{t:?}"), m))
-            .collect()
-    };
-    let want = canon(want);
-    let got = canon(got);
-    if want.len() != got.len() {
-        return (false, false);
-    }
-    let mut bit = true;
-    for (t, m) in &want {
-        let Some(g) = got.get(t) else {
-            return (false, false);
-        };
-        if g.to_bits() != m.to_bits() {
-            bit = false;
-            if (g - m).abs() > 1e-9 * m.abs().max(1.0) {
-                return (false, false);
-            }
-        }
-    }
-    (true, bit)
-}
-
-/// The shard sweep: for each query in [`SHARD_QUERIES`] and each shard count,
-/// verify shard-count invariance (merged state equals a single-engine oracle
-/// fed the same batches) and measure scatter/process/merge throughput over
-/// the full stream. Panics on any invariance violation — a wrong answer must
-/// never be reported as a benchmark number.
-pub fn shard_sweep(config: &ExperimentConfig, counts: &[usize]) -> ShardSweep {
-    use dbtoaster::runtime::{Engine, ShardedEngine};
-    const CHUNK: usize = 256;
-    let catalog = workloads::full_catalog();
-    let ccat = dbtoaster::to_compiler_catalog(&catalog);
-    let mut sweep = ShardSweep {
-        results: Vec::new(),
-        rows: Vec::new(),
-        counts: counts.to_vec(),
-        verified: 0,
-        total: 0,
-        bit_exact: 0,
-        local: 0,
-        exchanging: 0,
-    };
-    for name in SHARD_QUERIES {
-        let q = workloads::query(name).unwrap_or_else(|| panic!("workload query {name} missing"));
-        let data = dataset_for(q.family, config.events, config.seed);
-        let program = QueryEngineBuilder::new(catalog.clone())
-            .add_query(q.name, q.sql)
-            .mode(CompileMode::HigherOrder)
-            .build()
-            .unwrap_or_else(|e| panic!("{}: {e}", q.name))
-            .program()
-            .clone();
-
-        // Oracle: one plain engine over a fixed prefix, batched exactly like
-        // the sharded runs (so only shard *merging* can differ, not batch
-        // boundaries).
-        let prefix = data.events.len().min(4_000);
-        let mut oracle = Engine::new(program.clone(), &ccat);
-        for (table, rows) in &data.tables {
-            oracle.load_table(table, rows.iter().cloned());
-        }
-        oracle.init_static_views().unwrap();
-        let mut delta = DeltaBatch::new();
-        for chunk in data.events[..prefix].chunks(CHUNK) {
-            delta.clear();
-            for ev in chunk {
-                delta.push(ev);
-            }
-            oracle.process_batch(&delta);
-        }
-        // The SQL planner registers one result per translated view (not under
-        // the user-facing query name); invariance must hold for every one.
-        let want: Vec<(String, Gmr)> = program
-            .results
-            .iter()
-            .map(|r| {
-                let g = oracle
-                    .result(&r.name)
-                    .unwrap_or_else(|e| panic!("{}: oracle result {}: {e}", q.name, r.name));
-                (r.name.clone(), g)
-            })
-            .collect();
-
-        sweep.total += 1;
-        let mut all_bit_exact = true;
-        let mut was_local = false;
-        for &n in counts {
-            // Invariance pass: fixed prefix, no budget cutoff.
-            let mut sharded = ShardedEngine::new(program.clone(), &ccat, n);
-            for (table, rows) in &data.tables {
-                sharded.load_table(table, rows);
-            }
-            sharded.init_static_views().unwrap();
-            for chunk in data.events[..prefix].chunks(CHUNK) {
-                let report = sharded.process_events(chunk);
-                if let Some(e) = report.first_error {
-                    panic!("{} [shards={n}]: {e}", q.name);
-                }
-            }
-            let mut bit = true;
-            for (rn, w) in &want {
-                let got = sharded
-                    .result(rn)
-                    .unwrap_or_else(|e| panic!("{} [shards={n}]: result {rn}: {e}", q.name));
-                let (equal, b) = gmr_matches(w, &got);
-                assert!(
-                    equal,
-                    "{} [shards={n}]: merged result {rn} diverged from the single-engine oracle",
-                    q.name
-                );
-                bit &= b;
-            }
-            all_bit_exact &= bit;
-            was_local = !sharded.has_executor();
-            sweep.rows.push(ShardRow {
-                query: q.name.to_string(),
-                shards: n,
-                fully_local: !sharded.has_executor(),
-                exchange_bytes: sharded.exchange_stats().bytes,
-                bit_exact: bit,
-            });
-
-            // Throughput pass: fresh engine, full stream, honouring the budget.
-            let mut bench = ShardedEngine::new(program.clone(), &ccat, n);
-            for (table, rows) in &data.tables {
-                bench.load_table(table, rows);
-            }
-            bench.init_static_views().unwrap();
-            let start = Instant::now();
-            let mut processed = 0usize;
-            for chunk in data.events.chunks(CHUNK) {
-                let report = bench.process_events(chunk);
-                if let Some(e) = report.first_error {
-                    panic!("{} [shards={n}]: {e}", q.name);
-                }
-                processed += chunk.len();
-                if start.elapsed() > config.time_budget {
-                    break;
-                }
-            }
-            let elapsed = start.elapsed().as_secs_f64();
-            sweep.results.push(MicroResult {
-                name: format!("{}/shards={n}", q.name),
-                ops_per_sec: if elapsed > 0.0 {
-                    processed as f64 / elapsed
-                } else {
-                    0.0
-                },
-                ops: processed,
-                elapsed_secs: elapsed,
-                strategy: Some(
-                    if bench.has_executor() {
-                        "exchange"
-                    } else {
-                        "local"
-                    }
-                    .to_string(),
-                ),
-                ..Default::default()
-            });
-        }
-        sweep.verified += 1;
-        if all_bit_exact {
-            sweep.bit_exact += 1;
-        }
-        if was_local {
-            sweep.local += 1;
-        } else {
-            sweep.exchanging += 1;
-        }
-    }
-    sweep
-}
-
-/// The line CI greps for (`shard-count invariance: verified ...`): every
-/// query's merged state matched the oracle at every swept shard count, with
-/// the bit-exact / float-tolerance split spelled out.
-pub fn shard_invariance_line(s: &ShardSweep) -> String {
-    format!(
-        "shard-count invariance: verified {}/{} queries across shards {:?} \
-         ({} bit-exact, {} within float tolerance; {} fully-local, {} exchanging)",
-        s.verified,
-        s.total,
-        s.counts,
-        s.bit_exact,
-        s.total - s.bit_exact,
-        s.local,
-        s.exchanging
-    )
-}
-
-/// JSON document for `BENCH_shard.json`.
-pub fn shard_json(label: &str, config: &ExperimentConfig, s: &ShardSweep) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"label\": \"{}\",\n", json_escape(label)));
-    out.push_str(&format!("  \"events\": {},\n", config.events));
-    out.push_str(&format!("  \"seed\": {},\n", config.seed));
-    out.push_str(&format!(
-        "  \"shard_counts\": [{}],\n",
-        s.counts
-            .iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    out.push_str(&format!(
-        "  \"invariance\": {{\"verified\": {}, \"total\": {}, \"bit_exact\": {}, \
-         \"fully_local\": {}, \"exchanging\": {}}},\n",
-        s.verified, s.total, s.bit_exact, s.local, s.exchanging
-    ));
-    out.push_str("  \"rows\": [\n");
-    for (i, r) in s.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"query\": \"{}\", \"shards\": {}, \"fully_local\": {}, \
-             \"exchange_bytes\": {}, \"bit_exact\": {}}}{}\n",
-            json_escape(&r.query),
-            r.shards,
-            r.fully_local,
-            r.exchange_bytes,
-            r.bit_exact,
-            if i + 1 < s.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n  \"results\": [\n");
-    for (i, r) in s.results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"ops_per_sec\": {:.1}, \"ops\": {}, \
-             \"elapsed_secs\": {:.4}, \"plan\": \"{}\"}}{}\n",
-            json_escape(&r.name),
-            r.ops_per_sec,
-            r.ops,
-            r.elapsed_secs,
-            json_escape(r.strategy.as_deref().unwrap_or("")),
-            if i + 1 < s.results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,7 +47,7 @@ pub mod store;
 pub use engine::{
     BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample, ViewChange,
 };
-pub use shard::{shard_for, ExchangeStats, ShardedEngine};
+pub use shard::{ExchangeStats, ShardedEngine};
 pub use store::{CachedSource, Database, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{
@@ -60,7 +60,7 @@ pub mod prelude {
         BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
         ViewChange,
     };
-    pub use crate::shard::{shard_for, ExchangeStats, ShardedEngine};
+    pub use crate::shard::{ExchangeStats, ShardedEngine};
     pub use crate::store::{CachedSource, Database, SnapshotWork, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,

@@ -48,7 +48,7 @@
 //! [`RelationDelta`]: dbtoaster_agca::RelationDelta
 //! [`RelationDelta::to_gmr`]: dbtoaster_agca::RelationDelta::to_gmr
 
-use crate::engine::{BatchReport, Engine, EngineStats, RuntimeError};
+use crate::engine::{BatchReport, Engine, RuntimeError};
 use dbtoaster_agca::batch::DeltaBatch;
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::program::{Catalog, ResultAccess, TriggerProgram};
@@ -56,20 +56,6 @@ use dbtoaster_compiler::shard::{analyze_sharding, slice_program, MapClass, Shard
 use dbtoaster_gmr::hash::{FastMap, FxBuildHasher};
 use dbtoaster_gmr::{Gmr, Value};
 use std::hash::BuildHasher;
-
-/// The shard that owns `event` under `plan`, out of `n` shards: hash of the
-/// partition-column value when the relation has one, hash of the whole tuple
-/// otherwise (any deterministic spread keeps correctness — unpartitioned
-/// relations only feed `Summed`/`Global` maps). The hasher is the
-/// workspace's seedless [`FxBuildHasher`], so placement is reproducible
-/// across runs and across the runtime/serving layers.
-pub fn shard_for(plan: &ShardPlan, event: &UpdateEvent, n: usize) -> usize {
-    let h = match plan.partition_index(&event.relation) {
-        Some(i) if i < event.tuple.len() => FxBuildHasher::default().hash_one(&event.tuple[i]),
-        _ => FxBuildHasher::default().hash_one(&event.tuple),
-    };
-    (h % n.max(1) as u64) as usize
-}
 
 /// Exchange-traffic counters: what the shards ship to the exchange executor.
 ///
@@ -127,19 +113,9 @@ impl ShardedEngine {
         }
     }
 
-    /// Number of shards (excluding the executor).
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shardability analysis this deployment runs under.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// The full (unsliced) program.
-    pub fn program(&self) -> &TriggerProgram {
-        &self.program
     }
 
     /// Does this deployment run an exchange executor?
@@ -152,38 +128,21 @@ impl ShardedEngine {
         self.exchange
     }
 
-    /// The shard engines (for per-shard telemetry attachment and stats).
-    pub fn shards_mut(&mut self) -> &mut [Engine] {
-        &mut self.shards
-    }
-
-    /// The exchange executor, if the program needs one.
-    pub fn executor_mut(&mut self) -> Option<&mut Engine> {
-        self.executor.as_mut()
-    }
-
-    /// Per-shard runtime statistics, shard order (executor not included —
-    /// see [`ShardedEngine::executor_stats`]).
-    pub fn shard_stats(&self) -> Vec<&EngineStats> {
-        self.shards.iter().map(|e| e.stats()).collect()
-    }
-
-    /// The exchange executor's runtime statistics.
-    pub fn executor_stats(&self) -> Option<&EngineStats> {
-        self.executor.as_ref().map(|e| e.stats())
-    }
-
     /// The shard that owns `event`: hash of the partition-column value when
     /// the relation has one, hash of the whole tuple otherwise (any
     /// deterministic spread keeps correctness — unpartitioned relations only
     /// feed `Summed`/`Global` maps). The hasher is the workspace's seedless
     /// [`FxBuildHasher`], so placement is reproducible across runs.
     pub fn shard_of(&self, event: &UpdateEvent) -> usize {
-        shard_for(&self.plan, event, self.shards.len())
+        let h = match self.plan.partition_index(&event.relation) {
+            Some(i) if i < event.tuple.len() => FxBuildHasher::default().hash_one(&event.tuple[i]),
+            _ => FxBuildHasher::default().hash_one(&event.tuple),
+        };
+        (h % self.shards.len() as u64) as usize
     }
 
-    /// Decompose into the pieces a serving layer wraps in per-shard writer
-    /// threads: `(shard engines, executor engine, plan, full program)`.
+    /// Decompose into the engines and the plan they were sliced by:
+    /// `(shard engines, executor engine, plan, full program)`.
     pub fn into_parts(self) -> (Vec<Engine>, Option<Engine>, ShardPlan, TriggerProgram) {
         (self.shards, self.executor, self.plan, self.program)
     }
@@ -201,16 +160,6 @@ impl ShardedEngine {
             e.init_static_views()?;
         }
         Ok(())
-    }
-
-    /// Process one event: scatter-of-one to its owning shard (plus the
-    /// executor when the program has a global slice).
-    pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
-        let report = self.process_events(std::slice::from_ref(event));
-        match report.first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 
     /// Process a batch of events: scatter by partition key into per-shard
@@ -344,15 +293,6 @@ impl ShardedEngine {
     /// of the stream is not double-counted).
     pub fn events(&self) -> u64 {
         self.shards.iter().map(|e| e.stats().events).sum()
-    }
-
-    /// Approximate memory footprint across all engines, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .chain(self.executor.as_ref())
-            .map(|e| e.memory_bytes())
-            .sum()
     }
 }
 

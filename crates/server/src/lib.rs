@@ -76,7 +76,6 @@
 pub mod http;
 pub mod results;
 pub mod server;
-pub mod shard;
 pub mod swap;
 
 pub use http::{HttpConfig, HttpExporter};
@@ -85,7 +84,6 @@ pub use server::{
     IngestHandle, OutputDelta, OutputDeltaBatch, ReaderHandle, SendBatchError, ServeError,
     ServedQuery, ServerConfig, Snapshot, Subscription, TrySendError, ViewServer,
 };
-pub use shard::{ShardStatus, ShardedViewServer};
 pub use swap::EpochCell;
 
 // The durability knobs appear in `ServerConfig`; re-export them so serving

@@ -142,9 +142,6 @@ pub enum ServeError {
     /// half-assembled: a spawn failure is returned from [`ViewServer::spawn`]
     /// instead of panicking the caller.
     Spawn(String),
-    /// The requested configuration is not supported by this serving mode
-    /// (e.g. durability or a single HTTP exporter under sharded serving).
-    Unsupported(String),
 }
 
 impl fmt::Display for ServeError {
@@ -162,7 +159,6 @@ impl fmt::Display for ServeError {
             ServeError::Durability(e) => write!(f, "durability error: {e}"),
             ServeError::Http(e) => write!(f, "http exporter error: {e}"),
             ServeError::Spawn(e) => write!(f, "thread spawn error: {e}"),
-            ServeError::Unsupported(e) => write!(f, "unsupported configuration: {e}"),
         }
     }
 }
@@ -211,23 +207,6 @@ impl Snapshot {
     /// A maintained view (or stored relation) by name.
     pub fn view(&self, name: &str) -> Option<&Gmr> {
         self.views.get(name)
-    }
-
-    /// Assemble a snapshot from already-merged views (the sharded serving
-    /// layer's read path; plain servers only receive writer-published
-    /// snapshots).
-    pub(crate) fn assemble(
-        epoch: u64,
-        events_applied: u64,
-        degraded: bool,
-        views: FastMap<String, Gmr>,
-    ) -> Snapshot {
-        Snapshot {
-            epoch,
-            events_applied,
-            degraded,
-            views,
-        }
     }
 
     /// Names of all views in the snapshot (unordered).
@@ -717,12 +696,6 @@ impl ViewServer {
     /// Events currently queued but not yet drained by the writer.
     pub fn queue_depth(&self) -> u64 {
         self.shared.queue_depth.load(Relaxed)
-    }
-
-    /// The `/healthz` body and health verdict, without going through the HTTP
-    /// exporter (the sharded serving layer composes these per shard).
-    pub fn health_json(&self) -> (bool, String) {
-        health_body(&self.shared)
     }
 
     /// The currently published snapshot, without registering a long-lived

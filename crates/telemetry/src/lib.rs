@@ -1140,81 +1140,6 @@ pub fn prometheus_escape_label(s: &str) -> String {
     out
 }
 
-/// Merge several already-rendered Prometheus expositions into one, tagging
-/// every sample with an instance label (e.g. `shard="0"`). Used by the
-/// sharded view server to expose per-shard metric families on a single
-/// `/metrics` endpoint without re-implementing the render.
-///
-/// Families keep their `# HELP`/`# TYPE` headers exactly once (first
-/// occurrence wins) and all samples of a family are grouped together, as the
-/// text format requires; within a family, samples appear in `parts` order.
-pub fn merge_prometheus_labeled(label_key: &str, parts: &[(String, String)]) -> String {
-    // family name (from its header block) → (header lines, sample lines)
-    let mut order: Vec<String> = Vec::new();
-    let mut families: std::collections::HashMap<String, (String, String)> =
-        std::collections::HashMap::new();
-    for (label_value, rendered) in parts {
-        let label = format!("{label_key}=\"{}\"", prometheus_escape_label(label_value));
-        let mut current: Option<String> = None;
-        for line in rendered.lines() {
-            if let Some(rest) = line.strip_prefix("# ") {
-                // "# HELP <name> ..." / "# TYPE <name> ...": key on <name>.
-                let name = rest
-                    .split_whitespace()
-                    .nth(1)
-                    .unwrap_or_default()
-                    .to_string();
-                if !families.contains_key(&name) {
-                    order.push(name.clone());
-                    families.insert(name.clone(), (String::new(), String::new()));
-                }
-                let fam = families.get_mut(&name).expect("inserted above");
-                // Every shard renders identical headers; keep each line once.
-                if !fam.0.lines().any(|l| l == line) {
-                    fam.0.push_str(line);
-                    fam.0.push('\n');
-                }
-                current = Some(name);
-                continue;
-            }
-            if line.is_empty() {
-                continue;
-            }
-            // A sample: inject the instance label at the first '{', or before
-            // the first space when the sample has no label set.
-            let fam_name = current.clone().unwrap_or_else(|| {
-                line.split(['{', ' '])
-                    .next()
-                    .unwrap_or_default()
-                    .to_string()
-            });
-            if !families.contains_key(&fam_name) {
-                order.push(fam_name.clone());
-                families.insert(fam_name.clone(), (String::new(), String::new()));
-            }
-            let fam = families.get_mut(&fam_name).expect("inserted above");
-            let labeled = match line.find('{') {
-                Some(i) if i < line.find(' ').unwrap_or(usize::MAX) => {
-                    format!("{}{{{label},{}", &line[..i], &line[i + 1..])
-                }
-                _ => match line.find(' ') {
-                    Some(i) => format!("{}{{{label}}}{}", &line[..i], &line[i..]),
-                    None => line.to_string(),
-                },
-            };
-            fam.1.push_str(&labeled);
-            fam.1.push('\n');
-        }
-    }
-    let mut out = String::new();
-    for name in &order {
-        let (header, samples) = &families[name];
-        out.push_str(header);
-        out.push_str(samples);
-    }
-    out
-}
-
 /// Escape a `# HELP` docstring: backslash and newline (quotes stay literal).
 fn prometheus_escape_help(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -1231,35 +1156,6 @@ fn prometheus_escape_help(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_prometheus_groups_families_and_labels_samples() {
-        let a = "# HELP m_total Things.\n# TYPE m_total counter\nm_total 3\n\
-                 # HELP v_total Per view.\n# TYPE v_total counter\nv_total{view=\"X\"} 1\n";
-        let b = "# HELP m_total Things.\n# TYPE m_total counter\nm_total 5\n\
-                 # HELP v_total Per view.\n# TYPE v_total counter\nv_total{view=\"X\"} 2\n";
-        let merged = merge_prometheus_labeled(
-            "shard",
-            &[
-                ("0".to_string(), a.to_string()),
-                ("1".to_string(), b.to_string()),
-            ],
-        );
-        let lines: Vec<&str> = merged.lines().collect();
-        assert_eq!(
-            lines,
-            vec![
-                "# HELP m_total Things.",
-                "# TYPE m_total counter",
-                "m_total{shard=\"0\"} 3",
-                "m_total{shard=\"1\"} 5",
-                "# HELP v_total Per view.",
-                "# TYPE v_total counter",
-                "v_total{shard=\"0\",view=\"X\"} 1",
-                "v_total{shard=\"1\",view=\"X\"} 2",
-            ]
-        );
-    }
 
     #[test]
     fn bucket_index_is_monotone_and_continuous() {

@@ -8,7 +8,10 @@
 //! compile modes. Streams are integer-weighted, which is the
 //! regime where every merge class (disjoint union for partitioned maps, GMR
 //! addition for summed scalars) is exact in f64; duplicate keys and
-//! insert/delete cancellations are generated on purpose.
+//! insert/delete cancellations are generated on purpose. On the generated
+//! workload data (float prices) the contract is per map class: only a summed
+//! map may differ in bits, by at most 1e-9 relative
+//! (`workload_queries_merge_exactly_across_shard_counts`).
 //!
 //! The query sets exercise both shard plans: a co-partitionable set (join and
 //! group-by keyed on the shared column → every map shard-local, no exchange
@@ -312,8 +315,7 @@ fn query_sets_span_both_shard_plans() {
 }
 
 /// The real workload queries must cover both plan shapes too: at least one
-/// fully shard-local query and at least one that exchanges. This is the same
-/// split `harness shard` reports, pinned as a test.
+/// fully shard-local query and at least one that exchanges.
 #[test]
 fn workload_queries_span_both_shard_plans() {
     use dbtoaster::prelude::*;
@@ -341,6 +343,95 @@ fn workload_queries_span_both_shard_plans() {
         !exchanging.is_empty(),
         "no workload query exercises the exchange executor (local: {local:?})"
     );
+}
+
+/// Workload queries over generated workload data (float prices, static
+/// tables loaded): the merged maps at N ∈ {1, 2, 4} shards equal one engine
+/// fed the same batches of 256. The float contract, per map: bits may differ
+/// only for a [`MapClass::Summed`] map, whose merge adds per-shard partial
+/// sums in a different order than one engine does, and then by at most 1e-9
+/// relative. Every other class is a disjoint union, a copy, or the
+/// executor's full-stream map, and must be bit-exact. (On this stream only
+/// `q1`'s summed aggregates drift, at 2 and 4 shards.)
+///
+/// [`MapClass::Summed`]: dbtoaster::compiler::MapClass::Summed
+#[test]
+fn workload_queries_merge_exactly_across_shard_counts() {
+    use dbtoaster::agca::DeltaBatch;
+    use dbtoaster::compiler::MapClass;
+    use dbtoaster::prelude::*;
+    const BATCH: usize = 256;
+    const PREFIX: usize = 2_000;
+    let sql_catalog = dbtoaster::workloads::full_catalog();
+    let cat = dbtoaster::to_compiler_catalog(&sql_catalog);
+    for name in ["q1", "q3", "q6", "vwap", "axf"] {
+        let q = dbtoaster::workloads::query(name).unwrap();
+        let data = dbtoaster::workloads::dataset_for(q.family, PREFIX, 42);
+        let events = &data.events;
+        let program = QueryEngineBuilder::new(sql_catalog.clone())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap()
+            .program()
+            .clone();
+
+        let mut reference = Engine::new(program.clone(), &cat);
+        for (table, rows) in &data.tables {
+            reference.load_table(table, rows.iter().cloned());
+        }
+        reference.init_static_views().unwrap();
+        for chunk in events.chunks(BATCH) {
+            let report = reference.process_batch(&DeltaBatch::from_events(chunk));
+            assert!(report.first_error.is_none(), "{name}: {report:?}");
+        }
+        for r in &program.results {
+            let result = reference.result(&r.name).unwrap();
+            assert!(!result.is_empty(), "{name}: result {} is empty", r.name);
+        }
+
+        for n in [1usize, 2, 4] {
+            let ctx = format!("{name} [{n}-shard]");
+            let mut sharded = ShardedEngine::new(program.clone(), &cat, n);
+            for (table, rows) in &data.tables {
+                sharded.load_table(table, rows);
+            }
+            sharded.init_static_views().unwrap();
+            for chunk in events.chunks(BATCH) {
+                let report = sharded.process_events(chunk);
+                assert!(report.first_error.is_none(), "{ctx}: {report:?}");
+            }
+            for view in view_names(&reference) {
+                let (want, got) = match (reference.view(&view), sharded.merged_view(&view)) {
+                    (Some(w), Some(g)) => (w, g),
+                    (None, None) => continue,
+                    (w, g) => panic!(
+                        "{ctx}: view {view} present in only one engine \
+                         (reference: {}, sharded: {})",
+                        w.is_some(),
+                        g.is_some()
+                    ),
+                };
+                let class = sharded.plan().class(&view);
+                for key in want.iter().chain(got.iter()).map(|(t, _)| t) {
+                    let (w, g) = (want.get(key), got.get(key));
+                    if w.to_bits() == g.to_bits() || (w == 0.0 && g == 0.0) {
+                        continue;
+                    }
+                    assert_eq!(
+                        class,
+                        MapClass::Summed,
+                        "{ctx}: {view}[{key:?}] = {g} merged vs {w} in one engine, \
+                         and a {class:?} map must be bit-exact"
+                    );
+                    assert!(
+                        (g - w).abs() <= 1e-9 * w.abs().max(1.0),
+                        "{ctx}: summed {view}[{key:?}] = {g} merged vs {w} in one engine"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Ordered secondary indexes are declared from the kernels of whatever
