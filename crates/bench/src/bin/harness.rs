@@ -6,13 +6,15 @@
 //! cargo run --release -p dbtoaster-bench --bin harness -- fig8
 //! ```
 //!
-//! Subcommands: `micro`, `serve`, `recover`, `batch`, `fig2`,
-//! `fig6` (also covers Figure 7), `fig8`, `fig9`, `fig10`, `fig11`,
-//! `traces` (Figures 13–18), `explain`, `export`, `torture`, `all`.
+//! Subcommands: `fig2`, `fig6` (alias `fig7`), `fig8`, `fig9`, `fig10`,
+//! `fig11`, `traces` (Figures 13–18), `all` (the default), `explain`,
+//! `export`, `torture`. Timing the system is the `benchmark/` package's job.
 //!
-//! Flags: `--events N`, `--budget SECS`, `--seed N`, `--label NAME`,
-//! `--json PATH`, `--query NAME` (`explain`), `--addr HOST:PORT` and
-//! `--hold SECS` (`export`), `--iters N` (`torture`).
+//! Flags: `--events N`, `--budget SECS`, `--seed N`, `--json PATH`
+//! (`explain`, `torture`), `--label NAME` (`torture`), `--query NAME`
+//! (`explain`), `--addr HOST:PORT` and `--hold SECS` (`export`), `--iters N`
+//! (`torture`). An unknown flag, a missing value or a value that does not
+//! parse exits with status 2.
 //!
 //! Observability:
 //!
@@ -26,7 +28,7 @@
 //!   optionally holds the endpoints up for external scrapers (CI curls them).
 
 use dbtoaster::prelude::*;
-use dbtoaster::workloads::{self, Family};
+use dbtoaster::workloads;
 use dbtoaster_bench::*;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -47,10 +49,16 @@ struct Args {
     iters: usize,
 }
 
-fn parse_args() -> Args {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+/// Parse a command line (without the program name): the subcommand, then its
+/// flags. An unknown flag, a flag without its value or a value that does not
+/// parse is an error, never a silent default.
+fn parse_args(argv: &[String]) -> Result<Args, String> {
+    let (command, flags) = match argv.split_first() {
+        Some((first, rest)) => (first.clone(), rest),
+        None => ("all".to_string(), argv),
+    };
     let mut args = Args {
-        command: argv.first().cloned().unwrap_or_else(|| "all".to_string()),
+        command,
         events: 20_000,
         budget: Duration::from_secs(5),
         seed: 42,
@@ -61,131 +69,34 @@ fn parse_args() -> Args {
         hold: Duration::from_secs(0),
         iters: 200,
     };
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--events" => {
-                args.events = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.events);
-                i += 2;
-            }
-            "--budget" => {
-                let secs: u64 = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(5);
-                args.budget = Duration::from_secs(secs);
-                i += 2;
-            }
-            "--seed" => {
-                args.seed = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.seed);
-                i += 2;
-            }
-            "--json" => {
-                args.json = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--label" => {
-                args.label = argv.get(i + 1).cloned().unwrap_or(args.label);
-                i += 2;
-            }
-            "--query" => {
-                args.query = argv.get(i + 1).cloned();
-                i += 2;
-            }
-            "--addr" => {
-                args.addr = argv.get(i + 1).cloned().unwrap_or(args.addr);
-                i += 2;
-            }
-            "--hold" => {
-                let secs: u64 = argv.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(0);
-                args.hold = Duration::from_secs(secs);
-                i += 2;
-            }
-            "--iters" => {
-                args.iters = argv
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(args.iters);
-                i += 2;
-            }
-            "--explain" => {
-                args.command = "explain".to_string();
-                i += 1;
-            }
-            other => {
-                eprintln!("ignoring unknown argument {other}");
-                i += 1;
-            }
+    let mut rest = flags.iter();
+    while let Some(flag) = rest.next() {
+        let mut value = || {
+            rest.next()
+                .cloned()
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        match flag.as_str() {
+            "--events" => args.events = parse_value(flag, &value()?)?,
+            "--budget" => args.budget = Duration::from_secs(parse_value(flag, &value()?)?),
+            "--seed" => args.seed = parse_value(flag, &value()?)?,
+            "--json" => args.json = Some(value()?),
+            "--label" => args.label = value()?,
+            "--query" => args.query = Some(value()?),
+            "--addr" => args.addr = value()?,
+            "--hold" => args.hold = Duration::from_secs(parse_value(flag, &value()?)?),
+            "--iters" => args.iters = parse_value(flag, &value()?)?,
+            "--explain" => args.command = "explain".to_string(),
+            other => return Err(format!("unknown argument {other}")),
         }
     }
-    args
+    Ok(args)
 }
 
-fn micro(config: &ExperimentConfig, label: &str, json: Option<&str>) {
-    println!("=== micro: substrate operations and fig6 Higher-Order refresh rates ===");
-    let results = micro_benchmarks(config);
-    println!("{}", format_micro(&results));
-    if let Some(path) = json {
-        let payload = micro_json(label, config, &results);
-        if bench_telemetry_off() {
-            std::fs::write(path, &payload)
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            println!("wrote {path} (telemetry off: no latency blocks)");
-        } else {
-            // The fig6 runs carry telemetry percentiles; refuse to write a
-            // JSON that lost them (CI greps for this line in the smoke run).
-            let blocks = validate_latency_json(&payload)
-                .unwrap_or_else(|e| panic!("micro JSON missing/invalid latency blocks: {e}"));
-            std::fs::write(path, &payload)
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            println!("wrote {path} ({blocks} latency blocks validated)");
-        }
-    }
-}
-
-fn serve(config: &ExperimentConfig, label: &str, json: Option<&str>) {
-    println!("=== serve: concurrent view serving (writer throughput, reads, fan-out) ===");
-    let results = serve_benchmarks(config);
-    println!("{}", format_micro(&results));
-    if let Some(path) = json {
-        let payload = micro_json(label, config, &results);
-        std::fs::write(path, &payload).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("wrote {path}");
-    }
-}
-
-fn recover(config: &ExperimentConfig, label: &str, json: Option<&str>) {
-    println!("=== recover: durable serving (WAL throughput, checkpoint + replay rates) ===");
-    let results = recover_benchmarks(config);
-    println!("{}", format_micro(&results));
-    if let Some(path) = json {
-        let payload = micro_json(label, config, &results);
-        std::fs::write(path, &payload).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-        println!("wrote {path}");
-    }
-}
-
-fn batch(config: &ExperimentConfig, label: &str, json: Option<&str>) {
-    println!("=== batch: delta-batch size sweep (events/sec at batch sizes 1/8/64/512) ===");
-    let results = batch_benchmarks(config);
-    println!("{}", format_micro(&results));
-    if let Some(path) = json {
-        let payload = micro_json(label, config, &results);
-        if bench_telemetry_off() {
-            std::fs::write(path, &payload)
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            println!("wrote {path} (telemetry off: no latency blocks)");
-        } else {
-            let blocks = validate_latency_json(&payload)
-                .unwrap_or_else(|e| panic!("batch JSON missing/invalid latency blocks: {e}"));
-            std::fs::write(path, &payload)
-                .unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
-            println!("wrote {path} ({blocks} latency blocks validated)");
-        }
-    }
+fn parse_value<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
 }
 
 fn fig2() {
@@ -319,9 +230,7 @@ fn export(config: &ExperimentConfig, addr: &str, hold: Duration) {
     println!("exporter listening on http://{http}/ (endpoints: /metrics /healthz /views /explain /traces)");
 
     // A scraper polling /metrics at 1 Hz for the whole ingest run: the
-    // throughput printed below carries whatever cost scraping imposes, so
-    // comparing it against a scraper-free `serve` run (same events, same seed)
-    // A/Bs the exporter's hot-path overhead on one machine.
+    // throughput printed below carries whatever cost scraping imposes.
     let stop = Arc::new(AtomicBool::new(false));
     let scrapes = Arc::new(AtomicU64::new(0));
     let scraper = {
@@ -834,7 +743,11 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
 }
 
 fn main() {
-    let args = parse_args();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("harness: {e}");
+        std::process::exit(2);
+    });
     let config = ExperimentConfig {
         events: args.events,
         time_budget: args.budget,
@@ -842,10 +755,6 @@ fn main() {
     };
 
     match args.command.as_str() {
-        "micro" => micro(&config, &args.label, args.json.as_deref()),
-        "serve" => serve(&config, &args.label, args.json.as_deref()),
-        "recover" => recover(&config, &args.label, args.json.as_deref()),
-        "batch" => batch(&config, &args.label, args.json.as_deref()),
         "fig2" => fig2(),
         "fig6" | "fig7" => fig6(&config),
         "fig8" => traces_for(&["q1", "q3", "q11a", "q12"], "Figure 8", &config),
@@ -873,13 +782,57 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other}; expected micro|serve|recover|batch|fig2|fig6|fig8|fig9|fig10|fig11|traces|explain|export|torture|all"
+                "unknown command {other}; expected fig2|fig6|fig7|fig8|fig9|fig10|fig11|traces|all|explain|export|torture"
             );
             std::process::exit(2);
         }
     }
+}
 
-    // A tiny smoke check that keeps the harness honest: the workloads and families it
-    // reports on must exist.
-    debug_assert!(workloads::queries_of(Family::Finance).len() >= 6);
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        let argv: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_args(&argv)
+    }
+
+    #[test]
+    fn a_valid_line_sets_every_flag_it_names() {
+        let args = parse("torture --iters 50 --seed 7 --json out.json --label ci").unwrap();
+        assert_eq!(args.command, "torture");
+        assert_eq!((args.iters, args.seed), (50, 7));
+        assert_eq!(args.json.as_deref(), Some("out.json"));
+        assert_eq!(args.label, "ci");
+        assert_eq!(args.events, 20_000, "unnamed flags keep their defaults");
+        let args = parse("fig2 --explain --query bsp --events 4000").unwrap();
+        assert_eq!(args.command, "explain");
+        assert_eq!((args.query.as_deref(), args.events), (Some("bsp"), 4000));
+    }
+
+    #[test]
+    fn an_unknown_flag_is_an_error() {
+        let err = parse("torture --iter 200").err().unwrap();
+        assert_eq!(err, "unknown argument --iter");
+        assert!(parse("fig6 --bogus").is_err());
+    }
+
+    #[test]
+    fn a_flag_without_its_value_is_an_error() {
+        assert_eq!(
+            parse("fig6 --events").err().unwrap(),
+            "--events needs a value"
+        );
+    }
+
+    #[test]
+    fn a_value_that_does_not_parse_is_an_error() {
+        assert_eq!(
+            parse("torture --iters 2OO").err().unwrap(),
+            "--iters: cannot parse \"2OO\""
+        );
+        assert!(parse("fig6 --events 5k").is_err());
+        assert!(parse("export --hold -1").is_err());
+    }
 }

@@ -1723,7 +1723,7 @@ impl Engine {
     /// counters, kernel work counters, observed map sizes, event totals)
     /// into the shared [`Telemetry`] atomics. Allocation-free; runs
     /// automatically every `TELEMETRY_FLUSH_BATCHES` (64) batches, and callers
-    /// (the serving writer, the bench harness) invoke it before reading a
+    /// (the serving writer, tests) invoke it before reading a
     /// snapshot.
     pub fn flush_telemetry(&mut self) {
         let Some(ts) = self.tel.as_deref_mut() else {

@@ -593,7 +593,7 @@ struct Inner {
     traces: Mutex<VecDeque<SlowBatchTrace>>,
     trace_seq: AtomicU64,
     /// Canonical pipeline counters (the single source both `EngineStats`
-    /// mirrors and the bench harness report from).
+    /// mirrors and `/metrics` reports from).
     events: AtomicU64,
     batches: AtomicU64,
 }

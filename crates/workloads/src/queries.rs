@@ -2,9 +2,8 @@
 //!
 //! Each [`WorkloadQuery`] carries the SQL text, the workload family it belongs to and
 //! the structural features reported in Figure 2 of the paper (number of joined tables,
-//! join type, where-clause features, group-by, nesting depth). Queries outside the
-//! supported SQL fragment of this reproduction are listed in EXPERIMENTS.md together
-//! with the reason for their exclusion; every structural class of Figure 2 is covered.
+//! join type, where-clause features, group-by, nesting depth). Every structural class
+//! of Figure 2 is covered.
 
 use serde::{Deserialize, Serialize};
 

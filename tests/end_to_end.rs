@@ -165,6 +165,56 @@ fn static_tables_affect_results() {
     assert_eq!(without_tables, 0.0);
 }
 
+/// A workload query served through the facade — events sent one at a time,
+/// a subscriber attached — ends where the embedded engine ends.
+#[test]
+fn served_workload_query_matches_the_embedded_engine() {
+    let q = workloads::query("q6").unwrap();
+    let data = small_dataset(Family::Tpch);
+    let engine = || {
+        let mut engine = QueryEngineBuilder::new(workloads::tpch_catalog())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap();
+        for (t, rows) in &data.tables {
+            engine.load_table(t, rows.clone()).unwrap();
+        }
+        engine.init().unwrap();
+        engine
+    };
+    let mut embedded = engine();
+    embedded.process_all(&data.events).unwrap();
+    let expected = embedded.result(q.name).unwrap().scalar();
+
+    let server = engine().serve().unwrap();
+    let sub = server.subscribe(q.name).unwrap();
+    let ingest = server.handle();
+    for e in &data.events {
+        ingest.send(e.clone()).unwrap();
+    }
+    server.flush().unwrap();
+    let got = server.reader().query(q.name).unwrap().scalar();
+    // The writer drains micro-batches whose batch-delta execution may
+    // reassociate q6's float sum (the float caveat in
+    // `crates/agca/src/batch.rs`): equal up to relative rounding, not
+    // necessarily bit-equal to the event-at-a-time order.
+    let tol = 1e-9 * expected.abs().max(1.0);
+    assert!(
+        (got - expected).abs() <= tol,
+        "served {got} vs embedded {expected}"
+    );
+
+    // Shutting down joins the writer, so every delta it published is queued.
+    drop(ingest);
+    server.shutdown().unwrap();
+    let mut deltas = 0;
+    while let Some(batch) = sub.try_recv() {
+        deltas += batch.deltas.len();
+    }
+    assert!(deltas > 0, "the subscription saw no output deltas");
+}
+
 #[test]
 fn memory_and_trace_samples_are_monotone_in_events() {
     let catalog = workloads::finance_catalog();
