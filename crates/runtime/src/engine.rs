@@ -231,14 +231,29 @@ impl From<EvalError> for RuntimeError {
 pub struct BatchReport {
     /// Stream events the batch covered (successful + failed).
     pub events: u64,
-    /// Events whose trigger work failed, counted per firing. A firing whose
-    /// `+=` statements fail writes nothing, not even its base update; a
-    /// failing `:=` leaves the firing's increments and base update applied.
-    /// A batch-delta run fires its `:=` statements once, for its last event,
-    /// so a failing `:=` counts one failure per run, not one per event: where
-    /// a poison value stored in a base relation makes every later
-    /// re-evaluation fail, per-event processing reports every event and a
-    /// batch reports every run.
+    /// Events whose trigger work failed. A firing whose `+=` statements fail
+    /// writes nothing, not even its base update, and counts once. A failing
+    /// `:=` leaves the firing's increments and base update applied. A
+    /// batch-delta run fires its `:=` statements once, for its last event, so
+    /// a failing `:=` counts once per run, where per-event processing counts
+    /// every event whose `:=` fails.
+    ///
+    /// A firing fails on a value no statement can compute with, such as a
+    /// string where a number is multiplied in. Batched and per-event
+    /// processing of one stream need not fail the same firings. A firing
+    /// whose products are zero stores its tuple without evaluating it, so
+    /// such a value is stored or rejected depending on the state the firing
+    /// meets; a batch orders firings by run (an increment-only program's runs
+    /// merge) and cancels an event against a later one before anything
+    /// fires. Either side may then fail firings the other does not, and the
+    /// maps may differ. A `:=` that fails inside a run but not at its end
+    /// fails per event only; one that fails at a run's end leaves its targets
+    /// as the previous run left them. The maps differ only where one side or
+    /// the other reported a failure.
+    ///
+    /// `stats().events` grows by `events - failed_events`, and a durable
+    /// writer adds `failed_events` back so its watermark stays on the WAL's
+    /// sequence numbers.
     pub failed_events: u64,
     /// The first error encountered, if any.
     pub first_error: Option<RuntimeError>,
@@ -324,7 +339,7 @@ pub struct EngineStats {
     /// Always 0: the statement-major strategy was folded into batch-delta.
     /// Kept, never written, only because the frozen benchmark reads it for
     /// its `runtime.runs_statement_major` ledger row; goes with that row
-    /// (ROADMAP item 7(b)).
+    /// (ROADMAP, Smaller: the frozen-ledger residue).
     pub statement_major_runs: u64,
     /// Relation runs executed entry-major — as runs of one firing each,
     /// either by dispatch (the relation's batch-delta derivation bailed) or

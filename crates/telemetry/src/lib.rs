@@ -320,7 +320,7 @@ pub enum Stage {
     /// Always zero: the strategy it timed was folded into batch-delta. Kept,
     /// never recorded into, only because the frozen benchmark reads it for
     /// its `telemetry.stage_kernel_statement_major_ns_per_event` ledger row;
-    /// goes with that row (ROADMAP item 7(b)).
+    /// goes with that row (ROADMAP, Smaller: the frozen-ledger residue).
     KernelStatementMajor,
     /// Kernel execution of a relation run under the entry-major strategy.
     KernelEntryMajor,
