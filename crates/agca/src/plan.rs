@@ -113,6 +113,48 @@
 //! the runtime's `ordered` module), and any violation sends that one lookup
 //! down the plain traversal — counted as a `range_sum_bail` — so the two ways of
 //! computing a member are bit-identical, not approximately equal.
+//!
+//! ## Range sums inside a loop
+//!
+//! A band sum whose bound reads a slot an enclosing loop binds cannot be
+//! hoisted: `vwap`'s `Sum[](m_vwap_2(p2) * (p2 > p1))` under the scan that
+//! binds `p1` is worth a different total on every outer row, and walking
+//! `m_vwap_2` once per row makes the statement quadratic. When such a
+//! sub-sum has the shape `AggSum*(Product[Scan, cont…])`, its template holes
+//! read trigger slots only, the scan leaves exactly the band column free with
+//! no repeated variables, and `cont` is a band member ([`BandSpec`]), the
+//! sub-sum becomes a [`Scalar::RangeSum`] lookup instead. The scanned group is
+//! fixed for the whole execution, so the statement keeps one sorted run of
+//! `(band key, running sum)` per `(map, template)` ([`SortedRun`]): the first
+//! lookup of an execution builds it (an execution whose loop never reaches a
+//! lookup builds nothing), and every lookup after it is two binary searches
+//! and one subtraction — `O(n log n)` per execution instead of `O(n²)`. The
+//! runs live in [`KernelState`] buffers that keep their capacity, so no map
+//! stores anything new and a warm engine allocates nothing. (A batch's
+//! entries are executions of their own: a run is never reused across them.)
+//!
+//! The exactness contract is the ordered indexes' own, with the same guards
+//! ([`band_key`], [`exact_mult`], [`EXACT_INT_BOUND`]): a group holding a key
+//! that is no band key or a multiplicity that is not exact, or whose
+//! `Σ|multiplicity|` reaches 2^53, is walked by every lookup of that
+//! execution, and a bound outside the contract sends its one lookup down the
+//! walk — the sub-sum as it was before the rewrite, kept as the lookup's
+//! `traverse`. Answers count as `range_sum_hits`, walks as `range_sum_bails`.
+//! `entries_scanned` counts the build's walk and each search's comparisons.
+//!
+//! A scanning sub-sum inside a loop that reads nothing the loop binds but
+//! cannot join the prelude (its member holds another aggregate — `mst`'s sum
+//! over the asks, multiplied into every bid row, holds a band lookup) is
+//! worth the same on every row: it becomes a [`Scalar::CachedSum`], walked at
+//! its first use in an execution and reused after. Without it `mst` would
+//! stay quadratic with every band sum looked up.
+//!
+//! EXPLAIN notes a scanning sub-sum that stays a walk with the reason
+//! ([`range_sum_refusal`]): a template hole bound by the loop (the group
+//! changes per row), a weight in the member (the sum is not of
+//! multiplicities), or another aggregate in the member — `vwap`'s outer sum,
+//! which compares two aggregates with each other, and `psp`'s, which
+//! compares the scanned volume with `0.0001 ×` a total.
 
 use crate::eval::{matches_pattern, product_order_by, EvalError, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
@@ -146,6 +188,29 @@ pub enum Scalar {
     /// bound (e.g. a decorrelated nested aggregate probed with its keys): run
     /// the sub-plan and sum the emitted multiplicities.
     SubSum(Box<Op>),
+    /// A band sum inside a loop, answered from a sorted run built once per
+    /// execution (see the module docs on range sums inside a loop). Yields
+    /// the same double as `SubSum(traverse)`, bit for bit.
+    RangeSum {
+        /// Index into [`CompiledStmt::runs`].
+        run: u16,
+        /// Normalized constraints `key cmp bound`, as in [`BandSpec`]; the
+        /// bounds may read slots the enclosing loop binds.
+        ranges: Vec<(CmpOp, NumExpr)>,
+        /// The sub-sum this lookup replaces, run whenever the lookup cannot
+        /// answer exactly.
+        traverse: Box<Op>,
+    },
+    /// A loop-invariant scanning sub-sum inside a loop that cannot join the
+    /// prelude: evaluated like `SubSum(plan)` at its first use in an
+    /// execution, its value reused by every later one (see the module docs
+    /// on range sums inside a loop).
+    CachedSum {
+        /// Index of its value among the execution's cached sums.
+        cache: u16,
+        /// The sub-plan.
+        plan: Box<Op>,
+    },
 }
 
 /// One operator of a compiled plan. Each op receives an incoming multiplicity,
@@ -351,6 +416,23 @@ pub struct FusedScan {
     pub band_pos: Option<u16>,
 }
 
+/// The group a statement's [`Scalar::RangeSum`] lookups read: the entries of
+/// `rel` matching `template`, whose one free position is the band key. Its
+/// sorted run is built at the first lookup of each execution and shared by
+/// every lookup of the same `(rel, template)`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct SortedRun {
+    /// Relation / view / map name.
+    pub rel: String,
+    /// Pattern buffer index (see [`KernelState`]).
+    pub buf: u16,
+    /// Per position: `Some(slot)` = bound hole filled from the (trigger)
+    /// slots, `None` = the band key.
+    pub template: Vec<Option<Slot>>,
+    /// The band key's position.
+    pub key_pos: u16,
+}
+
 /// A compiled trigger statement: the lowered right-hand side plus the
 /// pre-resolved key slots and the buffer shapes its execution needs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -358,6 +440,10 @@ pub struct CompiledStmt {
     /// Hoisted loop-invariant sub-aggregate scans, run before `plan` (see
     /// [`FusedScan`]).
     pub prelude: Vec<FusedScan>,
+    /// The groups the plan's [`Scalar::RangeSum`] lookups read.
+    pub runs: Vec<SortedRun>,
+    /// Number of [`Scalar::CachedSum`]s in the plan.
+    pub cached_sums: u16,
     /// The lowered right-hand side.
     pub plan: Op,
     /// One frame slot per target key column, in key order.
@@ -711,6 +797,8 @@ pub fn lower_statement(
         .collect::<Result<Vec<Slot>, _>>()?;
     let mut stmt = CompiledStmt {
         prelude: Vec::new(),
+        runs: Vec::new(),
+        cached_sums: 0,
         plan,
         key_slots,
         frame_size: lw.next_slot as u16,
@@ -786,7 +874,10 @@ fn op_writes(op: &Op, out: &mut Vec<Slot>) {
             }
         }
         Op::Neg(inner) | Op::AggSum(inner) => op_writes(inner, out),
-        Op::LiftBind { slot, .. } => out.push(*slot),
+        Op::LiftBind { slot, value } => {
+            out.push(*slot);
+            scalar_writes(value, out);
+        }
         Op::Exists { inner, slots, .. } => {
             out.extend(slots.iter().copied());
             op_writes(inner, out);
@@ -814,13 +905,18 @@ fn scalar_reads(s: &Scalar, out: &mut Vec<Slot>) {
             scalar_reads(l, out);
             scalar_reads(r, out);
         }
-        Scalar::SubSum(op) => op_reads(op, out),
+        // The walk reads the run's holes and every bound the ranges read.
+        Scalar::SubSum(op)
+        | Scalar::RangeSum { traverse: op, .. }
+        | Scalar::CachedSum { plan: op, .. } => op_reads(op, out),
     }
 }
 
 fn scalar_writes(s: &Scalar, out: &mut Vec<Slot>) {
     match s {
-        Scalar::SubSum(op) => op_writes(op, out),
+        Scalar::SubSum(op)
+        | Scalar::RangeSum { traverse: op, .. }
+        | Scalar::CachedSum { plan: op, .. } => op_writes(op, out),
         Scalar::Neg(inner) => scalar_writes(inner, out),
         Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
             for x in xs {
@@ -856,7 +952,61 @@ fn simple_scalar(s: &Scalar) -> bool {
         Scalar::Neg(inner) => simple_scalar(inner),
         Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => xs.iter().all(simple_scalar),
         Scalar::Cmp(_, l, r) => simple_scalar(l) && simple_scalar(r),
-        Scalar::SubSum(_) => false,
+        Scalar::SubSum(_) | Scalar::RangeSum { .. } | Scalar::CachedSum { .. } => false,
+    }
+}
+
+/// Can `op` emit more than once per incoming emission — is what follows it
+/// in a product inside a loop?
+fn iterates(op: &Op) -> bool {
+    match op {
+        Op::Scan { .. } | Op::Exists { .. } => true,
+        Op::Product(ops) | Op::Sum(ops) => ops.iter().any(iterates),
+        Op::Neg(inner) | Op::AggSum(inner) => iterates(inner),
+        _ => false,
+    }
+}
+
+/// The `AggSum*(Product[Scan, cont…])` (or bare scan) shape of a sub-sum:
+/// its scan and the per-entry continuation after it.
+pub fn scan_body(op: &Op) -> Option<(&Op, &[Op])> {
+    // Strip grouping markers (grouping is a no-op for an accumulating sink).
+    let mut body = op;
+    while let Op::AggSum(inner) = body {
+        body = inner;
+    }
+    match body {
+        Op::Scan { .. } => Some((body, &[][..])),
+        Op::Product(ops) => match ops.split_first() {
+            Some((first @ Op::Scan { .. }, rest)) => Some((first, rest)),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
+/// Why a scanning sub-sum of a lowered statement stayed a walk, where it is
+/// one of the reasons the module docs list — what EXPLAIN prints next to it.
+/// `None` for any other sub-plan. `trigger_slots` is the statement's.
+pub fn range_sum_refusal(op: &Op, trigger_slots: u16) -> Option<&'static str> {
+    let (Op::Scan { template, .. }, cont) = scan_body(op)? else {
+        return None;
+    };
+    let aggregate = |op: &Op| match op {
+        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
+            !simple_scalar(s)
+        }
+        _ => false,
+    };
+    let is_weight = |f: &FastOp| matches!(f, FastOp::Weight(_));
+    if template.iter().flatten().any(|&s| s >= trigger_slots) {
+        Some("a template hole bound by the loop")
+    } else if cont.iter().any(aggregate) {
+        Some("another aggregate in the member")
+    } else if compile_fast(cont)?.iter().any(is_weight) {
+        Some("a weight in the member")
+    } else {
+        None
     }
 }
 
@@ -864,13 +1014,25 @@ struct Hoister {
     trigger_slots: u16,
     next_slot: u32,
     groups: Vec<FusedScan>,
+    runs: Vec<SortedRun>,
+    cached_sums: u16,
+    /// Does the op being hoisted run once per row of an enclosing loop?
+    in_loop: bool,
 }
 
 impl Hoister {
     fn hoist_op(&mut self, op: &mut Op) {
         match op {
             Op::ScalarMult(s) => self.hoist_scalar(s),
-            Op::Product(ops) | Op::Sum(ops) => {
+            Op::Product(ops) => {
+                let outer = self.in_loop;
+                for o in ops {
+                    self.hoist_op(o);
+                    self.in_loop |= iterates(o);
+                }
+                self.in_loop = outer;
+            }
+            Op::Sum(ops) => {
                 for o in ops {
                     self.hoist_op(o);
                 }
@@ -895,8 +1057,21 @@ impl Hoister {
                 self.hoist_op(op);
                 if let Some(dest) = self.try_extract(op) {
                     *s = Scalar::Slot(dest);
+                } else if let Some(lookup) = self.try_range_sum(op) {
+                    *s = lookup;
+                } else if self.in_loop
+                    && self.cached_sums < u16::MAX
+                    && scan_body(op).is_some()
+                    && self.invariant(op)
+                {
+                    // A walk worth the same on every row of the loop.
+                    let plan = std::mem::replace(op, Box::new(Op::ConstMult(0.0)));
+                    let cache = self.cached_sums;
+                    self.cached_sums += 1;
+                    *s = Scalar::CachedSum { cache, plan };
                 }
             }
+            Scalar::RangeSum { .. } | Scalar::CachedSum { .. } => {}
             Scalar::Neg(inner) => self.hoist_scalar(inner),
             Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
                 for x in xs {
@@ -911,24 +1086,25 @@ impl Hoister {
         }
     }
 
+    /// Invariance: is every slot the sub-plan reads either a trigger slot or
+    /// written by the sub-plan itself (its scan bindings and any internal
+    /// lifts)? Then it is worth the same wherever in the statement it runs.
+    fn invariant(&self, op: &Op) -> bool {
+        let mut reads = Vec::new();
+        op_reads(op, &mut reads);
+        let mut own = Vec::new();
+        op_writes(op, &mut own);
+        reads
+            .iter()
+            .all(|s| (*s as usize) < self.trigger_slots as usize || own.contains(s))
+    }
+
     /// Extract a `SubSum` plan of shape `AggSum*(Product[Scan, cont…])` (or a
     /// bare scan) whose reads are confined to trigger slots plus its own
     /// bindings, merging it into a fused prelude scan. Returns the result
     /// slot on success.
     fn try_extract(&mut self, op: &Op) -> Option<Slot> {
-        // Strip grouping markers (grouping is a no-op for an accumulating sink).
-        let mut body = op;
-        while let Op::AggSum(inner) = body {
-            body = inner;
-        }
-        let (scan, cont) = match body {
-            Op::Scan { .. } => (body, &[][..]),
-            Op::Product(ops) => match ops.split_first() {
-                Some((first @ Op::Scan { .. }, rest)) => (first, rest),
-                _ => return None,
-            },
-            _ => return None,
-        };
+        let (scan, cont) = scan_body(op)?;
         if !cont.iter().all(simple_cont_op) {
             return None;
         }
@@ -942,25 +1118,14 @@ impl Hoister {
         else {
             return None;
         };
-        // Invariance: every slot the sub-plan reads is either a trigger slot
-        // or written by the sub-plan itself (its scan bindings and any
-        // internal lifts).
-        let mut reads = Vec::new();
-        op_reads(body, &mut reads);
-        let mut own = Vec::new();
-        op_writes(body, &mut own);
-        if !reads
-            .iter()
-            .all(|s| (*s as usize) < self.trigger_slots as usize || own.contains(s))
-        {
-            return None;
-        }
-        if self.next_slot >= u16::MAX as u32 {
+        if !self.invariant(op) || self.next_slot >= u16::MAX as u32 {
             return None;
         }
         // Batch invariance: a sub-plan that reads no trigger slot at all (its
         // reads are entirely its own bindings) computes the same total for
         // every entry of a delta batch.
+        let mut reads = Vec::new();
+        op_reads(op, &mut reads);
         let entry_invariant = !reads
             .iter()
             .any(|s| (*s as usize) < self.trigger_slots as usize);
@@ -1006,6 +1171,51 @@ impl Hoister {
             band_pos: None,
         });
         Some(dest)
+    }
+
+    /// Turn a sub-sum [`Hoister::try_extract`] refused — its band bounds
+    /// read a slot an enclosing loop binds — into a [`Scalar::RangeSum`]
+    /// lookup, when its scan's group is fixed for the execution (template
+    /// holes read trigger slots only), the band column is its one free
+    /// column, and its continuation is a band member (see the module docs).
+    fn try_range_sum(&mut self, op: &Op) -> Option<Scalar> {
+        let (scan, cont) = scan_body(op)?;
+        let Op::Scan {
+            rel,
+            buf,
+            template,
+            binds,
+            eqs,
+        } = scan
+        else {
+            return None;
+        };
+        if !eqs.is_empty() || template.iter().flatten().any(|&s| s >= self.trigger_slots) {
+            return None;
+        }
+        let band = member_band(&compile_fast(cont)?, binds)?;
+        let mut free = template.iter().enumerate().filter(|(_, t)| t.is_none());
+        if free.next().map(|(p, _)| p) != Some(band.key_pos as usize) || free.next().is_some() {
+            return None;
+        }
+        let same = |r: &SortedRun| r.rel == *rel && r.template == *template;
+        let run = match self.runs.iter().position(same) {
+            Some(run) => run,
+            None => {
+                self.runs.push(SortedRun {
+                    rel: rel.clone(),
+                    buf: *buf,
+                    template: template.clone(),
+                    key_pos: band.key_pos,
+                });
+                self.runs.len() - 1
+            }
+        };
+        Some(Scalar::RangeSum {
+            run: u16::try_from(run).ok()?,
+            ranges: band.ranges,
+            traverse: Box::new(op.clone()),
+        })
     }
 }
 
@@ -1162,6 +1372,29 @@ fn num_expr(s: &Scalar) -> Option<NumExpr> {
 /// exactness guard here and in the runtime's ordered indexes.
 pub const EXACT_INT_BOUND: f64 = (1u64 << 53) as f64;
 
+/// The band key of `v`, when it can be one: a finite, non-zero,
+/// integer-valued number of magnitude ≤ 2^53 (zero is out because `-0.0` and
+/// `+0.0` are one key but two positions in IEEE order).
+pub fn band_key(v: &Value) -> Option<f64> {
+    let k = match v {
+        Value::Long(l) if l.unsigned_abs() <= 1 << 53 => *l as f64,
+        Value::Double(d) => *d,
+        _ => return None,
+    };
+    (k.fract() == 0.0 && k != 0.0 && k.abs() <= EXACT_INT_BOUND).then_some(k)
+}
+
+/// The contribution of a multiplicity to a running sum, when it is exact.
+pub fn exact_mult(m: f64) -> Option<i64> {
+    (m.fract() == 0.0 && m.abs() < EXACT_INT_BOUND).then_some(m as i64)
+}
+
+/// Number of comparisons a binary search over `n` sorted items makes — what
+/// a range sum adds to `entries_scanned` per search.
+pub fn search_steps(n: usize) -> u64 {
+    u64::from(usize::BITS - n.leading_zeros())
+}
+
 /// Evaluate a [`NumExpr`] against the frame. Returns `(value, int_pure)`
 /// where `int_pure` tracks whether the [`Value`]-level evaluator would have
 /// stayed in exact `i64` arithmetic; `None` bails to the general path (string
@@ -1249,19 +1482,49 @@ fn bound_leaf(v: f64) -> Option<(f64, f64)> {
         .then(|| (v, v.abs()))
 }
 
+/// Intersect a band's constraints into one `lo ≤ key < hi`, folding the
+/// magnitudes of their bounds into `bound_mag`. `None` — walk instead — when
+/// a bound is outside the exactness contract (see [`eval_bound`]). Keys and
+/// bounds are integers, so `key ≤ b ⇔ key < b + 1` and `key > b ⇔ key ≥
+/// b + 1`; `|b| < 2^53` keeps `b + 1` exact.
+fn band_interval(
+    ranges: &[(CmpOp, NumExpr)],
+    frame: &[Value],
+    bound_mag: &mut f64,
+) -> Option<(f64, f64)> {
+    let (mut lo, mut hi) = (f64::NEG_INFINITY, f64::INFINITY);
+    for (cmp, be) in ranges {
+        let (b, mag) = eval_bound(be, frame)?;
+        // A `-0.0` bound (a fold of negated terms that cancel) is no
+        // non-zero integer either.
+        if b == 0.0 && b.is_sign_negative() {
+            return None;
+        }
+        *bound_mag = bound_mag.max(mag);
+        match cmp {
+            CmpOp::Lt => hi = hi.min(b),
+            CmpOp::Le => hi = hi.min(b + 1.0),
+            CmpOp::Gt => lo = lo.max(b + 1.0),
+            CmpOp::Ge => lo = lo.max(b),
+            CmpOp::Eq | CmpOp::Ne => return None,
+        }
+    }
+    Some((lo, hi))
+}
+
 /// Evaluate a comparison exactly as `CmpOp::eval` does on numeric [`Value`]s:
-/// equality through `Value`'s normalized bit patterns, ordering through IEEE
-/// `total_cmp`.
+/// equality through `Value`'s normalized bit patterns, ordering through
+/// [`Value::numeric_cmp`].
 #[inline]
 fn num_cmp(op: CmpOp, l: f64, r: f64) -> bool {
     use std::cmp::Ordering;
     match op {
         CmpOp::Eq => Value::numeric_bits(l) == Value::numeric_bits(r),
         CmpOp::Ne => Value::numeric_bits(l) != Value::numeric_bits(r),
-        CmpOp::Lt => l.total_cmp(&r) == Ordering::Less,
-        CmpOp::Le => l.total_cmp(&r) != Ordering::Greater,
-        CmpOp::Gt => l.total_cmp(&r) == Ordering::Greater,
-        CmpOp::Ge => l.total_cmp(&r) != Ordering::Less,
+        CmpOp::Lt => Value::numeric_cmp(l, r) == Ordering::Less,
+        CmpOp::Le => Value::numeric_cmp(l, r) != Ordering::Greater,
+        CmpOp::Gt => Value::numeric_cmp(l, r) == Ordering::Greater,
+        CmpOp::Ge => Value::numeric_cmp(l, r) != Ordering::Less,
     }
 }
 
@@ -1306,18 +1569,24 @@ fn run_fast(ops: &[FastOp], frame: &[Value], mut mult: f64) -> FastOutcome {
 
 /// Hoist loop-invariant [`Scalar::SubSum`] scans into the statement prelude,
 /// fusing sub-plans that share a scan signature into a single traversal (see
-/// [`FusedScan`]).
+/// [`FusedScan`]), and turn band sums inside loops into
+/// [`Scalar::RangeSum`] lookups over the statement's [`SortedRun`]s.
 fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     let mut h = Hoister {
         trigger_slots: stmt.trigger_slots,
         next_slot: stmt.frame_size as u32,
         groups: Vec::new(),
+        runs: Vec::new(),
+        cached_sums: 0,
+        in_loop: false,
     };
     let mut plan = std::mem::replace(&mut stmt.plan, Op::ConstMult(0.0));
     h.hoist_op(&mut plan);
     stmt.plan = plan;
     stmt.frame_size = h.next_slot as u16;
     stmt.prelude = h.groups;
+    stmt.runs = h.runs;
+    stmt.cached_sums = h.cached_sums;
     for g in &mut stmt.prelude {
         g.band_pos = g.range_sum_position().ok();
     }
@@ -1438,6 +1707,11 @@ pub struct KernelState {
     scratch: Vec<FastMap<Tuple, f64>>,
     /// Per-member accumulators for fused prelude scans.
     fused_accs: Vec<Cell<f64>>,
+    /// One sorted run per [`SortedRun`] of the executing statement.
+    runs: Vec<RunBuf>,
+    /// The values of the executing statement's [`Scalar::CachedSum`]s, once
+    /// computed.
+    cached: Vec<Option<Value>>,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
     /// Work-counter blocks, one per attribution slot (the engine maps slots
@@ -1482,6 +1756,12 @@ impl KernelState {
         if self.fused_accs.len() < members {
             self.fused_accs.resize(members, Cell::new(0.0));
         }
+        if self.runs.len() < stmt.runs.len() {
+            self.runs.resize_with(stmt.runs.len(), RunBuf::default);
+        }
+        if self.cached.len() < stmt.cached_sums as usize {
+            self.cached.resize(stmt.cached_sums as usize, None);
+        }
         self.out.clear();
     }
 
@@ -1490,6 +1770,42 @@ impl KernelState {
         while self.counter_slots.len() < n.max(1) {
             self.counter_slots.push(KernelCounters::default());
         }
+    }
+}
+
+/// What an execution knows of one [`SortedRun`]'s group.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum RunState {
+    /// Not built yet in this execution.
+    #[default]
+    Unbuilt,
+    /// Built, and inside the exactness contract: lookups answer from it.
+    Exact,
+    /// Outside the contract (or unreadable): every lookup walks.
+    Walk,
+}
+
+/// The buffer of one sorted run, recycled across executions.
+#[derive(Debug, Default)]
+struct RunBuf {
+    state: RunState,
+    /// `(band key, Σ multiplicities up to and including it)`, ascending.
+    entries: Vec<(f64, i64)>,
+    /// Largest `|key|` (`0.0` when empty).
+    max_abs_key: f64,
+}
+
+impl RunBuf {
+    /// `(Σ multiplicities of the keys below x, entries compared)`; an
+    /// infinite `x` needs no search.
+    fn sum_below(&self, x: f64) -> (i64, u64) {
+        if x.is_infinite() {
+            let all = self.entries.last().map_or(0, |e| e.1);
+            return (if x < 0.0 { 0 } else { all }, 0);
+        }
+        let i = self.entries.partition_point(|e| e.0 < x);
+        let below = i.checked_sub(1).map_or(0, |i| self.entries[i].1);
+        (below, search_steps(self.entries.len()))
     }
 }
 
@@ -1515,6 +1831,9 @@ struct Exec<'a> {
     patterns: &'a mut [Vec<Option<Value>>],
     scratch: &'a mut [FastMap<Tuple, f64>],
     accs: &'a [Cell<f64>],
+    run_specs: &'a [SortedRun],
+    runs: &'a mut [RunBuf],
+    cached: &'a mut [Option<Value>],
     counters: &'a KernelCounters,
     out: &'a mut Vec<(Tuple, f64)>,
     /// Rows below this index belong to earlier batch entries: the sink's
@@ -1826,40 +2145,19 @@ impl Exec<'_> {
 
     /// Answer every member of a range-sum scan from the source's ordered
     /// index. Returns `false` — the caller falls back to the full traversal,
-    /// which is the bit-exactness baseline — when a bound-expression leaf is
-    /// not a finite non-zero integer-valued number (which rules the
-    /// `-0.0`/`+0.0` `total_cmp` corner cases out of both evaluation orders)
-    /// or a magnitude sum reaches 2^53, when the source keeps no ordered index
+    /// which is the bit-exactness baseline — when a bound is outside the
+    /// contract ([`band_interval`]), when the source keeps no ordered index
     /// for the scan, or when the addressed group cannot answer exactly.
     /// Within the guards every addition either path performs is exact, so the
     /// range sums equal the traversal's accumulators bit for bit.
     fn run_range_sums(&mut self, fs: &FusedScan) -> bool {
-        // Each member's constraints, intersected into one `lo ≤ key < hi`.
-        // Keys and bounds are integers, so `key ≤ b ⇔ key < b + 1` and
-        // `key > b ⇔ key ≥ b + 1`; `|b| < 2^53` keeps `b + 1` exact.
         let mut ranges = [(f64::NEG_INFINITY, f64::INFINITY); MAX_RANGE_MEMBERS];
         let mut bound_mag = 0.0f64;
         for (range, m) in ranges.iter_mut().zip(&fs.members) {
-            let Some(band) = &m.band else {
-                return false;
-            };
-            for (cmp, be) in &band.ranges {
-                let Some((b, mag)) = eval_bound(be, self.frame) else {
-                    return false;
-                };
-                // `-0.0` bounds (an all-negated-zero-terms fold) would order
-                // differently under `total_cmp` than the original compare.
-                if b == 0.0 && b.is_sign_negative() {
-                    return false;
-                }
-                bound_mag = bound_mag.max(mag);
-                match cmp {
-                    CmpOp::Lt => range.1 = range.1.min(b),
-                    CmpOp::Le => range.1 = range.1.min(b + 1.0),
-                    CmpOp::Gt => range.0 = range.0.max(b + 1.0),
-                    CmpOp::Ge => range.0 = range.0.max(b),
-                    CmpOp::Eq | CmpOp::Ne => return false,
-                }
+            let band = m.band.as_ref();
+            match band.and_then(|b| band_interval(&b.ranges, self.frame, &mut bound_mag)) {
+                Some(interval) => *range = interval,
+                None => return false,
             }
         }
         let n = fs.members.len();
@@ -1914,15 +2212,114 @@ impl Exec<'_> {
                 let rv = self.eval_scalar(r)?;
                 Ok(Value::double(if op.eval(&lv, &rv) { 1.0 } else { 0.0 }))
             }
-            Scalar::SubSum(op) => {
-                let acc = Cell::new(0.0);
-                self.exec(op, 1.0, &Tail::Acc(&acc));
-                if let Some(e) = &self.error {
-                    return Err(e.clone());
+            Scalar::SubSum(op) => self.sub_sum(op),
+            Scalar::RangeSum {
+                run,
+                ranges,
+                traverse,
+            } => match self.range_sum(*run as usize, ranges) {
+                Some(sum) => {
+                    bump(&self.counters.range_sum_hits);
+                    Ok(Value::double(sum))
                 }
-                Ok(Value::double(acc.get()))
+                None => {
+                    bump(&self.counters.range_sum_bails);
+                    self.sub_sum(traverse)
+                }
+            },
+            Scalar::CachedSum { cache, plan } => {
+                if let Some(v) = &self.cached[*cache as usize] {
+                    return Ok(v.clone());
+                }
+                let v = self.sub_sum(plan)?;
+                self.cached[*cache as usize] = Some(v.clone());
+                Ok(v)
             }
         }
+    }
+
+    /// Run a sub-plan and sum its emissions.
+    fn sub_sum(&mut self, op: &Op) -> Result<Value, EvalError> {
+        let acc = Cell::new(0.0);
+        self.exec(op, 1.0, &Tail::Acc(&acc));
+        if let Some(e) = &self.error {
+            return Err(e.clone());
+        }
+        Ok(Value::double(acc.get()))
+    }
+
+    /// Answer a [`Scalar::RangeSum`] from its sorted run, building the run
+    /// at the execution's first lookup that gets that far. `None` — walk
+    /// instead — when the bounds, the group or the two together are outside
+    /// the exactness contract; within it the answer is the walk's total, bit
+    /// for bit (see [`Exec::run_range_sums`]).
+    fn range_sum(&mut self, run: usize, ranges: &[(CmpOp, NumExpr)]) -> Option<f64> {
+        let mut bound_mag = 0.0f64;
+        let (lo, hi) = band_interval(ranges, self.frame, &mut bound_mag)?;
+        if self.runs[run].state == RunState::Unbuilt {
+            self.build_run(run);
+        }
+        let r = &self.runs[run];
+        if r.state != RunState::Exact || bound_mag + r.max_abs_key >= EXACT_INT_BOUND {
+            return None;
+        }
+        if lo >= hi {
+            return Some(0.0);
+        }
+        let ((below_hi, a), (below_lo, b)) = (r.sum_below(hi), r.sum_below(lo));
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + a + b);
+        Some((below_hi - below_lo) as f64)
+    }
+
+    /// Build run `i` from one walk of its group: `Exact` when every entry
+    /// has a band key and an exact multiplicity and `Σ|multiplicity| <
+    /// 2^53`, else `Walk` — as when the walk fails, whose error the
+    /// lookups' own walks then raise where they always did.
+    fn build_run(&mut self, i: usize) {
+        let spec = &self.run_specs[i];
+        bump(&self.counters.scans);
+        let pattern = self.take_pattern(spec.buf, &spec.template);
+        let (arity, key_pos) = (spec.template.len(), spec.key_pos as usize);
+        let (counters, src) = (self.counters, self.src);
+        let run = &mut self.runs[i];
+        run.entries.clear();
+        let (mut exact, mut abs_sum) = (true, 0u128);
+        let walked = src.for_each_matching(&spec.rel, &pattern, &mut |t, m| {
+            bump(&counters.entries_scanned);
+            if !exact || m == 0.0 {
+                return;
+            }
+            if t.len() != arity {
+                exact = false; // the walk raises it
+                return;
+            }
+            if !matches_pattern(t, &pattern) {
+                return;
+            }
+            match (band_key(&t[key_pos]), exact_mult(m)) {
+                (Some(key), Some(m)) => {
+                    abs_sum += u128::from(m.unsigned_abs());
+                    run.entries.push((key, m));
+                }
+                _ => exact = false,
+            }
+        });
+        self.patterns[spec.buf as usize] = pattern;
+        let run = &mut self.runs[i];
+        if walked.is_err() || !exact || abs_sum >= 1 << 53 {
+            run.state = RunState::Walk;
+            return;
+        }
+        run.entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut sum = 0i64;
+        for e in &mut run.entries {
+            sum += e.1;
+            e.1 = sum;
+        }
+        let ends = run.entries.first().into_iter().chain(run.entries.last());
+        run.max_abs_key = ends.fold(0.0, |m, e| m.max(e.0.abs()));
+        run.state = RunState::Exact;
     }
 }
 
@@ -1959,12 +2356,23 @@ impl CompiledStmt {
             state.counter_slots.push(KernelCounters::default());
         }
         let counter_slot = state.counter_slot.min(state.counter_slots.len() - 1);
+        // Sorted runs and cached sums hold per execution: the store and the
+        // trigger slots may have moved since.
+        let runs = &mut state.runs[..self.runs.len()];
+        for run in runs.iter_mut() {
+            run.state = RunState::Unbuilt;
+        }
+        let cached = &mut state.cached[..self.cached_sums as usize];
+        cached.fill(None);
         let mut exec = Exec {
             src,
             frame: &mut state.frame,
             patterns: &mut state.patterns,
             scratch: &mut state.scratch,
             accs: &state.fused_accs,
+            run_specs: &self.runs,
+            runs,
+            cached,
             counters: &state.counter_slots[counter_slot],
             out: &mut state.out,
             merge_floor,
@@ -2080,6 +2488,142 @@ mod tests {
         );
         check(&banded("y"), &[("x", 2), ("y", 3)], &[]);
         check(&banded("a"), &[("x", 2), ("y", 3)], &[]);
+    }
+
+    /// Run `stmt` for trigger `y` against `src`; the rows and the work.
+    fn run_with(stmt: &CompiledStmt, src: &MemSource, y: i64) -> (Vec<(Tuple, f64)>, KernelWork) {
+        let mut state = KernelState::new();
+        state.prepare(stmt);
+        state.frame[0] = Value::long(y);
+        stmt.execute(src, &mut state).unwrap();
+        let work = state.counter_slots[0].take();
+        (std::mem::take(&mut state.out), work)
+    }
+
+    /// A band sum whose bound an enclosing scan binds becomes a lookup into
+    /// a run sorted once per execution, and answers what the walk answers —
+    /// on exact data from the run, on offending data by walking.
+    #[test]
+    fn band_sums_inside_a_loop_are_looked_up_in_a_sorted_run() {
+        // `Sum[](R(y, b2) * (b2 > b))` inside the loop over `R(a, b)`, `y` a
+        // trigger variable.
+        let band = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["y", "b2"]),
+                Expr::cmp(OpC::Gt, Expr::var("b2"), Expr::var("b")),
+            ]),
+        );
+        let e = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["a", "b"]),
+                Expr::lift("z", band),
+                Expr::var("z"),
+                Expr::var("b"),
+            ]),
+        );
+        let stmt = lower_statement(&["y".into()], &[], &e).unwrap();
+        assert!(stmt.prelude.is_empty());
+        assert_eq!(stmt.runs.len(), 1);
+        assert!(format!("{:?}", stmt.plan).contains("RangeSum"));
+        for y in [1, 3, 4, 9] {
+            check(&e, &[("y", y)], &[]);
+        }
+        let (_, work) = run_with(&stmt, &db(), 1);
+        // Three outer rows: one walk of `R` to build the run, three lookups.
+        assert_eq!((work.range_sum_hits, work.range_sum_bails), (3, 0));
+        assert_eq!(work.scans, 2);
+
+        // Each offender in turn makes every lookup of its execution walk,
+        // and the answer stays the walk's, bit for bit.
+        for (key, mult) in [
+            (Value::double(0.5), 1.0),
+            (Value::double(-0.0), 1.0),
+            (Value::str("k"), 1.0),
+            (Value::long(7), 0.5),
+            (Value::long(7), EXACT_INT_BOUND),
+        ] {
+            let mut src = db();
+            let mut r = Gmr::new(Schema::new(["A", "B"]));
+            for (t, m) in src.relation("R").unwrap().iter() {
+                r.add_tuple(t.to_vec(), m);
+            }
+            r.add_tuple(vec![Value::long(1), key.clone()], mult);
+            src.set_relation("R", r);
+            let (rows, work) = run_with(&stmt, &src, 1);
+            assert!(
+                work.range_sum_bails > 0 && work.range_sum_hits == 0,
+                "{key}"
+            );
+            let (walked, _) = run_with(&unhoisted(&e), &src, 1);
+            let bits =
+                |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&rows), bits(&walked), "{key} × {mult}");
+        }
+    }
+
+    /// `rhs` lowered for trigger `y` with nothing hoisted: every sub-sum
+    /// walks wherever it stands.
+    fn unhoisted(rhs: &Expr) -> CompiledStmt {
+        let mut lw = Lowerer::new();
+        lw.bind("y").unwrap();
+        let plan = lw.lower_op(rhs).unwrap();
+        CompiledStmt {
+            prelude: Vec::new(),
+            runs: Vec::new(),
+            cached_sums: 0,
+            plan,
+            key_slots: Vec::new(),
+            frame_size: lw.next_slot as u16,
+            pattern_arities: lw.pattern_arities,
+            scratch_maps: lw.scratch_maps,
+            trigger_slots: 1,
+            used_trigger_slots: vec![0],
+        }
+    }
+
+    /// A loop-invariant scanning sub-sum that cannot join the prelude — its
+    /// member holds a band sum of its own, as `mst`'s do — is walked once per
+    /// execution, not once per row of the loop around it.
+    #[test]
+    fn invariant_sub_sums_inside_a_loop_are_walked_once_per_execution() {
+        let band = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["y", "f"]),
+                Expr::cmp(OpC::Lt, Expr::var("f"), Expr::var("d")),
+            ]),
+        );
+        let invariant = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("S", ["c", "d"]),
+                Expr::lift("w", band),
+                Expr::cmp(OpC::Gt, Expr::var("w"), Expr::Const(Value::long(0))),
+            ]),
+        );
+        let e = Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([
+                Expr::rel("R", ["a", "b"]),
+                Expr::lift("z", invariant),
+                Expr::var("z"),
+                Expr::var("b"),
+            ]),
+        );
+        let stmt = lower_statement(&["y".into()], &[], &e).unwrap();
+        assert_eq!((stmt.cached_sums, stmt.runs.len()), (1, 1));
+        for y in [1, 3, 4, 9] {
+            check(&e, &[("y", y)], &[]);
+        }
+        // One walk of `R` for the loop, one of `S` for the cached sum, one of
+        // `R` to build the run; a lookup per `S` entry.
+        let (rows, work) = run_with(&stmt, &db(), 1);
+        assert_eq!((work.scans, work.range_sum_hits), (3, 2));
+        let (walked, plain) = run_with(&unhoisted(&e), &db(), 1);
+        assert_eq!(rows, walked);
+        assert_eq!(plain.scans, 1 + 3 * 3);
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! a relation to the per-event path fails by name. `axf` pins the range-sum
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
-//! census pins which maps of which queries carry one.
+//! census pins which maps of which queries carry one. `vwap` and `mst` pin
+//! range sums inside a loop: lookups into a run sorted once per execution,
+//! with no index behind them.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! a program without live passes — a hand-assembled one, whose derivation
@@ -183,11 +185,34 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                  1 replace (`:=`) statement fired once per run, for its last event"
             );
             assert!(!text.contains("run: live"), "{text}");
-            // Its nested range sum binds no column by equality: there is no
-            // secondary index to keep ordered, and the plan scans as before.
+            // Its nested band sum binds no column by equality, so there is
+            // no secondary index to keep ordered: the `:=` looks it up, per
+            // price of the outer scan, in a run it sorts once per execution.
             assert!(ex.maps.is_empty() && !text.contains("== map"), "{text}");
-            assert!(!text.contains("range-sum"), "{text}");
-            assert!(text.contains("scan m_vwap_2[>$7]"), "{text}");
+            let lookup = "lift $8 := subsum(scalar ×range-sum m_vwap_2[>$7] key > $5 \
+                          (run sorted once per execution))";
+            assert!(text.contains(lookup), "{text}");
+            assert!(!text.contains("scan m_vwap_2"), "{text}");
+            // The outer sum compares two aggregates: it stays a walk, and says so.
+            let note = "subsum: (not a range sum: another aggregate in the member)";
+            assert!(text.contains(note), "{text}");
+            assert_lookups_answered(ex);
+        }
+        "mst" => {
+            // Both sides' band sums are lookups; each bid row is multiplied
+            // by the asks' sum, which does not depend on the row and is
+            // walked once per execution.
+            for line in [
+                "lift $8 := subsum(scalar ×range-sum m_mst_4[>$7] key > $6 \
+                 (run sorted once per execution))",
+                "lift $12 := subsum(scalar ×range-sum m_mst_2[>$11] key > $10 \
+                 (run sorted once per execution))",
+                "scalar ×subsum(agg-sum) (loop-invariant: once per execution)",
+            ] {
+                assert!(text.contains(line), "{text}");
+            }
+            assert!(!text.contains("scan m_mst_2") && !text.contains("scan m_mst_4"));
+            assert_lookups_answered(ex);
         }
         "q17a" => {
             // The result statement of either sign reads the auxiliary maps
@@ -204,6 +229,16 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             }
         }
         _ => {}
+    }
+}
+
+/// ANALYZE: the result statements of the replay made range-sum lookups, and
+/// every one was answered without a walk.
+fn assert_lookups_answered(ex: &ProgramExplain) {
+    for rel in &ex.relations {
+        let result = rel.triggers[0].statements.last().unwrap();
+        let a = result.analyze.expect("telemetry on");
+        assert!(a.range_sum_hits > 0 && a.range_sum_bails == 0, "{a:?}");
     }
 }
 

@@ -27,7 +27,8 @@
 //! endpoint serves both.
 
 use crate::program::{RelationDispatch, StmtOp, Trigger, TriggerProgram};
-use dbtoaster_agca::plan::{FastOp, FusedScan, NumExpr, Op, Scalar};
+use dbtoaster_agca::plan::{range_sum_refusal, scan_body, FastOp, FusedScan, NumExpr, Op, Scalar};
+use dbtoaster_agca::CmpOp;
 use dbtoaster_agca::UpdateSign;
 use std::fmt::Write as _;
 
@@ -282,7 +283,7 @@ fn sign_str(sign: UpdateSign) -> String {
 
 fn explain_statement(s: &crate::program::Statement) -> StmtExplain {
     let mut plan = Vec::new();
-    push_op(&mut plan, 0, &s.kernel.plan);
+    push_op(&mut plan, 0, &s.kernel.plan, s.kernel.trigger_slots);
     StmtExplain {
         statement: s.to_string(),
         target: s.target.clone(),
@@ -337,7 +338,44 @@ fn scalar_str(s: &Scalar) -> String {
         ),
         Scalar::Cmp(op, l, r) => format!("({} {op} {})", scalar_str(l), scalar_str(r)),
         Scalar::SubSum(op) => format!("subsum({})", op_summary(op)),
+        Scalar::CachedSum { plan, .. } => {
+            format!(
+                "subsum({}) (loop-invariant: once per execution)",
+                op_summary(plan)
+            )
+        }
+        Scalar::RangeSum {
+            ranges, traverse, ..
+        } => {
+            let scan = match scan_body(traverse) {
+                Some((
+                    Op::Scan {
+                        rel,
+                        template,
+                        binds,
+                        ..
+                    },
+                    _,
+                )) => {
+                    format!("{rel}[{}]", pattern_str(template, binds))
+                }
+                _ => String::new(),
+            };
+            format!(
+                "range-sum {scan} {} (run sorted once per execution)",
+                ranges_str(ranges)
+            )
+        }
     }
+}
+
+/// A band's normalized constraints, `key cmp bound` each.
+fn ranges_str(ranges: &[(CmpOp, NumExpr)]) -> String {
+    let ranges: Vec<String> = ranges
+        .iter()
+        .map(|(cmp, b)| format!("key {cmp} {}", num_str(b)))
+        .collect();
+    ranges.join(", ")
 }
 
 /// One-line summary of an op (used inside scalar positions).
@@ -383,32 +421,33 @@ fn op_summary(op: &Op) -> String {
 }
 
 /// Append the tree rendering of `op` (children indented two spaces per level).
-fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op) {
+/// `trigger_slots` is the statement's (see [`range_sum_refusal`]).
+fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op, trigger_slots: u16) {
     let indent = "  ".repeat(depth);
     match op {
         Op::Product(ops) => {
             lines.push(format!("{indent}product"));
             for o in ops {
-                push_op(lines, depth + 1, o);
+                push_op(lines, depth + 1, o, trigger_slots);
             }
         }
         Op::Sum(ts) => {
             lines.push(format!("{indent}sum"));
             for t in ts {
-                push_op(lines, depth + 1, t);
+                push_op(lines, depth + 1, t, trigger_slots);
             }
         }
         Op::Neg(inner) => {
             lines.push(format!("{indent}neg"));
-            push_op(lines, depth + 1, inner);
+            push_op(lines, depth + 1, inner, trigger_slots);
         }
         Op::AggSum(inner) => {
             lines.push(format!("{indent}agg-sum"));
-            push_op(lines, depth + 1, inner);
+            push_op(lines, depth + 1, inner, trigger_slots);
         }
         Op::Exists { inner, .. } => {
             lines.push(format!("{indent}{}", op_summary(op)));
-            push_op(lines, depth + 1, inner);
+            push_op(lines, depth + 1, inner, trigger_slots);
         }
         Op::Scan {
             rel,
@@ -431,10 +470,13 @@ fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op) {
         other => {
             lines.push(format!("{indent}{}", op_summary(other)));
             // Sub-plans hidden inside scalar positions (decorrelated nested
-            // aggregates) still deserve a subtree.
+            // aggregates) still deserve a subtree, and a scanning one that
+            // stayed a walk says why it is no range sum.
             for sub in scalar_subplans(other) {
-                lines.push(format!("{indent}  subsum:"));
-                push_op(lines, depth + 2, sub);
+                let why = range_sum_refusal(sub, trigger_slots);
+                let note = why.map_or(String::new(), |w| format!(" (not a range sum: {w})"));
+                lines.push(format!("{indent}  subsum:{note}"));
+                push_op(lines, depth + 2, sub, trigger_slots);
             }
         }
     }
@@ -444,7 +486,7 @@ fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op) {
 fn scalar_subplans(op: &Op) -> Vec<&Op> {
     fn walk<'a>(s: &'a Scalar, out: &mut Vec<&'a Op>) {
         match s {
-            Scalar::SubSum(op) => out.push(op),
+            Scalar::SubSum(op) | Scalar::CachedSum { plan: op, .. } => out.push(op),
             Scalar::Neg(i) => walk(i, out),
             Scalar::Add(ts) | Scalar::Mul(ts) | Scalar::Apply(_, ts) => {
                 ts.iter().for_each(|t| walk(t, out))
@@ -453,7 +495,8 @@ fn scalar_subplans(op: &Op) -> Vec<&Op> {
                 walk(l, out);
                 walk(r, out);
             }
-            Scalar::Const(_) | Scalar::Slot(_) => {}
+            // A lookup's one line says all; its walk is the sub-sum it was.
+            Scalar::Const(_) | Scalar::Slot(_) | Scalar::RangeSum { .. } => {}
         }
     }
     let mut out = Vec::new();
@@ -504,12 +547,8 @@ fn fused_scan_line(fs: &FusedScan) -> String {
             let _ = write!(line, " fast[{}]", steps.join(", "));
         }
         if let Some(band) = &m.band {
-            let ranges: Vec<String> = band
-                .ranges
-                .iter()
-                .map(|(cmp, b)| format!("key {cmp} {}", num_str(b)))
-                .collect();
-            let _ = write!(line, " band(t{}: {})", band.key_pos, ranges.join(", "));
+            let ranges = ranges_str(&band.ranges);
+            let _ = write!(line, " band(t{}: {ranges})", band.key_pos);
         }
     }
     line

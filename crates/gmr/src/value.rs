@@ -124,7 +124,18 @@ impl Value {
         }
     }
 
-    /// Total ordering across values: numerics first (by numeric value), then strings.
+    /// The total order that agrees with [`Value::numeric_bits`] equality:
+    /// IEEE order, in which `-0.0` and `+0.0` are equal, with every NaN equal
+    /// to every other and above all numbers. Public for the same reason as
+    /// `numeric_bits`.
+    #[inline]
+    pub fn numeric_cmp(a: f64, b: f64) -> Ordering {
+        a.partial_cmp(&b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    }
+
+    /// Total ordering across values: numerics first (by numeric value, see
+    /// [`Value::numeric_cmp`]), then strings.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
@@ -132,11 +143,7 @@ impl Value {
             (Str(a), Str(b)) => a.cmp(b),
             (Str(_), _) => Ordering::Greater,
             (_, Str(_)) => Ordering::Less,
-            (a, b) => {
-                let x = a.as_f64().unwrap();
-                let y = b.as_f64().unwrap();
-                x.total_cmp(&y)
-            }
+            (a, b) => Value::numeric_cmp(a.as_f64().unwrap(), b.as_f64().unwrap()),
         }
     }
 
@@ -318,6 +325,17 @@ mod tests {
     fn negative_zero_normalizes() {
         assert_eq!(Value::double(0.0), Value::double(-0.0));
         assert_eq!(hash_of(&Value::double(0.0)), hash_of(&Value::double(-0.0)));
+        // The order agrees with equality, for NaNs too.
+        let (zero, neg_zero) = (Value::double(0.0), Value::double(-0.0));
+        assert_eq!(neg_zero.cmp(&zero), Ordering::Equal);
+        assert_eq!(neg_zero.cmp(&Value::long(0)), Ordering::Equal);
+        let (nan, neg_nan) = (Value::double(f64::NAN), Value::double(-f64::NAN));
+        assert_eq!(nan, neg_nan);
+        assert_eq!(neg_nan.cmp(&nan), Ordering::Equal);
+        assert_eq!(
+            neg_nan.cmp(&Value::double(f64::INFINITY)),
+            Ordering::Greater
+        );
     }
 
     #[test]

@@ -29,9 +29,11 @@
 //! inexact multiplicity stays in the run (contributing nothing to the sums),
 //! a key that cannot be a band key is set aside with its full tuple, and the
 //! group resumes answering with the write that removes the last of them.
-//! Until then the caller traverses (`OrderedIndex::for_each_key`).
+//! Until then the caller traverses (`OrderedIndex::for_each_key`). The
+//! guards are `dbtoaster_agca::plan`'s [`band_key`] and [`exact_mult`], which
+//! the kernels' per-execution sorted runs apply too.
 
-use dbtoaster_agca::plan::EXACT_INT_BOUND;
+use dbtoaster_agca::plan::{band_key, exact_mult, search_steps, EXACT_INT_BOUND};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 
 /// Blocks are never cut smaller than this, so small groups stay one block.
@@ -47,28 +49,6 @@ pub(crate) fn tuple_slot_bytes(t: &Tuple) -> usize {
         t.len() * std::mem::size_of::<Value>() + 16
     };
     std::mem::size_of::<Tuple>() + 16 + spill
-}
-
-/// The band key of `v`, when it can be one: a finite, non-zero,
-/// integer-valued number of magnitude ≤ 2^53 (zero is out because `-0.0` and
-/// `+0.0` are one key but two positions in a total order).
-fn band_key(v: &Value) -> Option<f64> {
-    let k = match v {
-        Value::Long(l) if l.unsigned_abs() <= 1 << 53 => *l as f64,
-        Value::Double(d) => *d,
-        _ => return None,
-    };
-    (k.fract() == 0.0 && k != 0.0 && k.abs() <= EXACT_INT_BOUND).then_some(k)
-}
-
-/// The contribution of a multiplicity to the running sums, when it is exact.
-fn exact_mult(m: f64) -> Option<i64> {
-    (m.fract() == 0.0 && m.abs() < EXACT_INT_BOUND).then_some(m as i64)
-}
-
-/// Number of comparisons a binary search over `n` sorted items makes.
-fn search_steps(n: usize) -> u64 {
-    u64::from(usize::BITS - n.leading_zeros())
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]

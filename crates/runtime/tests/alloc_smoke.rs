@@ -309,6 +309,85 @@ fn ordered_index_writes_and_range_sums_allocate_nothing_in_steady_state() {
     assert_eq!(later.fused_scans, 0, "{later:?}");
 }
 
+/// Range sums inside a loop stay inside the budget too: `vwap`'s shape — the
+/// bids' price × volume wherever a quarter of all volume exceeds the volume
+/// bid above the price — re-evaluates per event, looking up each price's
+/// band sum in a run it sorts once per execution, in buffers the kernel
+/// keeps. Over a fixed price range the buffers settle at their high-water
+/// capacity, so a warm engine allocates nothing per event.
+#[test]
+fn range_sums_inside_a_loop_allocate_nothing_in_steady_state() {
+    use dbtoaster_agca::CmpOp;
+    use dbtoaster_runtime::{Telemetry, TelemetryConfig};
+    let catalog = [RelationMeta::stream("BIDS", ["PRICE", "VOLUME"])]
+        .into_iter()
+        .collect();
+    let sum = |factors: Vec<Expr>| Expr::agg_sum(Vec::<String>::new(), Expr::product_of(factors));
+    let total = sum(vec![Expr::rel("BIDS", ["p3", "v3"]), Expr::var("v3")]);
+    let above = sum(vec![
+        Expr::rel("BIDS", ["p2", "v2"]),
+        Expr::var("v2"),
+        Expr::cmp(CmpOp::Gt, Expr::var("p2"), Expr::var("p1")),
+    ]);
+    let quarter = Expr::product_of([Expr::Const(Value::double(0.25)), Expr::var("s1")]);
+    let q = QuerySpec {
+        name: "VWAP".into(),
+        out_vars: vec![],
+        expr: sum(vec![
+            Expr::rel("BIDS", ["p1", "v1"]),
+            Expr::var("p1"),
+            Expr::var("v1"),
+            Expr::lift("s1", total),
+            Expr::lift("s2", above),
+            Expr::cmp(CmpOp::Gt, quarter, Expr::var("s2")),
+        ]),
+    };
+    let program = compile(
+        &[q],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    let mut engine = Engine::new(program, &catalog);
+    let tel = Telemetry::with_config(TelemetryConfig {
+        slow_batch_threshold: std::time::Duration::from_secs(3600),
+        ..TelemetryConfig::default()
+    });
+    engine.set_telemetry(tel.clone());
+
+    // A standing book over 300 prices, and a churn pass that places and
+    // cancels a further bid at each of 100 of them, all over the run.
+    let bid = |price: i64, volume: i64| vec![Value::long(price), Value::long(volume)];
+    let standing: Vec<UpdateEvent> = (1..=300)
+        .map(|p| UpdateEvent::insert("BIDS", bid(p, 1 + p % 7)))
+        .collect();
+    let churn: Vec<UpdateEvent> = (0..100)
+        .map(|i| UpdateEvent::insert("BIDS", bid(1 + (i * 37 % 100) * 3, 5)))
+        .chain((0..100).map(|i| UpdateEvent::delete("BIDS", bid(1 + (i * 91 % 100) * 3, 5))))
+        .collect();
+    engine.process_all(&standing).unwrap();
+    engine.process_all(&churn).unwrap();
+    engine.process_all(&churn).unwrap();
+
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "range sums inside a loop allocated {allocs} times over {} steady-state events",
+        churn.len()
+    );
+    // Not vacuous: the band sums were answered from the runs.
+    engine.flush_telemetry();
+    let views = tel.snapshot().views;
+    let vwap = views.iter().find(|v| v.name == "VWAP").unwrap();
+    assert!(
+        vwap.range_sum_hits > 0 && vwap.range_sum_bails == 0,
+        "{vwap:?}"
+    );
+}
+
 /// A publish must not allocate per entry: with a fixed key set (writes only
 /// change multiplicities), a steady-state [`Engine::snapshot`] after a batch
 /// patches recycled buffers in place and allocates only the name → GMR table

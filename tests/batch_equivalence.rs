@@ -405,39 +405,11 @@ fn order_book_planted_runs_batch_bit_exact() {
 fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
     let mut events = book_stream(77, 420);
     let mut id = 10_000;
-    let mut plant = |events: &mut Vec<UpdateEvent>, at: usize, broker: i64, bad: f64, unit: f64| {
-        // Ordinary orders around the offender on both sides of the book (so
-        // its group is read while it is there), then the offender's own
-        // cancellation where `bad - bad` is zero, then more ordinary orders.
-        let mut order_at = |t: i64, price: i64, volume: f64| {
-            id += 1;
-            let mut o = order(t, id, broker, price, 0);
-            o[4] = Value::double(volume);
-            o
-        };
-        let (ins, del) = (UpdateEvent::insert, UpdateEvent::delete);
-        let (offender, other) = (order_at(5, 2, bad), order_at(5, 6, bad));
-        let mut run = vec![
-            ins("Bids", order_at(3, 1, unit)),
-            ins("Asks", order_at(4, 5, 2.0 * unit)),
-            ins("Bids", offender.clone()),
-            ins("Asks", other.clone()),
-            ins("Bids", order_at(6, 7, 3.0 * unit)),
-            ins("Asks", order_at(7, 1, unit)),
-            ins("Bids", order_at(8, 4, 2.0 * unit)),
-        ];
-        if !bad.is_nan() {
-            run.extend([del("Bids", offender), del("Asks", other)]);
-        }
-        let (ask, bid) = (order_at(9, 3, 4.0 * unit), order_at(9, 6, unit));
-        run.extend([ins("Asks", ask), ins("Bids", bid)]);
-        events.splice(at..at, run);
-    };
-    plant(&mut events, 400, 8, f64::NAN, 1.0);
+    plant(&mut events, 400, &mut id, 8, (None, f64::NAN), 1.0);
     let (big, coarse) = ((1u64 << 53) as f64, (1u64 << 20) as f64);
-    plant(&mut events, 310, 7, big, coarse);
-    plant(&mut events, 205, 6, -0.0, 1.0);
-    plant(&mut events, 100, 5, 0.5, 1.0);
+    plant(&mut events, 310, &mut id, 7, (None, big), coarse);
+    plant(&mut events, 205, &mut id, 6, (None, -0.0), 1.0);
+    plant(&mut events, 100, &mut id, 5, (None, 0.5), 1.0);
     // Cancelled before it is placed.
     let early = order(50, 20_000, 5, 3, 4);
     events.insert(130, UpdateEvent::delete("Bids", early.clone()));
@@ -465,6 +437,114 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
         let views = views.iter().filter(|v| names.contains(&&*v.name));
         for v in views.filter(|_| p.mode == HO) {
             assert!(v.range_sum_hits > 0 && v.range_sum_bails > 0, "{p}: {v:?}");
+        }
+    }
+}
+
+/// Plant, at `at`, an offender on each side of the book — an order of
+/// `broker` whose volume is `volume` and, if given, whose price is `price` —
+/// among ordinary orders of the broker whose volumes are multiples of
+/// `unit`: ordinary orders around the offenders on both sides (so their
+/// group is read while they are there), then the offenders' cancellation
+/// where `volume - volume` is zero, then more ordinary orders. `id` numbers
+/// the orders.
+fn plant(
+    events: &mut Vec<UpdateEvent>,
+    at: usize,
+    id: &mut i64,
+    broker: i64,
+    (price, volume): (Option<f64>, f64),
+    unit: f64,
+) {
+    let mut order_at = |t: i64, price: i64, volume: f64| {
+        *id += 1;
+        let mut o = order(t, *id, broker, price, 0);
+        o[4] = Value::double(volume);
+        o
+    };
+    let (ins, del) = (UpdateEvent::insert, UpdateEvent::delete);
+    let (mut offender, mut other) = (order_at(5, 2, volume), order_at(5, 6, volume));
+    if let Some(price) = price {
+        (offender[3], other[3]) = (Value::double(price), Value::double(price));
+    }
+    let mut run = vec![
+        ins("Bids", order_at(3, 1, unit)),
+        ins("Asks", order_at(4, 5, 2.0 * unit)),
+        ins("Bids", offender.clone()),
+        ins("Asks", other.clone()),
+        ins("Bids", order_at(6, 7, 3.0 * unit)),
+        ins("Asks", order_at(7, 1, unit)),
+        ins("Bids", order_at(8, 4, 2.0 * unit)),
+    ];
+    if !volume.is_nan() {
+        run.extend([del("Bids", offender), del("Asks", other)]);
+    }
+    let (ask, bid) = (order_at(9, 3, 4.0 * unit), order_at(9, 6, unit));
+    run.extend([ins("Asks", ask), ins("Bids", bid)]);
+    events.splice(at..at, run);
+}
+
+/// The same offenders under the nested aggregates, whose band sums over
+/// prices are looked up in a run sorted once per execution: while an order
+/// whose volume is 0.5, 2^53 or NaN, or whose price is 0.5, is in the book,
+/// every lookup into its side walks (−0.0 leaves no entry to offend with).
+/// Every ordinary volume is a multiple of 2^20, so with a 2^53 volume in the
+/// book every sum is still exact in any order. `vwap` and `mst` answer what
+/// re-evaluation answers, bit for bit, after every event — a `:=` result
+/// depends on the last event's maps only, so the final state alone would
+/// not show a wrong lookup while an offender was there — and in every
+/// incremental mode at batch 1, 8 and 512 they end where per-event
+/// processing and the recomputed definitions end.
+#[test]
+fn order_book_offenders_walk_nested_range_sums_and_match_reevaluation() {
+    let unit = (1u64 << 20) as f64;
+    let mut events = book_stream(78, 120);
+    for e in &mut events {
+        let volume = e.tuple[4].as_f64().unwrap();
+        e.tuple[4] = Value::double(volume * unit);
+    }
+    let mut id = 10_000;
+    let big = (1u64 << 53) as f64;
+    let offenders = [
+        (None, f64::NAN),
+        (None, big),
+        (Some(0.5), unit),
+        (None, -0.0),
+    ];
+    for (at, bad) in [118, 90, 60, 30].into_iter().zip(offenders) {
+        plant(&mut events, at, &mut id, 1, bad, unit);
+    }
+    plant(&mut events, 5, &mut id, 2, (None, 0.5), unit);
+
+    let catalog = common::workload_catalog();
+    for name in ["vwap", "mst"] {
+        let programs = [HO, CompileMode::Reevaluate].map(|m| common::workload_program(&[name], m));
+        let [mut ho, mut reevaluated] = programs.clone().map(|p| Engine::new(p, &catalog));
+        for (i, e) in events.iter().enumerate() {
+            ho.process(e).unwrap();
+            reevaluated.process(e).unwrap();
+            let want = |n: &str| (n == name).then(|| reevaluated.view(n)).flatten();
+            let got = |n: &str| (n == name).then(|| ho.view(n)).flatten();
+            let diff = common::views_differ(&programs[1], &want, &got, &|_| 0.0);
+            assert!(
+                diff.is_none(),
+                "{name} after event {i} ({e:?}): {}",
+                diff.unwrap()
+            );
+        }
+        // Not vacuous: the NaN reached the result.
+        let view = reevaluated.view(name).unwrap();
+        assert!(view.iter().any(|(_, m)| m.is_nan()), "{name}: {view}");
+
+        let case = book_case(&[name], events.clone());
+        let at = |&mode| [1, 8, 512].map(move |n| Point::plain(mode, Partition::Fixed(n)));
+        let points: Vec<Point> = common::MODES[..3].iter().flat_map(at).collect();
+        for (p, outcome) in points.iter().zip(common::check(&case, &points)) {
+            // Both ways of answering a band sum were taken.
+            let views = outcome.engine.telemetry().unwrap().snapshot().views;
+            for v in views.iter().filter(|v| p.mode == HO && v.name == name) {
+                assert!(v.range_sum_hits > 0 && v.range_sum_bails > 0, "{p}: {v:?}");
+            }
         }
     }
 }
@@ -822,5 +902,31 @@ fn order_book_work_per_event_does_not_follow_the_bucket_size() {
         assert!(grew, "{ctx}: the buckets were meant to grow fourfold");
         let flat = small > 0.0 && large < 1.5 * small;
         assert!(flat, "{ctx}: entries per event follow the bucket");
+    }
+}
+
+/// The nested aggregates' work oracle: `vwap` and `mst` re-evaluate a band
+/// sum (`Σ volume above this price`) for every price of the book on every
+/// event, and `mst` multiplies each bid row by a sum over the asks that
+/// does not depend on the row. Walked per row, that is quadratic — a stream
+/// four times as long costs ten times the entries per event. With the band
+/// sums looked up in a run sorted once per execution, and the asks' sum
+/// walked once per execution, it is `n log n`: the entries per event must
+/// grow by less than six times, every lookup answered from the run.
+#[test]
+fn order_book_nested_work_grows_n_log_n() {
+    let catalog = common::workload_catalog();
+    for name in ["vwap", "mst"] {
+        let program = common::workload_program(&[name], HO);
+        let measure = |events: usize| {
+            let data = book_data(events);
+            let work = common::batch_work(&program, &catalog, &data.events, 1);
+            (work.scanned as f64 / events as f64, work.range_sums)
+        };
+        let sweep = [400, 1_600].map(measure);
+        let ctx = format!("{name}: {sweep:?}");
+        let [(small, (hits, bails)), (large, _)] = sweep;
+        assert!(small > 0.0 && large < 6.0 * small, "{ctx}: quadratic");
+        assert!(hits > 0 && bails == 0, "{ctx}: not answered from the run");
     }
 }

@@ -98,6 +98,8 @@ pub struct Work {
     pub statements: u64,
     /// Σ live-pass firings over every view.
     pub live_firings: u64,
+    /// Σ range sums answered, and walked instead, over every view.
+    pub range_sums: (u64, u64),
 }
 
 /// Attach the telemetry that counts [`Work`], and record runs.
@@ -115,6 +117,10 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
         scanned: views.iter().map(|v| v.entries_scanned).sum(),
         statements: engine.stats().statements,
         live_firings: views.iter().map(|v| v.live_firings).sum(),
+        range_sums: (
+            views.iter().map(|v| v.range_sum_hits).sum(),
+            views.iter().map(|v| v.range_sum_bails).sum(),
+        ),
     }
 }
 

@@ -13,8 +13,9 @@
 //! Streams draw from small integer domains with same-key cancellations. A
 //! quarter of the generated cases draw from a hostile domain instead:
 //! multiplicities beyond ±1, deletes before inserts, net-zero blocks, ints
-//! past 2^53 in key-only columns and 0.5 / −0.0 in weight columns. One in ten
-//! cases with a weight column carries a poison event: a string there.
+//! past 2^53 in key-only columns, 0.5 / −0.0 in weight columns no query
+//! compares and −0.0 in compared columns. One in ten cases with a weight
+//! column carries a poison event: a string there.
 
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{
@@ -288,11 +289,11 @@ pub fn class_of(q: &QuerySpec) -> Class {
 type Column = (&'static str, usize);
 
 /// How the queries use the stream columns: only as keys (join, group-by and
-/// correlation variables), as a weight (a value multiplied in) somewhere,
-/// and as a weight never compared. `Value` orders −0.0 below 0.0 but equates
-/// them, so a compared key holding either compares by whichever arrived
-/// first (see `negative_zero_keys_compare_as_the_zero_they_equal`).
-fn columns(specs: &[QuerySpec]) -> (Vec<Column>, Vec<Column>, Vec<Column>) {
+/// correlation variables), as a weight (a value multiplied in) somewhere, as
+/// a weight never compared, and in a comparison somewhere. A compared key
+/// holding −0.0 or 0.0 compares as the one zero they are (see
+/// `negative_zero_keys_compare_as_the_zero_they_equal`).
+fn columns(specs: &[QuerySpec]) -> [Vec<Column>; 4] {
     fn uses(e: &Expr, in_cmp: bool, vars: &mut [BTreeSet<String>; 2]) {
         match e {
             Expr::Var(v) => drop(vars[in_cmp as usize].insert(v.clone())),
@@ -328,7 +329,7 @@ fn columns(specs: &[QuerySpec]) -> (Vec<Column>, Vec<Column>, Vec<Column>) {
     let [weights, compared] = used;
     let mut plain = weights.clone();
     plain.retain(|c| !compared.contains(c));
-    (key_only, weights, plain)
+    [key_only, weights, plain, compared]
 }
 
 /// The values a stream draws.
@@ -341,6 +342,8 @@ struct Domain {
     big_keys: Vec<Column>,
     /// Columns that sometimes hold 0.5 or −0.0.
     odd_weights: Vec<Column>,
+    /// Compared columns that sometimes hold −0.0.
+    negative_zeros: Vec<Column>,
     /// `B` is the event's index: no two inserts share a key.
     fresh_keys: bool,
 }
@@ -355,6 +358,8 @@ impl Domain {
                 Value::long((1 << 53) + v)
             } else if self.odd_weights.contains(&(rel, col)) && rng.percent(15) {
                 Value::double(rng.pick(&[0.5, -0.0]))
+            } else if self.negative_zeros.contains(&(rel, col)) && rng.percent(15) {
+                Value::double(-0.0)
             } else {
                 Value::long(v)
             }
@@ -713,12 +718,13 @@ pub fn case(seed: u64) -> Case {
     let queries = (0..1 + rng.below(3)).map(|i| random_query(&mut rng, format!("Q{i}")));
     let (specs, shapes): (Vec<QuerySpec>, Vec<Vec<Shape>>) = queries.unzip();
     let shapes: BTreeSet<Shape> = shapes.into_iter().flatten().collect();
-    let (key_only, weights, plain_weights) = columns(&specs);
+    let [key_only, weights, plain_weights, compared] = columns(&specs);
     let hostile = rng.percent(25);
     let dom = Domain {
         hostile,
         big_keys: if hostile { key_only } else { vec![] },
         odd_weights: if hostile { plain_weights } else { vec![] },
+        negative_zeros: if hostile { compared } else { vec![] },
         fresh_keys: false,
     };
     // Three-atom joins, and re-evaluating them per event, are cubic.

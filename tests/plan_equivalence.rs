@@ -132,16 +132,14 @@ fn inequality_join_with_a_correlated_lift_compiles() {
     common::check(&case, &common::in_all_modes(Partition::Geometric(1)));
 }
 
-/// Open: `Value` equates −0.0 with 0.0, and hashes them alike, but orders
-/// −0.0 below 0.0. A map key holds whichever arrived first and a comparison
-/// on it answers for both: in the generator's `Nested` shape, `R(0, −0.0)`
-/// and `R(1, 0)` share the key `b`, and once `z` is 0 higher-order and
-/// naive-viewlet maintenance count both as `b < z` (2) where re-evaluation
-/// counts one (1). Making `Value`'s order agree with its equality closes it.
-/// Until then the generator puts −0.0 only in weight columns no query
-/// compares.
+/// `Value` equates −0.0 with 0.0 and hashes them alike, so a map key holds
+/// whichever arrived first and a comparison on it answers for both: in the
+/// generator's `Nested` shape, `R(0, −0.0)` and `R(1, 0)` share the key `b`.
+/// When `Value` ordered −0.0 below 0.0, higher-order and naive-viewlet
+/// maintenance counted both as `b < z` (2) once `z` was 0, where
+/// re-evaluation counted one (1). The order now agrees with equality, and
+/// the generator puts −0.0 in compared columns too.
 #[test]
-#[ignore]
 fn negative_zero_keys_compare_as_the_zero_they_equal() {
     use dbtoaster::agca::UpdateEvent;
     let s = |c: f64| vec![Value::long(1), c.into()];
