@@ -142,12 +142,41 @@
 //! `traverse`. Answers count as `range_sum_hits`, walks as `range_sum_bails`.
 //! `entries_scanned` counts the build's walk and each search's comparisons.
 //!
-//! A scanning sub-sum inside a loop that reads nothing the loop binds but
-//! cannot join the prelude (its member holds another aggregate — `mst`'s sum
-//! over the asks, multiplied into every bid row, holds a band lookup) is
-//! worth the same on every row: it becomes a [`Scalar::CachedSum`], walked at
-//! its first use in an execution and reused after. Without it `mst` would
-//! stay quadratic with every band sum looked up.
+//! A scanning or probing sub-sum inside a loop that reads nothing the loop
+//! binds but cannot join the prelude (its member holds another aggregate —
+//! `mst`'s sum over the asks, multiplied into every bid row, holds a band
+//! lookup — or it is a probe, like `vwap`'s total `m_vwap_1[]`) is worth the
+//! same on every row: it becomes a [`Scalar::CachedSum`], evaluated at its
+//! first use in an execution and reused after. Without it `mst` would stay
+//! quadratic with every band sum looked up.
+//!
+//! ## Quantile filters inside a loop
+//!
+//! `vwap` keeps a price where `0.25 × Σ volume > Σ volume above the price`:
+//! a band-sum lift, and one order comparison — its only reader — whose other
+//! side is the same on every row. Looked up row by row, that is a search and
+//! a `Value`-level filter per price. With every multiplicity of the band's
+//! group non-negative the band sum is monotone in the loop key, so along the
+//! sorted run the filter flips at most once. The lift and the filter fuse
+//! into an [`Op::Threshold`]: at its first row of an execution it evaluates
+//! the other operand, builds (or reuses) the [`SortedRun`] and
+//! binary-searches the run's `n + 1` cells for the flip — evaluating the
+//! filter as it stands, on each cell's sum as the lookup answers it — and
+//! keeps the passing keys as one interval. Every row then pays one numeric
+//! comparison of its key. The scan's rows, their order and their
+//! multiplicities are untouched, so the result is the lift's and the
+//! filter's, bit for bit, whatever the scanned map holds.
+//!
+//! The fusion needs the band's one constraint to be bound by a slot a scan
+//! earlier in the product binds, the filter to be the lift's only reader, and
+//! the other operand to read only trigger slots, prelude results or lifts of
+//! cached sums bound before it. The threshold stands where the filter stood.
+//! An execution whose run is not exact or holds a negative multiplicity, or
+//! whose operand is no number, runs the lift and the filter on every row —
+//! counted as they count, not latched — and so does a single row whose key
+//! is no finite number or a `Long` beyond 2^53, where an `f64` comparison
+//! could disagree with `Value`'s. A search counts as one `range_sum_hits`,
+//! its filter evaluations into `entries_scanned`.
 //!
 //! EXPLAIN notes a scanning sub-sum that stays a walk with the reason
 //! ([`range_sum_refusal`]): a template hole bound by the loop (the group
@@ -300,6 +329,43 @@ pub enum Op {
         /// Scratch map index (see [`KernelState`]).
         scratch: u16,
     },
+    /// A quantile filter inside a loop: a band-sum lift and the order
+    /// comparison that is its only reader, answered by one search per
+    /// execution (see the module docs on quantile filters).
+    Threshold(Box<Threshold>),
+}
+
+/// The fused `LiftBind` + `CmpFilter` pair of an [`Op::Threshold`]: the
+/// filter compares a loop-invariant operand with a band sum whose one bound
+/// is the loop key — `operand cmp Σ{m(k) : k range key}`, or mirrored.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Threshold {
+    /// Index of its interval among the execution's thresholds.
+    pub cache: u16,
+    /// Index into [`CompiledStmt::runs`]: the band sum's group.
+    pub run: u16,
+    /// The band's one constraint, `k range key`.
+    pub range: CmpOp,
+    /// The loop key: the band's bound, a slot the enclosing scan binds.
+    pub key: Slot,
+    /// The loop-invariant side of the filter.
+    pub operand: Scalar,
+    /// The filter's comparison.
+    pub cmp: CmpOp,
+    /// Is the band sum the filter's left operand?
+    pub sum_left: bool,
+    /// The original lift and filter, run whenever the search cannot answer.
+    pub fallback: Vec<Op>,
+}
+
+impl Threshold {
+    /// The band sum's lookup, as the fallback lift holds it.
+    pub fn lookup(&self) -> Option<&Scalar> {
+        match self.fallback.first() {
+            Some(Op::LiftBind { value, .. }) => band_lookup(value),
+            _ => None,
+        }
+    }
 }
 
 /// A numeric-only compiled scalar, evaluated directly on `f64`s in the fused
@@ -444,6 +510,8 @@ pub struct CompiledStmt {
     pub runs: Vec<SortedRun>,
     /// Number of [`Scalar::CachedSum`]s in the plan.
     pub cached_sums: u16,
+    /// Number of [`Op::Threshold`]s in the plan.
+    pub thresholds: u16,
     /// The lowered right-hand side.
     pub plan: Op,
     /// One frame slot per target key column, in key order.
@@ -799,6 +867,7 @@ pub fn lower_statement(
         prelude: Vec::new(),
         runs: Vec::new(),
         cached_sums: 0,
+        thresholds: 0,
         plan,
         key_slots,
         frame_size: lw.next_slot as u16,
@@ -861,6 +930,7 @@ fn op_reads(op: &Op, out: &mut Vec<Slot>) {
             scalar_reads(right, out);
         }
         Op::Exists { inner, .. } => op_reads(inner, out),
+        Op::Threshold(t) => t.fallback.iter().for_each(|o| op_reads(o, out)),
     }
 }
 
@@ -887,6 +957,7 @@ fn op_writes(op: &Op, out: &mut Vec<Slot>) {
             scalar_writes(left, out);
             scalar_writes(right, out);
         }
+        Op::Threshold(t) => t.fallback.iter().for_each(|o| op_writes(o, out)),
         Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } => {}
     }
 }
@@ -942,7 +1013,7 @@ fn simple_cont_op(op: &Op) -> bool {
         Op::CmpFilter { left, right, .. } => simple_scalar(left) && simple_scalar(right),
         Op::Product(ops) | Op::Sum(ops) => ops.iter().all(simple_cont_op),
         Op::Neg(inner) | Op::AggSum(inner) => simple_cont_op(inner),
-        Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } => false,
+        Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } | Op::Threshold(_) => false,
     }
 }
 
@@ -985,6 +1056,20 @@ pub fn scan_body(op: &Op) -> Option<(&Op, &[Op])> {
     }
 }
 
+/// The [`Scalar::RangeSum`] a lift's value is: bare, or summed as a one-op
+/// sub-plan (`SubSum(ScalarMult(RangeSum))`, as lowering wraps a lifted
+/// aggregate).
+fn band_lookup(s: &Scalar) -> Option<&Scalar> {
+    match s {
+        Scalar::RangeSum { .. } => Some(s),
+        Scalar::SubSum(op) => match &**op {
+            Op::ScalarMult(inner) => band_lookup(inner),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 /// Why a scanning sub-sum of a lowered statement stayed a walk, where it is
 /// one of the reasons the module docs list — what EXPLAIN prints next to it.
 /// `None` for any other sub-plan. `trigger_slots` is the statement's.
@@ -996,6 +1081,7 @@ pub fn range_sum_refusal(op: &Op, trigger_slots: u16) -> Option<&'static str> {
         Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
             !simple_scalar(s)
         }
+        Op::Threshold(_) => true,
         _ => false,
     };
     let is_weight = |f: &FastOp| matches!(f, FastOp::Weight(_));
@@ -1016,6 +1102,9 @@ struct Hoister {
     groups: Vec<FusedScan>,
     runs: Vec<SortedRun>,
     cached_sums: u16,
+    thresholds: u16,
+    /// Every slot the statement reads, once per reader.
+    reads: Vec<Slot>,
     /// Does the op being hoisted run once per row of an enclosing loop?
     in_loop: bool,
 }
@@ -1026,11 +1115,12 @@ impl Hoister {
             Op::ScalarMult(s) => self.hoist_scalar(s),
             Op::Product(ops) => {
                 let outer = self.in_loop;
-                for o in ops {
+                for o in ops.iter_mut() {
                     self.hoist_op(o);
                     self.in_loop |= iterates(o);
                 }
                 self.in_loop = outer;
+                self.fuse_thresholds(ops);
             }
             Op::Sum(ops) => {
                 for o in ops {
@@ -1044,7 +1134,11 @@ impl Hoister {
                 self.hoist_scalar(right);
             }
             Op::Exists { inner, .. } => self.hoist_op(inner),
-            Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } | Op::Scan { .. } => {}
+            Op::ConstMult(_)
+            | Op::SlotMult(_)
+            | Op::Probe { .. }
+            | Op::Scan { .. }
+            | Op::Threshold(_) => {}
         }
     }
 
@@ -1061,7 +1155,7 @@ impl Hoister {
                     *s = lookup;
                 } else if self.in_loop
                     && self.cached_sums < u16::MAX
-                    && scan_body(op).is_some()
+                    && (scan_body(op).is_some() || matches!(**op, Op::Probe { .. }))
                     && self.invariant(op)
                 {
                     // A walk worth the same on every row of the loop.
@@ -1097,6 +1191,102 @@ impl Hoister {
         reads
             .iter()
             .all(|s| (*s as usize) < self.trigger_slots as usize || own.contains(s))
+    }
+
+    /// Is `s` worth the same on every row of an execution: a constant, a
+    /// trigger slot, a prelude result or a cached sum — bare, or summed as
+    /// a one-op sub-plan, as lowering wraps a lifted aggregate?
+    fn invariant_scalar(&self, s: &Scalar) -> bool {
+        let prelude = |x: Slot| {
+            self.groups
+                .iter()
+                .flat_map(|g| &g.members)
+                .any(|m| m.dest == x)
+        };
+        match s {
+            Scalar::Const(_) | Scalar::CachedSum { .. } => true,
+            Scalar::Slot(x) => *x < self.trigger_slots || prelude(*x),
+            Scalar::SubSum(op) => matches!(&**op, Op::ScalarMult(x) if self.invariant_scalar(x)),
+            _ => false,
+        }
+    }
+
+    /// Fuse each band-sum lift of a product with the order comparison that
+    /// is its only reader into an [`Op::Threshold`], when the comparison's
+    /// other side is loop-invariant (see the module docs on quantile
+    /// filters). The threshold stands where the comparison stood: nothing
+    /// between the two reads what the lift binds.
+    fn fuse_thresholds(&mut self, ops: &mut Vec<Op>) {
+        let mut f = 0;
+        while f < ops.len() {
+            let Some((lift, mut threshold)) = self.threshold(ops, f) else {
+                f += 1;
+                continue;
+            };
+            threshold.cache = self.thresholds;
+            self.thresholds += 1;
+            let filter = std::mem::replace(&mut ops[f], Op::ConstMult(1.0));
+            threshold.fallback = vec![ops.remove(lift), filter];
+            ops[f - 1] = Op::Threshold(Box::new(threshold));
+        }
+    }
+
+    /// The threshold the comparison `ops[f]` forms with a band-sum lift
+    /// before it, and that lift's index.
+    fn threshold(&self, ops: &[Op], f: usize) -> Option<(usize, Threshold)> {
+        let Op::CmpFilter { cmp, left, right } = &ops[f] else {
+            return None;
+        };
+        if matches!(cmp, CmpOp::Eq | CmpOp::Ne) || self.thresholds == u16::MAX {
+            return None;
+        }
+        let before = &ops[..f];
+        let lifted = |x: &Slot| {
+            before.iter().any(|o| match o {
+                Op::LiftBind { slot, value } => slot == x && self.invariant_scalar(value),
+                _ => false,
+            })
+        };
+        let sides = [(true, left, right), (false, right, left)];
+        sides.into_iter().find_map(|(sum_left, sum, operand)| {
+            let &Scalar::Slot(s) = sum else {
+                return None;
+            };
+            let is_lift = |o: &Op| matches!(o, Op::LiftBind { slot, .. } if *slot == s);
+            let lift = before.iter().position(is_lift)?;
+            let Op::LiftBind { value, .. } = &before[lift] else {
+                return None;
+            };
+            let Some(Scalar::RangeSum { run, ranges, .. }) = band_lookup(value) else {
+                return None;
+            };
+            let [(range, NumExpr::Slot(key))] = ranges.as_slice() else {
+                return None;
+            };
+            let binds_key =
+                |o: &Op| matches!(o, Op::Scan { binds, .. } if binds.iter().any(|b| b.1 == *key));
+            let mut reads = Vec::new();
+            scalar_reads(operand, &mut reads);
+            let invariant = simple_scalar(operand)
+                && reads
+                    .iter()
+                    .all(|x| self.invariant_scalar(&Scalar::Slot(*x)) || lifted(x));
+            let only_reader = self.reads.iter().filter(|&&r| r == s).count() == 1;
+            let fuses = before[..lift].iter().any(binds_key) && invariant && only_reader;
+            fuses.then(|| {
+                let threshold = Threshold {
+                    cache: 0,
+                    run: *run,
+                    range: *range,
+                    key: *key,
+                    operand: operand.clone(),
+                    cmp: *cmp,
+                    sum_left,
+                    fallback: Vec::new(),
+                };
+                (lift, threshold)
+            })
+        })
     }
 
     /// Extract a `SubSum` plan of shape `AggSum*(Product[Scan, cont…])` (or a
@@ -1569,15 +1759,20 @@ fn run_fast(ops: &[FastOp], frame: &[Value], mut mult: f64) -> FastOutcome {
 
 /// Hoist loop-invariant [`Scalar::SubSum`] scans into the statement prelude,
 /// fusing sub-plans that share a scan signature into a single traversal (see
-/// [`FusedScan`]), and turn band sums inside loops into
-/// [`Scalar::RangeSum`] lookups over the statement's [`SortedRun`]s.
+/// [`FusedScan`]), turn band sums inside loops into [`Scalar::RangeSum`]
+/// lookups over the statement's [`SortedRun`]s, and fuse the quantile
+/// filters that read them into [`Op::Threshold`]s.
 fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
+    let mut reads = stmt.key_slots.clone();
+    op_reads(&stmt.plan, &mut reads);
     let mut h = Hoister {
         trigger_slots: stmt.trigger_slots,
         next_slot: stmt.frame_size as u32,
         groups: Vec::new(),
         runs: Vec::new(),
         cached_sums: 0,
+        thresholds: 0,
+        reads,
         in_loop: false,
     };
     let mut plan = std::mem::replace(&mut stmt.plan, Op::ConstMult(0.0));
@@ -1587,6 +1782,7 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     stmt.prelude = h.groups;
     stmt.runs = h.runs;
     stmt.cached_sums = h.cached_sums;
+    stmt.thresholds = h.thresholds;
     for g in &mut stmt.prelude {
         g.band_pos = g.range_sum_position().ok();
     }
@@ -1712,6 +1908,9 @@ pub struct KernelState {
     /// The values of the executing statement's [`Scalar::CachedSum`]s, once
     /// computed.
     cached: Vec<Option<Value>>,
+    /// What the executing statement's [`Op::Threshold`]s found, once
+    /// searched.
+    cuts: Vec<Cut>,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
     /// Work-counter blocks, one per attribution slot (the engine maps slots
@@ -1762,6 +1961,9 @@ impl KernelState {
         if self.cached.len() < stmt.cached_sums as usize {
             self.cached.resize(stmt.cached_sums as usize, None);
         }
+        if self.cuts.len() < stmt.thresholds as usize {
+            self.cuts.resize(stmt.thresholds as usize, Cut::Unsearched);
+        }
         self.out.clear();
     }
 
@@ -1793,6 +1995,44 @@ struct RunBuf {
     entries: Vec<(f64, i64)>,
     /// Largest `|key|` (`0.0` when empty).
     max_abs_key: f64,
+    /// Does the run hold a negative multiplicity? Its band sums are then not
+    /// monotone in the key.
+    negative: bool,
+}
+
+/// What an execution knows of one [`Op::Threshold`].
+#[derive(Clone, Copy, Debug, Default)]
+enum Cut {
+    /// Not searched yet in this execution.
+    #[default]
+    Unsearched,
+    /// The loop keys whose rows pass lie between these two run keys (see
+    /// [`admits`]).
+    Keys(f64, f64),
+    /// Every row runs the lift and the filter.
+    Fallback,
+}
+
+/// Does loop key `p` lie between a threshold's edges `lo` and `hi`? A band
+/// `k > key` or `k ≤ key` sums by the run keys `≤ p`, so the keys of one
+/// cell are `[lo, hi)`; `k ≥ key` and `k < key` sum by those `< p`, and a
+/// cell's keys are `(lo, hi]`.
+fn admits(range: CmpOp, (lo, hi): (f64, f64), p: f64) -> bool {
+    match range {
+        CmpOp::Gt | CmpOp::Le => lo <= p && p < hi,
+        _ => lo < p && p <= hi,
+    }
+}
+
+/// A loop key as the number a threshold compares: a finite number, a `Long`
+/// only within 2^53 — beyond it `Value` compares exact integers, which `f64`
+/// cannot. `None` sends the row down the lift and the filter.
+fn loop_key(v: &Value) -> Option<f64> {
+    match v {
+        Value::Long(l) if l.unsigned_abs() <= 1 << 53 => Some(*l as f64),
+        Value::Double(d) if d.is_finite() => Some(*d),
+        _ => None,
+    }
 }
 
 impl RunBuf {
@@ -1834,6 +2074,7 @@ struct Exec<'a> {
     run_specs: &'a [SortedRun],
     runs: &'a mut [RunBuf],
     cached: &'a mut [Option<Value>],
+    cuts: &'a mut [Cut],
     counters: &'a KernelCounters,
     out: &'a mut Vec<(Tuple, f64)>,
     /// Rows below this index belong to earlier batch entries: the sink's
@@ -2086,7 +2327,84 @@ impl Exec<'_> {
                 }
                 self.scratch[idx] = map;
             }
+            Op::Threshold(t) => self.threshold(t, mult, tail),
         }
+    }
+
+    /// Pass a row on when its loop key lies inside `t`'s interval, searched
+    /// at the first row of the execution; run the lift and the filter when
+    /// the search or the key cannot answer. (Kept out of [`Exec::exec`], whose
+    /// code every statement runs.)
+    #[inline(never)]
+    fn threshold(&mut self, t: &Threshold, mult: f64, tail: &Tail) {
+        let cache = t.cache as usize;
+        if matches!(self.cuts[cache], Cut::Unsearched) {
+            self.cuts[cache] = self.search(t);
+        }
+        match (self.cuts[cache], loop_key(&self.frame[t.key as usize])) {
+            (Cut::Keys(lo, hi), Some(p)) => {
+                if admits(t.range, (lo, hi), p) {
+                    self.finish(mult, tail);
+                }
+            }
+            _ => self.finish(mult, &Tail::Seq(&t.fallback, tail)),
+        }
+    }
+
+    /// Search run `t.run` once for the loop keys whose rows pass `t`'s
+    /// filter. Cell `j` of the run's `n + 1` holds the keys with `j` run keys
+    /// below them, and its band sum is the first `j` multiplicities or the
+    /// rest; with every multiplicity non-negative the sums are monotone in
+    /// `j`, so the filter — evaluated as it stands, on each sum as the lookup
+    /// answers it — flips at most once. `Fallback` when the operand is no
+    /// number, or the run is not exact or holds a negative multiplicity.
+    fn search(&mut self, t: &Threshold) -> Cut {
+        let c = match self.eval_scalar(&t.operand) {
+            Ok(c) if c.is_numeric() => c,
+            _ => return Cut::Fallback,
+        };
+        let run = t.run as usize;
+        if self.runs[run].state == RunState::Unbuilt {
+            self.build_run(run);
+        }
+        let r = &self.runs[run];
+        if r.state != RunState::Exact || r.negative {
+            return Cut::Fallback;
+        }
+        let total = r.entries.last().map_or(0, |e| e.1);
+        let upper = matches!(t.range, CmpOp::Gt | CmpOp::Ge);
+        let passes = |below: i64| {
+            let sum = Value::double((if upper { total - below } else { below }) as f64);
+            match t.sum_left {
+                true => t.cmp.eval(&sum, &c),
+                false => t.cmp.eval(&c, &sum),
+            }
+        };
+        let n = r.entries.len();
+        let (first, last) = (passes(0), passes(total));
+        // The passing cells `a..b`: all, none, a prefix or a suffix.
+        let (a, b) = match (first, last) {
+            (true, true) => (0, n + 1),
+            (false, false) => (n + 1, 0),
+            _ => {
+                let flip = 1 + r.entries.partition_point(|e| passes(e.1) == first);
+                if first {
+                    (0, flip)
+                } else {
+                    (flip, n + 1)
+                }
+            }
+        };
+        // Cell `j` starts at run key `j`, counting from one.
+        let edge = |j: usize| match j {
+            0 => f64::NEG_INFINITY,
+            j if j > n => f64::INFINITY,
+            j => r.entries[j - 1].0,
+        };
+        bump(&self.counters.range_sum_hits);
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + 2 + search_steps(n));
+        Cut::Keys(edge(a), edge(b))
     }
 
     /// Run one fused prelude scan: a single bucket traversal feeding every
@@ -2284,7 +2602,7 @@ impl Exec<'_> {
         let (counters, src) = (self.counters, self.src);
         let run = &mut self.runs[i];
         run.entries.clear();
-        let (mut exact, mut abs_sum) = (true, 0u128);
+        let (mut exact, mut abs_sum, mut negative) = (true, 0u128, false);
         let walked = src.for_each_matching(&spec.rel, &pattern, &mut |t, m| {
             bump(&counters.entries_scanned);
             if !exact || m == 0.0 {
@@ -2300,6 +2618,7 @@ impl Exec<'_> {
             match (band_key(&t[key_pos]), exact_mult(m)) {
                 (Some(key), Some(m)) => {
                     abs_sum += u128::from(m.unsigned_abs());
+                    negative |= m < 0;
                     run.entries.push((key, m));
                 }
                 _ => exact = false,
@@ -2319,6 +2638,7 @@ impl Exec<'_> {
         }
         let ends = run.entries.first().into_iter().chain(run.entries.last());
         run.max_abs_key = ends.fold(0.0, |m, e| m.max(e.0.abs()));
+        run.negative = negative;
         run.state = RunState::Exact;
     }
 }
@@ -2364,6 +2684,8 @@ impl CompiledStmt {
         }
         let cached = &mut state.cached[..self.cached_sums as usize];
         cached.fill(None);
+        let cuts = &mut state.cuts[..self.thresholds as usize];
+        cuts.fill(Cut::Unsearched);
         let mut exec = Exec {
             src,
             frame: &mut state.frame,
@@ -2373,6 +2695,7 @@ impl CompiledStmt {
             run_specs: &self.runs,
             runs,
             cached,
+            cuts,
             counters: &state.counter_slots[counter_slot],
             out: &mut state.out,
             merge_floor,
@@ -2573,6 +2896,7 @@ mod tests {
             prelude: Vec::new(),
             runs: Vec::new(),
             cached_sums: 0,
+            thresholds: 0,
             plan,
             key_slots: Vec::new(),
             frame_size: lw.next_slot as u16,
@@ -2618,12 +2942,99 @@ mod tests {
             check(&e, &[("y", y)], &[]);
         }
         // One walk of `R` for the loop, one of `S` for the cached sum, one of
-        // `R` to build the run; a lookup per `S` entry.
+        // `R` to build the run; one search of it for the filter `w > 0`.
         let (rows, work) = run_with(&stmt, &db(), 1);
-        assert_eq!((work.scans, work.range_sum_hits), (3, 2));
+        assert_eq!((work.scans, work.range_sum_hits), (3, 1));
         let (walked, plain) = run_with(&unhoisted(&e), &db(), 1);
         assert_eq!(rows, walked);
         assert_eq!(plain.scans, 1 + 3 * 3);
+    }
+
+    /// `Sum[](R(a, b) * a * [0.5 × Σ R(y, ·) > Σ R(y, b2) * (b2 band b)])`,
+    /// the comparison written either way round: `vwap`'s quantile filter.
+    fn quantile(band: OpC, sum_left: bool) -> Expr {
+        let sum = |f: Vec<Expr>| Expr::agg_sum(Vec::<String>::new(), Expr::product_of(f));
+        let total = sum(vec![Expr::rel("R", ["y", "t"])]);
+        let above = Expr::cmp(band, Expr::var("b2"), Expr::var("b"));
+        let above = sum(vec![Expr::rel("R", ["y", "b2"]), above]);
+        let half = Expr::product_of([Expr::val(0.5), Expr::var("s1")]);
+        let filter = match sum_left {
+            true => Expr::cmp(OpC::Lt, Expr::var("s2"), half),
+            false => Expr::cmp(OpC::Gt, half, Expr::var("s2")),
+        };
+        let (s1, s2) = (Expr::lift("s1", total), Expr::lift("s2", above));
+        sum(vec![
+            Expr::rel("R", ["a", "b"]),
+            s1,
+            s2,
+            filter,
+            Expr::var("a"),
+        ])
+    }
+
+    /// `R(1, ·)` is a book of keys 2, 3, 5, 7 and 11 holding 3, 1, 2, 1 and
+    /// 4; `R(2, ·)` and `R(3, ·)` add rows to the loop.
+    fn book(extra: Option<(i64, Value, f64)>) -> MemSource {
+        let mut r = Gmr::new(Schema::new(["A", "B"]));
+        let rows = [
+            (1, 2, 3.0),
+            (1, 3, 1.0),
+            (1, 5, 2.0),
+            (1, 7, 1.0),
+            (1, 11, 4.0),
+        ];
+        let rows = rows
+            .into_iter()
+            .chain([(2, 4, 1.0), (2, 6, 1.0), (3, 12, 1.0)]);
+        for (a, b, m) in rows {
+            r.add_tuple(vec![Value::long(a), Value::long(b)], m);
+        }
+        if let Some((a, b, m)) = extra {
+            r.add_tuple(vec![Value::long(a), b], m);
+        }
+        let mut src = MemSource::new();
+        src.set_relation("R", r);
+        src
+    }
+
+    /// A quantile filter inside a loop is one search per execution, and the
+    /// rows it keeps are the lift's and the filter's, bit for bit: for every
+    /// band direction and either orientation; with a negative multiplicity
+    /// or an inexact key in the band, by running them on every row; with a
+    /// loop key that is no finite number or a `Long` past 2^53, on that row.
+    #[test]
+    fn quantile_filters_inside_a_loop_are_one_search_per_execution() {
+        let bits = |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
+        let same = |e: &Expr, src: &MemSource, y: i64| {
+            let stmt = lower_statement(&["y".into()], &[], e).unwrap();
+            assert_eq!(stmt.thresholds, 1, "{e}");
+            let (rows, work) = run_with(&stmt, src, y);
+            let (walked, _) = run_with(&unhoisted(e), src, y);
+            assert_eq!(bits(&rows), bits(&walked), "{e} at y = {y}");
+            (work.range_sum_hits, work.range_sum_bails)
+        };
+        let directions = [OpC::Gt, OpC::Ge, OpC::Lt, OpC::Le];
+        for (band, sum_left) in directions.into_iter().flat_map(|b| [(b, false), (b, true)]) {
+            let e = quantile(band, sum_left);
+            check(&e, &[("y", 1)], &[]);
+            for y in [1, 2, 9] {
+                assert_eq!(same(&e, &book(None), y), (1, 0), "{e} at y = {y}");
+            }
+        }
+        let e = quantile(OpC::Gt, false);
+        let rows = 9;
+        for (extra, counts) in [
+            ((1, Value::long(13), -1.0), (rows, 0)),
+            ((1, Value::double(0.5), 1.0), (0, rows)),
+            ((4, Value::double(f64::NAN), 1.0), (1, 1)),
+            ((4, Value::long((1 << 53) + 1), 1.0), (1, 1)),
+            ((4, Value::str("k"), 1.0), (1, 1)),
+            ((4, Value::double(-0.0), 1.0), (1, 0)),
+            ((4, Value::double(4.5), 1.0), (1, 0)),
+        ] {
+            let key = extra.1.clone();
+            assert_eq!(same(&e, &book(Some(extra)), 1), counts, "{key}");
+        }
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
-//! range sums inside a loop: lookups into a run sorted once per execution,
-//! with no index behind them.
+//! quantile filters inside a loop: one search per execution of a run sorted
+//! once per execution, with no index behind it, against totals probed once
+//! per execution.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! a program without live passes — a hand-assembled one, whose derivation
@@ -186,32 +187,49 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             );
             assert!(!text.contains("run: live"), "{text}");
             // Its nested band sum binds no column by equality, so there is
-            // no secondary index to keep ordered: the `:=` looks it up, per
-            // price of the outer scan, in a run it sorts once per execution.
+            // no secondary index to keep ordered: the `:=` sorts it into a
+            // run once per execution and, every volume being non-negative,
+            // searches the run once for the price where the filter flips;
+            // the total it compares with is probed once per execution.
             assert!(ex.maps.is_empty() && !text.contains("== map"), "{text}");
-            let lookup = "lift $8 := subsum(scalar ×range-sum m_vwap_2[>$7] key > $5 \
-                          (run sorted once per execution))";
-            assert!(text.contains(lookup), "{text}");
-            assert!(!text.contains("scan m_vwap_2"), "{text}");
+            for line in [
+                "lift $6 := subsum(probe m_vwap_1[]) (loop-invariant: once per execution)",
+                "threshold $5 from 0.25 * $6 > range-sum m_vwap_2[>$7] key > $5 \
+                 (one search per execution)",
+            ] {
+                assert!(text.contains(line), "{text}");
+            }
+            assert!(
+                !text.contains("scan m_vwap_2") && !text.contains("filter "),
+                "{text}"
+            );
             // The outer sum compares two aggregates: it stays a walk, and says so.
             let note = "subsum: (not a range sum: another aggregate in the member)";
             assert!(text.contains(note), "{text}");
             assert_lookups_answered(ex);
         }
         "mst" => {
-            // Both sides' band sums are lookups; each bid row is multiplied
+            // Both sides' quantile filters are one search each, against
+            // totals probed once per execution; each bid row is multiplied
             // by the asks' sum, which does not depend on the row and is
             // walked once per execution.
             for line in [
-                "lift $8 := subsum(scalar ×range-sum m_mst_4[>$7] key > $6 \
-                 (run sorted once per execution))",
-                "lift $12 := subsum(scalar ×range-sum m_mst_2[>$11] key > $10 \
-                 (run sorted once per execution))",
+                "lift $9 := subsum(probe m_mst_3[]) (loop-invariant: once per execution)",
+                "threshold $6 from 0.25 * $9 > range-sum m_mst_4[>$7] key > $6 \
+                 (one search per execution)",
+                "lift $13 := subsum(probe m_mst_1[]) (loop-invariant: once per execution)",
+                "threshold $10 from 0.25 * $13 > range-sum m_mst_2[>$11] key > $10 \
+                 (one search per execution)",
                 "scalar ×subsum(agg-sum) (loop-invariant: once per execution)",
             ] {
                 assert!(text.contains(line), "{text}");
             }
-            assert!(!text.contains("scan m_mst_2") && !text.contains("scan m_mst_4"));
+            assert!(
+                !text.contains("scan m_mst_2")
+                    && !text.contains("scan m_mst_4")
+                    && !text.contains("filter "),
+                "{text}"
+            );
             assert_lookups_answered(ex);
         }
         "q17a" => {

@@ -344,29 +344,33 @@ fn scalar_str(s: &Scalar) -> String {
                 op_summary(plan)
             )
         }
-        Scalar::RangeSum {
-            ranges, traverse, ..
-        } => {
-            let scan = match scan_body(traverse) {
-                Some((
-                    Op::Scan {
-                        rel,
-                        template,
-                        binds,
-                        ..
-                    },
-                    _,
-                )) => {
-                    format!("{rel}[{}]", pattern_str(template, binds))
-                }
-                _ => String::new(),
-            };
-            format!(
-                "range-sum {scan} {} (run sorted once per execution)",
-                ranges_str(ranges)
-            )
+        Scalar::RangeSum { .. } => {
+            format!("{} (run sorted once per execution)", range_sum_str(s))
         }
     }
+}
+
+/// A band-sum lookup: `range-sum <map>[<pattern>] <constraints>`.
+fn range_sum_str(s: &Scalar) -> String {
+    let Scalar::RangeSum {
+        ranges, traverse, ..
+    } = s
+    else {
+        return String::new();
+    };
+    let scan = match scan_body(traverse) {
+        Some((
+            Op::Scan {
+                rel,
+                template,
+                binds,
+                ..
+            },
+            _,
+        )) => format!("{rel}[{}]", pattern_str(template, binds)),
+        _ => String::new(),
+    };
+    format!("range-sum {scan} {}", ranges_str(ranges))
 }
 
 /// A band's normalized constraints, `key cmp bound` each.
@@ -417,6 +421,20 @@ fn op_summary(op: &Op) -> String {
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
+        Op::Threshold(t) => {
+            let sum = t.lookup().map_or_else(String::new, range_sum_str);
+            let operand = scalar_str(&t.operand);
+            let (l, r) = if t.sum_left {
+                (sum, operand)
+            } else {
+                (operand, sum)
+            };
+            let key = t.key;
+            format!(
+                "threshold ${key} from {l} {} {r} (one search per execution)",
+                t.cmp
+            )
+        }
     }
 }
 

@@ -487,7 +487,10 @@ fn plant(
 /// The same offenders under the nested aggregates, whose band sums over
 /// prices are looked up in a run sorted once per execution: while an order
 /// whose volume is 0.5, 2^53 or NaN, or whose price is 0.5, is in the book,
-/// every lookup into its side walks (−0.0 leaves no entry to offend with).
+/// every lookup into its side walks (−0.0 leaves no entry to offend with);
+/// and while a bid cancelled before it is placed is out of the book, its
+/// price holds a negative net volume, the band sums are not monotone in the
+/// price, and every refresh runs its quantile filters row by row.
 /// Every ordinary volume is a multiple of 2^20, so with a 2^53 volume in the
 /// book every sum is still exact in any order. `vwap` and `mst` answer what
 /// re-evaluation answers, bit for bit, after every event — a `:=` result
@@ -515,6 +518,14 @@ fn order_book_offenders_walk_nested_range_sums_and_match_reevaluation() {
         plant(&mut events, at, &mut id, 1, bad, unit);
     }
     plant(&mut events, 5, &mut id, 2, (None, 0.5), unit);
+    // Cancelled before it is placed, at a price no other order has, with
+    // about a quarter of the volume above it: while it is out, `vwap`'s
+    // filter passes the prices just below it, fails those just above and
+    // passes the top ones — no search finds that.
+    let mut early = order(40, 30_000, 2, 0, 0);
+    (early[3], early[4]) = (Value::double(2_750.0), Value::double(40.0 * unit));
+    events.insert(100, UpdateEvent::insert("Bids", early.clone()));
+    events.insert(40, UpdateEvent::delete("Bids", early));
 
     let catalog = common::workload_catalog();
     for name in ["vwap", "mst"] {
@@ -905,14 +916,16 @@ fn order_book_work_per_event_does_not_follow_the_bucket_size() {
     }
 }
 
-/// The nested aggregates' work oracle: `vwap` and `mst` re-evaluate a band
-/// sum (`Σ volume above this price`) for every price of the book on every
-/// event, and `mst` multiplies each bid row by a sum over the asks that
-/// does not depend on the row. Walked per row, that is quadratic — a stream
-/// four times as long costs ten times the entries per event. With the band
-/// sums looked up in a run sorted once per execution, and the asks' sum
-/// walked once per execution, it is `n log n`: the entries per event must
-/// grow by less than six times, every lookup answered from the run.
+/// The nested aggregates' work oracle: `vwap` and `mst` compare a band sum
+/// (`Σ volume above this price`) with a quarter of the total for every price
+/// of the book on every event, and `mst` multiplies each bid row by a sum
+/// over the asks that does not depend on the row. Walked per row, that is
+/// quadratic — a stream four times as long costs ten times the entries per
+/// event. With each band sorted into a run once per execution, each filter
+/// one search of it (`order_book_nested_thresholds_search_once_per_refresh`)
+/// and the asks' sum walked once per execution, what is left per event is
+/// the run's build and the loop, `n log n` at most: the entries per event
+/// must grow by less than six times, every search answered from the run.
 #[test]
 fn order_book_nested_work_grows_n_log_n() {
     let catalog = common::workload_catalog();
@@ -928,5 +941,31 @@ fn order_book_nested_work_grows_n_log_n() {
         let [(small, (hits, bails)), (large, _)] = sweep;
         assert!(small > 0.0 && large < 6.0 * small, "{ctx}: quadratic");
         assert!(hits > 0 && bails == 0, "{ctx}: not answered from the run");
+    }
+}
+
+/// The quantile filters' work oracle. Looked up per price, `vwap`'s band sum
+/// costs a lookup and a filter per price of the book: 25.7 lookups an event
+/// over 400 events and 83.9 over 1,600 (`mst`, filtering both sides of the
+/// book: 222 and 740). Every volume of this book is non-negative, so each
+/// band sum is monotone in the price and each filter is one search per
+/// refresh: at both lengths at most four range sums an event (`mst` has
+/// four filters), and `vwap` touches at most half the entries per event it
+/// did (218.5 and 847.0).
+#[test]
+fn order_book_nested_thresholds_search_once_per_refresh() {
+    let catalog = common::workload_catalog();
+    for name in ["vwap", "mst"] {
+        let program = common::workload_program(&[name], HO);
+        for (events, entries) in [(400, 218.5), (1_600, 847.0)] {
+            let work = common::batch_work(&program, &catalog, &book_data(events).events, 1);
+            let per_event = |n: u64| n as f64 / events as f64;
+            let ((hits, bails), ctx) = (work.range_sums, format!("{name}, {events} events"));
+            let lookups = per_event(hits + bails);
+            assert!(lookups <= 4.0, "{ctx}: {lookups} range sums an event");
+            let scanned = per_event(work.scanned);
+            let fewer = name != "vwap" || scanned <= entries / 2.0;
+            assert!(fewer, "{ctx}: {scanned} entries an event");
+        }
     }
 }

@@ -515,8 +515,8 @@ fn has_executor(case: &Case) -> bool {
 
 impl Lean {
     pub fn accepts(self, case: &Case) -> bool {
-        use Shape::{CorrelatedNested, CubicChain, Nested, Star};
-        let tails = [Nested, CorrelatedNested, Star, CubicChain];
+        use Shape::{CorrelatedNested, CubicChain, Nested, Quantile, Star};
+        let tails = [Nested, CorrelatedNested, Quantile, Star, CubicChain];
         match self {
             Lean::Tails => tails.iter().any(|s| case.shapes.contains(s)),
             Lean::Local => case.shardable() && !has_executor(case),
@@ -622,7 +622,9 @@ pub fn census() -> BTreeMap<String, usize> {
             let facts = facts.chain(case.shapes.iter().map(|s| format!("shape {s:?}")));
             let facts = facts.chain(case.hand.map(|h| format!("hand {h:?}")));
             let flags = case.hostile.then_some("hostile stream").into_iter();
+            let quantile = case.hostile && case.shapes.contains(&Shape::Quantile);
             let flags = flags
+                .chain(quantile.then_some("hostile stream under a quantile filter"))
                 .chain(case.poison.then_some("poison event"))
                 .map(String::from);
             for fact in facts.chain(flags).chain(["cases".to_string()]) {
@@ -674,16 +676,29 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     if p.snapshot.is_some_and(|s| s % (batches + 1) < batches) {
         facts.push("snapshot held across batches");
     }
+    let mut facts: Vec<String> = facts.into_iter().map(String::from).collect();
+    let plans = compiled.triggers.iter().flat_map(|t| &t.statements);
+    let plans: Vec<String> = plans.map(|s| format!("{:?}", s.kernel.plan)).collect();
+    for (fact, op) in [
+        ("range sum in a loop", "RangeSum"),
+        ("threshold", "Threshold("),
+    ] {
+        if plans.iter().any(|plan| plan.contains(op)) {
+            facts.push(format!("{fact} [{:?}]", p.mode));
+        }
+    }
     for fact in facts {
-        *seen.entry(fact.to_string()).or_insert(0) += 1;
+        *seen.entry(fact).or_insert(0) += 1;
     }
 }
 
 /// The coverage guard: the slice hits all three classes, every shape and
 /// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
 /// entry-major runs, an exchange plan that ships and a local one that does
-/// not, a WAL cut after a checkpoint, a held snapshot, a hostile stream and
-/// a poison case.
+/// not, a WAL cut after a checkpoint, a held snapshot, a hostile stream (one
+/// under a quantile filter), a poison case, and a higher-order program with
+/// a band sum inside a loop fused into a threshold (the census counts them
+/// per mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -693,7 +708,9 @@ pub fn assert_census() {
     let hands = HANDS.iter().map(|h| format!("hand {h:?}"));
     let rest = "non-empty live pass, empty live pass, `:=` tail, entry-major relation, \
         exchange plan shipping bytes: true, local plan shipping bytes: false, \
-        WAL cut after a checkpoint, snapshot held across batches, hostile stream, poison event";
+        WAL cut after a checkpoint, snapshot held across batches, hostile stream, poison event, \
+        range sum in a loop [HigherOrder], threshold [HigherOrder], \
+        hostile stream under a quantile filter";
     let facts = classes.into_iter().chain(shapes).chain(hands);
     let facts = facts.chain(rest.split(", ").map(String::from));
     let missing: Vec<String> = facts.filter(|f| !seen.contains_key(f)).collect();

@@ -14,8 +14,9 @@
 //! quarter of the generated cases draw from a hostile domain instead:
 //! multiplicities beyond ±1, deletes before inserts, net-zero blocks, ints
 //! past 2^53 in key-only columns, 0.5 / −0.0 in weight columns no query
-//! compares and −0.0 in compared columns. One in ten cases with a weight
-//! column carries a poison event: a string there.
+//! compares, −0.0 in compared columns and, in cases with a quantile filter,
+//! NaN and ints past 2^53 in compared columns no query weighs. One in ten
+//! cases with a weight column carries a poison event: a string there.
 
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{
@@ -86,6 +87,9 @@ pub enum Shape {
     Nested,
     /// A lifted aggregate over `S` grouped by a variable of the query.
     CorrelatedNested,
+    /// `c × Σ S > Σ S above the loop key`: a band sum inside the loop
+    /// compared with a share of the total, `vwap`'s quantile filter.
+    Quantile,
     Exists,
     StaticTable,
 }
@@ -93,7 +97,7 @@ pub enum Shape {
 use Shape::*;
 
 /// Every shape: the join skeletons, then the decorations.
-pub const SHAPES: [Shape; 16] = [
+pub const SHAPES: [Shape; 17] = [
     Single,
     EquiJoin,
     SelfJoin,
@@ -108,6 +112,7 @@ pub const SHAPES: [Shape; 16] = [
     Negation,
     Nested,
     CorrelatedNested,
+    Quantile,
     Exists,
     StaticTable,
 ];
@@ -184,6 +189,16 @@ fn build(name: String, skeleton: Shape, decorations: &[Shape], rng: &mut Rng) ->
                 let compared = Expr::var(rng.pick(&bound));
                 factors.push(Expr::cmp(CmpOp::Lt, compared, Expr::var("z")));
             }
+            Quantile => {
+                let sum = |f: Vec<Expr>| Expr::agg_sum(Vec::<String>::new(), Expr::product_of(f));
+                let total = sum(vec![Expr::rel("S", ["qb", "qc"]), Expr::var("qc")]);
+                let above = Expr::cmp(CmpOp::Gt, Expr::var("qx"), Expr::var(v));
+                let above = sum(vec![Expr::rel("S", ["qx", "qy"]), Expr::var("qy"), above]);
+                let share = Expr::product_of([Expr::val(0.5), Expr::var("qt")]);
+                factors.push(Expr::lift("qt", total));
+                factors.push(Expr::lift("qa", above));
+                factors.push(Expr::cmp(CmpOp::Gt, share, Expr::var("qa")));
+            }
             Exists => {
                 let inner = Expr::agg_sum([v], Expr::rel("S", [v, "xc"]));
                 factors.push(Expr::exists(inner));
@@ -216,7 +231,8 @@ pub fn scalar_query(factors: Vec<Expr>) -> QuerySpec {
 
 /// A random query: a skeleton, maybe a static-table atom, one of comparison,
 /// weight, nested aggregate (correlated or not) or `EXISTS`, maybe a weight
-/// and a negation, maybe a group-by over up to two bound variables.
+/// and a negation, maybe a group-by over up to two bound variables, maybe a
+/// quantile filter.
 fn random_query(rng: &mut Rng, name: String) -> (QuerySpec, Vec<Shape>) {
     let skeleton = rng.pick(SKELETONS);
     let mut shapes = Vec::new();
@@ -245,6 +261,10 @@ fn random_query(rng: &mut Rng, name: String) -> (QuerySpec, Vec<Shape>) {
     }
     if rng.percent(45) {
         shapes.push(GroupBy);
+    }
+    // Drawn from a fork, so the queries without one stay what they were.
+    if light && correlated && Rng::new(rng.0, 6).percent(15) {
+        shapes.push(Quantile);
     }
     let q = build(name, skeleton, &shapes, rng);
     shapes.insert(0, skeleton);
@@ -344,6 +364,9 @@ struct Domain {
     odd_weights: Vec<Column>,
     /// Compared columns that sometimes hold −0.0.
     negative_zeros: Vec<Column>,
+    /// Compared columns no query weighs that sometimes hold NaN or an int
+    /// past 2^53: loop keys a quantile filter's per-row guards must catch.
+    odd_keys: Vec<Column>,
     /// `B` is the event's index: no two inserts share a key.
     fresh_keys: bool,
 }
@@ -358,6 +381,11 @@ impl Domain {
                 Value::long((1 << 53) + v)
             } else if self.odd_weights.contains(&(rel, col)) && rng.percent(15) {
                 Value::double(rng.pick(&[0.5, -0.0]))
+            } else if self.odd_keys.contains(&(rel, col)) && rng.percent(10) {
+                match rng.percent(50) {
+                    true => Value::double(f64::NAN),
+                    false => Value::long((1 << 53) + v),
+                }
             } else if self.negative_zeros.contains(&(rel, col)) && rng.percent(15) {
                 Value::double(-0.0)
             } else {
@@ -720,11 +748,15 @@ pub fn case(seed: u64) -> Case {
     let shapes: BTreeSet<Shape> = shapes.into_iter().flatten().collect();
     let [key_only, weights, plain_weights, compared] = columns(&specs);
     let hostile = rng.percent(25);
+    let mut unweighted = compared.clone();
+    unweighted.retain(|c| !weights.contains(c));
+    let quantile = hostile && shapes.contains(&Quantile);
     let dom = Domain {
         hostile,
         big_keys: if hostile { key_only } else { vec![] },
         odd_weights: if hostile { plain_weights } else { vec![] },
         negative_zeros: if hostile { compared } else { vec![] },
+        odd_keys: if quantile { unweighted } else { vec![] },
         fresh_keys: false,
     };
     // Three-atom joins, and re-evaluating them per event, are cubic.
