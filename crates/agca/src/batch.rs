@@ -91,10 +91,13 @@
 //! deterministic, stream-correlated order, and [`RelationDelta::last_event`]
 //! remembers the final event of the run for the statements that must be bound
 //! to it (re-evaluation statements fire once per run, as the last event's
-//! firing is the one whose output survives). All buffers — the run pool, the
-//! per-run entry list and collapse index — are recycled by [`DeltaBatch::clear`],
-//! so a steady-state producer (including the engine's own batch-of-1 wrapper
-//! around `process`) allocates nothing.
+//! firing is the one whose output survives). A run indexes its entries by key
+//! only once it holds a second one: a one-entry run — every batch of one
+//! event — compares the next key with its entry instead, so it hashes
+//! nothing. All buffers — the run pool, the per-run entry list and collapse
+//! index — are recycled by [`DeltaBatch::clear`], so a steady-state producer
+//! (including the engine's own batch-of-1 wrapper around `process`)
+//! allocates nothing.
 
 use crate::delta::{UpdateEvent, UpdateSign};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
@@ -141,7 +144,8 @@ pub struct RelationDelta {
     relation: String,
     arity: usize,
     entries: Vec<DeltaEntry>,
-    /// Collapse index: tuple → position in `entries`.
+    /// Collapse index: tuple → position in `entries`. Empty while the run
+    /// holds at most one entry (see the module docs).
     index: FastMap<Tuple, u32>,
     events: u64,
     /// `(sign, entry index)` of the last event pushed into the run.
@@ -202,62 +206,53 @@ impl RelationDelta {
         self.relation.push_str(relation);
         self.arity = arity;
         self.entries.clear();
-        self.index.clear();
+        if !self.index.is_empty() {
+            self.index.clear();
+        }
         self.events = 0;
         self.last = None;
     }
 
-    /// Fold a coalesced entry of another run into this one (merge support):
-    /// ring-add its net multiplicity and carry its event count. Returns the
-    /// entry's index in this run.
-    fn fold_entry(&mut self, key: &Tuple, mult: f64, events: u32) -> u32 {
+    /// Ring-add `mult` and `events` into `key`'s entry, appending a new
+    /// entry when the run has none (caller guarantees relation/arity
+    /// match). Returns the entry's index. A run of at most one entry keeps
+    /// no collapse index: the second key is compared with the first, and
+    /// both are indexed only when they differ; from then on, one hash of
+    /// the key either way (entry API).
+    fn fold(&mut self, key: Tuple, mult: f64, events: u32) -> u32 {
         use std::collections::hash_map::Entry;
-        let idx = match self.index.entry(key.clone()) {
-            Entry::Occupied(o) => {
-                let i = *o.get();
-                let e = &mut self.entries[i as usize];
-                e.mult += mult;
-                e.events += events;
-                i
-            }
-            Entry::Vacant(v) => {
-                let i = self.entries.len() as u32;
-                let key = v.key().clone();
-                v.insert(i);
+        self.events += events as u64;
+        let n = self.entries.len() as u32;
+        let i = match n {
+            0 => {
                 self.entries.push(DeltaEntry { key, mult, events });
-                i
+                return 0;
+            }
+            1 if self.entries[0].key == key => 0,
+            _ => {
+                if n == 1 {
+                    self.index.insert(self.entries[0].key.clone(), 0);
+                }
+                match self.index.entry(key) {
+                    Entry::Occupied(o) => *o.get(),
+                    Entry::Vacant(v) => {
+                        let key = v.key().clone(); // cheap: inline copy or Arc bump
+                        v.insert(n);
+                        self.entries.push(DeltaEntry { key, mult, events });
+                        return n;
+                    }
+                }
             }
         };
-        self.events += events as u64;
-        idx
+        let e = &mut self.entries[i as usize];
+        e.mult += mult;
+        e.events += events;
+        i
     }
 
     /// Fold one tuple into the run (caller guarantees relation/arity match).
-    /// One hash of the key either way (entry API).
     fn push_key(&mut self, key: Tuple, sign: UpdateSign) {
-        use std::collections::hash_map::Entry;
-        let mult = sign.multiplier();
-        let idx = match self.index.entry(key) {
-            Entry::Occupied(o) => {
-                let i = *o.get();
-                let e = &mut self.entries[i as usize];
-                e.mult += mult;
-                e.events += 1;
-                i
-            }
-            Entry::Vacant(v) => {
-                let i = self.entries.len() as u32;
-                let key = v.key().clone(); // cheap: inline copy or Arc bump
-                v.insert(i);
-                self.entries.push(DeltaEntry {
-                    key,
-                    mult,
-                    events: 1,
-                });
-                i
-            }
-        };
-        self.events += 1;
+        let idx = self.fold(key, sign.multiplier(), 1);
         self.last = Some((sign, idx));
     }
 }
@@ -397,13 +392,12 @@ impl DeltaBatch {
                     &mut out.runs[out.live - 1]
                 }
             };
-            for e in &run.entries {
-                dst.fold_entry(&e.key, e.mult, e.events);
-            }
-            if let Some((sign, i)) = run.last {
-                let key = &run.entries[i as usize].key;
-                let idx = dst.index[key];
-                dst.last = Some((sign, idx));
+            for (i, e) in run.entries.iter().enumerate() {
+                let at = dst.fold(e.key.clone(), e.mult, e.events);
+                // Re-anchor the run's last event to its merged entry.
+                if let Some((sign, _)) = run.last.filter(|l| l.1 as usize == i) {
+                    dst.last = Some((sign, at));
+                }
             }
         }
         out.events = self.events;
@@ -532,6 +526,51 @@ mod tests {
         // A batch without repeats merges to itself.
         let single = DeltaBatch::from_events(&[ins("R", &[1, 2]), ins("S", &[7])]);
         assert!(!single.has_repeated_relation());
+    }
+
+    /// A run of one entry hashes nothing; a second event of the same key
+    /// still folds into it, and a second key indexes both.
+    #[test]
+    fn a_one_entry_run_keeps_no_collapse_index() {
+        let mut b = DeltaBatch::from_events(&[ins("R", &[1, 2])]);
+        assert!(b.runs()[0].index.is_empty());
+        b.push(&del("R", &[1, 2]));
+        let run = &b.runs()[0];
+        assert!(run.index.is_empty());
+        assert_eq!(run.entries().len(), 1);
+        assert_eq!((run.entries()[0].mult, run.entries()[0].events), (0.0, 2));
+        assert_eq!(run.last_event().unwrap().0, UpdateSign::Delete);
+        b.push(&ins("R", &[3, 4]));
+        b.push(&ins("R", &[1, 2]));
+        let run = &b.runs()[0];
+        assert_eq!(run.index.len(), 2);
+        assert_eq!(run.entries()[0].mult, 1.0);
+        assert_eq!(run.events(), 4);
+        assert_eq!(
+            run.last_event().unwrap().1.as_slice(),
+            &[Value::long(1), Value::long(2)]
+        );
+        // A pooled run that was indexed starts over without its index.
+        b.clear();
+        b.push(&ins("R", &[5, 6]));
+        assert!(b.runs()[0].index.is_empty());
+    }
+
+    /// Merging into a destination run of one entry re-anchors the last
+    /// event without an index lookup: the entry is found by comparison.
+    #[test]
+    fn merging_into_a_one_entry_run_re_anchors_the_last_event() {
+        let events = [ins("R", &[1, 2]), ins("S", &[7]), del("R", &[1, 2])];
+        let b = DeltaBatch::from_events(&events);
+        let mut merged = DeltaBatch::new();
+        b.merge_runs_into(&mut merged);
+        let r = &merged.runs()[0];
+        assert_eq!((r.entries().len(), r.events()), (1, 2));
+        assert!(r.index.is_empty());
+        let (sign, key) = r.last_event().unwrap();
+        assert_eq!(sign, UpdateSign::Delete);
+        assert_eq!(key.as_slice(), &[Value::long(1), Value::long(2)]);
+        assert_eq!(r.entries()[0].mult, 0.0);
     }
 
     #[test]

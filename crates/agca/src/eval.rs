@@ -190,6 +190,11 @@ impl From<dbtoaster_gmr::value::ValueError> for EvalError {
 /// (the evaluator re-checks the constraints), but an index-backed
 /// implementation that answers exactly is what gives compiled trigger
 /// statements their constant-time behaviour.
+///
+/// Reads come in two addressings. The evaluator finds relations by name.
+/// Compiled kernels resolve each of their relations to a [`RelId`] once
+/// ([`RelationSource::relation_id`]) and then read by id, so a kernel run
+/// hashes no name.
 pub trait RelationSource {
     /// Arity of the named relation, or `None` if unknown.
     fn relation_arity(&self, name: &str) -> Option<usize>;
@@ -203,32 +208,48 @@ pub trait RelationSource {
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError>;
 
-    /// Range sums over an ordered index, for sources that keep one:
-    /// `sums[i]` = Σ multiplicity over the tuples matching `pattern` — which
-    /// leaves exactly one position free — whose value at that position lies
-    /// in `ranges[i].0 ≤ value < ranges[i].1`. Range ends are integers or
-    /// infinite; `bound_mag` bounds the magnitude of every number the
-    /// caller's original comparisons went through (see the plan module's
-    /// "Range sums over ordered indexes").
-    ///
-    /// `Ok(Some(n))` — answered, bit-identical to summing the matching
-    /// tuples in any order, after comparing `n` entries. `Ok(None)` — the
-    /// source has no ordered index for the pattern, or the addressed group
-    /// cannot answer exactly right now; the caller sums over
-    /// [`RelationSource::for_each_matching`] instead. The default has no
-    /// ordered indexes.
-    fn range_sums(
+    /// The id the `_at` reads address the named relation by, or `None` if
+    /// unknown. Stable for the life of the source.
+    fn relation_id(&self, name: &str) -> Option<RelId>;
+
+    /// [`RelationSource::for_each_matching`] of the relation with id `id`.
+    fn for_each_at(
         &self,
-        name: &str,
+        id: RelId,
+        pattern: &[Option<Value>],
+        visit: &mut dyn FnMut(&[Value], f64),
+    );
+
+    /// Range sums over an ordered index, for sources that keep one:
+    /// `sums[i]` = Σ multiplicity over the tuples of relation `id` matching
+    /// `pattern` — which leaves exactly one position free — whose value at
+    /// that position lies in `ranges[i].0 ≤ value < ranges[i].1`. Range ends
+    /// are integers or infinite; `bound_mag` bounds the magnitude of every
+    /// number the caller's original comparisons went through (see the plan
+    /// module's "Range sums over ordered indexes").
+    ///
+    /// `Some(n)` — answered, bit-identical to summing the matching tuples in
+    /// any order, after comparing `n` entries. `None` — the source has no
+    /// ordered index for the pattern, or the addressed group cannot answer
+    /// exactly right now; the caller sums over
+    /// [`RelationSource::for_each_at`] instead. The default has no ordered
+    /// indexes.
+    fn range_sums_at(
+        &self,
+        id: RelId,
         pattern: &[Option<Value>],
         bound_mag: f64,
         ranges: &[(f64, f64)],
         sums: &mut [f64],
-    ) -> Result<Option<u64>, EvalError> {
-        let _ = (name, pattern, bound_mag, ranges, sums);
-        Ok(None)
+    ) -> Option<u64> {
+        let _ = (id, pattern, bound_mag, ranges, sums);
+        None
     }
 }
+
+/// A relation's position in a [`RelationSource`] (see
+/// [`RelationSource::relation_id`]).
+pub type RelId = u32;
 
 /// Does `tuple` satisfy the partial binding pattern?
 #[inline]
@@ -243,7 +264,9 @@ pub fn matches_pattern(tuple: &[Value], pattern: &[Option<Value>]) -> bool {
 /// re-evaluation (REP) baseline and as the initial database of the runtime engine.
 #[derive(Clone, Debug, Default)]
 pub struct MemSource {
-    relations: dbtoaster_gmr::FastMap<String, Gmr>,
+    /// Name → position in `relations`, the relation's [`RelId`].
+    ids: dbtoaster_gmr::FastMap<String, RelId>,
+    relations: Vec<Gmr>,
 }
 
 impl MemSource {
@@ -252,32 +275,39 @@ impl MemSource {
         MemSource::default()
     }
 
-    /// Register (or replace) a relation.
+    /// Register (or replace, keeping its id) a relation.
     pub fn set_relation(&mut self, name: impl Into<String>, gmr: Gmr) {
-        self.relations.insert(name.into(), gmr);
+        let name = name.into();
+        match self.ids.get(&name) {
+            Some(&id) => self.relations[id as usize] = gmr,
+            None => {
+                self.ids.insert(name, self.relations.len() as RelId);
+                self.relations.push(gmr);
+            }
+        }
     }
 
     /// Get a relation's contents, if present.
     pub fn relation(&self, name: &str) -> Option<&Gmr> {
-        self.relations.get(name)
+        Some(&self.relations[*self.ids.get(name)? as usize])
     }
 
     /// Apply a single-tuple update (positive multiplicity = insert, negative = delete).
     pub fn apply_update(&mut self, name: &str, tuple: Vec<Value>, mult: f64) {
-        if let Some(g) = self.relations.get_mut(name) {
-            g.add_tuple(tuple, mult);
+        if let Some(&id) = self.ids.get(name) {
+            self.relations[id as usize].add_tuple(tuple, mult);
         } else {
             let schema = Schema::new((0..tuple.len()).map(|i| format!("c{i}")));
             let mut g = Gmr::new(schema);
             g.add_tuple(tuple, mult);
-            self.relations.insert(name.to_string(), g);
+            self.set_relation(name, g);
         }
     }
 }
 
 impl RelationSource for MemSource {
     fn relation_arity(&self, name: &str) -> Option<usize> {
-        self.relations.get(name).map(|g| g.schema().arity())
+        self.relation(name).map(|g| g.schema().arity())
     }
 
     fn for_each_matching(
@@ -286,16 +316,28 @@ impl RelationSource for MemSource {
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError> {
-        let g = self
-            .relations
-            .get(name)
+        let id = self
+            .relation_id(name)
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        for (t, m) in g.iter() {
+        self.for_each_at(id, pattern, visit);
+        Ok(())
+    }
+
+    fn relation_id(&self, name: &str) -> Option<RelId> {
+        self.ids.get(name).copied()
+    }
+
+    fn for_each_at(
+        &self,
+        id: RelId,
+        pattern: &[Option<Value>],
+        visit: &mut dyn FnMut(&[Value], f64),
+    ) {
+        for (t, m) in self.relations[id as usize].iter() {
             if matches_pattern(t, pattern) {
                 visit(t, m);
             }
         }
-        Ok(())
     }
 }
 

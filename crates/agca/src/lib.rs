@@ -57,7 +57,7 @@ pub mod scope;
 
 pub use batch::{DeltaBatch, DeltaEntry, RelationDelta};
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
-pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelationSource};
+pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelId, RelationSource};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
 pub use opt::{canonical_key, decorrelate, expand, simplify, Monomial, Polynomial};
 pub use plan::{

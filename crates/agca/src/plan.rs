@@ -12,7 +12,10 @@
 //!   frame of [`Value`]s (no name lookups, no `Bindings` scans at run time);
 //! * every relation atom carries a prebuilt **pattern template** whose bound
 //!   holes are filled from the frame into a reusable pattern buffer (no
-//!   per-event pattern allocation);
+//!   per-event pattern allocation), and addresses its map by position in the
+//!   statement's relation table ([`CompiledStmt::rels`]), which the runtime
+//!   resolves to the store's ids once, when it is built (no name lookups at
+//!   run time for relations either);
 //! * the product evaluation order — including the lift hoisting that turns
 //!   `M(ok) * (ok := t)` into an indexed probe — is chosen statically by the
 //!   same `product_order_by`/`scalar_ready_by` analysis the interpreter
@@ -95,7 +98,7 @@
 //! ([`FusedScan::band_pos`]): the compiler declares the scan's secondary
 //! index *ordered* on the free column, the store keeps each group of it as a
 //! sorted run with running sums, and the executor answers every member with
-//! one [`RelationSource::range_sums`] call — two binary searches per interval
+//! one [`RelationSource::range_sums_at`] call — two binary searches per interval
 //! end instead of a walk over the group — on every execution: a single
 //! event, an entry of a delta run, or a firing of the batch-delta live pass,
 //! which reads the same stored maps. A scan of that kind that does not
@@ -185,7 +188,7 @@
 //! which compares two aggregates with each other, and `psp`'s, which
 //! compares the scanned volume with `0.0001 ×` a total.
 
-use crate::eval::{matches_pattern, product_order_by, EvalError, RelationSource};
+use crate::eval::{matches_pattern, product_order_by, EvalError, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 use serde::{Deserialize, Serialize};
@@ -256,8 +259,8 @@ pub enum Op {
     /// Fully bound atom lookup: fill the pattern buffer from `template` and
     /// emit the stored multiplicity of the single matching tuple, if present.
     Probe {
-        /// Relation / view / map name.
-        rel: String,
+        /// Index into [`CompiledStmt::rels`].
+        rel: u16,
         /// Pattern buffer index (see [`KernelState`]).
         buf: u16,
         /// One frame slot per atom position.
@@ -267,8 +270,8 @@ pub enum Op {
     /// bound positions, check free-position equalities (repeated variables),
     /// bind the `binds` slots from the tuple and emit its multiplicity.
     Scan {
-        /// Relation / view / map name.
-        rel: String,
+        /// Index into [`CompiledStmt::rels`].
+        rel: u16,
         /// Pattern buffer index (see [`KernelState`]).
         buf: u16,
         /// Per position: `Some(slot)` = bound hole filled from the frame,
@@ -454,8 +457,8 @@ pub struct BandSpec {
 /// statement, so this can never change a result.)
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FusedScan {
-    /// Relation / view / map name.
-    pub rel: String,
+    /// Index into [`CompiledStmt::rels`].
+    pub rel: u16,
     /// Pattern buffer index (see [`KernelState`]).
     pub buf: u16,
     /// Per position: `Some(slot)` = bound hole filled from the frame,
@@ -478,7 +481,7 @@ pub struct FusedScan {
     /// and every member (at most [`MAX_RANGE_MEMBERS`]) carries a
     /// [`BandSpec`] on it. The scan's `(relation, bound positions)` index is
     /// then declared ordered on this position and the traversal is replaced
-    /// by one [`RelationSource::range_sums`] call (see the module docs).
+    /// by one [`RelationSource::range_sums_at`] call (see the module docs).
     pub band_pos: Option<u16>,
 }
 
@@ -488,8 +491,8 @@ pub struct FusedScan {
 /// every lookup of the same `(rel, template)`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SortedRun {
-    /// Relation / view / map name.
-    pub rel: String,
+    /// Index into [`CompiledStmt::rels`].
+    pub rel: u16,
     /// Pattern buffer index (see [`KernelState`]).
     pub buf: u16,
     /// Per position: `Some(slot)` = bound hole filled from the (trigger)
@@ -503,6 +506,10 @@ pub struct SortedRun {
 /// pre-resolved key slots and the buffer shapes its execution needs.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CompiledStmt {
+    /// The relations, views and maps the plan reads, each once, in order of
+    /// first appearance. Ops address them by index; an executor reads them
+    /// through ids bound once per source ([`CompiledStmt::bind`]).
+    pub rels: Vec<String>,
     /// Hoisted loop-invariant sub-aggregate scans, run before `plan` (see
     /// [`FusedScan`]).
     pub prelude: Vec<FusedScan>,
@@ -554,6 +561,8 @@ struct Lowerer {
     next_slot: u32,
     pattern_arities: Vec<u16>,
     scratch_maps: u16,
+    /// The statement's relation table (see [`CompiledStmt::rels`]).
+    rels: Vec<String>,
 }
 
 impl Lowerer {
@@ -564,7 +573,20 @@ impl Lowerer {
             next_slot: 0,
             pattern_arities: Vec::new(),
             scratch_maps: 0,
+            rels: Vec::new(),
         }
+    }
+
+    /// `name`'s index in the relation table, added on first use.
+    fn rel(&mut self, name: &str) -> Result<u16, Unsupported> {
+        let i = match self.rels.iter().position(|r| r == name) {
+            Some(i) => i,
+            None => {
+                self.rels.push(name.to_string());
+                self.rels.len() - 1
+            }
+        };
+        u16::try_from(i).map_err(|_| Unsupported("relation table overflow"))
     }
 
     fn lookup(&self, name: &str) -> Option<Slot> {
@@ -707,23 +729,20 @@ impl Lowerer {
             }
         }
         let buf = self.alloc_pattern(arity)?;
+        let rel = self.rel(&r.name)?;
         if firsts.is_empty() && eqs.is_empty() {
             let template: Vec<Slot> = template
                 .into_iter()
                 .map(|t| t.expect("all bound"))
                 .collect();
-            return Ok(Op::Probe {
-                rel: r.name.clone(),
-                buf,
-                template,
-            });
+            return Ok(Op::Probe { rel, buf, template });
         }
         let mut binds: Vec<(u16, Slot)> = Vec::with_capacity(firsts.len());
         for (i, a) in firsts {
             binds.push((i as u16, self.bind(a)?));
         }
         Ok(Op::Scan {
-            rel: r.name.clone(),
+            rel,
             buf,
             template,
             binds,
@@ -864,6 +883,7 @@ pub fn lower_statement(
         .map(|kv| lw.lookup(kv).ok_or(Unsupported("unbound key variable")))
         .collect::<Result<Vec<Slot>, _>>()?;
     let mut stmt = CompiledStmt {
+        rels: lw.rels,
         prelude: Vec::new(),
         runs: Vec::new(),
         cached_sums: 0,
@@ -960,6 +980,53 @@ fn op_writes(op: &Op, out: &mut Vec<Slot>) {
         Op::Threshold(t) => t.fallback.iter().for_each(|o| op_writes(o, out)),
         Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } => {}
     }
+}
+
+/// The partially bound reads of an op tree: `(relation, template)` of every
+/// [`Op::Scan`], sub-plans and fallbacks included.
+fn op_scans<'a>(op: &'a Op, out: &mut Vec<(u16, &'a [Option<Slot>])>) {
+    match op {
+        Op::Scan { rel, template, .. } => out.push((*rel, template)),
+        Op::Product(ops) | Op::Sum(ops) => ops.iter().for_each(|o| op_scans(o, out)),
+        Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => op_scans(inner, out),
+        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
+            scalar_scans(s, out)
+        }
+        Op::CmpFilter { left, right, .. } => {
+            scalar_scans(left, out);
+            scalar_scans(right, out);
+        }
+        Op::Threshold(t) => {
+            scalar_scans(&t.operand, out);
+            t.fallback.iter().for_each(|o| op_scans(o, out));
+        }
+        Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } => {}
+    }
+}
+
+fn scalar_scans<'a>(s: &'a Scalar, out: &mut Vec<(u16, &'a [Option<Slot>])>) {
+    match s {
+        Scalar::SubSum(op)
+        | Scalar::RangeSum { traverse: op, .. }
+        | Scalar::CachedSum { plan: op, .. } => op_scans(op, out),
+        Scalar::Neg(inner) => scalar_scans(inner, out),
+        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
+            xs.iter().for_each(|x| scalar_scans(x, out))
+        }
+        Scalar::Cmp(_, l, r) => {
+            scalar_scans(l, out);
+            scalar_scans(r, out);
+        }
+        Scalar::Const(_) | Scalar::Slot(_) => {}
+    }
+}
+
+/// The bitmask of a template's bound positions (positions past 62 are
+/// never indexed, as in the runtime's store).
+pub fn template_mask(template: &[Option<Slot>]) -> u64 {
+    (0..template.len().min(63))
+        .filter(|&i| template[i].is_some())
+        .fold(0, |m, i| m | 1 << i)
 }
 
 fn scalar_reads(s: &Scalar, out: &mut Vec<Slot>) {
@@ -1351,7 +1418,7 @@ impl Hoister {
             return Some(dest);
         }
         self.groups.push(FusedScan {
-            rel: rel.clone(),
+            rel: *rel,
             buf: *buf,
             template: template.clone(),
             binds: binds.clone(),
@@ -1393,7 +1460,7 @@ impl Hoister {
             Some(run) => run,
             None => {
                 self.runs.push(SortedRun {
-                    rel: rel.clone(),
+                    rel: *rel,
                     buf: *buf,
                     template: template.clone(),
                     key_pos: band.key_pos,
@@ -1788,6 +1855,28 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     }
 }
 
+impl CompiledStmt {
+    /// Every `(relation, template)` the kernel reads with a pattern that
+    /// leaves a position free — plan scans wherever they sit (sub-sums,
+    /// cached sums, fallbacks), fused prelude scans and sorted runs. Each is
+    /// answered from the secondary index of the template's bound positions
+    /// ([`template_mask`]), which is what the runtime declares up front.
+    pub fn scans(&self) -> Vec<(u16, &[Option<Slot>])> {
+        let mut out = Vec::new();
+        op_scans(&self.plan, &mut out);
+        out.extend(self.prelude.iter().map(|f| (f.rel, &f.template[..])));
+        out.extend(self.runs.iter().map(|r| (r.rel, &r.template[..])));
+        out
+    }
+
+    /// The plan's relation table resolved against `src`: what
+    /// [`CompiledStmt::execute_batch_entry`] reads through. A relation the
+    /// source does not know stays `None` and fails the read that reaches it.
+    pub fn bind(&self, src: &dyn RelationSource) -> Vec<Option<RelId>> {
+        self.rels.iter().map(|r| src.relation_id(r)).collect()
+    }
+}
+
 impl FusedScan {
     /// The position a range-sum scan sums over (see [`FusedScan::band_pos`]):
     /// every fused member (members joining a group later may not be) carries
@@ -2067,6 +2156,11 @@ enum Tail<'a> {
 
 struct Exec<'a> {
     src: &'a dyn RelationSource,
+    /// The statement's relation table bound to `src` (see
+    /// [`CompiledStmt::bind`]).
+    rels: &'a [Option<RelId>],
+    /// The relation names, for errors.
+    names: &'a [String],
     frame: &'a mut [Value],
     patterns: &'a mut [Vec<Option<Value>>],
     scratch: &'a mut [FastMap<Tuple, f64>],
@@ -2093,6 +2187,14 @@ impl Exec<'_> {
         }
     }
 
+    /// The source id of relation `rel`, or the error reading an unknown
+    /// relation raises.
+    #[inline]
+    fn rel_id(&self, rel: u16) -> Result<RelId, EvalError> {
+        self.rels[rel as usize]
+            .ok_or_else(|| EvalError::UnknownRelation(self.names[rel as usize].clone()))
+    }
+
     /// Take pattern buffer `buf` out of the state with its bound holes filled
     /// from the frame; the caller puts it back.
     fn take_pattern(&mut self, buf: u16, template: &[Option<Slot>]) -> Vec<Option<Value>> {
@@ -2110,7 +2212,7 @@ impl Exec<'_> {
     /// [`Op::Scan`] and the fused prelude so the prologue cannot drift.
     fn scan_atom(
         &mut self,
-        rel: &str,
+        rel: u16,
         buf: u16,
         template: &[Option<Slot>],
         eqs: &[(u16, u16)],
@@ -2118,17 +2220,21 @@ impl Exec<'_> {
         on_match: &mut dyn FnMut(&mut Self, f64),
     ) {
         bump(&self.counters.scans);
+        let id = match self.rel_id(rel) {
+            Ok(id) => id,
+            Err(e) => return self.fail(e),
+        };
         let pattern = self.take_pattern(buf, template);
         let arity = template.len();
-        let src = self.src;
-        let result = src.for_each_matching(rel, &pattern, &mut |t, m| {
+        let (src, names) = (self.src, self.names);
+        src.for_each_at(id, &pattern, &mut |t, m| {
             bump(&self.counters.entries_scanned);
             if self.error.is_some() || m == 0.0 {
                 return;
             }
             if t.len() != arity {
                 self.fail(EvalError::ArityMismatch {
-                    relation: rel.to_string(),
+                    relation: names[rel as usize].clone(),
                     expected: arity,
                     actual: t.len(),
                 });
@@ -2148,9 +2254,6 @@ impl Exec<'_> {
             on_match(self, m);
         });
         self.patterns[buf as usize] = pattern;
-        if let Err(e) = result {
-            self.fail(e);
-        }
     }
 
     /// Deliver an emission to the continuation.
@@ -2224,19 +2327,23 @@ impl Exec<'_> {
             },
             Op::Probe { rel, buf, template } => {
                 bump(&self.counters.probes);
+                let id = match self.rel_id(*rel) {
+                    Ok(id) => id,
+                    Err(e) => return self.fail(e),
+                };
                 let mut pattern = std::mem::take(&mut self.patterns[*buf as usize]);
                 for (p, &slot) in pattern.iter_mut().zip(template.iter()) {
                     *p = Some(self.frame[slot as usize].clone());
                 }
                 let arity = template.len();
-                let src = self.src;
-                let result = src.for_each_matching(rel, &pattern, &mut |t, m| {
+                let (src, names) = (self.src, self.names);
+                src.for_each_at(id, &pattern, &mut |t, m| {
                     if self.error.is_some() || m == 0.0 {
                         return;
                     }
                     if t.len() != arity {
                         self.fail(EvalError::ArityMismatch {
-                            relation: rel.clone(),
+                            relation: names[*rel as usize].clone(),
                             expected: arity,
                             actual: t.len(),
                         });
@@ -2250,9 +2357,6 @@ impl Exec<'_> {
                     self.finish(mult * m, tail);
                 });
                 self.patterns[*buf as usize] = pattern;
-                if let Err(e) = result {
-                    self.fail(e);
-                }
             }
             Op::Scan {
                 rel,
@@ -2261,7 +2365,7 @@ impl Exec<'_> {
                 binds,
                 eqs,
             } => {
-                self.scan_atom(rel, *buf, template, eqs, binds, &mut |me, m| {
+                self.scan_atom(*rel, *buf, template, eqs, binds, &mut |me, m| {
                     me.finish(mult * m, tail)
                 });
             }
@@ -2432,7 +2536,7 @@ impl Exec<'_> {
             c.set(0.0);
         }
         self.scan_atom(
-            &fs.rel,
+            fs.rel,
             fs.buf,
             &fs.template,
             &fs.eqs,
@@ -2478,28 +2582,29 @@ impl Exec<'_> {
                 None => return false,
             }
         }
+        let id = match self.rel_id(fs.rel) {
+            Ok(id) => id,
+            Err(e) => {
+                self.fail(e);
+                return false;
+            }
+        };
         let n = fs.members.len();
         let mut sums = [0.0f64; MAX_RANGE_MEMBERS];
         let pattern = self.take_pattern(fs.buf, &fs.template);
-        let answer =
-            self.src
-                .range_sums(&fs.rel, &pattern, bound_mag, &ranges[..n], &mut sums[..n]);
+        let answer = self
+            .src
+            .range_sums_at(id, &pattern, bound_mag, &ranges[..n], &mut sums[..n]);
         self.patterns[fs.buf as usize] = pattern;
-        match answer {
-            Ok(Some(compared)) => {
-                let scanned = &self.counters.entries_scanned;
-                scanned.set(scanned.get() + compared);
-                for (m, &sum) in fs.members.iter().zip(&sums) {
-                    self.frame[m.dest as usize] = Value::double(sum);
-                }
-                true
-            }
-            Ok(None) => false,
-            Err(e) => {
-                self.fail(e);
-                false
-            }
+        let Some(compared) = answer else {
+            return false;
+        };
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + compared);
+        for (m, &sum) in fs.members.iter().zip(&sums) {
+            self.frame[m.dest as usize] = Value::double(sum);
         }
+        true
     }
 
     fn eval_scalar(&mut self, s: &Scalar) -> Result<Value, EvalError> {
@@ -2592,18 +2697,22 @@ impl Exec<'_> {
 
     /// Build run `i` from one walk of its group: `Exact` when every entry
     /// has a band key and an exact multiplicity and `Σ|multiplicity| <
-    /// 2^53`, else `Walk` — as when the walk fails, whose error the
+    /// 2^53`, else `Walk` — as when the relation is unknown, whose error the
     /// lookups' own walks then raise where they always did.
     fn build_run(&mut self, i: usize) {
         let spec = &self.run_specs[i];
         bump(&self.counters.scans);
+        let Ok(id) = self.rel_id(spec.rel) else {
+            self.runs[i].state = RunState::Walk;
+            return;
+        };
         let pattern = self.take_pattern(spec.buf, &spec.template);
         let (arity, key_pos) = (spec.template.len(), spec.key_pos as usize);
         let (counters, src) = (self.counters, self.src);
         let run = &mut self.runs[i];
         run.entries.clear();
         let (mut exact, mut abs_sum, mut negative) = (true, 0u128, false);
-        let walked = src.for_each_matching(&spec.rel, &pattern, &mut |t, m| {
+        src.for_each_at(id, &pattern, &mut |t, m| {
             bump(&counters.entries_scanned);
             if !exact || m == 0.0 {
                 return;
@@ -2626,7 +2735,7 @@ impl Exec<'_> {
         });
         self.patterns[spec.buf as usize] = pattern;
         let run = &mut self.runs[i];
-        if walked.is_err() || !exact || abs_sum >= 1 << 53 {
+        if !exact || abs_sum >= 1 << 53 {
             run.state = RunState::Walk;
             return;
         }
@@ -2647,30 +2756,35 @@ impl CompiledStmt {
     /// Execute the kernel against a relation source, buffering `(key,
     /// multiplicity)` rows into `state.out`. The caller must have called
     /// [`KernelState::prepare`] and seeded `state.frame[0..trigger_slots]`
-    /// from the event tuple.
+    /// from the event tuple. Binds the relation table on every call: for
+    /// tests and one-off executions; a repeated caller binds once and runs
+    /// [`CompiledStmt::execute_batch_entry`].
     pub fn execute(
         &self,
         src: &dyn RelationSource,
         state: &mut KernelState,
     ) -> Result<(), EvalError> {
-        self.execute_batch_entry(src, state, true)
+        self.execute_batch_entry(src, &self.bind(src), state, true)
     }
 
-    /// [`CompiledStmt::execute`] for one entry of a delta batch: when
-    /// `run_invariant_preludes` is `false`, prelude scans marked
+    /// [`CompiledStmt::execute`] through the relation ids `rels` bound
+    /// against `src` ([`CompiledStmt::bind`]), for one entry of a delta
+    /// batch: when `run_invariant_preludes` is `false`, prelude scans marked
     /// [`FusedScan::entry_invariant`] are skipped — their result slots still
     /// hold the totals computed for the batch's first entry, which are valid
     /// for every entry because such scans read no trigger slot and the store
-    /// they read is unchanged until the run's buffered writes are applied. Rows are
-    /// **appended** to `state.out`; the batch executor tracks entry
+    /// they read is unchanged until the run's buffered writes are applied.
+    /// Rows are **appended** to `state.out`; the batch executor tracks entry
     /// boundaries itself.
     pub fn execute_batch_entry(
         &self,
         src: &dyn RelationSource,
+        rels: &[Option<RelId>],
         state: &mut KernelState,
         run_invariant_preludes: bool,
     ) -> Result<(), EvalError> {
         debug_assert!(state.frame.len() >= self.frame_size as usize);
+        debug_assert_eq!(rels.len(), self.rels.len());
         let merge_floor = state.out.len();
         if state.counter_slots.is_empty() {
             state.counter_slots.push(KernelCounters::default());
@@ -2688,6 +2802,8 @@ impl CompiledStmt {
         cuts.fill(Cut::Unsearched);
         let mut exec = Exec {
             src,
+            rels,
+            names: &self.rels,
             frame: &mut state.frame,
             patterns: &mut state.patterns,
             scratch: &mut state.scratch,
@@ -2893,6 +3009,7 @@ mod tests {
         lw.bind("y").unwrap();
         let plan = lw.lower_op(rhs).unwrap();
         CompiledStmt {
+            rels: lw.rels,
             prelude: Vec::new(),
             runs: Vec::new(),
             cached_sums: 0,
@@ -3035,6 +3152,37 @@ mod tests {
             let key = extra.1.clone();
             assert_eq!(same(&e, &book(Some(extra)), 1), counts, "{key}");
         }
+    }
+
+    /// `scans` finds every partially bound read, wherever lowering and
+    /// hoisting put it: the loop's scan, the prelude's fused scan, the
+    /// sorted run and the walk a threshold falls back to. Probes need no
+    /// index and are not listed.
+    #[test]
+    fn scans_reach_every_partially_bound_read() {
+        let stmt = lower_statement(&["y".into()], &[], &quantile(OpC::Gt, false)).unwrap();
+        let (y, free) = (Some(0), None);
+        assert_eq!(stmt.rels, ["R"]);
+        assert_eq!(
+            (stmt.prelude.len(), stmt.runs.len(), stmt.thresholds),
+            (1, 1, 1)
+        );
+        let mut scans: Vec<(u16, Vec<Option<Slot>>)> = stmt
+            .scans()
+            .into_iter()
+            .map(|(r, t)| (r, t.to_vec()))
+            .collect();
+        scans.sort();
+        let want = [
+            vec![free, free],
+            vec![y, free],
+            vec![y, free],
+            vec![y, free],
+        ];
+        assert_eq!(scans, want.map(|t| (0, t)));
+        assert_eq!(template_mask(&[y, free]), 0b01);
+        let probe = lower_statement(&["x".into(), "y".into()], &[], &Expr::rel("R", ["x", "y"]));
+        assert!(probe.unwrap().scans().is_empty());
     }
 
     #[test]

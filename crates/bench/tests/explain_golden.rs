@@ -16,7 +16,7 @@
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
 //! quantile filters inside a loop: one search per execution of a run sorted
 //! once per execution, with no index behind it, against totals probed once
-//! per execution.
+//! per execution. `q3` pins a declared hash index's line in its map's block.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! a program without live passes — a hand-assembled one, whose derivation
@@ -231,6 +231,13 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 "{text}"
             );
             assert_lookups_answered(ex);
+        }
+        "q3" => {
+            // Each map a kernel scans by a partial key lists its hash index
+            // before the first event; ANALYZE finds it the only one.
+            let block = "== map m_q3_1 ==\n  index (m_q3_1@@k0): hash\n    \
+                         analyze: indexes hash=1 ordered=0 entries=";
+            assert!(text.contains(block), "{text}");
         }
         "q17a" => {
             // The result statement of either sign reads the auxiliary maps

@@ -12,8 +12,10 @@
 //! statement the compiled plan: probes vs scans, product order, fused-prelude
 //! signatures (`range-sum` where the scan is answered from an ordered index),
 //! band specs and slot assignments, straight from [`dbtoaster_agca::plan`].
-//! Every map the compiler declared an ordered index on gets a `== map … ==`
-//! block naming the index's bound columns and the column it is sorted on.
+//! Every map the compiler declared a secondary index on gets a `== map … ==`
+//! block naming each index's bound columns and its kind: ordered (with the
+//! column it is sorted on) or hash — the whole index set the program pays
+//! for, visible before the first event.
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
 //! attach per-target-view counters ([`ViewStats`] — rows written, probes,
@@ -29,6 +31,7 @@
 use crate::program::{RelationDispatch, StmtOp, Trigger, TriggerProgram};
 use dbtoaster_agca::plan::{range_sum_refusal, scan_body, FastOp, FusedScan, NumExpr, Op, Scalar};
 use dbtoaster_agca::CmpOp;
+use dbtoaster_agca::CompiledStmt;
 use dbtoaster_agca::UpdateSign;
 use std::fmt::Write as _;
 
@@ -115,7 +118,7 @@ pub struct RelationExplain {
 /// what they hold in total under the store's cost model.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Hash indexes (built by the first partial-pattern lookup of a mask).
+    /// Hash indexes (declared by the compiler).
     pub hash: u64,
     /// Ordered indexes (declared by the compiler).
     pub ordered: u64,
@@ -135,13 +138,16 @@ pub struct OrderedIndexExplain {
     pub key: String,
 }
 
-/// The index story of one map that carries an ordered index.
+/// The index story of one map that carries a declared secondary index.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MapExplain {
     /// The map.
     pub name: String,
     /// Its declared ordered indexes.
     pub ordered: Vec<OrderedIndexExplain>,
+    /// Its declared hash indexes (see [`TriggerProgram::hash_indexes`]):
+    /// the key columns each one's scans bind by equality.
+    pub hash: Vec<Vec<String>>,
     /// Its live secondary indexes (EXPLAIN ANALYZE only).
     pub analyze: Option<IndexStats>,
 }
@@ -152,7 +158,7 @@ pub struct MapExplain {
 pub struct ProgramExplain {
     /// Per-relation strategy, reason and plans.
     pub relations: Vec<RelationExplain>,
-    /// The maps that carry an ordered secondary index, by name.
+    /// The maps that carry a declared secondary index, by name.
     pub maps: Vec<MapExplain>,
 }
 
@@ -186,32 +192,48 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
     }
 }
 
-/// One block per map with a declared ordered index. Columns are named from
-/// the map's declaration (`t<i>` for a stored relation, which has none).
+/// One block per map with a declared secondary index, ordered by name.
+/// Columns are named from the map's declaration (`t<i>` for a stored
+/// relation, which has none).
 fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
-    let mut maps: Vec<MapExplain> = Vec::new();
+    let column = |map: &str, i: usize| {
+        program
+            .map(map)
+            .and_then(|m| m.out_vars.get(i).cloned())
+            .unwrap_or_else(|| format!("t{i}"))
+    };
+    let bound = |map: &str, mask: u64| -> Vec<String> {
+        (0..63)
+            .filter(|i| mask & (1 << i) != 0)
+            .map(|i| column(map, i))
+            .collect()
+    };
+    // The block of `name`, created in name order on first use.
+    fn block<'a>(maps: &'a mut Vec<MapExplain>, name: &str) -> &'a mut MapExplain {
+        let i = match maps.binary_search_by(|m| m.name.as_str().cmp(name)) {
+            Ok(i) => i,
+            Err(i) => {
+                let fresh = MapExplain {
+                    name: name.to_string(),
+                    ..MapExplain::default()
+                };
+                maps.insert(i, fresh);
+                i
+            }
+        };
+        &mut maps[i]
+    }
+    let mut maps = Vec::new();
     for decl in program.ordered_indexes() {
-        let column = |i: usize| {
-            program
-                .map(&decl.map)
-                .and_then(|m| m.out_vars.get(i).cloned())
-                .unwrap_or_else(|| format!("t{i}"))
-        };
         let index = OrderedIndexExplain {
-            bound: (0..63)
-                .filter(|i| decl.mask & (1 << i) != 0)
-                .map(column)
-                .collect(),
-            key: column(decl.key_pos as usize),
+            bound: bound(&decl.map, decl.mask),
+            key: column(&decl.map, decl.key_pos as usize),
         };
-        match maps.last_mut().filter(|m| m.name == decl.map) {
-            Some(m) => m.ordered.push(index),
-            None => maps.push(MapExplain {
-                name: decl.map,
-                ordered: vec![index],
-                analyze: None,
-            }),
-        }
+        block(&mut maps, &decl.map).ordered.push(index);
+    }
+    for decl in program.hash_indexes() {
+        let index = bound(&decl.map, decl.mask);
+        block(&mut maps, &decl.map).hash.push(index);
     }
     maps
 }
@@ -283,7 +305,7 @@ fn sign_str(sign: UpdateSign) -> String {
 
 fn explain_statement(s: &crate::program::Statement) -> StmtExplain {
     let mut plan = Vec::new();
-    push_op(&mut plan, 0, &s.kernel.plan, s.kernel.trigger_slots);
+    push_op(&mut plan, 0, &s.kernel.plan, &s.kernel);
     StmtExplain {
         statement: s.to_string(),
         target: s.target.clone(),
@@ -292,7 +314,12 @@ fn explain_statement(s: &crate::program::Statement) -> StmtExplain {
             StmtOp::Replace => ":=".to_string(),
         },
         live: false,
-        prelude: s.kernel.prelude.iter().map(fused_scan_line).collect(),
+        prelude: s
+            .kernel
+            .prelude
+            .iter()
+            .map(|fs| fused_scan_line(fs, &s.kernel.rels))
+            .collect(),
         plan,
         analyze: None,
     }
@@ -325,33 +352,36 @@ fn num_str(n: &NumExpr) -> String {
     }
 }
 
-fn scalar_str(s: &Scalar) -> String {
+/// `s` rendered; `rels` is the statement's relation table, which names the
+/// maps its sub-plans read.
+fn scalar_str(s: &Scalar, rels: &[String]) -> String {
+    let list = |ts: &[Scalar], sep: &str| {
+        let ts: Vec<String> = ts.iter().map(|t| scalar_str(t, rels)).collect();
+        ts.join(sep)
+    };
     match s {
         Scalar::Const(v) => format!("{v}"),
         Scalar::Slot(slot) => format!("${slot}"),
-        Scalar::Neg(i) => format!("-({})", scalar_str(i)),
-        Scalar::Add(ts) => ts.iter().map(scalar_str).collect::<Vec<_>>().join(" + "),
-        Scalar::Mul(ts) => ts.iter().map(scalar_str).collect::<Vec<_>>().join(" * "),
-        Scalar::Apply(f, args) => format!(
-            "{f}({})",
-            args.iter().map(scalar_str).collect::<Vec<_>>().join(", ")
-        ),
-        Scalar::Cmp(op, l, r) => format!("({} {op} {})", scalar_str(l), scalar_str(r)),
-        Scalar::SubSum(op) => format!("subsum({})", op_summary(op)),
+        Scalar::Neg(i) => format!("-({})", scalar_str(i, rels)),
+        Scalar::Add(ts) => list(ts, " + "),
+        Scalar::Mul(ts) => list(ts, " * "),
+        Scalar::Apply(f, args) => format!("{f}({})", list(args, ", ")),
+        Scalar::Cmp(op, l, r) => format!("({} {op} {})", scalar_str(l, rels), scalar_str(r, rels)),
+        Scalar::SubSum(op) => format!("subsum({})", op_summary(op, rels)),
         Scalar::CachedSum { plan, .. } => {
             format!(
                 "subsum({}) (loop-invariant: once per execution)",
-                op_summary(plan)
+                op_summary(plan, rels)
             )
         }
         Scalar::RangeSum { .. } => {
-            format!("{} (run sorted once per execution)", range_sum_str(s))
+            format!("{} (run sorted once per execution)", range_sum_str(s, rels))
         }
     }
 }
 
 /// A band-sum lookup: `range-sum <map>[<pattern>] <constraints>`.
-fn range_sum_str(s: &Scalar) -> String {
+fn range_sum_str(s: &Scalar, rels: &[String]) -> String {
     let Scalar::RangeSum {
         ranges, traverse, ..
     } = s
@@ -367,7 +397,7 @@ fn range_sum_str(s: &Scalar) -> String {
                 ..
             },
             _,
-        )) => format!("{rel}[{}]", pattern_str(template, binds)),
+        )) => format!("{}[{}]", rels[*rel as usize], pattern_str(template, binds)),
         _ => String::new(),
     };
     format!("range-sum {scan} {}", ranges_str(ranges))
@@ -383,13 +413,14 @@ fn ranges_str(ranges: &[(CmpOp, NumExpr)]) -> String {
 }
 
 /// One-line summary of an op (used inside scalar positions).
-fn op_summary(op: &Op) -> String {
+fn op_summary(op: &Op, rels: &[String]) -> String {
     match op {
         Op::ConstMult(c) => format!("const ×{c}"),
         Op::SlotMult(s) => format!("slot ×${s}"),
-        Op::ScalarMult(s) => format!("scalar ×{}", scalar_str(s)),
+        Op::ScalarMult(s) => format!("scalar ×{}", scalar_str(s, rels)),
         Op::Probe { rel, template, .. } => format!(
-            "probe {rel}[{}]",
+            "probe {}[{}]",
+            rels[*rel as usize],
             template
                 .iter()
                 .map(|s| format!("${s}"))
@@ -402,16 +433,22 @@ fn op_summary(op: &Op) -> String {
             binds,
             ..
         } => {
+            let rel = &rels[*rel as usize];
             format!("scan {rel}[{}]", pattern_str(template, binds))
         }
         Op::Product(ops) => format!("product({})", ops.len()),
         Op::Sum(ts) => format!("sum({})", ts.len()),
         Op::Neg(_) => "neg".to_string(),
         Op::AggSum(_) => "agg-sum".to_string(),
-        Op::LiftBind { slot, value } => format!("lift ${slot} := {}", scalar_str(value)),
-        Op::LiftEq { slot, value } => format!("lift-eq ${slot} == {}", scalar_str(value)),
+        Op::LiftBind { slot, value } => {
+            format!("lift ${slot} := {}", scalar_str(value, rels))
+        }
+        Op::LiftEq { slot, value } => {
+            format!("lift-eq ${slot} == {}", scalar_str(value, rels))
+        }
         Op::CmpFilter { cmp, left, right } => {
-            format!("filter {} {cmp} {}", scalar_str(left), scalar_str(right))
+            let (l, r) = (scalar_str(left, rels), scalar_str(right, rels));
+            format!("filter {l} {cmp} {r}")
         }
         Op::Exists { slots, .. } => format!(
             "exists key=[{}]",
@@ -422,8 +459,10 @@ fn op_summary(op: &Op) -> String {
                 .join(", ")
         ),
         Op::Threshold(t) => {
-            let sum = t.lookup().map_or_else(String::new, range_sum_str);
-            let operand = scalar_str(&t.operand);
+            let sum = t
+                .lookup()
+                .map_or_else(String::new, |s| range_sum_str(s, rels));
+            let operand = scalar_str(&t.operand, rels);
             let (l, r) = if t.sum_left {
                 (sum, operand)
             } else {
@@ -439,33 +478,34 @@ fn op_summary(op: &Op) -> String {
 }
 
 /// Append the tree rendering of `op` (children indented two spaces per level).
-/// `trigger_slots` is the statement's (see [`range_sum_refusal`]).
-fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op, trigger_slots: u16) {
+/// `k` is the statement's kernel: its relation table names the maps, its
+/// trigger slots feed [`range_sum_refusal`].
+fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op, k: &CompiledStmt) {
     let indent = "  ".repeat(depth);
     match op {
         Op::Product(ops) => {
             lines.push(format!("{indent}product"));
             for o in ops {
-                push_op(lines, depth + 1, o, trigger_slots);
+                push_op(lines, depth + 1, o, k);
             }
         }
         Op::Sum(ts) => {
             lines.push(format!("{indent}sum"));
             for t in ts {
-                push_op(lines, depth + 1, t, trigger_slots);
+                push_op(lines, depth + 1, t, k);
             }
         }
         Op::Neg(inner) => {
             lines.push(format!("{indent}neg"));
-            push_op(lines, depth + 1, inner, trigger_slots);
+            push_op(lines, depth + 1, inner, k);
         }
         Op::AggSum(inner) => {
             lines.push(format!("{indent}agg-sum"));
-            push_op(lines, depth + 1, inner, trigger_slots);
+            push_op(lines, depth + 1, inner, k);
         }
         Op::Exists { inner, .. } => {
-            lines.push(format!("{indent}{}", op_summary(op)));
-            push_op(lines, depth + 1, inner, trigger_slots);
+            lines.push(format!("{indent}{}", op_summary(op, &k.rels)));
+            push_op(lines, depth + 1, inner, k);
         }
         Op::Scan {
             rel,
@@ -481,20 +521,21 @@ fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op, trigger_slots: u16) {
                 format!(" where {}", pairs.join(", "))
             };
             lines.push(format!(
-                "{indent}scan {rel}[{}]{eq_note}",
+                "{indent}scan {}[{}]{eq_note}",
+                k.rels[*rel as usize],
                 pattern_str(template, binds)
             ));
         }
         other => {
-            lines.push(format!("{indent}{}", op_summary(other)));
+            lines.push(format!("{indent}{}", op_summary(other, &k.rels)));
             // Sub-plans hidden inside scalar positions (decorrelated nested
             // aggregates) still deserve a subtree, and a scanning one that
             // stayed a walk says why it is no range sum.
             for sub in scalar_subplans(other) {
-                let why = range_sum_refusal(sub, trigger_slots);
+                let why = range_sum_refusal(sub, k.trigger_slots);
                 let note = why.map_or(String::new(), |w| format!(" (not a range sum: {w})"));
                 lines.push(format!("{indent}  subsum:{note}"));
-                push_op(lines, depth + 2, sub, trigger_slots);
+                push_op(lines, depth + 2, sub, k);
             }
         }
     }
@@ -531,7 +572,7 @@ fn scalar_subplans(op: &Op) -> Vec<&Op> {
     out
 }
 
-fn fused_scan_line(fs: &FusedScan) -> String {
+fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
     let mut line = format!(
         "{} {}[{}] members={}",
         if fs.band_pos.is_some() {
@@ -539,7 +580,7 @@ fn fused_scan_line(fs: &FusedScan) -> String {
         } else {
             "fused scan"
         },
-        fs.rel,
+        rels[fs.rel as usize],
         pattern_str(&fs.template, &fs.binds),
         fs.members.len()
     );
@@ -633,6 +674,9 @@ impl ProgramExplain {
                     i.key
                 );
             }
+            for bound in &m.hash {
+                let _ = writeln!(out, "  index ({}): hash", bound.join(", "));
+            }
             if let Some(a) = &m.analyze {
                 let _ = writeln!(
                     out,
@@ -685,6 +729,17 @@ impl ProgramExplain {
                     bound.join(","),
                     json_escape(&idx.key)
                 );
+            }
+            out.push_str("],\"hash\":[");
+            for (j, bound) in m.hash.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let bound: Vec<String> = bound
+                    .iter()
+                    .map(|b| format!("\"{}\"", json_escape(b)))
+                    .collect();
+                let _ = write!(out, "[{}]", bound.join(","));
             }
             out.push_str("],\"analyze\":");
             match &m.analyze {
@@ -742,6 +797,16 @@ impl ProgramExplain {
                     key: i.get("key")?.as_str()?.to_string(),
                 });
             }
+            // Absent in documents that predate declared hash indexes.
+            let mut hash = Vec::new();
+            for bv in m.get("hash").and_then(|h| h.as_array()).unwrap_or(&[]) {
+                hash.push(
+                    bv.as_array()?
+                        .iter()
+                        .map(|b| b.as_str().map(str::to_string))
+                        .collect::<Option<_>>()?,
+                );
+            }
             let analyze = match m.get("analyze")? {
                 json::Json::Null => None,
                 a => {
@@ -758,6 +823,7 @@ impl ProgramExplain {
             maps.push(MapExplain {
                 name: m.get("name")?.as_str()?.to_string(),
                 ordered,
+                hash,
                 analyze,
             });
         }

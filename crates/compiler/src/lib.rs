@@ -53,8 +53,9 @@ pub use explain::{
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-    CompileReport, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
-    RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+    CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,
+    QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
+    TriggerProgram,
 };
 pub use shard::{
     analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
@@ -66,8 +67,9 @@ pub mod prelude {
     pub use crate::explain::{explain, IndexStats, ProgramExplain, ViewStats};
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-        CompileReport, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec,
-        RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+        CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,
+        QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
+        TriggerProgram,
     };
     pub use crate::shard::{
         analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,

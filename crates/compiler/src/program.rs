@@ -14,6 +14,7 @@
 //! variables and (in the baseline modes) the stored base relations.
 
 use crate::compile::CompileError;
+use dbtoaster_agca::plan::template_mask;
 use dbtoaster_agca::{lower_statement, AtomKind, CompiledStmt, Expr, UpdateSign};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
@@ -541,6 +542,18 @@ pub struct OrderedIndexDecl {
     pub key_pos: u16,
 }
 
+/// A hash secondary index the compiler declares (see
+/// [`TriggerProgram::hash_indexes`]): the entries of `map` bucketed by their
+/// values at the key positions in `mask`, so a scan binding those positions
+/// visits its bucket only.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct HashIndexDecl {
+    /// The map (or stored relation) indexed.
+    pub map: String,
+    /// Bitmask of the key positions the scans bind by equality.
+    pub mask: u64,
+}
+
 impl TriggerProgram {
     /// The ordered secondary indexes of the program, sorted: one per `(map,
     /// bound positions)` some compiled kernel reads through a range-sum scan
@@ -552,17 +565,51 @@ impl TriggerProgram {
             .triggers
             .iter()
             .flat_map(|t| &t.statements)
-            .flat_map(|s| &s.kernel.prelude)
-            .filter_map(|fs| {
+            .flat_map(|s| s.kernel.prelude.iter().map(|fs| (&s.kernel, fs)))
+            .filter_map(|(k, fs)| {
                 Some(OrderedIndexDecl {
-                    map: fs.rel.clone(),
-                    mask: (0..fs.template.len().min(63))
-                        .filter(|&i| fs.template[i].is_some())
-                        .fold(0, |m, i| m | 1 << i),
+                    map: k.rels[fs.rel as usize].clone(),
+                    mask: template_mask(&fs.template),
                     key_pos: fs.band_pos?,
                 })
             })
             .collect();
+        decls.into_iter().collect()
+    }
+
+    /// The hash secondary indexes of the program, sorted: one per `(map,
+    /// bound positions)` some compiled kernel — a trigger statement's or a
+    /// static view's initializer — reads with a pattern that leaves a
+    /// position free ([`CompiledStmt::scans`]), except where that mask has
+    /// an ordered index ([`TriggerProgram::ordered_indexes`]), which answers
+    /// the scan instead. The runtime declares these on the stored maps
+    /// before the first event, so no read builds an index.
+    pub fn hash_indexes(&self) -> Vec<HashIndexDecl> {
+        let ordered: BTreeSet<(String, u64)> = self
+            .ordered_indexes()
+            .into_iter()
+            .map(|d| (d.map, d.mask))
+            .collect();
+        let kernels = self
+            .triggers
+            .iter()
+            .flat_map(|t| &t.statements)
+            .map(|s| &s.kernel)
+            .chain(self.maps.iter().filter_map(|m| m.init.as_ref()));
+        let mut decls = BTreeSet::new();
+        for k in kernels {
+            for (rel, template) in k.scans() {
+                let mask = template_mask(template);
+                let full = template.len() < 64 && mask == (1 << template.len()) - 1;
+                let map = &k.rels[rel as usize];
+                if mask != 0 && !full && !ordered.contains(&(map.clone(), mask)) {
+                    decls.insert(HashIndexDecl {
+                        map: map.clone(),
+                        mask,
+                    });
+                }
+            }
+        }
         decls.into_iter().collect()
     }
 

@@ -71,26 +71,47 @@
 //! The dispatch of a run depends on the program alone — never on the run's size or the
 //! state — so a WAL replay takes the same sequence as the live run. Statements are
 //! evaluated through one function, `kernel_rows`, which runs the statement's compiled
-//! kernel (read through [`RelationSource`], emitting `(key, multiplicity)` rows); the
-//! compiler rejects a program with a statement it cannot lower, so there is no other
-//! evaluator in the engine. The references are per-event processing and the definitions
-//! recomputed by `dbtoaster_agca::eval` (the test suites' oracle). See the compiler's
-//! `batch_delta` module for the live-pass argument and the `:=` tail (bit-exact on
-//! integer-weighted streams; to summation order on float aggregates).
+//! kernel (reading maps through [`dbtoaster_agca::RelationSource`] by id, emitting
+//! `(key, multiplicity)` rows); the compiler rejects a program with a statement it
+//! cannot lower, so there is no other evaluator in the engine. The references are
+//! per-event processing and the definitions recomputed by `dbtoaster_agca::eval` (the
+//! test suites' oracle). See the compiler's `batch_delta` module for the live-pass
+//! argument and the `:=` tail (bit-exact on integer-weighted streams; to summation
+//! order on float aggregates).
 //!
 //! When a program is increment-only, [`Engine::process_batch`] additionally
 //! *merges* same-relation runs of a batch before processing (ring addition of
 //! their entries): each run's processing is a pure state difference, so the
 //! telescoping sum over merged runs is exact, and interleaved streams (e.g.
 //! alternating bids/asks) collapse from many short runs into one per relation.
+//!
+//! ## Resolution
+//!
+//! Nothing on the per-event path finds a map by name. [`Engine::new`] resolves, once:
+//!
+//! * every statement's target map, every relation's stored base map and, for the live
+//!   pass, which of those are the relation's live maps — to [`MapId`]s;
+//! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
+//!   fused scans and sorted runs read) — to the same ids, through which collection,
+//!   the live pass, the `:=` tail and static-view initialization all read;
+//! * every secondary index a kernel scans — declared on its map before the first
+//!   event (the program's `ordered_indexes` and `hash_indexes`), so no read builds
+//!   one.
+//!
+//! A statement whose target does not resolve raises [`RuntimeError::UnknownView`]
+//! where it writes, and a kernel read of a relation that does not resolve fails the
+//! statement with `EvalError::UnknownRelation`, as they always did. A map declared
+//! later — a table [`Engine::load_table`] declares on the fly, a map only a snapshot
+//! holds — is resolved when it is declared. What stays a string hash is the
+//! relation → dispatch lookup, once per run.
 
-use crate::store::{CachedSource, Database, SnapshotWork};
+use crate::store::{Database, MapId, SnapshotWork};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
-use dbtoaster_agca::eval::{EvalError, RelationSource};
+use dbtoaster_agca::eval::{EvalError, RelId};
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, LivePass, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+    BatchStrategy, Catalog, LivePass, ResultAccess, Statement, StmtOp, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
@@ -423,6 +444,28 @@ struct DispatchEntry {
     /// multi-firing runs need the live pass (resolved once at
     /// dispatch-build time).
     live_pass: Option<u16>,
+    /// The relation's stored base map, if the program keeps one.
+    base: Option<MapId>,
+    /// Is the base map one of the relation's live maps (the live pass
+    /// applies the base update firing by firing)?
+    base_live: bool,
+}
+
+/// One kernel as the engine runs it — a trigger statement's, or a static
+/// view's initializer — with the maps it writes and reads resolved to ids
+/// (see the module docs on resolution).
+#[derive(Clone, Debug, Default)]
+struct Bound {
+    /// The target map; `None` raises [`RuntimeError::UnknownView`] where the
+    /// statement writes.
+    target: Option<MapId>,
+    /// The kernel's relation table bound to the database
+    /// ([`CompiledStmt::bind`]).
+    rels: Vec<Option<RelId>>,
+    /// Is the target one of its relation's live maps
+    /// ([`LivePass::live_maps`])? The live pass writes its rows firing by
+    /// firing.
+    live: bool,
 }
 
 impl DispatchEntry {
@@ -444,20 +487,21 @@ struct Seg {
     reps: u32,
 }
 
-/// Run `kernel` for one event `tuple` against `src`, appending its `(key,
-/// multiplicity)` rows to `out` and touching no view. Collection, the live
-/// pass, the `:=` tail and static-view initialization all come through
-/// here. `state` is reused across events — zero per-event allocation in
-/// steady state.
+/// Run `kernel` for one event `tuple` against `db`, reading through its
+/// relation table bound to `rels`, appending its `(key, multiplicity)` rows
+/// to `out` and touching no view. Collection, the live pass, the `:=` tail
+/// and static-view initialization all come through here. `state` is reused
+/// across events — zero per-event allocation in steady state.
 ///
 /// `first` marks the first of a series of back-to-back evaluations of
-/// `kernel` against an unchanged `src`: the kernel's buffers are sized and
+/// `kernel` against an unchanged `db`: the kernel's buffers are sized and
 /// its loop-invariant fused scans run, and the rest of the series reuses
 /// both.
 fn kernel_rows(
     state: &mut KernelState,
-    src: &dyn RelationSource,
+    db: &Database,
     kernel: &CompiledStmt,
+    rels: &[Option<RelId>],
     tuple: &[Value],
     first: bool,
     out: &mut Vec<(Tuple, f64)>,
@@ -471,7 +515,7 @@ fn kernel_rows(
     // The kernel appends to `state.out`: lend it the caller's buffer for the
     // call instead of copying rows across.
     std::mem::swap(&mut state.out, out);
-    let res = kernel.execute_batch_entry(src, state, first);
+    let res = kernel.execute_batch_entry(db, rels, state, first);
     std::mem::swap(&mut state.out, out);
     res.map_err(RuntimeError::Eval)
 }
@@ -554,11 +598,16 @@ pub struct Engine {
     /// Per-relation batch dispatch, resolved from
     /// [`TriggerProgram::batch_dispatch`] at construction.
     dispatch: FastMap<String, DispatchEntry>,
+    /// `[trigger][statement]` → the statement's kernel, resolved.
+    stmts: Vec<Vec<Bound>>,
+    /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
+    /// (default where the map has none).
+    inits: Vec<Bound>,
     /// Undo log of the batch-delta live pass: per write it made to a view
-    /// ahead of the apply phase, the view (an index into the relation's
-    /// [`LivePass::live_maps`]), the key and the multiplicity the key had
-    /// before. Replayed backwards when the pass fails; empty between passes.
-    undo: Vec<(u16, Tuple, f64)>,
+    /// ahead of the apply phase, the view, the key and the multiplicity the
+    /// key had before. Replayed backwards when the pass fails; empty between
+    /// passes.
+    undo: Vec<(MapId, Tuple, f64)>,
     /// Fill [`BatchReport::runs`] with per-run strategy records (off by
     /// default; see [`Engine::set_run_recording`]).
     record_runs: bool,
@@ -607,10 +656,11 @@ struct TelemetryState {
     /// Kernel-execute latency split by executed strategy:
     /// `[batch-delta, entry-major]`.
     stage_hists: [LocalHistogram; 2],
-    /// Shared per-view counter blocks, index-aligned with `map_names` and
-    /// with the kernel's [`dbtoaster_agca::KernelCounters`] slots.
+    /// Shared per-view counter blocks, index-aligned with `map_names`,
+    /// `map_ids` and the kernel's [`dbtoaster_agca::KernelCounters`] slots.
     views: Vec<Arc<ViewCounters>>,
     map_names: Vec<String>,
+    map_ids: Vec<MapId>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
     pending_live: Vec<u64>,
@@ -762,32 +812,7 @@ impl Engine {
             .triggers
             .iter()
             .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
-        for decl in program.ordered_indexes() {
-            if let Some(view) = db.view_mut(&decl.map) {
-                view.declare_ordered(decl.mask, decl.key_pos as usize);
-            }
-        }
-        let dispatch = program
-            .batch_dispatch()
-            .into_iter()
-            .map(|d| {
-                let live_pass = program
-                    .live_passes
-                    .iter()
-                    .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
-                    .map(|i| i as u16);
-                (
-                    d.relation,
-                    DispatchEntry {
-                        insert: d.insert.map(|i| i as u16),
-                        delete: d.delete.map(|i| i as u16),
-                        strategy: d.strategy,
-                        live_pass,
-                    },
-                )
-            })
-            .collect();
-        Engine {
+        let mut engine = Engine {
             program: Arc::new(program),
             db,
             stats: EngineStats::default(),
@@ -799,11 +824,88 @@ impl Engine {
             firing: DeltaBatch::new(),
             merged: DeltaBatch::new(),
             merge_runs,
-            dispatch,
+            dispatch: FastMap::default(),
+            stmts: Vec::new(),
+            inits: Vec::new(),
             undo: Vec::new(),
             record_runs: false,
             tel: None,
+        };
+        engine.resolve();
+        engine
+    }
+
+    /// Resolve what the per-event path addresses by position (see the module
+    /// docs): declare every secondary index the program's kernels scan, then
+    /// build the dispatch table and bind every statement and static-view
+    /// initializer to map ids. Run by [`Engine::new`] and again whenever a
+    /// map is declared later; the declarations are idempotent and a map
+    /// keeps its id.
+    fn resolve(&mut self) {
+        let Engine {
+            program,
+            db,
+            dispatch,
+            stmts,
+            inits,
+            ..
+        } = self;
+        for decl in program.ordered_indexes() {
+            if let Some(view) = db.view_mut(&decl.map) {
+                view.declare_ordered(decl.mask, decl.key_pos as usize);
+            }
         }
+        for decl in program.hash_indexes() {
+            if let Some(view) = db.view_mut(&decl.map) {
+                view.declare_hash(decl.mask);
+            }
+        }
+        let db = &*db;
+        let bind = |target: &str, kernel: &CompiledStmt, lp: Option<&LivePass>| Bound {
+            target: db.id(target),
+            rels: kernel.bind(db),
+            live: lp.is_some_and(|lp| lp.live_maps.iter().any(|m| m == target)),
+        };
+        *stmts = program
+            .triggers
+            .iter()
+            .map(|t| {
+                let lp = program.live_pass_for(&t.relation);
+                let bound = t.statements.iter().map(|s| bind(&s.target, &s.kernel, lp));
+                bound.collect()
+            })
+            .collect();
+        *inits = program
+            .maps
+            .iter()
+            .map(|m| match &m.init {
+                Some(init) => bind(&m.name, init, None),
+                None => Bound::default(),
+            })
+            .collect();
+        *dispatch = program
+            .batch_dispatch()
+            .into_iter()
+            .map(|d| {
+                let live_pass = program
+                    .live_passes
+                    .iter()
+                    .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
+                    .map(|i| i as u16);
+                let base_live = program
+                    .live_pass_for(&d.relation)
+                    .is_some_and(|lp| lp.live_maps.contains(&d.relation));
+                let entry = DispatchEntry {
+                    insert: d.insert.map(|i| i as u16),
+                    delete: d.delete.map(|i| i as u16),
+                    strategy: d.strategy,
+                    live_pass,
+                    base: db.id(&d.relation),
+                    base_live,
+                };
+                (d.relation, entry)
+            })
+            .collect();
     }
 
     /// Enable or disable per-run strategy records in [`BatchReport::runs`]
@@ -828,19 +930,22 @@ impl Engine {
         events_applied: u64,
     ) -> Self {
         let mut engine = Engine::new(program, catalog);
+        let mut declared = false;
         for (name, gmr) in maps {
-            if !engine.db.contains(&name) {
-                // Present in the snapshot but not declared by the program: a
-                // table that was declared on the fly by `load_table`.
-                engine
-                    .db
-                    .declare(name.clone(), gmr.schema().columns().iter().cloned());
-            }
-            engine
-                .db
-                .view_mut(&name)
-                .expect("declared above")
-                .load_gmr(&gmr);
+            let id = match engine.db.id(&name) {
+                Some(id) => id,
+                None => {
+                    // Present in the snapshot but not declared by the
+                    // program: a table `load_table` declared on the fly.
+                    declared = true;
+                    let columns = gmr.schema().columns().iter().cloned();
+                    engine.db.declare(name, columns)
+                }
+            };
+            engine.db.at_mut(id).load_gmr(&gmr);
+        }
+        if declared {
+            engine.resolve();
         }
         engine.stats.events = events_applied;
         engine
@@ -901,19 +1006,20 @@ impl Engine {
     /// [`Engine::init_static_views`] after all tables are loaded.
     pub fn load_table(&mut self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
         let mut rows = rows.into_iter();
-        if !self.db.contains(name) {
-            // Declare on the fly for tables that only appear in view definitions,
-            // taking the arity from the first row.
-            match rows.next() {
-                Some(first) => {
-                    self.db
-                        .declare(name.to_string(), (0..first.len()).map(|i| format!("c{i}")));
-                    self.db.view_mut(name).unwrap().add(first, 1.0);
-                }
-                None => return,
+        let id = match self.db.id(name) {
+            Some(id) => id,
+            None => {
+                // Declare on the fly for tables that only appear in view
+                // definitions, taking the arity from the first row.
+                let Some(first) = rows.next() else { return };
+                let columns = (0..first.len()).map(|i| format!("c{i}"));
+                let id = self.db.declare(name, columns);
+                self.resolve();
+                self.db.at_mut(id).add(first, 1.0);
+                id
             }
-        }
-        let view = self.db.view_mut(name).expect("declared above");
+        };
+        let view = self.db.at_mut(id);
         for r in rows {
             view.add(r, 1.0);
         }
@@ -924,14 +1030,19 @@ impl Engine {
     /// metadata).
     pub fn init_static_views(&mut self) -> Result<(), RuntimeError> {
         let program = self.program.clone();
-        for m in &program.maps {
+        let Engine {
+            db,
+            kernel,
+            rows,
+            inits,
+            ..
+        } = self;
+        for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
-            let Engine {
-                db, kernel, rows, ..
-            } = self;
             rows.clear();
-            kernel_rows(kernel, &*db, init, &[], true, rows)?;
-            if let Some(view) = db.view_mut(&m.name) {
+            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows)?;
+            if let Some(id) = bound.target {
+                let view = db.at_mut(id);
                 view.clear();
                 view.add_rows(
                     Coalesce::new(rows.iter().map(|(k, m)| (k, *m))),
@@ -1083,7 +1194,7 @@ impl Engine {
             // No trigger for this relation under either sign (e.g. an update
             // to a relation no query depends on): still keep the stored base
             // relation consistent.
-            self.apply_base_run(run);
+            self.apply_base_run(self.db.id(run.relation()), run);
             return None;
         };
         // Arity gate, per run (runs are arity-uniform by construction): a
@@ -1215,16 +1326,18 @@ impl Engine {
             kernel,
             rows,
             changes,
+            stmts,
             ..
         } = self;
+        let bound = &stmts[tidx as usize][j];
         rows.clear();
-        kernel_rows(kernel, &*db, &stmt.kernel, tuple, true, rows)?;
+        kernel_rows(kernel, db, &stmt.kernel, &bound.rels, tuple, true, rows)?;
         let all = Seg {
             start: 0,
             end: rows.len(),
             reps: 1,
         };
-        apply_statement_rows(db, changes, stmt, &[all], rows)?;
+        apply_statement_rows(db, changes, stmt, bound.target, &[all], rows)?;
         let produced = rows.len() as u64;
         self.note_rows(produced);
         Ok(produced)
@@ -1259,13 +1372,15 @@ impl Engine {
                 changes,
                 bd,
                 tel,
+                stmts,
                 ..
             } = self;
             for ds in &bd.stmts[..bd.live] {
-                let stmt = &program.triggers[ds.tidx as usize].statements[ds.stmt as usize];
+                let (t, j) = (ds.tidx as usize, ds.stmt as usize);
+                let (stmt, target) = (&program.triggers[t].statements[j], stmts[t][j].target);
                 let applied = match ds.applied {
                     true => Ok(()),
-                    false => apply_statement_rows(db, changes, stmt, &ds.segs, &ds.rows),
+                    false => apply_statement_rows(db, changes, stmt, target, &ds.segs, &ds.rows),
                 };
                 if let Err(e) = applied {
                     first_err.get_or_insert(e);
@@ -1284,7 +1399,7 @@ impl Engine {
         }
         self.bd.live = 0;
         if !self.bd.base_applied {
-            self.apply_base_run(run);
+            self.apply_base_run(disp.base, run);
         }
         if let Some(e) = first_err {
             report.failed_events += run.events();
@@ -1380,7 +1495,7 @@ impl Engine {
                 if stmt.op != StmtOp::Increment {
                     continue;
                 }
-                if !self.db.contains(&stmt.target) {
+                if self.stmts[tidx as usize][j].target.is_none() {
                     return Err(RuntimeError::UnknownView(stmt.target.clone()));
                 }
                 if lp.is_some_and(|lp| lp.lists(tidx as usize, j)) {
@@ -1404,10 +1519,8 @@ impl Engine {
         let rows = self.live_pass(program, disp, lp, run, base);
         if rows.is_err() {
             // Take back what the pass wrote, last write first.
-            for (map, key, before) in self.undo.drain(..).rev() {
-                if let Some(view) = self.db.view_mut(&lp.live_maps[map as usize]) {
-                    view.set(key, before);
-                }
+            for (id, key, before) in self.undo.drain(..).rev() {
+                self.db.at_mut(id).set(key, before);
             }
         }
         self.undo.clear();
@@ -1432,11 +1545,6 @@ impl Engine {
         run: &RelationDelta,
         base: [usize; 2],
     ) -> Result<u64, RuntimeError> {
-        // Per sign: the trigger and its `+=` statements.
-        let sides = [disp.insert, disp.delete].map(|tidx| {
-            let trigger = tidx.map(|t| &program.triggers[t as usize]);
-            (tidx, trigger.map_or(&[][..], Trigger::increments))
-        });
         let Engine {
             db,
             kernel,
@@ -1445,11 +1553,16 @@ impl Engine {
             changes,
             stats,
             tel,
+            stmts,
             ..
         } = self;
-        let live_of = |name: &str| lp.live_maps.iter().position(|n| n == name);
-        let base_map = live_of(run.relation());
-        bd.base_applied = base_map.is_some();
+        // Per sign: the trigger, its `+=` statements and their resolution.
+        let sides = [disp.insert, disp.delete].map(|tidx| {
+            let t = tidx.map(usize::from);
+            let increments = t.map_or(&[][..], |t| program.triggers[t].increments());
+            (tidx, increments, t.map_or(&[][..], |t| &stmts[t][..]))
+        });
+        bd.base_applied = disp.base_live;
         // Entries of each sign met so far: entry `k` of a sign owns segment
         // `k` of every statement of that sign's trigger buffered before the
         // pass.
@@ -1462,7 +1575,7 @@ impl Engine {
             seen[s] += 1;
             // A sign without a trigger has no statements: only the stored
             // slice moves.
-            let (tidx, statements) = sides[s];
+            let (tidx, statements, bound) = sides[s];
             let listed = |j: usize| tidx.is_some_and(|t| lp.lists(t as usize, j));
             for _ in 0..entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
@@ -1480,7 +1593,16 @@ impl Engine {
                     // the first against its state.
                     let ds = &mut bd.stmts[base[s] + j];
                     let start = ds.rows.len();
-                    kernel_rows(kernel, &*db, &stmt.kernel, &entry.key, true, &mut ds.rows)?;
+                    let rels = &bound[j].rels;
+                    kernel_rows(
+                        kernel,
+                        db,
+                        &stmt.kernel,
+                        rels,
+                        &entry.key,
+                        true,
+                        &mut ds.rows,
+                    )?;
                     let end = ds.rows.len();
                     evaluated += (end - start) as u64;
                     ds.segs.push(Seg {
@@ -1490,9 +1612,12 @@ impl Engine {
                     });
                 }
                 for (j, stmt) in statements.iter().enumerate() {
-                    let Some(map) = live_of(&stmt.target) else {
+                    if !bound[j].live {
                         continue;
-                    };
+                    }
+                    let id = bound[j]
+                        .target
+                        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
                     let ds = &mut bd.stmts[base[s] + j];
                     ds.applied = true;
                     // This firing's segment: just evaluated, or buffered.
@@ -1501,9 +1626,7 @@ impl Engine {
                     } else {
                         ds.segs[k]
                     };
-                    let view = db
-                        .view_mut(&stmt.target)
-                        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+                    let view = db.at_mut(id);
                     let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
                     for (key, mult) in ds.rows[seg.start..seg.end]
                         .iter()
@@ -1513,15 +1636,16 @@ impl Engine {
                             c.keys.insert(key.clone(), ());
                         }
                         let before = view.add_returning_previous(key.clone(), *mult);
-                        undo.push((map as u16, key.clone(), before));
+                        undo.push((id, key.clone(), before));
                     }
                 }
-                if let (Some(map), Some(view)) = (base_map, db.view_mut(run.relation())) {
+                if let Some(id) = disp.base.filter(|_| disp.base_live) {
                     if let Some(log) = changes.as_mut() {
                         log.record_key(run.relation(), entry.key.clone());
                     }
+                    let view = db.at_mut(id);
                     let before = view.add_returning_previous(entry.key.clone(), sign.multiplier());
-                    undo.push((map as u16, entry.key.clone(), before));
+                    undo.push((id, entry.key.clone(), before));
                 }
             }
         }
@@ -1545,12 +1669,11 @@ impl Engine {
             kernel,
             bd,
             stats,
+            stmts,
             ..
         } = self;
         let slot = bd.acquire(tidx, stmt_j);
-        // Nothing is written until the apply phase, so probe and scan targets
-        // can be resolved once per name for the run.
-        let src = CachedSource::new(db);
+        let rels = &stmts[tidx as usize][stmt_j as usize].rels;
         let mut first = true;
         for entry in run.entries() {
             if entry.sign() != Some(sign) {
@@ -1560,8 +1683,9 @@ impl Engine {
             let start = slot.rows.len();
             kernel_rows(
                 kernel,
-                &src,
+                db,
                 stmt_kernel,
+                rels,
                 &entry.key,
                 std::mem::take(&mut first),
                 &mut slot.rows,
@@ -1575,13 +1699,15 @@ impl Engine {
         Ok(())
     }
 
-    /// One base-update pass for a whole run: each entry's net multiplicity is
-    /// applied in one write (exact — net multiplicities are integers).
-    fn apply_base_run(&mut self, run: &RelationDelta) {
+    /// One base-update pass for a whole run into the relation's stored base
+    /// map `base`, if it keeps one: each entry's net multiplicity is applied
+    /// in one write (exact — net multiplicities are integers).
+    fn apply_base_run(&mut self, base: Option<MapId>, run: &RelationDelta) {
         let Engine { db, changes, .. } = self;
-        let Some(view) = db.view_mut(run.relation()) else {
+        let Some(id) = base else {
             return;
         };
+        let view = db.at_mut(id);
         let mut change = changes.as_mut().map(|c| c.entry(run.relation()));
         let rows = run.entries().iter().map(|e| (&e.key, e.mult));
         view.add_rows(rows, &mut |k| {
@@ -1609,6 +1735,12 @@ impl Engine {
     /// Direct access to a view's contents (for tests and debugging).
     pub fn view(&self, name: &str) -> Option<Gmr> {
         self.db.view(name).map(|v| v.to_gmr())
+    }
+
+    /// The store itself, read-only (for tests and debugging: its views'
+    /// declared indexes, footprints, ids).
+    pub fn database(&self) -> &Database {
+        &self.db
     }
 
     /// Approximate memory footprint of all views and stored relations, in bytes.
@@ -1679,6 +1811,7 @@ impl Engine {
             return;
         }
         let map_names: Vec<String> = self.db.names().map(|n| n.to_string()).collect();
+        let map_ids: Vec<MapId> = map_names.iter().filter_map(|n| self.db.id(n)).collect();
         let views: Vec<Arc<ViewCounters>> = map_names
             .iter()
             .map(|n| tel.view(n).expect("enabled handle"))
@@ -1716,6 +1849,7 @@ impl Engine {
             stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
             views,
             map_names,
+            map_ids,
             pending_rows: vec![0; n],
             pending_live: vec![0; n],
             stmt_slot,
@@ -1781,27 +1915,26 @@ impl Engine {
             if live != 0 {
                 view.live_firings.fetch_add(live, Relaxed);
             }
-            if let Some(v) = self.db.view(&ts.map_names[i]) {
-                view.map_size.store(v.len() as u64, Relaxed);
-                let t = v.index_totals();
-                for (gauge, n) in view
-                    .indexes
-                    .iter()
-                    .zip([t.hash, t.ordered, t.entries, t.bytes])
-                {
-                    gauge.store(n, Relaxed);
-                }
-                let w = v.snapshot_work();
-                view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
-                view.snapshot_entries_copied
-                    .store(w.entries_copied, Relaxed);
-                for (slot, n) in view.snapshot_full_copies.iter().zip([
-                    w.first_copies,
-                    w.pinned_copies,
-                    w.abandoned_copies,
-                ]) {
-                    slot.store(n, Relaxed);
-                }
+            let v = self.db.at(ts.map_ids[i]);
+            view.map_size.store(v.len() as u64, Relaxed);
+            let t = v.index_totals();
+            for (gauge, n) in view
+                .indexes
+                .iter()
+                .zip([t.hash, t.ordered, t.entries, t.bytes])
+            {
+                gauge.store(n, Relaxed);
+            }
+            let w = v.snapshot_work();
+            view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
+            view.snapshot_entries_copied
+                .store(w.entries_copied, Relaxed);
+            for (slot, n) in view.snapshot_full_copies.iter().zip([
+                w.first_copies,
+                w.pinned_copies,
+                w.abandoned_copies,
+            ]) {
+                slot.store(n, Relaxed);
             }
         }
         ts.tel.add_events(
@@ -1829,20 +1962,20 @@ impl Engine {
 }
 
 /// The one row applier: write a statement's buffered rows to its target map
-/// — a single target resolution, change-log entry and snapshot-cache bump per
-/// call, whether the rows are one firing's or a whole run's. A `:=` statement
+/// `target` (resolved at construction) — one change-log entry per call,
+/// whether the rows are one firing's or a whole run's. A `:=` statement
 /// clears its target first. A missing target view (program corruption —
 /// compiled programs always declare their targets) applies nothing.
 fn apply_statement_rows(
     db: &mut Database,
     changes: &mut Option<ChangeSet>,
     stmt: &Statement,
+    target: Option<MapId>,
     segs: &[Seg],
     rows: &[(Tuple, f64)],
 ) -> Result<(), RuntimeError> {
-    let target = db
-        .view_mut(&stmt.target)
-        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+    let id = target.ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+    let target = db.at_mut(id);
     if stmt.op == StmtOp::Replace {
         target.clear();
         if let Some(log) = changes.as_mut() {

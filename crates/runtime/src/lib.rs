@@ -48,7 +48,7 @@ pub use engine::{
     BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample, ViewChange,
 };
 pub use shard::{ExchangeStats, ShardedEngine};
-pub use store::{CachedSource, Database, SnapshotWork, ViewMap};
+pub use store::{Database, MapId, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{
     HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -61,7 +61,7 @@ pub mod prelude {
         ViewChange,
     };
     pub use crate::shard::{ExchangeStats, ShardedEngine};
-    pub use crate::store::{CachedSource, Database, SnapshotWork, ViewMap};
+    pub use crate::store::{Database, MapId, SnapshotWork, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
     };

@@ -1,13 +1,21 @@
 //! View storage: keyed multiplicity maps with secondary indexes.
 //!
 //! The runtime stores every materialized view (and, in the baseline modes, the base
-//! relations) as a [`ViewMap`]: a hash map from key tuples to multiplicities, plus
-//! lazily-built secondary indexes for the partial-key binding patterns that trigger
-//! statements actually use. This mirrors Section 7.1 of the paper, where the generated
-//! C++ uses Boost Multi-Index containers with one secondary index per binding pattern.
+//! relations) as a [`ViewMap`]: a hash map from key tuples to multiplicities, plus one
+//! secondary index per partial-key binding pattern the compiled trigger statements
+//! scan, declared before the first event. This mirrors Section 7.1 of the paper, where
+//! the generated C++ addresses every map as a variable and gives it a Boost
+//! Multi-Index container with one secondary index per binding pattern, fixed at
+//! compile time.
 //!
 //! ## Hot-path design
 //!
+//! * **Maps by id** — a [`Database`] keeps its views in a vector, and a view's position
+//!   is its [`MapId`], fixed when the view is declared. The engine resolves everything
+//!   its per-event path touches — statement targets, stored base relations, the
+//!   relations each kernel reads — to ids once, when it is built, and indexes the
+//!   vector from then on. The name table serves the name-addressed API
+//!   ([`Database::view`], [`Database::snapshot`], …) for cold callers.
 //! * **Keys are [`Tuple`]s** — inline up to arity `INLINE_CAP` (3), cheap to clone (at most a few
 //!   `Value` copies or one `Arc` bump), hashed with the fast deterministic
 //!   [`FastMap`] hasher. A single-tuple view update is one hash probe with no key
@@ -15,22 +23,30 @@
 //! * **Cursor reads** — [`ViewMap::for_each`] streams *borrowed* `(&[Value], f64)`
 //!   entries to a visitor; nothing on the read path clones a key. The collecting
 //!   [`ViewMap::lookup`] remains for tests and cold callers.
+//! * **Indexes are declared, not discovered** — [`ViewMap::declare_hash`] and
+//!   [`ViewMap::declare_ordered`] build the index of one binding-pattern mask from the
+//!   current contents, every write after keeps it current, and [`ViewMap::clear`]
+//!   empties it and keeps it. The engine declares, from the compiled program, one index
+//!   per `(map, mask)` some kernel scans (the compiler's `hash_indexes` and
+//!   `ordered_indexes`), so no read ever builds one: reads take `&self` and change
+//!   nothing, and a kernel may nest a scan of a view inside the visit of another scan
+//!   of it. A scan of a mask nobody declared (a test, a cold caller) walks the map,
+//!   filtering by the pattern.
 //! * **Index maintenance pays only when indexes exist** — [`ViewMap::add`] takes the
-//!   fast path (a single map probe, zero clones) until the view has a secondary
-//!   index; afterwards every write is mirrored into each index (one group probe
-//!   per index).
-//! * **Two index representations, one per mask** — a *hash* index is created by
-//!   the first partial-pattern lookup of its mask: projected key → bucket of
-//!   `(full key, multiplicity)`, so a partial-pattern scan is pure bucket
-//!   iteration with no probe back into the primary map, and a write is one
-//!   bucket probe (the key is cloned only when the entry is new). An *ordered*
-//!   index is declared up front ([`ViewMap::declare_ordered`]) for a mask that
-//!   leaves one column free: projected key → run of `(free-column value,
-//!   multiplicity)` sorted by that value with running sums, which answers
-//!   [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
-//!   amortized (see the `ordered` module for the layout and the exactness
-//!   contract). It stores no full keys, so scanning it costs a primary probe
-//!   per entry — the fallback path, not the one it is declared for.
+//!   fast path (a single map probe, zero clones) while the view has no secondary
+//!   index; otherwise every write is mirrored into each index (one group probe per
+//!   index), a plain loop over the view's handful of `(mask, index)` pairs.
+//! * **Two index representations, one per mask** — a *hash* index maps a projected key
+//!   to its bucket of `(full key, multiplicity)`, so a partial-pattern scan is pure
+//!   bucket iteration with no probe back into the primary map, and a write is one
+//!   bucket probe (the key is cloned only when the entry is new). An *ordered* index,
+//!   for a mask that leaves one column free, maps a projected key to a run of
+//!   `(free-column value, multiplicity)` sorted by that value with running sums,
+//!   which answers [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
+//!   amortized (see the `ordered` module for the layout and the exactness contract).
+//!   It stores no full keys, so scanning it costs a primary probe per entry — the
+//!   fallback path, not the one it is declared for. A mask has one index: an
+//!   ordered declaration replaces a hash index of the same mask.
 //! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry and
 //!   each hash-bucket entry its map-slot footprint (spilled — arity > 3 —
 //!   tuples add their shared value slab; a bucket entry adds its mirrored
@@ -41,11 +57,6 @@
 //!   interned `Arc<str>`s whose bodies are shared, and dates are plain
 //!   `yyyymmdd` longs, so the slab estimate does not double-count string
 //!   storage.
-//!
-//! Secondary indexes live behind an [`RwLock`] so that read-only evaluation (through
-//! the [`RelationSource`] trait) can build a hash index on first use; afterwards every
-//! partial lookup is a hash probe, which is what gives compiled trigger statements
-//! their constant-time behaviour.
 //!
 //! ## Snapshots cost what was written, not what is stored
 //!
@@ -65,11 +76,11 @@
 //! snapshot, so an engine that never snapshots pays one branch per write.
 
 use crate::ordered::{tuple_slot_bytes, GroupKey, OrderedIndex};
-use dbtoaster_agca::eval::{EvalError, RelationSource};
+use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
 use dbtoaster_compiler::IndexStats;
 use dbtoaster_gmr::hash::fast_map_with_capacity;
 use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A hash secondary index: projected key → (full key → multiplicity).
 /// Multiplicities are mirrored into the buckets so a partial-pattern scan is
@@ -134,6 +145,16 @@ impl Index {
         }
     }
 
+    fn clear(&mut self) {
+        match self {
+            Index::Hash(h) => {
+                h.buckets.clear();
+                h.bytes = 0;
+            }
+            Index::Ordered(o) => o.clear(),
+        }
+    }
+
     fn bytes(&self) -> usize {
         match self {
             Index::Hash(h) => h.bytes,
@@ -142,21 +163,12 @@ impl Index {
     }
 }
 
-/// Indexes are held behind `Arc`s so a scan can clone the handle and release
-/// the registry lock *before* iterating. Compiled trigger kernels re-enter
-/// scans from inside scan callbacks (nested sub-aggregates over the same
-/// view); holding the read guard across the visit would self-deadlock against
-/// a nested `ensure_index` write. Mutation goes through `Arc::make_mut`,
-/// which never actually copies on the engine's single-threaded write path
-/// (no scan handle is alive while `&mut self` methods run).
-type IndexRegistry = FastMap<u64, Arc<Index>>;
 /// What readers get: an immutable shared copy of a view's primary map.
 type Buffer = Arc<FastMap<Tuple, f64>>;
 
-/// Both locks of a [`ViewMap`] guard values that are consistent after every
-/// single update (the index registry only sees whole-entry inserts and
-/// `clear`; for the snapshot state see [`SnapshotState`]), so a lock poisoned
-/// by a panicking visitor is recovered rather than propagated.
+/// The snapshot lock of a [`ViewMap`] guards a value that is consistent
+/// after every single update (see [`SnapshotState`]), so a lock poisoned by
+/// a panicking reader is recovered rather than propagated.
 fn unpoisoned<G>(lock_result: Result<G, PoisonError<G>>) -> G {
     lock_result.unwrap_or_else(PoisonError::into_inner)
 }
@@ -260,7 +272,7 @@ impl SnapshotState {
 }
 
 /// A materialized view: tuples over a fixed-arity key mapped to `f64` multiplicities,
-/// with secondary hash indexes per binding pattern.
+/// with one declared secondary index per binding pattern its scans use.
 ///
 /// [`ViewMap::to_gmr`] hands out an immutable *shared* snapshot of the map
 /// ([`Gmr::from_shared`]): O(1) while the view is unwritten since the last one,
@@ -275,8 +287,8 @@ pub struct ViewMap {
     data: FastMap<Tuple, f64>,
     /// Snapshot buffers, write log and work counters.
     snapshots: Mutex<SnapshotState>,
-    /// Secondary indexes: bitmask of bound key positions → shared index.
-    indexes: RwLock<IndexRegistry>,
+    /// Declared secondary indexes, one per bitmask of bound key positions.
+    indexes: Vec<(u64, Index)>,
 }
 
 /// A clone starts with no snapshot buffers of its own: sharing the source's
@@ -287,7 +299,7 @@ impl Clone for ViewMap {
             schema: self.schema.clone(),
             data: self.data.clone(),
             snapshots: Mutex::default(),
-            indexes: RwLock::new(unpoisoned(self.indexes.read()).clone()),
+            indexes: self.indexes.clone(),
         }
     }
 }
@@ -299,7 +311,7 @@ impl ViewMap {
             schema,
             data: FastMap::default(),
             snapshots: Mutex::default(),
-            indexes: RwLock::default(),
+            indexes: Vec::new(),
         }
     }
 
@@ -359,8 +371,8 @@ impl ViewMap {
         } else {
             self.data.insert(key.clone(), mult);
         }
-        for (mask, index) in unpoisoned(self.indexes.get_mut()).iter_mut() {
-            Arc::make_mut(index).set(project_mask(&key, *mask), &key, mult);
+        for (mask, index) in &mut self.indexes {
+            index.set(project_mask(&key, *mask), &key, mult);
         }
     }
 
@@ -400,8 +412,7 @@ impl ViewMap {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
 
-        let indexes = unpoisoned(self.indexes.get_mut());
-        if indexes.is_empty() {
+        if self.indexes.is_empty() {
             // Fast path: no index maintenance, no key clone.
             return match self.data.entry(key) {
                 Entry::Occupied(mut o) => {
@@ -437,32 +448,60 @@ impl ViewMap {
                 (0.0, mult)
             }
         };
-        for (mask, index) in indexes.iter_mut() {
-            Arc::make_mut(index).set(project_mask(&key, *mask), &key, new_mult);
+        for (mask, index) in &mut self.indexes {
+            index.set(project_mask(&key, *mask), &key, new_mult);
         }
         previous
     }
 
-    /// Remove all entries (used by `:=` statements). Hash indexes go with
-    /// them (the next lookup rebuilds the ones still in use); ordered indexes
-    /// are declarations and stay, empty.
+    /// Remove all entries (used by `:=` statements). Declared indexes stay,
+    /// empty, and track the writes that follow.
     pub fn clear(&mut self) {
         unpoisoned(self.snapshots.get_mut()).abandon();
         self.data.clear();
-        unpoisoned(self.indexes.get_mut()).retain(|_, index| match Arc::make_mut(index) {
-            Index::Hash(_) => false,
-            Index::Ordered(o) => {
-                o.clear();
-                true
-            }
-        });
+        for (_, index) in &mut self.indexes {
+            index.clear();
+        }
+    }
+
+    /// The index of binding-pattern mask `mask`, if one is declared.
+    fn index(&self, mask: u64) -> Option<&Index> {
+        self.indexes
+            .iter()
+            .find(|(m, _)| *m == mask)
+            .map(|(_, i)| i)
+    }
+
+    /// Is an index of binding-pattern mask `mask` declared?
+    pub fn has_index(&self, mask: u64) -> bool {
+        self.index(mask).is_some()
+    }
+
+    /// Keep a hash index of `mask` from now on, built from the current
+    /// contents. A no-op when the mask already has an index, or binds no key
+    /// column, or binds every one (a primary probe), or one past the arity.
+    pub fn declare_hash(&mut self, mask: u64) {
+        let arity = self.schema.arity();
+        if mask == 0 || mask >> arity.min(63) != 0 || full_mask(arity) == Some(mask) {
+            return;
+        }
+        if self.has_index(mask) {
+            return;
+        }
+        let mut index = HashIndex {
+            buckets: fast_map_with_capacity(self.data.len()),
+            bytes: 0,
+        };
+        for (k, &m) in self.data.iter() {
+            index.set(project_mask(k, mask), k, m);
+        }
+        self.indexes.push((mask, Index::Hash(index)));
     }
 
     /// Keep the secondary index of `mask` as an ordered index on the key
     /// column `key_pos` — the one column the mask must leave free — from now
-    /// on (built from the current contents, replacing a hash index of the
-    /// same mask). Unlike a hash index the declaration survives
-    /// [`ViewMap::clear`].
+    /// on, built from the current contents and replacing a hash index of the
+    /// same mask. A no-op when the mask already has its ordered index.
     pub fn declare_ordered(&mut self, mask: u64, key_pos: usize) {
         let arity = self.schema.arity();
         assert!(
@@ -470,16 +509,22 @@ impl ViewMap {
             "an ordered index binds every key column but the one it is sorted on \
              (mask {mask:#b}, sorted on {key_pos}, arity {arity})"
         );
+        if matches!(self.index(mask), Some(Index::Ordered(_))) {
+            return;
+        }
         let mut index = OrderedIndex::new(key_pos);
         for (k, &m) in self.data.iter() {
             index.set(project_mask(k, mask), k, m);
         }
-        unpoisoned(self.indexes.get_mut()).insert(mask, Arc::new(Index::Ordered(index)));
+        self.indexes.retain(|(m, _)| *m != mask);
+        self.indexes.push((mask, Index::Ordered(index)));
     }
 
     /// Stream the entries matching a partial binding pattern into `visit`,
-    /// borrowing keys straight out of the store. Builds a secondary index for
-    /// the pattern's mask on first use; subsequent lookups are hash probes.
+    /// borrowing keys straight out of the store: one primary probe when the
+    /// pattern binds every column, one bucket of the mask's declared index
+    /// when it binds some, the whole map otherwise — or when nobody declared
+    /// an index for the mask, then filtered by the pattern.
     pub fn for_each(&self, pattern: &[Option<Value>], visit: &mut dyn FnMut(&[Value], f64)) {
         debug_assert_eq!(pattern.len(), self.schema.arity());
         let mask = pattern_mask(pattern);
@@ -489,8 +534,7 @@ impl ViewMap {
             }
             return;
         }
-        let arity = self.schema.arity();
-        if arity <= 63 && mask == (1u64 << arity) - 1 {
+        if full_mask(self.schema.arity()) == Some(mask) {
             // Fully bound: a single primary probe.
             let key: Tuple = pattern.iter().map(|p| p.clone().unwrap()).collect();
             if let Some(&m) = self.data.get(key.as_slice()) {
@@ -498,22 +542,17 @@ impl ViewMap {
             }
             return;
         }
-        self.ensure_index(mask);
-        let probe: Tuple = pattern.iter().flatten().cloned().collect();
-        // Clone the index handle and drop the registry guard before visiting:
-        // visitors may re-enter `for_each` (compiled kernels nest scans), and
-        // a nested `ensure_index` must be able to take the write lock.
-        let index = unpoisoned(self.indexes.read()).get(&mask).cloned();
-        match index.as_deref() {
+        let probe = || -> Tuple { pattern.iter().flatten().cloned().collect() };
+        match self.index(mask) {
             Some(Index::Hash(h)) => {
-                for (k, &m) in h.buckets.get(&probe).into_iter().flatten() {
+                for (k, &m) in h.buckets.get(&probe()).into_iter().flatten() {
                     visit(k, m);
                 }
             }
             // An ordered group holds no full keys: rebuild each from the
             // pattern and probe the primary map, which also knows whether the
             // sorted column was stored as a long or a double.
-            Some(Index::Ordered(o)) => o.for_each_key(&probe, &mut |key| {
+            Some(Index::Ordered(o)) => o.for_each_key(&probe(), &mut |key| {
                 let band;
                 let full: &[Value] = match key {
                     GroupKey::Full(full) => full.as_slice(),
@@ -529,7 +568,13 @@ impl ViewMap {
                     visit(k, m);
                 }
             }),
-            None => {}
+            None => {
+                for (k, &m) in self.data.iter() {
+                    if matches_pattern(k, pattern) {
+                        visit(k, m);
+                    }
+                }
+            }
         }
     }
 
@@ -537,7 +582,7 @@ impl ViewMap {
     /// multiplicity over the entries matching `pattern` whose one free
     /// column lies in `ranges[i].0 ≤ value < ranges[i].1` (integer or
     /// infinite ends; `bound_mag` as in
-    /// [`RelationSource::range_sums`]). Returns the number of entries
+    /// [`RelationSource::range_sums_at`]). Returns the number of entries
     /// compared — `O(log n)` — or `None` when the mask has no ordered index
     /// or the group cannot answer exactly; the caller then traverses
     /// ([`ViewMap::for_each`]).
@@ -548,8 +593,7 @@ impl ViewMap {
         ranges: &[(f64, f64)],
         sums: &mut [f64],
     ) -> Option<u64> {
-        let registry = unpoisoned(self.indexes.read());
-        let Index::Ordered(index) = registry.get(&pattern_mask(pattern))?.as_ref() else {
+        let Index::Ordered(index) = self.index(pattern_mask(pattern))? else {
             return None;
         };
         let probe: Tuple = pattern.iter().flatten().cloned().collect();
@@ -562,22 +606,6 @@ impl ViewMap {
         let mut out = Vec::new();
         self.for_each(pattern, &mut |k, m| out.push((Tuple::from(k), m)));
         out
-    }
-
-    /// Build (if the mask has none yet) a hash index for a binding-pattern
-    /// mask.
-    pub fn ensure_index(&self, mask: u64) {
-        if mask == 0 || unpoisoned(self.indexes.read()).contains_key(&mask) {
-            return;
-        }
-        let mut index = HashIndex {
-            buckets: fast_map_with_capacity(self.data.len()),
-            bytes: 0,
-        };
-        for (k, &m) in self.data.iter() {
-            index.set(project_mask(k, mask), k, m);
-        }
-        unpoisoned(self.indexes.write()).insert(mask, Arc::new(Index::Hash(index)));
     }
 
     /// Snapshot the view contents as an immutable shared GMR. O(1) while the
@@ -635,11 +663,10 @@ impl ViewMap {
         self.clear();
         if gmr.schema() == &self.schema {
             // Identical schemas: copy the map wholesale (`clear` stopped the
-            // snapshot log and left only the — empty — ordered indexes, so
-            // bypassing `add` loses nothing once those are refilled).
+            // snapshot log and emptied the indexes, so bypassing `add` loses
+            // nothing once those are refilled).
             self.data = gmr.iter().map(|(t, m)| (t.clone(), m)).collect();
-            for (mask, index) in unpoisoned(self.indexes.get_mut()).iter_mut() {
-                let index = Arc::make_mut(index);
+            for (mask, index) in &mut self.indexes {
                 for (k, &m) in self.data.iter() {
                     index.set(project_mask(k, *mask), k, m);
                 }
@@ -678,8 +705,8 @@ impl ViewMap {
     /// per write.
     pub fn index_totals(&self) -> IndexStats {
         let mut t = IndexStats::default();
-        for index in unpoisoned(self.indexes.read()).values() {
-            match index.as_ref() {
+        for (_, index) in &self.indexes {
+            match index {
                 Index::Hash(_) => {
                     t.hash += 1;
                     t.entries += self.data.len() as u64;
@@ -705,6 +732,12 @@ fn pattern_mask(pattern: &[Option<Value>]) -> u64 {
     })
 }
 
+/// The mask of a pattern binding every one of `arity` key columns, if masks
+/// can express it.
+fn full_mask(arity: usize) -> Option<u64> {
+    (arity <= 63).then(|| (1u64 << arity) - 1)
+}
+
 fn project_mask(key: &[Value], mask: u64) -> Tuple {
     key.iter()
         .enumerate()
@@ -713,11 +746,21 @@ fn project_mask(key: &[Value], mask: u64) -> Tuple {
         .collect()
 }
 
-/// The runtime database: a namespace of [`ViewMap`]s holding materialized views, stored
-/// base relations and static tables.
+/// A view's position in its [`Database`], fixed when the view is declared.
+/// It is also the [`RelId`] compiled kernels read the view by.
+pub type MapId = RelId;
+
+/// The runtime database: the [`ViewMap`]s holding materialized views, stored
+/// base relations and static tables, addressed by [`MapId`] on the hot path
+/// and by name everywhere else.
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    maps: FastMap<String, ViewMap>,
+    /// The views; a view's index is its id.
+    maps: Vec<ViewMap>,
+    /// `names[id]` names `maps[id]`.
+    names: Vec<String>,
+    /// Name → id, for the name-addressed API.
+    ids: FastMap<String, MapId>,
 }
 
 impl Database {
@@ -726,37 +769,67 @@ impl Database {
         Database::default()
     }
 
-    /// Create (or replace) a view with the given key columns.
-    pub fn declare(&mut self, name: impl Into<String>, columns: impl IntoIterator<Item = String>) {
-        self.maps
-            .insert(name.into(), ViewMap::new(Schema::new(columns)));
+    /// Create (or replace, keeping its id) a view with the given key
+    /// columns. Returns its id.
+    pub fn declare(
+        &mut self,
+        name: impl Into<String>,
+        columns: impl IntoIterator<Item = String>,
+    ) -> MapId {
+        let name = name.into();
+        let view = ViewMap::new(Schema::new(columns));
+        if let Some(&id) = self.ids.get(&name) {
+            self.maps[id as usize] = view;
+            return id;
+        }
+        let id = MapId::try_from(self.maps.len()).expect("fewer than 2^32 views");
+        self.ids.insert(name.clone(), id);
+        self.names.push(name);
+        self.maps.push(view);
+        id
+    }
+
+    /// The id of the named view, if it exists.
+    pub fn id(&self, name: &str) -> Option<MapId> {
+        self.ids.get(name).copied()
+    }
+
+    /// The view with id `id`. Panics on an id this database never handed out.
+    pub fn at(&self, id: MapId) -> &ViewMap {
+        &self.maps[id as usize]
+    }
+
+    /// Mutable access to the view with id `id`.
+    pub fn at_mut(&mut self, id: MapId) -> &mut ViewMap {
+        &mut self.maps[id as usize]
     }
 
     /// Does a view with this name exist?
     pub fn contains(&self, name: &str) -> bool {
-        self.maps.contains_key(name)
+        self.ids.contains_key(name)
     }
 
     /// Immutable access to a view.
     pub fn view(&self, name: &str) -> Option<&ViewMap> {
-        self.maps.get(name)
+        Some(self.at(self.id(name)?))
     }
 
     /// Mutable access to a view.
     pub fn view_mut(&mut self, name: &str) -> Option<&mut ViewMap> {
-        self.maps.get_mut(name)
+        let id = self.id(name)?;
+        Some(self.at_mut(id))
     }
 
     /// Names of all views, sorted, borrowed from the store (no `String` clones).
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        let mut v: Vec<&str> = self.maps.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.names.iter().map(String::as_str).collect();
         v.sort_unstable();
         v.into_iter()
     }
 
     /// Total approximate memory footprint of all views, in bytes.
     pub fn approx_bytes(&self) -> usize {
-        self.maps.values().map(|m| m.approx_bytes()).sum()
+        self.maps.iter().map(|m| m.approx_bytes()).sum()
     }
 
     /// A consistent point-in-time snapshot of every view: name → shared GMR
@@ -765,8 +838,9 @@ impl Database {
     /// a full copy of the view where that buffer is pinned or its log was
     /// abandoned.
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
-        self.maps
+        self.names
             .iter()
+            .zip(&self.maps)
             .map(|(n, v)| (n.clone(), v.to_gmr()))
             .collect()
     }
@@ -774,7 +848,7 @@ impl Database {
     /// Snapshot work summed over all views.
     pub fn snapshot_work(&self) -> SnapshotWork {
         let mut total = SnapshotWork::default();
-        for v in self.maps.values() {
+        for v in &self.maps {
             total += v.snapshot_work();
         }
         total
@@ -783,7 +857,7 @@ impl Database {
 
 impl RelationSource for Database {
     fn relation_arity(&self, name: &str) -> Option<usize> {
-        self.maps.get(name).map(|m| m.schema().arity())
+        self.view(name).map(|m| m.schema().arity())
     }
 
     fn for_each_matching(
@@ -793,108 +867,34 @@ impl RelationSource for Database {
         visit: &mut dyn FnMut(&[Value], f64),
     ) -> Result<(), EvalError> {
         let m = self
-            .maps
-            .get(name)
+            .view(name)
             .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
         m.for_each(pattern, visit);
         Ok(())
     }
 
-    fn range_sums(
+    fn relation_id(&self, name: &str) -> Option<RelId> {
+        self.id(name)
+    }
+
+    fn for_each_at(
         &self,
-        name: &str,
-        pattern: &[Option<Value>],
-        bound_mag: f64,
-        ranges: &[(f64, f64)],
-        sums: &mut [f64],
-    ) -> Result<Option<u64>, EvalError> {
-        let m = self
-            .maps
-            .get(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        Ok(m.range_sums(pattern, bound_mag, ranges, sums))
-    }
-}
-
-/// A read-only [`Database`] view that memoizes name→view resolution.
-///
-/// Compiled kernels address every probe and scan by relation name; driven
-/// over a multi-entry delta batch, the *same* op asks for the *same* name
-/// once per entry, and the per-call string hash becomes the dominant
-/// removable cost of small kernels. Ops own their name strings, so the cache
-/// is keyed by the `&str`'s address — a pointer identity hit needs no
-/// hashing and no character comparison. Sound only while the database is not
-/// mutated (the batch executor buffers all rows before applying, so a whole
-/// statement-over-entries pass is read-only); the wrapper borrows the
-/// database immutably, letting the compiler enforce exactly that.
-pub struct CachedSource<'a> {
-    db: &'a Database,
-    /// `(name address, name length, resolved view)` — a fixed handful of
-    /// inline slots scanned linearly (zero heap allocation; a statement
-    /// referencing more distinct relations simply falls back to uncached
-    /// lookups for the overflow).
-    cache: std::cell::Cell<usize>,
-    slots: [std::cell::Cell<(*const u8, usize, Option<&'a ViewMap>)>; 8],
-}
-
-impl<'a> CachedSource<'a> {
-    /// Wrap a database for one read-only batch pass.
-    pub fn new(db: &'a Database) -> Self {
-        CachedSource {
-            db,
-            cache: std::cell::Cell::new(0),
-            slots: std::array::from_fn(|_| std::cell::Cell::new((std::ptr::null(), 0, None))),
-        }
-    }
-
-    fn resolve(&self, name: &str) -> Option<&'a ViewMap> {
-        let key = (name.as_ptr(), name.len());
-        let len = self.cache.get();
-        for slot in &self.slots[..len] {
-            let (p, l, v) = slot.get();
-            if p == key.0 && l == key.1 {
-                return v;
-            }
-        }
-        let view = self.db.view(name)?;
-        if len < self.slots.len() {
-            self.slots[len].set((key.0, key.1, Some(view)));
-            self.cache.set(len + 1);
-        }
-        Some(view)
-    }
-}
-
-impl RelationSource for CachedSource<'_> {
-    fn relation_arity(&self, name: &str) -> Option<usize> {
-        self.resolve(name).map(|m| m.schema().arity())
-    }
-
-    fn for_each_matching(
-        &self,
-        name: &str,
+        id: RelId,
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError> {
-        let m = self
-            .resolve(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        m.for_each(pattern, visit);
-        Ok(())
+    ) {
+        self.at(id).for_each(pattern, visit);
     }
 
-    fn range_sums(
+    fn range_sums_at(
         &self,
-        name: &str,
+        id: RelId,
         pattern: &[Option<Value>],
         bound_mag: f64,
         ranges: &[(f64, f64)],
         sums: &mut [f64],
-    ) -> Result<Option<u64>, EvalError> {
-        let m = self
-            .resolve(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        Ok(m.range_sums(pattern, bound_mag, ranges, sums))
+    ) -> Option<u64> {
+        self.at(id).range_sums(pattern, bound_mag, ranges, sums)
     }
 }
 
@@ -939,7 +939,8 @@ mod tests {
     fn secondary_index_stays_consistent_under_updates() {
         let mut v = ViewMap::new(Schema::new(["a", "b"]));
         v.add(key(&[1, 10]), 1.0);
-        // Build the index, then mutate.
+        // Build the index from the contents, then mutate.
+        v.declare_hash(0b01);
         assert_eq!(v.lookup(&[Some(Value::long(1)), None]).len(), 1);
         v.add(key(&[1, 20]), 1.0);
         v.add(key(&[1, 10]), -1.0); // removes the first entry
@@ -951,7 +952,7 @@ mod tests {
     fn multiplicity_change_without_entry_change_keeps_indexes() {
         let mut v = ViewMap::new(Schema::new(["a", "b"]));
         v.add(key(&[1, 10]), 1.0);
-        v.lookup(&[Some(Value::long(1)), None]); // build the index
+        v.declare_hash(0b01);
         v.add(key(&[1, 10]), 2.5); // multiplicity update only
         assert_eq!(
             v.lookup(&[Some(Value::long(1)), None]),
@@ -1000,7 +1001,8 @@ mod tests {
     #[test]
     fn database_implements_relation_source() {
         let mut db = Database::new();
-        db.declare("R", vec!["a".to_string(), "b".to_string()]);
+        let s = db.declare("S", vec!["c".to_string()]);
+        let r = db.declare("R", vec!["a".to_string(), "b".to_string()]);
         db.view_mut("R").unwrap().add(key(&[1, 2]), 1.0);
         assert_eq!(db.relation_arity("R"), Some(2));
         let mut rows = 0;
@@ -1009,7 +1011,18 @@ mod tests {
         assert_eq!(rows, 1);
         assert!(db.for_each_matching("Nope", &[], &mut |_, _| {}).is_err());
         assert!(db.approx_bytes() > 0);
-        assert_eq!(db.names().collect::<Vec<_>>(), vec!["R"]);
+        assert_eq!(db.names().collect::<Vec<_>>(), vec!["R", "S"]);
+        // Ids address the same views, and a re-declared view keeps its id.
+        assert_eq!(
+            (db.relation_id("R"), db.relation_id("S")),
+            (Some(r), Some(s))
+        );
+        assert_eq!(db.relation_id("Nope"), None);
+        let mut by_id = 0;
+        db.for_each_at(r, &[Some(Value::long(1)), None], &mut |_, _| by_id += 1);
+        assert_eq!(by_id, 1);
+        assert_eq!(db.declare("R", vec!["x".to_string()]), r);
+        assert!(db.at(r).is_empty() && db.at(r).schema().arity() == 1);
     }
 
     #[test]
@@ -1035,17 +1048,16 @@ mod tests {
         let mut fresh = ViewMap::new(v.schema().clone());
         fresh.data = v.data.clone();
         let mut ordered = 0;
-        for (&mask, index) in unpoisoned(v.indexes.read()).iter() {
-            let Index::Ordered(kept) = index.as_ref() else {
+        for (mask, index) in &v.indexes {
+            let Index::Ordered(kept) = index else {
                 continue;
             };
             kept.check();
             let key_pos = (0..v.schema().arity())
                 .find(|i| mask & (1 << i) == 0)
                 .unwrap();
-            fresh.declare_ordered(mask, key_pos);
-            let registry = unpoisoned(fresh.indexes.read());
-            let Index::Ordered(rebuilt) = registry[&mask].as_ref() else {
+            fresh.declare_ordered(*mask, key_pos);
+            let Some(Index::Ordered(rebuilt)) = fresh.index(*mask) else {
                 panic!("declared ordered");
             };
             assert_eq!(kept.contents(), rebuilt.contents(), "mask {mask:#b}");
@@ -1099,6 +1111,7 @@ mod tests {
         // included, exactly as a hash index over the same contents does.
         let mut hashed = ViewMap::new(v.schema().clone());
         hashed.data = v.data.clone();
+        hashed.declare_hash(0b01);
         for g in 0..4 {
             let pattern = [Some(Value::long(g)), None];
             let (mut a, mut b) = (v.lookup(&pattern), hashed.lookup(&pattern));
@@ -1118,7 +1131,7 @@ mod tests {
         let mut ordered = ViewMap::new(Schema::new(["g", "t"]));
         ordered.declare_ordered(0b01, 1);
         let mut hashed = ViewMap::new(Schema::new(["g", "t"]));
-        hashed.ensure_index(0b01);
+        hashed.declare_hash(0b01);
         let (groups, per_group) = (4u64, 1000u64);
         for v in [&mut ordered, &mut hashed] {
             for i in 0..(groups * per_group) as i64 {
@@ -1143,18 +1156,29 @@ mod tests {
         assert_ordered_indexes_match_a_rebuild(&ordered);
     }
 
+    /// An index is a declaration: it survives the clear, empty, and tracks
+    /// the writes that follow — a hash index as an ordered one.
     #[test]
-    fn clear_resets_indexes() {
+    fn clear_empties_indexes_and_keeps_them() {
         let mut v = ViewMap::new(Schema::new(["a", "b"]));
         v.add(key(&[1, 10]), 1.0);
-        v.lookup(&[Some(Value::long(1)), None]);
+        v.declare_hash(0b01);
         v.clear();
         assert!(v.is_empty());
-        assert_eq!(v.index_totals(), IndexStats::default());
+        let emptied = IndexStats {
+            hash: 1,
+            ..IndexStats::default()
+        };
+        assert_eq!(v.index_totals(), emptied);
         assert!(v.lookup(&[Some(Value::long(1)), None]).is_empty());
+        v.add(key(&[1, 20]), 2.0);
+        v.add(key(&[2, 20]), 3.0);
+        assert_eq!(
+            v.lookup(&[Some(Value::long(1)), None]),
+            vec![(key(&[1, 20]), 2.0)]
+        );
+        assert_eq!(v.index_totals().entries, 2);
 
-        // An ordered index is a declaration: it survives the clear, empty,
-        // and tracks the writes that follow.
         let mut v = ordered_fixture();
         v.clear();
         assert_eq!(
@@ -1178,7 +1202,7 @@ mod tests {
     #[test]
     fn set_undoes_an_add_exactly_in_the_map_and_its_indexes() {
         let mut v = ordered_fixture();
-        v.lookup(&[None, Some(Value::long(10))]);
+        v.declare_hash(0b10);
         let reference = v.clone();
         let held = key(&[1, 10]);
         let fresh = key(&[1, 11]);
@@ -1222,9 +1246,10 @@ mod tests {
     fn clone_preserves_contents_and_indexes() {
         let mut v = ViewMap::new(Schema::new(["a", "b"]));
         v.add(key(&[1, 10]), 1.0);
-        v.lookup(&[Some(Value::long(1)), None]);
+        v.declare_hash(0b01);
         let c = v.clone();
         assert_eq!(c.get(&key(&[1, 10])), 1.0);
+        assert!(c.has_index(0b01));
         assert_eq!(c.lookup(&[Some(Value::long(1)), None]).len(), 1);
 
         // A clone's ordered index is its own: writes to either side leave
@@ -1256,5 +1281,40 @@ mod tests {
             assert_eq!(range(&v, 1, 10.0, 40.0), range(&source, 1, 10.0, 40.0));
             assert_ordered_indexes_match_a_rebuild(&v);
         }
+    }
+
+    /// A scan of a mask nobody declared walks the map and builds nothing;
+    /// it hands out exactly the entries a scan of a declared index of that
+    /// mask does, for every pattern of every mask, empty groups included.
+    #[test]
+    fn a_scan_of_an_undeclared_mask_walks_to_what_an_indexed_scan_returns() {
+        let mut walked = ViewMap::new(Schema::new(["a", "b", "c"]));
+        for i in 0..60i64 {
+            walked.add(key(&[i % 4, i % 7, i]), 1.0 + (i % 3) as f64);
+        }
+        walked.add(key(&[1, 1, 1]), -2.0); // cancels an entry
+        let mut indexed = walked.clone();
+        for mask in 1..0b111 {
+            indexed.declare_hash(mask);
+        }
+        assert_eq!(indexed.index_totals().hash, 6);
+        let sorted = |mut rows: Vec<(Tuple, f64)>| {
+            rows.sort_by(|x, y| x.0.cmp(&y.0));
+            rows
+        };
+        for mask in 1..0b111u64 {
+            for probe in [(0, 0, 0), (1, 3, 8), (3, 6, 59), (9, 9, 99)] {
+                let probe = [probe.0, probe.1, probe.2].map(Value::long);
+                let pattern: Vec<Option<Value>> = (0..3)
+                    .map(|i| (mask & (1 << i) != 0).then(|| probe[i].clone()))
+                    .collect();
+                assert_eq!(
+                    sorted(walked.lookup(&pattern)),
+                    sorted(indexed.lookup(&pattern)),
+                    "mask {mask:#b}, pattern {pattern:?}"
+                );
+            }
+        }
+        assert_eq!(walked.index_totals(), IndexStats::default());
     }
 }

@@ -1,9 +1,11 @@
 //! Regression test: compiled kernels may nest a partial scan of a view
 //! *inside* the visit callback of another partial scan of the **same** view
 //! (a non-hoistable inline sub-aggregate, e.g. `M(b,x) * (z := Sum[](M(d,x)*d))`
-//! where the inner scan depends on the outer scan's binding `x`). The store
-//! must not hold its index-registry lock across the visit, or the nested
-//! scan's lazy index build self-deadlocks on the first event.
+//! where the inner scan depends on the outer scan's binding `x`), through the
+//! index of another mask. A read takes `&self` and changes nothing — both
+//! indexes are declared before the kernel runs — so the nested scan has
+//! nothing to wait on. (An index built by the first scan of its mask, behind
+//! a lock held across the visit, once deadlocked here on the first event.)
 
 use dbtoaster_agca::eval::{eval, Bindings};
 use dbtoaster_agca::{lower_statement, Expr, KernelState};
@@ -18,6 +20,9 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     for (a, b, mult) in [(1, 10, 2.0), (1, 20, 1.0), (2, 10, 3.0), (2, 30, 1.0)] {
         m.add(vec![Value::long(a), Value::long(b)], mult);
     }
+    // The outer scan binds the first column, the inner one the second.
+    m.declare_hash(0b01);
+    m.declare_hash(0b10);
 
     // M(b, x) * (z := Sum[]( M(d, x) * d )) * z — the inner scan constrains
     // its second column to the outer scan's `x` binding, so it cannot be
@@ -39,9 +44,13 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     let mut state = KernelState::new();
     state.prepare(&stmt);
     state.frame[0] = Value::long(1);
-    // Pre-fix this call never returned (read-lock held across the visit,
-    // nested ensure_index blocked on the write lock).
     stmt.execute(&db, &mut state).expect("kernel executes");
+    let totals = db.view("M").unwrap().index_totals();
+    assert_eq!(
+        (totals.hash, totals.entries),
+        (2, 8),
+        "the scans built nothing"
+    );
 
     // Same statement through the AST interpreter as the oracle.
     let mut ctx = Bindings::new();

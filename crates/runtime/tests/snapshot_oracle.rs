@@ -13,7 +13,7 @@
 //! held buffer one full copy — not one per epoch.
 //!
 //! The same interleavings — writes, row batches, `clear`, `load_gmr`, `Clone`,
-//! a lazily built hash index beside it — also drive a view that carries an
+//! a hash index declared beside it — also drive a view that carries an
 //! **ordered** secondary index (the `axf` shape: `[group, price]` sorted on
 //! the price), and after every step the index must agree with the primary
 //! map: a traversal hands out the group's entries bit for bit, and a range
@@ -184,7 +184,7 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
                     held.swap_remove(a as usize % held.len());
                 }
             }
-            28 => view.ensure_index(1 + (a as u64 % 2)),
+            28 => view.declare_hash(1 + (a as u64 % 2)),
             29 => view = view.clone(),
             30 => {
                 // Bulk load: an owned GMR, or (odd `n`) one of its own snapshots.

@@ -319,3 +319,91 @@ fn bundled_program_fingerprints_are_pinned() {
         );
     }
 }
+
+/// Every secondary index the per-event path reads exists before the first
+/// event, and nothing builds one after. For every bundled query in every
+/// compile mode: once the static views are initialized, each `(map, bound
+/// positions)` a trigger statement's or static view's kernel scans with a
+/// position free has its index; a replay of the query's stream — `:=`
+/// statements clearing their targets included — leaves every map's hash and
+/// ordered index counts as construction left them.
+#[test]
+fn indexes_are_declared_before_the_first_event() {
+    use dbtoaster::agca::plan::template_mask;
+    use dbtoaster::compiler::StmtOp;
+    use dbtoaster::runtime::Engine;
+    let catalog = workloads::full_catalog();
+    let mut replaced = 0;
+    for q in workloads::all_queries() {
+        let mut data = small_dataset(q.family);
+        data.truncate(if matches!(q.name, "mst" | "vwap") {
+            100
+        } else {
+            300
+        });
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let ctx = format!("{} [{mode}]", q.name);
+            let program = QueryEngineBuilder::new(catalog.clone())
+                .add_query(q.name, q.sql)
+                .mode(mode)
+                .build()
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+                .program()
+                .clone();
+            let statements = program.triggers.iter().flat_map(|t| &t.statements);
+            replaced += statements.filter(|s| s.op == StmtOp::Replace).count();
+            let kernels: Vec<_> = program
+                .triggers
+                .iter()
+                .flat_map(|t| t.statements.iter().map(|s| &s.kernel))
+                .chain(program.maps.iter().filter_map(|m| m.init.as_ref()))
+                .cloned()
+                .collect();
+            let mut engine = Engine::new(program, &dbtoaster::to_compiler_catalog(&catalog));
+            for (table, rows) in &data.tables {
+                engine.load_table(table, rows.clone());
+            }
+            engine.init_static_views().unwrap();
+            for k in &kernels {
+                for (rel, template) in k.scans() {
+                    let mask = template_mask(template);
+                    let view = engine.database().view(&k.rels[rel as usize]).unwrap();
+                    let partial = mask != 0 && mask != (1 << template.len()) - 1;
+                    assert!(
+                        !partial || view.has_index(mask),
+                        "{ctx}: {}[{mask:#b}] is scanned but has no index",
+                        k.rels[rel as usize]
+                    );
+                }
+            }
+            // Index counts per map, as the engine's telemetry reports them.
+            engine.set_telemetry(Telemetry::with_config(TelemetryConfig::default()));
+            let counts = |engine: &mut Engine| {
+                engine.flush_telemetry();
+                let snapshot = engine.telemetry().unwrap().snapshot();
+                let counts = snapshot
+                    .views
+                    .iter()
+                    .map(|v| (v.name.clone(), v.indexes[..2].to_vec()));
+                counts.collect::<Vec<_>>()
+            };
+            let built = counts(&mut engine);
+            for e in &data.events {
+                engine
+                    .process(e)
+                    .unwrap_or_else(|err| panic!("{ctx}: {err}"));
+            }
+            assert_eq!(
+                counts(&mut engine),
+                built,
+                "{ctx}: an index was built by a read"
+            );
+        }
+    }
+    assert!(replaced > 0, "no program clears a map");
+}
