@@ -5,8 +5,10 @@
 //! live process comes to `kill -9`), reopens the directory with
 //! `open_or_create`, and requires:
 //!
-//! * every served view equals a never-crashed reference engine over the
-//!   applied prefix, **bit for bit** (all maintained maps, not just results);
+//! * every map equals a never-crashed reference engine over the applied
+//!   prefix, **bit for bit** (all maintained maps, not just results: read
+//!   cold through `ViewServer::all_maps`, since a snapshot holds only the
+//!   published views);
 //! * recovery replayed only the events above the newest checkpoint watermark
 //!   (asserted exactly via `recovery_replayed_events`);
 //! * replaying the remainder of the stream converges both runs to the same
@@ -103,12 +105,30 @@ fn events() -> Vec<UpdateEvent> {
     out
 }
 
-/// Bit-exact comparison of every view in a served snapshot against a
-/// single-threaded engine.
-fn assert_snapshot_matches_engine(snap: &Snapshot, engine: &dbtoaster::QueryEngine, context: &str) {
-    let mut compared = 0;
+/// Bit-exact comparison of every map the server holds — read cold, the
+/// published views and the higher-order maps behind them — against a
+/// single-threaded engine. The published snapshot, which covers the same
+/// events once the cold read returns, must hold the same published views.
+fn assert_snapshot_matches_engine(
+    server: &ViewServer,
+    engine: &dbtoaster::QueryEngine,
+    context: &str,
+) {
+    let maps = server.all_maps().unwrap();
+    let snap = server.current_snapshot();
     for name in snap.names() {
-        let served = snap.view(name).unwrap();
+        let (published, cold) = (snap.view(name).unwrap(), &maps[name]);
+        assert_eq!(published.len(), cold.len(), "{context}: {name} published");
+        for (t, m) in published.iter() {
+            assert_eq!(
+                cold.get(t).to_bits(),
+                m.to_bits(),
+                "{context}: {name} published"
+            );
+        }
+    }
+    let mut compared = 0;
+    for (name, served) in &maps {
         let reference = engine
             .view(name)
             .unwrap_or_else(|| panic!("{context}: reference lacks view {name}"));
@@ -195,8 +215,7 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     let mut reference = builder().build().unwrap();
     reference.init().unwrap();
     reference.process_all(&stream[..applied]).unwrap();
-    let reader = server.reader();
-    assert_snapshot_matches_engine(&reader.snapshot(), &reference, "after recovery");
+    assert_snapshot_matches_engine(&server, &reference, "after recovery");
     assert_eq!(
         server.reader().query("revenue").unwrap().len(),
         reference.result("revenue").unwrap().len(),
@@ -222,7 +241,7 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     let final_stats = server.stats();
     assert_eq!(final_stats.events as usize, EVENTS);
     assert!(final_stats.wal_bytes_written > 0);
-    assert_snapshot_matches_engine(&reader.snapshot(), &reference, "after full replay");
+    assert_snapshot_matches_engine(&server, &reference, "after full replay");
     // Nothing but the checkpoint thread held a snapshot during the replay, so
     // full copies forced by a pinned buffer track checkpoints (at most one
     // per view per checkpoint, one more for a checkpoint still being
@@ -248,11 +267,7 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
         stats.recovery_replayed_events, 0,
         "a cleanly shut down server must reopen from its final checkpoint alone"
     );
-    assert_snapshot_matches_engine(
-        &server.reader().snapshot(),
-        &reference,
-        "after clean reopen",
-    );
+    assert_snapshot_matches_engine(&server, &reference, "after clean reopen");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -332,7 +347,7 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
     let mut reference = builder().build().unwrap();
     reference.init().unwrap();
     reference.process_all(&stream[..applied]).unwrap();
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf recovered");
+    assert_snapshot_matches_engine(&server, &reference, "axf recovered");
 
     server
         .handle()
@@ -340,7 +355,7 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
         .unwrap();
     server.flush().unwrap();
     reference.process_all(&stream[applied..]).unwrap();
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf replayed");
+    assert_snapshot_matches_engine(&server, &reference, "axf replayed");
     assert_indexes_full(&server, "after recovery");
     let views = server.metrics().views;
     let result = views.iter().find(|v| v.name == "axf").unwrap();
@@ -353,7 +368,7 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
     server.shutdown().unwrap();
     let server = builder().open_or_create_with(config()).unwrap();
     assert_eq!(server.stats().recovery_replayed_events, 0);
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf reopened");
+    assert_snapshot_matches_engine(&server, &reference, "axf reopened");
     // The gauges are refreshed when a batch is applied: place and cancel one
     // order (an ordered-index insert and removal on top of the loaded state).
     let (book, order) = (&stream[0].relation, &stream[0].tuple);
@@ -364,7 +379,7 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
         server.handle().send_batch(vec![touch]).unwrap();
         server.flush().unwrap();
     }
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "axf touched");
+    assert_snapshot_matches_engine(&server, &reference, "axf touched");
     assert_indexes_full(&server, "after a clean reopen");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
@@ -421,11 +436,7 @@ fn group_commit_coalesces_fsyncs_and_recovers() {
     let mut reference = builder().build().unwrap();
     reference.init().unwrap();
     reference.process_all(&stream).unwrap();
-    assert_snapshot_matches_engine(
-        &server.reader().snapshot(),
-        &reference,
-        "after group-commit recovery",
-    );
+    assert_snapshot_matches_engine(&server, &reference, "after group-commit recovery");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -467,7 +478,7 @@ fn a_poison_event_does_not_desync_the_wal_from_the_watermark() {
     for ev in &stream {
         let _ = reference.process(ev);
     }
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "poison recovery");
+    assert_snapshot_matches_engine(&server, &reference, "poison recovery");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -500,12 +511,7 @@ fn a_poison_event_mid_batch_leaves_live_and_recovered_state_identical() {
     );
     // Capture the live (degraded) state and the live strategy mix, then crash
     // without a final checkpoint.
-    let live: Vec<(String, Gmr)> = {
-        let snap = server.reader().snapshot();
-        snap.names()
-            .map(|n| (n.to_string(), snap.view(n).unwrap().clone()))
-            .collect()
-    };
+    let live = server.all_maps().unwrap();
     assert!(live.len() >= 2, "expected several maintained maps");
     let live_stats = server.stats();
     assert!(
@@ -534,11 +540,11 @@ fn a_poison_event_mid_batch_leaves_live_and_recovered_state_identical() {
         (live_stats.batch_delta_runs, live_stats.entry_major_runs),
         "replay must choose the same batch strategies as the live run"
     );
-    let snap = server.reader().snapshot();
+    let recovered_maps = server.all_maps().unwrap();
     for (name, g) in &live {
-        let recovered = snap
-            .view(name)
-            .unwrap_or_else(|| panic!("recovered snapshot lacks view {name}"));
+        let recovered = recovered_maps
+            .get(name)
+            .unwrap_or_else(|| panic!("recovered server lacks map {name}"));
         assert_eq!(
             recovered.len(),
             g.len(),
@@ -891,7 +897,7 @@ fn transient_wal_fault_degrades_then_rearms_and_stays_bit_exact() {
     let mut reference = builder().build().unwrap();
     reference.init().unwrap();
     reference.process_all(&stream[..applied]).unwrap();
-    assert_snapshot_matches_engine(&server.reader().snapshot(), &reference, "live after re-arm");
+    assert_snapshot_matches_engine(&server, &reference, "live after re-arm");
 
     // ...and everything applied is durable again: kill -9, recover through
     // the real filesystem, and require live == recovered, bit for bit.
@@ -902,11 +908,7 @@ fn transient_wal_fault_degrades_then_rearms_and_stays_bit_exact() {
         applied,
         "the re-armed log plus its checkpoint must cover every applied event"
     );
-    assert_snapshot_matches_engine(
-        &server.reader().snapshot(),
-        &reference,
-        "recovered after re-arm",
-    );
+    assert_snapshot_matches_engine(&server, &reference, "recovered after re-arm");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
 }

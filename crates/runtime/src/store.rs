@@ -70,10 +70,18 @@
 //! buffer is still pinned (a reader, a subscriber baseline, the checkpoint
 //! thread), when the view has not yet handed out two buffers, or when the log
 //! was abandoned (`clear`, `load_gmr`, or more logged writes than
-//! `1/PATCH_BUDGET_DIVISOR` of the entries). Steady state is three resident
-//! copies of a written view's primary map: the live one and the two buffers
-//! (secondary indexes are never copied). Logging starts at a view's first
-//! snapshot, so an engine that never snapshots pays one branch per write.
+//! `1/PATCH_BUDGET_DIVISOR` of the entries). Logging starts at a view's first
+//! snapshot, so a view that is never snapshotted pays one branch per write.
+//!
+//! What stays resident depends on how often a view is snapshotted. A written
+//! view snapshotted every epoch — the serving layer publishes only the views
+//! readers read — holds three copies of its primary map in steady state: the
+//! live one and the two buffers (secondary indexes are never copied). A map
+//! snapshotted only now and then — the higher-order maps the server leaves
+//! unpublished, which only checkpoints and cold reads snapshot — pays about
+//! one copy per snapshot, and its log abandons both buffers once the writes
+//! since outgrow the patch budget: from then until the next checkpoint it is
+//! resident once, as a map that is never snapshotted is.
 
 use crate::ordered::{tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};

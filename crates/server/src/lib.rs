@@ -13,9 +13,12 @@
 //!   queue, fires the compiled triggers, and publishes after every batch.
 //! * **Snapshots** — publication swaps an `Arc<`[`Snapshot`]`>` into an
 //!   [`EpochCell`]: an epoch-pinned pointer cell whose read
-//!   path is wait-free and whose publish never waits on readers. Taking a
-//!   snapshot costs O(#views) plus the keys written since the previous two:
-//!   every written view patches a recycled buffer
+//!   path is wait-free and whose publish never waits on readers. A snapshot
+//!   holds the *published views* — the maps the served queries and the
+//!   program's results name, resolved at spawn — and none of the
+//!   higher-order maps that maintain them. Taking one costs the keys written
+//!   to those views since the previous two: every written published view
+//!   patches a recycled buffer
 //!   ([`Gmr::shared_data`](dbtoaster_gmr::Gmr::shared_data) is what readers
 //!   get) and copies its whole map only when a reader, subscriber baseline or
 //!   checkpoint still holds that buffer, or a bulk write outgrew the log.
@@ -33,7 +36,8 @@
 //! ## Consistency guarantee
 //!
 //! Snapshots are *batch-atomic*: each reflects a prefix of the ingested event
-//! stream aligned on micro-batch boundaries, across **all** views at once.
+//! stream aligned on micro-batch boundaries, across **all** published views
+//! at once.
 //! Cross-view invariants (a SUM view agreeing with a COUNT view, a total
 //! agreeing with [`Snapshot::events_applied`]) hold on every snapshot a reader
 //! can observe; torn reads are impossible because the single writer only

@@ -50,6 +50,21 @@ impl ResultTable {
     }
 }
 
+/// The maintained views an output column reads: none for a group-by column,
+/// one for an aggregate, the sum and the count view for an `AVG`.
+pub(crate) fn views_read(out: &OutputColumn) -> impl Iterator<Item = &str> {
+    let (first, second) = match out {
+        OutputColumn::GroupBy { .. } => (None, None),
+        OutputColumn::Aggregate { view, .. } => (Some(view), None),
+        OutputColumn::Average {
+            sum_view,
+            count_view,
+            ..
+        } => (Some(sum_view), Some(count_view)),
+    };
+    first.into_iter().chain(second).map(String::as_str)
+}
+
 /// Assemble the result table of one query from its output-column plan.
 ///
 /// `lookup` resolves a maintained view by name (from the live engine or from a
@@ -74,16 +89,7 @@ pub fn assemble_result(
     let mut seen: FastSet<Tuple> = FastSet::default();
     let mut view_snapshots: HashMap<String, Gmr> = HashMap::new();
     for out in outputs {
-        let names: Vec<&str> = match out {
-            OutputColumn::Aggregate { view, .. } => vec![view.as_str()],
-            OutputColumn::Average {
-                sum_view,
-                count_view,
-                ..
-            } => vec![sum_view.as_str(), count_view.as_str()],
-            OutputColumn::GroupBy { .. } => vec![],
-        };
-        for name in names {
+        for name in views_read(out) {
             let snapshot = lookup(name).ok_or_else(|| name.to_string())?;
             for (t, _) in snapshot.iter() {
                 if seen.insert(t.clone()) {

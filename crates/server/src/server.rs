@@ -17,13 +17,25 @@
 //! [`UpdateEvent`]s through a bounded channel ([`IngestHandle::send`] applies
 //! backpressure when the queue is full). The writer drains up to
 //! [`ServerConfig::max_batch`] queued events at a time, fires the compiled
-//! triggers for each, and then **publishes**: it takes a snapshot (O(#views)
-//! plus the keys written since the last two — each written view patches the
-//! buffer it handed out two publishes ago, which the writer and the
-//! [`EpochCell`] have dropped by then unless a reader pinned it; a pinned
+//! triggers for each, and then **publishes**: it snapshots the *published
+//! views* (the keys written since the last two publishes — each written view
+//! patches the buffer it handed out two publishes ago, which the writer and
+//! the [`EpochCell`] have dropped by then unless a reader pinned it; a pinned
 //! buffer costs that view one full copy), computes per-query
 //! output deltas from the engine's changed-key log, swaps the snapshot into an
 //! [`EpochCell`], and fans the deltas out to subscribers.
+//!
+//! ## What is published
+//!
+//! A reader can read a served query's result, a compiled program result, or
+//! one of the maps those name — nothing else. Those maps are the published
+//! views: the ones named by the served queries' `outputs` and by the
+//! program's `results`, resolved to [`MapId`]s once, at [`ViewServer::spawn`].
+//! The higher-order maps that only maintain them (the paper's viewlet
+//! transform materializes a query *and* its deltas, but only the query is
+//! read) and stored base relations stay unpublished: no publish logs, patches
+//! or copies them. A checkpoint still captures every map
+//! ([`Engine::snapshot`]), and [`ViewServer::all_maps`] reads them all cold.
 //!
 //! ## Consistency guarantee
 //!
@@ -42,7 +54,7 @@
 //! re-derived).
 
 use crate::http::{HttpConfig, HttpExporter};
-use crate::results::{assemble_result, ResultRow, ResultTable};
+use crate::results::{assemble_result, views_read, ResultRow, ResultTable};
 use crate::swap::EpochCell;
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
@@ -50,7 +62,7 @@ use dbtoaster_durability::{
     checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, WalWriter,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
-use dbtoaster_runtime::{ChangeSet, Engine, EngineStats, RuntimeError};
+use dbtoaster_runtime::{ChangeSet, Engine, EngineStats, MapId, RuntimeError};
 use dbtoaster_sql::OutputColumn;
 use dbtoaster_telemetry::{
     Counter, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -75,10 +87,10 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Coalescing window: under sustained load the writer publishes a fresh
     /// snapshot at least this often rather than after every drained batch,
-    /// amortizing the per-publish cost (the name table, and a patch or copy
-    /// per written view). Zero publishes after
-    /// every batch. Barriers ([`ViewServer::flush`]) always force a publish,
-    /// so staleness is bounded by this interval.
+    /// amortizing the per-publish cost (a patch or copy per written
+    /// published view; see the module docs for which views those are). Zero
+    /// publishes after every batch. Barriers ([`ViewServer::flush`]) always
+    /// force a publish, so staleness is bounded by this interval.
     pub publish_interval: Duration,
     /// When set, the writer appends every drained micro-batch to a write-ahead
     /// log **before** applying it and checkpoints the materialized state off
@@ -171,16 +183,32 @@ impl From<DurabilityError> for ServeError {
     }
 }
 
-/// An immutable, batch-atomic snapshot of every maintained view.
+/// An immutable, batch-atomic snapshot of the published views: the maps the
+/// served queries' outputs and the program's results name (see the module
+/// docs). The maps that only maintain them are not in it.
 #[derive(Debug)]
 pub struct Snapshot {
     epoch: u64,
     events_applied: u64,
     degraded: bool,
-    views: FastMap<String, Gmr>,
+    published: Arc<PublishedViews>,
+    /// `views[slot]` is the published view in that slot.
+    views: Vec<Gmr>,
 }
 
 impl Snapshot {
+    /// Snapshot every published view of `engine` as it stands.
+    fn take(published: &Arc<PublishedViews>, engine: &Engine, epoch: u64, degraded: bool) -> Self {
+        let db = engine.database();
+        Snapshot {
+            epoch,
+            events_applied: engine.stats().events,
+            degraded,
+            published: published.clone(),
+            views: published.ids.iter().map(|&id| db.at(id).to_gmr()).collect(),
+        }
+    }
+
     /// The publish epoch (0 = initial state, +1 per published batch).
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -204,14 +232,57 @@ impl Snapshot {
         self.degraded
     }
 
-    /// A maintained view (or stored relation) by name.
+    /// A published view by name; `None` for any other name, a higher-order
+    /// map or stored relation included.
     pub fn view(&self, name: &str) -> Option<&Gmr> {
-        self.views.get(name)
+        let &slot = self.published.slots.get(name)?;
+        Some(&self.views[slot])
     }
 
-    /// Names of all views in the snapshot (unordered).
+    /// Names of the published views, sorted.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.views.keys().map(String::as_str)
+        self.published.names.iter().map(String::as_str)
+    }
+}
+
+/// The views every publish covers, resolved once at [`ViewServer::spawn`]
+/// and shared by every [`Snapshot`]: slot `i` holds map `ids[i]`, named
+/// `names[i]`.
+#[derive(Debug)]
+struct PublishedViews {
+    names: Vec<String>,
+    ids: Vec<MapId>,
+    /// Name → slot.
+    slots: FastMap<String, usize>,
+}
+
+impl PublishedViews {
+    /// The maps named by the served queries' outputs and by the program's
+    /// results. A name the engine does not hold is left out; reading it fails
+    /// as a missing view would.
+    fn resolve(engine: &Engine, queries: &[ServedQuery]) -> Self {
+        let mut wanted: Vec<&str> = queries
+            .iter()
+            .flat_map(|q| &q.outputs)
+            .flat_map(views_read)
+            .collect();
+        for r in &engine.program().results {
+            let ResultAccess::Map(view) = &r.access;
+            wanted.push(view);
+        }
+        wanted.sort_unstable();
+        wanted.dedup();
+        let db = engine.database();
+        let (names, ids): (Vec<String>, Vec<MapId>) = wanted
+            .into_iter()
+            .filter_map(|n| Some((n.to_string(), db.id(n)?)))
+            .unzip();
+        let slots = names
+            .iter()
+            .enumerate()
+            .map(|(i, n)| (n.clone(), i))
+            .collect();
+        PublishedViews { names, ids, slots }
     }
 }
 
@@ -255,6 +326,8 @@ enum Msg {
     Event(UpdateEvent),
     Events(Vec<UpdateEvent>),
     Barrier(mpsc::Sender<u64>),
+    /// A barrier answered with every map ([`ViewServer::all_maps`]).
+    ReadAll(mpsc::Sender<FastMap<String, Gmr>>),
     Subscribe(SubscribeReq),
     Stop,
 }
@@ -302,6 +375,7 @@ struct StatsCell {
 
 pub(crate) struct Shared {
     cell: EpochCell<Snapshot>,
+    published: Arc<PublishedViews>,
     stats: StatsCell,
     queries: FastMap<String, ServedQuery>,
     program: Arc<TriggerProgram>,
@@ -372,14 +446,11 @@ impl ViewServer {
         };
         engine.set_telemetry(tel.clone());
 
-        let initial = Arc::new(Snapshot {
-            epoch: 0,
-            events_applied: engine.stats().events,
-            degraded: false,
-            views: engine.snapshot(),
-        });
+        let published = Arc::new(PublishedViews::resolve(&engine, &queries));
+        let initial = Arc::new(Snapshot::take(&published, &engine, 0, false));
         let shared = Arc::new(Shared {
             cell: EpochCell::new(initial.clone()),
+            published,
             stats: StatsCell {
                 events: AtomicU64::new(engine.stats().events),
                 statements: AtomicU64::new(engine.stats().statements),
@@ -489,7 +560,9 @@ impl ViewServer {
     /// the baseline reconstructs the current result.
     ///
     /// Every served result is one maintained view, so deltas come from the
-    /// engine's changed-key log — O(changed keys) per publish.
+    /// engine's changed-key log — O(changed keys) per publish. A name that is
+    /// neither a served query, a program result nor a published view (a
+    /// higher-order map's, say) is [`ServeError::UnknownQuery`].
     pub fn subscribe(&self, query: &str) -> Result<Subscription, ServeError> {
         let view = self.resolve_view(query)?;
         let (tx, rx) = mpsc::channel();
@@ -510,7 +583,11 @@ impl ViewServer {
     }
 
     /// The maintained view a query's output is read from, for delta
-    /// computation.
+    /// computation: a served query with one aggregate, a program result, or
+    /// a published view by its own name. A higher-order map or stored
+    /// relation is never published, so its name is a
+    /// [`ServeError::UnknownQuery`] here, as [`ReaderHandle::view`] returns
+    /// `None` for it; [`ViewServer::all_maps`] reads it cold.
     fn resolve_view(&self, query: &str) -> Result<String, ServeError> {
         // 1. A query served with a SQL plan: a single aggregate output reads its
         //    backing view directly. Multi-aggregate (or AVG) queries spread
@@ -526,24 +603,13 @@ impl ViewServer {
                 return Ok(view.clone());
             }
             if !aggs.is_empty() {
-                let mut views = Vec::new();
-                for out in aggs {
-                    match out {
-                        OutputColumn::Aggregate { view, .. } => views.push(view.clone()),
-                        OutputColumn::Average {
-                            sum_view,
-                            count_view,
-                            ..
-                        } => {
-                            views.push(sum_view.clone());
-                            views.push(count_view.clone());
-                        }
-                        OutputColumn::GroupBy { .. } => {}
-                    }
-                }
                 return Err(ServeError::MultiViewOutput {
                     query: query.to_string(),
-                    views,
+                    views: aggs
+                        .into_iter()
+                        .flat_map(views_read)
+                        .map(String::from)
+                        .collect(),
                 });
             }
         }
@@ -552,8 +618,8 @@ impl ViewServer {
             let ResultAccess::Map(view) = &r.access;
             return Ok(view.clone());
         }
-        // 3. A raw maintained view or stored relation.
-        if self.shared.cell.load_unpinned().view(query).is_some() {
+        // 3. A published view by its own name.
+        if self.shared.published.slots.contains_key(query) {
             return Ok(query.to_string());
         }
         Err(ServeError::UnknownQuery(query.to_string()))
@@ -567,6 +633,22 @@ impl ViewServer {
             .send(Msg::Barrier(ack_tx))
             .map_err(|_| ServeError::Closed)?;
         ack_rx.recv().map_err(|_| ServeError::Closed)
+    }
+
+    /// Every map the engine holds — the published views, the higher-order
+    /// maps that maintain them and stored relations — covering every event
+    /// enqueued before this call. A cold read for checks and debugging, not
+    /// for serving: it travels through the ingest queue like
+    /// [`ViewServer::flush`] (publishing what it covers), and the writer
+    /// answers it with [`Engine::snapshot`] between batches. That copies each
+    /// unpublished map, whose writes are then logged until the log outgrows
+    /// the patch budget and switches itself off (see `dbtoaster_runtime::store`).
+    pub fn all_maps(&self) -> Result<FastMap<String, Gmr>, ServeError> {
+        let (tx, rx) = mpsc::channel();
+        self.tx
+            .send(Msg::ReadAll(tx))
+            .map_err(|_| ServeError::Closed)?;
+        rx.recv().map_err(|_| ServeError::Closed)
     }
 
     /// Merged engine + serving statistics (events, batches, publishes,
@@ -904,8 +986,9 @@ impl ReaderHandle {
         self.shared.cell.epoch()
     }
 
-    /// A maintained view from the current snapshot (O(1): the GMR shares the
-    /// snapshot's map).
+    /// A published view from the current snapshot (O(1): the GMR shares the
+    /// snapshot's map); `None` for a higher-order map or stored relation,
+    /// which are never published.
     pub fn view(&self, name: &str) -> Option<Gmr> {
         self.snapshot().view(name).cloned()
     }
@@ -987,12 +1070,14 @@ impl Subscription {
 // Durable pipeline (writer-side WAL + background checkpointer)
 // ---------------------------------------------------------------------------
 
-/// A snapshot handed to the checkpoint thread: the buffers of the publish
-/// that just happened (the views are unwritten since, so building the job is
-/// O(#views) on the hot path) and the serialization cost is paid off it.
-/// While the thread holds them those buffers cannot be recycled: each written
-/// view pays one full copy per checkpoint (`snapshot_full_copies`, reason
-/// `pinned`).
+/// Every map, handed to the checkpoint thread, which pays the serialization
+/// cost off the hot path. A published view hands over the buffer of the
+/// publish that just happened (it is unwritten since: O(1)); while the thread
+/// holds it that buffer cannot be recycled, so each written published view
+/// pays one full copy per checkpoint (`snapshot_full_copies`, reason
+/// `pinned`). An unpublished map is snapshotted only here, so it pays one
+/// full copy per checkpoint (or a patch, if it was written little since the
+/// last two).
 struct CkptJob {
     maps: FastMap<String, Gmr>,
     watermark: u64,
@@ -1582,6 +1667,7 @@ fn writer_loop(
 
         batch.clear();
         let mut barriers: Vec<mpsc::Sender<u64>> = Vec::new();
+        let mut reads: Vec<mpsc::Sender<FastMap<String, Gmr>>> = Vec::new();
         let mut joining: Vec<SubscribeReq> = Vec::new();
         let mut staged = first;
         while let Some(msg) = staged.take() {
@@ -1589,6 +1675,7 @@ fn writer_loop(
                 Msg::Event(ev) => batch.push(ev),
                 Msg::Events(evs) => batch.extend(evs),
                 Msg::Barrier(tx) => barriers.push(tx),
+                Msg::ReadAll(tx) => reads.push(tx),
                 Msg::Subscribe(req) => joining.push(req),
                 Msg::Stop => {
                     stop = true;
@@ -1659,21 +1746,18 @@ fn writer_loop(
             && (stop
                 || disconnected
                 || !barriers.is_empty()
+                || !reads.is_empty()
                 || !joining.is_empty()
                 || pending_events >= max_batch as u64
                 || last_publish.elapsed() >= config.publish_interval);
         if due {
             epoch += 1;
             let t_pub = Instant::now();
-            let snap = Arc::new(Snapshot {
-                epoch,
-                events_applied: engine.stats().events,
-                // Runtime-error degradation (`degraded`) is sticky; durability
-                // degradation tracks the WAL health live, so a re-arm clears
-                // it from the next published snapshot on.
-                degraded: degraded || durable.as_ref().is_some_and(|d| !d.is_armed()),
-                views: engine.snapshot(),
-            });
+            // Runtime-error degradation (`degraded`) is sticky; durability
+            // degradation tracks the WAL health live, so a re-arm clears it
+            // from the next published snapshot on.
+            let marked = degraded || durable.as_ref().is_some_and(|d| !d.is_armed());
+            let snap = Arc::new(Snapshot::take(&shared.published, &engine, epoch, marked));
             let snap_cost = t_pub.elapsed();
             let changes = std::mem::take(&mut pending);
             pending_events = 0;
@@ -1683,9 +1767,10 @@ fn writer_loop(
             };
             let t_swap = Instant::now();
             shared.cell.publish(snap.clone());
-            // Snapshot construction (per written view: patch the buffer of
-            // two publishes ago, or copy the view if someone still holds it)
-            // plus the epoch swap; fan-out is timed separately above.
+            // Snapshot construction (per written published view: patch the
+            // buffer of two publishes ago, or copy the view if someone still
+            // holds it) plus the epoch swap; fan-out is timed separately
+            // above.
             shared
                 .tel
                 .record_stage(Stage::SnapshotPublish, snap_cost + t_swap.elapsed());
@@ -1706,8 +1791,9 @@ fn writer_loop(
             mirror_snapshot_work(&mut engine, &shared);
         }
         // Checkpoint accounting rides the batch boundary: the snapshot
-        // handoff happens here (O(#views) right after a publish; otherwise it
-        // patches like one), the serialization in the checkpoint thread.
+        // handoff happens here (O(1) per published view right after a
+        // publish, a copy or patch per unpublished map; see `CkptJob`), the
+        // serialization in the checkpoint thread.
         if let Some(d) = durable.as_mut() {
             if drained > 0 {
                 d.maybe_checkpoint(&engine, drained);
@@ -1758,6 +1844,9 @@ fn writer_loop(
             // `due` above guarantees all events ahead of this barrier are
             // published, so `epoch` covers them.
             let _ = tx.send(epoch);
+        }
+        for tx in reads.drain(..) {
+            let _ = tx.send(engine.snapshot());
         }
 
         // The changed-key log only costs while someone consumes it. Subscriber

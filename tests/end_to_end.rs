@@ -215,6 +215,115 @@ fn served_workload_query_matches_the_embedded_engine() {
     assert!(deltas > 0, "the subscription saw no output deltas");
 }
 
+/// A served snapshot holds what readers read. The six dashboard queries
+/// served through the facade publish exactly their output views: the
+/// higher-order maps and stored tables behind them are never patched or
+/// copied by a publish, and are not readable or subscribable by name. The
+/// served results still equal the embedded engine's.
+#[test]
+fn a_served_snapshot_holds_the_query_views_not_the_higher_order_maps() {
+    use dbtoaster::sql::{parse_query, translate, OutputColumn};
+    const QUERIES: [&str; 6] = ["q1", "q3", "q6", "q10", "q12", "ssb4"];
+    let data = small_dataset(Family::Tpch);
+    let engine = || {
+        let mut builder = QueryEngineBuilder::new(workloads::tpch_catalog());
+        for name in QUERIES {
+            builder = builder.add_query(name, workloads::query(name).unwrap().sql);
+        }
+        let mut engine = builder.mode(CompileMode::HigherOrder).build().unwrap();
+        for (t, rows) in &data.tables {
+            engine.load_table(t, rows.clone()).unwrap();
+        }
+        engine.init().unwrap();
+        engine
+    };
+    let mut embedded = engine();
+    embedded.process_all(&data.events).unwrap();
+
+    // The union of the views the queries' output columns read.
+    let mut outputs: Vec<String> = Vec::new();
+    for name in QUERIES {
+        let sql = parse_query(workloads::query(name).unwrap().sql).unwrap();
+        for out in translate(name, &sql, &workloads::tpch_catalog())
+            .unwrap()
+            .outputs
+        {
+            match out {
+                OutputColumn::Aggregate { view, .. } => outputs.push(view),
+                OutputColumn::Average {
+                    sum_view,
+                    count_view,
+                    ..
+                } => outputs.extend([sum_view, count_view]),
+                OutputColumn::GroupBy { .. } => {}
+            }
+        }
+    }
+    outputs.sort();
+    outputs.dedup();
+
+    let server = engine().serve().unwrap();
+    let ingest = server.handle();
+    for chunk in data.events.chunks(100) {
+        ingest.send_batch(chunk.to_vec()).unwrap();
+        server.flush().unwrap();
+    }
+    let snap = server.current_snapshot();
+    assert!(snap.epoch() >= 15, "one publish per flushed chunk");
+    assert_eq!(snap.names().collect::<Vec<_>>(), outputs);
+
+    // Batches may reassociate float sums (see the q6 test above), so a group
+    // that cancels can be left at ±ulps on one side and absent on the other.
+    let rows = |t: ResultTable| -> std::collections::BTreeMap<Vec<Value>, Vec<f64>> {
+        t.rows.into_iter().map(|r| (r.key, r.values)).collect()
+    };
+    for name in QUERIES {
+        let served = rows(server.reader().query(name).unwrap());
+        let expected = rows(embedded.result(name).unwrap());
+        assert!(!expected.is_empty(), "{name}: the prefix leaves a result");
+        for key in served.keys().chain(expected.keys()) {
+            let (got, want) = (served.get(key), expected.get(key));
+            let width = got.or(want).map_or(0, Vec::len);
+            for i in 0..width {
+                let (g, w) = (got.map_or(0.0, |v| v[i]), want.map_or(0.0, |v| v[i]));
+                let tol = 1e-9 * w.abs().max(1.0);
+                assert!((g - w).abs() <= tol, "{name}{key:?}: {g} vs {w}");
+            }
+        }
+    }
+
+    let views = server.metrics().views;
+    let (published, internal): (Vec<_>, Vec<_>) =
+        views.iter().partition(|v| outputs.contains(&v.name));
+    assert_eq!(published.len(), outputs.len());
+    assert!(
+        published
+            .iter()
+            .all(|v| v.snapshot_keys_patched + v.snapshot_entries_copied > 0),
+        "every published view is patched or copied"
+    );
+    assert!(
+        internal.len() > published.len(),
+        "{} internal maps",
+        internal.len()
+    );
+    for v in &internal {
+        assert_eq!(
+            (v.snapshot_keys_patched, v.snapshot_entries_copied),
+            (0, 0),
+            "{}: an unpublished map paid for a publish",
+            v.name
+        );
+        assert!(server.reader().view(&v.name).is_none(), "{}", v.name);
+        assert!(
+            matches!(server.subscribe(&v.name), Err(ServeError::UnknownQuery(_))),
+            "{}",
+            v.name
+        );
+    }
+    server.shutdown().unwrap();
+}
+
 #[test]
 fn memory_and_trace_samples_are_monotone_in_events() {
     let catalog = workloads::finance_catalog();
