@@ -88,10 +88,12 @@
 //!
 //! Entries keep their **first-arrival order** (a collapse folds a later event
 //! into the existing entry in place), so batch execution visits keys in a
-//! deterministic, stream-correlated order, and [`RelationDelta::last_event`]
-//! remembers the final event of the run for the statements that must be bound
-//! to it (re-evaluation statements fire once per run, as the last event's
-//! firing is the one whose output survives). A run indexes its entries by key
+//! deterministic, stream-correlated order. Each entry remembers the run
+//! position and sign of its last event, so [`RelationDelta::last_event`] finds
+//! the final event of the run for the statements that must be bound to it
+//! (re-evaluation statements fire once per run, as the last event's firing is
+//! the one whose output survives) — also in a run some of whose entries were
+//! taken out ([`DeltaBatch::retain_into`]). A run indexes its entries by key
 //! only once it holds a second one: a one-entry run — every batch of one
 //! event — compares the next key with its entry instead, so it hashes
 //! nothing. All buffers — the run pool, the per-run entry list and collapse
@@ -115,6 +117,9 @@ pub struct DeltaEntry {
     pub mult: f64,
     /// Number of stream events folded into this entry.
     pub events: u32,
+    /// Position in the run of the last event folded into this entry, and
+    /// that event's sign.
+    pub last: (u32, UpdateSign),
 }
 
 impl DeltaEntry {
@@ -148,8 +153,6 @@ pub struct RelationDelta {
     /// holds at most one entry (see the module docs).
     index: FastMap<Tuple, u32>,
     events: u64,
-    /// `(sign, entry index)` of the last event pushed into the run.
-    last: Option<(UpdateSign, u32)>,
 }
 
 impl RelationDelta {
@@ -176,10 +179,11 @@ impl RelationDelta {
     }
 
     /// Sign and tuple of the last event pushed into this run (the binding for
-    /// once-per-run re-evaluation statements).
+    /// once-per-run re-evaluation statements): the entry whose last event
+    /// came latest.
     pub fn last_event(&self) -> Option<(UpdateSign, &Tuple)> {
-        self.last
-            .map(|(sign, i)| (sign, &self.entries[i as usize].key))
+        let e = self.entries.iter().max_by_key(|e| e.last.0)?;
+        Some((e.last.1, &e.key))
     }
 
     /// Events whose work vanished through ring cancellation: the difference
@@ -210,36 +214,41 @@ impl RelationDelta {
             self.index.clear();
         }
         self.events = 0;
-        self.last = None;
     }
 
     /// Ring-add `mult` and `events` into `key`'s entry, appending a new
-    /// entry when the run has none (caller guarantees relation/arity
-    /// match). Returns the entry's index. A run of at most one entry keeps
-    /// no collapse index: the second key is compared with the first, and
-    /// both are indexed only when they differ; from then on, one hash of
-    /// the key either way (entry API).
-    fn fold(&mut self, key: Tuple, mult: f64, events: u32) -> u32 {
+    /// entry when the run has none (caller guarantees relation/arity match
+    /// and that `last` comes after every event already folded). A run of at
+    /// most one entry keeps no collapse index: the second key is compared
+    /// with the first, and both are indexed only when they differ; from then
+    /// on, one hash of the key either way (entry API).
+    fn fold(&mut self, key: Tuple, mult: f64, events: u32, last: (u32, UpdateSign)) {
         use std::collections::hash_map::Entry;
         self.events += events as u64;
         let n = self.entries.len() as u32;
+        let entry = DeltaEntry {
+            key,
+            mult,
+            events,
+            last,
+        };
         let i = match n {
             0 => {
-                self.entries.push(DeltaEntry { key, mult, events });
-                return 0;
+                self.entries.push(entry);
+                return;
             }
-            1 if self.entries[0].key == key => 0,
+            1 if self.entries[0].key == entry.key => 0,
             _ => {
                 if n == 1 {
                     self.index.insert(self.entries[0].key.clone(), 0);
                 }
-                match self.index.entry(key) {
+                match self.index.entry(entry.key) {
                     Entry::Occupied(o) => *o.get(),
                     Entry::Vacant(v) => {
                         let key = v.key().clone(); // cheap: inline copy or Arc bump
                         v.insert(n);
-                        self.entries.push(DeltaEntry { key, mult, events });
-                        return n;
+                        self.entries.push(DeltaEntry { key, ..entry });
+                        return;
                     }
                 }
             }
@@ -247,13 +256,13 @@ impl RelationDelta {
         let e = &mut self.entries[i as usize];
         e.mult += mult;
         e.events += events;
-        i
+        e.last = last;
     }
 
     /// Fold one tuple into the run (caller guarantees relation/arity match).
     fn push_key(&mut self, key: Tuple, sign: UpdateSign) {
-        let idx = self.fold(key, sign.multiplier(), 1);
-        self.last = Some((sign, idx));
+        let at = self.events as u32;
+        self.fold(key, sign.multiplier(), 1, (at, sign));
     }
 }
 
@@ -392,15 +401,48 @@ impl DeltaBatch {
                     &mut out.runs[out.live - 1]
                 }
             };
-            for (i, e) in run.entries.iter().enumerate() {
-                let at = dst.fold(e.key.clone(), e.mult, e.events);
-                // Re-anchor the run's last event to its merged entry.
-                if let Some((sign, _)) = run.last.filter(|l| l.1 as usize == i) {
-                    dst.last = Some((sign, at));
-                }
+            // The run's events follow every event already merged.
+            let offset = dst.events as u32;
+            for e in &run.entries {
+                let (at, sign) = e.last;
+                dst.fold(e.key.clone(), e.mult, e.events, (offset + at, sign));
             }
         }
         out.events = self.events;
+    }
+
+    /// Rebuild this batch into `out` without the entries `keep` refuses,
+    /// keeping runs and entries in order and dropping a run left empty.
+    /// Returns the stream events the refused entries held. A kept entry
+    /// keeps its last event's position, so a run's last event is the last
+    /// one kept.
+    pub fn retain_into(
+        &self,
+        out: &mut DeltaBatch,
+        mut keep: impl FnMut(&RelationDelta, &DeltaEntry) -> bool,
+    ) -> u64 {
+        out.clear();
+        let mut refused = 0u64;
+        for run in self.runs() {
+            let mut dst: Option<usize> = None;
+            for e in &run.entries {
+                if !keep(run, e) {
+                    refused += e.events as u64;
+                    continue;
+                }
+                let at = *dst.get_or_insert_with(|| {
+                    if out.live == out.runs.len() {
+                        out.runs.push(RelationDelta::default());
+                    }
+                    out.runs[out.live].reset(&run.relation, run.arity);
+                    out.live += 1;
+                    out.live - 1
+                });
+                out.runs[at].fold(e.key.clone(), e.mult, e.events, e.last);
+            }
+        }
+        out.events = self.events - refused;
+        refused
     }
 }
 
@@ -518,7 +560,7 @@ mod tests {
         assert_eq!(runs[0].collapsed_events(), 2);
         assert_eq!(runs[1].relation(), "S");
         assert_eq!(runs[1].entries()[0].mult, 2.0);
-        // last_event re-anchored to the merged entry slots.
+        // The last event is the last run's.
         let (sign, key) = runs[0].last_event().unwrap();
         assert_eq!(sign, UpdateSign::Insert);
         assert_eq!(key.as_slice(), &[Value::long(3), Value::long(4)]);
@@ -556,8 +598,8 @@ mod tests {
         assert!(b.runs()[0].index.is_empty());
     }
 
-    /// Merging into a destination run of one entry re-anchors the last
-    /// event without an index lookup: the entry is found by comparison.
+    /// Merging into a destination run of one entry finds the entry by
+    /// comparison, without an index, and the last event is the later run's.
     #[test]
     fn merging_into_a_one_entry_run_re_anchors_the_last_event() {
         let events = [ins("R", &[1, 2]), ins("S", &[7]), del("R", &[1, 2])];
@@ -571,6 +613,44 @@ mod tests {
         assert_eq!(sign, UpdateSign::Delete);
         assert_eq!(key.as_slice(), &[Value::long(1), Value::long(2)]);
         assert_eq!(r.entries()[0].mult, 0.0);
+    }
+
+    /// Refused entries leave, with their events; a run left empty goes,
+    /// and the last event kept is the run's last event.
+    #[test]
+    fn retain_into_drops_refused_entries_and_their_events() {
+        let events = [
+            ins("R", &[1, 2]),
+            del("R", &[3, 4]),
+            ins("R", &[9, 9]),
+            ins("R", &[1, 2]),
+            ins("S", &[9, 9]),
+            ins("R", &[9, 9]),
+            ins("S", &[5, 5]),
+        ];
+        let b = DeltaBatch::from_events(&events);
+        let mut out = DeltaBatch::new();
+        let nines = |e: &DeltaEntry| e.key.as_slice() == [Value::long(9), Value::long(9)];
+        let refused = b.retain_into(&mut out, |_, e| !nines(e));
+        assert_eq!((refused, out.events()), (3, 4));
+        let runs = out.runs();
+        assert_eq!(runs.len(), 2);
+        assert_eq!((runs[0].relation(), runs[0].events()), ("R", 3));
+        assert_eq!(runs[0].entries()[0].mult, 2.0);
+        let (sign, key) = runs[0].last_event().unwrap();
+        assert_eq!(
+            (sign, key.as_slice()),
+            (UpdateSign::Insert, &[Value::long(1), Value::long(2)][..])
+        );
+        assert_eq!((runs[1].relation(), runs[1].events()), ("S", 1));
+        // The run's last event, refused: the one before it is kept.
+        let b = DeltaBatch::from_events(&events[..3]);
+        b.retain_into(&mut out, |_, e| !nines(e));
+        let (sign, key) = out.runs()[0].last_event().unwrap();
+        assert_eq!(
+            (sign, key.as_slice()),
+            (UpdateSign::Delete, &[Value::long(3), Value::long(4)][..])
+        );
     }
 
     #[test]

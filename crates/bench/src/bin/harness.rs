@@ -632,10 +632,6 @@ fn torture_iteration(
                 "{repro}: recovered watermark {w} beyond the {} events ever generated",
                 stream.len()
             );
-            assert_eq!(
-                rec.failed_events, 0,
-                "{repro}: replay reported poison events in a clean stream"
-            );
             // Bit-exact prefix check: replay the reference with the SAME
             // chunk boundaries (recovery rebuilds one delta batch per WAL
             // record, and records == live chunks).

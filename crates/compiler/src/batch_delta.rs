@@ -84,10 +84,8 @@
 //! position, so such a run needs none of the conditions above, and
 //! **entry-major** is no second executor: it is this one over a run split
 //! into runs of one firing each, `|mult|` per surviving entry in entry order
-//! — per-event processing of the run's net stream. A firing whose `+=`
-//! statements fail writes nothing, base update included; a multi-firing run
-//! whose collection fails has its live-pass writes taken back and is
-//! replayed entry-major, so only the failing firings write nothing.
+//! — per-event processing of the run's net stream. No firing fails: the
+//! engine's ingest gate refuses an ill-typed event before any run forms.
 //!
 //! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
 

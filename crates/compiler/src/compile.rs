@@ -18,6 +18,7 @@ use crate::program::{
     Catalog, CompileMode, CompileOptions, CompileReport, MapDecl, QueryResult, QuerySpec,
     ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
 };
+use crate::typecheck::check_types;
 use dbtoaster_agca::opt::{extract_range_restrictions, order_factors, unify_factors, Monomial};
 use dbtoaster_agca::scope::output_vars;
 use dbtoaster_agca::{
@@ -48,6 +49,14 @@ pub enum CompileError {
         /// What the kernel compiler could not resolve.
         reason: String,
     },
+    /// A query uses a value against its column's type (see
+    /// [`crate::typecheck`]).
+    Type {
+        /// The column (`Relation.column`) or constant at fault.
+        column: String,
+        /// How it is misused.
+        reason: String,
+    },
 }
 
 impl fmt::Display for CompileError {
@@ -65,6 +74,9 @@ impl fmt::Display for CompileError {
             CompileError::NoQueries => write!(f, "no queries to compile"),
             CompileError::Unlowerable { statement, reason } => {
                 write!(f, "cannot compile statement {statement}: {reason}")
+            }
+            CompileError::Type { column, reason } => {
+                write!(f, "ill-typed query: {column}: {reason}")
             }
         }
     }
@@ -89,6 +101,7 @@ pub fn compile(
     // ------------------------------------------------------------- register queries
     for q in queries {
         let mut expr = fix_atom_kinds(&q.expr, catalog)?;
+        check_types(&expr, catalog)?;
         if options.enable_decorrelation {
             // Rewrite equality-correlated nested aggregates into group-by form; purely
             // structural (the nested-rewrite report flag is set by the materializer when
@@ -752,6 +765,39 @@ mod tests {
         assert!(matches!(err, CompileError::ArityMismatch { .. }));
     }
 
+    /// A string where a kernel needs a number is rejected before anything
+    /// is derived, naming the column or the constant: a string column in a
+    /// product, and a string constant as a multiplicity.
+    #[test]
+    fn ill_typed_queries_are_rejected_naming_the_column() {
+        let catalog: Catalog = [RelationMeta::stream("R", ["A", "B"]).with_strings(["B"])]
+            .into_iter()
+            .collect();
+        let r = || Expr::rel("R", ["a", "b"]);
+        let scalar = |f: Expr| Expr::agg_sum(Vec::<String>::new(), Expr::product_of([r(), f]));
+        let string = Expr::Const(dbtoaster_gmr::Value::str("x"));
+        for (expr, column) in [(scalar(Expr::var("b")), "R.B"), (scalar(string), "'x'")] {
+            let q = QuerySpec {
+                name: "Q".into(),
+                out_vars: vec![],
+                expr,
+            };
+            for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
+                let err = compile(
+                    std::slice::from_ref(&q),
+                    &catalog,
+                    &CompileOptions::for_mode(mode),
+                );
+                let err = err.unwrap_err();
+                let CompileError::Type { column: named, .. } = &err else {
+                    panic!("[{mode}] expected a type error, got {err}");
+                };
+                assert_eq!(named, column, "[{mode}]");
+                assert!(err.to_string().contains(column), "{err}");
+            }
+        }
+    }
+
     #[test]
     fn unlowerable_statements_are_rejected_with_their_reason() {
         let scalar = |f: Expr| {
@@ -770,12 +816,6 @@ mod tests {
                 CompileMode::HigherOrder,
                 "Q[] += z",
                 "unbound variable in multiplicity position",
-            ),
-            (
-                scalar(Expr::Const(dbtoaster_gmr::Value::str("x"))),
-                CompileMode::HigherOrder,
-                "Q[] += 'x'",
-                "non-numeric constant in multiplicity position",
             ),
             (
                 sum_of_atoms,

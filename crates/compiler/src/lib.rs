@@ -43,6 +43,7 @@ pub mod explain;
 pub mod materialize;
 pub mod program;
 pub mod shard;
+pub mod typecheck;
 
 pub use batch_delta::derive_live_passes;
 pub use compile::{compile, fix_atom_kinds, CompileError};

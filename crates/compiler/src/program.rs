@@ -16,6 +16,7 @@
 use crate::compile::CompileError;
 use dbtoaster_agca::plan::template_mask;
 use dbtoaster_agca::{lower_statement, AtomKind, CompiledStmt, Expr, UpdateSign};
+use dbtoaster_gmr::{ColumnType, Value};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -27,32 +28,69 @@ pub struct RelationMeta {
     pub name: String,
     /// Column names, in order.
     pub columns: Vec<String>,
+    /// Column types, one per column: what `compile` type-checks queries
+    /// against and what the engine admits events by.
+    pub types: Vec<ColumnType>,
     /// `Stream` for relations receiving updates, `Table` for static relations.
     pub kind: AtomKind,
 }
 
 impl RelationMeta {
-    /// A stream relation.
+    /// A stream relation, every column a number.
     pub fn stream<S: Into<String>>(
         name: impl Into<String>,
         columns: impl IntoIterator<Item = S>,
     ) -> Self {
-        RelationMeta {
-            name: name.into(),
-            columns: columns.into_iter().map(Into::into).collect(),
-            kind: AtomKind::Stream,
-        }
+        RelationMeta::new(name.into(), columns, AtomKind::Stream)
     }
 
-    /// A static table.
+    /// A static table, every column a number.
     pub fn table<S: Into<String>>(
         name: impl Into<String>,
         columns: impl IntoIterator<Item = S>,
     ) -> Self {
+        RelationMeta::new(name.into(), columns, AtomKind::Table)
+    }
+
+    fn new<S: Into<String>>(
+        name: String,
+        columns: impl IntoIterator<Item = S>,
+        kind: AtomKind,
+    ) -> Self {
+        let columns: Vec<String> = columns.into_iter().map(Into::into).collect();
         RelationMeta {
-            name: name.into(),
-            columns: columns.into_iter().map(Into::into).collect(),
-            kind: AtomKind::Table,
+            name,
+            types: vec![ColumnType::Number; columns.len()],
+            columns,
+            kind,
+        }
+    }
+
+    /// The relation with the named columns declared strings. Panics on a
+    /// name the relation does not have.
+    pub fn with_strings<S: AsRef<str>>(mut self, columns: impl IntoIterator<Item = S>) -> Self {
+        for c in columns {
+            let c = c.as_ref();
+            let i = self.columns.iter().position(|have| have == c);
+            let i = i.unwrap_or_else(|| panic!("relation {} has no column {c}", self.name));
+            self.types[i] = ColumnType::String;
+        }
+        self
+    }
+
+    /// Does `row` fit the relation — one value per column, each of its
+    /// column's type? If not, why not.
+    pub fn check_row(&self, row: &[Value]) -> Result<(), String> {
+        let (got, want) = (row.len(), self.types.len());
+        if got != want {
+            return Err(format!("{got} values for {want} columns"));
+        }
+        match self.types.iter().zip(row).position(|(t, v)| !t.admits(v)) {
+            None => Ok(()),
+            Some(i) => {
+                let (column, t, v) = (&self.columns[i], self.types[i], &row[i]);
+                Err(format!("column {column} is a {t}, not {v:?}"))
+            }
         }
     }
 }

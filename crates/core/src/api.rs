@@ -82,6 +82,7 @@ pub fn to_compiler_catalog(catalog: &SqlCatalog) -> Catalog {
         .map(|t| RelationMeta {
             name: t.name.clone(),
             columns: t.columns.clone(),
+            types: t.types.clone(),
             kind: if t.is_stream {
                 AtomKind::Stream
             } else {
@@ -213,12 +214,18 @@ impl QueryEngine {
         self.engine.program()
     }
 
-    /// Load a static table and (re)initialize the views that depend only on tables.
+    /// Load a static table; call [`QueryEngine::init`] once every table is
+    /// loaded. Refuses the whole load, loading nothing, when a row does not
+    /// match the table's columns in the catalog ([`Engine::admits_row`]).
     pub fn load_table(
         &mut self,
         name: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<(), DbToasterError> {
+        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        for row in &rows {
+            self.engine.admits_row(name, row)?;
+        }
         self.engine.load_table(name, rows);
         Ok(())
     }
@@ -257,9 +264,9 @@ impl QueryEngine {
 
     /// Process a [`DeltaBatch`](dbtoaster_agca::DeltaBatch) of per-relation
     /// GMR deltas — the engine's native unit since the batch-first refactor.
-    /// Processing never stops at a failed event (it keeps its stream slot);
-    /// the returned [`BatchReport`](dbtoaster_runtime::BatchReport) carries
-    /// the failure count and first error.
+    /// Processing never stops at a refused event (the rest of the batch
+    /// applies); the returned [`BatchReport`](dbtoaster_runtime::BatchReport)
+    /// carries the refused count and the first refusal.
     pub fn process_batch(
         &mut self,
         batch: &dbtoaster_agca::DeltaBatch,
@@ -336,28 +343,15 @@ impl QueryEngine {
         // The gap can only produce a clean `Locked` refusal there, never a
         // mutation race — every directory mutation happens under the lock.
         drop(lock);
-        // Keep recovery provenance: a degraded recovery (older checkpoint
-        // used, or poison events re-skipped during replay) must stay
-        // distinguishable from a clean one after the server is up.
+        // Keep recovery provenance: a degraded recovery (an older checkpoint
+        // used) must stay distinguishable from a clean one after the server
+        // is up.
         let mut degraded: Option<String> = None;
         match recovered {
             Some(rec) => {
-                if !rec.skipped_checkpoints.is_empty() || rec.failed_events > 0 {
-                    let mut parts = Vec::new();
-                    if !rec.skipped_checkpoints.is_empty() {
-                        parts.push(format!(
-                            "skipped damaged checkpoints: {}",
-                            rec.skipped_checkpoints.join("; ")
-                        ));
-                    }
-                    if rec.failed_events > 0 {
-                        parts.push(format!(
-                            "{} replayed events failed (first: {})",
-                            rec.failed_events,
-                            rec.first_failure.as_deref().unwrap_or("unknown")
-                        ));
-                    }
-                    degraded = Some(parts.join("; "));
+                if !rec.skipped_checkpoints.is_empty() {
+                    let skipped = rec.skipped_checkpoints.join("; ");
+                    degraded = Some(format!("skipped damaged checkpoints: {skipped}"));
                 }
                 self.engine = rec.engine;
             }

@@ -7,6 +7,11 @@
 //! path is the *same* `Engine::process_batch` used live — one WAL record is
 //! one live micro-batch, so recovery takes identical batch boundaries and
 //! there is no separate recovery interpreter to drift out of sync.
+//!
+//! The live writer logs only events the engine's ingest gate admits, so a
+//! logged event the gate refuses means the log was not written by this
+//! program's writer: recovery fails with [`DurabilityError::Replay`] instead
+//! of skipping it.
 
 use crate::checkpoint;
 use crate::vfs::VfsPath;
@@ -32,14 +37,6 @@ pub struct Recovery {
     pub torn_tail_dropped: bool,
     /// Damaged checkpoint files that were skipped in favour of older ones.
     pub skipped_checkpoints: Vec<String>,
-    /// Replayed events whose triggers failed (counted into `replayed_events`
-    /// too). The live writer skips past a poison event while keeping its
-    /// sequence slot, and replay mirrors that exactly — both runs end in the
-    /// same (degraded) state rather than recovery erroring where serving
-    /// soldiered on.
-    pub failed_events: u64,
-    /// The first replay failure, for logging (`None` when `failed_events` is 0).
-    pub first_failure: Option<String>,
 }
 
 /// Does `dir` hold any durable state (checkpoints or WAL segments)?
@@ -63,7 +60,7 @@ pub fn has_state<'a>(dir: impl Into<VfsPath<'a>>) -> Result<bool, DurabilityErro
 /// 3. replay every WAL record above the watermark through the normal
 ///    batch-trigger path (one record = one delta batch, exactly as the live
 ///    writer processed it), tolerating a torn tail and refusing mid-log
-///    corruption or sequence gaps.
+///    corruption, sequence gaps and events the ingest gate refuses.
 ///
 /// This function only reads. If a live writer might hold the directory (e.g.
 /// a racing restart), take [`crate::acquire_dir_lock`] first so its
@@ -97,8 +94,6 @@ pub fn recover<'a>(
         }
     };
     let reader = WalReader::open(dir, fingerprint)?;
-    let mut failed_events = 0u64;
-    let mut first_failure = None;
     let mut delta = DeltaBatch::new();
     let stats = reader.replay_records(checkpoint_watermark + 1, &mut |first_seq, events| {
         // One WAL record = one live micro-batch: rebuild the same per-relation
@@ -111,18 +106,13 @@ pub fn recover<'a>(
             delta.push_owned(ev);
         }
         let report = engine.process_batch(&delta);
-        if report.failed_events > 0 {
-            // Mirror the live writer's policy (see the serving loop): a poison
-            // event keeps its sequence slot and processing continues, so the
-            // replayed engine converges to the same state the crashed server
-            // actually had.
-            engine.stats_mut().events += report.failed_events;
-            failed_events += report.failed_events;
-            let last_seq = first_seq + record_len.saturating_sub(1) as u64;
-            let e = report.first_error.expect("failed events imply an error");
-            first_failure.get_or_insert_with(|| format!("events {first_seq}..={last_seq}: {e}"));
+        match report.first_error {
+            Some(e) => {
+                let last_seq = first_seq + record_len.saturating_sub(1) as u64;
+                Err(format!("events {first_seq}..={last_seq}: {e}"))
+            }
+            None => Ok(()),
         }
-        Ok(())
     })?;
     engine.stats_mut().recovery_replayed_events = stats.events_replayed;
     Ok(Some(Recovery {
@@ -131,8 +121,6 @@ pub fn recover<'a>(
         replayed_events: stats.events_replayed,
         torn_tail_dropped: stats.torn_tail_dropped,
         skipped_checkpoints,
-        failed_events,
-        first_failure,
     }))
 }
 
@@ -246,31 +234,33 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// The live writer never logs an event the gate refuses, so a log that
+    /// holds one was written past the gate: recovery fails, naming the
+    /// record, rather than skip the event and recover something no writer
+    /// held.
     #[test]
-    fn poison_events_keep_their_sequence_slot_on_replay() {
-        // The live writer skips past a failing event while advancing the
-        // watermark; replay must mirror that instead of hard-erroring, so the
-        // recovered engine matches the degraded server bit for bit.
-        let dir = tmp_dir("poison");
+    fn a_logged_event_the_gate_refuses_fails_recovery() {
+        let dir = tmp_dir("refused");
         let prog = program();
         let fp = program_fingerprint(&prog);
-        let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, 1 << 20).unwrap();
-        let poison = UpdateEvent::insert("R", vec![Value::long(1)]); // arity mismatch
-        w.append(&[ev(2), poison, ev(3)]).unwrap();
-        drop(w);
-        let rec = recover(&dir, prog, &catalog()).unwrap().expect("state");
-        assert_eq!(rec.replayed_events, 3);
-        assert_eq!(rec.failed_events, 1);
-        assert!(
-            rec.first_failure
-                .as_deref()
-                .unwrap_or("")
-                .contains("events 1..=3"),
-            "failure should name the batch: {:?}",
-            rec.first_failure
-        );
-        assert_eq!(rec.engine.stats().events, 3, "poison event keeps its slot");
-        assert_eq!(rec.engine.result("TOTAL").unwrap().scalar_value(), 5.0);
+        let refused = [
+            UpdateEvent::insert("R", vec![Value::long(1)]),
+            UpdateEvent::insert("R", vec![Value::long(1), Value::str("x")]),
+        ];
+        for event in refused {
+            let _ = fs::remove_dir_all(&dir);
+            let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, 1 << 20).unwrap();
+            w.append(&[ev(2)]).unwrap();
+            w.append(&[ev(3), event, ev(4)]).unwrap();
+            drop(w);
+            let err = recover(&dir, prog.clone(), &catalog())
+                .err()
+                .expect("refused");
+            let DurabilityError::Replay(m) = &err else {
+                panic!("expected a replay error, got {err}");
+            };
+            assert!(m.starts_with("events 2..=4: event for R refused"), "{m}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -441,123 +441,59 @@ fn group_commit_coalesces_fsyncs_and_recovers() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Refused before the WAL: the writer's ingest gate runs before the append,
+/// so ill-typed events inside a drained micro-batch — an `Orders` tuple one
+/// value short and a `Lineitem` price that is a string — are neither logged
+/// nor applied. The log holds exactly the admitted events, the watermark
+/// counts them, and a reopened server recovers the live maps bit for bit,
+/// all of them read cold through `all_maps`, without a warning.
 #[test]
-fn a_poison_event_does_not_desync_the_wal_from_the_watermark() {
-    // A failing event (wrong arity) is WAL'd with its sequence slot but
-    // applies nothing. The watermark must advance past it all the same, or
-    // every later checkpoint would lag the log and recovery would double-apply
-    // the suffix. Recovery of the degraded stream must also succeed.
-    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-poison-{}", std::process::id()));
+fn an_event_refused_before_the_wal_is_never_logged() {
+    use dbtoaster_durability::{program_fingerprint, WalReader};
+    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-refused-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
-    let mut stream: Vec<UpdateEvent> = events()[..300].to_vec();
-    stream.insert(150, UpdateEvent::insert("Orders", vec![Value::long(1)]));
+    let admitted: Vec<UpdateEvent> = events()[..400].to_vec();
+    let mut stream = admitted.clone();
+    let price = UpdateEvent::insert("Lineitem", vec![Value::long(3), Value::str("x")]);
+    stream.insert(200, price);
+    stream.insert(100, UpdateEvent::insert("Orders", vec![Value::long(1)]));
 
     let server = builder().open_or_create_with(config(&dir)).unwrap();
-    server.handle().send_batch(stream.clone()).unwrap();
+    server.handle().send_batch(stream).unwrap();
     server.flush().unwrap();
-    assert!(
-        server.last_error().is_some(),
-        "poison event must be surfaced"
-    );
-    assert_eq!(server.stats().events as usize, stream.len());
-    server.kill();
-
-    let server = builder().open_or_create_with(config(&dir)).unwrap();
-    let stats = server.stats();
-    assert_eq!(
-        stats.events as usize,
-        stream.len(),
-        "recovered watermark must cover the poison event's slot"
-    );
-    assert_eq!(stats.recovery_replayed_events as usize, stream.len());
-    // The arity check fires before any statement runs, so the degraded state
-    // equals the clean stream's state: compare against a reference that skips
-    // the poison event.
-    let mut reference = builder().build().unwrap();
-    reference.init().unwrap();
-    for ev in &stream {
-        let _ = reference.process(ev);
-    }
-    assert_snapshot_matches_engine(&server, &reference, "poison recovery");
-    drop(server);
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn a_poison_event_mid_batch_leaves_live_and_recovered_state_identical() {
-    // The batch-first contract for poison events: a failing event *inside* a
-    // multi-event batch (here: an arity-mismatched insert surrounded by good
-    // same-relation events, all drained into one micro-batch = one WAL
-    // record) keeps its WAL sequence slot, the rest of the batch applies, and
-    // replay — which rebuilds the same DeltaBatch per record — reproduces the
-    // live degraded state bit for bit.
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("dbt-poison-midbatch-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let mut stream: Vec<UpdateEvent> = events()[..400].to_vec();
-    stream.insert(200, UpdateEvent::insert("Lineitem", vec![Value::long(3)]));
-
-    let server = builder().open_or_create_with(config(&dir)).unwrap();
-    server.handle().send_batch(stream.clone()).unwrap();
-    server.flush().unwrap();
-    assert!(
-        server.last_error().is_some(),
-        "mid-batch poison event must be surfaced"
-    );
-    assert_eq!(
-        server.stats().events as usize,
-        stream.len(),
-        "the poison event must keep its WAL sequence slot"
-    );
-    // Capture the live (degraded) state and the live strategy mix, then crash
-    // without a final checkpoint.
+    let refusal = server.last_error().expect("the refusal").to_string();
+    assert!(refusal.starts_with("event for Orders refused"), "{refusal}");
+    assert!(!server.reader().snapshot().degraded());
+    assert_eq!(server.stats().events as usize, admitted.len(), "watermark");
     let live = server.all_maps().unwrap();
-    assert!(live.len() >= 2, "expected several maintained maps");
-    let live_stats = server.stats();
-    assert!(
-        live_stats.batch_delta_runs > 0,
-        "this workload's relations should dispatch batch-delta"
-    );
     server.kill();
 
+    let fp = program_fingerprint(builder().build().unwrap().program());
+    let mut logged = Vec::new();
+    let reader = WalReader::open(&dir, fp).unwrap();
+    let mut visit = |_, mut events: Vec<UpdateEvent>| {
+        logged.append(&mut events);
+        Ok(())
+    };
+    reader.replay_records(1, &mut visit).unwrap();
+    assert_eq!(logged, admitted, "the log holds the admitted events");
+
     let server = builder().open_or_create_with(config(&dir)).unwrap();
-    let stats = server.stats();
-    assert_eq!(
-        stats.events as usize,
-        stream.len(),
-        "recovered watermark must cover the poison event's slot"
-    );
-    assert!(
-        server.durability_warning().is_some(),
-        "replaying past a poison event is a degraded recovery and must say so"
-    );
-    // Replay rebuilds one delta batch per WAL record, so it must make the
-    // same per-run strategy choices the live writer made — counter for
-    // counter, poison batch included.
-    let stats = server.stats();
-    assert_eq!(
-        (stats.batch_delta_runs, stats.entry_major_runs),
-        (live_stats.batch_delta_runs, live_stats.entry_major_runs),
-        "replay must choose the same batch strategies as the live run"
-    );
-    let recovered_maps = server.all_maps().unwrap();
+    assert_eq!(server.stats().events as usize, admitted.len());
+    assert!(server.durability_warning().is_none());
+    let recovered = server.all_maps().unwrap();
+    assert_eq!(recovered.len(), live.len());
     for (name, g) in &live {
-        let recovered = recovered_maps
-            .get(name)
-            .unwrap_or_else(|| panic!("recovered server lacks map {name}"));
-        assert_eq!(
-            recovered.len(),
-            g.len(),
-            "view {name} sizes differ after mid-batch poison recovery"
-        );
+        let r = &recovered[name];
+        assert_eq!(r.len(), g.len(), "{name}");
         for (t, m) in g.iter() {
-            assert_eq!(
-                recovered.get(t).to_bits(),
-                m.to_bits(),
-                "view {name}[{t:?}] differs between live and recovered state"
-            );
+            assert_eq!(r.get(t).to_bits(), m.to_bits(), "{name}[{t:?}]");
         }
     }
+    let mut reference = builder().build().unwrap();
+    reference.init().unwrap();
+    reference.process_all(&admitted).unwrap();
+    assert_snapshot_matches_engine(&server, &reference, "refused before the WAL");
     drop(server);
     let _ = fs::remove_dir_all(&dir);
 }
@@ -568,9 +504,8 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     // one delta batch per WAL record and drives it through the same
     // `process_batch` dispatch as the live writer, so the full sequence of
     // (relation, strategy, events) run records — across uneven micro-batches
-    // and a mid-batch poison event — must be identical. The aggregate-counter
-    // check in the poison test above could mask compensating swaps; this one
-    // cannot.
+    // and a mid-batch refused event — must be identical. An aggregate
+    // counter check could mask compensating swaps; this one cannot.
     use dbtoaster::agca::DeltaBatch;
     use dbtoaster::compiler::BatchStrategy;
     use dbtoaster::runtime::{Engine, RunRecord};
@@ -621,8 +556,9 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     let fp = program_fingerprint(&program);
 
     let mut stream: Vec<UpdateEvent> = events()[..2_000].to_vec();
-    // Arity-mismatched insert: poisons the middle of whatever micro-batch it
-    // lands in without stopping the stream.
+    // Arity-mismatched insert: refused in the middle of whatever micro-batch
+    // it lands in, without stopping the stream. (A serving writer would not
+    // log it; both runs refuse it alike.)
     stream.insert(700, UpdateEvent::insert("Lineitem", vec![Value::long(3)]));
 
     // Live run: uneven micro-batches, one WAL record each (the live writer's
@@ -651,7 +587,10 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     }
     wal.sync().unwrap();
     drop(wal);
-    assert_eq!(live_failed, 1, "exactly the poison event must fail");
+    assert_eq!(
+        live_failed, 1,
+        "exactly the arity-mismatched event is refused"
+    );
 
     // Replay: same records, same batches, same dispatch.
     let reader = WalReader::open(&dir, fp).unwrap();

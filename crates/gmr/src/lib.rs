@@ -62,7 +62,7 @@ pub use hash::{FastMap, FastSet, FxBuildHasher, FxHasher};
 pub use rational::Rational;
 pub use schema::Schema;
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{ColumnType, Value};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {

@@ -285,6 +285,47 @@ impl From<bool> for Value {
     }
 }
 
+/// The declared type of a catalog column: the kind of [`Value`] it holds.
+///
+/// Two kinds are all kernel totality needs: a number may sit in any
+/// arithmetic or multiplicity position, a string only in comparisons, lifts,
+/// group-by keys and `LIKE`. A number column holds `Long` and `Double` values
+/// alike (dates are `Long` `yyyymmdd`), so numeric key equality across the
+/// two stays as [`Value`]'s equality defines it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum ColumnType {
+    /// `Long` or `Double`.
+    Number,
+    /// `Str`.
+    String,
+}
+
+impl ColumnType {
+    /// The kind of `v`.
+    #[inline]
+    pub fn of(v: &Value) -> ColumnType {
+        match v {
+            Value::Str(_) => ColumnType::String,
+            _ => ColumnType::Number,
+        }
+    }
+
+    /// Does a column of this type hold `v`?
+    #[inline]
+    pub fn admits(self, v: &Value) -> bool {
+        ColumnType::of(v) == self
+    }
+}
+
+impl fmt::Display for ColumnType {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ColumnType::Number => "number",
+            ColumnType::String => "string",
+        })
+    }
+}
+
 /// Errors raised by value-level operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ValueError {

@@ -15,9 +15,13 @@
 //!    full Higher-Order IVM usually does not need the base relations);
 //! 3. all re-evaluation (`:=`) statements, which read the *new* versions.
 //!
-//! A firing whose `+=` statements fail writes nothing — no statement's rows, no base
-//! update — and counts one failed event, like an event whose arity does not match its
-//! trigger.
+//! No firing fails. The catalog types every column a number or a string, `compile`
+//! rejects a query that does arithmetic on a string or matches a number against a
+//! `LIKE` pattern, and [`Engine::admits`] — the ingest gate — refuses an event whose
+//! arity or value kinds do not match its relation before anything runs: a refused event
+//! writes nothing and counts in [`BatchReport::failed_events`]. Past the gate every
+//! kernel is total; a kernel error there is a corrupt program, and the engine panics
+//! naming the statement's target.
 //!
 //! ## Batch execution
 //!
@@ -35,8 +39,8 @@
 //!    pass, the base update last — is written at once, so the next firing reads what
 //!    per-event processing would have it read, through the same single lookup (a range
 //!    sum stays one search of one ordered index, whatever the run has added to it).
-//!    Those writes are remembered and taken back if the pass fails. The pass costs what
-//!    its statements cost per event; it is skipped for runs of at most one firing and
+//!    The pass costs what its statements cost per event; it is skipped for runs of at
+//!    most one firing and
 //!    for relations with an empty live pass. Then all writes still buffered land: one
 //!    target resolution, one change-log entry and one version bump per statement per
 //!    run;
@@ -52,21 +56,10 @@
 //! sequence for one event. **Entry-major** ([`BatchStrategy::EntryMajor`]) is not a
 //! second executor: it is the same executor over the run split into runs of one firing
 //! each, `|mult|` per surviving entry, in entry order — exactly per-event processing of
-//! the run's net stream. A run takes it in two cases, and is counted once, as one
-//! entry-major run:
-//!
-//! * the relation's batch-delta derivation bailed (a hand-assembled trigger whose `:=`
-//!   statements cannot be the run's tail — no compiled workload program has one), so
-//!   [`TriggerProgram::batch_dispatch`] chose it statically;
-//! * phase 1 of a batch-delta run failed: the (still unapplied) buffers are discarded,
-//!   the live pass's writes undone, and the run replayed firing by firing, which
-//!   reproduces per-event poison semantics exactly.
-//!
-//! A failing `:=` in phase 3 counts its binding event as failed, like the per-event path
-//! does — but the tail fires once per run, so where every `:=` of a stream fails (a
-//! poison value stored in a base relation the re-evaluation reads), per-event processing
-//! reports one failure per event and a batch one per run (see
-//! [`BatchReport::failed_events`]).
+//! the run's net stream. A run takes it when the relation's batch-delta derivation
+//! bailed (a hand-assembled trigger whose `:=` statements cannot be the run's tail — no
+//! compiled workload program has one), so [`TriggerProgram::batch_dispatch`] chose it
+//! statically.
 //!
 //! The dispatch of a run depends on the program alone — never on the run's size or the
 //! state — so a WAL replay takes the same sequence as the live run. Statements are
@@ -98,20 +91,19 @@
 //!   event (the program's `ordered_indexes` and `hash_indexes`), so no read builds
 //!   one.
 //!
-//! A statement whose target does not resolve raises [`RuntimeError::UnknownView`]
-//! where it writes, and a kernel read of a relation that does not resolve fails the
-//! statement with `EvalError::UnknownRelation`, as they always did. A map declared
-//! later — a table [`Engine::load_table`] declares on the fly, a map only a snapshot
-//! holds — is resolved when it is declared. What stays a string hash is the
-//! relation → dispatch lookup, once per run.
+//! A statement whose target does not resolve, or a kernel read of a relation that does
+//! not, is a corrupt program and panics where it runs. A map declared later — a table
+//! [`Engine::load_table`] declares on the fly, a map only a snapshot holds — is resolved
+//! when it is declared. What stays a string hash is the relation → dispatch lookup and
+//! the relation → column types lookup of the gate, once per run each.
 
 use crate::store::{Database, MapId, SnapshotWork};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
-use dbtoaster_agca::eval::{EvalError, RelId};
+use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, LivePass, ResultAccess, Statement, StmtOp, TriggerProgram,
+    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
@@ -203,15 +195,16 @@ impl ChangeSet {
 /// Errors raised while processing events.
 #[derive(Clone, Debug, PartialEq)]
 pub enum RuntimeError {
-    /// Statement evaluation failed.
-    Eval(EvalError),
-    /// A statement targets a view that was never declared.
+    /// A view the caller named was never declared.
     UnknownView(String),
-    /// An event's tuple arity does not match the trigger's variables.
-    EventArityMismatch {
+    /// The ingest gate refused an event (or a table row): its relation is not
+    /// in the catalog, or its arity or a value's kind does not match the
+    /// relation's columns (see [`Engine::admits`]).
+    Refused {
+        /// The event's relation.
         relation: String,
-        expected: usize,
-        actual: usize,
+        /// What does not match.
+        reason: String,
     },
     /// The named query is not part of the compiled program.
     UnknownQuery(String),
@@ -220,16 +213,10 @@ pub enum RuntimeError {
 impl fmt::Display for RuntimeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            RuntimeError::Eval(e) => write!(f, "evaluation error: {e}"),
             RuntimeError::UnknownView(v) => write!(f, "unknown view {v}"),
-            RuntimeError::EventArityMismatch {
-                relation,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "event for {relation} has {actual} values, trigger expects {expected}"
-            ),
+            RuntimeError::Refused { relation, reason } => {
+                write!(f, "event for {relation} refused: {reason}")
+            }
             RuntimeError::UnknownQuery(q) => write!(f, "unknown query {q}"),
         }
     }
@@ -237,50 +224,24 @@ impl fmt::Display for RuntimeError {
 
 impl std::error::Error for RuntimeError {}
 
-impl From<EvalError> for RuntimeError {
-    fn from(e: EvalError) -> Self {
-        RuntimeError::Eval(e)
-    }
-}
-
 /// The outcome of one [`Engine::process_batch`] call. Processing never stops
-/// at the first failure — a poison event inside a batch keeps its slot in the
-/// stream (and, under durability, its WAL sequence number) while the rest of
-/// the batch is applied; the caller learns how many events failed and what
-/// went wrong first.
+/// at a refused event: the rest of the batch is applied, and the caller
+/// learns how many events were refused and why the first one was.
 #[derive(Clone, Debug, Default)]
 pub struct BatchReport {
-    /// Stream events the batch covered (successful + failed).
+    /// Stream events the batch covered (applied + refused).
     pub events: u64,
-    /// Events whose trigger work failed. A firing whose `+=` statements fail
-    /// writes nothing, not even its base update, and counts once. A failing
-    /// `:=` leaves the firing's increments and base update applied. A
-    /// batch-delta run fires its `:=` statements once, for its last event, so
-    /// a failing `:=` counts once per run, where per-event processing counts
-    /// every event whose `:=` fails.
-    ///
-    /// A firing fails on a value no statement can compute with, such as a
-    /// string where a number is multiplied in. Batched and per-event
-    /// processing of one stream need not fail the same firings. A firing
-    /// whose products are zero stores its tuple without evaluating it, so
-    /// such a value is stored or rejected depending on the state the firing
-    /// meets; a batch orders firings by run (an increment-only program's runs
-    /// merge) and cancels an event against a later one before anything
-    /// fires. Either side may then fail firings the other does not, and the
-    /// maps may differ. A `:=` that fails inside a run but not at its end
-    /// fails per event only; one that fails at a run's end leaves its targets
-    /// as the previous run left them. The maps differ only where one side or
-    /// the other reported a failure.
-    ///
-    /// `stats().events` grows by `events - failed_events`, and a durable
-    /// writer adds `failed_events` back so its watermark stays on the WAL's
-    /// sequence numbers.
+    /// Events the ingest gate refused ([`Engine::admits`]): each
+    /// [`DeltaEntry`](dbtoaster_agca::DeltaEntry) whose tuple does not match
+    /// its relation counts its events, before any kernel runs, so the count is
+    /// the same at every batch size and shard count. A refused event writes
+    /// nothing, and the views are exactly those of the stream without it;
+    /// `stats().events` grows by `events - failed_events`.
     pub failed_events: u64,
-    /// The first error encountered, if any.
+    /// Why the first refused event was refused, if any was.
     pub first_error: Option<RuntimeError>,
-    /// Which strategy actually executed each relation run, in processing
-    /// order (after any run merging and after any replay of a failed
-    /// batch-delta run firing by firing). Runs with no trigger under either
+    /// Which strategy executed each relation run, in processing order
+    /// (after any run merging). Runs with no trigger under either
     /// sign — base-relation-only updates — are not recorded. Deterministic
     /// for a given program and batch boundaries, so a WAL replay produces
     /// the same sequence as live processing. Empty unless
@@ -295,9 +256,7 @@ pub struct BatchReport {
 pub struct RunRecord {
     /// The run's relation name.
     pub relation: String,
-    /// The strategy that actually executed (the dispatch choice, or
-    /// [`BatchStrategy::EntryMajor`] when a batch-delta run failed and was
-    /// replayed firing by firing).
+    /// The strategy that executed: the relation's static dispatch.
     pub strategy: BatchStrategy,
     /// Stream events the run covered.
     pub events: u64,
@@ -312,10 +271,8 @@ pub struct RunRecord {
 /// engine's snapshot work is read from [`Engine::snapshot_work`].)
 #[derive(Clone, Debug)]
 pub struct EngineStats {
-    /// Events processed so far. On a plain engine only successfully applied
-    /// events count; a *durable* serving writer also counts failed events,
-    /// because each logged event owns a WAL sequence slot and the watermark
-    /// must advance past a poison event for recovery to line up.
+    /// Events applied so far; refused events do not count. A durable serving
+    /// writer logs only admitted events, so this is also its WAL watermark.
     pub events: u64,
     /// Statements executed so far.
     pub statements: u64,
@@ -363,8 +320,7 @@ pub struct EngineStats {
     /// (ROADMAP, Smaller: the frozen-ledger residue).
     pub statement_major_runs: u64,
     /// Relation runs executed entry-major — as runs of one firing each,
-    /// either by dispatch (the relation's batch-delta derivation bailed) or
-    /// as the replay of a batch-delta run that hit an error.
+    /// because the relation's batch-delta derivation bailed.
     pub entry_major_runs: u64,
 }
 
@@ -449,6 +405,9 @@ struct DispatchEntry {
     /// Is the base map one of the relation's live maps (the live pass
     /// applies the base update firing by firing)?
     base_live: bool,
+    /// Does either trigger have `:=` statements (a run fires them as its
+    /// tail)?
+    tail: bool,
 }
 
 /// One kernel as the engine runs it — a trigger statement's, or a static
@@ -456,8 +415,8 @@ struct DispatchEntry {
 /// (see the module docs on resolution).
 #[derive(Clone, Debug, Default)]
 struct Bound {
-    /// The target map; `None` raises [`RuntimeError::UnknownView`] where the
-    /// statement writes.
+    /// The target map; `None` (a corrupt program) panics where the statement
+    /// writes.
     target: Option<MapId>,
     /// The kernel's relation table bound to the database
     /// ([`CompiledStmt::bind`]).
@@ -497,6 +456,11 @@ struct Seg {
 /// `kernel` against an unchanged `db`: the kernel's buffers are sized and
 /// its loop-invariant fused scans run, and the rest of the series reuses
 /// both.
+///
+/// The kernel is total on what the gate admits (see the module docs), so
+/// an error is a corrupt program: it panics, naming the statement's
+/// `target`.
+#[allow(clippy::too_many_arguments)]
 fn kernel_rows(
     state: &mut KernelState,
     db: &Database,
@@ -505,7 +469,8 @@ fn kernel_rows(
     tuple: &[Value],
     first: bool,
     out: &mut Vec<(Tuple, f64)>,
-) -> Result<(), RuntimeError> {
+    target: &str,
+) {
     if first {
         state.prepare(kernel);
     }
@@ -517,7 +482,9 @@ fn kernel_rows(
     std::mem::swap(&mut state.out, out);
     let res = kernel.execute_batch_entry(db, rels, state, first);
     std::mem::swap(&mut state.out, out);
-    res.map_err(RuntimeError::Eval)
+    if let Err(e) = res {
+        panic!("the kernel writing {target} failed on an admitted event (a corrupt program): {e}");
+    }
 }
 
 /// One statement's deferred (buffered but not yet applied) rows on the
@@ -588,6 +555,10 @@ pub struct Engine {
     firing: DeltaBatch,
     /// Recycled merged-run batch for [`Engine::process_batch`]'s run merging.
     merged: DeltaBatch,
+    /// Recycled copy of a batch without the entries the gate refused.
+    admitted: DeltaBatch,
+    /// The catalog's relations by name: what the gate admits.
+    schemas: FastMap<String, RelationMeta>,
     /// May same-relation runs of one batch be merged before processing? True
     /// when every statement of the program is an increment (`+=`): each run's
     /// processing is then a pure state difference, so the telescoping sum
@@ -603,11 +574,6 @@ pub struct Engine {
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
     /// (default where the map has none).
     inits: Vec<Bound>,
-    /// Undo log of the batch-delta live pass: per write it made to a view
-    /// ahead of the apply phase, the view, the key and the multiplicity the
-    /// key had before. Replayed backwards when the pass fails; empty between
-    /// passes.
-    undo: Vec<(MapId, Tuple, f64)>,
     /// Fill [`BatchReport::runs`] with per-run strategy records (off by
     /// default; see [`Engine::set_run_recording`]).
     record_runs: bool,
@@ -812,6 +778,11 @@ impl Engine {
             .triggers
             .iter()
             .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
+        let schemas = catalog
+            .relations()
+            .iter()
+            .map(|r| (r.name.clone(), r.clone()))
+            .collect();
         let mut engine = Engine {
             program: Arc::new(program),
             db,
@@ -823,11 +794,12 @@ impl Engine {
             single: DeltaBatch::new(),
             firing: DeltaBatch::new(),
             merged: DeltaBatch::new(),
+            admitted: DeltaBatch::new(),
+            schemas,
             merge_runs,
             dispatch: FastMap::default(),
             stmts: Vec::new(),
             inits: Vec::new(),
-            undo: Vec::new(),
             record_runs: false,
             tel: None,
         };
@@ -895,6 +867,9 @@ impl Engine {
                 let base_live = program
                     .live_pass_for(&d.relation)
                     .is_some_and(|lp| lp.live_maps.contains(&d.relation));
+                let tail = program.triggers.iter().any(|t| {
+                    t.relation == d.relation && t.statements.iter().any(|s| s.op == StmtOp::Replace)
+                });
                 let entry = DispatchEntry {
                     insert: d.insert.map(|i| i as u16),
                     delete: d.delete.map(|i| i as u16),
@@ -902,6 +877,7 @@ impl Engine {
                     live_pass,
                     base: db.id(&d.relation),
                     base_live,
+                    tail,
                 };
                 (d.relation, entry)
             })
@@ -1002,9 +978,48 @@ impl Engine {
         self.program.clone()
     }
 
+    /// The ingest gate: does the catalog admit `event`? It must name a
+    /// relation the catalog declares, with one value per column, each of its
+    /// column's type ([`ColumnType`](dbtoaster_gmr::ColumnType)). [`Engine::process_batch`] refuses
+    /// what this refuses, and a serving writer calls it before the WAL
+    /// append, so a refused event is never logged.
+    pub fn admits(&self, event: &UpdateEvent) -> Result<(), RuntimeError> {
+        self.admits_row(&event.relation, &event.tuple)
+    }
+
+    /// [`Engine::admits`] for a tuple of `relation`: an event's, or a table
+    /// row's.
+    pub fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
+        let checked = match self.schemas.get(relation) {
+            Some(meta) => meta.check_row(row),
+            None => Err("the catalog declares no such relation".into()),
+        };
+        checked.map_err(|reason| RuntimeError::Refused {
+            relation: relation.to_string(),
+            reason,
+        })
+    }
+
+    /// Does every entry of `run` pass the gate?
+    fn admits_run(&self, run: &RelationDelta) -> bool {
+        let meta = self.schemas.get(run.relation());
+        meta.is_some_and(|meta| run.entries().iter().all(|e| meta.check_row(&e.key).is_ok()))
+    }
+
     /// Load the contents of a static table (each row with multiplicity 1). Call
-    /// [`Engine::init_static_views`] after all tables are loaded.
+    /// [`Engine::init_static_views`] after all tables are loaded. The rows of
+    /// a table the catalog declares must pass [`Engine::admits_row`] (the
+    /// `QueryEngine` facade checks them and returns the refusal); an
+    /// ill-typed one panics here, before any kernel could read it.
     pub fn load_table(&mut self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
+        // Collected first: the gate reads the catalog while the view is
+        // written.
+        let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        if self.schemas.contains_key(name) {
+            if let Some(e) = rows.iter().find_map(|r| self.admits_row(name, r).err()) {
+                panic!("load_table: {e}");
+            }
+        }
         let mut rows = rows.into_iter();
         let id = match self.db.id(name) {
             Some(id) => id,
@@ -1027,7 +1042,8 @@ impl Engine {
 
     /// Run the kernels of the views that depend only on static tables and load
     /// the results (the paper's handling of `Nation`, `Region` and the MDDB
-    /// metadata).
+    /// metadata). The kernels read only rows the gate admitted, so this
+    /// returns `Ok`; the `Result` stays for callers written against it.
     pub fn init_static_views(&mut self) -> Result<(), RuntimeError> {
         let program = self.program.clone();
         let Engine {
@@ -1040,7 +1056,7 @@ impl Engine {
         for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
             rows.clear();
-            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows)?;
+            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows, &m.name);
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
@@ -1070,10 +1086,10 @@ impl Engine {
     }
 
     /// Process a delta batch, firing each relation run's triggers under the
-    /// statically chosen [`BatchStrategy`] (see the module docs). Never stops
-    /// early: failed events are skipped past (keeping their stream slot) and
-    /// reported, so a durable writer's WAL watermark and a replay stay lined
-    /// up with live processing.
+    /// statically chosen [`BatchStrategy`] (see the module docs). The gate
+    /// goes first: an entry [`Engine::admits`] would refuse is taken out of
+    /// the batch, with its events counted in [`BatchReport::failed_events`],
+    /// and the rest is processed as if it had never held them.
     pub fn process_batch(&mut self, batch: &DeltaBatch) -> BatchReport {
         if batch.is_empty() {
             return BatchReport::default();
@@ -1094,6 +1110,22 @@ impl Engine {
             merged = Some(scratch);
         }
         let source: &DeltaBatch = merged.as_ref().unwrap_or(batch);
+        // The ingest gate: a batch holding an entry it refuses is processed
+        // as a copy without that entry.
+        let mut admitted: Option<DeltaBatch> = None;
+        if !source.runs().iter().all(|run| self.admits_run(run)) {
+            let mut scratch = std::mem::take(&mut self.admitted);
+            let mut first = None;
+            report.failed_events = source.retain_into(&mut scratch, |run, e| {
+                let refused = self.admits_row(run.relation(), &e.key).err();
+                let admitted = refused.is_none();
+                first = first.take().or(refused);
+                admitted
+            });
+            report.first_error = first;
+            admitted = Some(scratch);
+        }
+        let source: &DeltaBatch = admitted.as_ref().unwrap_or(source);
         // Arm per-run/per-statement span timing only for batches big enough
         // to amortize the extra clock reads — never the batch-of-1 path.
         let armed = match self.tel.as_deref_mut() {
@@ -1130,6 +1162,9 @@ impl Engine {
         self.stats.batch_events_collapsed += source.collapsed_events();
         if let Some(m) = merged {
             self.merged = m;
+        }
+        if let Some(a) = admitted {
+            self.admitted = a;
         }
         self.stats.events += report.events - report.failed_events;
         self.stats.delta_batches += 1;
@@ -1181,9 +1216,8 @@ impl Engine {
     // Batch execution
     // -----------------------------------------------------------------------
 
-    /// Dispatch one relation run. Returns the strategy that actually
-    /// executed (`None` when the run applied only a base update or failed
-    /// its arity gate).
+    /// Dispatch one relation run. Returns the strategy that executed
+    /// (`None` when the run applied only a base update).
     fn process_run(
         &mut self,
         program: &TriggerProgram,
@@ -1197,31 +1231,11 @@ impl Engine {
             self.apply_base_run(self.db.id(run.relation()), run);
             return None;
         };
-        // Arity gate, per run (runs are arity-uniform by construction): a
-        // mismatched event applies nothing — not even the base update — just
-        // like the per-event path.
-        for idx in [disp.insert, disp.delete].into_iter().flatten() {
-            let trigger = &program.triggers[idx as usize];
-            if trigger.trigger_vars.len() != run.arity() {
-                report.failed_events += run.events();
-                report
-                    .first_error
-                    .get_or_insert(RuntimeError::EventArityMismatch {
-                        relation: run.relation().to_string(),
-                        expected: trigger.trigger_vars.len(),
-                        actual: run.arity(),
-                    });
-                return None;
-            }
+        let executed = disp.strategy;
+        match executed {
+            BatchStrategy::BatchDelta => self.run_batch_delta(program, disp, run),
+            BatchStrategy::EntryMajor => self.run_firing_by_firing(program, disp, run),
         }
-        let executed = if disp.strategy == BatchStrategy::BatchDelta
-            && self.run_batch_delta(program, disp, run, report).is_ok()
-        {
-            BatchStrategy::BatchDelta
-        } else {
-            self.run_firing_by_firing(program, disp, run, report);
-            BatchStrategy::EntryMajor
-        };
         match executed {
             BatchStrategy::BatchDelta => self.stats.batch_delta_runs += 1,
             BatchStrategy::EntryMajor => self.stats.entry_major_runs += 1,
@@ -1285,14 +1299,12 @@ impl Engine {
 
     /// Entry-major execution of one run: the batch-delta executor over runs
     /// of one firing each — every surviving entry `|mult|` times, in entry
-    /// order — which is event-at-a-time processing of the net stream. A
-    /// firing that fails writes nothing and counts one failed event.
+    /// order — which is event-at-a-time processing of the net stream.
     fn run_firing_by_firing(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
-        report: &mut BatchReport,
     ) {
         let mut one = std::mem::take(&mut self.firing);
         for entry in run.entries() {
@@ -1300,10 +1312,7 @@ impl Engine {
             for _ in 0..entry.firings() {
                 one.clear();
                 one.push_key(run.relation(), entry.key.clone(), sign);
-                if let Err(e) = self.run_batch_delta(program, disp, &one.runs()[0], report) {
-                    report.failed_events += 1;
-                    report.first_error.get_or_insert(e);
-                }
+                self.run_batch_delta(program, disp, &one.runs()[0]);
             }
         }
         self.firing = one;
@@ -1317,7 +1326,7 @@ impl Engine {
         tidx: u16,
         j: usize,
         tuple: &[Value],
-    ) -> Result<u64, RuntimeError> {
+    ) -> u64 {
         let stmt = &program.triggers[tidx as usize].statements[j];
         self.set_counter_slot(tidx, j);
         self.stats.statements += 1;
@@ -1331,16 +1340,25 @@ impl Engine {
         } = self;
         let bound = &stmts[tidx as usize][j];
         rows.clear();
-        kernel_rows(kernel, db, &stmt.kernel, &bound.rels, tuple, true, rows)?;
+        kernel_rows(
+            kernel,
+            db,
+            &stmt.kernel,
+            &bound.rels,
+            tuple,
+            true,
+            rows,
+            &stmt.target,
+        );
         let all = Seg {
             start: 0,
             end: rows.len(),
             reps: 1,
         };
-        apply_statement_rows(db, changes, stmt, bound.target, &[all], rows)?;
+        apply_statement_rows(db, changes, stmt, bound.target, &[all], rows);
         let produced = rows.len() as u64;
         self.note_rows(produced);
-        Ok(produced)
+        produced
     }
 
     /// Batch-delta execution of one run (see the module docs): collect every
@@ -1348,24 +1366,14 @@ impl Engine {
     /// pre-run state (for a multi-firing run of a relation with a non-empty
     /// live pass: that pass in place of the statements it lists), apply
     /// the buffers in statement order, apply the base update, fire the last
-    /// event's `:=` statements. A collection error discards the (still
-    /// unapplied) buffers and is returned with the database as the run found
-    /// it: the run wrote nothing, and the caller decides what to replay and
-    /// what to report.
+    /// event's `:=` statements.
     fn run_batch_delta(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
-        report: &mut BatchReport,
-    ) -> Result<(), RuntimeError> {
-        if let Err(e) = self.collect_batch_delta(program, disp, run) {
-            self.bd.live = 0;
-            return Err(e);
-        }
-        // Apply phase. Targets were verified during collection, so these
-        // applies cannot fail; surface a defensive error anyway.
-        let mut first_err: Option<RuntimeError> = None;
+    ) {
+        self.collect_batch_delta(program, disp, run);
         {
             let Engine {
                 db,
@@ -1378,15 +1386,10 @@ impl Engine {
             for ds in &bd.stmts[..bd.live] {
                 let (t, j) = (ds.tidx as usize, ds.stmt as usize);
                 let (stmt, target) = (&program.triggers[t].statements[j], stmts[t][j].target);
-                let applied = match ds.applied {
-                    true => Ok(()),
-                    false => apply_statement_rows(db, changes, stmt, target, &ds.segs, &ds.rows),
-                };
-                if let Err(e) = applied {
-                    first_err.get_or_insert(e);
-                } else if let Some(ts) = tel.as_deref_mut() {
-                    // Rows are credited at apply time (not collection), so a
-                    // run replayed firing by firing never double-counts.
+                if !ds.applied {
+                    apply_statement_rows(db, changes, stmt, target, &ds.segs, &ds.rows);
+                }
+                if let Some(ts) = tel.as_deref_mut() {
                     let slot = ts
                         .stmt_slot
                         .get(ds.tidx as usize)
@@ -1401,12 +1404,7 @@ impl Engine {
         if !self.bd.base_applied {
             self.apply_base_run(disp.base, run);
         }
-        if let Some(e) = first_err {
-            report.failed_events += run.events();
-            report.first_error.get_or_insert(e);
-        }
-        self.fire_replace_tail(program, disp, run, report);
-        Ok(())
+        self.fire_replace_tail(program, disp, run);
     }
 
     /// The `:=` tail of a batch-delta run: the re-evaluation statements of
@@ -1421,8 +1419,10 @@ impl Engine {
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
-        report: &mut BatchReport,
     ) {
+        if !disp.tail {
+            return;
+        }
         let Some((sign, key)) = run.last_event() else {
             return;
         };
@@ -1435,17 +1435,8 @@ impl Engine {
                 continue;
             }
             let st0 = self.armed_instant();
-            match self.fire_statement(program, tidx, j, key) {
-                Ok(rows) => self.note_stmt(st0, &stmt.target, rows),
-                Err(e) => {
-                    // Mirror the single-event contract: the binding event
-                    // counts as failed and its remaining statements are
-                    // skipped.
-                    report.failed_events += 1;
-                    report.first_error.get_or_insert(e);
-                    break;
-                }
-            }
+            let rows = self.fire_statement(program, tidx, j, key);
+            self.note_stmt(st0, &stmt.target, rows);
         }
     }
 
@@ -1454,14 +1445,13 @@ impl Engine {
     /// `+=` and `:=`, evaluated against the pre-run state and touching no
     /// view — except, when the run has more than one firing and the relation
     /// a non-empty live pass, the statements that pass lists, which it then
-    /// evaluates (and whose inputs it writes) firing by firing. On `Err` the
-    /// database is as it was before the call.
+    /// evaluates (and whose inputs it writes) firing by firing.
     fn collect_batch_delta(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
-    ) -> Result<(), RuntimeError> {
+    ) {
         self.bd.live = 0;
         self.bd.base_applied = false;
         // With at most one firing there is nothing for it to interact with —
@@ -1495,9 +1485,6 @@ impl Engine {
                 if stmt.op != StmtOp::Increment {
                     continue;
                 }
-                if self.stmts[tidx as usize][j].target.is_none() {
-                    return Err(RuntimeError::UnknownView(stmt.target.clone()));
-                }
                 if lp.is_some_and(|lp| lp.lists(tidx as usize, j)) {
                     // Left to the live pass, which fills this slot.
                     self.bd.acquire(tidx, j as u16);
@@ -1505,7 +1492,7 @@ impl Engine {
                 }
                 self.set_counter_slot(tidx, j);
                 let st0 = self.armed_instant();
-                self.collect_statement_over(&stmt.kernel, run, sign, tidx, j as u16)?;
+                self.collect_statement_over(stmt, run, sign, tidx, j as u16);
                 if st0.is_some() {
                     let rows = segs_rows(&self.bd.stmts[self.bd.live - 1].segs);
                     self.note_stmt(st0, &stmt.target, rows);
@@ -1513,19 +1500,11 @@ impl Engine {
             }
         }
         let Some(lp) = lp else {
-            return Ok(());
+            return;
         };
         let st0 = self.armed_instant();
         let rows = self.live_pass(program, disp, lp, run, base);
-        if rows.is_err() {
-            // Take back what the pass wrote, last write first.
-            for (id, key, before) in self.undo.drain(..).rev() {
-                self.db.at_mut(id).set(key, before);
-            }
-        }
-        self.undo.clear();
-        self.note_stmt(st0, "(live pass)", *rows.as_ref().unwrap_or(&0));
-        rows.map(drop)
+        self.note_stmt(st0, "(live pass)", rows);
     }
 
     /// The live pass of a batch-delta run (see the module docs): walk the
@@ -1535,8 +1514,8 @@ impl Engine {
     /// and append its rows to the statement's deferred buffer (`base + j`);
     /// then apply what the firing writes to the relation's live maps (the
     /// rows just evaluated, or the firing's segment of the rows buffered
-    /// before the pass), the base update last, remembering what each key
-    /// held. Returns the number of rows the pass evaluated.
+    /// before the pass), the base update last. Returns the number of rows
+    /// the pass evaluated.
     fn live_pass(
         &mut self,
         program: &TriggerProgram,
@@ -1544,12 +1523,11 @@ impl Engine {
         lp: &LivePass,
         run: &RelationDelta,
         base: [usize; 2],
-    ) -> Result<u64, RuntimeError> {
+    ) -> u64 {
         let Engine {
             db,
             kernel,
             bd,
-            undo,
             changes,
             stats,
             tel,
@@ -1602,7 +1580,8 @@ impl Engine {
                         &entry.key,
                         true,
                         &mut ds.rows,
-                    )?;
+                        &stmt.target,
+                    );
                     let end = ds.rows.len();
                     evaluated += (end - start) as u64;
                     ds.segs.push(Seg {
@@ -1615,9 +1594,7 @@ impl Engine {
                     if !bound[j].live {
                         continue;
                     }
-                    let id = bound[j]
-                        .target
-                        .ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
+                    let id = resolved(bound[j].target, stmt);
                     let ds = &mut bd.stmts[base[s] + j];
                     ds.applied = true;
                     // This firing's segment: just evaluated, or buffered.
@@ -1635,35 +1612,31 @@ impl Engine {
                         if let Some(c) = change.as_mut() {
                             c.keys.insert(key.clone(), ());
                         }
-                        let before = view.add_returning_previous(key.clone(), *mult);
-                        undo.push((id, key.clone(), before));
+                        view.add(key.clone(), *mult);
                     }
                 }
                 if let Some(id) = disp.base.filter(|_| disp.base_live) {
                     if let Some(log) = changes.as_mut() {
                         log.record_key(run.relation(), entry.key.clone());
                     }
-                    let view = db.at_mut(id);
-                    let before = view.add_returning_previous(entry.key.clone(), sign.multiplier());
-                    undo.push((id, entry.key.clone(), before));
+                    db.at_mut(id).add(entry.key.clone(), sign.multiplier());
                 }
             }
         }
-        Ok(evaluated)
+        evaluated
     }
 
     /// Buffer one incremental statement's rows over all of a run's entries of
     /// one sign without applying them: setup once, then back-to-back
-    /// evaluations against the unchanged pre-run store. Any evaluation error
-    /// aborts the whole collection.
+    /// evaluations against the unchanged pre-run store.
     fn collect_statement_over(
         &mut self,
-        stmt_kernel: &CompiledStmt,
+        stmt: &Statement,
         run: &RelationDelta,
         sign: UpdateSign,
         tidx: u16,
         stmt_j: u16,
-    ) -> Result<(), RuntimeError> {
+    ) {
         let Engine {
             db,
             kernel,
@@ -1684,19 +1657,19 @@ impl Engine {
             kernel_rows(
                 kernel,
                 db,
-                stmt_kernel,
+                &stmt.kernel,
                 rels,
                 &entry.key,
                 std::mem::take(&mut first),
                 &mut slot.rows,
-            )?;
+                &stmt.target,
+            );
             slot.segs.push(Seg {
                 start,
                 end: slot.rows.len(),
                 reps: entry.firings(),
             });
         }
-        Ok(())
     }
 
     /// One base-update pass for a whole run into the relation's stored base
@@ -1961,11 +1934,16 @@ impl Engine {
     }
 }
 
+/// A statement's target map, resolved at construction; a target the
+/// program never declared is a corrupt program.
+fn resolved(target: Option<MapId>, stmt: &Statement) -> MapId {
+    target.unwrap_or_else(|| panic!("statement {stmt} writes an undeclared map"))
+}
+
 /// The one row applier: write a statement's buffered rows to its target map
 /// `target` (resolved at construction) — one change-log entry per call,
 /// whether the rows are one firing's or a whole run's. A `:=` statement
-/// clears its target first. A missing target view (program corruption —
-/// compiled programs always declare their targets) applies nothing.
+/// clears its target first.
 fn apply_statement_rows(
     db: &mut Database,
     changes: &mut Option<ChangeSet>,
@@ -1973,9 +1951,8 @@ fn apply_statement_rows(
     target: Option<MapId>,
     segs: &[Seg],
     rows: &[(Tuple, f64)],
-) -> Result<(), RuntimeError> {
-    let id = target.ok_or_else(|| RuntimeError::UnknownView(stmt.target.clone()))?;
-    let target = db.at_mut(id);
+) {
+    let target = db.at_mut(resolved(target, stmt));
     if stmt.op == StmtOp::Replace {
         target.clear();
         if let Some(log) = changes.as_mut() {
@@ -1992,7 +1969,6 @@ fn apply_statement_rows(
             c.keys.insert(k.clone(), ());
         }
     });
-    Ok(())
 }
 
 /// Coalesce consecutive same-key rows of a buffered application stream into
@@ -2138,7 +2114,7 @@ mod tests {
     }
 
     #[test]
-    fn event_arity_mismatch_detected() {
+    fn an_event_of_the_wrong_arity_is_refused() {
         let program = compile(
             &[example1_query()],
             &catalog(),
@@ -2149,8 +2125,11 @@ mod tests {
         let err = engine
             .process(&UpdateEvent::insert("R", long_tuple(&[1])))
             .unwrap_err();
-        assert!(matches!(err, RuntimeError::EventArityMismatch { .. }));
-        // A failed single event is not counted as applied.
+        assert_eq!(
+            err.to_string(),
+            "event for R refused: 1 values for 2 columns"
+        );
+        // A refused event is not counted as applied.
         assert_eq!(engine.stats().events, 0);
     }
 
@@ -2226,7 +2205,7 @@ mod tests {
     }
 
     #[test]
-    fn poison_event_mid_batch_keeps_its_slot_and_the_rest_applies() {
+    fn a_refused_event_mid_batch_leaves_the_rest_applied() {
         let program = compile(
             &[example1_query()],
             &catalog(),
@@ -2234,20 +2213,30 @@ mod tests {
         )
         .unwrap();
         let mut engine = Engine::new(program, &catalog());
+        let string = vec![Value::long(2), Value::str("x")];
         let events = vec![
             UpdateEvent::insert("R", long_tuple(&[1, 1])),
-            UpdateEvent::insert("R", long_tuple(&[9])), // arity mismatch: its own run
+            UpdateEvent::insert("R", long_tuple(&[9])), // wrong arity: its own run
+            UpdateEvent::insert("R", string.clone()),   // a string in a number column
             UpdateEvent::insert("S", long_tuple(&[7, 7])),
+            UpdateEvent::insert("Nope", long_tuple(&[7])), // not in the catalog
         ];
         let batch = DeltaBatch::from_events(&events);
         let report = engine.process_batch(&batch);
-        assert_eq!(report.events, 3);
-        assert_eq!(report.failed_events, 1);
+        assert_eq!(report.events, 5);
+        assert_eq!(report.failed_events, 3);
         assert!(matches!(
             report.first_error,
-            Some(RuntimeError::EventArityMismatch { .. })
+            Some(RuntimeError::Refused { .. })
         ));
-        // The good events around the poison one are fully applied.
+        let refused = engine
+            .admits(&UpdateEvent::insert("R", string))
+            .unwrap_err();
+        assert_eq!(
+            refused.to_string(),
+            "event for R refused: column B is a number, not Str(\"x\")"
+        );
+        // The good events around the refused ones are fully applied.
         assert_eq!(engine.stats().events, 2);
         assert_eq!(engine.result("Q").unwrap().scalar_value(), 1.0);
     }

@@ -210,8 +210,8 @@ impl ShardedEngine {
                 self.exchange.bytes += entries * 8 * (run.arity() as u64 + 1);
             }
             let r = executor.process_batch(&batch);
-            // Executor failures don't double-count the events the shards
-            // already counted; surface the first error either way.
+            // The executor refuses what the shards refused; the shards
+            // already counted it.
             if report.first_error.is_none() {
                 report.first_error = r.first_error;
             }

@@ -355,32 +355,9 @@ impl ViewMap {
     /// changes (insert of a new key or removal of a cancelled one).
     pub fn add(&mut self, key: impl Into<Tuple>, mult: f64) {
         if mult != 0.0 {
-            self.add_returning_previous(key.into(), mult);
-        }
-    }
-
-    /// [`ViewMap::add`] a non-zero `mult`, returning the multiplicity the key
-    /// had before (`0.0` when it was absent) — what [`ViewMap::set`] takes to
-    /// undo the write exactly.
-    pub fn add_returning_previous(&mut self, key: Tuple, mult: f64) -> f64 {
-        debug_assert!(mult != 0.0);
-        self.log_write(&key);
-        self.add_unlogged(key, mult)
-    }
-
-    /// Set the multiplicity of `key` outright, `0.0` removing the entry
-    /// (primary map, every secondary index and the snapshot log follow). The
-    /// engine's rollback: `x + m - m` need not be `x` in floating point, a
-    /// remembered `x` is.
-    pub fn set(&mut self, key: Tuple, mult: f64) {
-        self.log_write(&key);
-        if mult == 0.0 {
-            self.data.remove(key.as_slice());
-        } else {
-            self.data.insert(key.clone(), mult);
-        }
-        for (mask, index) in &mut self.indexes {
-            index.set(project_mask(&key, *mask), &key, mult);
+            let key = key.into();
+            self.log_write(&key);
+            self.add_unlogged(key, mult);
         }
     }
 
@@ -414,52 +391,47 @@ impl ViewMap {
     }
 
     /// The shared write path behind [`ViewMap::add`] / [`ViewMap::add_rows`]:
-    /// everything except the snapshot log. `mult` must be non-zero. Returns
-    /// the key's multiplicity before the write.
-    fn add_unlogged(&mut self, key: Tuple, mult: f64) -> f64 {
+    /// everything except the snapshot log. `mult` must be non-zero.
+    fn add_unlogged(&mut self, key: Tuple, mult: f64) {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
 
         if self.indexes.is_empty() {
             // Fast path: no index maintenance, no key clone.
-            return match self.data.entry(key) {
+            match self.data.entry(key) {
                 Entry::Occupied(mut o) => {
                     let v = o.get_mut();
-                    let previous = *v;
                     *v += mult;
                     if *v == 0.0 {
                         o.remove();
                     }
-                    previous
                 }
                 Entry::Vacant(v) => {
                     v.insert(mult);
-                    0.0
                 }
-            };
+            }
+            return;
         }
 
-        let (previous, new_mult) = match self.data.entry(key.clone()) {
+        let new_mult = match self.data.entry(key.clone()) {
             Entry::Occupied(mut o) => {
                 let v = o.get_mut();
-                let previous = *v;
                 *v += mult;
                 if *v == 0.0 {
                     o.remove();
-                    (previous, 0.0)
+                    0.0
                 } else {
-                    (previous, *v)
+                    *v
                 }
             }
             Entry::Vacant(v) => {
                 v.insert(mult);
-                (0.0, mult)
+                mult
             }
         };
         for (mask, index) in &mut self.indexes {
             index.set(project_mask(&key, *mask), &key, new_mult);
         }
-        previous
     }
 
     /// Remove all entries (used by `:=` statements). Declared indexes stay,
@@ -1200,53 +1172,6 @@ mod tests {
         v.add(key(&[1, 10]), 3.0);
         v.add(key(&[1, 20]), 4.0);
         assert_eq!(range(&v, 1, 0.0, 15.0), Some(3.0));
-        assert_ordered_indexes_match_a_rebuild(&v);
-    }
-
-    /// `set` is how the engine takes back a write: handed what
-    /// `add_returning_previous` returned, it restores the key bit for bit —
-    /// where adding the negated multiplicity would not — and every index
-    /// follows, ordered ones included.
-    #[test]
-    fn set_undoes_an_add_exactly_in_the_map_and_its_indexes() {
-        let mut v = ordered_fixture();
-        v.declare_hash(0b10);
-        let reference = v.clone();
-        let held = key(&[1, 10]);
-        let fresh = key(&[1, 11]);
-        let x = v.get(&held);
-        assert!(x != 0.0 && v.get(&fresh) == 0.0);
-        v.set(held.clone(), 0.1);
-        assert_ne!((0.1f64 + 0.2) - 0.2, 0.1, "the values must not round-trip");
-        let mut undo = vec![
-            (held.clone(), v.add_returning_previous(held.clone(), 0.2)),
-            (fresh.clone(), v.add_returning_previous(fresh.clone(), 5.0)),
-            (
-                held.clone(),
-                v.add_returning_previous(held.clone(), -0.30000000000000004),
-            ),
-        ];
-        assert_eq!(undo[0].1, 0.1);
-        assert_eq!(undo[1].1, 0.0);
-        assert_eq!(v.get(&held), 0.0, "cancelled, so removed");
-        while let Some((k, before)) = undo.pop() {
-            v.set(k, before);
-        }
-        assert_eq!(v.get(&held).to_bits(), 0.1f64.to_bits());
-        assert_eq!(v.get(&fresh), 0.0);
-        assert_ordered_indexes_match_a_rebuild(&v);
-        v.set(held, x);
-        assert_eq!(v.data, reference.data);
-        assert_eq!(range(&v, 1, 0.0, 100.0), range(&reference, 1, 0.0, 100.0));
-        for g in 0..4 {
-            let by_group = [Some(Value::long(g)), None];
-            let (mut a, mut b) = (v.lookup(&by_group), reference.lookup(&by_group));
-            a.sort_by(|x, y| x.0.cmp(&y.0));
-            b.sort_by(|x, y| x.0.cmp(&y.0));
-            assert_eq!(a, b, "group {g}");
-        }
-        let by_t = [None, Some(Value::long(10))];
-        assert_eq!(v.lookup(&by_t).len(), reference.lookup(&by_t).len());
         assert_ordered_indexes_match_a_rebuild(&v);
     }
 

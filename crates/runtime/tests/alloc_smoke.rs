@@ -171,8 +171,7 @@ fn compiled_path_with_telemetry_allocates_nothing_in_steady_state() {
 /// The batch-delta live pass reuses its buffers: a keyed self-join reads the
 /// auxiliary map its own run writes, so every multi-entry run fires that
 /// statement entry by entry and writes the map as it goes — deferred row
-/// buffers and the undo log recycled — and a warm engine allocates nothing
-/// per run.
+/// buffers recycled — and a warm engine allocates nothing per run.
 #[test]
 fn live_pass_allocates_nothing_in_steady_state() {
     use dbtoaster_agca::DeltaBatch;

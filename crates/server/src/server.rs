@@ -219,15 +219,12 @@ impl Snapshot {
         self.events_applied
     }
 
-    /// `true` while the server is operating degraded: either the writer hit a
-    /// runtime error (a failing event may be *partially* applied — there is no
-    /// statement rollback — so cross-view invariants are no longer guaranteed
-    /// from that point on), or the WAL is currently suspended after an I/O
-    /// failure (events are applied in memory while the writer retries and
-    /// re-arms; see `/healthz`'s `"degraded"` status). Runtime-error
-    /// degradation is sticky; durability degradation clears once a re-arm
-    /// restores the log. The first runtime error is available through
-    /// `ViewServer::last_error`.
+    /// `true` while the WAL is suspended after an I/O failure: events are
+    /// applied in memory while the writer retries and re-arms (see
+    /// `/healthz`'s `"degraded"` status), and the flag clears once a re-arm
+    /// restores the log. A refused event does not set it — the ingest gate
+    /// keeps it out of the log and the views, which stay exact (see
+    /// `ViewServer::last_error`).
     pub fn degraded(&self) -> bool {
         self.degraded
     }
@@ -719,11 +716,11 @@ impl ViewServer {
         &self.shared.tel
     }
 
-    /// The first runtime error the writer hit, if any. The writer keeps
-    /// serving, but a failing event may have been *partially* applied (there
-    /// is no statement rollback), so snapshots published after the error carry
-    /// [`Snapshot::degraded`] and cross-view invariants are no longer
-    /// guaranteed.
+    /// Why the first event the writer refused was refused, if it refused
+    /// one. The ingest gate ([`Engine::admits`]) runs before the WAL
+    /// append: a refused event is neither logged nor applied, every view
+    /// stays what the admitted events make it, and the writer keeps serving
+    /// without marking snapshots [`Snapshot::degraded`].
     pub fn last_error(&self) -> Option<RuntimeError> {
         self.shared
             .error
@@ -746,9 +743,9 @@ impl ViewServer {
     }
 
     /// A startup durability warning, if any — recovery provenance such as
-    /// skipped damaged checkpoints or replayed poison events, recorded by the
-    /// facade through [`ViewServer::record_durability_warning`]. Kept in its
-    /// own slot so it can never mask a later *runtime* failure reported by
+    /// skipped damaged checkpoints, recorded by the facade through
+    /// [`ViewServer::record_durability_warning`]. Kept in its own slot so it
+    /// can never mask a later *runtime* failure reported by
     /// [`ViewServer::last_durability_error`].
     pub fn durability_warning(&self) -> Option<DurabilityError> {
         self.shared
@@ -1627,7 +1624,6 @@ fn writer_loop(
     let mut stop = false;
     let mut disconnected = false;
     let mut tracking = false;
-    let mut degraded = false;
 
     while !stop && !disconnected {
         // Crash simulation / hard abort: stop here, mid-stream, without
@@ -1689,6 +1685,17 @@ fn writer_loop(
         }
 
         let t0 = Instant::now();
+        let drained = batch.len() as u64;
+        // The ingest gate, before the log: an event the catalog's types
+        // refuse is neither logged nor applied.
+        batch.retain(|ev| match engine.admits(ev) {
+            Ok(()) => true,
+            Err(e) => {
+                let mut slot = shared.error.lock().unwrap_or_else(|p| p.into_inner());
+                slot.get_or_insert(e);
+                false
+            }
+        });
         // Write-ahead: the batch must be on the log (synced per the fsync
         // policy) before any of its statements run, so no published snapshot
         // can ever reflect an event the log does not contain.
@@ -1699,7 +1706,6 @@ fn writer_loop(
             // state below, so a successful re-arm clears it.
             d.log_batch(&batch, &engine, &shared);
         }
-        let drained = batch.len() as u64;
         if drained > 0 {
             // Producers incremented before enqueueing, so the gauge holds at
             // least `drained` here.
@@ -1717,21 +1723,7 @@ fn writer_loop(
             for ev in batch.drain(..) {
                 delta.push_owned(ev);
             }
-            let report = engine.process_batch(&delta);
-            if let Some(e) = report.first_error {
-                degraded = true;
-                // Durable serving only: a failing event still consumes its
-                // slot in the stream — the WAL numbered it, so the `events`
-                // watermark must advance past it or every later checkpoint
-                // would lag the log and recovery would re-apply (or re-trip
-                // over) the poison event. Without a WAL, `events` keeps its
-                // original meaning of successfully applied events.
-                if durable.is_some() {
-                    engine.stats_mut().events += report.failed_events;
-                }
-                let mut slot = shared.error.lock().unwrap_or_else(|p| p.into_inner());
-                slot.get_or_insert(e);
-            }
+            engine.process_batch(&delta);
         }
         pending.merge(engine.take_changes());
         pending_events += drained;
@@ -1753,10 +1745,9 @@ fn writer_loop(
         if due {
             epoch += 1;
             let t_pub = Instant::now();
-            // Runtime-error degradation (`degraded`) is sticky; durability
-            // degradation tracks the WAL health live, so a re-arm clears it
+            // Degradation tracks the WAL health live, so a re-arm clears it
             // from the next published snapshot on.
-            let marked = degraded || durable.as_ref().is_some_and(|d| !d.is_armed());
+            let marked = durable.as_ref().is_some_and(|d| !d.is_armed());
             let snap = Arc::new(Snapshot::take(&shared.published, &engine, epoch, marked));
             let snap_cost = t_pub.elapsed();
             let changes = std::mem::take(&mut pending);

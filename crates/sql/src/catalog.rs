@@ -1,5 +1,6 @@
 //! The SQL catalog: table definitions visible to the frontend.
 
+use dbtoaster_gmr::ColumnType;
 use serde::{Deserialize, Serialize};
 
 /// A table definition.
@@ -9,39 +10,57 @@ pub struct TableDef {
     pub name: String,
     /// Column names (stored lowercase; lookups are case-insensitive).
     pub columns: Vec<String>,
+    /// Column types, one per column: a number unless declared a string
+    /// ([`TableDef::with_strings`]).
+    pub types: Vec<ColumnType>,
     /// `true` for relations that receive updates (streams), `false` for static tables.
     pub is_stream: bool,
 }
 
 impl TableDef {
-    /// A stream table.
+    /// A stream table, every column a number.
     pub fn stream<S: Into<String>>(
         name: impl Into<String>,
         columns: impl IntoIterator<Item = S>,
     ) -> Self {
-        TableDef {
-            name: name.into(),
-            columns: columns
-                .into_iter()
-                .map(|c| c.into().to_lowercase())
-                .collect(),
-            is_stream: true,
-        }
+        TableDef::new(name.into(), columns, true)
     }
 
-    /// A static table.
+    /// A static table, every column a number.
     pub fn table<S: Into<String>>(
         name: impl Into<String>,
         columns: impl IntoIterator<Item = S>,
     ) -> Self {
+        TableDef::new(name.into(), columns, false)
+    }
+
+    fn new<S: Into<String>>(
+        name: String,
+        columns: impl IntoIterator<Item = S>,
+        is_stream: bool,
+    ) -> Self {
+        let columns: Vec<String> = columns
+            .into_iter()
+            .map(|c| c.into().to_lowercase())
+            .collect();
         TableDef {
-            name: name.into(),
-            columns: columns
-                .into_iter()
-                .map(|c| c.into().to_lowercase())
-                .collect(),
-            is_stream: false,
+            name,
+            types: vec![ColumnType::Number; columns.len()],
+            columns,
+            is_stream,
         }
+    }
+
+    /// The table with the named columns declared strings. Panics on a name
+    /// the table does not have.
+    pub fn with_strings<S: AsRef<str>>(mut self, columns: impl IntoIterator<Item = S>) -> Self {
+        for c in columns {
+            let c = c.as_ref().to_lowercase();
+            let i = self.columns.iter().position(|have| *have == c);
+            let i = i.unwrap_or_else(|| panic!("table {} has no column {c}", self.name));
+            self.types[i] = ColumnType::String;
+        }
+        self
     }
 
     /// Does the table have the named column (case-insensitive)?
@@ -106,6 +125,13 @@ mod tests {
         assert!(t.has_column("QUANTITY"));
         assert!(!t.has_column("nope"));
         assert!(t.is_stream);
+    }
+
+    #[test]
+    fn columns_are_numbers_unless_declared_strings() {
+        let t =
+            TableDef::stream("Customer", ["custkey", "MktSegment"]).with_strings(["mktsegment"]);
+        assert_eq!(t.types, [ColumnType::Number, ColumnType::String]);
     }
 
     #[test]

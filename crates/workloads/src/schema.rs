@@ -49,6 +49,19 @@ pub fn tpch_columns(table: &str) -> Option<Vec<&'static str>> {
     })
 }
 
+/// The string columns of a TPC-H-like relation; every other column is a number
+/// (keys, quantities, prices, `yyyymmdd` dates).
+pub fn tpch_strings(table: &str) -> &'static [&'static str] {
+    match table {
+        "Customer" => &["mktsegment"],
+        "Orders" => &["orderpriority"],
+        "Lineitem" => &["returnflag"],
+        "Part" => &["brand", "type", "container"],
+        "Nation" | "Region" => &["name"],
+        _ => &[],
+    }
+}
+
 /// The TPC-H-like catalog. `Nation` and `Region` are static tables; everything else is
 /// an update stream.
 pub fn tpch_catalog() -> SqlCatalog {
@@ -56,10 +69,10 @@ pub fn tpch_catalog() -> SqlCatalog {
     for t in [
         "Customer", "Orders", "Lineitem", "Part", "Supplier", "Partsupp",
     ] {
-        c.add(TableDef::stream(t, tpch_columns(t).unwrap()));
+        c.add(TableDef::stream(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
     }
     for t in ["Nation", "Region"] {
-        c.add(TableDef::table(t, tpch_columns(t).unwrap()));
+        c.add(TableDef::table(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
     }
     c
 }
@@ -69,7 +82,8 @@ pub fn finance_columns() -> Vec<&'static str> {
     vec!["t", "id", "broker_id", "price", "volume"]
 }
 
-/// The financial order-book catalog: `Bids` and `Asks` update streams.
+/// The financial order-book catalog: `Bids` and `Asks` update streams, every
+/// column a number.
 pub fn finance_catalog() -> SqlCatalog {
     let mut c = SqlCatalog::new();
     c.add(TableDef::stream("Bids", finance_columns()));
@@ -86,17 +100,18 @@ pub fn mddb_columns(table: &str) -> Option<Vec<&'static str>> {
     })
 }
 
-/// The MDDB catalog: an `AtomPositions` insert stream and a static `AtomMeta` table.
+/// The MDDB catalog: an `AtomPositions` insert stream of numbers and a static
+/// `AtomMeta` table whose residue and atom names are strings.
 pub fn mddb_catalog() -> SqlCatalog {
     let mut c = SqlCatalog::new();
     c.add(TableDef::stream(
         "AtomPositions",
         mddb_columns("AtomPositions").unwrap(),
     ));
-    c.add(TableDef::table(
-        "AtomMeta",
-        mddb_columns("AtomMeta").unwrap(),
-    ));
+    c.add(
+        TableDef::table("AtomMeta", mddb_columns("AtomMeta").unwrap())
+            .with_strings(["residue_name", "atom_name"]),
+    );
     c
 }
 

@@ -197,11 +197,12 @@ fn underivable_relations_are_bit_exact_firing_by_firing() {
     }
 }
 
-/// A failed event writes nothing. `N[a] += b` fails on a tuple whose `b` is
-/// a string, after `M[a] += 1` — the statement before it — has been
-/// evaluated. Per event and under every partition, the poison event must
-/// leave `M`, `N` and the stored `R` as the stream without it leaves them,
-/// count as one failed event, and let every other event apply.
+/// A refused event writes nothing. `N[a] += b` would multiply a string in
+/// on a tuple whose `b` is one, after `M[a] += 1` — the statement before it.
+/// The gate refuses that tuple before any statement runs: per event and
+/// under every partition, it must leave `M`, `N` and the stored `R` as the
+/// stream without it leaves them, count as one failed event with the same
+/// refusal, and let every other event apply.
 #[test]
 fn a_failed_event_writes_nothing() {
     let statements = |sign: UpdateSign| -> (UpdateSign, Vec<common::Stmt>) {
@@ -220,24 +221,28 @@ fn a_failed_event_writes_nothing() {
     let program = common::assemble(triggers.to_vec(), &defs);
     let clean = common::small_stream(21, 240);
     let mut events = clean.clone();
-    let poison = vec![Value::long(1), Value::str("x")];
-    events.insert(120, UpdateEvent::insert("R", poison));
+    let ill_typed = vec![Value::long(1), Value::str("x")];
+    events.insert(120, UpdateEvent::insert("R", ill_typed));
 
     let mut per_event = Engine::new(program.clone(), &common::catalog());
     let errors = common::failures(&mut per_event, &events);
-    assert_eq!(errors.len(), 1, "exactly the poison fails: {errors:?}");
+    assert_eq!(
+        errors.len(),
+        1,
+        "exactly the ill-typed event is refused: {errors:?}"
+    );
     assert!(!per_event.view("M").unwrap().is_empty());
 
-    // The driver holds the batched maps to the per-event ones; here every
-    // partition must also equal the stream without the poison.
+    // `common::check` holds the batched maps to the per-event ones and to
+    // the stream without the refused event.
     let without = Recompute::new(&common::catalog(), &Default::default(), &clean);
     let mut case = Case::new(Source::Program(program.clone()), events);
-    case.poison = true;
+    case.ill_typed = Some(120);
     let fixed = [1, 2, 8, 64, 512].map(Partition::Fixed);
     let points = higher_order(&[&fixed[..], &[1, 2, 3].map(Partition::Geometric)].concat());
     for (p, o) in points.iter().zip(common::check(&case, &points)) {
         let failed: u64 = o.reports.iter().map(|r| r.failed_events).sum();
-        assert!(failed == 1 && o.maps_agree, "{p}: {failed} failed");
+        assert_eq!(failed, 1, "{p}");
         without.check(&format!("{p}"), &program, &|m| o.engine.view(m), 0.0);
         for e in o.reports.iter().filter_map(|r| r.first_error.as_ref()) {
             assert_eq!(Some(e), errors.first(), "{p}");
@@ -245,24 +250,44 @@ fn a_failed_event_writes_nothing() {
     }
 }
 
-/// Open: one stream can fail different events batched and per event (see
-/// `BatchReport::failed_events`). Per event, `S(2, "x")` meets `R(1, 2)`,
-/// multiplies the string in, fails and writes nothing. As one first-order
-/// batch the `R` insert and delete cancel before anything fires, the `S`
-/// firing's products are zero, and the string is stored without a failure;
-/// every later firing that reads it fails.
+/// The ingest gate across the lattice: a string in a number column, or a
+/// tuple one value short, in the middle of a stream over a join and a
+/// self-join. In every mode, per event and in batches of 2, 8, 64 and 512
+/// and geometric ones, live passes kept, on 1, 2 and 4 shards, and through a
+/// WAL written and recovered past it, `common::check` holds exactly that event
+/// refused — one failed event — and every map equal to the stream without
+/// it, bit for bit.
 #[test]
-#[ignore]
-fn a_poison_fails_the_same_events_batched_and_per_event() {
-    let (r, s) = (Expr::rel("R", ["a", "b"]), Expr::rel("S", ["b", "c"]));
-    let q = common::scalar_query(vec![r, s, Expr::var("c")]);
-    let mut case = Case::new(Source::Queries(vec![q]), events("+R 1 2; +S 2 x; -R 1 2"));
-    case.poison = true;
-    let point = Point::plain(CompileMode::FirstOrder, Partition::Fixed(3));
-    let outcome = common::check(&case, &[point]).remove(0);
-    let failed: u64 = outcome.reports.iter().map(|r| r.failed_events).sum();
-    assert_eq!(failed, outcome.per_event_failures);
-    assert!(outcome.maps_agree);
+fn an_ill_typed_event_is_refused_at_every_batch_size_and_shard_count() {
+    let base = common::shaped(&[Shape::EquiJoin, Shape::SelfJoin], 5, 120);
+    let fixed = [1, 2, 8, 64, 512].map(Partition::Fixed);
+    let partitions = [&fixed[..], &[Partition::Geometric(3)]].concat();
+    for tuple in [vec![Value::long(1), Value::str("x")], vec![Value::long(1)]] {
+        let mut case = base.clone();
+        case.events.insert(60, UpdateEvent::insert("S", tuple));
+        case.ill_typed = Some(60);
+        let mut points = Vec::new();
+        for mode in common::MODES {
+            for &partition in &partitions {
+                let batches = common::cuts(&case.events, partition, false).len();
+                let wal = common::WalCut {
+                    checkpoint: Some(batches / 2),
+                    stop: batches,
+                };
+                let shards = &[1, 2, 4];
+                let plain = Point::plain(mode, partition);
+                points.push(Point {
+                    shards,
+                    wal: Some(wal),
+                    ..plain
+                });
+            }
+        }
+        for (p, o) in points.iter().zip(common::check(&case, &points)) {
+            let failed: u64 = o.reports.iter().map(|r| r.failed_events).sum();
+            assert_eq!(failed, 1, "{p}");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -632,113 +657,6 @@ fn a_cancelled_run_fires_no_tail() {
     let cleared = common::batch_work(&common::underivable(&program), &case.catalog, &events, 2);
     let (kept, cleared) = (kept.statements, cleared.statements);
     assert!(kept <= cleared, "{kept} statements vs {cleared}");
-}
-
-/// A poison event in the middle of a replace-tail run: an order whose volume
-/// is a string fails `vwap`'s first increment. Collection aborts before
-/// anything is applied and the run replays entry-major, so the report's
-/// failure count and first error, and every map, equal per-event processing —
-/// there is no per-entry failure bookkeeping on the batch path to get wrong.
-#[test]
-fn poison_event_in_a_replace_tail_run_matches_per_event() {
-    let prefix = "+B 1 1 0 2 3; +B 2 2 0 5 2";
-    let run = "+B 3 3 0 1 7; +B 4 4 0 6 4; +B 5 8 0 4 x; -B 1 1 0 2 3; +B 6 9 0 3 2";
-    check_poisoned_run(&["vwap"], &[HO], prefix, run);
-}
-
-/// The `:=` tail's residue (see `BatchReport::failed_events`): a failing
-/// re-evaluation counts once per run, not once per event, and keeps its
-/// targets where the run before left them. In re-evaluation mode `vwap`'s
-/// triggers are nothing but `:=` statements over the stored `Bids`; an order
-/// whose volume is a string is stored by its own firing (the base update
-/// precedes the tail) and makes every later re-evaluation fail. Per event
-/// that is one failure per event from the poison on; a batch-delta run fires
-/// the tail once, for its last event, and reports one failure per run. When
-/// the poison opens its run the maps agree — `vwap` keeps the last value
-/// computed before it either way. When it follows other orders in its run,
-/// per-event processing has re-evaluated `vwap` over them and the batch has
-/// not: the maps differ, and the batch has said so.
-#[test]
-fn poisoned_replace_tail_fails_once_per_run_not_per_event() {
-    let (prefix, poison) = ("+B 1 1 0 2 3; +B 2 2 0 5 2", "+B 5 8 0 4 x");
-    let (run, after) = (
-        ["+B 3 3 0 1 7", "-B 1 1 0 2 3", "+B 4 4 0 6 4"],
-        "+B 6 9 0 3 2; +B 7 10 0 2 5; -B 2 2 0 5 2",
-    );
-    for (at, agree) in [(0, true), (2, false)] {
-        let (before, rest) = run.split_at(at);
-        let run = [before, &[poison], rest].concat().join("; ");
-        let mut case = book_case(&["vwap"], events(&format!("{prefix}; {run}; {after}")));
-        case.poison = true;
-        let point = Point::plain(CompileMode::Reevaluate, Partition::Sizes(&[2, 4]));
-        let outcome = common::check(&case, &[point]).remove(0);
-        assert_eq!(outcome.per_event_failures, 7 - at as u64, "one per event");
-        assert_eq!(outcome.maps_agree, agree, "poison {at} into its run");
-        for report in &outcome.reports[1..] {
-            assert_eq!(report.failed_events, 1, "one per run");
-            assert_eq!(report.runs.len(), 1);
-            assert_eq!(report.runs[0].strategy, BatchStrategy::BatchDelta);
-        }
-    }
-}
-
-/// `prefix`, then `run` with a poison order in it, through `names` in each of
-/// `modes`: per event only the poison fails; as one batch the run fails once,
-/// replays entry-major, and ends where per-event processing ends — which is
-/// the stream without the poison, since it failed before writing anything.
-/// Returns the live-pass firings the run's batch made, per mode.
-fn check_poisoned_run(names: &[&str], modes: &[CompileMode], prefix: &str, run: &str) -> Vec<u64> {
-    let (prefix, run) = (events(prefix), events(run));
-    let events: Vec<UpdateEvent> = prefix.iter().chain(&run).cloned().collect();
-    let mut applied = events.clone();
-    applied.retain(|e| !matches!(e.tuple[4], Value::Str(_)));
-    let catalog = common::workload_catalog();
-    let oracle = Recompute::new(&catalog, &Default::default(), &applied);
-    let mut firings = Vec::new();
-    for &mode in modes {
-        let program = common::workload_program(names, mode);
-        let mut reference = Engine::new(program.clone(), &catalog);
-        let errors = common::failures(&mut reference, &events);
-        assert_eq!(errors.len(), 1, "[{mode}] only the poison fails");
-        assert!(!reference.view(names[0]).unwrap().is_empty(), "[{mode}]");
-
-        let mut batched = Engine::new(program.clone(), &catalog);
-        let tel = common::instrument(&mut batched);
-        let report = batched.process_batch(&DeltaBatch::from_events(&prefix));
-        assert!(report.first_error.is_none());
-        let before = common::work(&mut batched, &tel).live_firings;
-        let report = batched.process_batch(&DeltaBatch::from_events(&run));
-        let counts = (report.events, report.failed_events);
-        assert_eq!(counts, (run.len() as u64, 1), "[{mode}]");
-        assert_eq!(report.first_error.as_ref(), errors.first(), "[{mode}]");
-        let strategies: Vec<BatchStrategy> = report.runs.iter().map(|r| r.strategy).collect();
-        assert_eq!(strategies, [BatchStrategy::EntryMajor], "replayed");
-        firings.push(common::work(&mut batched, &tel).live_firings - before);
-        assert_eq!(batched.stats().events, reference.stats().events);
-        let ctx = format!("poisoned run [{mode}]");
-        common::assert_engines(&ctx, &reference, &batched);
-        oracle.check(&ctx, &program, &|m| batched.view(m), 0.0);
-    }
-    firings
-}
-
-/// A poison event *after* the live pass has written. In first-order mode
-/// `bsp`'s one statement reads the stored slice of `Bids`, which its own run
-/// writes: inside a run the engine applies the base update firing
-/// by firing — and has to take those writes back when a later firing fails
-/// (an order whose volume is a string fails the statement's arithmetic). The
-/// run then replays entry-major, and the report, every map and the stored
-/// relation equal per-event processing bit for bit. In the other incremental
-/// modes the same order already fails a statement that is collected before
-/// the live pass starts; the outcome must be the same.
-#[test]
-fn poison_event_after_live_writes_is_rolled_back() {
-    let prefix = "+B 1 1 0 2 3; +B 2 2 0 5 2";
-    let run = "+B 3 3 0 1 7; -B 1 1 0 2 3; +B 5 8 0 4 x; +B 6 9 0 3 2";
-    let firings = check_poisoned_run(&["bsp"], &common::MODES[..3], prefix, run);
-    // Not vacuous: in first-order mode the pass had fired (and written the
-    // stored slice) before it met the poison, and then replayed.
-    assert!(firings[1] >= 2, "{firings:?}");
 }
 
 /// Timing-free work guard for the tail: at batch 512 a `:=` statement is

@@ -17,23 +17,24 @@
 //!   engine ended;
 //! * **work**, on exact data: with the live passes kept, the kernels scan no
 //!   more entries than the same batches fired firing by firing;
-//! * **failures**: none but on a poison case, and there the values checks
-//!   hold on every view that reads no relation holding the poison and none
-//!   that either side reported a failure on (see `BatchReport::failed_events`).
+//! * **refusals**: the ingest gate refuses exactly the case's ill-typed
+//!   event, if it has one — per event, batched and on every shard count, one
+//!   failed event — and never logs it, while every view equals the stream
+//!   without it (see `BatchReport::failed_events`).
 //!
 //! On a failure the case is shrunk — its events (ddmin), then its queries,
 //! then the point — and the panic carries a `common::replay(…)` line.
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{DeltaBatch, Expr, RelationDelta, UpdateEvent};
+use dbtoaster::agca::{DeltaBatch, RelationDelta, UpdateEvent};
 use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, MapClass, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
 use dbtoaster::gmr::{Gmr, Value};
 use dbtoaster::runtime::TelemetryConfig;
 use dbtoaster::runtime::{BatchReport, Engine, RuntimeError, ShardedEngine, Telemetry};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
@@ -124,11 +125,10 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
     }
 }
 
-/// Every run of a batch that failed nowhere took its relation's static
-/// dispatch: nothing re-routes a run but the replay of a failed one.
+/// Every run of a batch took its relation's static dispatch.
 pub fn assert_dispatched(ctx: &str, program: &TriggerProgram, report: &BatchReport) {
     let dispatch = program.batch_dispatch();
-    for run in report.runs.iter().filter(|_| report.failed_events == 0) {
+    for run in &report.runs {
         let d = dispatch.iter().find(|d| d.relation == run.relation);
         let (rel, dispatched) = (&run.relation, d.map(|d| d.strategy));
         assert_eq!(Some(run.strategy), dispatched, "{ctx}: a {rel} run");
@@ -153,44 +153,27 @@ pub fn batch_work(prog: &TriggerProgram, cat: &Catalog, events: &[UpdateEvent], 
 /// What a point's batched run reported.
 pub struct Outcome {
     pub reports: Vec<BatchReport>,
-    pub per_event_failures: u64,
-    /// The batched maps equal the per-event ones (only a failure may differ).
-    pub maps_agree: bool,
     /// The batched engine after its last batch, its telemetry flushed.
     pub engine: Engine,
 }
 
-/// A mode's program, its per-event reference and the relations that failed.
-type Prepared = (CompileMode, TriggerProgram, Engine, Vec<String>);
+/// A mode's program, and its per-event reference with the positions of the
+/// events it refused.
+type Prepared = (CompileMode, TriggerProgram, Engine, Vec<usize>);
 
 fn prepare(case: &Case, mode: CompileMode) -> Prepared {
     let program = case.compile(mode);
     let mut reference = engine(case, &program);
-    let failed = case.events.iter().filter(|e| reference.process(e).is_err());
-    let failed = failed.map(|e| e.relation.clone()).collect();
-    (mode, program, reference, failed)
-}
-
-/// `program` restricted to its views that read none of `relations`, by their
-/// definitions' atoms (a map without one reads all). A trigger writes only
-/// maps whose definitions name its relation, so no other event changes these.
-fn reading_none(program: &TriggerProgram, relations: &BTreeSet<String>) -> TriggerProgram {
-    let named = |d: &Expr| d.atoms().iter().any(|r| relations.contains(&r.name));
-    let reads = |d: &Expr| !relations.is_empty() && (d.is_zero() || named(d));
-    let unread = |names: &BTreeSet<String>| names.difference(relations).cloned().collect();
-    let maps = program.maps.iter().filter(|m| !reads(&m.definition));
-    TriggerProgram {
-        maps: maps.cloned().collect(),
-        stored_relations: unread(&program.stored_relations),
-        static_tables: unread(&program.static_tables),
-        ..program.clone()
-    }
+    let events = case.events.iter().enumerate();
+    let refused = events.filter(|(_, e)| reference.process(e).is_err());
+    let refused = refused.map(|(i, _)| i).collect();
+    (mode, program, reference, refused)
 }
 
 /// Run `case` at each of `points`, in order (consecutive points of one mode
 /// share its reference); a failure is shrunk to a `common::replay(…)` line.
 pub fn check(case: &Case, points: &[Point]) -> Vec<Outcome> {
-    let oracle = Recompute::new(&case.catalog, &case.tables, &case.events);
+    let oracle = Recompute::new(&case.catalog, &case.tables, &case.admitted());
     let mut prepared: Option<Prepared> = None;
     let mut visit_at = |p: &Point| {
         if prepared.as_ref().is_none_or(|q| q.0 != p.mode) {
@@ -213,8 +196,7 @@ pub fn replay(case: Case, events: &[usize], point: Point) {
 
 fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome {
     let ctx = format!("{} at {p}", case.label);
-    let (_, compiled, reference, failed_per_event) = prep;
-    let per_event_failures = failed_per_event.len() as u64;
+    let (_, compiled, reference, refused_per_event) = prep;
     let entry_major = underivable(compiled);
     let program = if p.live { compiled } else { &entry_major };
     let eps = if case.float { FLOAT_EPS } else { 0.0 };
@@ -250,31 +232,24 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     let kept = work(&mut batched, &tel).scanned;
     let view = |n: &str| batched.view(n);
 
-    // Values, and failures: `BatchReport::failed_events` states what holds.
+    // Values, and refusals: the gate refuses the ill-typed event and only
+    // it, per event and batched, and every view is the stream without it.
+    let ill_typed: Vec<usize> = case.ill_typed.into_iter().collect();
+    assert_eq!(refused_per_event, &ill_typed, "{ctx}: refused per event");
+    let refused = ill_typed.len() as u64;
     let failed: u64 = reports.iter().map(|r| r.failed_events).sum();
+    let first = reports.iter().find_map(|r| r.first_error.as_ref());
+    assert_eq!(
+        failed, refused,
+        "{ctx}: refused batched, the first: {first:?}"
+    );
     let events = case.events.len() as u64;
     assert_eq!(batched.stats().events + failed, events, "{ctx}: events");
-    let first = reports.iter().find_map(|r| r.first_error.as_ref());
-    let failures = format!("{failed} batched failures, {per_event_failures} per event");
-    let failures = format!("{ctx}: {failures}; the first batched: {first:?}");
-    let clean = failed + per_event_failures == 0;
-    assert!(case.poison || clean, "{failures}");
-    // A failure lets the maps differ, but only in the views over a relation
-    // that holds the poison, failed per event or was in a batch that failed;
-    // and `Recompute` cannot evaluate the poison.
-    let string = |v: &Value| matches!(v, Value::Str(_));
-    let poisoned = |e: &&UpdateEvent| case.poison && e.tuple.iter().any(string);
-    let failing = cuts.iter().zip(&reports).filter(|b| b.1.failed_events > 0);
-    let failing = failing.flat_map(|(r, _)| &case.events[r.clone()]);
-    let tainted = case.events.iter().filter(poisoned).chain(failing);
-    let tainted = tainted.map(|e| &e.relation).chain(failed_per_event);
-    let checked = reading_none(program, &tainted.cloned().collect());
     let by_event = |n: &str| reference.view(n);
-    if let Some(diff) = views_differ(&checked, &by_event, &view, &|_| eps) {
-        panic!("{failures}; batched vs per event: {diff}");
+    if let Some(diff) = views_differ(program, &by_event, &view, &|_| eps) {
+        panic!("{ctx}: batched vs per event: {diff}");
     }
-    oracle.check(&ctx, &checked, &view, eps);
-    let maps_agree = !case.poison || views_differ(program, &by_event, &view, &|_| eps).is_none();
+    oracle.check(&ctx, program, &view, eps);
     if let Some([snapshot, then]) = held {
         same("held snapshot", &reader(&then), &reader(&snapshot), 0.0);
     }
@@ -282,14 +257,13 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
 
     // Work, on exact data only: a float sum that a delete cancels leaves a
     // ±ulp residue or not depending on the summation order, and a residue
-    // is an entry that later scans count. A failed run is collected, then
-    // replayed, so poison cases do the work twice. And a run whose entries
-    // all cancel still fires its `:=` tail (`a_cancelled_run_fires_no_tail`).
+    // is an entry that later scans count. And a run whose entries all
+    // cancel still fires its `:=` tail (`a_cancelled_run_fires_no_tail`).
     let cancelled = |run: &RelationDelta| {
         has_tail(program, run.relation()) && run.entries().iter().all(|e| e.mult == 0.0)
     };
     let cancels = cuts.iter().any(|r| batch(r).runs().iter().any(cancelled));
-    if p.live && !case.float && !case.poison && !cancels {
+    if p.live && !case.float && !cancels {
         let mut cleared = engine(case, &entry_major);
         let cleared_tel = instrument(&mut cleared);
         for r in &cuts {
@@ -309,8 +283,9 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
         let runs: Vec<_> = p.shards.iter().map(run).collect();
         runs.into_iter().map(joined).collect::<Vec<_>>()
     });
-    for (n, sharded) in p.shards.iter().zip(runs) {
-        assert_eq!(sharded.events(), events, "{ctx}: {n} shards");
+    for (n, (sharded, failed)) in p.shards.iter().zip(runs) {
+        assert_eq!(failed, refused, "{ctx}: {n} shards refused");
+        assert_eq!(sharded.events() + failed, events, "{ctx}: {n} shards");
         // A slice re-derives its live passes: with them cleared here, the
         // shards run batch-delta where `batched` fired firing by firing.
         let summed = |m: &str| sharded.plan().class(m) == MapClass::Summed;
@@ -332,25 +307,28 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     }
     Outcome {
         reports,
-        per_event_failures,
-        maps_agree,
         engine: batched,
     }
 }
 
 /// `case`'s batches `cuts` through `prog` on `n` shards, with its tables
-/// loaded; every batch must apply.
-fn sharded(case: &Case, prog: &TriggerProgram, cuts: &[Range<usize>], n: usize) -> ShardedEngine {
+/// loaded, and the events the shards refused.
+fn sharded(
+    case: &Case,
+    prog: &TriggerProgram,
+    cuts: &[Range<usize>],
+    n: usize,
+) -> (ShardedEngine, u64) {
     let mut sharded = ShardedEngine::new(prog.clone(), &case.catalog, n);
     for (table, rows) in &case.tables {
         sharded.load_table(table, rows);
     }
     sharded.init_static_views().expect("static views");
-    for r in cuts {
-        let error = sharded.process_events(&case.events[r.clone()]).first_error;
-        assert!(error.is_none(), "{}: {n} shards: {error:?}", case.label);
-    }
-    sharded
+    let batches = cuts
+        .iter()
+        .map(|r| sharded.process_events(&case.events[r.clone()]));
+    let failed = batches.map(|report| report.failed_events).sum();
+    (sharded, failed)
 }
 
 /// What a scoped thread returned, or its panic, resumed here.
@@ -382,6 +360,9 @@ static DIRS: AtomicUsize = AtomicUsize::new(0);
 /// before the first batch when there are tables (which travel only in
 /// checkpoints); recover, and assert the recovered engine equals the one fed
 /// those batches: its `images` by boundary hold the checkpoints and the end.
+/// As a serving writer does, append only the events the gate admits: the
+/// log holds the admitted events and nothing else (recovery fails on any
+/// event the gate refuses).
 fn recovered(
     case: &Case,
     program: &TriggerProgram,
@@ -397,6 +378,7 @@ fn recovered(
     let _ = std::fs::remove_dir_all(dir);
     let initial = (!case.tables.is_empty()).then_some(0);
     let mut wal = WalWriter::open(dir, fp, 1, FsyncPolicy::Never, 512).expect("wal");
+    let gate = Engine::new(program.clone(), &case.catalog);
     let (mut written, mut watermark) = (0u64, 0u64);
     for i in 0..=batches.len() {
         if checkpoint == Some(i) || initial == Some(i) {
@@ -405,8 +387,11 @@ fn recovered(
             watermark = written;
         }
         let Some(r) = batches.get(i) else { break };
-        wal.append(&case.events[r.clone()]).expect("append");
-        written += r.len() as u64;
+        let batch = case.events[r.clone()].iter();
+        let admitted: Vec<UpdateEvent> =
+            batch.filter(|e| gate.admits(e).is_ok()).cloned().collect();
+        wal.append(&admitted).expect("append");
+        written += admitted.len() as u64;
     }
     drop(wal);
     let rec = recover(dir, program.clone(), &case.catalog);
@@ -414,6 +399,11 @@ fn recovered(
     let _ = std::fs::remove_dir_all(dir);
     assert_eq!(rec.checkpoint_watermark, watermark, "{ctx}: checkpoint");
     assert_eq!(rec.replayed_events, written - watermark, "{ctx}: replayed");
+    assert_eq!(
+        rec.engine.stats().events,
+        written,
+        "{ctx}: the log's events"
+    );
     let want = reader(&images[&batches.len()]);
     assert_views(&ctx, program, &want, &|n| rec.engine.view(n), &|_| 0.0);
     rec.engine
@@ -625,7 +615,7 @@ pub fn census() -> BTreeMap<String, usize> {
             let quantile = case.hostile && case.shapes.contains(&Shape::Quantile);
             let flags = flags
                 .chain(quantile.then_some("hostile stream under a quantile filter"))
-                .chain(case.poison.then_some("poison event"))
+                .chain(case.ill_typed.map(|_| "ill-typed event"))
                 .map(String::from);
             for fact in facts.chain(flags).chain(["cases".to_string()]) {
                 *seen.entry(fact).or_insert(0) += 1;
@@ -659,7 +649,7 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
         let plan = ["local plan", "exchange plan"][exchanges as usize];
         // Run the first plan of each kind, to see what it ships.
         if !seen.contains_key(plan) {
-            let run = sharded(case, program, &cuts, n);
+            let (run, _) = sharded(case, program, &cuts, n);
             let ships = run.exchange_stats().bytes > 0;
             seen.insert(format!("{plan} shipping bytes: {ships}"), 1);
         }
@@ -696,7 +686,7 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 /// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
 /// entry-major runs, an exchange plan that ships and a local one that does
 /// not, a WAL cut after a checkpoint, a held snapshot, a hostile stream (one
-/// under a quantile filter), a poison case, and a higher-order program with
+/// under a quantile filter), an ill-typed event, and a higher-order program with
 /// a band sum inside a loop fused into a threshold (the census counts them
 /// per mode).
 pub fn assert_census() {
@@ -708,7 +698,7 @@ pub fn assert_census() {
     let hands = HANDS.iter().map(|h| format!("hand {h:?}"));
     let rest = "non-empty live pass, empty live pass, `:=` tail, entry-major relation, \
         exchange plan shipping bytes: true, local plan shipping bytes: false, \
-        WAL cut after a checkpoint, snapshot held across batches, hostile stream, poison event, \
+        WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
         hostile stream under a quantile filter";
     let facts = classes.into_iter().chain(shapes).chain(hands);

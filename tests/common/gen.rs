@@ -16,7 +16,8 @@
 //! past 2^53 in key-only columns, 0.5 / −0.0 in weight columns no query
 //! compares, −0.0 in compared columns and, in cases with a quantile filter,
 //! NaN and ints past 2^53 in compared columns no query weighs. One in ten
-//! cases with a weight column carries a poison event: a string there.
+//! cases with a weight column carries one ill-typed event: a string in that
+//! number column, or a tuple one value short.
 
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{
@@ -639,8 +640,8 @@ pub struct Case {
     /// Float data, where summation order shows in the last bits.
     pub float: bool,
     pub hostile: bool,
-    /// The stream holds a string in a weight column.
-    pub poison: bool,
+    /// The position of the one event the ingest gate must refuse, if any.
+    pub ill_typed: Option<usize>,
     /// Cut a batch before an event whose tuple it holds: the program's `:=`
     /// depends on firing order, and only batches that fire each event as its
     /// own entry fire in stream order.
@@ -692,6 +693,9 @@ impl Case {
     pub fn restrict(&self, keep: &[usize], queries: u8) -> Case {
         let mut c = self.clone();
         c.events = keep.iter().map(|&i| self.events[i].clone()).collect();
+        c.ill_typed = self
+            .ill_typed
+            .and_then(|i| keep.iter().position(|&k| k == i));
         if let Source::Queries(specs) = &self.source {
             let kept = (0..specs.len()).filter(|i| queries >> i & 1 == 1);
             c.source = Source::Queries(kept.map(|i| specs[i].clone()).collect());
@@ -702,9 +706,15 @@ impl Case {
     /// Whether the shard axis applies. `ShardedEngine` slices a program
     /// storing what its statements read, as `compile` builds it: a
     /// hand-assembled program stores `R` unread, and its slices would not.
-    /// Failures are not part of the shard contract.
     pub fn shardable(&self) -> bool {
-        !self.poison && self.hand.is_none()
+        self.hand.is_none()
+    }
+
+    /// The stream without its ill-typed event: what every view must equal.
+    pub fn admitted(&self) -> Vec<UpdateEvent> {
+        let kept = self.events.iter().enumerate();
+        let kept = kept.filter(|(i, _)| Some(*i) != self.ill_typed);
+        kept.map(|(_, e)| e.clone()).collect()
     }
 
     /// The worst class among the queries.
@@ -767,12 +777,17 @@ pub fn case(seed: u64) -> Case {
     };
     let mut events_rng = Rng::new(seed, 2);
     let mut events = stream(&mut events_rng, &["R", "S"], len, &dom);
-    let poison = !weights.is_empty() && rng.percent(10);
-    if poison {
+    let mut ill_typed = None;
+    if !weights.is_empty() && rng.percent(10) {
         let (rel, col) = rng.pick(&weights);
         let mut t = dom.tuple(&mut events_rng, rel, len);
-        t[col] = Value::str("poison");
-        events.insert(rng.below(len + 1), UpdateEvent::insert(rel, t));
+        match rng.percent(50) {
+            true => t[col] = Value::str("ill-typed"),
+            false => drop(t.pop()),
+        }
+        let at = rng.below(len + 1);
+        events.insert(at, UpdateEvent::insert(rel, t));
+        ill_typed = Some(at);
     }
     let mut row = || [5, 4].map(|n| Value::long(rng.below(n) as i64)).to_vec();
     let tables = [("T".to_string(), (0..6).map(|_| row()).collect())].into();
@@ -781,7 +796,7 @@ pub fn case(seed: u64) -> Case {
         tables,
         shapes,
         hostile,
-        poison,
+        ill_typed,
         ..Case::new(Source::Queries(specs), events)
     }
 }

@@ -215,6 +215,55 @@ fn served_workload_query_matches_the_embedded_engine() {
     assert!(deltas > 0, "the subscription saw no output deltas");
 }
 
+/// A served stream with an ill-typed event between good ones — a string
+/// where `Lineitem` has a number — ends where the embedded engine ends over
+/// the admitted events. The writer refuses the event before it is applied,
+/// so the snapshot is not degraded and `last_error` holds the refusal.
+#[test]
+fn a_refused_event_leaves_the_served_views_exact() {
+    let q = workloads::query("q6").unwrap();
+    let data = small_dataset(Family::Tpch);
+    let engine = || {
+        let mut engine = QueryEngineBuilder::new(workloads::tpch_catalog())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap();
+        engine.init().unwrap();
+        engine
+    };
+    let mut embedded = engine();
+    embedded.process_all(&data.events).unwrap();
+    let expected = embedded.result(q.name).unwrap().scalar();
+
+    let at = data
+        .events
+        .iter()
+        .position(|e| e.relation == "Lineitem")
+        .unwrap();
+    let mut ill_typed = data.events[at].clone();
+    ill_typed.tuple[4] = Value::str("cheap");
+    let mut stream = data.events.clone();
+    stream.insert(at + 1, ill_typed);
+    let server = engine().serve().unwrap();
+    server.handle().send_batch(stream).unwrap();
+    server.flush().unwrap();
+    let got = server.reader().query(q.name).unwrap().scalar();
+    let tol = 1e-9 * expected.abs().max(1.0);
+    assert!(
+        (got - expected).abs() <= tol,
+        "served {got} vs embedded {expected}"
+    );
+    assert!(!server.reader().snapshot().degraded());
+    let refusal = server.last_error().expect("the refusal").to_string();
+    assert!(
+        refusal.starts_with("event for Lineitem refused: column extendedprice"),
+        "{refusal}"
+    );
+    assert_eq!(server.stats().events as usize, data.events.len());
+    server.shutdown().unwrap();
+}
+
 /// A served snapshot holds what readers read. The six dashboard queries
 /// served through the facade publish exactly their output views: the
 /// higher-order maps and stored tables behind them are never patched or
@@ -366,9 +415,10 @@ fn query_engine_reports_compilation_features() {
     }
 }
 
-/// A statement the kernel compiler cannot lower is a compile error, naming
-/// the statement and the reason — never a program that fails per event at
-/// run time. `SUM('x')` puts a string in multiplicity position.
+/// A program whose kernels could fail per event is a compile error, naming
+/// what is wrong — never a program that fails per event at run time.
+/// `SUM('x')` puts a string constant in multiplicity position, which the
+/// type check rejects before any statement is lowered.
 #[test]
 fn unlowerable_sql_is_rejected_by_build() {
     use dbtoaster::compiler::CompileError;
@@ -380,15 +430,43 @@ fn unlowerable_sql_is_rejected_by_build() {
             .build()
             .err()
             .unwrap_or_else(|| panic!("[{mode}] an unlowerable program built"));
-        let DbToasterError::Compile(CompileError::Unlowerable { statement, reason }) = &err else {
-            panic!("[{mode}] expected Unlowerable, got {err}");
+        let DbToasterError::Compile(CompileError::Type { column, reason }) = &err else {
+            panic!("[{mode}] expected a type error, got {err}");
         };
-        assert!(
-            statement.starts_with("q[] ") && statement.contains("'x'"),
-            "{statement}"
-        );
-        assert_eq!(reason, "non-numeric constant in multiplicity position");
+        assert_eq!(column, "'x'");
+        assert_eq!(reason, "a string used as a number");
         assert!(err.to_string().contains(reason.as_str()), "{err}");
+    }
+}
+
+/// The catalog's string columns reach the SQL front end: summing a string
+/// column and matching a number against a `LIKE` pattern are compile
+/// errors naming the column, in every mode.
+#[test]
+fn ill_typed_sql_names_the_column() {
+    use dbtoaster::compiler::CompileError;
+    for (sql, column) in [
+        (
+            "SELECT SUM(c.mktsegment) FROM Customer c",
+            "Customer.mktsegment",
+        ),
+        (
+            "SELECT SUM(c.acctbal) FROM Customer c WHERE c.custkey LIKE '1%'",
+            "Customer.custkey",
+        ),
+    ] {
+        for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
+            let err = QueryEngineBuilder::new(workloads::tpch_catalog())
+                .add_query("q", sql)
+                .mode(mode)
+                .build()
+                .err()
+                .unwrap_or_else(|| panic!("[{mode}] {sql} built"));
+            let DbToasterError::Compile(CompileError::Type { column: named, .. }) = &err else {
+                panic!("[{mode}] {sql}: expected a type error, got {err}");
+            };
+            assert_eq!(named, column, "[{mode}] {sql}");
+        }
     }
 }
 
