@@ -414,8 +414,7 @@ pub enum BatchStrategy {
     /// event-at-a-time processing, where every `+=` statement of a firing
     /// reads the state before it. Not a second executor, and never the
     /// static choice for a relation of a compiled workload program: it is
-    /// the replay of a batch-delta run that hit an evaluation error, and the
-    /// dispatch of a relation whose derivation bailed (a hand-assembled
+    /// the dispatch of a relation whose derivation bailed (a hand-assembled
     /// trigger whose `:=` statements cannot be the run's tail).
     EntryMajor,
     /// Batch-delta: the whole run is one delta GMR. Every incremental

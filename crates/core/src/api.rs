@@ -256,8 +256,8 @@ impl QueryEngine {
 
     /// Record per-relation run execution into
     /// [`BatchReport::runs`](dbtoaster_runtime::BatchReport::runs) (which
-    /// strategy actually executed, after any replay of a failed run). Off by
-    /// default: recording costs one small allocation per run.
+    /// strategy executed). Off by default: recording costs one small
+    /// allocation per run.
     pub fn set_run_recording(&mut self, on: bool) {
         self.engine.set_run_recording(on);
     }

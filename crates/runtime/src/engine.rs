@@ -40,10 +40,9 @@
 //!    per-event processing would have it read, through the same single lookup (a range
 //!    sum stays one search of one ordered index, whatever the run has added to it).
 //!    The pass costs what its statements cost per event; it is skipped for runs of at
-//!    most one firing and
-//!    for relations with an empty live pass. Then all writes still buffered land: one
-//!    target resolution, one change-log entry and one version bump per statement per
-//!    run;
+//!    most one firing and for relations with an empty live pass. Then all writes still
+//!    buffered land, one application per statement per run (each write logged by the
+//!    target view itself, for its snapshots — see [`crate::store`]);
 //! 2. the base update, one pass over the run's net entries (unless the live pass made
 //!    it, firing by firing);
 //! 3. the `:=` statements of the run's **last event**, once, against the new state — of
@@ -112,85 +111,6 @@ use dbtoaster_telemetry::{
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The keys of one view that were touched since the last [`Engine::take_changes`].
-///
-/// `cleared` is set when a `:=` statement wiped the view, in which case `keys`
-/// only covers writes *after* the clear and a consumer should diff the view
-/// against its previous snapshot wholesale.
-#[derive(Clone, Debug, Default)]
-pub struct ViewChange {
-    /// The view was cleared by a re-evaluation statement.
-    pub cleared: bool,
-    /// Distinct keys written since the last drain (post-clear writes only when
-    /// `cleared` is set). The unit value map is used as a cheap hash set.
-    pub keys: FastMap<Tuple, ()>,
-}
-
-/// Changed-key log across all views, drained by [`Engine::take_changes`].
-///
-/// This is the hook the serving layer uses to turn statement-level writes into
-/// per-query output deltas: after a batch, each changed key's old multiplicity
-/// (previous snapshot) and new multiplicity (current snapshot) are compared.
-#[derive(Clone, Debug, Default)]
-pub struct ChangeSet {
-    /// Per-view change records, keyed by view name.
-    pub views: FastMap<String, ViewChange>,
-}
-
-impl ChangeSet {
-    /// The change record for one view, created on first touch. Resolved once
-    /// per (statement, batch) on the batch path — the per-write cost is then
-    /// one key clone into the set, no name hashing.
-    fn entry(&mut self, view: &str) -> &mut ViewChange {
-        if !self.views.contains_key(view) {
-            self.views.insert(view.to_string(), ViewChange::default());
-        }
-        self.views.get_mut(view).expect("inserted above")
-    }
-
-    fn record_key(&mut self, view: &str, key: Tuple) {
-        // Single hash on the hit path (this runs once per write on the
-        // per-firing paths while change tracking is on).
-        if let Some(c) = self.views.get_mut(view) {
-            c.keys.insert(key, ());
-        } else {
-            let mut c = ViewChange::default();
-            c.keys.insert(key, ());
-            self.views.insert(view.to_string(), c);
-        }
-    }
-
-    fn record_clear(&mut self, view: &str) {
-        let c = self.entry(view);
-        c.cleared = true;
-        c.keys.clear();
-    }
-
-    /// Are there no recorded changes?
-    pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
-    }
-
-    /// Fold a newer change set into this one (`self` happened first). A newer
-    /// clear supersedes older keys; otherwise key sets union.
-    pub fn merge(&mut self, newer: ChangeSet) {
-        for (view, change) in newer.views {
-            match self.views.get_mut(&view) {
-                None => {
-                    self.views.insert(view, change);
-                }
-                Some(existing) => {
-                    if change.cleared {
-                        *existing = change;
-                    } else {
-                        existing.keys.extend(change.keys);
-                    }
-                }
-            }
-        }
-    }
-}
 
 /// Errors raised while processing events.
 #[derive(Clone, Debug, PartialEq)]
@@ -539,8 +459,6 @@ pub struct Engine {
     program: Arc<TriggerProgram>,
     db: Database,
     stats: EngineStats,
-    /// Changed-key log, present only while change tracking is enabled.
-    changes: Option<ChangeSet>,
     /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
     /// work counters), shared by every execution path.
     kernel: KernelState,
@@ -787,7 +705,6 @@ impl Engine {
             program: Arc::new(program),
             db,
             stats: EngineStats::default(),
-            changes: None,
             kernel: KernelState::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
@@ -927,24 +844,14 @@ impl Engine {
         engine
     }
 
-    /// Enable or disable the changed-key log consumed by [`Engine::take_changes`].
-    /// Off by default; costs one cheap key clone per view write when on.
-    pub fn set_change_tracking(&mut self, enabled: bool) {
-        if enabled {
-            self.changes.get_or_insert_with(ChangeSet::default);
-        } else {
-            self.changes = None;
-        }
-    }
+    /// A no-op, kept only because the frozen benchmark calls it. The engine
+    /// keeps no changed-key log: what a publish changed is read from each
+    /// view's own snapshot log ([`crate::ViewMap::to_gmr_since`]).
+    pub fn set_change_tracking(&mut self, _enabled: bool) {}
 
-    /// Drain the changed-key log accumulated since the last call (empty when
-    /// change tracking is disabled).
-    pub fn take_changes(&mut self) -> ChangeSet {
-        match self.changes.as_mut() {
-            Some(c) => std::mem::take(c),
-            None => ChangeSet::default(),
-        }
-    }
+    /// A no-op, kept only because the frozen benchmark calls it (see
+    /// [`Engine::set_change_tracking`]).
+    pub fn take_changes(&mut self) {}
 
     /// A consistent point-in-time snapshot of every view and stored relation:
     /// name → shared GMR. Costs O(number of views) plus the keys written since
@@ -1060,10 +967,7 @@ impl Engine {
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
-                view.add_rows(
-                    Coalesce::new(rows.iter().map(|(k, m)| (k, *m))),
-                    &mut |_| {},
-                );
+                view.add_rows(Coalesce::new(rows.iter().map(|(k, m)| (k, *m))));
             }
         }
         Ok(())
@@ -1334,7 +1238,6 @@ impl Engine {
             db,
             kernel,
             rows,
-            changes,
             stmts,
             ..
         } = self;
@@ -1355,7 +1258,7 @@ impl Engine {
             end: rows.len(),
             reps: 1,
         };
-        apply_statement_rows(db, changes, stmt, bound.target, &[all], rows);
+        apply_statement_rows(db, stmt, bound.target, &[all], rows);
         let produced = rows.len() as u64;
         self.note_rows(produced);
         produced
@@ -1376,18 +1279,13 @@ impl Engine {
         self.collect_batch_delta(program, disp, run);
         {
             let Engine {
-                db,
-                changes,
-                bd,
-                tel,
-                stmts,
-                ..
+                db, bd, tel, stmts, ..
             } = self;
             for ds in &bd.stmts[..bd.live] {
                 let (t, j) = (ds.tidx as usize, ds.stmt as usize);
                 let (stmt, target) = (&program.triggers[t].statements[j], stmts[t][j].target);
                 if !ds.applied {
-                    apply_statement_rows(db, changes, stmt, target, &ds.segs, &ds.rows);
+                    apply_statement_rows(db, stmt, target, &ds.segs, &ds.rows);
                 }
                 if let Some(ts) = tel.as_deref_mut() {
                     let slot = ts
@@ -1528,7 +1426,6 @@ impl Engine {
             db,
             kernel,
             bd,
-            changes,
             stats,
             tel,
             stmts,
@@ -1604,21 +1501,14 @@ impl Engine {
                         ds.segs[k]
                     };
                     let view = db.at_mut(id);
-                    let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
                     for (key, mult) in ds.rows[seg.start..seg.end]
                         .iter()
                         .filter(|(_, m)| *m != 0.0)
                     {
-                        if let Some(c) = change.as_mut() {
-                            c.keys.insert(key.clone(), ());
-                        }
                         view.add(key.clone(), *mult);
                     }
                 }
                 if let Some(id) = disp.base.filter(|_| disp.base_live) {
-                    if let Some(log) = changes.as_mut() {
-                        log.record_key(run.relation(), entry.key.clone());
-                    }
                     db.at_mut(id).add(entry.key.clone(), sign.multiplier());
                 }
             }
@@ -1676,18 +1566,11 @@ impl Engine {
     /// map `base`, if it keeps one: each entry's net multiplicity is applied
     /// in one write (exact — net multiplicities are integers).
     fn apply_base_run(&mut self, base: Option<MapId>, run: &RelationDelta) {
-        let Engine { db, changes, .. } = self;
         let Some(id) = base else {
             return;
         };
-        let view = db.at_mut(id);
-        let mut change = changes.as_mut().map(|c| c.entry(run.relation()));
         let rows = run.entries().iter().map(|e| (&e.key, e.mult));
-        view.add_rows(rows, &mut |k| {
-            if let Some(c) = change.as_mut() {
-                c.keys.insert(k.clone(), ());
-            }
-        });
+        self.db.at_mut(id).add_rows(rows);
     }
 
     /// Snapshot a query result as a GMR over its output columns.
@@ -1941,12 +1824,10 @@ fn resolved(target: Option<MapId>, stmt: &Statement) -> MapId {
 }
 
 /// The one row applier: write a statement's buffered rows to its target map
-/// `target` (resolved at construction) — one change-log entry per call,
-/// whether the rows are one firing's or a whole run's. A `:=` statement
-/// clears its target first.
+/// `target` (resolved at construction), whether the rows are one firing's or
+/// a whole run's. A `:=` statement clears its target first.
 fn apply_statement_rows(
     db: &mut Database,
-    changes: &mut Option<ChangeSet>,
     stmt: &Statement,
     target: Option<MapId>,
     segs: &[Seg],
@@ -1955,20 +1836,12 @@ fn apply_statement_rows(
     let target = db.at_mut(resolved(target, stmt));
     if stmt.op == StmtOp::Replace {
         target.clear();
-        if let Some(log) = changes.as_mut() {
-            log.record_clear(&stmt.target);
-        }
     }
-    let mut change = changes.as_mut().map(|c| c.entry(&stmt.target));
     let it = segs.iter().flat_map(|s| {
         let slice = &rows[s.start..s.end];
         (0..s.reps).flat_map(move |_| slice.iter().map(|(k, m)| (k, *m)))
     });
-    target.add_rows(Coalesce::new(it), &mut |k| {
-        if let Some(c) = change.as_mut() {
-            c.keys.insert(k.clone(), ());
-        }
-    });
+    target.add_rows(Coalesce::new(it));
 }
 
 /// Coalesce consecutive same-key rows of a buffered application stream into

@@ -44,9 +44,7 @@ mod ordered;
 pub mod shard;
 pub mod store;
 
-pub use engine::{
-    BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample, ViewChange,
-};
+pub use engine::{BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample};
 pub use shard::{ExchangeStats, ShardedEngine};
 pub use store::{Database, MapId, SnapshotWork, ViewMap};
 
@@ -57,8 +55,7 @@ pub use dbtoaster_telemetry::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::engine::{
-        BatchReport, ChangeSet, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
-        ViewChange,
+        BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
     };
     pub use crate::shard::{ExchangeStats, ShardedEngine};
     pub use crate::store::{Database, MapId, SnapshotWork, ViewMap};

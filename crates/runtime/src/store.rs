@@ -73,6 +73,16 @@
 //! `1/PATCH_BUDGET_DIVISOR` of the entries). Logging starts at a view's first
 //! snapshot, so a view that is never snapshotted pays one branch per write.
 //!
+//! The log is the only record of what was written, and it has two consumers:
+//! the buffers, which it patches, and a subscriber's cursor. A subscriber
+//! holds the snapshot it last diffed against, and [`ViewMap::to_gmr_since`]
+//! reports, with the new snapshot, the keys written since that one — the log
+//! from the newer buffer's mark, or all of it when the held snapshot is the
+//! older buffer. When the log was abandoned since, or the held snapshot has
+//! rotated out (two snapshots in between, a checkpoint's and a cold read's),
+//! the answer is "unknown" and the subscriber diffs the two snapshots in full:
+//! correct, and O(view) instead of O(keys written).
+//!
 //! What stays resident depends on how often a view is snapshotted. A written
 //! view snapshotted every epoch — the serving layer publishes only the views
 //! readers read — holds three copies of its primary map in steady state: the
@@ -87,7 +97,7 @@ use crate::ordered::{tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
 use dbtoaster_compiler::IndexStats;
 use dbtoaster_gmr::hash::fast_map_with_capacity;
-use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
+use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A hash secondary index: projected key → (full key → multiplicity).
@@ -215,6 +225,11 @@ pub struct SnapshotWork {
     /// Full copies (up to two per abandonment) because the write log was
     /// abandoned: a `clear`/`load_gmr`, or more writes than the patch budget.
     pub abandoned_copies: u64,
+    /// Write logs abandoned: a `clear`/`load_gmr` of a view that had handed
+    /// out a buffer, or more writes than the patch budget. Each costs the
+    /// next one or two snapshots a full copy, and a subscriber cursor a full
+    /// diff ([`ViewMap::to_gmr_since`]).
+    pub logs_abandoned: u64,
 }
 
 impl SnapshotWork {
@@ -231,6 +246,7 @@ impl std::ops::AddAssign for SnapshotWork {
         self.first_copies += o.first_copies;
         self.pinned_copies += o.pinned_copies;
         self.abandoned_copies += o.abandoned_copies;
+        self.logs_abandoned += o.logs_abandoned;
     }
 }
 
@@ -249,7 +265,8 @@ struct SnapshotState {
     log: Vec<Tuple>,
     /// `log[..mark]` was written before `newer` was handed out.
     mark: usize,
-    /// The log was abandoned and no patch has succeeded since.
+    /// The log was abandoned and no patch has succeeded since (the next full
+    /// copy is counted as an abandoned one).
     abandoned: bool,
     work: SnapshotWork,
 }
@@ -266,6 +283,29 @@ impl SnapshotState {
         }
     }
 
+    /// The keys written since `earlier` was handed out, each once, when
+    /// `earlier` is one of the two buffers (see [`ViewMap::to_gmr_since`]).
+    /// Identity is sound: the caller holds `earlier`, so it is alive and was
+    /// not patched since, and a live `Arc` is the only one at its address.
+    fn written_since(&self, earlier: &Buffer) -> Option<Vec<Tuple>> {
+        let is = |b: &Option<Buffer>| b.as_ref().is_some_and(|b| Arc::ptr_eq(b, earlier));
+        let from = if is(&self.newer) {
+            self.mark
+        } else if is(&self.older) {
+            0
+        } else {
+            return None;
+        };
+        let mut seen = FastSet::default();
+        Some(
+            self.log[from..]
+                .iter()
+                .filter(|k| seen.insert(*k))
+                .cloned()
+                .collect(),
+        )
+    }
+
     /// Give up on patching: forget both buffers (their holders keep them
     /// alive) and stop logging until the next snapshot.
     fn abandon(&mut self) {
@@ -275,6 +315,7 @@ impl SnapshotState {
             self.log.clear();
             self.mark = 0;
             self.abandoned = true;
+            self.work.logs_abandoned += 1;
         }
     }
 }
@@ -362,18 +403,12 @@ impl ViewMap {
     }
 
     /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
-    /// in iteration order, with `on_write` invoked per applied row (the
-    /// engine's change-log hook).
-    pub fn add_rows<'a>(
-        &mut self,
-        rows: impl IntoIterator<Item = (&'a Tuple, f64)>,
-        on_write: &mut dyn FnMut(&Tuple),
-    ) {
+    /// in iteration order.
+    pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (&'a Tuple, f64)>) {
         for (key, mult) in rows {
             if mult == 0.0 {
                 continue;
             }
-            on_write(key);
             self.log_write(key);
             self.add_unlogged(key.clone(), mult);
         }
@@ -594,10 +629,35 @@ impl ViewMap {
     /// from the write log, or — when it is pinned, missing, or the log was
     /// abandoned — replaced by one O(n) copy (see the module docs).
     pub fn to_gmr(&self) -> Gmr {
+        self.snapshot(None).0
+    }
+
+    /// [`ViewMap::to_gmr`], and the keys written since `earlier` — a snapshot
+    /// of this view that the caller has held since it was handed out — each
+    /// once: the log from the newer buffer's mark when `earlier` is that
+    /// buffer, the whole log when it is the older one. `None` when the log
+    /// cannot tell: it was abandoned since (`clear`, `load_gmr`, the patch
+    /// budget), or `earlier` has rotated out (two or more snapshots since), or
+    /// it is not a buffer of this view. A consumer then diffs `earlier`
+    /// against the new snapshot wholesale.
+    pub fn to_gmr_since(&self, earlier: &Gmr) -> (Gmr, Option<Vec<Tuple>>) {
+        self.snapshot(Some(earlier))
+    }
+
+    /// The one snapshot path behind [`ViewMap::to_gmr`] and
+    /// [`ViewMap::to_gmr_since`]: the cursor is read before rotation trims
+    /// the log.
+    fn snapshot(&self, earlier: Option<&Gmr>) -> (Gmr, Option<Vec<Tuple>>) {
         let mut guard = unpoisoned(self.snapshots.lock());
         let s = &mut *guard;
+        let written = earlier
+            .and_then(Gmr::shared_data)
+            .and_then(|e| s.written_since(e));
         if let Some(newer) = s.newer.as_ref().filter(|_| s.log.len() == s.mark) {
-            return Gmr::from_shared(self.schema.clone(), newer.clone());
+            return (
+                Gmr::from_shared(self.schema.clone(), newer.clone()),
+                written,
+            );
         }
         let mut reused = s.older.take();
         let current = match reused.as_mut().and_then(Arc::get_mut) {
@@ -629,7 +689,7 @@ impl ViewMap {
         s.log.drain(..s.mark);
         s.mark = s.log.len();
         s.older = s.newer.replace(current.clone());
-        Gmr::from_shared(self.schema.clone(), current)
+        (Gmr::from_shared(self.schema.clone(), current), written)
     }
 
     /// Cumulative snapshot work of this view (see [`SnapshotWork`]).

@@ -12,6 +12,13 @@
 //! pin that a snapshot costs the keys written in the last two epochs, and a
 //! held buffer one full copy — not one per epoch.
 //!
+//! The same interleavings also drive the **subscriber cursor**
+//! ([`ViewMap::to_gmr_since`]): a new snapshot taken against a held one must
+//! report every key whose multiplicity bits differ between the two, each
+//! once, and may answer "unknown" only when the view's log was abandoned
+//! since the held snapshot, the view was replaced by a clone, or the held
+//! snapshot rotated out (two new buffers handed out since).
+//!
 //! The same interleavings — writes, row batches, `clear`, `load_gmr`, `Clone`,
 //! a hash index declared beside it — also drive a view that carries an
 //! **ordered** secondary index (the `axf` shape: `[group, price]` sorted on
@@ -20,7 +27,7 @@
 //! sum is the exact sum when every entry of the group is inside the
 //! exactness contract and refused (`None`) when one is not.
 
-use dbtoaster_gmr::{Gmr, Schema, Tuple, Value};
+use dbtoaster_gmr::{FastSet, Gmr, Schema, Tuple, Value};
 use dbtoaster_runtime::ViewMap;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -87,6 +94,106 @@ fn steps() -> impl Strategy<Value = Vec<Step>> {
 /// Snapshots patched (not copied) across all cases — the run is vacuous if
 /// the generator never reaches the patch branch.
 static PATCHED: AtomicU64 = AtomicU64::new(0);
+/// Cursor answers with at least one changed key, and "unknown" answers: the
+/// cursor check is vacuous unless the generator reaches both.
+static CURSOR_KEYS: AtomicU64 = AtomicU64::new(0);
+static CURSOR_UNKNOWN: AtomicU64 = AtomicU64::new(0);
+
+/// A snapshot kept alive, with what the view was when it was handed out.
+struct Held {
+    snap: Gmr,
+    /// The full copy taken at the same instant.
+    expected: Vec<(Tuple, u64)>,
+    /// `logs_abandoned` of the view, clones and new buffers handed out, at
+    /// that instant.
+    abandoned: u64,
+    clones: u64,
+    buffers: u64,
+}
+
+/// The view, the counters the cursor check reads, and the last buffer handed
+/// out (to count new ones).
+struct Subject {
+    view: ViewMap,
+    clones: u64,
+    buffers: u64,
+    newest: Option<Gmr>,
+}
+
+impl Subject {
+    /// Take a snapshot, `since` a held one (the cursor) or not, check it
+    /// against a full copy and count a new buffer.
+    fn snapshot(&mut self, since: Option<&Held>) -> Gmr {
+        let before = self.view.snapshot_work();
+        let snap = match since {
+            None => self.view.to_gmr(),
+            Some(held) => {
+                let (snap, written) = self.view.to_gmr_since(&held.snap);
+                self.check_cursor(held, &snap, written);
+                snap
+            }
+        };
+        let after = self.view.snapshot_work();
+        assert_eq!(
+            contents(&snap),
+            full_copy(&self.view),
+            "snapshot differs from a full copy taken at the same instant"
+        );
+        PATCHED.fetch_add(after.keys_patched - before.keys_patched, Relaxed);
+        let same = |a: &Gmr, b: &Gmr| {
+            std::sync::Arc::ptr_eq(a.shared_data().unwrap(), b.shared_data().unwrap())
+        };
+        if !self.newest.as_ref().is_some_and(|n| same(n, &snap)) {
+            self.buffers += 1;
+        }
+        self.newest = Some(snap.clone());
+        snap
+    }
+
+    fn check_cursor(&self, held: &Held, new: &Gmr, written: Option<Vec<Tuple>>) {
+        let Some(keys) = written else {
+            // Read before this snapshot rotated anything.
+            let abandoned = self.view.snapshot_work().logs_abandoned > held.abandoned;
+            let replaced = self.clones > held.clones;
+            let rotated_out = self.buffers - held.buffers >= 2;
+            assert!(
+                abandoned || replaced || rotated_out,
+                "the cursor answered \"unknown\" with its log intact and the held \
+                 snapshot still one of the view's two buffers"
+            );
+            CURSOR_UNKNOWN.fetch_add(1, Relaxed);
+            return;
+        };
+        let reported: FastSet<&Tuple> = keys.iter().collect();
+        assert_eq!(reported.len(), keys.len(), "a key reported twice");
+        let old = &held.snap;
+        let differs = old
+            .iter()
+            .chain(new.iter())
+            .map(|(k, _)| k)
+            .filter(|k| old.get(k).to_bits() != new.get(k).to_bits());
+        for key in differs {
+            assert!(
+                reported.contains(key),
+                "key {key:?} changed since the held snapshot but was not reported"
+            );
+        }
+        if !keys.is_empty() {
+            CURSOR_KEYS.fetch_add(1, Relaxed);
+        }
+    }
+
+    /// Keep `snap`, handed out just now, alive.
+    fn hold(&self, snap: Gmr) -> Held {
+        Held {
+            snap,
+            expected: full_copy(&self.view),
+            abandoned: self.view.snapshot_work().logs_abandoned,
+            clones: self.clones,
+            buffers: self.buffers,
+        }
+    }
+}
 
 /// The ordered index over `[a = group, b sorted]` must agree with the
 /// primary map, group by group (see the module docs). The band key `b = 0`
@@ -145,10 +252,16 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
             }
         }
     }
-    // Snapshots kept alive, each with the full copy taken when it was made.
-    let mut held: Vec<(Gmr, Vec<(Tuple, u64)>)> = Vec::new();
+    let mut sub = Subject {
+        view,
+        clones: 0,
+        buffers: 0,
+        newest: None,
+    };
+    let mut held: Vec<Held> = Vec::new();
 
     for (kind, a, b, mi, n) in steps {
+        let view = &mut sub.view;
         match kind {
             // Writes dominate, as they do between two publishes.
             0..=9 => view.add(key(a, b), MULTS[mi]),
@@ -163,20 +276,14 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
                         )
                     })
                     .collect();
-                view.add_rows(rows.iter().map(|(k, m)| (k, *m)), &mut |_| {});
+                view.add_rows(rows.iter().map(|(k, m)| (k, *m)));
             }
             17..=25 => {
-                let before = view.snapshot_work();
-                let snap = view.to_gmr();
-                let after = view.snapshot_work();
-                assert_eq!(
-                    contents(&snap),
-                    full_copy(&view),
-                    "snapshot differs from a full copy taken at the same instant"
-                );
-                PATCHED.fetch_add(after.keys_patched - before.keys_patched, Relaxed);
+                // From kind 22 on, through the cursor of a held snapshot.
+                let since = (kind >= 22 && !held.is_empty()).then(|| a as usize % held.len());
+                let snap = sub.snapshot(since.map(|i| &held[i]));
                 if n % 2 == 0 {
-                    held.push((snap, full_copy(&view)));
+                    held.push(sub.hold(snap));
                 }
             }
             26 | 27 => {
@@ -185,11 +292,14 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
                 }
             }
             28 => view.declare_hash(1 + (a as u64 % 2)),
-            29 => view = view.clone(),
+            29 => {
+                sub.view = view.clone();
+                sub.clones += 1;
+            }
             30 => {
                 // Bulk load: an owned GMR, or (odd `n`) one of its own snapshots.
                 let source = if n % 2 == 1 {
-                    view.to_gmr()
+                    sub.snapshot(None)
                 } else {
                     let mut g = Gmr::new(Schema::new(["a", "b"]));
                     for i in 0..(n as i64 + 1) * 8 {
@@ -197,21 +307,21 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
                     }
                     g
                 };
-                view.load_gmr(&source);
+                sub.view.load_gmr(&source);
             }
             _ => view.clear(),
         }
-        for (snap, expected) in &held {
+        for h in &held {
             assert!(
-                holds(snap, expected),
+                holds(&h.snap, &h.expected),
                 "a held snapshot changed after step kind {kind}"
             );
         }
         if ordered {
-            assert_ordered_index_agrees(&view, kind);
+            assert_ordered_index_agrees(&sub.view, kind);
         }
     }
-    assert_eq!(contents(&view.to_gmr()), full_copy(&view));
+    assert_eq!(contents(&sub.view.to_gmr()), full_copy(&sub.view));
 }
 
 proptest! {
@@ -253,6 +363,10 @@ fn the_generator_reaches_the_patch_branch() {
     assert!(
         PATCHED.load(Relaxed) > 0,
         "no case reached the patch branch"
+    );
+    assert!(
+        CURSOR_KEYS.load(Relaxed) > 0 && CURSOR_UNKNOWN.load(Relaxed) > 0,
+        "the cursor never reported keys, or never answered \"unknown\""
     );
 }
 

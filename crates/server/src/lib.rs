@@ -23,10 +23,12 @@
 //!   get) and copies its whole map only when a reader, subscriber baseline or
 //!   checkpoint still holds that buffer, or a bulk write outgrew the log.
 //! * **Subscriptions** — consumers register for a query's **output deltas**:
-//!   after each batch the writer turns the engine's changed-key log into
-//!   `(key, old multiplicity, new multiplicity)` records per subscribed query
-//!   and fans them out. Replaying a subscription's batches onto its baseline
-//!   snapshot reconstructs the live result bit-exactly.
+//!   each publish reads, from the subscribed view's own snapshot write log,
+//!   the keys it wrote since the previous publish, turns them into
+//!   `(key, old multiplicity, new multiplicity)` records (a full diff of the
+//!   view when the log was abandoned or rotated out) and fans them out.
+//!   Replaying a subscription's batches onto its baseline snapshot
+//!   reconstructs the live result bit-exactly.
 //! * **Durability** (optional, [`ServerConfig::durability`]) — the writer
 //!   appends every micro-batch to a write-ahead log *before* applying it and
 //!   checkpoints the materialized maps off the hot path; a crashed server

@@ -22,8 +22,17 @@
 //! patches the buffer it handed out two publishes ago, which the writer and
 //! the [`EpochCell`] have dropped by then unless a reader pinned it; a pinned
 //! buffer costs that view one full copy), computes per-query
-//! output deltas from the engine's changed-key log, swaps the snapshot into an
-//! [`EpochCell`], and fans the deltas out to subscribers.
+//! output deltas from the subscribed views' own write logs, swaps the snapshot
+//! into an [`EpochCell`], and fans the deltas out to subscribers.
+//!
+//! A subscriber's cursor is the snapshot the previous publish handed out,
+//! which the writer holds until the next one: the publish reads, with each
+//! subscribed view's new buffer, the keys that view logged since that buffer
+//! ([`dbtoaster_runtime::ViewMap::to_gmr_since`]) and compares old and new at
+//! each of them once. When the view's log cannot tell — a `:=` statement
+//! cleared it, its writes outgrew the patch budget, or a checkpoint and a cold
+//! read ([`ViewServer::all_maps`]) each snapshotted it since — the two
+//! snapshots are diffed in full.
 //!
 //! ## What is published
 //!
@@ -62,7 +71,7 @@ use dbtoaster_durability::{
     checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, WalWriter,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
-use dbtoaster_runtime::{ChangeSet, Engine, EngineStats, MapId, RuntimeError};
+use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
 use dbtoaster_sql::OutputColumn;
 use dbtoaster_telemetry::{
     Counter, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -197,16 +206,46 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Snapshot every published view of `engine` as it stands.
-    fn take(published: &Arc<PublishedViews>, engine: &Engine, epoch: u64, degraded: bool) -> Self {
+    /// Snapshot every published view of `engine` as it stands. With a
+    /// cursor — the previous published snapshot and, per slot, whether a
+    /// subscriber watches that view — also return, per slot, the keys a
+    /// watched view wrote since the cursor's snapshot of it, each once
+    /// (`None` when its write log cannot tell, see the module docs, and for
+    /// a slot nobody watches).
+    fn take(
+        published: &Arc<PublishedViews>,
+        engine: &Engine,
+        epoch: u64,
+        degraded: bool,
+        cursor: Option<(&Snapshot, &[bool])>,
+    ) -> (Self, Vec<Written>) {
         let db = engine.database();
-        Snapshot {
+        let mut written = Vec::new();
+        let views = published
+            .ids
+            .iter()
+            .enumerate()
+            .map(|(slot, &id)| match cursor {
+                Some((since, watched)) => {
+                    let (gmr, keys) = if watched[slot] {
+                        db.at(id).to_gmr_since(&since.views[slot])
+                    } else {
+                        (db.at(id).to_gmr(), None)
+                    };
+                    written.push(keys);
+                    gmr
+                }
+                None => db.at(id).to_gmr(),
+            })
+            .collect();
+        let snap = Snapshot {
             epoch,
             events_applied: engine.stats().events,
             degraded,
             published: published.clone(),
-            views: published.ids.iter().map(|&id| db.at(id).to_gmr()).collect(),
-        }
+            views,
+        };
+        (snap, written)
     }
 
     /// The publish epoch (0 = initial state, +1 per published batch).
@@ -241,6 +280,11 @@ impl Snapshot {
         self.published.names.iter().map(String::as_str)
     }
 }
+
+/// The keys of one subscribed view written between two publishes, each once;
+/// `None` when its write log cannot tell, and the two snapshots are diffed in
+/// full.
+type Written = Option<Vec<Tuple>>;
 
 /// The views every publish covers, resolved once at [`ViewServer::spawn`]
 /// and shared by every [`Snapshot`]: slot `i` holds map `ids[i]`, named
@@ -330,14 +374,14 @@ enum Msg {
 }
 
 struct SubscribeReq {
-    /// The maintained view whose changes the subscriber receives.
-    view: String,
+    /// The published slot of the view whose changes the subscriber receives.
+    slot: usize,
     tx: mpsc::Sender<OutputDeltaBatch>,
     ack: mpsc::Sender<Arc<Snapshot>>,
 }
 
 struct Subscriber {
-    view: String,
+    slot: usize,
     tx: mpsc::Sender<OutputDeltaBatch>,
 }
 
@@ -430,11 +474,6 @@ impl ViewServer {
         queries: Vec<ServedQuery>,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
-        // Change tracking is enabled lazily, once the first subscriber joins;
-        // snapshot-only serving pays nothing for the changed-key log.
-        engine.set_change_tracking(false);
-        engine.take_changes(); // drop changes from any pre-serve processing
-
         // Reuse a telemetry handle the caller already attached (so their
         // counters keep accumulating); otherwise start a fresh enabled one.
         let tel = match engine.telemetry() {
@@ -444,7 +483,7 @@ impl ViewServer {
         engine.set_telemetry(tel.clone());
 
         let published = Arc::new(PublishedViews::resolve(&engine, &queries));
-        let initial = Arc::new(Snapshot::take(&published, &engine, 0, false));
+        let initial = Arc::new(Snapshot::take(&published, &engine, 0, false, None).0);
         let shared = Arc::new(Shared {
             cell: EpochCell::new(initial.clone()),
             published,
@@ -556,17 +595,22 @@ impl ViewServer {
     /// its first delta batch line up exactly: replaying every received batch on
     /// the baseline reconstructs the current result.
     ///
-    /// Every served result is one maintained view, so deltas come from the
-    /// engine's changed-key log — O(changed keys) per publish. A name that is
-    /// neither a served query, a program result nor a published view (a
-    /// higher-order map's, say) is [`ServeError::UnknownQuery`].
+    /// Every served result is one published view, so deltas come from that
+    /// view's own write log — O(keys it wrote) per publish, or a full diff of
+    /// the view when the log cannot tell (see the module docs). A name that
+    /// is neither a served query, a program result nor a published view (a
+    /// higher-order map's, say) is [`ServeError::UnknownQuery`]; one whose
+    /// view the engine does not hold is [`ServeError::UnknownView`].
     pub fn subscribe(&self, query: &str) -> Result<Subscription, ServeError> {
         let view = self.resolve_view(query)?;
+        let Some(&slot) = self.shared.published.slots.get(&view) else {
+            return Err(ServeError::UnknownView(view));
+        };
         let (tx, rx) = mpsc::channel();
         let (ack_tx, ack_rx) = mpsc::channel();
         self.tx
             .send(Msg::Subscribe(SubscribeReq {
-                view,
+                slot,
                 tx,
                 ack: ack_tx,
             }))
@@ -1613,17 +1657,17 @@ fn writer_loop(
     let mut serve_busy = engine.stats().busy;
     let mut epoch = 0u64;
     let mut batch: Vec<UpdateEvent> = Vec::with_capacity(max_batch);
-    // Events applied but not yet published, with their merged changed-key log.
-    // Publishing is *coalesced*: under sustained load the writer publishes once
-    // per `publish_interval` (or every `max_batch` events, whichever comes
-    // first) instead of after every drained batch, amortizing the per-publish
-    // cost while keeping snapshot staleness bounded.
-    let mut pending = ChangeSet::default();
+    // Events applied but not yet published. Publishing is *coalesced*: under
+    // sustained load the writer publishes once per `publish_interval` (or
+    // every `max_batch` events, whichever comes first) instead of after every
+    // drained batch, amortizing the per-publish cost while keeping snapshot
+    // staleness bounded.
     let mut pending_events = 0u64;
     let mut last_publish = Instant::now();
     let mut stop = false;
     let mut disconnected = false;
-    let mut tracking = false;
+    // Per published slot: does a subscriber watch it? (Rebuilt per publish.)
+    let mut watched: Vec<bool> = Vec::new();
 
     while !stop && !disconnected {
         // Crash simulation / hard abort: stop here, mid-stream, without
@@ -1725,15 +1769,15 @@ fn writer_loop(
             }
             engine.process_batch(&delta);
         }
-        pending.merge(engine.take_changes());
         pending_events += drained;
         if drained > 0 {
             engine.stats_mut().batches += 1;
             shared.stats.batches.fetch_add(1, Relaxed);
         }
 
-        // Joining subscribers force a publish so their baseline snapshot covers
-        // every event processed before change tracking turns on for them.
+        // Joining subscribers force a publish so their baseline snapshot, the
+        // cursor of their first delta batch, covers every event processed
+        // before they join.
         let due = pending_events > 0
             && (stop
                 || disconnected
@@ -1748,13 +1792,21 @@ fn writer_loop(
             // Degradation tracks the WAL health live, so a re-arm clears it
             // from the next published snapshot on.
             let marked = durable.as_ref().is_some_and(|d| !d.is_armed());
-            let snap = Arc::new(Snapshot::take(&shared.published, &engine, epoch, marked));
+            // Every subscriber's cursor is `last`: it joined at or before
+            // the previous publish, whose snapshot the writer still holds.
+            watched.clear();
+            watched.resize(shared.published.ids.len(), false);
+            for sub in &subscribers {
+                watched[sub.slot] = true;
+            }
+            let cursor = (!subscribers.is_empty()).then_some((&*last, &watched[..]));
+            let (snap, written) = Snapshot::take(&shared.published, &engine, epoch, marked, cursor);
+            let snap = Arc::new(snap);
             let snap_cost = t_pub.elapsed();
-            let changes = std::mem::take(&mut pending);
             pending_events = 0;
             let fanned = {
                 let _t = shared.tel.stage_guard(Stage::Fanout);
-                fan_out(&mut subscribers, &changes, &last, &snap, epoch)
+                fan_out(&mut subscribers, &written, &last, &snap, epoch)
             };
             let t_swap = Instant::now();
             shared.cell.publish(snap.clone());
@@ -1820,7 +1872,7 @@ fn writer_loop(
             // first delta batch is computed against exactly that state.
             let _ = req.ack.send(last.clone());
             subscribers.push(Subscriber {
-                view: req.view,
+                slot: req.slot,
                 tx: req.tx,
             });
         }
@@ -1838,15 +1890,6 @@ fn writer_loop(
         }
         for tx in reads.drain(..) {
             let _ = tx.send(engine.snapshot());
-        }
-
-        // The changed-key log only costs while someone consumes it. Subscriber
-        // arrivals and departures both coincide with a publish, so `pending`
-        // is empty at every toggle and no window of changes is lost.
-        let want_tracking = !subscribers.is_empty();
-        if want_tracking != tracking {
-            engine.set_change_tracking(want_tracking);
-            tracking = want_tracking;
         }
     }
     engine.flush_telemetry(); // final fold so post-shutdown metrics are complete
@@ -1883,19 +1926,21 @@ fn mirror_snapshot_work(engine: &mut Engine, shared: &Shared) {
 
 /// Compute and deliver each subscriber's delta batch, dropping subscribers
 /// whose receiver is gone; returns the number of delta records delivered.
-/// Every subscriber receives a message per publish (empty when its query's
-/// output did not change), which doubles as the liveness probe that lets the
-/// writer prune dropped subscribers and turn change tracking back off.
+/// `written[slot]` holds the keys the view in `slot` wrote since `old`.
+/// Every subscriber receives a message per publish (empty when its
+/// query's output did not change), which doubles as the liveness probe that
+/// lets the writer prune dropped subscribers.
 fn fan_out(
     subscribers: &mut Vec<Subscriber>,
-    changes: &ChangeSet,
+    written: &[Written],
     old: &Snapshot,
     new: &Snapshot,
     epoch: u64,
 ) -> u64 {
     let mut fanned = 0u64;
     subscribers.retain(|sub| {
-        let deltas = output_deltas(&sub.view, changes, old, new);
+        let slot = sub.slot;
+        let deltas = output_deltas(&old.views[slot], &new.views[slot], &written[slot]);
         let count = deltas.len() as u64;
         if sub.tx.send(OutputDeltaBatch { epoch, deltas }).is_ok() {
             fanned += count;
@@ -1907,64 +1952,37 @@ fn fan_out(
     fanned
 }
 
-/// The output deltas of one view between two consecutive snapshots.
-fn output_deltas(
-    view: &str,
-    changes: &ChangeSet,
-    old: &Snapshot,
-    new: &Snapshot,
-) -> Vec<OutputDelta> {
-    let Some(ch) = changes.views.get(view) else {
-        return Vec::new();
+/// The output deltas of one view between two consecutive snapshots: old and
+/// new compared at each written key, or everywhere when the keys are unknown.
+fn output_deltas(old: &Gmr, new: &Gmr, written: &Written) -> Vec<OutputDelta> {
+    let Some(keys) = written else {
+        return full_diff(old, new);
     };
-    let old_view = old.view(view);
-    let new_view = new.view(view);
-    if ch.cleared {
-        return full_diff(old_view, new_view);
-    }
-    let mut out = Vec::new();
-    for key in ch.keys.keys() {
-        let o = old_view.map_or(0.0, |g| g.get(key));
-        let n = new_view.map_or(0.0, |g| g.get(key));
-        if o != n {
-            out.push(OutputDelta {
-                key: key.clone(),
-                old_mult: o,
-                new_mult: n,
-            });
-        }
-    }
-    out
+    keys.iter()
+        .filter_map(|key| changed(key, old.get(key), new.get(key)))
+        .collect()
 }
 
-/// Diff two result states key-by-key.
-fn full_diff(old: Option<&Gmr>, new: Option<&Gmr>) -> Vec<OutputDelta> {
-    let mut out = Vec::new();
-    if let Some(o) = old {
-        for (key, om) in o.iter() {
-            let nm = new.map_or(0.0, |g| g.get(key));
-            if om != nm {
-                out.push(OutputDelta {
-                    key: key.clone(),
-                    old_mult: om,
-                    new_mult: nm,
-                });
-            }
-        }
-    }
-    if let Some(n) = new {
-        for (key, nm) in n.iter() {
-            let missing = old.is_none_or(|g| g.get(key) == 0.0);
-            if missing && nm != 0.0 {
-                out.push(OutputDelta {
-                    key: key.clone(),
-                    old_mult: 0.0,
-                    new_mult: nm,
-                });
-            }
-        }
-    }
-    out
+/// The delta of one key, unless its multiplicity kept its bits.
+fn changed(key: &Tuple, old_mult: f64, new_mult: f64) -> Option<OutputDelta> {
+    (old_mult.to_bits() != new_mult.to_bits()).then(|| OutputDelta {
+        key: key.clone(),
+        old_mult,
+        new_mult,
+    })
+}
+
+/// Diff two states of one view key by key: each key `old` holds, then each
+/// key only `new` holds (a stored multiplicity is never zero).
+fn full_diff(old: &Gmr, new: &Gmr) -> Vec<OutputDelta> {
+    let held = old
+        .iter()
+        .filter_map(|(key, om)| changed(key, om, new.get(key)));
+    let appeared = new
+        .iter()
+        .filter(|(key, _)| old.get(key) == 0.0)
+        .filter_map(|(key, nm)| changed(key, 0.0, nm));
+    held.chain(appeared).collect()
 }
 
 // ---------------------------------------------------------------------------

@@ -18,6 +18,9 @@
 //!   pattern in lock-step on one thread, where the work is deterministic: a
 //!   held snapshot costs each written view exactly one full copy, the other
 //!   publishes patch.
+//! * `subscriptions_stay_exact_under_checkpoints_and_cold_reads` — the
+//!   subscription replay on a durable server whose checkpoints and cold reads
+//!   snapshot the subscribed views between publishes.
 
 use dbtoaster_agca::{Expr, UpdateEvent};
 use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta, ResultAccess};
@@ -466,4 +469,155 @@ fn long_holds_cost_one_copy_each_not_one_per_publish() {
     );
     assert!(patched >= BATCH as u64 * (HOLDS * HOLD_PUBLISHES - 2 * HOLDS));
     server.shutdown().expect("clean shutdown");
+}
+
+// ---------------------------------------------------------------------------
+// Subscriptions on a durable server
+// ---------------------------------------------------------------------------
+
+/// A subscriber's cursor is the snapshot the previous publish handed out, and
+/// its deltas are read from the subscribed view's own write log. Checkpoints
+/// (every few events) and cold reads (`all_maps`) snapshot the same views
+/// between publishes, rotating their buffers, so a publish may find its
+/// cursor one buffer back (the whole log) or rotated out (a full diff). Two
+/// subscriptions — a grouped view big enough to be patched, and a scalar view
+/// whose every write abandons its log — must replay onto their baselines to
+/// the final views bit for bit, with each changed key once per batch, no
+/// delta for an unchanged key, and `subscriber_deltas` equal to what was
+/// delivered.
+#[test]
+fn subscriptions_stay_exact_under_checkpoints_and_cold_reads() {
+    use dbtoaster_durability::{DurabilityConfig, FsyncPolicy};
+    use dbtoaster_gmr::FastSet;
+    const KEYS: i64 = 4096;
+    let spec = |name: &str, out_vars: Vec<String>| QuerySpec {
+        name: name.into(),
+        out_vars: out_vars.clone(),
+        expr: Expr::agg_sum(
+            out_vars,
+            Expr::product_of([Expr::rel("R", ["a", "v"]), Expr::var("v")]),
+        ),
+    };
+    let queries = [spec("PER_KEY", vec!["a".into()]), spec("TOTAL", vec![])];
+    let program = compile(&queries, &catalog(), &CompileOptions::default()).unwrap();
+    let names = ["PER_KEY", "TOTAL"].map(|q| {
+        let ResultAccess::Map(m) = &program.results.iter().find(|r| r.name == q).unwrap().access;
+        m.clone()
+    });
+    let dir = std::env::temp_dir().join(format!("dbt-sub-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut durability = DurabilityConfig::new(&dir);
+    durability.fsync = FsyncPolicy::Never;
+    durability.checkpoint_every_events = 7;
+    let server = ViewServer::spawn(
+        Engine::new(program, &catalog()),
+        vec![],
+        ServerConfig {
+            // Publishes only at barriers, cold reads and joins, so most
+            // writer iterations apply a chunk and checkpoint without one.
+            max_batch: 1 << 16,
+            publish_interval: Duration::from_secs(3600),
+            durability: Some(durability),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let ingest = server.handle();
+    let event = |insert: bool, (a, v): (i64, i64)| {
+        let tuple = vec![Value::long(a), Value::long(v)];
+        if insert {
+            UpdateEvent::insert("R", tuple)
+        } else {
+            UpdateEvent::delete("R", tuple)
+        }
+    };
+    let mut live: Vec<(i64, i64)> = (0..KEYS).map(|a| (a, 1)).collect();
+    ingest
+        .send_batch(live.iter().map(|&row| event(true, row)))
+        .unwrap();
+    server.flush().unwrap();
+    let subs = [("PER_KEY", &names[0]), ("TOTAL", &names[1])]
+        .map(|(query, view)| (server.subscribe(query).unwrap(), view.clone()));
+
+    let mut rng = StdRng::seed_from_u64(33);
+    for _ in 0..400 {
+        let chunk: Vec<UpdateEvent> = (0..rng.random_range(1..24))
+            .map(|_| {
+                if rng.random_bool(0.4) {
+                    let row = live.swap_remove(rng.random_range(0..live.len()));
+                    event(false, row)
+                } else {
+                    let row = (rng.random_range(0..KEYS), rng.random_range(1..100i64));
+                    live.push(row);
+                    event(true, row)
+                }
+            })
+            .collect();
+        ingest.send_batch(chunk).unwrap();
+        match rng.random_range(0..6) {
+            0 => drop(server.flush().unwrap()),
+            1 => drop(server.all_maps().unwrap()),
+            _ => {}
+        }
+    }
+    server.flush().unwrap();
+    drop(ingest);
+    let engine = server.shutdown().expect("clean shutdown");
+    assert!(
+        engine.stats().checkpoints_taken > 10,
+        "{:?}",
+        engine.stats()
+    );
+    let patched = engine.database().view(&names[0]).unwrap().snapshot_work();
+    assert!(patched.keys_patched > 0, "{patched:?}");
+
+    let mut delivered = 0u64;
+    for (sub, view) in &subs {
+        let mut state: FastMap<Tuple, f64> = sub
+            .baseline()
+            .view(view)
+            .unwrap()
+            .iter()
+            .map(|(k, m)| (k.clone(), m))
+            .collect();
+        let mut batches = 0;
+        while let Some(batch) = sub.try_recv() {
+            let mut seen = FastSet::default();
+            for d in &batch.deltas {
+                assert!(
+                    seen.insert(&d.key),
+                    "{view}: {:?} twice in one batch",
+                    d.key
+                );
+                let current = state.get(&d.key).copied().unwrap_or(0.0);
+                assert_eq!(
+                    current.to_bits(),
+                    d.old_mult.to_bits(),
+                    "{view}: {:?}",
+                    d.key
+                );
+                assert_ne!(
+                    d.old_mult.to_bits(),
+                    d.new_mult.to_bits(),
+                    "{view}: a delta for unchanged {:?}",
+                    d.key
+                );
+                if d.new_mult == 0.0 {
+                    state.remove(&d.key);
+                } else {
+                    state.insert(d.key.clone(), d.new_mult);
+                }
+            }
+            delivered += batch.deltas.len() as u64;
+            batches += 1;
+        }
+        assert!(batches > 50, "{view}: {batches} delta batches");
+        let replayed = bits(&Gmr::from_shared(
+            engine.view(view).unwrap().schema().clone(),
+            Arc::new(state),
+        ));
+        assert_eq!(replayed, bits(&engine.view(view).unwrap()), "{view}");
+    }
+    assert_eq!(engine.stats().subscriber_deltas, delivered);
+    let _ = std::fs::remove_dir_all(&dir);
 }
