@@ -38,23 +38,28 @@
 //!
 //! ## Fsync policy trade-offs
 //!
-//! [`FsyncPolicy`] picks the point on the durability/throughput curve:
+//! [`FsyncPolicy`] decides one thing: whether the end of each micro-batch
+//! ([`WalWriter::batch_boundary`]) forces the log to stable storage.
 //!
-//! * [`Always`](FsyncPolicy::Always) — fsync after every appended record.
-//!   Survives OS/machine crashes with zero lost acknowledged batches; costs a
-//!   disk flush per micro-batch (typically the dominant cost at small
-//!   batches).
 //! * [`EveryBatch`](FsyncPolicy::EveryBatch) (default) — buffered appends,
 //!   one fsync at each micro-batch boundary, *before* the batch is applied to
-//!   the views. Identical guarantees to `Always` at the batch granularity the
-//!   serving layer already works in; the flush amortizes over the batch.
-//! * [`Never`](FsyncPolicy::Never) — leave flushing to the OS page cache.
-//!   Survives *process* crashes (the write syscall completed), but a machine
-//!   crash can lose the unflushed suffix; recovery then falls back to the
+//!   the views. Survives OS/machine crashes with zero lost acknowledged
+//!   batches; the serving layer logs one record per drained batch, so the
+//!   flush amortizes over the batch.
+//! * [`Never`](FsyncPolicy::Never) — no per-batch fsync. Appends survive
+//!   *process* crashes (the write syscall completed), and the log is still
+//!   synced at the points that promise durability: a barrier (the server's
+//!   `flush()` ack), segment rotation (a finished segment is never left
+//!   unsynced) and clean shutdown. A machine crash can lose the suffix
+//!   appended since the last of those; recovery then falls back to the
 //!   newest checkpoint plus whatever log suffix survived, and the WAL writer
 //!   restarts a fresh segment above the checkpoint watermark if the log ended
 //!   below it. Fastest, and a reasonable choice when the stream itself is
 //!   re-playable from an upstream source.
+//!
+//! Under both policies, opening a torn segment syncs its truncation, and
+//! [`EveryBatch`](FsyncPolicy::EveryBatch) also syncs each new segment's
+//! header (at open, rotation and re-arm).
 //!
 //! In every policy the WAL append happens **before** the events are applied —
 //! write-ahead in the literal sense — so no published snapshot can ever
@@ -105,12 +110,11 @@ use std::time::Duration;
 /// for the full trade-off discussion.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync after every appended record.
-    Always,
     /// fsync once per micro-batch boundary, before the batch is applied.
     #[default]
     EveryBatch,
-    /// Never fsync; rely on the OS page cache (process-crash safe only).
+    /// No per-batch fsync (process-crash safe only); barriers, rotation and
+    /// clean shutdown still sync.
     Never,
 }
 
@@ -164,16 +168,6 @@ pub struct DurabilityConfig {
     pub vfs: Arc<dyn Vfs>,
     /// Retry/backoff policy for transient durability failures.
     pub retry: RetryPolicy,
-    /// Group-commit window for [`FsyncPolicy::Always`]: appends landing within
-    /// this duration of the first unsynced append share one fsync instead of
-    /// paying one each (the classic group-commit trade: up to one window of
-    /// acknowledged-but-unsynced events on an OS crash, in exchange for
-    /// amortizing the dominant cost of `Always`). `Duration::ZERO` (the
-    /// default) disables coalescing — every append syncs inline, the historic
-    /// behavior. Explicit syncs (barriers, clean shutdown, segment rotation)
-    /// always close the window immediately, so `flush()` retains the full
-    /// durability guarantee. Ignored under the other policies.
-    pub group_commit_window: Duration,
 }
 
 impl DurabilityConfig {
@@ -188,7 +182,6 @@ impl DurabilityConfig {
             keep_checkpoints: 2,
             vfs: std_vfs(),
             retry: RetryPolicy::default(),
-            group_commit_window: Duration::ZERO,
         }
     }
 }

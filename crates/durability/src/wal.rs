@@ -37,7 +37,6 @@ use dbtoaster_agca::UpdateEvent;
 use std::fs::{self, File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Magic prefix of every WAL segment.
 pub const WAL_MAGIC: &[u8; 6] = b"DBTWAL";
@@ -435,14 +434,6 @@ pub struct WalWriter {
     policy: FsyncPolicy,
     bytes_written: u64,
     needs_sync: bool,
-    /// Group-commit window under [`FsyncPolicy::Always`]
-    /// ([`WalWriter::set_group_commit_window`]); `ZERO` = sync every append.
-    group_window: Duration,
-    /// When the open group-commit window expires; `None` when no append's
-    /// fsync is currently deferred.
-    window_deadline: Option<Instant>,
-    /// Appends whose inline fsync was coalesced into a group-commit window.
-    coalesced_syncs: u64,
     /// Held for the writer's lifetime: an advisory exclusive lock on
     /// `<dir>/wal.lock`, so a second writer (another server instance, or
     /// another process) cannot truncate or interleave with a live log. The OS
@@ -541,9 +532,6 @@ impl WalWriter {
                     policy,
                     bytes_written: 0,
                     needs_sync: scan.torn,
-                    group_window: Duration::ZERO,
-                    window_deadline: None,
-                    coalesced_syncs: 0,
                     _lock: lock,
                 };
                 if scan.torn {
@@ -567,12 +555,9 @@ impl WalWriter {
             policy,
             bytes_written: header_len,
             needs_sync: true,
-            group_window: Duration::ZERO,
-            window_deadline: None,
-            coalesced_syncs: 0,
             _lock: lock,
         };
-        if matches!(w.policy, FsyncPolicy::Always | FsyncPolicy::EveryBatch) {
+        if w.policy == FsyncPolicy::EveryBatch {
             w.sync()?;
         }
         Ok(w)
@@ -590,26 +575,10 @@ impl WalWriter {
         self.segment_len = SEGMENT_HEADER_LEN;
         self.bytes_written += header_len;
         self.needs_sync = true;
-        if matches!(self.policy, FsyncPolicy::Always | FsyncPolicy::EveryBatch) {
+        if self.policy == FsyncPolicy::EveryBatch {
             self.sync()?;
         }
         Ok(())
-    }
-
-    /// Enable group commit under [`FsyncPolicy::Always`]: appends within
-    /// `window` of the first unsynced append defer their fsync and share the
-    /// one that closes the window (at expiry, or at the next explicit
-    /// [`WalWriter::sync`] — barriers, rotation, clean shutdown). `ZERO`
-    /// restores the sync-per-append behavior. No effect under the other
-    /// policies, whose boundary sync already coalesces per batch.
-    pub fn set_group_commit_window(&mut self, window: Duration) {
-        self.group_window = window;
-    }
-
-    /// Appends whose inline fsync was coalesced into a group-commit window
-    /// since this writer was opened (0 unless a window is configured).
-    pub fn coalesced_syncs(&self) -> u64 {
-        self.coalesced_syncs
     }
 
     /// Sequence number the next appended event will receive.
@@ -624,14 +593,9 @@ impl WalWriter {
 
     /// Append one micro-batch as a single framed record; returns the sequence
     /// number of its first event. Rotates to a new segment first when the
-    /// current one has reached the size threshold. Under
-    /// [`FsyncPolicy::Always`] the record is fsynced before returning —
-    /// unless a group-commit window is configured
-    /// ([`WalWriter::set_group_commit_window`]), in which case appends inside
-    /// the window defer to one shared sync at its close. Under
-    /// [`FsyncPolicy::EveryBatch`] the caller is expected to call
-    /// [`WalWriter::sync`] once per drained batch (identical here, where one
-    /// append *is* one batch, but cheaper when several appends are coalesced).
+    /// current one has reached the size threshold (rotation syncs the
+    /// finished segment). The record itself is not synced here: the caller
+    /// ends each micro-batch with [`WalWriter::batch_boundary`].
     pub fn append(&mut self, events: &[UpdateEvent]) -> Result<u64, DurabilityError> {
         if events.is_empty() {
             return Ok(self.next_seq);
@@ -660,32 +624,13 @@ impl WalWriter {
         self.bytes_written += frame.len() as u64;
         self.next_seq += events.len() as u64;
         self.needs_sync = true;
-        if matches!(self.policy, FsyncPolicy::Always) {
-            if self.group_window.is_zero() {
-                self.sync()?;
-            } else {
-                // Group commit: defer this append's fsync into the open
-                // window; the sync that closes the window (expiry, or any
-                // explicit `sync` — barrier, rotation, shutdown) covers it.
-                let now = Instant::now();
-                match self.window_deadline {
-                    None => {
-                        self.window_deadline = Some(now + self.group_window);
-                        self.coalesced_syncs += 1;
-                    }
-                    Some(deadline) if now >= deadline => self.sync()?,
-                    Some(_) => self.coalesced_syncs += 1,
-                }
-            }
-        }
         Ok(first_seq)
     }
 
-    /// Force appended records to stable storage (no-op when nothing is
-    /// pending). Called by the serving layer once per drained micro-batch
-    /// under [`FsyncPolicy::EveryBatch`].
+    /// Force appended records to stable storage whatever the policy (no-op
+    /// when nothing is pending). The serving layer calls it where it promises
+    /// durability: at a barrier (`flush()`) and at clean shutdown.
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
-        self.window_deadline = None; // any sync closes the group-commit window
         if self.needs_sync {
             self.file
                 .sync_data()
@@ -695,18 +640,12 @@ impl WalWriter {
         Ok(())
     }
 
-    /// Apply the end-of-batch sync required by the configured policy. Under
-    /// [`FsyncPolicy::Always`] with a group-commit window this is also where
-    /// an expired window is closed, so a quiet stream (appends stopping right
-    /// after a window opens) still syncs within one batch drain of expiry.
+    /// End a micro-batch: the one per-batch sync decision. Under
+    /// [`FsyncPolicy::EveryBatch`] it syncs what the batch appended (one
+    /// fsync, none when nothing is pending); under [`FsyncPolicy::Never`] it
+    /// does nothing.
     pub fn batch_boundary(&mut self) -> Result<(), DurabilityError> {
         match self.policy {
-            FsyncPolicy::Always => match self.window_deadline {
-                // Synced per append (no window) or still inside the window.
-                None => Ok(()),
-                Some(deadline) if Instant::now() < deadline => Ok(()),
-                Some(_) => self.sync(),
-            },
             FsyncPolicy::EveryBatch => self.sync(),
             FsyncPolicy::Never => Ok(()),
         }
@@ -746,7 +685,7 @@ impl WalWriter {
         self.bytes_written += header_len;
         self.next_seq = next_seq;
         self.needs_sync = true;
-        if matches!(self.policy, FsyncPolicy::Always | FsyncPolicy::EveryBatch) {
+        if self.policy == FsyncPolicy::EveryBatch {
             self.sync()?;
         }
         Ok(())
@@ -1102,7 +1041,7 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// [`StdVfs`] that counts `sync_data`/`sync_all` calls on the files it
-    /// opens — lets the group-commit tests assert actual fsync traffic.
+    /// opens — lets the sync-point test assert actual fsync traffic.
     #[derive(Debug)]
     struct SyncCountingVfs {
         syncs: Arc<AtomicU64>,
@@ -1166,75 +1105,60 @@ mod tests {
         }
     }
 
+    /// The sync points. Under `EveryBatch` an append never syncs, each
+    /// `batch_boundary` after appends syncs once and one with nothing pending
+    /// does not, and a new segment's header is synced (at open and at
+    /// rotation). Under `Never` neither appends nor boundaries sync; a
+    /// rotation syncs the segment it finishes, and an explicit `sync` (a
+    /// barrier, clean shutdown) syncs what is pending.
     #[test]
-    fn group_commit_window_coalesces_always_syncs() {
-        let dir = tmp_dir("group-commit");
+    fn syncs_happen_at_batch_boundaries_rotation_and_explicit_syncs_only() {
+        let dir = tmp_dir("sync-points");
         let syncs = Arc::new(AtomicU64::new(0));
         let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
             syncs: syncs.clone(),
         });
-        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
-        // A wide-open window: none of these appends should fsync inline.
-        w.set_group_commit_window(Duration::from_secs(3600));
-        let baseline = syncs.load(Ordering::Relaxed); // segment-header sync
-        for i in 0..10 {
-            w.append(&[ev(i)]).unwrap();
-            w.batch_boundary().unwrap(); // window still open: must not sync
-        }
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline, "deferred fsyncs");
-        assert_eq!(w.coalesced_syncs(), 10);
-        // An explicit sync (the barrier / shutdown path) closes the window
-        // with ONE fsync covering all ten appends.
-        w.sync().unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline + 1);
-        // The next append opens a fresh window rather than syncing inline.
-        w.append(&[ev(10)]).unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline + 1);
-        assert_eq!(w.coalesced_syncs(), 11);
-        drop(w);
+        let synced = |want: u64, at: &str| assert_eq!(syncs.load(Ordering::Relaxed), want, "{at}");
+        // A segment this small is full after one record: every append but a
+        // segment's first rotates.
+        let one_record = SEGMENT_HEADER_LEN + 1;
 
-        // Everything appended is decodable (StdVfs wrote through the page
-        // cache regardless of sync timing; this guards the framing).
-        let (records, torn) = WalReader::open((&dir, &vfs), 9).unwrap().records().unwrap();
-        assert!(!torn);
-        assert_eq!(records.len(), 11);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn group_commit_expired_window_syncs_at_batch_boundary() {
-        let dir = tmp_dir("group-expiry");
-        let syncs = Arc::new(AtomicU64::new(0));
-        let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
-            syncs: syncs.clone(),
-        });
-        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
-        w.set_group_commit_window(Duration::from_millis(1));
-        w.append(&[ev(1)]).unwrap(); // opens the 1 ms window
-        let baseline = syncs.load(Ordering::Relaxed);
-        std::thread::sleep(Duration::from_millis(5));
-        // Expired: the boundary closes the window with a real fsync.
-        w.batch_boundary().unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline + 1);
-        // And with the window closed, the boundary is a no-op again.
-        w.batch_boundary().unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline + 1);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn zero_window_keeps_sync_per_append() {
-        let dir = tmp_dir("group-zero");
-        let syncs = Arc::new(AtomicU64::new(0));
-        let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
-            syncs: syncs.clone(),
-        });
-        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::Always, 1 << 20).unwrap();
-        let baseline = syncs.load(Ordering::Relaxed);
+        let mut w = WalWriter::open((&dir, &vfs), 9, 1, FsyncPolicy::EveryBatch, 1 << 20).unwrap();
+        synced(1, "EveryBatch: a new segment's header");
         w.append(&[ev(1)]).unwrap();
         w.append(&[ev(2)]).unwrap();
-        assert_eq!(syncs.load(Ordering::Relaxed), baseline + 2);
-        assert_eq!(w.coalesced_syncs(), 0);
+        synced(1, "EveryBatch: appends");
+        w.batch_boundary().unwrap();
+        synced(2, "EveryBatch: a boundary after appends");
+        w.batch_boundary().unwrap();
+        synced(2, "EveryBatch: a boundary with nothing pending");
+        drop(w);
+        let mut w =
+            WalWriter::open((&dir, &vfs), 9, 3, FsyncPolicy::EveryBatch, one_record).unwrap();
+        synced(2, "EveryBatch: reopening an intact segment");
+        w.append(&[ev(3)]).unwrap();
+        synced(3, "EveryBatch: a rotation, with nothing pending");
+        w.batch_boundary().unwrap();
+        synced(4, "EveryBatch: a boundary after a rotated append");
+        drop(w);
+
+        let mut w = WalWriter::open((&dir, &vfs), 9, 4, FsyncPolicy::Never, one_record).unwrap();
+        w.append(&[ev(4)]).unwrap();
+        w.batch_boundary().unwrap();
+        synced(4, "Never: a rotation, an append, a boundary");
+        w.append(&[ev(5)]).unwrap();
+        synced(5, "Never: a rotation finishing an unsynced segment");
+        w.batch_boundary().unwrap();
+        synced(5, "Never: a boundary");
+        w.sync().unwrap();
+        synced(6, "Never: an explicit sync");
+        w.sync().unwrap();
+        synced(6, "Never: an explicit sync with nothing pending");
+        drop(w);
+
+        let (records, torn) = WalReader::open((&dir, &vfs), 9).unwrap().records().unwrap();
+        assert!(!torn);
+        assert_eq!(records.len(), 5);
         let _ = fs::remove_dir_all(&dir);
     }
 }

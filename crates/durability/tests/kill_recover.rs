@@ -385,62 +385,6 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Group commit under `FsyncPolicy::Always`: a wide window lets WAL appends
-/// share fsyncs (the telemetry counter proves coalescing happened), a flush
-/// barrier forces the deferred sync, and a kill + reopen still recovers the
-/// flushed prefix bit-exactly.
-#[test]
-fn group_commit_coalesces_fsyncs_and_recovers() {
-    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-gc-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    let stream: Vec<UpdateEvent> = events().into_iter().take(4_000).collect();
-
-    let mut d = DurabilityConfig::new(&dir);
-    d.checkpoint_every_events = CHECKPOINT_EVERY;
-    d.fsync = FsyncPolicy::Always;
-    // Wide open: every append inside the run defers its fsync; only barriers
-    // (flush), rotation, and shutdown actually sync.
-    d.group_commit_window = Duration::from_secs(3600);
-    let cfg = ServerConfig {
-        durability: Some(d),
-        ..ServerConfig::default()
-    };
-
-    let server = builder().open_or_create_with(cfg.clone()).unwrap();
-    let ingest = server.handle();
-    // Many sends in small chunks → many drained micro-batches → many WAL
-    // appends, all coalescing into the open window.
-    for chunk in stream.chunks(64) {
-        ingest.send_batch(chunk.to_vec()).unwrap();
-    }
-    server.flush().unwrap();
-
-    let coalesced = server
-        .metrics()
-        .counters
-        .iter()
-        .find(|(n, _)| n == "wal_group_commit_coalesced_total")
-        .map(|(_, v)| *v)
-        .expect("coalesce counter registered");
-    assert!(
-        coalesced > 0,
-        "appends under Always with a window must coalesce fsyncs"
-    );
-    assert_eq!(server.stats().events as usize, stream.len());
-
-    // The flush barrier forced the deferred sync, so even a hard kill loses
-    // nothing that was acked: reopen and compare bit for bit.
-    server.kill();
-    let server = builder().open_or_create_with(cfg).unwrap();
-    assert_eq!(server.stats().events as usize, stream.len());
-    let mut reference = builder().build().unwrap();
-    reference.init().unwrap();
-    reference.process_all(&stream).unwrap();
-    assert_snapshot_matches_engine(&server, &reference, "after group-commit recovery");
-    drop(server);
-    let _ = fs::remove_dir_all(&dir);
-}
-
 /// Refused before the WAL: the writer's ingest gate runs before the append,
 /// so ill-typed events inside a drained micro-batch — an `Orders` tuple one
 /// value short and a `Lineitem` price that is a string — are neither logged

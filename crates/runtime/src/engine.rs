@@ -1311,14 +1311,16 @@ impl Engine {
     /// run's increments and base update left. For a multi-firing run the
     /// derivation makes the `:=` statements the trigger's tail and mirrors
     /// them across the signs, so whichever sign came last re-evaluates the
-    /// same targets; a run of one firing needs neither.
+    /// same targets; a run of one firing needs neither. A run whose every
+    /// entry cancelled changed no state, so it fires no tail — as firing by
+    /// firing it fires nothing.
     fn fire_replace_tail(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
         run: &RelationDelta,
     ) {
-        if !disp.tail {
+        if !disp.tail || run.entries().iter().all(|e| e.mult == 0.0) {
             return;
         }
         let Some((sign, key)) = run.last_event() else {

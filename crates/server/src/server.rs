@@ -68,7 +68,8 @@ use crate::swap::EpochCell;
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
 use dbtoaster_durability::{
-    checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, WalWriter,
+    checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, VfsPath,
+    WalWriter,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
 use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
@@ -1124,6 +1125,23 @@ struct CkptJob {
     watermark: u64,
 }
 
+/// Write a checkpoint of `maps` at `watermark` and count it in the stats:
+/// every checkpoint the server writes — the initial one at open, the
+/// background thread's and re-arm's — goes through here.
+fn take_checkpoint<'a>(
+    dir: impl Into<VfsPath<'a>>,
+    fingerprint: u64,
+    watermark: u64,
+    maps: &FastMap<String, Gmr>,
+    stats: &StatsCell,
+) -> Result<(), DurabilityError> {
+    let maps = maps.iter().map(|(n, g)| (n.as_str(), g));
+    checkpoint::write_checkpoint(dir, fingerprint, watermark, maps)?;
+    stats.checkpoints_taken.fetch_add(1, Relaxed);
+    stats.checkpoint_watermark.fetch_max(watermark, Relaxed);
+    Ok(())
+}
+
 fn record_durability_error(shared: &Shared, e: DurabilityError) {
     shared
         .durability_error
@@ -1176,9 +1194,6 @@ struct DurableState {
     io_errors_permanent: Counter,
     degraded_transitions: Counter,
     degraded_gauge: Counter,
-    /// Mirrors [`WalWriter::coalesced_syncs`]: appends whose fsync was
-    /// absorbed by a group-commit window instead of paid inline.
-    group_commit_coalesced: Counter,
 }
 
 fn unix_epoch_secs() -> u64 {
@@ -1260,20 +1275,19 @@ impl DurableState {
         // reverse order would leave a checkpoint-less WAL that a later
         // recovery would replay against an engine missing the tables.
         if checkpoints.is_empty() {
-            let snap = engine.snapshot();
-            checkpoint::write_checkpoint(
+            take_checkpoint(
                 dir,
                 fingerprint,
                 watermark,
-                snap.iter().map(|(n, g)| (n.as_str(), g)),
+                &engine.snapshot(),
+                &shared.stats,
             )?;
-            shared.stats.checkpoints_taken.fetch_add(1, Relaxed);
         }
         shared
             .stats
             .checkpoint_watermark
             .fetch_max(newest_verified.unwrap_or(watermark), Relaxed);
-        let mut wal = WalWriter::open_locked(
+        let wal = WalWriter::open_locked(
             dir,
             fingerprint,
             watermark + 1,
@@ -1281,13 +1295,11 @@ impl DurableState {
             cfg.segment_bytes,
             lock,
         )?;
-        wal.set_group_commit_window(cfg.group_commit_window);
         let io_retries = shared.tel.counter("io_retries");
         let io_errors_transient = shared.tel.counter("io_errors_transient");
         let io_errors_permanent = shared.tel.counter("io_errors_permanent");
         let degraded_transitions = shared.tel.counter("degraded_transitions");
         let degraded_gauge = shared.tel.gauge("degraded");
-        let group_commit_coalesced = shared.tel.counter("wal_group_commit_coalesced_total");
         let (tx, rx) = mpsc::sync_channel::<CkptJob>(1);
         let ckpt_thread = {
             let shared = shared.clone();
@@ -1301,25 +1313,20 @@ impl DurableState {
                 .spawn(move || {
                     while let Ok(job) = rx.recv() {
                         let _t = shared.tel.stage_guard(Stage::CheckpointWrite);
-                        let res = checkpoint::write_checkpoint(
-                            (&dir, &vfs),
+                        let at = (&dir, &vfs);
+                        let res = take_checkpoint(
+                            at,
                             fingerprint,
                             job.watermark,
-                            job.maps.iter().map(|(n, g)| (n.as_str(), g)),
+                            &job.maps,
+                            &shared.stats,
                         )
-                        .and_then(|_| {
-                            checkpoint::retain_and_prune_wal((&dir, &vfs), keep, fingerprint)
-                        });
+                        .and_then(|()| checkpoint::retain_and_prune_wal(at, keep, fingerprint));
                         match res {
-                            Ok(_) => {
-                                shared.stats.checkpoints_taken.fetch_add(1, Relaxed);
-                                shared
-                                    .stats
-                                    .checkpoint_watermark
-                                    .fetch_max(job.watermark, Relaxed);
-                            }
-                            // A transient checkpoint failure only delays the
-                            // watermark — the WAL still covers everything, so
+                            Ok(_) => {}
+                            // A transient failure, writing the checkpoint or
+                            // pruning behind it, only delays the watermark or
+                            // the pruning — the WAL still covers everything, so
                             // it is a warning, not a health failure. The next
                             // job retries from scratch. Permanent failures
                             // latch: they would hit every job the same way.
@@ -1363,7 +1370,6 @@ impl DurableState {
             io_errors_permanent,
             degraded_transitions,
             degraded_gauge,
-            group_commit_coalesced,
         })
     }
 
@@ -1440,7 +1446,6 @@ impl DurableState {
                     .stats
                     .wal_bytes_written
                     .store(self.wal.bytes_written(), Relaxed);
-                self.group_commit_coalesced.set(self.wal.coalesced_syncs());
                 true
             }
             Err(e) if e.is_transient() => {
@@ -1456,11 +1461,11 @@ impl DurableState {
         }
     }
 
-    /// Close any open group-commit window before a barrier is acknowledged:
-    /// a `flush()` ack promises the acked epoch's events are durable under
-    /// the configured policy, so a deferred fsync must not outlive it. A
-    /// no-op when nothing is pending (the window already closed, or no window
-    /// is configured — `sync` skips the syscall unless bytes are unsynced).
+    /// Sync the log before a barrier is acknowledged: a `flush()` ack
+    /// promises the acked epoch's events are durable, so no appended byte may
+    /// stay unsynced past it. Under `EveryBatch` this is a no-op (each batch
+    /// boundary already synced, and `sync` skips the syscall unless bytes are
+    /// unsynced); under `Never` it is the fsync that makes the ack durable.
     /// Sync failures follow the fsyncgate rule (see `append_armed`): straight
     /// to degraded or failed, never retried in place.
     fn barrier_sync(&mut self, shared: &Shared) {
@@ -1501,21 +1506,16 @@ impl DurableState {
         self.io_retries.inc();
         shared.durability_retries.fetch_add(1, Relaxed);
         let watermark = engine.stats().events;
-        let snap = engine.snapshot();
-        let res = checkpoint::write_checkpoint(
+        let res = take_checkpoint(
             (&self.dir, &self.vfs),
             self.fingerprint,
             watermark,
-            snap.iter().map(|(n, g)| (n.as_str(), g)),
+            &engine.snapshot(),
+            &shared.stats,
         )
-        .and_then(|_| self.wal.rearm(watermark + 1));
+        .and_then(|()| self.wal.rearm(watermark + 1));
         match res {
             Ok(()) => {
-                shared.stats.checkpoints_taken.fetch_add(1, Relaxed);
-                shared
-                    .stats
-                    .checkpoint_watermark
-                    .fetch_max(watermark, Relaxed);
                 self.events_since_ckpt = 0;
                 self.exit_degraded(shared);
                 // Durable again: the triggering batch still has to hit the log
@@ -1877,8 +1877,8 @@ fn writer_loop(
             });
         }
         if !barriers.is_empty() {
-            // A barrier ack asserts durability up to `epoch` under the
-            // configured policy — close any open group-commit window first.
+            // A barrier ack asserts durability up to `epoch`: sync whatever
+            // the policy left unsynced first.
             if let Some(d) = durable.as_mut() {
                 d.barrier_sync(&shared);
             }

@@ -644,11 +644,10 @@ fn nested_replace_tail_planted_runs_batch_bit_exact() {
     check_planted_tail_runs(&|events| Case::new(nested(), events), &runs, "NESTED");
 }
 
-/// Open: a batch-delta run whose entries all cancel still fires its `:=`
-/// tail, re-evaluating a state it did not change; firing by firing, the
-/// cancelled entry fires nothing. (The work oracle skips such batches.)
+/// A batch-delta run whose entries all cancel fires no `:=` tail: it left
+/// the state unchanged, and firing by firing the cancelled entry fires
+/// nothing.
 #[test]
-#[ignore]
 fn a_cancelled_run_fires_no_tail() {
     let case = Case::new(Source::Queries(vec![Shape::Star.query()]), vec![]);
     let program = case.compile(CompileMode::Reevaluate);

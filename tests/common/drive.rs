@@ -27,7 +27,7 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{DeltaBatch, RelationDelta, UpdateEvent};
+use dbtoaster::agca::{DeltaBatch, UpdateEvent};
 use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, MapClass, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
@@ -257,13 +257,8 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
 
     // Work, on exact data only: a float sum that a delete cancels leaves a
     // ±ulp residue or not depending on the summation order, and a residue
-    // is an entry that later scans count. And a run whose entries all
-    // cancel still fires its `:=` tail (`a_cancelled_run_fires_no_tail`).
-    let cancelled = |run: &RelationDelta| {
-        has_tail(program, run.relation()) && run.entries().iter().all(|e| e.mult == 0.0)
-    };
-    let cancels = cuts.iter().any(|r| batch(r).runs().iter().any(cancelled));
-    if p.live && !case.float && !cancels {
+    // is an entry that later scans count.
+    if p.live && !case.float {
         let mut cleared = engine(case, &entry_major);
         let cleared_tel = instrument(&mut cleared);
         for r in &cuts {
