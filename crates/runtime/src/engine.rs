@@ -184,12 +184,15 @@ pub struct RunRecord {
 
 /// Runtime statistics: event counts, processing time and memory footprint.
 ///
-/// The serving-level counters (`batches`, `snapshots_published`,
-/// `subscriber_deltas`, `snapshot_*`) stay zero on a plain single-threaded
-/// engine; the serving layer fills them in and surfaces the merged view
-/// through `ViewServer::stats()`. ([`Engine::snapshot`] takes `&self`; a plain
-/// engine's snapshot work is read from [`Engine::snapshot_work`].)
-#[derive(Clone, Debug)]
+/// A serving writer (`ViewServer`) keeps its counters here, in the engine
+/// it owns: it adds `batches` (queue drains), `snapshots_published`,
+/// `subscriber_deltas`, and, when durable, `wal_bytes_written` and
+/// `checkpoints_taken`; these stay zero on a plain single-threaded engine.
+/// Every counter is cumulative over the engine's life, across re-serves.
+/// `ViewServer::stats()` returns the writer's copy as of its last iteration.
+/// Snapshot work is not a field: a plain engine reads it from
+/// [`Engine::snapshot_work`], a server from its per-view telemetry.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Events applied so far; refused events do not count. A durable serving
     /// writer logs only admitted events, so this is also its WAL watermark.
@@ -198,8 +201,6 @@ pub struct EngineStats {
     pub statements: u64,
     /// Total time spent inside `process` / `process_batch`.
     pub busy: Duration,
-    /// Wall-clock time of engine creation.
-    pub started: Instant,
     /// Micro-batches drained by a serving writer loop (queue drains; see
     /// [`EngineStats::delta_batches`] for the processing-side unit).
     pub batches: u64,
@@ -212,15 +213,6 @@ pub struct EngineStats {
     pub batch_events_collapsed: u64,
     /// Snapshots published for concurrent readers.
     pub snapshots_published: u64,
-    /// Logged keys replayed into recycled snapshot buffers, over all views
-    /// and every snapshot taken (publishes and checkpoint hand-offs).
-    pub snapshot_keys_patched: u64,
-    /// Entries copied by full snapshot copies, over all views.
-    pub snapshot_entries_copied: u64,
-    /// Per-view full copies taken instead of a patch (first two snapshots of
-    /// a view, a pinned buffer, an abandoned write log; `/metrics` splits
-    /// them by reason).
-    pub snapshot_full_copies: u64,
     /// Output-delta records fanned out to subscribers (sum over subscribers).
     pub subscriber_deltas: u64,
     /// Bytes appended to the write-ahead log by a durable serving writer.
@@ -242,31 +234,6 @@ pub struct EngineStats {
     /// Relation runs executed entry-major — as runs of one firing each,
     /// because the relation's batch-delta derivation bailed.
     pub entry_major_runs: u64,
-}
-
-impl Default for EngineStats {
-    fn default() -> Self {
-        EngineStats {
-            events: 0,
-            statements: 0,
-            busy: Duration::ZERO,
-            started: Instant::now(),
-            batches: 0,
-            delta_batches: 0,
-            batch_events_collapsed: 0,
-            snapshots_published: 0,
-            snapshot_keys_patched: 0,
-            snapshot_entries_copied: 0,
-            snapshot_full_copies: 0,
-            subscriber_deltas: 0,
-            wal_bytes_written: 0,
-            checkpoints_taken: 0,
-            recovery_replayed_events: 0,
-            batch_delta_runs: 0,
-            statement_major_runs: 0,
-            entry_major_runs: 0,
-        }
-    }
 }
 
 impl EngineStats {

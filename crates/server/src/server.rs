@@ -386,39 +386,19 @@ struct Subscriber {
     tx: mpsc::Sender<OutputDeltaBatch>,
 }
 
-/// Batch-level counters mirrored out of the writer thread.
-#[derive(Debug)]
-struct StatsCell {
-    events: AtomicU64,
-    statements: AtomicU64,
-    busy_nanos: AtomicU64,
-    batches: AtomicU64,
-    delta_batches: AtomicU64,
-    batch_events_collapsed: AtomicU64,
-    snapshots_published: AtomicU64,
-    /// Snapshot work summed over views, mirrored from the engine after each
-    /// publish.
-    snapshot_keys_patched: AtomicU64,
-    snapshot_entries_copied: AtomicU64,
-    snapshot_full_copies: AtomicU64,
-    subscriber_deltas: AtomicU64,
-    wal_bytes_written: AtomicU64,
-    checkpoints_taken: AtomicU64,
-    recovery_replayed_events: AtomicU64,
-    /// Per-strategy relation-run counters (batch-delta / entry-major),
-    /// mirrored from the engine after each drained batch.
-    batch_delta_runs: AtomicU64,
-    entry_major_runs: AtomicU64,
-    /// Watermark (events applied) of the newest successfully written
-    /// checkpoint; `/healthz` reports `events - watermark` as checkpoint lag.
-    checkpoint_watermark: AtomicU64,
-    started: Instant,
-}
-
 pub(crate) struct Shared {
     cell: EpochCell<Snapshot>,
     published: Arc<PublishedViews>,
-    stats: StatsCell,
+    /// The writer engine's stats, copied in once per writer iteration (before
+    /// barriers are acked). Each side holds the lock for one copy.
+    stats: Mutex<EngineStats>,
+    /// Checkpoints written, counted off the writer thread by
+    /// [`take_checkpoint`]; starts at the served engine's count and is
+    /// overlaid on `stats` when it is read.
+    checkpoints_taken: AtomicU64,
+    /// Watermark (events applied) of the newest successfully written
+    /// checkpoint; `/healthz` reports `events - watermark` as checkpoint lag.
+    checkpoint_watermark: AtomicU64,
     queries: FastMap<String, ServedQuery>,
     program: Arc<TriggerProgram>,
     /// Is the server durable? Gates the checkpoint-lag readout in `/healthz`.
@@ -428,16 +408,14 @@ pub(crate) struct Shared {
     /// Startup provenance (e.g. a degraded recovery), kept apart from
     /// `durability_error` so it can never mask a later runtime failure.
     durability_warning: Mutex<Option<DurabilityError>>,
-    /// Durability is suspended and the writer is retrying/re-arming in the
-    /// background (serving continues from memory). Distinct from
-    /// `durability_error`, which is the *permanent*-failure latch: `/healthz`
-    /// reports `"degraded"` (still 200) here vs `"unhealthy"` (503) there.
-    degraded: AtomicBool,
     /// The error that pushed the WAL into degraded mode; cleared by a
-    /// successful re-arm.
+    /// successful re-arm. Whether the WAL is degraded (durability suspended
+    /// while the writer retries and re-arms, serving from memory) is the
+    /// `degraded` gauge in `tel`, and how often it retried the `io_retries`
+    /// counter. Distinct from `durability_error`, the *permanent*-failure
+    /// latch: `/healthz` reports `"degraded"` (still 200) for the one and
+    /// `"unhealthy"` (503) for the other.
     degraded_error: Mutex<Option<String>>,
-    /// Total durability retries (inline append retries + re-arm attempts).
-    durability_retries: AtomicU64,
     /// Unix-epoch seconds of the last armed ↔ degraded/failed transition.
     last_transition_epoch: AtomicU64,
     /// Crash simulation / hard abort: the writer stops at the next loop
@@ -452,6 +430,16 @@ pub(crate) struct Shared {
     /// The telemetry registry shared by the writer thread, the checkpoint
     /// thread and metric readers. Reading a snapshot never blocks the writer.
     tel: Telemetry,
+}
+
+impl Shared {
+    /// The writer engine's stats as of its last iteration, with the
+    /// checkpoint thread's count overlaid.
+    fn stats(&self) -> EngineStats {
+        let mut stats = *self.stats.lock().unwrap_or_else(|e| e.into_inner());
+        stats.checkpoints_taken = self.checkpoints_taken.load(Relaxed);
+        stats
+    }
 }
 
 /// A concurrent serving wrapper around a compiled engine: one writer thread,
@@ -488,35 +476,16 @@ impl ViewServer {
         let shared = Arc::new(Shared {
             cell: EpochCell::new(initial.clone()),
             published,
-            stats: StatsCell {
-                events: AtomicU64::new(engine.stats().events),
-                statements: AtomicU64::new(engine.stats().statements),
-                busy_nanos: AtomicU64::new(engine.stats().busy.as_nanos() as u64),
-                batches: AtomicU64::new(0),
-                delta_batches: AtomicU64::new(engine.stats().delta_batches),
-                batch_events_collapsed: AtomicU64::new(engine.stats().batch_events_collapsed),
-                snapshots_published: AtomicU64::new(0),
-                snapshot_keys_patched: AtomicU64::new(0),
-                snapshot_entries_copied: AtomicU64::new(0),
-                snapshot_full_copies: AtomicU64::new(0),
-                subscriber_deltas: AtomicU64::new(0),
-                wal_bytes_written: AtomicU64::new(0),
-                checkpoints_taken: AtomicU64::new(0),
-                recovery_replayed_events: AtomicU64::new(engine.stats().recovery_replayed_events),
-                batch_delta_runs: AtomicU64::new(engine.stats().batch_delta_runs),
-                entry_major_runs: AtomicU64::new(engine.stats().entry_major_runs),
-                checkpoint_watermark: AtomicU64::new(0),
-                started: Instant::now(),
-            },
+            stats: Mutex::new(*engine.stats()),
+            checkpoints_taken: AtomicU64::new(engine.stats().checkpoints_taken),
+            checkpoint_watermark: AtomicU64::new(0),
             queries: queries.into_iter().map(|q| (q.name.clone(), q)).collect(),
             program: engine.program_shared(),
             durable: config.durability.is_some(),
             error: Mutex::new(None),
             durability_error: Mutex::new(None),
             durability_warning: Mutex::new(None),
-            degraded: AtomicBool::new(false),
             degraded_error: Mutex::new(None),
-            durability_retries: AtomicU64::new(0),
             last_transition_epoch: AtomicU64::new(0),
             killed: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
@@ -693,30 +662,15 @@ impl ViewServer {
         rx.recv().map_err(|_| ServeError::Closed)
     }
 
-    /// Merged engine + serving statistics (events, batches, publishes,
-    /// fan-out, durability counters).
+    /// The writer engine's [`EngineStats`] as of its last iteration: events,
+    /// batches, publishes, fan-out and durability counters, cumulative over
+    /// the engine's life (a re-served engine keeps counting). A caller
+    /// returning from [`ViewServer::flush`] sees counters that cover its
+    /// events; `checkpoints_taken` is read live from the checkpoint thread.
+    /// `busy` is time spent in `process_batch`, as on a plain engine.
+    /// Snapshot work is per view, in [`ViewServer::metrics`].
     pub fn stats(&self) -> EngineStats {
-        let s = &self.shared.stats;
-        EngineStats {
-            events: s.events.load(Relaxed),
-            statements: s.statements.load(Relaxed),
-            busy: Duration::from_nanos(s.busy_nanos.load(Relaxed)),
-            started: s.started,
-            batches: s.batches.load(Relaxed),
-            delta_batches: s.delta_batches.load(Relaxed),
-            batch_events_collapsed: s.batch_events_collapsed.load(Relaxed),
-            snapshots_published: s.snapshots_published.load(Relaxed),
-            snapshot_keys_patched: s.snapshot_keys_patched.load(Relaxed),
-            snapshot_entries_copied: s.snapshot_entries_copied.load(Relaxed),
-            snapshot_full_copies: s.snapshot_full_copies.load(Relaxed),
-            subscriber_deltas: s.subscriber_deltas.load(Relaxed),
-            wal_bytes_written: s.wal_bytes_written.load(Relaxed),
-            checkpoints_taken: s.checkpoints_taken.load(Relaxed),
-            recovery_replayed_events: s.recovery_replayed_events.load(Relaxed),
-            batch_delta_runs: s.batch_delta_runs.load(Relaxed),
-            entry_major_runs: s.entry_major_runs.load(Relaxed),
-            ..EngineStats::default()
-        }
+        self.shared.stats()
     }
 
     /// A point-in-time telemetry snapshot: batch-latency percentiles,
@@ -1125,20 +1079,22 @@ struct CkptJob {
     watermark: u64,
 }
 
-/// Write a checkpoint of `maps` at `watermark` and count it in the stats:
-/// every checkpoint the server writes — the initial one at open, the
-/// background thread's and re-arm's — goes through here.
+/// Write a checkpoint of `maps` at `watermark` and count it in `taken`,
+/// raising `newest` to `watermark`: every checkpoint the server writes — the
+/// initial one at open, the background thread's and re-arm's — goes through
+/// here.
 fn take_checkpoint<'a>(
     dir: impl Into<VfsPath<'a>>,
     fingerprint: u64,
     watermark: u64,
     maps: &FastMap<String, Gmr>,
-    stats: &StatsCell,
+    taken: &AtomicU64,
+    newest: &AtomicU64,
 ) -> Result<(), DurabilityError> {
     let maps = maps.iter().map(|(n, g)| (n.as_str(), g));
     checkpoint::write_checkpoint(dir, fingerprint, watermark, maps)?;
-    stats.checkpoints_taken.fetch_add(1, Relaxed);
-    stats.checkpoint_watermark.fetch_max(watermark, Relaxed);
+    taken.fetch_add(1, Relaxed);
+    newest.fetch_max(watermark, Relaxed);
     Ok(())
 }
 
@@ -1180,6 +1136,9 @@ enum WalHealth {
 /// checkpoint thread, and the self-healing machinery ([`WalHealth`]).
 struct DurableState {
     wal: WalWriter,
+    /// The served engine's `wal_bytes_written` at open: its count stays
+    /// cumulative over the engine's life, while `wal` counts from its open.
+    wal_bytes_base: u64,
     ckpt_tx: Option<SyncSender<CkptJob>>,
     ckpt_thread: Option<JoinHandle<()>>,
     checkpoint_every: u64,
@@ -1280,11 +1239,11 @@ impl DurableState {
                 fingerprint,
                 watermark,
                 &engine.snapshot(),
-                &shared.stats,
+                &shared.checkpoints_taken,
+                &shared.checkpoint_watermark,
             )?;
         }
         shared
-            .stats
             .checkpoint_watermark
             .fetch_max(newest_verified.unwrap_or(watermark), Relaxed);
         let wal = WalWriter::open_locked(
@@ -1319,7 +1278,8 @@ impl DurableState {
                             fingerprint,
                             job.watermark,
                             &job.maps,
-                            &shared.stats,
+                            &shared.checkpoints_taken,
+                            &shared.checkpoint_watermark,
                         )
                         .and_then(|()| checkpoint::retain_and_prune_wal(at, keep, fingerprint));
                         match res {
@@ -1350,8 +1310,12 @@ impl DurableState {
                     retryable: false,
                 })?
         };
+        // A fresh open is armed, whatever an earlier serve sharing this
+        // telemetry handle left the gauge at.
+        degraded_gauge.set(0);
         Ok(DurableState {
             wal,
+            wal_bytes_base: engine.stats().wal_bytes_written,
             ckpt_tx: Some(tx),
             ckpt_thread: Some(ckpt_thread),
             checkpoint_every: cfg.checkpoint_every_events.max(1),
@@ -1375,6 +1339,11 @@ impl DurableState {
 
     fn is_armed(&self) -> bool {
         matches!(self.health, WalHealth::Armed)
+    }
+
+    /// Bytes the served engine has appended to the log over its life.
+    fn wal_bytes_written(&self) -> u64 {
+        self.wal_bytes_base + self.wal.bytes_written()
     }
 
     /// Write-ahead: append the micro-batch (and apply the fsync policy's
@@ -1411,7 +1380,6 @@ impl DurableState {
                     attempts += 1;
                     self.io_errors_transient.inc();
                     self.io_retries.inc();
-                    shared.durability_retries.fetch_add(1, Relaxed);
                     if self.wal.truncate_to_boundary().is_err() {
                         // Cannot restore the record boundary: an in-place
                         // retry could land a valid record after garbage.
@@ -1441,13 +1409,7 @@ impl DurableState {
         // the re-arm rewrites state from a fresh checkpoint instead of
         // trusting the poisoned file.
         match self.wal.batch_boundary() {
-            Ok(()) => {
-                shared
-                    .stats
-                    .wal_bytes_written
-                    .store(self.wal.bytes_written(), Relaxed);
-                true
-            }
+            Ok(()) => true,
             Err(e) if e.is_transient() => {
                 self.io_errors_transient.inc();
                 self.enter_degraded(e, shared);
@@ -1504,14 +1466,14 @@ impl DurableState {
             return false;
         }
         self.io_retries.inc();
-        shared.durability_retries.fetch_add(1, Relaxed);
         let watermark = engine.stats().events;
         let res = take_checkpoint(
             (&self.dir, &self.vfs),
             self.fingerprint,
             watermark,
             &engine.snapshot(),
-            &shared.stats,
+            &shared.checkpoints_taken,
+            &shared.checkpoint_watermark,
         )
         .and_then(|()| self.wal.rearm(watermark + 1));
         match res {
@@ -1555,7 +1517,6 @@ impl DurableState {
         };
         self.degraded_transitions.inc();
         self.degraded_gauge.set(1);
-        shared.degraded.store(true, Relaxed);
         shared
             .last_transition_epoch
             .store(unix_epoch_secs(), Relaxed);
@@ -1569,7 +1530,6 @@ impl DurableState {
         self.health = WalHealth::Armed;
         self.degraded_transitions.inc();
         self.degraded_gauge.set(0);
-        shared.degraded.store(false, Relaxed);
         shared
             .last_transition_epoch
             .store(unix_epoch_secs(), Relaxed);
@@ -1583,7 +1543,6 @@ impl DurableState {
         self.health = WalHealth::Failed;
         self.degraded_transitions.inc();
         self.degraded_gauge.set(0);
-        shared.degraded.store(false, Relaxed);
         shared
             .last_transition_epoch
             .store(unix_epoch_secs(), Relaxed);
@@ -1652,9 +1611,6 @@ fn writer_loop(
     // Recycled input-side delta batch (per-relation GMR deltas); rebuilt from
     // each drained micro-batch with zero steady-state allocation.
     let mut delta = dbtoaster_agca::DeltaBatch::new();
-    // Continue from the engine's pre-serve processing time so the mirrored
-    // busy counter never goes backwards.
-    let mut serve_busy = engine.stats().busy;
     let mut epoch = 0u64;
     let mut batch: Vec<UpdateEvent> = Vec::with_capacity(max_batch);
     // Events applied but not yet published. Publishing is *coalesced*: under
@@ -1728,7 +1684,6 @@ fn writer_loop(
             staged = rx.try_recv().ok();
         }
 
-        let t0 = Instant::now();
         let drained = batch.len() as u64;
         // The ingest gate, before the log: an event the catalog's types
         // refuse is neither logged nor applied.
@@ -1746,9 +1701,12 @@ fn writer_loop(
         if let Some(d) = durable.as_mut() {
             // Called even with an empty batch: in degraded mode every writer
             // iteration doubles as a re-arm tick. The return value is not a
-            // latch any more — snapshot degradation is read off the health
-            // state below, so a successful re-arm clears it.
-            d.log_batch(&batch, &engine, &shared);
+            // latch — snapshot degradation is read off the health state
+            // below, so a successful re-arm clears it; it only says whether
+            // the log took the batch.
+            if d.log_batch(&batch, &engine, &shared) {
+                engine.stats_mut().wal_bytes_written = d.wal_bytes_written();
+            }
         }
         if drained > 0 {
             // Producers incremented before enqueueing, so the gauge holds at
@@ -1772,7 +1730,6 @@ fn writer_loop(
         pending_events += drained;
         if drained > 0 {
             engine.stats_mut().batches += 1;
-            shared.stats.batches.fetch_add(1, Relaxed);
         }
 
         // Joining subscribers force a publish so their baseline snapshot, the
@@ -1825,13 +1782,11 @@ fn writer_loop(
             let stats = engine.stats_mut();
             stats.snapshots_published += 1;
             stats.subscriber_deltas += fanned;
-            shared.stats.snapshots_published.fetch_add(1, Relaxed);
-            shared.stats.subscriber_deltas.fetch_add(fanned, Relaxed);
             // Fold the engine's thread-local telemetry buffers into the shared
             // registry at every publish, so a barrier-acked reader's
-            // `metrics()` covers all its events.
+            // `metrics()` covers all its events (and each view's snapshot
+            // work, refreshed by this one walk over the maps).
             engine.flush_telemetry();
-            mirror_snapshot_work(&mut engine, &shared);
         }
         // Checkpoint accounting rides the batch boundary: the snapshot
         // handoff happens here (O(1) per published view right after a
@@ -1842,30 +1797,10 @@ fn writer_loop(
                 d.maybe_checkpoint(&engine, drained);
             }
         }
-        serve_busy += t0.elapsed();
 
-        // Mirror the stats before acking barriers so a caller returning from
-        // `flush()` observes counters that cover its events.
-        let s = engine.stats();
-        shared.stats.events.store(s.events, Relaxed);
-        shared.stats.statements.store(s.statements, Relaxed);
-        shared.stats.delta_batches.store(s.delta_batches, Relaxed);
-        shared
-            .stats
-            .batch_events_collapsed
-            .store(s.batch_events_collapsed, Relaxed);
-        shared
-            .stats
-            .batch_delta_runs
-            .store(s.batch_delta_runs, Relaxed);
-        shared
-            .stats
-            .entry_major_runs
-            .store(s.entry_major_runs, Relaxed);
-        shared
-            .stats
-            .busy_nanos
-            .store(serve_busy.as_nanos() as u64, Relaxed);
+        // Copy the stats out before acking barriers so a caller returning
+        // from `flush()` observes counters that cover its events.
+        *shared.stats.lock().unwrap_or_else(|p| p.into_inner()) = *engine.stats();
 
         for req in joining.drain(..) {
             // The baseline is the last published snapshot: the subscriber's
@@ -1898,30 +1833,10 @@ fn writer_loop(
     if let Some(d) = durable.take() {
         d.shutdown(&engine, !crashed, &shared);
     }
-    // Fold the durability counters (and the final checkpoint's snapshot)
-    // into the engine's own stats so a `shutdown()` caller gets the complete
-    // picture.
-    mirror_snapshot_work(&mut engine, &shared);
-    let s = engine.stats_mut();
-    s.wal_bytes_written = shared.stats.wal_bytes_written.load(Relaxed);
-    s.checkpoints_taken = shared.stats.checkpoints_taken.load(Relaxed);
+    // The checkpoint thread counted its checkpoints (the final one too) off
+    // this thread; hand the count back with the engine.
+    engine.stats_mut().checkpoints_taken = shared.checkpoints_taken.load(Relaxed);
     engine
-}
-
-/// Copy what the engine's snapshots have cost so far — publishes and
-/// checkpoint hand-offs alike — into its stats and the shared mirror.
-fn mirror_snapshot_work(engine: &mut Engine, shared: &Shared) {
-    let w = engine.snapshot_work();
-    let stats = engine.stats_mut();
-    stats.snapshot_keys_patched = w.keys_patched;
-    stats.snapshot_entries_copied = w.entries_copied;
-    stats.snapshot_full_copies = w.full_copies();
-    let mirror = &shared.stats;
-    mirror.snapshot_keys_patched.store(w.keys_patched, Relaxed);
-    mirror
-        .snapshot_entries_copied
-        .store(w.entries_copied, Relaxed);
-    mirror.snapshot_full_copies.store(w.full_copies(), Relaxed);
 }
 
 /// Compute and deliver each subscriber's delta batch, dropping subscribers
@@ -2049,18 +1964,24 @@ pub(crate) fn metrics_body(shared: &Shared) -> String {
 pub(crate) fn health_body(shared: &Shared) -> (bool, String) {
     let writer_alive = shared.writer_alive.load(Relaxed);
     let killed = shared.killed.load(Relaxed);
-    let events = shared.stats.events.load(Relaxed);
+    let stats = shared.stats();
     let queue_depth = shared.queue_depth.load(Relaxed);
     let epoch = shared.cell.epoch();
-    let wal_bytes = shared.stats.wal_bytes_written.load(Relaxed);
-    let checkpoints = shared.stats.checkpoints_taken.load(Relaxed);
-    let watermark = shared.stats.checkpoint_watermark.load(Relaxed);
+    let watermark = shared.checkpoint_watermark.load(Relaxed);
     let error = lock_opt(&shared.error).map(|e| e.to_string());
     let durability_error = lock_opt(&shared.durability_error).map(|e| e.to_string());
     let durability_warning = lock_opt(&shared.durability_warning).map(|e| e.to_string());
-    let degraded = shared.degraded.load(Relaxed);
+    // The WAL's health is the telemetry `/metrics` exports; a server
+    // without durability registers neither, and reports `false` and 0.
+    let (degraded, retries) = if shared.durable {
+        (
+            shared.tel.gauge("degraded").get() == 1,
+            shared.tel.counter("io_retries").get(),
+        )
+    } else {
+        (false, 0)
+    };
     let degraded_error = lock_opt(&shared.degraded_error);
-    let retries = shared.durability_retries.load(Relaxed);
     let transition = shared.last_transition_epoch.load(Relaxed);
     let healthy = writer_alive && durability_error.is_none();
     let body = format!(
@@ -2079,10 +2000,13 @@ pub(crate) fn health_body(shared: &Shared) -> (bool, String) {
         } else {
             "ok"
         },
+        events = stats.events,
         durable = shared.durable,
+        wal_bytes = stats.wal_bytes_written,
+        checkpoints = stats.checkpoints_taken,
         dgerr = json_opt_string(degraded_error),
         lag = if shared.durable {
-            events.saturating_sub(watermark)
+            stats.events.saturating_sub(watermark)
         } else {
             0
         },

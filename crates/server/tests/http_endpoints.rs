@@ -8,7 +8,7 @@ use dbtoaster_compiler::{
     compile, Catalog, CompileOptions, ProgramExplain, QuerySpec, RelationMeta,
 };
 use dbtoaster_gmr::Value;
-use dbtoaster_runtime::Engine;
+use dbtoaster_runtime::{Engine, EngineStats};
 use dbtoaster_server::{HttpConfig, ServerConfig, ViewServer};
 use dbtoaster_telemetry::PROMETHEUS_CONTENT_TYPE;
 use std::io::{Read, Write};
@@ -104,6 +104,24 @@ fn get(addr: SocketAddr, path: &str) -> Response {
         addr,
         &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"),
     )
+}
+
+/// The number after `"key":` in a JSON body.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let (_, rest) = body
+        .split_once(&format!("\"{key}\":"))
+        .unwrap_or_else(|| panic!("no {key} in {body}"));
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// The value of an unlabelled metric in a `/metrics` body.
+fn metric_u64(body: &str, name: &str) -> u64 {
+    body.lines()
+        .find_map(|l| l.strip_prefix(&format!("{name} ")))
+        .unwrap_or_else(|| panic!("no {name} in {body}"))
+        .parse()
+        .unwrap()
 }
 
 #[test]
@@ -291,6 +309,24 @@ fn durable_server_with_fault() -> (
     (server, fault, dir)
 }
 
+/// `/healthz`'s durability health is what `/metrics` exports: its
+/// `durability_retries` is the `io_retries` counter and its `degraded` the
+/// `degraded` gauge.
+fn assert_health_matches_metrics(addr: SocketAddr) {
+    let health = get(addr, "/healthz").body;
+    let metrics = get(addr, "/metrics").body;
+    assert_eq!(
+        json_u64(&health, "durability_retries"),
+        metric_u64(&metrics, "dbtoaster_io_retries"),
+        "{health}"
+    );
+    let degraded = metric_u64(&metrics, "dbtoaster_degraded") == 1;
+    assert!(
+        health.contains(&format!("\"degraded\":{degraded},")),
+        "gauge says degraded={degraded}: {health}"
+    );
+}
+
 fn feed(server: &ViewServer, base: i64, n: i64) {
     let ingest = server.handle();
     for k in base..base + n {
@@ -316,6 +352,7 @@ fn healthz_reports_degraded_and_recovers_to_ok() {
     assert_eq!(resp.status, 200, "{}", resp.body);
     assert!(resp.body.contains("\"status\":\"ok\""), "{}", resp.body);
     assert!(resp.body.contains("\"degraded\":false"), "{}", resp.body);
+    assert_health_matches_metrics(addr);
 
     // Transient EIO: the writer exhausts its retries and degrades, but the
     // server keeps serving — 200, with the distinct degraded status and the
@@ -354,6 +391,7 @@ fn healthz_reports_degraded_and_recovers_to_ok() {
         "a transient fault must not latch the fatal error: {}",
         resp.body
     );
+    assert_health_matches_metrics(addr);
 
     // Heal: the next batches tick the re-arm path and status returns to ok.
     fault.heal();
@@ -370,6 +408,7 @@ fn healthz_reports_degraded_and_recovers_to_ok() {
                 "{}",
                 resp.body
             );
+            assert_health_matches_metrics(addr);
             break;
         }
         assert!(
@@ -411,5 +450,62 @@ fn healthz_reports_unhealthy_on_a_permanent_durability_error() {
     feed(&server, 20, 5);
     assert_eq!(get(addr, "/healthz").status, 503);
     drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `stats()` is the writer engine's own [`EngineStats`]: it equals what
+/// `shutdown()` hands back, and a re-served engine keeps counting. Only the
+/// clean shutdown's final checkpoint lands after the read.
+#[test]
+fn served_and_returned_stats_agree_across_a_reserve() {
+    use dbtoaster_durability::DurabilityConfig;
+    let dir = std::env::temp_dir().join(format!("dbt-reserve-stats-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let serve = |engine: Engine| {
+        let mut durability = DurabilityConfig::new(&dir);
+        // No periodic checkpoint: only the initial and the shutdown ones.
+        durability.checkpoint_every_events = u64::MAX;
+        let server = ViewServer::spawn(
+            engine,
+            vec![],
+            ServerConfig {
+                http: Some(HttpConfig::default()),
+                durability: Some(durability),
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        let sub = server.subscribe("TOTAL").unwrap();
+        (server, sub)
+    };
+
+    let (server, _sub) = serve(engine());
+    feed(&server, 0, 50);
+    let engine = server.shutdown().unwrap();
+    let first = *engine.stats();
+    let (server, _sub) = serve(engine);
+    feed(&server, 50, 50);
+    let served = server.stats();
+    let health = get(server.http_addr().unwrap(), "/healthz").body;
+    let returned = *server.shutdown().unwrap().stats();
+
+    assert_eq!(served.events, 100);
+    assert_eq!(served.checkpoints_taken, 2, "initial + first shutdown's");
+    assert!(served.subscriber_deltas > first.subscriber_deltas);
+    assert!(served.wal_bytes_written > first.wal_bytes_written);
+    assert_eq!(
+        returned,
+        EngineStats {
+            checkpoints_taken: served.checkpoints_taken + 1,
+            ..served
+        }
+    );
+    for (key, value) in [
+        ("events_applied", served.events),
+        ("wal_bytes_written", served.wal_bytes_written),
+        ("checkpoints_taken", served.checkpoints_taken),
+    ] {
+        assert_eq!(json_u64(&health, key), value, "{key} in {health}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

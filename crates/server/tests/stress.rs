@@ -429,11 +429,17 @@ fn long_holds_cost_one_copy_each_not_one_per_publish() {
     for _ in 0..4 {
         publish_one(&server, &mut rng);
     }
-    let pinned = |server: &ViewServer| -> u64 {
+    // Snapshot work summed over the views' telemetry, which each publish
+    // refreshes: pinned-buffer copies, entries copied, keys patched.
+    let work = |server: &ViewServer| -> [u64; 3] {
         let views = server.metrics().views;
-        views.iter().map(|v| v.snapshot_full_copies[1]).sum()
+        [
+            views.iter().map(|v| v.snapshot_full_copies[1]).sum(),
+            views.iter().map(|v| v.snapshot_entries_copied).sum(),
+            views.iter().map(|v| v.snapshot_keys_patched).sum(),
+        ]
     };
-    let (before, pinned_before) = (server.stats(), pinned(&server));
+    let (before, work_before) = (server.stats(), work(&server));
 
     for _ in 0..HOLDS {
         let held = held_reader.snapshot();
@@ -446,7 +452,9 @@ fn long_holds_cost_one_copy_each_not_one_per_publish() {
         assert_eq!(bits(held.view(&names[0]).unwrap()), expected);
     }
 
-    let after = server.stats();
+    let (after, work_after) = (server.stats(), work(&server));
+    let [pinned, copied, patched]: [u64; 3] =
+        std::array::from_fn(|i| work_after[i] - work_before[i]);
     assert_eq!(
         after.snapshots_published - before.snapshots_published,
         HOLDS * HOLD_PUBLISHES
@@ -455,14 +463,12 @@ fn long_holds_cost_one_copy_each_not_one_per_publish() {
     // are copied on every publish anyway — one entry each, their log never
     // fits the patch budget): one full copy per hold, every other publish
     // patches two epochs of writes.
-    assert_eq!(pinned(&server) - pinned_before, HOLDS);
-    let copied = after.snapshot_entries_copied - before.snapshot_entries_copied;
+    assert_eq!(pinned, HOLDS);
     let scalar_copies = 2 * HOLDS * HOLD_PUBLISHES;
     assert!(
         copied <= HOLDS * KEYS as u64 + scalar_copies,
         "{copied} entries copied over {HOLDS} holds: more than one copy per hold"
     );
-    let patched = after.snapshot_keys_patched - before.snapshot_keys_patched;
     assert!(
         patched <= 2 * BATCH as u64 * HOLDS * HOLD_PUBLISHES,
         "{patched} keys patched: more than two epochs of writes per publish"

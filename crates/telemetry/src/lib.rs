@@ -592,8 +592,8 @@ struct Inner {
     /// Slow-batch trace ring buffer.
     traces: Mutex<VecDeque<SlowBatchTrace>>,
     trace_seq: AtomicU64,
-    /// Canonical pipeline counters (the single source both `EngineStats`
-    /// mirrors and `/metrics` reports from).
+    /// Events and delta batches, folded in from the engine's own counters
+    /// (`EngineStats`) at each telemetry flush, for `/metrics` and `/views`.
     events: AtomicU64,
     batches: AtomicU64,
 }
