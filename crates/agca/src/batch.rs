@@ -18,9 +18,7 @@
 //! updates to one relation sums to a single delta GMR
 //! `ΔR = Σᵢ {tᵢ → ±1}` — keys whose contributions cancel (an insert/delete
 //! pair) vanish from the sum entirely, *before any trigger runs*. This is the
-//! DBSP view of streams (a batch of changes to a relation is one Z-set), and
-//! the representation a future sharded deployment would exchange between
-//! nodes.
+//! DBSP view of streams (a batch of changes to a relation is one Z-set).
 //!
 //! ## What batching is allowed to change — and what it is not
 //!
@@ -102,7 +100,7 @@
 //! allocates nothing.
 
 use crate::delta::{UpdateEvent, UpdateSign};
-use dbtoaster_gmr::{FastMap, Gmr, Tuple};
+use dbtoaster_gmr::{FastMap, Tuple};
 
 /// One key of a per-relation delta: the net multiplicity of all events in the
 /// run that carried this tuple, plus how many events were folded in.
@@ -191,16 +189,6 @@ impl RelationDelta {
     pub fn collapsed_events(&self) -> u64 {
         let firings: u64 = self.entries.iter().map(|e| e.firings() as u64).sum();
         self.events.saturating_sub(firings)
-    }
-
-    /// The run as a standalone GMR delta over a positional schema (the
-    /// interchange form — e.g. what a shard would ship to a peer).
-    pub fn to_gmr(&self) -> Gmr {
-        let mut g = Gmr::delta(self.arity);
-        for e in &self.entries {
-            g.add_tuple(e.key.clone(), e.mult);
-        }
-        g
     }
 
     /// Re-initialize this (pooled) run for a new relation, keeping buffer
@@ -449,7 +437,7 @@ impl DeltaBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_gmr::Value;
+    use dbtoaster_gmr::{Gmr, Value};
 
     fn ins(rel: &str, vals: &[i64]) -> UpdateEvent {
         UpdateEvent::insert(rel, vals.iter().map(|&v| Value::long(v)).collect())
@@ -523,7 +511,10 @@ mod tests {
             del("R", &[1, 2]),
         ];
         let b = DeltaBatch::from_events(&events);
-        let batch_gmr = b.runs()[0].to_gmr();
+        let mut batch_gmr = Gmr::delta(2);
+        for e in b.runs()[0].entries() {
+            batch_gmr.add_tuple(e.key.clone(), e.mult);
+        }
         // Ring-sum the per-event singleton deltas.
         let mut sum = Gmr::delta(2);
         for e in &events {

@@ -105,10 +105,6 @@ pub struct RelationExplain {
     /// Why that strategy was chosen (derivation success, or the exact
     /// condition that bailed).
     pub reason: String,
-    /// The shardability verdict for the relation (see
-    /// [`crate::shard::analyze_sharding`]): `shard-local (...)` or
-    /// `exchanges deltas: ...`, in the same stable style as `reason`.
-    pub shard: String,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
 }
@@ -164,7 +160,6 @@ pub struct ProgramExplain {
 
 /// Explain `program`: exactly the dispatch an engine running it builds.
 pub fn explain(program: &TriggerProgram) -> ProgramExplain {
-    let shard_plan = crate::shard::analyze_sharding(program);
     let relations = program
         .batch_dispatch()
         .into_iter()
@@ -176,10 +171,6 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
                 .collect();
             RelationExplain {
                 reason: strategy_reason(program, &d),
-                shard: shard_plan
-                    .relation_plan(&d.relation)
-                    .map(|r| r.reason.clone())
-                    .unwrap_or_default(),
                 relation: d.relation,
                 strategy: d.strategy.as_str().to_string(),
                 triggers,
@@ -654,9 +645,6 @@ impl ProgramExplain {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "strategy: {}", rel.strategy);
             let _ = writeln!(out, "reason: {}", rel.reason);
-            if !rel.shard.is_empty() {
-                let _ = writeln!(out, "shard: {}", rel.shard);
-            }
             for t in &rel.triggers {
                 let _ = writeln!(out, "on {}:", t.sign);
                 for s in &t.statements {
@@ -699,11 +687,10 @@ impl ProgramExplain {
             }
             let _ = write!(
                 out,
-                "{{\"relation\":\"{}\",\"strategy\":\"{}\",\"reason\":\"{}\",\"shard\":\"{}\",\"triggers\":[",
+                "{{\"relation\":\"{}\",\"strategy\":\"{}\",\"reason\":\"{}\",\"triggers\":[",
                 json_escape(&rel.relation),
                 json_escape(&rel.strategy),
-                json_escape(&rel.reason),
-                json_escape(&rel.shard)
+                json_escape(&rel.reason)
             );
             triggers_json(&mut out, &rel.triggers);
             out.push_str("]}");
@@ -771,12 +758,6 @@ impl ProgramExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 strategy: r.get("strategy")?.as_str()?.to_string(),
                 reason: r.get("reason")?.as_str()?.to_string(),
-                // Absent in pre-shard documents: tolerate for forward compat.
-                shard: r
-                    .get("shard")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or_default()
-                    .to_string(),
                 triggers,
             });
         }
@@ -1354,7 +1335,6 @@ mod tests {
         assert!(text.contains("== relation R =="));
         assert!(text.contains("strategy: batch-delta"));
         assert!(text.contains("reason: "));
-        assert!(text.contains("shard: "));
         assert!(
             text.contains("    | "),
             "every statement prints its kernel's plan"

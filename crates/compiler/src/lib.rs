@@ -42,7 +42,6 @@ pub mod compile;
 pub mod explain;
 pub mod materialize;
 pub mod program;
-pub mod shard;
 pub mod typecheck;
 
 pub use batch_delta::derive_live_passes;
@@ -58,9 +57,6 @@ pub use program::{
     QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
     TriggerProgram,
 };
-pub use shard::{
-    analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
-};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -71,9 +67,6 @@ pub mod prelude {
         CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,
         QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
         TriggerProgram,
-    };
-    pub use crate::shard::{
-        analyze_sharding, slice_program, MapClass, RelationShardPlan, ShardPlan, ShardSlices,
     };
     pub use dbtoaster_agca::UpdateSign;
 }

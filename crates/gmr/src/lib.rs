@@ -27,8 +27,6 @@
 //!   by every hot-path map in the system.
 //! * [`schema`] — ordered column-name lists and positional lookup.
 //! * [`mod@gmr`] — the [`Gmr`] collection type and its ring operations.
-//! * [`rational`] — an exact rational number type used by the algebraic property tests
-//!   (runtime multiplicities are `f64` for performance; see DESIGN.md).
 //!
 //! ## Example
 //!
@@ -52,14 +50,12 @@
 
 pub mod gmr;
 pub mod hash;
-pub mod rational;
 pub mod schema;
 pub mod tuple;
 pub mod value;
 
 pub use gmr::Gmr;
 pub use hash::{FastMap, FastSet, FxBuildHasher, FxHasher};
-pub use rational::Rational;
 pub use schema::Schema;
 pub use tuple::Tuple;
 pub use value::{ColumnType, Value};
@@ -68,7 +64,6 @@ pub use value::{ColumnType, Value};
 pub mod prelude {
     pub use crate::gmr::Gmr;
     pub use crate::hash::{FastMap, FastSet};
-    pub use crate::rational::Rational;
     pub use crate::schema::Schema;
     pub use crate::tuple::Tuple;
     pub use crate::value::Value;

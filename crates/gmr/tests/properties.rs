@@ -1,11 +1,11 @@
-//! Property-based tests of the GMR ring and the exact rational type.
+//! Property-based tests of the GMR ring.
 //!
 //! The correctness of the delta transform rests on GMRs with generalized union and
 //! natural join forming a (commutative, distributive) ring structure; these properties
 //! are checked here on randomly generated integer-multiplicity GMRs so the assertions
 //! are exact.
 
-use dbtoaster_gmr::{Gmr, Rational, Schema, Value};
+use dbtoaster_gmr::{Gmr, Schema, Value};
 use proptest::prelude::*;
 
 /// A random GMR over the given columns with small integer keys and multiplicities.
@@ -138,40 +138,5 @@ proptest! {
         assert_equiv(&a, &r);
         let rr = r.reorder(&Schema::new(["x", "y"]));
         prop_assert_eq!(a.len(), rr.len());
-    }
-}
-
-// ----------------------------------------------------------------- rational numbers
-
-fn arb_rational() -> impl Strategy<Value = Rational> {
-    (-50i128..50, 1i128..20).prop_map(|(n, d)| Rational::new(n, d))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn rational_field_axioms(a in arb_rational(), b in arb_rational(), c in arb_rational()) {
-        prop_assert_eq!(a + b, b + a);
-        prop_assert_eq!((a + b) + c, a + (b + c));
-        prop_assert_eq!(a * b, b * a);
-        prop_assert_eq!((a * b) * c, a * (b * c));
-        prop_assert_eq!(a * (b + c), a * b + a * c);
-        prop_assert_eq!(a + Rational::ZERO, a);
-        prop_assert_eq!(a * Rational::ONE, a);
-        prop_assert_eq!(a - a, Rational::ZERO);
-        if !b.is_zero() {
-            prop_assert_eq!((a / b) * b, a);
-        }
-    }
-
-    #[test]
-    fn rational_ordering_consistent_with_f64(a in arb_rational(), b in arb_rational()) {
-        if a < b {
-            prop_assert!(a.to_f64() <= b.to_f64());
-        }
-        if a == b {
-            prop_assert!((a.to_f64() - b.to_f64()).abs() < 1e-12);
-        }
     }
 }

@@ -102,11 +102,12 @@ use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
+    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp,
+    TriggerProgram, ViewStats,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
-    LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewCounters,
+    LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewCounters, ViewSummary,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -154,9 +155,9 @@ pub struct BatchReport {
     /// Events the ingest gate refused ([`Engine::admits`]): each
     /// [`DeltaEntry`](dbtoaster_agca::DeltaEntry) whose tuple does not match
     /// its relation counts its events, before any kernel runs, so the count is
-    /// the same at every batch size and shard count. A refused event writes
-    /// nothing, and the views are exactly those of the stream without it;
-    /// `stats().events` grows by `events - failed_events`.
+    /// the same at every batch size. A refused event writes nothing, and the
+    /// views are exactly those of the stream without it; `stats().events`
+    /// grows by `events - failed_events`.
     pub failed_events: u64,
     /// Why the first refused event was refused, if any was.
     pub first_error: Option<RuntimeError>,
@@ -507,10 +508,9 @@ struct TelemetryState {
     /// Kernel-execute latency split by executed strategy:
     /// `[batch-delta, entry-major]`.
     stage_hists: [LocalHistogram; 2],
-    /// Shared per-view counter blocks, index-aligned with `map_names`,
-    /// `map_ids` and the kernel's [`dbtoaster_agca::KernelCounters`] slots.
+    /// Shared per-view counter blocks, index-aligned with `map_ids` and the
+    /// kernel's [`dbtoaster_agca::KernelCounters`] slots.
     views: Vec<Arc<ViewCounters>>,
-    map_names: Vec<String>,
     map_ids: Vec<MapId>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
@@ -1600,22 +1600,8 @@ impl Engine {
         self.flush_telemetry();
         let mut ex = dbtoaster_compiler::explain(&self.program);
         if let Some(ts) = self.tel.as_deref() {
-            use std::sync::atomic::Ordering::Relaxed;
-            ex.attach_stats(|name| {
-                let i = ts.map_names.iter().position(|n| n == name)?;
-                let v = &ts.views[i];
-                Some(dbtoaster_compiler::ViewStats {
-                    rows_written: v.rows_written.load(Relaxed),
-                    probes: v.probes.load(Relaxed),
-                    scans: v.scans.load(Relaxed),
-                    entries_scanned: v.entries_scanned.load(Relaxed),
-                    fused_scans: v.fused_scans.load(Relaxed),
-                    range_sum_hits: v.range_sum_hits.load(Relaxed),
-                    range_sum_bails: v.range_sum_bails.load(Relaxed),
-                    live_firings: v.live_firings.load(Relaxed),
-                    map_size: v.map_size.load(Relaxed),
-                })
-            });
+            let snap = ts.tel.snapshot();
+            ex.attach_stats(|name| snap.view(name).map(view_stats));
         }
         ex.attach_index_stats(|name| Some(self.db.view(name)?.index_totals()));
         ex
@@ -1673,7 +1659,6 @@ impl Engine {
             batch_hist: LocalHistogram::new(),
             stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
             views,
-            map_names,
             map_ids,
             pending_rows: vec![0; n],
             pending_live: vec![0; n],
@@ -1783,6 +1768,23 @@ impl Engine {
     /// The sign multiplier helper re-exported for callers building events by hand.
     pub fn sign_multiplier(sign: UpdateSign) -> f64 {
         sign.multiplier()
+    }
+}
+
+/// The EXPLAIN ANALYZE counters of one view, read from its telemetry
+/// summary: the one conversion behind [`Engine::explain`] and a server's
+/// `/explain`.
+pub fn view_stats(v: &ViewSummary) -> ViewStats {
+    ViewStats {
+        rows_written: v.rows_written,
+        probes: v.probes,
+        scans: v.scans,
+        entries_scanned: v.entries_scanned,
+        fused_scans: v.fused_scans,
+        range_sum_hits: v.range_sum_hits,
+        range_sum_bails: v.range_sum_bails,
+        live_firings: v.live_firings,
+        map_size: v.map_size,
     }
 }
 

@@ -41,11 +41,11 @@
 
 pub mod engine;
 mod ordered;
-pub mod shard;
 pub mod store;
 
-pub use engine::{BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample};
-pub use shard::{ExchangeStats, ShardedEngine};
+pub use engine::{
+    view_stats, BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
+};
 pub use store::{Database, MapId, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{
@@ -57,7 +57,6 @@ pub mod prelude {
     pub use crate::engine::{
         BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
     };
-    pub use crate::shard::{ExchangeStats, ShardedEngine};
     pub use crate::store::{Database, MapId, SnapshotWork, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,

@@ -66,13 +66,13 @@ use crate::http::{HttpConfig, HttpExporter};
 use crate::results::{assemble_result, views_read, ResultRow, ResultTable};
 use crate::swap::EpochCell;
 use dbtoaster_agca::UpdateEvent;
-use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram, ViewStats};
+use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram};
 use dbtoaster_durability::{
     checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, VfsPath,
     WalWriter,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
-use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
+use dbtoaster_runtime::{view_stats, Engine, EngineStats, MapId, RuntimeError};
 use dbtoaster_sql::OutputColumn;
 use dbtoaster_telemetry::{
     Counter, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -1922,19 +1922,7 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
     let mut ex = dbtoaster_compiler::explain(&shared.program);
     let snap = shared.tel.snapshot();
     if snap.enabled {
-        ex.attach_stats(|name| {
-            snap.view(name).map(|v| ViewStats {
-                rows_written: v.rows_written,
-                probes: v.probes,
-                scans: v.scans,
-                entries_scanned: v.entries_scanned,
-                fused_scans: v.fused_scans,
-                range_sum_hits: v.range_sum_hits,
-                range_sum_bails: v.range_sum_bails,
-                live_firings: v.live_firings,
-                map_size: v.map_size,
-            })
-        });
+        ex.attach_stats(|name| snap.view(name).map(view_stats));
         ex.attach_index_stats(|name| {
             snap.view(name).map(|v| dbtoaster_compiler::IndexStats {
                 hash: v.indexes[0],

@@ -253,12 +253,11 @@ fn a_failed_event_writes_nothing() {
 /// The ingest gate across the lattice: a string in a number column, or a
 /// tuple one value short, in the middle of a stream over a join and a
 /// self-join. In every mode, per event and in batches of 2, 8, 64 and 512
-/// and geometric ones, live passes kept, on 1, 2 and 4 shards, and through a
-/// WAL written and recovered past it, `common::check` holds exactly that event
-/// refused — one failed event — and every map equal to the stream without
-/// it, bit for bit.
+/// and geometric ones, live passes kept, and through a WAL written and
+/// recovered past it, `common::check` holds exactly that event refused — one
+/// failed event — and every map equal to the stream without it, bit for bit.
 #[test]
-fn an_ill_typed_event_is_refused_at_every_batch_size_and_shard_count() {
+fn an_ill_typed_event_is_refused_at_every_batch_size() {
     let base = common::shaped(&[Shape::EquiJoin, Shape::SelfJoin], 5, 120);
     let fixed = [1, 2, 8, 64, 512].map(Partition::Fixed);
     let partitions = [&fixed[..], &[Partition::Geometric(3)]].concat();
@@ -274,10 +273,8 @@ fn an_ill_typed_event_is_refused_at_every_batch_size_and_shard_count() {
                     checkpoint: Some(batches / 2),
                     stop: batches,
                 };
-                let shards = &[1, 2, 4];
                 let plain = Point::plain(mode, partition);
                 points.push(Point {
-                    shards,
                     wal: Some(wal),
                     ..plain
                 });
@@ -409,6 +406,48 @@ fn order_book_planted_runs_batch_bit_exact() {
         let outcomes = common::check(&case, &common::in_all_modes(Partition::Sizes(&[6])));
         // Not vacuous: the run moved the self-join results.
         assert!(!outcomes[0].engine.view("bsp").unwrap().is_empty());
+    }
+}
+
+/// Ordered secondary indexes are declared from the kernels of the program an
+/// engine runs, and batches write through them: `bsp` and `axf` over finance
+/// events in batches of 97 end bit-exactly where per-event processing and the
+/// recomputed definitions do, and EXPLAIN ANALYZE finds each indexed map with
+/// one ordered index, no hash index, holding exactly the map's entries.
+#[test]
+fn ordered_indexes_hold_their_maps_entries_after_batches() {
+    let cat = common::workload_catalog();
+    let events = workloads::finance::generate(&FinanceConfig {
+        events: 3_000,
+        seed: 9,
+        ..Default::default()
+    })
+    .events;
+    for name in ["bsp", "axf"] {
+        let program = common::workload_program(&[name], HO);
+        let declared = program.ordered_indexes();
+        assert!(!declared.is_empty(), "{name}: no ordered index");
+        let reference = common::per_event(&program, &cat, &events);
+        let mut engine = Engine::new(program.clone(), &cat);
+        for chunk in events.chunks(97) {
+            let report = engine.process_batch(&DeltaBatch::from_events(chunk));
+            assert!(report.first_error.is_none(), "{name}: {report:?}");
+        }
+        let view = |m: &str| engine.view(m);
+        common::assert_views(name, &program, &|m| reference.view(m), &view, &|_| 0.0);
+        Recompute::new(&cat, &Default::default(), &events).check(name, &program, &view, 0.0);
+
+        let mut indexed = 0;
+        for m in &engine.explain().maps {
+            let live = m.analyze.expect("a live engine attaches its indexes");
+            let entries = engine.view(&m.name).unwrap().len() as u64;
+            let (counts, ctx) = ((live.hash, live.ordered, live.entries), &m.name);
+            assert_eq!(counts, (0, 1, entries), "{name}: {ctx}");
+            indexed += entries;
+        }
+        let views = declared.iter().map(|d| reference.view(&d.map));
+        let total: usize = views.map(|v| v.unwrap().len()).sum();
+        assert_eq!(indexed, total as u64, "{name}: indexed entries");
     }
 }
 

@@ -9,18 +9,15 @@
 //! * **values**: every map, stored relation and static table equals the
 //!   per-event reference and the recomputed definitions (bit-exact on exact
 //!   data, [`FLOAT_EPS`] relative on float data); a held snapshot still holds
-//!   what it held; a sharded engine's merged views equal the batched engine's
-//!   (on float data a `MapClass::Summed` map may drift, and with the live
-//!   passes cleared, which a shard's slice re-derives, any map may); an
-//!   engine recovered from a WAL cut equals one fed that prefix bit for bit
-//!   and, fed the rest, runs the same `RunRecord`s and ends where the batched
-//!   engine ended;
+//!   what it held; an engine recovered from a WAL cut equals one fed that
+//!   prefix bit for bit and, fed the rest, runs the same `RunRecord`s and
+//!   ends where the batched engine ended;
 //! * **work**, on exact data: with the live passes kept, the kernels scan no
 //!   more entries than the same batches fired firing by firing;
 //! * **refusals**: the ingest gate refuses exactly the case's ill-typed
-//!   event, if it has one — per event, batched and on every shard count, one
-//!   failed event — and never logs it, while every view equals the stream
-//!   without it (see `BatchReport::failed_events`).
+//!   event, if it has one — per event and batched, one failed event — and
+//!   never logs it, while every view equals the stream without it (see
+//!   `BatchReport::failed_events`).
 //!
 //! On a failure the case is shrunk — its events (ddmin), then its queries,
 //! then the point — and the panic carries a `common::replay(…)` line.
@@ -28,12 +25,12 @@
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
 use dbtoaster::agca::{DeltaBatch, UpdateEvent};
-use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, MapClass, TriggerProgram};
+use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
 use dbtoaster::gmr::{Gmr, Value};
 use dbtoaster::runtime::TelemetryConfig;
-use dbtoaster::runtime::{BatchReport, Engine, RuntimeError, ShardedEngine, Telemetry};
+use dbtoaster::runtime::{BatchReport, Engine, RuntimeError, Telemetry};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::BuildHasher;
 use std::ops::Range;
@@ -269,27 +266,6 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
         assert!(kept <= firing, "{ctx}: {scans}");
     }
 
-    let shardable = p.shards.is_empty() || case.shardable();
-    assert!(shardable, "{ctx}: no shard axis");
-    // Each shard count runs on a thread of its own.
-    let runs = thread::scope(|s| {
-        let cuts = &cuts;
-        let run = |&n: &usize| s.spawn(move || sharded(case, program, cuts, n));
-        let runs: Vec<_> = p.shards.iter().map(run).collect();
-        runs.into_iter().map(joined).collect::<Vec<_>>()
-    });
-    for (n, (sharded, failed)) in p.shards.iter().zip(runs) {
-        assert_eq!(failed, refused, "{ctx}: {n} shards refused");
-        assert_eq!(sharded.events() + failed, events, "{ctx}: {n} shards");
-        // A slice re-derives its live passes: with them cleared here, the
-        // shards run batch-delta where `batched` fired firing by firing.
-        let summed = |m: &str| sharded.plan().class(m) == MapClass::Summed;
-        let drift = |m: &str| if !p.live || summed(m) { eps } else { 0.0 };
-        let label = format!("{ctx}: {n} shards");
-        let merged = |m: &str| sharded.merged_view(m);
-        assert_views(&label, program, &view, &merged, &drift);
-    }
-
     if let Some((stop, checkpoint)) = wal {
         let mut resumed = recovered(case, program, &cuts[..stop], checkpoint, &images, &ctx);
         resumed.set_run_recording(true);
@@ -304,26 +280,6 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
         reports,
         engine: batched,
     }
-}
-
-/// `case`'s batches `cuts` through `prog` on `n` shards, with its tables
-/// loaded, and the events the shards refused.
-fn sharded(
-    case: &Case,
-    prog: &TriggerProgram,
-    cuts: &[Range<usize>],
-    n: usize,
-) -> (ShardedEngine, u64) {
-    let mut sharded = ShardedEngine::new(prog.clone(), &case.catalog, n);
-    for (table, rows) in &case.tables {
-        sharded.load_table(table, rows);
-    }
-    sharded.init_static_views().expect("static views");
-    let batches = cuts
-        .iter()
-        .map(|r| sharded.process_events(&case.events[r.clone()]));
-    let failed = batches.map(|report| report.failed_events).sum();
-    (sharded, failed)
 }
 
 /// What a scoped thread returned, or its panic, resumed here.
@@ -446,9 +402,8 @@ fn shrink(case: &Case, point: &Point, msg: String) -> ! {
             p.queries = queries;
         }
     }
-    let simpler: [fn(&mut Point); 5] = [
+    let simpler: [fn(&mut Point); 4] = [
         |p| p.wal = None,
-        |p| p.shards = &[],
         |p| p.snapshot = None,
         |p| p.live = true,
         |p| p.partition = Partition::PerEvent,
@@ -485,17 +440,6 @@ pub enum Lean {
     Tails,
     /// Live passes cleared: every run fires firing by firing.
     EntryMajor,
-    /// Shards over the cases whose shard plan is executor-free.
-    Local,
-    /// Shards over the cases that need the exchange executor.
-    Exchange,
-    /// Shards over multi-query cases that need the exchange executor.
-    Mixed,
-}
-
-fn has_executor(case: &Case) -> bool {
-    let program = case.compile(CompileMode::HigherOrder);
-    ShardedEngine::new(program, &case.catalog, 2).has_executor()
 }
 
 impl Lean {
@@ -504,16 +448,13 @@ impl Lean {
         let tails = [Nested, CorrelatedNested, Quantile, Star, CubicChain];
         match self {
             Lean::Tails => tails.iter().any(|s| case.shapes.contains(s)),
-            Lean::Local => case.shardable() && !has_executor(case),
-            Lean::Exchange => case.shardable() && has_executor(case),
-            Lean::Mixed => case.shardable() && case.query_count() > 1 && has_executor(case),
             _ => true,
         }
     }
 }
 
-/// The seeded lattice points of a case: one per compile mode.
-pub fn points(seed: u64, case: &Case, lean: Lean) -> Vec<Point> {
+/// The lattice points a seed draws: one per compile mode.
+pub fn points(seed: u64, lean: Lean) -> Vec<Point> {
     let mut rng = Rng::new(seed, 3);
     let mut point = |mode| {
         let partition = match (lean, rng.below(100)) {
@@ -528,15 +469,10 @@ pub fn points(seed: u64, case: &Case, lean: Lean) -> Vec<Point> {
             Lean::Batches | Lean::Tails => true,
             _ => rng.percent(65),
         };
-        let shards = match lean {
-            _ if !case.shardable() => &[][..],
-            Lean::Local | Lean::Exchange | Lean::Mixed => rng.pick(&[&[2][..], &[4]]),
-            _ => rng.pick(&[&[][..], &[], &[], &[1], &[2], &[4]]),
-        };
         let snapshot = rng.percent(30).then(|| rng.below(64));
         let (checkpoint, stop) = (rng.percent(60).then(|| rng.below(64)), rng.below(64));
         let mut point = Point::plain(mode, partition);
-        (point.live, point.shards, point.snapshot) = (live, shards, snapshot);
+        (point.live, point.snapshot) = (live, snapshot);
         point.wal = rng.percent(30).then_some(WalCut { checkpoint, stop });
         point
     };
@@ -549,7 +485,7 @@ pub fn check_workload(names: &[&'static str], events: usize, seed: u64, modes: &
     let case = workload_case(names, events, seed);
     let bytes = names.iter().flat_map(|n| n.bytes());
     let salted = bytes.fold(seed, |h, b| h.wrapping_mul(31).wrapping_add(b as u64));
-    let mut points = points(salted, &case, Lean::Any);
+    let mut points = points(salted, Lean::Any);
     points.retain(|p| modes.contains(&p.mode));
     check(&case, &points);
 }
@@ -559,7 +495,7 @@ pub fn sweep(seeds: Range<u64>, lean: Lean) -> usize {
     let mut ran = 0;
     for (seed, c) in seeds.map(|seed| (seed, case(seed))) {
         if lean.accepts(&c) {
-            check(&c, &points(seed, &c, lean));
+            check(&c, &points(seed, lean));
             ran += 1;
         }
     }
@@ -568,15 +504,12 @@ pub fn sweep(seeds: Range<u64>, lean: Lean) -> usize {
 
 /// The fixed-seed slice tier-1 runs: each sweep test's lean and seeds,
 /// disjoint from every other's.
-pub const SLICE: [(Lean, Range<u64>); 8] = [
+pub const SLICE: [(Lean, Range<u64>); 5] = [
     (Lean::PerEvent, 0..16),
     (Lean::Any, 100..148),
     (Lean::Batches, 200..224),
     (Lean::Tails, 300..348),
     (Lean::EntryMajor, 400..424),
-    (Lean::Local, 500..524),
-    (Lean::Exchange, 600..648),
-    (Lean::Mixed, 700..748),
 ];
 
 /// Run the slice that leans on `lean`; at least four cases must run.
@@ -615,7 +548,7 @@ pub fn census() -> BTreeMap<String, usize> {
             for fact in facts.chain(flags).chain(["cases".to_string()]) {
                 *seen.entry(fact).or_insert(0) += 1;
             }
-            let points = points(seed, &case, *lean);
+            let points = points(seed, *lean);
             points.iter().for_each(|p| tally(&mut seen, &case, p));
         }
     }
@@ -639,17 +572,6 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
         }
     }
     let cuts = cuts(&case.events, p.partition, case.split_repeated_keys);
-    if let Some(&n) = p.shards.iter().find(|&&n| n >= 2) {
-        let exchanges = ShardedEngine::new(program.clone(), &case.catalog, n).has_executor();
-        let plan = ["local plan", "exchange plan"][exchanges as usize];
-        // Run the first plan of each kind, to see what it ships.
-        if !seen.contains_key(plan) {
-            let (run, _) = sharded(case, program, &cuts, n);
-            let ships = run.exchange_stats().bytes > 0;
-            seen.insert(format!("{plan} shipping bytes: {ships}"), 1);
-        }
-        facts.push(plan);
-    }
     if let Some(cut) = p.wal {
         let (stop, checkpoint) = cut.resolve(cuts.len());
         let initial = (!case.tables.is_empty()).then_some(0);
@@ -679,11 +601,10 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 
 /// The coverage guard: the slice hits all three classes, every shape and
 /// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
-/// entry-major runs, an exchange plan that ships and a local one that does
-/// not, a WAL cut after a checkpoint, a held snapshot, a hostile stream (one
-/// under a quantile filter), an ill-typed event, and a higher-order program with
-/// a band sum inside a loop fused into a threshold (the census counts them
-/// per mode).
+/// entry-major runs, a WAL cut after a checkpoint, a held snapshot, a hostile
+/// stream (one under a quantile filter), an ill-typed event, and a
+/// higher-order program with a band sum inside a loop fused into a threshold
+/// (the census counts them per mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -692,7 +613,6 @@ pub fn assert_census() {
     let shapes = SHAPES.iter().map(|s| format!("shape {s:?}"));
     let hands = HANDS.iter().map(|h| format!("hand {h:?}"));
     let rest = "non-empty live pass, empty live pass, `:=` tail, entry-major relation, \
-        exchange plan shipping bytes: true, local plan shipping bytes: false, \
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
         hostile stream under a quantile filter";

@@ -71,8 +71,8 @@ pub enum Shape {
     SelfJoin,
     /// `R(a,b) R(a2,b) S(b,c)`: its live pass reads another stream.
     ScaledSelfJoin,
-    /// `R(a,b) R(a2,b2) (a < a2)`: nothing co-partitions it, so sharding
-    /// needs the exchange executor.
+    /// `R(a,b) R(a2,b2) (a < a2)`: an inequality self-join sharing no
+    /// variable.
     Inequality,
     /// `R(a,b) R(b,c) R(c,d)`: maps keyed by trigger variables.
     CubicChain,
@@ -703,13 +703,6 @@ impl Case {
         c
     }
 
-    /// Whether the shard axis applies. `ShardedEngine` slices a program
-    /// storing what its statements read, as `compile` builds it: a
-    /// hand-assembled program stores `R` unread, and its slices would not.
-    pub fn shardable(&self) -> bool {
-        self.hand.is_none()
-    }
-
     /// The stream without its ill-typed event: what every view must equal.
     pub fn admitted(&self) -> Vec<UpdateEvent> {
         let kept = self.events.iter().enumerate();
@@ -954,8 +947,6 @@ pub struct Point {
     pub partition: Partition,
     /// Live passes kept; cleared, every relation runs entry-major.
     pub live: bool,
-    /// Also run a `ShardedEngine` with each of these many shards.
-    pub shards: &'static [usize],
     /// Take a snapshot before this batch (modulo the batches) and hold it.
     pub snapshot: Option<usize>,
     pub wal: Option<WalCut>,
@@ -977,7 +968,6 @@ impl Point {
             mode,
             partition,
             live: true,
-            shards: &[],
             snapshot: None,
             wal: None,
             queries: u8::MAX,
@@ -997,7 +987,6 @@ impl fmt::Display for Point {
             .replace("mode: ", "mode: dbtoaster::compiler::CompileMode::")
             .replace("partition: ", "partition: common::Partition::")
             .replace("Sizes([", "Sizes(&[")
-            .replace("shards: [", "shards: &[")
             .replace("(WalCut", "(common::WalCut");
         f.write_str(&text)
     }

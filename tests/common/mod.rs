@@ -4,8 +4,8 @@
 //! The contract the paper implies is that every maintained map equals its
 //! definition recomputed from the base relations, for any update stream and
 //! every compile mode; and (DBSP) that a view is the integral of its delta
-//! stream, so every way of cutting the stream into batches, shards or
-//! recovery replays integrates to the same map. Three pieces check it:
+//! stream, so every way of cutting the stream into batches or recovery
+//! replays integrates to the same map. Three pieces check it:
 //!
 //! * [`gen`]: `case(seed)` builds a program over `R(A,B)`, `S(B,C)` and the
 //!   static `T(C,D)` — one to three generated queries or a hand-assembled
@@ -43,12 +43,12 @@ use dbtoaster::gmr::{Gmr, Schema, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-/// The relative tolerance on float data. Batches, shards and the oracle add
-/// the same terms in different orders, and float addition is not
-/// associative; on integer (and dyadic) data every order is exact.
+/// The relative tolerance on float data. Batches and the oracle add the same
+/// terms in different orders, and float addition is not associative; on
+/// integer (and dyadic) data every order is exact.
 pub const FLOAT_EPS: f64 = 1e-9;
 
-/// A reader of a program's views: an engine's, a snapshot's, merged shards'.
+/// A reader of a program's views: an engine's or a snapshot's.
 pub type Views<'a> = &'a dyn Fn(&str) -> Option<Gmr>;
 
 /// The tolerance per view name.
