@@ -79,6 +79,7 @@
 //! assert_eq!(batch.deltas[0].new_mult, 7.0);
 //! ```
 
+mod durable;
 pub mod http;
 pub mod results;
 pub mod server;
