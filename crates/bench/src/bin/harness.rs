@@ -370,8 +370,9 @@ struct TortureTotals {
 }
 
 enum AppendOutcome {
-    /// Append + batch-boundary sync both landed: the chunk is durable.
-    Durable,
+    /// The append landed and the batch-boundary sync is in flight: the chunk
+    /// is durable once `end_batch_boundary` returns `Ok`.
+    Syncing,
     /// A fault survived the bounded retries (or made retrying unsafe).
     Degraded,
     /// The simulated power went out mid-operation.
@@ -379,8 +380,9 @@ enum AppendOutcome {
 }
 
 /// The torture twin of the server's armed-append path: bounded in-place
-/// retries with boundary truncation first, and a failed sync NEVER retried
-/// in place (fsyncgate).
+/// retries with boundary truncation first, then the batch-boundary sync is
+/// issued — the caller applies the chunk while it runs and ends it after,
+/// never retrying a failed one in place (fsyncgate).
 fn torture_append(
     wal: &mut dbtoaster::durability::WalWriter,
     chunk: &[UpdateEvent],
@@ -404,11 +406,8 @@ fn torture_append(
             Err(_) => return AppendOutcome::Degraded,
         }
     }
-    match wal.batch_boundary() {
-        Ok(()) => AppendOutcome::Durable,
-        Err(_) if fault.power_cut() => AppendOutcome::Cut,
-        Err(_) => AppendOutcome::Degraded,
-    }
+    wal.begin_batch_boundary();
+    AppendOutcome::Syncing
 }
 
 /// One seeded iteration: drive a mini durable pipeline (chunked appends,
@@ -498,12 +497,12 @@ fn torture_iteration(
         let chunk = &stream[idx..(idx + n).min(stream.len())];
         idx += chunk.len();
 
-        let mut chunk_durable = false;
+        let mut syncing = false;
         match health {
             Health::Armed => {
                 let w = wal.as_mut().expect("armed implies an open wal");
                 match torture_append(w, chunk, &fault) {
-                    AppendOutcome::Durable => chunk_durable = true,
+                    AppendOutcome::Syncing => syncing = true,
                     AppendOutcome::Degraded => health = Health::Degraded,
                     AppendOutcome::Cut => {
                         cut_fired = true;
@@ -534,7 +533,7 @@ fn torture_iteration(
                         health = Health::Armed;
                         since_ckpt = 0;
                         match torture_append(wal.as_mut().unwrap(), chunk, &fault) {
-                            AppendOutcome::Durable => chunk_durable = true,
+                            AppendOutcome::Syncing => syncing = true,
                             AppendOutcome::Degraded => health = Health::Degraded,
                             AppendOutcome::Cut => {
                                 cut_fired = true;
@@ -550,15 +549,24 @@ fn torture_iteration(
         }
 
         // Apply the chunk regardless (server semantics: degraded mode serves
-        // from memory; a later re-arm's checkpoint recaptures it).
+        // from memory; a later re-arm's checkpoint recaptures it) — while its
+        // sync runs, as the server's writer does. A power cut can land on
+        // that sync, between its issue and its return.
         delta.clear();
         for ev in chunk {
             delta.push(ev);
         }
         live.process_batch(&delta);
         applied += chunk.len() as u64;
-        if chunk_durable {
-            floor = Some(floor.unwrap_or(0).max(applied));
+        if syncing {
+            match wal.as_mut().unwrap().end_batch_boundary() {
+                Ok(()) => floor = Some(floor.unwrap_or(0).max(applied)),
+                Err(_) if fault.power_cut() => {
+                    cut_fired = true;
+                    break;
+                }
+                Err(_) => health = Health::Degraded,
+            }
         }
 
         since_ckpt += chunk.len() as u64;

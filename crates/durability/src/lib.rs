@@ -42,10 +42,12 @@
 //! ([`WalWriter::batch_boundary`]) forces the log to stable storage.
 //!
 //! * [`EveryBatch`](FsyncPolicy::EveryBatch) (default) — buffered appends,
-//!   one fsync at each micro-batch boundary, *before* the batch is applied to
-//!   the views. Survives OS/machine crashes with zero lost acknowledged
-//!   batches; the serving layer logs one record per drained batch, so the
-//!   flush amortizes over the batch.
+//!   one fsync at each micro-batch boundary. The serving layer appends the
+//!   batch before its kernels run and syncs it, on the WAL's sync thread,
+//!   while they do; the sync returns before any snapshot, subscriber delta,
+//!   checkpoint or `flush()` ack covers the batch. Survives OS/machine
+//!   crashes with zero lost acknowledged batches; the serving layer logs one
+//!   record per drained batch, so the flush amortizes over the batch.
 //! * [`Never`](FsyncPolicy::Never) — no per-batch fsync. Appends survive
 //!   *process* crashes (the write syscall completed), and the log is still
 //!   synced at the points that promise durability: a barrier (the server's
@@ -62,8 +64,10 @@
 //! header (at open, rotation and re-arm).
 //!
 //! In every policy the WAL append happens **before** the events are applied —
-//! write-ahead in the literal sense — so no published snapshot can ever
-//! reflect an event the log does not contain.
+//! write-ahead in the literal sense — and under
+//! [`EveryBatch`](FsyncPolicy::EveryBatch) the sync returns before anything
+//! observes them, so no published snapshot can ever reflect an event the log
+//! might lose.
 //!
 //! ## Atomic-rename checkpoint protocol
 //!
@@ -110,7 +114,10 @@ use std::time::Duration;
 /// for the full trade-off discussion.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// fsync once per micro-batch boundary, before the batch is applied.
+    /// fsync once per micro-batch boundary: the batch is appended before it is
+    /// applied and synced before any snapshot, subscriber delta, checkpoint
+    /// or `flush()` ack covers it (the sync runs on the WAL's sync thread
+    /// while the batch's kernels do).
     #[default]
     EveryBatch,
     /// No per-batch fsync (process-crash safe only); barriers, rotation and

@@ -35,8 +35,11 @@ use crate::vfs::{Vfs, VfsFile, VfsPath};
 use crate::{io_err, DurabilityError, FsyncPolicy};
 use dbtoaster_agca::UpdateEvent;
 use std::fs::{self, File, OpenOptions};
+use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 
 /// Magic prefix of every WAL segment.
 pub const WAL_MAGIC: &[u8; 6] = b"DBTWAL";
@@ -422,10 +425,27 @@ impl WalReader {
 
 /// Appends framed event batches to the newest segment, rotating at a size
 /// threshold. See [`FsyncPolicy`] for the durability/throughput trade-off.
+///
+/// Under [`FsyncPolicy::EveryBatch`] the writer owns a sync thread, and the
+/// per-batch sync comes in two halves so the caller can overlap it with work
+/// that makes nothing observable: [`WalWriter::begin_batch_boundary`] hands
+/// the segment to that thread, [`WalWriter::end_batch_boundary`] waits for it
+/// to come back synced. The serving layer appends a batch before its kernels
+/// run, begins the sync, runs the kernels, and ends the sync before any
+/// snapshot, subscriber delta, checkpoint or `flush()` ack covers the batch.
 pub struct WalWriter {
     dir: PathBuf,
     vfs: Arc<dyn Vfs>,
-    file: Box<dyn VfsFile>,
+    /// The open segment; `None` exactly while the sync thread has it (between
+    /// the two halves of a batch boundary). Reached through
+    /// [`WalWriter::file`], which panics then: nothing may write to, truncate
+    /// or sync a file whose sync is still in flight.
+    file: Option<Box<dyn VfsFile>>,
+    /// The sync thread, under [`FsyncPolicy::EveryBatch`] only.
+    syncer: Option<SyncThread>,
+    /// The frame [`WalWriter::append`] encodes into, kept across appends so a
+    /// warmed-up writer allocates nothing per record.
+    frame: Vec<u8>,
     /// Bytes currently in the open segment (header included).
     segment_len: u64,
     rotate_at: u64,
@@ -483,6 +503,7 @@ impl WalWriter {
         let segments = list_segments(at.clone())?;
         let VfsPath { path: dir, vfs } = at.clone();
         let rotate_at = rotate_at.max(1);
+        let mut resumed = None;
         if let Some((start, path)) = segments.last() {
             let scan = scan_segment(vfs.as_ref(), path, fingerprint, true)?;
             if scan.valid_end < SEGMENT_HEADER_LEN {
@@ -521,46 +542,55 @@ impl WalWriter {
                     .map_err(|e| io_err("opening", path, e))?;
                 file.set_len(scan.valid_end)
                     .map_err(|e| io_err("truncating", path, e))?;
-                let mut w = WalWriter {
-                    dir: dir.to_path_buf(),
-                    vfs,
-                    file,
-                    segment_len: scan.valid_end,
-                    rotate_at,
-                    next_seq: expected_next_seq,
-                    fingerprint,
-                    policy,
-                    bytes_written: 0,
-                    needs_sync: scan.torn,
-                    _lock: lock,
-                };
-                if scan.torn {
-                    w.sync()?; // make the truncation durable before appending
-                }
-                return Ok(w);
+                // A truncated torn tail is synced before appending.
+                resumed = Some((file, scan.valid_end, scan.torn));
             }
             // derived_next < expected_next_seq: the missing range is covered
             // by a checkpoint (see the doc comment); fall through and start a
             // fresh segment at the expected sequence.
         }
-        let (file, header_len) = start_segment(vfs.as_ref(), dir, expected_next_seq, fingerprint)?;
+        // A fresh segment's header is pending; EveryBatch syncs it now.
+        let (file, segment_len, bytes_written, needs_sync, sync_now) = match resumed {
+            Some((file, valid_end, torn)) => (file, valid_end, 0, torn, torn),
+            None => {
+                let (file, header_len) =
+                    start_segment(vfs.as_ref(), dir, expected_next_seq, fingerprint)?;
+                let sync_now = policy == FsyncPolicy::EveryBatch;
+                (file, SEGMENT_HEADER_LEN, header_len, true, sync_now)
+            }
+        };
         let mut w = WalWriter {
             dir: dir.to_path_buf(),
             vfs,
-            file,
-            segment_len: SEGMENT_HEADER_LEN,
+            file: Some(file),
+            syncer: match policy {
+                FsyncPolicy::EveryBatch => Some(SyncThread::spawn()?),
+                FsyncPolicy::Never => None,
+            },
+            frame: Vec::new(),
+            segment_len,
             rotate_at,
             next_seq: expected_next_seq,
             fingerprint,
             policy,
-            bytes_written: header_len,
-            needs_sync: true,
+            bytes_written,
+            needs_sync,
             _lock: lock,
         };
-        if w.policy == FsyncPolicy::EveryBatch {
+        if sync_now {
             w.sync()?;
         }
         Ok(w)
+    }
+
+    /// The open segment.
+    ///
+    /// # Panics
+    ///
+    /// While a sync is in flight: [`WalWriter::end_batch_boundary`] must
+    /// bring the file back before anything else touches it.
+    fn file(&mut self) -> &mut dyn VfsFile {
+        self.file.as_deref_mut().expect(SYNC_IN_FLIGHT)
     }
 
     fn rotate(&mut self) -> Result<(), DurabilityError> {
@@ -571,7 +601,7 @@ impl WalWriter {
             self.next_seq,
             self.fingerprint,
         )?;
-        self.file = file;
+        self.file = Some(file);
         self.segment_len = SEGMENT_HEADER_LEN;
         self.bytes_written += header_len;
         self.needs_sync = true;
@@ -595,7 +625,12 @@ impl WalWriter {
     /// number of its first event. Rotates to a new segment first when the
     /// current one has reached the size threshold (rotation syncs the
     /// finished segment). The record itself is not synced here: the caller
-    /// ends each micro-batch with [`WalWriter::batch_boundary`].
+    /// ends each micro-batch with [`WalWriter::batch_boundary`] (or its two
+    /// halves).
+    ///
+    /// # Panics
+    ///
+    /// While a sync is in flight (see [`WalWriter::begin_batch_boundary`]).
     pub fn append(&mut self, events: &[UpdateEvent]) -> Result<u64, DurabilityError> {
         if events.is_empty() {
             return Ok(self.next_seq);
@@ -606,19 +641,23 @@ impl WalWriter {
         let first_seq = self.next_seq;
         // Encode straight into the frame, leaving room for the header, then
         // backfill length + CRC — avoids re-copying the whole payload.
-        let mut frame = Vec::with_capacity(events.len() * 32 + 24);
+        let frame = &mut self.frame;
+        frame.clear();
         frame.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
-        codec::put_u64(&mut frame, first_seq);
-        codec::put_u32(&mut frame, events.len() as u32);
+        codec::put_u64(frame, first_seq);
+        codec::put_u32(frame, events.len() as u32);
         for ev in events {
-            codec::put_event(&mut frame, ev);
+            codec::put_event(frame, ev);
         }
         let payload_len = (frame.len() - FRAME_HEADER_LEN) as u32;
         let crc = crc32(&frame[FRAME_HEADER_LEN..]);
         frame[0..4].copy_from_slice(&payload_len.to_le_bytes());
         frame[4..8].copy_from_slice(&crc.to_le_bytes());
+        let frame = &self.frame;
         self.file
-            .write_all(&frame)
+            .as_deref_mut()
+            .expect(SYNC_IN_FLIGHT)
+            .write_all(frame)
             .map_err(|e| io_err("appending to", &self.dir, e))?;
         self.segment_len += frame.len() as u64;
         self.bytes_written += frame.len() as u64;
@@ -628,11 +667,16 @@ impl WalWriter {
     }
 
     /// Force appended records to stable storage whatever the policy (no-op
-    /// when nothing is pending). The serving layer calls it where it promises
-    /// durability: at a barrier (`flush()`) and at clean shutdown.
+    /// when nothing is pending), on the calling thread. The serving layer
+    /// calls it where it promises durability: at a barrier (`flush()`) and at
+    /// clean shutdown.
+    ///
+    /// # Panics
+    ///
+    /// While a sync is in flight (see [`WalWriter::begin_batch_boundary`]).
     pub fn sync(&mut self) -> Result<(), DurabilityError> {
         if self.needs_sync {
-            self.file
+            self.file()
                 .sync_data()
                 .map_err(|e| io_err("syncing segment in", &self.dir, e))?;
             self.needs_sync = false;
@@ -640,15 +684,64 @@ impl WalWriter {
         Ok(())
     }
 
-    /// End a micro-batch: the one per-batch sync decision. Under
+    /// End a micro-batch: the one per-batch sync decision, as
+    /// [`WalWriter::begin_batch_boundary`] and
+    /// [`WalWriter::end_batch_boundary`] back to back. Under
     /// [`FsyncPolicy::EveryBatch`] it syncs what the batch appended (one
     /// fsync, none when nothing is pending); under [`FsyncPolicy::Never`] it
     /// does nothing.
     pub fn batch_boundary(&mut self) -> Result<(), DurabilityError> {
-        match self.policy {
-            FsyncPolicy::EveryBatch => self.sync(),
-            FsyncPolicy::Never => Ok(()),
+        self.begin_batch_boundary();
+        self.end_batch_boundary()
+    }
+
+    /// Issue the batch boundary's sync without waiting for it. Under
+    /// [`FsyncPolicy::EveryBatch`], with appended bytes pending, the segment
+    /// goes to the sync thread, and every method that touches the file
+    /// panics until [`WalWriter::end_batch_boundary`] brings it back; with
+    /// nothing pending, or under [`FsyncPolicy::Never`], nothing happens.
+    ///
+    /// # Panics
+    ///
+    /// If a sync is already in flight.
+    pub fn begin_batch_boundary(&mut self) {
+        if self.policy == FsyncPolicy::Never || !self.needs_sync {
+            return;
         }
+        let file = self.file.take().expect(SYNC_IN_FLIGHT);
+        let syncer = self.syncer.as_ref().expect("EveryBatch owns a sync thread");
+        syncer
+            .to
+            .send(file)
+            .expect("the sync thread lives as long as its writer");
+    }
+
+    /// Wait for the sync [`WalWriter::begin_batch_boundary`] issued; `Ok`
+    /// when none is in flight. A failed sync leaves the appended bytes
+    /// pending, but a caller must not retry it in place: after a failed fsync
+    /// the kernel may have dropped the dirty pages and cleared the error, so
+    /// a second fsync can falsely succeed ("fsyncgate").
+    pub fn end_batch_boundary(&mut self) -> Result<(), DurabilityError> {
+        if self.file.is_some() {
+            return Ok(());
+        }
+        let syncer = self
+            .syncer
+            .as_mut()
+            .expect("only EveryBatch hands the file out");
+        let (file, synced) = match syncer.back.recv() {
+            Ok(answer) => answer,
+            // The sync thread dropped its side: a `sync_data` panicked, and
+            // the panic belongs to the writer, which issued the sync.
+            Err(_) => match syncer.handle.take().map(JoinHandle::join) {
+                Some(Err(panic)) => std::panic::resume_unwind(panic),
+                _ => unreachable!("the sync thread only exits when its writer drops"),
+            },
+        };
+        self.file = Some(file);
+        synced.map_err(|e| io_err("syncing segment in", &self.dir, e))?;
+        self.needs_sync = false;
+        Ok(())
     }
 
     /// Cut the open segment back to the last committed record boundary.
@@ -660,8 +753,9 @@ impl WalWriter {
     /// first and treat its failure as fatal to in-place retry (degrade
     /// instead: see the server's writer loop).
     pub fn truncate_to_boundary(&mut self) -> Result<(), DurabilityError> {
-        self.file
-            .set_len(self.segment_len)
+        let len = self.segment_len;
+        self.file()
+            .set_len(len)
             .map_err(|e| io_err("truncating segment in", &self.dir, e))?;
         Ok(())
     }
@@ -676,11 +770,12 @@ impl WalWriter {
     /// harmless). Best-effort cleanup of the old segment is attempted but its
     /// failure is ignored — the old file is already out of the replay path.
     pub fn rearm(&mut self, next_seq: u64) -> Result<(), DurabilityError> {
-        let _ = self.file.set_len(self.segment_len);
-        let _ = self.file.sync_data();
+        let len = self.segment_len;
+        let _ = self.file().set_len(len);
+        let _ = self.file().sync_data();
         let (file, header_len) =
             start_segment(self.vfs.as_ref(), &self.dir, next_seq, self.fingerprint)?;
-        self.file = file;
+        self.file = Some(file);
         self.segment_len = SEGMENT_HEADER_LEN;
         self.bytes_written += header_len;
         self.next_seq = next_seq;
@@ -689,6 +784,61 @@ impl WalWriter {
             self.sync()?;
         }
         Ok(())
+    }
+}
+
+impl Drop for WalWriter {
+    /// Closes the sync thread's channel and joins it: a sync still in flight
+    /// finishes before the writer (and its directory lock) goes away.
+    fn drop(&mut self) {
+        if let Some(SyncThread { to, back, handle }) = self.syncer.take() {
+            drop(to);
+            if let Some(handle) = handle {
+                let _ = handle.join();
+            }
+            drop(back);
+        }
+    }
+}
+
+const SYNC_IN_FLIGHT: &str =
+    "the WAL segment is out on a sync: end_batch_boundary must bring it back first";
+
+/// The thread a [`WalWriter`] under [`FsyncPolicy::EveryBatch`] syncs its
+/// batches on. The segment travels to it and back by value, one batch at a
+/// time, so the file is never shared: a sync in flight owns it.
+struct SyncThread {
+    to: SyncSender<Box<dyn VfsFile>>,
+    back: Receiver<(Box<dyn VfsFile>, io::Result<()>)>,
+    /// Taken only to join: on drop, or to re-raise a panicking sync.
+    handle: Option<JoinHandle<()>>,
+}
+
+impl SyncThread {
+    /// Spawned by the opener's thread, so it inherits that thread's CPU set
+    /// as the server's writer and checkpoint threads do.
+    fn spawn() -> Result<Self, DurabilityError> {
+        let (to, files) = mpsc::sync_channel::<Box<dyn VfsFile>>(1);
+        let (synced, back) = mpsc::sync_channel(1);
+        let handle = thread::Builder::new()
+            .name("dbtoaster-wal-sync".into())
+            .spawn(move || {
+                while let Ok(mut file) = files.recv() {
+                    let res = file.sync_data();
+                    if synced.send((file, res)).is_err() {
+                        return;
+                    }
+                }
+            })
+            .map_err(|e| DurabilityError::Io {
+                message: format!("spawning the WAL sync thread: {e}"),
+                retryable: false,
+            })?;
+        Ok(SyncThread {
+            to,
+            back,
+            handle: Some(handle),
+        })
     }
 }
 
@@ -1037,7 +1187,6 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    use std::io;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// [`StdVfs`] that counts `sync_data`/`sync_all` calls on the files it
@@ -1159,6 +1308,35 @@ mod tests {
         let (records, torn) = WalReader::open((&dir, &vfs), 9).unwrap().records().unwrap();
         assert!(!torn);
         assert_eq!(records.len(), 5);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Between the two halves of a batch boundary the sync thread owns the
+    /// segment: touching the file panics instead of writing behind the sync.
+    #[test]
+    fn a_sync_in_flight_owns_the_segment_until_it_ends() {
+        let dir = tmp_dir("in-flight");
+        let syncs = Arc::new(AtomicU64::new(0));
+        let vfs: Arc<dyn Vfs> = Arc::new(SyncCountingVfs {
+            syncs: syncs.clone(),
+        });
+        let mut w = WalWriter::open((&dir, &vfs), 3, 1, FsyncPolicy::EveryBatch, 1 << 20).unwrap();
+        w.append(&[ev(1)]).unwrap();
+        w.begin_batch_boundary();
+        let appended = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            w.append(&[ev(2)]).map(|_| ())
+        }));
+        assert!(appended.is_err(), "an append during a sync must panic");
+        w.end_batch_boundary().unwrap();
+        assert_eq!(syncs.load(Ordering::Relaxed), 2, "the header, the batch");
+        w.end_batch_boundary().unwrap();
+        w.append(&[ev(2)]).unwrap();
+        w.batch_boundary().unwrap();
+        assert_eq!(syncs.load(Ordering::Relaxed), 3);
+        drop(w);
+        let (records, torn) = WalReader::open((&dir, &vfs), 3).unwrap().records().unwrap();
+        assert!(!torn);
+        assert_eq!(records.len(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -297,11 +297,12 @@ impl DurableState {
         self.wal_bytes_base + self.wal.bytes_written()
     }
 
-    /// Write-ahead: append the micro-batch (and apply the fsync policy's
-    /// batch-boundary sync) *before* any of its events touch a view. Returns
-    /// `false` when the batch could not be made durable — it is then applied
-    /// undurably, the snapshot marked degraded, and a later re-arm's
-    /// checkpoint recaptures its effects.
+    /// Write-ahead: append the micro-batch *before* any of its events touch a
+    /// view, and issue its batch-boundary sync, which runs while the batch's
+    /// kernels do; [`DurableState::end_batch`] waits for it before anything
+    /// makes the batch observable. Returns `false` when the log did not take
+    /// the batch — it is then applied undurably, the snapshot marked
+    /// degraded, and a later re-arm's checkpoint recaptures its effects.
     pub(crate) fn log_batch(
         &mut self,
         batch: &[UpdateEvent],
@@ -324,7 +325,9 @@ impl DurableState {
     /// truncates back to the last record boundary — a failed write may have
     /// left a partial frame that a blind retry would bury mid-log). The
     /// writer sleeps through the backoff, so the bounded ingest queue fills
-    /// and producers backpressure instead of events being dropped.
+    /// and producers backpressure instead of events being dropped. A logged
+    /// batch's sync is issued here and waited for in
+    /// [`DurableState::end_batch`].
     fn append_armed(&mut self, batch: &[UpdateEvent], shared: &Shared) -> bool {
         let _t = shared.tel.stage_guard(Stage::WalAppend);
         let mut backoff = self.retry.initial_backoff;
@@ -358,24 +361,37 @@ impl DurableState {
                 }
             }
         }
-        // Sync failures are NEVER retried in place: after a failed fsync the
-        // kernel may drop the dirty pages *and* clear the error flag, so a
-        // retried fsync can falsely succeed over lost data (the "fsyncgate"
-        // failure mode). A transient sync failure goes straight to degraded —
-        // the re-arm rewrites state from a fresh checkpoint instead of
-        // trusting the poisoned file.
-        match self.wal.batch_boundary() {
-            Ok(()) => true,
-            Err(e) if e.is_transient() => {
-                self.io_errors_transient.inc();
-                self.enter_degraded(e, shared);
-                false
-            }
-            Err(e) => {
-                self.io_errors_permanent.inc();
-                self.enter_failed(e, shared);
-                false
-            }
+        self.wal.begin_batch_boundary();
+        true
+    }
+
+    /// Wait for the batch sync [`DurableState::log_batch`] issued (a no-op
+    /// when none is in flight). The writer calls it every iteration, after
+    /// the batch's kernels and before the publish, fan-out, cold reads,
+    /// checkpoint hand-off and barrier acks that could make the batch
+    /// observable, so no sync outlives its iteration. The wait is the WAL's
+    /// exposed cost and is timed as [`Stage::WalAppend`].
+    pub(crate) fn end_batch(&mut self, shared: &Shared) {
+        let _t = shared.tel.stage_guard(Stage::WalAppend);
+        if let Err(e) = self.wal.end_batch_boundary() {
+            self.sync_failed(e, shared);
+        }
+    }
+
+    /// Sync failures are NEVER retried in place: after a failed fsync the
+    /// kernel may drop the dirty pages *and* clear the error flag, so a
+    /// retried fsync can falsely succeed over lost data (the "fsyncgate"
+    /// failure mode). A transient sync failure goes straight to degraded —
+    /// the re-arm rewrites state from a fresh checkpoint instead of trusting
+    /// the poisoned file — and anything else to failed. A batch whose sync
+    /// failed is already applied; its snapshot is marked degraded.
+    fn sync_failed(&mut self, e: DurabilityError, shared: &Shared) {
+        if e.is_transient() {
+            self.io_errors_transient.inc();
+            self.enter_degraded(e, shared);
+        } else {
+            self.io_errors_permanent.inc();
+            self.enter_failed(e, shared);
         }
     }
 
@@ -384,22 +400,14 @@ impl DurableState {
     /// stay unsynced past it. Under `EveryBatch` this is a no-op (each batch
     /// boundary already synced, and `sync` skips the syscall unless bytes are
     /// unsynced); under `Never` it is the fsync that makes the ack durable.
-    /// Sync failures follow the fsyncgate rule (see `append_armed`): straight
+    /// Sync failures follow the fsyncgate rule (see `sync_failed`): straight
     /// to degraded or failed, never retried in place.
     pub(crate) fn barrier_sync(&mut self, shared: &Shared) {
         if !self.is_armed() {
             return;
         }
-        match self.wal.sync() {
-            Ok(()) => {}
-            Err(e) if e.is_transient() => {
-                self.io_errors_transient.inc();
-                self.enter_degraded(e, shared);
-            }
-            Err(e) => {
-                self.io_errors_permanent.inc();
-                self.enter_failed(e, shared);
-            }
+        if let Err(e) = self.wal.sync() {
+            self.sync_failed(e, shared);
         }
     }
 
@@ -437,7 +445,7 @@ impl DurableState {
                 self.events_since_ckpt = 0;
                 self.exit_degraded(shared);
                 // Durable again: the triggering batch still has to hit the log
-                // before it is applied.
+                // before it is applied (and its sync is issued with it).
                 if batch.is_empty() {
                     true
                 } else {

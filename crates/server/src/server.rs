@@ -98,8 +98,9 @@ pub struct ServerConfig {
     /// force a publish, so staleness is bounded by this interval.
     pub publish_interval: Duration,
     /// When set, the writer appends every drained micro-batch to a write-ahead
-    /// log **before** applying it and checkpoints the materialized state off
-    /// the hot path; a crashed or killed server then reopens warm through
+    /// log **before** applying it, syncs it (per the fsync policy) before any
+    /// snapshot, subscriber delta, checkpoint or `flush()` ack covers it, and
+    /// checkpoints the materialized state off the hot path; a crashed or killed server then reopens warm through
     /// `dbtoaster_durability::recover` (or `QueryEngineBuilder::open_or_create`).
     pub durability: Option<DurabilityConfig>,
     /// Telemetry knobs (slow-batch threshold, trace ring capacity). The server
@@ -1160,9 +1161,12 @@ fn writer_loop(
                 false
             }
         });
-        // Write-ahead: the batch must be on the log (synced per the fsync
-        // policy) before any of its statements run, so no published snapshot
-        // can ever reflect an event the log does not contain.
+        // Write-ahead: the batch is appended to the log before any of its
+        // statements run, and its sync (per the fsync policy) runs on the
+        // WAL's sync thread while they do. `end_batch` below waits for it
+        // before anything — a snapshot, a subscriber delta, a cold read, a
+        // checkpoint or a `flush()` ack — can cover the batch, so none ever
+        // reflects an event the log might lose.
         if let Some(d) = durable.as_mut() {
             // Called even with an empty batch: in degraded mode every writer
             // iteration doubles as a re-arm tick. The return value is not a
@@ -1191,6 +1195,12 @@ fn writer_loop(
                 delta.push_owned(ev);
             }
             engine.process_batch(&delta);
+        }
+        // The batch's sync returns here, or the WAL leaves armed mode (the
+        // snapshot below is then marked degraded): everything after this
+        // point may make the batch observable.
+        if let Some(d) = durable.as_mut() {
+            d.end_batch(&shared);
         }
         pending_events += drained;
         if drained > 0 {

@@ -3,26 +3,89 @@
 //! (`WalWriter::batch_boundary`): under `EveryBatch` each logged batch costs
 //! exactly one fsync and a `flush()` adds none; under `Never` no batch syncs,
 //! and only a `flush()`, a rotation and a clean shutdown do.
+//!
+//! Under `EveryBatch` the batch's fsync runs on the WAL's sync thread while
+//! the batch's kernels do, and nothing observes the batch before it returns:
+//! no snapshot, no cold read, no `flush()` ack. A failed one is never retried
+//! on its segment; the batch's snapshot is marked degraded until a re-arm.
 
 use dbtoaster_agca::{Expr, UpdateEvent};
 use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta};
-use dbtoaster_durability::{DurabilityConfig, FsyncPolicy, StdVfs, Vfs, VfsFile};
-use dbtoaster_gmr::Value;
+use dbtoaster_durability::{
+    recover, DurabilityConfig, FsyncPolicy, RetryPolicy, StdVfs, Vfs, VfsFile,
+};
+use dbtoaster_gmr::{FastMap, Gmr, Value};
 use dbtoaster_runtime::Engine;
 use dbtoaster_server::{ServerConfig, ViewServer};
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread;
+use std::time::Duration;
 
-/// [`StdVfs`] that counts `sync_data` calls on WAL segment files
-/// (`wal-*.seg`) and nothing else.
+/// What the segment files' `sync_data` calls saw, and what the next one does.
+#[derive(Default)]
+struct SyncLog {
+    state: Mutex<SyncState>,
+    changed: Condvar,
+}
+
+#[derive(Default)]
+struct SyncState {
+    /// `sync_data` calls per segment file.
+    per_segment: HashMap<PathBuf, u64>,
+    /// Hold every segment sync until released.
+    hold: bool,
+    /// The thread of the sync being held, once one is.
+    held_on: Option<String>,
+    /// Fail the next segment sync with `EIO`.
+    fail_next: bool,
+}
+
+impl SyncLog {
+    fn lock(&self) -> MutexGuard<'_, SyncState> {
+        self.state.lock().unwrap()
+    }
+
+    fn total(&self) -> u64 {
+        self.lock().per_segment.values().sum()
+    }
+
+    fn on(&self, segment: &Path) -> u64 {
+        self.lock().per_segment.get(segment).copied().unwrap_or(0)
+    }
+
+    /// Wait until a held sync is waiting for its release; returns its thread.
+    fn held_on(&self) -> String {
+        let mut s = self.lock();
+        while s.held_on.is_none() {
+            s = self.changed.wait(s).unwrap();
+        }
+        s.held_on.clone().unwrap()
+    }
+
+    fn release(&self) {
+        self.lock().hold = false;
+        self.changed.notify_all();
+    }
+}
+
+/// [`StdVfs`] whose WAL segment files (`wal-*.seg`) report their
+/// `sync_data` calls to a [`SyncLog`] and obey it.
 #[derive(Debug)]
-struct SegmentSyncs(Arc<AtomicU64>);
+struct SegmentSyncs(Arc<SyncLog>);
+
+impl std::fmt::Debug for SyncLog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("SyncLog")
+    }
+}
 
 struct CountedFile {
     inner: Box<dyn VfsFile>,
-    syncs: Arc<AtomicU64>,
+    path: PathBuf,
+    log: Arc<SyncLog>,
 }
 
 impl VfsFile for CountedFile {
@@ -30,7 +93,19 @@ impl VfsFile for CountedFile {
         self.inner.write_all(buf)
     }
     fn sync_data(&mut self) -> io::Result<()> {
-        self.syncs.fetch_add(1, SeqCst);
+        let mut s = self.log.lock();
+        *s.per_segment.entry(self.path.clone()).or_default() += 1;
+        if std::mem::take(&mut s.fail_next) {
+            return Err(io::Error::from_raw_os_error(5)); // EIO
+        }
+        if s.hold {
+            s.held_on = thread::current().name().map(str::to_string);
+            self.log.changed.notify_all();
+            while s.hold {
+                s = self.log.changed.wait(s).unwrap();
+            }
+        }
+        drop(s);
         self.inner.sync_data()
     }
     fn sync_all(&mut self) -> io::Result<()> {
@@ -49,11 +124,11 @@ impl SegmentSyncs {
         }
         Box::new(CountedFile {
             inner: file,
-            syncs: self.0.clone(),
+            path: path.to_path_buf(),
+            log: self.0.clone(),
         })
     }
 }
-
 impl Vfs for SegmentSyncs {
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         StdVfs.read(path)
@@ -84,7 +159,7 @@ impl Vfs for SegmentSyncs {
     }
 }
 
-fn engine() -> Engine {
+fn program() -> (dbtoaster_compiler::TriggerProgram, Catalog) {
     let catalog: Catalog = [RelationMeta::stream("R", ["A", "V"])]
         .into_iter()
         .collect();
@@ -97,60 +172,98 @@ fn engine() -> Engine {
         ),
     };
     let program = compile(&[q], &catalog, &CompileOptions::default()).unwrap();
-    Engine::new(program, &catalog)
+    (program, catalog)
 }
 
-/// A durable server on a fresh directory under `policy`, rotating segments
-/// at `segment_bytes`, and its segment-sync counter.
-fn durable(policy: FsyncPolicy, segment_bytes: u64) -> (ViewServer, Arc<AtomicU64>, PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "dbt-sync-points-{:?}-{}",
-        policy,
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let syncs = Arc::new(AtomicU64::new(0));
-    let mut d = DurabilityConfig::new(&dir);
+/// The durable config of the server [`durable`] opens in `dir`.
+fn config(dir: &Path, policy: FsyncPolicy, segment_bytes: u64, log: &Arc<SyncLog>) -> ServerConfig {
+    let mut d = DurabilityConfig::new(dir);
     d.fsync = policy;
     d.segment_bytes = segment_bytes;
-    d.vfs = Arc::new(SegmentSyncs(syncs.clone()));
-    let config = ServerConfig {
-        durability: Some(d),
-        ..ServerConfig::default()
+    // Re-arms wait a second: long enough that no re-arm lands before a test
+    // has looked at the degraded state.
+    d.retry = RetryPolicy {
+        initial_backoff: Duration::from_secs(1),
+        ..RetryPolicy::default()
     };
-    let server = ViewServer::spawn(engine(), vec![], config).unwrap();
-    (server, syncs, dir)
+    d.vfs = Arc::new(SegmentSyncs(log.clone()));
+    ServerConfig {
+        durability: Some(d),
+        // Publish after every batch: a batch that could be observed before
+        // its sync returns would be, in its own writer iteration.
+        publish_interval: Duration::ZERO,
+        ..ServerConfig::default()
+    }
+}
+
+/// A durable server on a fresh directory named for `test` under `policy`,
+/// rotating segments at `segment_bytes`, and the log of its segment syncs.
+fn durable(
+    test: &str,
+    policy: FsyncPolicy,
+    segment_bytes: u64,
+) -> (ViewServer, Arc<SyncLog>, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("dbt-sync-points-{test}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let log = Arc::new(SyncLog::default());
+    let (program, catalog) = program();
+    let engine = Engine::new(program, &catalog);
+    let server =
+        ViewServer::spawn(engine, vec![], config(&dir, policy, segment_bytes, &log)).unwrap();
+    (server, log, dir)
+}
+
+fn batch(base: i64) -> impl Iterator<Item = UpdateEvent> {
+    (base..base + 3).map(|k| {
+        let row = vec![Value::long(k), Value::long(k % 5)];
+        UpdateEvent::insert("R", row)
+    })
 }
 
 /// Send a few events as one batch and wait, without a barrier, until the
 /// writer has logged and applied them: a cold read is answered after the
 /// batch drained ahead of it, and never syncs.
 fn send_one_batch(server: &ViewServer, base: i64) {
-    let events = (base..base + 3).map(|k| {
-        let row = vec![Value::long(k), Value::long(k % 5)];
-        UpdateEvent::insert("R", row)
-    });
-    assert_eq!(server.handle().send_batch(events).unwrap(), 3);
+    assert_eq!(server.handle().send_batch(batch(base)).unwrap(), 3);
     server.all_maps().unwrap();
+}
+
+/// Every map's entries with their multiplicities' bits, in key order.
+fn bits(maps: &FastMap<String, Gmr>) -> BTreeMap<String, BTreeMap<String, u64>> {
+    maps.iter()
+        .map(|(name, gmr)| {
+            let entries = gmr.iter().map(|(t, m)| (format!("{t:?}"), m.to_bits()));
+            (name.clone(), entries.collect())
+        })
+        .collect()
+}
+
+fn counter(server: &ViewServer, name: &str) -> u64 {
+    let metrics = server.metrics();
+    metrics
+        .counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
 }
 
 #[test]
 fn every_batch_syncs_once_per_logged_batch_and_a_flush_adds_none() {
-    let (server, syncs, dir) = durable(FsyncPolicy::EveryBatch, 16 << 20);
-    let opened = syncs.load(SeqCst);
+    let (server, log, dir) = durable("every", FsyncPolicy::EveryBatch, 16 << 20);
+    let opened = log.total();
     assert_eq!(opened, 1, "open syncs the new segment's header");
     for i in 0..20 {
         send_one_batch(&server, 3 * i);
     }
     let batches = server.stats().batches;
     assert_eq!(batches, 20);
-    assert_eq!(syncs.load(SeqCst) - opened, batches, "one fsync per batch");
+    assert_eq!(log.total() - opened, batches, "one fsync per batch");
     server.flush().unwrap();
     server.flush().unwrap();
-    assert_eq!(syncs.load(SeqCst) - opened, batches, "a flush adds none");
+    assert_eq!(log.total() - opened, batches, "a flush adds none");
     drop(server);
     assert_eq!(
-        syncs.load(SeqCst) - opened,
+        log.total() - opened,
         batches,
         "a clean shutdown has nothing left to sync"
     );
@@ -160,8 +273,8 @@ fn every_batch_syncs_once_per_logged_batch_and_a_flush_adds_none() {
 #[test]
 fn never_syncs_only_at_flush_rotation_and_clean_shutdown() {
     // One byte: every append but a segment's first rotates.
-    let (server, syncs, dir) = durable(FsyncPolicy::Never, 1);
-    let synced = |want: u64, at: &str| assert_eq!(syncs.load(SeqCst), want, "{at}");
+    let (server, log, dir) = durable("never", FsyncPolicy::Never, 1);
+    let synced = |want: u64, at: &str| assert_eq!(log.total(), want, "{at}");
     synced(0, "open");
     send_one_batch(&server, 0);
     synced(0, "a batch");
@@ -176,5 +289,106 @@ fn never_syncs_only_at_flush_rotation_and_clean_shutdown() {
     assert_eq!(server.stats().batches, 3);
     drop(server);
     synced(3, "a clean shutdown");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// While a batch's sync is held on the sync thread, nothing observes the
+/// batch: a `flush()` does not return, the served snapshot does not cover
+/// it and a cold read does not answer. Releasing the sync lets all three
+/// through.
+#[test]
+fn nothing_observes_a_batch_before_its_sync_returns() {
+    let (server, log, dir) = durable("held", FsyncPolicy::EveryBatch, 16 << 20);
+    send_one_batch(&server, 0);
+    let before = server.current_snapshot().events_applied();
+    assert_eq!(before, 3);
+    log.lock().hold = true;
+    assert_eq!(server.handle().send_batch(batch(3)).unwrap(), 3);
+    let held_on = log.held_on();
+    // Look first, release, then assert: a failed assertion must not leave
+    // the writer stuck behind the held sync.
+    thread::scope(|s| {
+        let flushed = s.spawn(|| server.flush().unwrap());
+        let read = s.spawn(|| server.all_maps().unwrap());
+        thread::sleep(Duration::from_millis(100));
+        let flush_returned = flushed.is_finished();
+        let read_answered = read.is_finished();
+        let applied = server.current_snapshot().events_applied();
+        log.release();
+        flushed.join().unwrap();
+        let maps = read.join().unwrap();
+        assert_ne!(
+            held_on, "dbtoaster-writer",
+            "the batch synced on the writer"
+        );
+        assert!(!flush_returned, "a flush returned before the sync");
+        assert!(!read_answered, "a cold read answered before the sync");
+        assert_eq!(
+            applied, before,
+            "a snapshot covered the batch before its sync"
+        );
+        let total = maps["TOTAL"].iter().map(|(_, m)| m).sum::<f64>();
+        assert_eq!(total, (0..6).map(|k| (k % 5) as f64).sum::<f64>());
+    });
+    assert_eq!(server.current_snapshot().events_applied(), 6);
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A batch whose sync fails with `EIO` is served degraded, counts one
+/// transient error, and its segment sees no second sync until the re-arm
+/// abandons it (fsyncgate). After the re-arm the log is whole again: a
+/// killed server reopens to the views it served.
+#[test]
+fn a_failed_batch_sync_is_served_degraded_and_never_retried_before_the_rearm() {
+    let (server, log, dir) = durable("failed", FsyncPolicy::EveryBatch, 16 << 20);
+    send_one_batch(&server, 0);
+    let segments = dbtoaster_durability::wal::list_segments(&dir).unwrap();
+    let [(_, segment)] = &segments[..] else {
+        panic!("one segment expected, found {segments:?}");
+    };
+    let synced = log.on(segment);
+    let transient = counter(&server, "io_errors_transient");
+    log.lock().fail_next = true;
+    assert_eq!(server.handle().send_batch(batch(3)).unwrap(), 3);
+    server.flush().unwrap();
+    let first = server.current_snapshot();
+    assert_eq!(first.events_applied(), 6);
+    assert!(first.degraded(), "the first snapshot covering the batch");
+    assert_eq!(counter(&server, "io_errors_transient") - transient, 1);
+    // Degraded batches apply from memory and never touch the segment.
+    send_one_batch(&server, 6);
+    server.flush().unwrap();
+    assert_eq!(
+        log.on(segment),
+        synced + 1,
+        "a second sync before the re-arm"
+    );
+    // The next writer iteration past the backoff re-arms on a fresh segment.
+    thread::sleep(Duration::from_millis(1_100));
+    send_one_batch(&server, 9);
+    server.flush().unwrap();
+    let rearmed = server.current_snapshot();
+    assert!(!rearmed.degraded(), "re-armed");
+    assert_eq!(rearmed.events_applied(), 12);
+    let segments = dbtoaster_durability::wal::list_segments(&dir).unwrap();
+    assert_eq!(segments.len(), 2, "the re-arm's fresh segment");
+
+    let live = bits(&server.all_maps().unwrap());
+    server.flush().unwrap();
+    server.kill();
+    // What `open_or_create` does: recover, then serve the recovered engine.
+    let (program, catalog) = program();
+    let vfs: Arc<dyn Vfs> = Arc::new(SegmentSyncs(log.clone()));
+    let rec = recover((&dir, &vfs), program, &catalog).unwrap().unwrap();
+    assert_eq!(rec.engine.stats().events, 12);
+    let reopened = ViewServer::spawn(
+        rec.engine,
+        vec![],
+        config(&dir, FsyncPolicy::EveryBatch, 16 << 20, &log),
+    )
+    .unwrap();
+    assert_eq!(bits(&reopened.all_maps().unwrap()), live);
+    drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -313,7 +313,9 @@ impl LocalHistogram {
 pub enum Stage {
     /// Writer thread blocked waiting on the ingest queue.
     IngestWait,
-    /// WAL append + batch-boundary fsync, ahead of processing.
+    /// WAL append ahead of processing, plus the wait for the batch-boundary
+    /// fsync after it: the fsync runs on the WAL's sync thread while the
+    /// batch's kernels do, so this is the WAL's exposed cost.
     WalAppend,
     /// Kernel execution of a relation run under the batch-delta strategy.
     KernelBatchDelta,
