@@ -363,6 +363,8 @@ fn torture_events(seed: u64, n: usize) -> Vec<UpdateEvent> {
 struct TortureTotals {
     faults: u64,
     cuts: u64,
+    /// Power cuts that landed on a batch sync between its issue and return.
+    sync_cuts: u64,
     recoveries_verified: u64,
     loud_errors: u64,
     recovery_nanos: u128,
@@ -562,6 +564,7 @@ fn torture_iteration(
             match wal.as_mut().unwrap().end_batch_boundary() {
                 Ok(()) => floor = Some(floor.unwrap_or(0).max(applied)),
                 Err(_) if fault.power_cut() => {
+                    totals.sync_cuts += 1;
                     cut_fired = true;
                     break;
                 }
@@ -725,11 +728,12 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
         0.0
     };
     println!(
-        "torture: {iters} iterations, {} faults injected, {} power cuts, \
-         {} recoveries verified, {} loud errors, 0 silent divergences \
-         (mean recovery {mean_ms:.2} ms, total {:.1}s)",
+        "torture: {iters} iterations, {} faults injected, {} power cuts \
+         ({} on a batch sync in flight), {} recoveries verified, {} loud errors, \
+         0 silent divergences (mean recovery {mean_ms:.2} ms, total {:.1}s)",
         totals.faults,
         totals.cuts,
+        totals.sync_cuts,
         totals.recoveries_verified,
         totals.loud_errors,
         started.elapsed().as_secs_f64(),
@@ -737,9 +741,14 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
     if let Some(path) = json {
         let payload = format!(
             "{{\"label\":\"{label}\",\"seed\":{base_seed},\"iterations\":{iters},\
-             \"faults_injected\":{},\"power_cuts\":{},\"recoveries_verified\":{},\
-             \"loud_errors\":{},\"silent_divergences\":0,\"mean_recovery_ms\":{mean_ms:.3}}}",
-            totals.faults, totals.cuts, totals.recoveries_verified, totals.loud_errors,
+             \"faults_injected\":{},\"power_cuts\":{},\"power_cuts_in_sync\":{},\
+             \"recoveries_verified\":{},\"loud_errors\":{},\"silent_divergences\":0,\
+             \"mean_recovery_ms\":{mean_ms:.3}}}",
+            totals.faults,
+            totals.cuts,
+            totals.sync_cuts,
+            totals.recoveries_verified,
+            totals.loud_errors,
         );
         std::fs::write(path, &payload).unwrap_or_else(|e| panic!("failed to write {path}: {e}"));
         println!("wrote {path}");

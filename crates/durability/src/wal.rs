@@ -791,12 +791,11 @@ impl Drop for WalWriter {
     /// Closes the sync thread's channel and joins it: a sync still in flight
     /// finishes before the writer (and its directory lock) goes away.
     fn drop(&mut self) {
-        if let Some(SyncThread { to, back, handle }) = self.syncer.take() {
+        if let Some(SyncThread { to, handle, .. }) = self.syncer.take() {
             drop(to);
             if let Some(handle) = handle {
                 let _ = handle.join();
             }
-            drop(back);
         }
     }
 }

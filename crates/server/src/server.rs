@@ -100,8 +100,9 @@ pub struct ServerConfig {
     /// When set, the writer appends every drained micro-batch to a write-ahead
     /// log **before** applying it, syncs it (per the fsync policy) before any
     /// snapshot, subscriber delta, checkpoint or `flush()` ack covers it, and
-    /// checkpoints the materialized state off the hot path; a crashed or killed server then reopens warm through
-    /// `dbtoaster_durability::recover` (or `QueryEngineBuilder::open_or_create`).
+    /// checkpoints the materialized state off the hot path; a crashed or
+    /// killed server then reopens warm through `dbtoaster_durability::recover`
+    /// (or `QueryEngineBuilder::open_or_create`).
     pub durability: Option<DurabilityConfig>,
     /// Telemetry knobs (slow-batch threshold, trace ring capacity). The server
     /// always runs with telemetry enabled — stage timings and per-view counters

@@ -25,13 +25,13 @@ use std::thread;
 use std::time::Duration;
 
 /// What the segment files' `sync_data` calls saw, and what the next one does.
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct SyncLog {
     state: Mutex<SyncState>,
     changed: Condvar,
 }
 
-#[derive(Default)]
+#[derive(Debug, Default)]
 struct SyncState {
     /// `sync_data` calls per segment file.
     per_segment: HashMap<PathBuf, u64>,
@@ -75,12 +75,6 @@ impl SyncLog {
 /// `sync_data` calls to a [`SyncLog`] and obey it.
 #[derive(Debug)]
 struct SegmentSyncs(Arc<SyncLog>);
-
-impl std::fmt::Debug for SyncLog {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SyncLog")
-    }
-}
 
 struct CountedFile {
     inner: Box<dyn VfsFile>,
@@ -310,6 +304,8 @@ fn nothing_observes_a_batch_before_its_sync_returns() {
     thread::scope(|s| {
         let flushed = s.spawn(|| server.flush().unwrap());
         let read = s.spawn(|| server.all_maps().unwrap());
+        // The sync is held, so nothing here can finish: the pause only gives
+        // a wrong order the time to show.
         thread::sleep(Duration::from_millis(100));
         let flush_returned = flushed.is_finished();
         let read_answered = read.is_finished();
