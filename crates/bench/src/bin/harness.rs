@@ -615,8 +615,9 @@ fn torture_iteration(
     totals.faults += fault.faults_injected();
     drop(wal); // release the directory lock before recovering
 
+    let mut recovered = Engine::new(program.clone(), ccat);
     let t0 = Instant::now();
-    match dbtoaster::durability::recover(&recover_dir, program.clone(), ccat) {
+    match dbtoaster::durability::recover(&recover_dir, &mut recovered) {
         Err(_) => {
             // Loud by construction: recovery refused the directory instead of
             // serving made-up state. Acceptable; never silent.
@@ -628,10 +629,10 @@ fn torture_iteration(
             }
             totals.recoveries_verified += 1;
         }
-        Ok(Some(rec)) => {
+        Ok(Some(_)) => {
             totals.recovery_nanos += t0.elapsed().as_nanos();
             totals.recoveries_timed += 1;
-            let w = rec.engine.stats().events;
+            let w = recovered.stats().events;
             if let Some(f) = floor {
                 assert!(
                     w >= f,
@@ -663,7 +664,7 @@ fn torture_iteration(
                 reference.process_batch(&delta);
                 at = end;
             }
-            let got = rec.engine.snapshot();
+            let got = recovered.snapshot();
             let want = reference.snapshot();
             assert_eq!(
                 got.len(),

@@ -136,12 +136,14 @@ impl QueryEngineBuilder {
     }
 
     /// Open a **durable** serving instance anchored in `dir`, creating it on
-    /// first use. When the directory already holds state for this exact
-    /// program (checkpoints + write-ahead log, matched by fingerprint), the
-    /// engine is recovered from it — newest usable checkpoint plus WAL replay,
-    /// bit-for-bit — before serving resumes; otherwise a fresh engine is
-    /// initialized. Either way the returned server logs every micro-batch
-    /// ahead of applying it and checkpoints periodically, so a crash (or
+    /// first use: sugar over `build()?.serve_with(..)` with
+    /// [`ServerConfig::durability`] set. When the directory already holds
+    /// state for this exact program (checkpoints + write-ahead log, matched
+    /// by fingerprint), [`ViewServer::spawn`] recovers it — newest usable
+    /// checkpoint plus WAL replay, bit-for-bit — before serving resumes;
+    /// otherwise the fresh engine's state is checkpointed as the starting
+    /// point. Either way the returned server logs every micro-batch ahead of
+    /// applying it and checkpoints periodically, so a crash (or
     /// [`ViewServer::kill`]) loses nothing that was applied.
     ///
     /// State belonging to a *different* program (changed queries or schema) is
@@ -188,7 +190,6 @@ impl QueryEngineBuilder {
             engine,
             plans: plans.into_iter().map(|p| (p.name.clone(), p)).collect(),
             mode: self.options.mode,
-            catalog,
         })
     }
 }
@@ -198,9 +199,6 @@ pub struct QueryEngine {
     engine: Engine,
     plans: HashMap<String, TranslatedQuery>,
     mode: CompileMode,
-    /// Compiler catalog, kept for durable recovery (rebuilding an engine from
-    /// a checkpoint needs the stored relations' column names).
-    catalog: Catalog,
 }
 
 impl QueryEngine {
@@ -303,70 +301,24 @@ impl QueryEngine {
 
     /// Durable serving with explicit sizing: like
     /// [`QueryEngineBuilder::open_or_create`], but starting from an engine
-    /// whose tables are already loaded. `config.durability` must be set; if
-    /// its directory holds recoverable state for this program, this engine's
-    /// current (pre-serve) state is **replaced** by the recovered one.
+    /// whose tables are already loaded. Sugar over [`QueryEngine::init`] and
+    /// [`QueryEngine::serve_with`]: `config.durability` must be set, and if
+    /// its directory holds recoverable state for this program, the server
+    /// recovers it into this engine on top of its loaded tables (see
+    /// [`ViewServer::spawn`]).
     pub fn open_or_create_with(
         mut self,
         config: ServerConfig,
     ) -> Result<ViewServer, DbToasterError> {
-        let Some(dcfg) = config.durability.clone() else {
+        if config.durability.is_none() {
             return Err(DbToasterError::Serve(ServeError::Durability(
                 dbtoaster_durability::DurabilityError::Config(
                     "open_or_create_with requires ServerConfig::durability".into(),
                 ),
             )));
-        };
-        // Hold the directory's writer lock across recovery so a live server's
-        // checkpointer cannot prune files out from under the scan (and a
-        // doomed opener is refused here, before a possibly huge replay,
-        // instead of after it).
-        let lock = dbtoaster_durability::acquire_dir_lock(&dcfg.dir)
-            .map_err(|e| DbToasterError::Serve(ServeError::Durability(e)))?;
-        // The recovery replay (checkpoint load + WAL re-application) is timed
-        // into the telemetry handle the server will adopt, so startup cost
-        // shows up next to the serving-stage timings in `metrics()`.
-        let tel = match self.engine.telemetry() {
-            Some(t) if t.is_enabled() => t.clone(),
-            _ => dbtoaster_telemetry::Telemetry::with_config(config.telemetry.clone()),
-        };
-        let recovered = {
-            let _t = tel.stage_guard(dbtoaster_telemetry::Stage::RecoveryReplay);
-            dbtoaster_durability::recover(
-                (&dcfg.dir, &dcfg.vfs),
-                self.engine.program().clone(),
-                &self.catalog,
-            )
-            .map_err(|e| DbToasterError::Serve(ServeError::Durability(e)))?
-        };
-        // Released before serving: the writer thread re-acquires it in spawn.
-        // The gap can only produce a clean `Locked` refusal there, never a
-        // mutation race — every directory mutation happens under the lock.
-        drop(lock);
-        // Keep recovery provenance: a degraded recovery (an older checkpoint
-        // used) must stay distinguishable from a clean one after the server
-        // is up.
-        let mut degraded: Option<String> = None;
-        match recovered {
-            Some(rec) => {
-                if !rec.skipped_checkpoints.is_empty() {
-                    let skipped = rec.skipped_checkpoints.join("; ");
-                    degraded = Some(format!("skipped damaged checkpoints: {skipped}"));
-                }
-                self.engine = rec.engine;
-            }
-            None => self.init()?, // fresh start: initialize static views
         }
-        // Hand the (possibly recovery-stamped) telemetry handle to the engine;
-        // `ViewServer::spawn` reuses an already-enabled handle.
-        self.engine.set_telemetry(tel);
-        let server = self.serve_with(config)?;
-        if let Some(detail) = degraded {
-            server.record_durability_warning(
-                dbtoaster_durability::DurabilityError::RecoveryDegraded(detail),
-            );
-        }
-        Ok(server)
+        self.init()?;
+        self.serve_with(config)
     }
 
     /// Start serving with explicit queue / micro-batch sizing.

@@ -18,16 +18,11 @@ use crate::vfs::VfsPath;
 use crate::wal::{self, WalReader};
 use crate::{program_fingerprint, DurabilityError};
 use dbtoaster_agca::DeltaBatch;
-use dbtoaster_compiler::{Catalog, TriggerProgram};
 use dbtoaster_runtime::Engine;
 
-/// The result of [`recover`]: a warm engine plus provenance of how it was
-/// rebuilt.
+/// How [`recover`] rebuilt the engine it was handed.
+#[derive(Clone, Debug)]
 pub struct Recovery {
-    /// Engine with every view restored; `stats().events` equals
-    /// `checkpoint_watermark + replayed_events` and
-    /// `stats().recovery_replayed_events` is set.
-    pub engine: Engine,
     /// Watermark of the checkpoint used (0 when recovery replayed the whole
     /// log from scratch).
     pub checkpoint_watermark: u64,
@@ -46,51 +41,67 @@ pub fn has_state<'a>(dir: impl Into<VfsPath<'a>>) -> Result<bool, DurabilityErro
         || !wal::list_segments(dir)?.is_empty())
 }
 
-/// Rebuild an engine from the durable state in `dir` (a bare path, or a
-/// `(path, &vfs)` pair for a non-default [`crate::Vfs`]), or return
-/// `Ok(None)` when the directory holds none (a fresh start).
+/// Restore the durable state in `dir` (a bare path, or a `(path, &vfs)` pair
+/// for a non-default [`crate::Vfs`]) into `engine`, or return `Ok(None)`,
+/// leaving `engine` untouched, when the directory holds none (a fresh start).
 ///
-/// Steps:
+/// `engine` is the caller's engine for the directory's program, with its
+/// static tables loaded and no event applied yet: an engine that has applied
+/// events while the directory holds state would be a second history, and is
+/// refused with [`DurabilityError::Config`]. Steps:
 /// 1. load the newest checkpoint whose CRC verifies (older ones are fallbacks;
 ///    a program-fingerprint mismatch is a hard error — see
-///    [`checkpoint::load_latest`]),
-/// 2. restore the maps into an engine via [`Engine::from_snapshot`] — *without*
-///    re-running static-view initialization, since the checkpoint already
-///    contains static tables and their derived views,
+///    [`checkpoint::load_latest`]) and restore its maps via
+///    [`Engine::restore`] — *without* re-running static-view initialization,
+///    since the checkpoint already contains static tables and their derived
+///    views;
+/// 2. when no checkpoint verifies, keep the engine's own tables (tables never
+///    travel through the WAL) and initialize its static views over them;
 /// 3. replay every WAL record above the watermark through the normal
 ///    batch-trigger path (one record = one delta batch, exactly as the live
 ///    writer processed it), tolerating a torn tail and refusing mid-log
 ///    corruption, sequence gaps and events the ingest gate refuses.
 ///
-/// This function only reads. If a live writer might hold the directory (e.g.
-/// a racing restart), take [`crate::acquire_dir_lock`] first so its
-/// checkpointer cannot prune files mid-scan — the facade's `open_or_create`
-/// does exactly that.
+/// On return, `engine.stats().events` equals `checkpoint_watermark +
+/// replayed_events` and `stats().recovery_replayed_events` is set. On an
+/// error other than the refusal, `engine` may hold a partial restore: drop
+/// it.
+///
+/// This function only reads the directory. A live writer's checkpointer
+/// prunes files, so take [`crate::acquire_dir_lock`] first; a durable
+/// `ViewServer::spawn` recovers under the lock it then writes under.
 pub fn recover<'a>(
     dir: impl Into<VfsPath<'a>>,
-    program: TriggerProgram,
-    catalog: &Catalog,
+    engine: &mut Engine,
 ) -> Result<Option<Recovery>, DurabilityError> {
     let dir = dir.into();
-    let fingerprint = program_fingerprint(&program);
     if !has_state(dir.clone())? {
         return Ok(None);
     }
+    let applied = engine.stats().events;
+    if applied > 0 {
+        return Err(DurabilityError::Config(format!(
+            "durability dir {} holds state, and this engine has already applied {applied} \
+             events: serving it there would fork two histories (open the directory with a \
+             fresh engine to resume its own)",
+            dir.path.display()
+        )));
+    }
+    let fingerprint = program_fingerprint(engine.program());
     let (ckpt, skipped_checkpoints) = checkpoint::load_latest(dir.clone(), fingerprint)?;
-    let (checkpoint_watermark, mut engine) = match ckpt {
+    let checkpoint_watermark = match ckpt {
         Some(c) => {
-            let w = c.watermark;
-            (w, Engine::from_snapshot(program, catalog, c.maps, w))
+            engine.restore(c.maps, c.watermark);
+            c.watermark
         }
         None => {
             // Every checkpoint was damaged (or none was ever written): replay
-            // the full log against a fresh engine. Static views derive from
-            // tables, which only travel in checkpoints — with none usable the
-            // static initialization runs over whatever the catalog declares.
-            let mut e = Engine::new(program, catalog);
-            e.init_static_views()
+            // the full log on the caller's engine, whose loaded tables are
+            // the state the first logged event saw.
+            engine
+                .init_static_views()
                 .map_err(|err| DurabilityError::Replay(err.to_string()))?;
-            (0, e)
+            0
         }
     };
     let reader = WalReader::open(dir, fingerprint)?;
@@ -116,7 +127,6 @@ pub fn recover<'a>(
     })?;
     engine.stats_mut().recovery_replayed_events = stats.events_replayed;
     Ok(Some(Recovery {
-        engine,
         checkpoint_watermark,
         replayed_events: stats.events_replayed,
         torn_tail_dropped: stats.torn_tail_dropped,
@@ -130,7 +140,9 @@ mod tests {
     use crate::wal::WalWriter;
     use crate::FsyncPolicy;
     use dbtoaster_agca::{Expr, UpdateEvent};
-    use dbtoaster_compiler::{compile, CompileOptions, QuerySpec, RelationMeta};
+    use dbtoaster_compiler::{
+        compile, Catalog, CompileOptions, QuerySpec, RelationMeta, TriggerProgram,
+    };
     use dbtoaster_gmr::Value;
     use std::fs;
     use std::path::PathBuf;
@@ -164,20 +176,27 @@ mod tests {
         UpdateEvent::insert("R", vec![Value::long(v), Value::long(v)])
     }
 
+    fn fresh() -> Engine {
+        Engine::new(program(), &catalog())
+    }
+
+    fn total(e: &Engine) -> f64 {
+        e.result("TOTAL").unwrap().scalar_value()
+    }
+
     #[test]
     fn empty_dir_is_a_fresh_start() {
         let dir = tmp_dir("fresh");
-        assert!(recover(&dir, program(), &catalog()).unwrap().is_none());
+        assert!(recover(&dir, &mut fresh()).unwrap().is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn checkpoint_plus_wal_tail_rebuilds_exactly() {
         let dir = tmp_dir("exact");
-        let prog = program();
-        let fp = program_fingerprint(&prog);
+        let fp = program_fingerprint(&program());
         // Reference run: 6 events straight through an engine.
-        let mut reference = Engine::new(prog.clone(), &catalog());
+        let mut reference = fresh();
         let events: Vec<UpdateEvent> = (1..=6).map(ev).collect();
         let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::EveryBatch, 1 << 20).unwrap();
         for (i, e) in events.iter().enumerate() {
@@ -198,16 +217,14 @@ mod tests {
         w.batch_boundary().unwrap();
         drop(w);
 
-        let rec = recover(&dir, prog, &catalog())
-            .unwrap()
-            .expect("state present");
+        let mut engine = fresh();
+        let rec = recover(&dir, &mut engine).unwrap().expect("state present");
         assert_eq!(rec.checkpoint_watermark, 4);
         assert_eq!(rec.replayed_events, 2);
-        assert_eq!(rec.engine.stats().events, 6);
-        assert_eq!(rec.engine.stats().recovery_replayed_events, 2);
-        let total = |e: &Engine| e.result("TOTAL").unwrap().scalar_value();
+        assert_eq!(engine.stats().events, 6);
+        assert_eq!(engine.stats().recovery_replayed_events, 2);
         assert_eq!(
-            total(&rec.engine).to_bits(),
+            total(&engine).to_bits(),
             total(&reference).to_bits(),
             "recovered result must be bit-exact"
         );
@@ -220,17 +237,17 @@ mod tests {
         // checkpoint with no segments; the captured state (e.g. pre-loaded
         // tables) must come back, not a fresh empty engine.
         let dir = tmp_dir("ckptonly");
-        let prog = program();
-        let fp = program_fingerprint(&prog);
-        let mut engine = Engine::new(prog.clone(), &catalog());
+        let fp = program_fingerprint(&program());
+        let mut engine = fresh();
         engine.process_all(&[ev(2), ev(5)]).unwrap();
         let snap = engine.snapshot();
         checkpoint::write_checkpoint(&dir, fp, 2, snap.iter().map(|(n, g)| (n.as_str(), g)))
             .unwrap();
-        let rec = recover(&dir, prog, &catalog()).unwrap().expect("state");
+        let mut engine = fresh();
+        let rec = recover(&dir, &mut engine).unwrap().expect("state");
         assert_eq!(rec.checkpoint_watermark, 2);
         assert_eq!(rec.replayed_events, 0);
-        assert_eq!(rec.engine.result("TOTAL").unwrap().scalar_value(), 7.0);
+        assert_eq!(total(&engine), 7.0);
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -241,8 +258,7 @@ mod tests {
     #[test]
     fn a_logged_event_the_gate_refuses_fails_recovery() {
         let dir = tmp_dir("refused");
-        let prog = program();
-        let fp = program_fingerprint(&prog);
+        let fp = program_fingerprint(&program());
         let refused = [
             UpdateEvent::insert("R", vec![Value::long(1)]),
             UpdateEvent::insert("R", vec![Value::long(1), Value::str("x")]),
@@ -253,9 +269,7 @@ mod tests {
             w.append(&[ev(2)]).unwrap();
             w.append(&[ev(3), event, ev(4)]).unwrap();
             drop(w);
-            let err = recover(&dir, prog.clone(), &catalog())
-                .err()
-                .expect("refused");
+            let err = recover(&dir, &mut fresh()).expect_err("refused");
             let DurabilityError::Replay(m) = &err else {
                 panic!("expected a replay error, got {err}");
             };
@@ -267,24 +281,23 @@ mod tests {
     #[test]
     fn wal_only_recovery_replays_from_scratch() {
         let dir = tmp_dir("walonly");
-        let prog = program();
-        let fp = program_fingerprint(&prog);
+        let fp = program_fingerprint(&program());
         let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, 1 << 20).unwrap();
         w.append(&[ev(2), ev(3)]).unwrap();
         drop(w);
-        let rec = recover(&dir, prog, &catalog()).unwrap().expect("state");
+        let mut engine = fresh();
+        let rec = recover(&dir, &mut engine).unwrap().expect("state");
         assert_eq!(rec.checkpoint_watermark, 0);
         assert_eq!(rec.replayed_events, 2);
-        assert_eq!(rec.engine.result("TOTAL").unwrap().scalar_value(), 5.0);
+        assert_eq!(total(&engine), 5.0);
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn pruned_wal_below_checkpoint_still_recovers() {
         let dir = tmp_dir("pruned");
-        let prog = program();
-        let fp = program_fingerprint(&prog);
-        let mut engine = Engine::new(prog.clone(), &catalog());
+        let fp = program_fingerprint(&program());
+        let mut engine = fresh();
         let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, 1).unwrap(); // rotate every record
         for i in 1..=3 {
             w.append(&[ev(i)]).unwrap();
@@ -296,10 +309,30 @@ mod tests {
         w.append(&[ev(4)]).unwrap();
         drop(w);
         wal::prune_segments(&dir, 3).unwrap();
-        let rec = recover(&dir, prog, &catalog()).unwrap().expect("state");
+        let mut engine = fresh();
+        let rec = recover(&dir, &mut engine).unwrap().expect("state");
         assert_eq!(rec.checkpoint_watermark, 3);
         assert_eq!(rec.replayed_events, 1);
-        assert_eq!(rec.engine.result("TOTAL").unwrap().scalar_value(), 10.0);
+        assert_eq!(total(&engine), 10.0);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// An engine that has applied events is a history of its own: recovering
+    /// a directory's state into it would merge two histories, so recovery
+    /// refuses it and leaves it as it was.
+    #[test]
+    fn an_engine_that_applied_events_is_refused() {
+        let dir = tmp_dir("twohist");
+        let fp = program_fingerprint(&program());
+        let mut w = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, 1 << 20).unwrap();
+        w.append(&[ev(2)]).unwrap();
+        drop(w);
+        let mut engine = fresh();
+        engine.process(&ev(5)).unwrap();
+        let err = recover(&dir, &mut engine).expect_err("refused");
+        assert!(matches!(err, DurabilityError::Config(_)), "{err}");
+        assert_eq!(engine.stats().events, 1);
+        assert_eq!(total(&engine), 5.0);
         let _ = fs::remove_dir_all(&dir);
     }
 }

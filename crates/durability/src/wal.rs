@@ -841,28 +841,6 @@ impl SyncThread {
     }
 }
 
-/// The sequence number one past the last decodable event in the log, or
-/// `None` when the directory holds no segments. Torn-tail tolerant (a torn
-/// final record does not count). Lets callers validate that a log is not
-/// *ahead* of an engine before mutating the directory in any way.
-pub fn log_end_seq<'a>(
-    dir: impl Into<VfsPath<'a>>,
-    fingerprint: u64,
-) -> Result<Option<u64>, DurabilityError> {
-    let dir = dir.into();
-    let segments = list_segments(dir.clone())?;
-    let Some((start, path)) = segments.last() else {
-        return Ok(None);
-    };
-    let scan = scan_segment(dir.vfs.as_ref(), path, fingerprint, true)?;
-    Ok(Some(
-        scan.records
-            .last()
-            .map(|r| r.first_seq + r.events.len() as u64)
-            .unwrap_or(*start),
-    ))
-}
-
 /// Take the exclusive advisory writer lock on `dir` (creating the directory
 /// and `<dir>/wal.lock` if needed). The lock is released when the returned
 /// file is dropped — or by the OS when the process dies, so a crashed holder

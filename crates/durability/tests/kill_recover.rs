@@ -15,12 +15,20 @@
 //!   final state, bit for bit;
 //! * a clean shutdown then reopens with zero replay (the final checkpoint
 //!   covers everything).
+//!
+//! `open_or_create` and a durable `serve_with` are the same open
+//! (`ViewServer::spawn` recovers the directory into the engine it is
+//! handed): a used directory comes back warm through either, an engine with
+//! a history of its own is refused there, and with every checkpoint damaged
+//! the log replays on the caller's static tables, bit-exact or loud.
 
+use dbtoaster::gmr::FastMap;
 use dbtoaster::prelude::*;
 use dbtoaster::QueryEngineBuilder;
 use dbtoaster_durability::checkpoint;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -147,6 +155,35 @@ fn assert_snapshot_matches_engine(
         compared += 1;
     }
     assert!(compared >= 2, "{context}: expected several maintained maps");
+}
+
+type Bits = BTreeMap<String, BTreeMap<String, u64>>;
+
+/// Every map's entries with their multiplicities' bits, in key order.
+fn bits(maps: &FastMap<String, Gmr>) -> Bits {
+    maps.iter()
+        .map(|(name, gmr)| {
+            let entries = gmr.iter().map(|(t, m)| (format!("{t:?}"), m.to_bits()));
+            (name.clone(), entries.collect())
+        })
+        .collect()
+}
+
+/// `server`'s maps, read cold, equal `want` bit for bit; a failure names the
+/// maps that differ.
+fn assert_maps_equal(server: &ViewServer, want: &Bits, context: &str) {
+    let got = bits(&server.all_maps().unwrap());
+    let names: std::collections::BTreeSet<&String> = got.keys().chain(want.keys()).collect();
+    let total = names.len();
+    let differ: Vec<&String> = names
+        .into_iter()
+        .filter(|n| got.get(*n) != want.get(*n))
+        .collect();
+    assert!(
+        differ.is_empty(),
+        "{context}: {} of {total} maps differ: {differ:?}",
+        differ.len()
+    );
 }
 
 #[test]
@@ -600,51 +637,112 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
 }
 
 #[test]
-fn durable_serve_refuses_an_unrecovered_directory() {
-    // `serve_with` + durability on a directory that already holds a checkpoint
-    // ahead of the (fresh) engine must be refused: adopting it would fork
-    // history. `open_or_create` is the path that recovers first.
-    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-stale-{}", std::process::id()));
+fn durable_serve_recovers_a_used_directory_and_refuses_a_second_history() {
+    // `ViewServer::spawn` is the one durable open: a durable `serve_with` on
+    // a used directory recovers it, exactly as `open_or_create` does.
+    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-used-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
+    let stream = events();
     let server = builder().open_or_create_with(config(&dir)).unwrap();
-    server
-        .handle()
-        .send_batch(events()[..500].to_vec())
-        .unwrap();
+    server.handle().send_batch(stream[..500].to_vec()).unwrap();
     server.flush().unwrap();
+    let live = bits(&server.all_maps().unwrap());
     drop(server); // clean shutdown: final checkpoint at watermark 500
 
-    match builder().build().unwrap().serve_with(config(&dir)) {
-        Err(e) => assert!(
-            e.to_string().contains("open_or_create"),
-            "unexpected error: {e}"
-        ),
-        Ok(_) => panic!("serving a stale durable dir with a fresh engine must fail"),
-    }
-    // The sanctioned path still works and comes back warm.
-    let server = builder().open_or_create_with(config(&dir)).unwrap();
-    assert_eq!(server.stats().events, 500);
+    let server = builder().build().unwrap().serve_with(config(&dir)).unwrap();
+    assert_eq!(server.stats().events, 500, "comes back warm");
+    assert_maps_equal(&server, &live, "served on a used directory");
     drop(server);
 
-    // Same refusal when only the WAL is ahead (all checkpoints wiped) — and
-    // crucially, the refused open must not have mutated the directory by
-    // writing an initial checkpoint a later recovery would adopt.
+    // An engine that has applied events is a history of its own: serving it
+    // on a directory that holds another would fork the two.
+    let second_history = || {
+        let mut engine = builder().build().unwrap();
+        engine.process(&stream[0]).unwrap();
+        match engine.serve_with(config(&dir)) {
+            Err(e) => assert!(e.to_string().contains("two histories"), "{e}"),
+            Ok(_) => panic!("an engine with its own history must be refused"),
+        }
+    };
+    second_history();
+
+    // With every checkpoint wiped only the WAL is left. A refused open must
+    // not leave an initial checkpoint behind for a later recovery to adopt;
+    // a fresh engine then either replays the log bit-exactly or fails loudly.
     for (_, path) in dbtoaster_durability::list_checkpoints(&dir).unwrap() {
         fs::remove_file(path).unwrap();
     }
-    match builder().build().unwrap().serve_with(config(&dir)) {
-        Err(e) => assert!(
-            e.to_string().contains("open_or_create"),
-            "unexpected error: {e}"
-        ),
-        Ok(_) => panic!("serving a WAL-ahead durable dir with a fresh engine must fail"),
-    }
+    second_history();
     assert!(
         dbtoaster_durability::list_checkpoints(&dir)
             .unwrap()
             .is_empty(),
         "a refused open must not leave a checkpoint behind"
     );
+    if let Ok(server) = builder().build().unwrap().serve_with(config(&dir)) {
+        assert_eq!(server.stats().events, 500);
+        assert_maps_equal(&server, &live, "replayed the WAL alone");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Static tables travel only in checkpoints. With every checkpoint damaged,
+/// recovery replays the whole log on the engine the caller hands it — the one
+/// holding the loaded tables — so a reopened `ssb4` over the TPC-H tables
+/// must hold exactly the maps the killed server held, `Nation`, `Region` and
+/// the views derived from them included; the only other legal outcome is a
+/// loud refusal.
+#[test]
+fn damaged_checkpoints_replay_on_the_callers_static_tables() {
+    use dbtoaster::workloads;
+    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-static-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let mut data = workloads::tpch::generate(&workloads::TpchConfig {
+        scale: 0.003,
+        seed: 11,
+        orders_working_set: 60,
+        lineitem_working_set: 240,
+    });
+    data.truncate(1_500);
+    let q = workloads::query("ssb4").unwrap();
+    let open = || {
+        let mut engine = QueryEngineBuilder::new(workloads::tpch_catalog())
+            .add_query(q.name, q.sql)
+            .mode(CompileMode::HigherOrder)
+            .build()
+            .unwrap();
+        for (table, rows) in &data.tables {
+            engine.load_table(table, rows.clone()).unwrap();
+        }
+        engine.open_or_create_with(config(&dir))
+    };
+    let server = open().unwrap();
+    server.handle().send_batch(data.events.clone()).unwrap();
+    server.flush().unwrap();
+    let live = bits(&server.all_maps().unwrap());
+    assert!(!live["Nation"].is_empty() && !live["ssb4"].is_empty());
+    server.kill();
+
+    let checkpoints = dbtoaster_durability::list_checkpoints(&dir).unwrap();
+    assert!(!checkpoints.is_empty());
+    for (_, path) in checkpoints {
+        let mut bytes = fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x5A;
+        fs::write(&path, bytes).unwrap();
+    }
+    match open() {
+        Ok(server) => {
+            assert_eq!(server.stats().events, data.events.len() as u64);
+            assert_eq!(
+                server.stats().recovery_replayed_events,
+                server.stats().events
+            );
+            assert!(server.durability_warning().is_some(), "a degraded recovery");
+            assert_maps_equal(&server, &live, "every checkpoint damaged");
+        }
+        Err(e) => assert!(!e.to_string().is_empty()),
+    }
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -161,23 +161,24 @@ enum Outcome {
 }
 
 fn check_recovery(dir: &Path, stream: &[UpdateEvent]) -> Outcome {
-    match recover(dir, program(), &catalog()) {
+    let mut engine = Engine::new(program(), &catalog());
+    match recover(dir, &mut engine) {
         Err(_) => Outcome::Failed,
         Ok(None) => Outcome::Prefix(0),
         Ok(Some(rec)) => {
-            let k = rec.engine.stats().events as usize;
+            let k = engine.stats().events as usize;
             assert!(k <= stream.len(), "recovered more events than were written");
             assert!(
                 k >= rec.checkpoint_watermark as usize,
                 "recovery went below its own checkpoint"
             );
             assert_eq!(
-                rec.engine.stats().recovery_replayed_events,
+                engine.stats().recovery_replayed_events,
                 k as u64 - rec.checkpoint_watermark,
                 "replay count must cover exactly watermark..k"
             );
             let reference = reference(k, stream);
-            assert_engines_bit_equal(&rec.engine, &reference, &format!("prefix {k}"));
+            assert_engines_bit_equal(&engine, &reference, &format!("prefix {k}"));
             Outcome::Prefix(k)
         }
     }

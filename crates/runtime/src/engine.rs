@@ -776,39 +776,33 @@ impl Engine {
         self.record_runs = enabled;
     }
 
-    /// Rebuild an engine from a checkpointed snapshot: every map is restored
-    /// wholesale and the event counter resumes at `events_applied`, **without**
-    /// re-running [`Engine::init_static_views`] — the snapshot already contains
-    /// static tables and the views derived from them. This is the restore half
-    /// of the durability layer's checkpoint/recovery protocol; replaying logged
-    /// events `events_applied+1..` through [`Engine::process_batch`] afterwards
-    /// reproduces a never-restarted engine bit-for-bit.
-    pub fn from_snapshot(
-        program: TriggerProgram,
-        catalog: &Catalog,
-        maps: impl IntoIterator<Item = (String, Gmr)>,
-        events_applied: u64,
-    ) -> Self {
-        let mut engine = Engine::new(program, catalog);
+    /// Restore a checkpointed snapshot in place: every map it names is
+    /// replaced wholesale and the event counter resumes at `events_applied`,
+    /// **without** re-running [`Engine::init_static_views`] — the snapshot
+    /// already contains static tables and the views derived from them. This
+    /// is the restore half of the durability layer's checkpoint/recovery
+    /// protocol; replaying logged events `events_applied+1..` through
+    /// [`Engine::process_batch`] afterwards reproduces a never-restarted
+    /// engine bit-for-bit.
+    pub fn restore(&mut self, maps: impl IntoIterator<Item = (String, Gmr)>, events_applied: u64) {
         let mut declared = false;
         for (name, gmr) in maps {
-            let id = match engine.db.id(&name) {
+            let id = match self.db.id(&name) {
                 Some(id) => id,
                 None => {
                     // Present in the snapshot but not declared by the
                     // program: a table `load_table` declared on the fly.
                     declared = true;
                     let columns = gmr.schema().columns().iter().cloned();
-                    engine.db.declare(name, columns)
+                    self.db.declare(name, columns)
                 }
             };
-            engine.db.at_mut(id).load_gmr(&gmr);
+            self.db.at_mut(id).load_gmr(&gmr);
         }
         if declared {
-            engine.resolve();
+            self.resolve();
         }
-        engine.stats.events = events_applied;
-        engine
+        self.stats.events = events_applied;
     }
 
     /// A no-op, kept only because the frozen benchmark calls it. The engine

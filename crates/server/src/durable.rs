@@ -1,15 +1,16 @@
-//! The durable pipeline: the writer-side WAL with its self-healing health
-//! states, and the background checkpointer.
+//! The durable pipeline: the one durable open (recover the directory into
+//! the served engine, or start it fresh), the writer-side WAL with its
+//! self-healing health states, and the background checkpointer.
 
 use crate::server::Shared;
 use dbtoaster_agca::UpdateEvent;
 use dbtoaster_durability::{
-    checkpoint, program_fingerprint, DurabilityConfig, DurabilityError, RetryPolicy, Vfs, VfsPath,
-    WalWriter,
+    checkpoint, program_fingerprint, recover, DurabilityConfig, DurabilityError, RetryPolicy, Vfs,
+    VfsPath, WalWriter,
 };
 use dbtoaster_gmr::{FastMap, Gmr};
 use dbtoaster_runtime::Engine;
-use dbtoaster_telemetry::{Counter, Stage};
+use dbtoaster_telemetry::{Counter, Stage, Telemetry};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::mpsc::{self, SyncSender};
@@ -31,9 +32,9 @@ struct CkptJob {
 }
 
 /// Write a checkpoint of `maps` at `watermark` and count it in `taken`,
-/// raising `newest` to `watermark`: every checkpoint the server writes — the
-/// initial one at open, the background thread's and re-arm's — goes through
-/// here.
+/// raising `newest` to `watermark`: every checkpoint a running server writes —
+/// the background thread's and re-arm's — goes through here (the initial one
+/// at open counts in the engine's stats, which the server starts from).
 fn take_checkpoint<'a>(
     dir: impl Into<VfsPath<'a>>,
     fingerprint: u64,
@@ -93,7 +94,13 @@ pub(crate) struct DurableState {
     ckpt_tx: Option<SyncSender<CkptJob>>,
     ckpt_thread: Option<JoinHandle<()>>,
     checkpoint_every: u64,
+    keep_checkpoints: usize,
     events_since_ckpt: u64,
+    /// Watermark of the newest checkpoint at open, and the warning of a
+    /// recovery that skipped damaged checkpoints: handed to the server by
+    /// [`DurableState::start`].
+    newest_checkpoint: u64,
+    recovery_warning: Option<DurabilityError>,
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     fingerprint: u64,
@@ -114,89 +121,59 @@ fn unix_epoch_secs() -> u64 {
 }
 
 impl DurableState {
+    /// Open `cfg.dir` for `engine`: the one place that chooses between
+    /// recovering the directory and starting it fresh. Under the directory's
+    /// writer lock, held from the first read through the WAL open: recover
+    /// the directory's state into `engine` (timed as
+    /// [`Stage::RecoveryReplay`]), write an initial checkpoint if the
+    /// directory has none, and open the WAL right above the engine's
+    /// watermark. [`DurableState::start`] then hands the server what recovery
+    /// found and starts the checkpoint thread.
     pub(crate) fn open(
         cfg: &DurabilityConfig,
-        engine: &Engine,
-        shared: &Arc<Shared>,
+        engine: &mut Engine,
+        tel: &Telemetry,
     ) -> Result<Self, DurabilityError> {
-        let fingerprint = program_fingerprint(engine.program());
-        let watermark = engine.stats().events;
         // The writer lock comes FIRST — before any directory read or mutation
-        // (tmp cleanup, the initial checkpoint, the WAL scan). A second opener
-        // racing a live server is refused here, with no window in which it
-        // could delete the live checkpointer's in-flight `.tmp` or interleave
-        // an initial checkpoint write.
+        // (tmp cleanup, the recovery scan, the initial checkpoint, the WAL
+        // scan). A second opener racing a live server is refused here, before
+        // a possibly huge replay, with no window in which it could read files
+        // the live checkpointer prunes or delete its in-flight `.tmp`.
         let lock = dbtoaster_durability::wal::acquire_dir_lock(&cfg.dir)?;
         let dir = (&cfg.dir, &cfg.vfs);
         checkpoint::clean_tmp_files(dir)?;
-        let checkpoints = checkpoint::list_checkpoints(dir)?;
-        // A checkpoint or WAL *ahead* of this engine means the directory holds
-        // state the caller never recovered (durable `serve_with` on a used
-        // directory instead of `open_or_create`). Adopting it would fork
-        // history: the new WAL would restart below the stale watermark and a
-        // later recovery would silently merge old state with the new stream.
-        // Both checks run before ANY mutation — a refused open must not leave
-        // an initial checkpoint behind for a later recovery to pick up. Only
-        // *verified* checkpoints count, mirroring recovery's own fallback
-        // policy: a damaged newest file that recovery skipped must not make
-        // `open_or_create` refuse its own result.
-        let mut newest_verified: Option<u64> = None;
-        for (_, path) in &checkpoints {
-            match checkpoint::verify_checkpoint((path, &cfg.vfs), fingerprint) {
-                Ok(w) => {
-                    newest_verified = Some(w);
-                    break;
-                }
-                Err(e @ DurabilityError::FingerprintMismatch { .. }) => return Err(e),
-                Err(e @ DurabilityError::VersionMismatch { .. }) => return Err(e),
-                Err(_) => continue, // damaged: recovery skipped it too
-            }
-        }
-        if let Some(newest) = newest_verified {
-            if newest > watermark {
-                return Err(DurabilityError::Config(format!(
-                    "durability dir {} holds a checkpoint at watermark {newest}, ahead of this \
-                     engine's {watermark} applied events; recover it first (use open_or_create)",
-                    cfg.dir.display()
-                )));
-            }
-        }
-        // (Startup-only trade-off: this probe re-reads the final segment that
-        // recovery already scanned and that `WalWriter::open_locked` will scan
-        // once more. Threading one scan through all three would save at most
-        // one segment read per process start — correctness-critical paths stay
-        // independent instead.)
-        if let Some(end) = dbtoaster_durability::wal::log_end_seq(dir, fingerprint)? {
-            if end > watermark + 1 {
-                return Err(DurabilityError::Config(format!(
-                    "durability dir {} holds a WAL ending at seq {}, ahead of this engine's \
-                     {watermark} applied events; recover it first (use open_or_create)",
-                    cfg.dir.display(),
-                    end - 1
-                )));
-            }
-        }
+        // Recovery refuses an engine that has applied events while the
+        // directory holds state (two histories) before anything is written.
+        let recovery = {
+            let _t = tel.stage_guard(Stage::RecoveryReplay);
+            recover(dir, engine)?
+        };
+        let fingerprint = program_fingerprint(engine.program());
+        let watermark = engine.stats().events;
+        let mut newest_checkpoint = recovery.as_ref().map_or(0, |r| r.checkpoint_watermark);
+        // A degraded recovery (an older checkpoint used) must stay
+        // distinguishable from a clean one after the server is up.
+        let recovery_warning = recovery
+            .filter(|r| !r.skipped_checkpoints.is_empty())
+            .map(|r| {
+                let skipped = r.skipped_checkpoints.join("; ");
+                DurabilityError::RecoveryDegraded(format!("skipped damaged checkpoints: {skipped}"))
+            });
         // First durable start (or wiped checkpoints): capture the engine's
         // current state synchronously. Pre-loaded tables and static views
         // never travel through the WAL, so "newest checkpoint + WAL suffix"
         // must be a complete recipe from the very first logged event. The
         // checkpoint is written *before* the WAL is created: a crash in
         // between leaves checkpoint-only state (recovered intact), whereas the
-        // reverse order would leave a checkpoint-less WAL that a later
-        // recovery would replay against an engine missing the tables.
-        if checkpoints.is_empty() {
-            take_checkpoint(
-                dir,
-                fingerprint,
-                watermark,
-                &engine.snapshot(),
-                &shared.checkpoints_taken,
-                &shared.checkpoint_watermark,
-            )?;
+        // reverse order would leave a checkpoint-less WAL whose replay leans
+        // on the tables the next opener happens to load.
+        if checkpoint::list_checkpoints(dir)?.is_empty() {
+            let maps = engine.snapshot();
+            let maps = maps.iter().map(|(n, g)| (n.as_str(), g));
+            checkpoint::write_checkpoint(dir, fingerprint, watermark, maps)?;
+            engine.stats_mut().checkpoints_taken += 1;
+            newest_checkpoint = watermark;
         }
-        shared
-            .checkpoint_watermark
-            .fetch_max(newest_verified.unwrap_or(watermark), Relaxed);
         let wal = WalWriter::open_locked(
             dir,
             fingerprint,
@@ -205,87 +182,104 @@ impl DurableState {
             cfg.segment_bytes,
             lock,
         )?;
-        let io_retries = shared.tel.counter("io_retries");
-        let io_errors_transient = shared.tel.counter("io_errors_transient");
-        let io_errors_permanent = shared.tel.counter("io_errors_permanent");
-        let degraded_transitions = shared.tel.counter("degraded_transitions");
-        let degraded_gauge = shared.tel.gauge("degraded");
-        let (tx, rx) = mpsc::sync_channel::<CkptJob>(1);
-        let ckpt_thread = {
-            let shared = shared.clone();
-            let dir = cfg.dir.clone();
-            let keep = cfg.keep_checkpoints;
-            let vfs = cfg.vfs.clone();
-            let transient = io_errors_transient.clone();
-            let permanent = io_errors_permanent.clone();
-            thread::Builder::new()
-                .name("dbtoaster-ckpt".into())
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        let _t = shared.tel.stage_guard(Stage::CheckpointWrite);
-                        let at = (&dir, &vfs);
-                        let res = take_checkpoint(
-                            at,
-                            fingerprint,
-                            job.watermark,
-                            &job.maps,
-                            &shared.checkpoints_taken,
-                            &shared.checkpoint_watermark,
-                        )
-                        .and_then(|()| checkpoint::retain_and_prune_wal(at, keep, fingerprint));
-                        match res {
-                            Ok(_) => {}
-                            // A transient failure, writing the checkpoint or
-                            // pruning behind it, only delays the watermark or
-                            // the pruning — the WAL still covers everything, so
-                            // it is a warning, not a health failure. The next
-                            // job retries from scratch. Permanent failures
-                            // latch: they would hit every job the same way.
-                            Err(e) if e.is_transient() => {
-                                transient.inc();
-                                shared
-                                    .durability_warning
-                                    .lock()
-                                    .unwrap_or_else(|p| p.into_inner())
-                                    .get_or_insert(e);
-                            }
-                            Err(e) => {
-                                permanent.inc();
-                                record_durability_error(&shared, e);
-                            }
-                        }
-                    }
-                })
-                .map_err(|e| DurabilityError::Io {
-                    message: format!("spawning checkpoint thread: {e}"),
-                    retryable: false,
-                })?
-        };
+        let degraded_gauge = tel.gauge("degraded");
         // A fresh open is armed, whatever an earlier serve sharing this
         // telemetry handle left the gauge at.
         degraded_gauge.set(0);
         Ok(DurableState {
             wal,
             wal_bytes_base: engine.stats().wal_bytes_written,
-            ckpt_tx: Some(tx),
-            ckpt_thread: Some(ckpt_thread),
+            ckpt_tx: None,
+            ckpt_thread: None,
             checkpoint_every: cfg.checkpoint_every_events.max(1),
+            keep_checkpoints: cfg.keep_checkpoints,
             // Replayed events count toward the next checkpoint: without this,
             // a crash-looping server that never applies `checkpoint_every`
             // *new* events between crashes would never advance its watermark,
             // and the WAL (and every recovery) would grow without bound.
             events_since_ckpt: engine.stats().recovery_replayed_events,
+            newest_checkpoint,
+            recovery_warning,
             vfs: cfg.vfs.clone(),
             dir: cfg.dir.clone(),
             fingerprint,
             retry: cfg.retry,
             health: WalHealth::Armed,
-            io_retries,
-            io_errors_transient,
-            io_errors_permanent,
-            degraded_transitions,
+            io_retries: tel.counter("io_retries"),
+            io_errors_transient: tel.counter("io_errors_transient"),
+            io_errors_permanent: tel.counter("io_errors_permanent"),
+            degraded_transitions: tel.counter("degraded_transitions"),
             degraded_gauge,
         })
+    }
+
+    /// Hand the server what [`DurableState::open`] found — the newest
+    /// checkpoint's watermark and a degraded recovery's warning — and start
+    /// the checkpoint thread.
+    pub(crate) fn start(&mut self, shared: &Arc<Shared>) -> Result<(), DurabilityError> {
+        shared
+            .checkpoint_watermark
+            .fetch_max(self.newest_checkpoint, Relaxed);
+        if let Some(w) = self.recovery_warning.take() {
+            shared
+                .durability_warning
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .get_or_insert(w);
+        }
+        let (tx, rx) = mpsc::sync_channel::<CkptJob>(1);
+        let shared = shared.clone();
+        let dir = self.dir.clone();
+        let keep = self.keep_checkpoints;
+        let vfs = self.vfs.clone();
+        let fingerprint = self.fingerprint;
+        let transient = self.io_errors_transient.clone();
+        let permanent = self.io_errors_permanent.clone();
+        let ckpt_thread = thread::Builder::new()
+            .name("dbtoaster-ckpt".into())
+            .spawn(move || {
+                while let Ok(job) = rx.recv() {
+                    let _t = shared.tel.stage_guard(Stage::CheckpointWrite);
+                    let at = (&dir, &vfs);
+                    let res = take_checkpoint(
+                        at,
+                        fingerprint,
+                        job.watermark,
+                        &job.maps,
+                        &shared.checkpoints_taken,
+                        &shared.checkpoint_watermark,
+                    )
+                    .and_then(|()| checkpoint::retain_and_prune_wal(at, keep, fingerprint));
+                    match res {
+                        Ok(_) => {}
+                        // A transient failure, writing the checkpoint or
+                        // pruning behind it, only delays the watermark or the
+                        // pruning — the WAL still covers everything, so it is
+                        // a warning, not a health failure. The next job
+                        // retries from scratch. Permanent failures latch:
+                        // they would hit every job the same way.
+                        Err(e) if e.is_transient() => {
+                            transient.inc();
+                            shared
+                                .durability_warning
+                                .lock()
+                                .unwrap_or_else(|p| p.into_inner())
+                                .get_or_insert(e);
+                        }
+                        Err(e) => {
+                            permanent.inc();
+                            record_durability_error(&shared, e);
+                        }
+                    }
+                }
+            })
+            .map_err(|e| DurabilityError::Io {
+                message: format!("spawning checkpoint thread: {e}"),
+                retryable: false,
+            })?;
+        self.ckpt_tx = Some(tx);
+        self.ckpt_thread = Some(ckpt_thread);
+        Ok(())
     }
 
     pub(crate) fn is_armed(&self) -> bool {

@@ -32,8 +32,9 @@
 //! * **Durability** (optional, [`ServerConfig::durability`]) — the writer
 //!   appends every micro-batch to a write-ahead log *before* applying it and
 //!   checkpoints the materialized maps off the hot path; a crashed server
-//!   ([`ViewServer::kill`] simulates one) reopens warm and bit-exact via the
-//!   `dbtoaster-durability` crate's recovery.
+//!   ([`ViewServer::kill`] simulates one) reopens warm and bit-exact when a
+//!   fresh engine is spawned on its directory ([`ViewServer::spawn`] runs the
+//!   `dbtoaster-durability` crate's recovery).
 //!
 //! ## Consistency guarantee
 //!

@@ -100,9 +100,10 @@ pub struct ServerConfig {
     /// When set, the writer appends every drained micro-batch to a write-ahead
     /// log **before** applying it, syncs it (per the fsync policy) before any
     /// snapshot, subscriber delta, checkpoint or `flush()` ack covers it, and
-    /// checkpoints the materialized state off the hot path; a crashed or
-    /// killed server then reopens warm through `dbtoaster_durability::recover`
-    /// (or `QueryEngineBuilder::open_or_create`).
+    /// checkpoints the materialized state off the hot path. [`ViewServer::spawn`]
+    /// opens the directory, recovering whatever state it holds into the
+    /// engine it is handed, so a crashed or killed server reopens warm by
+    /// spawning a fresh engine on the same directory.
     pub durability: Option<DurabilityConfig>,
     /// Telemetry knobs (slow-batch threshold, trace ring capacity). The server
     /// always runs with telemetry enabled — stage timings and per-view counters
@@ -451,10 +452,18 @@ pub struct ViewServer {
 
 impl ViewServer {
     /// Start serving: moves `engine` into a dedicated writer thread and
-    /// publishes its current state as the epoch-0 snapshot. With
-    /// [`ServerConfig::durability`] set, also opens the write-ahead log
-    /// (resuming after any torn tail) and writes an initial checkpoint if the
-    /// directory has none — failures there are the only error path.
+    /// publishes its current state as the epoch-0 snapshot.
+    ///
+    /// With [`ServerConfig::durability`] set, this is the one durable open.
+    /// Under the directory's writer lock, held from the first read until the
+    /// server stops, it recovers the directory's state into `engine` (newest
+    /// usable checkpoint plus WAL replay, bit for bit; see
+    /// [`dbtoaster_durability::recover()`]), writes an initial checkpoint if
+    /// the directory has none, and opens the write-ahead log. Hand it a fresh
+    /// engine with its static tables loaded: one that has applied events is
+    /// refused on a directory that holds state. A recovery that skipped
+    /// damaged checkpoints is reported by [`ViewServer::durability_warning`].
+    /// Opening the directory is the only error path.
     pub fn spawn(
         mut engine: Engine,
         queries: Vec<ServedQuery>,
@@ -467,6 +476,10 @@ impl ViewServer {
             _ => Telemetry::with_config(config.telemetry.clone()),
         };
         engine.set_telemetry(tel.clone());
+        let mut durable = match &config.durability {
+            Some(cfg) => Some(DurableState::open(cfg, &mut engine, &tel)?),
+            None => None,
+        };
 
         let published = Arc::new(PublishedViews::resolve(&engine, &queries));
         let initial = Arc::new(Snapshot::take(&published, &engine, 0, false, None).0);
@@ -489,10 +502,9 @@ impl ViewServer {
             queue_depth: AtomicU64::new(0),
             tel,
         });
-        let durable = match &config.durability {
-            Some(cfg) => Some(DurableState::open(cfg, &engine, &shared)?),
-            None => None,
-        };
+        if let Some(d) = &mut durable {
+            d.start(&shared)?;
+        }
         let http = match &config.http {
             Some(hc) => Some(
                 HttpExporter::spawn(shared.clone(), hc.clone())
@@ -739,9 +751,9 @@ impl ViewServer {
     }
 
     /// A startup durability warning, if any — recovery provenance such as
-    /// skipped damaged checkpoints, recorded by the facade through
-    /// [`ViewServer::record_durability_warning`]. Kept in its own slot so it
-    /// can never mask a later *runtime* failure reported by
+    /// skipped damaged checkpoints, recorded when [`ViewServer::spawn`]
+    /// opened the directory — or a transient checkpoint failure. Kept in its
+    /// own slot so it can never mask a later *runtime* failure reported by
     /// [`ViewServer::last_durability_error`].
     pub fn durability_warning(&self) -> Option<DurabilityError> {
         self.shared
@@ -749,18 +761,6 @@ impl ViewServer {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
-    }
-
-    /// Record a startup durability warning (does not overwrite an earlier
-    /// one), surfaced through [`ViewServer::durability_warning`]. The facade
-    /// uses this to carry recovery provenance into the running server, so a
-    /// degraded recovery is distinguishable from a clean one.
-    pub fn record_durability_warning(&self, e: DurabilityError) {
-        self.shared
-            .durability_warning
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get_or_insert(e);
     }
 
     /// The epoch of the currently published snapshot.

@@ -455,14 +455,22 @@ fn healthz_reports_unhealthy_on_a_permanent_durability_error() {
 
 /// `stats()` is the writer engine's own [`EngineStats`]: it equals what
 /// `shutdown()` hands back, and a re-served engine keeps counting. Only the
-/// clean shutdown's final checkpoint lands after the read.
+/// clean shutdown's final checkpoint lands after the read. The re-serve goes
+/// to a second directory: the first holds the engine's history, and a
+/// durable open refuses an engine that has applied events on a directory
+/// holding state.
 #[test]
 fn served_and_returned_stats_agree_across_a_reserve() {
     use dbtoaster_durability::DurabilityConfig;
-    let dir = std::env::temp_dir().join(format!("dbt-reserve-stats-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let serve = |engine: Engine| {
-        let mut durability = DurabilityConfig::new(&dir);
+    let dir = |n: u32| {
+        let name = format!("dbt-reserve-stats-{n}-{}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    let dirs = [dir(0), dir(1)];
+    let serve = |engine: Engine, dir: &std::path::Path| {
+        let mut durability = DurabilityConfig::new(dir);
         // No periodic checkpoint: only the initial and the shutdown ones.
         durability.checkpoint_every_events = u64::MAX;
         let server = ViewServer::spawn(
@@ -479,18 +487,21 @@ fn served_and_returned_stats_agree_across_a_reserve() {
         (server, sub)
     };
 
-    let (server, _sub) = serve(engine());
+    let (server, _sub) = serve(engine(), &dirs[0]);
     feed(&server, 0, 50);
     let engine = server.shutdown().unwrap();
     let first = *engine.stats();
-    let (server, _sub) = serve(engine);
+    let (server, _sub) = serve(engine, &dirs[1]);
     feed(&server, 50, 50);
     let served = server.stats();
     let health = get(server.http_addr().unwrap(), "/healthz").body;
     let returned = *server.shutdown().unwrap().stats();
 
     assert_eq!(served.events, 100);
-    assert_eq!(served.checkpoints_taken, 2, "initial + first shutdown's");
+    assert_eq!(
+        served.checkpoints_taken, 3,
+        "the first serve's initial and shutdown ones + the second's initial"
+    );
     assert!(served.subscriber_deltas > first.subscriber_deltas);
     assert!(served.wal_bytes_written > first.wal_bytes_written);
     assert_eq!(
@@ -507,5 +518,7 @@ fn served_and_returned_stats_agree_across_a_reserve() {
     ] {
         assert_eq!(json_u64(&health, key), value, "{key} in {health}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    for dir in dirs {
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

@@ -11,9 +11,7 @@
 
 use dbtoaster_agca::{Expr, UpdateEvent};
 use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta};
-use dbtoaster_durability::{
-    recover, DurabilityConfig, FsyncPolicy, RetryPolicy, StdVfs, Vfs, VfsFile,
-};
+use dbtoaster_durability::{DurabilityConfig, FsyncPolicy, RetryPolicy, StdVfs, Vfs, VfsFile};
 use dbtoaster_gmr::{FastMap, Gmr, Value};
 use dbtoaster_runtime::Engine;
 use dbtoaster_server::{ServerConfig, ViewServer};
@@ -373,17 +371,15 @@ fn a_failed_batch_sync_is_served_degraded_and_never_retried_before_the_rearm() {
     let live = bits(&server.all_maps().unwrap());
     server.flush().unwrap();
     server.kill();
-    // What `open_or_create` does: recover, then serve the recovered engine.
+    // A fresh engine spawned on the directory recovers it.
     let (program, catalog) = program();
-    let vfs: Arc<dyn Vfs> = Arc::new(SegmentSyncs(log.clone()));
-    let rec = recover((&dir, &vfs), program, &catalog).unwrap().unwrap();
-    assert_eq!(rec.engine.stats().events, 12);
     let reopened = ViewServer::spawn(
-        rec.engine,
+        Engine::new(program, &catalog),
         vec![],
         config(&dir, FsyncPolicy::EveryBatch, 16 << 20, &log),
     )
     .unwrap();
+    assert_eq!(reopened.stats().events, 12);
     assert_eq!(bits(&reopened.all_maps().unwrap()), live);
     drop(reopened);
     let _ = std::fs::remove_dir_all(&dir);

@@ -345,19 +345,16 @@ fn recovered(
         written += admitted.len() as u64;
     }
     drop(wal);
-    let rec = recover(dir, program.clone(), &case.catalog);
+    let mut engine = Engine::new(program.clone(), &case.catalog);
+    let rec = recover(dir, &mut engine);
     let rec = rec.expect("recover").expect("durable state");
     let _ = std::fs::remove_dir_all(dir);
     assert_eq!(rec.checkpoint_watermark, watermark, "{ctx}: checkpoint");
     assert_eq!(rec.replayed_events, written - watermark, "{ctx}: replayed");
-    assert_eq!(
-        rec.engine.stats().events,
-        written,
-        "{ctx}: the log's events"
-    );
+    assert_eq!(engine.stats().events, written, "{ctx}: the log's events");
     let want = reader(&images[&batches.len()]);
-    assert_views(&ctx, program, &want, &|n| rec.engine.view(n), &|_| 0.0);
-    rec.engine
+    assert_views(&ctx, program, &want, &|n| engine.view(n), &|_| 0.0);
+    engine
 }
 
 // ------------------------------------------------------------- shrinking
