@@ -16,7 +16,8 @@
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
 //! quantile filters inside a loop: one search per execution of a run sorted
 //! once per execution, with no index behind it, against totals probed once
-//! per execution. `q3` pins a declared hash index's line in its map's block.
+//! per execution. `q3` pins a declared hash index's line in its map's block,
+//! and the map's own bytes (live, and in a snapshot buffer) beside it.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! a program without live passes — a hand-assembled one, whose derivation
@@ -105,6 +106,22 @@ fn check_query(q: &workloads::WorkloadQuery, underivable: bool) {
         assert!(!ex.render_text().contains("run: live"), "{}", q.name);
     } else {
         check_goldens(q.name, &ex);
+    }
+    if q.name == "q3" && !underivable {
+        // The map's own bytes sit beside its index's: the live map, and no
+        // snapshot buffer until something snapshots it — then one copy.
+        let bytes = |ex: &ProgramExplain| {
+            let m = ex.maps.iter().find(|m| m.name == "m_q3_1");
+            m.and_then(|m| m.analyze).expect("m_q3_1 analyzed")
+        };
+        let before = bytes(&ex);
+        assert!(
+            before.map_bytes > 0 && before.snapshot_bytes == 0,
+            "{before:?}"
+        );
+        drop(engine.snapshot());
+        let after = bytes(&engine.explain());
+        assert_eq!(after.snapshot_bytes, before.map_bytes, "{after:?}");
     }
     // The JSON form round-trips structurally.
     let json = ex.render_json();

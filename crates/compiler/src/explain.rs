@@ -22,7 +22,8 @@
 //! scans, entries scanned, fused scans, range-sum hits/bails, live-pass
 //! firings, current map size) via [`ProgramExplain::attach_stats`] and the
 //! maps' live secondary indexes ([`IndexStats`] — how many of each
-//! representation, entries, bytes) via
+//! representation, entries, bytes — beside the bytes of the map itself,
+//! live and in its snapshot buffers) via
 //! [`ProgramExplain::attach_index_stats`]. Both a text
 //! rendering and a dependency-free JSON form (round-trippable through
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
@@ -111,7 +112,9 @@ pub struct RelationExplain {
 
 /// The live secondary indexes of one map, joined in for EXPLAIN ANALYZE
 /// (and served on `/views`): how many there are of each representation, and
-/// what they hold in total under the store's cost model.
+/// what they hold in total under the store's cost model — and beside them
+/// the bytes the map itself holds, live and in its snapshot buffers, so the
+/// three add up to the map's resident state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Hash indexes (declared by the compiler).
@@ -122,6 +125,11 @@ pub struct IndexStats {
     pub entries: u64,
     /// Bytes held, summed over the indexes.
     pub bytes: u64,
+    /// Bytes the live map holds.
+    pub map_bytes: u64,
+    /// Bytes the map's snapshot buffers hold (the copies it keeps for
+    /// readers; 0 for a map nobody snapshots).
+    pub snapshot_bytes: u64,
 }
 
 /// One ordered secondary index the compiler declared (see
@@ -668,8 +676,9 @@ impl ProgramExplain {
             if let Some(a) = &m.analyze {
                 let _ = writeln!(
                     out,
-                    "    analyze: indexes hash={} ordered={} entries={} bytes={}",
-                    a.hash, a.ordered, a.entries, a.bytes
+                    "    analyze: indexes hash={} ordered={} entries={} bytes={} \
+                     map_bytes={} snapshot_bytes={}",
+                    a.hash, a.ordered, a.entries, a.bytes, a.map_bytes, a.snapshot_bytes
                 );
             }
         }
@@ -733,8 +742,9 @@ impl ProgramExplain {
                 Some(a) => {
                     let _ = write!(
                         out,
-                        "{{\"hash\":{},\"ordered\":{},\"entries\":{},\"bytes\":{}}}",
-                        a.hash, a.ordered, a.entries, a.bytes
+                        "{{\"hash\":{},\"ordered\":{},\"entries\":{},\"bytes\":{},\
+                         \"map_bytes\":{},\"snapshot_bytes\":{}}}",
+                        a.hash, a.ordered, a.entries, a.bytes, a.map_bytes, a.snapshot_bytes
                     );
                 }
                 None => out.push_str("null"),
@@ -798,6 +808,9 @@ impl ProgramExplain {
                         ordered: field("ordered")?,
                         entries: field("entries")?,
                         bytes: field("bytes")?,
+                        // Absent in documents that predate the map's own bytes.
+                        map_bytes: field("map_bytes").unwrap_or(0),
+                        snapshot_bytes: field("snapshot_bytes").unwrap_or(0),
                     })
                 }
             };

@@ -20,7 +20,8 @@
 //! ## Contents
 //!
 //! * [`value`] — the dynamically typed [`Value`] scalar (64-bit integers,
-//!   doubles and interned strings) with the coercion rules used throughout the system.
+//!   doubles and shared strings, 16 bytes each) with the coercion rules used
+//!   throughout the system.
 //! * [`mod@tuple`] — the shared [`Tuple`] key type (inline up to arity `INLINE_CAP` (3),
 //!   cheap to clone) plus helpers for projection and concatenation.
 //! * [`hash`] — the fast deterministic hasher behind [`FastMap`], used

@@ -21,14 +21,22 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A scalar value stored in a GMR column or bound to an AGCA variable.
+///
+/// 16 bytes: a tag and one word. Every key slot, index entry, snapshot
+/// buffer, kernel frame slot and queued event holds `Value`s inline, so the
+/// variant payloads are kept to one word each (see [`Value::Str`]).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum Value {
     /// 64-bit signed integer (also used for booleans and `yyyymmdd` dates).
     Long(i64),
     /// 64-bit IEEE float.
     Double(f64),
-    /// Interned string (cheap to clone).
-    Str(Arc<str>),
+    /// Shared string, cheap to clone (a reference-count bump). Not interned:
+    /// [`Value::str`] allocates a new body on every call. The handle is one
+    /// word (`Arc<Box<str>>`) rather than `Arc<str>`'s two-word fat pointer,
+    /// which would make every `Value` 24 bytes. Equality, order and hashing
+    /// run over the string's bytes, as they would through `Arc<str>`.
+    Str(Arc<Box<str>>),
 }
 
 impl Value {
@@ -47,7 +55,7 @@ impl Value {
     /// Construct a string value.
     #[inline]
     pub fn str(v: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(v.as_ref()))
+        Value::Str(Arc::new(Box::from(v.as_ref())))
     }
 
     /// Construct a boolean, encoded as `Long(0)` / `Long(1)`.
@@ -441,6 +449,14 @@ mod tests {
     fn date_encoding() {
         assert_eq!(Value::date(1995, 3, 15), Value::long(19950315));
         assert!(Value::date(1995, 3, 15) < Value::date(1996, 1, 1));
+    }
+
+    /// The layout every resident key pays for: a fat variant would regrow
+    /// every map entry, index entry and snapshot buffer by a half.
+    #[test]
+    fn value_is_two_words_and_an_inline_tuple_seven() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<crate::Tuple>(), 56);
     }
 
     #[test]

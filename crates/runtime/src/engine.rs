@@ -1597,7 +1597,7 @@ impl Engine {
             let snap = ts.tel.snapshot();
             ex.attach_stats(|name| snap.view(name).map(view_stats));
         }
-        ex.attach_index_stats(|name| Some(self.db.view(name)?.index_totals()));
+        ex.attach_index_stats(|name| Some(self.db.view(name)?.footprint()));
         ex
     }
 
@@ -1721,7 +1721,7 @@ impl Engine {
             }
             let v = self.db.at(ts.map_ids[i]);
             view.map_size.store(v.len() as u64, Relaxed);
-            let t = v.index_totals();
+            let t = v.footprint();
             for (gauge, n) in view
                 .indexes
                 .iter()
@@ -1729,6 +1729,8 @@ impl Engine {
             {
                 gauge.store(n, Relaxed);
             }
+            view.map_bytes.store(t.map_bytes, Relaxed);
+            view.snapshot_bytes.store(t.snapshot_bytes, Relaxed);
             let w = v.snapshot_work();
             view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
             view.snapshot_entries_copied

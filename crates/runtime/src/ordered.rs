@@ -34,21 +34,29 @@
 //! the kernels' per-execution sorted runs apply too.
 
 use dbtoaster_agca::plan::{band_key, exact_mult, search_steps, EXACT_INT_BOUND};
+use dbtoaster_gmr::tuple::INLINE_CAP;
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 
 /// Blocks are never cut smaller than this, so small groups stay one block.
 const MIN_BLOCK: usize = 16;
 
-/// Map-slot footprint of one stored tuple (the cost model of
-/// [`crate::store::ViewMap::approx_bytes`]): the inline tuple plus hash-table
-/// overhead, plus the shared value slab of a spilled one.
-pub(crate) fn tuple_slot_bytes(t: &Tuple) -> usize {
-    let spill = if t.is_inline() {
+/// Map-slot footprint of one stored tuple of `arity` values (the cost model
+/// of [`crate::store::ViewMap::approx_bytes`]): the inline tuple plus
+/// hash-table overhead, plus the shared value slab of a spilled one (arity
+/// past `INLINE_CAP`; every tuple of a view has its arity, so every key of
+/// a view costs the same).
+pub(crate) fn slot_bytes(arity: usize) -> usize {
+    let spill = if arity <= INLINE_CAP {
         0
     } else {
-        t.len() * std::mem::size_of::<Value>() + 16
+        arity * std::mem::size_of::<Value>() + 16
     };
     std::mem::size_of::<Tuple>() + 16 + spill
+}
+
+/// [`slot_bytes`] of `t`'s arity.
+pub(crate) fn tuple_slot_bytes(t: &Tuple) -> usize {
+    slot_bytes(t.len())
 }
 
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -37,9 +37,11 @@
 //!   index; otherwise every write is mirrored into each index (one group probe per
 //!   index), a plain loop over the view's handful of `(mask, index)` pairs.
 //! * **Two index representations, one per mask** — a *hash* index maps a projected key
-//!   to its bucket of `(full key, multiplicity)`, so a partial-pattern scan is pure
-//!   bucket iteration with no probe back into the primary map, and a write is one
-//!   bucket probe (the key is cloned only when the entry is new). An *ordered* index,
+//!   to its group of `(full key, multiplicity)`, so a partial-pattern scan is pure
+//!   group iteration with no probe back into the primary map, and a write is one
+//!   group probe plus a search of the group (the key is cloned only when the entry is
+//!   new). A group of up to 16 entries is a vector searched linearly, a larger one a
+//!   map, so a singleton group costs its entry and not a table. An *ordered* index,
 //!   for a mask that leaves one column free, maps a projected key to a run of
 //!   `(free-column value, multiplicity)` sorted by that value with running sums,
 //!   which answers [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
@@ -48,15 +50,18 @@
 //!   fallback path, not the one it is declared for. A mask has one index: an
 //!   ordered declaration replaces a hash index of the same mask.
 //! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry and
-//!   each hash-bucket entry its map-slot footprint (spilled — arity > 3 —
-//!   tuples add their shared value slab; a bucket entry adds its mirrored
-//!   multiplicity, a bucket its projected key), and an ordered group its key
-//!   once plus 24 bytes per entry and one `Vec` header per block. Index
-//!   footprints are maintained per write, so [`ViewMap::index_totals`] is
-//!   `O(indexes)`. `Value` itself is 24 bytes inline; string values are
-//!   interned `Arc<str>`s whose bodies are shared, and dates are plain
-//!   `yyyymmdd` longs, so the slab estimate does not double-count string
-//!   storage.
+//!   each hash-group entry its map-slot footprint (spilled — arity > 3 —
+//!   tuples add their shared value slab; a group entry adds its mirrored
+//!   multiplicity, a group its projected key), and an ordered group its key
+//!   once plus 24 bytes per entry and one `Vec` header per block. The charge
+//!   depends only on what is held, not on a group's form. Index footprints
+//!   are maintained per write and every key of a view has its arity, so
+//!   [`ViewMap::approx_bytes`] is `O(indexes)`. `Value` itself is 16 bytes
+//!   inline (a `Tuple` of up to three, 56); a string value is a one-word
+//!   handle to a shared body, and dates are plain `yyyymmdd` longs, so the
+//!   slab estimate does not double-count string storage. The snapshot
+//!   buffers a view keeps are charged the same way but reported apart (on
+//!   EXPLAIN ANALYZE and `/views`): `approx_bytes` is the live state.
 //!
 //! ## Snapshots cost what was written, not what is stored
 //!
@@ -93,22 +98,121 @@
 //! since outgrow the patch budget: from then until the next checkpoint it is
 //! resident once, as a map that is never snapshotted is.
 
-use crate::ordered::{tuple_slot_bytes, GroupKey, OrderedIndex};
+use crate::ordered::{slot_bytes, tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
 use dbtoaster_compiler::IndexStats;
 use dbtoaster_gmr::hash::fast_map_with_capacity;
 use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A hash secondary index: projected key → (full key → multiplicity).
-/// Multiplicities are mirrored into the buckets so a partial-pattern scan is
-/// pure iteration — no per-entry probe back into the primary map. Maintenance
-/// is O(1) per write (one bucket probe).
+/// A hash secondary index: projected key → its group of (full key →
+/// multiplicity). Multiplicities are mirrored into the groups so a
+/// partial-pattern scan is pure iteration — no per-entry probe back into the
+/// primary map. Maintenance is one group probe per write, plus a search of
+/// the group (see [`Group`]).
 #[derive(Clone, Debug, Default)]
 struct HashIndex {
-    buckets: FastMap<Tuple, FastMap<Tuple, f64>>,
+    groups: FastMap<Tuple, Group>,
     /// Footprint, maintained per write.
     bytes: usize,
+}
+
+/// Groups of at most this many entries are a vector; larger ones a map.
+/// Most groups of the bundled workloads hold one to seven entries, and a
+/// per-group map pays a minimum-capacity table (about 565 bytes per entry
+/// for `tpch_dash`'s singleton groups) where a vector pays one entry. The
+/// large groups (`tpch_dash`'s two `l_suppkey` indexes, about 72 and 512
+/// entries) stay maps, so a write to one is still a probe, not a walk.
+const SMALL_GROUP: usize = 16;
+
+/// One group of a [`HashIndex`]. Its size picks its form, so a group is the
+/// same whether it grew, shrank or was built at once.
+#[derive(Clone, Debug)]
+enum Group {
+    /// At most [`SMALL_GROUP`] entries, searched linearly; grown one slot at
+    /// a time, so it holds no spare capacity it never used.
+    Small(Vec<(Tuple, f64)>),
+    /// More than [`SMALL_GROUP`] entries.
+    Large(FastMap<Tuple, f64>),
+}
+
+impl Group {
+    fn len(&self) -> usize {
+        match self {
+            Group::Small(entries) => entries.len(),
+            Group::Large(entries) => entries.len(),
+        }
+    }
+
+    /// Set `full`'s multiplicity to the non-zero `mult`, overwriting in
+    /// place when the entry exists (no key clone). Is the entry new?
+    fn set(&mut self, full: &Tuple, mult: f64) -> bool {
+        match self {
+            Group::Small(entries) => {
+                if let Some(slot) = entries.iter_mut().find(|(k, _)| k == full) {
+                    slot.1 = mult;
+                    return false;
+                }
+                if entries.len() < SMALL_GROUP {
+                    entries.reserve_exact(1);
+                    entries.push((full.clone(), mult));
+                } else {
+                    let mut map = fast_map_with_capacity(SMALL_GROUP + 1);
+                    map.extend(std::mem::take(entries));
+                    map.insert(full.clone(), mult);
+                    *self = Group::Large(map);
+                }
+                true
+            }
+            Group::Large(entries) => match entries.get_mut(full.as_slice()) {
+                Some(slot) => {
+                    *slot = mult;
+                    false
+                }
+                None => {
+                    entries.insert(full.clone(), mult);
+                    true
+                }
+            },
+        }
+    }
+
+    /// Remove `full`. Was it there?
+    fn remove(&mut self, full: &[Value]) -> bool {
+        match self {
+            Group::Small(entries) => match entries.iter().position(|(k, _)| k == full) {
+                Some(i) => {
+                    entries.swap_remove(i);
+                    true
+                }
+                None => false,
+            },
+            Group::Large(entries) => {
+                if entries.remove(full).is_none() {
+                    return false;
+                }
+                if entries.len() <= SMALL_GROUP {
+                    *self = Group::Small(entries.drain().collect());
+                }
+                true
+            }
+        }
+    }
+
+    fn for_each(&self, visit: &mut dyn FnMut(&[Value], f64)) {
+        match self {
+            Group::Small(entries) => {
+                for (k, m) in entries {
+                    visit(k, *m);
+                }
+            }
+            Group::Large(entries) => {
+                for (k, &m) in entries {
+                    visit(k, m);
+                }
+            }
+        }
+    }
 }
 
 impl HashIndex {
@@ -117,33 +221,27 @@ impl HashIndex {
     fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
         let held = tuple_slot_bytes(full) + std::mem::size_of::<f64>();
         if mult == 0.0 {
-            if let Some(bucket) = self.buckets.get_mut(&group) {
-                if bucket.remove(full.as_slice()).is_some() {
+            if let Some(entries) = self.groups.get_mut(&group) {
+                if entries.remove(full) {
                     self.bytes -= held;
                 }
-                if bucket.is_empty() {
-                    self.buckets.remove(&group);
+                if entries.len() == 0 {
+                    self.groups.remove(&group);
                     self.bytes -= tuple_slot_bytes(&group) + 8;
                 }
             }
             return;
         }
         use std::collections::hash_map::Entry;
-        let bucket = match self.buckets.entry(group) {
+        let entries = match self.groups.entry(group) {
             Entry::Occupied(o) => o.into_mut(),
             Entry::Vacant(v) => {
                 self.bytes += tuple_slot_bytes(v.key()) + 8;
-                v.insert(FastMap::default())
+                v.insert(Group::Small(Vec::new()))
             }
         };
-        // Overwrite in place when the entry exists, so multiplicity-only
-        // updates cost one probe and no key clone.
-        match bucket.get_mut(full.as_slice()) {
-            Some(slot) => *slot = mult,
-            None => {
-                bucket.insert(full.clone(), mult);
-                self.bytes += held;
-            }
+        if entries.set(full, mult) {
+            self.bytes += held;
         }
     }
 }
@@ -166,7 +264,7 @@ impl Index {
     fn clear(&mut self) {
         match self {
             Index::Hash(h) => {
-                h.buckets.clear();
+                h.groups.clear();
                 h.bytes = 0;
             }
             Index::Ordered(o) => o.clear(),
@@ -504,7 +602,7 @@ impl ViewMap {
             return;
         }
         let mut index = HashIndex {
-            buckets: fast_map_with_capacity(self.data.len()),
+            groups: fast_map_with_capacity(self.data.len()),
             bytes: 0,
         };
         for (k, &m) in self.data.iter() {
@@ -560,8 +658,8 @@ impl ViewMap {
         let probe = || -> Tuple { pattern.iter().flatten().cloned().collect() };
         match self.index(mask) {
             Some(Index::Hash(h)) => {
-                for (k, &m) in h.buckets.get(&probe()).into_iter().flatten() {
-                    visit(k, m);
+                if let Some(entries) = h.groups.get(&probe()) {
+                    entries.for_each(visit);
                 }
             }
             // An ordered group holds no full keys: rebuild each from the
@@ -732,17 +830,42 @@ impl ViewMap {
     }
 
     /// Approximate heap footprint in bytes (entries plus secondary indexes).
-    /// See the module docs for the cost model.
+    /// See the module docs for the cost model. `O(indexes)`.
     pub fn approx_bytes(&self) -> usize {
-        let base: usize = self.data.keys().map(tuple_slot_bytes).sum();
-        base + self.index_totals().bytes as usize
+        self.map_bytes() + self.index_totals().bytes as usize
+    }
+
+    /// What the live primary map holds under the cost model: one key slot
+    /// per entry.
+    fn map_bytes(&self) -> usize {
+        self.data.len() * slot_bytes(self.schema.arity())
+    }
+
+    /// What the snapshot buffers the view keeps for reuse (up to two, see the
+    /// module docs) hold under the same model. Not part of
+    /// [`ViewMap::approx_bytes`]: a view that is never snapshotted keeps none.
+    fn snapshot_bytes(&self) -> usize {
+        let s = unpoisoned(self.snapshots.lock());
+        let entries = |b: &Option<Buffer>| b.as_ref().map_or(0, |b| b.len());
+        (entries(&s.newer) + entries(&s.older)) * slot_bytes(self.schema.arity())
+    }
+
+    /// [`ViewMap::index_totals`] with the view's own bytes beside its
+    /// indexes': the live map's and the snapshot buffers'.
+    pub(crate) fn footprint(&self) -> IndexStats {
+        IndexStats {
+            map_bytes: self.map_bytes() as u64,
+            snapshot_bytes: self.snapshot_bytes() as u64,
+            ..self.index_totals()
+        }
     }
 
     /// How many secondary indexes of each representation the view has, and
     /// what they hold: entries summed over the indexes (every primary entry
     /// appears once in each) and bytes under the cost model of
     /// [`ViewMap::approx_bytes`]. `O(indexes)` — footprints are maintained
-    /// per write.
+    /// per write. The view's own bytes (`map_bytes`, `snapshot_bytes`) stay
+    /// 0: EXPLAIN ANALYZE and telemetry read them beside these totals.
     pub fn index_totals(&self) -> IndexStats {
         let mut t = IndexStats::default();
         for (_, index) in &self.indexes {
@@ -1184,6 +1307,25 @@ mod tests {
         assert_eq!((h.hash, h.ordered, h.entries), (1, 0, n));
         assert_eq!(h.bytes, n * (tuple + 16 + 8) + groups * (tuple + 16 + 8));
         assert_eq!(hashed.approx_bytes() as u64, primary + h.bytes);
+        // The map's own bytes: the live map, and each snapshot buffer it
+        // keeps a copy of it — outside `approx_bytes`.
+        assert_eq!(hashed.map_bytes() as u64, primary);
+        assert_eq!(hashed.snapshot_bytes(), 0);
+        let (_first, _second) = (hashed.to_gmr(), hashed.to_gmr());
+        assert_eq!(hashed.snapshot_bytes(), hashed.map_bytes());
+        hashed.add(key(&[0, 0]), 1.0);
+        let _third = hashed.to_gmr();
+        let one_more = tuple + 16;
+        assert_eq!(hashed.snapshot_bytes() as u64, 2 * primary + one_more);
+        let footprint = hashed.footprint();
+        assert_eq!(
+            (footprint.map_bytes, footprint.snapshot_bytes),
+            (primary + one_more, 2 * primary + one_more)
+        );
+        assert_eq!(
+            (footprint.hash, footprint.bytes),
+            (1, hashed.index_totals().bytes)
+        );
         let o = ordered.index_totals();
         assert_eq!((o.hash, o.ordered, o.entries), (0, 1, n));
         let per_entry = (o.bytes - groups * (tuple + 16)) as f64 / n as f64;
@@ -1192,8 +1334,89 @@ mod tests {
             "an ordered entry costs its 24 bytes and a share of a block header, not {per_entry}"
         );
         assert_eq!(ordered.approx_bytes() as u64, primary + o.bytes);
-        assert!(o.bytes * 4 < h.bytes, "{} vs {}", o.bytes, h.bytes);
+        // The ratio the two formulas above give: a hash entry's key slot and
+        // multiplicity against an ordered entry's 26 bytes at most.
+        let ratio = (tuple + 16 + 8) as f64 / 26.0;
+        assert!(
+            o.bytes as f64 * ratio < h.bytes as f64,
+            "{} vs {} (ratio {ratio})",
+            o.bytes,
+            h.bytes
+        );
         assert_ordered_indexes_match_a_rebuild(&ordered);
+    }
+
+    /// Every hash index of `v` must be what declaring it afresh over the
+    /// primary map builds: the same groups, each in the same form with the
+    /// same entries, and the same bytes.
+    fn assert_hash_indexes_match_a_rebuild(v: &ViewMap) {
+        let sorted = |g: &Group| {
+            let mut rows = Vec::new();
+            g.for_each(&mut |k, m| rows.push((Tuple::from(k), m)));
+            rows.sort_by(|x, y| x.0.cmp(&y.0));
+            rows
+        };
+        let mut fresh = ViewMap::new(v.schema().clone());
+        fresh.data = v.data.clone();
+        for (mask, index) in &v.indexes {
+            let Index::Hash(kept) = index else {
+                continue;
+            };
+            fresh.declare_hash(*mask);
+            let Some(Index::Hash(rebuilt)) = fresh.index(*mask) else {
+                panic!("declared hash");
+            };
+            assert_eq!(kept.bytes, rebuilt.bytes, "mask {mask:#b}");
+            assert_eq!(kept.groups.len(), rebuilt.groups.len(), "mask {mask:#b}");
+            for (key, group) in &kept.groups {
+                let other = &rebuilt.groups[key];
+                let small = |g: &Group| matches!(g, Group::Small(_));
+                assert_eq!(small(group), small(other), "group {key}");
+                assert_eq!(small(group), group.len() <= SMALL_GROUP, "group {key}");
+                assert_eq!(sorted(group), sorted(other), "group {key}");
+            }
+        }
+    }
+
+    /// A hash-index group is a vector up to `SMALL_GROUP` entries and a map
+    /// past it, whichever way it got there; an emptied group is removed and
+    /// its bytes returned.
+    #[test]
+    fn a_hash_group_changes_form_at_its_size_limit_both_ways() {
+        let mut v = ViewMap::new(Schema::new(["g", "t"]));
+        v.declare_hash(0b01);
+        let limit = SMALL_GROUP as i64;
+        let group = |v: &ViewMap| -> Option<usize> {
+            let Some(Index::Hash(h)) = v.index(0b01) else {
+                panic!("declared hash");
+            };
+            h.groups.get(&key(&[1])).map(Group::len)
+        };
+        // Grow past the limit, rewriting multiplicities on the way.
+        for t in 0..2 * limit {
+            v.add(key(&[1, t]), 1.0 + t as f64);
+            v.add(key(&[1, t / 2]), 0.5);
+            assert_hash_indexes_match_a_rebuild(&v);
+        }
+        assert_eq!(group(&v), Some(2 * SMALL_GROUP));
+        // Shrink back across it, from both ends.
+        for t in 0..2 * limit - 1 {
+            let t = if t % 2 == 0 {
+                t / 2
+            } else {
+                2 * limit - 1 - t / 2
+            };
+            v.add(key(&[1, t]), -v.get(&key(&[1, t])));
+            assert_hash_indexes_match_a_rebuild(&v);
+        }
+        assert_eq!(group(&v), Some(1));
+        // Empty it: the group is gone and the index holds nothing.
+        let last = v.iter().next().map(|(k, m)| (k.clone(), m)).unwrap();
+        v.add(last.0, -last.1);
+        assert_hash_indexes_match_a_rebuild(&v);
+        assert_eq!(group(&v), None);
+        assert_eq!(v.index_totals().bytes, 0);
+        assert!(v.is_empty());
     }
 
     /// An index is a declaration: it survives the clear, empty, and tracks

@@ -1405,6 +1405,8 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 ordered: v.indexes[1],
                 entries: v.indexes[2],
                 bytes: v.indexes[3],
+                map_bytes: v.map_bytes,
+                snapshot_bytes: v.snapshot_bytes,
             })
         });
     }
@@ -1481,10 +1483,10 @@ pub(crate) fn health_body(shared: &Shared) -> (bool, String) {
     (healthy, body)
 }
 
-/// `/views`: per-view work counters, observed sizes and secondary indexes
-/// (how many of each representation, the columns the ordered ones are sorted
-/// on, entries and bytes) from a fresh [`MetricsSnapshot`], as one JSON
-/// object.
+/// `/views`: per-view work counters, observed sizes, the bytes of the live
+/// map and of its snapshot buffers, and secondary indexes (how many of each
+/// representation, the columns the ordered ones are sorted on, entries and
+/// bytes) from a fresh [`MetricsSnapshot`], as one JSON object.
 pub(crate) fn views_body(shared: &Shared) -> String {
     use dbtoaster_telemetry::json_escape;
     let snap = shared.tel.snapshot();
@@ -1514,6 +1516,7 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
              \"entries_scanned\":{},\"fused_scans\":{},\"range_sum_hits\":{},\
              \"range_sum_bails\":{},\"live_firings\":{},\"map_size\":{},\
+             \"map_bytes\":{},\"snapshot_bytes\":{},\
              \"indexes\":{{\"hash\":{},\"ordered\":{},\"ordered_on\":[{}],\
              \"entries\":{},\"bytes\":{}}},\
              \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
@@ -1528,6 +1531,8 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             v.range_sum_bails,
             v.live_firings,
             v.map_size,
+            v.map_bytes,
+            v.snapshot_bytes,
             v.indexes[0],
             v.indexes[1],
             ordered_on.join(","),

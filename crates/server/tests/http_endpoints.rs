@@ -186,6 +186,10 @@ fn views_and_traces_endpoints_serve_json() {
         views.body
     );
     assert!(views.body.contains("\"ordered_on\":["), "{}", views.body);
+    // Each view's own bytes, live and in its snapshot buffers.
+    for key in ["\"map_bytes\":", "\"snapshot_bytes\":"] {
+        assert!(views.body.contains(key), "missing {key} in {}", views.body);
+    }
     assert!(views.body.contains("\"snapshot_keys_patched\":"));
     assert!(views.body.contains("\"snapshot_entries_copied\":"));
     assert!(

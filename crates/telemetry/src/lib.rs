@@ -401,6 +401,11 @@ pub struct ViewCounters {
     /// The view's secondary indexes at the last engine flush, in
     /// [`INDEX_GAUGES`] order.
     pub indexes: [AtomicU64; 4],
+    /// Bytes the live map held at the last engine flush (the store's cost
+    /// model, as the index bytes).
+    pub map_bytes: AtomicU64,
+    /// Bytes the view's snapshot buffers held at the last engine flush.
+    pub snapshot_bytes: AtomicU64,
 }
 
 /// What a view's index gauges count: how many hash and how many ordered
@@ -445,6 +450,10 @@ pub struct ViewSummary {
     pub snapshot_full_copies: [u64; 3],
     /// See [`ViewCounters::indexes`].
     pub indexes: [u64; 4],
+    /// See [`ViewCounters::map_bytes`].
+    pub map_bytes: u64,
+    /// See [`ViewCounters::snapshot_bytes`].
+    pub snapshot_bytes: u64,
 }
 
 /// One per-statement span of a slow-batch trace.
@@ -816,6 +825,8 @@ impl Telemetry {
                     v.snapshot_full_copies[r].load(Relaxed)
                 }),
                 indexes: std::array::from_fn(|i| v.indexes[i].load(Relaxed)),
+                map_bytes: v.map_bytes.load(Relaxed),
+                snapshot_bytes: v.snapshot_bytes.load(Relaxed),
             })
             .collect();
         MetricsSnapshot {
