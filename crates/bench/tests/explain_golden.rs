@@ -119,6 +119,11 @@ fn check_query(q: &workloads::WorkloadQuery, underivable: bool) {
             before.map_bytes > 0 && before.snapshot_bytes == 0,
             "{before:?}"
         );
+        // Its one index is a hash index: all the index bytes are hash bytes.
+        assert!(
+            before.hash_bytes > 0 && before.hash_bytes == before.bytes && before.ordered_bytes == 0,
+            "{before:?}"
+        );
         drop(engine.snapshot());
         let after = bytes(&engine.explain());
         assert_eq!(after.snapshot_bytes, before.map_bytes, "{after:?}");

@@ -123,8 +123,12 @@ pub struct IndexStats {
     pub ordered: u64,
     /// Entries indexed, summed over the indexes.
     pub entries: u64,
-    /// Bytes held, summed over the indexes.
+    /// Bytes held, summed over the indexes: `hash_bytes + ordered_bytes`.
     pub bytes: u64,
+    /// Bytes the hash indexes hold.
+    pub hash_bytes: u64,
+    /// Bytes the ordered indexes hold.
+    pub ordered_bytes: u64,
     /// Bytes the live map holds.
     pub map_bytes: u64,
     /// Bytes the map's snapshot buffers hold (the copies it keeps for
@@ -677,8 +681,15 @@ impl ProgramExplain {
                 let _ = writeln!(
                     out,
                     "    analyze: indexes hash={} ordered={} entries={} bytes={} \
-                     map_bytes={} snapshot_bytes={}",
-                    a.hash, a.ordered, a.entries, a.bytes, a.map_bytes, a.snapshot_bytes
+                     hash_bytes={} ordered_bytes={} map_bytes={} snapshot_bytes={}",
+                    a.hash,
+                    a.ordered,
+                    a.entries,
+                    a.bytes,
+                    a.hash_bytes,
+                    a.ordered_bytes,
+                    a.map_bytes,
+                    a.snapshot_bytes
                 );
             }
         }
@@ -743,8 +754,16 @@ impl ProgramExplain {
                     let _ = write!(
                         out,
                         "{{\"hash\":{},\"ordered\":{},\"entries\":{},\"bytes\":{},\
+                         \"hash_bytes\":{},\"ordered_bytes\":{},\
                          \"map_bytes\":{},\"snapshot_bytes\":{}}}",
-                        a.hash, a.ordered, a.entries, a.bytes, a.map_bytes, a.snapshot_bytes
+                        a.hash,
+                        a.ordered,
+                        a.entries,
+                        a.bytes,
+                        a.hash_bytes,
+                        a.ordered_bytes,
+                        a.map_bytes,
+                        a.snapshot_bytes
                     );
                 }
                 None => out.push_str("null"),
@@ -808,6 +827,9 @@ impl ProgramExplain {
                         ordered: field("ordered")?,
                         entries: field("entries")?,
                         bytes: field("bytes")?,
+                        // Absent in documents that predate bytes by kind.
+                        hash_bytes: field("hash_bytes").unwrap_or(0),
+                        ordered_bytes: field("ordered_bytes").unwrap_or(0),
                         // Absent in documents that predate the map's own bytes.
                         map_bytes: field("map_bytes").unwrap_or(0),
                         snapshot_bytes: field("snapshot_bytes").unwrap_or(0),

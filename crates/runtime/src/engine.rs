@@ -1731,6 +1731,8 @@ impl Engine {
             }
             view.map_bytes.store(t.map_bytes, Relaxed);
             view.snapshot_bytes.store(t.snapshot_bytes, Relaxed);
+            view.hash_bytes.store(t.hash_bytes, Relaxed);
+            view.ordered_bytes.store(t.ordered_bytes, Relaxed);
             let w = v.snapshot_work();
             view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
             view.snapshot_entries_copied

@@ -3,10 +3,11 @@
 //! A secondary index whose mask leaves exactly one key column free can be
 //! declared *ordered* on that column ([`crate::store::ViewMap::declare_ordered`];
 //! the compiler declares it for every map a trigger kernel reads through range
-//! sums — see `dbtoaster_agca::plan`). Instead of a hash bucket of full keys,
-//! each group then holds its entries as `(band key, multiplicity)` pairs
-//! sorted by band key, cut into blocks of about `√n` entries, with running
-//! sums of the multiplicities inside every block and in front of every block.
+//! sums — see `dbtoaster_agca::plan`). Instead of a hash group of free
+//! columns, each group then holds its entries as `(band key, multiplicity)`
+//! pairs sorted by band key, cut into blocks of about `√n` entries, with
+//! running sums of the multiplicities inside every block and in front of
+//! every block.
 //!
 //! * **Range sum** — `Σ multiplicity over lo ≤ key < hi` is two binary
 //!   searches (block, then entry) per end and one subtraction: `O(log n)`.
@@ -284,6 +285,11 @@ fn run_bytes(run: &Run) -> usize {
 }
 
 impl OrderedIndex {
+    /// Position of the band column in the full key.
+    pub(crate) fn key_pos(&self) -> usize {
+        self.key_pos
+    }
+
     pub(crate) fn new(key_pos: usize) -> Self {
         OrderedIndex {
             key_pos,

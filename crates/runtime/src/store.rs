@@ -21,8 +21,8 @@
 //!   [`FastMap`] hasher. A single-tuple view update is one hash probe with no key
 //!   allocation.
 //! * **Cursor reads** — [`ViewMap::for_each`] streams *borrowed* `(&[Value], f64)`
-//!   entries to a visitor; nothing on the read path clones a key. The collecting
-//!   [`ViewMap::lookup`] remains for tests and cold callers.
+//!   entries to a visitor; nothing on the read path clones a stored key. The
+//!   collecting [`ViewMap::lookup`] remains for tests and cold callers.
 //! * **Indexes are declared, not discovered** — [`ViewMap::declare_hash`] and
 //!   [`ViewMap::declare_ordered`] build the index of one binding-pattern mask from the
 //!   current contents, every write after keeps it current, and [`ViewMap::clear`]
@@ -32,32 +32,44 @@
 //!   nothing, and a kernel may nest a scan of a view inside the visit of another scan
 //!   of it. A scan of a mask nobody declared (a test, a cold caller) walks the map,
 //!   filtering by the pattern.
-//! * **Index maintenance pays only when indexes exist** — [`ViewMap::add`] takes the
-//!   fast path (a single map probe, zero clones) while the view has no secondary
-//!   index; otherwise every write is mirrored into each index (one group probe per
-//!   index), a plain loop over the view's handful of `(mask, index)` pairs.
-//! * **Two index representations, one per mask** — a *hash* index maps a projected key
-//!   to its group of `(full key, multiplicity)`, so a partial-pattern scan is pure
-//!   group iteration with no probe back into the primary map, and a write is one
-//!   group probe plus a search of the group (the key is cloned only when the entry is
-//!   new). A group of up to 16 entries is a vector searched linearly, a larger one a
-//!   map, so a singleton group costs its entry and not a table. An *ordered* index,
-//!   for a mask that leaves one column free, maps a projected key to a run of
+//! * **Index maintenance pays only for what an index holds** — [`ViewMap::add`] makes
+//!   one primary probe and clones no key, and the probe says whether the key was
+//!   born, died or stayed. A hash index holds no multiplicities, so it is written
+//!   only when a key is born (its free columns pushed onto the group, no search: the
+//!   primary says the key is new) or dies (the group searched and the member
+//!   removed); an ordered index keeps running sums of the multiplicities, so every
+//!   write reaches it. A view with no index pays the probe alone.
+//! * **Two index representations, one per mask** — the primary map holds every
+//!   multiplicity and every full key once; an index links to its entries as the
+//!   paper's multi-index containers do, it does not copy them. A *hash* index maps a
+//!   projected key to its group of members' *free columns* (the key columns its mask
+//!   leaves unbound), so a partial-pattern scan rebuilds each member's full key from
+//!   the pattern and its free columns and probes the primary map for the stored key
+//!   and its multiplicity: one probe per member visited. A group's size picks its
+//!   form: the one member of an index with one free column is held inline, up to 16
+//!   members are one flat vector searched linearly, a larger group a set, so a
+//!   singleton group costs its table slot and not a table. An *ordered* index, for a
+//!   mask that leaves one column free, maps a projected key to a run of
 //!   `(free-column value, multiplicity)` sorted by that value with running sums,
 //!   which answers [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
 //!   amortized (see the `ordered` module for the layout and the exactness contract).
-//!   It stores no full keys, so scanning it costs a primary probe per entry — the
+//!   Scanning it rebuilds keys and probes the primary map as a hash scan does — the
 //!   fallback path, not the one it is declared for. A mask has one index: an
-//!   ordered declaration replaces a hash index of the same mask.
-//! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry and
-//!   each hash-group entry its map-slot footprint (spilled — arity > 3 —
-//!   tuples add their shared value slab; a group entry adds its mirrored
-//!   multiplicity, a group its projected key), and an ordered group its key
-//!   once plus 24 bytes per entry and one `Vec` header per block. The charge
-//!   depends only on what is held, not on a group's form. Index footprints
-//!   are maintained per write and every key of a view has its arity, so
-//!   [`ViewMap::approx_bytes`] is `O(indexes)`. `Value` itself is 16 bytes
-//!   inline (a `Tuple` of up to three, 56); a string value is a one-word
+//!   ordered declaration replaces a hash index of the same mask. Every rebuild (a
+//!   hash or ordered scan, a fully bound probe) fills a buffer local to the call, on
+//!   the stack up to eight columns, so it allocates nothing.
+//! * **Cost model** — [`ViewMap::approx_bytes`] charges each primary entry its
+//!   map-slot footprint (spilled — arity > 3 — tuples add their shared value
+//!   slab); each hash-index group its table slot (its projected key and the
+//!   group, where a primary slot has its multiplicity) plus its member buffer at
+//!   what it holds: nothing for an inline member, 16 bytes per free-column value
+//!   in a vector, for a set the table its size calls for (one tuple and one
+//!   control byte per bucket, at most 7/8 full); and an ordered group its key
+//!   once plus 24 bytes per entry and one `Vec` header per block. A group's
+//!   form follows its size, so the charge depends only on what is held. Index
+//!   footprints are maintained per write and every key of a view has its
+//!   arity, so [`ViewMap::approx_bytes`] is `O(indexes)`. `Value` itself is 16
+//!   bytes inline (a `Tuple` of up to three, 56); a string value is a one-word
 //!   handle to a shared body, and dates are plain `yyyymmdd` longs, so the
 //!   slab estimate does not double-count string storage. The snapshot
 //!   buffers a view keeps are charged the same way but reported apart (on
@@ -101,147 +113,225 @@
 use crate::ordered::{slot_bytes, tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
 use dbtoaster_compiler::IndexStats;
-use dbtoaster_gmr::hash::fast_map_with_capacity;
+use dbtoaster_gmr::hash::fast_set_with_capacity;
+use dbtoaster_gmr::tuple::project;
 use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// A hash secondary index: projected key → its group of (full key →
-/// multiplicity). Multiplicities are mirrored into the groups so a
-/// partial-pattern scan is pure iteration — no per-entry probe back into the
-/// primary map. Maintenance is one group probe per write, plus a search of
-/// the group (see [`Group`]).
-#[derive(Clone, Debug, Default)]
+/// A hash secondary index: projected key → the group of its members' free
+/// columns, the key columns the mask leaves unbound. Every member is an entry
+/// of the primary map, which alone holds its multiplicity, as the paper's
+/// multi-index containers link to an entry rather than copy it. So the index
+/// is written only when a key enters or leaves the map, and a scan rebuilds
+/// each member's full key from the pattern and probes the primary map.
+#[derive(Clone, Debug)]
 struct HashIndex {
+    /// The key positions the mask leaves free, ascending: what a group holds
+    /// of each member.
+    free: Box<[usize]>,
     groups: FastMap<Tuple, Group>,
     /// Footprint, maintained per write.
     bytes: usize,
 }
 
-/// Groups of at most this many entries are a vector; larger ones a map.
-/// Most groups of the bundled workloads hold one to seven entries, and a
-/// per-group map pays a minimum-capacity table (about 565 bytes per entry
-/// for `tpch_dash`'s singleton groups) where a vector pays one entry. The
-/// large groups (`tpch_dash`'s two `l_suppkey` indexes, about 72 and 512
-/// entries) stay maps, so a write to one is still a probe, not a walk.
+/// Groups of at most this many members are one flat vector; larger ones a
+/// set. Most groups of the bundled workloads hold one to seven members, and
+/// a per-group table pays a minimum capacity where a vector pays what it
+/// holds. The large groups (`tpch_dash`'s two `l_suppkey` indexes, about 72
+/// and 512 members) stay sets, so removing a member is still a probe, not a
+/// walk.
 const SMALL_GROUP: usize = 16;
 
-/// One group of a [`HashIndex`]. Its size picks its form, so a group is the
-/// same whether it grew, shrank or was built at once.
+/// One group of a [`HashIndex`]: the free columns of its members, no
+/// multiplicities. Its size picks its form, so a group is the same whether it
+/// grew, shrank or was built at once.
 #[derive(Clone, Debug)]
 enum Group {
-    /// At most [`SMALL_GROUP`] entries, searched linearly; grown one slot at
-    /// a time, so it holds no spare capacity it never used.
-    Small(Vec<(Tuple, f64)>),
-    /// More than [`SMALL_GROUP`] entries.
-    Large(FastMap<Tuple, f64>),
+    /// The one member of an index with one free column, held in the group
+    /// with no buffer of its own.
+    One(Value),
+    /// At most [`SMALL_GROUP`] members (and more than one, when a member is
+    /// one value), their free columns back to back, searched linearly; grown
+    /// one member at a time, so it holds no spare capacity it never used.
+    Small(Vec<Value>),
+    /// More than [`SMALL_GROUP`] members.
+    Large(Box<FastSet<Tuple>>),
 }
 
 impl Group {
-    fn len(&self) -> usize {
-        match self {
-            Group::Small(entries) => entries.len(),
-            Group::Large(entries) => entries.len(),
+    /// The group of the one member `free`.
+    fn new(free: &[Value]) -> Group {
+        match free {
+            [one] => Group::One(one.clone()),
+            _ => Group::Small(free.to_vec()),
         }
     }
 
-    /// Set `full`'s multiplicity to the non-zero `mult`, overwriting in
-    /// place when the entry exists (no key clone). Is the entry new?
-    fn set(&mut self, full: &Tuple, mult: f64) -> bool {
+    #[cfg(test)]
+    fn members(&self, width: usize) -> usize {
         match self {
-            Group::Small(entries) => {
-                if let Some(slot) = entries.iter_mut().find(|(k, _)| k == full) {
-                    slot.1 = mult;
+            Group::One(_) => 1,
+            Group::Small(values) => values.len() / width,
+            Group::Large(set) => set.len(),
+        }
+    }
+
+    /// Add the member `free`, which the primary map says is new: no search.
+    fn push(&mut self, free: &[Value]) {
+        let width = free.len();
+        match self {
+            Group::One(one) => {
+                let mut values = Vec::with_capacity(2);
+                values.push(one.clone());
+                values.extend_from_slice(free);
+                *self = Group::Small(values);
+            }
+            Group::Small(values) if values.len() < SMALL_GROUP * width => {
+                values.reserve_exact(width);
+                values.extend_from_slice(free);
+            }
+            Group::Small(values) => {
+                let mut set = fast_set_with_capacity(SMALL_GROUP + 1);
+                set.extend(values.chunks_exact(width).map(Tuple::from));
+                set.insert(Tuple::from(free));
+                *self = Group::Large(Box::new(set));
+            }
+            Group::Large(set) => {
+                set.insert(Tuple::from(free));
+            }
+        }
+    }
+
+    /// Remove the member `free`. Was it there? An emptied group is an empty
+    /// `Small`, for its index to drop.
+    fn remove(&mut self, free: &[Value]) -> bool {
+        let width = free.len();
+        match self {
+            Group::One(one) => {
+                if std::slice::from_ref(one) != free {
                     return false;
                 }
-                if entries.len() < SMALL_GROUP {
-                    entries.reserve_exact(1);
-                    entries.push((full.clone(), mult));
-                } else {
-                    let mut map = fast_map_with_capacity(SMALL_GROUP + 1);
-                    map.extend(std::mem::take(entries));
-                    map.insert(full.clone(), mult);
-                    *self = Group::Large(map);
-                }
-                true
+                *self = Group::Small(Vec::new());
             }
-            Group::Large(entries) => match entries.get_mut(full.as_slice()) {
-                Some(slot) => {
-                    *slot = mult;
-                    false
+            Group::Small(values) => {
+                let Some(at) = values.chunks_exact(width).position(|m| m == free) else {
+                    return false;
+                };
+                // Move the last member into the hole.
+                let last = values.len() - width;
+                for i in 0..width {
+                    values.swap(at * width + i, last + i);
                 }
-                None => {
-                    entries.insert(full.clone(), mult);
-                    true
+                values.truncate(last);
+                if let [one] = values.as_mut_slice() {
+                    *self = Group::One(std::mem::replace(one, Value::Long(0)));
                 }
-            },
-        }
-    }
-
-    /// Remove `full`. Was it there?
-    fn remove(&mut self, full: &[Value]) -> bool {
-        match self {
-            Group::Small(entries) => match entries.iter().position(|(k, _)| k == full) {
-                Some(i) => {
-                    entries.swap_remove(i);
-                    true
-                }
-                None => false,
-            },
-            Group::Large(entries) => {
-                if entries.remove(full).is_none() {
+            }
+            Group::Large(set) => {
+                if !set.remove(free) {
                     return false;
                 }
-                if entries.len() <= SMALL_GROUP {
-                    *self = Group::Small(entries.drain().collect());
+                if set.len() <= SMALL_GROUP {
+                    let mut values = Vec::with_capacity(set.len() * width);
+                    values.extend(set.iter().flat_map(|m| m.iter().cloned()));
+                    *self = Group::Small(values);
                 }
-                true
             }
+        }
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Group::Small(values) if values.is_empty())
+    }
+
+    /// Hand each member's free columns to `visit`.
+    fn for_each(&self, width: usize, mut visit: impl FnMut(&[Value])) {
+        match self {
+            Group::One(one) => visit(std::slice::from_ref(one)),
+            Group::Small(values) => values.chunks_exact(width).for_each(visit),
+            Group::Large(set) => set.iter().for_each(|m| visit(m)),
         }
     }
 
-    fn for_each(&self, visit: &mut dyn FnMut(&[Value], f64)) {
+    /// What the members cost beyond the group's table slot (see the module
+    /// docs): nothing held inline, a value per free column in a vector, the
+    /// table of a set.
+    fn member_bytes(&self, width: usize) -> usize {
         match self {
-            Group::Small(entries) => {
-                for (k, m) in entries {
-                    visit(k, *m);
-                }
-            }
-            Group::Large(entries) => {
-                for (k, &m) in entries {
-                    visit(k, m);
-                }
-            }
+            Group::One(_) => 0,
+            Group::Small(values) => values.len() * std::mem::size_of::<Value>(),
+            Group::Large(set) => set_bytes(set.len(), width),
         }
     }
 }
 
+/// What a set of `members` free-column tuples of `width` values holds: the
+/// smallest table that takes them at the hash table's 7/8 load limit, which
+/// is the table a set grown one member at a time has (one tuple and one
+/// control byte per bucket, a trailing group of control bytes), its header,
+/// and the value slab of each spilled tuple. A function of the size alone,
+/// so a set that shrank is charged what a set built at its size would hold.
+fn set_bytes(members: usize, width: usize) -> usize {
+    let buckets = (members * 8 / 7).next_power_of_two();
+    let spill = slot_bytes(width) - slot_bytes(0);
+    std::mem::size_of::<FastSet<Tuple>>()
+        + buckets * (std::mem::size_of::<Tuple>() + 1)
+        + 16
+        + members * spill
+}
+
+/// The table slot of a hash-index group keyed `key`: a primary slot (see
+/// [`slot_bytes`]) with a [`Group`] where the multiplicity would be.
+fn group_slot_bytes(key: &Tuple) -> usize {
+    tuple_slot_bytes(key) - std::mem::size_of::<f64>() + std::mem::size_of::<Group>()
+}
+
 impl HashIndex {
-    /// Mirror one primary-map write: `full` (projecting to `group`) now has
-    /// multiplicity `mult`, `0.0` meaning it is gone.
-    fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
-        let held = tuple_slot_bytes(full) + std::mem::size_of::<f64>();
-        if mult == 0.0 {
-            if let Some(entries) = self.groups.get_mut(&group) {
-                if entries.remove(full) {
-                    self.bytes -= held;
-                }
-                if entries.len() == 0 {
-                    self.groups.remove(&group);
-                    self.bytes -= tuple_slot_bytes(&group) + 8;
-                }
+    fn new(mask: u64, arity: usize) -> HashIndex {
+        HashIndex {
+            free: (0..arity)
+                .filter(|&i| i >= 63 || mask & (1 << i) == 0)
+                .collect(),
+            groups: FastMap::default(),
+            bytes: 0,
+        }
+    }
+
+    /// `key`, projecting to the group `mask` binds, entered the primary map.
+    fn insert(&mut self, mask: u64, key: &[Value]) {
+        use std::collections::hash_map::Entry;
+        let free = project(key, &self.free);
+        match self.groups.entry(project_mask(key, mask)) {
+            Entry::Occupied(mut o) => {
+                let group = o.get_mut();
+                let held = group.member_bytes(free.len());
+                group.push(&free);
+                self.bytes = self.bytes + group.member_bytes(free.len()) - held;
             }
+            Entry::Vacant(v) => {
+                let group = Group::new(&free);
+                self.bytes += group_slot_bytes(v.key()) + group.member_bytes(free.len());
+                v.insert(group);
+            }
+        }
+    }
+
+    /// `key`, projecting to the group `mask` binds, left the primary map.
+    fn remove(&mut self, mask: u64, key: &[Value]) {
+        let free = project(key, &self.free);
+        let group_key = project_mask(key, mask);
+        let Some(group) = self.groups.get_mut(&group_key) else {
+            return;
+        };
+        let held = group.member_bytes(free.len());
+        if !group.remove(&free) {
             return;
         }
-        use std::collections::hash_map::Entry;
-        let entries = match self.groups.entry(group) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => {
-                self.bytes += tuple_slot_bytes(v.key()) + 8;
-                v.insert(Group::Small(Vec::new()))
-            }
-        };
-        if entries.set(full, mult) {
-            self.bytes += held;
+        self.bytes = self.bytes + group.member_bytes(free.len()) - held;
+        if group.is_empty() {
+            self.groups.remove(&group_key);
+            self.bytes -= group_slot_bytes(&group_key);
         }
     }
 }
@@ -254,10 +344,28 @@ enum Index {
 }
 
 impl Index {
-    fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
+    /// `key` entered the primary map with multiplicity `mult`.
+    fn insert(&mut self, mask: u64, key: &Tuple, mult: f64) {
         match self {
-            Index::Hash(h) => h.set(group, full, mult),
-            Index::Ordered(o) => o.set(group, full, mult),
+            Index::Hash(h) => h.insert(mask, key),
+            Index::Ordered(o) => o.set(project_mask(key, mask), key, mult),
+        }
+    }
+
+    /// `key` left the primary map.
+    fn remove(&mut self, mask: u64, key: &Tuple) {
+        match self {
+            Index::Hash(h) => h.remove(mask, key),
+            Index::Ordered(o) => o.set(project_mask(key, mask), key, 0.0),
+        }
+    }
+
+    /// `key` stayed in the primary map with the new multiplicity `mult`:
+    /// only an ordered index, whose running sums hold multiplicities, keeps
+    /// it.
+    fn update(&mut self, mask: u64, key: &Tuple, mult: f64) {
+        if let Index::Ordered(o) = self {
+            o.set(project_mask(key, mask), key, mult);
         }
     }
 
@@ -276,6 +384,57 @@ impl Index {
             Index::Hash(h) => h.bytes,
             Index::Ordered(o) => o.bytes(),
         }
+    }
+}
+
+/// Keys of up to this many columns are rebuilt on the stack ([`KeyBuf`]).
+const KEY_BUF: usize = 8;
+
+/// A full key rebuilt from a binding pattern, in a buffer local to the call:
+/// reads take `&self` and may nest, so no scratch space lives in the view.
+/// Up to [`KEY_BUF`] columns the buffer is on the stack and a rebuild
+/// allocates nothing (a string value is a reference-count bump); past that
+/// it is one vector per call.
+struct KeyBuf {
+    stack: [Value; KEY_BUF],
+    /// The key when it is wider than `stack`, else empty.
+    heap: Vec<Value>,
+    len: usize,
+}
+
+impl KeyBuf {
+    /// A buffer holding `pattern`'s bound values, its free positions yet to
+    /// be filled by [`KeyBuf::key`].
+    fn new(pattern: &[Option<Value>]) -> KeyBuf {
+        // Free positions hold a placeholder until `key` fills them.
+        let slot = |i: usize| pattern.get(i).cloned().flatten().unwrap_or(Value::Long(0));
+        if pattern.len() <= KEY_BUF {
+            KeyBuf {
+                stack: std::array::from_fn(slot),
+                heap: Vec::new(),
+                len: pattern.len(),
+            }
+        } else {
+            KeyBuf {
+                stack: std::array::from_fn(|_| Value::Long(0)),
+                heap: (0..pattern.len()).map(slot).collect(),
+                len: pattern.len(),
+            }
+        }
+    }
+
+    /// The key with `values[i]` at position `positions[i]`, the pattern's
+    /// bound values elsewhere.
+    fn key(&mut self, positions: &[usize], values: &[Value]) -> &[Value] {
+        let key = if self.heap.is_empty() {
+            &mut self.stack[..self.len]
+        } else {
+            &mut self.heap[..]
+        };
+        for (&i, v) in positions.iter().zip(values) {
+            key[i] = v.clone();
+        }
+        key
     }
 }
 
@@ -489,9 +648,8 @@ impl ViewMap {
 
     /// Add `mult` to the entry for `key`, removing it if the result is zero.
     ///
-    /// With no secondary indexes this is a single map probe and never clones
-    /// the key; once indexes exist, the key is cloned only when the entry set
-    /// changes (insert of a new key or removal of a cancelled one).
+    /// One map probe, and no key clone: a hash index projects the key only
+    /// when it enters or leaves the map, an ordered index on every write.
     pub fn add(&mut self, key: impl Into<Tuple>, mult: f64) {
         if mult != 0.0 {
             let key = key.into();
@@ -528,42 +686,30 @@ impl ViewMap {
     fn add_unlogged(&mut self, key: Tuple, mult: f64) {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
-
-        if self.indexes.is_empty() {
-            // Fast path: no index maintenance, no key clone.
-            match self.data.entry(key) {
-                Entry::Occupied(mut o) => {
-                    let v = o.get_mut();
-                    *v += mult;
-                    if *v == 0.0 {
-                        o.remove();
-                    }
-                }
-                Entry::Vacant(v) => {
-                    v.insert(mult);
-                }
-            }
-            return;
-        }
-
-        let new_mult = match self.data.entry(key.clone()) {
+        // One primary probe says whether the key is born, dies or stays; a
+        // hash index is written only on the first two, an ordered one on all.
+        match self.data.entry(key) {
             Entry::Occupied(mut o) => {
                 let v = o.get_mut();
                 *v += mult;
-                if *v == 0.0 {
-                    o.remove();
-                    0.0
+                if *v != 0.0 {
+                    let v = *v;
+                    for (mask, index) in &mut self.indexes {
+                        index.update(*mask, o.key(), v);
+                    }
                 } else {
-                    *v
+                    let (key, _) = o.remove_entry();
+                    for (mask, index) in &mut self.indexes {
+                        index.remove(*mask, &key);
+                    }
                 }
             }
             Entry::Vacant(v) => {
+                for (mask, index) in &mut self.indexes {
+                    index.insert(*mask, v.key(), mult);
+                }
                 v.insert(mult);
-                mult
             }
-        };
-        for (mask, index) in &mut self.indexes {
-            index.set(project_mask(&key, *mask), &key, new_mult);
         }
     }
 
@@ -601,12 +747,9 @@ impl ViewMap {
         if self.has_index(mask) {
             return;
         }
-        let mut index = HashIndex {
-            groups: fast_map_with_capacity(self.data.len()),
-            bytes: 0,
-        };
-        for (k, &m) in self.data.iter() {
-            index.set(project_mask(k, mask), k, m);
+        let mut index = HashIndex::new(mask, arity);
+        for k in self.data.keys() {
+            index.insert(mask, k);
         }
         self.indexes.push((mask, Index::Hash(index)));
     }
@@ -635,8 +778,9 @@ impl ViewMap {
 
     /// Stream the entries matching a partial binding pattern into `visit`,
     /// borrowing keys straight out of the store: one primary probe when the
-    /// pattern binds every column, one bucket of the mask's declared index
-    /// when it binds some, the whole map otherwise — or when nobody declared
+    /// pattern binds every column, one group of the mask's declared index
+    /// when it binds some (and a primary probe per member, for its stored key
+    /// and multiplicity), the whole map otherwise — or when nobody declared
     /// an index for the mask, then filtered by the pattern.
     pub fn for_each(&self, pattern: &[Option<Value>], visit: &mut dyn FnMut(&[Value], f64)) {
         debug_assert_eq!(pattern.len(), self.schema.arity());
@@ -649,38 +793,33 @@ impl ViewMap {
         }
         if full_mask(self.schema.arity()) == Some(mask) {
             // Fully bound: a single primary probe.
-            let key: Tuple = pattern.iter().map(|p| p.clone().unwrap()).collect();
-            if let Some(&m) = self.data.get(key.as_slice()) {
-                visit(&key, m);
-            }
+            self.visit_stored(KeyBuf::new(pattern).key(&[], &[]), visit);
             return;
         }
         let probe = || -> Tuple { pattern.iter().flatten().cloned().collect() };
         match self.index(mask) {
+            // Neither index holds a multiplicity or, in general, the stored
+            // key: rebuild each member's key from the pattern and probe the
+            // primary map, which hands out the stored key (a `Long(1)`
+            // pattern finds a key stored as `Double(1.0)`).
             Some(Index::Hash(h)) => {
-                if let Some(entries) = h.groups.get(&probe()) {
-                    entries.for_each(visit);
+                if let Some(group) = h.groups.get(&probe()) {
+                    let mut buf = KeyBuf::new(pattern);
+                    group.for_each(h.free.len(), |free| {
+                        self.visit_stored(buf.key(&h.free, free), visit);
+                    });
                 }
             }
-            // An ordered group holds no full keys: rebuild each from the
-            // pattern and probe the primary map, which also knows whether the
-            // sorted column was stored as a long or a double.
-            Some(Index::Ordered(o)) => o.for_each_key(&probe(), &mut |key| {
-                let band;
-                let full: &[Value] = match key {
-                    GroupKey::Full(full) => full.as_slice(),
+            Some(Index::Ordered(o)) => {
+                let mut buf = KeyBuf::new(pattern);
+                let band = [o.key_pos()];
+                o.for_each_key(&probe(), &mut |key| match key {
+                    GroupKey::Full(full) => self.visit_stored(full, visit),
                     GroupKey::Band(k) => {
-                        band = pattern
-                            .iter()
-                            .map(|p| p.clone().unwrap_or(Value::Double(k)))
-                            .collect::<Tuple>();
-                        band.as_slice()
+                        self.visit_stored(buf.key(&band, &[Value::Double(k)]), visit)
                     }
-                };
-                if let Some((k, &m)) = self.data.get_key_value(full) {
-                    visit(k, m);
-                }
-            }),
+                });
+            }
             None => {
                 for (k, &m) in self.data.iter() {
                     if matches_pattern(k, pattern) {
@@ -688,6 +827,13 @@ impl ViewMap {
                     }
                 }
             }
+        }
+    }
+
+    /// Hand `visit` the stored entry equal to `key`, if there is one.
+    fn visit_stored(&self, key: &[Value], visit: &mut dyn FnMut(&[Value], f64)) {
+        if let Some((k, &m)) = self.data.get_key_value(key) {
+            visit(k, m);
         }
     }
 
@@ -806,7 +952,7 @@ impl ViewMap {
             self.data = gmr.iter().map(|(t, m)| (t.clone(), m)).collect();
             for (mask, index) in &mut self.indexes {
                 for (k, &m) in self.data.iter() {
-                    index.set(project_mask(k, *mask), k, m);
+                    index.insert(*mask, k, m);
                 }
             }
             return;
@@ -870,13 +1016,15 @@ impl ViewMap {
         let mut t = IndexStats::default();
         for (_, index) in &self.indexes {
             match index {
-                Index::Hash(_) => {
+                Index::Hash(h) => {
                     t.hash += 1;
                     t.entries += self.data.len() as u64;
+                    t.hash_bytes += h.bytes as u64;
                 }
                 Index::Ordered(o) => {
                     t.ordered += 1;
                     t.entries += o.entries() as u64;
+                    t.ordered_bytes += o.bytes() as u64;
                 }
             }
             t.bytes += index.bytes() as u64;
@@ -1285,12 +1433,17 @@ mod tests {
         assert_eq!(hashed.index_totals().hash, 1);
     }
 
-    /// The cost model, pinned: a hash index pays a full key slot (plus the
-    /// mirrored multiplicity) per entry, an ordered one 24 bytes per entry
-    /// plus its block headers; both pay the group key once.
+    /// The cost model, pinned: a hash-index group pays its table slot and
+    /// then what its members hold — nothing for one inline member, a value
+    /// per free column in a vector, the table of a set — and an
+    /// ordered index 24 bytes per entry plus its block headers and the group
+    /// key once. Multiplicities are charged once, in the primary map.
     #[test]
     fn approx_bytes_charges_each_index_what_it_holds() {
         let tuple = std::mem::size_of::<Tuple>() as u64;
+        let value = std::mem::size_of::<Value>() as u64;
+        let group = tuple + 8 + std::mem::size_of::<Group>() as u64;
+        let set = std::mem::size_of::<FastSet<Tuple>>() as u64;
         let mut ordered = ViewMap::new(Schema::new(["g", "t"]));
         ordered.declare_ordered(0b01, 1);
         let mut hashed = ViewMap::new(Schema::new(["g", "t"]));
@@ -1303,10 +1456,23 @@ mod tests {
         }
         let n = groups * per_group;
         let primary = n * (tuple + 16);
+        // Large groups: each a set, whose table has the 2048 buckets that
+        // the 7/8 load limit calls for at 1000 members.
         let h = hashed.index_totals();
         assert_eq!((h.hash, h.ordered, h.entries), (1, 0, n));
-        assert_eq!(h.bytes, n * (tuple + 16 + 8) + groups * (tuple + 16 + 8));
+        assert_eq!(h.bytes, groups * (group + set + 2048 * (tuple + 1) + 16));
         assert_eq!(hashed.approx_bytes() as u64, primary + h.bytes);
+        // Small groups, one free column: one inline member costs its slot
+        // alone, five cost five values. Two free columns: two values each.
+        let mut small = ViewMap::new(Schema::new(["g", "t"]));
+        small.declare_hash(0b01);
+        small.add(key(&[0, 0]), 1.0);
+        (1..=5).for_each(|t| small.add(key(&[1, t]), 2.0));
+        assert_eq!(small.index_totals().bytes, 2 * group + 5 * value);
+        let mut wide = ViewMap::new(Schema::new(["g", "a", "b"]));
+        wide.declare_hash(0b001);
+        (0..6).for_each(|i| wide.add(key(&[i % 2, i, -i]), 1.0));
+        assert_eq!(wide.index_totals().bytes, 2 * group + 6 * 2 * value);
         // The map's own bytes: the live map, and each snapshot buffer it
         // keeps a copy of it — outside `approx_bytes`.
         assert_eq!(hashed.map_bytes() as u64, primary);
@@ -1326,17 +1492,22 @@ mod tests {
             (footprint.hash, footprint.bytes),
             (1, hashed.index_totals().bytes)
         );
+        assert_eq!(
+            (footprint.hash_bytes, footprint.ordered_bytes),
+            (footprint.bytes, 0)
+        );
         let o = ordered.index_totals();
         assert_eq!((o.hash, o.ordered, o.entries), (0, 1, n));
+        assert_eq!((o.hash_bytes, o.ordered_bytes), (0, o.bytes));
         let per_entry = (o.bytes - groups * (tuple + 16)) as f64 / n as f64;
         assert!(
             (24.0..26.0).contains(&per_entry),
             "an ordered entry costs its 24 bytes and a share of a block header, not {per_entry}"
         );
         assert_eq!(ordered.approx_bytes() as u64, primary + o.bytes);
-        // The ratio the two formulas above give: a hash entry's key slot and
-        // multiplicity against an ordered entry's 26 bytes at most.
-        let ratio = (tuple + 16 + 8) as f64 / 26.0;
+        // The ratio the two formulas above give: a set's bucket and control
+        // byte against an ordered entry's 26 bytes at most.
+        let ratio = (tuple + 1) as f64 / 26.0;
         assert!(
             o.bytes as f64 * ratio < h.bytes as f64,
             "{} vs {} (ratio {ratio})",
@@ -1344,17 +1515,40 @@ mod tests {
             h.bytes
         );
         assert_ordered_indexes_match_a_rebuild(&ordered);
+        assert_hash_indexes_match_a_rebuild(&hashed);
+        assert_hash_indexes_match_a_rebuild(&small);
+        assert_hash_indexes_match_a_rebuild(&wide);
+    }
+
+    /// The form a group of `members` members of `width` free columns each
+    /// must take, and the form it has.
+    fn forms(g: &Group, width: usize) -> (&'static str, &'static str) {
+        let members = g.members(width);
+        let want = if members == 1 && width == 1 {
+            "one"
+        } else if members <= SMALL_GROUP {
+            "small"
+        } else {
+            "large"
+        };
+        let has = match g {
+            Group::One(_) => "one",
+            Group::Small(_) => "small",
+            Group::Large(_) => "large",
+        };
+        (want, has)
     }
 
     /// Every hash index of `v` must be what declaring it afresh over the
-    /// primary map builds: the same groups, each in the same form with the
-    /// same entries, and the same bytes.
+    /// primary map builds: the same groups, each in the form its size picks
+    /// with the same members (as free-column tuples), and the same bytes.
+    /// Every member is a primary entry, so no group is empty.
     fn assert_hash_indexes_match_a_rebuild(v: &ViewMap) {
-        let sorted = |g: &Group| {
-            let mut rows = Vec::new();
-            g.for_each(&mut |k, m| rows.push((Tuple::from(k), m)));
-            rows.sort_by(|x, y| x.0.cmp(&y.0));
-            rows
+        let sorted = |g: &Group, width: usize| {
+            let mut members = Vec::new();
+            g.for_each(width, |free| members.push(Tuple::from(free)));
+            members.sort();
+            members
         };
         let mut fresh = ViewMap::new(v.schema().clone());
         fresh.data = v.data.clone();
@@ -1366,40 +1560,47 @@ mod tests {
             let Some(Index::Hash(rebuilt)) = fresh.index(*mask) else {
                 panic!("declared hash");
             };
+            let width = kept.free.len();
+            assert_eq!(kept.free, rebuilt.free, "mask {mask:#b}");
             assert_eq!(kept.bytes, rebuilt.bytes, "mask {mask:#b}");
             assert_eq!(kept.groups.len(), rebuilt.groups.len(), "mask {mask:#b}");
             for (key, group) in &kept.groups {
                 let other = &rebuilt.groups[key];
-                let small = |g: &Group| matches!(g, Group::Small(_));
-                assert_eq!(small(group), small(other), "group {key}");
-                assert_eq!(small(group), group.len() <= SMALL_GROUP, "group {key}");
-                assert_eq!(sorted(group), sorted(other), "group {key}");
+                let (want, has) = forms(group, width);
+                assert_eq!(want, has, "group {key}");
+                assert_eq!(forms(other, width), (want, has), "group {key}");
+                assert!(group.members(width) > 0, "group {key}");
+                assert_eq!(sorted(group, width), sorted(other, width), "group {key}");
             }
         }
     }
 
-    /// A hash-index group is a vector up to `SMALL_GROUP` entries and a map
-    /// past it, whichever way it got there; an emptied group is removed and
-    /// its bytes returned.
+    /// A hash-index group is one inline member, a vector up to `SMALL_GROUP`
+    /// members and a set past it, whichever way it got there; an emptied
+    /// group is removed and its bytes returned.
     #[test]
     fn a_hash_group_changes_form_at_its_size_limit_both_ways() {
         let mut v = ViewMap::new(Schema::new(["g", "t"]));
         v.declare_hash(0b01);
         let limit = SMALL_GROUP as i64;
-        let group = |v: &ViewMap| -> Option<usize> {
+        let group = |v: &ViewMap| -> Option<(usize, &'static str)> {
             let Some(Index::Hash(h)) = v.index(0b01) else {
                 panic!("declared hash");
             };
-            h.groups.get(&key(&[1])).map(Group::len)
+            let g = h.groups.get(&key(&[1]))?;
+            Some((g.members(1), forms(g, 1).1))
         };
         // Grow past the limit, rewriting multiplicities on the way.
         for t in 0..2 * limit {
             v.add(key(&[1, t]), 1.0 + t as f64);
             v.add(key(&[1, t / 2]), 0.5);
             assert_hash_indexes_match_a_rebuild(&v);
+            if t == 0 {
+                assert_eq!(group(&v), Some((1, "one")));
+            }
         }
-        assert_eq!(group(&v), Some(2 * SMALL_GROUP));
-        // Shrink back across it, from both ends.
+        assert_eq!(group(&v), Some((2 * SMALL_GROUP, "large")));
+        // Shrink back across it, from both ends, down to the inline form.
         for t in 0..2 * limit - 1 {
             let t = if t % 2 == 0 {
                 t / 2
@@ -1409,7 +1610,7 @@ mod tests {
             v.add(key(&[1, t]), -v.get(&key(&[1, t])));
             assert_hash_indexes_match_a_rebuild(&v);
         }
-        assert_eq!(group(&v), Some(1));
+        assert_eq!(group(&v), Some((1, "one")));
         // Empty it: the group is gone and the index holds nothing.
         let last = v.iter().next().map(|(k, m)| (k.clone(), m)).unwrap();
         v.add(last.0, -last.1);
@@ -1417,6 +1618,78 @@ mod tests {
         assert_eq!(group(&v), None);
         assert_eq!(v.index_totals().bytes, 0);
         assert!(v.is_empty());
+    }
+
+    /// A hash scan rebuilds each member's key and probes the primary map, so
+    /// it finds what equality finds and hands out the key as stored: a
+    /// `Long(1)` pattern finds a `Double(1.0)` key, `0.0` finds `-0.0`, a
+    /// NaN finds a NaN, an empty string itself, and a spilled arity-4 key is
+    /// rebuilt whole. Removing each, in another representation of the same
+    /// values where there is one, empties the index.
+    #[test]
+    fn hostile_keys_round_trip_through_a_hash_index() {
+        let (l, d, s) = (Value::long, Value::double, Value::str);
+        // (stored key, the pattern a scan binds, what removes it)
+        let two: [(Vec<Value>, Value, Vec<Value>); 6] = [
+            (vec![d(1.0), l(5)], l(1), vec![l(1), l(5)]),
+            (vec![l(7), d(2.0)], l(7), vec![l(7), l(2)]),
+            (vec![d(-0.0), l(1)], d(0.0), vec![d(0.0), l(1)]),
+            (vec![l(3), d(-0.0)], l(3), vec![l(3), l(0)]),
+            (
+                vec![d(f64::NAN), d(f64::NAN)],
+                d(f64::NAN),
+                vec![d(f64::NAN), d(f64::NAN)],
+            ),
+            (vec![s(""), s("")], s(""), vec![s(""), s("")]),
+        ];
+        let mut v = ViewMap::new(Schema::new(["g", "t"]));
+        v.declare_hash(0b01);
+        for (stored, _, _) in &two {
+            v.add(Tuple::from(stored.clone()), 2.0);
+            // A second member beside each, so groups take the vector form.
+            v.add(Tuple::from(vec![stored[0].clone(), s("x")]), 1.0);
+        }
+        assert_hash_indexes_match_a_rebuild(&v);
+        for (stored, bound, _) in &two {
+            let mut found = v.lookup(&[Some(bound.clone()), None]);
+            found.sort_by(|a, b| a.0.cmp(&b.0));
+            assert_eq!(found.len(), 2, "{stored:?}");
+            let (k, m) = found.iter().find(|(k, _)| k[1] != s("x")).unwrap();
+            assert_eq!(*m, 2.0, "{stored:?}");
+            // The stored representation, not the pattern's.
+            assert_eq!(format!("{:?}", k.to_vec()), format!("{stored:?}"));
+        }
+        for (stored, _, removes) in &two {
+            v.add(Tuple::from(removes.clone()), -2.0);
+            v.add(Tuple::from(vec![stored[0].clone(), s("x")]), -1.0);
+            assert_hash_indexes_match_a_rebuild(&v);
+        }
+        assert!(v.is_empty());
+        assert_eq!(v.index_totals().bytes, 0);
+
+        // A spilled key, two columns bound and two free, strings included.
+        let mut v = ViewMap::new(Schema::new(["a", "b", "c", "d"]));
+        v.declare_hash(0b0101);
+        let wide =
+            |i: i64| Tuple::from(vec![l(i % 2), s(""), d(-0.0), Value::str(format!("k{i}"))]);
+        for i in 0..40 {
+            v.add(wide(i), 1.0 + i as f64);
+            assert_hash_indexes_match_a_rebuild(&v);
+        }
+        assert!(!wide(0).is_inline());
+        let pattern = [Some(d(1.0)), None, Some(l(0)), None];
+        let found = v.lookup(&pattern);
+        assert_eq!(found.len(), 20);
+        for (k, m) in &found {
+            assert_eq!(v.get(k), *m);
+            assert!(matches!(k[0], Value::Long(1)) && matches!(k[2], Value::Double(_)));
+        }
+        for i in 0..40 {
+            v.add(wide(i), -1.0 - i as f64);
+            assert_hash_indexes_match_a_rebuild(&v);
+        }
+        assert!(v.is_empty());
+        assert_eq!(v.index_totals().bytes, 0);
     }
 
     /// An index is a declaration: it survives the clear, empty, and tracks

@@ -447,20 +447,89 @@ fn steady_state_snapshot_allocates_per_view_not_per_entry() {
     drop(last);
 }
 
+/// A scan rebuilds each full key it probes for in a buffer on the stack, so
+/// keys past `INLINE_CAP` allocate nothing either: an arity-4 map (one
+/// string column) probed fully bound, scanned through a hash index of two
+/// free columns and through an ordered index by its fallback walk, which
+/// rebuilds a key per band value.
+#[test]
+fn wide_keys_are_probed_and_scanned_without_allocating() {
+    use dbtoaster_gmr::{Schema, Tuple};
+    use dbtoaster_runtime::ViewMap;
+    let mut v = ViewMap::new(Schema::new(["a", "b", "c", "d"]));
+    v.declare_hash(0b0011);
+    v.declare_ordered(0b0111, 3);
+    let key = |i: i64| {
+        Tuple::from(vec![
+            Value::long(i % 3),
+            Value::str("s"),
+            Value::long(i % 5),
+            Value::long(i),
+        ])
+    };
+    for i in 0..300 {
+        v.add(key(i), 1.0 + i as f64);
+    }
+    assert!(!key(0).is_inline());
+    let bind = |i: i64, mask: u8| -> Vec<Option<Value>> {
+        let k = key(i);
+        (0..4)
+            .map(|c| (mask & (1 << c) != 0).then(|| k[c].clone()))
+            .collect()
+    };
+    let patterns: Vec<(&str, Vec<Option<Value>>)> = (0..15)
+        .flat_map(|i| {
+            [
+                ("probe", bind(i * 7, 0b1111)),
+                ("hash", bind(i, 0b0011)),
+                ("ordered", bind(i, 0b0111)),
+            ]
+        })
+        .collect();
+    let scan = |kind: &str| {
+        let (mut entries, mut sum) = (0u64, 0.0);
+        for (_, p) in patterns.iter().filter(|(k, _)| *k == kind) {
+            v.for_each(p, &mut |_, m| {
+                entries += 1;
+                sum += m;
+            });
+        }
+        (entries, sum)
+    };
+    for kind in ["probe", "hash", "ordered"] {
+        let warm = scan(kind);
+        assert!(warm.0 >= 15, "{kind}: {warm:?}");
+        let before = alloc_count();
+        let again = scan(kind);
+        let allocs = alloc_count() - before;
+        assert_eq!(
+            allocs, 0,
+            "{kind} scans of an arity-4 map allocated {allocs} times"
+        );
+        assert_eq!(again, warm, "{kind}");
+    }
+}
+
 /// What the engine's resident state costs, against what `memory_bytes`
 /// charges for it: the benchmark's `tpch_dash` query set over its 120k-event
 /// TPC-H stream (seed 42), per event through `Engine::process`. The live
 /// heap the engine holds afterwards — its maps, their indexes, frames and
 /// buffers; the events and tables stay with the caller — is at most
-/// `RESIDENT_PER_CHARGED` times `memory_bytes`. The allocator's count is
-/// exact, so the ratio is deterministic: 1.31 with a 16-byte `Value` and
-/// vector-sized hash-index groups, 1.62 with a 24-byte `Value` and a table
-/// per group. A key layout that regrows `Value` or `Tuple`, or a table in
-/// every small group, breaks the bound before it shows in `state_mb`, which
-/// charges by formula. About 2 s at the test profile's opt-level.
+/// `RESIDENT_PER_CHARGED` times `memory_bytes`, and at most
+/// `RESIDENT_BYTES` in all. The allocator's count is exact, so both are
+/// deterministic: 56.1 MB held, 1.31x the charge, with hash-index groups
+/// that hold their members' free columns only; 69.1 MB (1.31x) with groups
+/// that copied each member's full key and multiplicity; 112.8 MB (1.62x)
+/// with a 24-byte `Value` and a table per group. A key layout that regrows
+/// `Value` or `Tuple`, a table in every small group, or groups that copy
+/// what the primary map holds break a bound before it shows in `state_mb`,
+/// which charges by formula; the absolute bound keeps a drop in the charge
+/// from passing for a drop in bytes. About 2 s at the test profile's
+/// opt-level.
 #[test]
 fn resident_heap_stays_within_a_multiple_of_memory_bytes() {
     const RESIDENT_PER_CHARGED: f64 = 1.4;
+    const RESIDENT_BYTES: f64 = 60e6;
     use dbtoaster_agca::AtomKind;
     use dbtoaster_compiler::Catalog;
     use dbtoaster_workloads::{query, tpch, tpch_catalog, TpchConfig};
@@ -521,5 +590,9 @@ fn resident_heap_stays_within_a_multiple_of_memory_bytes() {
     assert!(
         ratio <= RESIDENT_PER_CHARGED,
         "the engine holds {held} bytes, {ratio:.3}x the {charged} `memory_bytes` charges"
+    );
+    assert!(
+        held <= RESIDENT_BYTES,
+        "the engine holds {held} bytes, over the {RESIDENT_BYTES} bound"
     );
 }

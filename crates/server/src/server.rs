@@ -1405,6 +1405,8 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
                 ordered: v.indexes[1],
                 entries: v.indexes[2],
                 bytes: v.indexes[3],
+                hash_bytes: v.hash_bytes,
+                ordered_bytes: v.ordered_bytes,
                 map_bytes: v.map_bytes,
                 snapshot_bytes: v.snapshot_bytes,
             })
@@ -1518,7 +1520,7 @@ pub(crate) fn views_body(shared: &Shared) -> String {
              \"range_sum_bails\":{},\"live_firings\":{},\"map_size\":{},\
              \"map_bytes\":{},\"snapshot_bytes\":{},\
              \"indexes\":{{\"hash\":{},\"ordered\":{},\"ordered_on\":[{}],\
-             \"entries\":{},\"bytes\":{}}},\
+             \"entries\":{},\"bytes\":{},\"hash_bytes\":{},\"ordered_bytes\":{}}},\
              \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
              \"snapshot_full_copies\":{{\"first\":{},\"pinned\":{},\"abandoned\":{}}}}}",
             json_escape(&v.name),
@@ -1538,6 +1540,8 @@ pub(crate) fn views_body(shared: &Shared) -> String {
             ordered_on.join(","),
             v.indexes[2],
             v.indexes[3],
+            v.hash_bytes,
+            v.ordered_bytes,
             v.snapshot_keys_patched,
             v.snapshot_entries_copied,
             v.snapshot_full_copies[0],

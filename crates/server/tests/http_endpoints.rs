@@ -186,8 +186,14 @@ fn views_and_traces_endpoints_serve_json() {
         views.body
     );
     assert!(views.body.contains("\"ordered_on\":["), "{}", views.body);
-    // Each view's own bytes, live and in its snapshot buffers.
-    for key in ["\"map_bytes\":", "\"snapshot_bytes\":"] {
+    // Each view's own bytes, live and in its snapshot buffers, and its index
+    // bytes by kind beside their sum.
+    for key in [
+        "\"map_bytes\":",
+        "\"snapshot_bytes\":",
+        "\"hash_bytes\":",
+        "\"ordered_bytes\":",
+    ] {
         assert!(views.body.contains(key), "missing {key} in {}", views.body);
     }
     assert!(views.body.contains("\"snapshot_keys_patched\":"));

@@ -406,6 +406,11 @@ pub struct ViewCounters {
     pub map_bytes: AtomicU64,
     /// Bytes the view's snapshot buffers held at the last engine flush.
     pub snapshot_bytes: AtomicU64,
+    /// Of the index bytes (the `bytes` gauge of `indexes`), those its hash
+    /// indexes held at the last engine flush.
+    pub hash_bytes: AtomicU64,
+    /// Of the index bytes, those its ordered indexes held.
+    pub ordered_bytes: AtomicU64,
 }
 
 /// What a view's index gauges count: how many hash and how many ordered
@@ -454,6 +459,10 @@ pub struct ViewSummary {
     pub map_bytes: u64,
     /// See [`ViewCounters::snapshot_bytes`].
     pub snapshot_bytes: u64,
+    /// See [`ViewCounters::hash_bytes`].
+    pub hash_bytes: u64,
+    /// See [`ViewCounters::ordered_bytes`].
+    pub ordered_bytes: u64,
 }
 
 /// One per-statement span of a slow-batch trace.
@@ -827,6 +836,8 @@ impl Telemetry {
                 indexes: std::array::from_fn(|i| v.indexes[i].load(Relaxed)),
                 map_bytes: v.map_bytes.load(Relaxed),
                 snapshot_bytes: v.snapshot_bytes.load(Relaxed),
+                hash_bytes: v.hash_bytes.load(Relaxed),
+                ordered_bytes: v.ordered_bytes.load(Relaxed),
             })
             .collect();
         MetricsSnapshot {
