@@ -146,12 +146,11 @@
 //! `entries_scanned` counts the build's walk and each search's comparisons.
 //!
 //! A scanning or probing sub-sum inside a loop that reads nothing the loop
-//! binds but cannot join the prelude (its member holds another aggregate —
-//! `mst`'s sum over the asks, multiplied into every bid row, holds a band
-//! lookup — or it is a probe, like `vwap`'s total `m_vwap_1[]`) is worth the
-//! same on every row: it becomes a [`Scalar::CachedSum`], evaluated at its
-//! first use in an execution and reused after. Without it `mst` would stay
-//! quadratic with every band sum looked up.
+//! binds but cannot join the prelude (its member holds another aggregate,
+//! such as a band lookup it is weighted by, or it is a probe, like `vwap`'s
+//! total `m_vwap_1[]`) is worth the same on every row: it becomes a
+//! [`Scalar::CachedSum`], evaluated at its first use in an execution and
+//! reused after.
 //!
 //! ## Quantile filters inside a loop
 //!
@@ -181,12 +180,25 @@
 //! could disagree with `Value`'s. A search counts as one `range_sum_hits`,
 //! its filter evaluations into `entries_scanned`.
 //!
+//! The outer sum is then one numeric pass. A loop-invariant sub-sum whose
+//! rows only go through thresholds on the key its scan binds and through
+//! loop-invariant lifts, a threshold last — `vwap`'s whole refresh `Σ
+//! m_vwap_3(p) · [0.25 × total > Σ volume above p]`, and `mst`'s sums over
+//! the asks — joins the prelude as a fused scan whose member's fast pipeline
+//! is one [`FastOp::Cut`] per threshold. Its first row runs the
+//! continuation, which searches; every row after that adds, in scan order,
+//! the multiplicity of an entry whose key lies in the cut, with no lift, no
+//! `Value` and no interpreted filter. A row the cut cannot answer — the
+//! execution fell back, or the key is no loop key — runs the continuation
+//! as the plan would, so the sum is the walk's, bit for bit. The lifts need
+//! no step of their own: a row takes the pass only once every cut is
+//! searched, by a row that ran every lift before it.
+//!
 //! EXPLAIN notes a scanning sub-sum that stays a walk with the reason
 //! ([`range_sum_refusal`]): a template hole bound by the loop (the group
 //! changes per row), a weight in the member (the sum is not of
-//! multiplicities), or another aggregate in the member — `vwap`'s outer sum,
-//! which compares two aggregates with each other, and `psp`'s, which
-//! compares the scanned volume with `0.0001 ×` a total.
+//! multiplicities), or another aggregate in the member — `psp`'s outer sum,
+//! which compares the scanned volume with `0.0001 ×` a total.
 
 use crate::eval::{matches_pattern, product_order_by, EvalError, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
@@ -398,6 +410,18 @@ pub enum FastOp {
     Pred(CmpOp, NumExpr, NumExpr),
     /// A multiplicative weight.
     Weight(NumExpr),
+    /// The loop key must lie in the interval an [`Op::Threshold`] of the
+    /// member's continuation searched (see the module docs on quantile
+    /// filters); an unsearched or fallen-back cut, or a key that is no loop
+    /// key, sends the entry down the continuation.
+    Cut {
+        /// The threshold's [`Threshold::cache`].
+        cut: u16,
+        /// Its [`Threshold::range`].
+        range: CmpOp,
+        /// Its [`Threshold::key`], a slot the member's scan binds.
+        key: Slot,
+    },
 }
 
 /// One member of a [`FusedScan`]: the per-entry continuation (filters and
@@ -407,7 +431,8 @@ pub struct FusedMember {
     /// Ops applied to every scanned entry (no further iteration sources).
     pub cont: Vec<Op>,
     /// Numeric specialization of `cont`, used when present and falling back
-    /// to `cont` per entry whenever a guard trips (see [`NumExpr`]).
+    /// to `cont` per entry whenever a guard trips (see [`NumExpr`]). For a
+    /// quantile-filtered sum, only the cuts of its thresholds.
     pub fast: Option<Vec<FastOp>>,
     /// Frame slot receiving the member's total (as a double).
     pub dest: Slot,
@@ -1356,15 +1381,46 @@ impl Hoister {
         })
     }
 
-    /// Extract a `SubSum` plan of shape `AggSum*(Product[Scan, cont…])` (or a
-    /// bare scan) whose reads are confined to trigger slots plus its own
-    /// bindings, merging it into a fused prelude scan. Returns the result
-    /// slot on success.
-    fn try_extract(&mut self, op: &Op) -> Option<Slot> {
-        let (scan, cont) = scan_body(op)?;
-        if !cont.iter().all(simple_cont_op) {
+    /// The numeric pass of a continuation whose every op is a loop-invariant
+    /// lift or an [`Op::Threshold`] on a key `binds` binds, the last a
+    /// threshold: one [`FastOp::Cut`] per threshold (see the module docs on
+    /// quantile filters). A lift needs no step: an entry takes the pass only
+    /// once every cut is searched, which a row down the continuation did,
+    /// every lift before it included, and the lift binds the same value on
+    /// every row.
+    fn quantile_pass(&self, cont: &[Op], binds: &[(u16, Slot)]) -> Option<Vec<FastOp>> {
+        if !matches!(cont.last(), Some(Op::Threshold(_))) {
             return None;
         }
+        let mut cuts = Vec::new();
+        for op in cont {
+            match op {
+                Op::LiftBind { value, .. } if self.invariant_scalar(value) => {}
+                Op::Threshold(t) if binds.iter().any(|b| b.1 == t.key) => cuts.push(FastOp::Cut {
+                    cut: t.cache,
+                    range: t.range,
+                    key: t.key,
+                }),
+                _ => return None,
+            }
+        }
+        Some(cuts)
+    }
+
+    /// Extract a `SubSum` plan of shape `AggSum*(Product[Scan, cont…])` (or a
+    /// bare scan) whose reads are confined to trigger slots plus its own
+    /// bindings, merging it into a fused prelude scan — `cont` made of
+    /// filters and weights, or of quantile filters ([`Hoister::quantile_pass`]).
+    /// Returns the result slot on success.
+    fn try_extract(&mut self, op: &Op) -> Option<Slot> {
+        let (scan, cont) = scan_body(op)?;
+        let Op::Scan { binds, .. } = scan else {
+            return None;
+        };
+        let fast = match cont.iter().all(simple_cont_op) {
+            true => compile_fast(cont),
+            false => Some(self.quantile_pass(cont, binds)?),
+        };
         let Op::Scan {
             rel,
             buf,
@@ -1388,7 +1444,6 @@ impl Hoister {
             .any(|s| (*s as usize) < self.trigger_slots as usize);
         let dest = self.next_slot as Slot;
         self.next_slot += 1;
-        let fast = compile_fast(cont);
         let band = fast.as_deref().and_then(|f| member_band(f, binds));
         let member = FusedMember {
             fast,
@@ -1638,12 +1693,20 @@ pub fn band_key(v: &Value) -> Option<f64> {
         Value::Double(d) => *d,
         _ => return None,
     };
-    (k.fract() == 0.0 && k != 0.0 && k.abs() <= EXACT_INT_BOUND).then_some(k)
+    (k != 0.0 && k.abs() <= EXACT_INT_BOUND && integral(k)).then_some(k)
 }
 
 /// The contribution of a multiplicity to a running sum, when it is exact.
 pub fn exact_mult(m: f64) -> Option<i64> {
-    (m.fract() == 0.0 && m.abs() < EXACT_INT_BOUND).then_some(m as i64)
+    (m.abs() < EXACT_INT_BOUND && integral(m)).then_some(m as i64)
+}
+
+/// Is `x`, of magnitude at most 2^63, a whole number? `fract` would call
+/// libm's `trunc` on every entry of a walk; a round trip through `i64` is
+/// two instructions, and `NaN` fails it.
+#[inline]
+fn integral(x: f64) -> bool {
+    (x as i64) as f64 == x
 }
 
 /// Number of comparisons a binary search over `n` sorted items makes — what
@@ -1795,9 +1858,19 @@ enum FastOutcome {
     Bail,
 }
 
-fn run_fast(ops: &[FastOp], frame: &[Value], mut mult: f64) -> FastOutcome {
+fn run_fast(ops: &[FastOp], frame: &[Value], cuts: &[Cut], mut mult: f64) -> FastOutcome {
     for op in ops {
         match op {
+            FastOp::Cut { cut, range, key } => {
+                let (Cut::Keys(lo, hi), Some(p)) =
+                    (cuts[*cut as usize], loop_key(&frame[*key as usize]))
+                else {
+                    return FastOutcome::Bail;
+                };
+                if !admits(*range, (lo, hi), p) {
+                    return FastOutcome::Skip;
+                }
+            }
             FastOp::Pred(cmp, l, r) => {
                 let Some((lv, _)) = eval_num(l, frame) else {
                     return FastOutcome::Bail;
@@ -1858,13 +1931,18 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
 impl CompiledStmt {
     /// Every `(relation, template)` the kernel reads with a pattern that
     /// leaves a position free — plan scans wherever they sit (sub-sums,
-    /// cached sums, fallbacks), fused prelude scans and sorted runs. Each is
-    /// answered from the secondary index of the template's bound positions
-    /// ([`template_mask`]), which is what the runtime declares up front.
+    /// cached sums, fallbacks, prelude members), fused prelude scans and
+    /// sorted runs. Each is answered from the secondary index of the
+    /// template's bound positions ([`template_mask`]), which is what the
+    /// runtime declares up front.
     pub fn scans(&self) -> Vec<(u16, &[Option<Slot>])> {
         let mut out = Vec::new();
         op_scans(&self.plan, &mut out);
-        out.extend(self.prelude.iter().map(|f| (f.rel, &f.template[..])));
+        for f in &self.prelude {
+            out.push((f.rel, &f.template[..]));
+            let conts = f.members.iter().flat_map(|m| &m.cont);
+            conts.for_each(|op| op_scans(op, &mut out));
+        }
         out.extend(self.runs.iter().map(|r| (r.rel, &r.template[..])));
         out
     }
@@ -2081,7 +2159,9 @@ enum RunState {
 struct RunBuf {
     state: RunState,
     /// `(band key, Σ multiplicities up to and including it)`, ascending.
-    entries: Vec<(f64, i64)>,
+    /// Band keys are whole numbers within 2^53, so an `i64` holds each one
+    /// exactly, and sorts faster than an `f64`.
+    entries: Vec<(i64, i64)>,
     /// Largest `|key|` (`0.0` when empty).
     max_abs_key: f64,
     /// Does the run hold a negative multiplicity? Its band sums are then not
@@ -2132,7 +2212,7 @@ impl RunBuf {
             let all = self.entries.last().map_or(0, |e| e.1);
             return (if x < 0.0 { 0 } else { all }, 0);
         }
-        let i = self.entries.partition_point(|e| e.0 < x);
+        let i = self.entries.partition_point(|e| (e.0 as f64) < x);
         let below = i.checked_sub(1).map_or(0, |i| self.entries[i].1);
         (below, search_steps(self.entries.len()))
     }
@@ -2217,7 +2297,7 @@ impl Exec<'_> {
         template: &[Option<Slot>],
         eqs: &[(u16, u16)],
         binds: &[(u16, Slot)],
-        on_match: &mut dyn FnMut(&mut Self, f64),
+        mut on_match: impl FnMut(&mut Self, f64),
     ) {
         bump(&self.counters.scans);
         let id = match self.rel_id(rel) {
@@ -2227,8 +2307,9 @@ impl Exec<'_> {
         let pattern = self.take_pattern(buf, template);
         let arity = template.len();
         let (src, names) = (self.src, self.names);
+        let mut walked = 0u64;
         src.for_each_at(id, &pattern, &mut |t, m| {
-            bump(&self.counters.entries_scanned);
+            walked += 1;
             if self.error.is_some() || m == 0.0 {
                 return;
             }
@@ -2253,6 +2334,8 @@ impl Exec<'_> {
             }
             on_match(self, m);
         });
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + walked);
         self.patterns[buf as usize] = pattern;
     }
 
@@ -2365,7 +2448,7 @@ impl Exec<'_> {
                 binds,
                 eqs,
             } => {
-                self.scan_atom(*rel, *buf, template, eqs, binds, &mut |me, m| {
+                self.scan_atom(*rel, *buf, template, eqs, binds, |me, m| {
                     me.finish(mult * m, tail)
                 });
             }
@@ -2503,7 +2586,7 @@ impl Exec<'_> {
         let edge = |j: usize| match j {
             0 => f64::NEG_INFINITY,
             j if j > n => f64::INFINITY,
-            j => r.entries[j - 1].0,
+            j => r.entries[j - 1].0 as f64,
         };
         bump(&self.counters.range_sum_hits);
         let scanned = &self.counters.entries_scanned;
@@ -2535,29 +2618,22 @@ impl Exec<'_> {
         for c in &accs[..fs.members.len()] {
             c.set(0.0);
         }
-        self.scan_atom(
-            fs.rel,
-            fs.buf,
-            &fs.template,
-            &fs.eqs,
-            &fs.binds,
-            &mut |me, m| {
-                for (k, member) in fs.members.iter().enumerate() {
-                    if let Some(fast) = &member.fast {
-                        match run_fast(fast, me.frame, m) {
-                            FastOutcome::Contribute(c) => {
-                                accs[k].set(accs[k].get() + c);
-                                continue;
-                            }
-                            FastOutcome::Skip => continue,
-                            FastOutcome::Bail => {} // exact general path below
+        self.scan_atom(fs.rel, fs.buf, &fs.template, &fs.eqs, &fs.binds, |me, m| {
+            for (k, member) in fs.members.iter().enumerate() {
+                if let Some(fast) = &member.fast {
+                    match run_fast(fast, me.frame, me.cuts, m) {
+                        FastOutcome::Contribute(c) => {
+                            accs[k].set(accs[k].get() + c);
+                            continue;
                         }
+                        FastOutcome::Skip => continue,
+                        FastOutcome::Bail => {} // exact general path below
                     }
-                    let acc_tail = Tail::Acc(&accs[k]);
-                    me.finish(m, &Tail::Seq(&member.cont, &acc_tail));
                 }
-            },
-        );
+                let acc_tail = Tail::Acc(&accs[k]);
+                me.finish(m, &Tail::Seq(&member.cont, &acc_tail));
+            }
+        });
         if self.error.is_none() {
             for (k, member) in fs.members.iter().enumerate() {
                 self.frame[member.dest as usize] = Value::double(accs[k].get());
@@ -2698,7 +2774,8 @@ impl Exec<'_> {
     /// Build run `i` from one walk of its group: `Exact` when every entry
     /// has a band key and an exact multiplicity and `Σ|multiplicity| <
     /// 2^53`, else `Walk` — as when the relation is unknown, whose error the
-    /// lookups' own walks then raise where they always did.
+    /// lookups' own walks then raise where they always did. Entries past the
+    /// first offender are only counted.
     fn build_run(&mut self, i: usize) {
         let spec = &self.run_specs[i];
         bump(&self.counters.scans);
@@ -2708,12 +2785,13 @@ impl Exec<'_> {
         };
         let pattern = self.take_pattern(spec.buf, &spec.template);
         let (arity, key_pos) = (spec.template.len(), spec.key_pos as usize);
-        let (counters, src) = (self.counters, self.src);
         let run = &mut self.runs[i];
         run.entries.clear();
-        let (mut exact, mut abs_sum, mut negative) = (true, 0u128, false);
-        src.for_each_at(id, &pattern, &mut |t, m| {
-            bump(&counters.entries_scanned);
+        // `abs_sum` stays below 2^53 while `exact`, so adding one more
+        // multiplicity (also below 2^53) cannot overflow.
+        let (mut walked, mut exact, mut abs_sum, mut negative) = (0u64, true, 0u64, false);
+        self.src.for_each_at(id, &pattern, &mut |t, m| {
+            walked += 1;
             if !exact || m == 0.0 {
                 return;
             }
@@ -2726,27 +2804,30 @@ impl Exec<'_> {
             }
             match (band_key(&t[key_pos]), exact_mult(m)) {
                 (Some(key), Some(m)) => {
-                    abs_sum += u128::from(m.unsigned_abs());
+                    abs_sum += m.unsigned_abs();
+                    exact = abs_sum < 1 << 53;
                     negative |= m < 0;
-                    run.entries.push((key, m));
+                    run.entries.push((key as i64, m));
                 }
                 _ => exact = false,
             }
         });
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + walked);
         self.patterns[spec.buf as usize] = pattern;
         let run = &mut self.runs[i];
-        if !exact || abs_sum >= 1 << 53 {
+        if !exact {
             run.state = RunState::Walk;
             return;
         }
-        run.entries.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        run.entries.sort_unstable_by_key(|e| e.0);
         let mut sum = 0i64;
         for e in &mut run.entries {
             sum += e.1;
             e.1 = sum;
         }
         let ends = run.entries.first().into_iter().chain(run.entries.last());
-        run.max_abs_key = ends.fold(0.0, |m, e| m.max(e.0.abs()));
+        run.max_abs_key = ends.fold(0, |m, e| m.max(e.0.unsigned_abs())) as f64;
         run.negative = negative;
         run.state = RunState::Exact;
     }
@@ -3025,7 +3106,7 @@ mod tests {
     }
 
     /// A loop-invariant scanning sub-sum that cannot join the prelude — its
-    /// member holds a band sum of its own, as `mst`'s do — is walked once per
+    /// member is weighted by a band sum of its own — is walked once per
     /// execution, not once per row of the loop around it.
     #[test]
     fn invariant_sub_sums_inside_a_loop_are_walked_once_per_execution() {
@@ -3041,7 +3122,7 @@ mod tests {
             Expr::product_of([
                 Expr::rel("S", ["c", "d"]),
                 Expr::lift("w", band),
-                Expr::cmp(OpC::Gt, Expr::var("w"), Expr::Const(Value::long(0))),
+                Expr::var("w"),
             ]),
         );
         let e = Expr::agg_sum(
@@ -3059,9 +3140,9 @@ mod tests {
             check(&e, &[("y", y)], &[]);
         }
         // One walk of `R` for the loop, one of `S` for the cached sum, one of
-        // `R` to build the run; one search of it for the filter `w > 0`.
+        // `R` to build the run; a lookup in it for each of `S`'s two rows.
         let (rows, work) = run_with(&stmt, &db(), 1);
-        assert_eq!((work.scans, work.range_sum_hits), (3, 1));
+        assert_eq!((work.scans, work.range_sum_hits), (3, 2));
         let (walked, plain) = run_with(&unhoisted(&e), &db(), 1);
         assert_eq!(rows, walked);
         assert_eq!(plain.scans, 1 + 3 * 3);
@@ -3070,8 +3151,20 @@ mod tests {
     /// `Sum[](R(a, b) * a * [0.5 × Σ R(y, ·) > Σ R(y, b2) * (b2 band b)])`,
     /// the comparison written either way round: `vwap`'s quantile filter.
     fn quantile(band: OpC, sum_left: bool) -> Expr {
+        let total = Expr::agg_sum(Vec::<String>::new(), Expr::rel("R", ["y", "t"]));
+        quantile_of(band, sum_left, total, Some(Expr::var("a")))
+    }
+
+    /// The filter without the weight, lifted into `z` that the statement
+    /// sums, and its total probed from `N(y)`, as `vwap`'s is: `vwap`'s whole
+    /// refresh, a quantile-filtered sum.
+    fn quantile_sum(band: OpC, sum_left: bool) -> Expr {
+        let sum = quantile_of(band, sum_left, Expr::rel("N", ["y"]), None);
+        Expr::product_of([Expr::lift("z", sum), Expr::var("z")])
+    }
+
+    fn quantile_of(band: OpC, sum_left: bool, total: Expr, weight: Option<Expr>) -> Expr {
         let sum = |f: Vec<Expr>| Expr::agg_sum(Vec::<String>::new(), Expr::product_of(f));
-        let total = sum(vec![Expr::rel("R", ["y", "t"])]);
         let above = Expr::cmp(band, Expr::var("b2"), Expr::var("b"));
         let above = sum(vec![Expr::rel("R", ["y", "b2"]), above]);
         let half = Expr::product_of([Expr::val(0.5), Expr::var("s1")]);
@@ -3080,17 +3173,13 @@ mod tests {
             false => Expr::cmp(OpC::Gt, half, Expr::var("s2")),
         };
         let (s1, s2) = (Expr::lift("s1", total), Expr::lift("s2", above));
-        sum(vec![
-            Expr::rel("R", ["a", "b"]),
-            s1,
-            s2,
-            filter,
-            Expr::var("a"),
-        ])
+        let factors = [Expr::rel("R", ["a", "b"]), s1, s2, filter];
+        sum(factors.into_iter().chain(weight).collect())
     }
 
     /// `R(1, ·)` is a book of keys 2, 3, 5, 7 and 11 holding 3, 1, 2, 1 and
-    /// 4; `R(2, ·)` and `R(3, ·)` add rows to the loop.
+    /// 4; `R(2, ·)` and `R(3, ·)` add rows to the loop. `N(y)` is `R(y, ·)`'s
+    /// total.
     fn book(extra: Option<(i64, Value, f64)>) -> MemSource {
         let mut r = Gmr::new(Schema::new(["A", "B"]));
         let rows = [
@@ -3109,8 +3198,13 @@ mod tests {
         if let Some((a, b, m)) = extra {
             r.add_tuple(vec![Value::long(a), b], m);
         }
+        let mut n = Gmr::new(Schema::new(["A"]));
+        for (a, total) in [(1, 11.0), (2, 2.0), (3, 1.0)] {
+            n.add_tuple(vec![Value::long(a)], total);
+        }
         let mut src = MemSource::new();
         src.set_relation("R", r);
+        src.set_relation("N", n);
         src
     }
 
@@ -3119,38 +3213,60 @@ mod tests {
     /// band direction and either orientation; with a negative multiplicity
     /// or an inexact key in the band, by running them on every row; with a
     /// loop key that is no finite number or a `Long` past 2^53, on that row.
+    /// A quantile-filtered sum is one fused pass over the loop, whose rows
+    /// outside the cut, or all of them when the search cannot answer, run
+    /// the lift and the filter as the plan does, counted as it counts them.
     #[test]
     fn quantile_filters_inside_a_loop_are_one_search_per_execution() {
         let bits = |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
         let same = |e: &Expr, src: &MemSource, y: i64| {
             let stmt = lower_statement(&["y".into()], &[], e).unwrap();
             assert_eq!(stmt.thresholds, 1, "{e}");
+            let pass = stmt
+                .prelude
+                .iter()
+                .flat_map(|f| &f.members)
+                .any(|m| matches!(m.fast.as_deref(), Some([FastOp::Cut { cut: 0, .. }])));
             let (rows, work) = run_with(&stmt, src, y);
             let (walked, _) = run_with(&unhoisted(e), src, y);
             assert_eq!(bits(&rows), bits(&walked), "{e} at y = {y}");
-            (work.range_sum_hits, work.range_sum_bails)
+            (pass, work.range_sum_hits, work.range_sum_bails)
         };
         let directions = [OpC::Gt, OpC::Ge, OpC::Lt, OpC::Le];
         for (band, sum_left) in directions.into_iter().flat_map(|b| [(b, false), (b, true)]) {
-            let e = quantile(band, sum_left);
-            check(&e, &[("y", 1)], &[]);
-            for y in [1, 2, 9] {
-                assert_eq!(same(&e, &book(None), y), (1, 0), "{e} at y = {y}");
+            for (e, pass) in [
+                (quantile(band, sum_left), false),
+                (quantile_sum(band, sum_left), true),
+            ] {
+                if !pass {
+                    check(&e, &[("y", 1)], &[]);
+                }
+                for y in [1, 2, 9] {
+                    assert_eq!(same(&e, &book(None), y), (pass, 1, 0), "{e} at y = {y}");
+                }
             }
         }
-        let e = quantile(OpC::Gt, false);
         let rows = 9;
-        for (extra, counts) in [
-            ((1, Value::long(13), -1.0), (rows, 0)),
-            ((1, Value::double(0.5), 1.0), (0, rows)),
-            ((4, Value::double(f64::NAN), 1.0), (1, 1)),
-            ((4, Value::long((1 << 53) + 1), 1.0), (1, 1)),
-            ((4, Value::str("k"), 1.0), (1, 1)),
-            ((4, Value::double(-0.0), 1.0), (1, 0)),
-            ((4, Value::double(4.5), 1.0), (1, 0)),
+        for (e, pass) in [
+            (quantile(OpC::Gt, false), false),
+            (quantile_sum(OpC::Gt, false), true),
         ] {
-            let key = extra.1.clone();
-            assert_eq!(same(&e, &book(Some(extra)), 1), counts, "{key}");
+            for (extra, (hits, bails)) in [
+                ((1, Value::long(13), -1.0), (rows, 0)),
+                ((1, Value::double(0.5), 1.0), (0, rows)),
+                ((4, Value::double(f64::NAN), 1.0), (1, 1)),
+                ((4, Value::long((1 << 53) + 1), 1.0), (1, 1)),
+                ((4, Value::str("k"), 1.0), (1, 1)),
+                ((4, Value::double(-0.0), 1.0), (1, 0)),
+                ((4, Value::double(4.5), 1.0), (1, 0)),
+            ] {
+                let key = extra.1.clone();
+                assert_eq!(
+                    same(&e, &book(Some(extra)), 1),
+                    (pass, hits, bails),
+                    "{key}"
+                );
+            }
         }
     }
 

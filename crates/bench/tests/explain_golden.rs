@@ -16,7 +16,7 @@
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
 //! quantile filters inside a loop: one search per execution of a run sorted
 //! once per execution, with no index behind it, against totals probed once
-//! per execution. `q3` pins a declared hash index's line in its map's block,
+//! per execution, and the sums they filter as one fused numeric pass. `q3` pins a declared hash index's line in its map's block,
 //! and the map's own bytes (live, and in a snapshot buffer) beside it.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
@@ -212,37 +212,45 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // no secondary index to keep ordered: the `:=` sorts it into a
             // run once per execution and, every volume being non-negative,
             // searches the run once for the price where the filter flips;
-            // the total it compares with is probed once per execution.
+            // the total it compares with is probed once per execution. The
+            // outer sum is one fused numeric pass over `m_vwap_3` that adds
+            // the prices inside the cut.
             assert!(ex.maps.is_empty() && !text.contains("== map"), "{text}");
-            for line in [
-                "lift $6 := subsum(probe m_vwap_1[]) (loop-invariant: once per execution)",
-                "threshold $5 from 0.25 * $6 > range-sum m_vwap_2[>$7] key > $5 \
-                 (one search per execution)",
-            ] {
-                assert!(text.contains(line), "{text}");
-            }
+            let pass = "    prelude: fused scan m_vwap_3[>$5] members=1 entry-invariant; \
+                        →$9 numeric pass[\
+                        lift $6 := subsum(probe m_vwap_1[]) (loop-invariant: once per execution), \
+                        threshold $5 from 0.25 * $6 > range-sum m_vwap_2[>$7] key > $5 \
+                        (one search per execution)]\n    | scalar ×$9\n";
+            assert!(text.contains(pass), "{text}");
             assert!(
-                !text.contains("scan m_vwap_2") && !text.contains("filter "),
+                !text.contains("scan m_vwap_2")
+                    && !text.contains("filter ")
+                    && !text.contains("another aggregate in the member"),
                 "{text}"
             );
-            // The outer sum compares two aggregates: it stays a walk, and says so.
-            let note = "subsum: (not a range sum: another aggregate in the member)";
-            assert!(text.contains(note), "{text}");
+            for rel in &ex.relations {
+                let result = rel.triggers[0].statements.last().unwrap();
+                let a = result.analyze.expect("telemetry on");
+                assert!(a.fused_scans > 0, "{a:?}");
+            }
             assert_lookups_answered(ex);
         }
         "mst" => {
             // Both sides' quantile filters are one search each, against
             // totals probed once per execution; each bid row is multiplied
-            // by the asks' sum, which does not depend on the row and is
-            // walked once per execution.
+            // by the asks' sum, which does not depend on the row: one fused
+            // numeric pass per execution.
             for line in [
                 "lift $9 := subsum(probe m_mst_3[]) (loop-invariant: once per execution)",
                 "threshold $6 from 0.25 * $9 > range-sum m_mst_4[>$7] key > $6 \
                  (one search per execution)",
-                "lift $13 := subsum(probe m_mst_1[]) (loop-invariant: once per execution)",
-                "threshold $10 from 0.25 * $13 > range-sum m_mst_2[>$11] key > $10 \
-                 (one search per execution)",
-                "scalar ×subsum(agg-sum) (loop-invariant: once per execution)",
+                "    prelude: fused scan m_mst_6[>$10] members=1 entry-invariant; →$22 numeric pass[\
+                 lift $13 := subsum(probe m_mst_1[]) (loop-invariant: once per execution), \
+                 threshold $10 from 0.25 * $13 > range-sum m_mst_2[>$11] key > $10 \
+                 (one search per execution)]",
+                "    prelude: fused scan m_mst_8[>$18] members=1 entry-invariant; →$23 numeric pass[",
+                "scalar ×$22",
+                "scalar ×$23",
             ] {
                 assert!(text.contains(line), "{text}");
             }

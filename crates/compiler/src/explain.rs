@@ -575,6 +575,14 @@ fn scalar_subplans(op: &Op) -> Vec<&Op> {
     out
 }
 
+fn fast_str(f: &FastOp) -> String {
+    match f {
+        FastOp::Pred(cmp, l, r) => format!("{} {cmp} {}", num_str(l), num_str(r)),
+        FastOp::Weight(w) => format!("×{}", num_str(w)),
+        FastOp::Cut { cut, key, .. } => format!("${key} in cut {cut}"),
+    }
+}
+
 fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
     let mut line = format!(
         "{} {}[{}] members={}",
@@ -599,14 +607,16 @@ fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
     for m in &fs.members {
         let _ = write!(line, "; →${}", m.dest);
         if let Some(fast) = &m.fast {
-            let steps: Vec<String> = fast
-                .iter()
-                .map(|f| match f {
-                    FastOp::Pred(cmp, l, r) => format!("{} {cmp} {}", num_str(l), num_str(r)),
-                    FastOp::Weight(w) => format!("×{}", num_str(w)),
-                })
-                .collect();
-            let _ = write!(line, " fast[{}]", steps.join(", "));
+            // A quantile-filtered sum's cuts are the thresholds of its
+            // continuation: it prints the continuation, which is what a row
+            // outside a cut runs.
+            let pass = fast.iter().any(|f| matches!(f, FastOp::Cut { .. }));
+            let steps: Vec<String> = match pass {
+                true => m.cont.iter().map(|op| op_summary(op, rels)).collect(),
+                false => fast.iter().map(fast_str).collect(),
+            };
+            let kind = if pass { "numeric pass" } else { "fast" };
+            let _ = write!(line, " {kind}[{}]", steps.join(", "));
         }
         if let Some(band) = &m.band {
             let ranges = ranges_str(&band.ranges);

@@ -12,8 +12,10 @@
 //!   what it held; an engine recovered from a WAL cut equals one fed that
 //!   prefix bit for bit and, fed the rest, runs the same `RunRecord`s and
 //!   ends where the batched engine ended;
-//! * **work**, on exact data: with the live passes kept, the kernels scan no
-//!   more entries than the same batches fired firing by firing;
+//! * **work**: every batch runs exactly the statements its runs prescribe
+//!   ([`statements`]) — each `:=` tail once per run that changed anything —
+//!   and, on exact data, with the live passes kept, the kernels scan no more
+//!   entries than the same batches fired firing by firing;
 //! * **refusals**: the ingest gate refuses exactly the case's ill-typed
 //!   event, if it has one — per event and batched, one failed event — and
 //!   never logs it, while every view equals the stream without it (see
@@ -24,8 +26,8 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{DeltaBatch, UpdateEvent};
-use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, TriggerProgram};
+use dbtoaster::agca::{DeltaBatch, UpdateEvent, UpdateSign};
+use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
 use dbtoaster::gmr::{Gmr, Value};
@@ -122,6 +124,69 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
     }
 }
 
+/// The statements `program` executes for `batch`, less the entry of the
+/// `refused` event, as the engine receives it: an increment-only program's
+/// batch with its runs merged per relation. A batch-delta run executes each
+/// `+=` of an entry's sign once per entry — once per firing where a
+/// multi-firing run's live pass lists it — and the `:=` statements of its
+/// last event's trigger once, unless every entry cancelled; an entry-major
+/// run is runs of one firing each.
+pub fn statements(
+    program: &TriggerProgram,
+    batch: &DeltaBatch,
+    refused: Option<&UpdateEvent>,
+) -> u64 {
+    let mut ops = program.triggers.iter().flat_map(|t| &t.statements);
+    let mut merged = DeltaBatch::default();
+    let batch = match ops.all(|s| s.op == StmtOp::Increment) {
+        true => {
+            batch.merge_runs_into(&mut merged);
+            &merged
+        }
+        false => batch,
+    };
+    let mut admitted = DeltaBatch::default();
+    batch.retain_into(&mut admitted, |run, e| {
+        refused.is_none_or(|r| r.relation != run.relation() || r.tuple[..] != e.key[..])
+    });
+    let dispatch = program.batch_dispatch();
+    let mut n = 0;
+    for run in admitted.runs() {
+        let Some(d) = dispatch.iter().find(|d| d.relation == run.relation()) else {
+            continue;
+        };
+        let trigger = |sign| match sign {
+            UpdateSign::Insert => d.insert,
+            UpdateSign::Delete => d.delete,
+        };
+        let firings: u64 = run.entries().iter().map(|e| u64::from(e.firings())).sum();
+        let live = program.live_pass_for(run.relation());
+        let live = live.filter(|lp| !lp.statements.is_empty() && firings > 1);
+        for e in run.entries() {
+            let Some(t) = e.sign().and_then(trigger) else {
+                continue;
+            };
+            let all = program.triggers[t].statements.iter().enumerate();
+            n += match d.strategy {
+                BatchStrategy::EntryMajor => u64::from(e.firings()) * all.len() as u64,
+                _ => all
+                    .filter(|(_, s)| s.op == StmtOp::Increment)
+                    .map(|(j, _)| match live.is_some_and(|lp| lp.lists(t, j)) {
+                        true => u64::from(e.firings()),
+                        false => 1,
+                    })
+                    .sum(),
+            };
+        }
+        let tail = run.last_event().and_then(|(sign, _)| trigger(sign));
+        if let Some(t) = tail.filter(|_| d.strategy == BatchStrategy::BatchDelta && firings > 0) {
+            let statements = program.triggers[t].statements.iter();
+            n += statements.filter(|s| s.op == StmtOp::Replace).count() as u64;
+        }
+    }
+    n
+}
+
 /// Every run of a batch took its relation's static dispatch.
 pub fn assert_dispatched(ctx: &str, program: &TriggerProgram, report: &BatchReport) {
     let dispatch = program.batch_dispatch();
@@ -205,6 +270,8 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
 
     let mut batched = engine(case, program);
     let tel = instrument(&mut batched);
+    let initial_statements = batched.stats().statements;
+    let mut prescribed = 0;
     let hold_at = p.snapshot.map(|s| s % (cuts.len() + 1));
     let mut held = None;
     // The WAL cut's checkpoints and stop, and the state there.
@@ -222,11 +289,16 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
             images.insert(i, batched.snapshot().into_iter().collect());
         }
         if let Some(r) = cuts.get(i) {
+            let refused = case.ill_typed.filter(|at| r.contains(at));
+            prescribed += statements(program, &batch(r), refused.map(|at| &case.events[at]));
             reports.push(batched.process_batch(&batch(r)));
             assert_dispatched(&ctx, program, &reports[i]);
         }
     }
-    let kept = work(&mut batched, &tel).scanned;
+    let done = work(&mut batched, &tel);
+    let ran = done.statements - initial_statements;
+    assert_eq!(ran, prescribed, "{ctx}: statements run, and prescribed");
+    let kept = done.scanned;
     let view = |n: &str| batched.view(n);
 
     // Values, and refusals: the gate refuses the ill-typed event and only

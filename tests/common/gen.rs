@@ -15,7 +15,9 @@
 //! multiplicities beyond ±1, deletes before inserts, net-zero blocks, ints
 //! past 2^53 in key-only columns, 0.5 / −0.0 in weight columns no query
 //! compares, −0.0 in compared columns and, in cases with a quantile filter,
-//! NaN and ints past 2^53 in compared columns no query weighs. One in ten
+//! NaN and ints past 2^53 in compared columns no query weighs, and a closing
+//! block that leaves the filter's group holding a negative net multiplicity
+//! (see [`plant_negative_quantile`]). One in ten
 //! cases with a weight column carries one ill-typed event: a string in that
 //! number column, or a tuple one value short.
 
@@ -26,7 +28,7 @@ use dbtoaster::compiler::{
 };
 use dbtoaster::gmr::Value;
 use dbtoaster::workloads::{self, Dataset, Family};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::ops::Range;
 
@@ -770,6 +772,9 @@ pub fn case(seed: u64) -> Case {
     };
     let mut events_rng = Rng::new(seed, 2);
     let mut events = stream(&mut events_rng, &["R", "S"], len, &dom);
+    if quantile {
+        plant_negative_quantile(&mut events);
+    }
     let mut ill_typed = None;
     if !weights.is_empty() && rng.percent(10) {
         let (rel, col) = rng.pick(&weights);
@@ -792,6 +797,32 @@ pub fn case(seed: u64) -> Case {
         ill_typed,
         ..Case::new(Source::Queries(specs), events)
     }
+}
+
+/// Close a stream with `R` rows at 2, 3 and 4 in both columns, then `S`
+/// cancelled down to nothing and refilled with weights 1, 1, −1 and 2 at
+/// keys 1 to 4 — the −1 deleted, never inserted. `Quantile`'s filter `½ Σ
+/// S > Σ S above v` then keeps `v` = 2 and 4 but not 3: its band sums are
+/// not monotone in `v`, so no search of the group finds the rows it keeps.
+fn plant_negative_quantile(events: &mut Vec<UpdateEvent>) {
+    let mut net: BTreeMap<Vec<Value>, i64> = BTreeMap::new();
+    for e in events.iter().filter(|e| e.relation == "S") {
+        let m = if e.sign == UpdateSign::Insert { 1 } else { -1 };
+        *net.entry(e.tuple.clone()).or_insert(0) += m;
+    }
+    let row = |x: i64, y: i64| vec![Value::long(x), Value::long(y)];
+    events.extend((2..5).map(|v| UpdateEvent::insert("R", row(v, v))));
+    for (t, m) in net {
+        let undo = if m > 0 {
+            UpdateEvent::delete
+        } else {
+            UpdateEvent::insert
+        };
+        events.extend((0..m.abs()).map(|_| undo("S", t.clone())));
+    }
+    let refill = [(1, 1), (2, 1), (4, 2)].map(|(k, w)| UpdateEvent::insert("S", row(k, w)));
+    events.push(UpdateEvent::delete("S", row(3, 1)));
+    events.extend(refill);
 }
 
 /// A hand-assembled program over an `R` stream. A program with a `:=`
