@@ -5,10 +5,11 @@
 //! coalesced micro-batches, the write-ahead log frames one record per batch,
 //! and compiled kernels amortize per-statement setup. A [`DeltaBatch`] closes
 //! the gap: it represents a contiguous slice of the update stream as a sequence
-//! of **per-relation GMR deltas** — for each maximal run of same-relation
-//! events, one signed multiplicity map (insert = `+1`, delete = `−1`, same-key
-//! events collapsed by ring addition). A single event is the degenerate batch
-//! of one run with one entry.
+//! of **per-relation GMR deltas** — for each run of same-relation events (a
+//! maximal stretch of the stream, or all of a relation's events: see
+//! *Representation*), one signed multiplicity map (insert = `+1`, delete =
+//! `−1`, same-key events collapsed by ring addition). A single event is the
+//! degenerate batch of one run with one entry.
 //!
 //! ## Why a batch of updates *is* a GMR delta
 //!
@@ -84,20 +85,34 @@
 //!
 //! ## Representation
 //!
+//! A batch has a [`BatchShape`], named by the engine that will run it. A
+//! **stream-order** batch starts a run at every change of `(relation, arity)`
+//! — the order a program with `:=` statements needs, since each run's tail
+//! binds to its own last event. A **grouped** batch folds each event straight
+//! into the one run of its `(relation, arity)`, wherever it comes in the
+//! stream: an increment-only program's runs are pure state differences, so
+//! one run per relation is exact, and an interleaved stream (TPC-H's Orders
+//! and Lineitem, bids and asks) is built once instead of as hundreds of short
+//! runs that would then be copied together. The serving writer and WAL replay
+//! build the shape their engine names; [`DeltaBatch::merge_runs_into`]
+//! regroups a caller-built stream-order batch through the same fold, so both
+//! give the same batch, entry for entry.
+//!
 //! Entries keep their **first-arrival order** (a collapse folds a later event
 //! into the existing entry in place), so batch execution visits keys in a
-//! deterministic, stream-correlated order. Each entry remembers the run
-//! position and sign of its last event, so [`RelationDelta::last_event`] finds
-//! the final event of the run for the statements that must be bound to it
-//! (re-evaluation statements fire once per run, as the last event's firing is
-//! the one whose output survives) — also in a run some of whose entries were
-//! taken out ([`DeltaBatch::retain_into`]). A run indexes its entries by key
-//! only once it holds a second one: a one-entry run — every batch of one
-//! event — compares the next key with its entry instead, so it hashes
-//! nothing. All buffers — the run pool, the per-run entry list and collapse
-//! index — are recycled by [`DeltaBatch::clear`], so a steady-state producer
-//! (including the engine's own batch-of-1 wrapper around `process`)
-//! allocates nothing.
+//! deterministic, stream-correlated order. Each entry remembers the position
+//! of its last event among its run's events, and that event's sign, so
+//! [`RelationDelta::last_event`] finds the final event of the run for the
+//! statements that must be bound to it (re-evaluation statements fire once
+//! per run, as the last event's firing is the one whose output survives) —
+//! also in a run some of whose entries were taken out
+//! ([`DeltaBatch::retain_into`]). A run indexes its entries by key hash —
+//! positions, not keys, so a new key moves into its entry uncloned — only
+//! once it holds a second one: a one-entry run — every batch of one event —
+//! compares the next key with its entry instead, so it hashes nothing. All
+//! buffers — the run pool, the per-run entry list and collapse index — are
+//! recycled by [`DeltaBatch::clear`], so a steady-state producer (including
+//! the engine's own batch-of-1 wrapper around `process`) allocates nothing.
 
 use crate::delta::{UpdateEvent, UpdateSign};
 use dbtoaster_gmr::{FastMap, Tuple};
@@ -139,19 +154,25 @@ impl DeltaEntry {
     }
 }
 
-/// The GMR delta of one maximal run of same-relation events inside a
-/// [`DeltaBatch`]: a signed multiplicity map over the updated tuples, with
-/// entries in first-arrival order.
+/// The GMR delta of one run of same-relation events inside a [`DeltaBatch`]
+/// (per its [`BatchShape`]): a signed multiplicity map over the updated
+/// tuples, with entries in first-arrival order.
 #[derive(Clone, Debug, Default)]
 pub struct RelationDelta {
     relation: String,
     arity: usize,
     entries: Vec<DeltaEntry>,
-    /// Collapse index: tuple → position in `entries`. Empty while the run
-    /// holds at most one entry (see the module docs).
-    index: FastMap<Tuple, u32>,
+    /// Collapse index: a key's hash → the position of the latest entry with
+    /// that hash, and per indexed entry the position of the one before it
+    /// with the same hash ([`NONE`] ends the chain). Both are empty while
+    /// the run holds at most one entry (see the module docs).
+    index: FastMap<u64, u32>,
+    chain: Vec<u32>,
     events: u64,
 }
+
+/// The end of a collapse-index chain.
+const NONE: u32 = u32::MAX;
 
 impl RelationDelta {
     /// The updated relation.
@@ -159,8 +180,8 @@ impl RelationDelta {
         &self.relation
     }
 
-    /// Tuple arity of this run (a same-relation event with a different arity
-    /// starts a new run, so one run is always arity-uniform).
+    /// Tuple arity of this run (a same-relation event of another arity goes
+    /// to another run, so one run is always arity-uniform).
     pub fn arity(&self) -> usize {
         self.arity
     }
@@ -200,6 +221,7 @@ impl RelationDelta {
         self.entries.clear();
         if !self.index.is_empty() {
             self.index.clear();
+            self.chain.clear();
         }
         self.events = 0;
     }
@@ -209,37 +231,42 @@ impl RelationDelta {
     /// and that `last` comes after every event already folded). A run of at
     /// most one entry keeps no collapse index: the second key is compared
     /// with the first, and both are indexed only when they differ; from then
-    /// on, one hash of the key either way (entry API).
+    /// on, one hash of the key either way. The index holds hashes and
+    /// positions, not keys: a new key moves into its entry uncloned.
     fn fold(&mut self, key: Tuple, mult: f64, events: u32, last: (u32, UpdateSign)) {
-        use std::collections::hash_map::Entry;
+        use std::hash::BuildHasher;
         self.events += events as u64;
         let n = self.entries.len() as u32;
-        let entry = DeltaEntry {
-            key,
-            mult,
-            events,
-            last,
-        };
-        let i = match n {
-            0 => {
-                self.entries.push(entry);
-                return;
-            }
-            1 if self.entries[0].key == entry.key => 0,
+        let found = match n {
+            0 => None,
+            1 if self.entries[0].key == key => Some(0),
             _ => {
                 if n == 1 {
-                    self.index.insert(self.entries[0].key.clone(), 0);
+                    let first = self.index.hasher().hash_one(&self.entries[0].key);
+                    self.index.insert(first, 0);
+                    self.chain.push(NONE);
                 }
-                match self.index.entry(entry.key) {
-                    Entry::Occupied(o) => *o.get(),
-                    Entry::Vacant(v) => {
-                        let key = v.key().clone(); // cheap: inline copy or Arc bump
-                        v.insert(n);
-                        self.entries.push(DeltaEntry { key, ..entry });
-                        return;
-                    }
+                let hash = self.index.hasher().hash_one(&key);
+                let head = self.index.entry(hash).or_insert(NONE);
+                let mut at = *head;
+                while at != NONE && self.entries[at as usize].key != key {
+                    at = self.chain[at as usize];
                 }
+                if at == NONE {
+                    self.chain.push(std::mem::replace(head, n));
+                }
+                (at != NONE).then_some(at)
             }
+        };
+        let Some(i) = found else {
+            let entry = DeltaEntry {
+                key,
+                mult,
+                events,
+                last,
+            };
+            self.entries.push(entry);
+            return;
         };
         let e = &mut self.entries[i as usize];
         e.mult += mult;
@@ -254,6 +281,21 @@ impl RelationDelta {
     }
 }
 
+/// How a [`DeltaBatch`] lays its events out in runs (see the module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum BatchShape {
+    /// A run per maximal stretch of same-`(relation, arity)` events, in
+    /// stream order: the shape every program can run, and the one a program
+    /// with `:=` statements needs.
+    #[default]
+    StreamOrder,
+    /// One run per `(relation, arity)`, in first-appearance order, each
+    /// event folded into its pair's run wherever it comes: what
+    /// [`DeltaBatch::merge_runs_into`] makes of a stream-order batch, and
+    /// what an increment-only program runs.
+    Grouped,
+}
+
 /// A contiguous slice of the update stream as per-relation GMR deltas: the
 /// native unit the engine processes (see the module docs).
 #[derive(Clone, Debug, Default)]
@@ -262,12 +304,27 @@ pub struct DeltaBatch {
     runs: Vec<RelationDelta>,
     live: usize,
     events: u64,
+    shape: BatchShape,
 }
 
 impl DeltaBatch {
-    /// An empty batch.
+    /// An empty stream-order batch.
     pub fn new() -> Self {
         DeltaBatch::default()
+    }
+
+    /// An empty batch of the given shape (the engine names the one it runs:
+    /// `Engine::batch_shape` in `dbtoaster-runtime`).
+    pub fn with_shape(shape: BatchShape) -> Self {
+        DeltaBatch {
+            shape,
+            ..DeltaBatch::default()
+        }
+    }
+
+    /// How the batch lays its events out in runs.
+    pub fn shape(&self) -> BatchShape {
+        self.shape
     }
 
     /// Build a batch from an event slice (convenience for tests and callers
@@ -280,16 +337,18 @@ impl DeltaBatch {
         b
     }
 
-    /// Drop the batch contents, retaining every buffer for reuse.
+    /// Drop the batch contents, retaining every buffer (and the shape) for
+    /// reuse.
     pub fn clear(&mut self) {
         self.live = 0;
         self.events = 0;
     }
 
-    /// Fold one event into the batch: appended to the current run when it
-    /// targets the same relation with the same arity, otherwise a new run
-    /// begins. Insert/delete events of one relation share a run — that is
-    /// what lets opposite-sign same-key events cancel.
+    /// Fold one event into the batch: into the run of its relation and
+    /// arity — the current run for a stream-order batch, wherever it is for
+    /// a grouped one — or a new run when there is none. Insert/delete events
+    /// of one relation share a run — that is what lets opposite-sign
+    /// same-key events cancel.
     pub fn push(&mut self, event: &UpdateEvent) {
         self.push_key(
             &event.relation,
@@ -306,6 +365,16 @@ impl DeltaBatch {
         self.push_key(&event.relation, Tuple::from(event.tuple), event.sign);
     }
 
+    /// Clear the batch and fold `events` into it by value, in its shape: how
+    /// the serving writer builds each drained micro-batch and WAL replay each
+    /// logged record.
+    pub fn refill(&mut self, events: impl IntoIterator<Item = UpdateEvent>) {
+        self.clear();
+        for e in events {
+            self.push_owned(e);
+        }
+    }
+
     /// [`DeltaBatch::push`] of an event given as its parts, the tuple already
     /// a key (the engine's runs of one firing).
     pub fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
@@ -313,23 +382,25 @@ impl DeltaBatch {
         self.events += 1;
     }
 
+    /// The run an event of `(relation, arity)` folds into, per the batch's
+    /// shape, begun when the batch has none: the one routine behind every
+    /// push and every regrouping.
     fn run_for(&mut self, relation: &str, arity: usize) -> &mut RelationDelta {
-        let need_new_run = match self.current() {
-            Some(run) => run.relation != relation || run.arity != arity,
-            None => true,
+        let holds = |r: &RelationDelta| r.relation == relation && r.arity == arity;
+        let live = &self.runs[..self.live];
+        let found = match self.shape {
+            BatchShape::StreamOrder => live.len().checked_sub(1).filter(|&i| holds(&live[i])),
+            BatchShape::Grouped => live.iter().position(holds),
         };
-        if need_new_run {
+        let i = found.unwrap_or_else(|| {
             if self.live == self.runs.len() {
                 self.runs.push(RelationDelta::default());
             }
             self.runs[self.live].reset(relation, arity);
             self.live += 1;
-        }
-        &mut self.runs[self.live - 1]
-    }
-
-    fn current(&self) -> Option<&RelationDelta> {
-        self.live.checked_sub(1).map(|i| &self.runs[i])
+            self.live - 1
+        });
+        &mut self.runs[i]
     }
 
     /// The batch's runs, in stream order.
@@ -354,7 +425,8 @@ impl DeltaBatch {
 
     /// Does any `(relation, arity)` pair own more than one run? When it does,
     /// [`DeltaBatch::merge_runs_into`] would shrink the batch; when it does
-    /// not, merging is the identity and callers can skip it.
+    /// not (always, for a grouped batch), merging is the identity and callers
+    /// can skip it.
     pub fn has_repeated_relation(&self) -> bool {
         let runs = self.runs();
         runs.iter().enumerate().any(|(i, r)| {
@@ -364,31 +436,23 @@ impl DeltaBatch {
         })
     }
 
-    /// Rebuild this batch into `out` with all same-`(relation, arity)` runs
-    /// ring-added into one run each, in first-appearance order. Because GMR
-    /// addition is associative and commutative, the merged batch carries the
-    /// same net delta per relation; cross-run same-key cancellations that the
-    /// stream order hid now collapse. Merging reorders *processing* across
-    /// relations, which is state-preserving exactly when every trigger
-    /// statement computes a pure state difference (all-`Increment` programs —
-    /// the engine checks this; `:=` statements are bound to a specific event
-    /// position and must keep the original run boundaries).
+    /// Rebuild this batch into `out` as a [`BatchShape::Grouped`] batch: all
+    /// same-`(relation, arity)` runs ring-added into one run each, in
+    /// first-appearance order — through the fold a grouped push takes, so
+    /// `out` equals the grouped build of the same events, entry for entry.
+    /// Because GMR addition is associative and commutative, the merged batch
+    /// carries the same net delta per relation; cross-run same-key
+    /// cancellations that the stream order hid now collapse. Merging reorders
+    /// *processing* across relations, which is state-preserving exactly when
+    /// every trigger statement computes a pure state difference
+    /// (all-`Increment` programs — the engine checks this; `:=` statements are
+    /// bound to a specific event position and must keep the original run
+    /// boundaries).
     pub fn merge_runs_into(&self, out: &mut DeltaBatch) {
         out.clear();
+        out.shape = BatchShape::Grouped;
         for run in self.runs() {
-            let dst = match (0..out.live)
-                .find(|&i| out.runs[i].relation == run.relation && out.runs[i].arity == run.arity)
-            {
-                Some(i) => &mut out.runs[i],
-                None => {
-                    if out.live == out.runs.len() {
-                        out.runs.push(RelationDelta::default());
-                    }
-                    out.runs[out.live].reset(&run.relation, run.arity);
-                    out.live += 1;
-                    &mut out.runs[out.live - 1]
-                }
-            };
+            let dst = out.run_for(&run.relation, run.arity);
             // The run's events follow every event already merged.
             let offset = dst.events as u32;
             for e in &run.entries {
@@ -410,6 +474,7 @@ impl DeltaBatch {
         mut keep: impl FnMut(&RelationDelta, &DeltaEntry) -> bool,
     ) -> u64 {
         out.clear();
+        out.shape = self.shape;
         let mut refused = 0u64;
         for run in self.runs() {
             let mut dst: Option<usize> = None;
@@ -589,6 +654,42 @@ mod tests {
         assert!(b.runs()[0].index.is_empty());
     }
 
+    /// The collapse index holds hashes: two keys of one 64-bit hash chain
+    /// and keep their own entries. The second key is built to collide under
+    /// the FxHash steps (the length, then one word per value).
+    #[test]
+    fn colliding_keys_keep_their_own_entries() {
+        use dbtoaster_gmr::FxBuildHasher;
+        use std::hash::BuildHasher;
+        const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+        let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(SEED);
+        let prefix = |a: f64| step(step(0, 2), a.to_bits()).rotate_left(5);
+        let (a, b) = (1.5f64, 2.5f64);
+        let (a2, b2) = (3..)
+            .map(|i| i as f64 + 0.5)
+            .map(|a2| (a2, f64::from_bits(b.to_bits() ^ prefix(a) ^ prefix(a2))))
+            .find(|(_, b2)| b2.is_finite() && *b2 != 0.0)
+            .unwrap();
+        let key = |x: f64, y: f64| vec![Value::double(x), Value::double(y)];
+        let (k1, k2) = (Tuple::from(key(a, b)), Tuple::from(key(a2, b2)));
+        let hash = |k: &Tuple| FxBuildHasher::default().hash_one(k);
+        assert_eq!(hash(&k1), hash(&k2), "the keys collide");
+        assert_ne!(k1, k2);
+        let events = [
+            UpdateEvent::insert("R", key(a, b)),
+            UpdateEvent::insert("R", key(a2, b2)),
+            UpdateEvent::delete("R", key(a, b)),
+            UpdateEvent::insert("R", key(a2, b2)),
+            UpdateEvent::insert("R", key(9.5, 9.5)),
+        ];
+        let b = DeltaBatch::from_events(&events);
+        let run = &b.runs()[0];
+        let entries: Vec<_> = run.entries().iter().map(|e| (&e.key, e.mult)).collect();
+        let k3 = Tuple::from(key(9.5, 9.5));
+        assert_eq!(entries, [(&k1, 0.0), (&k2, 2.0), (&k3, 1.0)]);
+        assert_eq!(run.index.len(), 2);
+    }
+
     /// Merging into a destination run of one entry finds the entry by
     /// comparison, without an index, and the last event is the later run's.
     #[test]
@@ -642,6 +743,141 @@ mod tests {
             (sign, key.as_slice()),
             (UpdateSign::Delete, &[Value::long(3), Value::long(4)][..])
         );
+    }
+
+    /// Assert two batches are the same batch, entry for entry: runs,
+    /// keys, multiplicity bits, events, last events and collapses.
+    fn assert_same_batch(want: &DeltaBatch, got: &DeltaBatch) {
+        assert_eq!(want.events(), got.events());
+        assert_eq!(want.collapsed_events(), got.collapsed_events());
+        assert_eq!(want.runs().len(), got.runs().len());
+        for (w, g) in want.runs().iter().zip(got.runs()) {
+            let run = |r: &RelationDelta| {
+                let last = r.last_event().map(|(sign, key)| (sign, key.clone()));
+                (r.relation().to_owned(), r.arity(), r.events(), last)
+            };
+            assert_eq!(run(w), run(g));
+            assert_eq!(w.collapsed_events(), g.collapsed_events());
+            assert_eq!(w.entries().len(), g.entries().len(), "{}", w.relation());
+            for (a, b) in w.entries().iter().zip(g.entries()) {
+                assert_eq!(a.key, b.key);
+                assert_eq!(a.mult.to_bits(), b.mult.to_bits(), "{:?}", a.key);
+                assert_eq!((a.events, a.last), (b.events, b.last), "{:?}", a.key);
+            }
+        }
+    }
+
+    /// Build `events` grouped into `grouped` and stream-order into `stream`
+    /// (both cleared first), and assert the grouped build is what
+    /// `merge_runs_into` makes of the stream-order one.
+    fn assert_grouped_is_merged(
+        events: &[UpdateEvent],
+        grouped: &mut DeltaBatch,
+        stream: &mut DeltaBatch,
+        merged: &mut DeltaBatch,
+    ) {
+        grouped.clear();
+        stream.clear();
+        for e in events {
+            grouped.push_owned(e.clone());
+            stream.push(e);
+        }
+        stream.merge_runs_into(merged);
+        assert_eq!(
+            (grouped.shape(), merged.shape()),
+            (BatchShape::Grouped, BatchShape::Grouped)
+        );
+        assert!(!grouped.has_repeated_relation());
+        assert_same_batch(merged, grouped);
+    }
+
+    /// The grouped build folds each event into its `(relation, arity)` run
+    /// through the fold the regrouping takes: it equals the merged
+    /// stream-order build entry for entry — interleaved relations, a pair
+    /// cancelling across runs, two arities of one relation, and pooled
+    /// batches reused after `clear()`.
+    #[test]
+    fn the_grouped_build_is_the_merged_stream_order_build() {
+        let mut grouped = DeltaBatch::with_shape(BatchShape::Grouped);
+        let (mut stream, mut merged) = (DeltaBatch::new(), DeltaBatch::new());
+        let interleaved = [
+            ins("O", &[1, 10]),
+            ins("L", &[1, 5]),
+            ins("L", &[1, 6]),
+            ins("O", &[2, 20]),
+            ins("L", &[2, 5]),
+            ins("L", &[1, 5]),
+            del("O", &[1, 10]),
+            ins("L", &[2, 7]),
+        ];
+        assert_grouped_is_merged(&interleaved, &mut grouped, &mut stream, &mut merged);
+        assert_eq!(stream.runs().len(), 6);
+        let lineitem = &grouped.runs()[1];
+        assert_eq!((lineitem.relation(), lineitem.events()), ("L", 5));
+        assert_eq!(lineitem.entries()[0].mult, 2.0);
+        // `last` counts within the relation: the last L event is its fifth.
+        assert_eq!(lineitem.entries()[3].last, (4, UpdateSign::Insert));
+        assert_eq!(grouped.runs()[0].entries()[0].mult, 0.0);
+
+        let cancelling = [
+            ins("R", &[1, 2]),
+            ins("S", &[7]),
+            del("R", &[1, 2]),
+            del("S", &[7]),
+            ins("R", &[3, 4]),
+        ];
+        assert_grouped_is_merged(&cancelling, &mut grouped, &mut stream, &mut merged);
+        assert_eq!(grouped.collapsed_events(), 4);
+        assert_eq!(
+            grouped.runs()[0].last_event().unwrap().0,
+            UpdateSign::Insert
+        );
+
+        let arities = [
+            ins("R", &[1, 2]),
+            ins("R", &[1]),
+            ins("R", &[1, 2]),
+            del("R", &[1]),
+            ins("R", &[3]),
+        ];
+        assert_grouped_is_merged(&arities, &mut grouped, &mut stream, &mut merged);
+        let shapes: Vec<_> = grouped
+            .runs()
+            .iter()
+            .map(|r| (r.arity(), r.events()))
+            .collect();
+        assert_eq!(shapes, [(2, 2), (1, 3)]);
+
+        // A pseudo-random interleaving of three relations over a few keys,
+        // cut into batches of every size from 1 to 40, each pooled batch
+        // reused after `clear()`.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as i64
+        };
+        let events: Vec<UpdateEvent> = (0..820)
+            .map(|_| {
+                let rel = ["A", "B", "C"][next(3) as usize];
+                let key = [next(4), next(3), next(2)];
+                let key = &key[..1 + next(2) as usize];
+                match next(3) {
+                    0 => del(rel, key),
+                    _ => ins(rel, key),
+                }
+            })
+            .collect();
+        let mut at = 0;
+        for size in (1..=40).cycle() {
+            if at >= events.len() {
+                break;
+            }
+            let chunk = &events[at..(at + size).min(events.len())];
+            assert_grouped_is_merged(chunk, &mut grouped, &mut stream, &mut merged);
+            at += chunk.len();
+        }
     }
 
     #[test]

@@ -63,7 +63,9 @@ pub use dbtoaster_workloads as workloads;
 /// Everything needed for typical use.
 pub mod prelude {
     pub use crate::api::{DbToasterError, QueryEngine, QueryEngineBuilder, ResultRow, ResultTable};
-    pub use dbtoaster_agca::{DeltaBatch, DeltaEntry, RelationDelta, UpdateEvent, UpdateSign};
+    pub use dbtoaster_agca::{
+        BatchShape, DeltaBatch, DeltaEntry, RelationDelta, UpdateEvent, UpdateSign,
+    };
     pub use dbtoaster_compiler::{BatchStrategy, CompileMode, CompileOptions, ProgramExplain};
     pub use dbtoaster_durability::{DurabilityConfig, DurabilityError, FsyncPolicy};
     pub use dbtoaster_gmr::{Gmr, Schema, Value};

@@ -479,6 +479,103 @@ fn an_event_refused_before_the_wal_is_never_logged() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Served ≡ replayed for an increment-only program. TPC-H's `q1`, `q6` and
+/// `q12` hold no `:=` statement, so the serving writer and WAL replay build
+/// each batch grouped — every event folded straight into its relation's one
+/// run — and `process_batch` runs it as it is. Served durably in uneven
+/// batches over the interleaved Orders/Lineitem stream, killed, and
+/// recovered by replaying the whole log: every map the server held, every
+/// map recovered, and every map of an engine fed the same batches in stream
+/// order (regrouped by `process_batch`) agree bit for bit, and the served
+/// engine ran exactly that engine's runs and statements.
+#[test]
+fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly() {
+    use dbtoaster::runtime::{Engine, EngineStats};
+    use dbtoaster::workloads::{self, Family};
+    let dir: PathBuf = std::env::temp_dir().join(format!("dbt-grouped-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let builder = || {
+        let mut b =
+            QueryEngineBuilder::new(workloads::full_catalog()).mode(CompileMode::HigherOrder);
+        for name in ["q1", "q6", "q12"] {
+            let q = workloads::query(name).unwrap();
+            b = b.add_query(q.name, q.sql);
+        }
+        b
+    };
+    // Only the initial checkpoint: recovery replays every logged batch.
+    let config = || {
+        let mut c = config(&dir);
+        c.durability.as_mut().unwrap().checkpoint_every_events = u64::MAX;
+        c
+    };
+    let program = builder().build().unwrap().program().clone();
+    let catalog = dbtoaster::to_compiler_catalog(&workloads::full_catalog());
+    let shape = Engine::new(program, &catalog).batch_shape();
+    assert_eq!(shape, BatchShape::Grouped, "q1+q6+q12 is increment-only");
+
+    let stream = workloads::dataset_for(Family::Tpch, 6_000, 11).events;
+    assert_eq!(stream.len(), 6_000);
+    // Uneven batches of at most 128 events: `send_batch` hands each to the
+    // writer as one message, drained as one batch before the next is sent.
+    let mut batches = Vec::new();
+    let (mut at, mut size) = (0, 1);
+    while at < stream.len() {
+        let end = (at + size).min(stream.len());
+        batches.push(&stream[at..end]);
+        (at, size) = (end, (size * 37 + 11) % 128 + 1);
+    }
+    let interleaved = batches
+        .iter()
+        .filter(|b| DeltaBatch::from_events(**b).has_repeated_relation());
+    assert!(
+        interleaved.count() > batches.len() / 2,
+        "Orders and Lineitem interleave"
+    );
+
+    let mut reference = builder().build().unwrap();
+    reference.init().unwrap();
+    for batch in &batches {
+        let report = reference.process_batch(&DeltaBatch::from_events(*batch));
+        assert_eq!(report.failed_events, 0);
+    }
+
+    let server = builder().open_or_create_with(config()).unwrap();
+    for batch in &batches {
+        server.handle().send_batch(batch.to_vec()).unwrap();
+        server.flush().unwrap();
+    }
+    let (served, want) = (server.stats(), reference.stats());
+    let work = |s: &EngineStats| {
+        let runs = (s.batch_delta_runs, s.entry_major_runs);
+        (
+            s.events,
+            s.delta_batches,
+            runs,
+            s.statements,
+            s.batch_events_collapsed,
+        )
+    };
+    assert_eq!(
+        served.delta_batches,
+        batches.len() as u64,
+        "one writer batch per batch sent"
+    );
+    assert_eq!(work(&served), work(want), "served runs and statements");
+    assert_snapshot_matches_engine(&server, &reference, "served");
+    let served_maps = bits(&server.all_maps().unwrap());
+    server.kill();
+
+    let server = builder().open_or_create_with(config()).unwrap();
+    let stats = server.stats();
+    assert_eq!(stats.recovery_replayed_events, stream.len() as u64);
+    assert_eq!(work(&stats).2, work(want).2, "replayed runs");
+    assert_snapshot_matches_engine(&server, &reference, "replayed");
+    assert_maps_equal(&server, &served_maps, "replayed against served");
+    drop(server);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
     // Strategy equivalence under recovery, at run granularity: replay rebuilds

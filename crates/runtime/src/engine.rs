@@ -71,11 +71,16 @@
 //! argument and the `:=` tail (bit-exact on integer-weighted streams; to summation
 //! order on float aggregates).
 //!
-//! When a program is increment-only, [`Engine::process_batch`] additionally
-//! *merges* same-relation runs of a batch before processing (ring addition of
-//! their entries): each run's processing is a pure state difference, so the
-//! telescoping sum over merged runs is exact, and interleaved streams (e.g.
-//! alternating bids/asks) collapse from many short runs into one per relation.
+//! When a program is increment-only, it runs one run per relation: each run's
+//! processing is a pure state difference, so the telescoping sum over the
+//! relation's events, ring-added into one run, is exact, and an interleaved stream
+//! (alternating bids/asks, TPC-H's Orders and Lineitem) runs as a few runs, not
+//! hundreds. [`Engine::batch_shape`] names that shape, [`BatchShape::Grouped`]
+//! (stream order for a program with `:=` statements); the serving writer and WAL
+//! replay build their batches in it, event by event, and [`Engine::process_batch`]
+//! runs such a batch as it is. A stream-order batch of an increment-only program
+//! (`DeltaBatch::from_events`) is regrouped first, through the same fold
+//! ([`DeltaBatch::merge_runs_into`]), so it runs the same runs.
 //!
 //! ## Resolution
 //!
@@ -97,7 +102,7 @@
 //! the relation → column types lookup of the gate, once per run each.
 
 use crate::store::{Database, MapId, SnapshotWork};
-use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
+use dbtoaster_agca::batch::{BatchShape, DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
@@ -445,13 +450,13 @@ pub struct Engine {
     admitted: DeltaBatch,
     /// The catalog's relations by name: what the gate admits.
     schemas: FastMap<String, RelationMeta>,
-    /// May same-relation runs of one batch be merged before processing? True
-    /// when every statement of the program is an increment (`+=`): each run's
-    /// processing is then a pure state difference, so the telescoping sum
-    /// over merged runs is exact. `:=` statements bind to a run's *last*
-    /// event, which merging could change, so replace-bearing programs keep
-    /// their original run boundaries.
-    merge_runs: bool,
+    /// The batch shape this program runs: grouped when every statement is an
+    /// increment (`+=`) — each run's processing is then a pure state
+    /// difference, so the telescoping sum over merged runs is exact — and
+    /// stream order otherwise: `:=` statements bind to a run's *last* event,
+    /// which merging could change, so replace-bearing programs keep their
+    /// original run boundaries.
+    shape: BatchShape,
     /// Per-relation batch dispatch, resolved from
     /// [`TriggerProgram::batch_dispatch`] at construction.
     dispatch: FastMap<String, DispatchEntry>,
@@ -659,10 +664,14 @@ impl Engine {
                 .unwrap_or_default();
             db.declare(rel.clone(), columns);
         }
-        let merge_runs = program
+        let increment_only = program
             .triggers
             .iter()
             .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
+        let shape = match increment_only {
+            true => BatchShape::Grouped,
+            false => BatchShape::StreamOrder,
+        };
         let schemas = catalog
             .relations()
             .iter()
@@ -680,7 +689,7 @@ impl Engine {
             merged: DeltaBatch::new(),
             admitted: DeltaBatch::new(),
             schemas,
-            merge_runs,
+            shape,
             dispatch: FastMap::default(),
             stmts: Vec::new(),
             inits: Vec::new(),
@@ -936,8 +945,10 @@ impl Engine {
 
     /// Process a single update event: the degenerate batch of one. Exactly
     /// equivalent to the historical per-event path — one run, one entry, one
-    /// firing — and still allocation-free in steady state (the batch-of-1 is
-    /// recycled and its single key stays inline for typical arities).
+    /// firing. The batch-of-1 is recycled, so an event of arity at most
+    /// [`dbtoaster_gmr::tuple::INLINE_CAP`] (3), whose key stays inline, allocates
+    /// nothing in steady state; a wider one — Lineitem's 16 columns, the order
+    /// book's 5 — spills its key to one heap slab per call.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
         let mut single = std::mem::take(&mut self.single);
         single.clear();
@@ -950,11 +961,21 @@ impl Engine {
         }
     }
 
+    /// The [`BatchShape`] this engine runs (see the module docs): build a
+    /// batch with `DeltaBatch::with_shape(engine.batch_shape())` and
+    /// [`Engine::process_batch`] runs it as it is.
+    pub fn batch_shape(&self) -> BatchShape {
+        self.shape
+    }
+
     /// Process a delta batch, firing each relation run's triggers under the
-    /// statically chosen [`BatchStrategy`] (see the module docs). The gate
-    /// goes first: an entry [`Engine::admits`] would refuse is taken out of
-    /// the batch, with its events counted in [`BatchReport::failed_events`],
-    /// and the rest is processed as if it had never held them.
+    /// statically chosen [`BatchStrategy`] (see the module docs). A
+    /// stream-order batch of an increment-only program is regrouped first; a
+    /// grouped batch of a program with `:=` statements, whose run boundaries
+    /// are lost, panics. The gate goes next: an entry [`Engine::admits`] would
+    /// refuse is taken out of the batch, with its events counted in
+    /// [`BatchReport::failed_events`], and the rest is processed as if it had
+    /// never held them.
     pub fn process_batch(&mut self, batch: &DeltaBatch) -> BatchReport {
         if batch.is_empty() {
             return BatchReport::default();
@@ -965,14 +986,21 @@ impl Engine {
             events: batch.events(),
             ..BatchReport::default()
         };
-        // Increment-only programs: fold same-relation runs together first so
-        // interleaved streams process one run per relation (ring addition may
-        // also cancel entries across runs; see the module docs for legality).
+        // Increment-only programs process one run per relation: a batch
+        // built in stream order is regrouped here (ring addition may also
+        // cancel entries across runs; see the module docs for legality).
         let mut merged: Option<DeltaBatch> = None;
-        if self.merge_runs && batch.has_repeated_relation() {
-            let mut scratch = std::mem::take(&mut self.merged);
-            batch.merge_runs_into(&mut scratch);
-            merged = Some(scratch);
+        match (self.shape, batch.shape()) {
+            (BatchShape::Grouped, BatchShape::StreamOrder) if batch.has_repeated_relation() => {
+                let mut scratch = std::mem::take(&mut self.merged);
+                batch.merge_runs_into(&mut scratch);
+                merged = Some(scratch);
+            }
+            (BatchShape::StreamOrder, BatchShape::Grouped) => panic!(
+                "a grouped batch reached a program with `:=` statements, which runs \
+                 stream-order batches: build it with `Engine::batch_shape`"
+            ),
+            _ => {}
         }
         let source: &DeltaBatch = merged.as_ref().unwrap_or(batch);
         // The ingest gate: a batch holding an entry it refuses is processed
@@ -2044,6 +2072,65 @@ mod tests {
                 assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");
             }
         }
+    }
+
+    /// The engine names the shape it runs: grouped for an increment-only
+    /// program, which runs a grouped batch as it is and regroups a
+    /// stream-order one into the same runs; stream order for a program with
+    /// `:=` statements.
+    #[test]
+    fn the_engine_names_the_batch_shape_it_runs() {
+        let events = [
+            UpdateEvent::insert("R", long_tuple(&[1, 1])),
+            UpdateEvent::insert("S", long_tuple(&[7, 7])),
+            UpdateEvent::insert("R", long_tuple(&[2, 5])),
+            UpdateEvent::delete("S", long_tuple(&[7, 7])),
+            UpdateEvent::insert("R", long_tuple(&[1, 1])),
+        ];
+        for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
+            let options = CompileOptions::for_mode(mode);
+            let program = compile(&[example1_query()], &catalog(), &options).unwrap();
+            let mut built = Engine::new(program.clone(), &catalog());
+            let shape = built.batch_shape();
+            let increment_only = program
+                .triggers
+                .iter()
+                .all(|t| t.increments().len() == t.statements.len());
+            assert_eq!(shape == BatchShape::Grouped, increment_only, "mode {mode}");
+            let mut batch = DeltaBatch::with_shape(shape);
+            batch.refill(events.iter().cloned());
+            let mut regrouped = Engine::new(program, &catalog());
+            built.set_run_recording(true);
+            regrouped.set_run_recording(true);
+            let runs = built.process_batch(&batch).runs;
+            assert_eq!(
+                runs.len(),
+                if increment_only { 2 } else { 5 },
+                "mode {mode}"
+            );
+            let stream_order = DeltaBatch::from_events(&events);
+            assert_eq!(
+                runs,
+                regrouped.process_batch(&stream_order).runs,
+                "mode {mode}"
+            );
+            for name in built.db.names() {
+                let (a, b) = (built.view(name).unwrap(), regrouped.view(name).unwrap());
+                assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");
+            }
+        }
+    }
+
+    /// A grouped batch has lost the run boundaries a `:=` statement binds to.
+    #[test]
+    #[should_panic(expected = "a grouped batch reached a program with `:=` statements")]
+    fn a_grouped_batch_of_a_program_with_replace_statements_panics() {
+        let options = CompileOptions::for_mode(CompileMode::Reevaluate);
+        let program = compile(&[example1_query()], &catalog(), &options).unwrap();
+        let mut engine = Engine::new(program, &catalog());
+        let mut batch = DeltaBatch::with_shape(BatchShape::Grouped);
+        batch.push(&UpdateEvent::insert("R", long_tuple(&[1, 1])));
+        engine.process_batch(&batch);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{DeltaBatch, UpdateEvent, UpdateSign};
+use dbtoaster::agca::{BatchShape, DeltaBatch, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
@@ -124,27 +124,27 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
     }
 }
 
-/// The statements `program` executes for `batch`, less the entry of the
-/// `refused` event, as the engine receives it: an increment-only program's
-/// batch with its runs merged per relation. A batch-delta run executes each
-/// `+=` of an entry's sign once per entry — once per firing where a
-/// multi-firing run's live pass lists it — and the `:=` statements of its
-/// last event's trigger once, unless every entry cancelled; an entry-major
-/// run is runs of one firing each.
+/// `events` as the serving writer and WAL replay build a batch for an
+/// engine that runs `shape` (`Engine::batch_shape`): through
+/// `DeltaBatch::refill`, each event folded straight into its run.
+pub fn served_batch(shape: BatchShape, events: &[UpdateEvent]) -> DeltaBatch {
+    let mut batch = DeltaBatch::with_shape(shape);
+    batch.refill(events.iter().cloned());
+    batch
+}
+
+/// The statements `program` executes for `batch`, built in the shape its
+/// engine runs ([`served_batch`]: an increment-only program's batch holds
+/// one run per relation), less the entry of the `refused` event. A
+/// batch-delta run executes each `+=` of an entry's sign once per entry —
+/// once per firing where a multi-firing run's live pass lists it — and the
+/// `:=` statements of its last event's trigger once, unless every entry
+/// cancelled; an entry-major run is runs of one firing each.
 pub fn statements(
     program: &TriggerProgram,
     batch: &DeltaBatch,
     refused: Option<&UpdateEvent>,
 ) -> u64 {
-    let mut ops = program.triggers.iter().flat_map(|t| &t.statements);
-    let mut merged = DeltaBatch::default();
-    let batch = match ops.all(|s| s.op == StmtOp::Increment) {
-        true => {
-            batch.merge_runs_into(&mut merged);
-            &merged
-        }
-        false => batch,
-    };
     let mut admitted = DeltaBatch::default();
     batch.retain_into(&mut admitted, |run, e| {
         refused.is_none_or(|r| r.relation != run.relation() || r.tuple[..] != e.key[..])
@@ -263,12 +263,13 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     let program = if p.live { compiled } else { &entry_major };
     let eps = if case.float { FLOAT_EPS } else { 0.0 };
     let cuts = cuts(&case.events, p.partition, case.split_repeated_keys);
-    let batch = |r: &Range<usize>| DeltaBatch::from_events(&case.events[r.clone()]);
     let same = |what: &str, want: Views, got: Views, eps: f64| {
         assert_views(&format!("{ctx}: {what}"), program, want, got, &|_| eps);
     };
 
     let mut batched = engine(case, program);
+    let shape = batched.batch_shape();
+    let batch = |r: &Range<usize>| served_batch(shape, &case.events[r.clone()]);
     let tel = instrument(&mut batched);
     let initial_statements = batched.stats().statements;
     let mut prescribed = 0;
@@ -290,8 +291,9 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
         }
         if let Some(r) = cuts.get(i) {
             let refused = case.ill_typed.filter(|at| r.contains(at));
-            prescribed += statements(program, &batch(r), refused.map(|at| &case.events[at]));
-            reports.push(batched.process_batch(&batch(r)));
+            let b = batch(r);
+            prescribed += statements(program, &b, refused.map(|at| &case.events[at]));
+            reports.push(batched.process_batch(&b));
             assert_dispatched(&ctx, program, &reports[i]);
         }
     }
