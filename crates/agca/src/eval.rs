@@ -245,6 +245,49 @@ pub trait RelationSource {
         let _ = (id, pattern, bound_mag, ranges, sums);
         None
     }
+
+    /// A quantile filter's cut over an ordered index: the tuples of relation
+    /// `id` matching `pattern` — which leaves exactly one position free —
+    /// sorted on that position form `n + 1` cells (cell `j` holds the values
+    /// with `j` keys below them), whose band sums are the first `j`
+    /// multiplicities, or the rest when `upper`. `passes` is the filter on a
+    /// band sum; over a group whose sums are monotone it flips at most once.
+    ///
+    /// `Some(((lo, hi), n))` — the passing cells lie between the keys `lo`
+    /// and `hi` (infinite at the ends), found after evaluating `n` sums.
+    /// `None` — no ordered index for the pattern, or a group outside the
+    /// exactness contract or holding a negative net multiplicity; the caller
+    /// filters row by row. The default has no ordered indexes.
+    fn cut_at(
+        &self,
+        id: RelId,
+        pattern: &[Option<Value>],
+        upper: bool,
+        passes: &mut dyn FnMut(f64) -> bool,
+    ) -> Option<((f64, f64), u64)> {
+        let _ = (id, pattern, upper, passes);
+        None
+    }
+
+    /// Hand `visit` the `(key, multiplicity)` of every tuple of relation `id`
+    /// matching `pattern` — which leaves exactly one position free, the key
+    /// — whose key lies in `[lo, hi)`, or `(lo, hi]` when `hi_in`, in key
+    /// order, from an ordered index. `Some(n)` — done, after touching `n`
+    /// entries. `None` — no ordered index for the pattern, or a group where
+    /// a sum of keys times multiplicities could round in some order; the
+    /// caller walks [`RelationSource::for_each_at`] instead. The default has
+    /// no ordered indexes.
+    fn walk_band_at(
+        &self,
+        id: RelId,
+        pattern: &[Option<Value>],
+        interval: (f64, f64),
+        hi_in: bool,
+        visit: &mut dyn FnMut(f64, f64),
+    ) -> Option<u64> {
+        let _ = (id, pattern, interval, hi_in, visit);
+        None
+    }
 }
 
 /// A relation's position in a [`RelationSource`] (see

@@ -127,23 +127,23 @@
 //! read trigger slots only, the scan leaves exactly the band column free with
 //! no repeated variables, and `cont` is a band member ([`BandSpec`]), the
 //! sub-sum becomes a [`Scalar::RangeSum`] lookup instead. The scanned group is
-//! fixed for the whole execution, so the statement keeps one sorted run of
-//! `(band key, running sum)` per `(map, template)` ([`SortedRun`]): the first
-//! lookup of an execution builds it (an execution whose loop never reaches a
-//! lookup builds nothing), and every lookup after it is two binary searches
-//! and one subtraction — `O(n log n)` per execution instead of `O(n²)`. The
-//! runs live in [`KernelState`] buffers that keep their capacity, so no map
-//! stores anything new and a warm engine allocates nothing. (A batch's
-//! entries are executions of their own: a run is never reused across them.)
+//! fixed for the whole execution, and the compiler declares its index ordered
+//! on the band column ([`CompiledStmt::ordered_reads`]) — for a one-column map
+//! like `m_vwap_2`, an index of mask `0`, one group holding the whole map — so
+//! every lookup is one [`RelationSource::range_sums_at`] call: two binary
+//! searches per interval end and one subtraction, against running sums the
+//! engine maintains on every write. Nothing is built per execution, and a
+//! warm engine allocates nothing.
 //!
 //! The exactness contract is the ordered indexes' own, with the same guards
 //! ([`band_key`], [`exact_mult`], [`EXACT_INT_BOUND`]): a group holding a key
 //! that is no band key or a multiplicity that is not exact, or whose
-//! `Σ|multiplicity|` reaches 2^53, is walked by every lookup of that
-//! execution, and a bound outside the contract sends its one lookup down the
-//! walk — the sub-sum as it was before the rewrite, kept as the lookup's
-//! `traverse`. Answers count as `range_sum_hits`, walks as `range_sum_bails`.
-//! `entries_scanned` counts the build's walk and each search's comparisons.
+//! `Σ|multiplicity|` reaches 2^53, is walked by every lookup while it does,
+//! and a bound outside the contract sends its one lookup down the walk — the
+//! sub-sum as it was before the rewrite, kept as the lookup's `traverse` —
+//! as does a source with no ordered index for the group. Answers count as
+//! `range_sum_hits`, walks as `range_sum_bails`; `entries_scanned` counts
+//! each search's comparisons.
 //!
 //! A scanning or probing sub-sum inside a loop that reads nothing the loop
 //! binds but cannot join the prelude (its member holds another aggregate,
@@ -159,40 +159,54 @@
 //! side is the same on every row. Looked up row by row, that is a search and
 //! a `Value`-level filter per price. With every multiplicity of the band's
 //! group non-negative the band sum is monotone in the loop key, so along the
-//! sorted run the filter flips at most once. The lift and the filter fuse
-//! into an [`Op::Threshold`]: at its first row of an execution it evaluates
-//! the other operand, builds (or reuses) the [`SortedRun`] and
-//! binary-searches the run's `n + 1` cells for the flip — evaluating the
-//! filter as it stands, on each cell's sum as the lookup answers it — and
-//! keeps the passing keys as one interval. Every row then pays one numeric
-//! comparison of its key. The scan's rows, their order and their
-//! multiplicities are untouched, so the result is the lift's and the
-//! filter's, bit for bit, whatever the scanned map holds.
+//! group's sorted keys the filter flips at most once. The lift and the
+//! filter fuse into an [`Op::Threshold`]: at its first row of an execution
+//! it evaluates the other operand and asks the group's ordered index for the
+//! flip ([`RelationSource::cut_at`]) — a binary search over the blocks'
+//! running sums, then over the block's, evaluating the filter as it stands
+//! on each cell's sum as the lookup would answer it — and keeps the passing
+//! keys as one interval. Every row then pays one numeric comparison of its
+//! key. The scan's rows, their order and their multiplicities are
+//! untouched, so the result is the lift's and the filter's, bit for bit,
+//! whatever the scanned map holds.
 //!
 //! The fusion needs the band's one constraint to be bound by a slot a scan
 //! earlier in the product binds, the filter to be the lift's only reader, and
 //! the other operand to read only trigger slots, prelude results or lifts of
 //! cached sums bound before it. The threshold stands where the filter stood.
-//! An execution whose run is not exact or holds a negative multiplicity, or
-//! whose operand is no number, runs the lift and the filter on every row —
-//! counted as they count, not latched — and so does a single row whose key
-//! is no finite number or a `Long` beyond 2^53, where an `f64` comparison
-//! could disagree with `Value`'s. A search counts as one `range_sum_hits`,
-//! its filter evaluations into `entries_scanned`.
+//! An execution whose group has no ordered index, is not exact or holds a
+//! negative net multiplicity (its `Σ multiplicity` short of its
+//! `Σ|multiplicity|`), or whose operand is no number, runs the lift and the
+//! filter on every row — counted as they count, not latched — and so does a
+//! single row whose key is no finite number or a `Long` beyond 2^53, where
+//! an `f64` comparison could disagree with `Value`'s. A search counts as one
+//! `range_sum_hits`, its filter evaluations into `entries_scanned`.
 //!
 //! The outer sum is then one numeric pass. A loop-invariant sub-sum whose
-//! rows only go through thresholds on the key its scan binds and through
-//! loop-invariant lifts, a threshold last — `vwap`'s whole refresh `Σ
-//! m_vwap_3(p) · [0.25 × total > Σ volume above p]`, and `mst`'s sums over
-//! the asks — joins the prelude as a fused scan whose member's fast pipeline
-//! is one [`FastOp::Cut`] per threshold. Its first row runs the
-//! continuation, which searches; every row after that adds, in scan order,
-//! the multiplicity of an entry whose key lies in the cut, with no lift, no
-//! `Value` and no interpreted filter. A row the cut cannot answer — the
-//! execution fell back, or the key is no loop key — runs the continuation
-//! as the plan would, so the sum is the walk's, bit for bit. The lifts need
-//! no step of their own: a row takes the pass only once every cut is
-//! searched, by a row that ran every lift before it.
+//! rows only go through thresholds on the key its scan binds, loop-invariant
+//! lifts and weights by that key — `vwap`'s whole refresh `Σ m_vwap_2(p) ·
+//! p · [0.25 × total > Σ volume above p]` (the compiler keeps the price out
+//! of the map, so `price × volume` per price is `p × m_vwap_2(p)`), and
+//! `mst`'s sums over the asks — joins the prelude as a fused scan whose
+//! member's fast pipeline is one [`FastOp::Cut`] per threshold and one
+//! [`FastOp::Weight`] per weight. When the scan leaves one column free, the
+//! member has one cut on it and at most one weight by it, the scan is a
+//! **cut walk** ([`FusedScan::cut_pos`]): its index is declared ordered, and
+//! an execution runs the member's lifts and search up front, then walks
+//! only the keys inside the cut ([`RelationSource::walk_band_at`]), adding
+//! each multiplicity times its key — `O(log n + |cut|)`, where `|cut|` is
+//! about a quarter of `vwap`'s prices. The walk answers only where every
+//! product and every sum of them is an exact integer, in any order (the
+//! group exact and `max|key| · Σ|multiplicity| < 2^53`); otherwise, and over
+//! a scan with two free columns (`mst`'s bids), the pass walks in scan
+//! order: its first row runs the continuation, which searches; every row
+//! after that adds the multiplicity of an entry whose key lies in the cut,
+//! times its weights, with no lift, no `Value` and no interpreted filter. A
+//! row the cut cannot answer — the execution fell back, or the key is no
+//! loop key — runs the continuation as the plan would, so the sum is the
+//! walk's, bit for bit. The lifts need no step of their own: a row takes the
+//! pass only once every cut is searched, by a row that ran every lift
+//! before it.
 //!
 //! EXPLAIN notes a scanning sub-sum that stays a walk with the reason
 //! ([`range_sum_refusal`]): a template hole bound by the loop (the group
@@ -232,17 +246,15 @@ pub enum Scalar {
     /// bound (e.g. a decorrelated nested aggregate probed with its keys): run
     /// the sub-plan and sum the emitted multiplicities.
     SubSum(Box<Op>),
-    /// A band sum inside a loop, answered from a sorted run built once per
-    /// execution (see the module docs on range sums inside a loop). Yields
-    /// the same double as `SubSum(traverse)`, bit for bit.
+    /// A band sum inside a loop, answered from the ordered index of the
+    /// group `traverse` scans (see the module docs on range sums inside a
+    /// loop). Yields the same double as `SubSum(traverse)`, bit for bit.
     RangeSum {
-        /// Index into [`CompiledStmt::runs`].
-        run: u16,
         /// Normalized constraints `key cmp bound`, as in [`BandSpec`]; the
         /// bounds may read slots the enclosing loop binds.
         ranges: Vec<(CmpOp, NumExpr)>,
-        /// The sub-sum this lookup replaces, run whenever the lookup cannot
-        /// answer exactly.
+        /// The sub-sum this lookup replaces — a scan leaving only the band
+        /// column free — run whenever the lookup cannot answer exactly.
         traverse: Box<Op>,
     },
     /// A loop-invariant scanning sub-sum inside a loop that cannot join the
@@ -357,8 +369,6 @@ pub enum Op {
 pub struct Threshold {
     /// Index of its interval among the execution's thresholds.
     pub cache: u16,
-    /// Index into [`CompiledStmt::runs`]: the band sum's group.
-    pub run: u16,
     /// The band's one constraint, `k range key`.
     pub range: CmpOp,
     /// The loop key: the band's bound, a slot the enclosing scan binds.
@@ -508,23 +518,14 @@ pub struct FusedScan {
     /// then declared ordered on this position and the traversal is replaced
     /// by one [`RelationSource::range_sums_at`] call (see the module docs).
     pub band_pos: Option<u16>,
-}
-
-/// The group a statement's [`Scalar::RangeSum`] lookups read: the entries of
-/// `rel` matching `template`, whose one free position is the band key. Its
-/// sorted run is built at the first lookup of each execution and shared by
-/// every lookup of the same `(rel, template)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SortedRun {
-    /// Index into [`CompiledStmt::rels`].
-    pub rel: u16,
-    /// Pattern buffer index (see [`KernelState`]).
-    pub buf: u16,
-    /// Per position: `Some(slot)` = bound hole filled from the (trigger)
-    /// slots, `None` = the band key.
-    pub template: Vec<Option<Slot>>,
-    /// The band key's position.
-    pub key_pos: u16,
+    /// The scanned position a cut walk visits: set when the template leaves
+    /// exactly this one position free, with no equality checks, and the one
+    /// member's numeric pass is one [`FastOp::Cut`] on the key it binds
+    /// there, weighted by that key at most once. The scan's index is then
+    /// declared ordered on this position, and an execution whose cut is
+    /// searched walks only the keys inside it (see the module docs on
+    /// quantile filters).
+    pub cut_pos: Option<u16>,
 }
 
 /// A compiled trigger statement: the lowered right-hand side plus the
@@ -538,8 +539,6 @@ pub struct CompiledStmt {
     /// Hoisted loop-invariant sub-aggregate scans, run before `plan` (see
     /// [`FusedScan`]).
     pub prelude: Vec<FusedScan>,
-    /// The groups the plan's [`Scalar::RangeSum`] lookups read.
-    pub runs: Vec<SortedRun>,
     /// Number of [`Scalar::CachedSum`]s in the plan.
     pub cached_sums: u16,
     /// Number of [`Op::Threshold`]s in the plan.
@@ -910,7 +909,6 @@ pub fn lower_statement(
     let mut stmt = CompiledStmt {
         rels: lw.rels,
         prelude: Vec::new(),
-        runs: Vec::new(),
         cached_sums: 0,
         thresholds: 0,
         plan,
@@ -1046,6 +1044,43 @@ fn scalar_scans<'a>(s: &'a Scalar, out: &mut Vec<(u16, &'a [Option<Slot>])>) {
     }
 }
 
+/// The walks of every [`Scalar::RangeSum`] lookup of an op tree, sub-plans
+/// and fallbacks included.
+fn op_lookups<'a>(op: &'a Op, out: &mut Vec<&'a Op>) {
+    match op {
+        Op::Product(ops) | Op::Sum(ops) => ops.iter().for_each(|o| op_lookups(o, out)),
+        Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => op_lookups(inner, out),
+        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
+            scalar_lookups(s, out)
+        }
+        Op::CmpFilter { left, right, .. } => {
+            scalar_lookups(left, out);
+            scalar_lookups(right, out);
+        }
+        Op::Threshold(t) => {
+            scalar_lookups(&t.operand, out);
+            t.fallback.iter().for_each(|o| op_lookups(o, out));
+        }
+        Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } | Op::Scan { .. } => {}
+    }
+}
+
+fn scalar_lookups<'a>(s: &'a Scalar, out: &mut Vec<&'a Op>) {
+    match s {
+        Scalar::RangeSum { traverse, .. } => out.push(traverse),
+        Scalar::SubSum(op) | Scalar::CachedSum { plan: op, .. } => op_lookups(op, out),
+        Scalar::Neg(inner) => scalar_lookups(inner, out),
+        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
+            xs.iter().for_each(|x| scalar_lookups(x, out))
+        }
+        Scalar::Cmp(_, l, r) => {
+            scalar_lookups(l, out);
+            scalar_lookups(r, out);
+        }
+        Scalar::Const(_) | Scalar::Slot(_) => {}
+    }
+}
+
 /// The bitmask of a template's bound positions (positions past 62 are
 /// never indexed, as in the runtime's store).
 pub fn template_mask(template: &[Option<Slot>]) -> u64 {
@@ -1162,6 +1197,29 @@ fn band_lookup(s: &Scalar) -> Option<&Scalar> {
     }
 }
 
+/// The scan a band-sum lookup's walk reads: its relation, pattern buffer and
+/// template.
+fn lookup_scan(traverse: &Op) -> Option<(u16, u16, &[Option<Slot>])> {
+    match scan_body(traverse)? {
+        (
+            Op::Scan {
+                rel, buf, template, ..
+            },
+            _,
+        ) => Some((*rel, *buf, template)),
+        _ => None,
+    }
+}
+
+/// The one position a template leaves free, if it leaves exactly one.
+fn free_position(template: &[Option<Slot>]) -> Option<u16> {
+    let mut free = (0..template.len()).filter(|&i| template[i].is_none());
+    match (free.next(), free.next()) {
+        (Some(pos), None) => u16::try_from(pos).ok(),
+        _ => None,
+    }
+}
+
 /// Why a scanning sub-sum of a lowered statement stayed a walk, where it is
 /// one of the reasons the module docs list — what EXPLAIN prints next to it.
 /// `None` for any other sub-plan. `trigger_slots` is the statement's.
@@ -1192,7 +1250,6 @@ struct Hoister {
     trigger_slots: u16,
     next_slot: u32,
     groups: Vec<FusedScan>,
-    runs: Vec<SortedRun>,
     cached_sums: u16,
     thresholds: u16,
     /// Every slot the statement reads, once per reader.
@@ -1349,7 +1406,7 @@ impl Hoister {
             let Op::LiftBind { value, .. } = &before[lift] else {
                 return None;
             };
-            let Some(Scalar::RangeSum { run, ranges, .. }) = band_lookup(value) else {
+            let Some(Scalar::RangeSum { ranges, .. }) = band_lookup(value) else {
                 return None;
             };
             let [(range, NumExpr::Slot(key))] = ranges.as_slice() else {
@@ -1368,7 +1425,6 @@ impl Hoister {
             fuses.then(|| {
                 let threshold = Threshold {
                     cache: 0,
-                    run: *run,
                     range: *range,
                     key: *key,
                     operand: operand.clone(),
@@ -1382,29 +1438,31 @@ impl Hoister {
     }
 
     /// The numeric pass of a continuation whose every op is a loop-invariant
-    /// lift or an [`Op::Threshold`] on a key `binds` binds, the last a
-    /// threshold: one [`FastOp::Cut`] per threshold (see the module docs on
+    /// lift, an [`Op::Threshold`] on a key `binds` binds or a weight by such
+    /// a key, at least one a threshold: one [`FastOp::Cut`] per threshold and
+    /// one [`FastOp::Weight`] per weight, in order (see the module docs on
     /// quantile filters). A lift needs no step: an entry takes the pass only
     /// once every cut is searched, which a row down the continuation did,
     /// every lift before it included, and the lift binds the same value on
     /// every row.
     fn quantile_pass(&self, cont: &[Op], binds: &[(u16, Slot)]) -> Option<Vec<FastOp>> {
-        if !matches!(cont.last(), Some(Op::Threshold(_))) {
-            return None;
-        }
-        let mut cuts = Vec::new();
+        let bound = |s: &Slot| binds.iter().any(|b| b.1 == *s);
+        let mut pass = Vec::new();
         for op in cont {
             match op {
                 Op::LiftBind { value, .. } if self.invariant_scalar(value) => {}
-                Op::Threshold(t) if binds.iter().any(|b| b.1 == t.key) => cuts.push(FastOp::Cut {
+                Op::Threshold(t) if bound(&t.key) => pass.push(FastOp::Cut {
                     cut: t.cache,
                     range: t.range,
                     key: t.key,
                 }),
+                Op::SlotMult(s) if bound(s) => pass.push(FastOp::Weight(NumExpr::Slot(*s))),
                 _ => return None,
             }
         }
-        Some(cuts)
+        pass.iter()
+            .any(|f| matches!(f, FastOp::Cut { .. }))
+            .then_some(pass)
     }
 
     /// Extract a `SubSum` plan of shape `AggSum*(Product[Scan, cont…])` (or a
@@ -1481,6 +1539,7 @@ impl Hoister {
             members: vec![member],
             entry_invariant,
             band_pos: None,
+            cut_pos: None,
         });
         Some(dest)
     }
@@ -1490,14 +1549,13 @@ impl Hoister {
     /// lookup, when its scan's group is fixed for the execution (template
     /// holes read trigger slots only), the band column is its one free
     /// column, and its continuation is a band member (see the module docs).
-    fn try_range_sum(&mut self, op: &Op) -> Option<Scalar> {
+    fn try_range_sum(&self, op: &Op) -> Option<Scalar> {
         let (scan, cont) = scan_body(op)?;
         let Op::Scan {
-            rel,
-            buf,
             template,
             binds,
             eqs,
+            ..
         } = scan
         else {
             return None;
@@ -1506,25 +1564,10 @@ impl Hoister {
             return None;
         }
         let band = member_band(&compile_fast(cont)?, binds)?;
-        let mut free = template.iter().enumerate().filter(|(_, t)| t.is_none());
-        if free.next().map(|(p, _)| p) != Some(band.key_pos as usize) || free.next().is_some() {
+        if free_position(template) != Some(band.key_pos) {
             return None;
         }
-        let same = |r: &SortedRun| r.rel == *rel && r.template == *template;
-        let run = match self.runs.iter().position(same) {
-            Some(run) => run,
-            None => {
-                self.runs.push(SortedRun {
-                    rel: *rel,
-                    buf: *buf,
-                    template: template.clone(),
-                    key_pos: band.key_pos,
-                });
-                self.runs.len() - 1
-            }
-        };
         Some(Scalar::RangeSum {
-            run: u16::try_from(run).ok()?,
             ranges: band.ranges,
             traverse: Box::new(op.clone()),
         })
@@ -1900,8 +1943,8 @@ fn run_fast(ops: &[FastOp], frame: &[Value], cuts: &[Cut], mut mult: f64) -> Fas
 /// Hoist loop-invariant [`Scalar::SubSum`] scans into the statement prelude,
 /// fusing sub-plans that share a scan signature into a single traversal (see
 /// [`FusedScan`]), turn band sums inside loops into [`Scalar::RangeSum`]
-/// lookups over the statement's [`SortedRun`]s, and fuse the quantile
-/// filters that read them into [`Op::Threshold`]s.
+/// lookups, and fuse the quantile filters that read them into
+/// [`Op::Threshold`]s.
 fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     let mut reads = stmt.key_slots.clone();
     op_reads(&stmt.plan, &mut reads);
@@ -1909,7 +1952,6 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
         trigger_slots: stmt.trigger_slots,
         next_slot: stmt.frame_size as u32,
         groups: Vec::new(),
-        runs: Vec::new(),
         cached_sums: 0,
         thresholds: 0,
         reads,
@@ -1920,19 +1962,19 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     stmt.plan = plan;
     stmt.frame_size = h.next_slot as u16;
     stmt.prelude = h.groups;
-    stmt.runs = h.runs;
     stmt.cached_sums = h.cached_sums;
     stmt.thresholds = h.thresholds;
     for g in &mut stmt.prelude {
         g.band_pos = g.range_sum_position().ok();
+        g.cut_pos = g.cut_walk_position();
     }
 }
 
 impl CompiledStmt {
     /// Every `(relation, template)` the kernel reads with a pattern that
     /// leaves a position free — plan scans wherever they sit (sub-sums,
-    /// cached sums, fallbacks, prelude members), fused prelude scans and
-    /// sorted runs. Each is answered from the secondary index of the
+    /// cached sums, fallbacks, band-sum walks, prelude members) and fused
+    /// prelude scans. Each is answered from the secondary index of the
     /// template's bound positions ([`template_mask`]), which is what the
     /// runtime declares up front.
     pub fn scans(&self) -> Vec<(u16, &[Option<Slot>])> {
@@ -1943,8 +1985,31 @@ impl CompiledStmt {
             let conts = f.members.iter().flat_map(|m| &m.cont);
             conts.for_each(|op| op_scans(op, &mut out));
         }
-        out.extend(self.runs.iter().map(|r| (r.rel, &r.template[..])));
         out
+    }
+
+    /// Every `(relation, template, sorted position)` the kernel reads
+    /// through an ordered index: range-sum and cut-walk prelude scans, and
+    /// the group of every [`Scalar::RangeSum`] lookup — which the
+    /// [`Op::Threshold`] searches over it read too — wherever it sits.
+    pub fn ordered_reads(&self) -> Vec<(u16, &[Option<Slot>], u16)> {
+        let mut walks = Vec::new();
+        op_lookups(&self.plan, &mut walks);
+        let conts = self
+            .prelude
+            .iter()
+            .flat_map(|f| &f.members)
+            .flat_map(|m| &m.cont);
+        conts.for_each(|op| op_lookups(op, &mut walks));
+        let prelude = self.prelude.iter().filter_map(|f| {
+            let pos = f.band_pos.or(f.cut_pos)?;
+            Some((f.rel, &f.template[..], pos))
+        });
+        let lookups = walks.into_iter().filter_map(|walk| {
+            let (rel, _, template) = lookup_scan(walk)?;
+            Some((rel, template, free_position(template)?))
+        });
+        prelude.chain(lookups).collect()
     }
 
     /// The plan's relation table resolved against `src`: what
@@ -1980,6 +2045,24 @@ impl FusedScan {
         } else {
             return Ok(p);
         }))
+    }
+
+    /// The position a cut walk visits (see [`FusedScan::cut_pos`]).
+    fn cut_walk_position(&self) -> Option<u16> {
+        let [member] = self.members.as_slice() else {
+            return None;
+        };
+        let pos = free_position(&self.template).filter(|_| self.eqs.is_empty())?;
+        let key = |s: &Slot| self.binds.iter().any(|&(p, b)| p == pos && b == *s);
+        let (mut cuts, mut weights) = (0, 0);
+        for f in member.fast.as_deref()? {
+            match f {
+                FastOp::Cut { key: k, .. } if key(k) => cuts += 1,
+                FastOp::Weight(NumExpr::Slot(s)) if key(s) => weights += 1,
+                _ => return None,
+            }
+        }
+        (cuts == 1 && weights <= 1).then_some(pos)
     }
 
     /// Why this scan is traversed although every member sums a band of one
@@ -2070,8 +2153,6 @@ pub struct KernelState {
     scratch: Vec<FastMap<Tuple, f64>>,
     /// Per-member accumulators for fused prelude scans.
     fused_accs: Vec<Cell<f64>>,
-    /// One sorted run per [`SortedRun`] of the executing statement.
-    runs: Vec<RunBuf>,
     /// The values of the executing statement's [`Scalar::CachedSum`]s, once
     /// computed.
     cached: Vec<Option<Value>>,
@@ -2122,9 +2203,6 @@ impl KernelState {
         if self.fused_accs.len() < members {
             self.fused_accs.resize(members, Cell::new(0.0));
         }
-        if self.runs.len() < stmt.runs.len() {
-            self.runs.resize_with(stmt.runs.len(), RunBuf::default);
-        }
         if self.cached.len() < stmt.cached_sums as usize {
             self.cached.resize(stmt.cached_sums as usize, None);
         }
@@ -2142,55 +2220,33 @@ impl KernelState {
     }
 }
 
-/// What an execution knows of one [`SortedRun`]'s group.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-enum RunState {
-    /// Not built yet in this execution.
-    #[default]
-    Unbuilt,
-    /// Built, and inside the exactness contract: lookups answer from it.
-    Exact,
-    /// Outside the contract (or unreadable): every lookup walks.
-    Walk,
-}
-
-/// The buffer of one sorted run, recycled across executions.
-#[derive(Debug, Default)]
-struct RunBuf {
-    state: RunState,
-    /// `(band key, Σ multiplicities up to and including it)`, ascending.
-    /// Band keys are whole numbers within 2^53, so an `i64` holds each one
-    /// exactly, and sorts faster than an `f64`.
-    entries: Vec<(i64, i64)>,
-    /// Largest `|key|` (`0.0` when empty).
-    max_abs_key: f64,
-    /// Does the run hold a negative multiplicity? Its band sums are then not
-    /// monotone in the key.
-    negative: bool,
-}
-
 /// What an execution knows of one [`Op::Threshold`].
 #[derive(Clone, Copy, Debug, Default)]
 enum Cut {
     /// Not searched yet in this execution.
     #[default]
     Unsearched,
-    /// The loop keys whose rows pass lie between these two run keys (see
-    /// [`admits`]).
+    /// The loop keys whose rows pass lie between these two keys of the
+    /// band's group (see [`admits`]).
     Keys(f64, f64),
     /// Every row runs the lift and the filter.
     Fallback,
 }
 
 /// Does loop key `p` lie between a threshold's edges `lo` and `hi`? A band
-/// `k > key` or `k ≤ key` sums by the run keys `≤ p`, so the keys of one
-/// cell are `[lo, hi)`; `k ≥ key` and `k < key` sum by those `< p`, and a
-/// cell's keys are `(lo, hi]`.
+/// `k > key` or `k ≤ key` sums by the group's keys `≤ p`, so the keys of
+/// one cell are `[lo, hi)`; `k ≥ key` and `k < key` sum by those `< p`, and
+/// a cell's keys are `(lo, hi]` ([`closed_above`]).
 fn admits(range: CmpOp, (lo, hi): (f64, f64), p: f64) -> bool {
-    match range {
-        CmpOp::Gt | CmpOp::Le => lo <= p && p < hi,
-        _ => lo < p && p <= hi,
+    match closed_above(range) {
+        false => lo <= p && p < hi,
+        true => lo < p && p <= hi,
     }
+}
+
+/// Are a band `range`'s cells closed at their upper edge?
+fn closed_above(range: CmpOp) -> bool {
+    !matches!(range, CmpOp::Gt | CmpOp::Le)
 }
 
 /// A loop key as the number a threshold compares: a finite number, a `Long`
@@ -2201,20 +2257,6 @@ fn loop_key(v: &Value) -> Option<f64> {
         Value::Long(l) if l.unsigned_abs() <= 1 << 53 => Some(*l as f64),
         Value::Double(d) if d.is_finite() => Some(*d),
         _ => None,
-    }
-}
-
-impl RunBuf {
-    /// `(Σ multiplicities of the keys below x, entries compared)`; an
-    /// infinite `x` needs no search.
-    fn sum_below(&self, x: f64) -> (i64, u64) {
-        if x.is_infinite() {
-            let all = self.entries.last().map_or(0, |e| e.1);
-            return (if x < 0.0 { 0 } else { all }, 0);
-        }
-        let i = self.entries.partition_point(|e| (e.0 as f64) < x);
-        let below = i.checked_sub(1).map_or(0, |i| self.entries[i].1);
-        (below, search_steps(self.entries.len()))
     }
 }
 
@@ -2245,8 +2287,6 @@ struct Exec<'a> {
     patterns: &'a mut [Vec<Option<Value>>],
     scratch: &'a mut [FastMap<Tuple, f64>],
     accs: &'a [Cell<f64>],
-    run_specs: &'a [SortedRun],
-    runs: &'a mut [RunBuf],
     cached: &'a mut [Option<Value>],
     cuts: &'a mut [Cut],
     counters: &'a KernelCounters,
@@ -2538,60 +2578,45 @@ impl Exec<'_> {
         }
     }
 
-    /// Search run `t.run` once for the loop keys whose rows pass `t`'s
-    /// filter. Cell `j` of the run's `n + 1` holds the keys with `j` run keys
-    /// below them, and its band sum is the first `j` multiplicities or the
-    /// rest; with every multiplicity non-negative the sums are monotone in
-    /// `j`, so the filter — evaluated as it stands, on each sum as the lookup
-    /// answers it — flips at most once. `Fallback` when the operand is no
-    /// number, or the run is not exact or holds a negative multiplicity.
+    /// Search the band's group once for the loop keys whose rows pass `t`'s
+    /// filter, through its ordered index ([`RelationSource::cut_at`]): with
+    /// every multiplicity of the group non-negative its band sums are
+    /// monotone in the loop key, so the filter — evaluated as it stands, on
+    /// each sum as the lookup answers it — flips at most once. `Fallback`
+    /// when the operand is no number, or the group has no ordered index, is
+    /// not exact or holds a negative net multiplicity.
     fn search(&mut self, t: &Threshold) -> Cut {
         let c = match self.eval_scalar(&t.operand) {
             Ok(c) if c.is_numeric() => c,
             _ => return Cut::Fallback,
         };
-        let run = t.run as usize;
-        if self.runs[run].state == RunState::Unbuilt {
-            self.build_run(run);
-        }
-        let r = &self.runs[run];
-        if r.state != RunState::Exact || r.negative {
+        let Some(Scalar::RangeSum { traverse, .. }) = t.lookup() else {
             return Cut::Fallback;
-        }
-        let total = r.entries.last().map_or(0, |e| e.1);
+        };
+        let Some((rel, buf, template)) = lookup_scan(traverse) else {
+            return Cut::Fallback;
+        };
+        let Ok(id) = self.rel_id(rel) else {
+            return Cut::Fallback;
+        };
+        let pattern = self.take_pattern(buf, template);
         let upper = matches!(t.range, CmpOp::Gt | CmpOp::Ge);
-        let passes = |below: i64| {
-            let sum = Value::double((if upper { total - below } else { below }) as f64);
+        let mut passes = |sum: f64| {
+            let sum = Value::double(sum);
             match t.sum_left {
                 true => t.cmp.eval(&sum, &c),
                 false => t.cmp.eval(&c, &sum),
             }
         };
-        let n = r.entries.len();
-        let (first, last) = (passes(0), passes(total));
-        // The passing cells `a..b`: all, none, a prefix or a suffix.
-        let (a, b) = match (first, last) {
-            (true, true) => (0, n + 1),
-            (false, false) => (n + 1, 0),
-            _ => {
-                let flip = 1 + r.entries.partition_point(|e| passes(e.1) == first);
-                if first {
-                    (0, flip)
-                } else {
-                    (flip, n + 1)
-                }
-            }
-        };
-        // Cell `j` starts at run key `j`, counting from one.
-        let edge = |j: usize| match j {
-            0 => f64::NEG_INFINITY,
-            j if j > n => f64::INFINITY,
-            j => r.entries[j - 1].0 as f64,
+        let found = self.src.cut_at(id, &pattern, upper, &mut passes);
+        self.patterns[buf as usize] = pattern;
+        let Some(((lo, hi), evaluated)) = found else {
+            return Cut::Fallback;
         };
         bump(&self.counters.range_sum_hits);
         let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + 2 + search_steps(n));
-        Cut::Keys(edge(a), edge(b))
+        scanned.set(scanned.get() + evaluated);
+        Cut::Keys(lo, hi)
     }
 
     /// Run one fused prelude scan: a single bucket traversal feeding every
@@ -2601,6 +2626,9 @@ impl Exec<'_> {
     /// can answer exactly.
     fn run_prelude(&mut self, fs: &FusedScan) {
         if self.error.is_some() {
+            return;
+        }
+        if fs.cut_pos.is_some() && self.cut_walk(fs) {
             return;
         }
         if fs.band_pos.is_some() {
@@ -2639,6 +2667,62 @@ impl Exec<'_> {
                 self.frame[member.dest as usize] = Value::double(accs[k].get());
             }
         }
+    }
+
+    /// Answer a cut walk (see [`FusedScan::cut_pos`]) from the source's
+    /// ordered index: run what a first row would run before the cut — the
+    /// member's loop-invariant lifts and its threshold's search — then visit
+    /// only the keys inside the cut, adding each multiplicity, times the key
+    /// where the pass weighs by it. `false` — the caller walks the scan in
+    /// its own order — when the search fell back or the group is outside the
+    /// walk's exactness contract, where a sum in another order could round
+    /// ([`RelationSource::walk_band_at`]); `true` after an error too.
+    fn cut_walk(&mut self, fs: &FusedScan) -> bool {
+        let member = &fs.members[0];
+        for op in &member.cont {
+            match op {
+                Op::LiftBind { slot, value } => match self.eval_scalar(value) {
+                    Ok(v) => self.frame[*slot as usize] = v,
+                    Err(e) => {
+                        self.fail(e);
+                        return true;
+                    }
+                },
+                Op::Threshold(t) if matches!(self.cuts[t.cache as usize], Cut::Unsearched) => {
+                    self.cuts[t.cache as usize] = self.search(t);
+                }
+                _ => {}
+            }
+        }
+        let pass = member.fast.as_deref().unwrap_or_default();
+        let weighted = pass.iter().any(|f| matches!(f, FastOp::Weight(_)));
+        let Some(&FastOp::Cut { cut, range, .. }) =
+            pass.iter().find(|f| matches!(f, FastOp::Cut { .. }))
+        else {
+            return false;
+        };
+        let Cut::Keys(lo, hi) = self.cuts[cut as usize] else {
+            return false;
+        };
+        let Ok(id) = self.rel_id(fs.rel) else {
+            return false;
+        };
+        let pattern = self.take_pattern(fs.buf, &fs.template);
+        let mut total = 0.0;
+        let mut add = |key: f64, m: f64| total += if weighted { m * key } else { m };
+        let walked = self
+            .src
+            .walk_band_at(id, &pattern, (lo, hi), closed_above(range), &mut add);
+        self.patterns[fs.buf as usize] = pattern;
+        let Some(touched) = walked else {
+            return false;
+        };
+        bump(&self.counters.scans);
+        bump(&self.counters.fused_scans);
+        let scanned = &self.counters.entries_scanned;
+        scanned.set(scanned.get() + touched);
+        self.frame[member.dest as usize] = Value::double(total);
+        true
     }
 
     /// Answer every member of a range-sum scan from the source's ordered
@@ -2712,11 +2796,7 @@ impl Exec<'_> {
                 Ok(Value::double(if op.eval(&lv, &rv) { 1.0 } else { 0.0 }))
             }
             Scalar::SubSum(op) => self.sub_sum(op),
-            Scalar::RangeSum {
-                run,
-                ranges,
-                traverse,
-            } => match self.range_sum(*run as usize, ranges) {
+            Scalar::RangeSum { ranges, traverse } => match self.range_sum(ranges, traverse) {
                 Some(sum) => {
                     bump(&self.counters.range_sum_hits);
                     Ok(Value::double(sum))
@@ -2747,89 +2827,25 @@ impl Exec<'_> {
         Ok(Value::double(acc.get()))
     }
 
-    /// Answer a [`Scalar::RangeSum`] from its sorted run, building the run
-    /// at the execution's first lookup that gets that far. `None` — walk
-    /// instead — when the bounds, the group or the two together are outside
-    /// the exactness contract; within it the answer is the walk's total, bit
-    /// for bit (see [`Exec::run_range_sums`]).
-    fn range_sum(&mut self, run: usize, ranges: &[(CmpOp, NumExpr)]) -> Option<f64> {
+    /// Answer a [`Scalar::RangeSum`] from the ordered index of the group its
+    /// walk scans ([`RelationSource::range_sums_at`]). `None` — walk instead
+    /// — when the bounds, the group or the two together are outside the
+    /// exactness contract, or the group has no ordered index; within it the
+    /// answer is the walk's total, bit for bit (see [`Exec::run_range_sums`]).
+    fn range_sum(&mut self, ranges: &[(CmpOp, NumExpr)], traverse: &Op) -> Option<f64> {
         let mut bound_mag = 0.0f64;
-        let (lo, hi) = band_interval(ranges, self.frame, &mut bound_mag)?;
-        if self.runs[run].state == RunState::Unbuilt {
-            self.build_run(run);
-        }
-        let r = &self.runs[run];
-        if r.state != RunState::Exact || bound_mag + r.max_abs_key >= EXACT_INT_BOUND {
-            return None;
-        }
-        if lo >= hi {
-            return Some(0.0);
-        }
-        let ((below_hi, a), (below_lo, b)) = (r.sum_below(hi), r.sum_below(lo));
+        let interval = band_interval(ranges, self.frame, &mut bound_mag)?;
+        let (rel, buf, template) = lookup_scan(traverse)?;
+        let id = self.rel_id(rel).ok()?;
+        let pattern = self.take_pattern(buf, template);
+        let mut sum = [0.0];
+        let answer = self
+            .src
+            .range_sums_at(id, &pattern, bound_mag, &[interval], &mut sum);
+        self.patterns[buf as usize] = pattern;
         let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + a + b);
-        Some((below_hi - below_lo) as f64)
-    }
-
-    /// Build run `i` from one walk of its group: `Exact` when every entry
-    /// has a band key and an exact multiplicity and `Σ|multiplicity| <
-    /// 2^53`, else `Walk` — as when the relation is unknown, whose error the
-    /// lookups' own walks then raise where they always did. Entries past the
-    /// first offender are only counted.
-    fn build_run(&mut self, i: usize) {
-        let spec = &self.run_specs[i];
-        bump(&self.counters.scans);
-        let Ok(id) = self.rel_id(spec.rel) else {
-            self.runs[i].state = RunState::Walk;
-            return;
-        };
-        let pattern = self.take_pattern(spec.buf, &spec.template);
-        let (arity, key_pos) = (spec.template.len(), spec.key_pos as usize);
-        let run = &mut self.runs[i];
-        run.entries.clear();
-        // `abs_sum` stays below 2^53 while `exact`, so adding one more
-        // multiplicity (also below 2^53) cannot overflow.
-        let (mut walked, mut exact, mut abs_sum, mut negative) = (0u64, true, 0u64, false);
-        self.src.for_each_at(id, &pattern, &mut |t, m| {
-            walked += 1;
-            if !exact || m == 0.0 {
-                return;
-            }
-            if t.len() != arity {
-                exact = false; // the walk raises it
-                return;
-            }
-            if !matches_pattern(t, &pattern) {
-                return;
-            }
-            match (band_key(&t[key_pos]), exact_mult(m)) {
-                (Some(key), Some(m)) => {
-                    abs_sum += m.unsigned_abs();
-                    exact = abs_sum < 1 << 53;
-                    negative |= m < 0;
-                    run.entries.push((key as i64, m));
-                }
-                _ => exact = false,
-            }
-        });
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + walked);
-        self.patterns[spec.buf as usize] = pattern;
-        let run = &mut self.runs[i];
-        if !exact {
-            run.state = RunState::Walk;
-            return;
-        }
-        run.entries.sort_unstable_by_key(|e| e.0);
-        let mut sum = 0i64;
-        for e in &mut run.entries {
-            sum += e.1;
-            e.1 = sum;
-        }
-        let ends = run.entries.first().into_iter().chain(run.entries.last());
-        run.max_abs_key = ends.fold(0, |m, e| m.max(e.0.unsigned_abs())) as f64;
-        run.negative = negative;
-        run.state = RunState::Exact;
+        scanned.set(scanned.get() + answer?);
+        Some(sum[0])
     }
 }
 
@@ -2871,12 +2887,8 @@ impl CompiledStmt {
             state.counter_slots.push(KernelCounters::default());
         }
         let counter_slot = state.counter_slot.min(state.counter_slots.len() - 1);
-        // Sorted runs and cached sums hold per execution: the store and the
-        // trigger slots may have moved since.
-        let runs = &mut state.runs[..self.runs.len()];
-        for run in runs.iter_mut() {
-            run.state = RunState::Unbuilt;
-        }
+        // Cached sums and cuts hold per execution: the store and the trigger
+        // slots may have moved since.
         let cached = &mut state.cached[..self.cached_sums as usize];
         cached.fill(None);
         let cuts = &mut state.cuts[..self.thresholds as usize];
@@ -2889,8 +2901,6 @@ impl CompiledStmt {
             patterns: &mut state.patterns,
             scratch: &mut state.scratch,
             accs: &state.fused_accs,
-            run_specs: &self.runs,
-            runs,
             cached,
             cuts,
             counters: &state.counter_slots[counter_slot],
@@ -3021,10 +3031,12 @@ mod tests {
     }
 
     /// A band sum whose bound an enclosing scan binds becomes a lookup into
-    /// a run sorted once per execution, and answers what the walk answers —
-    /// on exact data from the run, on offending data by walking.
+    /// the ordered index of the group it scans, which the kernel lists among
+    /// its ordered reads. A source without ordered indexes answers none of
+    /// them: every lookup walks, as the sub-sum did, bit for bit (the
+    /// runtime's `ordered_reads` tests take the index).
     #[test]
-    fn band_sums_inside_a_loop_are_looked_up_in_a_sorted_run() {
+    fn band_sums_inside_a_loop_are_lookups_that_walk_without_an_index() {
         // `Sum[](R(y, b2) * (b2 > b))` inside the loop over `R(a, b)`, `y` a
         // trigger variable.
         let band = Expr::agg_sum(
@@ -3045,42 +3057,23 @@ mod tests {
         );
         let stmt = lower_statement(&["y".into()], &[], &e).unwrap();
         assert!(stmt.prelude.is_empty());
-        assert_eq!(stmt.runs.len(), 1);
         assert!(format!("{:?}", stmt.plan).contains("RangeSum"));
+        let reads: Vec<_> = stmt
+            .ordered_reads()
+            .into_iter()
+            .map(|(r, t, k)| (r, t.to_vec(), k))
+            .collect();
+        assert_eq!(reads, [(0, vec![Some(0), None], 1)]);
         for y in [1, 3, 4, 9] {
             check(&e, &[("y", y)], &[]);
         }
-        let (_, work) = run_with(&stmt, &db(), 1);
-        // Three outer rows: one walk of `R` to build the run, three lookups.
-        assert_eq!((work.range_sum_hits, work.range_sum_bails), (3, 0));
-        assert_eq!(work.scans, 2);
-
-        // Each offender in turn makes every lookup of its execution walk,
-        // and the answer stays the walk's, bit for bit.
-        for (key, mult) in [
-            (Value::double(0.5), 1.0),
-            (Value::double(-0.0), 1.0),
-            (Value::str("k"), 1.0),
-            (Value::long(7), 0.5),
-            (Value::long(7), EXACT_INT_BOUND),
-        ] {
-            let mut src = db();
-            let mut r = Gmr::new(Schema::new(["A", "B"]));
-            for (t, m) in src.relation("R").unwrap().iter() {
-                r.add_tuple(t.to_vec(), m);
-            }
-            r.add_tuple(vec![Value::long(1), key.clone()], mult);
-            src.set_relation("R", r);
-            let (rows, work) = run_with(&stmt, &src, 1);
-            assert!(
-                work.range_sum_bails > 0 && work.range_sum_hits == 0,
-                "{key}"
-            );
-            let (walked, _) = run_with(&unhoisted(&e), &src, 1);
-            let bits =
-                |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&rows), bits(&walked), "{key} × {mult}");
-        }
+        // Three outer rows: one walk of `R` for the loop, one per lookup.
+        let (rows, work) = run_with(&stmt, &db(), 1);
+        assert_eq!((work.range_sum_hits, work.range_sum_bails), (0, 3));
+        assert_eq!(work.scans, 4);
+        let (walked, _) = run_with(&unhoisted(&e), &db(), 1);
+        let bits = |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&rows), bits(&walked));
     }
 
     /// `rhs` lowered for trigger `y` with nothing hoisted: every sub-sum
@@ -3092,7 +3085,6 @@ mod tests {
         CompiledStmt {
             rels: lw.rels,
             prelude: Vec::new(),
-            runs: Vec::new(),
             cached_sums: 0,
             thresholds: 0,
             plan,
@@ -3135,14 +3127,14 @@ mod tests {
             ]),
         );
         let stmt = lower_statement(&["y".into()], &[], &e).unwrap();
-        assert_eq!((stmt.cached_sums, stmt.runs.len()), (1, 1));
+        assert_eq!((stmt.cached_sums, stmt.ordered_reads().len()), (1, 1));
         for y in [1, 3, 4, 9] {
             check(&e, &[("y", y)], &[]);
         }
-        // One walk of `R` for the loop, one of `S` for the cached sum, one of
-        // `R` to build the run; a lookup in it for each of `S`'s two rows.
+        // One walk of `R` for the loop, one of `S` for the cached sum, and a
+        // lookup for each of `S`'s two rows — a walk of `R`, without an index.
         let (rows, work) = run_with(&stmt, &db(), 1);
-        assert_eq!((work.scans, work.range_sum_hits), (3, 2));
+        assert_eq!((work.scans, work.range_sum_bails), (4, 2));
         let (walked, plain) = run_with(&unhoisted(&e), &db(), 1);
         assert_eq!(rows, walked);
         assert_eq!(plain.scans, 1 + 3 * 3);
@@ -3208,31 +3200,23 @@ mod tests {
         src
     }
 
-    /// A quantile filter inside a loop is one search per execution, and the
-    /// rows it keeps are the lift's and the filter's, bit for bit: for every
-    /// band direction and either orientation; with a negative multiplicity
-    /// or an inexact key in the band, by running them on every row; with a
-    /// loop key that is no finite number or a `Long` past 2^53, on that row.
-    /// A quantile-filtered sum is one fused pass over the loop, whose rows
-    /// outside the cut, or all of them when the search cannot answer, run
-    /// the lift and the filter as the plan does, counted as it counts them.
+    /// A quantile filter inside a loop fuses into a threshold — and a
+    /// quantile-filtered sum into a numeric pass over the loop — for every
+    /// band direction and either orientation. A source without ordered
+    /// indexes cannot search: every row runs the lift and the filter, and
+    /// the rows are the plan's, bit for bit, offenders included. (The
+    /// runtime's `ordered_reads` tests search through an index.)
     #[test]
-    fn quantile_filters_inside_a_loop_are_one_search_per_execution() {
+    fn quantile_filters_inside_a_loop_fuse_into_thresholds() {
         let bits = |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
-        let same = |e: &Expr, src: &MemSource, y: i64| {
-            let stmt = lower_statement(&["y".into()], &[], e).unwrap();
-            assert_eq!(stmt.thresholds, 1, "{e}");
-            let pass = stmt
-                .prelude
-                .iter()
-                .flat_map(|f| &f.members)
-                .any(|m| matches!(m.fast.as_deref(), Some([FastOp::Cut { cut: 0, .. }])));
-            let (rows, work) = run_with(&stmt, src, y);
-            let (walked, _) = run_with(&unhoisted(e), src, y);
-            assert_eq!(bits(&rows), bits(&walked), "{e} at y = {y}");
-            (pass, work.range_sum_hits, work.range_sum_bails)
-        };
         let directions = [OpC::Gt, OpC::Ge, OpC::Lt, OpC::Le];
+        let extras = [
+            None,
+            Some((1, Value::long(13), -1.0)),
+            Some((1, Value::double(0.5), 1.0)),
+            Some((4, Value::double(f64::NAN), 1.0)),
+            Some((4, Value::long((1 << 53) + 1), 1.0)),
+        ];
         for (band, sum_left) in directions.into_iter().flat_map(|b| [(b, false), (b, true)]) {
             for (e, pass) in [
                 (quantile(band, sum_left), false),
@@ -3241,61 +3225,47 @@ mod tests {
                 if !pass {
                     check(&e, &[("y", 1)], &[]);
                 }
-                for y in [1, 2, 9] {
-                    assert_eq!(same(&e, &book(None), y), (pass, 1, 0), "{e} at y = {y}");
+                let stmt = lower_statement(&["y".into()], &[], &e).unwrap();
+                assert_eq!(stmt.thresholds, 1, "{e}");
+                let fused = stmt.prelude.iter().flat_map(|f| &f.members);
+                let fused = fused
+                    .filter(|m| matches!(m.fast.as_deref(), Some([FastOp::Cut { cut: 0, .. }])));
+                assert_eq!(fused.count(), pass as usize, "{e}");
+                for extra in extras.clone() {
+                    let src = book(extra.clone());
+                    let (rows, work) = run_with(&stmt, &src, 1);
+                    let (walked, _) = run_with(&unhoisted(&e), &src, 1);
+                    assert_eq!(bits(&rows), bits(&walked), "{e} with {extra:?}");
+                    assert_eq!(work.range_sum_hits, 0, "{e} with {extra:?}");
                 }
-            }
-        }
-        let rows = 9;
-        for (e, pass) in [
-            (quantile(OpC::Gt, false), false),
-            (quantile_sum(OpC::Gt, false), true),
-        ] {
-            for (extra, (hits, bails)) in [
-                ((1, Value::long(13), -1.0), (rows, 0)),
-                ((1, Value::double(0.5), 1.0), (0, rows)),
-                ((4, Value::double(f64::NAN), 1.0), (1, 1)),
-                ((4, Value::long((1 << 53) + 1), 1.0), (1, 1)),
-                ((4, Value::str("k"), 1.0), (1, 1)),
-                ((4, Value::double(-0.0), 1.0), (1, 0)),
-                ((4, Value::double(4.5), 1.0), (1, 0)),
-            ] {
-                let key = extra.1.clone();
-                assert_eq!(
-                    same(&e, &book(Some(extra)), 1),
-                    (pass, hits, bails),
-                    "{key}"
-                );
             }
         }
     }
 
     /// `scans` finds every partially bound read, wherever lowering and
-    /// hoisting put it: the loop's scan, the prelude's fused scan, the
-    /// sorted run and the walk a threshold falls back to. Probes need no
-    /// index and are not listed.
+    /// hoisting put it: the loop's scan, the prelude's fused scan and the
+    /// walk a threshold falls back to; `ordered_reads` the band's group, which
+    /// the threshold searches. Probes need no index and are not listed.
     #[test]
     fn scans_reach_every_partially_bound_read() {
         let stmt = lower_statement(&["y".into()], &[], &quantile(OpC::Gt, false)).unwrap();
         let (y, free) = (Some(0), None);
         assert_eq!(stmt.rels, ["R"]);
-        assert_eq!(
-            (stmt.prelude.len(), stmt.runs.len(), stmt.thresholds),
-            (1, 1, 1)
-        );
+        assert_eq!((stmt.prelude.len(), stmt.thresholds), (1, 1));
         let mut scans: Vec<(u16, Vec<Option<Slot>>)> = stmt
             .scans()
             .into_iter()
             .map(|(r, t)| (r, t.to_vec()))
             .collect();
         scans.sort();
-        let want = [
-            vec![free, free],
-            vec![y, free],
-            vec![y, free],
-            vec![y, free],
-        ];
+        let want = [vec![free, free], vec![y, free], vec![y, free]];
         assert_eq!(scans, want.map(|t| (0, t)));
+        let reads: Vec<_> = stmt
+            .ordered_reads()
+            .into_iter()
+            .map(|(r, t, k)| (r, t.to_vec(), k))
+            .collect();
+        assert_eq!(reads, [(0, vec![y, free], 1)]);
         assert_eq!(template_mask(&[y, free]), 0b01);
         let probe = lower_statement(&["x".into(), "y".into()], &[], &Expr::rel("R", ["x", "y"]));
         assert!(probe.unwrap().scans().is_empty());

@@ -14,10 +14,12 @@
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
-//! quantile filters inside a loop: one search per execution of a run sorted
-//! once per execution, with no index behind it, against totals probed once
-//! per execution, and the sums they filter as one fused numeric pass. `q3` pins a declared hash index's line in its map's block,
-//! and the map's own bytes (live, and in a snapshot buffer) beside it.
+//! quantile filters inside a loop: one search per execution of the band's
+//! ordered index, against totals probed once per execution, and the sums
+//! they filter as a walk of the keys inside the cut, weighted by the key
+//! where the price × volume map folded into the volume map. `q3` pins a
+//! declared hash index's line in its map's block, and the map's own bytes
+//! (live, and in a snapshot buffer) beside it.
 //!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
 //! a program without live passes — a hand-assembled one, whose derivation
@@ -208,22 +210,27 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                  1 replace (`:=`) statement fired once per run, for its last event"
             );
             assert!(!text.contains("run: live"), "{text}");
-            // Its nested band sum binds no column by equality, so there is
-            // no secondary index to keep ordered: the `:=` sorts it into a
-            // run once per execution and, every volume being non-negative,
-            // searches the run once for the price where the filter flips;
-            // the total it compares with is probed once per execution. The
-            // outer sum is one fused numeric pass over `m_vwap_3` that adds
-            // the prices inside the cut.
-            assert!(ex.maps.is_empty() && !text.contains("== map"), "{text}");
-            let pass = "    prelude: fused scan m_vwap_3[>$5] members=1 entry-invariant; \
-                        →$9 numeric pass[\
+            // `Σ price · volume` per price is `price × m_vwap_2[price]`, so
+            // there is no `m_vwap_3`: the one map of volumes per price keeps
+            // an ordered index over the whole map. Every volume being
+            // non-negative, the `:=` searches it once for the price where the
+            // filter flips, against the total probed once per execution, and
+            // the outer sum walks only the prices inside the cut, each
+            // weighted by its price.
+            let pass = "    prelude: cut walk m_vwap_2[>$5] members=1 entry-invariant ordered@t0; \
+                        →$9 numeric pass[slot ×$5, \
                         lift $6 := subsum(probe m_vwap_1[]) (loop-invariant: once per execution), \
-                        threshold $5 from 0.25 * $6 > range-sum m_vwap_2[>$7] key > $5 \
+                        threshold $5 from 0.25 * $6 > range-sum m_vwap_2[>$7] ordered@t0 key > $5 \
                         (one search per execution)]\n    | scalar ×$9\n";
             assert!(text.contains(pass), "{text}");
+            let block = "== map m_vwap_2 ==\n  index (): ordered by b2_price\n    \
+                         analyze: indexes hash=0 ordered=1 entries=";
+            assert!(text.contains(block), "{text}");
+            let maps: Vec<&str> = ex.maps.iter().map(|m| m.name.as_str()).collect();
+            assert_eq!(maps, ["m_vwap_2"]);
             assert!(
-                !text.contains("scan m_vwap_2")
+                !text.contains("m_vwap_3")
+                    && !text.contains("scan m_vwap_2")
                     && !text.contains("filter ")
                     && !text.contains("another aggregate in the member"),
                 "{text}"
@@ -236,19 +243,23 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             assert_lookups_answered(ex);
         }
         "mst" => {
-            // Both sides' quantile filters are one search each, against
-            // totals probed once per execution; each bid row is multiplied
-            // by the asks' sum, which does not depend on the row: one fused
-            // numeric pass per execution.
+            // Both sides' quantile filters are one search each of an
+            // ordered index, against totals probed once per execution; each
+            // bid row is multiplied by the asks' sums, which do not depend on
+            // the row: a walk of the asks' cut per execution, the price ×
+            // volume sum over `m_mst_2` weighted by the price (no map holds
+            // price × volume). The bids' loop scans two free columns.
             for line in [
                 "lift $9 := subsum(probe m_mst_3[]) (loop-invariant: once per execution)",
-                "threshold $6 from 0.25 * $9 > range-sum m_mst_4[>$7] key > $6 \
+                "threshold $6 from 0.25 * $9 > range-sum m_mst_4[>$7] ordered@t0 key > $6 \
                  (one search per execution)",
-                "    prelude: fused scan m_mst_6[>$10] members=1 entry-invariant; →$22 numeric pass[\
+                "    prelude: cut walk m_mst_2[>$10] members=1 entry-invariant ordered@t0; \
+                 →$22 numeric pass[slot ×$10, \
                  lift $13 := subsum(probe m_mst_1[]) (loop-invariant: once per execution), \
-                 threshold $10 from 0.25 * $13 > range-sum m_mst_2[>$11] key > $10 \
+                 threshold $10 from 0.25 * $13 > range-sum m_mst_2[>$11] ordered@t0 key > $10 \
                  (one search per execution)]",
-                "    prelude: fused scan m_mst_8[>$18] members=1 entry-invariant; →$23 numeric pass[",
+                "    prelude: cut walk m_mst_7[>$18] members=1 entry-invariant ordered@t0; \
+                 →$23 numeric pass[",
                 "scalar ×$22",
                 "scalar ×$23",
             ] {
@@ -257,6 +268,7 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             assert!(
                 !text.contains("scan m_mst_2")
                     && !text.contains("scan m_mst_4")
+                    && !text.contains("m_mst_8")
                     && !text.contains("filter "),
                 "{text}"
             );
@@ -361,8 +373,10 @@ fn dispatch_census_per_compile_mode() {
 /// Ordered-index census: which `(map, bound columns)` the compiler declares
 /// ordered over the whole workload suite, per compile mode. Three
 /// higher-order programs have range-sum scans — `q4` (ship dates after an
-/// order's date, per order), `axf` and `bsp`; first-order and re-evaluation
-/// mode scan base relations, which leave more than one column free.
+/// order's date, per order), `axf` and `bsp`; `vwap` and `mst` search and
+/// walk their one-column price maps whole (mask `0`), in the naive viewlet
+/// transform too; first-order and re-evaluation mode scan base relations,
+/// which leave more than one column free.
 #[test]
 fn ordered_index_census_per_compile_mode() {
     for mode in [
@@ -387,14 +401,24 @@ fn ordered_index_census_per_compile_mode() {
         let expected: &[&str] = match mode {
             CompileMode::HigherOrder => &[
                 "m_q4_3[0b10]@t0",
+                "m_vwap_2[0b0]@t0",
                 "m_axf_1[0b1]@t1",
                 "m_axf_2[0b1]@t1",
                 "m_axf_3[0b10]@t0",
                 "m_axf_4[0b10]@t0",
                 "m_bsp_1[0b1]@t1",
                 "m_bsp_2[0b1]@t1",
+                "m_mst_2[0b0]@t0",
+                "m_mst_4[0b0]@t0",
+                "m_mst_7[0b0]@t0",
             ],
-            CompileMode::NaiveViewlet => &["m_q4_3[0b10]@t0"],
+            CompileMode::NaiveViewlet => &[
+                "m_q4_3[0b10]@t0",
+                "m_vwap_2[0b0]@t0",
+                "m_mst_2[0b0]@t0",
+                "m_mst_4[0b0]@t0",
+                "m_mst_9[0b0]@t0",
+            ],
             _ => &[],
         };
         assert_eq!(declared, expected, "[{mode}]");

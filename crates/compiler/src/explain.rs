@@ -377,13 +377,11 @@ fn scalar_str(s: &Scalar, rels: &[String]) -> String {
                 op_summary(plan, rels)
             )
         }
-        Scalar::RangeSum { .. } => {
-            format!("{} (run sorted once per execution)", range_sum_str(s, rels))
-        }
+        Scalar::RangeSum { .. } => range_sum_str(s, rels),
     }
 }
 
-/// A band-sum lookup: `range-sum <map>[<pattern>] <constraints>`.
+/// A band-sum lookup: `range-sum <map>[<pattern>] ordered@t<key> <constraints>`.
 fn range_sum_str(s: &Scalar, rels: &[String]) -> String {
     let Scalar::RangeSum {
         ranges, traverse, ..
@@ -400,7 +398,11 @@ fn range_sum_str(s: &Scalar, rels: &[String]) -> String {
                 ..
             },
             _,
-        )) => format!("{}[{}]", rels[*rel as usize], pattern_str(template, binds)),
+        )) => {
+            let key = template.iter().position(Option::is_none).unwrap_or(0);
+            let pattern = pattern_str(template, binds);
+            format!("{}[{pattern}] ordered@t{key}", rels[*rel as usize])
+        }
         _ => String::new(),
     };
     format!("range-sum {scan} {}", ranges_str(ranges))
@@ -586,10 +588,10 @@ fn fast_str(f: &FastOp) -> String {
 fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
     let mut line = format!(
         "{} {}[{}] members={}",
-        if fs.band_pos.is_some() {
-            "range-sum"
-        } else {
-            "fused scan"
+        match (fs.band_pos, fs.cut_pos) {
+            (Some(_), _) => "range-sum",
+            (_, Some(_)) => "cut walk",
+            _ => "fused scan",
         },
         rels[fs.rel as usize],
         pattern_str(&fs.template, &fs.binds),
@@ -598,7 +600,7 @@ fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
     if fs.entry_invariant {
         line.push_str(" entry-invariant");
     }
-    if let Some(pos) = fs.band_pos {
+    if let Some(pos) = fs.band_pos.or(fs.cut_pos) {
         line.push_str(&format!(" ordered@t{pos}"));
     }
     if let Some(why) = fs.range_sum_bail() {

@@ -16,6 +16,13 @@
 //! 4. **Nested aggregates** — lifted subqueries containing relation atoms are
 //!    materialized separately; the lift itself stays in the rewritten expression and
 //!    references the nested view.
+//! 5. **Key-only weights** — a value factor (a variable, or arithmetic over variables;
+//!    never a comparison) whose variables are all key columns of the map it would join
+//!    stays outside it: `Sum[p](Bids(p, v) * p * v)` keyed by `p` is `p ×
+//!    Sum[p](Bids(p, v) * v)`, a map the volumes per price already are. The weight
+//!    multiplies each looked-up entry instead of every aggregated row, the map gains no
+//!    key (its variables were keys already), and no filter moves, so the map can only
+//!    deduplicate into another — `vwap`'s `price × volume` map is its volume map.
 //!
 //! Duplicate view elimination is performed by the [`MapRegistry`], which keys maps by
 //! the canonical form of their definition.
@@ -24,7 +31,7 @@ use crate::compile::CompileError;
 use crate::program::{CompileOptions, CompileReport, MapDecl, Statement, StmtOp};
 use dbtoaster_agca::opt::{canonical_key, order_factors, unify_factors, Monomial};
 use dbtoaster_agca::scope::var_info;
-use dbtoaster_agca::{simplify, AtomKind, Expr};
+use dbtoaster_agca::{simplify, AtomKind, Expr, ScalarFn};
 use std::collections::{BTreeSet, VecDeque};
 
 /// Registry of materialized views created during compilation, with structural
@@ -392,11 +399,11 @@ impl<'a> Materializer<'a> {
         // variables referenced by factors outside the component.
         let mut result_factors: Vec<Expr> = Vec::new();
         for (ci, comp) in components.iter().enumerate() {
-            let mut comp_factors: Vec<Expr> = Vec::new();
+            let mut comp_factors: Vec<usize> = Vec::new();
             let mut comp_outputs: BTreeSet<String> = BTreeSet::new();
-            for (i, f) in rewritten.iter().enumerate() {
+            for (i, _) in rewritten.iter().enumerate() {
                 if comp.contains(&i) || assigned[i] == Some(ci) {
-                    comp_factors.push(f.clone());
+                    comp_factors.push(i);
                     comp_outputs.extend(outputs_of[i].iter().cloned());
                 }
             }
@@ -414,6 +421,21 @@ impl<'a> Materializer<'a> {
                 .filter(|v| external_vars.contains(*v))
                 .cloned()
                 .collect();
+            // Rule 5: a value factor over the map's own key columns is a
+            // function of the key, so it multiplies the looked-up entry
+            // instead of every aggregated row. Its variables are keys
+            // already, so leaving it outside gives the map no new key.
+            let (outside, inside): (Vec<usize>, Vec<usize>) =
+                comp_factors.into_iter().partition(|&i| {
+                    assigned[i] == Some(ci)
+                        && is_value_factor(&rewritten[i])
+                        && rewritten[i]
+                            .all_variables()
+                            .iter()
+                            .all(|v| out_vars.contains(v))
+                });
+            let comp_factors: Vec<Expr> = inside.iter().map(|&i| rewritten[i].clone()).collect();
+            result_factors.extend(outside.iter().map(|&i| rewritten[i].clone()));
 
             let body = Expr::product_of(comp_factors.clone());
             let def = simplify(&Expr::AggSum(out_vars.clone(), Box::new(body.clone())));
@@ -460,6 +482,16 @@ impl<'a> Materializer<'a> {
 /// be materialized before it can appear in a trigger statement)?
 pub fn contains_base_atoms(expr: &Expr) -> bool {
     expr.contains_atom_kind(AtomKind::Stream) || expr.contains_atom_kind(AtomKind::Table)
+}
+
+/// Is the factor a value multiplied in — a variable, or arithmetic over
+/// variables — rather than a filter? Comparisons and `LIKE` are filters.
+fn is_value_factor(f: &Expr) -> bool {
+    match f {
+        Expr::Var(_) => true,
+        Expr::Apply(func, _) => !matches!(func, ScalarFn::Like(_)),
+        _ => false,
+    }
 }
 
 /// Project a rewritten clause down to exactly the `needed` output columns by wrapping it
@@ -754,6 +786,48 @@ mod tests {
         );
         assert!(maps.is_empty());
         assert!(e.contains_atom_kind(AtomKind::Stream));
+    }
+
+    /// Rule 5: a weight by the map's own key column stays outside the map,
+    /// which then deduplicates into the unweighted one; a comparison on that
+    /// column stays inside, and a weight by a column that is no key stays
+    /// inside too.
+    #[test]
+    fn key_only_weights_stay_outside_and_comparisons_inside() {
+        let options = ho_options();
+        let mut reg = MapRegistry::new();
+        let mut report = CompileReport::default();
+        let mut mat = Materializer {
+            registry: &mut reg,
+            options: &options,
+            report: &mut report,
+            depth: 1,
+            avoid: None,
+            name_hint: "q".into(),
+        };
+        let needed = ["P".to_string()];
+        let mut run = |factors: Vec<Expr>| {
+            mat.materialize_monomial(&Monomial::of(factors), &needed, &bound(&[]))
+        };
+        let volumes = run(vec![Expr::rel("B", ["P", "V"]), Expr::var("V")]);
+        let weighted = run(vec![
+            Expr::rel("B", ["P", "V"]),
+            Expr::var("P"),
+            Expr::var("V"),
+        ]);
+        let filtered = run(vec![
+            Expr::rel("B", ["P", "V"]),
+            Expr::var("V"),
+            Expr::cmp(dbtoaster_agca::CmpOp::Lt, Expr::var("P"), Expr::val(9)),
+        ]);
+        assert_eq!(volumes.to_string(), "$m_q_1(P)");
+        assert_eq!(weighted.to_string(), "($m_q_1(P) * P)");
+        assert_eq!(filtered.to_string(), "$m_q_2(P)");
+        assert_eq!((report.maps_created, report.maps_deduplicated), (2, 1));
+        let maps = reg.into_maps().unwrap();
+        let defs: Vec<String> = maps.iter().map(|m| m.definition.to_string()).collect();
+        assert!(!defs[0].contains("P * "), "{defs:?}");
+        assert!(defs[1].contains("(P < 9)"), "{defs:?}");
     }
 
     #[test]

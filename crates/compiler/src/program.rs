@@ -593,22 +593,25 @@ pub struct HashIndexDecl {
 
 impl TriggerProgram {
     /// The ordered secondary indexes of the program, sorted: one per `(map,
-    /// bound positions)` some compiled kernel reads through a range-sum scan
-    /// ([`dbtoaster_agca::plan::FusedScan::band_pos`]). Derived from the
-    /// kernels, like they are from the statements; the runtime declares these
-    /// on the stored maps.
+    /// bound positions)` some compiled kernel reads through an ordered index
+    /// ([`dbtoaster_agca::plan::CompiledStmt::ordered_reads`]: range-sum and
+    /// cut-walk scans, band-sum lookups and the quantile searches over
+    /// them). Derived from the kernels, like they are from the statements;
+    /// the runtime declares these on the stored maps.
     pub fn ordered_indexes(&self) -> Vec<OrderedIndexDecl> {
         let decls: BTreeSet<OrderedIndexDecl> = self
             .triggers
             .iter()
             .flat_map(|t| &t.statements)
-            .flat_map(|s| s.kernel.prelude.iter().map(|fs| (&s.kernel, fs)))
-            .filter_map(|(k, fs)| {
-                Some(OrderedIndexDecl {
-                    map: k.rels[fs.rel as usize].clone(),
-                    mask: template_mask(&fs.template),
-                    key_pos: fs.band_pos?,
-                })
+            .flat_map(|s| {
+                let k = &s.kernel;
+                k.ordered_reads()
+                    .into_iter()
+                    .map(|(rel, template, key_pos)| OrderedIndexDecl {
+                        map: k.rels[rel as usize].clone(),
+                        mask: template_mask(template),
+                        key_pos,
+                    })
             })
             .collect();
         decls.into_iter().collect()

@@ -89,7 +89,7 @@
 //! * every statement's target map, every relation's stored base map and, for the live
 //!   pass, which of those are the relation's live maps — to [`MapId`]s;
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
-//!   fused scans and sorted runs read) — to the same ids, through which collection,
+//!   fused scans and band lookups read) — to the same ids, through which collection,
 //!   the live pass, the `:=` tail and static-view initialization all read;
 //! * every secondary index a kernel scans — declared on its map before the first
 //!   event (the program's `ordered_indexes` and `hash_indexes`), so no read builds

@@ -3,14 +3,21 @@
 //! A secondary index whose mask leaves exactly one key column free can be
 //! declared *ordered* on that column ([`crate::store::ViewMap::declare_ordered`];
 //! the compiler declares it for every map a trigger kernel reads through range
-//! sums — see `dbtoaster_agca::plan`). Instead of a hash group of free
-//! columns, each group then holds its entries as `(band key, multiplicity)`
-//! pairs sorted by band key, cut into blocks of about `√n` entries, with
-//! running sums of the multiplicities inside every block and in front of
-//! every block.
+//! sums, quantile searches or cut walks — see `dbtoaster_agca::plan`). On a
+//! one-column map the mask is `0`: one group, the whole map. Instead of a
+//! hash group of free columns, each group then holds its entries as `(band
+//! key, multiplicity)` pairs sorted by band key, cut into blocks of about
+//! `√n` entries, with running sums of the multiplicities inside every block
+//! and in front of every block.
 //!
 //! * **Range sum** — `Σ multiplicity over lo ≤ key < hi` is two binary
 //!   searches (block, then entry) per end and one subtraction: `O(log n)`.
+//! * **Flip search** — where a filter on the band sums above (or below) each
+//!   key flips, when those sums are monotone: a binary search over the
+//!   blocks' running sums, then over one block's, evaluating the filter on
+//!   each cell's sum: `O(log n)` evaluations (`Run::cut`).
+//! * **Interval walk** — the entries of one key interval in key order: a
+//!   search for the first, then one step per entry (`Run::walk`).
 //! * **Write** — one binary search, one insertion into a block and a fix-up
 //!   of the running sums behind it: `O(√n)` amortized (a block splits at
 //!   twice the target size; the run is re-cut when it holds four times the
@@ -30,9 +37,14 @@
 //! inexact multiplicity stays in the run (contributing nothing to the sums),
 //! a key that cannot be a band key is set aside with its full tuple, and the
 //! group resumes answering with the write that removes the last of them.
-//! Until then the caller traverses (`OrderedIndex::for_each_key`). The
-//! guards are `dbtoaster_agca::plan`'s [`band_key`] and [`exact_mult`], which
-//! the kernels' per-execution sorted runs apply too.
+//! Until then the caller traverses (`OrderedIndex::for_each_key`). A flip
+//! search needs monotone sums besides: the group holds no negative net
+//! multiplicity exactly when its exact `Σ multiplicity` equals its
+//! `Σ|multiplicity|`, both of which the run keeps. An interval walk hands out
+//! keys and multiplicities for a caller that sums `key × multiplicity`, so it
+//! answers only where every such sum is exact in any order: `max|key| ·
+//! Σ|multiplicity| < 2^53`. The guards are `dbtoaster_agca::plan`'s
+//! [`band_key`] and [`exact_mult`].
 
 use dbtoaster_agca::plan::{band_key, exact_mult, search_steps, EXACT_INT_BOUND};
 use dbtoaster_gmr::tuple::INLINE_CAP;
@@ -75,6 +87,14 @@ struct Block {
     before: i64,
     /// Never empty, ascending by key.
     entries: Vec<Entry>,
+}
+
+impl Block {
+    /// Σ exact multiplicities of this block and every earlier one.
+    fn end(&self) -> i64 {
+        self.before
+            .wrapping_add(self.entries.last().map_or(0, |e| e.prefix))
+    }
 }
 
 /// One group of an ordered index.
@@ -215,11 +235,7 @@ impl Run {
     /// `+∞`.
     fn sum_below(&self, x: f64) -> (i64, u64) {
         if x.is_infinite() {
-            let all = self.blocks.last().map_or(0, |b| {
-                b.before
-                    .wrapping_add(b.entries.last().map_or(0, |e| e.prefix))
-            });
-            return (if x < 0.0 { 0 } else { all }, 0);
+            return (if x < 0.0 { 0 } else { self.total() }, 0);
         }
         let b = self
             .blocks
@@ -233,6 +249,72 @@ impl Run {
             block.before.wrapping_add(block.entries[i - 1].prefix),
             search_steps(self.blocks.len()) + search_steps(block.entries.len()),
         )
+    }
+
+    /// Σ exact multiplicities of the whole run.
+    fn total(&self) -> i64 {
+        self.blocks.last().map_or(0, Block::end)
+    }
+
+    /// Inside the exactness contract: no set-aside key, no inexact
+    /// multiplicity, `Σ|multiplicity| < 2^53`.
+    fn exact(&self) -> bool {
+        self.rogue.is_empty() && self.inexact == 0 && self.abs_sum < 1 << 53
+    }
+
+    /// The cut of a filter on the band sums of the run's cells: cell `j` of
+    /// `n + 1` holds the loop keys with `j` run keys below them, and its band
+    /// sum is the first `j` multiplicities (`upper`: the rest). On an exact,
+    /// negative-free run the sums are monotone in `j`, so `passes` — the
+    /// filter, evaluated on each sum as a double — flips at most once: a
+    /// binary search over the blocks' running sums, then over the block's,
+    /// finds the first entry whose cell fails where the first cell passes
+    /// (or the reverse). Returns the passing loop keys as the run keys
+    /// bounding them (infinite at the ends; `(+∞, -∞)` when none passes) and
+    /// the sums evaluated.
+    fn cut(&self, upper: bool, passes: &mut dyn FnMut(f64) -> bool) -> ((f64, f64), u64) {
+        let total = self.total();
+        let mut cell = |below: i64| passes((if upper { total - below } else { below }) as f64);
+        let (first, last) = (cell(0), cell(total));
+        let (inf, steps) = (f64::INFINITY, 2);
+        if first == last {
+            return (if first { (-inf, inf) } else { (inf, -inf) }, steps);
+        }
+        // The last entry's cell sums the whole run, and fails: a block and
+        // an entry of it fail.
+        let b = self.blocks.partition_point(|b| cell(b.end()) == first);
+        let block = &self.blocks[b];
+        let i = block
+            .entries
+            .partition_point(|e| cell(block.before.wrapping_add(e.prefix)) == first);
+        let key = block.entries[i].key;
+        let steps = steps + search_steps(self.blocks.len()) + search_steps(block.entries.len());
+        (if first { (-inf, key) } else { (key, inf) }, steps)
+    }
+
+    /// Hand `visit` every `(key, multiplicity)` whose key lies in `[lo, hi)`
+    /// — `(lo, hi]` when `hi_in` — in ascending key order. Returns the
+    /// entries visited plus the comparisons that found the first.
+    fn walk(&self, (lo, hi): (f64, f64), hi_in: bool, visit: &mut dyn FnMut(f64, f64)) -> u64 {
+        let before = |k: f64| if hi_in { k <= lo } else { k < lo };
+        let after = |k: f64| if hi_in { k > hi } else { k >= hi };
+        let b = self
+            .blocks
+            .partition_point(|blk| blk.entries.last().is_some_and(|e| before(e.key)));
+        let mut steps = search_steps(self.blocks.len());
+        let Some(first) = self.blocks.get(b) else {
+            return steps;
+        };
+        let start = first.entries.partition_point(|e| before(e.key));
+        steps += search_steps(first.entries.len());
+        let entries = first.entries[start..]
+            .iter()
+            .chain(self.blocks[b + 1..].iter().flat_map(|blk| &blk.entries));
+        for e in entries.take_while(|e| !after(e.key)) {
+            visit(e.key, e.mult);
+            steps += 1;
+        }
+        steps
     }
 
     /// Largest `|key|` of the run (`0.0` when it holds none).
@@ -366,11 +448,7 @@ impl OrderedIndex {
             sums.fill(0.0);
             return Some(0);
         };
-        if !run.rogue.is_empty()
-            || run.inexact != 0
-            || run.abs_sum >= 1 << 53
-            || bound_mag + run.max_abs_key() >= EXACT_INT_BOUND
-        {
+        if !run.exact() || bound_mag + run.max_abs_key() >= EXACT_INT_BOUND {
             return None;
         }
         let mut compared = 0;
@@ -385,6 +463,50 @@ impl OrderedIndex {
             };
         }
         Some(compared)
+    }
+
+    /// The cut of a quantile filter over the group `group` (see [`Run::cut`]):
+    /// the passing loop keys' bounding run keys and the sums evaluated, or
+    /// `None` — the caller filters row by row — when the group is outside
+    /// the exactness contract or holds a negative net multiplicity (exactly
+    /// when its `Σ multiplicity` falls short of its `Σ|multiplicity|`), which
+    /// would make its band sums non-monotone. An absent group is empty.
+    pub(crate) fn cut(
+        &self,
+        group: &[Value],
+        upper: bool,
+        passes: &mut dyn FnMut(f64) -> bool,
+    ) -> Option<((f64, f64), u64)> {
+        let empty;
+        let run = match self.groups.get(group) {
+            Some(run) => run,
+            None => {
+                empty = Run::default();
+                &empty
+            }
+        };
+        let negative_free = u128::try_from(run.total()).ok() == Some(run.abs_sum);
+        (run.exact() && negative_free).then(|| run.cut(upper, passes))
+    }
+
+    /// Walk the entries of the group `group` whose key lies in `[lo, hi)` —
+    /// `(lo, hi]` when `hi_in` — in key order (see [`Run::walk`]). `None` —
+    /// the caller walks the primary map in its own order — unless every
+    /// product of a key and a multiplicity of the group, and every sum of
+    /// them, is an exact integer in any order: the group exact and
+    /// `max|key| · Σ|multiplicity| < 2^53`.
+    pub(crate) fn walk(
+        &self,
+        group: &[Value],
+        interval: (f64, f64),
+        hi_in: bool,
+        visit: &mut dyn FnMut(f64, f64),
+    ) -> Option<u64> {
+        let Some(run) = self.groups.get(group) else {
+            return Some(0);
+        };
+        let bound = run.max_abs_key() * run.abs_sum as f64;
+        (run.exact() && bound < EXACT_INT_BOUND).then(|| run.walk(interval, hi_in, visit))
     }
 
     /// Hand every key of the group `group` to `visit`: the run in ascending
@@ -544,6 +666,138 @@ mod tests {
         }
         idx.check();
         assert_eq!(idx.recount(), (0, 0));
+    }
+
+    /// The cut of `passes` over a sorted model of one group, cell by cell
+    /// (see `Run::cut`).
+    fn model_cut(model: &[(f64, f64)], upper: bool, passes: impl Fn(f64) -> bool) -> (f64, f64) {
+        let total: f64 = model.iter().map(|e| e.1).sum();
+        let cell = |below: f64| passes(if upper { total - below } else { below });
+        let (first, inf) = (cell(0.0), f64::INFINITY);
+        let mut below = 0.0;
+        for &(key, m) in model {
+            below += m;
+            if cell(below) != first {
+                return if first { (-inf, key) } else { (key, inf) };
+            }
+        }
+        if first {
+            (-inf, inf)
+        } else {
+            (inf, -inf)
+        }
+    }
+
+    /// A deterministic stream of inserts, updates and deletes over one
+    /// group, with the group key an empty tuple (a one-column map's mask-0
+    /// index): after every few writes, cuts in both directions against a
+    /// spread of thresholds, and walks of random intervals, closed at either
+    /// end, equal a re-sort of the entries.
+    #[test]
+    fn cuts_and_walks_match_a_re_sort_under_inserts_and_deletes() {
+        let mut idx = OrderedIndex::new(0);
+        let mut model: std::collections::BTreeMap<i64, f64> = Default::default();
+        let mut x = 0x2545f4914f6cdd1du64;
+        for step in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let key = 1 + (x % 500) as i64;
+            let mult = match step < 2500 {
+                true => ((x >> 32) % 5) as f64,
+                false => 0.0,
+            };
+            let full: Tuple = [Value::long(key)].into_iter().collect();
+            idx.set(Tuple::default(), &full, mult);
+            match mult == 0.0 {
+                true => drop(model.remove(&key)),
+                false => drop(model.insert(key, mult)),
+            }
+            if step % 40 != 0 {
+                continue;
+            }
+            idx.check();
+            let sorted: Vec<(f64, f64)> = model.iter().map(|(&k, &m)| (k as f64, m)).collect();
+            let total: f64 = sorted.iter().map(|e| e.1).sum();
+            for share in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+                let c = (share * total).round();
+                for upper in [false, true] {
+                    let passes = |sum: f64| c > sum;
+                    let got = idx.cut(&[], upper, &mut |sum| passes(sum));
+                    let want = model_cut(&sorted, upper, passes);
+                    assert_eq!(got.map(|g| g.0), Some(want), "step {step}, {c} > sum");
+                }
+            }
+            let (lo, hi) = (((x >> 20) % 520) as f64, ((x >> 40) % 520) as f64);
+            for hi_in in [false, true] {
+                let mut seen = Vec::new();
+                let visited = idx.walk(&[], (lo, hi), hi_in, &mut |k, m| seen.push((k, m)));
+                let inside = |k: f64| match hi_in {
+                    true => lo < k && k <= hi,
+                    false => lo <= k && k < hi,
+                };
+                let want: Vec<_> = sorted.iter().copied().filter(|e| inside(e.0)).collect();
+                assert_eq!(
+                    seen, want,
+                    "step {step}: ({lo}, {hi}) closed above: {hi_in}"
+                );
+                assert!(visited.unwrap() >= want.len() as u64);
+            }
+        }
+        for key in model.into_keys() {
+            let full: Tuple = [Value::long(key)].into_iter().collect();
+            idx.set(Tuple::default(), &full, 0.0);
+        }
+        assert_eq!(idx.recount(), (0, 0));
+    }
+
+    /// A group refuses a cut while it holds a negative net multiplicity, an
+    /// inexact multiplicity or a key that cannot be a band key, and a walk
+    /// while it holds either of the last two or a key large enough that a
+    /// sum of keys times multiplicities could round; each answers again
+    /// once the offender is gone. An absent group is empty to both.
+    #[test]
+    fn offenders_suspend_cuts_and_walks_until_they_leave() {
+        let mut idx = OrderedIndex::new(1);
+        for (key, m) in [(10, 2.0), (20, 3.0), (30, 1.0)] {
+            put(&mut idx, 1, Value::long(key), m);
+        }
+        let cut = |idx: &OrderedIndex| idx.cut(&[Value::long(1)], true, &mut |sum| 3.0 > sum);
+        let walk = |idx: &OrderedIndex| {
+            let mut total = 0.0;
+            let all = (f64::NEG_INFINITY, f64::INFINITY);
+            idx.walk(&[Value::long(1)], all, false, &mut |k, m| total += k * m)
+                .map(|_| total)
+        };
+        let answers = |idx: &OrderedIndex| (cut(idx).map(|c| c.0), walk(idx));
+        let clean = answers(&idx);
+        assert_eq!(clean, (Some((20.0, f64::INFINITY)), Some(110.0)));
+        let big = Value::long(1 << 51);
+        for (key, mult, cuts, walks) in [
+            (Value::long(15), -1.0, false, true),
+            (Value::long(15), 0.5, false, false),
+            (Value::double(0.5), 1.0, false, false),
+            (Value::str("x"), 1.0, false, false),
+            (big, 4.0, true, false),
+        ] {
+            put(&mut idx, 1, key.clone(), mult);
+            let (c, w) = answers(&idx);
+            assert_eq!((c.is_some(), w.is_some()), (cuts, walks), "{key} × {mult}");
+            put(&mut idx, 1, key, 0.0);
+            assert_eq!(answers(&idx), clean);
+        }
+        let absent = idx.cut(&[Value::long(9)], false, &mut |sum| sum < 1.0);
+        assert_eq!(
+            absent.map(|c| c.0),
+            Some((f64::NEG_INFINITY, f64::INFINITY))
+        );
+        let mut seen = 0;
+        let all = (f64::NEG_INFINITY, f64::INFINITY);
+        assert_eq!(
+            idx.walk(&[Value::long(9)], all, true, &mut |_, _| seen += 1),
+            Some(0)
+        );
+        assert_eq!(seen, 0);
     }
 
     #[test]

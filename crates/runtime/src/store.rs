@@ -51,8 +51,10 @@
 //!   singleton group costs its table slot and not a table. An *ordered* index, for a
 //!   mask that leaves one column free, maps a projected key to a run of
 //!   `(free-column value, multiplicity)` sorted by that value with running sums,
-//!   which answers [`ViewMap::range_sums`] in `O(log n)` and takes a write in `O(√n)`
-//!   amortized (see the `ordered` module for the layout and the exactness contract).
+//!   which answers [`ViewMap::range_sums`] and [`ViewMap::cut`] in `O(log n)`,
+//!   [`ViewMap::walk_band`] in `O(log n)` plus the entries walked, and takes a write
+//!   in `O(√n)` amortized (see the `ordered` module for the layout and the exactness
+//!   contract); on a one-column view its mask is `0`, one group for the whole map.
 //!   Scanning it rebuilds keys and probes the primary map as a hash scan does — the
 //!   fallback path, not the one it is declared for. A mask has one index: an
 //!   ordered declaration replaces a hash index of the same mask. Every rebuild (a
@@ -757,11 +759,13 @@ impl ViewMap {
     /// Keep the secondary index of `mask` as an ordered index on the key
     /// column `key_pos` — the one column the mask must leave free — from now
     /// on, built from the current contents and replacing a hash index of the
-    /// same mask. A no-op when the mask already has its ordered index.
+    /// same mask. A no-op when the mask already has its ordered index. On a
+    /// one-column view the mask is `0`: one group, the whole map, which
+    /// scans still walk as the primary map (see [`ViewMap::for_each`]).
     pub fn declare_ordered(&mut self, mask: u64, key_pos: usize) {
         let arity = self.schema.arity();
         assert!(
-            mask != 0 && (0..arity).all(|i| (i < 63 && mask & (1 << i) != 0) != (i == key_pos)),
+            (0..arity).all(|i| (i < 63 && mask & (1 << i) != 0) != (i == key_pos)),
             "an ordered index binds every key column but the one it is sorted on \
              (mask {mask:#b}, sorted on {key_pos}, arity {arity})"
         );
@@ -852,11 +856,45 @@ impl ViewMap {
         ranges: &[(f64, f64)],
         sums: &mut [f64],
     ) -> Option<u64> {
+        let (index, group) = self.ordered_group(pattern)?;
+        index.range_sums(&group, bound_mag, ranges, sums)
+    }
+
+    /// The ordered index of `pattern`'s mask and the group `pattern` binds.
+    fn ordered_group(&self, pattern: &[Option<Value>]) -> Option<(&OrderedIndex, Tuple)> {
         let Index::Ordered(index) = self.index(pattern_mask(pattern))? else {
             return None;
         };
-        let probe: Tuple = pattern.iter().flatten().cloned().collect();
-        index.range_sums(&probe, bound_mag, ranges, sums)
+        Some((index, pattern.iter().flatten().cloned().collect()))
+    }
+
+    /// A quantile filter's cut over the ordered index of `pattern`'s mask
+    /// (see [`RelationSource::cut_at`]): `None` when the mask has no ordered
+    /// index, or the group is outside the exactness contract or holds a
+    /// negative net multiplicity.
+    pub fn cut(
+        &self,
+        pattern: &[Option<Value>],
+        upper: bool,
+        passes: &mut dyn FnMut(f64) -> bool,
+    ) -> Option<((f64, f64), u64)> {
+        let (index, group) = self.ordered_group(pattern)?;
+        index.cut(&group, upper, passes)
+    }
+
+    /// Walk one key interval of the ordered index of `pattern`'s mask, in
+    /// key order (see [`RelationSource::walk_band_at`]): `None` when the mask
+    /// has no ordered index or the group's keys times multiplicities could
+    /// round.
+    pub fn walk_band(
+        &self,
+        pattern: &[Option<Value>],
+        interval: (f64, f64),
+        hi_in: bool,
+        visit: &mut dyn FnMut(f64, f64),
+    ) -> Option<u64> {
+        let (index, group) = self.ordered_group(pattern)?;
+        index.walk(&group, interval, hi_in, visit)
     }
 
     /// Entries matching a partial binding pattern, collected into a vector.
@@ -1207,6 +1245,27 @@ impl RelationSource for Database {
     ) -> Option<u64> {
         self.at(id).range_sums(pattern, bound_mag, ranges, sums)
     }
+
+    fn cut_at(
+        &self,
+        id: RelId,
+        pattern: &[Option<Value>],
+        upper: bool,
+        passes: &mut dyn FnMut(f64) -> bool,
+    ) -> Option<((f64, f64), u64)> {
+        self.at(id).cut(pattern, upper, passes)
+    }
+
+    fn walk_band_at(
+        &self,
+        id: RelId,
+        pattern: &[Option<Value>],
+        interval: (f64, f64),
+        hi_in: bool,
+        visit: &mut dyn FnMut(f64, f64),
+    ) -> Option<u64> {
+        self.at(id).walk_band(pattern, interval, hi_in, visit)
+    }
 }
 
 #[cfg(test)]
@@ -1431,6 +1490,61 @@ mod tests {
             assert_eq!(a, b, "group {g}");
         }
         assert_eq!(hashed.index_totals().hash, 1);
+    }
+
+    /// A one-column view keeps a mask-0 ordered index: one group, the whole
+    /// map. It answers range sums, cuts and interval walks, scans still walk
+    /// the primary map, `clear` keeps it declared and writes after it are
+    /// indexed, and the cost model charges it beside the map.
+    #[test]
+    fn a_one_column_view_keeps_one_ordered_group() {
+        let mut v = ViewMap::new(Schema::new(["p"]));
+        for p in 1..=30i64 {
+            v.add(key(&[p]), (p % 4) as f64);
+        }
+        v.declare_ordered(0, 0);
+        assert_ordered_indexes_match_a_rebuild(&v);
+        let all = [None];
+        let mut sums = [0.0];
+        assert!(v
+            .range_sums(&all, 0.0, &[(10.0, 20.0)], &mut sums)
+            .is_some());
+        let want: f64 = (10..20).map(|p| (p % 4) as f64).sum();
+        assert_eq!(sums[0], want);
+        let cut = v.cut(&all, true, &mut |above| above < 10.0).map(|c| c.0);
+        // Σ above 23 is 9 (24 and 28 hold nothing), Σ above 22 is 12.
+        assert_eq!(cut, Some((23.0, f64::INFINITY)));
+        let mut walked = Vec::new();
+        v.walk_band(&all, (25.0, 30.0), true, &mut |k, m| walked.push((k, m)));
+        let want: Vec<(f64, f64)> = (26..=30).map(|p| (p as f64, (p % 4) as f64)).collect();
+        assert_eq!(
+            walked,
+            want.into_iter().filter(|e| e.1 != 0.0).collect::<Vec<_>>()
+        );
+        // A scan of the whole map walks the primary, in its order.
+        let primary: Vec<Tuple> = v.data.keys().cloned().collect();
+        let scanned: Vec<Tuple> = v.lookup(&all).into_iter().map(|e| e.0).collect();
+        assert_eq!(scanned, primary);
+        let totals = v.index_totals();
+        assert_eq!(
+            (totals.hash, totals.ordered, totals.entries),
+            (0, 1, v.len() as u64)
+        );
+        assert!(totals.ordered_bytes > 0);
+        assert_eq!(v.approx_bytes(), v.map_bytes() + totals.bytes as usize);
+        v.clear();
+        assert!(v.has_index(0) && v.index_totals().bytes == 0);
+        v.add(key(&[7]), 2.0);
+        assert_ordered_indexes_match_a_rebuild(&v);
+        assert_eq!(v.index_totals().entries, 1);
+    }
+
+    /// A wider view has no mask-0 ordered index: the mask must bind every
+    /// column but the sorted one.
+    #[test]
+    #[should_panic(expected = "an ordered index binds every key column but the one")]
+    fn a_mask_zero_ordered_index_needs_a_one_column_view() {
+        ViewMap::new(Schema::new(["g", "t"])).declare_ordered(0, 1);
     }
 
     /// The cost model, pinned: a hash-index group pays its table slot and

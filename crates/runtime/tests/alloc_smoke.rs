@@ -324,11 +324,11 @@ fn ordered_index_writes_and_range_sums_allocate_nothing_in_steady_state() {
 
 /// Range sums inside a loop stay inside the budget too: `vwap`'s shape — the
 /// bids' price × volume wherever a quarter of all volume exceeds the volume
-/// bid above the price — re-evaluates per event, probing the total once and
-/// searching a run it sorts once per execution for the price where the
-/// filter flips, in buffers the kernel keeps. Over a fixed price range the
-/// buffers settle at their high-water capacity, so a warm engine allocates
-/// nothing per event.
+/// bid above the price — re-evaluates per event, probing the total once,
+/// searching the ordered index of the volume map for the price where the
+/// filter flips and walking the prices inside the cut. Over a fixed price
+/// range every write updates an entry the index holds, so a warm engine
+/// allocates nothing per event.
 #[test]
 fn range_sums_inside_a_loop_allocate_nothing_in_steady_state() {
     use dbtoaster_agca::CmpOp;
@@ -392,8 +392,8 @@ fn range_sums_inside_a_loop_allocate_nothing_in_steady_state() {
         "range sums inside a loop allocated {allocs} times over {} steady-state events",
         churn.len()
     );
-    // Not vacuous: every refresh searched its run once — a lookup per price
-    // would count about 300 an event.
+    // Not vacuous: every refresh searched the index once — a lookup per
+    // price would count about 300 an event.
     engine.flush_telemetry();
     let views = tel.snapshot().views;
     let vwap = views.iter().find(|v| v.name == "VWAP").unwrap();

@@ -612,8 +612,10 @@ pub fn census() -> BTreeMap<String, usize> {
             let facts = facts.chain(case.hand.map(|h| format!("hand {h:?}")));
             let flags = case.hostile.then_some("hostile stream").into_iter();
             let quantile = case.hostile && case.shapes.contains(&Shape::Quantile);
+            let weighed_key = case.hostile && case.weighs_a_group_by_column();
             let flags = flags
                 .chain(quantile.then_some("hostile stream under a quantile filter"))
+                .chain(weighed_key.then_some("hostile stream weighing a group-by column"))
                 .chain(case.ill_typed.map(|_| "ill-typed event"))
                 .map(String::from);
             for fact in facts.chain(flags).chain(["cases".to_string()]) {
@@ -673,9 +675,10 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 /// The coverage guard: the slice hits all three classes, every shape and
 /// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
 /// entry-major runs, a WAL cut after a checkpoint, a held snapshot, a hostile
-/// stream (one under a quantile filter), an ill-typed event, and a
-/// higher-order program with a band sum inside a loop fused into a threshold
-/// (the census counts them per mode).
+/// stream (one under a quantile filter, one weighing a query by its own
+/// group-by column), an ill-typed event, and a higher-order program with a
+/// band sum inside a loop fused into a threshold (the census counts them per
+/// mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -686,7 +689,7 @@ pub fn assert_census() {
     let rest = "non-empty live pass, empty live pass, `:=` tail, entry-major relation, \
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
-        hostile stream under a quantile filter";
+        hostile stream under a quantile filter, hostile stream weighing a group-by column";
     let facts = classes.into_iter().chain(shapes).chain(hands);
     let facts = facts.chain(rest.split(", ").map(String::from));
     let missing: Vec<String> = facts.filter(|f| !seen.contains_key(f)).collect();

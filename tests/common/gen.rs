@@ -17,7 +17,10 @@
 //! compares, −0.0 in compared columns and, in cases with a quantile filter,
 //! NaN and ints past 2^53 in compared columns no query weighs, and a closing
 //! block that leaves the filter's group holding a negative net multiplicity
-//! (see [`plant_negative_quantile`]). One in ten
+//! (see [`plant_negative_quantile`]); a query weighted by one of its own
+//! group-by columns (`Sum[B](R(A,B) * B)`, whose weight the compiler keeps
+//! outside the maps it looks entries up in) may draw 0.5 and −0.0 there
+//! ([`Case::weighs_a_group_by_column`]; the census finds it). One in ten
 //! cases with a weight column carries one ill-typed event: a string in that
 //! number column, or a tuple one value short.
 
@@ -718,6 +721,24 @@ impl Case {
             Source::Queries(specs) => specs.iter().map(class_of).max(),
             _ => None,
         }
+    }
+
+    /// Does a query multiply by one of its own group-by columns —
+    /// `Sum[B](R(A,B) * B)`, whose weight stays outside the maps, a factor
+    /// of the key each entry is looked up by?
+    pub fn weighs_a_group_by_column(&self) -> bool {
+        let Source::Queries(specs) = &self.source else {
+            return false;
+        };
+        specs.iter().any(|q| match &q.expr {
+            Expr::AggSum(group, body) => match &**body {
+                Expr::Mul(factors) => factors
+                    .iter()
+                    .any(|f| matches!(f, Expr::Var(v) if group.contains(v))),
+                _ => false,
+            },
+            _ => false,
+        })
     }
 
     pub fn query_count(&self) -> usize {
