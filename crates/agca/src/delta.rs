@@ -10,11 +10,10 @@
 //! the updated relation atom becomes a product of lifts `(x_i := t_i)`.
 
 use crate::expr::{AtomKind, Expr};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Insertion or deletion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum UpdateSign {
     /// `+R(~t)`
     Insert,
@@ -48,7 +47,7 @@ impl fmt::Display for UpdateSign {
 
 /// A single-tuple update event `±R(t_1, ..., t_k)` described symbolically: the tuple
 /// components are named by *trigger variables* which are bound at runtime.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TupleUpdate {
     /// The updated relation.
     pub relation: String,
@@ -91,7 +90,7 @@ impl fmt::Display for TupleUpdate {
 
 /// A concrete single-tuple update event: the runtime counterpart of [`TupleUpdate`],
 /// carrying actual values instead of trigger-variable names.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct UpdateEvent {
     /// The updated relation.
     pub relation: String,

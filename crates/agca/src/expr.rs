@@ -15,12 +15,11 @@
 
 use dbtoaster_gmr::FastMap;
 use dbtoaster_gmr::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Comparison operators usable in [`Expr::Cmp`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CmpOp {
     /// `=`
     Eq,
@@ -89,7 +88,7 @@ impl fmt::Display for CmpOp {
 }
 
 /// Scalar (value-level) functions usable in [`Expr::Apply`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ScalarFn {
     /// Division of two scalars (division by zero yields 0, see `Value::div`).
     Div,
@@ -113,7 +112,7 @@ impl fmt::Display for ScalarFn {
 }
 
 /// What kind of collection a relation atom refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AtomKind {
     /// A base relation that receives insertions and deletions (a "stream" in the paper).
     Stream,
@@ -124,7 +123,7 @@ pub enum AtomKind {
 }
 
 /// A relation or view atom `R(x1, ..., xk)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RelRef {
     /// Relation / view name.
     pub name: String,
@@ -137,7 +136,7 @@ pub struct RelRef {
 /// An AGCA expression. Every expression denotes a GMR (a finite map from tuples over its
 /// output variables to multiplicities), evaluated relative to a context of bound
 /// variables (see [`mod@crate::eval`]).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Expr {
     /// A constant multiplicity `c` (the GMR `{<> -> c}` for numeric constants). String
     /// constants may only appear as scalar arguments of comparisons, lifts and `Apply`.

@@ -217,7 +217,6 @@
 use crate::eval::{matches_pattern, product_order_by, EvalError, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
-use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
 /// A pre-resolved frame index (see the module docs on slot discipline).
@@ -225,7 +224,7 @@ pub type Slot = u16;
 
 /// A compiled scalar expression: evaluates to a single [`Value`] against the
 /// frame, mirroring the interpreter's `eval_scalar_with`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Scalar {
     /// A literal value.
     Const(Value),
@@ -272,7 +271,7 @@ pub enum Scalar {
 /// One operator of a compiled plan. Each op receives an incoming multiplicity,
 /// optionally binds frame slots, and emits zero or more continuations
 /// downstream (see the module docs on the pipeline execution model).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Op {
     /// Emit a constant multiplicity.
     ConstMult(f64),
@@ -365,7 +364,7 @@ pub enum Op {
 /// The fused `LiftBind` + `CmpFilter` pair of an [`Op::Threshold`]: the
 /// filter compares a loop-invariant operand with a band sum whose one bound
 /// is the loop key — `operand cmp Σ{m(k) : k range key}`, or mirrored.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Threshold {
     /// Index of its interval among the execution's thresholds.
     pub cache: u16,
@@ -398,7 +397,7 @@ impl Threshold {
 /// guaranteed by construction plus runtime guards: pure-integer chains bail
 /// out (to the exact general path) whenever a leaf or intermediate magnitude
 /// exceeds 2^53, and string-valued slots bail at the leaf.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum NumExpr {
     /// A numeric literal.
     Const(f64),
@@ -414,7 +413,7 @@ pub enum NumExpr {
 
 /// One step of a fast fused-member pipeline, mirroring the general ops in
 /// order (so zero-weight short-circuits behave identically).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum FastOp {
     /// A comparison filter.
     Pred(CmpOp, NumExpr, NumExpr),
@@ -436,7 +435,7 @@ pub enum FastOp {
 
 /// One member of a [`FusedScan`]: the per-entry continuation (filters and
 /// weights) of one hoisted sub-aggregate, summed into `dest`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FusedMember {
     /// Ops applied to every scanned entry (no further iteration sources).
     pub cont: Vec<Op>,
@@ -468,7 +467,7 @@ pub struct FusedMember {
 /// price - 1000` is an identity and differences of running sums equal the
 /// traversal's accumulators. Any guard violation falls back to the full
 /// traversal for that one execution.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct BandSpec {
     /// The scanned tuple position whose value is the band key.
     pub key_pos: u16,
@@ -490,7 +489,7 @@ pub struct BandSpec {
 /// the result slots. (The prelude runs unconditionally, even when the main
 /// plan would short-circuit on a zero factor; the store is read-only during a
 /// statement, so this can never change a result.)
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FusedScan {
     /// Index into [`CompiledStmt::rels`].
     pub rel: u16,
@@ -530,7 +529,7 @@ pub struct FusedScan {
 
 /// A compiled trigger statement: the lowered right-hand side plus the
 /// pre-resolved key slots and the buffer shapes its execution needs.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompiledStmt {
     /// The relations, views and maps the plan reads, each once, in order of
     /// first appearance. Ops address them by index; an executor reads them

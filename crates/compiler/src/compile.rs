@@ -84,6 +84,17 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
+/// Recursion depth of the viewlet transform (`--depth` in Figure 12) in the
+/// modes that materialize deltas.
+const MAX_DEPTH: usize = 16;
+
+/// Does `mode` materialize delta subexpressions as auxiliary maps? Classical
+/// IVM and re-evaluation evaluate delta queries directly over the stored
+/// base relations instead.
+pub(crate) fn materializes_deltas(mode: CompileMode) -> bool {
+    matches!(mode, CompileMode::HigherOrder | CompileMode::NaiveViewlet)
+}
+
 /// Compile a set of queries into a trigger program under the given options.
 pub fn compile(
     queries: &[QuerySpec],
@@ -102,12 +113,10 @@ pub fn compile(
     for q in queries {
         let mut expr = fix_atom_kinds(&q.expr, catalog)?;
         check_types(&expr, catalog)?;
-        if options.enable_decorrelation {
-            // Rewrite equality-correlated nested aggregates into group-by form; purely
-            // structural (the nested-rewrite report flag is set by the materializer when
-            // rule 4 actually fires).
-            expr = decorrelate(&expr);
-        }
+        // Rewrite equality-correlated nested aggregates into group-by form; purely
+        // structural (the nested-rewrite report flag is set by the materializer when
+        // rule 4 actually fires).
+        expr = decorrelate(&expr);
         let expr = simplify(&expr);
 
         results.push(QueryResult {
@@ -157,7 +166,9 @@ pub fn compile(
                 if meta.kind != AtomKind::Stream {
                     continue;
                 }
-                let reeval = options.enable_reevaluation_heuristic
+                // The re-evaluation heuristic for non-equality-correlated
+                // nested aggregates is higher-order mode's alone.
+                let reeval = options.mode == CompileMode::HigherOrder
                     && nested_requires_reevaluation(&decl.definition, &rel_name);
                 for sign in UpdateSign::both() {
                     let update = TupleUpdate::new(&rel_name, sign, &meta.columns);
@@ -168,6 +179,8 @@ pub fn compile(
                         let mut mat = Materializer {
                             registry: &mut registry,
                             options,
+                            // Higher-order mode materializes its deltas.
+                            materialize: true,
                             report: &mut report,
                             depth: depth + 1,
                             avoid: Some(my_canon.clone()),
@@ -196,7 +209,7 @@ pub fn compile(
                             None
                         } else {
                             let materialize_here =
-                                options.materialize_deltas && depth < options.max_depth;
+                                materializes_deltas(options.mode) && depth < MAX_DEPTH;
                             make_increment_statement(
                                 &decl,
                                 d,
@@ -376,7 +389,10 @@ fn make_increment_statement(
 
     // Range restrictions shared by every clause can be applied to the statement's key.
     let mut common: Option<FastMap<String, String>> = None;
-    if options.enable_range_restriction {
+    if matches!(
+        options.mode,
+        CompileMode::HigherOrder | CompileMode::FirstOrder
+    ) {
         for m in &unified {
             let (subst, _) = extract_range_restrictions(&m.factors, &out_vars, bound);
             common = Some(match common {
@@ -399,11 +415,10 @@ fn make_increment_statement(
         }
     }
 
-    let mut opts = options.clone();
-    opts.materialize_deltas = materialize;
     let mut mat = Materializer {
         registry,
-        options: &opts,
+        options,
+        materialize,
         report,
         depth: depth + 1,
         avoid: None,

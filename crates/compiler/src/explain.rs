@@ -18,13 +18,15 @@
 //! for, visible before the first event.
 //!
 //! The same tree doubles as **EXPLAIN ANALYZE**: callers with a live engine
-//! attach per-target-view counters ([`ViewStats`] — rows written, probes,
-//! scans, entries scanned, fused scans, range-sum hits/bails, live-pass
-//! firings, current map size) via [`ProgramExplain::attach_stats`] and the
-//! maps' live secondary indexes ([`IndexStats`] — how many of each
-//! representation, entries, bytes — beside the bytes of the map itself,
-//! live and in its snapshot buffers) via
-//! [`ProgramExplain::attach_index_stats`]. Both a text
+//! attach each view's telemetry record ([`ViewSummary`]): its work group —
+//! rows written, probes, scans, entries scanned, fused scans, range-sum
+//! hits/bails, live-pass firings, current map size — on the statements that
+//! write the view via [`ProgramExplain::attach_stats`], and its resident
+//! group — how many secondary indexes of each representation, their
+//! entries and bytes, beside the bytes of the map itself, live and in its
+//! snapshot buffers — on the map's block via
+//! [`ProgramExplain::attach_index_stats`]. Every rendering iterates
+//! [`VIEW_VALUES`], the one declaration of those values. Both a text
 //! rendering and a dependency-free JSON form (round-trippable through
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
@@ -34,33 +36,8 @@ use dbtoaster_agca::plan::{range_sum_refusal, scan_body, FastOp, FusedScan, NumE
 use dbtoaster_agca::CmpOp;
 use dbtoaster_agca::CompiledStmt;
 use dbtoaster_agca::UpdateSign;
+use dbtoaster_telemetry::{json_escape, ValueGroup, ViewSummary, VIEW_VALUES};
 use std::fmt::Write as _;
-
-/// Live per-view kernel counters joined into the tree for EXPLAIN ANALYZE.
-/// All counts are cumulative since engine start; `map_size` is the current
-/// entry count of the target map.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ViewStats {
-    /// Rows written to the view by trigger statements.
-    pub rows_written: u64,
-    /// Fully bound index probes executed by kernels targeting the view.
-    pub probes: u64,
-    /// Full scans executed (plan scans plus fused-prelude traversals).
-    pub scans: u64,
-    /// Entries visited by those scans.
-    pub entries_scanned: u64,
-    /// Fused prelude traversals.
-    pub fused_scans: u64,
-    /// Range-sum scans answered from an ordered index.
-    pub range_sum_hits: u64,
-    /// Range-sum scans that fell back to a full traversal.
-    pub range_sum_bails: u64,
-    /// Firings of the batch-delta live pass: evaluations, inside multi-firing
-    /// runs, of statements that read what their own run writes.
-    pub live_firings: u64,
-    /// Current number of entries in the map.
-    pub map_size: u64,
-}
 
 /// One explained trigger statement: its source text, fused-prelude
 /// signatures, rendered kernel plan tree, and (after
@@ -82,8 +59,9 @@ pub struct StmtExplain {
     pub prelude: Vec<String>,
     /// The plan tree, one indented line per operator.
     pub plan: Vec<String>,
-    /// Live counters of the target view (EXPLAIN ANALYZE only).
-    pub analyze: Option<ViewStats>,
+    /// The target view's work group (EXPLAIN ANALYZE only; every other
+    /// value 0).
+    pub analyze: Option<ViewSummary>,
 }
 
 /// The explained statements of one `(relation, sign)` trigger.
@@ -110,32 +88,6 @@ pub struct RelationExplain {
     pub triggers: Vec<TriggerExplain>,
 }
 
-/// The live secondary indexes of one map, joined in for EXPLAIN ANALYZE
-/// (and served on `/views`): how many there are of each representation, and
-/// what they hold in total under the store's cost model — and beside them
-/// the bytes the map itself holds, live and in its snapshot buffers, so the
-/// three add up to the map's resident state.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IndexStats {
-    /// Hash indexes (declared by the compiler).
-    pub hash: u64,
-    /// Ordered indexes (declared by the compiler).
-    pub ordered: u64,
-    /// Entries indexed, summed over the indexes.
-    pub entries: u64,
-    /// Bytes held, summed over the indexes: `hash_bytes + ordered_bytes`.
-    pub bytes: u64,
-    /// Bytes the hash indexes hold.
-    pub hash_bytes: u64,
-    /// Bytes the ordered indexes hold.
-    pub ordered_bytes: u64,
-    /// Bytes the live map holds.
-    pub map_bytes: u64,
-    /// Bytes the map's snapshot buffers hold (the copies it keeps for
-    /// readers; 0 for a map nobody snapshots).
-    pub snapshot_bytes: u64,
-}
-
 /// One ordered secondary index the compiler declared (see
 /// [`TriggerProgram::ordered_indexes`]), with its columns named.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -156,8 +108,9 @@ pub struct MapExplain {
     /// Its declared hash indexes (see [`TriggerProgram::hash_indexes`]):
     /// the key columns each one's scans bind by equality.
     pub hash: Vec<Vec<String>>,
-    /// Its live secondary indexes (EXPLAIN ANALYZE only).
-    pub analyze: Option<IndexStats>,
+    /// Its resident group: live secondary indexes and bytes (EXPLAIN
+    /// ANALYZE only; every other value 0).
+    pub analyze: Option<ViewSummary>,
 }
 
 /// A full EXPLAIN (or, with stats attached, EXPLAIN ANALYZE) of a compiled
@@ -632,11 +585,11 @@ fn fused_scan_line(fs: &FusedScan, rels: &[String]) -> String {
 
 impl ProgramExplain {
     /// Attach live per-view counters: `lookup` maps a target view name to its
-    /// [`ViewStats`]. Statements whose target the lookup cannot resolve keep
-    /// `analyze: None`.
+    /// record, of which each statement keeps the work group. Statements whose
+    /// target the lookup cannot resolve keep `analyze: None`.
     pub fn attach_stats<F>(&mut self, lookup: F)
     where
-        F: Fn(&str) -> Option<ViewStats>,
+        F: Fn(&str) -> Option<ViewSummary>,
     {
         for rel in &mut self.relations {
             for stmt in rel
@@ -644,20 +597,20 @@ impl ProgramExplain {
                 .iter_mut()
                 .flat_map(|t| t.statements.iter_mut())
             {
-                stmt.analyze = lookup(&stmt.target);
+                stmt.analyze = lookup(&stmt.target).map(|v| v.only(ValueGroup::Work));
             }
         }
     }
 
-    /// Attach the live secondary indexes of the explained maps: `lookup`
-    /// maps a map name to its [`IndexStats`]. Maps the lookup cannot resolve
-    /// keep `analyze: None`.
+    /// Attach the live secondary indexes and bytes of the explained maps:
+    /// `lookup` maps a map name to its record, of which each block keeps the
+    /// resident group. Maps the lookup cannot resolve keep `analyze: None`.
     pub fn attach_index_stats<F>(&mut self, lookup: F)
     where
-        F: Fn(&str) -> Option<IndexStats>,
+        F: Fn(&str) -> Option<ViewSummary>,
     {
         for m in &mut self.maps {
-            m.analyze = lookup(&m.name);
+            m.analyze = lookup(&m.name).map(|v| v.only(ValueGroup::Resident));
         }
     }
 
@@ -690,19 +643,7 @@ impl ProgramExplain {
                 let _ = writeln!(out, "  index ({}): hash", bound.join(", "));
             }
             if let Some(a) = &m.analyze {
-                let _ = writeln!(
-                    out,
-                    "    analyze: indexes hash={} ordered={} entries={} bytes={} \
-                     hash_bytes={} ordered_bytes={} map_bytes={} snapshot_bytes={}",
-                    a.hash,
-                    a.ordered,
-                    a.entries,
-                    a.bytes,
-                    a.hash_bytes,
-                    a.ordered_bytes,
-                    a.map_bytes,
-                    a.snapshot_bytes
-                );
+                analyze_text(&mut out, a, ValueGroup::Resident);
             }
         }
         out
@@ -761,25 +702,7 @@ impl ProgramExplain {
                 let _ = write!(out, "[{}]", bound.join(","));
             }
             out.push_str("],\"analyze\":");
-            match &m.analyze {
-                Some(a) => {
-                    let _ = write!(
-                        out,
-                        "{{\"hash\":{},\"ordered\":{},\"entries\":{},\"bytes\":{},\
-                         \"hash_bytes\":{},\"ordered_bytes\":{},\
-                         \"map_bytes\":{},\"snapshot_bytes\":{}}}",
-                        a.hash,
-                        a.ordered,
-                        a.entries,
-                        a.bytes,
-                        a.hash_bytes,
-                        a.ordered_bytes,
-                        a.map_bytes,
-                        a.snapshot_bytes
-                    );
-                }
-                None => out.push_str("null"),
-            }
+            analyze_json(&mut out, m.analyze.as_ref(), ValueGroup::Resident);
             out.push('}');
         }
         out.push_str("]}");
@@ -802,9 +725,8 @@ impl ProgramExplain {
                 triggers,
             });
         }
-        // Absent in documents that predate ordered indexes.
         let mut maps = Vec::new();
-        for mv in obj.get("maps").and_then(|m| m.as_array()).unwrap_or(&[]) {
+        for mv in obj.get("maps")?.as_array()? {
             let m = mv.as_object()?;
             let mut ordered = Vec::new();
             for iv in m.get("ordered")?.as_array()? {
@@ -819,9 +741,8 @@ impl ProgramExplain {
                     key: i.get("key")?.as_str()?.to_string(),
                 });
             }
-            // Absent in documents that predate declared hash indexes.
             let mut hash = Vec::new();
-            for bv in m.get("hash").and_then(|h| h.as_array()).unwrap_or(&[]) {
+            for bv in m.get("hash")?.as_array()? {
                 hash.push(
                     bv.as_array()?
                         .iter()
@@ -829,27 +750,10 @@ impl ProgramExplain {
                         .collect::<Option<_>>()?,
                 );
             }
-            let analyze = match m.get("analyze")? {
-                json::Json::Null => None,
-                a => {
-                    let a = a.as_object()?;
-                    let field = |k: &str| a.get(k).and_then(json::Json::as_u64);
-                    Some(IndexStats {
-                        hash: field("hash")?,
-                        ordered: field("ordered")?,
-                        entries: field("entries")?,
-                        bytes: field("bytes")?,
-                        // Absent in documents that predate bytes by kind.
-                        hash_bytes: field("hash_bytes").unwrap_or(0),
-                        ordered_bytes: field("ordered_bytes").unwrap_or(0),
-                        // Absent in documents that predate the map's own bytes.
-                        map_bytes: field("map_bytes").unwrap_or(0),
-                        snapshot_bytes: field("snapshot_bytes").unwrap_or(0),
-                    })
-                }
-            };
+            let name = m.get("name")?.as_str()?.to_string();
+            let analyze = analyze_from_json(m.get("analyze")?, &name, ValueGroup::Resident)?;
             maps.push(MapExplain {
-                name: m.get("name")?.as_str()?.to_string(),
+                name,
                 ordered,
                 hash,
                 analyze,
@@ -871,21 +775,53 @@ fn render_stmt(out: &mut String, s: &StmtExplain) {
         let _ = writeln!(out, "    | {line}");
     }
     if let Some(a) = &s.analyze {
-        let _ = writeln!(
-            out,
-            "    analyze: rows={} probes={} scans={} entries={} fused={} range_sums={}/{} \
-             live={} map_size={}",
-            a.rows_written,
-            a.probes,
-            a.scans,
-            a.entries_scanned,
-            a.fused_scans,
-            a.range_sum_hits,
-            a.range_sum_bails,
-            a.live_firings,
-            a.map_size
-        );
+        analyze_text(out, a, ValueGroup::Work);
     }
+}
+
+/// One group of a view's record as an `analyze:` line, `name=value` each.
+fn analyze_text(out: &mut String, a: &ViewSummary, group: ValueGroup) {
+    out.push_str("    analyze:");
+    for (v, n) in a.group(group) {
+        let _ = write!(out, " {}={n}", v.name);
+    }
+    out.push('\n');
+}
+
+/// One group of a view's record as a JSON object keyed by each value's key
+/// (`null` when not analyzed).
+fn analyze_json(out: &mut String, a: Option<&ViewSummary>, group: ValueGroup) {
+    let Some(a) = a else {
+        out.push_str("null");
+        return;
+    };
+    out.push('{');
+    for (i, (v, n)) in a.group(group).enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\":{n}", v.key());
+    }
+    out.push('}');
+}
+
+/// [`analyze_json`] read back into the record of view `name`: every value of
+/// `group` must be present.
+fn analyze_from_json(v: &json::Json, name: &str, group: ValueGroup) -> Option<Option<ViewSummary>> {
+    if *v == json::Json::Null {
+        return Some(None);
+    }
+    let a = v.as_object()?;
+    let mut summary = ViewSummary {
+        name: name.to_string(),
+        ..ViewSummary::default()
+    };
+    for (n, value) in summary.values.iter_mut().zip(&VIEW_VALUES) {
+        if value.group == group {
+            *n = a.get(value.key())?.as_u64()?;
+        }
+    }
+    Some(Some(summary))
 }
 
 fn triggers_json(out: &mut String, triggers: &[TriggerExplain]) {
@@ -950,26 +886,7 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
         let _ = write!(out, "\"{}\"", json_escape(p));
     }
     out.push_str("],\"analyze\":");
-    match &s.analyze {
-        Some(a) => {
-            let _ = write!(
-                out,
-                "{{\"rows_written\":{},\"probes\":{},\"scans\":{},\"entries_scanned\":{},\
-                 \"fused_scans\":{},\"range_sum_hits\":{},\"range_sum_bails\":{},\
-                 \"live_firings\":{},\"map_size\":{}}}",
-                a.rows_written,
-                a.probes,
-                a.scans,
-                a.entries_scanned,
-                a.fused_scans,
-                a.range_sum_hits,
-                a.range_sum_bails,
-                a.live_firings,
-                a.map_size
-            );
-        }
-        None => out.push_str("null"),
-    }
+    analyze_json(out, s.analyze.as_ref(), ValueGroup::Work);
     out.push('}');
 }
 
@@ -982,51 +899,17 @@ fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
             .map(|e| e.as_str().map(str::to_string))
             .collect()
     };
-    let analyze = match o.get("analyze")? {
-        json::Json::Null => None,
-        a => {
-            let a = a.as_object()?;
-            let field = |k: &str| a.get(k).and_then(json::Json::as_u64);
-            Some(ViewStats {
-                rows_written: field("rows_written")?,
-                probes: field("probes")?,
-                scans: field("scans")?,
-                entries_scanned: field("entries_scanned")?,
-                fused_scans: field("fused_scans")?,
-                range_sum_hits: field("range_sum_hits")?,
-                range_sum_bails: field("range_sum_bails")?,
-                live_firings: field("live_firings")?,
-                map_size: field("map_size")?,
-            })
-        }
-    };
+    let target = o.get("target")?.as_str()?.to_string();
+    let analyze = analyze_from_json(o.get("analyze")?, &target, ValueGroup::Work)?;
     Some(StmtExplain {
         statement: o.get("statement")?.as_str()?.to_string(),
-        target: o.get("target")?.as_str()?.to_string(),
+        target,
         op: o.get("op")?.as_str()?.to_string(),
         live: o.get("live")?.as_bool()?,
         prelude: strings("prelude")?,
         plan: strings("plan")?,
         analyze,
     })
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// A minimal JSON reader — just enough to round-trip
@@ -1362,14 +1245,17 @@ mod tests {
         let mut ex = explain(&p);
         let parsed = ProgramExplain::parse_json(&ex.render_json()).expect("parses");
         assert_eq!(parsed, ex);
-        ex.attach_stats(|_| {
-            Some(ViewStats {
-                rows_written: 7,
-                probes: 3,
-                entries_scanned: 11,
-                map_size: 5,
-                ..ViewStats::default()
-            })
+        ex.attach_stats(|name| {
+            let v = ViewSummary {
+                name: name.to_string(),
+                ..ViewSummary::default()
+            };
+            Some(
+                v.with("rows_written", 7)
+                    .with("probes", 3)
+                    .with("entries_scanned", 11)
+                    .with("map_size", 5),
+            )
         });
         let parsed = ProgramExplain::parse_json(&ex.render_json()).expect("parses");
         assert_eq!(parsed, ex);

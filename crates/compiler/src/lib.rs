@@ -47,8 +47,7 @@ pub mod typecheck;
 pub use batch_delta::derive_live_passes;
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
-    explain, IndexStats, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
-    StmtExplain, ViewStats,
+    explain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain, StmtExplain,
 };
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
@@ -61,7 +60,7 @@ pub use program::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::compile::{compile, CompileError};
-    pub use crate::explain::{explain, IndexStats, ProgramExplain, ViewStats};
+    pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{
         BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
         CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,

@@ -28,7 +28,7 @@
 //! the canonical form of their definition.
 
 use crate::compile::CompileError;
-use crate::program::{CompileOptions, CompileReport, MapDecl, Statement, StmtOp};
+use crate::program::{CompileMode, CompileOptions, CompileReport, MapDecl, Statement, StmtOp};
 use dbtoaster_agca::opt::{canonical_key, order_factors, unify_factors, Monomial};
 use dbtoaster_agca::scope::var_info;
 use dbtoaster_agca::{simplify, AtomKind, Expr, ScalarFn};
@@ -196,6 +196,9 @@ pub struct Materializer<'a> {
     pub registry: &'a mut MapRegistry,
     /// Compilation options.
     pub options: &'a CompileOptions,
+    /// Materialize delta subexpressions as auxiliary maps; when false the
+    /// clause is evaluated directly over the stored base relations.
+    pub materialize: bool,
     /// Rule-usage report being accumulated.
     pub report: &'a mut CompileReport,
     /// Depth (delta order) of the maps created by this pass.
@@ -255,7 +258,7 @@ impl<'a> Materializer<'a> {
         needed: &[String],
         bound: &BTreeSet<String>,
     ) -> Expr {
-        if !self.options.materialize_deltas {
+        if !self.materialize {
             return mono.to_expr();
         }
         let needed_set: BTreeSet<String> = needed.iter().cloned().collect();
@@ -320,7 +323,9 @@ impl<'a> Materializer<'a> {
             })
             .collect();
         let mut components: Vec<Vec<usize>> = Vec::new();
-        if self.options.enable_decomposition {
+        // Rule 1 (decomposition into join-graph components) is higher-order
+        // mode's alone.
+        if self.options.mode == CompileMode::HigherOrder {
             for &i in &relational {
                 let connects = components.iter().position(|comp: &Vec<usize>| {
                     comp.iter().any(|&j| {
@@ -450,7 +455,7 @@ impl<'a> Materializer<'a> {
                 def,
                 out_vars,
                 self.depth,
-                self.options.enable_dedup,
+                self.options.mode != CompileMode::Reevaluate,
                 &self.name_hint,
             );
             if created {
@@ -601,7 +606,6 @@ fn push_down_aggregation(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::program::CompileMode;
 
     fn ho_options() -> CompileOptions {
         CompileOptions::for_mode(CompileMode::HigherOrder)
@@ -622,6 +626,7 @@ mod tests {
         let mut mat = Materializer {
             registry: &mut reg,
             options,
+            materialize: crate::compile::materializes_deltas(options.mode),
             report: &mut report,
             depth: 1,
             avoid: None,
@@ -659,8 +664,7 @@ mod tests {
 
     #[test]
     fn naive_mode_materializes_cross_product() {
-        let mut options = CompileOptions::for_mode(CompileMode::NaiveViewlet);
-        options.materialize_deltas = true;
+        let options = CompileOptions::for_mode(CompileMode::NaiveViewlet);
         let (_, maps, _) = run_monomial(
             vec![Expr::rel("R", ["A", "b"]), Expr::rel("T", ["c", "D"])],
             &[],
@@ -741,6 +745,7 @@ mod tests {
             let mut mat = Materializer {
                 registry: &mut reg,
                 options: &options,
+                materialize: true,
                 report: &mut report,
                 depth: 1,
                 avoid: None,
@@ -800,6 +805,7 @@ mod tests {
         let mut mat = Materializer {
             registry: &mut reg,
             options: &options,
+            materialize: true,
             report: &mut report,
             depth: 1,
             avoid: None,

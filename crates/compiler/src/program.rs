@@ -17,12 +17,11 @@ use crate::compile::CompileError;
 use dbtoaster_agca::plan::template_mask;
 use dbtoaster_agca::{lower_statement, AtomKind, CompiledStmt, Expr, UpdateSign};
 use dbtoaster_gmr::{ColumnType, Value};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt;
 
 /// Metadata about a base relation known to the compiler.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RelationMeta {
     /// Relation name (case-sensitive, as used in AGCA atoms).
     pub name: String,
@@ -96,7 +95,7 @@ impl RelationMeta {
 }
 
 /// The set of base relations visible to a compilation.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Catalog {
     relations: Vec<RelationMeta>,
 }
@@ -144,7 +143,7 @@ impl FromIterator<RelationMeta> for Catalog {
 }
 
 /// A query to compile: a named AGCA expression whose result is to be kept fresh.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QuerySpec {
     /// Result view name.
     pub name: String,
@@ -155,7 +154,7 @@ pub struct QuerySpec {
 }
 
 /// A materialized view (map) declaration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MapDecl {
     /// Map name.
     pub name: String,
@@ -172,7 +171,7 @@ pub struct MapDecl {
 }
 
 /// `+=` or `:=`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StmtOp {
     /// Incremental update: add the right-hand side to the target entries.
     Increment,
@@ -190,7 +189,7 @@ impl fmt::Display for StmtOp {
 }
 
 /// A single update statement inside a trigger.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Statement {
     /// Target map name.
     pub target: String,
@@ -286,7 +285,7 @@ impl fmt::Display for Statement {
 }
 
 /// All statements fired by a single update event `±R(~t)`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Trigger {
     /// The updated relation.
     pub relation: String,
@@ -336,14 +335,14 @@ impl fmt::Display for Trigger {
 /// How a user-visible query result is obtained from the maintained maps: every
 /// result is one maintained map (derived columns such as `AVG = SUM / COUNT` are
 /// assembled from several results by the serving layer).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum ResultAccess {
     /// The result is a single maintained map.
     Map(String),
 }
 
 /// A named query result of the program.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
     /// Query name (as given in the [`QuerySpec`]).
     pub name: String,
@@ -355,7 +354,7 @@ pub struct QueryResult {
 
 /// Which rewrite rules and strategies fired during compilation of a query — the data
 /// behind Figure 2 of the paper.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CompileReport {
     /// Rule 1 (query decomposition) split some clause into several components.
     pub used_decomposition: bool,
@@ -380,7 +379,7 @@ pub struct CompileReport {
 }
 
 /// A compiled trigger program.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TriggerProgram {
     /// Materialized view declarations.
     pub maps: Vec<MapDecl>,
@@ -455,7 +454,7 @@ impl fmt::Display for BatchStrategy {
 /// by firing in entry order, writing the maps they read as it goes: sequential
 /// per-event processing for exactly the part of the program where the order
 /// of a run's entries matters.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct LivePass {
     /// The stream relation whose runs this pass completes.
     pub relation: String,
@@ -479,7 +478,7 @@ impl LivePass {
 }
 
 /// One trigger statement that reads run-written state, by position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LiveStmt {
     /// Index into [`TriggerProgram::triggers`] of the statement's trigger.
     pub trigger: usize,
@@ -491,7 +490,7 @@ pub struct LiveStmt {
 /// (see [`crate::batch_delta`] for the conditions themselves). Recorded at
 /// compile time so EXPLAIN can name the exact condition instead of a generic
 /// "not eligible".
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchDeltaBail {
     /// Tail: an incremental statement follows a re-evaluation statement in
     /// its trigger, so the `:=` statements are not a tail that can fire once
@@ -540,7 +539,7 @@ impl BatchDeltaBail {
 }
 
 /// The recorded outcome of batch-delta derivation for one relation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BatchDeltaOutcome {
     /// The stream relation.
     pub relation: String,
@@ -748,7 +747,7 @@ impl fmt::Display for TriggerProgram {
 }
 
 /// Compilation strategy, corresponding to the systems compared in the evaluation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CompileMode {
     /// Full Higher-Order IVM (the "DBToaster" columns of Figures 6/7).
     HigherOrder,
@@ -774,26 +773,16 @@ impl fmt::Display for CompileMode {
     }
 }
 
-/// Tunable compilation options (the paper's Figure 12 compilation flags).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+/// Compilation options: the mode, from which every compilation flag of the
+/// paper's Figure 12 follows where the compiler reads it (decomposition and
+/// the re-evaluation heuristic in higher-order mode only, range restriction
+/// in higher- and first-order mode, view deduplication and decorrelation
+/// everywhere re-evaluation does not skip them, materialized deltas in the
+/// higher-order and naive-viewlet modes).
+#[derive(Clone, Debug, PartialEq)]
 pub struct CompileOptions {
     /// Overall strategy.
     pub mode: CompileMode,
-    /// Maximum recursion depth of the viewlet transform (`--depth` in Figure 12).
-    pub max_depth: usize,
-    /// Apply rule 1 (query decomposition into join-graph components).
-    pub enable_decomposition: bool,
-    /// Extract range restrictions (loop-variable elimination, Section 5.3).
-    pub enable_range_restriction: bool,
-    /// Deduplicate structurally equivalent views.
-    pub enable_dedup: bool,
-    /// Use the re-evaluation heuristic for non-equality-correlated nested aggregates.
-    pub enable_reevaluation_heuristic: bool,
-    /// Decorrelate equality-correlated nested aggregates before compilation.
-    pub enable_decorrelation: bool,
-    /// Materialize delta subexpressions as auxiliary maps. When false (classical IVM and
-    /// re-evaluation), delta queries are evaluated directly over stored base relations.
-    pub materialize_deltas: bool,
 }
 
 impl Default for CompileOptions {
@@ -803,50 +792,9 @@ impl Default for CompileOptions {
 }
 
 impl CompileOptions {
-    /// The canonical option set for each compilation mode.
+    /// The options of a compilation mode.
     pub fn for_mode(mode: CompileMode) -> Self {
-        match mode {
-            CompileMode::HigherOrder => CompileOptions {
-                mode,
-                max_depth: 16,
-                enable_decomposition: true,
-                enable_range_restriction: true,
-                enable_dedup: true,
-                enable_reevaluation_heuristic: true,
-                enable_decorrelation: true,
-                materialize_deltas: true,
-            },
-            CompileMode::FirstOrder => CompileOptions {
-                mode,
-                max_depth: 1,
-                enable_decomposition: false,
-                enable_range_restriction: true,
-                enable_dedup: true,
-                enable_reevaluation_heuristic: false,
-                enable_decorrelation: true,
-                materialize_deltas: false,
-            },
-            CompileMode::NaiveViewlet => CompileOptions {
-                mode,
-                max_depth: 16,
-                enable_decomposition: false,
-                enable_range_restriction: false,
-                enable_dedup: true,
-                enable_reevaluation_heuristic: false,
-                enable_decorrelation: true,
-                materialize_deltas: true,
-            },
-            CompileMode::Reevaluate => CompileOptions {
-                mode,
-                max_depth: 0,
-                enable_decomposition: false,
-                enable_range_restriction: false,
-                enable_dedup: false,
-                enable_reevaluation_heuristic: false,
-                enable_decorrelation: true,
-                materialize_deltas: false,
-            },
-        }
+        CompileOptions { mode }
     }
 }
 
@@ -886,14 +834,15 @@ mod tests {
 
     #[test]
     fn options_per_mode() {
-        let ho = CompileOptions::for_mode(CompileMode::HigherOrder);
-        assert!(ho.enable_decomposition);
-        let ivm = CompileOptions::for_mode(CompileMode::FirstOrder);
-        assert_eq!(ivm.max_depth, 1);
-        let naive = CompileOptions::for_mode(CompileMode::NaiveViewlet);
-        assert!(!naive.enable_decomposition && !naive.enable_range_restriction);
-        let rep = CompileOptions::for_mode(CompileMode::Reevaluate);
-        assert_eq!(rep.max_depth, 0);
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            assert_eq!(CompileOptions::for_mode(mode).mode, mode);
+        }
+        assert_eq!(CompileOptions::default().mode, CompileMode::HigherOrder);
         assert_eq!(format!("{}", CompileMode::HigherOrder), "DBToaster");
     }
 

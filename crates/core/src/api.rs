@@ -2,7 +2,7 @@
 //!
 //! [`QueryEngineBuilder`] mirrors how the released DBToaster toolchain is used: you
 //! declare a schema, add SQL view queries, pick a compilation strategy (Figure 12's
-//! flags are exposed through [`CompileOptions`]) and obtain a [`QueryEngine`] — the
+//! flags follow from the [`CompileMode`]) and obtain a [`QueryEngine`] — the
 //! equivalent of the generated C++/Scala binary — which consumes single-tuple updates
 //! and keeps every query result fresh.
 
@@ -119,12 +119,6 @@ impl QueryEngineBuilder {
     /// Select a compilation strategy (DBToaster, IVM, Naive, REP).
     pub fn mode(mut self, mode: CompileMode) -> Self {
         self.options = CompileOptions::for_mode(mode);
-        self
-    }
-
-    /// Use fully custom compilation options.
-    pub fn options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
         self
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Everything the WAL and checkpoint files contain is encoded here, by hand,
 //! against `std` only — the wire format must not depend on an external
-//! serialization crate (the workspace's `serde` is an offline shim, and a
-//! durable format needs byte-level stability that a derive cannot promise).
+//! serialization crate (a durable format needs byte-level stability that a
+//! derive cannot promise).
 //!
 //! ## Encoding rules
 //!

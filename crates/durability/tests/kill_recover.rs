@@ -265,7 +265,10 @@ fn kill_and_recover_is_bit_exact_and_replays_only_above_the_watermark() {
     // never patch them, for the state below to stay bit-exact.
     let pinned_copies = |server: &ViewServer| -> u64 {
         let views = server.metrics().views;
-        views.iter().map(|v| v.snapshot_full_copies[1]).sum()
+        views
+            .iter()
+            .map(|v| v.get("snapshot_full_copies.pinned"))
+            .sum()
     };
     let (pinned_before, checkpoints_before) = (pinned_copies(&server), stats.checkpoints_taken);
     let n = server
@@ -347,10 +350,10 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
         let views = server.metrics().views;
         for map in &maps {
             let v = views.iter().find(|v| v.name == *map).unwrap();
-            assert!(v.map_size > 0, "{context}: {map} is empty");
+            assert!(v.get("map_size") > 0, "{context}: {map} is empty");
             assert_eq!(
-                v.indexes[..3],
-                [0, 1, v.map_size],
+                ["indexes.hash", "indexes.ordered", "indexes.entries"].map(|n| v.get(n)),
+                [0, 1, v.get("map_size")],
                 "{context}: {map} [hash, ordered, entries]"
             );
         }
@@ -397,7 +400,9 @@ fn ordered_indexes_survive_checkpoint_kill_and_recover() {
     let views = server.metrics().views;
     let result = views.iter().find(|v| v.name == "axf").unwrap();
     assert!(
-        result.range_sum_hits > 0 && result.range_sum_bails == 0 && result.fused_scans == 0,
+        result.get("range_sum_hits") > 0
+            && result.get("range_sum_bails") == 0
+            && result.get("fused_scans") == 0,
         "range sums after recovery must come from the indexes: {result:?}"
     );
 

@@ -9,12 +9,11 @@
 //! this matters on the per-event path. Schemas are immutable after construction except
 //! for [`Schema::push`], which copies (it only runs at compile time).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
 /// An ordered list of column names.
-#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Default)]
 pub struct Schema {
     columns: Arc<[String]>,
 }

@@ -14,7 +14,6 @@
 //! value is a double, and an integer key column to join against a value produced by
 //! arithmetic, without a separate static type-checking pass.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -25,7 +24,7 @@ use std::sync::Arc;
 /// 16 bytes: a tag and one word. Every key slot, index entry, snapshot
 /// buffer, kernel frame slot and queued event holds `Value`s inline, so the
 /// variant payloads are kept to one word each (see [`Value::Str`]).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub enum Value {
     /// 64-bit signed integer (also used for booleans and `yyyymmdd` dates).
     Long(i64),
@@ -300,7 +299,7 @@ impl From<bool> for Value {
 /// group-by keys and `LIKE`. A number column holds `Long` and `Double` values
 /// alike (dates are `Long` `yyyymmdd`), so numeric key equality across the
 /// two stays as [`Value`]'s equality defines it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// `Long` or `Double`.
     Number,

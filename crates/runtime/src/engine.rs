@@ -107,12 +107,12 @@ use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp,
-    TriggerProgram, ViewStats,
+    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
-    LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewCounters, ViewSummary,
+    slot_of, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewRecord,
+    ViewSummary, TRACE_ARM_MIN_EVENTS,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -513,9 +513,9 @@ struct TelemetryState {
     /// Kernel-execute latency split by executed strategy:
     /// `[batch-delta, entry-major]`.
     stage_hists: [LocalHistogram; 2],
-    /// Shared per-view counter blocks, index-aligned with `map_ids` and the
+    /// Shared per-view records, index-aligned with `map_ids` and the
     /// kernel's [`dbtoaster_agca::KernelCounters`] slots.
-    views: Vec<Arc<ViewCounters>>,
+    views: Vec<Arc<ViewRecord>>,
     map_ids: Vec<MapId>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
@@ -526,7 +526,6 @@ struct TelemetryState {
     flushed_events: u64,
     flushed_batches: u64,
     slow_threshold_nanos: u64,
-    arm_min_events: u64,
     /// Span timing armed for the current batch (big enough to amortize the
     /// per-run/per-statement clock reads; never the batch-of-1 path).
     armed: bool,
@@ -1024,7 +1023,7 @@ impl Engine {
         let armed = match self.tel.as_deref_mut() {
             Some(ts) => {
                 ts.runs_live = 0;
-                ts.armed = report.events >= ts.arm_min_events;
+                ts.armed = report.events >= TRACE_ARM_MIN_EVENTS;
                 ts.armed
             }
             None => false,
@@ -1621,11 +1620,20 @@ impl Engine {
     pub fn explain(&mut self) -> dbtoaster_compiler::ProgramExplain {
         self.flush_telemetry();
         let mut ex = dbtoaster_compiler::explain(&self.program);
-        if let Some(ts) = self.tel.as_deref() {
-            let snap = ts.tel.snapshot();
-            ex.attach_stats(|name| snap.view(name).map(view_stats));
+        match self.tel.as_deref() {
+            Some(ts) => {
+                let snap = ts.tel.snapshot();
+                ex.attach_stats(|name| snap.view(name).cloned());
+                ex.attach_index_stats(|name| snap.view(name).cloned());
+            }
+            None => ex.attach_index_stats(|name| {
+                let readings = self.db.view(name)?.readings();
+                Some(ViewSummary {
+                    name: name.to_string(),
+                    ..readings
+                })
+            }),
         }
-        ex.attach_index_stats(|name| Some(self.db.view(name)?.footprint()));
         ex
     }
 
@@ -1645,7 +1653,7 @@ impl Engine {
         }
         let map_names: Vec<String> = self.db.names().map(|n| n.to_string()).collect();
         let map_ids: Vec<MapId> = map_names.iter().filter_map(|n| self.db.id(n)).collect();
-        let views: Vec<Arc<ViewCounters>> = map_names
+        let views: Vec<Arc<ViewRecord>> = map_names
             .iter()
             .map(|n| tel.view(n).expect("enabled handle"))
             .collect();
@@ -1661,12 +1669,9 @@ impl Engine {
             .iter()
             .map(|t| t.statements.iter().map(|s| slot_of(&s.target)).collect())
             .collect();
-        let (slow_threshold_nanos, arm_min_events) = {
+        let slow_threshold_nanos = {
             let c = tel.config().expect("enabled handle");
-            (
-                c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64,
-                c.trace_arm_min_events,
-            )
+            c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64
         };
         // One kernel counter block per view; reset anything a previous
         // attachment left behind so counts start from zero.
@@ -1688,7 +1693,6 @@ impl Engine {
             flushed_events: self.stats.events,
             flushed_batches: self.stats.delta_batches,
             slow_threshold_nanos,
-            arm_min_events,
             armed: false,
             runs: Vec::new(),
             runs_live: 0,
@@ -1700,9 +1704,11 @@ impl Engine {
         self.tel.as_ref().map(|t| &t.tel)
     }
 
-    /// Fold all locally buffered telemetry (latency histograms, per-view
-    /// counters, kernel work counters, observed map sizes, event totals)
-    /// into the shared [`Telemetry`] atomics. Allocation-free; runs
+    /// Fold all locally buffered telemetry (latency histograms, event
+    /// totals, and per view its record: the rows and live firings buffered
+    /// here, the kernel's work counters and the store's
+    /// [`ViewMap::readings`](crate::store::ViewMap::readings)) into the
+    /// shared [`Telemetry`] atomics. Allocation-free; runs
     /// automatically every `TELEMETRY_FLUSH_BATCHES` (64) batches, and callers
     /// (the serving writer, tests) invoke it before reading a
     /// snapshot.
@@ -1710,7 +1716,6 @@ impl Engine {
         let Some(ts) = self.tel.as_deref_mut() else {
             return;
         };
-        use std::sync::atomic::Ordering::Relaxed;
         ts.batch_hist
             .flush_into(ts.tel.batch_hist().expect("enabled handle"));
         for (i, h) in ts.stage_hists.iter_mut().enumerate() {
@@ -1720,58 +1725,27 @@ impl Engine {
                     .expect("enabled handle"),
             );
         }
-        for (i, view) in ts.views.iter().enumerate() {
-            if let Some(c) = self.kernel.counter_slots.get(i) {
-                let w = c.take();
-                if w.probes
-                    | w.scans
-                    | w.entries_scanned
-                    | w.fused_scans
-                    | w.range_sum_hits
-                    | w.range_sum_bails
-                    != 0
-                {
-                    view.probes.fetch_add(w.probes, Relaxed);
-                    view.scans.fetch_add(w.scans, Relaxed);
-                    view.entries_scanned.fetch_add(w.entries_scanned, Relaxed);
-                    view.fused_scans.fetch_add(w.fused_scans, Relaxed);
-                    view.range_sum_hits.fetch_add(w.range_sum_hits, Relaxed);
-                    view.range_sum_bails.fetch_add(w.range_sum_bails, Relaxed);
-                }
+        for (i, record) in ts.views.iter().enumerate() {
+            let mut r = self.db.at(ts.map_ids[i]).readings();
+            let w = self.kernel.counter_slots.get(i).map(|c| c.take());
+            let w = w.unwrap_or_default();
+            for (slot, n) in [
+                (const { slot_of("rows_written") }, &mut ts.pending_rows[i]),
+                (const { slot_of("live_firings") }, &mut ts.pending_live[i]),
+            ] {
+                r.values[slot] = std::mem::take(n);
             }
-            let rows = std::mem::take(&mut ts.pending_rows[i]);
-            if rows != 0 {
-                view.rows_written.fetch_add(rows, Relaxed);
+            for (slot, n) in [
+                (const { slot_of("probes") }, w.probes),
+                (const { slot_of("scans") }, w.scans),
+                (const { slot_of("entries_scanned") }, w.entries_scanned),
+                (const { slot_of("fused_scans") }, w.fused_scans),
+                (const { slot_of("range_sum_hits") }, w.range_sum_hits),
+                (const { slot_of("range_sum_bails") }, w.range_sum_bails),
+            ] {
+                r.values[slot] = n;
             }
-            let live = std::mem::take(&mut ts.pending_live[i]);
-            if live != 0 {
-                view.live_firings.fetch_add(live, Relaxed);
-            }
-            let v = self.db.at(ts.map_ids[i]);
-            view.map_size.store(v.len() as u64, Relaxed);
-            let t = v.footprint();
-            for (gauge, n) in view
-                .indexes
-                .iter()
-                .zip([t.hash, t.ordered, t.entries, t.bytes])
-            {
-                gauge.store(n, Relaxed);
-            }
-            view.map_bytes.store(t.map_bytes, Relaxed);
-            view.snapshot_bytes.store(t.snapshot_bytes, Relaxed);
-            view.hash_bytes.store(t.hash_bytes, Relaxed);
-            view.ordered_bytes.store(t.ordered_bytes, Relaxed);
-            let w = v.snapshot_work();
-            view.snapshot_keys_patched.store(w.keys_patched, Relaxed);
-            view.snapshot_entries_copied
-                .store(w.entries_copied, Relaxed);
-            for (slot, n) in view.snapshot_full_copies.iter().zip([
-                w.first_copies,
-                w.pinned_copies,
-                w.abandoned_copies,
-            ]) {
-                slot.store(n, Relaxed);
-            }
+            record.publish(&r.values);
         }
         ts.tel.add_events(
             self.stats.events - ts.flushed_events,
@@ -1794,23 +1768,6 @@ impl Engine {
     /// The sign multiplier helper re-exported for callers building events by hand.
     pub fn sign_multiplier(sign: UpdateSign) -> f64 {
         sign.multiplier()
-    }
-}
-
-/// The EXPLAIN ANALYZE counters of one view, read from its telemetry
-/// summary: the one conversion behind [`Engine::explain`] and a server's
-/// `/explain`.
-pub fn view_stats(v: &ViewSummary) -> ViewStats {
-    ViewStats {
-        rows_written: v.rows_written,
-        probes: v.probes,
-        scans: v.scans,
-        entries_scanned: v.entries_scanned,
-        fused_scans: v.fused_scans,
-        range_sum_hits: v.range_sum_hits,
-        range_sum_bails: v.range_sum_bails,
-        live_firings: v.live_firings,
-        map_size: v.map_size,
     }
 }
 

@@ -43,9 +43,7 @@ pub mod engine;
 mod ordered;
 pub mod store;
 
-pub use engine::{
-    view_stats, BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample,
-};
+pub use engine::{BatchReport, Engine, EngineStats, RunRecord, RuntimeError, TraceSample};
 pub use store::{Database, MapId, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{

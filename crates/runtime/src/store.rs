@@ -114,10 +114,10 @@
 
 use crate::ordered::{slot_bytes, tuple_slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
-use dbtoaster_compiler::IndexStats;
 use dbtoaster_gmr::hash::fast_set_with_capacity;
 use dbtoaster_gmr::tuple::project;
 use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
+use dbtoaster_telemetry::{slot_of, ViewSummary};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// A hash secondary index: projected key → the group of its members' free
@@ -1016,7 +1016,7 @@ impl ViewMap {
     /// Approximate heap footprint in bytes (entries plus secondary indexes).
     /// See the module docs for the cost model. `O(indexes)`.
     pub fn approx_bytes(&self) -> usize {
-        self.map_bytes() + self.index_totals().bytes as usize
+        self.map_bytes() + self.index_totals().values[BYTES] as usize
     }
 
     /// What the live primary map holds under the cost model: one key slot
@@ -1034,42 +1034,81 @@ impl ViewMap {
         (entries(&s.newer) + entries(&s.older)) * slot_bytes(self.schema.arity())
     }
 
-    /// [`ViewMap::index_totals`] with the view's own bytes beside its
-    /// indexes': the live map's and the snapshot buffers'.
-    pub(crate) fn footprint(&self) -> IndexStats {
-        IndexStats {
-            map_bytes: self.map_bytes() as u64,
-            snapshot_bytes: self.snapshot_bytes() as u64,
-            ..self.index_totals()
+    /// The view's readings in the layout of its telemetry record
+    /// ([`dbtoaster_telemetry::VIEW_VALUES`]): its size, its resident group
+    /// ([`ViewMap::index_totals`] with the live map's and the snapshot
+    /// buffers' bytes beside the indexes') and its snapshot work; the work
+    /// values stay 0 (the engine counts those). The one read of a view's
+    /// bytes: the engine's telemetry flush publishes it, and EXPLAIN ANALYZE
+    /// without telemetry attaches it.
+    pub fn readings(&self) -> ViewSummary {
+        let mut r = self.index_totals();
+        let w = self.snapshot_work();
+        for (slot, n) in [
+            (const { slot_of("map_size") }, self.len() as u64),
+            (const { slot_of("map_bytes") }, self.map_bytes() as u64),
+            (
+                const { slot_of("snapshot_bytes") },
+                self.snapshot_bytes() as u64,
+            ),
+            (const { slot_of("snapshot_keys_patched") }, w.keys_patched),
+            (
+                const { slot_of("snapshot_entries_copied") },
+                w.entries_copied,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.first") },
+                w.first_copies,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.pinned") },
+                w.pinned_copies,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.abandoned") },
+                w.abandoned_copies,
+            ),
+        ] {
+            r.values[slot] = n;
         }
+        r
     }
 
     /// How many secondary indexes of each representation the view has, and
     /// what they hold: entries summed over the indexes (every primary entry
     /// appears once in each) and bytes under the cost model of
-    /// [`ViewMap::approx_bytes`]. `O(indexes)` — footprints are maintained
-    /// per write. The view's own bytes (`map_bytes`, `snapshot_bytes`) stay
-    /// 0: EXPLAIN ANALYZE and telemetry read them beside these totals.
-    pub fn index_totals(&self) -> IndexStats {
-        let mut t = IndexStats::default();
+    /// [`ViewMap::approx_bytes`], as the `indexes.*` values of a record.
+    /// `O(indexes)` — footprints are maintained per write. Every other value
+    /// stays 0: [`ViewMap::readings`] adds the view's own bytes.
+    pub fn index_totals(&self) -> ViewSummary {
+        let mut t = ViewSummary::default();
+        let n = &mut t.values;
         for (_, index) in &self.indexes {
             match index {
                 Index::Hash(h) => {
-                    t.hash += 1;
-                    t.entries += self.data.len() as u64;
-                    t.hash_bytes += h.bytes as u64;
+                    n[HASH] += 1;
+                    n[ENTRIES] += self.data.len() as u64;
+                    n[HASH_BYTES] += h.bytes as u64;
                 }
                 Index::Ordered(o) => {
-                    t.ordered += 1;
-                    t.entries += o.entries() as u64;
-                    t.ordered_bytes += o.bytes() as u64;
+                    n[ORDERED] += 1;
+                    n[ENTRIES] += o.entries() as u64;
+                    n[ORDERED_BYTES] += o.bytes() as u64;
                 }
             }
-            t.bytes += index.bytes() as u64;
+            n[BYTES] += index.bytes() as u64;
         }
         t
     }
 }
+
+/// Where [`ViewMap::index_totals`] counts, in a view's telemetry record.
+const HASH: usize = slot_of("indexes.hash");
+const ORDERED: usize = slot_of("indexes.ordered");
+const ENTRIES: usize = slot_of("indexes.entries");
+const BYTES: usize = slot_of("indexes.bytes");
+const HASH_BYTES: usize = slot_of("indexes.hash_bytes");
+const ORDERED_BYTES: usize = slot_of("indexes.ordered_bytes");
 
 fn pattern_mask(pattern: &[Option<Value>]) -> u64 {
     pattern.iter().enumerate().fold(0u64, |m, (i, p)| {
@@ -1489,7 +1528,7 @@ mod tests {
             b.sort_by(|x, y| x.0.cmp(&y.0));
             assert_eq!(a, b, "group {g}");
         }
-        assert_eq!(hashed.index_totals().hash, 1);
+        assert_eq!(hashed.index_totals().get("indexes.hash"), 1);
     }
 
     /// A one-column view keeps a mask-0 ordered index: one group, the whole
@@ -1527,16 +1566,23 @@ mod tests {
         assert_eq!(scanned, primary);
         let totals = v.index_totals();
         assert_eq!(
-            (totals.hash, totals.ordered, totals.entries),
+            (
+                totals.get("indexes.hash"),
+                totals.get("indexes.ordered"),
+                totals.get("indexes.entries")
+            ),
             (0, 1, v.len() as u64)
         );
-        assert!(totals.ordered_bytes > 0);
-        assert_eq!(v.approx_bytes(), v.map_bytes() + totals.bytes as usize);
+        assert!(totals.get("indexes.ordered_bytes") > 0);
+        assert_eq!(
+            v.approx_bytes(),
+            v.map_bytes() + totals.get("indexes.bytes") as usize
+        );
         v.clear();
-        assert!(v.has_index(0) && v.index_totals().bytes == 0);
+        assert!(v.has_index(0) && v.index_totals().get("indexes.bytes") == 0);
         v.add(key(&[7]), 2.0);
         assert_ordered_indexes_match_a_rebuild(&v);
-        assert_eq!(v.index_totals().entries, 1);
+        assert_eq!(v.index_totals().get("indexes.entries"), 1);
     }
 
     /// A wider view has no mask-0 ordered index: the mask must bind every
@@ -1573,20 +1619,39 @@ mod tests {
         // Large groups: each a set, whose table has the 2048 buckets that
         // the 7/8 load limit calls for at 1000 members.
         let h = hashed.index_totals();
-        assert_eq!((h.hash, h.ordered, h.entries), (1, 0, n));
-        assert_eq!(h.bytes, groups * (group + set + 2048 * (tuple + 1) + 16));
-        assert_eq!(hashed.approx_bytes() as u64, primary + h.bytes);
+        assert_eq!(
+            (
+                h.get("indexes.hash"),
+                h.get("indexes.ordered"),
+                h.get("indexes.entries")
+            ),
+            (1, 0, n)
+        );
+        assert_eq!(
+            h.get("indexes.bytes"),
+            groups * (group + set + 2048 * (tuple + 1) + 16)
+        );
+        assert_eq!(
+            hashed.approx_bytes() as u64,
+            primary + h.get("indexes.bytes")
+        );
         // Small groups, one free column: one inline member costs its slot
         // alone, five cost five values. Two free columns: two values each.
         let mut small = ViewMap::new(Schema::new(["g", "t"]));
         small.declare_hash(0b01);
         small.add(key(&[0, 0]), 1.0);
         (1..=5).for_each(|t| small.add(key(&[1, t]), 2.0));
-        assert_eq!(small.index_totals().bytes, 2 * group + 5 * value);
+        assert_eq!(
+            small.index_totals().get("indexes.bytes"),
+            2 * group + 5 * value
+        );
         let mut wide = ViewMap::new(Schema::new(["g", "a", "b"]));
         wide.declare_hash(0b001);
         (0..6).for_each(|i| wide.add(key(&[i % 2, i, -i]), 1.0));
-        assert_eq!(wide.index_totals().bytes, 2 * group + 6 * 2 * value);
+        assert_eq!(
+            wide.index_totals().get("indexes.bytes"),
+            2 * group + 6 * 2 * value
+        );
         // The map's own bytes: the live map, and each snapshot buffer it
         // keeps a copy of it — outside `approx_bytes`.
         assert_eq!(hashed.map_bytes() as u64, primary);
@@ -1597,36 +1662,55 @@ mod tests {
         let _third = hashed.to_gmr();
         let one_more = tuple + 16;
         assert_eq!(hashed.snapshot_bytes() as u64, 2 * primary + one_more);
-        let footprint = hashed.footprint();
+        let footprint = hashed.readings();
         assert_eq!(
-            (footprint.map_bytes, footprint.snapshot_bytes),
+            (footprint.get("map_bytes"), footprint.get("snapshot_bytes")),
             (primary + one_more, 2 * primary + one_more)
         );
         assert_eq!(
-            (footprint.hash, footprint.bytes),
-            (1, hashed.index_totals().bytes)
+            (
+                footprint.get("indexes.hash"),
+                footprint.get("indexes.bytes")
+            ),
+            (1, hashed.index_totals().get("indexes.bytes"))
         );
         assert_eq!(
-            (footprint.hash_bytes, footprint.ordered_bytes),
-            (footprint.bytes, 0)
+            (
+                footprint.get("indexes.hash_bytes"),
+                footprint.get("indexes.ordered_bytes")
+            ),
+            (footprint.get("indexes.bytes"), 0)
         );
         let o = ordered.index_totals();
-        assert_eq!((o.hash, o.ordered, o.entries), (0, 1, n));
-        assert_eq!((o.hash_bytes, o.ordered_bytes), (0, o.bytes));
-        let per_entry = (o.bytes - groups * (tuple + 16)) as f64 / n as f64;
+        assert_eq!(
+            (
+                o.get("indexes.hash"),
+                o.get("indexes.ordered"),
+                o.get("indexes.entries")
+            ),
+            (0, 1, n)
+        );
+        assert_eq!(
+            (o.get("indexes.hash_bytes"), o.get("indexes.ordered_bytes")),
+            (0, o.get("indexes.bytes"))
+        );
+        let per_entry = (o.get("indexes.bytes") - groups * (tuple + 16)) as f64 / n as f64;
         assert!(
             (24.0..26.0).contains(&per_entry),
             "an ordered entry costs its 24 bytes and a share of a block header, not {per_entry}"
         );
-        assert_eq!(ordered.approx_bytes() as u64, primary + o.bytes);
+        assert_eq!(
+            ordered.approx_bytes() as u64,
+            primary + o.get("indexes.bytes")
+        );
         // The ratio the two formulas above give: a set's bucket and control
         // byte against an ordered entry's 26 bytes at most.
         let ratio = (tuple + 1) as f64 / 26.0;
         assert!(
-            o.bytes as f64 * ratio < h.bytes as f64,
+            o.get("indexes.bytes") as f64 * ratio < h.get("indexes.bytes") as f64,
             "{} vs {} (ratio {ratio})",
-            o.bytes,
-            h.bytes
+            o.get("indexes.bytes"),
+            h.get("indexes.bytes")
         );
         assert_ordered_indexes_match_a_rebuild(&ordered);
         assert_hash_indexes_match_a_rebuild(&hashed);
@@ -1730,7 +1814,7 @@ mod tests {
         v.add(last.0, -last.1);
         assert_hash_indexes_match_a_rebuild(&v);
         assert_eq!(group(&v), None);
-        assert_eq!(v.index_totals().bytes, 0);
+        assert_eq!(v.index_totals().get("indexes.bytes"), 0);
         assert!(v.is_empty());
     }
 
@@ -1779,7 +1863,7 @@ mod tests {
             assert_hash_indexes_match_a_rebuild(&v);
         }
         assert!(v.is_empty());
-        assert_eq!(v.index_totals().bytes, 0);
+        assert_eq!(v.index_totals().get("indexes.bytes"), 0);
 
         // A spilled key, two columns bound and two free, strings included.
         let mut v = ViewMap::new(Schema::new(["a", "b", "c", "d"]));
@@ -1803,7 +1887,7 @@ mod tests {
             assert_hash_indexes_match_a_rebuild(&v);
         }
         assert!(v.is_empty());
-        assert_eq!(v.index_totals().bytes, 0);
+        assert_eq!(v.index_totals().get("indexes.bytes"), 0);
     }
 
     /// An index is a declaration: it survives the clear, empty, and tracks
@@ -1815,10 +1899,7 @@ mod tests {
         v.declare_hash(0b01);
         v.clear();
         assert!(v.is_empty());
-        let emptied = IndexStats {
-            hash: 1,
-            ..IndexStats::default()
-        };
+        let emptied = ViewSummary::default().with("indexes.hash", 1);
         assert_eq!(v.index_totals(), emptied);
         assert!(v.lookup(&[Some(Value::long(1)), None]).is_empty());
         v.add(key(&[1, 20]), 2.0);
@@ -1827,16 +1908,13 @@ mod tests {
             v.lookup(&[Some(Value::long(1)), None]),
             vec![(key(&[1, 20]), 2.0)]
         );
-        assert_eq!(v.index_totals().entries, 2);
+        assert_eq!(v.index_totals().get("indexes.entries"), 2);
 
         let mut v = ordered_fixture();
         v.clear();
         assert_eq!(
             v.index_totals(),
-            IndexStats {
-                ordered: 1,
-                ..IndexStats::default()
-            }
+            ViewSummary::default().with("indexes.ordered", 1)
         );
         assert_eq!(range(&v, 1, 0.0, 100.0), Some(0.0));
         v.add(key(&[1, 10]), 3.0);
@@ -1900,7 +1978,7 @@ mod tests {
         for mask in 1..0b111 {
             indexed.declare_hash(mask);
         }
-        assert_eq!(indexed.index_totals().hash, 6);
+        assert_eq!(indexed.index_totals().get("indexes.hash"), 6);
         let sorted = |mut rows: Vec<(Tuple, f64)>| {
             rows.sort_by(|x, y| x.0.cmp(&y.0));
             rows
@@ -1918,6 +1996,6 @@ mod tests {
                 );
             }
         }
-        assert_eq!(walked.index_totals(), IndexStats::default());
+        assert_eq!(walked.index_totals(), ViewSummary::default());
     }
 }

@@ -47,7 +47,7 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     stmt.execute(&db, &mut state).expect("kernel executes");
     let totals = db.view("M").unwrap().index_totals();
     assert_eq!(
-        (totals.hash, totals.entries),
+        (totals.get("indexes.hash"), totals.get("indexes.entries")),
         (2, 8),
         "the scans built nothing"
     );

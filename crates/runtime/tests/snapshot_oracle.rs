@@ -200,10 +200,14 @@ impl Subject {
 /// and most of [`MULTS`] are outside the exactness contract.
 fn assert_ordered_index_agrees(view: &ViewMap, step: u8) {
     let totals = view.index_totals();
-    assert_eq!(totals.ordered, 1, "step {step}: the declaration is gone");
     assert_eq!(
-        totals.entries,
-        view.len() as u64 * (totals.hash + totals.ordered),
+        totals.get("indexes.ordered"),
+        1,
+        "step {step}: the declaration is gone"
+    );
+    assert_eq!(
+        totals.get("indexes.entries"),
+        view.len() as u64 * (totals.get("indexes.hash") + totals.get("indexes.ordered")),
         "step {step}"
     );
     for a in 0..KEYS_A {

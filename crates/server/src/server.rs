@@ -70,9 +70,11 @@ use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram};
 use dbtoaster_durability::{DurabilityConfig, DurabilityError};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
-use dbtoaster_runtime::{view_stats, Engine, EngineStats, MapId, RuntimeError};
+use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
 use dbtoaster_sql::OutputColumn;
-use dbtoaster_telemetry::{MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig};
+use dbtoaster_telemetry::{
+    MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig, ValueGroup,
+};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -1398,19 +1400,8 @@ pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
     let mut ex = dbtoaster_compiler::explain(&shared.program);
     let snap = shared.tel.snapshot();
     if snap.enabled {
-        ex.attach_stats(|name| snap.view(name).map(view_stats));
-        ex.attach_index_stats(|name| {
-            snap.view(name).map(|v| dbtoaster_compiler::IndexStats {
-                hash: v.indexes[0],
-                ordered: v.indexes[1],
-                entries: v.indexes[2],
-                bytes: v.indexes[3],
-                hash_bytes: v.hash_bytes,
-                ordered_bytes: v.ordered_bytes,
-                map_bytes: v.map_bytes,
-                snapshot_bytes: v.snapshot_bytes,
-            })
-        });
+        ex.attach_stats(|name| snap.view(name).cloned());
+        ex.attach_index_stats(|name| snap.view(name).cloned());
     }
     ex
 }
@@ -1485,10 +1476,13 @@ pub(crate) fn health_body(shared: &Shared) -> (bool, String) {
     (healthy, body)
 }
 
-/// `/views`: per-view work counters, observed sizes, the bytes of the live
-/// map and of its snapshot buffers, and secondary indexes (how many of each
-/// representation, the columns the ordered ones are sorted on, entries and
-/// bytes) from a fresh [`MetricsSnapshot`], as one JSON object.
+/// `/views`: every view's record from a fresh [`MetricsSnapshot`], as one
+/// JSON object: per [`ValueGroup`] — work, resident, snapshot — its
+/// undotted values, then each object its dotted values sit in
+/// (`"indexes":{…}`, `"snapshot_full_copies":{…}`), in
+/// [`VIEW_VALUES`](dbtoaster_telemetry::VIEW_VALUES)
+/// order. Inside `indexes`, `ordered_on` follows the count of ordered
+/// indexes: the columns they are sorted on, as the compiler declared them.
 pub(crate) fn views_body(shared: &Shared) -> String {
     use dbtoaster_telemetry::json_escape;
     let snap = shared.tel.snapshot();
@@ -1501,8 +1495,6 @@ pub(crate) fn views_body(shared: &Shared) -> String {
         if i > 0 {
             out.push(',');
         }
-        // The columns the view's ordered indexes are sorted on (declared by
-        // the compiler; everything else about the indexes is live).
         let ordered_on: Vec<String> = ordered
             .iter()
             .filter(|d| d.map == v.name)
@@ -1514,40 +1506,29 @@ pub(crate) fn views_body(shared: &Shared) -> String {
                 }
             })
             .collect();
-        out.push_str(&format!(
-            "{{\"name\":\"{}\",\"rows_written\":{},\"probes\":{},\"scans\":{},\
-             \"entries_scanned\":{},\"fused_scans\":{},\"range_sum_hits\":{},\
-             \"range_sum_bails\":{},\"live_firings\":{},\"map_size\":{},\
-             \"map_bytes\":{},\"snapshot_bytes\":{},\
-             \"indexes\":{{\"hash\":{},\"ordered\":{},\"ordered_on\":[{}],\
-             \"entries\":{},\"bytes\":{},\"hash_bytes\":{},\"ordered_bytes\":{}}},\
-             \"snapshot_keys_patched\":{},\"snapshot_entries_copied\":{},\
-             \"snapshot_full_copies\":{{\"first\":{},\"pinned\":{},\"abandoned\":{}}}}}",
-            json_escape(&v.name),
-            v.rows_written,
-            v.probes,
-            v.scans,
-            v.entries_scanned,
-            v.fused_scans,
-            v.range_sum_hits,
-            v.range_sum_bails,
-            v.live_firings,
-            v.map_size,
-            v.map_bytes,
-            v.snapshot_bytes,
-            v.indexes[0],
-            v.indexes[1],
-            ordered_on.join(","),
-            v.indexes[2],
-            v.indexes[3],
-            v.hash_bytes,
-            v.ordered_bytes,
-            v.snapshot_keys_patched,
-            v.snapshot_entries_copied,
-            v.snapshot_full_copies[0],
-            v.snapshot_full_copies[1],
-            v.snapshot_full_copies[2]
-        ));
+        out.push_str(&format!("{{\"name\":\"{}\"", json_escape(&v.name)));
+        for group in [ValueGroup::Work, ValueGroup::Resident, ValueGroup::Snapshot] {
+            let (flat, nested): (Vec<_>, Vec<_>) = v
+                .group(group)
+                .partition(|(value, _)| value.object().is_none());
+            for (value, n) in flat {
+                out.push_str(&format!(",\"{}\":{n}", value.name));
+            }
+            for object in nested.chunk_by(|a, b| a.0.object() == b.0.object()) {
+                let fields: Vec<String> = object
+                    .iter()
+                    .map(|(value, n)| match value.name {
+                        "indexes.ordered" => {
+                            format!("\"ordered\":{n},\"ordered_on\":[{}]", ordered_on.join(","))
+                        }
+                        _ => format!("\"{}\":{n}", value.key()),
+                    })
+                    .collect();
+                let name = object[0].0.object().unwrap_or_default();
+                out.push_str(&format!(",\"{name}\":{{{}}}", fields.join(",")));
+            }
+        }
+        out.push('}');
     }
     out.push_str("]}");
     out

@@ -4,13 +4,14 @@
 //! request lines).
 
 use dbtoaster_agca::{Expr, UpdateEvent};
+use dbtoaster_compiler::explain::json::{self, Json};
 use dbtoaster_compiler::{
     compile, Catalog, CompileOptions, ProgramExplain, QuerySpec, RelationMeta,
 };
 use dbtoaster_gmr::Value;
 use dbtoaster_runtime::{Engine, EngineStats};
 use dbtoaster_server::{HttpConfig, ServerConfig, ViewServer};
-use dbtoaster_telemetry::PROMETHEUS_CONTENT_TYPE;
+use dbtoaster_telemetry::{ValueGroup, ValueKind, PROMETHEUS_CONTENT_TYPE, VIEW_VALUES};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
@@ -530,5 +531,155 @@ fn served_and_returned_stats_agree_across_a_reserve() {
     }
     for dir in dirs {
         let _ = std::fs::remove_dir_all(dir);
+    }
+}
+
+/// Every per-view value is declared once, in `VIEW_VALUES`, and every
+/// surface renders it from there: after a served stream each value appears
+/// under its name with one value in `/metrics`, in `/views`, and in
+/// `/explain?format=json` where its group is shown — the work group on each
+/// statement that writes the view, the resident group on the view's map
+/// block.
+#[test]
+fn every_view_value_reads_the_same_on_every_surface() {
+    // `Q[b] = Σ R(a,b)·S(a,c)·c`: an `S` event scans the map of `R` by `a`,
+    // which therefore carries a hash index (and a `== map ==` block).
+    let catalog: Catalog = [
+        RelationMeta::stream("R", ["A", "B"]),
+        RelationMeta::stream("S", ["A", "C"]),
+    ]
+    .into_iter()
+    .collect();
+    let q = QuerySpec {
+        name: "Q".into(),
+        out_vars: vec!["b".into()],
+        expr: Expr::agg_sum(
+            ["b"],
+            Expr::product_of([
+                Expr::rel("R", ["a", "b"]),
+                Expr::rel("S", ["a", "c"]),
+                Expr::var("c"),
+            ]),
+        ),
+    };
+    let program = compile(&[q], &catalog, &CompileOptions::default()).unwrap();
+    let server = ViewServer::spawn(
+        Engine::new(program, &catalog),
+        vec![],
+        ServerConfig {
+            http: Some(HttpConfig::default()),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let ingest = server.handle();
+    for k in 0..60i64 {
+        let (r, s) = ([k % 5, k % 3], [k % 5, k]);
+        ingest
+            .send(UpdateEvent::insert("R", r.map(Value::long).to_vec()))
+            .unwrap();
+        ingest
+            .send(UpdateEvent::insert("S", s.map(Value::long).to_vec()))
+            .unwrap();
+    }
+    server.flush().unwrap();
+    let addr = server.http_addr().unwrap();
+    let metrics = get(addr, "/metrics").body;
+    let views = json::parse(&get(addr, "/views").body).expect("/views parses");
+    let explain = json::parse(&get(addr, "/explain?format=json").body).expect("/explain parses");
+
+    let field = |o: &Json, key: &str| -> u64 {
+        let v = o.as_object().and_then(|o| o.get(key));
+        v.and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("no {key} in {o:?}"))
+    };
+    let series = |view: &str, v: &dbtoaster_telemetry::ViewValue| -> u64 {
+        let suffix = match v.kind {
+            ValueKind::Counter => "_total",
+            ValueKind::Gauge => "",
+        };
+        let prefix = match v.label {
+            Some(label) => format!(
+                "dbtoaster_view_{}{suffix}{{view=\"{view}\",{label}=\"{}\"}} ",
+                v.object().unwrap(),
+                v.key()
+            ),
+            None => format!(
+                "dbtoaster_view_{}{suffix}{{view=\"{view}\"}} ",
+                v.name.replace('.', "_")
+            ),
+        };
+        let line = metrics.lines().find_map(|l| l.strip_prefix(&prefix));
+        line.unwrap_or_else(|| panic!("no series {prefix}in /metrics"))
+            .parse()
+            .unwrap()
+    };
+    let statements: Vec<&Json> = explain.as_object().unwrap()["relations"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .flat_map(|r| r.as_object().unwrap()["triggers"].as_array().unwrap())
+        .flat_map(|t| t.as_object().unwrap()["statements"].as_array().unwrap())
+        .collect();
+    let maps = explain.as_object().unwrap()["maps"].as_array().unwrap();
+    let (mut on_statements, mut on_maps) = (0, 0);
+    let mut total = [0u64; VIEW_VALUES.len()];
+    for view in views.as_object().unwrap()["views"].as_array().unwrap() {
+        let name = view.as_object().unwrap()["name"].as_str().unwrap();
+        let written_by: Vec<&Json> = statements
+            .iter()
+            .filter(|s| s.as_object().unwrap()["target"].as_str() == Some(name))
+            .map(|s| &s.as_object().unwrap()["analyze"])
+            .collect();
+        let block = maps
+            .iter()
+            .find(|m| m.as_object().unwrap()["name"].as_str() == Some(name))
+            .map(|m| &m.as_object().unwrap()["analyze"]);
+        for (i, v) in VIEW_VALUES.iter().enumerate() {
+            let at_views = match v.object() {
+                Some(object) => field(&view.as_object().unwrap()[object], v.key()),
+                None => field(view, v.name),
+            };
+            assert_eq!(series(name, v), at_views, "{name}: {} in /metrics", v.name);
+            let explained = match v.group {
+                ValueGroup::Work => written_by.clone(),
+                ValueGroup::Resident => block.into_iter().collect(),
+                ValueGroup::Snapshot => Vec::new(),
+            };
+            for analyze in explained {
+                assert_eq!(
+                    field(analyze, v.key()),
+                    at_views,
+                    "{name}: {} in /explain",
+                    v.name
+                );
+                match v.group {
+                    ValueGroup::Work => on_statements += 1,
+                    _ => on_maps += 1,
+                }
+            }
+            total[i] += at_views;
+        }
+    }
+    // Not vacuous: both EXPLAIN groups were compared, and the stream wrote,
+    // scanned, indexed, held and published something.
+    assert!(
+        on_statements > 0 && on_maps > 0,
+        "{on_statements} / {on_maps}"
+    );
+    for name in [
+        "rows_written",
+        "scans",
+        "entries_scanned",
+        "map_size",
+        "indexes.hash",
+        "indexes.entries",
+        "indexes.bytes",
+        "map_bytes",
+        "snapshot_bytes",
+        "snapshot_full_copies.first",
+    ] {
+        let i = VIEW_VALUES.iter().position(|v| v.name == name).unwrap();
+        assert!(total[i] > 0, "{name} is 0 on every view");
     }
 }

@@ -434,9 +434,12 @@ fn long_holds_cost_one_copy_each_not_one_per_publish() {
     let work = |server: &ViewServer| -> [u64; 3] {
         let views = server.metrics().views;
         [
-            views.iter().map(|v| v.snapshot_full_copies[1]).sum(),
-            views.iter().map(|v| v.snapshot_entries_copied).sum(),
-            views.iter().map(|v| v.snapshot_keys_patched).sum(),
+            views
+                .iter()
+                .map(|v| v.get("snapshot_full_copies.pinned"))
+                .sum(),
+            views.iter().map(|v| v.get("snapshot_entries_copied")).sum(),
+            views.iter().map(|v| v.get("snapshot_keys_patched")).sum(),
         ]
     };
     let (before, work_before) = (server.stats(), work(&server));

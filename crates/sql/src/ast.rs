@@ -6,10 +6,8 @@
 //! and scalar (correlated) subqueries compared against expressions, plus the restricted
 //! `CASE WHEN ... THEN ... ELSE ... END` form used by TPC-H Q12/Q14.
 
-use serde::{Deserialize, Serialize};
-
 /// Aggregate functions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AggFunc {
     /// `SUM(expr)`
     Sum,
@@ -20,7 +18,7 @@ pub enum AggFunc {
 }
 
 /// Comparison operators (shared with AGCA through a simple mapping).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SqlCmpOp {
     /// `=`
     Eq,
@@ -37,7 +35,7 @@ pub enum SqlCmpOp {
 }
 
 /// Arithmetic operators.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ArithOp {
     /// `+`
     Add,
@@ -50,7 +48,7 @@ pub enum ArithOp {
 }
 
 /// A column reference `alias.column` or `column`.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ColumnRef {
     /// Optional table alias qualifier.
     pub qualifier: Option<String>,
@@ -59,7 +57,7 @@ pub struct ColumnRef {
 }
 
 /// Scalar-valued SQL expressions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum SqlExpr {
     /// Column reference.
     Column(ColumnRef),
@@ -94,7 +92,7 @@ pub enum SqlExpr {
 }
 
 /// Boolean conditions.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Condition {
     /// Conjunction.
     And(Box<Condition>, Box<Condition>),
@@ -115,7 +113,7 @@ pub enum Condition {
 }
 
 /// An item of the select list.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SelectItem {
     /// The selected expression (an aggregate or a group-by column).
     pub expr: SqlExpr,
@@ -124,7 +122,7 @@ pub struct SelectItem {
 }
 
 /// A table in the FROM clause.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableRef {
     /// Table name.
     pub table: String,
@@ -133,7 +131,7 @@ pub struct TableRef {
 }
 
 /// A `SELECT ... FROM ... [WHERE ...] [GROUP BY ...]` query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SelectQuery {
     /// Select list.
     pub select: Vec<SelectItem>,

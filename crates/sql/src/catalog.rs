@@ -1,10 +1,9 @@
 //! The SQL catalog: table definitions visible to the frontend.
 
 use dbtoaster_gmr::ColumnType;
-use serde::{Deserialize, Serialize};
 
 /// A table definition.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TableDef {
     /// Canonical table name.
     pub name: String,
@@ -71,7 +70,7 @@ impl TableDef {
 }
 
 /// The set of tables known to the SQL frontend.
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SqlCatalog {
     tables: Vec<TableDef>,
 }

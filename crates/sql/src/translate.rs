@@ -23,12 +23,11 @@ use crate::ast::{
 use crate::catalog::SqlCatalog;
 use dbtoaster_agca::{CmpOp, Expr, ScalarFn};
 use dbtoaster_gmr::Value;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
 /// A view that must be maintained for the query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ViewSpec {
     /// View (map) name.
     pub name: String,
@@ -39,7 +38,7 @@ pub struct ViewSpec {
 }
 
 /// How one output column of the query is obtained.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum OutputColumn {
     /// A group-by column, exposed as a key column of every maintained view.
     GroupBy {
@@ -67,7 +66,7 @@ pub enum OutputColumn {
 }
 
 /// The result of translating one SQL query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct TranslatedQuery {
     /// Query name.
     pub name: String,

@@ -366,103 +366,294 @@ impl Stage {
     }
 }
 
-/// Per-view work counters, all relaxed atomics. The engine accumulates these
-/// in plain pending cells and folds them in on its flush cadence; the scan
-/// counters are the compiled kernels' own.
-#[derive(Debug, Default)]
-pub struct ViewCounters {
-    /// Rows applied to the view by trigger statements (repetitions included).
-    pub rows_written: AtomicU64,
-    /// Fully bound index probes executed by compiled kernels against this view.
-    pub probes: AtomicU64,
-    /// Full scans executed against this view (plan scans and fused-prelude
-    /// traversals).
-    pub scans: AtomicU64,
-    /// Entries visited by compiled-kernel scans targeting this view.
-    pub entries_scanned: AtomicU64,
-    /// Fused prelude scan executions.
-    pub fused_scans: AtomicU64,
-    /// Range-sum scans answered from an ordered index.
-    pub range_sum_hits: AtomicU64,
-    /// Range-sum scans that bailed to a full traversal.
-    pub range_sum_bails: AtomicU64,
-    /// Firings of batch-delta live passes into this view: evaluations, inside
-    /// multi-firing runs, of statements that read what their own run writes.
-    pub live_firings: AtomicU64,
-    /// Observed map size (entries) at the last engine flush.
-    pub map_size: AtomicU64,
-    /// Logged keys replayed into recycled snapshot buffers (cumulative, as of
-    /// the last engine flush — like the four snapshot counters below).
-    pub snapshot_keys_patched: AtomicU64,
-    /// Entries copied by full snapshot copies.
-    pub snapshot_entries_copied: AtomicU64,
-    /// Full snapshot copies by reason, in [`SNAPSHOT_COPY_REASONS`] order.
-    pub snapshot_full_copies: [AtomicU64; 3],
-    /// The view's secondary indexes at the last engine flush, in
-    /// [`INDEX_GAUGES`] order.
-    pub indexes: [AtomicU64; 4],
-    /// Bytes the live map held at the last engine flush (the store's cost
-    /// model, as the index bytes).
-    pub map_bytes: AtomicU64,
-    /// Bytes the view's snapshot buffers held at the last engine flush.
-    pub snapshot_bytes: AtomicU64,
-    /// Of the index bytes (the `bytes` gauge of `indexes`), those its hash
-    /// indexes held at the last engine flush.
-    pub hash_bytes: AtomicU64,
-    /// Of the index bytes, those its ordered indexes held.
-    pub ordered_bytes: AtomicU64,
+/// What a per-view value is: a count that only grows, or a level read at the
+/// last engine flush (Prometheus TYPE `counter` / `gauge`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ValueKind {
+    /// Cumulative since the view was registered.
+    Counter,
+    /// A reading; may go down.
+    Gauge,
 }
 
-/// What a view's index gauges count: how many hash and how many ordered
-/// secondary indexes it has, the entries they index and the bytes they hold
-/// (each summed over the indexes).
-pub const INDEX_GAUGES: [&str; 4] = ["hash", "ordered", "entries", "bytes"];
+/// Which part of a view's cost a value describes. EXPLAIN ANALYZE shows the
+/// work group on the statements that write the view and the resident group
+/// on the view's `== map ==` block; `/views` and `/metrics` show every group.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ValueGroup {
+    /// What trigger statements and compiled kernels did to and with the view,
+    /// and how big it is. The engine counts the work itself and hands each
+    /// flush the counts since the last one, which the record adds.
+    Work,
+    /// The bytes the view holds: its live map, its snapshot buffers and its
+    /// secondary indexes (how many of each kind, what they index and hold).
+    Resident,
+    /// What publishing the view's snapshots cost, as the store counts it:
+    /// keys patched into recycled buffers and whole copies by reason.
+    Snapshot,
+}
 
-/// Why a snapshot copied a whole view instead of patching a recycled buffer:
-/// the view had not yet handed out two buffers; a reader, subscriber baseline
-/// or checkpoint still held the buffer due for reuse; the write log was
-/// abandoned (a `:=`/bulk load, or more writes than a patch is worth).
-pub const SNAPSHOT_COPY_REASONS: [&str; 3] = ["first", "pinned", "abandoned"];
+/// One per-view value: how it is named, counted, grouped and described.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ViewValue {
+    /// Canonical name, unique in [`VIEW_VALUES`]. A dotted name `object.key`
+    /// sits inside `object` in `/views`, and EXPLAIN keys it by `key`.
+    /// `/metrics` exports it as family `dbtoaster_view_<name>` with the dot an
+    /// underscore (plus `_total` for a counter), unless `label` splits it.
+    pub name: &'static str,
+    /// Counter or gauge.
+    pub kind: ValueKind,
+    /// Which part of the view's cost it describes.
+    pub group: ValueGroup,
+    /// For a dotted name: the `/metrics` label whose values are the keys of
+    /// `object` — the entries sharing the object are one family,
+    /// `dbtoaster_view_<object>`, split by that label.
+    pub label: Option<&'static str>,
+    /// One-line description (the `/metrics` `# HELP` text).
+    pub help: &'static str,
+}
 
-/// Point-in-time copy of one view's counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+impl ViewValue {
+    /// The `/views` object holding the value, if its name is dotted.
+    pub fn object(&self) -> Option<&'static str> {
+        self.name.split_once('.').map(|(object, _)| object)
+    }
+
+    /// The value's key inside its object (its whole name if undotted).
+    pub const fn key(&self) -> &'static str {
+        let bytes = self.name.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'.' {
+                return self.name.split_at(i + 1).1;
+            }
+            i += 1;
+        }
+        self.name
+    }
+
+    /// Does a flush add this value (a work counter, handed as a count since
+    /// the last flush) rather than store it (a reading)?
+    pub fn accumulates(&self) -> bool {
+        self.kind == ValueKind::Counter && self.group == ValueGroup::Work
+    }
+}
+
+const fn counter(name: &'static str, group: ValueGroup, help: &'static str) -> ViewValue {
+    ViewValue {
+        name,
+        kind: ValueKind::Counter,
+        group,
+        label: None,
+        help,
+    }
+}
+
+const fn gauge(name: &'static str, group: ValueGroup, help: &'static str) -> ViewValue {
+    ViewValue {
+        kind: ValueKind::Gauge,
+        ..counter(name, group, help)
+    }
+}
+
+/// One reason's full snapshot copies: a part of the `snapshot_full_copies`
+/// family, split by `reason`.
+const fn copies(name: &'static str) -> ViewValue {
+    ViewValue {
+        label: Some("reason"),
+        ..counter(
+            name,
+            Snapshot,
+            "Snapshots that copied the whole view, by reason.",
+        )
+    }
+}
+
+use ValueGroup::{Resident, Snapshot, Work};
+
+/// Every per-view value, declared once, in the order every surface renders
+/// them: `/views` (a group's undotted values, then its objects), EXPLAIN
+/// ANALYZE (text and JSON, one group per block), and `/metrics` (counters,
+/// then gauges). A view's shared record is one cell per entry
+/// ([`ViewRecord`]), its point-in-time copy one `u64` per entry
+/// ([`ViewSummary`]).
+#[rustfmt::skip]
+pub const VIEW_VALUES: [ViewValue; 22] = [
+    counter("rows_written", Work,
+        "Rows applied to the view by trigger statements."),
+    counter("probes", Work,
+        "Fully bound index probes executed against the view."),
+    counter("scans", Work,
+        "Full scans executed against the view."),
+    counter("entries_scanned", Work,
+        "Entries visited by kernel scans of the view."),
+    counter("fused_scans", Work,
+        "Fused prelude scan executions."),
+    counter("range_sum_hits", Work,
+        "Range-sum scans answered from an ordered index."),
+    counter("range_sum_bails", Work,
+        "Range-sum scans that fell back to a full traversal."),
+    counter("live_firings", Work,
+        "Statements fired into the view by batch-delta live passes."),
+    gauge("map_size", Work,
+        "Observed view size in entries at the last engine flush."),
+    gauge("indexes.hash", Resident,
+        "Hash secondary indexes of the view."),
+    gauge("indexes.ordered", Resident,
+        "Ordered secondary indexes of the view."),
+    gauge("indexes.entries", Resident,
+        "Entries indexed, summed over the view's secondary indexes."),
+    gauge("indexes.bytes", Resident,
+        "Bytes the view's secondary indexes hold: hash_bytes plus ordered_bytes."),
+    gauge("indexes.hash_bytes", Resident,
+        "Bytes the view's hash indexes hold."),
+    gauge("indexes.ordered_bytes", Resident,
+        "Bytes the view's ordered indexes hold."),
+    gauge("map_bytes", Resident,
+        "Bytes the live view holds."),
+    gauge("snapshot_bytes", Resident,
+        "Bytes the view's snapshot buffers hold (0 for a view nobody snapshots)."),
+    counter("snapshot_keys_patched", Snapshot,
+        "Logged keys replayed into recycled snapshot buffers of the view."),
+    counter("snapshot_entries_copied", Snapshot,
+        "Entries copied by full snapshot copies of the view."),
+    copies("snapshot_full_copies.first"),
+    copies("snapshot_full_copies.pinned"),
+    copies("snapshot_full_copies.abandoned"),
+];
+
+/// Number of per-view values.
+const N: usize = VIEW_VALUES.len();
+
+/// The position of the value named `name` in [`VIEW_VALUES`]. Evaluated in
+/// a const context (`const { slot_of("probes") }`), an unknown name fails
+/// the build; at run time it panics.
+pub const fn slot_of(name: &str) -> usize {
+    let mut i = 0;
+    while i < N {
+        let (a, b) = (VIEW_VALUES[i].name.as_bytes(), name.as_bytes());
+        if a.len() == b.len() {
+            let mut j = 0;
+            while j < a.len() && a[j] == b[j] {
+                j += 1;
+            }
+            if j == a.len() {
+                return i;
+            }
+        }
+        i += 1;
+    }
+    panic!("no per-view value of that name in VIEW_VALUES")
+}
+
+/// Why a snapshot copied a whole view instead of patching a recycled buffer
+/// (the `reason` label values of `snapshot_full_copies`): the view had not
+/// yet handed out two buffers; a reader, subscriber baseline or checkpoint
+/// still held the buffer due for reuse; the write log was abandoned (a
+/// `:=`/bulk load, or more writes than a patch is worth).
+pub const SNAPSHOT_COPY_REASONS: [&str; 3] = {
+    let mut out = [""; 3];
+    let (mut i, mut n) = (0, 0);
+    while i < N {
+        if VIEW_VALUES[i].label.is_some() {
+            out[n] = VIEW_VALUES[i].key();
+            n += 1;
+        }
+        i += 1;
+    }
+    out
+};
+
+/// One view's shared record: a relaxed atomic per [`VIEW_VALUES`] entry.
+/// The engine folds its buffered counts and its readings in on its flush
+/// cadence ([`ViewRecord::publish`]); readers copy it into a
+/// [`ViewSummary`].
+#[derive(Debug)]
+pub struct ViewRecord([AtomicU64; N]);
+
+impl Default for ViewRecord {
+    fn default() -> Self {
+        ViewRecord(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl ViewRecord {
+    /// The cell of the value named `name` (panics on an unknown name).
+    pub fn cell(&self, name: &str) -> &AtomicU64 {
+        &self.0[slot_of(name)]
+    }
+
+    /// Fold one flush into the record, in [`VIEW_VALUES`] order: a work
+    /// counter adds its count since the last flush, every other value is
+    /// stored as read. Allocation-free.
+    pub fn publish(&self, values: &[u64; N]) {
+        for ((cell, v), &n) in self.0.iter().zip(&VIEW_VALUES).zip(values) {
+            if !v.accumulates() {
+                cell.store(n, Relaxed);
+            } else if n != 0 {
+                cell.fetch_add(n, Relaxed);
+            }
+        }
+    }
+
+    /// A point-in-time copy under the view's name.
+    pub fn summary(&self, name: &str) -> ViewSummary {
+        ViewSummary {
+            name: name.to_string(),
+            values: std::array::from_fn(|i| self.0[i].load(Relaxed)),
+        }
+    }
+}
+
+/// Point-in-time copy of one view's record: a `u64` per [`VIEW_VALUES`]
+/// entry.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ViewSummary {
     /// View (map) name.
     pub name: String,
-    /// See [`ViewCounters::rows_written`].
-    pub rows_written: u64,
-    /// See [`ViewCounters::probes`].
-    pub probes: u64,
-    /// See [`ViewCounters::scans`].
-    pub scans: u64,
-    /// See [`ViewCounters::entries_scanned`].
-    pub entries_scanned: u64,
-    /// See [`ViewCounters::fused_scans`].
-    pub fused_scans: u64,
-    /// See [`ViewCounters::range_sum_hits`].
-    pub range_sum_hits: u64,
-    /// See [`ViewCounters::range_sum_bails`].
-    pub range_sum_bails: u64,
-    /// See [`ViewCounters::live_firings`].
-    pub live_firings: u64,
-    /// See [`ViewCounters::map_size`].
-    pub map_size: u64,
-    /// See [`ViewCounters::snapshot_keys_patched`].
-    pub snapshot_keys_patched: u64,
-    /// See [`ViewCounters::snapshot_entries_copied`].
-    pub snapshot_entries_copied: u64,
-    /// See [`ViewCounters::snapshot_full_copies`].
-    pub snapshot_full_copies: [u64; 3],
-    /// See [`ViewCounters::indexes`].
-    pub indexes: [u64; 4],
-    /// See [`ViewCounters::map_bytes`].
-    pub map_bytes: u64,
-    /// See [`ViewCounters::snapshot_bytes`].
-    pub snapshot_bytes: u64,
-    /// See [`ViewCounters::hash_bytes`].
-    pub hash_bytes: u64,
-    /// See [`ViewCounters::ordered_bytes`].
-    pub ordered_bytes: u64,
+    /// The values, in [`VIEW_VALUES`] order.
+    pub values: [u64; N],
+}
+
+impl Default for ViewSummary {
+    fn default() -> Self {
+        ViewSummary {
+            name: String::new(),
+            values: [0; N],
+        }
+    }
+}
+
+impl ViewSummary {
+    /// The value named `name` (panics on an unknown name).
+    pub fn get(&self, name: &str) -> u64 {
+        self.values[slot_of(name)]
+    }
+
+    /// This summary with `name` set to `n` (panics on an unknown name).
+    pub fn with(mut self, name: &str, n: u64) -> ViewSummary {
+        self.values[slot_of(name)] = n;
+        self
+    }
+
+    /// This summary with every value outside `group` zeroed: what one
+    /// EXPLAIN block shows of it.
+    pub fn only(mut self, group: ValueGroup) -> ViewSummary {
+        for (n, v) in self.values.iter_mut().zip(&VIEW_VALUES) {
+            if v.group != group {
+                *n = 0;
+            }
+        }
+        self
+    }
+
+    /// `(entry, value)` pairs of one group, in table order.
+    pub fn group(&self, group: ValueGroup) -> impl Iterator<Item = (&'static ViewValue, u64)> + '_ {
+        VIEW_VALUES
+            .iter()
+            .zip(self.values)
+            .filter(move |(v, _)| v.group == group)
+    }
 }
 
 /// One per-statement span of a slow-batch trace.
@@ -495,7 +686,7 @@ pub struct RunSpan {
     /// Statement evaluations of the run's live pass.
     pub live_firings: u64,
     /// Per-statement spans, present when the batch was large enough to arm
-    /// statement timing (see [`TelemetryConfig::trace_arm_min_events`]).
+    /// statement timing (see [`TRACE_ARM_MIN_EVENTS`]).
     pub statements: Vec<StmtSpan>,
 }
 
@@ -572,25 +763,26 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
+/// Capacity of the slow-batch trace ring; the oldest trace is dropped when
+/// it is full.
+pub const TRACE_CAPACITY: usize = 32;
+
+/// Minimum events in a batch before per-statement timing is armed (small
+/// batches skip the per-statement `Instant` pairs so the per-event hot path
+/// stays clock-free).
+pub const TRACE_ARM_MIN_EVENTS: u64 = 16;
+
 /// Telemetry knobs.
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Batches slower than this get a [`SlowBatchTrace`] in the ring buffer.
     pub slow_batch_threshold: Duration,
-    /// Ring-buffer capacity; the oldest trace is dropped when full.
-    pub trace_capacity: usize,
-    /// Minimum events in a batch before per-statement timing is armed (small
-    /// batches skip the per-statement `Instant` pairs so the per-event hot
-    /// path stays clock-free).
-    pub trace_arm_min_events: u64,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
         TelemetryConfig {
             slow_batch_threshold: Duration::from_millis(10),
-            trace_capacity: 32,
-            trace_arm_min_events: 16,
         }
     }
 }
@@ -607,8 +799,8 @@ struct Inner {
     /// Named gauges, same discipline; rendered with TYPE `gauge` so values
     /// may go down (e.g. the `degraded` flag) without breaking scrapers.
     gauges: Mutex<Vec<(String, Arc<AtomicU64>)>>,
-    /// Per-view counters, same registration discipline.
-    views: Mutex<Vec<(String, Arc<ViewCounters>)>>,
+    /// Per-view records, same registration discipline.
+    views: Mutex<Vec<(String, Arc<ViewRecord>)>>,
     /// Slow-batch trace ring buffer.
     traces: Mutex<VecDeque<SlowBatchTrace>>,
     trace_seq: AtomicU64,
@@ -648,7 +840,7 @@ impl Telemetry {
                 counters: Mutex::new(Vec::new()),
                 gauges: Mutex::new(Vec::new()),
                 views: Mutex::new(Vec::new()),
-                traces: Mutex::new(VecDeque::with_capacity(config.trace_capacity)),
+                traces: Mutex::new(VecDeque::with_capacity(TRACE_CAPACITY)),
                 trace_seq: AtomicU64::new(0),
                 events: AtomicU64::new(0),
                 batches: AtomicU64::new(0),
@@ -740,16 +932,16 @@ impl Telemetry {
         Counter { cell: Some(cell) }
     }
 
-    /// The per-view counter block for a view, registering it on first use
-    /// (None when disabled). Callers cache the `Arc` so the hot path never
-    /// sees the registry lock.
-    pub fn view(&self, name: &str) -> Option<Arc<ViewCounters>> {
+    /// The record of a view, registering it on first use (None when
+    /// disabled). Callers cache the `Arc` so the hot path never sees the
+    /// registry lock.
+    pub fn view(&self, name: &str) -> Option<Arc<ViewRecord>> {
         let inner = self.inner.as_ref()?;
         let mut reg = lock(&inner.views);
         if let Some((_, v)) = reg.iter().find(|(n, _)| n == name) {
             return Some(v.clone());
         }
-        let v = Arc::new(ViewCounters::default());
+        let v = Arc::new(ViewRecord::default());
         reg.push((name.to_string(), v.clone()));
         Some(v)
     }
@@ -775,7 +967,7 @@ impl Telemetry {
         let seq = inner.trace_seq.fetch_add(1, Relaxed);
         trace.seq = seq;
         let mut ring = lock(&inner.traces);
-        if ring.len() >= inner.config.trace_capacity.max(1) {
+        if ring.len() >= TRACE_CAPACITY {
             ring.pop_front();
         }
         ring.push_back(trace);
@@ -817,28 +1009,7 @@ impl Telemetry {
             .collect();
         let views = lock(&inner.views)
             .iter()
-            .map(|(n, v)| ViewSummary {
-                name: n.clone(),
-                rows_written: v.rows_written.load(Relaxed),
-                probes: v.probes.load(Relaxed),
-                scans: v.scans.load(Relaxed),
-                entries_scanned: v.entries_scanned.load(Relaxed),
-                fused_scans: v.fused_scans.load(Relaxed),
-                range_sum_hits: v.range_sum_hits.load(Relaxed),
-                range_sum_bails: v.range_sum_bails.load(Relaxed),
-                live_firings: v.live_firings.load(Relaxed),
-                map_size: v.map_size.load(Relaxed),
-                snapshot_keys_patched: v.snapshot_keys_patched.load(Relaxed),
-                snapshot_entries_copied: v.snapshot_entries_copied.load(Relaxed),
-                snapshot_full_copies: std::array::from_fn(|r| {
-                    v.snapshot_full_copies[r].load(Relaxed)
-                }),
-                indexes: std::array::from_fn(|i| v.indexes[i].load(Relaxed)),
-                map_bytes: v.map_bytes.load(Relaxed),
-                snapshot_bytes: v.snapshot_bytes.load(Relaxed),
-                hash_bytes: v.hash_bytes.load(Relaxed),
-                ordered_bytes: v.ordered_bytes.load(Relaxed),
-            })
+            .map(|(n, v)| v.summary(n))
             .collect();
         MetricsSnapshot {
             enabled: true,
@@ -928,7 +1099,7 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
     /// Registered named gauges.
     pub gauges: Vec<(String, u64)>,
-    /// Per-view work counters and observed map sizes.
+    /// Per-view records.
     pub views: Vec<ViewSummary>,
     /// Slow-batch traces waiting in the ring buffer.
     pub traces_pending: usize,
@@ -1044,103 +1215,42 @@ impl MetricsSnapshot {
             );
             out.push_str(&format!("dbtoaster_{name} {v}\n"));
         }
-        let view_counter =
-            |out: &mut String, metric: &str, help: &str, get: &dyn Fn(&ViewSummary) -> u64| {
-                header(out, &format!("dbtoaster_view_{metric}"), help, "counter");
-                for v in &self.views {
-                    out.push_str(&format!(
-                        "dbtoaster_view_{metric}{{view=\"{}\"}} {}\n",
-                        prometheus_escape_label(&v.name),
-                        get(v)
-                    ));
+        // One family per table entry — or per labelled object — counters
+        // first, then gauges; within a family one series per view.
+        for kind in [ValueKind::Counter, ValueKind::Gauge] {
+            let entries: Vec<&ViewValue> = VIEW_VALUES.iter().filter(|v| v.kind == kind).collect();
+            for family in entries.chunk_by(|a, b| a.label.is_some() && a.object() == b.object()) {
+                let v = family[0];
+                let stem = match v.label {
+                    Some(_) => v.object().unwrap_or(v.name).to_string(),
+                    None => v.name.replace('.', "_"),
+                };
+                let suffix = if kind == ValueKind::Counter {
+                    "_total"
+                } else {
+                    ""
+                };
+                let metric = format!("dbtoaster_view_{stem}{suffix}");
+                let kind_name = if kind == ValueKind::Counter {
+                    "counter"
+                } else {
+                    "gauge"
+                };
+                header(&mut out, &metric, v.help, kind_name);
+                for view in &self.views {
+                    let name = prometheus_escape_label(&view.name);
+                    for v in family {
+                        let n = view.get(v.name);
+                        match v.label {
+                            Some(label) => out.push_str(&format!(
+                                "{metric}{{view=\"{name}\",{label}=\"{}\"}} {n}\n",
+                                v.key()
+                            )),
+                            None => out.push_str(&format!("{metric}{{view=\"{name}\"}} {n}\n")),
+                        }
+                    }
                 }
-            };
-        view_counter(
-            &mut out,
-            "rows_written_total",
-            "Rows applied to the view by trigger statements.",
-            &|v| v.rows_written,
-        );
-        view_counter(
-            &mut out,
-            "probes_total",
-            "Fully bound index probes executed against the view.",
-            &|v| v.probes,
-        );
-        view_counter(
-            &mut out,
-            "scans_total",
-            "Full scans executed against the view.",
-            &|v| v.scans,
-        );
-        view_counter(
-            &mut out,
-            "entries_scanned_total",
-            "Entries visited by kernel scans of the view.",
-            &|v| v.entries_scanned,
-        );
-        view_counter(
-            &mut out,
-            "fused_scans_total",
-            "Fused prelude scan executions.",
-            &|v| v.fused_scans,
-        );
-        view_counter(
-            &mut out,
-            "range_sum_hits_total",
-            "Range-sum scans answered from an ordered index.",
-            &|v| v.range_sum_hits,
-        );
-        view_counter(
-            &mut out,
-            "range_sum_bails_total",
-            "Range-sum scans that fell back to a full traversal.",
-            &|v| v.range_sum_bails,
-        );
-        view_counter(
-            &mut out,
-            "live_firings_total",
-            "Statements fired into the view by batch-delta live passes.",
-            &|v| v.live_firings,
-        );
-        view_counter(
-            &mut out,
-            "snapshot_keys_patched_total",
-            "Logged keys replayed into recycled snapshot buffers of the view.",
-            &|v| v.snapshot_keys_patched,
-        );
-        view_counter(
-            &mut out,
-            "snapshot_entries_copied_total",
-            "Entries copied by full snapshot copies of the view.",
-            &|v| v.snapshot_entries_copied,
-        );
-        header(
-            &mut out,
-            "dbtoaster_view_snapshot_full_copies_total",
-            "Snapshots that copied the whole view, by reason.",
-            "counter",
-        );
-        for v in &self.views {
-            for (reason, n) in SNAPSHOT_COPY_REASONS.iter().zip(v.snapshot_full_copies) {
-                out.push_str(&format!(
-                    "dbtoaster_view_snapshot_full_copies_total{{view=\"{}\",reason=\"{reason}\"}} {n}\n",
-                    prometheus_escape_label(&v.name),
-                ));
             }
-        }
-        header(
-            &mut out,
-            "dbtoaster_view_map_size",
-            "Observed view size in entries at the last engine flush.",
-            "gauge",
-        );
-        for v in &self.views {
-            out.push_str(&format!(
-                "dbtoaster_view_map_size{{view=\"{}\"}} {}\n",
-                prometheus_escape_label(&v.name),
-                v.map_size
-            ));
         }
         out
     }
@@ -1287,8 +1397,6 @@ mod tests {
         const SAMPLES: u64 = 1_000_000;
         let tel = Telemetry::with_config(TelemetryConfig {
             slow_batch_threshold: Duration::from_nanos(0),
-            trace_capacity: 8,
-            ..TelemetryConfig::default()
         });
         let view = tel.view("V").unwrap();
         let counter = tel.counter("custom_total");
@@ -1307,7 +1415,7 @@ mod tests {
                     assert!(s.events <= SAMPLES);
                     assert!(s.batch_latency.count <= SAMPLES);
                     let v = s.view("V").unwrap();
-                    assert!(v.rows_written <= SAMPLES);
+                    assert!(v.get("rows_written") <= SAMPLES);
                     let text = s.render_prometheus();
                     assert!(text.contains("dbtoaster_events_total"));
                     last_events = s.events;
@@ -1320,10 +1428,10 @@ mod tests {
         let hist = tel.batch_hist().unwrap();
         for i in 0..SAMPLES {
             hist.record(i % 10_000);
-            view.rows_written.fetch_add(1, Ordering::Relaxed);
+            view.cell("rows_written").fetch_add(1, Ordering::Relaxed);
             counter.inc();
             tel.add_events(1, 1);
-            if i % 100_000 == 0 {
+            if i % 20_000 == 0 {
                 tel.push_trace(SlowBatchTrace {
                     seq: i,
                     elapsed_nanos: 1,
@@ -1341,7 +1449,7 @@ mod tests {
         assert_eq!(s.events, SAMPLES);
         assert_eq!(s.batches, SAMPLES);
         assert_eq!(s.batch_latency.count, SAMPLES);
-        assert_eq!(s.view("V").unwrap().rows_written, SAMPLES);
+        assert_eq!(s.view("V").unwrap().get("rows_written"), SAMPLES);
         assert_eq!(
             s.counters
                 .iter()
@@ -1350,9 +1458,9 @@ mod tests {
                 .1,
             SAMPLES
         );
-        // The trace ring kept only the newest `trace_capacity` traces.
+        // 50 traces pushed: the ring kept only the newest `TRACE_CAPACITY`.
         let traces = tel.drain_traces();
-        assert_eq!(traces.len(), 8);
+        assert_eq!(traces.len(), TRACE_CAPACITY);
         assert!(traces.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 

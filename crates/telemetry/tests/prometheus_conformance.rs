@@ -10,7 +10,8 @@
 //! [`MetricsSnapshot::render_prometheus`]: dbtoaster_telemetry::MetricsSnapshot::render_prometheus
 
 use dbtoaster_telemetry::{
-    Stage, Telemetry, TelemetryConfig, PROMETHEUS_CONTENT_TYPE, SNAPSHOT_COPY_REASONS,
+    Stage, Telemetry, TelemetryConfig, ValueKind, PROMETHEUS_CONTENT_TYPE, SNAPSHOT_COPY_REASONS,
+    VIEW_VALUES,
 };
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::Relaxed;
@@ -37,20 +38,28 @@ fn populated() -> Telemetry {
     tel.counter("degraded_transitions").add(2);
     tel.gauge("degraded").set(1);
     let v = tel.view("m_axf_1").unwrap();
-    v.rows_written.fetch_add(7, Relaxed);
-    v.probes.fetch_add(5, Relaxed);
-    v.scans.fetch_add(2, Relaxed);
-    v.entries_scanned.fetch_add(40, Relaxed);
-    v.map_size.store(13, Relaxed);
-    v.range_sum_hits.fetch_add(9, Relaxed);
-    v.range_sum_bails.fetch_add(1, Relaxed);
-    v.live_firings.fetch_add(4, Relaxed);
-    v.snapshot_keys_patched.store(11, Relaxed);
-    v.snapshot_entries_copied.store(26, Relaxed);
-    v.snapshot_full_copies[0].store(2, Relaxed);
-    v.snapshot_full_copies[1].store(1, Relaxed);
+    v.cell("rows_written").fetch_add(7, Relaxed);
+    v.cell("probes").fetch_add(5, Relaxed);
+    v.cell("scans").fetch_add(2, Relaxed);
+    v.cell("entries_scanned").fetch_add(40, Relaxed);
+    v.cell("map_size").store(13, Relaxed);
+    v.cell("range_sum_hits").fetch_add(9, Relaxed);
+    v.cell("range_sum_bails").fetch_add(1, Relaxed);
+    v.cell("live_firings").fetch_add(4, Relaxed);
+    v.cell("snapshot_keys_patched").store(11, Relaxed);
+    v.cell("snapshot_entries_copied").store(26, Relaxed);
+    v.cell("snapshot_full_copies.first").store(2, Relaxed);
+    v.cell("snapshot_full_copies.pinned").store(1, Relaxed);
+    // The resident gauges: one ordered index and the bytes it, the live map
+    // and one snapshot buffer hold.
+    v.cell("indexes.ordered").store(1, Relaxed);
+    v.cell("indexes.entries").store(13, Relaxed);
+    v.cell("indexes.bytes").store(416, Relaxed);
+    v.cell("indexes.ordered_bytes").store(416, Relaxed);
+    v.cell("map_bytes").store(936, Relaxed);
+    v.cell("snapshot_bytes").store(936, Relaxed);
     let evil = tel.view("weird\"name\\with\nnewline").unwrap();
-    evil.rows_written.fetch_add(1, Relaxed);
+    evil.cell("rows_written").fetch_add(1, Relaxed);
     tel
 }
 
@@ -294,9 +303,9 @@ fn counters_are_monotone_across_successive_snapshots() {
     tel.record_stage(Stage::WalAppend, Duration::from_micros(10));
     tel.counter("ingest_retries").add(1);
     let v = tel.view("m_axf_1").unwrap();
-    v.rows_written.fetch_add(2, Relaxed);
-    v.probes.fetch_add(1, Relaxed);
-    v.scans.fetch_add(1, Relaxed);
+    v.cell("rows_written").fetch_add(2, Relaxed);
+    v.cell("probes").fetch_add(1, Relaxed);
+    v.cell("scans").fetch_add(1, Relaxed);
     let second = parse_exposition(&tel.render_prometheus());
 
     let key = |s: &Sample| (s.name.clone(), s.labels.clone());
@@ -429,4 +438,73 @@ fn range_sum_and_live_pass_counters_are_exported_under_their_names() {
         !text.contains("banded") && !text.contains("overlay"),
         "{text}"
     );
+}
+
+/// Every per-view value is one series per view, in a family of its kind:
+/// the resident gauges (index counts, entries and bytes, map and snapshot
+/// bytes) beside the work and snapshot counters. A gauge is a reading, so
+/// it may go down between scrapes (a map shrinks, a snapshot buffer is
+/// released) — the TYPE declaration exempts it from monotonicity.
+#[test]
+fn every_view_value_is_exported_and_resident_gauges_may_decrease() {
+    let tel = populated();
+    let series = |exp: &Exposition, v: &dbtoaster_telemetry::ViewValue| -> f64 {
+        let suffix = match v.kind {
+            ValueKind::Counter => "_total",
+            ValueKind::Gauge => "",
+        };
+        let (stem, label) = match v.label {
+            Some(label) => (v.object().unwrap().to_string(), Some((label, v.key()))),
+            None => (v.name.replace('.', "_"), None),
+        };
+        let family = format!("dbtoaster_view_{stem}{suffix}");
+        let kind = match v.kind {
+            ValueKind::Counter => "counter",
+            ValueKind::Gauge => "gauge",
+        };
+        assert_eq!(
+            exp.types.get(&family).map(String::as_str),
+            Some(kind),
+            "{family}"
+        );
+        exp.samples
+            .iter()
+            .find(|s| {
+                s.name == family
+                    && s.labels.contains(&("view".into(), "m_axf_1".into()))
+                    && label.is_none_or(|(l, k)| s.labels.contains(&(l.into(), k.into())))
+            })
+            .unwrap_or_else(|| panic!("no series for {} in {family}", v.name))
+            .value
+    };
+    let first = parse_exposition(&tel.render_prometheus());
+    let snap = tel.snapshot();
+    let record = snap.view("m_axf_1").unwrap();
+    for v in &VIEW_VALUES {
+        assert_eq!(series(&first, v), record.get(v.name) as f64, "{}", v.name);
+    }
+    for (name, want) in [
+        ("dbtoaster_view_indexes_ordered", 1.0),
+        ("dbtoaster_view_indexes_bytes", 416.0),
+        ("dbtoaster_view_map_bytes", 936.0),
+        ("dbtoaster_view_snapshot_bytes", 936.0),
+    ] {
+        let v = VIEW_VALUES
+            .iter()
+            .find(|v| format!("dbtoaster_view_{}", v.name.replace('.', "_")) == name)
+            .unwrap();
+        assert_eq!(series(&first, v), want, "{name}");
+    }
+
+    // The snapshot buffer is released and the map shrinks: both gauges go
+    // down, and the exposition still conforms.
+    let v = tel.view("m_axf_1").unwrap();
+    v.cell("snapshot_bytes").store(0, Relaxed);
+    v.cell("map_bytes").store(72, Relaxed);
+    let second = parse_exposition(&tel.render_prometheus());
+    for (name, want) in [("snapshot_bytes", 0.0), ("map_bytes", 72.0)] {
+        let v = VIEW_VALUES.iter().find(|v| v.name == name).unwrap();
+        assert!(series(&second, v) < series(&first, v), "{name}");
+        assert_eq!(series(&second, v), want, "{name}");
+    }
 }

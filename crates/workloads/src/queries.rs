@@ -5,10 +5,8 @@
 //! join type, where-clause features, group-by, nesting depth). Every structural class
 //! of Figure 2 is covered.
 
-use serde::{Deserialize, Serialize};
-
 /// Workload family.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Family {
     /// TPC-H-like decision support.
     Tpch,
@@ -29,7 +27,7 @@ impl std::fmt::Display for Family {
 }
 
 /// One benchmark query.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct WorkloadQuery {
     /// Short name (e.g. `q3`, `vwap`).
     pub name: &'static str,

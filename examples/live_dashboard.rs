@@ -174,10 +174,12 @@ fn main() -> Result<(), DbToasterError> {
         }
     }
     for v in &m.views {
-        if v.rows_written > 0 {
+        if v.get("rows_written") > 0 {
             println!(
                 "[telemetry] view {:<28} {:>6} rows written, map size {}",
-                v.name, v.rows_written, v.map_size
+                v.name,
+                v.get("rows_written"),
+                v.get("map_size")
             );
         }
     }

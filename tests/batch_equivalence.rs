@@ -439,9 +439,19 @@ fn ordered_indexes_hold_their_maps_entries_after_batches() {
 
         let mut indexed = 0;
         for m in &engine.explain().maps {
-            let live = m.analyze.expect("a live engine attaches its indexes");
+            let live = m
+                .analyze
+                .as_ref()
+                .expect("a live engine attaches its indexes");
             let entries = engine.view(&m.name).unwrap().len() as u64;
-            let (counts, ctx) = ((live.hash, live.ordered, live.entries), &m.name);
+            let (counts, ctx) = (
+                (
+                    live.get("indexes.hash"),
+                    live.get("indexes.ordered"),
+                    live.get("indexes.entries"),
+                ),
+                &m.name,
+            );
             assert_eq!(counts, (0, 1, entries), "{name}: {ctx}");
             indexed += entries;
         }
@@ -500,7 +510,10 @@ fn order_book_offenders_suspend_range_sums_and_match_reevaluation() {
         let views = outcome.engine.telemetry().unwrap().snapshot().views;
         let views = views.iter().filter(|v| names.contains(&&*v.name));
         for v in views.filter(|_| p.mode == HO) {
-            assert!(v.range_sum_hits > 0 && v.range_sum_bails > 0, "{p}: {v:?}");
+            assert!(
+                v.get("range_sum_hits") > 0 && v.get("range_sum_bails") > 0,
+                "{p}: {v:?}"
+            );
         }
     }
 }
@@ -619,7 +632,10 @@ fn order_book_offenders_walk_nested_range_sums_and_match_reevaluation() {
             // Both ways of answering a band sum were taken.
             let views = outcome.engine.telemetry().unwrap().snapshot().views;
             for v in views.iter().filter(|v| p.mode == HO && v.name == name) {
-                assert!(v.range_sum_hits > 0 && v.range_sum_bails > 0, "{p}: {v:?}");
+                assert!(
+                    v.get("range_sum_hits") > 0 && v.get("range_sum_bails") > 0,
+                    "{p}: {v:?}"
+                );
             }
         }
     }

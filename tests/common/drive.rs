@@ -114,12 +114,12 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
     engine.flush_telemetry();
     let views = tel.snapshot().views;
     Work {
-        scanned: views.iter().map(|v| v.entries_scanned).sum(),
+        scanned: views.iter().map(|v| v.get("entries_scanned")).sum(),
         statements: engine.stats().statements,
-        live_firings: views.iter().map(|v| v.live_firings).sum(),
+        live_firings: views.iter().map(|v| v.get("live_firings")).sum(),
         range_sums: (
-            views.iter().map(|v| v.range_sum_hits).sum(),
-            views.iter().map(|v| v.range_sum_bails).sum(),
+            views.iter().map(|v| v.get("range_sum_hits")).sum(),
+            views.iter().map(|v| v.get("range_sum_bails")).sum(),
         ),
     }
 }

@@ -348,7 +348,7 @@ fn a_served_snapshot_holds_the_query_views_not_the_higher_order_maps() {
     assert!(
         published
             .iter()
-            .all(|v| v.snapshot_keys_patched + v.snapshot_entries_copied > 0),
+            .all(|v| v.get("snapshot_keys_patched") + v.get("snapshot_entries_copied") > 0),
         "every published view is patched or copied"
     );
     assert!(
@@ -358,7 +358,10 @@ fn a_served_snapshot_holds_the_query_views_not_the_higher_order_maps() {
     );
     for v in &internal {
         assert_eq!(
-            (v.snapshot_keys_patched, v.snapshot_entries_copied),
+            (
+                v.get("snapshot_keys_patched"),
+                v.get("snapshot_entries_copied")
+            ),
             (0, 0),
             "{}: an unpublished map paid for a publish",
             v.name
@@ -575,10 +578,12 @@ fn indexes_are_declared_before_the_first_event() {
             let counts = |engine: &mut Engine| {
                 engine.flush_telemetry();
                 let snapshot = engine.telemetry().unwrap().snapshot();
-                let counts = snapshot
-                    .views
-                    .iter()
-                    .map(|v| (v.name.clone(), v.indexes[..2].to_vec()));
+                let counts = snapshot.views.iter().map(|v| {
+                    (
+                        v.name.clone(),
+                        vec![v.get("indexes.hash"), v.get("indexes.ordered")],
+                    )
+                });
                 counts.collect::<Vec<_>>()
             };
             let built = counts(&mut engine);
