@@ -2275,6 +2275,24 @@ enum Tail<'a> {
     Seq(&'a [Op], &'a Tail<'a>),
 }
 
+/// A comparison operand as [`Exec::operand`] leaves it: a slot or a
+/// constant to read in place, or the value of anything else.
+enum Operand<'p> {
+    Slot(Slot),
+    Const(&'p Value),
+    Computed(Value),
+}
+
+/// Bind a pattern hole to `v`, unless it already holds this very value
+/// ([`Value::is_same`]): the statements of one event probe with the same
+/// trigger values, so most holes keep what the last execution wrote.
+#[inline]
+fn fill_hole(hole: &mut Option<Value>, v: &Value) {
+    if !hole.as_ref().is_some_and(|held| held.is_same(v)) {
+        *hole = Some(v.clone());
+    }
+}
+
 struct Exec<'a> {
     src: &'a dyn RelationSource,
     /// The statement's relation table bound to `src` (see
@@ -2319,9 +2337,42 @@ impl Exec<'_> {
     fn take_pattern(&mut self, buf: u16, template: &[Option<Slot>]) -> Vec<Option<Value>> {
         let mut pattern = std::mem::take(&mut self.patterns[buf as usize]);
         for (p, t) in pattern.iter_mut().zip(template.iter()) {
-            *p = t.map(|slot| self.frame[slot as usize].clone());
+            match t {
+                Some(slot) => fill_hole(p, &self.frame[*slot as usize]),
+                None => *p = None,
+            }
         }
         pattern
+    }
+
+    /// Evaluate a comparison operand: a slot or a constant is read in place
+    /// ([`Exec::operand_value`]), anything else computed.
+    fn operand<'p>(&mut self, s: &'p Scalar) -> Result<Operand<'p>, EvalError> {
+        Ok(match s {
+            Scalar::Slot(slot) => Operand::Slot(*slot),
+            Scalar::Const(v) => Operand::Const(v),
+            _ => Operand::Computed(self.eval_scalar(s)?),
+        })
+    }
+
+    /// The value an [`Exec::operand`] stands for. Reading a slot after the
+    /// other operand is computed reads what it held before: a sub-plan binds
+    /// only slots unbound where the comparison stands, and a slot it reads is
+    /// bound.
+    fn operand_value<'v>(&'v self, o: &'v Operand) -> &'v Value {
+        match o {
+            Operand::Slot(slot) => &self.frame[*slot as usize],
+            Operand::Const(v) => v,
+            Operand::Computed(v) => v,
+        }
+    }
+
+    /// Does `left cmp right` hold? Slot and constant operands are read in
+    /// place, not cloned.
+    fn compare(&mut self, cmp: CmpOp, left: &Scalar, right: &Scalar) -> Result<bool, EvalError> {
+        let l = self.operand(left)?;
+        let r = self.operand(right)?;
+        Ok(cmp.eval(self.operand_value(&l), self.operand_value(&r)))
     }
 
     /// Stream the entries of a partially bound atom: fill the pattern buffer
@@ -2455,7 +2506,7 @@ impl Exec<'_> {
                 };
                 let mut pattern = std::mem::take(&mut self.patterns[*buf as usize]);
                 for (p, &slot) in pattern.iter_mut().zip(template.iter()) {
-                    *p = Some(self.frame[slot as usize].clone());
+                    fill_hole(p, &self.frame[slot as usize]);
                 }
                 let arity = template.len();
                 let (src, names) = (self.src, self.names);
@@ -2506,27 +2557,19 @@ impl Exec<'_> {
                 }
                 Err(e) => self.fail(e),
             },
-            Op::LiftEq { slot, value } => match self.eval_scalar(value) {
+            Op::LiftEq { slot, value } => match self.operand(value) {
                 Ok(v) => {
-                    if self.frame[*slot as usize] == v {
+                    if self.frame[*slot as usize] == *self.operand_value(&v) {
                         self.finish(mult, tail);
                     }
                 }
                 Err(e) => self.fail(e),
             },
-            Op::CmpFilter { cmp, left, right } => {
-                let l = match self.eval_scalar(left) {
-                    Ok(v) => v,
-                    Err(e) => return self.fail(e),
-                };
-                let r = match self.eval_scalar(right) {
-                    Ok(v) => v,
-                    Err(e) => return self.fail(e),
-                };
-                if cmp.eval(&l, &r) {
-                    self.finish(mult, tail);
-                }
-            }
+            Op::CmpFilter { cmp, left, right } => match self.compare(*cmp, left, right) {
+                Ok(true) => self.finish(mult, tail),
+                Ok(false) => {}
+                Err(e) => self.fail(e),
+            },
             Op::Exists {
                 inner,
                 slots,
@@ -2790,9 +2833,8 @@ impl Exec<'_> {
                 crate::eval::apply_scalar_fn(f, &vals)
             }
             Scalar::Cmp(op, l, r) => {
-                let lv = self.eval_scalar(l)?;
-                let rv = self.eval_scalar(r)?;
-                Ok(Value::double(if op.eval(&lv, &rv) { 1.0 } else { 0.0 }))
+                let hit = self.compare(*op, l, r)?;
+                Ok(Value::double(if hit { 1.0 } else { 0.0 }))
             }
             Scalar::SubSum(op) => self.sub_sum(op),
             Scalar::RangeSum { ranges, traverse } => match self.range_sum(ranges, traverse) {

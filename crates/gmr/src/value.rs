@@ -104,6 +104,21 @@ impl Value {
         }
     }
 
+    /// Is `other` this very value: the same variant with the same bits, or
+    /// the same string body? Not [`PartialEq`], which equates values a
+    /// kernel must still tell apart (`Long(2^53 + 1)` and `Double(2^53)`,
+    /// `-0.0` and `+0.0`): a slot that already holds `other` in this sense
+    /// needs no write, one that only compares equal does.
+    #[inline]
+    pub fn is_same(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Long(a), Value::Long(b)) => a == b,
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
+    }
+
     /// Truthiness as used by comparison results: non-zero numerics are true.
     #[inline]
     pub fn is_truthy(&self) -> bool {
@@ -456,6 +471,34 @@ mod tests {
     fn value_is_two_words_and_an_inline_tuple_seven() {
         assert_eq!(std::mem::size_of::<Value>(), 16);
         assert_eq!(std::mem::size_of::<crate::Tuple>(), 56);
+    }
+
+    /// Only a value and its clones are the same: values `==` equates across
+    /// a variant, a sign of zero, a NaN payload or an allocation are not.
+    #[test]
+    fn only_a_value_and_its_clone_are_the_same() {
+        let pairs = [
+            (Value::double(-0.0), Value::double(0.0)),
+            (Value::double(f64::NAN), Value::double(-f64::NAN)),
+            (
+                Value::double(f64::NAN),
+                Value::double(f64::from_bits(f64::NAN.to_bits() | 1)),
+            ),
+            (Value::long(1), Value::double(1.0)),
+            (
+                Value::long((1 << 53) + 1),
+                Value::double((1u64 << 53) as f64),
+            ),
+            (Value::str("BUILDING"), Value::str("BUILDING")),
+        ];
+        for (a, b) in &pairs {
+            // Equal, so a skip written with `==` would keep the wrong one.
+            assert_eq!(a, b);
+            assert!(!a.is_same(b) && !b.is_same(a), "{a:?} is not {b:?}");
+        }
+        for v in pairs.iter().flat_map(|(a, b)| [a, b]) {
+            assert!(v.is_same(&v.clone()), "{v:?} is its clone");
+        }
     }
 
     #[test]

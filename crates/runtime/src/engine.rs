@@ -98,10 +98,12 @@
 //! A statement whose target does not resolve, or a kernel read of a relation that does
 //! not, is a corrupt program and panics where it runs. A map declared later — a table
 //! [`Engine::load_table`] declares on the fly, a map only a snapshot holds — is resolved
-//! when it is declared. What stays a string hash is the relation → dispatch lookup and
-//! the relation → column types lookup of the gate, once per run each.
+//! when it is declared. What stays a string hash is one lookup per run: its relation's
+//! name → the relation's resolved record (its column types for the gate, its dispatch,
+//! its stored base map). An event of a relation no trigger reads and no map stores is
+//! gated and counted, and nothing else.
 
-use crate::store::{Database, MapId, SnapshotWork};
+use crate::store::{Database, MapId, Seg, SnapshotWork};
 use dbtoaster_agca::batch::{BatchShape, DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
@@ -320,6 +322,38 @@ struct Bound {
     live: bool,
 }
 
+/// One catalog relation as the per-event path reads it, resolved once (see
+/// the module docs on resolution): a run finds its gate, its dispatch and its
+/// stored base map through one lookup of its name.
+#[derive(Clone, Debug)]
+struct Relation {
+    /// Its columns and their types: what the gate admits.
+    meta: RelationMeta,
+    /// Its batch dispatch, when some trigger reads it.
+    dispatch: Option<DispatchEntry>,
+    /// Its stored base map, if the program keeps one (a dispatched relation's
+    /// is also its entry's `base`).
+    base: Option<MapId>,
+}
+
+impl Relation {
+    /// The gate ([`Engine::admits`]) for one row of this relation.
+    fn admits(&self, row: &[Value]) -> Result<(), RuntimeError> {
+        self.meta
+            .check_row(row)
+            .map_err(|reason| RuntimeError::Refused {
+                relation: self.meta.name.clone(),
+                reason,
+            })
+    }
+
+    /// Does an event of this relation touch nothing — no trigger reads it and
+    /// no map stores it? Such an event is gated and counted only.
+    fn is_inert(&self) -> bool {
+        self.dispatch.is_none() && self.base.is_none()
+    }
+}
+
 impl DispatchEntry {
     /// The trigger fired by events of `sign`, if the relation has one.
     fn trigger(&self, sign: UpdateSign) -> Option<u16> {
@@ -330,20 +364,14 @@ impl DispatchEntry {
     }
 }
 
-/// One entry's emitted row range within the shared row buffer, plus how many
-/// times it is applied (`|net multiplicity|` single-tuple firings).
-#[derive(Clone, Copy, Debug)]
-struct Seg {
-    start: usize,
-    end: usize,
-    reps: u32,
-}
-
 /// Run `kernel` for one event `tuple` against `db`, reading through its
 /// relation table bound to `rels`, appending its `(key, multiplicity)` rows
 /// to `out` and touching no view. Collection, the live pass, the `:=` tail
 /// and static-view initialization all come through here. `state` is reused
-/// across events — zero per-event allocation in steady state.
+/// across events — zero per-event allocation in steady state. A trigger slot
+/// is written only when it does not already hold the event's very value
+/// ([`Value::is_same`]), so the statements of one event fill each column
+/// once.
 ///
 /// `first` marks the first of a series of back-to-back evaluations of
 /// `kernel` against an unchanged `db`: the kernel's buffers are sized and
@@ -368,7 +396,10 @@ fn kernel_rows(
         state.prepare(kernel);
     }
     for &slot in &kernel.used_trigger_slots {
-        state.frame[slot as usize] = tuple[slot as usize].clone();
+        let (held, v) = (&mut state.frame[slot as usize], &tuple[slot as usize]);
+        if !held.is_same(v) {
+            *held = v.clone();
+        }
     }
     // The kernel appends to `state.out`: lend it the caller's buffer for the
     // call instead of copying rows across.
@@ -430,6 +461,15 @@ impl BdScratch {
 /// The DBToaster runtime engine.
 pub struct Engine {
     program: Arc<TriggerProgram>,
+    /// Everything else: a batch borrows the program while it writes this.
+    exec: Executor,
+}
+
+/// What an [`Engine`] runs its program against: the store, the resolved
+/// dispatch and statements, and the scratch every batch reuses. The run
+/// methods take the program as an argument, borrowed from the engine for
+/// the batch.
+struct Executor {
     db: Database,
     stats: EngineStats,
     /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
@@ -448,8 +488,14 @@ pub struct Engine {
     merged: DeltaBatch,
     /// Recycled copy of a batch without the entries the gate refused.
     admitted: DeltaBatch,
-    /// The catalog's relations by name: what the gate admits.
-    schemas: FastMap<String, RelationMeta>,
+    /// The catalog's relations, resolved ([`Relation`]), and their positions
+    /// by name: the one string lookup of a run.
+    relations: Vec<Relation>,
+    relation_ids: FastMap<String, u32>,
+    /// Per run of the batch being processed: its position in `relations`
+    /// (`None`: a relation the catalog does not declare, which the gate
+    /// refuses).
+    run_rels: Vec<Option<u32>>,
     /// The batch shape this program runs: grouped when every statement is an
     /// increment (`+=`) — each run's processing is then a pure state
     /// difference, so the telescoping sum over merged runs is exact — and
@@ -457,9 +503,6 @@ pub struct Engine {
     /// which merging could change, so replace-bearing programs keep their
     /// original run boundaries.
     shape: BatchShape,
-    /// Per-relation batch dispatch, resolved from
-    /// [`TriggerProgram::batch_dispatch`] at construction.
-    dispatch: FastMap<String, DispatchEntry>,
     /// `[trigger][statement]` → the statement's kernel, resolved.
     stmts: Vec<Vec<Bound>>,
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
@@ -671,13 +714,21 @@ impl Engine {
             true => BatchShape::Grouped,
             false => BatchShape::StreamOrder,
         };
-        let schemas = catalog
+        let relations: Vec<Relation> = catalog
             .relations()
             .iter()
-            .map(|r| (r.name.clone(), r.clone()))
+            .map(|meta| Relation {
+                meta: meta.clone(),
+                dispatch: None,
+                base: None,
+            })
             .collect();
-        let mut engine = Engine {
-            program: Arc::new(program),
+        let relation_ids = relations
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (r.meta.name.clone(), i as u32))
+            .collect();
+        let exec = Executor {
             db,
             stats: EngineStats::default(),
             kernel: KernelState::default(),
@@ -687,13 +738,18 @@ impl Engine {
             firing: DeltaBatch::new(),
             merged: DeltaBatch::new(),
             admitted: DeltaBatch::new(),
-            schemas,
+            relations,
+            relation_ids,
+            run_rels: Vec::new(),
             shape,
-            dispatch: FastMap::default(),
             stmts: Vec::new(),
             inits: Vec::new(),
             record_runs: false,
             tel: None,
+        };
+        let mut engine = Engine {
+            program: Arc::new(program),
+            exec,
         };
         engine.resolve();
         engine
@@ -701,18 +757,22 @@ impl Engine {
 
     /// Resolve what the per-event path addresses by position (see the module
     /// docs): declare every secondary index the program's kernels scan, then
-    /// build the dispatch table and bind every statement and static-view
-    /// initializer to map ids. Run by [`Engine::new`] and again whenever a
-    /// map is declared later; the declarations are idempotent and a map
-    /// keeps its id.
+    /// resolve every catalog relation's dispatch and base map and bind every
+    /// statement and static-view initializer to map ids. Run by
+    /// [`Engine::new`] and again whenever a map is declared later; the
+    /// declarations are idempotent and a map keeps its id.
     fn resolve(&mut self) {
         let Engine {
             program,
-            db,
-            dispatch,
-            stmts,
-            inits,
-            ..
+            exec:
+                Executor {
+                    db,
+                    relations,
+                    relation_ids,
+                    stmts,
+                    inits,
+                    ..
+                },
         } = self;
         for decl in program.ordered_indexes() {
             if let Some(view) = db.view_mut(&decl.map) {
@@ -747,33 +807,36 @@ impl Engine {
                 None => Bound::default(),
             })
             .collect();
-        *dispatch = program
-            .batch_dispatch()
-            .into_iter()
-            .map(|d| {
-                let live_pass = program
-                    .live_passes
-                    .iter()
-                    .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
-                    .map(|i| i as u16);
-                let base_live = program
-                    .live_pass_for(&d.relation)
-                    .is_some_and(|lp| lp.live_maps.contains(&d.relation));
-                let tail = program.triggers.iter().any(|t| {
-                    t.relation == d.relation && t.statements.iter().any(|s| s.op == StmtOp::Replace)
-                });
-                let entry = DispatchEntry {
-                    insert: d.insert.map(|i| i as u16),
-                    delete: d.delete.map(|i| i as u16),
-                    strategy: d.strategy,
-                    live_pass,
-                    base: db.id(&d.relation),
-                    base_live,
-                    tail,
-                };
-                (d.relation, entry)
-            })
-            .collect();
+        for r in relations.iter_mut() {
+            r.base = db.id(&r.meta.name);
+        }
+        for d in program.batch_dispatch() {
+            // A relation the catalog does not declare never passes the gate.
+            let Some(&r) = relation_ids.get(&d.relation) else {
+                continue;
+            };
+            let live_pass = program
+                .live_passes
+                .iter()
+                .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
+                .map(|i| i as u16);
+            let base_live = program
+                .live_pass_for(&d.relation)
+                .is_some_and(|lp| lp.live_maps.contains(&d.relation));
+            let tail = program.triggers.iter().any(|t| {
+                t.relation == d.relation && t.statements.iter().any(|s| s.op == StmtOp::Replace)
+            });
+            let r = &mut relations[r as usize];
+            r.dispatch = Some(DispatchEntry {
+                insert: d.insert.map(|i| i as u16),
+                delete: d.delete.map(|i| i as u16),
+                strategy: d.strategy,
+                live_pass,
+                base: r.base,
+                base_live,
+                tail,
+            });
+        }
     }
 
     /// Enable or disable per-run strategy records in [`BatchReport::runs`]
@@ -781,7 +844,7 @@ impl Engine {
     /// hot path keeps at zero). The strategy-run *counters* in
     /// [`EngineStats`] are always maintained.
     pub fn set_run_recording(&mut self, enabled: bool) {
-        self.record_runs = enabled;
+        self.exec.record_runs = enabled;
     }
 
     /// Restore a checkpointed snapshot in place: every map it names is
@@ -795,22 +858,22 @@ impl Engine {
     pub fn restore(&mut self, maps: impl IntoIterator<Item = (String, Gmr)>, events_applied: u64) {
         let mut declared = false;
         for (name, gmr) in maps {
-            let id = match self.db.id(&name) {
+            let id = match self.exec.db.id(&name) {
                 Some(id) => id,
                 None => {
                     // Present in the snapshot but not declared by the
                     // program: a table `load_table` declared on the fly.
                     declared = true;
                     let columns = gmr.schema().columns().iter().cloned();
-                    self.db.declare(name, columns)
+                    self.exec.db.declare(name, columns)
                 }
             };
-            self.db.at_mut(id).load_gmr(&gmr);
+            self.exec.db.at_mut(id).load_gmr(&gmr);
         }
         if declared {
             self.resolve();
         }
-        self.stats.events = events_applied;
+        self.exec.stats.events = events_applied;
     }
 
     /// A no-op, kept only because the frozen benchmark calls it. The engine
@@ -828,19 +891,19 @@ impl Engine {
     /// buffer — or a full copy of a view whose buffer a reader still holds
     /// (see [`crate::store`]).
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
-        self.db.snapshot()
+        self.exec.db.snapshot()
     }
 
     /// What the snapshots taken so far cost, summed over views: keys patched,
     /// entries copied, full copies by reason.
     pub fn snapshot_work(&self) -> SnapshotWork {
-        self.db.snapshot_work()
+        self.exec.db.snapshot_work()
     }
 
     /// Mutable access to the statistics (the serving layer records batch-level
     /// counters here).
     pub fn stats_mut(&mut self) -> &mut EngineStats {
-        &mut self.stats
+        &mut self.exec.stats
     }
 
     /// The compiled program this engine executes.
@@ -866,20 +929,7 @@ impl Engine {
     /// [`Engine::admits`] for a tuple of `relation`: an event's, or a table
     /// row's.
     pub fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
-        let checked = match self.schemas.get(relation) {
-            Some(meta) => meta.check_row(row),
-            None => Err("the catalog declares no such relation".into()),
-        };
-        checked.map_err(|reason| RuntimeError::Refused {
-            relation: relation.to_string(),
-            reason,
-        })
-    }
-
-    /// Does every entry of `run` pass the gate?
-    fn admits_run(&self, run: &RelationDelta) -> bool {
-        let meta = self.schemas.get(run.relation());
-        meta.is_some_and(|meta| run.entries().iter().all(|e| meta.check_row(&e.key).is_ok()))
+        self.exec.admits_row(relation, row)
     }
 
     /// Load the contents of a static table (each row with multiplicity 1). Call
@@ -891,26 +941,26 @@ impl Engine {
         // Collected first: the gate reads the catalog while the view is
         // written.
         let rows: Vec<Vec<Value>> = rows.into_iter().collect();
-        if self.schemas.contains_key(name) {
+        if self.exec.relation_ids.contains_key(name) {
             if let Some(e) = rows.iter().find_map(|r| self.admits_row(name, r).err()) {
                 panic!("load_table: {e}");
             }
         }
         let mut rows = rows.into_iter();
-        let id = match self.db.id(name) {
+        let id = match self.exec.db.id(name) {
             Some(id) => id,
             None => {
                 // Declare on the fly for tables that only appear in view
                 // definitions, taking the arity from the first row.
                 let Some(first) = rows.next() else { return };
                 let columns = (0..first.len()).map(|i| format!("c{i}"));
-                let id = self.db.declare(name, columns);
+                let id = self.exec.db.declare(name, columns);
                 self.resolve();
-                self.db.at_mut(id).add(first, 1.0);
+                self.exec.db.at_mut(id).add(first, 1.0);
                 id
             }
         };
-        let view = self.db.at_mut(id);
+        let view = self.exec.db.at_mut(id);
         for r in rows {
             view.add(r, 1.0);
         }
@@ -921,13 +971,16 @@ impl Engine {
     /// metadata). The kernels read only rows the gate admitted, so this
     /// returns `Ok`; the `Result` stays for callers written against it.
     pub fn init_static_views(&mut self) -> Result<(), RuntimeError> {
-        let program = self.program.clone();
         let Engine {
-            db,
-            kernel,
-            rows,
-            inits,
-            ..
+            program,
+            exec:
+                Executor {
+                    db,
+                    kernel,
+                    rows,
+                    inits,
+                    ..
+                },
         } = self;
         for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
@@ -936,7 +989,12 @@ impl Engine {
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
-                view.add_rows(Coalesce::new(rows.iter().map(|(k, m)| (k, *m))));
+                let all = Seg {
+                    start: 0,
+                    end: rows.len(),
+                    reps: 1,
+                };
+                view.apply_rows(rows, &[all]);
             }
         }
         Ok(())
@@ -944,16 +1002,17 @@ impl Engine {
 
     /// Process a single update event: the degenerate batch of one. Exactly
     /// equivalent to the historical per-event path — one run, one entry, one
-    /// firing. The batch-of-1 is recycled, so an event of arity at most
-    /// [`dbtoaster_gmr::tuple::INLINE_CAP`] (3), whose key stays inline, allocates
-    /// nothing in steady state; a wider one — Lineitem's 16 columns, the order
-    /// book's 5 — spills its key to one heap slab per call.
+    /// firing — after one lookup of the event's relation. An event of a
+    /// relation no trigger reads and no map stores is gated and counted
+    /// only. Any other is copied into the recycled batch of one, so an event
+    /// of arity at most [`dbtoaster_gmr::tuple::INLINE_CAP`] (3), whose key
+    /// stays inline, allocates nothing in steady state; a wider one —
+    /// Lineitem's 16 columns, the order book's 5 — spills its key to one heap
+    /// slab per call. Past that copy each statement reads the event's columns
+    /// in place and fills a kernel slot only with a value it does not already
+    /// hold, and a map write moves the key its statement built.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
-        let mut single = std::mem::take(&mut self.single);
-        single.clear();
-        single.push(event);
-        let report = self.process_batch(&single);
-        self.single = single;
+        let report = self.exec.process(&self.program, event);
         match report.first_error {
             Some(e) => Err(e),
             None => Ok(()),
@@ -964,7 +1023,7 @@ impl Engine {
     /// batch with `DeltaBatch::with_shape(engine.batch_shape())` and
     /// [`Engine::process_batch`] runs it as it is.
     pub fn batch_shape(&self) -> BatchShape {
-        self.shape
+        self.exec.shape
     }
 
     /// Process a delta batch, firing each relation run's triggers under the
@@ -980,7 +1039,85 @@ impl Engine {
             return BatchReport::default();
         }
         let t0 = Instant::now();
-        let program = self.program.clone();
+        self.exec.resolve_runs(batch);
+        self.exec.execute(&self.program, t0, batch)
+    }
+
+    /// Process a sequence of events one at a time, stopping at the first error
+    /// (the historical strict API; batching callers use
+    /// [`Engine::process_batch`]).
+    pub fn process_all<'a>(
+        &mut self,
+        events: impl IntoIterator<Item = &'a UpdateEvent>,
+    ) -> Result<(), RuntimeError> {
+        for e in events {
+            self.process(e)?;
+        }
+        Ok(())
+    }
+}
+
+impl Executor {
+    /// [`Engine::admits_row`].
+    fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
+        match self.relation_ids.get(relation) {
+            Some(&r) => self.relations[r as usize].admits(row),
+            None => Err(RuntimeError::Refused {
+                relation: relation.to_string(),
+                reason: "the catalog declares no such relation".into(),
+            }),
+        }
+    }
+
+    /// Resolve each run of `batch` to its relation: `run_rels`, one lookup a
+    /// run.
+    fn resolve_runs(&mut self, batch: &DeltaBatch) {
+        self.run_rels.clear();
+        let ids = &self.relation_ids;
+        let runs = batch.runs().iter();
+        self.run_rels
+            .extend(runs.map(|run| ids.get(run.relation()).copied()));
+    }
+
+    // -----------------------------------------------------------------------
+    // Batch execution
+    // -----------------------------------------------------------------------
+
+    /// [`Engine::process`].
+    fn process(&mut self, program: &TriggerProgram, event: &UpdateEvent) -> BatchReport {
+        let t0 = Instant::now();
+        let rel = self.relation_ids.get(&event.relation).copied();
+        if let Some(r) = rel.filter(|&r| self.relations[r as usize].is_inert()) {
+            let mut report = BatchReport {
+                events: 1,
+                ..BatchReport::default()
+            };
+            if let Err(e) = self.relations[r as usize].admits(&event.tuple) {
+                report.failed_events = 1;
+                report.first_error = Some(e);
+            }
+            self.arm(report.events);
+            self.end_batch(t0, &report, None);
+            return report;
+        }
+        let mut single = std::mem::take(&mut self.single);
+        single.clear();
+        single.push(event);
+        self.run_rels.clear();
+        self.run_rels.push(rel);
+        let report = self.execute(program, t0, &single);
+        self.single = single;
+        report
+    }
+
+    /// [`Engine::process_batch`] of a non-empty batch, started at `t0`, whose
+    /// runs `run_rels` resolves.
+    fn execute(
+        &mut self,
+        program: &TriggerProgram,
+        t0: Instant,
+        batch: &DeltaBatch,
+    ) -> BatchReport {
         let mut report = BatchReport {
             events: batch.events(),
             ..BatchReport::default()
@@ -1002,10 +1139,17 @@ impl Engine {
             _ => {}
         }
         let source: &DeltaBatch = merged.as_ref().unwrap_or(batch);
+        if merged.is_some() {
+            self.resolve_runs(source);
+        }
         // The ingest gate: a batch holding an entry it refuses is processed
         // as a copy without that entry.
         let mut admitted: Option<DeltaBatch> = None;
-        if !source.runs().iter().all(|run| self.admits_run(run)) {
+        let admits_run = |(run, r): (&RelationDelta, &Option<u32>)| {
+            let rel = r.map(|r| &self.relations[r as usize]);
+            rel.is_some_and(|rel| run.entries().iter().all(|e| rel.admits(&e.key).is_ok()))
+        };
+        if !source.runs().iter().zip(&self.run_rels).all(admits_run) {
             let mut scratch = std::mem::take(&mut self.admitted);
             let mut first = None;
             report.failed_events = source.retain_into(&mut scratch, |run, e| {
@@ -1015,22 +1159,16 @@ impl Engine {
                 admitted
             });
             report.first_error = first;
+            self.resolve_runs(&scratch);
             admitted = Some(scratch);
         }
         let source: &DeltaBatch = admitted.as_ref().unwrap_or(source);
-        // Arm per-run/per-statement span timing only for batches big enough
-        // to amortize the extra clock reads — never the batch-of-1 path.
-        let armed = match self.tel.as_deref_mut() {
-            Some(ts) => {
-                ts.runs_live = 0;
-                ts.armed = report.events >= TRACE_ARM_MIN_EVENTS;
-                ts.armed
-            }
-            None => false,
-        };
+        let armed = self.arm(report.events);
         let mut run_count = 0u32;
         let mut last_strategy: Option<BatchStrategy> = None;
-        for run in source.runs() {
+        let run_rels = std::mem::take(&mut self.run_rels);
+        for (run, rel) in source.runs().iter().zip(&run_rels) {
+            let rel = rel.expect("the gate admits only relations the catalog declares");
             let rt0 = if armed {
                 self.tel
                     .as_deref_mut()
@@ -1040,7 +1178,7 @@ impl Engine {
             } else {
                 None
             };
-            let strat = self.process_run(&program, run, &mut report);
+            let strat = self.process_run(program, run, rel, &mut report);
             run_count += 1;
             last_strategy = strat;
             if let Some(rt0) = rt0 {
@@ -1051,6 +1189,7 @@ impl Engine {
                     .end_run(strat, nanos);
             }
         }
+        self.run_rels = run_rels;
         self.stats.batch_events_collapsed += source.collapsed_events();
         if let Some(m) = merged {
             self.merged = m;
@@ -1058,6 +1197,35 @@ impl Engine {
         if let Some(a) = admitted {
             self.admitted = a;
         }
+        // Strategy attribution without extra clock reads: a single-run batch
+        // (the overwhelmingly common case, and always the batch-of-1 path)
+        // is its one run, so the whole batch measurement is the run's
+        // kernel-execute time. Multi-run batches were attributed per run
+        // above when armed.
+        let whole = last_strategy.filter(|_| run_count == 1 && !armed);
+        self.end_batch(t0, &report, whole);
+        report
+    }
+
+    /// Arm per-run/per-statement span timing for a batch of `events` events
+    /// if it is big enough to amortize the extra clock reads — never the
+    /// batch-of-1 path. Returns whether it armed.
+    fn arm(&mut self, events: u64) -> bool {
+        match self.tel.as_deref_mut() {
+            Some(ts) => {
+                ts.runs_live = 0;
+                ts.armed = events >= TRACE_ARM_MIN_EVENTS;
+                ts.armed
+            }
+            None => false,
+        }
+    }
+
+    /// Count a processed batch begun at `t0`: its events, its busy time and,
+    /// with telemetry, its latency — as the kernel time of `strategy` when
+    /// the batch was that strategy's one unarmed run — and a slow-batch
+    /// trace; every `TELEMETRY_FLUSH_BATCHES` batches, a flush.
+    fn end_batch(&mut self, t0: Instant, report: &BatchReport, strategy: Option<BatchStrategy>) {
         self.stats.events += report.events - report.failed_events;
         self.stats.delta_batches += 1;
         let elapsed = t0.elapsed();
@@ -1065,15 +1233,8 @@ impl Engine {
         if let Some(ts) = self.tel.as_deref_mut() {
             let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
             ts.batch_hist.record(nanos);
-            // Strategy attribution without extra clock reads: a single-run
-            // batch (the overwhelmingly common case, and always the
-            // batch-of-1 path) is its one run, so the whole batch
-            // measurement is the run's kernel-execute time. Multi-run
-            // batches were attributed per run above when armed.
-            if run_count == 1 && !armed {
-                if let Some(s) = last_strategy {
-                    ts.stage_hists[TelemetryState::stage_index(s)].record(nanos);
-                }
+            if let Some(s) = strategy {
+                ts.stage_hists[TelemetryState::stage_index(s)].record(nanos);
             }
             if ts.slow_threshold_nanos > 0 && nanos >= ts.slow_threshold_nanos {
                 let trace = ts.assemble_trace(nanos, report.events);
@@ -1088,39 +1249,24 @@ impl Engine {
                 self.flush_telemetry();
             }
         }
-        report
     }
 
-    /// Process a sequence of events one at a time, stopping at the first error
-    /// (the historical strict API; batching callers use
-    /// [`Engine::process_batch`]).
-    pub fn process_all<'a>(
-        &mut self,
-        events: impl IntoIterator<Item = &'a UpdateEvent>,
-    ) -> Result<(), RuntimeError> {
-        for e in events {
-            self.process(e)?;
-        }
-        Ok(())
-    }
-
-    // -----------------------------------------------------------------------
-    // Batch execution
-    // -----------------------------------------------------------------------
-
-    /// Dispatch one relation run. Returns the strategy that executed
+    /// Dispatch one run of relation `rel` (its position in `relations`).
+    /// Returns the strategy that executed
     /// (`None` when the run applied only a base update).
     fn process_run(
         &mut self,
         program: &TriggerProgram,
         run: &RelationDelta,
+        rel: u32,
         report: &mut BatchReport,
     ) -> Option<BatchStrategy> {
-        let Some(&disp) = self.dispatch.get(run.relation()) else {
+        let rel = &self.relations[rel as usize];
+        let Some(disp) = rel.dispatch else {
             // No trigger for this relation under either sign (e.g. an update
             // to a relation no query depends on): still keep the stored base
             // relation consistent.
-            self.apply_base_run(self.db.id(run.relation()), run);
+            self.apply_base_run(rel.base, run);
             return None;
         };
         let executed = disp.strategy;
@@ -1222,7 +1368,7 @@ impl Engine {
         let stmt = &program.triggers[tidx as usize].statements[j];
         self.set_counter_slot(tidx, j);
         self.stats.statements += 1;
-        let Engine {
+        let Executor {
             db,
             kernel,
             rows,
@@ -1246,8 +1392,8 @@ impl Engine {
             end: rows.len(),
             reps: 1,
         };
-        apply_statement_rows(db, stmt, bound.target, &[all], rows);
         let produced = rows.len() as u64;
+        apply_statement_rows(db, stmt, bound.target, &[all], rows);
         self.note_rows(produced);
         produced
     }
@@ -1266,14 +1412,14 @@ impl Engine {
     ) {
         self.collect_batch_delta(program, disp, run);
         {
-            let Engine {
+            let Executor {
                 db, bd, tel, stmts, ..
             } = self;
-            for ds in &bd.stmts[..bd.live] {
+            for ds in &mut bd.stmts[..bd.live] {
                 let (t, j) = (ds.tidx as usize, ds.stmt as usize);
                 let (stmt, target) = (&program.triggers[t].statements[j], stmts[t][j].target);
                 if !ds.applied {
-                    apply_statement_rows(db, stmt, target, &ds.segs, &ds.rows);
+                    apply_statement_rows(db, stmt, target, &ds.segs, &mut ds.rows);
                 }
                 if let Some(ts) = tel.as_deref_mut() {
                     let slot = ts
@@ -1412,7 +1558,7 @@ impl Engine {
         run: &RelationDelta,
         base: [usize; 2],
     ) -> u64 {
-        let Engine {
+        let Executor {
             db,
             kernel,
             bd,
@@ -1442,7 +1588,7 @@ impl Engine {
             // slice moves.
             let (tidx, statements, bound) = sides[s];
             let listed = |j: usize| tidx.is_some_and(|t| lp.lists(t as usize, j));
-            for _ in 0..entry.firings() {
+            for firing in 1..=entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
                     if !listed(j) {
                         continue;
@@ -1484,18 +1630,21 @@ impl Engine {
                     let id = resolved(bound[j].target, stmt);
                     let ds = &mut bd.stmts[base[s] + j];
                     ds.applied = true;
-                    // This firing's segment: just evaluated, or buffered.
-                    let seg = if listed(j) {
-                        ds.segs[ds.segs.len() - 1]
-                    } else {
-                        ds.segs[k]
+                    // This firing's segment: just evaluated, or buffered —
+                    // and then applied once per firing of the entry. Its keys
+                    // move on its last application: the apply phase only
+                    // accounts for these rows.
+                    let (seg, last) = match listed(j) {
+                        true => (ds.segs[ds.segs.len() - 1], true),
+                        false => (ds.segs[k], firing == entry.firings()),
                     };
                     let view = db.at_mut(id);
-                    for (key, mult) in ds.rows[seg.start..seg.end]
-                        .iter()
-                        .filter(|(_, m)| *m != 0.0)
-                    {
-                        view.add(key.clone(), *mult);
+                    for (key, mult) in &mut ds.rows[seg.start..seg.end] {
+                        let key = match last {
+                            true => std::mem::take(key),
+                            false => key.clone(),
+                        };
+                        view.add(key, *mult);
                     }
                 }
                 if let Some(id) = disp.base.filter(|_| disp.base_live) {
@@ -1517,7 +1666,7 @@ impl Engine {
         tidx: u16,
         stmt_j: u16,
     ) {
-        let Engine {
+        let Executor {
             db,
             kernel,
             bd,
@@ -1563,156 +1712,8 @@ impl Engine {
         self.db.at_mut(id).add_rows(rows);
     }
 
-    /// Snapshot a query result as a GMR over its output columns.
-    pub fn result(&self, query: &str) -> Result<Gmr, RuntimeError> {
-        let qr = self
-            .program
-            .results
-            .iter()
-            .find(|r| r.name == query)
-            .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
-        let ResultAccess::Map(name) = &qr.access;
-        self.db
-            .view(name)
-            .map(|v| v.to_gmr())
-            .ok_or_else(|| RuntimeError::UnknownView(name.clone()))
-    }
-
-    /// Direct access to a view's contents (for tests and debugging).
-    pub fn view(&self, name: &str) -> Option<Gmr> {
-        self.db.view(name).map(|v| v.to_gmr())
-    }
-
-    /// The store itself, read-only (for tests and debugging: its views'
-    /// declared indexes, footprints, ids).
-    pub fn database(&self) -> &Database {
-        &self.db
-    }
-
-    /// Approximate memory footprint of all views and stored relations, in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.db.approx_bytes()
-    }
-
-    /// Total number of entries across all views and stored relations.
-    pub fn total_entries(&self) -> usize {
-        self.db
-            .names()
-            .filter_map(|n| self.db.view(n).map(|v| v.len()))
-            .sum()
-    }
-
-    /// Runtime statistics.
-    pub fn stats(&self) -> &EngineStats {
-        &self.stats
-    }
-
-    /// Structured EXPLAIN of the compiled trigger program: one operator tree
-    /// per statement plus the batch-dispatch decision (and its reason) per
-    /// relation. With telemetry attached the tree carries live per-view
-    /// counters — EXPLAIN ANALYZE — after an implicit
-    /// [`Engine::flush_telemetry`]; without telemetry the `analyze` blocks
-    /// are absent. Render with [`ProgramExplain::render_text`] or
-    /// [`ProgramExplain::render_json`].
-    ///
-    /// [`ProgramExplain::render_text`]: dbtoaster_compiler::ProgramExplain::render_text
-    /// [`ProgramExplain::render_json`]: dbtoaster_compiler::ProgramExplain::render_json
-    pub fn explain(&mut self) -> dbtoaster_compiler::ProgramExplain {
-        self.flush_telemetry();
-        let mut ex = dbtoaster_compiler::explain(&self.program);
-        match self.tel.as_deref() {
-            Some(ts) => {
-                let snap = ts.tel.snapshot();
-                ex.attach_stats(|name| snap.view(name).cloned());
-                ex.attach_index_stats(|name| snap.view(name).cloned());
-            }
-            None => ex.attach_index_stats(|name| {
-                let readings = self.db.view(name)?.readings();
-                Some(ViewSummary {
-                    name: name.to_string(),
-                    ..readings
-                })
-            }),
-        }
-        ex
-    }
-
-    /// Attach a [`Telemetry`] handle. With an enabled handle the engine
-    /// records whole-batch latency, per-strategy kernel timings, per-view
-    /// work counters and slow-batch traces into it — all buffered in plain
-    /// integers and folded into the shared atomics every
-    /// `TELEMETRY_FLUSH_BATCHES` (64) batches (or on
-    /// [`Engine::flush_telemetry`]).
-    /// A disabled handle detaches: the hot path goes back to one predictable
-    /// branch per batch, allocation-free as before.
-    pub fn set_telemetry(&mut self, tel: Telemetry) {
-        if !tel.is_enabled() {
-            self.tel = None;
-            self.kernel.counter_slot = 0;
-            return;
-        }
-        let map_names: Vec<String> = self.db.names().map(|n| n.to_string()).collect();
-        let map_ids: Vec<MapId> = map_names.iter().filter_map(|n| self.db.id(n)).collect();
-        let views: Vec<Arc<ViewRecord>> = map_names
-            .iter()
-            .map(|n| tel.view(n).expect("enabled handle"))
-            .collect();
-        let slot_of = |name: &str| -> u32 {
-            map_names
-                .iter()
-                .position(|n| n == name)
-                .map_or(u32::MAX, |i| i as u32)
-        };
-        let stmt_slot: Vec<Vec<u32>> = self
-            .program
-            .triggers
-            .iter()
-            .map(|t| t.statements.iter().map(|s| slot_of(&s.target)).collect())
-            .collect();
-        let slow_threshold_nanos = {
-            let c = tel.config().expect("enabled handle");
-            c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64
-        };
-        // One kernel counter block per view; reset anything a previous
-        // attachment left behind so counts start from zero.
-        self.kernel.ensure_counter_slots(map_names.len());
-        for c in &self.kernel.counter_slots {
-            let _ = c.take();
-        }
-        self.kernel.counter_slot = 0;
-        let n = map_names.len();
-        self.tel = Some(Box::new(TelemetryState {
-            tel,
-            batch_hist: LocalHistogram::new(),
-            stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
-            views,
-            map_ids,
-            pending_rows: vec![0; n],
-            pending_live: vec![0; n],
-            stmt_slot,
-            flushed_events: self.stats.events,
-            flushed_batches: self.stats.delta_batches,
-            slow_threshold_nanos,
-            armed: false,
-            runs: Vec::new(),
-            runs_live: 0,
-        }));
-    }
-
-    /// The attached telemetry handle, if any.
-    pub fn telemetry(&self) -> Option<&Telemetry> {
-        self.tel.as_ref().map(|t| &t.tel)
-    }
-
-    /// Fold all locally buffered telemetry (latency histograms, event
-    /// totals, and per view its record: the rows and live firings buffered
-    /// here, the kernel's work counters and the store's
-    /// [`ViewMap::readings`](crate::store::ViewMap::readings)) into the
-    /// shared [`Telemetry`] atomics. Allocation-free; runs
-    /// automatically every `TELEMETRY_FLUSH_BATCHES` (64) batches, and callers
-    /// (the serving writer, tests) invoke it before reading a
-    /// snapshot.
-    pub fn flush_telemetry(&mut self) {
+    /// [`Engine::flush_telemetry`].
+    fn flush_telemetry(&mut self) {
         let Some(ts) = self.tel.as_deref_mut() else {
             return;
         };
@@ -1754,13 +1755,173 @@ impl Engine {
         ts.flushed_events = self.stats.events;
         ts.flushed_batches = self.stats.delta_batches;
     }
+}
+
+impl Engine {
+    /// Snapshot a query result as a GMR over its output columns.
+    pub fn result(&self, query: &str) -> Result<Gmr, RuntimeError> {
+        let qr = self
+            .program
+            .results
+            .iter()
+            .find(|r| r.name == query)
+            .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
+        let ResultAccess::Map(name) = &qr.access;
+        self.exec
+            .db
+            .view(name)
+            .map(|v| v.to_gmr())
+            .ok_or_else(|| RuntimeError::UnknownView(name.clone()))
+    }
+
+    /// Direct access to a view's contents (for tests and debugging).
+    pub fn view(&self, name: &str) -> Option<Gmr> {
+        self.exec.db.view(name).map(|v| v.to_gmr())
+    }
+
+    /// The store itself, read-only (for tests and debugging: its views'
+    /// declared indexes, footprints, ids).
+    pub fn database(&self) -> &Database {
+        &self.exec.db
+    }
+
+    /// Approximate memory footprint of all views and stored relations, in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.exec.db.approx_bytes()
+    }
+
+    /// Total number of entries across all views and stored relations.
+    pub fn total_entries(&self) -> usize {
+        self.exec
+            .db
+            .names()
+            .filter_map(|n| self.exec.db.view(n).map(|v| v.len()))
+            .sum()
+    }
+
+    /// Runtime statistics.
+    pub fn stats(&self) -> &EngineStats {
+        &self.exec.stats
+    }
+
+    /// Structured EXPLAIN of the compiled trigger program: one operator tree
+    /// per statement plus the batch-dispatch decision (and its reason) per
+    /// relation. With telemetry attached the tree carries live per-view
+    /// counters — EXPLAIN ANALYZE — after an implicit
+    /// [`Engine::flush_telemetry`]; without telemetry the `analyze` blocks
+    /// are absent. Render with [`ProgramExplain::render_text`] or
+    /// [`ProgramExplain::render_json`].
+    ///
+    /// [`ProgramExplain::render_text`]: dbtoaster_compiler::ProgramExplain::render_text
+    /// [`ProgramExplain::render_json`]: dbtoaster_compiler::ProgramExplain::render_json
+    pub fn explain(&mut self) -> dbtoaster_compiler::ProgramExplain {
+        self.flush_telemetry();
+        let mut ex = dbtoaster_compiler::explain(&self.program);
+        match self.exec.tel.as_deref() {
+            Some(ts) => {
+                let snap = ts.tel.snapshot();
+                ex.attach_stats(|name| snap.view(name).cloned());
+                ex.attach_index_stats(|name| snap.view(name).cloned());
+            }
+            None => ex.attach_index_stats(|name| {
+                let readings = self.exec.db.view(name)?.readings();
+                Some(ViewSummary {
+                    name: name.to_string(),
+                    ..readings
+                })
+            }),
+        }
+        ex
+    }
+
+    /// Attach a [`Telemetry`] handle. With an enabled handle the engine
+    /// records whole-batch latency, per-strategy kernel timings, per-view
+    /// work counters and slow-batch traces into it — all buffered in plain
+    /// integers and folded into the shared atomics every
+    /// `TELEMETRY_FLUSH_BATCHES` (64) batches (or on
+    /// [`Engine::flush_telemetry`]).
+    /// A disabled handle detaches: the hot path goes back to one predictable
+    /// branch per batch, allocation-free as before.
+    pub fn set_telemetry(&mut self, tel: Telemetry) {
+        if !tel.is_enabled() {
+            self.exec.tel = None;
+            self.exec.kernel.counter_slot = 0;
+            return;
+        }
+        let map_names: Vec<String> = self.exec.db.names().map(|n| n.to_string()).collect();
+        let map_ids: Vec<MapId> = map_names
+            .iter()
+            .filter_map(|n| self.exec.db.id(n))
+            .collect();
+        let views: Vec<Arc<ViewRecord>> = map_names
+            .iter()
+            .map(|n| tel.view(n).expect("enabled handle"))
+            .collect();
+        let slot_of = |name: &str| -> u32 {
+            map_names
+                .iter()
+                .position(|n| n == name)
+                .map_or(u32::MAX, |i| i as u32)
+        };
+        let stmt_slot: Vec<Vec<u32>> = self
+            .program
+            .triggers
+            .iter()
+            .map(|t| t.statements.iter().map(|s| slot_of(&s.target)).collect())
+            .collect();
+        let slow_threshold_nanos = {
+            let c = tel.config().expect("enabled handle");
+            c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64
+        };
+        // One kernel counter block per view; reset anything a previous
+        // attachment left behind so counts start from zero.
+        self.exec.kernel.ensure_counter_slots(map_names.len());
+        for c in &self.exec.kernel.counter_slots {
+            let _ = c.take();
+        }
+        self.exec.kernel.counter_slot = 0;
+        let n = map_names.len();
+        self.exec.tel = Some(Box::new(TelemetryState {
+            tel,
+            batch_hist: LocalHistogram::new(),
+            stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
+            views,
+            map_ids,
+            pending_rows: vec![0; n],
+            pending_live: vec![0; n],
+            stmt_slot,
+            flushed_events: self.exec.stats.events,
+            flushed_batches: self.exec.stats.delta_batches,
+            slow_threshold_nanos,
+            armed: false,
+            runs: Vec::new(),
+            runs_live: 0,
+        }));
+    }
+
+    /// The attached telemetry handle, if any.
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.exec.tel.as_ref().map(|t| &t.tel)
+    }
+
+    /// Fold all locally buffered telemetry (latency histograms, event
+    /// totals, and per view its record: the rows and live firings buffered
+    /// here, the kernel's work counters and the store's
+    /// [`ViewMap::readings`](crate::store::ViewMap::readings)) into the
+    /// shared [`Telemetry`] atomics. Allocation-free; runs
+    /// automatically every `TELEMETRY_FLUSH_BATCHES` (64) batches, and callers
+    /// (the serving writer, tests) invoke it before reading a
+    /// snapshot.
+    pub fn flush_telemetry(&mut self) {
+        self.exec.flush_telemetry();
+    }
 
     /// Build a trace sample at the given stream fraction.
     pub fn sample(&self, fraction: f64) -> TraceSample {
         TraceSample {
             fraction,
-            elapsed_secs: self.stats.busy.as_secs_f64(),
-            refresh_rate: self.stats.refresh_rate(),
+            elapsed_secs: self.exec.stats.busy.as_secs_f64(),
+            refresh_rate: self.exec.stats.refresh_rate(),
             memory_mb: self.memory_bytes() as f64 / (1024.0 * 1024.0),
         }
     }
@@ -1777,61 +1938,23 @@ fn resolved(target: Option<MapId>, stmt: &Statement) -> MapId {
     target.unwrap_or_else(|| panic!("statement {stmt} writes an undeclared map"))
 }
 
-/// The one row applier: write a statement's buffered rows to its target map
-/// `target` (resolved at construction), whether the rows are one firing's or
-/// a whole run's. A `:=` statement clears its target first.
+/// The one row applier: drain a statement's buffered rows into its target
+/// map `target` (resolved at construction), whether the rows are one
+/// firing's or a whole run's ([`crate::ViewMap::apply_rows`]: keys move, and
+/// consecutive same-key rows are one write). A `:=` statement clears its
+/// target first.
 fn apply_statement_rows(
     db: &mut Database,
     stmt: &Statement,
     target: Option<MapId>,
     segs: &[Seg],
-    rows: &[(Tuple, f64)],
+    rows: &mut [(Tuple, f64)],
 ) {
     let target = db.at_mut(resolved(target, stmt));
     if stmt.op == StmtOp::Replace {
         target.clear();
     }
-    let it = segs.iter().flat_map(|s| {
-        let slice = &rows[s.start..s.end];
-        (0..s.reps).flat_map(move |_| slice.iter().map(|(k, m)| (k, *m)))
-    });
-    target.add_rows(Coalesce::new(it));
-}
-
-/// Coalesce consecutive same-key rows of a buffered application stream into
-/// one write each. Driven over a whole batch, the entries of a run often hit
-/// the same group keys (every entry, for a scalar aggregate), so this turns
-/// O(entries) target-map writes per statement into O(distinct consecutive
-/// keys). Summation is reassociated relative to per-event processing — exact
-/// on integer weights, last-ulp on floats (the documented batch caveat); a
-/// batch of one entry coalesces nothing beyond what the kernel sink already
-/// did, keeping the batch-of-1 path bit-exact.
-struct Coalesce<'a, I: Iterator<Item = (&'a Tuple, f64)>> {
-    inner: std::iter::Peekable<I>,
-}
-
-impl<'a, I: Iterator<Item = (&'a Tuple, f64)>> Coalesce<'a, I> {
-    fn new(inner: I) -> Self {
-        Coalesce {
-            inner: inner.peekable(),
-        }
-    }
-}
-
-impl<'a, I: Iterator<Item = (&'a Tuple, f64)>> Iterator for Coalesce<'a, I> {
-    type Item = (&'a Tuple, f64);
-
-    fn next(&mut self) -> Option<(&'a Tuple, f64)> {
-        let (key, mut mult) = self.inner.next()?;
-        while let Some(&(next_key, next_mult)) = self.inner.peek() {
-            if next_key != key {
-                break;
-            }
-            mult += next_mult;
-            self.inner.next();
-        }
-        Some((key, mult))
-    }
+    target.apply_rows(rows, segs);
 }
 
 #[cfg(test)]
@@ -2023,7 +2146,7 @@ mod tests {
                 batched.result("Q").unwrap().scalar_value(),
                 "mode {mode}"
             );
-            for name in per_event.db.names() {
+            for name in per_event.database().names() {
                 let a = per_event.view(name).unwrap();
                 let b = batched.view(name).expect("same view set");
                 assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");
@@ -2071,7 +2194,7 @@ mod tests {
                 regrouped.process_batch(&stream_order).runs,
                 "mode {mode}"
             );
-            for name in built.db.names() {
+            for name in built.database().names() {
                 let (a, b) = (built.view(name).unwrap(), regrouped.view(name).unwrap());
                 assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");
             }

@@ -16,10 +16,16 @@
 //!   relations each kernel reads — to ids once, when it is built, and indexes the
 //!   vector from then on. The name table serves the name-addressed API
 //!   ([`Database::view`], [`Database::snapshot`], …) for cold callers.
-//! * **Keys are [`Tuple`]s** — inline up to arity `INLINE_CAP` (3), cheap to clone (at most a few
-//!   `Value` copies or one `Arc` bump), hashed with the fast deterministic
-//!   [`FastMap`] hasher. A single-tuple view update is one hash probe with no key
-//!   allocation.
+//! * **Keys are [`Tuple`]s** — inline up to arity `INLINE_CAP` (3), spilled beyond it to
+//!   one shared slab, hashed with the fast deterministic [`FastMap`] hasher. A write
+//!   moves its key rather than copying it: a statement's buffered rows drain into the
+//!   map ([`ViewMap::apply_rows`]), so a new key enters uncloned and a key the map
+//!   already holds is dropped, the stored one kept, in one hash probe. What is copied
+//!   is what a second holder keeps: the key into the snapshot write log (once per
+//!   write, while the view is snapshotted), its free columns into a hash index when
+//!   it is born, its group projection into an ordered index on every write, and a
+//!   row applied more than once (an entry of net multiplicity above one) for each
+//!   application but its last.
 //! * **Cursor reads** — [`ViewMap::for_each`] streams *borrowed* `(&[Value], f64)`
 //!   entries to a visitor; nothing on the read path clones a stored key. The
 //!   collecting [`ViewMap::lookup`] remains for tests and cold callers.
@@ -579,6 +585,16 @@ impl SnapshotState {
     }
 }
 
+/// One entry's rows within a statement's row buffer, `rows[start..end]`,
+/// and how many times they are applied (`|net multiplicity|` single-tuple
+/// firings); see [`ViewMap::apply_rows`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Seg {
+    pub start: usize,
+    pub end: usize,
+    pub reps: u32,
+}
+
 /// A materialized view: tuples over a fixed-arity key mapped to `f64` multiplicities,
 /// with one declared secondary index per binding pattern its scans use.
 ///
@@ -661,7 +677,8 @@ impl ViewMap {
     }
 
     /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
-    /// in iteration order.
+    /// in iteration order. The rows are borrowed, so each written key is
+    /// cloned; a buffer the caller owns drains through [`ViewMap::apply_rows`].
     pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (&'a Tuple, f64)>) {
         for (key, mult) in rows {
             if mult == 0.0 {
@@ -669,6 +686,45 @@ impl ViewMap {
             }
             self.log_write(key);
             self.add_unlogged(key.clone(), mult);
+        }
+    }
+
+    /// Drain a statement's buffered rows into the view: each segment's rows
+    /// `reps` times over, in order, consecutive rows of one key summed into
+    /// one write. Driven over a whole run, a run's entries often hit the same
+    /// group keys (every entry, for a scalar aggregate), so a statement costs
+    /// O(distinct consecutive keys) writes, not O(entries). Summation is
+    /// reassociated relative to per-event processing — exact on integer
+    /// weights, last-ulp on floats (the documented batch caveat); a run of one
+    /// entry sums nothing the kernel's sink did not.
+    ///
+    /// Keys move: a segment's last application takes each row's key out of
+    /// `rows` (leaving an empty tuple), so a new key enters the map uncloned
+    /// and a key the map holds is dropped, the stored one kept; only the
+    /// earlier applications of a segment with `reps > 1` clone.
+    pub(crate) fn apply_rows(&mut self, rows: &mut [(Tuple, f64)], segs: &[Seg]) {
+        // The stream: each row's index, and whether this is its last visit.
+        let mut stream = segs
+            .iter()
+            .flat_map(|s| {
+                (1..=s.reps).flat_map(move |r| (s.start..s.end).map(move |i| (i, r == s.reps)))
+            })
+            .peekable();
+        while let Some((i, mut last)) = stream.next() {
+            let mut sum = rows[i].1;
+            while let Some(&(j, last_j)) = stream.peek() {
+                if rows[j].0 != rows[i].0 {
+                    break;
+                }
+                sum += rows[j].1;
+                last |= j == i && last_j;
+                stream.next();
+            }
+            let key = match last {
+                true => std::mem::take(&mut rows[i].0),
+                false => rows[i].0.clone(),
+            };
+            self.add(key, sum);
         }
     }
 
@@ -1324,6 +1380,108 @@ mod tests {
         v.add(key(&[1, 2]), 1.0);
         assert_eq!(v.get(&key(&[1, 2])), 1.0);
         assert_eq!(v.get(&key(&[9, 9])), 0.0);
+    }
+
+    /// Where a key's values live: its inline buffer, or its shared slab.
+    fn slab(t: &Tuple) -> *const Value {
+        t.as_slice().as_ptr()
+    }
+
+    /// One segment of `rows`, applied `reps` times.
+    fn all(rows: &[(Tuple, f64)], reps: u32) -> [Seg; 1] {
+        let end = rows.len();
+        [Seg {
+            start: 0,
+            end,
+            reps,
+        }]
+    }
+
+    /// The owned apply moves keys: a row whose key the map holds leaves the
+    /// stored key object in place (its slab, for a wide tuple) and drops its
+    /// own, and a new key enters the map as the very tuple the row held,
+    /// through the hash index too.
+    #[test]
+    fn applied_rows_move_new_keys_in_and_keep_held_ones() {
+        let mut v = ViewMap::new(Schema::new(["a", "b", "c", "d", "e"]));
+        v.declare_hash(0b1);
+        let held = key(&[1, 2, 3, 4, 5]);
+        assert!(!held.is_inline(), "a wide key lives in a shared slab");
+        let held_slab = slab(&held);
+        v.add(held, 1.0);
+        let (again, fresh) = (key(&[1, 2, 3, 4, 5]), key(&[6, 7, 8, 9, 10]));
+        assert_ne!(slab(&again), held_slab, "an equal key built apart");
+        let fresh_slab = slab(&fresh);
+        let mut rows = vec![(again, 2.0), (fresh, 1.0)];
+        let segs = all(&rows, 1);
+        v.apply_rows(&mut rows, &segs);
+        let stored = |k: &[i64]| {
+            let (t, m) = v.data.get_key_value(&key(k)[..]).expect("stored");
+            (slab(t), *m)
+        };
+        assert_eq!(stored(&[1, 2, 3, 4, 5]), (held_slab, 3.0));
+        assert_eq!(stored(&[6, 7, 8, 9, 10]), (fresh_slab, 1.0));
+        assert!(rows.iter().all(|(k, _)| k.is_empty()), "keys moved out");
+        assert_hash_indexes_match_a_rebuild(&v);
+    }
+
+    /// A snapshotted view logs each write's key once, whether the key moved
+    /// in or was dropped: consecutive rows of one key are one write.
+    #[test]
+    fn applied_rows_log_each_written_key_once() {
+        let mut v = ViewMap::new(Schema::new(["a"]));
+        for i in 0..64 {
+            v.add(key(&[i]), 1.0);
+        }
+        let _reader = v.to_gmr();
+        let mut rows = vec![(key(&[1]), 1.0), (key(&[1]), 2.0)];
+        rows.extend([(key(&[70]), 1.0), (key(&[1]), -1.0)]);
+        let segs = [
+            Seg {
+                start: 0,
+                end: 2,
+                reps: 1,
+            },
+            Seg {
+                start: 2,
+                end: 4,
+                reps: 1,
+            },
+        ];
+        v.apply_rows(&mut rows, &segs);
+        let log = &unpoisoned(v.snapshots.lock()).log;
+        assert_eq!(log, &[key(&[1]), key(&[70]), key(&[1])]);
+        assert_eq!((v.get(&key(&[1])), v.get(&key(&[70]))), (3.0, 1.0));
+    }
+
+    /// A segment applied `reps` times is the stream of its rows repeated:
+    /// one key repeated sums its repetitions first and writes once, keys that
+    /// alternate write once per repetition — bit for bit what the borrowing
+    /// applier it replaced wrote (the sums below differ in their last bits
+    /// when associated otherwise).
+    #[test]
+    fn a_segment_applied_reps_times_adds_like_its_rows_repeated() {
+        let mut v = ViewMap::new(Schema::new(["a"]));
+        v.add(key(&[1]), 5.0);
+        v.add(key(&[2]), 5.0);
+        let mut rows = vec![(key(&[1]), 0.1)];
+        let segs = all(&rows, 3);
+        v.apply_rows(&mut rows, &segs);
+        let summed_first: f64 = 5.0 + (0.1 + 0.1 + 0.1);
+        assert_ne!(summed_first, 5.0 + 0.1 + 0.1 + 0.1);
+        assert_eq!(v.get(&key(&[1])).to_bits(), summed_first.to_bits());
+        assert!(rows[0].0.is_empty(), "its last repetition moves");
+        let mut rows = vec![(key(&[2]), 0.1), (key(&[3]), 0.2)];
+        let segs = all(&rows, 2);
+        v.apply_rows(&mut rows, &segs);
+        let one_by_one: f64 = 5.0 + 0.1 + 0.1;
+        assert_ne!(one_by_one, 5.0 + (0.1 + 0.1));
+        assert_eq!(v.get(&key(&[2])).to_bits(), one_by_one.to_bits());
+        assert_eq!(v.get(&key(&[3])).to_bits(), (0.2f64 + 0.2).to_bits());
+        assert!(
+            rows.iter().all(|(k, _)| k.is_empty()),
+            "the last repetition moves"
+        );
     }
 
     #[test]

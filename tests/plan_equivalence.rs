@@ -132,6 +132,39 @@ fn inequality_join_with_a_correlated_lift_compiles() {
     common::check(&case, &common::in_all_modes(Partition::Geometric(1)));
 }
 
+/// `Long(2^53 + 1)` and `Double(2^53)` are equal values but not the same
+/// one: the first passes `B > 2^53` and the second does not, and `B + 1`
+/// is `2^53 + 2` for the first and rounds back to `2^53` for the second. A
+/// stream alternating the two in `R`'s summed column must end where
+/// recomputation does, bit for bit, in every mode. The statements of an
+/// event skip a trigger slot that already holds the event's value; a skip
+/// that asked `==` instead of `Value::is_same` would keep the previous
+/// event's value and fail both queries here.
+#[test]
+fn equal_but_distinct_numbers_refill_their_trigger_slots() {
+    use dbtoaster::agca::UpdateEvent;
+    let big = 1i64 << 53;
+    let row = |i: i64| {
+        let b = match i % 2 {
+            0 => Value::long(big + 1),
+            _ => Value::double(big as f64),
+        };
+        // A distinct `a` per row: `R` as a relation holds both values apart.
+        vec![Value::long(i), b]
+    };
+    let mut events: Vec<UpdateEvent> = (0..12).map(|i| UpdateEvent::insert("R", row(i))).collect();
+    events.push(UpdateEvent::delete("R", row(4)));
+    events.push(UpdateEvent::delete("R", row(7)));
+    let (r, b) = (Expr::rel("R", ["a", "b"]), Expr::var("b"));
+    let above = Expr::cmp(CmpOp::Gt, b.clone(), Expr::val(big));
+    let count = common::scalar_query(vec![r.clone(), above]);
+    let lifted = Expr::lift("x", Expr::sum_of([b, Expr::val(1i64)]));
+    let mut sum = common::scalar_query(vec![r, lifted, Expr::var("x")]);
+    sum.name = "Q2".into();
+    let case = Case::new(Source::Queries(vec![count, sum]), events);
+    common::check(&case, &common::in_all_modes(Partition::PerEvent));
+}
+
 /// `Value` equates −0.0 with 0.0 and hashes them alike, so a map key holds
 /// whichever arrived first and a comparison on it answers for both: in the
 /// generator's `Nested` shape, `R(0, −0.0)` and `R(1, 0)` share the key `b`.
