@@ -3,6 +3,8 @@
 //! This crate implements the query calculus at the core of the paper *"DBToaster:
 //! Higher-order Delta Processing for Dynamic, Frequently Fresh Views"*:
 //!
+//! * [`catalog`] — the schema every layer shares: [`RelationMeta`], [`Catalog`] and
+//!   the [`QuerySpec`]s to maintain over them;
 //! * [`expr`] — the AGCA abstract syntax (constants, variables, relation atoms, lifts,
 //!   comparisons, `+`, `*`, `Sum_A`), Section 3.2;
 //! * [`scope`] — binding-pattern analysis (input/output variables), Section 3.3;
@@ -48,6 +50,7 @@
 //! ```
 
 pub mod batch;
+pub mod catalog;
 pub mod delta;
 pub mod eval;
 pub mod expr;
@@ -56,6 +59,7 @@ pub mod plan;
 pub mod scope;
 
 pub use batch::{BatchShape, DeltaBatch, DeltaEntry, RelationDelta};
+pub use catalog::{Catalog, QuerySpec, RelationMeta};
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
 pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelId, RelationSource};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
@@ -68,6 +72,7 @@ pub use scope::{input_vars, output_vars, var_info, VarInfo};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::batch::{BatchShape, DeltaBatch, DeltaEntry, RelationDelta};
+    pub use crate::catalog::{Catalog, QuerySpec, RelationMeta};
     pub use crate::delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
     pub use crate::eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelationSource};
     pub use crate::expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};

@@ -305,10 +305,10 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn torture_catalog() -> SqlCatalog {
+fn torture_catalog() -> Catalog {
     [
-        TableDef::stream("Orders", ["ordk", "ck", "xch"]),
-        TableDef::stream("Lineitem", ["ordk", "price"]),
+        RelationMeta::stream("Orders", ["ordk", "ck", "xch"]),
+        RelationMeta::stream("Lineitem", ["ordk", "price"]),
     ]
     .into_iter()
     .collect()
@@ -424,7 +424,7 @@ fn torture_iteration(
     base_seed: u64,
     base: &std::path::Path,
     program: &dbtoaster::compiler::TriggerProgram,
-    ccat: &dbtoaster::compiler::Catalog,
+    catalog: &Catalog,
     fp: u64,
     totals: &mut TortureTotals,
 ) {
@@ -464,7 +464,7 @@ fn torture_iteration(
         Degraded,
         Dead,
     }
-    let mut live = Engine::new(program.clone(), ccat);
+    let mut live = Engine::new(program.clone(), catalog);
     let mut applied = 0u64;
     // The durable floor: a watermark recovery must reach (None = nothing was
     // ever guaranteed synced; recovery may legitimately find no state).
@@ -615,7 +615,7 @@ fn torture_iteration(
     totals.faults += fault.faults_injected();
     drop(wal); // release the directory lock before recovering
 
-    let mut recovered = Engine::new(program.clone(), ccat);
+    let mut recovered = Engine::new(program.clone(), catalog);
     let t0 = Instant::now();
     match dbtoaster::durability::recover(&recover_dir, &mut recovered) {
         Err(_) => {
@@ -648,7 +648,7 @@ fn torture_iteration(
             // chunk boundaries (recovery rebuilds one delta batch per WAL
             // record, and records == live chunks), built in stream order for
             // the engine to regroup, as an embedded caller builds them.
-            let mut reference = Engine::new(program.clone(), ccat);
+            let mut reference = Engine::new(program.clone(), catalog);
             let mut rng = chunk_seed ^ 0xD1B5_4A32_D192_ED03;
             let mut at = 0usize;
             while at < w as usize {
@@ -707,7 +707,6 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
         .expect("torture program compiles")
         .program()
         .clone();
-    let ccat = dbtoaster::to_compiler_catalog(&catalog);
     let fp = dbtoaster::durability::program_fingerprint(&program);
     let base = std::env::temp_dir().join(format!("dbt-torture-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
@@ -716,7 +715,15 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
     let mut totals = TortureTotals::default();
     let started = Instant::now();
     for i in 0..iters {
-        torture_iteration(i as u64, base_seed, &base, &program, &ccat, fp, &mut totals);
+        torture_iteration(
+            i as u64,
+            base_seed,
+            &base,
+            &program,
+            &catalog,
+            fp,
+            &mut totals,
+        );
     }
     let _ = std::fs::remove_dir_all(&base);
 

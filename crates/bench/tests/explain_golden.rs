@@ -54,7 +54,7 @@ fn run_batched(
         program.live_passes.clear();
         program.batch_delta_reasons.clear();
     }
-    let mut engine = Engine::new(program, &dbtoaster::to_compiler_catalog(&catalog));
+    let mut engine = Engine::new(program, &catalog);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone());
     }

@@ -5,9 +5,10 @@
 //! of auxiliary views) incrementally as single-tuple updates arrive.
 //!
 //! * [`program`] — the trigger-program IR ([`TriggerProgram`], [`MapDecl`],
-//!   [`Statement`], [`Trigger`]), the relation [`Catalog`] and the
-//!   [`CompileOptions`]/[`CompileMode`] corresponding to the systems compared in the
-//!   paper's evaluation (DBToaster, IVM, Naive, REP).
+//!   [`Statement`], [`Trigger`]) and the [`CompileOptions`]/[`CompileMode`]
+//!   corresponding to the systems compared in the paper's evaluation (DBToaster,
+//!   IVM, Naive, REP). It re-exports the schema types [`Catalog`], [`RelationMeta`]
+//!   and [`QuerySpec`], which `dbtoaster-agca` defines for every layer.
 //! * [`materialize`] — materialization decisions: the heuristic rewrite rules of
 //!   Figure 1 (query decomposition, input-variable extraction, nested-aggregate
 //!   decorrelation) and duplicate view elimination.

@@ -16,142 +16,9 @@
 use crate::compile::CompileError;
 use dbtoaster_agca::plan::template_mask;
 use dbtoaster_agca::{lower_statement, AtomKind, CompiledStmt, Expr, UpdateSign};
-use dbtoaster_gmr::{ColumnType, Value};
+pub use dbtoaster_agca::{Catalog, QuerySpec, RelationMeta};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// Metadata about a base relation known to the compiler.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RelationMeta {
-    /// Relation name (case-sensitive, as used in AGCA atoms).
-    pub name: String,
-    /// Column names, in order.
-    pub columns: Vec<String>,
-    /// Column types, one per column: what `compile` type-checks queries
-    /// against and what the engine admits events by.
-    pub types: Vec<ColumnType>,
-    /// `Stream` for relations receiving updates, `Table` for static relations.
-    pub kind: AtomKind,
-}
-
-impl RelationMeta {
-    /// A stream relation, every column a number.
-    pub fn stream<S: Into<String>>(
-        name: impl Into<String>,
-        columns: impl IntoIterator<Item = S>,
-    ) -> Self {
-        RelationMeta::new(name.into(), columns, AtomKind::Stream)
-    }
-
-    /// A static table, every column a number.
-    pub fn table<S: Into<String>>(
-        name: impl Into<String>,
-        columns: impl IntoIterator<Item = S>,
-    ) -> Self {
-        RelationMeta::new(name.into(), columns, AtomKind::Table)
-    }
-
-    fn new<S: Into<String>>(
-        name: String,
-        columns: impl IntoIterator<Item = S>,
-        kind: AtomKind,
-    ) -> Self {
-        let columns: Vec<String> = columns.into_iter().map(Into::into).collect();
-        RelationMeta {
-            name,
-            types: vec![ColumnType::Number; columns.len()],
-            columns,
-            kind,
-        }
-    }
-
-    /// The relation with the named columns declared strings. Panics on a
-    /// name the relation does not have.
-    pub fn with_strings<S: AsRef<str>>(mut self, columns: impl IntoIterator<Item = S>) -> Self {
-        for c in columns {
-            let c = c.as_ref();
-            let i = self.columns.iter().position(|have| have == c);
-            let i = i.unwrap_or_else(|| panic!("relation {} has no column {c}", self.name));
-            self.types[i] = ColumnType::String;
-        }
-        self
-    }
-
-    /// Does `row` fit the relation — one value per column, each of its
-    /// column's type? If not, why not.
-    pub fn check_row(&self, row: &[Value]) -> Result<(), String> {
-        let (got, want) = (row.len(), self.types.len());
-        if got != want {
-            return Err(format!("{got} values for {want} columns"));
-        }
-        match self.types.iter().zip(row).position(|(t, v)| !t.admits(v)) {
-            None => Ok(()),
-            Some(i) => {
-                let (column, t, v) = (&self.columns[i], self.types[i], &row[i]);
-                Err(format!("column {column} is a {t}, not {v:?}"))
-            }
-        }
-    }
-}
-
-/// The set of base relations visible to a compilation.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct Catalog {
-    relations: Vec<RelationMeta>,
-}
-
-impl Catalog {
-    /// An empty catalog.
-    pub fn new() -> Self {
-        Catalog::default()
-    }
-
-    /// Add a relation (replacing any previous definition of the same name).
-    pub fn add(&mut self, meta: RelationMeta) {
-        self.relations.retain(|r| r.name != meta.name);
-        self.relations.push(meta);
-    }
-
-    /// Look up a relation by name.
-    pub fn get(&self, name: &str) -> Option<&RelationMeta> {
-        self.relations.iter().find(|r| r.name == name)
-    }
-
-    /// All relations.
-    pub fn relations(&self) -> &[RelationMeta] {
-        &self.relations
-    }
-
-    /// Names of all stream relations.
-    pub fn stream_names(&self) -> Vec<String> {
-        self.relations
-            .iter()
-            .filter(|r| r.kind == AtomKind::Stream)
-            .map(|r| r.name.clone())
-            .collect()
-    }
-}
-
-impl FromIterator<RelationMeta> for Catalog {
-    fn from_iter<T: IntoIterator<Item = RelationMeta>>(iter: T) -> Self {
-        let mut c = Catalog::new();
-        for r in iter {
-            c.add(r);
-        }
-        c
-    }
-}
-
-/// A query to compile: a named AGCA expression whose result is to be kept fresh.
-#[derive(Clone, Debug, PartialEq)]
-pub struct QuerySpec {
-    /// Result view name.
-    pub name: String,
-    /// Output (group-by) variables of the result.
-    pub out_vars: Vec<String>,
-    /// The query, over stream/table atoms.
-    pub expr: Expr,
-}
 
 /// A materialized view (map) declaration.
 #[derive(Clone, Debug, PartialEq)]
@@ -801,19 +668,6 @@ impl CompileOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn catalog_lookup_and_replace() {
-        let mut c = Catalog::new();
-        c.add(RelationMeta::stream("R", ["A", "B"]));
-        c.add(RelationMeta::table("Nation", ["NK", "NAME"]));
-        assert_eq!(c.get("R").unwrap().columns, vec!["A", "B"]);
-        assert_eq!(c.stream_names(), vec!["R"]);
-        // Replacing an existing relation keeps a single entry.
-        c.add(RelationMeta::stream("R", ["A"]));
-        assert_eq!(c.get("R").unwrap().columns, vec!["A"]);
-        assert_eq!(c.relations().len(), 2);
-    }
 
     #[test]
     fn statement_reads_distinguish_views_from_base() {

@@ -6,18 +6,15 @@
 //! equivalent of the generated C++/Scala binary — which consumes single-tuple updates
 //! and keeps every query result fresh.
 
-use dbtoaster_agca::{AtomKind, UpdateEvent};
+use dbtoaster_agca::UpdateEvent;
 use dbtoaster_compiler::{
-    compile, Catalog, CompileError, CompileMode, CompileOptions, QuerySpec, RelationMeta,
-    TriggerProgram,
+    compile, Catalog, CompileError, CompileMode, CompileOptions, QuerySpec, TriggerProgram,
 };
 use dbtoaster_durability::DurabilityConfig;
 use dbtoaster_gmr::{Gmr, Value};
 use dbtoaster_runtime::{Engine, EngineStats, RuntimeError, TraceSample};
-use dbtoaster_server::{ServeError, ServedQuery, ServerConfig, ViewServer};
-use dbtoaster_sql::{
-    parse_query, translate, ParseError, SqlCatalog, TranslateError, TranslatedQuery,
-};
+use dbtoaster_server::{ServeError, ServerConfig, ViewServer};
+use dbtoaster_sql::{parse_query, translate, ParseError, TranslateError, TranslatedQuery};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -74,35 +71,27 @@ impl From<ServeError> for DbToasterError {
     }
 }
 
-/// Convert a SQL catalog into the compiler's relation catalog.
-pub fn to_compiler_catalog(catalog: &SqlCatalog) -> Catalog {
-    catalog
-        .tables()
-        .iter()
-        .map(|t| RelationMeta {
-            name: t.name.clone(),
-            columns: t.columns.clone(),
-            types: t.types.clone(),
-            kind: if t.is_stream {
-                AtomKind::Stream
-            } else {
-                AtomKind::Table
-            },
-        })
-        .collect()
+/// The one [`Catalog`] under the name the frozen benchmark declares its
+/// schema by; nothing else uses it.
+pub type SqlCatalog = Catalog;
+
+/// A clone of `catalog`, kept only because the frozen benchmark calls it:
+/// the SQL frontend, the compiler and the engine read one [`Catalog`].
+pub fn to_compiler_catalog(catalog: &Catalog) -> Catalog {
+    catalog.clone()
 }
 
 /// Builder for a [`QueryEngine`].
 #[derive(Clone, Debug)]
 pub struct QueryEngineBuilder {
-    catalog: SqlCatalog,
+    catalog: Catalog,
     queries: Vec<(String, String)>,
     options: CompileOptions,
 }
 
 impl QueryEngineBuilder {
     /// Start a builder over the given schema.
-    pub fn new(catalog: SqlCatalog) -> Self {
+    pub fn new(catalog: Catalog) -> Self {
         QueryEngineBuilder {
             catalog,
             queries: Vec::new(),
@@ -168,18 +157,11 @@ impl QueryEngineBuilder {
             let parsed = parse_query(sql).map_err(|e| DbToasterError::Parse(name.clone(), e))?;
             let plan = translate(name, &parsed, &self.catalog)
                 .map_err(|e| DbToasterError::Translate(name.clone(), e))?;
-            for v in &plan.views {
-                specs.push(QuerySpec {
-                    name: v.name.clone(),
-                    out_vars: v.out_vars.clone(),
-                    expr: v.expr.clone(),
-                });
-            }
+            specs.extend(plan.views.iter().cloned());
             plans.push(plan);
         }
-        let catalog = to_compiler_catalog(&self.catalog);
-        let program = compile(&specs, &catalog, &self.options)?;
-        let engine = Engine::new(program, &catalog);
+        let program = compile(&specs, &self.catalog, &self.options)?;
+        let engine = Engine::new(program, &self.catalog);
         Ok(QueryEngine {
             engine,
             plans: plans.into_iter().map(|p| (p.name.clone(), p)).collect(),
@@ -208,15 +190,26 @@ impl QueryEngine {
 
     /// Load a static table; call [`QueryEngine::init`] once every table is
     /// loaded. Refuses the whole load, loading nothing, when a row does not
-    /// match the table's columns in the catalog ([`Engine::admits_row`]).
+    /// match the table's columns in the catalog ([`Engine::admits_row`]) or
+    /// the engine stores no table of that name. Loading no rows does
+    /// nothing.
     pub fn load_table(
         &mut self,
         name: &str,
         rows: impl IntoIterator<Item = Vec<Value>>,
     ) -> Result<(), DbToasterError> {
         let rows: Vec<Vec<Value>> = rows.into_iter().collect();
+        if rows.is_empty() {
+            return Ok(());
+        }
         for row in &rows {
             self.engine.admits_row(name, row)?;
+        }
+        if self.engine.database().id(name).is_none() {
+            return Err(DbToasterError::Runtime(RuntimeError::Refused {
+                relation: name.to_string(),
+                reason: "no table of that name is stored".into(),
+            }));
         }
         self.engine.load_table(name, rows);
         Ok(())
@@ -317,16 +310,8 @@ impl QueryEngine {
 
     /// Start serving with explicit queue / micro-batch sizing.
     pub fn serve_with(self, config: ServerConfig) -> Result<ViewServer, DbToasterError> {
-        let served = self
-            .plans
-            .values()
-            .map(|p| ServedQuery {
-                name: p.name.clone(),
-                group_by: p.group_by.clone(),
-                outputs: p.outputs.clone(),
-            })
-            .collect();
-        ViewServer::spawn(self.engine, served, config).map_err(DbToasterError::from)
+        let queries = self.plans.into_values().collect();
+        ViewServer::spawn(self.engine, queries, config).map_err(DbToasterError::from)
     }
 
     /// Runtime statistics (events processed, refresh rate).
@@ -392,12 +377,12 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_sql::TableDef;
+    use dbtoaster_compiler::RelationMeta;
 
-    fn catalog() -> SqlCatalog {
+    fn catalog() -> Catalog {
         [
-            TableDef::stream("Orders", ["ordk", "ck", "xch"]),
-            TableDef::stream("Lineitem", ["ordk", "price"]),
+            RelationMeta::stream("Orders", ["ordk", "ck", "xch"]),
+            RelationMeta::stream("Lineitem", ["ordk", "price"]),
         ]
         .into_iter()
         .collect()
@@ -484,6 +469,28 @@ mod tests {
             Err(other) => panic!("expected translate error, got {other}"),
             Ok(_) => panic!("expected translate error"),
         }
+    }
+
+    /// A table the engine cannot hold is refused, not a panic: a name the
+    /// catalog lacks, and a stream no compiled map stores.
+    #[test]
+    fn loading_rows_the_engine_stores_no_table_for_is_refused() {
+        let mut engine = QueryEngineBuilder::new(catalog())
+            .add_query("q", "SELECT SUM(li.price) FROM Lineitem li")
+            .build()
+            .unwrap();
+        let row = vec![Value::long(1), Value::double(2.0)];
+        for name in ["Nowhere", "Lineitem"] {
+            let refused = engine.load_table(name, [row.clone()]);
+            assert!(
+                matches!(
+                    refused,
+                    Err(DbToasterError::Runtime(RuntimeError::Refused { .. }))
+                ),
+                "{name}: {refused:?}"
+            );
+        }
+        assert_eq!(engine.load_table("Nowhere", []), Ok(()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! | crate | contents |
 //! |---|---|
 //! | `dbtoaster-gmr` | generalized multiset relations (values, tuples, the GMR ring) |
-//! | `dbtoaster-agca` | the AGCA calculus: evaluation, delta transform, optimizer |
+//! | `dbtoaster-agca` | the AGCA calculus: evaluation, delta transform, optimizer; the shared schema (`Catalog`, `RelationMeta`, `QuerySpec`) |
 //! | `dbtoaster-sql` | SQL parser and SQL→AGCA translation |
 //! | `dbtoaster-compiler` | viewlet transform & Higher-Order IVM compiler |
 //! | `dbtoaster-runtime` | view store with secondary indexes and the trigger executor |
@@ -23,9 +23,9 @@
 //! ```
 //! use dbtoaster::prelude::*;
 //!
-//! let catalog: SqlCatalog = [
-//!     TableDef::stream("Orders", ["ordk", "ck", "xch"]),
-//!     TableDef::stream("Lineitem", ["ordk", "price"]),
+//! let catalog: Catalog = [
+//!     RelationMeta::stream("Orders", ["ordk", "ck", "xch"]),
+//!     RelationMeta::stream("Lineitem", ["ordk", "price"]),
 //! ].into_iter().collect();
 //!
 //! let mut engine = QueryEngineBuilder::new(catalog)
@@ -47,6 +47,7 @@ pub mod api;
 
 pub use api::{
     to_compiler_catalog, DbToasterError, QueryEngine, QueryEngineBuilder, ResultRow, ResultTable,
+    SqlCatalog,
 };
 
 // Re-export the workspace crates under stable names.
@@ -64,7 +65,8 @@ pub use dbtoaster_workloads as workloads;
 pub mod prelude {
     pub use crate::api::{DbToasterError, QueryEngine, QueryEngineBuilder, ResultRow, ResultTable};
     pub use dbtoaster_agca::{
-        BatchShape, DeltaBatch, DeltaEntry, RelationDelta, UpdateEvent, UpdateSign,
+        BatchShape, Catalog, DeltaBatch, DeltaEntry, RelationDelta, RelationMeta, UpdateEvent,
+        UpdateSign,
     };
     pub use dbtoaster_compiler::{BatchStrategy, CompileMode, CompileOptions, ProgramExplain};
     pub use dbtoaster_durability::{DurabilityConfig, DurabilityError, FsyncPolicy};
@@ -74,7 +76,8 @@ pub mod prelude {
         HttpConfig, IngestHandle, OutputDelta, OutputDeltaBatch, ReaderHandle, SendBatchError,
         ServeError, ServerConfig, Snapshot, Subscription, ViewServer,
     };
-    pub use dbtoaster_sql::{SqlCatalog, TableDef};
+    // The frozen benchmark names the catalog by its old name.
+    pub use crate::api::SqlCatalog;
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
     };

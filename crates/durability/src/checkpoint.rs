@@ -207,7 +207,7 @@ fn read_envelope(at: VfsPath<'_>, fingerprint: u64) -> Result<(u64, Vec<u8>), Du
 }
 
 /// Load and verify one checkpoint file.
-pub fn load_checkpoint<'a>(
+pub(crate) fn load_checkpoint<'a>(
     path: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<Checkpoint, DurabilityError> {
@@ -257,7 +257,7 @@ pub fn load_latest<'a>(
 /// Cheap integrity check of a checkpoint file — the shared envelope
 /// validation (whole-file CRC, magic, version, fingerprint) *without*
 /// decoding the maps. Returns the watermark.
-pub fn verify_checkpoint<'a>(
+pub(crate) fn verify_checkpoint<'a>(
     path: impl Into<VfsPath<'a>>,
     fingerprint: u64,
 ) -> Result<u64, DurabilityError> {

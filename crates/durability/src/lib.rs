@@ -98,7 +98,7 @@ pub mod wal;
 
 pub use checkpoint::{list_checkpoints, load_latest, write_checkpoint, Checkpoint};
 pub use codec::{CodecError, FORMAT_VERSION};
-pub use recover::{has_state, recover, Recovery};
+pub use recover::{recover, Recovery};
 pub use vfs::{std_vfs, FaultConfig, FaultVfs, StdVfs, Vfs, VfsFile, VfsPath};
 pub use wal::{
     acquire_dir_lock, list_segments, prune_segments, ReplayStats, WalReader, WalRecord, WalWriter,
@@ -167,9 +167,6 @@ pub struct DurabilityConfig {
     /// Take a checkpoint after this many applied events (measured since the
     /// previous checkpoint). Checkpoint serialization runs off the hot path.
     pub checkpoint_every_events: u64,
-    /// Retain this many checkpoint files (min 1); WAL segments below the
-    /// oldest retained watermark are pruned.
-    pub keep_checkpoints: usize,
     /// Filesystem every durable byte flows through. [`StdVfs`] (the default)
     /// in production; a [`FaultVfs`] under fault-injection tests.
     pub vfs: Arc<dyn Vfs>,
@@ -179,14 +176,13 @@ pub struct DurabilityConfig {
 
 impl DurabilityConfig {
     /// Defaults: fsync per batch, 16 MiB segments, checkpoint every 200k
-    /// events, keep 2 checkpoints, the real filesystem, default retries.
+    /// events, the real filesystem, default retries.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         DurabilityConfig {
             dir: dir.into(),
             fsync: FsyncPolicy::default(),
             segment_bytes: 16 << 20,
             checkpoint_every_events: 200_000,
-            keep_checkpoints: 2,
             vfs: std_vfs(),
             retry: RetryPolicy::default(),
         }

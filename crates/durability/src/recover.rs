@@ -35,7 +35,7 @@ pub struct Recovery {
 }
 
 /// Does `dir` hold any durable state (checkpoints or WAL segments)?
-pub fn has_state<'a>(dir: impl Into<VfsPath<'a>>) -> Result<bool, DurabilityError> {
+pub(crate) fn has_state<'a>(dir: impl Into<VfsPath<'a>>) -> Result<bool, DurabilityError> {
     let dir = dir.into();
     Ok(!checkpoint::list_checkpoints(dir.clone())?.is_empty()
         || !wal::list_segments(dir)?.is_empty())

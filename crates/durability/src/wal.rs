@@ -298,11 +298,6 @@ impl WalReader {
         })
     }
 
-    /// The segment files, sorted by start sequence.
-    pub fn segments(&self) -> &[(u64, PathBuf)] {
-        &self.segments
-    }
-
     /// Stream every event with sequence number ≥ `from_seq` into `visit`, in
     /// order (per-event convenience wrapper over
     /// [`WalReader::replay_records`]).

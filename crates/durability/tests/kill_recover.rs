@@ -36,10 +36,10 @@ use std::time::{Duration, Instant};
 const EVENTS: usize = 60_000;
 const CHECKPOINT_EVERY: u64 = 8_192;
 
-fn catalog() -> SqlCatalog {
+fn catalog() -> Catalog {
     [
-        TableDef::stream("Orders", ["ordk", "ck", "xch"]),
-        TableDef::stream("Lineitem", ["ordk", "price"]),
+        RelationMeta::stream("Orders", ["ordk", "ck", "xch"]),
+        RelationMeta::stream("Lineitem", ["ordk", "price"]),
     ]
     .into_iter()
     .collect()
@@ -515,7 +515,7 @@ fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly(
         c
     };
     let program = builder().build().unwrap().program().clone();
-    let catalog = dbtoaster::to_compiler_catalog(&workloads::full_catalog());
+    let catalog = workloads::full_catalog();
     let shape = Engine::new(program, &catalog).batch_shape();
     assert_eq!(shape, BatchShape::Grouped, "q1+q6+q12 is increment-only");
 
@@ -635,7 +635,7 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
             .all(|t| t.increments().len() < t.statements.len()),
         "Lineitem lost its `:=` tail"
     );
-    let ccat = dbtoaster::to_compiler_catalog(&catalog());
+    let ccat = catalog();
     let fp = program_fingerprint(&program);
 
     let mut stream: Vec<UpdateEvent> = events()[..2_000].to_vec();

@@ -8,11 +8,13 @@
 //!
 //! ## Coercion rules
 //!
-//! `Long` and `Double` are mutually comparable and hash identically for values that are
-//! exactly representable as `f64` (all keys generated by the workloads are far below
-//! 2^53). This allows, e.g., the literal `100` to be compared against an aggregate whose
-//! value is a double, and an integer key column to join against a value produced by
-//! arithmetic, without a separate static type-checking pass.
+//! `Long` and `Double` are mutually comparable, exactly: `Long(a) == Double(b)` when `b`
+//! is an integer equal to `a`, and the order compares the two numbers themselves, not
+//! `a`'s nearest `f64`. So `==` is transitive (`Long(2^53 + 1)` equals no `Double`) and
+//! equal values hash alike: they share one `f64` image. This allows, e.g., the literal
+//! `100` to be compared against an aggregate whose value is a double, and an integer key
+//! column to join against a value produced by arithmetic, without a separate static
+//! type-checking pass.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -106,9 +108,10 @@ impl Value {
 
     /// Is `other` this very value: the same variant with the same bits, or
     /// the same string body? Not [`PartialEq`], which equates values a
-    /// kernel must still tell apart (`Long(2^53 + 1)` and `Double(2^53)`,
-    /// `-0.0` and `+0.0`): a slot that already holds `other` in this sense
-    /// needs no write, one that only compares equal does.
+    /// kernel must still tell apart (`Long(2^53)` and `Double(2^53)`, whose
+    /// successors differ; `-0.0` and `+0.0`): a slot that already holds
+    /// `other` in this sense needs no write, one that only compares equal
+    /// does.
     #[inline]
     pub fn is_same(&self, other: &Value) -> bool {
         match (self, other) {
@@ -156,16 +159,19 @@ impl Value {
             .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
     }
 
-    /// Total ordering across values: numerics first (by numeric value, see
-    /// [`Value::numeric_cmp`]), then strings.
+    /// Total ordering across values: numerics first, by their exact numeric
+    /// value (two doubles by [`Value::numeric_cmp`], a `Long` and a `Double`
+    /// without rounding the `Long`, NaN above every number), then strings.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         match (self, other) {
             (Long(a), Long(b)) => a.cmp(b),
+            (Double(a), Double(b)) => Value::numeric_cmp(*a, *b),
+            (Long(a), Double(b)) => long_double_cmp(*a, *b),
+            (Double(a), Long(b)) => long_double_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Str(_), _) => Ordering::Greater,
             (_, Str(_)) => Ordering::Less,
-            (a, b) => Value::numeric_cmp(a.as_f64().unwrap(), b.as_f64().unwrap()),
         }
     }
 
@@ -206,6 +212,24 @@ impl Value {
     }
 }
 
+/// `a` against `b`, exactly: no rounding of `a` to an `f64`. NaN is above
+/// every number, as in [`Value::numeric_cmp`].
+fn long_double_cmp(a: i64, b: f64) -> Ordering {
+    // 2^63: the first `f64` above every `i64`. Below it and at or above
+    // -2^63, `b`'s integer part is an `i64`.
+    const LIMIT: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() || b >= LIMIT {
+        return Ordering::Less;
+    }
+    if b < -LIMIT {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    // Equal integer parts: `b`'s fraction decides.
+    a.cmp(&(whole as i64))
+        .then_with(|| whole.partial_cmp(&b).unwrap_or(Ordering::Equal))
+}
+
 fn numeric_binop(
     a: &Value,
     b: &Value,
@@ -226,10 +250,9 @@ impl PartialEq for Value {
         use Value::*;
         match (self, other) {
             (Long(a), Long(b)) => a == b,
+            (Double(a), Double(b)) => Value::numeric_bits(*a) == Value::numeric_bits(*b),
+            (Long(a), Double(b)) | (Double(b), Long(a)) => long_double_cmp(*a, *b).is_eq(),
             (Str(a), Str(b)) => a == b,
-            (a, b) if a.is_numeric() && b.is_numeric() => {
-                Value::numeric_bits(a.as_f64().unwrap()) == Value::numeric_bits(b.as_f64().unwrap())
-            }
             _ => false,
         }
     }
@@ -241,7 +264,9 @@ impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             // Longs hash through their f64 coercion so that Long(1) and Double(1.0)
-            // land in the same hash bucket (they are equal under PartialEq).
+            // land in the same hash bucket (they are equal under PartialEq). A
+            // Long equals a Double only when the Double is its exact value, so
+            // equal values always share the image; unequal ones may too.
             Value::Long(v) => Value::numeric_bits(*v as f64).hash(state),
             Value::Double(v) => Value::numeric_bits(*v).hash(state),
             Value::Str(s) => s.hash(state),
@@ -385,6 +410,21 @@ mod tests {
     }
 
     #[test]
+    fn a_long_equals_a_double_only_at_its_exact_value() {
+        let big = 1i64 << 53;
+        assert_ne!(Value::long(big + 1), Value::double(big as f64));
+        assert!(Value::long(big + 1) > Value::double(big as f64));
+        assert_eq!(Value::long(big), Value::double(big as f64));
+        assert!(Value::long(2) < Value::double(2.5) && Value::long(-2) > Value::double(-2.5));
+        assert!(Value::long(i64::MAX) < Value::double(9_223_372_036_854_775_808.0));
+        assert_eq!(
+            Value::long(i64::MIN),
+            Value::double(-9_223_372_036_854_775_808.0)
+        );
+        assert!(Value::long(i64::MAX) < Value::double(f64::NAN));
+    }
+
+    #[test]
     fn negative_zero_normalizes() {
         assert_eq!(Value::double(0.0), Value::double(-0.0));
         assert_eq!(hash_of(&Value::double(0.0)), hash_of(&Value::double(-0.0)));
@@ -485,10 +525,7 @@ mod tests {
                 Value::double(f64::from_bits(f64::NAN.to_bits() | 1)),
             ),
             (Value::long(1), Value::double(1.0)),
-            (
-                Value::long((1 << 53) + 1),
-                Value::double((1u64 << 53) as f64),
-            ),
+            (Value::long(1 << 53), Value::double((1u64 << 53) as f64)),
             (Value::str("BUILDING"), Value::str("BUILDING")),
         ];
         for (a, b) in &pairs {

@@ -140,3 +140,74 @@ proptest! {
         prop_assert_eq!(a.len(), rr.len());
     }
 }
+
+/// The numbers on which an `f64` image of a `Long` and the `Long` itself part
+/// ways: 0.5, both zeros, NaN, the integers around 2^53 as `Long`s and as the
+/// `Double`s that hold them (2^53 + 1 has none), and ±2^63, one past and at
+/// the ends of `i64`.
+fn hostile_numbers() -> Vec<Value> {
+    let big = 1i64 << 53;
+    let mut values = vec![
+        Value::double(0.5),
+        Value::double(0.0),
+        Value::double(-0.0),
+        Value::double(f64::NAN),
+        Value::long(0),
+        Value::double(9_223_372_036_854_775_808.0),
+        Value::double(-9_223_372_036_854_775_808.0),
+        Value::long(i64::MIN),
+        Value::long(i64::MAX),
+    ];
+    for v in [-2, -1, 0, 1, 2] {
+        values.push(Value::long(big + v));
+        values.push(Value::double((big + v) as f64));
+        values.push(Value::long(-big - v));
+        values.push(Value::double((-big - v) as f64));
+    }
+    values
+}
+
+fn hash_of(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// `==` is an equivalence and `cmp` a total order that agrees with it, and
+/// equal values hash alike, over every triple of the hostile numbers. Before
+/// a `Long` and a `Double` compared exactly, `Long(2^53 + 1) == Double(2^53)
+/// == Long(2^53)` while `Long(2^53 + 1) != Long(2^53)`.
+#[test]
+fn numeric_equality_and_order_are_exact_and_transitive() {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    let values = hostile_numbers();
+    for a in &values {
+        assert_eq!(a, a, "{a:?} equals itself");
+        for b in &values {
+            let ab = a.cmp(b);
+            assert_eq!(
+                ab == Equal,
+                a == b,
+                "cmp {ab:?} but == {} for {a:?}, {b:?}",
+                a == b
+            );
+            assert_eq!(ab, b.cmp(a).reverse(), "{a:?}, {b:?}");
+            if a == b {
+                assert_eq!(hash_of(a), hash_of(b), "{a:?} == {b:?} hash apart");
+            }
+            for c in &values {
+                let (bc, ac) = (b.cmp(c), a.cmp(c));
+                if ab == bc {
+                    assert_eq!(ac, ab, "{a:?} {ab:?} {b:?} {bc:?} {c:?} but {ac:?}");
+                }
+                if ab != Greater && bc != Greater {
+                    assert!(ac != Greater, "{a:?} <= {b:?} <= {c:?} but {a:?} > {c:?}");
+                }
+                if ab != Less && bc != Less {
+                    assert!(ac != Less, "{a:?} >= {b:?} >= {c:?} but {a:?} < {c:?}");
+                }
+            }
+        }
+    }
+}

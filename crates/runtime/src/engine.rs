@@ -96,18 +96,17 @@
 //!   one.
 //!
 //! A statement whose target does not resolve, or a kernel read of a relation that does
-//! not, is a corrupt program and panics where it runs. A map declared later — a table
-//! [`Engine::load_table`] declares on the fly, a map only a snapshot holds — is resolved
-//! when it is declared. What stays a string hash is one lookup per run: its relation's
-//! name → the relation's resolved record (its column types for the gate, its dispatch,
-//! its stored base map). An event of a relation no trigger reads and no map stores is
+//! not, is a corrupt program and panics where it runs. A map declared later — one only
+//! a restored snapshot holds — is resolved when it is declared. What stays a string
+//! hash is one lookup per run: its relation's name → the relation's resolved record
+//! (its column types for the gate, its dispatch, its stored base map). An event of a relation no trigger reads and no map stores is
 //! gated and counted, and nothing else.
 
 use crate::store::{Database, MapId, Seg, SnapshotWork};
 use dbtoaster_agca::batch::{BatchShape, DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
-use dbtoaster_agca::{UpdateEvent, UpdateSign};
+use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
     BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
 };
@@ -686,16 +685,22 @@ fn segs_rows(segs: &[Seg]) -> u64 {
 
 impl Engine {
     /// Build an engine for a compiled program. `catalog` supplies the column names of
-    /// stored base relations and static tables.
+    /// stored base relations and declares every static table, whether or not a view
+    /// reads it, so [`Engine::load_table`] can fill any of them.
     pub fn new(program: TriggerProgram, catalog: &Catalog) -> Self {
         let mut db = Database::new();
         for m in &program.maps {
             db.declare(m.name.clone(), m.out_vars.iter().cloned());
         }
+        let tables = catalog
+            .relations()
+            .iter()
+            .filter(|r| r.kind == AtomKind::Table);
         for rel in program
             .stored_relations
             .iter()
             .chain(program.static_tables.iter())
+            .chain(tables.map(|r| &r.name))
         {
             if db.contains(rel) {
                 continue;
@@ -861,8 +866,9 @@ impl Engine {
             let id = match self.exec.db.id(&name) {
                 Some(id) => id,
                 None => {
-                    // Present in the snapshot but not declared by the
-                    // program: a table `load_table` declared on the fly.
+                    // Present in the snapshot but not declared here: a
+                    // table of another catalog (the checkpoint's
+                    // fingerprint covers the program, not the catalog).
                     declared = true;
                     let columns = gmr.schema().columns().iter().cloned();
                     self.exec.db.declare(name, columns)
@@ -933,33 +939,20 @@ impl Engine {
     }
 
     /// Load the contents of a static table (each row with multiplicity 1). Call
-    /// [`Engine::init_static_views`] after all tables are loaded. The rows of
-    /// a table the catalog declares must pass [`Engine::admits_row`] (the
-    /// `QueryEngine` facade checks them and returns the refusal); an
-    /// ill-typed one panics here, before any kernel could read it.
+    /// [`Engine::init_static_views`] after all tables are loaded. Every row
+    /// must pass [`Engine::admits_row`] (the `QueryEngine` facade checks them
+    /// and returns the refusal): a name the catalog does not declare or an
+    /// ill-typed row panics here, before any kernel could read it.
     pub fn load_table(&mut self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
+        let declared = self.exec.relation_ids.get(name).and(self.exec.db.id(name));
+        let id =
+            declared.unwrap_or_else(|| panic!("load_table: the catalog declares no table {name}"));
         // Collected first: the gate reads the catalog while the view is
         // written.
         let rows: Vec<Vec<Value>> = rows.into_iter().collect();
-        if self.exec.relation_ids.contains_key(name) {
-            if let Some(e) = rows.iter().find_map(|r| self.admits_row(name, r).err()) {
-                panic!("load_table: {e}");
-            }
+        if let Some(e) = rows.iter().find_map(|r| self.admits_row(name, r).err()) {
+            panic!("load_table: {e}");
         }
-        let mut rows = rows.into_iter();
-        let id = match self.exec.db.id(name) {
-            Some(id) => id,
-            None => {
-                // Declare on the fly for tables that only appear in view
-                // definitions, taking the arity from the first row.
-                let Some(first) = rows.next() else { return };
-                let columns = (0..first.len()).map(|i| format!("c{i}"));
-                let id = self.exec.db.declare(name, columns);
-                self.resolve();
-                self.exec.db.at_mut(id).add(first, 1.0);
-                id
-            }
-        };
         let view = self.exec.db.at_mut(id);
         for r in rows {
             view.add(r, 1.0);
@@ -2012,6 +2005,41 @@ mod tests {
         ];
         engine.process_all(&events).unwrap();
         engine.result("Q").unwrap().scalar_value()
+    }
+
+    /// `catalog()` plus a static table that no view of `example1_query` reads.
+    fn nation_engine() -> Engine {
+        let mut catalog = catalog();
+        catalog.add(RelationMeta::table("Nation", ["nationkey", "name"]).with_strings(["NAME"]));
+        let options = CompileOptions::default();
+        let program = compile(&[example1_query()], &catalog, &options).unwrap();
+        Engine::new(program, &catalog)
+    }
+
+    #[test]
+    fn a_loaded_table_no_view_reads_keeps_its_rows_under_its_own_columns() {
+        let mut engine = nation_engine();
+        let france = vec![Value::long(1), Value::str("FRANCE")];
+        engine.load_table(
+            "Nation",
+            [france.clone(), vec![Value::long(2), Value::str("PERU")]],
+        );
+        engine.init_static_views().unwrap();
+        let nation = engine.view("Nation").unwrap();
+        assert_eq!(nation.schema().columns(), ["nationkey", "name"]);
+        assert_eq!((nation.len(), nation.get(&france)), (2, 1.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "load_table: the catalog declares no table Region")]
+    fn loading_a_table_the_catalog_does_not_declare_panics() {
+        nation_engine().load_table("Region", [vec![Value::long(1)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "load_table: event for Nation refused: column name is a string")]
+    fn loading_an_ill_typed_row_panics() {
+        nation_engine().load_table("Nation", [vec![Value::long(1), Value::long(7)]]);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! * **Keys are [`Tuple`]s** — inline up to arity `INLINE_CAP` (3), spilled beyond it to
 //!   one shared slab, hashed with the fast deterministic [`FastMap`] hasher. A write
 //!   moves its key rather than copying it: a statement's buffered rows drain into the
-//!   map ([`ViewMap::apply_rows`]), so a new key enters uncloned and a key the map
+//!   map (`ViewMap::apply_rows`), so a new key enters uncloned and a key the map
 //!   already holds is dropped, the stored one kept, in one hash probe. What is copied
 //!   is what a second holder keeps: the key into the snapshot write log (once per
 //!   write, while the view is snapshotted), its free columns into a hash index when
@@ -587,7 +587,7 @@ impl SnapshotState {
 
 /// One entry's rows within a statement's row buffer, `rows[start..end]`,
 /// and how many times they are applied (`|net multiplicity|` single-tuple
-/// firings); see [`ViewMap::apply_rows`].
+/// firings); see `ViewMap::apply_rows`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Seg {
     pub start: usize,
@@ -678,7 +678,7 @@ impl ViewMap {
 
     /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
     /// in iteration order. The rows are borrowed, so each written key is
-    /// cloned; a buffer the caller owns drains through [`ViewMap::apply_rows`].
+    /// cloned; a buffer the caller owns drains through `ViewMap::apply_rows`.
     pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (&'a Tuple, f64)>) {
         for (key, mult) in rows {
             if mult == 0.0 {

@@ -527,36 +527,16 @@ fn wide_keys_are_probed_and_scanned_without_allocating() {
 fn resident_heap_stays_within_a_multiple_of_memory_bytes() {
     const RESIDENT_PER_CHARGED: f64 = 1.4;
     const RESIDENT_BYTES: f64 = 60e6;
-    use dbtoaster_agca::AtomKind;
-    use dbtoaster_compiler::Catalog;
     use dbtoaster_workloads::{query, tpch, tpch_catalog, TpchConfig};
     const EVENTS: usize = 120_000;
-    let sql_catalog = tpch_catalog();
+    let catalog = tpch_catalog();
     let mut specs = Vec::new();
     for name in ["q1", "q3", "q6", "q10", "q12", "ssb4"] {
         let q = query(name).unwrap();
         let parsed = dbtoaster_sql::parse_query(q.sql).unwrap();
-        let plan = dbtoaster_sql::translate(q.name, &parsed, &sql_catalog).unwrap();
-        specs.extend(plan.views.into_iter().map(|v| QuerySpec {
-            name: v.name,
-            out_vars: v.out_vars,
-            expr: v.expr,
-        }));
+        let plan = dbtoaster_sql::translate(q.name, &parsed, &catalog).unwrap();
+        specs.extend(plan.views);
     }
-    let catalog: Catalog = sql_catalog
-        .tables()
-        .iter()
-        .map(|t| RelationMeta {
-            name: t.name.clone(),
-            columns: t.columns.clone(),
-            types: t.types.clone(),
-            kind: if t.is_stream {
-                AtomKind::Stream
-            } else {
-                AtomKind::Table
-            },
-        })
-        .collect();
     let program = compile(
         &specs,
         &catalog,

@@ -18,6 +18,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
+/// Checkpoint files a durable server retains; WAL segments below the oldest
+/// retained watermark are pruned.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// Every map, handed to the checkpoint thread, which pays the serialization
 /// cost off the hot path. A published view hands over the buffer of the
 /// publish that just happened (it is unwritten since: O(1)); while the thread
@@ -94,7 +98,6 @@ pub(crate) struct DurableState {
     ckpt_tx: Option<SyncSender<CkptJob>>,
     ckpt_thread: Option<JoinHandle<()>>,
     checkpoint_every: u64,
-    keep_checkpoints: usize,
     events_since_ckpt: u64,
     /// Watermark of the newest checkpoint at open, and the warning of a
     /// recovery that skipped damaged checkpoints: handed to the server by
@@ -192,7 +195,6 @@ impl DurableState {
             ckpt_tx: None,
             ckpt_thread: None,
             checkpoint_every: cfg.checkpoint_every_events.max(1),
-            keep_checkpoints: cfg.keep_checkpoints,
             // Replayed events count toward the next checkpoint: without this,
             // a crash-looping server that never applies `checkpoint_every`
             // *new* events between crashes would never advance its watermark,
@@ -230,7 +232,6 @@ impl DurableState {
         let (tx, rx) = mpsc::sync_channel::<CkptJob>(1);
         let shared = shared.clone();
         let dir = self.dir.clone();
-        let keep = self.keep_checkpoints;
         let vfs = self.vfs.clone();
         let fingerprint = self.fingerprint;
         let transient = self.io_errors_transient.clone();
@@ -249,7 +250,9 @@ impl DurableState {
                         &shared.checkpoints_taken,
                         &shared.checkpoint_watermark,
                     )
-                    .and_then(|()| checkpoint::retain_and_prune_wal(at, keep, fingerprint));
+                    .and_then(|()| {
+                        checkpoint::retain_and_prune_wal(at, KEEP_CHECKPOINTS, fingerprint)
+                    });
                     match res {
                         Ok(_) => {}
                         // A transient failure, writing the checkpoint or

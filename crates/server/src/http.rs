@@ -18,7 +18,7 @@
 //! cell, the telemetry registry — none of which the writer thread ever waits
 //! on. Beyond that structural guarantee, the transport itself is bounded:
 //!
-//! * **Connection cap** ([`HttpConfig::max_connections`]): each connection is
+//! * **Connection cap** (8 connections): each connection is
 //!   handled on its own short-lived thread; past the cap the listener answers
 //!   `503` immediately instead of queueing work.
 //! * **Read/write timeouts** ([`HttpConfig::read_timeout`],
@@ -39,15 +39,16 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+/// Connections served concurrently; excess connections get an immediate
+/// `503 Service Unavailable`.
+const MAX_CONNECTIONS: usize = 8;
+
 /// Exporter knobs. The default binds an ephemeral loopback port — read the
 /// bound address back through `ViewServer::http_addr`.
 #[derive(Clone, Debug)]
 pub struct HttpConfig {
     /// Listen address, e.g. `127.0.0.1:0` (ephemeral) or `0.0.0.0:9184`.
     pub addr: String,
-    /// Connections served concurrently; excess connections get an immediate
-    /// `503 Service Unavailable`.
-    pub max_connections: usize,
     /// Per-connection cap on reading the request head.
     pub read_timeout: Duration,
     /// Per-connection cap on writing the response.
@@ -58,7 +59,6 @@ impl Default for HttpConfig {
     fn default() -> Self {
         HttpConfig {
             addr: "127.0.0.1:0".to_string(),
-            max_connections: 8,
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
         }
@@ -127,7 +127,7 @@ fn accept_loop(
     while !stop.load(Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
-                if active.fetch_add(1, Relaxed) >= config.max_connections.max(1) {
+                if active.fetch_add(1, Relaxed) >= MAX_CONNECTIONS {
                     active.fetch_sub(1, Relaxed);
                     let _ = reject_overloaded(stream, &config);
                     continue;

@@ -90,7 +90,7 @@ pub use http::{HttpConfig, HttpExporter};
 pub use results::{assemble_result, ResultRow, ResultTable};
 pub use server::{
     IngestHandle, OutputDelta, OutputDeltaBatch, ReaderHandle, SendBatchError, ServeError,
-    ServedQuery, ServerConfig, Snapshot, Subscription, TrySendError, ViewServer,
+    ServerConfig, Snapshot, Subscription, TrySendError, ViewServer,
 };
 pub use swap::EpochCell;
 

@@ -71,7 +71,7 @@ use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram};
 use dbtoaster_durability::{DurabilityConfig, DurabilityError};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
 use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
-use dbtoaster_sql::OutputColumn;
+use dbtoaster_sql::{OutputColumn, TranslatedQuery};
 use dbtoaster_telemetry::{
     MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig, ValueGroup,
 };
@@ -302,7 +302,7 @@ impl PublishedViews {
     /// The maps named by the served queries' outputs and by the program's
     /// results. A name the engine does not hold is left out; reading it fails
     /// as a missing view would.
-    fn resolve(engine: &Engine, queries: &[ServedQuery]) -> Self {
+    fn resolve(engine: &Engine, queries: &[TranslatedQuery]) -> Self {
         let mut wanted: Vec<&str> = queries
             .iter()
             .flat_map(|q| &q.outputs)
@@ -351,19 +351,6 @@ pub struct OutputDeltaBatch {
     pub deltas: Vec<OutputDelta>,
 }
 
-/// The serving-side description of one query: how to assemble its result table
-/// and (via the compiled program) how to read its output for subscriptions.
-#[derive(Clone, Debug)]
-pub struct ServedQuery {
-    /// Query name.
-    pub name: String,
-    /// Group-by variables (key columns of the maintained views).
-    pub group_by: Vec<String>,
-    /// Output columns in select-list order (empty when the query was registered
-    /// without a SQL plan; results then fall back to the raw result access).
-    pub outputs: Vec<OutputColumn>,
-}
-
 enum Msg {
     Event(UpdateEvent),
     Events(Vec<UpdateEvent>),
@@ -399,7 +386,7 @@ pub(crate) struct Shared {
     /// Watermark (events applied) of the newest successfully written
     /// checkpoint; `/healthz` reports `events - watermark` as checkpoint lag.
     pub(crate) checkpoint_watermark: AtomicU64,
-    queries: FastMap<String, ServedQuery>,
+    queries: FastMap<String, TranslatedQuery>,
     program: Arc<TriggerProgram>,
     /// Is the server durable? Gates the checkpoint-lag readout in `/healthz`.
     durable: bool,
@@ -454,7 +441,11 @@ pub struct ViewServer {
 
 impl ViewServer {
     /// Start serving: moves `engine` into a dedicated writer thread and
-    /// publishes its current state as the epoch-0 snapshot.
+    /// publishes its current state as the epoch-0 snapshot. `queries` are
+    /// the SQL queries whose result tables [`ReaderHandle::query`] assembles
+    /// (their `outputs` and `group_by`), as `dbtoaster_sql::translate`
+    /// returned them; an engine built without SQL serves its program's
+    /// results with none.
     ///
     /// With [`ServerConfig::durability`] set, this is the one durable open.
     /// Under the directory's writer lock, held from the first read until the
@@ -468,7 +459,7 @@ impl ViewServer {
     /// Opening the directory is the only error path.
     pub fn spawn(
         mut engine: Engine,
-        queries: Vec<ServedQuery>,
+        queries: Vec<TranslatedQuery>,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
         // Reuse a telemetry handle the caller already attached (so their

@@ -5,16 +5,19 @@
 //! the Higher-Order IVM compiler.
 //!
 //! * [`lexer`] / [`parser`] / [`ast`] — a small recursive-descent SQL parser;
-//! * [`catalog`] — table definitions ([`SqlCatalog`]);
-//! * [`mod@translate`] — SQL → AGCA translation producing one maintained view per aggregate
-//!   plus a description of how the result columns are read back.
+//! * [`mod@translate`] — SQL → AGCA translation against the shared
+//!   [`Catalog`](dbtoaster_agca::Catalog), producing one maintained view
+//!   ([`QuerySpec`](dbtoaster_agca::QuerySpec)) per aggregate plus a description of how
+//!   the result columns are read back. Table names and column names resolve
+//!   case-insensitively.
 //!
 //! ```
+//! use dbtoaster_agca::{Catalog, RelationMeta};
 //! use dbtoaster_sql::prelude::*;
 //!
-//! let catalog: SqlCatalog = [
-//!     TableDef::stream("Orders", ["ordk", "xch"]),
-//!     TableDef::stream("Lineitem", ["ordk", "price"]),
+//! let catalog: Catalog = [
+//!     RelationMeta::stream("Orders", ["ordk", "xch"]),
+//!     RelationMeta::stream("Lineitem", ["ordk", "price"]),
 //! ].into_iter().collect();
 //!
 //! let q = parse_query(
@@ -26,7 +29,6 @@
 //! ```
 
 pub mod ast;
-pub mod catalog;
 pub mod lexer;
 pub mod parser;
 pub mod translate;
@@ -34,16 +36,12 @@ pub mod translate;
 pub use ast::{
     AggFunc, ArithOp, ColumnRef, Condition, SelectItem, SelectQuery, SqlCmpOp, SqlExpr, TableRef,
 };
-pub use catalog::{SqlCatalog, TableDef};
 pub use parser::{parse_query, ParseError};
-pub use translate::{translate, OutputColumn, TranslateError, TranslatedQuery, ViewSpec};
+pub use translate::{translate, OutputColumn, TranslateError, TranslatedQuery};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::ast::{AggFunc, SelectQuery};
-    pub use crate::catalog::{SqlCatalog, TableDef};
     pub use crate::parser::{parse_query, ParseError};
-    pub use crate::translate::{
-        translate, OutputColumn, TranslateError, TranslatedQuery, ViewSpec,
-    };
+    pub use crate::translate::{translate, OutputColumn, TranslateError, TranslatedQuery};
 }

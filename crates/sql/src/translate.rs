@@ -20,22 +20,10 @@
 use crate::ast::{
     AggFunc, ArithOp, ColumnRef, Condition, SelectQuery, SqlCmpOp, SqlExpr, TableRef,
 };
-use crate::catalog::SqlCatalog;
-use dbtoaster_agca::{CmpOp, Expr, ScalarFn};
+use dbtoaster_agca::{Catalog, CmpOp, Expr, QuerySpec, ScalarFn};
 use dbtoaster_gmr::Value;
 use std::collections::HashMap;
 use std::fmt;
-
-/// A view that must be maintained for the query.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ViewSpec {
-    /// View (map) name.
-    pub name: String,
-    /// Key columns (the query's group-by variables).
-    pub out_vars: Vec<String>,
-    /// Defining AGCA expression over the base relations.
-    pub expr: Expr,
-}
 
 /// How one output column of the query is obtained.
 #[derive(Clone, Debug, PartialEq)]
@@ -73,7 +61,7 @@ pub struct TranslatedQuery {
     /// Group-by variables (key columns of every maintained view).
     pub group_by: Vec<String>,
     /// Views to compile and maintain.
-    pub views: Vec<ViewSpec>,
+    pub views: Vec<QuerySpec>,
     /// Output columns in select-list order.
     pub outputs: Vec<OutputColumn>,
 }
@@ -108,7 +96,7 @@ impl std::error::Error for TranslateError {}
 pub fn translate(
     name: &str,
     query: &SelectQuery,
-    catalog: &SqlCatalog,
+    catalog: &Catalog,
 ) -> Result<TranslatedQuery, TranslateError> {
     let mut tr = Translator {
         catalog,
@@ -125,13 +113,11 @@ pub fn translate(
 
     // Group-by variables and output columns.
     let mut group_by = Vec::new();
-    let mut group_columns: HashMap<String, String> = HashMap::new();
     for g in &query.group_by {
         let var = tr.resolve_column(g, std::slice::from_ref(&scope))?;
         if !group_by.contains(&var) {
-            group_by.push(var.clone());
+            group_by.push(var);
         }
-        group_columns.insert(g.column.to_lowercase(), var);
     }
 
     let mut views = Vec::new();
@@ -182,7 +168,7 @@ pub fn translate(
                             *func,
                             std::slice::from_ref(&scope),
                         )?;
-                        views.push(ViewSpec {
+                        views.push(QuerySpec {
                             name: view_name.clone(),
                             out_vars: group_by.clone(),
                             expr,
@@ -209,12 +195,12 @@ pub fn translate(
                             AggFunc::Count,
                             std::slice::from_ref(&scope),
                         )?;
-                        views.push(ViewSpec {
+                        views.push(QuerySpec {
                             name: sum_name.clone(),
                             out_vars: group_by.clone(),
                             expr: sum_expr,
                         });
-                        views.push(ViewSpec {
+                        views.push(QuerySpec {
                             name: cnt_name.clone(),
                             out_vars: group_by.clone(),
                             expr: cnt_expr,
@@ -239,7 +225,6 @@ pub fn translate(
             "query has no aggregate in its select list".into(),
         ));
     }
-    let _ = group_columns;
     Ok(TranslatedQuery {
         name: name.to_string(),
         group_by,
@@ -252,7 +237,7 @@ pub fn translate(
 // Internals
 // ---------------------------------------------------------------------------
 
-/// One scope: alias → (table name, columns).
+/// One scope: alias → (table name, lowercased columns).
 type Scope = Vec<(String, String, Vec<String>)>;
 
 #[derive(Default)]
@@ -288,7 +273,7 @@ impl UnionFind {
 }
 
 struct Translator<'a> {
-    catalog: &'a SqlCatalog,
+    catalog: &'a Catalog,
     uf: UnionFind,
     fresh: usize,
 }
@@ -302,11 +287,8 @@ impl<'a> Translator<'a> {
                     .catalog
                     .get(&t.table)
                     .ok_or_else(|| TranslateError::UnknownTable(t.table.clone()))?;
-                Ok((
-                    t.alias.to_lowercase(),
-                    def.name.clone(),
-                    def.columns.clone(),
-                ))
+                let columns = def.columns.iter().map(|c| c.to_lowercase()).collect();
+                Ok((t.alias.to_lowercase(), def.name.clone(), columns))
             })
             .collect()
     }
@@ -775,16 +757,16 @@ fn cmp_op(op: SqlCmpOp) -> CmpOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::TableDef;
     use crate::parser::parse_query;
+    use dbtoaster_agca::RelationMeta;
 
-    fn catalog() -> SqlCatalog {
+    fn catalog() -> Catalog {
         [
-            TableDef::stream("Orders", ["ordk", "ck", "xch"]),
-            TableDef::stream("Lineitem", ["ordk", "pk", "price", "qty"]),
-            TableDef::stream("Customer", ["ck", "nk", "acctbal"]),
-            TableDef::stream("Bids", ["t", "id", "broker_id", "price", "volume"]),
-            TableDef::stream("Asks", ["t", "id", "broker_id", "price", "volume"]),
+            RelationMeta::stream("Orders", ["ordk", "ck", "xch"]),
+            RelationMeta::stream("Lineitem", ["ordk", "pk", "price", "qty"]),
+            RelationMeta::stream("Customer", ["ck", "nk", "acctbal"]),
+            RelationMeta::stream("Bids", ["t", "id", "broker_id", "price", "volume"]),
+            RelationMeta::stream("Asks", ["t", "id", "broker_id", "price", "volume"]),
         ]
         .into_iter()
         .collect()
@@ -936,5 +918,24 @@ mod tests {
         );
         let s = t.views[0].expr.to_string();
         assert!(s.contains("="), "IN list becomes equalities: {s}");
+    }
+
+    /// Tables and columns resolve whatever their case in the catalog or the
+    /// query: the atom names the relation as the catalog stores it, and the
+    /// variables are lowercase.
+    #[test]
+    fn table_and_column_names_resolve_case_insensitively() {
+        let q = parse_query("SELECT SUM(L.PRICE) FROM lineitem l WHERE l.Ordk = 1").unwrap();
+        let view = |columns: [&str; 2]| {
+            let catalog: Catalog = [RelationMeta::stream("LineItem", columns)]
+                .into_iter()
+                .collect();
+            translate("q", &q, &catalog).unwrap().views[0]
+                .expr
+                .to_string()
+        };
+        let upper = view(["ORDK", "Price"]);
+        assert_eq!(upper, view(["ordk", "price"]));
+        assert!(upper.contains("LineItem(l_ordk, l_price)"), "{upper}");
     }
 }

@@ -10,7 +10,7 @@
 //! * **MDDB molecular dynamics** — the `AtomPositions` insert stream plus the static
 //!   `AtomMeta` table.
 
-use dbtoaster_sql::{SqlCatalog, TableDef};
+use dbtoaster_agca::{Catalog, RelationMeta};
 
 /// Column list of a TPC-H-like relation.
 pub fn tpch_columns(table: &str) -> Option<Vec<&'static str>> {
@@ -64,15 +64,15 @@ pub fn tpch_strings(table: &str) -> &'static [&'static str] {
 
 /// The TPC-H-like catalog. `Nation` and `Region` are static tables; everything else is
 /// an update stream.
-pub fn tpch_catalog() -> SqlCatalog {
-    let mut c = SqlCatalog::new();
+pub fn tpch_catalog() -> Catalog {
+    let mut c = Catalog::new();
     for t in [
         "Customer", "Orders", "Lineitem", "Part", "Supplier", "Partsupp",
     ] {
-        c.add(TableDef::stream(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
+        c.add(RelationMeta::stream(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
     }
     for t in ["Nation", "Region"] {
-        c.add(TableDef::table(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
+        c.add(RelationMeta::table(t, tpch_columns(t).unwrap()).with_strings(tpch_strings(t)));
     }
     c
 }
@@ -84,10 +84,10 @@ pub fn finance_columns() -> Vec<&'static str> {
 
 /// The financial order-book catalog: `Bids` and `Asks` update streams, every
 /// column a number.
-pub fn finance_catalog() -> SqlCatalog {
-    let mut c = SqlCatalog::new();
-    c.add(TableDef::stream("Bids", finance_columns()));
-    c.add(TableDef::stream("Asks", finance_columns()));
+pub fn finance_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.add(RelationMeta::stream("Bids", finance_columns()));
+    c.add(RelationMeta::stream("Asks", finance_columns()));
     c
 }
 
@@ -102,14 +102,14 @@ pub fn mddb_columns(table: &str) -> Option<Vec<&'static str>> {
 
 /// The MDDB catalog: an `AtomPositions` insert stream of numbers and a static
 /// `AtomMeta` table whose residue and atom names are strings.
-pub fn mddb_catalog() -> SqlCatalog {
-    let mut c = SqlCatalog::new();
-    c.add(TableDef::stream(
+pub fn mddb_catalog() -> Catalog {
+    let mut c = Catalog::new();
+    c.add(RelationMeta::stream(
         "AtomPositions",
         mddb_columns("AtomPositions").unwrap(),
     ));
     c.add(
-        TableDef::table("AtomMeta", mddb_columns("AtomMeta").unwrap())
+        RelationMeta::table("AtomMeta", mddb_columns("AtomMeta").unwrap())
             .with_strings(["residue_name", "atom_name"]),
     );
     c
@@ -117,13 +117,14 @@ pub fn mddb_catalog() -> SqlCatalog {
 
 /// A catalog containing every workload relation (used by tools that compile the whole
 /// query set at once).
-pub fn full_catalog() -> SqlCatalog {
+pub fn full_catalog() -> Catalog {
     let mut c = tpch_catalog();
-    for t in finance_catalog().tables() {
-        c.add(t.clone());
-    }
-    for t in mddb_catalog().tables() {
-        c.add(t.clone());
+    for r in finance_catalog()
+        .relations()
+        .iter()
+        .chain(mddb_catalog().relations())
+    {
+        c.add(r.clone());
     }
     c
 }
@@ -131,22 +132,41 @@ pub fn full_catalog() -> SqlCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtoaster_agca::AtomKind;
 
     #[test]
     fn catalogs_contain_expected_tables() {
         let t = tpch_catalog();
-        assert!(t.get("Lineitem").unwrap().is_stream);
-        assert!(!t.get("Nation").unwrap().is_stream);
-        assert!(t.get("lineitem").unwrap().has_column("SHIPDATE"));
+        assert_eq!(t.get("Lineitem").unwrap().kind, AtomKind::Stream);
+        assert_eq!(t.get("Nation").unwrap().kind, AtomKind::Table);
+        assert!(t
+            .get("lineitem")
+            .unwrap()
+            .columns
+            .iter()
+            .any(|c| c == "shipdate"));
 
         let f = finance_catalog();
-        assert!(f.get("Bids").unwrap().has_column("broker_id"));
+        assert!(f
+            .get("Bids")
+            .unwrap()
+            .columns
+            .iter()
+            .any(|c| c == "broker_id"));
 
         let m = mddb_catalog();
-        assert!(!m.get("AtomMeta").unwrap().is_stream);
+        assert_eq!(m.get("AtomMeta").unwrap().kind, AtomKind::Table);
 
         let all = full_catalog();
         assert!(all.get("Bids").is_some() && all.get("Orders").is_some());
+        // Lookup ignores case, so no two relation names may differ only in it.
+        let rels = all.relations();
+        assert_eq!(rels.len(), 8 + 2 + 2);
+        for (i, a) in rels.iter().enumerate() {
+            assert!(rels[..i]
+                .iter()
+                .all(|b| !b.name.eq_ignore_ascii_case(&a.name)));
+        }
     }
 
     #[test]

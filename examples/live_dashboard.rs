@@ -15,10 +15,10 @@ use dbtoaster::prelude::*;
 use dbtoaster::QueryEngineBuilder;
 use std::thread;
 
-fn catalog() -> SqlCatalog {
+fn catalog() -> Catalog {
     [
-        TableDef::stream("Orders", ["ordk", "custk", "xch"]),
-        TableDef::stream("Lineitem", ["ordk", "ptk", "price"]),
+        RelationMeta::stream("Orders", ["ordk", "custk", "xch"]),
+        RelationMeta::stream("Lineitem", ["ordk", "ptk", "price"]),
     ]
     .into_iter()
     .collect()

@@ -10,9 +10,9 @@ use dbtoaster::prelude::*;
 
 fn main() -> Result<(), DbToasterError> {
     // 1. Declare the schema: two update streams.
-    let catalog: SqlCatalog = [
-        TableDef::stream("Orders", ["ordk", "custk", "xch"]),
-        TableDef::stream("Lineitem", ["ordk", "ptk", "price"]),
+    let catalog: Catalog = [
+        RelationMeta::stream("Orders", ["ordk", "custk", "xch"]),
+        RelationMeta::stream("Lineitem", ["ordk", "ptk", "price"]),
     ]
     .into_iter()
     .collect();

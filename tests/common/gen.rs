@@ -880,7 +880,7 @@ pub fn shaped(shapes: &[Shape], seed: u64, len: usize) -> Case {
 
 /// The bundled workload catalog, as the compiler sees it.
 pub fn workload_catalog() -> Catalog {
-    dbtoaster::to_compiler_catalog(&workloads::full_catalog())
+    workloads::full_catalog()
 }
 
 /// The program of workload queries `names` in one engine, through the SQL

@@ -425,7 +425,9 @@ fn query_engine_reports_compilation_features() {
 #[test]
 fn unlowerable_sql_is_rejected_by_build() {
     use dbtoaster::compiler::CompileError;
-    let catalog: SqlCatalog = [TableDef::stream("R", ["a", "b"])].into_iter().collect();
+    let catalog: Catalog = [RelationMeta::stream("R", ["a", "b"])]
+        .into_iter()
+        .collect();
     for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
         let err = QueryEngineBuilder::new(catalog.clone())
             .add_query("q", "SELECT SUM('x') FROM R r")
@@ -556,7 +558,7 @@ fn indexes_are_declared_before_the_first_event() {
                 .chain(program.maps.iter().filter_map(|m| m.init.as_ref()))
                 .cloned()
                 .collect();
-            let mut engine = Engine::new(program, &dbtoaster::to_compiler_catalog(&catalog));
+            let mut engine = Engine::new(program, &catalog);
             for (table, rows) in &data.tables {
                 engine.load_table(table, rows.clone());
             }

@@ -132,26 +132,60 @@ fn inequality_join_with_a_correlated_lift_compiles() {
     common::check(&case, &common::in_all_modes(Partition::Geometric(1)));
 }
 
-/// `Long(2^53 + 1)` and `Double(2^53)` are equal values but not the same
-/// one: the first passes `B > 2^53` and the second does not, and `B + 1`
-/// is `2^53 + 2` for the first and rounds back to `2^53` for the second. A
-/// stream alternating the two in `R`'s summed column must end where
-/// recomputation does, bit for bit, in every mode. The statements of an
-/// event skip a trigger slot that already holds the event's value; a skip
+/// `Long(2^53)` and `Double(2^53)` are equal values but not the same one:
+/// `B + 1` is `2^53 + 1` for the first and rounds back to `2^53` for the
+/// second. A stream alternating the two in `R`'s summed column must end
+/// where recomputation does, bit for bit, in every mode. The statements of
+/// an event skip a trigger slot that already holds the event's value; a skip
 /// that asked `==` instead of `Value::is_same` would keep the previous
-/// event's value and fail both queries here.
+/// event's value and fail `Q2` here.
 #[test]
 fn equal_but_distinct_numbers_refill_their_trigger_slots() {
-    use dbtoaster::agca::UpdateEvent;
+    let big = 1i64 << 53;
+    let row = |i: i64| {
+        let b = match i % 2 {
+            0 => Value::long(big),
+            _ => Value::double(big as f64),
+        };
+        // A distinct `a` per row: `R` as a relation holds both values apart.
+        vec![Value::long(i), b]
+    };
+    let case = past_2_53_case(row);
+    common::check(&case, &common::in_all_modes(Partition::PerEvent));
+}
+
+/// `Long(2^53 + 1)` and `Double(2^53)` are different numbers, so `R` holds
+/// `(0, Long(2^53 + 1))` and `(0, Double(2^53))` as two rows even though
+/// they share their key `a`: the first passes `B > 2^53` and the second does
+/// not. When `Value` compared the two through `f64` they were equal, `R`
+/// kept whichever arrived first, and the per-event higher-order engine
+/// counted 5 rows above 2^53 where recomputation counted 8. Per event,
+/// batched and recomputed must agree bit for bit, in every mode.
+#[test]
+fn unequal_numbers_past_2_53_under_one_key_stay_apart() {
     let big = 1i64 << 53;
     let row = |i: i64| {
         let b = match i % 2 {
             0 => Value::long(big + 1),
             _ => Value::double(big as f64),
         };
-        // A distinct `a` per row: `R` as a relation holds both values apart.
-        vec![Value::long(i), b]
+        vec![Value::long(0), b]
     };
+    let case = past_2_53_case(row);
+    for partition in [
+        Partition::PerEvent,
+        Partition::Fixed(3),
+        Partition::Fixed(64),
+    ] {
+        common::check(&case, &common::in_all_modes(partition));
+    }
+}
+
+/// Twelve inserts of `row(i)` into `R(a, b)` and two deletes, under
+/// `Q = COUNT(b > 2^53)` and `Q2 = SUM(x) WHERE x := b + 1`.
+fn past_2_53_case(row: impl Fn(i64) -> Vec<Value>) -> Case {
+    use dbtoaster::agca::UpdateEvent;
+    let big = 1i64 << 53;
     let mut events: Vec<UpdateEvent> = (0..12).map(|i| UpdateEvent::insert("R", row(i))).collect();
     events.push(UpdateEvent::delete("R", row(4)));
     events.push(UpdateEvent::delete("R", row(7)));
@@ -161,8 +195,7 @@ fn equal_but_distinct_numbers_refill_their_trigger_slots() {
     let lifted = Expr::lift("x", Expr::sum_of([b, Expr::val(1i64)]));
     let mut sum = common::scalar_query(vec![r, lifted, Expr::var("x")]);
     sum.name = "Q2".into();
-    let case = Case::new(Source::Queries(vec![count, sum]), events);
-    common::check(&case, &common::in_all_modes(Partition::PerEvent));
+    Case::new(Source::Queries(vec![count, sum]), events)
 }
 
 /// `Value` equates −0.0 with 0.0 and hashes them alike, so a map key holds
