@@ -9,9 +9,11 @@
 //!
 //! Case rules:
 //! - names are stored as given, and AGCA atoms name a relation exactly as
-//!   stored;
-//! - [`Catalog::get`] and [`Catalog::add`]'s replacement match relation
-//!   names ASCII case-insensitively, as SQL table lookup does;
+//!   stored: [`Catalog::get`], which the compiler and the engine use, matches
+//!   names exactly;
+//! - [`Catalog::find`], which the SQL frontend uses, and [`Catalog::add`]'s
+//!   replacement match relation names ASCII case-insensitively, so a catalog
+//!   never holds two names that differ only in case;
 //! - [`RelationMeta::with_strings`] matches column names ASCII
 //!   case-insensitively. The SQL frontend lowercases a relation's columns
 //!   when it builds a scope, so SQL column references are case-insensitive.
@@ -121,8 +123,15 @@ impl Catalog {
         self.relations.push(meta);
     }
 
-    /// Look up a relation by name, ASCII case-insensitively.
+    /// Look up a relation by its name exactly as stored, as an AGCA atom
+    /// names it.
     pub fn get(&self, name: &str) -> Option<&RelationMeta> {
+        self.relations.iter().find(|r| r.name == name)
+    }
+
+    /// Look up a relation by name, ASCII case-insensitively, as SQL names a
+    /// table.
+    pub fn find(&self, name: &str) -> Option<&RelationMeta> {
         self.relations
             .iter()
             .find(|r| r.name.eq_ignore_ascii_case(name))
@@ -169,19 +178,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lookup_and_replace_ignore_ascii_case_and_names_stay_as_given() {
+    fn find_and_replace_ignore_ascii_case_get_does_not() {
         let mut c = Catalog::new();
         c.add(RelationMeta::stream("R", ["A", "B"]));
         c.add(RelationMeta::table("Nation", ["NK", "NAME"]));
-        assert_eq!(c.get("r").unwrap().columns, vec!["A", "B"]);
-        assert_eq!(c.get("NATION").unwrap().name, "Nation");
+        assert_eq!(c.find("r").unwrap().columns, vec!["A", "B"]);
+        assert_eq!(c.find("NATION").unwrap().name, "Nation");
+        assert_eq!(c.get("Nation").unwrap().name, "Nation");
+        assert!(c.get("r").is_none() && c.get("NATION").is_none());
         assert_eq!(c.stream_names(), vec!["R"]);
-        // Replacing an existing relation keeps a single entry.
+        // Replacing an existing relation keeps a single entry, named as the
+        // replacement names it.
         c.add(RelationMeta::table("r", ["A"]));
         assert_eq!(c.relations().len(), 2);
-        let r = c.get("R").unwrap();
+        assert!(c.get("R").is_none());
+        let r = c.get("r").unwrap();
         assert_eq!((r.name.as_str(), r.kind), ("r", AtomKind::Table));
-        assert!(c.get("S").is_none());
+        assert!(c.find("S").is_none());
     }
 
     #[test]

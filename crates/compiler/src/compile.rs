@@ -974,4 +974,24 @@ mod tests {
         // Both compile; the naive program materializes at least as many maps.
         assert!(naive.maps.len() >= ho.maps.len());
     }
+
+    #[test]
+    fn an_atom_naming_a_relation_in_another_case_is_unknown() {
+        // The catalog holds `R`; AGCA atoms name relations exactly as stored.
+        let mut q = count_query();
+        q.expr = Expr::agg_sum(Vec::<String>::new(), Expr::rel("r", ["A", "B"]));
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let err = compile(&[q.clone()], &rs_catalog(), &CompileOptions::for_mode(mode));
+            assert_eq!(
+                err.unwrap_err(),
+                CompileError::UnknownRelation("r".into()),
+                "{mode}"
+            );
+        }
+    }
 }

@@ -189,10 +189,10 @@ impl QueryEngine {
     }
 
     /// Load a static table; call [`QueryEngine::init`] once every table is
-    /// loaded. Refuses the whole load, loading nothing, when a row does not
-    /// match the table's columns in the catalog ([`Engine::admits_row`]) or
-    /// the engine stores no table of that name. Loading no rows does
-    /// nothing.
+    /// loaded. Refuses the whole load, loading nothing, when
+    /// [`Engine::admits_table`] refuses it: the catalog declares no such
+    /// relation, it is a stream no map stores, or a row does not match the
+    /// relation's columns. Loading no rows does nothing.
     pub fn load_table(
         &mut self,
         name: &str,
@@ -202,15 +202,7 @@ impl QueryEngine {
         if rows.is_empty() {
             return Ok(());
         }
-        for row in &rows {
-            self.engine.admits_row(name, row)?;
-        }
-        if self.engine.database().id(name).is_none() {
-            return Err(DbToasterError::Runtime(RuntimeError::Refused {
-                relation: name.to_string(),
-                reason: "no table of that name is stored".into(),
-            }));
-        }
+        self.engine.admits_table(name, &rows)?;
         self.engine.load_table(name, rows);
         Ok(())
     }

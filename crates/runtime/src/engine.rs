@@ -938,22 +938,40 @@ impl Engine {
         self.exec.admits_row(relation, row)
     }
 
+    /// May [`Engine::load_table`] load `rows` into `name`? It may when the
+    /// catalog declares `name`, the engine stores it (every catalog table is
+    /// stored; a stream only when some map keeps its base relation), and
+    /// every row passes [`Engine::admits_row`].
+    pub fn admits_table(&self, name: &str, rows: &[Vec<Value>]) -> Result<(), RuntimeError> {
+        let refused = |reason: &str| RuntimeError::Refused {
+            relation: name.to_string(),
+            reason: reason.into(),
+        };
+        match (
+            self.exec.relation_ids.contains_key(name),
+            self.exec.db.id(name),
+        ) {
+            (false, _) => Err(refused("the catalog declares no such relation")),
+            (true, None) => Err(refused("it is a stream no map stores")),
+            (true, Some(_)) => rows.iter().try_for_each(|r| self.admits_row(name, r)),
+        }
+    }
+
     /// Load the contents of a static table (each row with multiplicity 1). Call
-    /// [`Engine::init_static_views`] after all tables are loaded. Every row
-    /// must pass [`Engine::admits_row`] (the `QueryEngine` facade checks them
-    /// and returns the refusal): a name the catalog does not declare or an
-    /// ill-typed row panics here, before any kernel could read it.
+    /// [`Engine::init_static_views`] after all tables are loaded. The load
+    /// must pass [`Engine::admits_table`] (the `QueryEngine` facade asks it
+    /// and returns the refusal): a refused load panics here, before any
+    /// kernel could read a row.
     pub fn load_table(&mut self, name: &str, rows: impl IntoIterator<Item = Vec<Value>>) {
-        let declared = self.exec.relation_ids.get(name).and(self.exec.db.id(name));
-        let id =
-            declared.unwrap_or_else(|| panic!("load_table: the catalog declares no table {name}"));
-        // Collected first: the gate reads the catalog while the view is
-        // written.
         let rows: Vec<Vec<Value>> = rows.into_iter().collect();
-        if let Some(e) = rows.iter().find_map(|r| self.admits_row(name, r).err()) {
+        if let Err(e) = self.admits_table(name, &rows) {
             panic!("load_table: {e}");
         }
-        let view = self.exec.db.at_mut(id);
+        let view = self
+            .exec
+            .db
+            .view_mut(name)
+            .expect("admitted tables are stored");
         for r in rows {
             view.add(r, 1.0);
         }
@@ -2031,7 +2049,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "load_table: the catalog declares no table Region")]
+    #[should_panic(
+        expected = "load_table: event for Region refused: the catalog declares no such relation"
+    )]
     fn loading_a_table_the_catalog_does_not_declare_panics() {
         nation_engine().load_table("Region", [vec![Value::long(1)]]);
     }

@@ -285,7 +285,7 @@ impl<'a> Translator<'a> {
             .map(|t: &TableRef| {
                 let def = self
                     .catalog
-                    .get(&t.table)
+                    .find(&t.table)
                     .ok_or_else(|| TranslateError::UnknownTable(t.table.clone()))?;
                 let columns = def.columns.iter().map(|c| c.to_lowercase()).collect();
                 Ok((t.alias.to_lowercase(), def.name.clone(), columns))

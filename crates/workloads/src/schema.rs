@@ -140,7 +140,7 @@ mod tests {
         assert_eq!(t.get("Lineitem").unwrap().kind, AtomKind::Stream);
         assert_eq!(t.get("Nation").unwrap().kind, AtomKind::Table);
         assert!(t
-            .get("lineitem")
+            .find("lineitem")
             .unwrap()
             .columns
             .iter()

@@ -133,12 +133,13 @@ fn inequality_join_with_a_correlated_lift_compiles() {
 }
 
 /// `Long(2^53)` and `Double(2^53)` are equal values but not the same one:
-/// `B + 1` is `2^53 + 1` for the first and rounds back to `2^53` for the
-/// second. A stream alternating the two in `R`'s summed column must end
-/// where recomputation does, bit for bit, in every mode. The statements of
-/// an event skip a trigger slot that already holds the event's value; a skip
+/// `B + 1` is `Long(2^53 + 1)` for the first and rounds back to
+/// `Double(2^53)` for the second, so `Q3`'s `x > 2^53` holds for the first
+/// only. A stream alternating the two in `R`'s `b` column must end where
+/// recomputation does, bit for bit, in every mode. The statements of an
+/// event skip a trigger slot that already holds the event's value; a skip
 /// that asked `==` instead of `Value::is_same` would keep the previous
-/// event's value and fail `Q2` here.
+/// event's value and fail `Q3` here.
 #[test]
 fn equal_but_distinct_numbers_refill_their_trigger_slots() {
     let big = 1i64 << 53;
@@ -182,7 +183,8 @@ fn unequal_numbers_past_2_53_under_one_key_stay_apart() {
 }
 
 /// Twelve inserts of `row(i)` into `R(a, b)` and two deletes, under
-/// `Q = COUNT(b > 2^53)` and `Q2 = SUM(x) WHERE x := b + 1`.
+/// `Q = COUNT(b > 2^53)`, `Q2 = SUM(x)` and `Q3 = COUNT(x > 2^53)`, where
+/// `x := b + 1`.
 fn past_2_53_case(row: impl Fn(i64) -> Vec<Value>) -> Case {
     use dbtoaster::agca::UpdateEvent;
     let big = 1i64 << 53;
@@ -192,10 +194,16 @@ fn past_2_53_case(row: impl Fn(i64) -> Vec<Value>) -> Case {
     let (r, b) = (Expr::rel("R", ["a", "b"]), Expr::var("b"));
     let above = Expr::cmp(CmpOp::Gt, b.clone(), Expr::val(big));
     let count = common::scalar_query(vec![r.clone(), above]);
-    let lifted = Expr::lift("x", Expr::sum_of([b, Expr::val(1i64)]));
-    let mut sum = common::scalar_query(vec![r, lifted, Expr::var("x")]);
+    let (lifted, x) = (
+        Expr::lift("x", Expr::sum_of([b, Expr::val(1i64)])),
+        Expr::var("x"),
+    );
+    let mut sum = common::scalar_query(vec![r.clone(), lifted.clone(), x.clone()]);
     sum.name = "Q2".into();
-    Case::new(Source::Queries(vec![count, sum]), events)
+    let x_above = Expr::cmp(CmpOp::Gt, x, Expr::val(big));
+    let mut count_x = common::scalar_query(vec![r, lifted, x_above]);
+    count_x.name = "Q3".into();
+    Case::new(Source::Queries(vec![count, sum, count_x]), events)
 }
 
 /// `Value` equates −0.0 with 0.0 and hashes them alike, so a map key holds
