@@ -4,12 +4,12 @@
 //! around the engine already thinks in batches: the serving writer drains
 //! coalesced micro-batches, the write-ahead log frames one record per batch,
 //! and compiled kernels amortize per-statement setup. A [`DeltaBatch`] closes
-//! the gap: it represents a contiguous slice of the update stream as a sequence
-//! of **per-relation GMR deltas** — for each run of same-relation events (a
-//! maximal stretch of the stream, or all of a relation's events: see
-//! *Representation*), one signed multiplicity map (insert = `+1`, delete =
-//! `−1`, same-key events collapsed by ring addition). A single event is the
-//! degenerate batch of one run with one entry.
+//! the gap: it represents a contiguous slice of the update stream as
+//! **per-relation GMR deltas** — for each `(relation, arity)` the batch's
+//! events touch, one run: a signed multiplicity map (insert = `+1`, delete =
+//! `−1`, same-key events collapsed by ring addition) that every event of
+//! that pair folds into, wherever it comes in the stream. A single event is
+//! the degenerate batch of one run with one entry.
 //!
 //! ## Why a batch of updates *is* a GMR delta
 //!
@@ -62,17 +62,15 @@
 //! firings only the last one's output survives, so they fire once, for the
 //! run's last event, after the buffered writes and the base update.
 //!
-//! Derivation bails out — and the relation runs entry-major, the same
-//! executor over runs of one firing each — only when the `:=` statements
-//! cannot be the run's tail: they are not a trigger's tail, not mirrored
-//! across both sign triggers, or an incremental statement reads one's target
-//! (rewritten once per run, not once per firing). No relation of a compiled
-//! workload program bails in any compile mode. The choice is static per
-//! relation — it never depends on a run's size or on the state — so a WAL
-//! replay takes the same strategy sequence as the live run. The
-//! dispatch actually taken is observable through
-//! `EngineStats::{batch_delta_runs, entry_major_runs}` and per run via
-//! `BatchReport::runs` under `Engine::set_run_recording`.
+//! Derivation fails only when the `:=` statements cannot be the run's tail:
+//! they are not a trigger's tail, not mirrored across both sign triggers, or
+//! an incremental statement reads one's target (rewritten once per run, not
+//! once per firing). `compile` refuses such a program
+//! (`CompileError::Underivable`), and no bundled query needs it refused, so
+//! every run of every relation runs batch-delta, whatever its size or the
+//! state, and a WAL replay runs the same runs as the live run (counted by
+//! `EngineStats::batch_delta_runs`, recorded per run in `BatchReport::runs`
+//! under `Engine::set_run_recording`).
 //!
 //! Both arguments are exact in the GMR ring. Over floating-point
 //! multiplicities they are exact up to summation order: integer-weighted
@@ -85,18 +83,20 @@
 //!
 //! ## Representation
 //!
-//! A batch has a [`BatchShape`], named by the engine that will run it. A
-//! **stream-order** batch starts a run at every change of `(relation, arity)`
-//! — the order a program with `:=` statements needs, since each run's tail
-//! binds to its own last event. A **grouped** batch folds each event straight
-//! into the one run of its `(relation, arity)`, wherever it comes in the
-//! stream: an increment-only program's runs are pure state differences, so
-//! one run per relation is exact, and an interleaved stream (TPC-H's Orders
-//! and Lineitem, bids and asks) is built once instead of as hundreds of short
-//! runs that would then be copied together. The serving writer and WAL replay
-//! build the shape their engine names; [`DeltaBatch::merge_runs_into`]
-//! regroups a caller-built stream-order batch through the same fold, so both
-//! give the same batch, entry for entry.
+//! A batch holds one run per `(relation, arity)`, in first-appearance order,
+//! and folds each event straight into its pair's run, wherever it comes in
+//! the stream: an interleaved stream (TPC-H's Orders and Lineitem, bids and
+//! asks) is a few runs, not hundreds. Grouping reorders processing across
+//! relations, and that is exact: every map a compiled program maintains is
+//! a function of the base relations, which the reordered stream leaves as
+//! the stream itself does, so per-event processing of the batch's events
+//! relation by relation ends where per-event processing in stream order
+//! ends — and each run is one relation's stretch of that reordered stream,
+//! which the argument above covers (its increments sum to one delta, its
+//! `:=` tail re-evaluates from the state the run leaves, as the stretch's
+//! last firing would). Every producer — the serving writer, WAL replay,
+//! [`DeltaBatch::from_events`] — builds this one layout, and the engine runs
+//! a batch as it is.
 //!
 //! Entries keep their **first-arrival order** (a collapse folds a later event
 //! into the existing entry in place), so batch execution visits keys in a
@@ -154,8 +154,8 @@ impl DeltaEntry {
     }
 }
 
-/// The GMR delta of one run of same-relation events inside a [`DeltaBatch`]
-/// (per its [`BatchShape`]): a signed multiplicity map over the updated
+/// The GMR delta of one relation's events inside a [`DeltaBatch`] (one run
+/// per `(relation, arity)`): a signed multiplicity map over the updated
 /// tuples, with entries in first-arrival order.
 #[derive(Clone, Debug, Default)]
 pub struct RelationDelta {
@@ -281,21 +281,6 @@ impl RelationDelta {
     }
 }
 
-/// How a [`DeltaBatch`] lays its events out in runs (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BatchShape {
-    /// A run per maximal stretch of same-`(relation, arity)` events, in
-    /// stream order: the shape every program can run, and the one a program
-    /// with `:=` statements needs.
-    #[default]
-    StreamOrder,
-    /// One run per `(relation, arity)`, in first-appearance order, each
-    /// event folded into its pair's run wherever it comes: what
-    /// [`DeltaBatch::merge_runs_into`] makes of a stream-order batch, and
-    /// what an increment-only program runs.
-    Grouped,
-}
-
 /// A contiguous slice of the update stream as per-relation GMR deltas: the
 /// native unit the engine processes (see the module docs).
 #[derive(Clone, Debug, Default)]
@@ -304,27 +289,12 @@ pub struct DeltaBatch {
     runs: Vec<RelationDelta>,
     live: usize,
     events: u64,
-    shape: BatchShape,
 }
 
 impl DeltaBatch {
-    /// An empty stream-order batch.
+    /// An empty batch.
     pub fn new() -> Self {
         DeltaBatch::default()
-    }
-
-    /// An empty batch of the given shape (the engine names the one it runs:
-    /// `Engine::batch_shape` in `dbtoaster-runtime`).
-    pub fn with_shape(shape: BatchShape) -> Self {
-        DeltaBatch {
-            shape,
-            ..DeltaBatch::default()
-        }
-    }
-
-    /// How the batch lays its events out in runs.
-    pub fn shape(&self) -> BatchShape {
-        self.shape
     }
 
     /// Build a batch from an event slice (convenience for tests and callers
@@ -337,17 +307,15 @@ impl DeltaBatch {
         b
     }
 
-    /// Drop the batch contents, retaining every buffer (and the shape) for
-    /// reuse.
+    /// Drop the batch contents, retaining every buffer for reuse.
     pub fn clear(&mut self) {
         self.live = 0;
         self.events = 0;
     }
 
     /// Fold one event into the batch: into the run of its relation and
-    /// arity — the current run for a stream-order batch, wherever it is for
-    /// a grouped one — or a new run when there is none. Insert/delete events
-    /// of one relation share a run — that is what lets opposite-sign
+    /// arity, wherever it is, or a new run when there is none. Insert/delete
+    /// events of one relation share a run — that is what lets opposite-sign
     /// same-key events cancel.
     pub fn push(&mut self, event: &UpdateEvent) {
         self.push_key(
@@ -365,9 +333,9 @@ impl DeltaBatch {
         self.push_key(&event.relation, Tuple::from(event.tuple), event.sign);
     }
 
-    /// Clear the batch and fold `events` into it by value, in its shape: how
-    /// the serving writer builds each drained micro-batch and WAL replay each
-    /// logged record.
+    /// Clear the batch and fold `events` into it by value: how the serving
+    /// writer builds each drained micro-batch and WAL replay each logged
+    /// record.
     pub fn refill(&mut self, events: impl IntoIterator<Item = UpdateEvent>) {
         self.clear();
         for e in events {
@@ -376,22 +344,17 @@ impl DeltaBatch {
     }
 
     /// [`DeltaBatch::push`] of an event given as its parts, the tuple already
-    /// a key (the engine's runs of one firing).
-    pub fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
+    /// a key.
+    fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
         self.run_for(relation, key.len()).push_key(key, sign);
         self.events += 1;
     }
 
-    /// The run an event of `(relation, arity)` folds into, per the batch's
-    /// shape, begun when the batch has none: the one routine behind every
-    /// push and every regrouping.
+    /// The run an event of `(relation, arity)` folds into, begun when the
+    /// batch has none: the one routine behind every push.
     fn run_for(&mut self, relation: &str, arity: usize) -> &mut RelationDelta {
         let holds = |r: &RelationDelta| r.relation == relation && r.arity == arity;
-        let live = &self.runs[..self.live];
-        let found = match self.shape {
-            BatchShape::StreamOrder => live.len().checked_sub(1).filter(|&i| holds(&live[i])),
-            BatchShape::Grouped => live.iter().position(holds),
-        };
+        let found = self.runs[..self.live].iter().position(holds);
         let i = found.unwrap_or_else(|| {
             if self.live == self.runs.len() {
                 self.runs.push(RelationDelta::default());
@@ -403,7 +366,7 @@ impl DeltaBatch {
         &mut self.runs[i]
     }
 
-    /// The batch's runs, in stream order.
+    /// The batch's runs, in the order their relations first appear.
     pub fn runs(&self) -> &[RelationDelta] {
         &self.runs[..self.live]
     }
@@ -423,46 +386,6 @@ impl DeltaBatch {
         self.runs().iter().map(|r| r.collapsed_events()).sum()
     }
 
-    /// Does any `(relation, arity)` pair own more than one run? When it does,
-    /// [`DeltaBatch::merge_runs_into`] would shrink the batch; when it does
-    /// not (always, for a grouped batch), merging is the identity and callers
-    /// can skip it.
-    pub fn has_repeated_relation(&self) -> bool {
-        let runs = self.runs();
-        runs.iter().enumerate().any(|(i, r)| {
-            runs[..i]
-                .iter()
-                .any(|p| p.relation == r.relation && p.arity == r.arity)
-        })
-    }
-
-    /// Rebuild this batch into `out` as a [`BatchShape::Grouped`] batch: all
-    /// same-`(relation, arity)` runs ring-added into one run each, in
-    /// first-appearance order — through the fold a grouped push takes, so
-    /// `out` equals the grouped build of the same events, entry for entry.
-    /// Because GMR addition is associative and commutative, the merged batch
-    /// carries the same net delta per relation; cross-run same-key
-    /// cancellations that the stream order hid now collapse. Merging reorders
-    /// *processing* across relations, which is state-preserving exactly when
-    /// every trigger statement computes a pure state difference
-    /// (all-`Increment` programs — the engine checks this; `:=` statements are
-    /// bound to a specific event position and must keep the original run
-    /// boundaries).
-    pub fn merge_runs_into(&self, out: &mut DeltaBatch) {
-        out.clear();
-        out.shape = BatchShape::Grouped;
-        for run in self.runs() {
-            let dst = out.run_for(&run.relation, run.arity);
-            // The run's events follow every event already merged.
-            let offset = dst.events as u32;
-            for e in &run.entries {
-                let (at, sign) = e.last;
-                dst.fold(e.key.clone(), e.mult, e.events, (offset + at, sign));
-            }
-        }
-        out.events = self.events;
-    }
-
     /// Rebuild this batch into `out` without the entries `keep` refuses,
     /// keeping runs and entries in order and dropping a run left empty.
     /// Returns the stream events the refused entries held. A kept entry
@@ -474,7 +397,6 @@ impl DeltaBatch {
         mut keep: impl FnMut(&RelationDelta, &DeltaEntry) -> bool,
     ) -> u64 {
         out.clear();
-        out.shape = self.shape;
         let mut refused = 0u64;
         for run in self.runs() {
             let mut dst: Option<usize> = None;
@@ -512,24 +434,25 @@ mod tests {
         UpdateEvent::delete(rel, vals.iter().map(|&v| Value::long(v)).collect())
     }
 
+    /// One run per `(relation, arity)`, in first-appearance order, each
+    /// event folded into its pair's run wherever it comes.
     #[test]
-    fn runs_split_on_relation_change_and_arity_change() {
+    fn runs_group_by_relation_and_arity() {
         let events = [
             ins("R", &[1, 2]),
             ins("R", &[3, 4]),
             ins("S", &[1]),
             ins("R", &[5, 6]),
-            ins("R", &[7]), // same relation, different arity: new run
+            ins("R", &[7]), // same relation, different arity: another run
         ];
         let b = DeltaBatch::from_events(&events);
         assert_eq!(b.events(), 5);
         let runs = b.runs();
-        assert_eq!(runs.len(), 4);
-        assert_eq!(runs[0].relation(), "R");
-        assert_eq!(runs[0].entries().len(), 2);
-        assert_eq!(runs[1].relation(), "S");
-        assert_eq!(runs[2].arity(), 2);
-        assert_eq!(runs[3].arity(), 1);
+        let shapes: Vec<_> = runs.iter().map(|r| (r.relation(), r.arity())).collect();
+        assert_eq!(shapes, [("R", 2), ("S", 1), ("R", 1)]);
+        assert_eq!((runs[0].entries().len(), runs[0].events()), (3, 3));
+        // `last` counts within the run: R's third event of arity 2.
+        assert_eq!(runs[0].entries()[2].last, (2, UpdateSign::Insert));
     }
 
     #[test]
@@ -590,40 +513,29 @@ mod tests {
         assert!(batch_gmr.equivalent(&sum, 0.0));
     }
 
+    /// Events of one relation cancel across the other relations' events
+    /// between them, and the run's last event is its relation's last.
     #[test]
-    fn merge_runs_folds_same_relation_runs_and_cancels_across_them() {
+    fn interleaved_events_fold_into_their_relations_run_and_cancel() {
         let events = [
             ins("R", &[1, 2]),
-            ins("S", &[7]), // splits R into two runs
+            ins("S", &[7]),
             del("R", &[1, 2]),
             ins("R", &[3, 4]),
             ins("S", &[7]),
         ];
         let b = DeltaBatch::from_events(&events);
-        assert_eq!(b.runs().len(), 4);
-        assert!(b.has_repeated_relation());
-
-        let mut merged = DeltaBatch::new();
-        b.merge_runs_into(&mut merged);
-        assert_eq!(merged.events(), b.events());
-        let runs = merged.runs();
+        let runs = b.runs();
         assert_eq!(runs.len(), 2);
-        assert_eq!(runs[0].relation(), "R");
-        assert_eq!(runs[0].events(), 3);
-        // Cross-run cancellation: the [1,2] insert/delete pair nets to zero.
+        assert_eq!((runs[0].relation(), runs[0].events()), ("R", 3));
         assert_eq!(runs[0].entries()[0].mult, 0.0);
         assert_eq!(runs[0].entries()[1].mult, 1.0);
         assert_eq!(runs[0].collapsed_events(), 2);
         assert_eq!(runs[1].relation(), "S");
         assert_eq!(runs[1].entries()[0].mult, 2.0);
-        // The last event is the last run's.
         let (sign, key) = runs[0].last_event().unwrap();
         assert_eq!(sign, UpdateSign::Insert);
         assert_eq!(key.as_slice(), &[Value::long(3), Value::long(4)]);
-
-        // A batch without repeats merges to itself.
-        let single = DeltaBatch::from_events(&[ins("R", &[1, 2]), ins("S", &[7])]);
-        assert!(!single.has_repeated_relation());
     }
 
     /// A run of one entry hashes nothing; a second event of the same key
@@ -690,15 +602,14 @@ mod tests {
         assert_eq!(run.index.len(), 2);
     }
 
-    /// Merging into a destination run of one entry finds the entry by
-    /// comparison, without an index, and the last event is the later run's.
+    /// A one-entry run folds a later event of its key by comparison, without
+    /// an index, across another relation's event, and the last event is the
+    /// later one.
     #[test]
-    fn merging_into_a_one_entry_run_re_anchors_the_last_event() {
+    fn an_interleaved_one_entry_run_re_anchors_the_last_event() {
         let events = [ins("R", &[1, 2]), ins("S", &[7]), del("R", &[1, 2])];
         let b = DeltaBatch::from_events(&events);
-        let mut merged = DeltaBatch::new();
-        b.merge_runs_into(&mut merged);
-        let r = &merged.runs()[0];
+        let r = &b.runs()[0];
         assert_eq!((r.entries().len(), r.events()), (1, 2));
         assert!(r.index.is_empty());
         let (sign, key) = r.last_event().unwrap();
@@ -745,61 +656,69 @@ mod tests {
         );
     }
 
-    /// Assert two batches are the same batch, entry for entry: runs,
+    /// Assert two runs are the same run, entry for entry: relation, arity,
     /// keys, multiplicity bits, events, last events and collapses.
-    fn assert_same_batch(want: &DeltaBatch, got: &DeltaBatch) {
-        assert_eq!(want.events(), got.events());
-        assert_eq!(want.collapsed_events(), got.collapsed_events());
-        assert_eq!(want.runs().len(), got.runs().len());
-        for (w, g) in want.runs().iter().zip(got.runs()) {
-            let run = |r: &RelationDelta| {
-                let last = r.last_event().map(|(sign, key)| (sign, key.clone()));
-                (r.relation().to_owned(), r.arity(), r.events(), last)
-            };
-            assert_eq!(run(w), run(g));
-            assert_eq!(w.collapsed_events(), g.collapsed_events());
-            assert_eq!(w.entries().len(), g.entries().len(), "{}", w.relation());
-            for (a, b) in w.entries().iter().zip(g.entries()) {
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.mult.to_bits(), b.mult.to_bits(), "{:?}", a.key);
-                assert_eq!((a.events, a.last), (b.events, b.last), "{:?}", a.key);
+    fn assert_same_run(want: &RelationDelta, got: &RelationDelta) {
+        let run = |r: &RelationDelta| {
+            let last = r.last_event().map(|(sign, key)| (sign, key.clone()));
+            let collapsed = r.collapsed_events();
+            (
+                r.relation().to_owned(),
+                r.arity(),
+                r.events(),
+                last,
+                collapsed,
+            )
+        };
+        assert_eq!(run(want), run(got));
+        assert_eq!(
+            want.entries().len(),
+            got.entries().len(),
+            "{}",
+            want.relation()
+        );
+        for (a, b) in want.entries().iter().zip(got.entries()) {
+            assert_eq!(a.key, b.key);
+            assert_eq!(a.mult.to_bits(), b.mult.to_bits(), "{:?}", a.key);
+            assert_eq!((a.events, a.last), (b.events, b.last), "{:?}", a.key);
+        }
+    }
+
+    /// Refill the pooled `batch` with `events` and assert each run is the
+    /// batch of its `(relation, arity)`'s events alone, the runs in the
+    /// order their pairs first appear, and no events lost.
+    fn assert_runs_are_per_relation_batches(events: &[UpdateEvent], batch: &mut DeltaBatch) {
+        batch.refill(events.iter().cloned());
+        let pair = |e: &UpdateEvent| (e.relation.clone(), e.tuple.len());
+        let mut pairs: Vec<(String, usize)> = Vec::new();
+        for p in events.iter().map(pair) {
+            if !pairs.contains(&p) {
+                pairs.push(p);
             }
         }
-    }
-
-    /// Build `events` grouped into `grouped` and stream-order into `stream`
-    /// (both cleared first), and assert the grouped build is what
-    /// `merge_runs_into` makes of the stream-order one.
-    fn assert_grouped_is_merged(
-        events: &[UpdateEvent],
-        grouped: &mut DeltaBatch,
-        stream: &mut DeltaBatch,
-        merged: &mut DeltaBatch,
-    ) {
-        grouped.clear();
-        stream.clear();
-        for e in events {
-            grouped.push_owned(e.clone());
-            stream.push(e);
+        let runs = batch
+            .runs()
+            .iter()
+            .map(|r| (r.relation().to_owned(), r.arity()));
+        assert_eq!(runs.collect::<Vec<_>>(), pairs);
+        for run in batch.runs() {
+            let own = events
+                .iter()
+                .filter(|e| e.relation == run.relation() && e.tuple.len() == run.arity());
+            let alone = DeltaBatch::from_events(own);
+            assert_eq!(alone.runs().len(), 1);
+            assert_same_run(&alone.runs()[0], run);
         }
-        stream.merge_runs_into(merged);
-        assert_eq!(
-            (grouped.shape(), merged.shape()),
-            (BatchShape::Grouped, BatchShape::Grouped)
-        );
-        assert!(!grouped.has_repeated_relation());
-        assert_same_batch(merged, grouped);
+        assert_eq!(batch.events(), events.len() as u64);
     }
 
-    /// The grouped build folds each event into its `(relation, arity)` run
-    /// through the fold the regrouping takes: it equals the merged
-    /// stream-order build entry for entry — interleaved relations, a pair
-    /// cancelling across runs, two arities of one relation, and pooled
-    /// batches reused after `clear()`.
+    /// Every event folds into its `(relation, arity)` run wherever it comes:
+    /// each run equals the batch of its pair's events alone — interleaved
+    /// relations, a pair cancelling across another relation's events, two
+    /// arities of one relation, and a pooled batch reused after `clear()`.
     #[test]
-    fn the_grouped_build_is_the_merged_stream_order_build() {
-        let mut grouped = DeltaBatch::with_shape(BatchShape::Grouped);
-        let (mut stream, mut merged) = (DeltaBatch::new(), DeltaBatch::new());
+    fn each_run_is_the_batch_of_its_relations_events_alone() {
+        let mut batch = DeltaBatch::new();
         let interleaved = [
             ins("O", &[1, 10]),
             ins("L", &[1, 5]),
@@ -810,14 +729,13 @@ mod tests {
             del("O", &[1, 10]),
             ins("L", &[2, 7]),
         ];
-        assert_grouped_is_merged(&interleaved, &mut grouped, &mut stream, &mut merged);
-        assert_eq!(stream.runs().len(), 6);
-        let lineitem = &grouped.runs()[1];
+        assert_runs_are_per_relation_batches(&interleaved, &mut batch);
+        let lineitem = &batch.runs()[1];
         assert_eq!((lineitem.relation(), lineitem.events()), ("L", 5));
         assert_eq!(lineitem.entries()[0].mult, 2.0);
         // `last` counts within the relation: the last L event is its fifth.
         assert_eq!(lineitem.entries()[3].last, (4, UpdateSign::Insert));
-        assert_eq!(grouped.runs()[0].entries()[0].mult, 0.0);
+        assert_eq!(batch.runs()[0].entries()[0].mult, 0.0);
 
         let cancelling = [
             ins("R", &[1, 2]),
@@ -826,12 +744,9 @@ mod tests {
             del("S", &[7]),
             ins("R", &[3, 4]),
         ];
-        assert_grouped_is_merged(&cancelling, &mut grouped, &mut stream, &mut merged);
-        assert_eq!(grouped.collapsed_events(), 4);
-        assert_eq!(
-            grouped.runs()[0].last_event().unwrap().0,
-            UpdateSign::Insert
-        );
+        assert_runs_are_per_relation_batches(&cancelling, &mut batch);
+        assert_eq!(batch.collapsed_events(), 4);
+        assert_eq!(batch.runs()[0].last_event().unwrap().0, UpdateSign::Insert);
 
         let arities = [
             ins("R", &[1, 2]),
@@ -840,8 +755,8 @@ mod tests {
             del("R", &[1]),
             ins("R", &[3]),
         ];
-        assert_grouped_is_merged(&arities, &mut grouped, &mut stream, &mut merged);
-        let shapes: Vec<_> = grouped
+        assert_runs_are_per_relation_batches(&arities, &mut batch);
+        let shapes: Vec<_> = batch
             .runs()
             .iter()
             .map(|r| (r.arity(), r.events()))
@@ -849,7 +764,7 @@ mod tests {
         assert_eq!(shapes, [(2, 2), (1, 3)]);
 
         // A pseudo-random interleaving of three relations over a few keys,
-        // cut into batches of every size from 1 to 40, each pooled batch
+        // cut into batches of every size from 1 to 40, the pooled batch
         // reused after `clear()`.
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = |n: u64| {
@@ -875,7 +790,7 @@ mod tests {
                 break;
             }
             let chunk = &events[at..(at + size).min(events.len())];
-            assert_grouped_is_merged(chunk, &mut grouped, &mut stream, &mut merged);
+            assert_runs_are_per_relation_batches(chunk, &mut batch);
             at += chunk.len();
         }
     }

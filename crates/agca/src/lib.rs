@@ -58,7 +58,7 @@ pub mod opt;
 pub mod plan;
 pub mod scope;
 
-pub use batch::{BatchShape, DeltaBatch, DeltaEntry, RelationDelta};
+pub use batch::{DeltaBatch, DeltaEntry, RelationDelta};
 pub use catalog::{Catalog, QuerySpec, RelationMeta};
 pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
 pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelId, RelationSource};
@@ -71,7 +71,7 @@ pub use scope::{input_vars, output_vars, var_info, VarInfo};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::batch::{BatchShape, DeltaBatch, DeltaEntry, RelationDelta};
+    pub use crate::batch::{DeltaBatch, DeltaEntry, RelationDelta};
     pub use crate::catalog::{Catalog, QuerySpec, RelationMeta};
     pub use crate::delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign};
     pub use crate::eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelationSource};

@@ -469,7 +469,7 @@ fn torture_iteration(
     // The durable floor: a watermark recovery must reach (None = nothing was
     // ever guaranteed synced; recovery may legitimately find no state).
     let mut floor: Option<u64> = None;
-    let mut delta = DeltaBatch::with_shape(live.batch_shape());
+    let mut delta = DeltaBatch::new();
 
     let snap0 = live.snapshot();
     let setup = checkpoint::write_checkpoint(
@@ -646,8 +646,8 @@ fn torture_iteration(
             );
             // Bit-exact prefix check: replay the reference with the SAME
             // chunk boundaries (recovery rebuilds one delta batch per WAL
-            // record, and records == live chunks), built in stream order for
-            // the engine to regroup, as an embedded caller builds them.
+            // record, and records == live chunks), built through
+            // `DeltaBatch::from_events`, as an embedded caller builds them.
             let mut reference = Engine::new(program.clone(), catalog);
             let mut rng = chunk_seed ^ 0xD1B5_4A32_D192_ED03;
             let mut at = 0usize;

@@ -1,16 +1,15 @@
 //! EXPLAIN golden tests over the full workload suite.
 //!
 //! For every workload query the rendered EXPLAIN must tell the truth about
-//! execution: each live [`BatchReport`] run record's strategy must be exactly
-//! the strategy EXPLAIN printed for that relation — the dispatch is static, no
-//! run is re-routed by its size or by the state. The `reason:` line and the
-//! `run: live` marks of the batch-delta live pass are pinned as goldens on
-//! the four shapes the workload has: no statement that reads what its run
-//! writes (`q1`), one that reads the query's own auxiliary maps (`bsp`), a
-//! `:=` tail (`vwap`) and one that reads them under a lift and a comparison
-//! (`q17a`). A census pins how many relations each compile mode dispatches to
-//! each strategy — every one batch-delta — so a change that silently demotes
-//! a relation to the per-event path fails by name. `axf` pins the range-sum
+//! execution: each relation a live [`BatchReport`] run record names is
+//! explained, with its live pass. The `live pass:` line and the `run: live`
+//! marks of the batch-delta live pass are pinned as goldens on the four
+//! shapes the workload has: no statement that reads what its run writes
+//! (`q1`), one that reads the query's own auxiliary maps (`bsp`), a `:=` tail
+//! (`vwap`) and one that reads them under a lift and a comparison (`q17a`). A
+//! census pins, per compile mode, how many relations the workload's programs
+//! trigger on and how many of them have a non-empty live pass, so a change
+//! that silently sends more statements firing by firing fails by name. `axf` pins the range-sum
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
@@ -21,9 +20,7 @@
 //! declared hash index's line in its map's block, and the map's own bytes
 //! (live, and in a snapshot buffer) beside it.
 //!
-//! The JSON form must round-trip through [`ProgramExplain::parse_json`], and
-//! a program without live passes — a hand-assembled one, whose derivation
-//! never ran — must be explained entry-major exactly as it runs.
+//! The JSON form must round-trip through [`ProgramExplain::parse_json`].
 
 use dbtoaster::prelude::*;
 use dbtoaster::runtime::Engine;
@@ -35,25 +32,17 @@ const SEED: u64 = 7;
 const CHUNK: usize = 32;
 
 /// Replay a query's stream in multi-event delta batches, returning every run
-/// record plus the engine for explaining. `underivable` drops the compiled
-/// program's live passes first, so every relation dispatches entry-major.
-fn run_batched(
-    q: &workloads::WorkloadQuery,
-    underivable: bool,
-) -> (Engine, Vec<(String, BatchStrategy)>) {
+/// record's relation plus the engine for explaining.
+fn run_batched(q: &workloads::WorkloadQuery) -> (Engine, Vec<String>) {
     let data = dataset_for(q.family, EVENTS, SEED);
     let catalog = workloads::full_catalog();
-    let mut program = QueryEngineBuilder::new(catalog.clone())
+    let program = QueryEngineBuilder::new(catalog.clone())
         .add_query(q.name, q.sql)
         .mode(CompileMode::HigherOrder)
         .build()
         .unwrap_or_else(|e| panic!("{}: {e}", q.name))
         .program()
         .clone();
-    if underivable {
-        program.live_passes.clear();
-        program.batch_delta_reasons.clear();
-    }
     let mut engine = Engine::new(program, &catalog);
     for (table, rows) in &data.tables {
         engine.load_table(table, rows.clone());
@@ -70,46 +59,29 @@ fn run_batched(
             "{}: {:?}",
             q.name, report.first_error
         );
-        runs.extend(report.runs.iter().map(|r| (r.relation.clone(), r.strategy)));
+        runs.extend(report.runs.iter().map(|r| r.relation.clone()));
     }
     (engine, runs)
 }
 
-fn check_query(q: &workloads::WorkloadQuery, underivable: bool) {
-    let (mut engine, runs) = run_batched(q, underivable);
+fn check_query(q: &workloads::WorkloadQuery) {
+    let (mut engine, runs) = run_batched(q);
     assert!(!runs.is_empty(), "{}: no batch runs recorded", q.name);
     let ex = engine.explain();
-    for (relation, live) in &runs {
+    for relation in &runs {
         let rel = ex
             .relations
             .iter()
             .find(|r| &r.relation == relation)
             .unwrap_or_else(|| panic!("{}: relation {relation} ran but is not explained", q.name));
         assert!(
-            !rel.reason.is_empty(),
-            "{}: {relation} has no strategy reason",
+            !rel.live_pass.is_empty(),
+            "{}: {relation} has no live-pass line",
             q.name
         );
-        let explained = rel.strategy.as_str();
-        assert_eq!(
-            explained,
-            live.as_str(),
-            "{}: relation {relation} explained as {explained} but ran {}",
-            q.name,
-            live.as_str()
-        );
     }
-    if underivable {
-        for rel in &ex.relations {
-            assert_eq!(rel.strategy, "entry-major", "{}", q.name);
-            assert_eq!(rel.reason, "batch-delta not derived", "{}", q.name);
-        }
-        assert!(engine.stats().entry_major_runs > 0, "{}", q.name);
-        assert!(!ex.render_text().contains("run: live"), "{}", q.name);
-    } else {
-        check_goldens(q.name, &ex);
-    }
-    if q.name == "q3" && !underivable {
+    check_goldens(q.name, &ex);
+    if q.name == "q3" {
         // The map's own bytes sit beside its index's: the live map, and no
         // snapshot buffer until something snapshots it — then one copy.
         let bytes = |ex: &ProgramExplain| {
@@ -147,27 +119,26 @@ fn check_query(q: &workloads::WorkloadQuery, underivable: bool) {
     );
 }
 
-/// Golden `reason:` / `run: live` lines under the default dispatch.
+/// Golden `live pass:` / `run: live` lines.
 fn check_goldens(query: &str, ex: &ProgramExplain) {
-    let reason = |relation: &str| -> &str {
+    let live_pass = |relation: &str| -> &str {
         let rel = ex.relations.iter().find(|r| r.relation == relation);
         &rel.unwrap_or_else(|| panic!("{query}: no relation {relation}"))
-            .reason
+            .live_pass
     };
     let text = ex.render_text();
     match query {
         "q1" => {
             assert_eq!(
-                reason("Lineitem"),
-                "batch-delta derived (no statement reads run-written state; no live pass)"
+                live_pass("Lineitem"),
+                "none (no statement reads run-written state)"
             );
             assert!(!text.contains("run: live"), "{text}");
         }
         "bsp" => {
             assert_eq!(
-                reason("Bids"),
-                "batch-delta derived (2 live statements, fired entry by entry, read \
-                 run-written `m_bsp_1`, `m_bsp_2`)"
+                live_pass("Bids"),
+                "2 statements, fired entry by entry, read run-written `m_bsp_1`, `m_bsp_2`"
             );
             // The result statement of either sign reads the auxiliary maps
             // its own run writes; the statements that write them read nothing.
@@ -217,8 +188,8 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // Three O(1) increments that read nothing the run writes, then
             // the nested-aggregate re-evaluation as the run's `:=` tail.
             assert_eq!(
-                reason("Bids"),
-                "batch-delta derived (no statement reads run-written state; no live pass); \
+                live_pass("Bids"),
+                "none (no statement reads run-written state); \
                  1 replace (`:=`) statement fired once per run, for its last event"
             );
             assert!(!text.contains("run: live"), "{text}");
@@ -297,9 +268,8 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             // The result statement of either sign reads the auxiliary maps
             // its own run writes under a lift and a comparison.
             assert_eq!(
-                reason("Lineitem"),
-                "batch-delta derived (2 live statements, fired entry by entry, read \
-                 run-written `m_q17a_1`, `m_q17a_2`)"
+                live_pass("Lineitem"),
+                "2 statements, fired entry by entry, read run-written `m_q17a_1`, `m_q17a_2`"
             );
             assert_eq!(text.matches("\n    run: live\n").count(), 2);
             for (at, _) in text.match_indices("\n    run: live\n") {
@@ -324,63 +294,51 @@ fn assert_lookups_answered(ex: &ProgramExplain) {
     }
 }
 
-/// Default dispatch: batch-delta where derived, on every workload query.
+/// Every workload query: each relation that ran is explained, and the
+/// goldens hold.
 #[test]
-fn explained_strategies_match_live_batch_runs() {
+fn explained_relations_match_live_batch_runs() {
     let queries = workloads::all_queries();
     assert!(queries.len() >= 15, "workload suite shrank?");
     for q in &queries {
-        check_query(q, false);
+        check_query(q);
     }
 }
 
-/// A program without live passes runs every relation entry-major, and
-/// EXPLAIN must say so, identically to the runs. (A spot-check subset keeps
-/// the test inside a reasonable budget.)
+/// Live-pass census: `(triggered relations, relations with a non-empty live
+/// pass)` over every workload query, per compile mode. Every relation
+/// derives (`compile` would refuse the query otherwise); a relation whose
+/// live pass becomes non-empty fires statements entry by entry it did not
+/// before, so the counts are pinned and a mismatch names the relations.
 #[test]
-fn explained_strategies_follow_the_entry_major_override() {
-    for name in ["q1", "q3", "axf", "bsv", "vwap", "mddb1"] {
-        check_query(&workloads::query(name).unwrap(), true);
-    }
-}
-
-/// Dispatch census: `(batch-delta, entry-major)` relation counts over every
-/// workload query, per compile mode. A relation leaving batch-delta is a
-/// silent slowdown of one to two orders of magnitude at batch 512 (PR 15's
-/// post-mortem), so the counts are pinned and a mismatch names the relations.
-#[test]
-fn dispatch_census_per_compile_mode() {
-    for (mode, batch_delta, entry_major) in [
-        (CompileMode::HigherOrder, 39, 0),
-        (CompileMode::FirstOrder, 39, 0),
-        (CompileMode::NaiveViewlet, 39, 0),
+fn live_pass_census_per_compile_mode() {
+    for (mode, relations, live) in [
+        (CompileMode::HigherOrder, 39, 7),
+        (CompileMode::FirstOrder, 39, 13),
+        (CompileMode::NaiveViewlet, 39, 13),
         (CompileMode::Reevaluate, 39, 0),
     ] {
         let mut counts = (0, 0);
-        let mut per_event = Vec::new();
+        let mut listed = Vec::new();
         for q in workloads::all_queries() {
             let engine = QueryEngineBuilder::new(workloads::full_catalog())
                 .add_query(q.name, q.sql)
                 .mode(mode)
                 .build()
                 .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
-            let ex = dbtoaster::compiler::explain(engine.program());
-            for rel in ex.relations {
-                match rel.strategy.as_str() {
-                    "batch-delta" => counts.0 += 1,
-                    "entry-major" => {
-                        counts.1 += 1;
-                        per_event.push(format!("{}.{}: {}", q.name, rel.relation, rel.reason));
-                    }
-                    other => panic!("{}.{}: strategy {other}", q.name, rel.relation),
+            for rel in dbtoaster::compiler::explain(engine.program()).relations {
+                counts.0 += 1;
+                if !rel.live_pass.starts_with("none") {
+                    counts.1 += 1;
+                    listed.push(format!("{}.{}: {}", q.name, rel.relation, rel.live_pass));
                 }
             }
         }
         assert_eq!(
             counts,
-            (batch_delta, entry_major),
-            "[{mode}] entry-major relations:\n{}",
-            per_event.join("\n")
+            (relations, live),
+            "[{mode}] relations with a live pass:\n{}",
+            listed.join("\n")
         );
     }
 }

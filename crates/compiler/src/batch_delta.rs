@@ -57,10 +57,9 @@
 //! re-evaluation mode — is the degenerate case: an empty increment phase and
 //! the tail.
 //!
-//! ## Eligibility (per relation)
+//! ## Derivability (per relation)
 //!
-//! Derivation succeeds — and [`BatchStrategy::BatchDelta`] is chosen — iff
-//! the `:=` statements can be the run's tail:
+//! Derivation succeeds iff the `:=` statements can be the run's tail:
 //!
 //! * **the mirrored tail**: in each sign trigger every `+=` precedes every
 //!   `:=`, and if any `:=` exists, both sign triggers exist and re-evaluate
@@ -71,56 +70,42 @@
 //!
 //! The `+=` statements' shapes and order are not checked: the live pass
 //! reproduces per-event reads for any right-hand side. Every relation of the
-//! bundled workload derives in every compile mode; an underivable one — a
-//! hand-assembled trigger, say — runs entry-major, and EXPLAIN prints the
-//! condition that bailed.
+//! bundled workload derives in every compile mode, and so does every
+//! relation of every program the compiler emits: it orders each trigger's
+//! `:=` statements after its `+=` statements and re-evaluates a target under
+//! both signs. [`derive_live_passes`] returns the condition that bailed, and
+//! `compile` refuses the program with it
+//! ([`CompileError::Underivable`](crate::CompileError::Underivable)); the
+//! engine refuses a hand-assembled program whose triggered relation has no
+//! live pass.
 //!
 //! ## Runs of one firing
 //!
 //! A run of one firing — the batch of one event — has nothing to interact
 //! with: no live pass, every `+=` evaluated against the state before the
 //! firing and applied in statement order, the base update, then the
-//! firing's `:=` statements. The engine takes the statements by op, not by
-//! position, so such a run needs none of the conditions above, and
-//! **entry-major** is no second executor: it is this one over a run split
-//! into runs of one firing each, `|mult|` per surviving entry in entry order
-//! — per-event processing of the run's net stream. No firing fails: the
-//! engine's ingest gate refuses an ill-typed event before any run forms.
-//!
-//! [`BatchStrategy::BatchDelta`]: crate::program::BatchStrategy::BatchDelta
+//! firing's `:=` statements — per-event processing, which is
+//! `Engine::process`. No firing fails: the engine's ingest gate refuses an
+//! ill-typed event before any run forms.
 
-use crate::program::{BatchDeltaBail, BatchDeltaOutcome, LivePass, LiveStmt, StmtOp, Trigger};
+use crate::program::{BatchDeltaBail, LivePass, LiveStmt, StmtOp, Trigger};
 use dbtoaster_agca::AtomKind;
 use std::collections::BTreeSet;
 
 /// Derive the per-relation live passes of a trigger program (see the module
-/// docs): one [`LivePass`] per eligible relation — with no statements when
-/// nothing the relation's triggers read is run-written — plus, for every
-/// relation, the outcome record (eligible, or the condition that bailed; the
-/// data behind EXPLAIN's strategy reasons).
-pub fn derive_live_passes(triggers: &[Trigger]) -> (Vec<LivePass>, Vec<BatchDeltaOutcome>) {
+/// docs): one [`LivePass`] per relation a trigger reads, in first-appearance
+/// order — with no statements when nothing the relation's triggers read is
+/// run-written — or the first relation whose derivation bails, and the
+/// condition that bailed.
+pub fn derive_live_passes(triggers: &[Trigger]) -> Result<Vec<LivePass>, (String, BatchDeltaBail)> {
     let mut relations: Vec<&str> = Vec::new();
     for t in triggers {
         if !relations.contains(&t.relation.as_str()) {
             relations.push(&t.relation);
         }
     }
-    let mut programs = Vec::new();
-    let mut outcomes = Vec::new();
-    for rel in relations {
-        let bail = match derive_relation(rel, triggers) {
-            Ok(p) => {
-                programs.push(p);
-                None
-            }
-            Err(bail) => Some(bail),
-        };
-        outcomes.push(BatchDeltaOutcome {
-            relation: rel.to_string(),
-            bail,
-        });
-    }
-    (programs, outcomes)
+    let derive = |rel: &str| derive_relation(rel, triggers).map_err(|bail| (rel.to_string(), bail));
+    relations.into_iter().map(derive).collect()
 }
 
 fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<LivePass, BatchDeltaBail> {
@@ -203,8 +188,8 @@ mod tests {
     use crate::compile::compile;
     use crate::program::StmtOp::{Increment, Replace};
     use crate::program::{
-        BatchDeltaBail, BatchStrategy, Catalog, CompileMode, CompileOptions, LivePass, QuerySpec,
-        RelationMeta, Statement, StmtOp, Trigger,
+        BatchDeltaBail, Catalog, CompileMode, CompileOptions, LivePass, QuerySpec, RelationMeta,
+        Statement, StmtOp, Trigger,
     };
     use dbtoaster_agca::{CmpOp, Expr, UpdateSign};
 
@@ -244,10 +229,10 @@ mod tests {
     }
 
     #[test]
-    fn quadratic_query_gets_a_live_pass_and_batch_delta_dispatch() {
+    fn quadratic_query_gets_a_live_pass() {
         for mode in [CompileMode::HigherOrder, CompileMode::FirstOrder] {
             let program = compile(&[selfj()], &catalog(), &CompileOptions::for_mode(mode)).unwrap();
-            let lp = program.live_pass_for("R").expect("R eligible");
+            let lp = program.live_pass_for("R").expect("R derives");
             assert!(
                 !lp.statements.is_empty(),
                 "{mode}: the self-join statement reads what its own run writes"
@@ -274,9 +259,6 @@ mod tests {
                 "{mode}: {:?}",
                 lp.live_maps
             );
-            let dispatch = program.batch_dispatch();
-            let r = dispatch.iter().find(|d| d.relation == "R").unwrap();
-            assert_eq!(r.strategy, BatchStrategy::BatchDelta);
         }
     }
 
@@ -304,11 +286,15 @@ mod tests {
 
     /// `R`'s derivation: its live pass, or the condition that bailed.
     fn derive(triggers: &[Trigger]) -> Result<LivePass, BatchDeltaBail> {
-        let (mut programs, outcomes) = super::derive_live_passes(triggers);
-        assert_eq!(programs.len(), usize::from(outcomes[0].bail.is_none()));
-        match outcomes[0].bail.clone() {
-            Some(bail) => Err(bail),
-            None => Ok(programs.remove(0)),
+        match super::derive_live_passes(triggers) {
+            Ok(mut passes) => {
+                assert_eq!(passes.len(), 1);
+                Ok(passes.remove(0))
+            }
+            Err((relation, bail)) => {
+                assert_eq!(relation, "R");
+                Err(bail)
+            }
         }
     }
 
@@ -409,7 +395,7 @@ mod tests {
     }
 
     #[test]
-    fn linear_query_is_eligible_with_an_empty_live_pass() {
+    fn linear_query_derives_an_empty_live_pass() {
         let program = compile(
             &[linear()],
             &catalog(),
@@ -417,15 +403,12 @@ mod tests {
         )
         .unwrap();
         for rel in ["R", "S"] {
-            let lp = program.live_pass_for(rel).expect("linear is eligible");
+            let lp = program.live_pass_for(rel).expect("linear derives");
             assert!(
                 lp.statements.is_empty() && lp.live_maps.is_empty(),
                 "{rel}: linear maps read nothing their own run writes: {:?}",
                 lp.statements
             );
-            let dispatch = program.batch_dispatch();
-            let d = dispatch.iter().find(|d| d.relation == rel).unwrap();
-            assert_eq!(d.strategy, BatchStrategy::BatchDelta);
         }
     }
 
@@ -438,7 +421,6 @@ mod tests {
         )
         .unwrap();
         for d in program.batch_dispatch() {
-            assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{}", d.relation);
             let lp = program.live_pass_for(&d.relation).unwrap();
             assert!(lp.statements.is_empty() && lp.live_maps.is_empty());
             let t = &program.triggers[d.insert.unwrap()];

@@ -49,6 +49,17 @@ pub enum CompileError {
         /// What the kernel compiler could not resolve.
         reason: String,
     },
+    /// A relation's triggers cannot run a run as one batch-delta pass: the
+    /// condition that bailed (see [`crate::batch_delta`]). The compiler
+    /// emits no such program; the check guards the engine's one executor.
+    Underivable {
+        /// The stream relation.
+        relation: String,
+        /// The condition that bailed ([`BatchDeltaBail::describe`]).
+        ///
+        /// [`BatchDeltaBail::describe`]: crate::program::BatchDeltaBail::describe
+        reason: String,
+    },
     /// A query uses a value against its column's type (see
     /// [`crate::typecheck`]).
     Type {
@@ -74,6 +85,12 @@ impl fmt::Display for CompileError {
             CompileError::NoQueries => write!(f, "no queries to compile"),
             CompileError::Unlowerable { statement, reason } => {
                 write!(f, "cannot compile statement {statement}: {reason}")
+            }
+            CompileError::Underivable { relation, reason } => {
+                write!(
+                    f,
+                    "cannot run the triggers of {relation} as batches: {reason}"
+                )
             }
             CompileError::Type { column, reason } => {
                 write!(f, "ill-typed query: {column}: {reason}")
@@ -262,9 +279,15 @@ pub fn compile(
         order_statements(t);
     }
 
-    // Batch-delta: per eligible relation, the statements that read what its
-    // own runs write (see `crate::batch_delta`).
-    let (live_passes, batch_delta_reasons) = crate::batch_delta::derive_live_passes(&triggers);
+    // Batch-delta: per relation, the statements that read what its own runs
+    // write (see `crate::batch_delta`).
+    let live_passes =
+        crate::batch_delta::derive_live_passes(&triggers).map_err(|(relation, bail)| {
+            CompileError::Underivable {
+                relation,
+                reason: bail.describe(),
+            }
+        })?;
 
     Ok(TriggerProgram {
         maps,
@@ -273,7 +296,6 @@ pub fn compile(
         stored_relations,
         static_tables,
         live_passes,
-        batch_delta_reasons,
         report,
     })
 }

@@ -2,14 +2,11 @@
 //!
 //! Higher-order delta compilation turns a query into opaque flat trigger
 //! kernels; this module renders them back into an operator tree an operator
-//! can read. Per relation it reports the
-//! [`BatchStrategy`](crate::program::BatchStrategy) a multi-entry
-//! delta batch will use **and why** — whether batch-delta derivation
-//! succeeded (which statements read what their own run writes and so fire
-//! entry by entry — marked `run: live` — and whether a `:=` tail fires once
-//! per run) or which eligibility condition
-//! bailed ([`BatchDeltaBail`](crate::program::BatchDeltaBail)) — and per
-//! statement the compiled plan: probes vs scans, product order, fused-prelude
+//! can read. Per relation it reports how a run of a delta batch executes —
+//! its live pass (which statements read what their own run writes and so
+//! fire entry by entry, marked `run: live`, and which maps they read) and
+//! whether a `:=` tail fires once per run — and per statement the compiled
+//! plan: probes vs scans, product order, fused-prelude
 //! signatures (`range-sum` where the scan is answered from an ordered index),
 //! band specs and slot assignments, straight from [`dbtoaster_agca::plan`].
 //! Every map the compiler declared a secondary index on gets a `== map … ==`
@@ -78,12 +75,9 @@ pub struct TriggerExplain {
 pub struct RelationExplain {
     /// The stream relation.
     pub relation: String,
-    /// The chosen [`BatchStrategy`](crate::program::BatchStrategy), as its
-    /// stable lowercase name.
-    pub strategy: String,
-    /// Why that strategy was chosen (derivation success, or the exact
-    /// condition that bailed).
-    pub reason: String,
+    /// Its live pass — the statements that fire entry by entry and the
+    /// run-written maps they read, or none — and its `:=` tail, if any.
+    pub live_pass: String,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
 }
@@ -117,7 +111,7 @@ pub struct MapExplain {
 /// trigger program.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProgramExplain {
-    /// Per-relation strategy, reason and plans.
+    /// Per-relation live pass and plans.
     pub relations: Vec<RelationExplain>,
     /// The maps that carry a declared secondary index, by name.
     pub maps: Vec<MapExplain>,
@@ -135,9 +129,8 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
                 .map(|i| explain_trigger(program, i))
                 .collect();
             RelationExplain {
-                reason: strategy_reason(program, &d),
+                live_pass: live_pass(program, &d),
                 relation: d.relation,
-                strategy: d.strategy.as_str().to_string(),
                 triggers,
             }
         })
@@ -194,30 +187,20 @@ fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
     maps
 }
 
-/// One reason per relation: how batch-delta was derived, or the condition
-/// that bailed (which is why the relation runs entry-major).
-fn strategy_reason(program: &TriggerProgram, d: &RelationDispatch) -> String {
-    let Some(lp) = program.live_pass_for(&d.relation) else {
-        return match program
-            .batch_delta_reason(&d.relation)
-            .and_then(|o| o.bail.as_ref())
-        {
-            Some(bail) => format!("batch-delta ineligible: {}", bail.describe()),
-            None => "batch-delta not derived".to_string(),
-        };
-    };
-    let mut reason = if lp.statements.is_empty() {
-        "batch-delta derived (no statement reads run-written state; no live pass)".to_string()
-    } else {
-        format!(
-            "batch-delta derived ({} live statements, fired entry by entry, read run-written {})",
+/// One line per relation: its live pass, and its `:=` tail.
+fn live_pass(program: &TriggerProgram, d: &RelationDispatch) -> String {
+    let lp = program.live_pass_for(&d.relation);
+    let mut line = match lp.filter(|lp| !lp.statements.is_empty()) {
+        None => "none (no statement reads run-written state)".to_string(),
+        Some(lp) => format!(
+            "{} statements, fired entry by entry, read run-written {}",
             lp.statements.len(),
             lp.live_maps
                 .iter()
                 .map(|m| format!("`{m}`"))
                 .collect::<Vec<_>>()
                 .join(", ")
-        )
+        ),
     };
     // Mirrored across the signs (the tail condition), so either trigger counts.
     let tail = d.insert.map_or(0, |i| {
@@ -226,12 +209,12 @@ fn strategy_reason(program: &TriggerProgram, d: &RelationDispatch) -> String {
     });
     if tail > 0 {
         let _ = write!(
-            reason,
+            line,
             "; {tail} replace (`:=`) statement{} fired once per run, for its last event",
             if tail == 1 { "" } else { "s" }
         );
     }
-    reason
+    line
 }
 
 fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
@@ -620,8 +603,7 @@ impl ProgramExplain {
         let mut out = String::new();
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
-            let _ = writeln!(out, "strategy: {}", rel.strategy);
-            let _ = writeln!(out, "reason: {}", rel.reason);
+            let _ = writeln!(out, "live pass: {}", rel.live_pass);
             for t in &rel.triggers {
                 let _ = writeln!(out, "on {}:", t.sign);
                 for s in &t.statements {
@@ -660,10 +642,9 @@ impl ProgramExplain {
             }
             let _ = write!(
                 out,
-                "{{\"relation\":\"{}\",\"strategy\":\"{}\",\"reason\":\"{}\",\"triggers\":[",
+                "{{\"relation\":\"{}\",\"live_pass\":\"{}\",\"triggers\":[",
                 json_escape(&rel.relation),
-                json_escape(&rel.strategy),
-                json_escape(&rel.reason)
+                json_escape(&rel.live_pass)
             );
             triggers_json(&mut out, &rel.triggers);
             out.push_str("]}");
@@ -720,8 +701,7 @@ impl ProgramExplain {
             let triggers = triggers_from_json(r.get("triggers")?)?;
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
-                strategy: r.get("strategy")?.as_str()?.to_string(),
-                reason: r.get("reason")?.as_str()?.to_string(),
+                live_pass: r.get("live_pass")?.as_str()?.to_string(),
                 triggers,
             });
         }
@@ -1183,13 +1163,12 @@ mod tests {
     }
 
     #[test]
-    fn explain_reports_strategy_and_reason_per_relation() {
+    fn explain_reports_a_live_pass_per_relation() {
         let p = program();
         let ex = explain(&p);
         assert_eq!(ex.relations.len(), 2);
         for rel in &ex.relations {
-            assert_eq!(rel.strategy, "batch-delta");
-            assert!(rel.reason.contains("batch-delta derived"), "{}", rel.reason);
+            assert_eq!(rel.live_pass, "none (no statement reads run-written state)");
             assert!(!rel.triggers.is_empty());
             for t in &rel.triggers {
                 for s in &t.statements {
@@ -1197,46 +1176,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// A relation whose derivation bails is explained entry-major, with the
-    /// condition that bailed as its reason; the others stay batch-delta.
-    #[test]
-    fn forced_overrides_are_reflected() {
-        let mut p = program();
-        let t = p
-            .triggers
-            .iter_mut()
-            .find(|t| t.relation == "R" && t.sign == UpdateSign::Insert)
-            .unwrap();
-        let target = t.statements[0].target.clone();
-        let replace = crate::program::Statement::new(
-            &t.trigger_vars,
-            "Q".into(),
-            vec![],
-            vec![],
-            StmtOp::Replace,
-            Expr::one(),
-        )
-        .unwrap();
-        t.statements.insert(0, replace);
-        (p.live_passes, p.batch_delta_reasons) = crate::derive_live_passes(&p.triggers);
-        let ex = explain(&p);
-        for rel in &ex.relations {
-            if rel.relation == "R" {
-                assert_eq!(rel.strategy, "entry-major");
-                assert_eq!(
-                    rel.reason,
-                    format!(
-                        "batch-delta ineligible: increment of `{target}` follows a replace \
-                         (`:=`) statement"
-                    )
-                );
-            } else {
-                assert_eq!(rel.strategy, "batch-delta");
-            }
-        }
-        assert_eq!(ProgramExplain::parse_json(&ex.render_json()), Some(ex));
     }
 
     #[test]
@@ -1266,8 +1205,7 @@ mod tests {
         let p = program();
         let text = explain(&p).render_text();
         assert!(text.contains("== relation R =="));
-        assert!(text.contains("strategy: batch-delta"));
-        assert!(text.contains("reason: "));
+        assert!(text.contains("live pass: none"));
         assert!(
             text.contains("    | "),
             "every statement prints its kernel's plan"

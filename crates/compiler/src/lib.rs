@@ -52,10 +52,9 @@ pub use explain::{
 };
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
-    BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-    CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,
-    QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
-    TriggerProgram,
+    BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl, LivePass,
+    LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch, RelationMeta,
+    ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
 };
 
 /// Convenience re-exports for downstream crates.
@@ -63,10 +62,9 @@ pub mod prelude {
     pub use crate::compile::{compile, CompileError};
     pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{
-        BatchDeltaBail, BatchDeltaOutcome, BatchStrategy, Catalog, CompileMode, CompileOptions,
-        CompileReport, HashIndexDecl, LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult,
-        QuerySpec, RelationDispatch, RelationMeta, ResultAccess, Statement, StmtOp, Trigger,
-        TriggerProgram,
+        BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl,
+        LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
+        RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
     };
     pub use dbtoaster_agca::UpdateSign;
 }

@@ -258,63 +258,18 @@ pub struct TriggerProgram {
     pub stored_relations: BTreeSet<String>,
     /// Static tables referenced by the program (always stored).
     pub static_tables: BTreeSet<String>,
-    /// Per-relation live passes, one for every relation whose triggers are
-    /// batch-delta eligible (see [`BatchStrategy::BatchDelta`]). Derived
-    /// data, like the statements' kernels: excluded from the program
-    /// fingerprint, which hashes the canonical rendering only.
+    /// Per-relation live passes, one for every relation a trigger reads (see
+    /// [`crate::batch_delta`]): the engine runs every run of a relation
+    /// through its pass and refuses a program that leaves a triggered
+    /// relation without one. Derived data, like the statements' kernels:
+    /// excluded from the program fingerprint, which hashes the canonical
+    /// rendering only.
     pub live_passes: Vec<LivePass>,
-    /// Per-relation batch-delta derivation outcomes: eligible, or which
-    /// condition bailed. Derived data: excluded from the program fingerprint
-    /// and empty for hand-assembled programs.
-    pub batch_delta_reasons: Vec<BatchDeltaOutcome>,
     /// Compilation report (rule usage, counts).
     pub report: CompileReport,
 }
 
-/// How the statements for one relation's triggers execute over a multi-entry
-/// delta batch (see [`TriggerProgram::batch_dispatch`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BatchStrategy {
-    /// Entry-major: the run split into runs of one firing each (`|mult|` per
-    /// surviving entry, in entry order), each executed batch-delta — exactly
-    /// event-at-a-time processing, where every `+=` statement of a firing
-    /// reads the state before it. Not a second executor, and never the
-    /// static choice for a relation of a compiled workload program: it is
-    /// the dispatch of a relation whose derivation bailed (a hand-assembled
-    /// trigger whose `:=` statements cannot be the run's tail).
-    EntryMajor,
-    /// Batch-delta: the whole run is one delta GMR. Every incremental
-    /// statement of both sign triggers that reads nothing the run writes is
-    /// evaluated for all entries against the **pre-run** state, its writes
-    /// buffered; the relation's [`LivePass`] statements — the ones that do
-    /// read what the run writes — are evaluated firing by firing against
-    /// maps the run keeps current as it goes, to account for entries of the
-    /// same run interacting. The buffered writes and the base update follow,
-    /// and the `:=` statements of the run's last event fire once against the
-    /// new state — the one firing whose output survives per-event
-    /// processing. Chosen whenever the derivation succeeds — see
-    /// [`crate::batch_delta`] for the argument and its eligibility conditions.
-    BatchDelta,
-}
-
-impl BatchStrategy {
-    /// Stable lowercase name (used in EXPLAIN, run spans and bench reports).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            BatchStrategy::EntryMajor => "entry-major",
-            BatchStrategy::BatchDelta => "batch-delta",
-        }
-    }
-}
-
-impl fmt::Display for BatchStrategy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The live pass of one batch-delta eligible relation (see
-/// [`crate::batch_delta`]): the `+=` statements whose right-hand side reads a
+/// The live pass of one relation (see [`crate::batch_delta`]): the `+=` statements whose right-hand side reads a
 /// map, or the relation's own stored slice, that the same relation's triggers
 /// write, and the maps they read of those. A multi-firing run evaluates every
 /// other statement once per entry against the pre-run state, and these firing
@@ -327,8 +282,7 @@ pub struct LivePass {
     pub relation: String,
     /// The statements that read run-written state, in `(trigger, statement)`
     /// order; empty when no statement of the relation reads run-written
-    /// state — the relation is still batch-delta eligible, its runs just have
-    /// no interaction.
+    /// state — its runs just have no interaction.
     pub statements: Vec<LiveStmt>,
     /// The run-written names those statements read, sorted: the *live maps*,
     /// which a run writes firing by firing instead of once at its end.
@@ -353,10 +307,9 @@ pub struct LiveStmt {
     pub stmt: usize,
 }
 
-/// Which eligibility condition stopped batch-delta derivation for a relation
-/// (see [`crate::batch_delta`] for the conditions themselves). Recorded at
-/// compile time so EXPLAIN can name the exact condition instead of a generic
-/// "not eligible".
+/// Which condition stopped batch-delta derivation for a relation (see
+/// [`crate::batch_delta`] for the conditions themselves): what
+/// [`CompileError::Underivable`] names.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum BatchDeltaBail {
     /// Tail: an incremental statement follows a re-evaluation statement in
@@ -385,7 +338,8 @@ pub enum BatchDeltaBail {
 }
 
 impl BatchDeltaBail {
-    /// Stable human-readable description (used by EXPLAIN; golden-tested).
+    /// Stable human-readable description (the `reason` of
+    /// [`CompileError::Underivable`]).
     pub fn describe(&self) -> String {
         match self {
             BatchDeltaBail::IncrementAfterReplace { target } => {
@@ -405,18 +359,8 @@ impl BatchDeltaBail {
     }
 }
 
-/// The recorded outcome of batch-delta derivation for one relation.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BatchDeltaOutcome {
-    /// The stream relation.
-    pub relation: String,
-    /// `None` — derivation succeeded (the relation has a [`LivePass`]);
-    /// `Some` — the first condition that failed.
-    pub bail: Option<BatchDeltaBail>,
-}
-
 /// The per-relation trigger grouping used by batch execution: both sign
-/// triggers of one relation, plus the statically chosen [`BatchStrategy`].
+/// triggers of one relation.
 #[derive(Clone, Debug)]
 pub struct RelationDispatch {
     /// The stream relation.
@@ -425,8 +369,6 @@ pub struct RelationDispatch {
     pub insert: Option<usize>,
     /// Index into [`TriggerProgram::triggers`] of the delete trigger, if any.
     pub delete: Option<usize>,
-    /// How a batch drives this relation's statement lists.
-    pub strategy: BatchStrategy,
 }
 
 /// A secondary index the compiler declares *ordered*: the index of `map`
@@ -543,13 +485,9 @@ impl TriggerProgram {
         self.statement_count()
     }
 
-    /// Group the program's triggers by relation and choose, per relation, how
-    /// a multi-entry delta batch drives them (the runtime resolves the result
-    /// into its dispatch table once, at engine construction):
-    /// [`BatchStrategy::BatchDelta`] when the relation has a derived
-    /// [`LivePass`] (including an empty one), [`BatchStrategy::EntryMajor`] —
-    /// runs of one firing, per-event processing inside the batch — otherwise. The
-    /// reason a relation is entry-major is its [`BatchDeltaOutcome`].
+    /// Group the program's triggers by relation, in first-appearance order
+    /// (the runtime resolves the result into its dispatch table once, at
+    /// engine construction).
     pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
         let mut relations: Vec<&str> = Vec::new();
         for t in &self.triggers {
@@ -569,27 +507,14 @@ impl TriggerProgram {
                     relation: rel.to_string(),
                     insert: idx_of(UpdateSign::Insert),
                     delete: idx_of(UpdateSign::Delete),
-                    strategy: match self.live_pass_for(rel) {
-                        Some(_) => BatchStrategy::BatchDelta,
-                        None => BatchStrategy::EntryMajor,
-                    },
                 }
             })
             .collect()
     }
 
-    /// The live pass for `relation`, if its triggers are batch-delta
-    /// eligible.
+    /// The live pass for `relation`, if the program derived one.
     pub fn live_pass_for(&self, relation: &str) -> Option<&LivePass> {
         self.live_passes.iter().find(|c| c.relation == relation)
-    }
-
-    /// The recorded batch-delta derivation outcome for `relation`, if the
-    /// program was compiled with reasons (hand-assembled programs have none).
-    pub fn batch_delta_reason(&self, relation: &str) -> Option<&BatchDeltaOutcome> {
-        self.batch_delta_reasons
-            .iter()
-            .find(|o| o.relation == relation)
     }
 }
 

@@ -65,10 +65,9 @@ pub use dbtoaster_workloads as workloads;
 pub mod prelude {
     pub use crate::api::{DbToasterError, QueryEngine, QueryEngineBuilder, ResultRow, ResultTable};
     pub use dbtoaster_agca::{
-        BatchShape, Catalog, DeltaBatch, DeltaEntry, RelationDelta, RelationMeta, UpdateEvent,
-        UpdateSign,
+        Catalog, DeltaBatch, DeltaEntry, RelationDelta, RelationMeta, UpdateEvent, UpdateSign,
     };
-    pub use dbtoaster_compiler::{BatchStrategy, CompileMode, CompileOptions, ProgramExplain};
+    pub use dbtoaster_compiler::{CompileMode, CompileOptions, ProgramExplain};
     pub use dbtoaster_durability::{DurabilityConfig, DurabilityError, FsyncPolicy};
     pub use dbtoaster_gmr::{Gmr, Schema, Value};
     pub use dbtoaster_runtime::BatchReport;

@@ -105,13 +105,12 @@ pub fn recover<'a>(
         }
     };
     let reader = WalReader::open(dir, fingerprint)?;
-    let mut delta = DeltaBatch::with_shape(engine.batch_shape());
+    let mut delta = DeltaBatch::new();
     let stats = reader.replay_records(checkpoint_watermark + 1, &mut |first_seq, events| {
         // One WAL record = one live micro-batch: rebuild the same per-relation
-        // delta batch the writer processed, in the shape the engine names,
-        // and drive it through the same `process_batch` path, so the replayed
-        // engine takes identical batch boundaries (and therefore identical
-        // bits) as the crashed server.
+        // delta batch the writer processed and drive it through the same
+        // `process_batch` path, so the replayed engine takes identical batch
+        // boundaries (and therefore identical bits) as the crashed server.
         let record_len = events.len();
         delta.refill(events);
         let report = engine.process_batch(&delta);

@@ -484,18 +484,18 @@ fn an_event_refused_before_the_wal_is_never_logged() {
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// Served ≡ replayed for an increment-only program. TPC-H's `q1`, `q6` and
-/// `q12` hold no `:=` statement, so the serving writer and WAL replay build
-/// each batch grouped — every event folded straight into its relation's one
-/// run — and `process_batch` runs it as it is. Served durably in uneven
-/// batches over the interleaved Orders/Lineitem stream, killed, and
-/// recovered by replaying the whole log: every map the server held, every
-/// map recovered, and every map of an engine fed the same batches in stream
-/// order (regrouped by `process_batch`) agree bit for bit, and the served
-/// engine ran exactly that engine's runs and statements.
+/// Served ≡ replayed over an interleaved stream. The serving writer and WAL
+/// replay build each batch with every event folded straight into its
+/// relation's one run, and `process_batch` runs it as it is. TPC-H's `q1`,
+/// `q6` and `q12`, served durably in uneven batches over the interleaved
+/// Orders/Lineitem stream, killed, and recovered by replaying the whole log:
+/// every map the server held, every map recovered, and every map of an
+/// engine fed the same batches through `DeltaBatch::from_events` agree bit
+/// for bit, and the served engine ran exactly that engine's runs and
+/// statements.
 #[test]
-fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly() {
-    use dbtoaster::runtime::{Engine, EngineStats};
+fn an_interleaved_stream_serves_and_replays_one_run_per_relation_bit_exactly() {
+    use dbtoaster::runtime::EngineStats;
     use dbtoaster::workloads::{self, Family};
     let dir: PathBuf = std::env::temp_dir().join(format!("dbt-grouped-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -514,11 +514,6 @@ fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly(
         c.durability.as_mut().unwrap().checkpoint_every_events = u64::MAX;
         c
     };
-    let program = builder().build().unwrap().program().clone();
-    let catalog = workloads::full_catalog();
-    let shape = Engine::new(program, &catalog).batch_shape();
-    assert_eq!(shape, BatchShape::Grouped, "q1+q6+q12 is increment-only");
-
     let stream = workloads::dataset_for(Family::Tpch, 6_000, 11).events;
     assert_eq!(stream.len(), 6_000);
     // Uneven batches of at most 128 events: `send_batch` hands each to the
@@ -530,9 +525,17 @@ fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly(
         batches.push(&stream[at..end]);
         (at, size) = (end, (size * 37 + 11) % 128 + 1);
     }
+    // A batch interleaves when it holds more stretches of one relation's
+    // events than relations.
+    let stretches = |b: &[UpdateEvent]| {
+        1 + b
+            .windows(2)
+            .filter(|w| w[0].relation != w[1].relation)
+            .count()
+    };
     let interleaved = batches
         .iter()
-        .filter(|b| DeltaBatch::from_events(**b).has_repeated_relation());
+        .filter(|b| stretches(b) > DeltaBatch::from_events(**b).runs().len());
     assert!(
         interleaved.count() > batches.len() / 2,
         "Orders and Lineitem interleave"
@@ -552,11 +555,10 @@ fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly(
     }
     let (served, want) = (server.stats(), reference.stats());
     let work = |s: &EngineStats| {
-        let runs = (s.batch_delta_runs, s.entry_major_runs);
         (
             s.events,
             s.delta_batches,
-            runs,
+            s.batch_delta_runs,
             s.statements,
             s.batch_events_collapsed,
         )
@@ -582,15 +584,14 @@ fn an_increment_only_program_serves_and_replays_its_grouped_batches_bit_exactly(
 }
 
 #[test]
-fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
-    // Strategy equivalence under recovery, at run granularity: replay rebuilds
+fn wal_replay_runs_the_same_runs_as_the_live_run() {
+    // Run equivalence under recovery, at run granularity: replay rebuilds
     // one delta batch per WAL record and drives it through the same
-    // `process_batch` dispatch as the live writer, so the full sequence of
-    // (relation, strategy, events) run records — across uneven micro-batches
-    // and a mid-batch refused event — must be identical. An aggregate
-    // counter check could mask compensating swaps; this one cannot.
+    // `process_batch` as the live writer, so the full sequence of
+    // (relation, events) run records — across uneven micro-batches and a
+    // mid-batch refused event — must be identical. An aggregate counter
+    // check could mask compensating swaps; this one cannot.
     use dbtoaster::agca::DeltaBatch;
-    use dbtoaster::compiler::BatchStrategy;
     use dbtoaster::runtime::{Engine, RunRecord};
     use dbtoaster_durability::{program_fingerprint, WalReader, WalWriter};
 
@@ -694,24 +695,6 @@ fn wal_replay_chooses_the_same_batch_strategies_as_the_live_run() {
         .unwrap();
 
     assert!(!live_runs.is_empty(), "run recording produced nothing");
-    assert!(
-        live_runs
-            .iter()
-            .any(|r| r.strategy == BatchStrategy::BatchDelta),
-        "the revenue query's relations should dispatch batch-delta: {live_runs:?}"
-    );
-    // The strategy of a run is a function of the program alone: whatever the
-    // run's size and however small the maps it reads, a relation never
-    // changes strategy mid-stream (the old firing-count cost gate is gone).
-    for r in &live_runs {
-        assert_eq!(
-            r.strategy,
-            BatchStrategy::BatchDelta,
-            "run of {} events on {} left the static batch-delta dispatch: {live_runs:?}",
-            r.events,
-            r.relation
-        );
-    }
     assert!(
         live_runs
             .iter()

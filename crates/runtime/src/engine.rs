@@ -52,16 +52,11 @@
 //!    event.
 //!
 //! A run of one firing — [`Engine::process`], the batch of one event — is the same
-//! sequence for one event. **Entry-major** ([`BatchStrategy::EntryMajor`]) is not a
-//! second executor: it is the same executor over the run split into runs of one firing
-//! each, `|mult|` per surviving entry, in entry order — exactly per-event processing of
-//! the run's net stream. A run takes it when the relation's batch-delta derivation
-//! bailed (a hand-assembled trigger whose `:=` statements cannot be the run's tail — no
-//! compiled workload program has one), so [`TriggerProgram::batch_dispatch`] chose it
-//! statically.
-//!
-//! The dispatch of a run depends on the program alone — never on the run's size or the
-//! state — so a WAL replay takes the same sequence as the live run. Statements are
+//! sequence for one event. Every run of every relation takes this one executor:
+//! `compile` derives a live pass for every triggered relation or refuses the program,
+//! and [`Engine::new`] panics on a program that leaves a triggered relation without
+//! one — a corrupt program, like an unresolved target. Nothing depends on a run's size
+//! or the state, so a WAL replay runs the same sequence as the live run. Statements are
 //! evaluated through one function, `kernel_rows`, which runs the statement's compiled
 //! kernel (reading maps through [`dbtoaster_agca::RelationSource`] by id, emitting
 //! `(key, multiplicity)` rows); the compiler rejects a program with a statement it
@@ -71,16 +66,11 @@
 //! argument and the `:=` tail (bit-exact on integer-weighted streams; to summation
 //! order on float aggregates).
 //!
-//! When a program is increment-only, it runs one run per relation: each run's
-//! processing is a pure state difference, so the telescoping sum over the
-//! relation's events, ring-added into one run, is exact, and an interleaved stream
+//! A batch holds one run per relation, however its events interleave: every map is a
+//! function of the base relations, so processing the batch relation by relation ends
+//! where stream order ends (see [`dbtoaster_agca::batch`]). An interleaved stream
 //! (alternating bids/asks, TPC-H's Orders and Lineitem) runs as a few runs, not
-//! hundreds. [`Engine::batch_shape`] names that shape, [`BatchShape::Grouped`]
-//! (stream order for a program with `:=` statements); the serving writer and WAL
-//! replay build their batches in it, event by event, and [`Engine::process_batch`]
-//! runs such a batch as it is. A stream-order batch of an increment-only program
-//! (`DeltaBatch::from_events`) is regrouped first, through the same fold
-//! ([`DeltaBatch::merge_runs_into`]), so it runs the same runs.
+//! hundreds, and [`Engine::process_batch`] runs a batch as it is built.
 //!
 //! ## Resolution
 //!
@@ -103,12 +93,12 @@
 //! gated and counted, and nothing else.
 
 use crate::store::{Database, MapId, Seg, SnapshotWork};
-use dbtoaster_agca::batch::{BatchShape, DeltaBatch, RelationDelta};
+use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{
-    BatchStrategy, Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
+    Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
 };
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
@@ -167,11 +157,10 @@ pub struct BatchReport {
     pub failed_events: u64,
     /// Why the first refused event was refused, if any was.
     pub first_error: Option<RuntimeError>,
-    /// Which strategy executed each relation run, in processing order
-    /// (after any run merging). Runs with no trigger under either
-    /// sign — base-relation-only updates — are not recorded. Deterministic
-    /// for a given program and batch boundaries, so a WAL replay produces
-    /// the same sequence as live processing. Empty unless
+    /// The relation runs that fired triggers, in processing order. Runs with
+    /// no trigger under either sign — base-relation-only updates — are not
+    /// recorded. Deterministic for a given program and batch boundaries, so a
+    /// WAL replay produces the same sequence as live processing. Empty unless
     /// [`Engine::set_run_recording`] is on (recording costs one small
     /// allocation per run, which the zero-allocation steady-state contract
     /// of the batch-of-1 path cannot afford by default).
@@ -183,8 +172,6 @@ pub struct BatchReport {
 pub struct RunRecord {
     /// The run's relation name.
     pub relation: String,
-    /// The strategy that executed: the relation's static dispatch.
-    pub strategy: BatchStrategy,
     /// Stream events the run covered.
     pub events: u64,
 }
@@ -238,8 +225,10 @@ pub struct EngineStats {
     /// its `runtime.runs_statement_major` ledger row; goes with that row
     /// (ROADMAP, Smaller: the frozen-ledger residue).
     pub statement_major_runs: u64,
-    /// Relation runs executed entry-major — as runs of one firing each,
-    /// because the relation's batch-delta derivation bailed.
+    /// Always 0: every run is batch-delta. Kept, never written, only
+    /// because the frozen benchmark reads it for its
+    /// `runtime.runs_entry_major` ledger row; goes with that row (ROADMAP,
+    /// Smaller: the frozen-ledger residue).
     pub entry_major_runs: u64,
 }
 
@@ -281,18 +270,16 @@ pub struct TraceSample {
     pub memory_mb: f64,
 }
 
-/// Engine-internal copy of one relation's batch dispatch decision (trigger
-/// indexes fit in `u16`; the strategy is `Copy`), so run processing never
-/// clones strings out of the dispatch table.
+/// Engine-internal copy of one relation's batch dispatch (trigger indexes
+/// fit in `u16`), so run processing never clones strings out of the
+/// dispatch table.
 #[derive(Clone, Copy, Debug)]
 struct DispatchEntry {
     insert: Option<u16>,
     delete: Option<u16>,
-    strategy: BatchStrategy,
-    /// Index into [`TriggerProgram::live_passes`] when the strategy is
-    /// batch-delta and some statement reads run-written state, i.e. when
-    /// multi-firing runs need the live pass (resolved once at
-    /// dispatch-build time).
+    /// Index into [`TriggerProgram::live_passes`] when some statement reads
+    /// run-written state, i.e. when multi-firing runs need the live pass
+    /// (resolved once at dispatch-build time).
     live_pass: Option<u16>,
     /// The relation's stored base map, if the program keeps one.
     base: Option<MapId>,
@@ -481,10 +468,6 @@ struct Executor {
     bd: BdScratch,
     /// Recycled batch-of-1 for [`Engine::process`] (zero-allocation wrapper).
     single: DeltaBatch,
-    /// Recycled run of one firing for entry-major execution.
-    firing: DeltaBatch,
-    /// Recycled merged-run batch for [`Engine::process_batch`]'s run merging.
-    merged: DeltaBatch,
     /// Recycled copy of a batch without the entries the gate refused.
     admitted: DeltaBatch,
     /// The catalog's relations, resolved ([`Relation`]), and their positions
@@ -495,20 +478,13 @@ struct Executor {
     /// (`None`: a relation the catalog does not declare, which the gate
     /// refuses).
     run_rels: Vec<Option<u32>>,
-    /// The batch shape this program runs: grouped when every statement is an
-    /// increment (`+=`) — each run's processing is then a pure state
-    /// difference, so the telescoping sum over merged runs is exact — and
-    /// stream order otherwise: `:=` statements bind to a run's *last* event,
-    /// which merging could change, so replace-bearing programs keep their
-    /// original run boundaries.
-    shape: BatchShape,
     /// `[trigger][statement]` → the statement's kernel, resolved.
     stmts: Vec<Vec<Bound>>,
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
     /// (default where the map has none).
     inits: Vec<Bound>,
-    /// Fill [`BatchReport::runs`] with per-run strategy records (off by
-    /// default; see [`Engine::set_run_recording`]).
+    /// Fill [`BatchReport::runs`] with per-run records (off by default; see
+    /// [`Engine::set_run_recording`]).
     record_runs: bool,
     /// Telemetry buffers, present only after [`Engine::set_telemetry`] with
     /// an enabled handle. `None` keeps the hot path at one predictable
@@ -534,6 +510,7 @@ struct StmtScratch {
 #[derive(Debug, Default)]
 struct RunScratch {
     relation: String,
+    /// "batch-delta", or "base-only" for a run that fired no trigger.
     strategy: &'static str,
     events: u64,
     entries: u64,
@@ -552,9 +529,8 @@ struct TelemetryState {
     tel: Telemetry,
     /// Whole-batch latency (the existing busy-time `Instant` pair re-used).
     batch_hist: LocalHistogram,
-    /// Kernel-execute latency split by executed strategy:
-    /// `[batch-delta, entry-major]`.
-    stage_hists: [LocalHistogram; 2],
+    /// Kernel-execute latency of the runs that fired triggers.
+    kernel_hist: LocalHistogram,
     /// Shared per-view records, index-aligned with `map_ids` and the
     /// kernel's [`dbtoaster_agca::KernelCounters`] slots.
     views: Vec<Arc<ViewRecord>>,
@@ -576,20 +552,6 @@ struct TelemetryState {
 }
 
 impl TelemetryState {
-    fn stage_index(strategy: BatchStrategy) -> usize {
-        match strategy {
-            BatchStrategy::BatchDelta => 0,
-            BatchStrategy::EntryMajor => 1,
-        }
-    }
-
-    fn stage_of(idx: usize) -> Stage {
-        match idx {
-            0 => Stage::KernelBatchDelta,
-            _ => Stage::KernelEntryMajor,
-        }
-    }
-
     /// Start a run span (armed batches only). Strings are recycled.
     fn begin_run(&mut self, relation: &str, events: u64, entries: usize) {
         if self.runs_live == self.runs.len() {
@@ -618,13 +580,13 @@ impl TelemetryState {
         Some(slot)
     }
 
-    /// Close the current run span.
-    fn end_run(&mut self, strategy: Option<BatchStrategy>, nanos: u64) {
+    /// Close the current run span; `fired`: the run fired triggers.
+    fn end_run(&mut self, fired: bool, nanos: u64) {
         let r = &mut self.runs[self.runs_live - 1];
-        r.strategy = strategy.map_or("base-only", |s| s.as_str());
+        r.strategy = if fired { "batch-delta" } else { "base-only" };
         r.nanos = nanos;
-        if let Some(s) = strategy {
-            self.stage_hists[Self::stage_index(s)].record(nanos);
+        if fired {
+            self.kernel_hist.record(nanos);
         }
     }
 
@@ -686,7 +648,9 @@ fn segs_rows(segs: &[Seg]) -> u64 {
 impl Engine {
     /// Build an engine for a compiled program. `catalog` supplies the column names of
     /// stored base relations and declares every static table, whether or not a view
-    /// reads it, so [`Engine::load_table`] can fill any of them.
+    /// reads it, so [`Engine::load_table`] can fill any of them. A program that
+    /// leaves a triggered relation without a live pass is corrupt: this panics,
+    /// naming the relation.
     pub fn new(program: TriggerProgram, catalog: &Catalog) -> Self {
         let mut db = Database::new();
         for m in &program.maps {
@@ -711,14 +675,6 @@ impl Engine {
                 .unwrap_or_default();
             db.declare(rel.clone(), columns);
         }
-        let increment_only = program
-            .triggers
-            .iter()
-            .all(|t| t.statements.iter().all(|s| s.op == StmtOp::Increment));
-        let shape = match increment_only {
-            true => BatchShape::Grouped,
-            false => BatchShape::StreamOrder,
-        };
         let relations: Vec<Relation> = catalog
             .relations()
             .iter()
@@ -740,13 +696,10 @@ impl Engine {
             rows: Vec::new(),
             bd: BdScratch::default(),
             single: DeltaBatch::new(),
-            firing: DeltaBatch::new(),
-            merged: DeltaBatch::new(),
             admitted: DeltaBatch::new(),
             relations,
             relation_ids,
             run_rels: Vec::new(),
-            shape,
             stmts: Vec::new(),
             inits: Vec::new(),
             record_runs: false,
@@ -765,7 +718,9 @@ impl Engine {
     /// resolve every catalog relation's dispatch and base map and bind every
     /// statement and static-view initializer to map ids. Run by
     /// [`Engine::new`] and again whenever a map is declared later; the
-    /// declarations are idempotent and a map keeps its id.
+    /// declarations are idempotent and a map keeps its id. A triggered
+    /// relation without a live pass is a corrupt program: it panics, naming
+    /// the relation.
     fn resolve(&mut self) {
         let Engine {
             program,
@@ -816,18 +771,24 @@ impl Engine {
             r.base = db.id(&r.meta.name);
         }
         for d in program.batch_dispatch() {
+            let Some(lp) = program
+                .live_passes
+                .iter()
+                .position(|lp| lp.relation == d.relation)
+            else {
+                panic!(
+                    "the triggers of {} have no live pass (a corrupt program: `compile` \
+                     derives one for every triggered relation)",
+                    d.relation
+                );
+            };
             // A relation the catalog does not declare never passes the gate.
             let Some(&r) = relation_ids.get(&d.relation) else {
                 continue;
             };
-            let live_pass = program
-                .live_passes
-                .iter()
-                .position(|lp| lp.relation == d.relation && !lp.statements.is_empty())
-                .map(|i| i as u16);
-            let base_live = program
-                .live_pass_for(&d.relation)
-                .is_some_and(|lp| lp.live_maps.contains(&d.relation));
+            let pass = &program.live_passes[lp];
+            let live_pass = (!pass.statements.is_empty()).then_some(lp as u16);
+            let base_live = pass.live_maps.contains(&d.relation);
             let tail = program.triggers.iter().any(|t| {
                 t.relation == d.relation && t.statements.iter().any(|s| s.op == StmtOp::Replace)
             });
@@ -835,7 +796,6 @@ impl Engine {
             r.dispatch = Some(DispatchEntry {
                 insert: d.insert.map(|i| i as u16),
                 delete: d.delete.map(|i| i as u16),
-                strategy: d.strategy,
                 live_pass,
                 base: r.base,
                 base_live,
@@ -844,10 +804,10 @@ impl Engine {
         }
     }
 
-    /// Enable or disable per-run strategy records in [`BatchReport::runs`]
-    /// (off by default — recording allocates per run, which the batch-of-1
-    /// hot path keeps at zero). The strategy-run *counters* in
-    /// [`EngineStats`] are always maintained.
+    /// Enable or disable per-run records in [`BatchReport::runs`] (off by
+    /// default — recording allocates per run, which the batch-of-1 hot path
+    /// keeps at zero). The run *counter* in [`EngineStats`] is always
+    /// maintained.
     pub fn set_run_recording(&mut self, enabled: bool) {
         self.exec.record_runs = enabled;
     }
@@ -1030,18 +990,8 @@ impl Engine {
         }
     }
 
-    /// The [`BatchShape`] this engine runs (see the module docs): build a
-    /// batch with `DeltaBatch::with_shape(engine.batch_shape())` and
-    /// [`Engine::process_batch`] runs it as it is.
-    pub fn batch_shape(&self) -> BatchShape {
-        self.exec.shape
-    }
-
-    /// Process a delta batch, firing each relation run's triggers under the
-    /// statically chosen [`BatchStrategy`] (see the module docs). A
-    /// stream-order batch of an increment-only program is regrouped first; a
-    /// grouped batch of a program with `:=` statements, whose run boundaries
-    /// are lost, panics. The gate goes next: an entry [`Engine::admits`] would
+    /// Process a delta batch, one batch-delta pass per relation run (see the
+    /// module docs). The gate goes first: an entry [`Engine::admits`] would
     /// refuse is taken out of the batch, with its events counted in
     /// [`BatchReport::failed_events`], and the rest is processed as if it had
     /// never held them.
@@ -1108,7 +1058,7 @@ impl Executor {
                 report.first_error = Some(e);
             }
             self.arm(report.events);
-            self.end_batch(t0, &report, None);
+            self.end_batch(t0, &report, false);
             return report;
         }
         let mut single = std::mem::take(&mut self.single);
@@ -1133,26 +1083,6 @@ impl Executor {
             events: batch.events(),
             ..BatchReport::default()
         };
-        // Increment-only programs process one run per relation: a batch
-        // built in stream order is regrouped here (ring addition may also
-        // cancel entries across runs; see the module docs for legality).
-        let mut merged: Option<DeltaBatch> = None;
-        match (self.shape, batch.shape()) {
-            (BatchShape::Grouped, BatchShape::StreamOrder) if batch.has_repeated_relation() => {
-                let mut scratch = std::mem::take(&mut self.merged);
-                batch.merge_runs_into(&mut scratch);
-                merged = Some(scratch);
-            }
-            (BatchShape::StreamOrder, BatchShape::Grouped) => panic!(
-                "a grouped batch reached a program with `:=` statements, which runs \
-                 stream-order batches: build it with `Engine::batch_shape`"
-            ),
-            _ => {}
-        }
-        let source: &DeltaBatch = merged.as_ref().unwrap_or(batch);
-        if merged.is_some() {
-            self.resolve_runs(source);
-        }
         // The ingest gate: a batch holding an entry it refuses is processed
         // as a copy without that entry.
         let mut admitted: Option<DeltaBatch> = None;
@@ -1160,10 +1090,10 @@ impl Executor {
             let rel = r.map(|r| &self.relations[r as usize]);
             rel.is_some_and(|rel| run.entries().iter().all(|e| rel.admits(&e.key).is_ok()))
         };
-        if !source.runs().iter().zip(&self.run_rels).all(admits_run) {
+        if !batch.runs().iter().zip(&self.run_rels).all(admits_run) {
             let mut scratch = std::mem::take(&mut self.admitted);
             let mut first = None;
-            report.failed_events = source.retain_into(&mut scratch, |run, e| {
+            report.failed_events = batch.retain_into(&mut scratch, |run, e| {
                 let refused = self.admits_row(run.relation(), &e.key).err();
                 let admitted = refused.is_none();
                 first = first.take().or(refused);
@@ -1173,10 +1103,10 @@ impl Executor {
             self.resolve_runs(&scratch);
             admitted = Some(scratch);
         }
-        let source: &DeltaBatch = admitted.as_ref().unwrap_or(source);
+        let source: &DeltaBatch = admitted.as_ref().unwrap_or(batch);
         let armed = self.arm(report.events);
         let mut run_count = 0u32;
-        let mut last_strategy: Option<BatchStrategy> = None;
+        let mut fired = false;
         let run_rels = std::mem::take(&mut self.run_rels);
         for (run, rel) in source.runs().iter().zip(&run_rels) {
             let rel = rel.expect("the gate admits only relations the catalog declares");
@@ -1189,31 +1119,27 @@ impl Executor {
             } else {
                 None
             };
-            let strat = self.process_run(program, run, rel, &mut report);
+            fired = self.process_run(program, run, rel, &mut report);
             run_count += 1;
-            last_strategy = strat;
             if let Some(rt0) = rt0 {
                 let nanos = rt0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
                 self.tel
                     .as_deref_mut()
                     .expect("armed implies tel")
-                    .end_run(strat, nanos);
+                    .end_run(fired, nanos);
             }
         }
         self.run_rels = run_rels;
         self.stats.batch_events_collapsed += source.collapsed_events();
-        if let Some(m) = merged {
-            self.merged = m;
-        }
         if let Some(a) = admitted {
             self.admitted = a;
         }
-        // Strategy attribution without extra clock reads: a single-run batch
+        // Kernel attribution without extra clock reads: a single-run batch
         // (the overwhelmingly common case, and always the batch-of-1 path)
         // is its one run, so the whole batch measurement is the run's
         // kernel-execute time. Multi-run batches were attributed per run
         // above when armed.
-        let whole = last_strategy.filter(|_| run_count == 1 && !armed);
+        let whole = fired && run_count == 1 && !armed;
         self.end_batch(t0, &report, whole);
         report
     }
@@ -1233,10 +1159,10 @@ impl Executor {
     }
 
     /// Count a processed batch begun at `t0`: its events, its busy time and,
-    /// with telemetry, its latency — as the kernel time of `strategy` when
-    /// the batch was that strategy's one unarmed run — and a slow-batch
+    /// with telemetry, its latency — also as kernel time when the batch was
+    /// one unarmed run that fired triggers (`kernel`) — and a slow-batch
     /// trace; every `TELEMETRY_FLUSH_BATCHES` batches, a flush.
-    fn end_batch(&mut self, t0: Instant, report: &BatchReport, strategy: Option<BatchStrategy>) {
+    fn end_batch(&mut self, t0: Instant, report: &BatchReport, kernel: bool) {
         self.stats.events += report.events - report.failed_events;
         self.stats.delta_batches += 1;
         let elapsed = t0.elapsed();
@@ -1244,8 +1170,8 @@ impl Executor {
         if let Some(ts) = self.tel.as_deref_mut() {
             let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
             ts.batch_hist.record(nanos);
-            if let Some(s) = strategy {
-                ts.stage_hists[TelemetryState::stage_index(s)].record(nanos);
+            if kernel {
+                ts.kernel_hist.record(nanos);
             }
             if ts.slow_threshold_nanos > 0 && nanos >= ts.slow_threshold_nanos {
                 let trace = ts.assemble_trace(nanos, report.events);
@@ -1262,41 +1188,33 @@ impl Executor {
         }
     }
 
-    /// Dispatch one run of relation `rel` (its position in `relations`).
-    /// Returns the strategy that executed
-    /// (`None` when the run applied only a base update).
+    /// Run one run of relation `rel` (its position in `relations`). Returns
+    /// whether it fired triggers (`false` when it applied only a base
+    /// update).
     fn process_run(
         &mut self,
         program: &TriggerProgram,
         run: &RelationDelta,
         rel: u32,
         report: &mut BatchReport,
-    ) -> Option<BatchStrategy> {
+    ) -> bool {
         let rel = &self.relations[rel as usize];
         let Some(disp) = rel.dispatch else {
             // No trigger for this relation under either sign (e.g. an update
             // to a relation no query depends on): still keep the stored base
             // relation consistent.
             self.apply_base_run(rel.base, run);
-            return None;
+            return false;
         };
-        let executed = disp.strategy;
-        match executed {
-            BatchStrategy::BatchDelta => self.run_batch_delta(program, disp, run),
-            BatchStrategy::EntryMajor => self.run_firing_by_firing(program, disp, run),
-        }
-        match executed {
-            BatchStrategy::BatchDelta => self.stats.batch_delta_runs += 1,
-            BatchStrategy::EntryMajor => self.stats.entry_major_runs += 1,
-        }
+        self.run_batch_delta(program, disp, run);
+        self.stats.batch_delta_runs += 1;
         if self.record_runs {
             report.runs.push(RunRecord {
                 relation: run.relation().to_string(),
-                strategy: executed,
                 events: run.events(),
             });
         }
-        Some(executed)
+        true
     }
 
     /// Route the kernel's work counters at the view slot of a trigger
@@ -1344,27 +1262,6 @@ impl Executor {
                 *r += rows;
             }
         }
-    }
-
-    /// Entry-major execution of one run: the batch-delta executor over runs
-    /// of one firing each — every surviving entry `|mult|` times, in entry
-    /// order — which is event-at-a-time processing of the net stream.
-    fn run_firing_by_firing(
-        &mut self,
-        program: &TriggerProgram,
-        disp: DispatchEntry,
-        run: &RelationDelta,
-    ) {
-        let mut one = std::mem::take(&mut self.firing);
-        for entry in run.entries() {
-            let Some(sign) = entry.sign() else { continue };
-            for _ in 0..entry.firings() {
-                one.clear();
-                one.push_key(run.relation(), entry.key.clone(), sign);
-                self.run_batch_delta(program, disp, &one.runs()[0]);
-            }
-        }
-        self.firing = one;
     }
 
     /// Evaluate statement `j` of trigger `tidx` for one event tuple against
@@ -1730,13 +1627,8 @@ impl Executor {
         };
         ts.batch_hist
             .flush_into(ts.tel.batch_hist().expect("enabled handle"));
-        for (i, h) in ts.stage_hists.iter_mut().enumerate() {
-            h.flush_into(
-                ts.tel
-                    .stage_hist(TelemetryState::stage_of(i))
-                    .expect("enabled handle"),
-            );
-        }
+        let kernel = ts.tel.stage_hist(Stage::KernelBatchDelta);
+        ts.kernel_hist.flush_into(kernel.expect("enabled handle"));
         for (i, record) in ts.views.iter().enumerate() {
             let mut r = self.db.at(ts.map_ids[i]).readings();
             let w = self.kernel.counter_slots.get(i).map(|c| c.take());
@@ -1816,8 +1708,7 @@ impl Engine {
     }
 
     /// Structured EXPLAIN of the compiled trigger program: one operator tree
-    /// per statement plus the batch-dispatch decision (and its reason) per
-    /// relation. With telemetry attached the tree carries live per-view
+    /// per statement plus the live pass and `:=` tail of each relation. With telemetry attached the tree carries live per-view
     /// counters — EXPLAIN ANALYZE — after an implicit
     /// [`Engine::flush_telemetry`]; without telemetry the `analyze` blocks
     /// are absent. Render with [`ProgramExplain::render_text`] or
@@ -1846,7 +1737,7 @@ impl Engine {
     }
 
     /// Attach a [`Telemetry`] handle. With an enabled handle the engine
-    /// records whole-batch latency, per-strategy kernel timings, per-view
+    /// records whole-batch latency, kernel timings, per-view
     /// work counters and slow-batch traces into it — all buffered in plain
     /// integers and folded into the shared atomics every
     /// `TELEMETRY_FLUSH_BATCHES` (64) batches (or on
@@ -1895,7 +1786,7 @@ impl Engine {
         self.exec.tel = Some(Box::new(TelemetryState {
             tel,
             batch_hist: LocalHistogram::new(),
-            stage_hists: [LocalHistogram::new(), LocalHistogram::new()],
+            kernel_hist: LocalHistogram::new(),
             views,
             map_ids,
             pending_rows: vec![0; n],
@@ -2202,12 +2093,11 @@ mod tests {
         }
     }
 
-    /// The engine names the shape it runs: grouped for an increment-only
-    /// program, which runs a grouped batch as it is and regroups a
-    /// stream-order one into the same runs; stream order for a program with
-    /// `:=` statements.
+    /// An interleaved batch runs as one run per relation — in re-evaluation
+    /// mode too, whose triggers are nothing but `:=` statements — and ends
+    /// where per-event processing ends.
     #[test]
-    fn the_engine_names_the_batch_shape_it_runs() {
+    fn an_interleaved_batch_runs_one_run_per_relation() {
         let events = [
             UpdateEvent::insert("R", long_tuple(&[1, 1])),
             UpdateEvent::insert("S", long_tuple(&[7, 7])),
@@ -2218,47 +2108,23 @@ mod tests {
         for mode in [CompileMode::HigherOrder, CompileMode::Reevaluate] {
             let options = CompileOptions::for_mode(mode);
             let program = compile(&[example1_query()], &catalog(), &options).unwrap();
-            let mut built = Engine::new(program.clone(), &catalog());
-            let shape = built.batch_shape();
-            let increment_only = program
-                .triggers
+            let mut per_event = Engine::new(program.clone(), &catalog());
+            per_event.process_all(&events).unwrap();
+            let mut batched = Engine::new(program, &catalog());
+            batched.set_run_recording(true);
+            let runs = batched
+                .process_batch(&DeltaBatch::from_events(&events))
+                .runs;
+            let runs: Vec<_> = runs
                 .iter()
-                .all(|t| t.increments().len() == t.statements.len());
-            assert_eq!(shape == BatchShape::Grouped, increment_only, "mode {mode}");
-            let mut batch = DeltaBatch::with_shape(shape);
-            batch.refill(events.iter().cloned());
-            let mut regrouped = Engine::new(program, &catalog());
-            built.set_run_recording(true);
-            regrouped.set_run_recording(true);
-            let runs = built.process_batch(&batch).runs;
-            assert_eq!(
-                runs.len(),
-                if increment_only { 2 } else { 5 },
-                "mode {mode}"
-            );
-            let stream_order = DeltaBatch::from_events(&events);
-            assert_eq!(
-                runs,
-                regrouped.process_batch(&stream_order).runs,
-                "mode {mode}"
-            );
-            for name in built.database().names() {
-                let (a, b) = (built.view(name).unwrap(), regrouped.view(name).unwrap());
+                .map(|r| (r.relation.as_str(), r.events))
+                .collect();
+            assert_eq!(runs, [("R", 3), ("S", 2)], "mode {mode}");
+            for name in per_event.database().names() {
+                let (a, b) = (per_event.view(name).unwrap(), batched.view(name).unwrap());
                 assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");
             }
         }
-    }
-
-    /// A grouped batch has lost the run boundaries a `:=` statement binds to.
-    #[test]
-    #[should_panic(expected = "a grouped batch reached a program with `:=` statements")]
-    fn a_grouped_batch_of_a_program_with_replace_statements_panics() {
-        let options = CompileOptions::for_mode(CompileMode::Reevaluate);
-        let program = compile(&[example1_query()], &catalog(), &options).unwrap();
-        let mut engine = Engine::new(program, &catalog());
-        let mut batch = DeltaBatch::with_shape(BatchShape::Grouped);
-        batch.push(&UpdateEvent::insert("R", long_tuple(&[1, 1])));
-        engine.process_batch(&batch);
     }
 
     #[test]

@@ -1068,10 +1068,9 @@ fn writer_loop(
 
     let max_batch = config.max_batch.max(1);
     let mut subscribers: Vec<Subscriber> = Vec::new();
-    // Recycled input-side delta batch (per-relation GMR deltas) in the shape
-    // the engine runs; rebuilt from each drained micro-batch with zero
-    // steady-state allocation.
-    let mut delta = dbtoaster_agca::DeltaBatch::with_shape(engine.batch_shape());
+    // Recycled input-side delta batch (per-relation GMR deltas), rebuilt
+    // from each drained micro-batch with zero steady-state allocation.
+    let mut delta = dbtoaster_agca::DeltaBatch::new();
     let mut epoch = 0u64;
     let mut batch: Vec<UpdateEvent> = Vec::with_capacity(max_batch);
     // Events applied but not yet published. Publishing is *coalesced*: under
@@ -1180,9 +1179,8 @@ fn writer_loop(
         if !batch.is_empty() {
             // Coalesced publication now also means coalesced *computation*:
             // the drained micro-batch becomes one DeltaBatch of per-relation
-            // GMR deltas, each event folded straight into its run in the
-            // engine's shape (one run per relation for an increment-only
-            // program), processed with per-batch (not per-event) kernel
+            // GMR deltas, each event folded straight into its relation's
+            // one run, processed with per-batch (not per-event) kernel
             // dispatch. WAL replay rebuilds the same DeltaBatch per logged
             // record, so live and recovered state stay bit-exact. The events
             // were already logged above, so their tuples can be *moved* into

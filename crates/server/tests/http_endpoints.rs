@@ -226,7 +226,7 @@ fn explain_endpoint_serves_text_and_round_trippable_json() {
         Some("text/plain; charset=utf-8")
     );
     assert!(text.body.contains("== relation R =="), "{}", text.body);
-    assert!(text.body.contains("strategy:"));
+    assert!(text.body.contains("live pass:"));
     assert!(
         text.body.contains("analyze:"),
         "live counters missing: {}",
@@ -240,12 +240,11 @@ fn explain_endpoint_serves_text_and_round_trippable_json() {
         .unwrap_or_else(|| panic!("unparseable /explain JSON: {}", json.body));
     assert_eq!(parsed.relations.len(), 1);
     assert_eq!(parsed.relations[0].relation, "R");
-    // The JSON strategies agree with what the in-process API explains.
+    // The JSON live passes agree with what the in-process API explains.
     let local = server.explain();
     for (a, b) in parsed.relations.iter().zip(&local.relations) {
         assert_eq!(a.relation, b.relation);
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.reason, b.reason);
+        assert_eq!(a.live_pass, b.live_pass);
     }
 }
 

@@ -317,14 +317,17 @@ pub enum Stage {
     /// fsync after it: the fsync runs on the WAL's sync thread while the
     /// batch's kernels do, so this is the WAL's exposed cost.
     WalAppend,
-    /// Kernel execution of a relation run under the batch-delta strategy.
+    /// Kernel execution of a relation run (every run is batch-delta).
     KernelBatchDelta,
     /// Always zero: the strategy it timed was folded into batch-delta. Kept,
     /// never recorded into, only because the frozen benchmark reads it for
     /// its `telemetry.stage_kernel_statement_major_ns_per_event` ledger row;
     /// goes with that row (ROADMAP, Smaller: the frozen-ledger residue).
     KernelStatementMajor,
-    /// Kernel execution of a relation run under the entry-major strategy.
+    /// Always zero: every run is batch-delta. Kept, never recorded into,
+    /// only because the frozen benchmark reads it for its
+    /// `telemetry.stage_kernel_entry_major_ns_per_event` ledger row; goes
+    /// with that row (ROADMAP, Smaller: the frozen-ledger residue).
     KernelEntryMajor,
     /// Snapshot construction + epoch publish.
     SnapshotPublish,
@@ -661,8 +664,7 @@ impl ViewSummary {
 pub struct StmtSpan {
     /// Target map of the statement.
     pub target: String,
-    /// Wall time of the statement over the whole run, in nanoseconds
-    /// (0 when the executing strategy does not time statements).
+    /// Wall time of the statement over the whole run, in nanoseconds.
     pub nanos: u64,
     /// Rows the statement emitted.
     pub rows: u64,
@@ -673,8 +675,8 @@ pub struct StmtSpan {
 pub struct RunSpan {
     /// Relation of the run.
     pub relation: String,
-    /// Batch strategy that actually executed ("batch-delta" or
-    /// "entry-major"; "base-only" for a run that fired no trigger).
+    /// "batch-delta" for a run that fired triggers, "base-only" for one
+    /// that only updated a stored relation.
     pub strategy: String,
     /// Events in the run.
     pub events: u64,

@@ -78,10 +78,7 @@ fn main() -> Result<(), DbToasterError> {
         stats.checkpoints_taken,
         stats.wal_bytes_written
     );
-    println!(
-        "[act 1] batch strategies: {} batch-delta runs, {} entry-major",
-        stats.batch_delta_runs, stats.entry_major_runs
-    );
+    println!("[act 1] {} relation runs", stats.batch_delta_runs);
     println!("[act 1] killing the server: no flush, no final checkpoint");
     server.kill();
 
@@ -148,9 +145,8 @@ fn main() -> Result<(), DbToasterError> {
         stats.events, stats.snapshots_published, stats.checkpoints_taken, stats.wal_bytes_written
     );
     println!(
-        "[act 2] batch strategies (incl. recovery replay): {} batch-delta runs, \
-         {} entry-major",
-        stats.batch_delta_runs, stats.entry_major_runs
+        "[act 2] {} relation runs (incl. recovery replay)",
+        stats.batch_delta_runs
     );
 
     // Telemetry: the server carries latency histograms and per-stage timings

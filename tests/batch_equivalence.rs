@@ -1,14 +1,13 @@
 //! Batch-partition equivalence: the batch-first processing spine must be a
 //! pure refactoring of event-at-a-time processing.
 //!
-//! For any stream and any partition of it into delta batches,
-//! `Engine::process_batch` must end bit-exactly where `Engine::process` over
-//! the events one at a time ends — in all four compile modes, with the live
-//! passes kept (batch-delta) and cleared (every relation entry-major: runs of
-//! one firing) — and both must equal every map's definition recomputed from
-//! the final base relations. Three seeded slices of generated programs check
-//! it through the shared driver (`common`): random partitions, the cases
-//! with a `:=` tail or a star or cubic join, and live passes cleared.
+//! For any stream and any partition of it into delta batches — one run per
+//! relation, each run one batch-delta pass — `Engine::process_batch` must
+//! end bit-exactly where `Engine::process` over the events one at a time
+//! ends, in all four compile modes, and both must equal every map's
+//! definition recomputed from the final base relations. Two seeded slices of
+//! generated programs check it through `common::check`: random
+//! partitions, and the cases with a `:=` tail or a star or cubic join.
 //!
 //! Pinned regressions follow: what a firing reads, hand-assembled programs
 //! whose derivation bails, failing firings, the `:=` tail's run shapes, the
@@ -18,7 +17,7 @@ mod common;
 
 use common::{Case, Hand, Partition, Point, Recompute, Shape, Source};
 use dbtoaster::agca::{DeltaBatch, Expr, UpdateEvent, UpdateSign};
-use dbtoaster::compiler::{BatchStrategy, CompileMode, StmtOp, Trigger, TriggerProgram};
+use dbtoaster::compiler::{derive_live_passes, CompileMode, StmtOp, Trigger, TriggerProgram};
 use dbtoaster::gmr::Value;
 use dbtoaster::runtime::Engine;
 use dbtoaster::workloads::{self, Dataset, FinanceConfig};
@@ -33,18 +32,19 @@ fn higher_order(partitions: &[Partition]) -> Vec<Point> {
 /// Guard the suite's own premise on the generator's named shapes: in
 /// higher-order mode the linear, group-by, self-join and scaled self-join
 /// queries together (the last one's live statements read a stored `S`), the
-/// star and the cubic chain are batch-delta and fire live; re-evaluation is
-/// batch-delta and all tail; `NESTED`'s `:=` tails follow increments; without
-/// live passes every run is entry-major. (The census pins the slices.)
+/// star and the cubic chain derive a live pass per relation and fire live;
+/// re-evaluation is all tail; `NESTED`'s `:=` tails follow increments. (The
+/// census pins the slices.)
 #[test]
-fn query_set_spans_both_batch_strategies() {
+fn query_set_spans_live_passes_and_tails() {
     use common::Shape::*;
-    use BatchStrategy::{BatchDelta, EntryMajor};
-    let batch_delta = |shapes: &[Shape], mode| {
+    let derived = |shapes: &[Shape], mode| {
         let specs = shapes.iter().map(|s| s.query()).collect();
         let program = Case::new(Source::Queries(specs), vec![]).compile(mode);
         let dispatch = program.batch_dispatch();
-        let all = dispatch.iter().all(|d| d.strategy == BatchDelta);
+        let all = dispatch
+            .iter()
+            .all(|d| program.live_pass_for(&d.relation).is_some());
         assert!(all, "{shapes:?} [{mode}]: {dispatch:?}");
         program
     };
@@ -53,47 +53,43 @@ fn query_set_spans_both_batch_strategies() {
         pass.unwrap_or(0) > 0
     };
     let main = [Single, EquiJoin, GroupBy, SelfJoin, ScaledSelfJoin];
-    assert!(live(batch_delta(&main, HO)), "the self-joins fire live");
+    assert!(live(derived(&main, HO)), "the self-joins fire live");
     for cubic in [Star, CubicChain] {
-        assert!(live(batch_delta(&[cubic], HO)), "{cubic:?} fires live");
+        assert!(live(derived(&[cubic], HO)), "{cubic:?} fires live");
     }
-    let reeval = batch_delta(&main, CompileMode::Reevaluate);
+    let reeval = derived(&main, CompileMode::Reevaluate);
     for d in reeval.batch_dispatch() {
         assert!(common::has_tail(&reeval, &d.relation), "{}", d.relation);
     }
     let mut tails = 0;
-    for t in &batch_delta(&[Nested], HO).triggers {
+    for t in &derived(&[Nested], HO).triggers {
         let increments = t.increments().len();
         let tail = t.statements.len() - increments;
         assert!(tail == 0 || increments > 0, "{}: a bare tail", t.relation);
         tails += tail;
     }
     assert!(tails > 0, "NESTED lost its `:=` tail");
-
-    // Entry-major: a program whose relations cannot batch, run by run.
-    let star = common::underivable(&batch_delta(&[Star], HO));
-    let mut engine = Engine::new(star, &common::catalog());
-    engine.set_run_recording(true);
-    let report = engine.process_batch(&DeltaBatch::from_events(&common::small_stream(5, 40)));
-    assert!(report.first_error.is_none(), "{:?}", report.first_error);
-    let runs = &report.runs;
-    let entry_major = runs.iter().all(|r| r.strategy == EntryMajor);
-    assert!(!runs.is_empty() && entry_major, "{runs:?}");
-    assert_eq!(engine.stats().batch_delta_runs, 0);
 }
 
 /// Coverage guard for the served queries: every query the benchmark batches
-/// must dispatch batch-delta on all of its stream relations in higher-order
-/// mode, or the benchmark silently stops measuring the batch-delta path (and,
-/// for `bsp`/`bsv`, its live pass). (The census in `explain_golden` pins
-/// every other workload query batch-delta.)
+/// derives a live pass for each of its stream relations in higher-order
+/// mode, and `bsp`'s and `bsv`'s fire statements live, or the benchmark
+/// silently stops measuring the live pass. (The census in `explain_golden`
+/// pins every other workload query's live passes.)
 #[test]
 fn batch_sweep_queries_dispatch_batch_delta() {
     for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
-        let dispatch = common::workload_program(&[name], HO).batch_dispatch();
+        let program = common::workload_program(&[name], HO);
+        let dispatch = program.batch_dispatch();
         assert!(!dispatch.is_empty(), "{name}: no stream relations");
         for d in &dispatch {
-            assert_eq!(d.strategy, BatchStrategy::BatchDelta, "{name}");
+            let pass = program.live_pass_for(&d.relation);
+            let pass = pass.unwrap_or_else(|| panic!("{name}: {} has no live pass", d.relation));
+            let self_join = name == "bsp" || name == "bsv";
+            assert!(
+                !self_join || !pass.statements.is_empty(),
+                "{name}: {pass:?}"
+            );
         }
     }
 }
@@ -103,19 +99,11 @@ fn batch_sweep_queries_dispatch_batch_delta() {
 /// trigger variables (the alpha-renamed `{map}@@k{i}` columns). The R×R×R
 /// cubic chain used to panic at compile time and the R·S·R path chain used to
 /// diverge; here they must additionally stay bit-exact under a random batch
-/// partition, also firing by firing.
+/// partition.
 #[test]
 fn trigger_variable_chains_batch_bit_exact_all_modes() {
     let case = common::shaped(&[Shape::PathChain, Shape::CubicChain], 7, 80);
     common::check(&case, &common::in_all_modes(Partition::Geometric(7)));
-}
-
-#[test]
-fn trigger_variable_chains_batch_bit_exact_forced_entry_major() {
-    let case = common::shaped(&[Shape::PathChain, Shape::CubicChain], 3, 80);
-    let mut point = Point::plain(HO, Partition::Geometric(3));
-    point.live = false;
-    common::check(&case, &[point]);
 }
 
 #[test]
@@ -126,13 +114,6 @@ fn random_partitions_are_bit_exact() {
 #[test]
 fn nested_and_cubic_random_partitions_are_bit_exact() {
     common::run_slice(common::Lean::Tails);
-}
-
-/// With the live passes cleared every run goes entry-major, as runs of one
-/// firing, and must stay bit-exact with per-event processing.
-#[test]
-fn forced_entry_major_is_bit_exact() {
-    common::run_slice(common::Lean::EntryMajor);
 }
 
 // ---------------------------------------------------------------------------
@@ -170,30 +151,32 @@ fn a_firing_reads_the_state_before_it_at_every_batch_size() {
     }
 }
 
-/// A relation whose derivation bails runs entry-major — the batch-delta
-/// executor over runs of one firing — at every batch size: bit-exact with
-/// per-event processing at batch 1, 8 and 64 and on a random partition (the
-/// driver holds every run to the static, entry-major dispatch), and EXPLAIN
-/// names the condition that bailed.
+/// A relation whose derivation bails has no engine to run it: the
+/// derivation names the condition for `R`, and `Engine::new` refuses the
+/// program, naming `R` — a corrupt program, as an unresolved target is.
+/// (`compile` turns the same condition into `CompileError::Underivable`;
+/// no program it emits has one.)
 #[test]
-fn underivable_relations_are_bit_exact_firing_by_firing() {
-    for hand in common::HANDS {
-        let Some(bail) = hand.bail() else { continue };
+fn a_relation_whose_derivation_bails_is_refused_by_name() {
+    for hand in common::BAILING {
         let program = hand.program();
-        let outcome = program.batch_delta_reason("R").expect("R has an outcome");
-        assert_eq!(outcome.bail.as_ref(), Some(&bail));
-        let case = common::assembled(hand, 11);
-        let partitions = [1, 8, 64].map(Partition::Fixed);
-        let partitions = [&partitions[..], &[Partition::Geometric(5)]].concat();
-        let outcomes = common::check(&case, &higher_order(&partitions));
-        let t = outcomes[0].engine.view("T").unwrap();
-        assert!(!t.is_empty(), "{hand:?}");
-
-        let ex = Engine::new(program, &case.catalog).explain();
-        let r = ex.relations.iter().find(|r| r.relation == "R").unwrap();
-        assert_eq!(r.strategy, "entry-major", "{hand:?}");
-        let reason = format!("batch-delta ineligible: {}", bail.describe());
-        assert_eq!(r.reason, reason, "{hand:?}");
+        let bail = hand.bail().expect("a bailing hand");
+        let derived = derive_live_passes(&program.triggers);
+        assert_eq!(derived, Err(("R".to_string(), bail)), "{hand:?}");
+        assert!(program.live_passes.is_empty(), "{hand:?}");
+        let built = std::panic::catch_unwind(|| Engine::new(program, &common::catalog()));
+        let Err(e) = built else {
+            panic!("{hand:?}: an engine without a live pass for R")
+        };
+        let message = e.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            message.starts_with("the triggers of R have no live pass"),
+            "{hand:?}: {message}"
+        );
+    }
+    for hand in common::HANDS {
+        assert_eq!(hand.bail(), None, "{hand:?}");
+        assert!(hand.program().live_pass_for("R").is_some(), "{hand:?}");
     }
 }
 
@@ -628,16 +611,22 @@ fn order_book_offenders_walk_nested_range_sums_and_match_reevaluation() {
         let case = book_case(&[name], events.clone());
         let at = |&mode| [1, 8, 512].map(move |n| Point::plain(mode, Partition::Fixed(n)));
         let points: Vec<Point> = common::MODES[..3].iter().flat_map(at).collect();
+        // Both ways of answering a band sum were taken, over the
+        // higher-order points together: a batch of 512 holds the whole
+        // stream, so its bids are one run, whose `:=` tail reads the band
+        // sums only once, against the final book.
+        let (mut hits, mut bails) = (0, 0);
         for (p, outcome) in points.iter().zip(common::check(&case, &points)) {
-            // Both ways of answering a band sum were taken.
             let views = outcome.engine.telemetry().unwrap().snapshot().views;
             for v in views.iter().filter(|v| p.mode == HO && v.name == name) {
-                assert!(
-                    v.get("range_sum_hits") > 0 && v.get("range_sum_bails") > 0,
-                    "{p}: {v:?}"
-                );
+                hits += v.get("range_sum_hits");
+                bails += v.get("range_sum_bails");
             }
         }
+        assert!(
+            hits > 0 && bails > 0,
+            "{name}: {hits} searches, {bails} walks"
+        );
     }
 }
 
@@ -701,7 +690,7 @@ fn nested_replace_tail_planted_runs_batch_bit_exact() {
 }
 
 /// A batch-delta run whose entries all cancel fires no `:=` tail: it left
-/// the state unchanged, and firing by firing the cancelled entry fires
+/// the state unchanged, and its net stream — nothing, event by event — fires
 /// nothing.
 #[test]
 fn a_cancelled_run_fires_no_tail() {
@@ -709,16 +698,16 @@ fn a_cancelled_run_fires_no_tail() {
     let program = case.compile(CompileMode::Reevaluate);
     let events = events("-R 3 2; +R 3 2");
     let kept = common::batch_work(&program, &case.catalog, &events, 2);
-    let cleared = common::batch_work(&common::underivable(&program), &case.catalog, &events, 2);
-    let (kept, cleared) = (kept.statements, cleared.statements);
-    assert!(kept <= cleared, "{kept} statements vs {cleared}");
+    let net = common::net_work(&program, &case.catalog, &events, 2);
+    let (kept, net) = (kept.statements, net.statements);
+    assert!(kept <= net, "{kept} statements vs {net}");
 }
 
 /// Timing-free work guard for the tail: at batch 512 a `:=` statement is
 /// evaluated once per run, not once per event — `vwap` in higher-order mode
 /// (three increments per event plus the tail) and `q1` in re-evaluation mode
-/// (nothing but tails) — and no run leaves batch-delta. The streams are
-/// insert-only with distinct keys, so firings equal events.
+/// (nothing but tails) — and every run is counted as a batch-delta run. The
+/// streams are insert-only with distinct keys, so firings equal events.
 #[test]
 fn replace_statements_fire_once_per_run_not_per_event() {
     let book = book_data(2_048);
@@ -745,7 +734,7 @@ fn replace_statements_fire_once_per_run_not_per_event() {
             let report = engine.process_batch(&batch);
             assert!(report.first_error.is_none(), "{name}: {report:?}");
             for (run, rec) in batch.runs().iter().zip(&report.runs) {
-                assert_eq!(rec.strategy, BatchStrategy::BatchDelta, "{name}");
+                assert_eq!(rec.relation, run.relation(), "{name}");
                 let (_, increments, replaces) =
                     shape.iter().find(|s| s.0 == run.relation()).unwrap();
                 let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
@@ -755,8 +744,7 @@ fn replace_statements_fire_once_per_run_not_per_event() {
             }
         }
         let stats = engine.stats();
-        let run_counts = (stats.entry_major_runs, stats.batch_delta_runs);
-        assert_eq!(run_counts, (0, runs), "{name}");
+        assert_eq!(stats.batch_delta_runs, runs, "{name}");
         let per_run = format!("{name}: {} events, {runs} runs", stats.events);
         assert!(runs < stats.events / 100, "{per_run}");
         let statements = stats.statements;
@@ -788,10 +776,11 @@ fn book_data(events: usize) -> Dataset {
 /// became batch-delta when the affine split went — their statements read
 /// run-written state under a lift, comparison or `EXISTS`, or twice in one
 /// product — do no more work in batches of 64 (their live pass) than the
-/// same batches run entry-major, firing by firing, as they ran before:
-/// Σ `entries_scanned` and `stats.statements` are each no larger. (Per-event
-/// processing is no bound on the entries scanned: a batch's net stream fires
-/// its events in another order, and `mst` scans 0.25 % more at batch 64.)
+/// same batches' net streams processed event by event, as they ran before
+/// (`common::net_work`): Σ `entries_scanned` and `stats.statements` are
+/// each no larger. (Per-event processing of the stream itself is no bound
+/// on the entries scanned: a batch's net stream fires its events in another
+/// order, and `mst` scans 0.25 % more at batch 64.)
 #[test]
 fn promoted_relations_do_no_more_work_than_entry_major() {
     let mut tpch = workloads::tpch::generate(&workloads::TpchConfig::scaled(0.002, 42));
@@ -807,32 +796,31 @@ fn promoted_relations_do_no_more_work_than_entry_major() {
     ] {
         let program = common::workload_program(&[name], mode);
         // The two sides run side by side.
-        let cleared = common::underivable(&program);
-        let (live, entry_major) = std::thread::scope(|s| {
-            let entry_major = s.spawn(|| common::batch_work(&cleared, &catalog, events, 64));
+        let (live, net) = std::thread::scope(|s| {
+            let net = s.spawn(|| common::net_work(&program, &catalog, events, 64));
             (
                 common::batch_work(&program, &catalog, events, 64),
-                common::joined(entry_major),
+                common::joined(net),
             )
         });
         // Not vacuous: the live pass ran and the kernels scanned.
-        let ctx = format!("{name} [{mode}]: batch-delta {live:?}, entry-major {entry_major:?}");
-        assert!(live.live_firings > 0 && entry_major.scanned > 0, "{ctx}");
-        let scans = live.scanned <= entry_major.scanned;
-        assert!(scans && live.statements <= entry_major.statements, "{ctx}");
+        let ctx = format!("{name} [{mode}]: batch-delta {live:?}, event by event {net:?}");
+        assert!(live.live_firings > 0 && net.scanned > 0, "{ctx}");
+        let scans = live.scanned <= net.scanned;
+        assert!(scans && live.statements <= net.statements, "{ctx}");
     }
 }
 
 /// Timing-free regression guard for "a batch must never be slower than its
 /// events": on a fixed 5k-event order book, the entries the kernels touch —
 /// summed over every view's counters — at batch 8, 64 and 512 are no more
-/// than the same sum at batch 1, and no run may leave the static batch-delta
-/// dispatch. Two designs have failed it: PR 15's predecessor re-routed large
-/// `Bids` runs entry-major and scanned the run once per entry where it did
-/// not (5× to 100× the work); and any scheme that answers a statement from
-/// two structures — the pre-run state plus something holding the run's own
-/// writes — fails it once lookups are searches, because `log a + log b >
-/// log (a + b)` (+4 % at batch 8, +38 % at batch 512 on `bsp`). It holds
+/// than the same sum at batch 1. Two designs have failed it: a cost gate that
+/// re-routed large `Bids` runs to per-firing execution scanned the run once
+/// per entry where it did not (5× to 100× the work); and any scheme that
+/// answers a statement from two structures — the pre-run state plus
+/// something holding the run's own writes — fails it once lookups are
+/// searches, because `log a + log b > log (a + b)` (+4 % at batch 8, +38 %
+/// at batch 512 on `bsp`). It holds
 /// because a statement that reads what its run writes makes one lookup per
 /// firing, into maps the run keeps current, exactly as per event.
 ///

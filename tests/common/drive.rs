@@ -3,8 +3,7 @@
 //!
 //! [`check`] builds the [`Recompute`] oracle once per case, and the program
 //! and a per-event reference engine once per compile mode. At each [`Point`]
-//! it feeds the batches to an engine whose live passes are kept or cleared,
-//! and asserts:
+//! it feeds the batches to an engine, and asserts:
 //!
 //! * **values**: every map, stored relation and static table equals the
 //!   per-event reference and the recomputed definitions (bit-exact on exact
@@ -14,8 +13,8 @@
 //!   ends where the batched engine ended;
 //! * **work**: every batch runs exactly the statements its runs prescribe
 //!   ([`statements`]) — each `:=` tail once per run that changed anything —
-//!   and, on exact data, with the live passes kept, the kernels scan no more
-//!   entries than the same batches fired firing by firing;
+//!   and, on exact data, the kernels scan no more entries than each batch's
+//!   net stream ([`net_stream`]) processed event by event;
 //! * **refusals**: the ingest gate refuses exactly the case's ill-typed
 //!   event, if it has one — per event and batched, one failed event — and
 //!   never logs it, while every view equals the stream without it (see
@@ -26,8 +25,8 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{BatchShape, DeltaBatch, UpdateEvent, UpdateSign};
-use dbtoaster::compiler::{BatchStrategy, Catalog, CompileMode, StmtOp, TriggerProgram};
+use dbtoaster::agca::{DeltaBatch, UpdateEvent, UpdateSign};
+use dbtoaster::compiler::{Catalog, CompileMode, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
 use dbtoaster::gmr::{Gmr, Value};
@@ -39,16 +38,6 @@ use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-
-/// `program` without live passes or derivation outcomes, as a hand-assembled
-/// program is: every relation dispatches entry-major.
-pub fn underivable(program: &TriggerProgram) -> TriggerProgram {
-    TriggerProgram {
-        live_passes: Vec::new(),
-        batch_delta_reasons: Vec::new(),
-        ..program.clone()
-    }
-}
 
 /// Static-table rows by table.
 pub type Tables = HashMap<String, Vec<Vec<Value>>>;
@@ -124,22 +113,30 @@ pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
     }
 }
 
-/// `events` as the serving writer and WAL replay build a batch for an
-/// engine that runs `shape` (`Engine::batch_shape`): through
-/// `DeltaBatch::refill`, each event folded straight into its run.
-pub fn served_batch(shape: BatchShape, events: &[UpdateEvent]) -> DeltaBatch {
-    let mut batch = DeltaBatch::with_shape(shape);
-    batch.refill(events.iter().cloned());
-    batch
+/// A batch's net stream: each surviving entry `|mult|` times, run by run in
+/// entry order — the single-tuple firings the batch stands for, which
+/// `Engine::process` runs one at a time.
+pub fn net_stream(batch: &DeltaBatch) -> Vec<UpdateEvent> {
+    let mut out = Vec::new();
+    for run in batch.runs() {
+        for e in run.entries() {
+            let Some(sign) = e.sign() else { continue };
+            let event = UpdateEvent {
+                relation: run.relation().to_string(),
+                sign,
+                tuple: e.key.to_vec(),
+            };
+            out.extend(std::iter::repeat_n(event, e.firings() as usize));
+        }
+    }
+    out
 }
 
-/// The statements `program` executes for `batch`, built in the shape its
-/// engine runs ([`served_batch`]: an increment-only program's batch holds
-/// one run per relation), less the entry of the `refused` event. A
-/// batch-delta run executes each `+=` of an entry's sign once per entry —
-/// once per firing where a multi-firing run's live pass lists it — and the
-/// `:=` statements of its last event's trigger once, unless every entry
-/// cancelled; an entry-major run is runs of one firing each.
+/// The statements `program` executes for `batch`, less the entry of the
+/// `refused` event. A run executes each `+=` of an entry's sign once per
+/// entry — once per firing where a multi-firing run's live pass lists it —
+/// and the `:=` statements of its last event's trigger once, unless every
+/// entry cancelled.
 pub fn statements(
     program: &TriggerProgram,
     batch: &DeltaBatch,
@@ -167,19 +164,16 @@ pub fn statements(
                 continue;
             };
             let all = program.triggers[t].statements.iter().enumerate();
-            n += match d.strategy {
-                BatchStrategy::EntryMajor => u64::from(e.firings()) * all.len() as u64,
-                _ => all
-                    .filter(|(_, s)| s.op == StmtOp::Increment)
-                    .map(|(j, _)| match live.is_some_and(|lp| lp.lists(t, j)) {
-                        true => u64::from(e.firings()),
-                        false => 1,
-                    })
-                    .sum(),
-            };
+            n += all
+                .filter(|(_, s)| s.op == StmtOp::Increment)
+                .map(|(j, _)| match live.is_some_and(|lp| lp.lists(t, j)) {
+                    true => u64::from(e.firings()),
+                    false => 1,
+                })
+                .sum::<u64>();
         }
         let tail = run.last_event().and_then(|(sign, _)| trigger(sign));
-        if let Some(t) = tail.filter(|_| d.strategy == BatchStrategy::BatchDelta && firings > 0) {
+        if let Some(t) = tail.filter(|_| firings > 0) {
             let statements = program.triggers[t].statements.iter();
             n += statements.filter(|s| s.op == StmtOp::Replace).count() as u64;
         }
@@ -187,25 +181,27 @@ pub fn statements(
     n
 }
 
-/// Every run of a batch took its relation's static dispatch.
-pub fn assert_dispatched(ctx: &str, program: &TriggerProgram, report: &BatchReport) {
-    let dispatch = program.batch_dispatch();
-    for run in &report.runs {
-        let d = dispatch.iter().find(|d| d.relation == run.relation);
-        let (rel, dispatched) = (&run.relation, d.map(|d| d.strategy));
-        assert_eq!(Some(run.strategy), dispatched, "{ctx}: a {rel} run");
-    }
-}
-
 /// The work `program` does over `events` in batches of `n` (batch 1 is
-/// per-event processing), with the static dispatch checked on the way.
+/// per-event processing).
 pub fn batch_work(prog: &TriggerProgram, cat: &Catalog, events: &[UpdateEvent], n: usize) -> Work {
     let mut engine = Engine::new(prog.clone(), cat);
     let tel = instrument(&mut engine);
     for r in cuts(events, Partition::Fixed(n), false) {
         let report = engine.process_batch(&DeltaBatch::from_events(&events[r]));
         assert!(report.first_error.is_none(), "{:?}", report.first_error);
-        assert_dispatched(&format!("batch {n}"), prog, &report);
+    }
+    work(&mut engine, &tel)
+}
+
+/// The work `program` does over the net streams of `events` in batches of
+/// `n`, event by event: every batch's firings, each its own single-tuple
+/// step.
+pub fn net_work(prog: &TriggerProgram, cat: &Catalog, events: &[UpdateEvent], n: usize) -> Work {
+    let mut engine = Engine::new(prog.clone(), cat);
+    let tel = instrument(&mut engine);
+    for r in cuts(events, Partition::Fixed(n), false) {
+        let applied = engine.process_all(&net_stream(&DeltaBatch::from_events(&events[r])));
+        applied.unwrap_or_else(|e| panic!("net stream: {e}"));
     }
     work(&mut engine, &tel)
 }
@@ -258,9 +254,7 @@ pub fn replay(case: Case, events: &[usize], point: Point) {
 
 fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome {
     let ctx = format!("{} at {p}", case.label);
-    let (_, compiled, reference, refused_per_event) = prep;
-    let entry_major = underivable(compiled);
-    let program = if p.live { compiled } else { &entry_major };
+    let (_, program, reference, refused_per_event) = prep;
     let eps = if case.float { FLOAT_EPS } else { 0.0 };
     let cuts = cuts(&case.events, p.partition, case.split_repeated_keys);
     let same = |what: &str, want: Views, got: Views, eps: f64| {
@@ -268,8 +262,7 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     };
 
     let mut batched = engine(case, program);
-    let shape = batched.batch_shape();
-    let batch = |r: &Range<usize>| served_batch(shape, &case.events[r.clone()]);
+    let batch = |r: &Range<usize>| DeltaBatch::from_events(&case.events[r.clone()]);
     let tel = instrument(&mut batched);
     let initial_statements = batched.stats().statements;
     let mut prescribed = 0;
@@ -294,7 +287,6 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
             let b = batch(r);
             prescribed += statements(program, &b, refused.map(|at| &case.events[at]));
             reports.push(batched.process_batch(&b));
-            assert_dispatched(&ctx, program, &reports[i]);
         }
     }
     let done = work(&mut batched, &tel);
@@ -328,15 +320,16 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
 
     // Work, on exact data only: a float sum that a delete cancels leaves a
     // ±ulp residue or not depending on the summation order, and a residue
-    // is an entry that later scans count.
-    if p.live && !case.float {
-        let mut cleared = engine(case, &entry_major);
-        let cleared_tel = instrument(&mut cleared);
+    // is an entry that later scans count. The reference fires each batch's
+    // net stream event by event (the gate refuses the ill-typed event).
+    if !case.float {
+        let mut firing = engine(case, program);
+        let firing_tel = instrument(&mut firing);
         for r in &cuts {
-            cleared.process_batch(&batch(r));
+            failures(&mut firing, &net_stream(&batch(r)));
         }
-        let firing = work(&mut cleared, &cleared_tel).scanned;
-        let scans = format!("live passes scanned {kept} entries, firing by firing {firing}");
+        let firing = work(&mut firing, &firing_tel).scanned;
+        let scans = format!("batches scanned {kept} entries, event by event {firing}");
         assert!(kept <= firing, "{ctx}: {scans}");
     }
 
@@ -473,10 +466,9 @@ fn shrink(case: &Case, point: &Point, msg: String) -> ! {
             p.queries = queries;
         }
     }
-    let simpler: [fn(&mut Point); 4] = [
+    let simpler: [fn(&mut Point); 3] = [
         |p| p.wal = None,
         |p| p.snapshot = None,
-        |p| p.live = true,
         |p| p.partition = Partition::PerEvent,
     ];
     for f in simpler {
@@ -505,12 +497,10 @@ pub enum Lean {
     Any,
     /// Batches of one: the compile modes against each other and the oracle.
     PerEvent,
-    /// Real batches, live passes kept.
+    /// Real batches.
     Batches,
     /// Real batches over the cases with a `:=` tail or a star or cubic join.
     Tails,
-    /// Live passes cleared: every run fires firing by firing.
-    EntryMajor,
 }
 
 impl Lean {
@@ -535,15 +525,15 @@ pub fn points(seed: u64, lean: Lean) -> Vec<Point> {
             (_, 35..=69) => Partition::Geometric(rng.next()),
             _ => Partition::Huge(rng.next()),
         };
-        let live = match lean {
-            Lean::EntryMajor => false,
-            Lean::Batches | Lean::Tails => true,
-            _ => rng.percent(65),
-        };
+        // The draw that once chose whether a point kept its live passes,
+        // still taken so every other coordinate stays where it was.
+        if matches!(lean, Lean::Any | Lean::PerEvent) {
+            rng.percent(65);
+        }
         let snapshot = rng.percent(30).then(|| rng.below(64));
         let (checkpoint, stop) = (rng.percent(60).then(|| rng.below(64)), rng.below(64));
         let mut point = Point::plain(mode, partition);
-        (point.live, point.snapshot) = (live, snapshot);
+        point.snapshot = snapshot;
         point.wal = rng.percent(30).then_some(WalCut { checkpoint, stop });
         point
     };
@@ -575,12 +565,11 @@ pub fn sweep(seeds: Range<u64>, lean: Lean) -> usize {
 
 /// The fixed-seed slice tier-1 runs: each sweep test's lean and seeds,
 /// disjoint from every other's.
-pub const SLICE: [(Lean, Range<u64>); 5] = [
+pub const SLICE: [(Lean, Range<u64>); 4] = [
     (Lean::PerEvent, 0..16),
     (Lean::Any, 100..148),
     (Lean::Batches, 200..224),
     (Lean::Tails, 300..348),
-    (Lean::EntryMajor, 400..424),
 ];
 
 /// Run the slice that leans on `lean`; at least four cases must run.
@@ -613,9 +602,11 @@ pub fn census() -> BTreeMap<String, usize> {
             let flags = case.hostile.then_some("hostile stream").into_iter();
             let quantile = case.hostile && case.shapes.contains(&Shape::Quantile);
             let weighed_key = case.hostile && case.weighs_a_group_by_column();
+            let mixed = case.mixes_numbers_past_2_53_in_a_key();
             let flags = flags
                 .chain(quantile.then_some("hostile stream under a quantile filter"))
                 .chain(weighed_key.then_some("hostile stream weighing a group-by column"))
+                .chain(mixed.then_some("hostile stream mixing Long and Double past 2^53 in a key"))
                 .chain(case.ill_typed.map(|_| "ill-typed event"))
                 .map(String::from);
             for fact in facts.chain(flags).chain(["cases".to_string()]) {
@@ -630,17 +621,13 @@ pub fn census() -> BTreeMap<String, usize> {
 
 fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
-    let entry_major = underivable(&compiled);
-    let program = if p.live { &compiled } else { &entry_major };
-    for d in program.batch_dispatch() {
-        let pass = program.live_pass_for(&d.relation);
-        let pass = pass.filter(|lp| !lp.statements.is_empty());
-        facts.push(match (d.strategy, pass) {
-            (BatchStrategy::EntryMajor, _) => "entry-major relation",
-            (_, Some(_)) => "non-empty live pass",
-            (_, None) => "empty live pass",
+    for d in compiled.batch_dispatch() {
+        let pass = compiled.live_pass_for(&d.relation);
+        facts.push(match pass.is_some_and(|lp| !lp.statements.is_empty()) {
+            true => "non-empty live pass",
+            false => "empty live pass",
         });
-        if d.strategy == BatchStrategy::BatchDelta && has_tail(program, &d.relation) {
+        if has_tail(&compiled, &d.relation) {
             facts.push("`:=` tail");
         }
     }
@@ -674,11 +661,11 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 
 /// The coverage guard: the slice hits all three classes, every shape and
 /// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
-/// entry-major runs, a WAL cut after a checkpoint, a held snapshot, a hostile
-/// stream (one under a quantile filter, one weighing a query by its own
-/// group-by column), an ill-typed event, and a higher-order program with a
-/// band sum inside a loop fused into a threshold (the census counts them per
-/// mode).
+/// a WAL cut after a checkpoint, a held snapshot, a hostile stream (one under
+/// a quantile filter, one weighing a query by its own group-by column, one
+/// holding `Long` and `Double` values past 2^53 in one key column), an
+/// ill-typed event, and a higher-order program with a band sum inside a loop
+/// fused into a threshold (the census counts them per mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -686,10 +673,11 @@ pub fn assert_census() {
     let classes = [QHierarchical, Hierarchical, NonHierarchical].map(|c| format!("class {c:?}"));
     let shapes = SHAPES.iter().map(|s| format!("shape {s:?}"));
     let hands = HANDS.iter().map(|h| format!("hand {h:?}"));
-    let rest = "non-empty live pass, empty live pass, `:=` tail, entry-major relation, \
+    let rest = "non-empty live pass, empty live pass, `:=` tail, \
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
-        hostile stream under a quantile filter, hostile stream weighing a group-by column";
+        hostile stream under a quantile filter, hostile stream weighing a group-by column, \
+        hostile stream mixing Long and Double past 2^53 in a key";
     let facts = classes.into_iter().chain(shapes).chain(hands);
     let facts = facts.chain(rest.split(", ").map(String::from));
     let missing: Vec<String> = facts.filter(|f| !seen.contains_key(f)).collect();

@@ -13,7 +13,8 @@
 //! Streams draw from small integer domains with same-key cancellations. A
 //! quarter of the generated cases draw from a hostile domain instead:
 //! multiplicities beyond ±1, deletes before inserts, net-zero blocks, ints
-//! past 2^53 in key-only columns, 0.5 / −0.0 in weight columns no query
+//! past 2^53 in key-only columns beside the double 2^53 (so one key column
+//! holds both kinds of number), 0.5 / −0.0 in weight columns no query
 //! compares, −0.0 in compared columns and, in cases with a quantile filter,
 //! NaN and ints past 2^53 in compared columns no query weighs, and a closing
 //! block that leaves the filter's group holding a negative net multiplicity
@@ -364,7 +365,7 @@ struct Domain {
     /// Stream dynamics beyond insert/delete-a-live-tuple.
     hostile: bool,
     /// Columns whose values are shifted past 2^53, where `f64` cannot tell
-    /// neighbouring keys apart.
+    /// neighbouring keys apart, and that sometimes hold the double 2^53.
     big_keys: Vec<Column>,
     /// Columns that sometimes hold 0.5 or −0.0.
     odd_weights: Vec<Column>,
@@ -384,7 +385,10 @@ impl Domain {
             if self.fresh_keys && col == 1 {
                 Value::long(at as i64)
             } else if self.big_keys.contains(&(rel, col)) {
-                Value::long((1 << 53) + v)
+                match rng.percent(20) {
+                    true => Value::double((1u64 << 53) as f64),
+                    false => Value::long((1 << 53) + v),
+                }
             } else if self.odd_weights.contains(&(rel, col)) && rng.percent(15) {
                 Value::double(rng.pick(&[0.5, -0.0]))
             } else if self.odd_keys.contains(&(rel, col)) && rng.percent(10) {
@@ -476,9 +480,11 @@ pub enum Hand {
     ReadsReplaceTarget,
 }
 
-pub const HANDS: [Hand; 6] = [
-    Hand::Pairs,
-    Hand::SignedTail,
+/// The hand-assembled programs of the lattice: both derive.
+pub const HANDS: [Hand; 2] = [Hand::Pairs, Hand::SignedTail];
+
+/// The hand-assembled programs whose derivation bails: no engine runs them.
+pub const BAILING: [Hand; 4] = [
     Hand::IncrementAfterReplace,
     Hand::UnmirroredReplace,
     Hand::OneSidedReplace,
@@ -506,7 +512,7 @@ fn pair_statements(sign: UpdateSign) -> Vec<Stmt> {
 
 impl Hand {
     /// The bail the batch-delta derivation reports for `R` (`None`: it
-    /// derives, so `R` runs batch-delta).
+    /// derives).
     pub fn bail(self) -> Option<BatchDeltaBail> {
         Some(match self {
             Hand::Pairs | Hand::SignedTail => return None,
@@ -576,7 +582,8 @@ impl Hand {
 /// A hand-assembled program over `R(a, b)`, stored: one trigger per
 /// `(sign, statements)`, a map per target, defined as `defs` says (a map
 /// without one is declared as zero, which the values oracle skips), and the
-/// live passes derived as the compiler derives them.
+/// live passes derived as the compiler derives them — none where the
+/// derivation bails, which the engine refuses.
 pub fn assemble(triggers: Vec<(UpdateSign, Vec<Stmt>)>, defs: &[(&str, Expr)]) -> TriggerProgram {
     let vars = ["a".to_string(), "b".to_string()];
     let statement = |(target, key, op, rhs): Stmt| {
@@ -603,13 +610,12 @@ pub fn assemble(triggers: Vec<(UpdateSign, Vec<Stmt>)>, defs: &[(&str, Expr)]) -
             });
         }
     }
-    let (live_passes, batch_delta_reasons) = derive_live_passes(&triggers);
+    let live_passes = derive_live_passes(&triggers).unwrap_or_default();
     TriggerProgram {
         maps,
         triggers,
         stored_relations: ["R".to_string()].into(),
         live_passes,
-        batch_delta_reasons,
         ..TriggerProgram::default()
     }
 }
@@ -739,6 +745,24 @@ impl Case {
             },
             _ => false,
         })
+    }
+
+    /// Does one column of one relation hold both a `Long` and a `Double`
+    /// past 2^53 — numbers that compare exactly but not as `f64` does?
+    pub fn mixes_numbers_past_2_53_in_a_key(&self) -> bool {
+        let big = |x: f64| x.abs() >= (1u64 << 53) as f64;
+        let mut seen: BTreeMap<(&str, usize), [bool; 2]> = BTreeMap::new();
+        for e in &self.events {
+            for (col, v) in e.tuple.iter().enumerate() {
+                let kind = match v {
+                    Value::Long(x) if big(*x as f64) => 0,
+                    Value::Double(x) if big(*x) => 1,
+                    _ => continue,
+                };
+                seen.entry((&e.relation, col)).or_default()[kind] = true;
+            }
+        }
+        seen.values().any(|&[long, double]| long && double)
     }
 
     pub fn query_count(&self) -> usize {
@@ -997,8 +1021,6 @@ impl WalCut {
 pub struct Point {
     pub mode: CompileMode,
     pub partition: Partition,
-    /// Live passes kept; cleared, every relation runs entry-major.
-    pub live: bool,
     /// Take a snapshot before this batch (modulo the batches) and hold it.
     pub snapshot: Option<usize>,
     pub wal: Option<WalCut>,
@@ -1014,12 +1036,11 @@ pub const MODES: [CompileMode; 4] = [
 ];
 
 impl Point {
-    /// Batches as `partition` cuts them, live passes kept, nothing else.
+    /// Batches as `partition` cuts them, nothing else.
     pub fn plain(mode: CompileMode, partition: Partition) -> Point {
         Point {
             mode,
             partition,
-            live: true,
             snapshot: None,
             wal: None,
             queries: u8::MAX,
