@@ -181,17 +181,18 @@ impl From<dbtoaster_gmr::value::ValueError> for EvalError {
 
 /// A source of relation and view contents.
 ///
-/// The primary access path is the **cursor protocol**: `for_each_matching`
-/// receives a partial binding pattern (`pattern[i] = Some(v)` constrains
-/// position `i` of the tuple to equal `v`) and streams every matching
-/// `(tuple, multiplicity)` pair into the visitor as a *borrowed* slice —
-/// implementations must not clone tuples to answer a lookup.
-/// Implementations are free to stream any superset of the matching tuples
-/// (the evaluator re-checks the constraints), but an index-backed
-/// implementation that answers exactly is what gives compiled trigger
-/// statements their constant-time behaviour.
+/// The primary access path is the **cursor protocol**:
+/// [`RelationSource::for_each_at`] receives a partial binding pattern
+/// (`pattern[i] = Some(v)` constrains position `i` of the tuple to equal
+/// `v`) and streams **exactly** the matching `(tuple, multiplicity)` pairs
+/// — each tuple as long as the pattern, and none that does not match —
+/// into the visitor as a *borrowed* slice; implementations must not clone
+/// tuples to answer a lookup. Compiled kernels re-check no row they are
+/// handed, and an index-backed implementation is what gives them their
+/// constant-time behaviour.
 ///
-/// Reads come in two addressings. The evaluator finds relations by name.
+/// Reads come in two addressings. The evaluator finds relations by name
+/// ([`RelationSource::for_each_matching`], provided over the id).
 /// Compiled kernels resolve each of their relations to a [`RelId`] once
 /// ([`RelationSource::relation_id`]) and then read by id, so a kernel run
 /// hashes no name.
@@ -199,20 +200,28 @@ pub trait RelationSource {
     /// Arity of the named relation, or `None` if unknown.
     fn relation_arity(&self, name: &str) -> Option<usize>;
 
-    /// Stream tuples (with multiplicities) matching the partial binding
-    /// pattern into `visit`.
+    /// [`RelationSource::for_each_at`] of the named relation; unknown to the
+    /// source, it is an error.
     fn for_each_matching(
         &self,
         name: &str,
         pattern: &[Option<Value>],
         visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError>;
+    ) -> Result<(), EvalError> {
+        let id = self
+            .relation_id(name)
+            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
+        self.for_each_at(id, pattern, visit);
+        Ok(())
+    }
 
     /// The id the `_at` reads address the named relation by, or `None` if
     /// unknown. Stable for the life of the source.
     fn relation_id(&self, name: &str) -> Option<RelId>;
 
-    /// [`RelationSource::for_each_matching`] of the relation with id `id`.
+    /// Stream exactly the tuples of the relation with id `id` that match
+    /// the partial binding pattern, with their multiplicities, into
+    /// `visit` (see the trait docs).
     fn for_each_at(
         &self,
         id: RelId,
@@ -351,19 +360,6 @@ impl MemSource {
 impl RelationSource for MemSource {
     fn relation_arity(&self, name: &str) -> Option<usize> {
         self.relation(name).map(|g| g.schema().arity())
-    }
-
-    fn for_each_matching(
-        &self,
-        name: &str,
-        pattern: &[Option<Value>],
-        visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError> {
-        let id = self
-            .relation_id(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        self.for_each_at(id, pattern, visit);
-        Ok(())
     }
 
     fn relation_id(&self, name: &str) -> Option<RelId> {
@@ -531,7 +527,8 @@ fn eval_atom(
             });
             return;
         }
-        // Re-check the context constraints (sources may over-approximate).
+        // Re-check the context constraints: the oracle checks what a source
+        // hands over instead of trusting it.
         if !matches_pattern(t, &pattern) {
             return;
         }

@@ -32,6 +32,17 @@
 //! read-everything-then-write discipline of the interpreter, so statements
 //! whose right-hand side reads their own target keep their semantics.
 //!
+//! Execution is total: [`CompiledStmt::execute`] returns nothing and has no
+//! error path. The ingest gate admits only events whose values fit their
+//! columns' types, and `compile` refuses a program that does arithmetic on a
+//! string, matches a number against `LIKE` or applies a scalar function to
+//! the wrong number of arguments (lowering refuses that last one itself), so
+//! no value operation of an admitted program can fail. A source hands over
+//! exactly the tuples that match a pattern ([`RelationSource::for_each_at`]),
+//! so no scanned row is re-checked. The executor panics only on what a
+//! corrupt program reaches: a relation its source does not hold (the message
+//! names it) or a value error past the type checker.
+//!
 //! Grouping (`AggSum`) needs no runtime work in this model: multiplicities are
 //! combined additively by the accumulating sink, and multiplication
 //! distributes over addition in the GMR ring, so emitting ungrouped rows is
@@ -214,7 +225,7 @@
 //! multiplicities), or another aggregate in the member — `psp`'s outer sum,
 //! which compares the scanned volume with `0.0001 ×` a total.
 
-use crate::eval::{matches_pattern, product_order_by, EvalError, RelId, RelationSource};
+use crate::eval::{product_order_by, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 use std::cell::{Cell, RefCell};
@@ -392,6 +403,61 @@ impl Threshold {
     }
 }
 
+/// A node of a plan tree: an op or a scalar. [`Node::children`] is the one
+/// statement of the tree's shape; every walk over a plan reads it.
+#[derive(Clone, Copy, Debug)]
+pub enum Node<'a> {
+    /// An op.
+    Op(&'a Op),
+    /// A scalar.
+    Scalar(&'a Scalar),
+}
+
+impl<'a> Node<'a> {
+    /// The node's sub-scalars, then its sub-ops, each in the order the
+    /// executor reaches them: a lift's value, a comparison's two sides, a
+    /// product's factors, a sub-sum's plan, a band lookup's walk, a
+    /// threshold's operand and then its fallback.
+    pub fn children(self) -> impl Iterator<Item = Node<'a>> {
+        use std::slice::from_ref as one;
+        let (scalars, second, ops): (&'a [Scalar], Option<&'a Scalar>, &'a [Op]) = match self {
+            Node::Op(op) => match op {
+                Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } | Op::Scan { .. } => {
+                    (&[], None, &[])
+                }
+                Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
+                    (one(s), None, &[])
+                }
+                Op::CmpFilter { left, right, .. } => (one(left), Some(right), &[]),
+                Op::Product(ops) | Op::Sum(ops) => (&[], None, ops),
+                Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => {
+                    (&[], None, one(&**inner))
+                }
+                Op::Threshold(t) => (one(&t.operand), None, &t.fallback),
+            },
+            Node::Scalar(s) => match s {
+                Scalar::Const(_) | Scalar::Slot(_) => (&[], None, &[]),
+                Scalar::Neg(inner) => (one(&**inner), None, &[]),
+                Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => (xs, None, &[]),
+                Scalar::Cmp(_, l, r) => (one(&**l), Some(&**r), &[]),
+                Scalar::SubSum(op)
+                | Scalar::RangeSum { traverse: op, .. }
+                | Scalar::CachedSum { plan: op, .. } => (&[], None, one(&**op)),
+            },
+        };
+        let scalars = scalars.iter().chain(second).map(Node::Scalar);
+        scalars.chain(ops.iter().map(Node::Op))
+    }
+
+    /// Visit this node and, depth first, the children of every visited node
+    /// for which `enter` returns `true`.
+    pub fn walk(self, enter: &mut impl FnMut(Node<'a>) -> bool) {
+        if enter(self) {
+            self.children().for_each(|c| c.walk(enter));
+        }
+    }
+}
+
 /// A numeric-only compiled scalar, evaluated directly on `f64`s in the fused
 /// fast path. Exactness relative to the [`Value`]-level evaluator is
 /// guaranteed by construction plus runtime guards: pure-integer chains bail
@@ -508,7 +574,7 @@ pub struct FusedScan {
     /// template holes nor through any member's filters/weights)? Such a scan
     /// produces the same totals for every entry of a delta batch, so the
     /// batch executor runs it **once per batch** instead of once per entry
-    /// (see [`CompiledStmt::execute_batch_entry`]).
+    /// (see [`CompiledStmt::execute`]).
     pub entry_invariant: bool,
     /// The scanned position a range-sum scan sums over: set when the
     /// template binds at least one position, leaves exactly this one free,
@@ -724,14 +790,23 @@ impl Lowerer {
                     scratch,
                 })
             }
-            Expr::Apply(f, args) => {
-                let args = args
-                    .iter()
-                    .map(|a| self.lower_scalar(a))
-                    .collect::<Result<Vec<_>, _>>()?;
-                Ok(Op::ScalarMult(Scalar::Apply(f.clone(), args)))
-            }
+            Expr::Apply(f, args) => Ok(Op::ScalarMult(self.lower_apply(f, args)?)),
         }
+    }
+
+    /// `f` applied to its lowered arguments, refused when it is given a
+    /// number of them it does not take (the executor could not apply it).
+    fn lower_apply(&mut self, f: &ScalarFn, args: &[Expr]) -> Result<Scalar, Unsupported> {
+        let takes = match f {
+            ScalarFn::Div => args.len() == 2,
+            ScalarFn::Sqrt | ScalarFn::Like(_) => args.len() == 1,
+            ScalarFn::ListMax => !args.is_empty(),
+        };
+        if !takes {
+            return Err(Unsupported("scalar function of the wrong arity"));
+        }
+        let args = args.iter().map(|a| self.lower_scalar(a));
+        Ok(Scalar::Apply(f.clone(), args.collect::<Result<_, _>>()?))
     }
 
     fn lower_atom(&mut self, r: &RelRef) -> Result<Op, Unsupported> {
@@ -854,12 +929,7 @@ impl Lowerer {
                     .map(|t| self.lower_scalar(t))
                     .collect::<Result<_, _>>()?,
             )),
-            Expr::Apply(f, args) => Ok(Scalar::Apply(
-                f.clone(),
-                args.iter()
-                    .map(|a| self.lower_scalar(a))
-                    .collect::<Result<_, _>>()?,
-            )),
+            Expr::Apply(f, args) => self.lower_apply(f, args),
             Expr::Cmp(op, l, r) => Ok(Scalar::Cmp(
                 *op,
                 Box::new(self.lower_scalar(l)?),
@@ -927,17 +997,13 @@ pub fn lower_statement(
 /// reads of every hoisted prelude scan (bound template holes and member
 /// continuations), and trigger-bound key slots.
 fn used_trigger_slots(stmt: &CompiledStmt) -> Vec<Slot> {
-    let mut reads = Vec::new();
-    op_reads(&stmt.plan, &mut reads);
-    for fs in &stmt.prelude {
-        reads.extend(fs.template.iter().flatten().copied());
-        for m in &fs.members {
-            for op in &m.cont {
-                op_reads(op, &mut reads);
-            }
-        }
-    }
-    reads.extend(stmt.key_slots.iter().copied());
+    let holes = stmt
+        .prelude
+        .iter()
+        .flat_map(|fs| fs.template.iter().flatten());
+    let mut reads: Vec<Slot> = holes.copied().collect();
+    stmt.roots().for_each(|root| slots_read(root, &mut reads));
+    reads.extend(&stmt.key_slots);
     reads.retain(|s| (*s as usize) < stmt.trigger_slots as usize);
     reads.sort_unstable();
     reads.dedup();
@@ -948,136 +1014,36 @@ fn used_trigger_slots(stmt: &CompiledStmt) -> Vec<Slot> {
 // Loop-invariant sub-aggregate hoisting and shared-scan fusion
 // ---------------------------------------------------------------------------
 
-/// Slots read by an op tree (frame positions whose value it consumes).
-fn op_reads(op: &Op, out: &mut Vec<Slot>) {
-    match op {
-        Op::ConstMult(_) => {}
-        Op::SlotMult(s) => out.push(*s),
-        Op::ScalarMult(s) => scalar_reads(s, out),
-        Op::Probe { template, .. } => out.extend(template.iter().copied()),
-        Op::Scan { template, .. } => out.extend(template.iter().flatten().copied()),
-        Op::Product(ops) | Op::Sum(ops) => {
-            for o in ops {
-                op_reads(o, out);
+/// Slots a plan tree reads (frame positions whose value it consumes), once
+/// per reader. A threshold reads what its fallback reads.
+fn slots_read(node: Node, out: &mut Vec<Slot>) {
+    node.walk(&mut |n| {
+        match n {
+            Node::Op(Op::SlotMult(s) | Op::LiftEq { slot: s, .. })
+            | Node::Scalar(Scalar::Slot(s)) => out.push(*s),
+            Node::Op(Op::Probe { template, .. }) => out.extend(template),
+            Node::Op(Op::Scan { template, .. }) => out.extend(template.iter().flatten()),
+            Node::Op(Op::Threshold(t)) => {
+                t.fallback.iter().for_each(|o| slots_read(Node::Op(o), out));
+                return false;
             }
+            _ => {}
         }
-        Op::Neg(inner) | Op::AggSum(inner) => op_reads(inner, out),
-        Op::LiftBind { value, .. } => scalar_reads(value, out),
-        Op::LiftEq { slot, value } => {
-            out.push(*slot);
-            scalar_reads(value, out);
-        }
-        Op::CmpFilter { left, right, .. } => {
-            scalar_reads(left, out);
-            scalar_reads(right, out);
-        }
-        Op::Exists { inner, .. } => op_reads(inner, out),
-        Op::Threshold(t) => t.fallback.iter().for_each(|o| op_reads(o, out)),
-    }
+        true
+    });
 }
 
-/// Slots written by an op tree (scan bindings, lift targets, exists rebinds).
-fn op_writes(op: &Op, out: &mut Vec<Slot>) {
-    match op {
-        Op::Scan { binds, .. } => out.extend(binds.iter().map(|&(_, s)| s)),
-        Op::Product(ops) | Op::Sum(ops) => {
-            for o in ops {
-                op_writes(o, out);
-            }
+/// Slots a plan tree writes (scan bindings, lift targets, exists rebinds).
+fn slots_written(node: Node, out: &mut Vec<Slot>) {
+    node.walk(&mut |n| {
+        match n {
+            Node::Op(Op::Scan { binds, .. }) => out.extend(binds.iter().map(|&(_, s)| s)),
+            Node::Op(Op::LiftBind { slot, .. }) => out.push(*slot),
+            Node::Op(Op::Exists { slots, .. }) => out.extend(slots),
+            _ => {}
         }
-        Op::Neg(inner) | Op::AggSum(inner) => op_writes(inner, out),
-        Op::LiftBind { slot, value } => {
-            out.push(*slot);
-            scalar_writes(value, out);
-        }
-        Op::Exists { inner, slots, .. } => {
-            out.extend(slots.iter().copied());
-            op_writes(inner, out);
-        }
-        Op::ScalarMult(s) | Op::LiftEq { value: s, .. } => scalar_writes(s, out),
-        Op::CmpFilter { left, right, .. } => {
-            scalar_writes(left, out);
-            scalar_writes(right, out);
-        }
-        Op::Threshold(t) => t.fallback.iter().for_each(|o| op_writes(o, out)),
-        Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } => {}
-    }
-}
-
-/// The partially bound reads of an op tree: `(relation, template)` of every
-/// [`Op::Scan`], sub-plans and fallbacks included.
-fn op_scans<'a>(op: &'a Op, out: &mut Vec<(u16, &'a [Option<Slot>])>) {
-    match op {
-        Op::Scan { rel, template, .. } => out.push((*rel, template)),
-        Op::Product(ops) | Op::Sum(ops) => ops.iter().for_each(|o| op_scans(o, out)),
-        Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => op_scans(inner, out),
-        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
-            scalar_scans(s, out)
-        }
-        Op::CmpFilter { left, right, .. } => {
-            scalar_scans(left, out);
-            scalar_scans(right, out);
-        }
-        Op::Threshold(t) => {
-            scalar_scans(&t.operand, out);
-            t.fallback.iter().for_each(|o| op_scans(o, out));
-        }
-        Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } => {}
-    }
-}
-
-fn scalar_scans<'a>(s: &'a Scalar, out: &mut Vec<(u16, &'a [Option<Slot>])>) {
-    match s {
-        Scalar::SubSum(op)
-        | Scalar::RangeSum { traverse: op, .. }
-        | Scalar::CachedSum { plan: op, .. } => op_scans(op, out),
-        Scalar::Neg(inner) => scalar_scans(inner, out),
-        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
-            xs.iter().for_each(|x| scalar_scans(x, out))
-        }
-        Scalar::Cmp(_, l, r) => {
-            scalar_scans(l, out);
-            scalar_scans(r, out);
-        }
-        Scalar::Const(_) | Scalar::Slot(_) => {}
-    }
-}
-
-/// The walks of every [`Scalar::RangeSum`] lookup of an op tree, sub-plans
-/// and fallbacks included.
-fn op_lookups<'a>(op: &'a Op, out: &mut Vec<&'a Op>) {
-    match op {
-        Op::Product(ops) | Op::Sum(ops) => ops.iter().for_each(|o| op_lookups(o, out)),
-        Op::Neg(inner) | Op::AggSum(inner) | Op::Exists { inner, .. } => op_lookups(inner, out),
-        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
-            scalar_lookups(s, out)
-        }
-        Op::CmpFilter { left, right, .. } => {
-            scalar_lookups(left, out);
-            scalar_lookups(right, out);
-        }
-        Op::Threshold(t) => {
-            scalar_lookups(&t.operand, out);
-            t.fallback.iter().for_each(|o| op_lookups(o, out));
-        }
-        Op::ConstMult(_) | Op::SlotMult(_) | Op::Probe { .. } | Op::Scan { .. } => {}
-    }
-}
-
-fn scalar_lookups<'a>(s: &'a Scalar, out: &mut Vec<&'a Op>) {
-    match s {
-        Scalar::RangeSum { traverse, .. } => out.push(traverse),
-        Scalar::SubSum(op) | Scalar::CachedSum { plan: op, .. } => op_lookups(op, out),
-        Scalar::Neg(inner) => scalar_lookups(inner, out),
-        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
-            xs.iter().for_each(|x| scalar_lookups(x, out))
-        }
-        Scalar::Cmp(_, l, r) => {
-            scalar_lookups(l, out);
-            scalar_lookups(r, out);
-        }
-        Scalar::Const(_) | Scalar::Slot(_) => {}
-    }
+        true
+    });
 }
 
 /// The bitmask of a template's bound positions (positions past 62 are
@@ -1088,80 +1054,25 @@ pub fn template_mask(template: &[Option<Slot>]) -> u64 {
         .fold(0, |m, i| m | 1 << i)
 }
 
-fn scalar_reads(s: &Scalar, out: &mut Vec<Slot>) {
-    match s {
-        Scalar::Const(_) => {}
-        Scalar::Slot(slot) => out.push(*slot),
-        Scalar::Neg(inner) => scalar_reads(inner, out),
-        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
-            for x in xs {
-                scalar_reads(x, out);
-            }
-        }
-        Scalar::Cmp(_, l, r) => {
-            scalar_reads(l, out);
-            scalar_reads(r, out);
-        }
-        // The walk reads the run's holes and every bound the ranges read.
-        Scalar::SubSum(op)
-        | Scalar::RangeSum { traverse: op, .. }
-        | Scalar::CachedSum { plan: op, .. } => op_reads(op, out),
-    }
-}
-
-fn scalar_writes(s: &Scalar, out: &mut Vec<Slot>) {
-    match s {
-        Scalar::SubSum(op)
-        | Scalar::RangeSum { traverse: op, .. }
-        | Scalar::CachedSum { plan: op, .. } => op_writes(op, out),
-        Scalar::Neg(inner) => scalar_writes(inner, out),
-        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => {
-            for x in xs {
-                scalar_writes(x, out);
-            }
-        }
-        Scalar::Cmp(_, l, r) => {
-            scalar_writes(l, out);
-            scalar_writes(r, out);
-        }
-        Scalar::Const(_) | Scalar::Slot(_) => {}
-    }
-}
-
-/// May `op` appear in a fused member's per-entry continuation? Anything
-/// without a further iteration source or sub-plan qualifies.
-fn simple_cont_op(op: &Op) -> bool {
-    match op {
-        Op::ConstMult(_) | Op::SlotMult(_) => true,
-        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
-            simple_scalar(s)
-        }
-        Op::CmpFilter { left, right, .. } => simple_scalar(left) && simple_scalar(right),
-        Op::Product(ops) | Op::Sum(ops) => ops.iter().all(simple_cont_op),
-        Op::Neg(inner) | Op::AggSum(inner) => simple_cont_op(inner),
-        Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } | Op::Threshold(_) => false,
-    }
-}
-
-fn simple_scalar(s: &Scalar) -> bool {
-    match s {
-        Scalar::Const(_) | Scalar::Slot(_) => true,
-        Scalar::Neg(inner) => simple_scalar(inner),
-        Scalar::Add(xs) | Scalar::Mul(xs) | Scalar::Apply(_, xs) => xs.iter().all(simple_scalar),
-        Scalar::Cmp(_, l, r) => simple_scalar(l) && simple_scalar(r),
-        Scalar::SubSum(_) | Scalar::RangeSum { .. } | Scalar::CachedSum { .. } => false,
-    }
+/// Is a tree free of iteration sources and sub-plans — may it stand in a
+/// fused member's per-entry continuation?
+fn simple(node: Node) -> bool {
+    let source = matches!(
+        node,
+        Node::Op(Op::Probe { .. } | Op::Scan { .. } | Op::Exists { .. } | Op::Threshold(_))
+            | Node::Scalar(Scalar::SubSum(_) | Scalar::RangeSum { .. } | Scalar::CachedSum { .. })
+    );
+    !source && node.children().all(simple)
 }
 
 /// Can `op` emit more than once per incoming emission — is what follows it
-/// in a product inside a loop?
+/// in a product inside a loop? Only a sub-op can make it: a scalar position
+/// yields one value.
 fn iterates(op: &Op) -> bool {
-    match op {
-        Op::Scan { .. } | Op::Exists { .. } => true,
-        Op::Product(ops) | Op::Sum(ops) => ops.iter().any(iterates),
-        Op::Neg(inner) | Op::AggSum(inner) => iterates(inner),
-        _ => false,
-    }
+    matches!(op, Op::Scan { .. } | Op::Exists { .. })
+        || Node::Op(op)
+            .children()
+            .any(|c| matches!(c, Node::Op(o) if iterates(o)))
 }
 
 /// The `AggSum*(Product[Scan, cont…])` (or bare scan) shape of a sub-sum:
@@ -1228,7 +1139,7 @@ pub fn range_sum_refusal(op: &Op, trigger_slots: u16) -> Option<&'static str> {
     };
     let aggregate = |op: &Op| match op {
         Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
-            !simple_scalar(s)
+            !simple(Node::Scalar(s))
         }
         Op::Threshold(_) => true,
         _ => false,
@@ -1333,9 +1244,9 @@ impl Hoister {
     /// lifts)? Then it is worth the same wherever in the statement it runs.
     fn invariant(&self, op: &Op) -> bool {
         let mut reads = Vec::new();
-        op_reads(op, &mut reads);
+        slots_read(Node::Op(op), &mut reads);
         let mut own = Vec::new();
-        op_writes(op, &mut own);
+        slots_written(Node::Op(op), &mut own);
         reads
             .iter()
             .all(|s| (*s as usize) < self.trigger_slots as usize || own.contains(s))
@@ -1414,8 +1325,8 @@ impl Hoister {
             let binds_key =
                 |o: &Op| matches!(o, Op::Scan { binds, .. } if binds.iter().any(|b| b.1 == *key));
             let mut reads = Vec::new();
-            scalar_reads(operand, &mut reads);
-            let invariant = simple_scalar(operand)
+            slots_read(Node::Scalar(operand), &mut reads);
+            let invariant = simple(Node::Scalar(operand))
                 && reads
                     .iter()
                     .all(|x| self.invariant_scalar(&Scalar::Slot(*x)) || lifted(x));
@@ -1474,7 +1385,7 @@ impl Hoister {
         let Op::Scan { binds, .. } = scan else {
             return None;
         };
-        let fast = match cont.iter().all(simple_cont_op) {
+        let fast = match cont.iter().all(|op| simple(Node::Op(op))) {
             true => compile_fast(cont),
             false => Some(self.quantile_pass(cont, binds)?),
         };
@@ -1495,7 +1406,7 @@ impl Hoister {
         // reads are entirely its own bindings) computes the same total for
         // every entry of a delta batch.
         let mut reads = Vec::new();
-        op_reads(op, &mut reads);
+        slots_read(Node::Op(op), &mut reads);
         let entry_invariant = !reads
             .iter()
             .any(|s| (*s as usize) < self.trigger_slots as usize);
@@ -1946,7 +1857,7 @@ fn run_fast(ops: &[FastOp], frame: &[Value], cuts: &[Cut], mut mult: f64) -> Fas
 /// [`Op::Threshold`]s.
 fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     let mut reads = stmt.key_slots.clone();
-    op_reads(&stmt.plan, &mut reads);
+    slots_read(Node::Op(&stmt.plan), &mut reads);
     let mut h = Hoister {
         trigger_slots: stmt.trigger_slots,
         next_slot: stmt.frame_size as u32,
@@ -1977,12 +1888,18 @@ impl CompiledStmt {
     /// template's bound positions ([`template_mask`]), which is what the
     /// runtime declares up front.
     pub fn scans(&self) -> Vec<(u16, &[Option<Slot>])> {
-        let mut out = Vec::new();
-        op_scans(&self.plan, &mut out);
-        for f in &self.prelude {
-            out.push((f.rel, &f.template[..]));
-            let conts = f.members.iter().flat_map(|m| &m.cont);
-            conts.for_each(|op| op_scans(op, &mut out));
+        let mut out: Vec<_> = self
+            .prelude
+            .iter()
+            .map(|f| (f.rel, &f.template[..]))
+            .collect();
+        for root in self.roots() {
+            root.walk(&mut |n| {
+                if let Node::Op(Op::Scan { rel, template, .. }) = n {
+                    out.push((*rel, template));
+                }
+                true
+            });
         }
         out
     }
@@ -1993,13 +1910,15 @@ impl CompiledStmt {
     /// [`Op::Threshold`] searches over it read too — wherever it sits.
     pub fn ordered_reads(&self) -> Vec<(u16, &[Option<Slot>], u16)> {
         let mut walks = Vec::new();
-        op_lookups(&self.plan, &mut walks);
-        let conts = self
-            .prelude
-            .iter()
-            .flat_map(|f| &f.members)
-            .flat_map(|m| &m.cont);
-        conts.for_each(|op| op_lookups(op, &mut walks));
+        for root in self.roots() {
+            root.walk(&mut |n| match n {
+                Node::Scalar(Scalar::RangeSum { traverse, .. }) => {
+                    walks.push(&**traverse);
+                    false
+                }
+                _ => true,
+            });
+        }
         let prelude = self.prelude.iter().filter_map(|f| {
             let pos = f.band_pos.or(f.cut_pos)?;
             Some((f.rel, &f.template[..], pos))
@@ -2011,9 +1930,17 @@ impl CompiledStmt {
         prelude.chain(lookups).collect()
     }
 
+    /// The plan trees the kernel runs: its plan, then the continuation ops
+    /// of every prelude member.
+    fn roots(&self) -> impl Iterator<Item = Node<'_>> {
+        let conts = self.prelude.iter().flat_map(|f| &f.members);
+        let conts = conts.flat_map(|m| &m.cont);
+        std::iter::once(&self.plan).chain(conts).map(Node::Op)
+    }
+
     /// The plan's relation table resolved against `src`: what
-    /// [`CompiledStmt::execute_batch_entry`] reads through. A relation the
-    /// source does not know stays `None` and fails the read that reaches it.
+    /// [`CompiledStmt::execute`] reads through. A relation the source does
+    /// not know stays `None`, and the read that reaches it panics.
     pub fn bind(&self, src: &dyn RelationSource) -> Vec<Option<RelId>> {
         self.rels.iter().map(|r| src.relation_id(r)).collect()
     }
@@ -2298,7 +2225,7 @@ struct Exec<'a> {
     /// The statement's relation table bound to `src` (see
     /// [`CompiledStmt::bind`]).
     rels: &'a [Option<RelId>],
-    /// The relation names, for errors.
+    /// The relation names, for the panic of a corrupt program.
     names: &'a [String],
     frame: &'a mut [Value],
     patterns: &'a mut [Vec<Option<Value>>],
@@ -2313,23 +2240,29 @@ struct Exec<'a> {
     /// entry's rows are applied a different number of times).
     merge_floor: usize,
     key_slots: &'a [Slot],
-    error: Option<EvalError>,
+}
+
+/// The value of a value operation, which the type checker has made total
+/// on every admitted event: an error is a corrupt program.
+#[inline]
+fn total<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
+        panic!("a kernel value error past the type checker (a corrupt program): {e}")
+    })
 }
 
 impl Exec<'_> {
+    /// The source id of relation `rel`. A relation the source does not hold
+    /// is a corrupt program.
     #[inline]
-    fn fail(&mut self, e: EvalError) {
-        if self.error.is_none() {
-            self.error = Some(e);
+    fn rel_id(&self, rel: u16) -> RelId {
+        match self.rels[rel as usize] {
+            Some(id) => id,
+            None => panic!(
+                "a kernel reads relation {}, which its source does not hold (a corrupt program)",
+                self.names[rel as usize]
+            ),
         }
-    }
-
-    /// The source id of relation `rel`, or the error reading an unknown
-    /// relation raises.
-    #[inline]
-    fn rel_id(&self, rel: u16) -> Result<RelId, EvalError> {
-        self.rels[rel as usize]
-            .ok_or_else(|| EvalError::UnknownRelation(self.names[rel as usize].clone()))
     }
 
     /// Take pattern buffer `buf` out of the state with its bound holes filled
@@ -2347,12 +2280,12 @@ impl Exec<'_> {
 
     /// Evaluate a comparison operand: a slot or a constant is read in place
     /// ([`Exec::operand_value`]), anything else computed.
-    fn operand<'p>(&mut self, s: &'p Scalar) -> Result<Operand<'p>, EvalError> {
-        Ok(match s {
+    fn operand<'p>(&mut self, s: &'p Scalar) -> Operand<'p> {
+        match s {
             Scalar::Slot(slot) => Operand::Slot(*slot),
             Scalar::Const(v) => Operand::Const(v),
-            _ => Operand::Computed(self.eval_scalar(s)?),
-        })
+            _ => Operand::Computed(self.eval_scalar(s)),
+        }
     }
 
     /// The value an [`Exec::operand`] stands for. Reading a slot after the
@@ -2369,17 +2302,18 @@ impl Exec<'_> {
 
     /// Does `left cmp right` hold? Slot and constant operands are read in
     /// place, not cloned.
-    fn compare(&mut self, cmp: CmpOp, left: &Scalar, right: &Scalar) -> Result<bool, EvalError> {
-        let l = self.operand(left)?;
-        let r = self.operand(right)?;
-        Ok(cmp.eval(self.operand_value(&l), self.operand_value(&r)))
+    fn compare(&mut self, cmp: CmpOp, left: &Scalar, right: &Scalar) -> bool {
+        let l = self.operand(left);
+        let r = self.operand(right);
+        cmp.eval(self.operand_value(&l), self.operand_value(&r))
     }
 
     /// Stream the entries of a partially bound atom: fill the pattern buffer
-    /// from the frame, re-check bound positions (sources may over-approximate),
-    /// enforce repeated-variable equalities, bind the free-position slots, and
-    /// hand each surviving `(entry-multiplicity)` to `on_match`. Shared by
-    /// [`Op::Scan`] and the fused prelude so the prologue cannot drift.
+    /// from the frame, enforce repeated-variable equalities on what the
+    /// source hands over (exactly the entries matching the pattern), bind
+    /// the free-position slots, and hand each surviving
+    /// `(entry-multiplicity)` to `on_match`. Shared by [`Op::Scan`] and the
+    /// fused prelude so the prologue cannot drift.
     fn scan_atom(
         &mut self,
         rel: u16,
@@ -2390,28 +2324,13 @@ impl Exec<'_> {
         mut on_match: impl FnMut(&mut Self, f64),
     ) {
         bump(&self.counters.scans);
-        let id = match self.rel_id(rel) {
-            Ok(id) => id,
-            Err(e) => return self.fail(e),
-        };
+        let id = self.rel_id(rel);
         let pattern = self.take_pattern(buf, template);
-        let arity = template.len();
-        let (src, names) = (self.src, self.names);
+        let src = self.src;
         let mut walked = 0u64;
         src.for_each_at(id, &pattern, &mut |t, m| {
             walked += 1;
-            if self.error.is_some() || m == 0.0 {
-                return;
-            }
-            if t.len() != arity {
-                self.fail(EvalError::ArityMismatch {
-                    relation: names[rel as usize].clone(),
-                    expected: arity,
-                    actual: t.len(),
-                });
-                return;
-            }
-            if !matches_pattern(t, &pattern) {
+            if m == 0.0 {
                 return;
             }
             for &(i, j) in eqs {
@@ -2480,54 +2399,33 @@ impl Exec<'_> {
 
     /// Execute one op with an incoming multiplicity.
     fn exec(&mut self, op: &Op, mult: f64, tail: &Tail) {
-        if self.error.is_some() || mult == 0.0 {
+        if mult == 0.0 {
             // Zero short-circuits exactly like the interpreter's empty
             // accumulator: downstream factors are never evaluated.
             return;
         }
         match op {
             Op::ConstMult(c) => self.finish(mult * c, tail),
-            Op::SlotMult(slot) => match self.frame[*slot as usize].as_f64() {
-                Ok(v) => self.finish(mult * v, tail),
-                Err(e) => self.fail(EvalError::Value(e.to_string())),
-            },
-            Op::ScalarMult(s) => match self.eval_scalar(s) {
-                Ok(v) => match v.as_f64() {
-                    Ok(f) => self.finish(mult * f, tail),
-                    Err(e) => self.fail(EvalError::Value(e.to_string())),
-                },
-                Err(e) => self.fail(e),
-            },
+            Op::SlotMult(slot) => {
+                let v = total(self.frame[*slot as usize].as_f64());
+                self.finish(mult * v, tail)
+            }
+            Op::ScalarMult(s) => {
+                let v = total(self.eval_scalar(s).as_f64());
+                self.finish(mult * v, tail)
+            }
             Op::Probe { rel, buf, template } => {
                 bump(&self.counters.probes);
-                let id = match self.rel_id(*rel) {
-                    Ok(id) => id,
-                    Err(e) => return self.fail(e),
-                };
+                let id = self.rel_id(*rel);
                 let mut pattern = std::mem::take(&mut self.patterns[*buf as usize]);
                 for (p, &slot) in pattern.iter_mut().zip(template.iter()) {
                     fill_hole(p, &self.frame[slot as usize]);
                 }
-                let arity = template.len();
-                let (src, names) = (self.src, self.names);
-                src.for_each_at(id, &pattern, &mut |t, m| {
-                    if self.error.is_some() || m == 0.0 {
-                        return;
+                let src = self.src;
+                src.for_each_at(id, &pattern, &mut |_, m| {
+                    if m != 0.0 {
+                        self.finish(mult * m, tail);
                     }
-                    if t.len() != arity {
-                        self.fail(EvalError::ArityMismatch {
-                            relation: names[*rel as usize].clone(),
-                            expected: arity,
-                            actual: t.len(),
-                        });
-                        return;
-                    }
-                    // Sources may over-approximate; re-check like the
-                    // interpreter does.
-                    if !matches_pattern(t, &pattern) {
-                        return;
-                    }
-                    self.finish(mult * m, tail);
                 });
                 self.patterns[*buf as usize] = pattern;
             }
@@ -2550,26 +2448,21 @@ impl Exec<'_> {
             }
             Op::Neg(inner) => self.exec(inner, -mult, tail),
             Op::AggSum(inner) => self.exec(inner, mult, tail),
-            Op::LiftBind { slot, value } => match self.eval_scalar(value) {
-                Ok(v) => {
-                    self.frame[*slot as usize] = v;
+            Op::LiftBind { slot, value } => {
+                self.frame[*slot as usize] = self.eval_scalar(value);
+                self.finish(mult, tail);
+            }
+            Op::LiftEq { slot, value } => {
+                let v = self.operand(value);
+                if self.frame[*slot as usize] == *self.operand_value(&v) {
                     self.finish(mult, tail);
                 }
-                Err(e) => self.fail(e),
-            },
-            Op::LiftEq { slot, value } => match self.operand(value) {
-                Ok(v) => {
-                    if self.frame[*slot as usize] == *self.operand_value(&v) {
-                        self.finish(mult, tail);
-                    }
+            }
+            Op::CmpFilter { cmp, left, right } => {
+                if self.compare(*cmp, left, right) {
+                    self.finish(mult, tail);
                 }
-                Err(e) => self.fail(e),
-            },
-            Op::CmpFilter { cmp, left, right } => match self.compare(*cmp, left, right) {
-                Ok(true) => self.finish(mult, tail),
-                Ok(false) => {}
-                Err(e) => self.fail(e),
-            },
+            }
             Op::Exists {
                 inner,
                 slots,
@@ -2583,16 +2476,14 @@ impl Exec<'_> {
                     self.exec(inner, 1.0, &Tail::Group { map: &cell, slots });
                     cell.into_inner()
                 };
-                if self.error.is_none() {
-                    for (key, &m) in map.iter() {
-                        if m == 0.0 {
-                            continue; // cancelled group (GMR removes exact zeros)
-                        }
-                        for (i, &slot) in slots.iter().enumerate() {
-                            self.frame[slot as usize] = key[i].clone();
-                        }
-                        self.finish(mult, tail);
+                for (key, &m) in map.iter() {
+                    if m == 0.0 {
+                        continue; // cancelled group (GMR removes exact zeros)
                     }
+                    for (i, &slot) in slots.iter().enumerate() {
+                        self.frame[slot as usize] = key[i].clone();
+                    }
+                    self.finish(mult, tail);
                 }
                 self.scratch[idx] = map;
             }
@@ -2628,19 +2519,17 @@ impl Exec<'_> {
     /// when the operand is no number, or the group has no ordered index, is
     /// not exact or holds a negative net multiplicity.
     fn search(&mut self, t: &Threshold) -> Cut {
-        let c = match self.eval_scalar(&t.operand) {
-            Ok(c) if c.is_numeric() => c,
-            _ => return Cut::Fallback,
-        };
+        let c = self.eval_scalar(&t.operand);
+        if !c.is_numeric() {
+            return Cut::Fallback;
+        }
         let Some(Scalar::RangeSum { traverse, .. }) = t.lookup() else {
             return Cut::Fallback;
         };
         let Some((rel, buf, template)) = lookup_scan(traverse) else {
             return Cut::Fallback;
         };
-        let Ok(id) = self.rel_id(rel) else {
-            return Cut::Fallback;
-        };
+        let id = self.rel_id(rel);
         let pattern = self.take_pattern(buf, template);
         let upper = matches!(t.range, CmpOp::Gt | CmpOp::Ge);
         let mut passes = |sum: f64| {
@@ -2667,18 +2556,12 @@ impl Exec<'_> {
     /// answered from the source's ordered index instead, whenever the index
     /// can answer exactly.
     fn run_prelude(&mut self, fs: &FusedScan) {
-        if self.error.is_some() {
-            return;
-        }
         if fs.cut_pos.is_some() && self.cut_walk(fs) {
             return;
         }
         if fs.band_pos.is_some() {
             if self.run_range_sums(fs) {
                 bump(&self.counters.range_sum_hits);
-                return;
-            }
-            if self.error.is_some() {
                 return;
             }
             bump(&self.counters.range_sum_bails);
@@ -2704,10 +2587,8 @@ impl Exec<'_> {
                 me.finish(m, &Tail::Seq(&member.cont, &acc_tail));
             }
         });
-        if self.error.is_none() {
-            for (k, member) in fs.members.iter().enumerate() {
-                self.frame[member.dest as usize] = Value::double(accs[k].get());
-            }
+        for (k, member) in fs.members.iter().enumerate() {
+            self.frame[member.dest as usize] = Value::double(accs[k].get());
         }
     }
 
@@ -2718,18 +2599,14 @@ impl Exec<'_> {
     /// where the pass weighs by it. `false` — the caller walks the scan in
     /// its own order — when the search fell back or the group is outside the
     /// walk's exactness contract, where a sum in another order could round
-    /// ([`RelationSource::walk_band_at`]); `true` after an error too.
+    /// ([`RelationSource::walk_band_at`]).
     fn cut_walk(&mut self, fs: &FusedScan) -> bool {
         let member = &fs.members[0];
         for op in &member.cont {
             match op {
-                Op::LiftBind { slot, value } => match self.eval_scalar(value) {
-                    Ok(v) => self.frame[*slot as usize] = v,
-                    Err(e) => {
-                        self.fail(e);
-                        return true;
-                    }
-                },
+                Op::LiftBind { slot, value } => {
+                    self.frame[*slot as usize] = self.eval_scalar(value);
+                }
                 Op::Threshold(t) if matches!(self.cuts[t.cache as usize], Cut::Unsearched) => {
                     self.cuts[t.cache as usize] = self.search(t);
                 }
@@ -2746,9 +2623,7 @@ impl Exec<'_> {
         let Cut::Keys(lo, hi) = self.cuts[cut as usize] else {
             return false;
         };
-        let Ok(id) = self.rel_id(fs.rel) else {
-            return false;
-        };
+        let id = self.rel_id(fs.rel);
         let pattern = self.take_pattern(fs.buf, &fs.template);
         let mut total = 0.0;
         let mut add = |key: f64, m: f64| total += if weighted { m * key } else { m };
@@ -2784,13 +2659,7 @@ impl Exec<'_> {
                 None => return false,
             }
         }
-        let id = match self.rel_id(fs.rel) {
-            Ok(id) => id,
-            Err(e) => {
-                self.fail(e);
-                return false;
-            }
-        };
+        let id = self.rel_id(fs.rel);
         let n = fs.members.len();
         let mut sums = [0.0f64; MAX_RANGE_MEMBERS];
         let pattern = self.take_pattern(fs.buf, &fs.template);
@@ -2809,38 +2678,29 @@ impl Exec<'_> {
         true
     }
 
-    fn eval_scalar(&mut self, s: &Scalar) -> Result<Value, EvalError> {
+    fn eval_scalar(&mut self, s: &Scalar) -> Value {
         match s {
-            Scalar::Const(v) => Ok(v.clone()),
-            Scalar::Slot(slot) => Ok(self.frame[*slot as usize].clone()),
-            Scalar::Neg(inner) => Ok(self
-                .eval_scalar(inner)?
-                .neg()
-                .map_err(|e| EvalError::Value(e.to_string()))?),
-            Scalar::Add(terms) => terms.iter().try_fold(Value::long(0), |acc, t| {
-                let v = self.eval_scalar(t)?;
-                acc.add(&v).map_err(|e| EvalError::Value(e.to_string()))
+            Scalar::Const(v) => v.clone(),
+            Scalar::Slot(slot) => self.frame[*slot as usize].clone(),
+            Scalar::Neg(inner) => total(self.eval_scalar(inner).neg()),
+            Scalar::Add(terms) => terms.iter().fold(Value::long(0), |acc, t| {
+                let v = self.eval_scalar(t);
+                total(acc.add(&v))
             }),
-            Scalar::Mul(factors) => factors.iter().try_fold(Value::long(1), |acc, t| {
-                let v = self.eval_scalar(t)?;
-                acc.mul(&v).map_err(|e| EvalError::Value(e.to_string()))
+            Scalar::Mul(factors) => factors.iter().fold(Value::long(1), |acc, t| {
+                let v = self.eval_scalar(t);
+                total(acc.mul(&v))
             }),
             Scalar::Apply(f, args) => {
-                let vals: Vec<Value> = args
-                    .iter()
-                    .map(|a| self.eval_scalar(a))
-                    .collect::<Result<_, _>>()?;
-                crate::eval::apply_scalar_fn(f, &vals)
+                let vals: Vec<Value> = args.iter().map(|a| self.eval_scalar(a)).collect();
+                total(crate::eval::apply_scalar_fn(f, &vals))
             }
-            Scalar::Cmp(op, l, r) => {
-                let hit = self.compare(*op, l, r)?;
-                Ok(Value::double(if hit { 1.0 } else { 0.0 }))
-            }
+            Scalar::Cmp(op, l, r) => Value::double(if self.compare(*op, l, r) { 1.0 } else { 0.0 }),
             Scalar::SubSum(op) => self.sub_sum(op),
             Scalar::RangeSum { ranges, traverse } => match self.range_sum(ranges, traverse) {
                 Some(sum) => {
                     bump(&self.counters.range_sum_hits);
-                    Ok(Value::double(sum))
+                    Value::double(sum)
                 }
                 None => {
                     bump(&self.counters.range_sum_bails);
@@ -2849,23 +2709,20 @@ impl Exec<'_> {
             },
             Scalar::CachedSum { cache, plan } => {
                 if let Some(v) = &self.cached[*cache as usize] {
-                    return Ok(v.clone());
+                    return v.clone();
                 }
-                let v = self.sub_sum(plan)?;
+                let v = self.sub_sum(plan);
                 self.cached[*cache as usize] = Some(v.clone());
-                Ok(v)
+                v
             }
         }
     }
 
     /// Run a sub-plan and sum its emissions.
-    fn sub_sum(&mut self, op: &Op) -> Result<Value, EvalError> {
+    fn sub_sum(&mut self, op: &Op) -> Value {
         let acc = Cell::new(0.0);
         self.exec(op, 1.0, &Tail::Acc(&acc));
-        if let Some(e) = &self.error {
-            return Err(e.clone());
-        }
-        Ok(Value::double(acc.get()))
+        Value::double(acc.get())
     }
 
     /// Answer a [`Scalar::RangeSum`] from the ordered index of the group its
@@ -2877,7 +2734,7 @@ impl Exec<'_> {
         let mut bound_mag = 0.0f64;
         let interval = band_interval(ranges, self.frame, &mut bound_mag)?;
         let (rel, buf, template) = lookup_scan(traverse)?;
-        let id = self.rel_id(rel).ok()?;
+        let id = self.rel_id(rel);
         let pattern = self.take_pattern(buf, template);
         let mut sum = [0.0];
         let answer = self
@@ -2891,36 +2748,30 @@ impl Exec<'_> {
 }
 
 impl CompiledStmt {
-    /// Execute the kernel against a relation source, buffering `(key,
-    /// multiplicity)` rows into `state.out`. The caller must have called
+    /// Execute the kernel against a relation source through the relation ids
+    /// `rels` bound against it ([`CompiledStmt::bind`]), **appending** its
+    /// `(key, multiplicity)` rows to `state.out`; a batch executor tracks
+    /// entry boundaries itself. The caller must have called
     /// [`KernelState::prepare`] and seeded `state.frame[0..trigger_slots]`
-    /// from the event tuple. Binds the relation table on every call: for
-    /// tests and one-off executions; a repeated caller binds once and runs
-    /// [`CompiledStmt::execute_batch_entry`].
+    /// from the event tuple.
+    ///
+    /// For one entry of a delta batch after the first, `run_invariant_preludes`
+    /// is `false`: prelude scans marked [`FusedScan::entry_invariant`] are
+    /// skipped — their result slots still hold the totals computed for the
+    /// batch's first entry, which are valid for every entry because such
+    /// scans read no trigger slot and the store they read is unchanged until
+    /// the run's buffered writes are applied.
+    ///
+    /// Execution cannot fail (see the module docs). It panics on a corrupt
+    /// program: a relation `src` does not hold, or a value error the type
+    /// checker should have refused.
     pub fn execute(
-        &self,
-        src: &dyn RelationSource,
-        state: &mut KernelState,
-    ) -> Result<(), EvalError> {
-        self.execute_batch_entry(src, &self.bind(src), state, true)
-    }
-
-    /// [`CompiledStmt::execute`] through the relation ids `rels` bound
-    /// against `src` ([`CompiledStmt::bind`]), for one entry of a delta
-    /// batch: when `run_invariant_preludes` is `false`, prelude scans marked
-    /// [`FusedScan::entry_invariant`] are skipped — their result slots still
-    /// hold the totals computed for the batch's first entry, which are valid
-    /// for every entry because such scans read no trigger slot and the store
-    /// they read is unchanged until the run's buffered writes are applied.
-    /// Rows are **appended** to `state.out`; the batch executor tracks entry
-    /// boundaries itself.
-    pub fn execute_batch_entry(
         &self,
         src: &dyn RelationSource,
         rels: &[Option<RelId>],
         state: &mut KernelState,
         run_invariant_preludes: bool,
-    ) -> Result<(), EvalError> {
+    ) {
         debug_assert!(state.frame.len() >= self.frame_size as usize);
         debug_assert_eq!(rels.len(), self.rels.len());
         let merge_floor = state.out.len();
@@ -2948,7 +2799,6 @@ impl CompiledStmt {
             out: &mut state.out,
             merge_floor,
             key_slots: &self.key_slots,
-            error: None,
         };
         for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {
@@ -2956,10 +2806,6 @@ impl CompiledStmt {
             }
         }
         exec.exec(&self.plan, 1.0, &Tail::Rows);
-        match exec.error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
     }
 }
 
@@ -2997,7 +2843,7 @@ mod tests {
         for (i, (_, v)) in trigger.iter().enumerate() {
             state.frame[i] = Value::long(*v);
         }
-        stmt.execute(&src, &mut state).unwrap();
+        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
         let mut compiled = Gmr::new(Schema::new(key_vars.iter().copied()));
         for (k, m) in state.out.drain(..) {
             compiled.add_tuple(k, m);
@@ -3066,7 +2912,7 @@ mod tests {
         let mut state = KernelState::new();
         state.prepare(stmt);
         state.frame[0] = Value::long(y);
-        stmt.execute(src, &mut state).unwrap();
+        stmt.execute(src, &stmt.bind(src), &mut state, true);
         let work = state.counter_slots[0].take();
         (std::mem::take(&mut state.out), work)
     }
@@ -3416,7 +3262,7 @@ mod tests {
         let stmt = lower_statement(&[], &["x".into()], &e).unwrap();
         let mut state = KernelState::new();
         state.prepare(&stmt);
-        stmt.execute(&src, &mut state).unwrap();
+        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
         assert_eq!(state.out.len(), 1);
         assert_eq!(state.out[0].0.as_slice(), &[Value::long(1)]);
     }
@@ -3443,14 +3289,19 @@ mod tests {
             ),
             "sum terms bind different outputs"
         );
+        let div = Expr::Apply(ScalarFn::Div, vec![Expr::val(1)]);
+        assert_eq!(reason(&[], &div), "scalar function of the wrong arity");
     }
 
+    /// A relation the source does not hold is a corrupt program: the
+    /// executor has no error path, and panics naming the relation.
     #[test]
+    #[should_panic(expected = "reads relation Nope")]
     fn unknown_relation_errors_at_runtime() {
         let stmt = lower_statement(&[], &["x".into()], &Expr::rel("Nope", ["x"])).unwrap();
         let mut state = KernelState::new();
         state.prepare(&stmt);
-        let err = stmt.execute(&db(), &mut state).unwrap_err();
-        assert!(matches!(err, EvalError::UnknownRelation(_)));
+        let src = db();
+        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
     }
 }

@@ -637,6 +637,7 @@ mod tests {
     use super::*;
     use crate::program::RelationMeta;
     use dbtoaster_agca::CmpOp as Op;
+    use dbtoaster_agca::ScalarFn;
 
     fn rs_catalog() -> Catalog {
         [
@@ -878,6 +879,44 @@ mod tests {
                 err.to_string(),
                 format!("cannot compile statement {statement}: {reason}")
             );
+        }
+    }
+
+    /// A scalar function given a number of arguments it does not take has
+    /// no value to run with, so lowering refuses it in every mode rather
+    /// than leave the kernel to fail on the first event.
+    #[test]
+    fn scalar_functions_of_the_wrong_arity_are_refused() {
+        let b = || Expr::var("B");
+        for (f, args) in [
+            (ScalarFn::Div, vec![b()]),
+            (ScalarFn::Sqrt, vec![b(), b()]),
+            (ScalarFn::ListMax, vec![]),
+            (ScalarFn::Like("x%".into()), vec![]),
+        ] {
+            let expr = Expr::agg_sum(
+                Vec::<String>::new(),
+                Expr::product_of([Expr::rel("R", ["A", "B"]), Expr::Apply(f, args)]),
+            );
+            let q = QuerySpec {
+                name: "Q".into(),
+                out_vars: vec![],
+                expr,
+            };
+            for mode in [
+                CompileMode::HigherOrder,
+                CompileMode::FirstOrder,
+                CompileMode::NaiveViewlet,
+                CompileMode::Reevaluate,
+            ] {
+                let options = CompileOptions::for_mode(mode);
+                match compile(std::slice::from_ref(&q), &rs_catalog(), &options) {
+                    Err(CompileError::Unlowerable { reason, .. }) => {
+                        assert_eq!(reason, "scalar function of the wrong arity", "[{mode}]")
+                    }
+                    other => panic!("[{mode}] {}: expected a refusal, got {other:?}", q.expr),
+                }
+            }
         }
     }
 

@@ -29,7 +29,9 @@
 //! endpoint serves both.
 
 use crate::program::{RelationDispatch, StmtOp, Trigger, TriggerProgram};
-use dbtoaster_agca::plan::{range_sum_refusal, scan_body, FastOp, FusedScan, NumExpr, Op, Scalar};
+use dbtoaster_agca::plan::{
+    range_sum_refusal, scan_body, FastOp, FusedScan, Node, NumExpr, Op, Scalar,
+};
 use dbtoaster_agca::CmpOp;
 use dbtoaster_agca::CompiledStmt;
 use dbtoaster_agca::UpdateSign;
@@ -471,46 +473,25 @@ fn push_op(lines: &mut Vec<String>, depth: usize, op: &Op, k: &CompiledStmt) {
             lines.push(format!("{indent}{}", op_summary(other, &k.rels)));
             // Sub-plans hidden inside scalar positions (decorrelated nested
             // aggregates) still deserve a subtree, and a scanning one that
-            // stayed a walk says why it is no range sum.
-            for sub in scalar_subplans(other) {
-                let why = range_sum_refusal(sub, k.trigger_slots);
-                let note = why.map_or(String::new(), |w| format!(" (not a range sum: {w})"));
-                lines.push(format!("{indent}  subsum:{note}"));
-                push_op(lines, depth + 2, sub, k);
+            // stayed a walk says why it is no range sum. A band lookup's one
+            // line says all: its walk is the sub-sum it was.
+            let values = Node::Op(other).children();
+            for value in values.filter(|c| matches!(c, Node::Scalar(_))) {
+                value.walk(&mut |n| match n {
+                    Node::Scalar(Scalar::SubSum(sub) | Scalar::CachedSum { plan: sub, .. }) => {
+                        let why = range_sum_refusal(sub, k.trigger_slots);
+                        let note =
+                            why.map_or(String::new(), |w| format!(" (not a range sum: {w})"));
+                        lines.push(format!("{indent}  subsum:{note}"));
+                        push_op(lines, depth + 2, sub, k);
+                        false
+                    }
+                    Node::Scalar(Scalar::RangeSum { .. }) => false,
+                    _ => true,
+                });
             }
         }
     }
-}
-
-/// The `SubSum` sub-plans reachable from an op's scalar positions.
-fn scalar_subplans(op: &Op) -> Vec<&Op> {
-    fn walk<'a>(s: &'a Scalar, out: &mut Vec<&'a Op>) {
-        match s {
-            Scalar::SubSum(op) | Scalar::CachedSum { plan: op, .. } => out.push(op),
-            Scalar::Neg(i) => walk(i, out),
-            Scalar::Add(ts) | Scalar::Mul(ts) | Scalar::Apply(_, ts) => {
-                ts.iter().for_each(|t| walk(t, out))
-            }
-            Scalar::Cmp(_, l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-            // A lookup's one line says all; its walk is the sub-sum it was.
-            Scalar::Const(_) | Scalar::Slot(_) | Scalar::RangeSum { .. } => {}
-        }
-    }
-    let mut out = Vec::new();
-    match op {
-        Op::ScalarMult(s) | Op::LiftBind { value: s, .. } | Op::LiftEq { value: s, .. } => {
-            walk(s, &mut out)
-        }
-        Op::CmpFilter { left, right, .. } => {
-            walk(left, &mut out);
-            walk(right, &mut out);
-        }
-        _ => {}
-    }
-    out
 }
 
 fn fast_str(f: &FastOp) -> String {

@@ -202,10 +202,14 @@ impl Value {
         }
     }
 
-    /// Unary negation.
+    /// Unary negation; like the other operations, a `Long` whose negation
+    /// overflows (`i64::MIN`) falls back to a `Double`.
     pub fn neg(&self) -> Result<Value, ValueError> {
         match self {
-            Value::Long(v) => Ok(Value::Long(-v)),
+            Value::Long(v) => Ok(match v.checked_neg() {
+                Some(n) => Value::Long(n),
+                None => Value::Double(-(*v as f64)),
+            }),
             Value::Double(v) => Ok(Value::Double(-v)),
             Value::Str(s) => Err(ValueError::NotNumeric(s.to_string())),
         }
@@ -490,6 +494,15 @@ mod tests {
         let big = Value::long(i64::MAX);
         let r = big.add(&Value::long(1)).unwrap();
         assert!(matches!(r, Value::Double(_)));
+    }
+
+    /// `-(-2^63)` is no `i64`: negation falls back to the exact value as a
+    /// double (SQL's `a - b` is `a + (-b)`, so a wrapped negation would flip
+    /// its sign).
+    #[test]
+    fn negating_the_least_long_falls_back_to_double() {
+        let min = Value::long(i64::MIN).neg().unwrap();
+        assert!(matches!(min, Value::Double(d) if d == 9_223_372_036_854_775_808.0));
     }
 
     #[test]

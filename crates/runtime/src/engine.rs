@@ -20,8 +20,9 @@
 //! `LIKE` pattern, and [`Engine::admits`] — the ingest gate — refuses an event whose
 //! arity or value kinds do not match its relation before anything runs: a refused event
 //! writes nothing and counts in [`BatchReport::failed_events`]. Past the gate every
-//! kernel is total; a kernel error there is a corrupt program, and the engine panics
-//! naming the statement's target.
+//! kernel is total: `CompiledStmt::execute` has no error path, and `kernel_rows`
+//! returns nothing. A kernel panics only on a corrupt program — a relation the store
+//! does not hold, named in the message, or a value error past the type checker.
 //!
 //! ## Batch execution
 //!
@@ -364,10 +365,8 @@ impl DispatchEntry {
 /// its loop-invariant fused scans run, and the rest of the series reuses
 /// both.
 ///
-/// The kernel is total on what the gate admits (see the module docs), so
-/// an error is a corrupt program: it panics, naming the statement's
-/// `target`.
-#[allow(clippy::too_many_arguments)]
+/// The kernel is total on what the gate admits (see the module docs): it
+/// returns nothing, and panics only on a corrupt program.
 fn kernel_rows(
     state: &mut KernelState,
     db: &Database,
@@ -376,7 +375,6 @@ fn kernel_rows(
     tuple: &[Value],
     first: bool,
     out: &mut Vec<(Tuple, f64)>,
-    target: &str,
 ) {
     if first {
         state.prepare(kernel);
@@ -390,11 +388,8 @@ fn kernel_rows(
     // The kernel appends to `state.out`: lend it the caller's buffer for the
     // call instead of copying rows across.
     std::mem::swap(&mut state.out, out);
-    let res = kernel.execute_batch_entry(db, rels, state, first);
+    kernel.execute(db, rels, state, first);
     std::mem::swap(&mut state.out, out);
-    if let Err(e) = res {
-        panic!("the kernel writing {target} failed on an admitted event (a corrupt program): {e}");
-    }
 }
 
 /// One statement's deferred (buffered but not yet applied) rows on the
@@ -956,7 +951,7 @@ impl Engine {
         for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
             rows.clear();
-            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows, &m.name);
+            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows);
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
@@ -1285,16 +1280,7 @@ impl Executor {
         } = self;
         let bound = &stmts[tidx as usize][j];
         rows.clear();
-        kernel_rows(
-            kernel,
-            db,
-            &stmt.kernel,
-            &bound.rels,
-            tuple,
-            true,
-            rows,
-            &stmt.target,
-        );
+        kernel_rows(kernel, db, &stmt.kernel, &bound.rels, tuple, true, rows);
         let all = Seg {
             start: 0,
             end: rows.len(),
@@ -1521,7 +1507,6 @@ impl Executor {
                         &entry.key,
                         true,
                         &mut ds.rows,
-                        &stmt.target,
                     );
                     let end = ds.rows.len();
                     evaluated += (end - start) as u64;
@@ -1599,7 +1584,6 @@ impl Executor {
                 &entry.key,
                 std::mem::take(&mut first),
                 &mut slot.rows,
-                &stmt.target,
             );
             slot.segs.push(Seg {
                 start,

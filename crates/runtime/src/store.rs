@@ -119,7 +119,7 @@
 //! resident once, as a map that is never snapshotted is.
 
 use crate::ordered::{slot_bytes, tuple_slot_bytes, GroupKey, OrderedIndex};
-use dbtoaster_agca::eval::{matches_pattern, EvalError, RelId, RelationSource};
+use dbtoaster_agca::eval::{matches_pattern, RelId, RelationSource};
 use dbtoaster_gmr::hash::fast_set_with_capacity;
 use dbtoaster_gmr::tuple::project;
 use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
@@ -1302,19 +1302,6 @@ impl Database {
 impl RelationSource for Database {
     fn relation_arity(&self, name: &str) -> Option<usize> {
         self.view(name).map(|m| m.schema().arity())
-    }
-
-    fn for_each_matching(
-        &self,
-        name: &str,
-        pattern: &[Option<Value>],
-        visit: &mut dyn FnMut(&[Value], f64),
-    ) -> Result<(), EvalError> {
-        let m = self
-            .view(name)
-            .ok_or_else(|| EvalError::UnknownRelation(name.to_string()))?;
-        m.for_each(pattern, visit);
-        Ok(())
     }
 
     fn relation_id(&self, name: &str) -> Option<RelId> {

@@ -44,7 +44,7 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     let mut state = KernelState::new();
     state.prepare(&stmt);
     state.frame[0] = Value::long(1);
-    stmt.execute(&db, &mut state).expect("kernel executes");
+    stmt.execute(&db, &stmt.bind(&db), &mut state, true);
     let totals = db.view("M").unwrap().index_totals();
     assert_eq!(
         (totals.get("indexes.hash"), totals.get("indexes.entries")),

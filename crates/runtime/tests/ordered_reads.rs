@@ -39,7 +39,7 @@ fn run(stmt: &CompiledStmt, db: &Database, y: i64) -> (Vec<u64>, KernelWork) {
     let mut state = KernelState::new();
     state.prepare(stmt);
     state.frame[0] = Value::long(y);
-    stmt.execute(db, &mut state).unwrap();
+    stmt.execute(db, &stmt.bind(db), &mut state, true);
     let bits = state.out.iter().map(|r| r.1.to_bits()).collect();
     (bits, state.counter_slots[0].take())
 }

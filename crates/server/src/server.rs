@@ -72,9 +72,7 @@ use dbtoaster_durability::{DurabilityConfig, DurabilityError};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
 use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
 use dbtoaster_sql::{OutputColumn, TranslatedQuery};
-use dbtoaster_telemetry::{
-    MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig, ValueGroup,
-};
+use dbtoaster_telemetry::{MetricsSnapshot, Stage, Telemetry, TelemetryConfig, ValueGroup};
 use std::fmt;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -702,13 +700,6 @@ impl ViewServer {
     /// [`ProgramExplain::render_json`]; also served over HTTP as `/explain`.
     pub fn explain(&self) -> ProgramExplain {
         explain_program(&self.shared)
-    }
-
-    /// Drain the slow-batch trace ring: structured span trees (relation,
-    /// strategy, per-statement timings) for every batch that exceeded
-    /// [`TelemetryConfig::slow_batch_threshold`] since the last drain.
-    pub fn drain_slow_traces(&self) -> Vec<SlowBatchTrace> {
-        self.shared.tel.drain_traces()
     }
 
     /// The server's shared [`Telemetry`] handle, for custom counters or
