@@ -789,33 +789,25 @@ pub fn eval_scalar_with(
 
 /// Apply a scalar function to already-evaluated arguments.
 pub fn apply_scalar_fn(f: &ScalarFn, args: &[Value]) -> Result<Value, EvalError> {
+    if !f.takes(args.len()) {
+        return Err(EvalError::BadApply(format!(
+            "{f} does not take {} arguments",
+            args.len()
+        )));
+    }
     match f {
-        ScalarFn::Div => {
-            if args.len() != 2 {
-                return Err(EvalError::BadApply("div expects 2 arguments".into()));
-            }
-            Ok(args[0].div(&args[1])?)
-        }
+        ScalarFn::Div => Ok(args[0].div(&args[1])?),
         ScalarFn::ListMax => {
-            if args.is_empty() {
-                return Err(EvalError::BadApply("listmax expects >= 1 argument".into()));
-            }
             let mut best = args[0].as_f64()?;
             for a in &args[1..] {
                 best = best.max(a.as_f64()?);
             }
             Ok(Value::double(best))
         }
-        ScalarFn::Sqrt => {
-            if args.len() != 1 {
-                return Err(EvalError::BadApply("sqrt expects 1 argument".into()));
-            }
-            Ok(Value::double(args[0].as_f64()?.max(0.0).sqrt()))
-        }
+        ScalarFn::Sqrt => Ok(Value::double(args[0].as_f64()?.max(0.0).sqrt())),
         ScalarFn::Like(pattern) => {
-            let s = args
-                .first()
-                .and_then(|v| v.as_str())
+            let s = args[0]
+                .as_str()
                 .ok_or_else(|| EvalError::BadApply("like expects a string argument".into()))?;
             Ok(Value::bool(like_match(pattern, s)))
         }
@@ -1025,6 +1017,20 @@ mod tests {
             .unwrap(),
             Value::bool(true)
         );
+        // The arity `compile` refuses is the arity the evaluator refuses.
+        let s = Value::str("SMALL BRASS");
+        for (f, args) in [
+            (ScalarFn::Div, vec![Value::long(1)]),
+            (ScalarFn::Sqrt, vec![]),
+            (ScalarFn::ListMax, vec![]),
+            (ScalarFn::Like("%BRASS".into()), vec![s.clone(), s]),
+        ] {
+            assert!(!f.takes(args.len()), "{f}");
+            assert!(
+                matches!(apply_scalar_fn(&f, &args), Err(EvalError::BadApply(_))),
+                "{f}"
+            );
+        }
     }
 
     #[test]

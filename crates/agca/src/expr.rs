@@ -100,6 +100,19 @@ pub enum ScalarFn {
     Like(String),
 }
 
+impl ScalarFn {
+    /// Does the function take `n` arguments? The one statement of each
+    /// function's arity: the evaluator refuses, and `compile` rejects, any
+    /// other count.
+    pub fn takes(&self, n: usize) -> bool {
+        match self {
+            ScalarFn::Div => n == 2,
+            ScalarFn::Sqrt | ScalarFn::Like(_) => n == 1,
+            ScalarFn::ListMax => n >= 1,
+        }
+    }
+}
+
 impl fmt::Display for ScalarFn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -41,7 +41,8 @@
 //! exactly the tuples that match a pattern ([`RelationSource::for_each_at`]),
 //! so no scanned row is re-checked. The executor panics only on what a
 //! corrupt program reaches: a relation its source does not hold (the message
-//! names it) or a value error past the type checker.
+//! names it) or a value error past the type checker (the message names the
+//! relations the statement reads).
 //!
 //! Grouping (`AggSum`) needs no runtime work in this model: multiplicities are
 //! combined additively by the accumulating sink, and multiplication
@@ -795,14 +796,10 @@ impl Lowerer {
     }
 
     /// `f` applied to its lowered arguments, refused when it is given a
-    /// number of them it does not take (the executor could not apply it).
+    /// number of them it does not take ([`ScalarFn::takes`]; the executor
+    /// could not apply it).
     fn lower_apply(&mut self, f: &ScalarFn, args: &[Expr]) -> Result<Scalar, Unsupported> {
-        let takes = match f {
-            ScalarFn::Div => args.len() == 2,
-            ScalarFn::Sqrt | ScalarFn::Like(_) => args.len() == 1,
-            ScalarFn::ListMax => !args.is_empty(),
-        };
-        if !takes {
+        if !f.takes(args.len()) {
             return Err(Unsupported("scalar function of the wrong arity"));
         }
         let args = args.iter().map(|a| self.lower_scalar(a));
@@ -2243,11 +2240,15 @@ struct Exec<'a> {
 }
 
 /// The value of a value operation, which the type checker has made total
-/// on every admitted event: an error is a corrupt program.
+/// on every admitted event: an error is a corrupt program. The panic names
+/// the relations the statement reads (`names`, [`CompiledStmt::rels`]).
 #[inline]
-fn total<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+fn total<T, E: std::fmt::Display>(names: &[String], r: Result<T, E>) -> T {
     r.unwrap_or_else(|e| {
-        panic!("a kernel value error past the type checker (a corrupt program): {e}")
+        panic!(
+            "a kernel reading {names:?} hit a value error past the type checker \
+             (a corrupt program): {e}"
+        )
     })
 }
 
@@ -2407,11 +2408,11 @@ impl Exec<'_> {
         match op {
             Op::ConstMult(c) => self.finish(mult * c, tail),
             Op::SlotMult(slot) => {
-                let v = total(self.frame[*slot as usize].as_f64());
+                let v = total(self.names, self.frame[*slot as usize].as_f64());
                 self.finish(mult * v, tail)
             }
             Op::ScalarMult(s) => {
-                let v = total(self.eval_scalar(s).as_f64());
+                let v = total(self.names, self.eval_scalar(s).as_f64());
                 self.finish(mult * v, tail)
             }
             Op::Probe { rel, buf, template } => {
@@ -2682,18 +2683,18 @@ impl Exec<'_> {
         match s {
             Scalar::Const(v) => v.clone(),
             Scalar::Slot(slot) => self.frame[*slot as usize].clone(),
-            Scalar::Neg(inner) => total(self.eval_scalar(inner).neg()),
+            Scalar::Neg(inner) => total(self.names, self.eval_scalar(inner).neg()),
             Scalar::Add(terms) => terms.iter().fold(Value::long(0), |acc, t| {
                 let v = self.eval_scalar(t);
-                total(acc.add(&v))
+                total(self.names, acc.add(&v))
             }),
             Scalar::Mul(factors) => factors.iter().fold(Value::long(1), |acc, t| {
                 let v = self.eval_scalar(t);
-                total(acc.mul(&v))
+                total(self.names, acc.mul(&v))
             }),
             Scalar::Apply(f, args) => {
                 let vals: Vec<Value> = args.iter().map(|a| self.eval_scalar(a)).collect();
-                total(crate::eval::apply_scalar_fn(f, &vals))
+                total(self.names, crate::eval::apply_scalar_fn(f, &vals))
             }
             Scalar::Cmp(op, l, r) => Value::double(if self.compare(*op, l, r) { 1.0 } else { 0.0 }),
             Scalar::SubSum(op) => self.sub_sum(op),
@@ -3302,6 +3303,27 @@ mod tests {
         let mut state = KernelState::new();
         state.prepare(&stmt);
         let src = db();
+        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
+    }
+
+    /// A value error is a corrupt program too (`compile`'s type checker
+    /// refuses arithmetic on a string; lowering alone does not): the panic
+    /// names the relations the statement reads.
+    #[test]
+    #[should_panic(expected = "a kernel reading [\"R\", \"T\"] hit a value error")]
+    fn value_error_panics_naming_the_relations_read() {
+        let mut src = db();
+        let mut t = Gmr::new(Schema::new(["S"]));
+        t.add_tuple(vec![Value::str("x")], 1.0);
+        src.set_relation("T", t);
+        let q = Expr::product_of([
+            Expr::rel("R", ["a", "b"]),
+            Expr::rel("T", ["s"]),
+            Expr::neg(Expr::var("s")),
+        ]);
+        let stmt = lower_statement(&[], &[], &q).unwrap();
+        let mut state = KernelState::new();
+        state.prepare(&stmt);
         stmt.execute(&src, &stmt.bind(&src), &mut state, true);
     }
 }

@@ -888,11 +888,13 @@ mod tests {
     #[test]
     fn scalar_functions_of_the_wrong_arity_are_refused() {
         let b = || Expr::var("B");
+        let s = || Expr::Const(dbtoaster_gmr::Value::str("xy"));
         for (f, args) in [
             (ScalarFn::Div, vec![b()]),
             (ScalarFn::Sqrt, vec![b(), b()]),
             (ScalarFn::ListMax, vec![]),
             (ScalarFn::Like("x%".into()), vec![]),
+            (ScalarFn::Like("x%".into()), vec![s(), s()]),
         ] {
             let expr = Expr::agg_sum(
                 Vec::<String>::new(),

@@ -815,11 +815,16 @@ impl ViewMap {
     /// Keep the secondary index of `mask` as an ordered index on the key
     /// column `key_pos` — the one column the mask must leave free — from now
     /// on, built from the current contents and replacing a hash index of the
-    /// same mask. A no-op when the mask already has its ordered index. On a
+    /// same mask. A no-op when the mask already has its ordered index, or
+    /// cannot express the binding (a bound column at position 63 or later:
+    /// reads of such a pattern walk the map, see [`ViewMap::for_each`]). On a
     /// one-column view the mask is `0`: one group, the whole map, which
-    /// scans still walk as the primary map (see [`ViewMap::for_each`]).
+    /// scans still walk as the primary map.
     pub fn declare_ordered(&mut self, mask: u64, key_pos: usize) {
         let arity = self.schema.arity();
+        if (63..arity).any(|i| i != key_pos) {
+            return;
+        }
         assert!(
             (0..arity).all(|i| (i < 63 && mask & (1 << i) != 0) != (i == key_pos)),
             "an ordered index binds every key column but the one it is sorted on \
@@ -836,15 +841,18 @@ impl ViewMap {
         self.indexes.push((mask, Index::Ordered(index)));
     }
 
-    /// Stream the entries matching a partial binding pattern into `visit`,
-    /// borrowing keys straight out of the store: one primary probe when the
-    /// pattern binds every column, one group of the mask's declared index
-    /// when it binds some (and a primary probe per member, for its stored key
-    /// and multiplicity), the whole map otherwise — or when nobody declared
-    /// an index for the mask, then filtered by the pattern.
+    /// Stream exactly the entries matching a partial binding pattern into
+    /// `visit`, borrowing keys straight out of the store: one primary probe
+    /// when the pattern binds every column, one group of the mask's declared
+    /// index when it binds some (and a primary probe per member, for its
+    /// stored key and multiplicity), the whole map otherwise — or when nobody
+    /// declared an index for the mask, or the pattern binds a column no mask
+    /// can express (position 63 or later), then filtered by the pattern.
     pub fn for_each(&self, pattern: &[Option<Value>], visit: &mut dyn FnMut(&[Value], f64)) {
         debug_assert_eq!(pattern.len(), self.schema.arity());
-        let mask = pattern_mask(pattern);
+        let Some(mask) = pattern_mask(pattern) else {
+            return self.for_each_filtered(pattern, visit);
+        };
         if mask == 0 {
             for (k, &m) in self.data.iter() {
                 visit(k, m);
@@ -880,12 +888,15 @@ impl ViewMap {
                     }
                 });
             }
-            None => {
-                for (k, &m) in self.data.iter() {
-                    if matches_pattern(k, pattern) {
-                        visit(k, m);
-                    }
-                }
+            None => self.for_each_filtered(pattern, visit),
+        }
+    }
+
+    /// Walk the whole map, handing `visit` the entries matching `pattern`.
+    fn for_each_filtered(&self, pattern: &[Option<Value>], visit: &mut dyn FnMut(&[Value], f64)) {
+        for (k, &m) in self.data.iter() {
+            if matches_pattern(k, pattern) {
+                visit(k, m);
             }
         }
     }
@@ -918,7 +929,7 @@ impl ViewMap {
 
     /// The ordered index of `pattern`'s mask and the group `pattern` binds.
     fn ordered_group(&self, pattern: &[Option<Value>]) -> Option<(&OrderedIndex, Tuple)> {
-        let Index::Ordered(index) = self.index(pattern_mask(pattern))? else {
+        let Index::Ordered(index) = self.index(pattern_mask(pattern)?)? else {
             return None;
         };
         Some((index, pattern.iter().flatten().cloned().collect()))
@@ -1166,14 +1177,16 @@ const BYTES: usize = slot_of("indexes.bytes");
 const HASH_BYTES: usize = slot_of("indexes.hash_bytes");
 const ORDERED_BYTES: usize = slot_of("indexes.ordered_bytes");
 
-fn pattern_mask(pattern: &[Option<Value>]) -> u64 {
-    pattern.iter().enumerate().fold(0u64, |m, (i, p)| {
-        if p.is_some() && i < 63 {
-            m | (1 << i)
-        } else {
-            m
-        }
-    })
+/// The binding-pattern mask of `pattern`, or `None` when it binds a column
+/// at position 63 or later, which masks cannot express.
+fn pattern_mask(pattern: &[Option<Value>]) -> Option<u64> {
+    pattern
+        .iter()
+        .enumerate()
+        .try_fold(0u64, |m, (i, p)| match p {
+            None => Some(m),
+            Some(_) => (i < 63).then(|| m | (1 << i)),
+        })
 }
 
 /// The mask of a pattern binding every one of `arity` key columns, if masks
