@@ -45,8 +45,9 @@
 //!
 //! ## Batch-delta programs
 //!
-//! The compiler derives, per relation, a **whole-run trigger program**
-//! (`derive_live_passes` in `dbtoaster-compiler`): treat the run's net delta
+//! The compiler derives, per relation, a **whole-run trigger program** (its
+//! `RelationPlan`, from `TriggerProgram::relation_plans` in
+//! `dbtoaster-compiler`): treat the run's net delta
 //! `ΔR = Σₑ mₑ{tₑ}` as one update. Every incremental statement that reads
 //! nothing the run itself writes is evaluated for all entries back-to-back
 //! against the *pre-run* state. A statement whose right-hand side reads a map

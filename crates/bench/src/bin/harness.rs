@@ -20,8 +20,8 @@
 //!
 //! * `harness explain [--query NAME]` (or the `--explain` flag on any
 //!   invocation) runs each workload stream and prints EXPLAIN ANALYZE for the
-//!   compiled trigger program — operator trees, batch-dispatch decisions with
-//!   reasons, and live counters; `--json PATH` writes the JSON forms.
+//!   compiled trigger program — operator trees, each relation's live pass and
+//!   `:=` tail, and live counters; `--json PATH` writes the JSON forms.
 //! * `harness export [--addr HOST:PORT] [--hold SECS]` opens a durable
 //!   serving instance with the HTTP exporter enabled, ingests a finance
 //!   stream while a 1 Hz scraper polls `/metrics`, reports throughput, then

@@ -84,6 +84,19 @@ pub struct TracePoint {
     pub memory_mb: f64,
 }
 
+impl TracePoint {
+    /// `engine`'s statistics and memory after `fraction` of the stream.
+    fn of(engine: &QueryEngine, fraction: f64) -> TracePoint {
+        let stats = engine.stats();
+        TracePoint {
+            fraction,
+            time_minutes: stats.busy.as_secs_f64() / 60.0,
+            refresh_rate: stats.refresh_rate(),
+            memory_mb: engine.memory_bytes() as f64 / (1024.0 * 1024.0),
+        }
+    }
+}
+
 /// Generate the dataset appropriate for a query's family.
 pub fn dataset_for(family: Family, events: usize, seed: u64) -> workloads::Dataset {
     match family {
@@ -280,23 +293,11 @@ pub fn trace_series(
                 .process(event)
                 .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
             if start.elapsed() > budget {
-                let s = engine.sample((i + 1) as f64 / samples as f64);
-                out.push(TracePoint {
-                    fraction: s.fraction,
-                    time_minutes: s.elapsed_secs / 60.0,
-                    refresh_rate: s.refresh_rate,
-                    memory_mb: s.memory_mb,
-                });
+                out.push(TracePoint::of(&engine, (i + 1) as f64 / samples as f64));
                 break 'outer;
             }
         }
-        let s = engine.sample((i + 1) as f64 / samples as f64);
-        out.push(TracePoint {
-            fraction: s.fraction,
-            time_minutes: s.elapsed_secs / 60.0,
-            refresh_rate: s.refresh_rate,
-            memory_mb: s.memory_mb,
-        });
+        out.push(TracePoint::of(&engine, (i + 1) as f64 / samples as f64));
     }
     out
 }

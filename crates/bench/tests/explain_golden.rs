@@ -310,6 +310,8 @@ fn explained_relations_match_live_batch_runs() {
 /// derives (`compile` would refuse the query otherwise); a relation whose
 /// live pass becomes non-empty fires statements entry by entry it did not
 /// before, so the counts are pinned and a mismatch names the relations.
+/// Every trigger of every program belongs to exactly one relation plan, as
+/// its relation's trigger of its sign.
 #[test]
 fn live_pass_census_per_compile_mode() {
     for (mode, relations, live) in [
@@ -326,7 +328,26 @@ fn live_pass_census_per_compile_mode() {
                 .mode(mode)
                 .build()
                 .unwrap_or_else(|e| panic!("{} [{mode}]: {e}", q.name));
-            for rel in dbtoaster::compiler::explain(engine.program()).relations {
+            let program = engine.program();
+            let plans = program.relation_plans().expect("compiled programs derive");
+            // Every plan slot holding a trigger, as (relation, sign).
+            let slots: Vec<(usize, &str, UpdateSign)> = plans
+                .iter()
+                .flat_map(|p| {
+                    let signs = [
+                        (p.insert, UpdateSign::Insert),
+                        (p.delete, UpdateSign::Delete),
+                    ];
+                    let held = signs.into_iter().filter_map(|(i, s)| Some((i?, s)));
+                    held.map(|(i, s)| (i, p.relation.as_str(), s))
+                })
+                .collect();
+            for (i, t) in program.triggers.iter().enumerate() {
+                let owners: Vec<_> = slots.iter().filter(|s| s.0 == i).collect();
+                let expected = (i, t.relation.as_str(), t.sign);
+                assert_eq!(owners, [&expected], "{} [{mode}]: {t}", q.name);
+            }
+            for rel in dbtoaster::compiler::explain(program).relations {
                 counts.0 += 1;
                 if !rel.live_pass.starts_with("none") {
                     counts.1 += 1;

@@ -19,8 +19,9 @@
 //! reads no run-written atom produces the same rows whenever in the run it is
 //! evaluated, so it is evaluated for every entry back-to-back against the
 //! pre-run store (loop-invariant prelude scans amortized over the run) and
-//! its writes are buffered. The statements that do read one — the relation's
-//! [`LivePass`] — are evaluated firing by firing, in entry order, and the
+//! its writes are buffered. The statements that do read one — the ones its
+//! [`RelationPlan`] fires live, the relation's **live pass** — are evaluated
+//! firing by firing, in entry order, and the
 //! run-written maps they read (the **live maps**) are written firing by
 //! firing too. Within a firing the order is per-event's: every listed
 //! statement is evaluated first — all `+=` statements of a firing read the
@@ -73,11 +74,18 @@
 //! bundled workload derives in every compile mode, and so does every
 //! relation of every program the compiler emits: it orders each trigger's
 //! `:=` statements after its `+=` statements and re-evaluates a target under
-//! both signs. [`derive_live_passes`] returns the condition that bailed, and
-//! `compile` refuses the program with it
-//! ([`CompileError::Underivable`](crate::CompileError::Underivable)); the
-//! engine refuses a hand-assembled program whose triggered relation has no
-//! live pass.
+//! both signs. [`TriggerProgram::relation_plans`] returns the condition that
+//! bailed, `compile` refuses the program with it
+//! ([`CompileError::Underivable`](crate::CompileError::Underivable)), and
+//! the engine refuses a hand-assembled program with it.
+//!
+//! ## One plan per relation
+//!
+//! What a relation's runs execute is one [`RelationPlan`], derived by that
+//! one function from the triggers and stored nowhere: `compile` calls it to
+//! refuse a program that does not derive, the engine once at construction,
+//! where it resolves each plan into trigger indexes and per-statement flags,
+//! and `explain` to render each relation's `live pass:` line.
 //!
 //! ## Runs of one firing
 //!
@@ -88,31 +96,65 @@
 //! `Engine::process`. No firing fails: the engine's ingest gate refuses an
 //! ill-typed event before any run forms.
 
-use crate::program::{BatchDeltaBail, LivePass, LiveStmt, StmtOp, Trigger};
-use dbtoaster_agca::AtomKind;
+use crate::program::{BatchDeltaBail, StmtOp, Trigger, TriggerProgram};
+use dbtoaster_agca::{AtomKind, UpdateSign};
 use std::collections::BTreeSet;
 
-/// Derive the per-relation live passes of a trigger program (see the module
-/// docs): one [`LivePass`] per relation a trigger reads, in first-appearance
-/// order — with no statements when nothing the relation's triggers read is
-/// run-written — or the first relation whose derivation bails, and the
-/// condition that bailed.
-pub fn derive_live_passes(triggers: &[Trigger]) -> Result<Vec<LivePass>, (String, BatchDeltaBail)> {
-    let mut relations: Vec<&str> = Vec::new();
-    for t in triggers {
-        if !relations.contains(&t.relation.as_str()) {
-            relations.push(&t.relation);
-        }
-    }
-    let derive = |rel: &str| derive_relation(rel, triggers).map_err(|bail| (rel.to_string(), bail));
-    relations.into_iter().map(derive).collect()
+/// How the runs of one stream relation execute (see the module docs): its
+/// two sign triggers, the `+=` statements that fire live, the maps they read
+/// of the run's writes and the `:=` tail. [`TriggerProgram::relation_plans`]
+/// derives one per triggered relation; the engine resolves them once, at
+/// construction, and `explain` renders them.
+#[derive(Clone, Debug, PartialEq)]
+pub struct RelationPlan {
+    /// The stream relation.
+    pub relation: String,
+    /// Index into [`TriggerProgram::triggers`] of the insert trigger, if any.
+    pub insert: Option<usize>,
+    /// Index into [`TriggerProgram::triggers`] of the delete trigger, if any.
+    pub delete: Option<usize>,
+    /// The `+=` statements that read run-written state, as `(trigger,
+    /// statement)` positions in that order: a multi-firing run evaluates
+    /// them firing by firing, in entry order. Empty when no statement of the
+    /// relation reads run-written state — its runs have no interaction.
+    pub live: Vec<(usize, usize)>,
+    /// The run-written names those statements read, sorted: the *live
+    /// maps*, which a multi-firing run writes firing by firing instead of
+    /// once at its end.
+    pub live_maps: Vec<String>,
+    /// How many `:=` statements close the insert trigger (the delete trigger
+    /// re-evaluates the same targets): the run's tail, fired once for its
+    /// last event.
+    pub tail: usize,
 }
 
-fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<LivePass, BatchDeltaBail> {
-    let rel_triggers: Vec<(usize, &Trigger)> = triggers
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.relation == relation)
+impl TriggerProgram {
+    /// The plan of every relation a trigger reads, in first-appearance order
+    /// (see the module docs), or the first relation whose derivation bails
+    /// and the condition that bailed.
+    pub fn relation_plans(&self) -> Result<Vec<RelationPlan>, (String, BatchDeltaBail)> {
+        let mut relations: Vec<&str> = Vec::new();
+        for t in &self.triggers {
+            if !relations.contains(&t.relation.as_str()) {
+                relations.push(&t.relation);
+            }
+        }
+        let plan = |rel: &str| relation_plan(rel, &self.triggers).map_err(|b| (rel.to_string(), b));
+        relations.into_iter().map(plan).collect()
+    }
+}
+
+fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, BatchDeltaBail> {
+    let position = |sign| {
+        triggers
+            .iter()
+            .position(|t| t.relation == relation && t.sign == sign)
+    };
+    let (insert, delete) = (position(UpdateSign::Insert), position(UpdateSign::Delete));
+    let rel_triggers: Vec<(usize, &Trigger)> = [insert, delete]
+        .into_iter()
+        .flatten()
+        .map(|i| (i, &triggers[i]))
         .collect();
     // The `:=` statements are a tail, mirrored across the signs.
     let mut replaced: Vec<BTreeSet<&str>> = Vec::new();
@@ -143,7 +185,7 @@ fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<LivePass, Bat
         .iter()
         .flat_map(|(_, t)| t.statements.iter().map(|s| s.target.as_str()))
         .collect();
-    let mut statements = Vec::new();
+    let mut live = Vec::new();
     let mut live_maps = BTreeSet::new();
     for &(ti, t) in &rel_triggers {
         for (si, s) in t.increments().iter().enumerate() {
@@ -169,27 +211,32 @@ fn derive_relation(relation: &str, triggers: &[Trigger]) -> Result<LivePass, Bat
                 .collect();
             if !run_reads.is_empty() {
                 live_maps.extend(run_reads);
-                statements.push(LiveStmt {
-                    trigger: ti,
-                    stmt: si,
-                });
+                live.push((ti, si));
             }
         }
     }
-    Ok(LivePass {
+    let tail = insert.map_or(0, |i| {
+        let t = &triggers[i];
+        t.statements.len() - t.increments().len()
+    });
+    Ok(RelationPlan {
         relation: relation.to_string(),
-        statements,
+        insert,
+        delete,
+        live,
         live_maps: live_maps.into_iter().collect(),
+        tail,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::RelationPlan;
     use crate::compile::compile;
     use crate::program::StmtOp::{Increment, Replace};
     use crate::program::{
-        BatchDeltaBail, Catalog, CompileMode, CompileOptions, LivePass, QuerySpec, RelationMeta,
-        Statement, StmtOp, Trigger,
+        BatchDeltaBail, Catalog, CompileMode, CompileOptions, QuerySpec, RelationMeta, Statement,
+        StmtOp, Trigger, TriggerProgram,
     };
     use dbtoaster_agca::{CmpOp, Expr, UpdateSign};
 
@@ -228,18 +275,25 @@ mod tests {
         }
     }
 
+    /// The plan of `relation` in a compiled program.
+    fn plan_of(program: &TriggerProgram, relation: &str) -> RelationPlan {
+        let plans = program.relation_plans().expect("compiled programs derive");
+        let plan = plans.into_iter().find(|p| p.relation == relation);
+        plan.unwrap_or_else(|| panic!("{relation} has no plan"))
+    }
+
     #[test]
     fn quadratic_query_gets_a_live_pass() {
         for mode in [CompileMode::HigherOrder, CompileMode::FirstOrder] {
             let program = compile(&[selfj()], &catalog(), &CompileOptions::for_mode(mode)).unwrap();
-            let lp = program.live_pass_for("R").expect("R derives");
+            let lp = plan_of(&program, "R");
             assert!(
-                !lp.statements.is_empty(),
+                !lp.live.is_empty(),
                 "{mode}: the self-join statement reads what its own run writes"
             );
-            for s in &lp.statements {
-                let t = &program.triggers[s.trigger];
-                let full = &t.statements[s.stmt];
+            for &(ti, si) in &lp.live {
+                let t = &program.triggers[ti];
+                let full = &t.statements[si];
                 assert_eq!(t.relation, "R");
                 // Listed because it reads something the run writes, and every
                 // such map is a live map.
@@ -284,12 +338,16 @@ mod tests {
         }
     }
 
-    /// `R`'s derivation: its live pass, or the condition that bailed.
-    fn derive(triggers: &[Trigger]) -> Result<LivePass, BatchDeltaBail> {
-        match super::derive_live_passes(triggers) {
-            Ok(mut passes) => {
-                assert_eq!(passes.len(), 1);
-                Ok(passes.remove(0))
+    /// `R`'s derivation: its plan, or the condition that bailed.
+    fn derive(triggers: &[Trigger]) -> Result<RelationPlan, BatchDeltaBail> {
+        let program = TriggerProgram {
+            triggers: triggers.to_vec(),
+            ..TriggerProgram::default()
+        };
+        match program.relation_plans() {
+            Ok(mut plans) => {
+                assert_eq!(plans.len(), 1);
+                Ok(plans.remove(0))
             }
             Err((relation, bail)) => {
                 assert_eq!(relation, "R");
@@ -325,7 +383,7 @@ mod tests {
         // Reads its own target.
         statements.push(stmt("M", &["a"], Increment, Expr::view("M", ["a"])));
         let lp = derive(&[trigger(UpdateSign::Insert, statements)]).expect("R derives");
-        let listed: Vec<usize> = lp.statements.iter().map(|s| s.stmt).collect();
+        let listed: Vec<usize> = lp.live.iter().map(|&(_, j)| j).collect();
         assert_eq!(listed, [1, 2, 3, 4, 9]);
         assert_eq!(lp.live_maps, ["M"]);
     }
@@ -365,11 +423,11 @@ mod tests {
             ]
         };
         // Increments, then the same `:=` targets under both signs: derived,
-        // and the tail contributes nothing to the live pass.
-        assert_eq!(
-            bail_of(&both(vec![inc(), rep("Q")], vec![inc(), rep("Q")])),
-            None
-        );
+        // a tail of one, and the tail contributes nothing to the live pass.
+        let plan = derive(&both(vec![inc(), rep("Q")], vec![inc(), rep("Q")]));
+        let plan = plan.expect("a mirrored tail derives");
+        assert_eq!((plan.insert, plan.delete, plan.tail), (Some(0), Some(1), 1));
+        assert!(plan.live.is_empty());
         // Replace-only triggers (re-evaluation mode) are the degenerate case.
         assert_eq!(bail_of(&both(vec![rep("Q")], vec![rep("Q")])), None);
         assert_eq!(
@@ -403,11 +461,11 @@ mod tests {
         )
         .unwrap();
         for rel in ["R", "S"] {
-            let lp = program.live_pass_for(rel).expect("linear derives");
+            let lp = plan_of(&program, rel);
             assert!(
-                lp.statements.is_empty() && lp.live_maps.is_empty(),
+                lp.live.is_empty() && lp.live_maps.is_empty(),
                 "{rel}: linear maps read nothing their own run writes: {:?}",
-                lp.statements
+                lp.live
             );
         }
     }
@@ -420,11 +478,11 @@ mod tests {
             &CompileOptions::for_mode(CompileMode::Reevaluate),
         )
         .unwrap();
-        for d in program.batch_dispatch() {
-            let lp = program.live_pass_for(&d.relation).unwrap();
-            assert!(lp.statements.is_empty() && lp.live_maps.is_empty());
-            let t = &program.triggers[d.insert.unwrap()];
+        for lp in program.relation_plans().unwrap() {
+            assert!(lp.live.is_empty() && lp.live_maps.is_empty());
+            let t = &program.triggers[lp.insert.unwrap()];
             assert!(t.increments().is_empty() && !t.statements.is_empty());
+            assert_eq!(lp.tail, t.statements.len());
         }
     }
 }

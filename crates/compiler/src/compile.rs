@@ -279,25 +279,22 @@ pub fn compile(
         order_statements(t);
     }
 
-    // Batch-delta: per relation, the statements that read what its own runs
-    // write (see `crate::batch_delta`).
-    let live_passes =
-        crate::batch_delta::derive_live_passes(&triggers).map_err(|(relation, bail)| {
-            CompileError::Underivable {
-                relation,
-                reason: bail.describe(),
-            }
-        })?;
-
-    Ok(TriggerProgram {
+    let program = TriggerProgram {
         maps,
         triggers,
         results,
         stored_relations,
         static_tables,
-        live_passes,
         report,
-    })
+    };
+    // Every triggered relation must derive its plan (see `crate::batch_delta`).
+    if let Err((relation, bail)) = program.relation_plans() {
+        return Err(CompileError::Underivable {
+            relation,
+            reason: bail.describe(),
+        });
+    }
+    Ok(program)
 }
 
 /// Set the `AtomKind` of every base atom from the catalog and validate arities.

@@ -28,7 +28,8 @@
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
 
-use crate::program::{RelationDispatch, StmtOp, Trigger, TriggerProgram};
+use crate::batch_delta::RelationPlan;
+use crate::program::{StmtOp, TriggerProgram};
 use dbtoaster_agca::plan::{
     range_sum_refusal, scan_body, FastOp, FusedScan, Node, NumExpr, Op, Scalar,
 };
@@ -119,20 +120,27 @@ pub struct ProgramExplain {
     pub maps: Vec<MapExplain>,
 }
 
-/// Explain `program`: exactly the dispatch an engine running it builds.
+/// Explain `program`: exactly the relation plans an engine running it
+/// resolves. A program whose derivation bails is corrupt (`compile` refuses
+/// it, and no engine runs it): this panics, naming the relation.
 pub fn explain(program: &TriggerProgram) -> ProgramExplain {
-    let relations = program
-        .batch_dispatch()
+    let plans = program.relation_plans().unwrap_or_else(|(relation, bail)| {
+        panic!(
+            "explain: the triggers of {relation} do not derive: {}",
+            bail.describe()
+        )
+    });
+    let relations = plans
         .into_iter()
-        .map(|d| {
-            let triggers = [d.insert, d.delete]
+        .map(|plan| {
+            let triggers = [plan.insert, plan.delete]
                 .into_iter()
                 .flatten()
-                .map(|i| explain_trigger(program, i))
+                .map(|i| explain_trigger(program, &plan, i))
                 .collect();
             RelationExplain {
-                live_pass: live_pass(program, &d),
-                relation: d.relation,
+                live_pass: live_pass(&plan),
+                relation: plan.relation,
                 triggers,
             }
         })
@@ -190,44 +198,37 @@ fn explain_maps(program: &TriggerProgram) -> Vec<MapExplain> {
 }
 
 /// One line per relation: its live pass, and its `:=` tail.
-fn live_pass(program: &TriggerProgram, d: &RelationDispatch) -> String {
-    let lp = program.live_pass_for(&d.relation);
-    let mut line = match lp.filter(|lp| !lp.statements.is_empty()) {
-        None => "none (no statement reads run-written state)".to_string(),
-        Some(lp) => format!(
-            "{} statements, fired entry by entry, read run-written {}",
-            lp.statements.len(),
-            lp.live_maps
+fn live_pass(plan: &RelationPlan) -> String {
+    let mut line = match plan.live.len() {
+        0 => "none (no statement reads run-written state)".to_string(),
+        n => format!(
+            "{n} statements, fired entry by entry, read run-written {}",
+            plan.live_maps
                 .iter()
                 .map(|m| format!("`{m}`"))
                 .collect::<Vec<_>>()
                 .join(", ")
         ),
     };
-    // Mirrored across the signs (the tail condition), so either trigger counts.
-    let tail = d.insert.map_or(0, |i| {
-        let t = &program.triggers[i];
-        t.statements.len() - t.increments().len()
-    });
-    if tail > 0 {
+    if plan.tail > 0 {
         let _ = write!(
             line,
-            "; {tail} replace (`:=`) statement{} fired once per run, for its last event",
-            if tail == 1 { "" } else { "s" }
+            "; {} replace (`:=`) statement{} fired once per run, for its last event",
+            plan.tail,
+            if plan.tail == 1 { "" } else { "s" }
         );
     }
     line
 }
 
-fn explain_trigger(program: &TriggerProgram, idx: usize) -> TriggerExplain {
-    let t: &Trigger = &program.triggers[idx];
-    let lp = program.live_pass_for(&t.relation);
+fn explain_trigger(program: &TriggerProgram, plan: &RelationPlan, idx: usize) -> TriggerExplain {
+    let t = &program.triggers[idx];
     let statements = t
         .statements
         .iter()
         .enumerate()
         .map(|(j, s)| StmtExplain {
-            live: lp.is_some_and(|lp| lp.lists(idx, j)),
+            live: plan.live.contains(&(idx, j)),
             ..explain_statement(s)
         })
         .collect();

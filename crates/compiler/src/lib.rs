@@ -45,26 +45,27 @@ pub mod materialize;
 pub mod program;
 pub mod typecheck;
 
-pub use batch_delta::derive_live_passes;
+pub use batch_delta::RelationPlan;
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
     explain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain, StmtExplain,
 };
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
-    BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl, LivePass,
-    LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch, RelationMeta,
-    ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+    BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl, MapDecl,
+    OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, ResultAccess, Statement, StmtOp,
+    Trigger, TriggerProgram,
 };
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
+    pub use crate::batch_delta::RelationPlan;
     pub use crate::compile::{compile, CompileError};
     pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{
         BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl,
-        LivePass, LiveStmt, MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationDispatch,
-        RelationMeta, ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+        MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, ResultAccess, Statement,
+        StmtOp, Trigger, TriggerProgram,
     };
     pub use dbtoaster_agca::UpdateSign;
 }

@@ -168,7 +168,8 @@ pub struct Trigger {
 impl Trigger {
     /// The trigger's leading `+=` statements. The compiler orders every
     /// increment before every re-evaluation (`order_statements`), so for its
-    /// triggers this is all of them; batch-delta eligibility requires it.
+    /// triggers this is all of them; a relation's plan requires it (its `:=`
+    /// statements are the run's tail, see [`crate::batch_delta`]).
     pub fn increments(&self) -> &[Statement] {
         let n = self
             .statements
@@ -258,53 +259,8 @@ pub struct TriggerProgram {
     pub stored_relations: BTreeSet<String>,
     /// Static tables referenced by the program (always stored).
     pub static_tables: BTreeSet<String>,
-    /// Per-relation live passes, one for every relation a trigger reads (see
-    /// [`crate::batch_delta`]): the engine runs every run of a relation
-    /// through its pass and refuses a program that leaves a triggered
-    /// relation without one. Derived data, like the statements' kernels:
-    /// excluded from the program fingerprint, which hashes the canonical
-    /// rendering only.
-    pub live_passes: Vec<LivePass>,
     /// Compilation report (rule usage, counts).
     pub report: CompileReport,
-}
-
-/// The live pass of one relation (see [`crate::batch_delta`]): the `+=` statements whose right-hand side reads a
-/// map, or the relation's own stored slice, that the same relation's triggers
-/// write, and the maps they read of those. A multi-firing run evaluates every
-/// other statement once per entry against the pre-run state, and these firing
-/// by firing in entry order, writing the maps they read as it goes: sequential
-/// per-event processing for exactly the part of the program where the order
-/// of a run's entries matters.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct LivePass {
-    /// The stream relation whose runs this pass completes.
-    pub relation: String,
-    /// The statements that read run-written state, in `(trigger, statement)`
-    /// order; empty when no statement of the relation reads run-written
-    /// state — its runs just have no interaction.
-    pub statements: Vec<LiveStmt>,
-    /// The run-written names those statements read, sorted: the *live maps*,
-    /// which a run writes firing by firing instead of once at its end.
-    pub live_maps: Vec<String>,
-}
-
-impl LivePass {
-    /// Is statement `stmt` of trigger `trigger` one of [`LivePass::statements`]?
-    pub fn lists(&self, trigger: usize, stmt: usize) -> bool {
-        self.statements
-            .iter()
-            .any(|s| s.trigger == trigger && s.stmt == stmt)
-    }
-}
-
-/// One trigger statement that reads run-written state, by position.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LiveStmt {
-    /// Index into [`TriggerProgram::triggers`] of the statement's trigger.
-    pub trigger: usize,
-    /// Index into that trigger's [`Trigger::statements`].
-    pub stmt: usize,
 }
 
 /// Which condition stopped batch-delta derivation for a relation (see
@@ -357,18 +313,6 @@ impl BatchDeltaBail {
             ),
         }
     }
-}
-
-/// The per-relation trigger grouping used by batch execution: both sign
-/// triggers of one relation.
-#[derive(Clone, Debug)]
-pub struct RelationDispatch {
-    /// The stream relation.
-    pub relation: String,
-    /// Index into [`TriggerProgram::triggers`] of the insert trigger, if any.
-    pub insert: Option<usize>,
-    /// Index into [`TriggerProgram::triggers`] of the delete trigger, if any.
-    pub delete: Option<usize>,
 }
 
 /// A secondary index the compiler declares *ordered*: the index of `map`
@@ -483,38 +427,6 @@ impl TriggerProgram {
     /// `compiler.kernel_coverage` row.
     pub fn compiled_statement_count(&self) -> usize {
         self.statement_count()
-    }
-
-    /// Group the program's triggers by relation, in first-appearance order
-    /// (the runtime resolves the result into its dispatch table once, at
-    /// engine construction).
-    pub fn batch_dispatch(&self) -> Vec<RelationDispatch> {
-        let mut relations: Vec<&str> = Vec::new();
-        for t in &self.triggers {
-            if !relations.contains(&t.relation.as_str()) {
-                relations.push(&t.relation);
-            }
-        }
-        relations
-            .into_iter()
-            .map(|rel| {
-                let idx_of = |sign: UpdateSign| {
-                    self.triggers
-                        .iter()
-                        .position(|t| t.relation == rel && t.sign == sign)
-                };
-                RelationDispatch {
-                    relation: rel.to_string(),
-                    insert: idx_of(UpdateSign::Insert),
-                    delete: idx_of(UpdateSign::Delete),
-                }
-            })
-            .collect()
-    }
-
-    /// The live pass for `relation`, if the program derived one.
-    pub fn live_pass_for(&self, relation: &str) -> Option<&LivePass> {
-        self.live_passes.iter().find(|c| c.relation == relation)
     }
 }
 

@@ -12,7 +12,7 @@ use dbtoaster_compiler::{
 };
 use dbtoaster_durability::DurabilityConfig;
 use dbtoaster_gmr::{Gmr, Value};
-use dbtoaster_runtime::{Engine, EngineStats, RuntimeError, TraceSample};
+use dbtoaster_runtime::{Engine, EngineStats, RuntimeError};
 use dbtoaster_server::{ServeError, ServerConfig, ViewServer};
 use dbtoaster_sql::{parse_query, translate, ParseError, TranslateError, TranslatedQuery};
 use std::collections::HashMap;
@@ -225,16 +225,13 @@ impl QueryEngine {
         &mut self,
         events: impl IntoIterator<Item = &'a UpdateEvent>,
     ) -> Result<(), DbToasterError> {
-        for e in events {
-            self.engine.process(e)?;
-        }
-        Ok(())
+        Ok(self.engine.process_all(events)?)
     }
 
     /// Record per-relation run execution into
-    /// [`BatchReport::runs`](dbtoaster_runtime::BatchReport::runs) (which
-    /// strategy executed). Off by default: recording costs one small
-    /// allocation per run.
+    /// [`BatchReport::runs`](dbtoaster_runtime::BatchReport::runs) (each
+    /// run's relation and event count). Off by default: recording costs one
+    /// small allocation per run.
     pub fn set_run_recording(&mut self, on: bool) {
         self.engine.set_run_recording(on);
     }
@@ -313,9 +310,9 @@ impl QueryEngine {
 
     /// EXPLAIN / EXPLAIN ANALYZE of the compiled trigger program: one operator
     /// tree per statement (probes vs scans, product order, fused preludes,
-    /// band specs), the batch-dispatch decision per relation with the reason
-    /// it was taken, and — when telemetry is attached — live per-operator
-    /// counters joined in, so the same tree doubles as EXPLAIN ANALYZE.
+    /// band specs), each relation's plan — its live pass and its `:=` tail —
+    /// and, when telemetry is attached, live per-operator counters joined
+    /// in, so the same tree doubles as EXPLAIN ANALYZE.
     /// Render with [`ProgramExplain::render_text`] or
     /// [`ProgramExplain::render_json`].
     ///
@@ -358,11 +355,6 @@ impl QueryEngine {
     /// Approximate memory footprint of all maintained state, in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.engine.memory_bytes()
-    }
-
-    /// A point-in-time sample for the trace experiments.
-    pub fn sample(&self, fraction: f64) -> TraceSample {
-        self.engine.sample(fraction)
     }
 }
 

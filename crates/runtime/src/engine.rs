@@ -32,18 +32,18 @@
 //! 1. every `+=` statement of both sign triggers that reads nothing the run writes is
 //!    evaluated for all entries back-to-back against the *pre-run* state with its
 //!    writes buffered (statement prelude and loop-invariant fused scans amortized over
-//!    the run). When some statement does read a map the same run writes — the
-//!    relation's live pass lists it, and the maps it reads are the relation's *live
-//!    maps* — one **live pass** over the run's firings follows, in entry order: per
-//!    firing, every listed statement is evaluated against the store, then whatever the
-//!    firing writes to a live map — rows just evaluated or rows buffered before the
-//!    pass, the base update last — is written at once, so the next firing reads what
-//!    per-event processing would have it read, through the same single lookup (a range
-//!    sum stays one search of one ordered index, whatever the run has added to it).
-//!    The pass costs what its statements cost per event; it is skipped for runs of at
-//!    most one firing and for relations with an empty live pass. Then all writes still
-//!    buffered land, one application per statement per run (each write logged by the
-//!    target view itself, for its snapshots — see [`crate::store`]);
+//!    the run). When some statement does read a map the same run writes — it *fires
+//!    live*, and the maps it reads are the relation's *live maps* — one **live pass**
+//!    over the run's firings follows, in entry order: per firing, every statement that
+//!    fires live is evaluated against the store, then whatever the firing writes to a
+//!    live map — rows just evaluated or rows buffered before the pass, the base update
+//!    last — is written at once, so the next firing reads what per-event processing
+//!    would have it read, through the same single lookup (a range sum stays one search
+//!    of one ordered index, whatever the run has added to it). The pass costs what its
+//!    statements cost per event; it is skipped for runs of at most one firing and for
+//!    relations where no statement fires live. Then all writes still buffered land, one
+//!    application per statement per run (each write logged by the target view itself,
+//!    for its snapshots — see [`crate::store`]);
 //! 2. the base update, one pass over the run's net entries (unless the live pass made
 //!    it, firing by firing);
 //! 3. the `:=` statements of the run's **last event**, once, against the new state — of
@@ -53,10 +53,11 @@
 //!    event.
 //!
 //! A run of one firing — [`Engine::process`], the batch of one event — is the same
-//! sequence for one event. Every run of every relation takes this one executor:
-//! `compile` derives a live pass for every triggered relation or refuses the program,
-//! and [`Engine::new`] panics on a program that leaves a triggered relation without
-//! one — a corrupt program, like an unresolved target. Nothing depends on a run's size
+//! sequence for one event. Every run of every relation takes this one executor, as
+//! its relation's plan (`TriggerProgram::relation_plans`) states it: `compile` refuses
+//! a program whose plans do not derive, and [`Engine::new`] panics on one, naming the
+//! relation and the condition that bailed — a corrupt program, like an unresolved
+//! target. Nothing depends on a run's size
 //! or the state, so a WAL replay runs the same sequence as the live run. Statements are
 //! evaluated through one function, `kernel_rows`, which runs the statement's compiled
 //! kernel (reading maps through [`dbtoaster_agca::RelationSource`] by id, emitting
@@ -75,10 +76,14 @@
 //!
 //! ## Resolution
 //!
-//! Nothing on the per-event path finds a map by name. [`Engine::new`] resolves, once:
+//! Nothing on the per-event path finds a map or a statement by name or by search.
+//! [`Engine::new`] derives the relation plans once and resolves, once:
 //!
-//! * every statement's target map, every relation's stored base map and, for the live
-//!   pass, which of those are the relation's live maps — to [`MapId`]s;
+//! * each plan — to its relation's dispatch record (its triggers' indexes, whether it
+//!   has a live pass and a `:=` tail, whether its base map is live) and two flags on
+//!   each statement: does it fire live, and is its target a live map;
+//! * every statement's target map and every relation's stored base map — to
+//!   [`MapId`]s, which also index the per-view telemetry counters;
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
 //!   fused scans and band lookups read) — to the same ids, through which collection,
 //!   the live pass, the `:=` tail and static-view initialization all read;
@@ -90,17 +95,15 @@
 //! not, is a corrupt program and panics where it runs. A map declared later — one only
 //! a restored snapshot holds — is resolved when it is declared. What stays a string
 //! hash is one lookup per run: its relation's name → the relation's resolved record
-//! (its column types for the gate, its dispatch, its stored base map). An event of a relation no trigger reads and no map stores is
-//! gated and counted, and nothing else.
+//! (its column types for the gate, its dispatch, its stored base map). An event of a
+//! relation no trigger reads and no map stores is gated and counted, and nothing else.
 
 use crate::store::{Database, MapId, Seg, SnapshotWork};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
-use dbtoaster_compiler::{
-    Catalog, LivePass, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram,
-};
+use dbtoaster_compiler::{Catalog, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
     slot_of, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewRecord,
@@ -258,36 +261,22 @@ impl EngineStats {
     }
 }
 
-/// A point-in-time sample used by the trace experiments (Figures 8–10 and 13–18).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TraceSample {
-    /// Fraction of the stream processed when the sample was taken.
-    pub fraction: f64,
-    /// Cumulative processing time in seconds.
-    pub elapsed_secs: f64,
-    /// Average refresh rate since the start (events / second).
-    pub refresh_rate: f64,
-    /// Approximate memory footprint of all views, in megabytes.
-    pub memory_mb: f64,
-}
-
-/// Engine-internal copy of one relation's batch dispatch (trigger indexes
-/// fit in `u16`), so run processing never clones strings out of the
-/// dispatch table.
+/// One relation's [`RelationPlan`](dbtoaster_compiler::RelationPlan) as a
+/// run reads it, resolved at construction (trigger indexes fit in `u16`;
+/// which statements fire live is each statement's [`Bound::fires_live`]).
 #[derive(Clone, Copy, Debug)]
 struct DispatchEntry {
     insert: Option<u16>,
     delete: Option<u16>,
-    /// Index into [`TriggerProgram::live_passes`] when some statement reads
-    /// run-written state, i.e. when multi-firing runs need the live pass
-    /// (resolved once at dispatch-build time).
-    live_pass: Option<u16>,
+    /// Does some statement fire live, i.e. do multi-firing runs need the
+    /// live pass?
+    live_pass: bool,
     /// The relation's stored base map, if the program keeps one.
     base: Option<MapId>,
     /// Is the base map one of the relation's live maps (the live pass
     /// applies the base update firing by firing)?
     base_live: bool,
-    /// Does either trigger have `:=` statements (a run fires them as its
+    /// Do the triggers close with `:=` statements (a run fires them as its
     /// tail)?
     tail: bool,
 }
@@ -304,9 +293,13 @@ struct Bound {
     /// ([`CompiledStmt::bind`]).
     rels: Vec<Option<RelId>>,
     /// Is the target one of its relation's live maps
-    /// ([`LivePass::live_maps`])? The live pass writes its rows firing by
-    /// firing.
+    /// ([`RelationPlan::live_maps`](dbtoaster_compiler::RelationPlan::live_maps))?
+    /// The live pass writes its rows firing by firing.
     live: bool,
+    /// Does the statement fire live (its relation's plan lists it in
+    /// [`RelationPlan::live`](dbtoaster_compiler::RelationPlan::live))? A
+    /// multi-firing run evaluates it firing by firing.
+    fires_live: bool,
 }
 
 /// One catalog relation as the per-event path reads it, resolved once (see
@@ -338,6 +331,14 @@ impl Relation {
     /// no map stores it? Such an event is gated and counted only.
     fn is_inert(&self) -> bool {
         self.dispatch.is_none() && self.base.is_none()
+    }
+}
+
+impl Bound {
+    /// Resolve the target and the kernel's relation table to `db`'s ids.
+    fn bind(&mut self, db: &Database, target: &str, kernel: &CompiledStmt) {
+        self.target = db.id(target);
+        self.rels = kernel.bind(db);
     }
 }
 
@@ -526,15 +527,14 @@ struct TelemetryState {
     batch_hist: LocalHistogram,
     /// Kernel-execute latency of the runs that fired triggers.
     kernel_hist: LocalHistogram,
-    /// Shared per-view records, index-aligned with `map_ids` and the
-    /// kernel's [`dbtoaster_agca::KernelCounters`] slots.
+    /// Shared per-view records by [`MapId`], as are `pending_*` and the
+    /// kernel's [`dbtoaster_agca::KernelCounters`] slots: a statement's
+    /// counter slot is its target's id. A map declared after attachment
+    /// (one only a restored snapshot holds) is past these and uncounted.
     views: Vec<Arc<ViewRecord>>,
-    map_ids: Vec<MapId>,
     /// Un-flushed per-view deltas (plain adds on the hot path).
     pending_rows: Vec<u64>,
     pending_live: Vec<u64>,
-    /// `[tidx][stmt]` → view slot of the trigger statement's target.
-    stmt_slot: Vec<Vec<u32>>,
     /// Events/batches already folded into the telemetry counters.
     flushed_events: u64,
     flushed_batches: u64,
@@ -564,15 +564,14 @@ impl TelemetryState {
         self.runs_live += 1;
     }
 
-    /// Count one live-pass evaluation of statement `j` of trigger `tidx`,
-    /// returning the counter slot of its target view.
-    fn note_live_firing(&mut self, tidx: usize, j: usize) -> Option<usize> {
+    /// Count one live-pass evaluation of a statement writing `target`.
+    fn note_live_firing(&mut self, target: MapId) {
         if self.armed && self.runs_live > 0 {
             self.runs[self.runs_live - 1].live_firings += 1;
         }
-        let slot = *self.stmt_slot.get(tidx)?.get(j)? as usize;
-        *self.pending_live.get_mut(slot)? += 1;
-        Some(slot)
+        if let Some(n) = self.pending_live.get_mut(target as usize) {
+            *n += 1;
+        }
     }
 
     /// Close the current run span; `fired`: the run fired triggers.
@@ -643,10 +642,18 @@ fn segs_rows(segs: &[Seg]) -> u64 {
 impl Engine {
     /// Build an engine for a compiled program. `catalog` supplies the column names of
     /// stored base relations and declares every static table, whether or not a view
-    /// reads it, so [`Engine::load_table`] can fill any of them. A program that
-    /// leaves a triggered relation without a live pass is corrupt: this panics,
-    /// naming the relation.
+    /// reads it, so [`Engine::load_table`] can fill any of them. A program
+    /// whose relation plans do not derive
+    /// ([`TriggerProgram::relation_plans`]) is corrupt: this panics, naming
+    /// the relation and the condition that bailed.
     pub fn new(program: TriggerProgram, catalog: &Catalog) -> Self {
+        let plans = program.relation_plans().unwrap_or_else(|(relation, bail)| {
+            panic!(
+                "the triggers of {relation} do not derive a relation plan (a corrupt program: \
+                 `compile` refuses it): {}",
+                bail.describe()
+            )
+        });
         let mut db = Database::new();
         for m in &program.maps {
             db.declare(m.name.clone(), m.out_vars.iter().cloned());
@@ -670,7 +677,7 @@ impl Engine {
                 .unwrap_or_default();
             db.declare(rel.clone(), columns);
         }
-        let relations: Vec<Relation> = catalog
+        let mut relations: Vec<Relation> = catalog
             .relations()
             .iter()
             .map(|meta| Relation {
@@ -679,11 +686,41 @@ impl Engine {
                 base: None,
             })
             .collect();
-        let relation_ids = relations
+        let relation_ids: FastMap<String, u32> = relations
             .iter()
             .enumerate()
             .map(|(i, r)| (r.meta.name.clone(), i as u32))
             .collect();
+        // Each plan as a run reads it: flags on its statements and its
+        // relation's dispatch (ids are bound by `resolve`).
+        let unbound = |n: usize| vec![Bound::default(); n];
+        let mut stmts: Vec<Vec<Bound>> = program
+            .triggers
+            .iter()
+            .map(|t| unbound(t.statements.len()))
+            .collect();
+        for plan in &plans {
+            for t in [plan.insert, plan.delete].into_iter().flatten() {
+                let statements = &program.triggers[t].statements;
+                for (b, s) in stmts[t].iter_mut().zip(statements) {
+                    b.live = plan.live_maps.contains(&s.target);
+                }
+            }
+            for &(t, j) in &plan.live {
+                stmts[t][j].fires_live = true;
+            }
+            // A relation the catalog does not declare never passes the gate.
+            if let Some(&r) = relation_ids.get(&plan.relation) {
+                relations[r as usize].dispatch = Some(DispatchEntry {
+                    insert: plan.insert.map(|i| i as u16),
+                    delete: plan.delete.map(|i| i as u16),
+                    live_pass: !plan.live.is_empty(),
+                    base: None,
+                    base_live: plan.live_maps.contains(&plan.relation),
+                    tail: plan.tail > 0,
+                });
+            }
+        }
         let exec = Executor {
             db,
             stats: EngineStats::default(),
@@ -695,8 +732,8 @@ impl Engine {
             relations,
             relation_ids,
             run_rels: Vec::new(),
-            stmts: Vec::new(),
-            inits: Vec::new(),
+            stmts,
+            inits: unbound(program.maps.len()),
             record_runs: false,
             tel: None,
         };
@@ -710,12 +747,10 @@ impl Engine {
 
     /// Resolve what the per-event path addresses by position (see the module
     /// docs): declare every secondary index the program's kernels scan, then
-    /// resolve every catalog relation's dispatch and base map and bind every
-    /// statement and static-view initializer to map ids. Run by
-    /// [`Engine::new`] and again whenever a map is declared later; the
-    /// declarations are idempotent and a map keeps its id. A triggered
-    /// relation without a live pass is a corrupt program: it panics, naming
-    /// the relation.
+    /// bind every catalog relation's base map and every statement and
+    /// static-view initializer to map ids. Run by [`Engine::new`] and again
+    /// whenever a map is declared later; the declarations are idempotent and
+    /// a map keeps its id.
     fn resolve(&mut self) {
         let Engine {
             program,
@@ -723,7 +758,6 @@ impl Engine {
                 Executor {
                     db,
                     relations,
-                    relation_ids,
                     stmts,
                     inits,
                     ..
@@ -740,62 +774,21 @@ impl Engine {
             }
         }
         let db = &*db;
-        let bind = |target: &str, kernel: &CompiledStmt, lp: Option<&LivePass>| Bound {
-            target: db.id(target),
-            rels: kernel.bind(db),
-            live: lp.is_some_and(|lp| lp.live_maps.iter().any(|m| m == target)),
-        };
-        *stmts = program
-            .triggers
-            .iter()
-            .map(|t| {
-                let lp = program.live_pass_for(&t.relation);
-                let bound = t.statements.iter().map(|s| bind(&s.target, &s.kernel, lp));
-                bound.collect()
-            })
-            .collect();
-        *inits = program
-            .maps
-            .iter()
-            .map(|m| match &m.init {
-                Some(init) => bind(&m.name, init, None),
-                None => Bound::default(),
-            })
-            .collect();
+        for (t, bound) in program.triggers.iter().zip(stmts.iter_mut()) {
+            for (s, b) in t.statements.iter().zip(bound) {
+                b.bind(db, &s.target, &s.kernel);
+            }
+        }
+        for (m, b) in program.maps.iter().zip(inits.iter_mut()) {
+            if let Some(init) = &m.init {
+                b.bind(db, &m.name, init);
+            }
+        }
         for r in relations.iter_mut() {
             r.base = db.id(&r.meta.name);
-        }
-        for d in program.batch_dispatch() {
-            let Some(lp) = program
-                .live_passes
-                .iter()
-                .position(|lp| lp.relation == d.relation)
-            else {
-                panic!(
-                    "the triggers of {} have no live pass (a corrupt program: `compile` \
-                     derives one for every triggered relation)",
-                    d.relation
-                );
-            };
-            // A relation the catalog does not declare never passes the gate.
-            let Some(&r) = relation_ids.get(&d.relation) else {
-                continue;
-            };
-            let pass = &program.live_passes[lp];
-            let live_pass = (!pass.statements.is_empty()).then_some(lp as u16);
-            let base_live = pass.live_maps.contains(&d.relation);
-            let tail = program.triggers.iter().any(|t| {
-                t.relation == d.relation && t.statements.iter().any(|s| s.op == StmtOp::Replace)
-            });
-            let r = &mut relations[r as usize];
-            r.dispatch = Some(DispatchEntry {
-                insert: d.insert.map(|i| i as u16),
-                delete: d.delete.map(|i| i as u16),
-                live_pass,
-                base: r.base,
-                base_live,
-                tail,
-            });
+            if let Some(d) = &mut r.dispatch {
+                d.base = r.base;
+            }
         }
     }
 
@@ -1212,16 +1205,12 @@ impl Executor {
         true
     }
 
-    /// Route the kernel's work counters at the view slot of a trigger
+    /// Route the kernel's work counters at the slot of a trigger
     /// statement's target (no-op without telemetry).
     #[inline]
-    fn set_counter_slot(&mut self, tidx: u16, j: usize) {
-        if let Some(ts) = self.tel.as_deref() {
-            if let Some(&slot) = ts.stmt_slot.get(tidx as usize).and_then(|v| v.get(j)) {
-                if slot != u32::MAX {
-                    self.kernel.counter_slot = slot as usize;
-                }
-            }
+    fn set_counter_slot(&mut self, target: Option<MapId>) {
+        if let (Some(_), Some(id)) = (&self.tel, target) {
+            self.kernel.counter_slot = id as usize;
         }
     }
 
@@ -1269,7 +1258,7 @@ impl Executor {
         tuple: &[Value],
     ) -> u64 {
         let stmt = &program.triggers[tidx as usize].statements[j];
-        self.set_counter_slot(tidx, j);
+        self.set_counter_slot(self.stmts[tidx as usize][j].target);
         self.stats.statements += 1;
         let Executor {
             db,
@@ -1315,14 +1304,9 @@ impl Executor {
                 if !ds.applied {
                     apply_statement_rows(db, stmt, target, &ds.segs, &mut ds.rows);
                 }
-                if let Some(ts) = tel.as_deref_mut() {
-                    let slot = ts
-                        .stmt_slot
-                        .get(ds.tidx as usize)
-                        .and_then(|v| v.get(ds.stmt as usize));
-                    if let Some(r) = slot.and_then(|&s| ts.pending_rows.get_mut(s as usize)) {
-                        *r += segs_rows(&ds.segs);
-                    }
+                let pending = tel.as_deref_mut().zip(target);
+                if let Some(r) = pending.and_then(|(ts, id)| ts.pending_rows.get_mut(id as usize)) {
+                    *r += segs_rows(&ds.segs);
                 }
             }
         }
@@ -1371,9 +1355,9 @@ impl Executor {
     /// Phase one of [`Engine::run_batch_delta`]: buffer every incremental
     /// statement's rows, in statement order whatever the trigger's order of
     /// `+=` and `:=`, evaluated against the pre-run state and touching no
-    /// view — except, when the run has more than one firing and the relation
-    /// a non-empty live pass, the statements that pass lists, which it then
-    /// evaluates (and whose inputs it writes) firing by firing.
+    /// view — except, when the run has more than one firing, the statements
+    /// that fire live, which the live pass then evaluates (and whose inputs
+    /// it writes) firing by firing.
     fn collect_batch_delta(
         &mut self,
         program: &TriggerProgram,
@@ -1385,10 +1369,7 @@ impl Executor {
         // With at most one firing there is nothing for it to interact with —
         // which also keeps the batch-of-1 path free of any live-pass work.
         let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
-        let lp = disp
-            .live_pass
-            .filter(|_| firings > 1)
-            .map(|i| &program.live_passes[i as usize]);
+        let live = disp.live_pass && firings > 1;
         // First deferred-statement slot of each sign's trigger (where there
         // is a live pass the `+=` statements lead their triggers, so
         // statement `j` of the trigger lands in slot `base + j`).
@@ -1413,12 +1394,13 @@ impl Executor {
                 if stmt.op != StmtOp::Increment {
                     continue;
                 }
-                if lp.is_some_and(|lp| lp.lists(tidx as usize, j)) {
+                let bound = &self.stmts[tidx as usize][j];
+                if live && bound.fires_live {
                     // Left to the live pass, which fills this slot.
                     self.bd.acquire(tidx, j as u16);
                     continue;
                 }
-                self.set_counter_slot(tidx, j);
+                self.set_counter_slot(bound.target);
                 let st0 = self.armed_instant();
                 self.collect_statement_over(stmt, run, sign, tidx, j as u16);
                 if st0.is_some() {
@@ -1427,17 +1409,17 @@ impl Executor {
                 }
             }
         }
-        let Some(lp) = lp else {
+        if !live {
             return;
-        };
+        }
         let st0 = self.armed_instant();
-        let rows = self.live_pass(program, disp, lp, run, base);
+        let rows = self.live_pass(program, disp, run, base);
         self.note_stmt(st0, "(live pass)", rows);
     }
 
     /// The live pass of a batch-delta run (see the module docs): walk the
-    /// run's firings in entry order. Per firing, evaluate every statement the
-    /// live pass lists against the store as the run's earlier firings left
+    /// run's firings in entry order. Per firing, evaluate every statement
+    /// that fires live against the store as the run's earlier firings left
     /// it — the state before the firing, which every `+=` of a firing reads —
     /// and append its rows to the statement's deferred buffer (`base + j`);
     /// then apply what the firing writes to the relation's live maps (the
@@ -1448,7 +1430,6 @@ impl Executor {
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        lp: &LivePass,
         run: &RelationDelta,
         base: [usize; 2],
     ) -> u64 {
@@ -1461,11 +1442,10 @@ impl Executor {
             stmts,
             ..
         } = self;
-        // Per sign: the trigger, its `+=` statements and their resolution.
-        let sides = [disp.insert, disp.delete].map(|tidx| {
-            let t = tidx.map(usize::from);
-            let increments = t.map_or(&[][..], |t| program.triggers[t].increments());
-            (tidx, increments, t.map_or(&[][..], |t| &stmts[t][..]))
+        // Per sign: its trigger's `+=` statements and their resolution.
+        let sides = [disp.insert, disp.delete].map(|tidx| match tidx.map(usize::from) {
+            Some(t) => (program.triggers[t].increments(), &stmts[t][..]),
+            None => (&[][..], &[][..]),
         });
         bd.base_applied = disp.base_live;
         // Entries of each sign met so far: entry `k` of a sign owns segment
@@ -1480,19 +1460,17 @@ impl Executor {
             seen[s] += 1;
             // A sign without a trigger has no statements: only the stored
             // slice moves.
-            let (tidx, statements, bound) = sides[s];
-            let listed = |j: usize| tidx.is_some_and(|t| lp.lists(t as usize, j));
+            let (statements, bound) = sides[s];
             for firing in 1..=entry.firings() {
                 for (j, stmt) in statements.iter().enumerate() {
-                    if !listed(j) {
+                    if !bound[j].fires_live {
                         continue;
                     }
                     stats.statements += 1;
-                    if let Some(slot) = tel
-                        .as_deref_mut()
-                        .and_then(|ts| ts.note_live_firing(tidx? as usize, j))
-                    {
-                        kernel.counter_slot = slot;
+                    if let Some(ts) = tel.as_deref_mut() {
+                        let id = resolved(bound[j].target, stmt);
+                        ts.note_live_firing(id);
+                        kernel.counter_slot = id as usize;
                     }
                     // The store moves between firings: every evaluation is
                     // the first against its state.
@@ -1527,7 +1505,7 @@ impl Executor {
                     // and then applied once per firing of the entry. Its keys
                     // move on its last application: the apply phase only
                     // accounts for these rows.
-                    let (seg, last) = match listed(j) {
+                    let (seg, last) = match bound[j].fires_live {
                         true => (ds.segs[ds.segs.len() - 1], true),
                         false => (ds.segs[k], firing == entry.firings()),
                     };
@@ -1614,7 +1592,7 @@ impl Executor {
         let kernel = ts.tel.stage_hist(Stage::KernelBatchDelta);
         ts.kernel_hist.flush_into(kernel.expect("enabled handle"));
         for (i, record) in ts.views.iter().enumerate() {
-            let mut r = self.db.at(ts.map_ids[i]).readings();
+            let mut r = self.db.at(i as MapId).readings();
             let w = self.kernel.counter_slots.get(i).map(|c| c.take());
             let w = w.unwrap_or_default();
             for (slot, n) in [
@@ -1734,48 +1712,39 @@ impl Engine {
             self.exec.kernel.counter_slot = 0;
             return;
         }
-        let map_names: Vec<String> = self.exec.db.names().map(|n| n.to_string()).collect();
-        let map_ids: Vec<MapId> = map_names
-            .iter()
-            .filter_map(|n| self.exec.db.id(n))
+        // Registered in name order (what the views' surfaces list), kept
+        // by id.
+        let db = &self.exec.db;
+        let mut views: Vec<(MapId, Arc<ViewRecord>)> = db
+            .names()
+            .map(|n| {
+                (
+                    db.id(n).expect("named"),
+                    tel.view(n).expect("enabled handle"),
+                )
+            })
             .collect();
-        let views: Vec<Arc<ViewRecord>> = map_names
-            .iter()
-            .map(|n| tel.view(n).expect("enabled handle"))
-            .collect();
-        let slot_of = |name: &str| -> u32 {
-            map_names
-                .iter()
-                .position(|n| n == name)
-                .map_or(u32::MAX, |i| i as u32)
-        };
-        let stmt_slot: Vec<Vec<u32>> = self
-            .program
-            .triggers
-            .iter()
-            .map(|t| t.statements.iter().map(|s| slot_of(&s.target)).collect())
-            .collect();
+        views.sort_unstable_by_key(|&(id, _)| id);
+        let views: Vec<Arc<ViewRecord>> = views.into_iter().map(|(_, v)| v).collect();
         let slow_threshold_nanos = {
             let c = tel.config().expect("enabled handle");
             c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64
         };
         // One kernel counter block per view; reset anything a previous
         // attachment left behind so counts start from zero.
-        self.exec.kernel.ensure_counter_slots(map_names.len());
+        let n = views.len();
+        self.exec.kernel.ensure_counter_slots(n);
         for c in &self.exec.kernel.counter_slots {
             let _ = c.take();
         }
         self.exec.kernel.counter_slot = 0;
-        let n = map_names.len();
         self.exec.tel = Some(Box::new(TelemetryState {
             tel,
             batch_hist: LocalHistogram::new(),
             kernel_hist: LocalHistogram::new(),
             views,
-            map_ids,
             pending_rows: vec![0; n],
             pending_live: vec![0; n],
-            stmt_slot,
             flushed_events: self.exec.stats.events,
             flushed_batches: self.exec.stats.delta_batches,
             slow_threshold_nanos,
@@ -1800,21 +1769,6 @@ impl Engine {
     /// snapshot.
     pub fn flush_telemetry(&mut self) {
         self.exec.flush_telemetry();
-    }
-
-    /// Build a trace sample at the given stream fraction.
-    pub fn sample(&self, fraction: f64) -> TraceSample {
-        TraceSample {
-            fraction,
-            elapsed_secs: self.exec.stats.busy.as_secs_f64(),
-            refresh_rate: self.exec.stats.refresh_rate(),
-            memory_mb: self.memory_bytes() as f64 / (1024.0 * 1024.0),
-        }
-    }
-
-    /// The sign multiplier helper re-exported for callers building events by hand.
-    pub fn sign_multiplier(sign: UpdateSign) -> f64 {
-        sign.multiplier()
     }
 }
 
@@ -2020,11 +1974,35 @@ mod tests {
             .process(&UpdateEvent::insert("R", long_tuple(&[1, 2])))
             .unwrap();
         assert!(engine.memory_bytes() >= before);
-        let sample = engine.sample(0.5);
-        assert_eq!(sample.fraction, 0.5);
+        assert!(engine.stats().busy > Duration::ZERO);
+        assert!(engine.stats().refresh_rate() > 0.0);
         assert_eq!(engine.stats().events, 1);
         assert_eq!(engine.stats().delta_batches, 1);
         assert!(engine.total_entries() >= 1);
+    }
+
+    /// Telemetry counts a view under its id: a map only a restored snapshot
+    /// holds, declared after telemetry is attached, is past the counters and
+    /// stays uncounted, and the program's views keep counting.
+    #[test]
+    fn a_map_restored_after_telemetry_is_attached_stays_uncounted() {
+        let program = compile(&[example1_query()], &catalog(), &CompileOptions::default());
+        let mut engine = Engine::new(program.unwrap(), &catalog());
+        let tel = Telemetry::enabled();
+        engine.set_telemetry(tel.clone());
+        let mut nation = nation_engine();
+        nation.load_table("Nation", [vec![Value::long(1), Value::str("FRANCE")]]);
+        let snapshot = nation.snapshot().into_iter().filter(|(n, _)| n == "Nation");
+        engine.restore(snapshot, 0);
+        assert!(engine.view("Nation").is_some());
+        let r = UpdateEvent::insert("R", long_tuple(&[1, 2]));
+        let s = UpdateEvent::insert("S", long_tuple(&[3, 4]));
+        engine.process_all(&[r, s]).unwrap();
+        engine.flush_telemetry();
+        let snap = tel.snapshot();
+        assert!(snap.view("Nation").is_none());
+        let q = snap.view("Q").expect("the query view is counted");
+        assert!(q.get("rows_written") > 0, "{q:?}");
     }
 
     #[test]

@@ -674,8 +674,8 @@ impl ViewServer {
     }
 
     /// A point-in-time telemetry snapshot: batch-latency percentiles,
-    /// per-stage timings (ingest wait, WAL append, kernel execute by strategy,
-    /// snapshot publish, fan-out, checkpoint write), per-view counters and
+    /// per-stage timings (ingest wait, WAL append, kernel execute, snapshot
+    /// publish, fan-out, checkpoint write), per-view counters and
     /// observed map sizes. Taking a snapshot never blocks the writer thread —
     /// histograms and counters are read with relaxed atomic loads.
     ///
@@ -694,8 +694,8 @@ impl ViewServer {
     }
 
     /// EXPLAIN ANALYZE of the served trigger program: the per-statement
-    /// operator trees, the batch-dispatch decision (and its reason) per
-    /// relation, and live per-view counters joined in from the telemetry
+    /// operator trees, each relation's plan (its live pass and `:=` tail),
+    /// and live per-view counters joined in from the telemetry
     /// registry. Render with [`ProgramExplain::render_text`] or
     /// [`ProgramExplain::render_json`]; also served over HTTP as `/explain`.
     pub fn explain(&self) -> ProgramExplain {
@@ -1374,7 +1374,7 @@ fn json_opt_string(v: Option<String>) -> String {
 }
 
 /// The EXPLAIN tree `/explain` serves: the compiled program's operator trees
-/// and dispatch decisions, with live per-view counters joined in from the
+/// and relation plans, with live per-view counters joined in from the
 /// telemetry registry.
 pub(crate) fn explain_program(shared: &Shared) -> ProgramExplain {
     let mut ex = dbtoaster_compiler::explain(&shared.program);

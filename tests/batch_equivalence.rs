@@ -17,7 +17,7 @@ mod common;
 
 use common::{Case, Hand, Partition, Point, Recompute, Shape, Source};
 use dbtoaster::agca::{DeltaBatch, Expr, UpdateEvent, UpdateSign};
-use dbtoaster::compiler::{derive_live_passes, CompileMode, StmtOp, Trigger, TriggerProgram};
+use dbtoaster::compiler::{CompileMode, StmtOp, Trigger, TriggerProgram};
 use dbtoaster::gmr::Value;
 use dbtoaster::runtime::Engine;
 use dbtoaster::workloads::{self, Dataset, FinanceConfig};
@@ -32,7 +32,7 @@ fn higher_order(partitions: &[Partition]) -> Vec<Point> {
 /// Guard the suite's own premise on the generator's named shapes: in
 /// higher-order mode the linear, group-by, self-join and scaled self-join
 /// queries together (the last one's live statements read a stored `S`), the
-/// star and the cubic chain derive a live pass per relation and fire live;
+/// star and the cubic chain derive a plan per relation and fire live;
 /// re-evaluation is all tail; `NESTED`'s `:=` tails follow increments. (The
 /// census pins the slices.)
 #[test]
@@ -41,16 +41,15 @@ fn query_set_spans_live_passes_and_tails() {
     let derived = |shapes: &[Shape], mode| {
         let specs = shapes.iter().map(|s| s.query()).collect();
         let program = Case::new(Source::Queries(specs), vec![]).compile(mode);
-        let dispatch = program.batch_dispatch();
-        let all = dispatch
-            .iter()
-            .all(|d| program.live_pass_for(&d.relation).is_some());
-        assert!(all, "{shapes:?} [{mode}]: {dispatch:?}");
+        let derived = program.relation_plans();
+        assert!(derived.is_ok(), "{shapes:?} [{mode}]: {derived:?}");
         program
     };
     let live = |p: TriggerProgram| {
-        let pass = p.live_pass_for("R").map(|lp| lp.statements.len());
-        pass.unwrap_or(0) > 0
+        let plans = common::plans(&p);
+        plans
+            .iter()
+            .any(|plan| plan.relation == "R" && !plan.live.is_empty())
     };
     let main = [Single, EquiJoin, GroupBy, SelfJoin, ScaledSelfJoin];
     assert!(live(derived(&main, HO)), "the self-joins fire live");
@@ -58,8 +57,8 @@ fn query_set_spans_live_passes_and_tails() {
         assert!(live(derived(&[cubic], HO)), "{cubic:?} fires live");
     }
     let reeval = derived(&main, CompileMode::Reevaluate);
-    for d in reeval.batch_dispatch() {
-        assert!(common::has_tail(&reeval, &d.relation), "{}", d.relation);
+    for plan in common::plans(&reeval) {
+        assert!(plan.tail > 0, "{}", plan.relation);
     }
     let mut tails = 0;
     for t in &derived(&[Nested], HO).triggers {
@@ -72,24 +71,19 @@ fn query_set_spans_live_passes_and_tails() {
 }
 
 /// Coverage guard for the served queries: every query the benchmark batches
-/// derives a live pass for each of its stream relations in higher-order
-/// mode, and `bsp`'s and `bsv`'s fire statements live, or the benchmark
+/// derives a plan for each of its stream relations in higher-order mode,
+/// and `bsp`'s and `bsv`'s fire statements live, or the benchmark
 /// silently stops measuring the live pass. (The census in `explain_golden`
 /// pins every other workload query's live passes.)
 #[test]
 fn batch_sweep_queries_dispatch_batch_delta() {
     for name in ["q1", "q3", "q6", "axf", "bsp", "bsv"] {
         let program = common::workload_program(&[name], HO);
-        let dispatch = program.batch_dispatch();
-        assert!(!dispatch.is_empty(), "{name}: no stream relations");
-        for d in &dispatch {
-            let pass = program.live_pass_for(&d.relation);
-            let pass = pass.unwrap_or_else(|| panic!("{name}: {} has no live pass", d.relation));
+        let plans = common::plans(&program);
+        assert!(!plans.is_empty(), "{name}: no stream relations");
+        for plan in &plans {
             let self_join = name == "bsp" || name == "bsv";
-            assert!(
-                !self_join || !pass.statements.is_empty(),
-                "{name}: {pass:?}"
-            );
+            assert!(!self_join || !plan.live.is_empty(), "{name}: {plan:?}");
         }
     }
 }
@@ -129,9 +123,12 @@ fn nested_and_cubic_random_partitions_are_bit_exact() {
 #[test]
 fn a_firing_reads_the_state_before_it_at_every_batch_size() {
     let program = Hand::Pairs.program();
-    let lp = program.live_pass_for("R").expect("R derives");
+    let plans = common::plans(&program);
+    let [lp] = &plans[..] else {
+        panic!("R alone is triggered: {plans:?}")
+    };
     assert_eq!(lp.live_maps, ["M"]);
-    let listed: Vec<usize> = lp.statements.iter().map(|s| s.stmt).collect();
+    let listed: Vec<usize> = lp.live.iter().map(|&(_, j)| j).collect();
     assert_eq!(listed, [1, 1], "both signs' `Q` statements fire live");
     let sizes = [2, 4, 64].map(Partition::Fixed);
     for n in [4i64, 64] {
@@ -153,30 +150,31 @@ fn a_firing_reads_the_state_before_it_at_every_batch_size() {
 
 /// A relation whose derivation bails has no engine to run it: the
 /// derivation names the condition for `R`, and `Engine::new` refuses the
-/// program, naming `R` — a corrupt program, as an unresolved target is.
-/// (`compile` turns the same condition into `CompileError::Underivable`;
-/// no program it emits has one.)
+/// program, naming `R` and the condition — a corrupt program, as an
+/// unresolved target is. (`compile` turns the same condition into
+/// `CompileError::Underivable`; no program it emits has one.)
 #[test]
 fn a_relation_whose_derivation_bails_is_refused_by_name() {
     for hand in common::BAILING {
         let program = hand.program();
         let bail = hand.bail().expect("a bailing hand");
-        let derived = derive_live_passes(&program.triggers);
-        assert_eq!(derived, Err(("R".to_string(), bail)), "{hand:?}");
-        assert!(program.live_passes.is_empty(), "{hand:?}");
+        let derived = program.relation_plans();
+        assert_eq!(derived, Err(("R".to_string(), bail.clone())), "{hand:?}");
         let built = std::panic::catch_unwind(|| Engine::new(program, &common::catalog()));
         let Err(e) = built else {
-            panic!("{hand:?}: an engine without a live pass for R")
+            panic!("{hand:?}: an engine without a plan for R")
         };
         let message = e.downcast_ref::<String>().cloned().unwrap_or_default();
         assert!(
-            message.starts_with("the triggers of R have no live pass"),
+            message.starts_with("the triggers of R do not derive a relation plan"),
             "{hand:?}: {message}"
         );
+        assert!(message.ends_with(&bail.describe()), "{hand:?}: {message}");
     }
     for hand in common::HANDS {
         assert_eq!(hand.bail(), None, "{hand:?}");
-        assert!(hand.program().live_pass_for("R").is_some(), "{hand:?}");
+        let plans = common::plans(&hand.program());
+        assert!(plans.iter().any(|p| p.relation == "R"), "{hand:?}");
     }
 }
 

@@ -26,7 +26,7 @@
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
 use dbtoaster::agca::{DeltaBatch, UpdateEvent, UpdateSign};
-use dbtoaster::compiler::{Catalog, CompileMode, StmtOp, TriggerProgram};
+use dbtoaster::compiler::{Catalog, CompileMode, RelationPlan, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
 use dbtoaster::gmr::{Gmr, Value};
@@ -134,7 +134,7 @@ pub fn net_stream(batch: &DeltaBatch) -> Vec<UpdateEvent> {
 
 /// The statements `program` executes for `batch`, less the entry of the
 /// `refused` event. A run executes each `+=` of an entry's sign once per
-/// entry — once per firing where a multi-firing run's live pass lists it —
+/// entry — once per firing where it fires live in a multi-firing run —
 /// and the `:=` statements of its last event's trigger once, unless every
 /// entry cancelled.
 pub fn statements(
@@ -146,19 +146,17 @@ pub fn statements(
     batch.retain_into(&mut admitted, |run, e| {
         refused.is_none_or(|r| r.relation != run.relation() || r.tuple[..] != e.key[..])
     });
-    let dispatch = program.batch_dispatch();
+    let plans = plans(program);
     let mut n = 0;
     for run in admitted.runs() {
-        let Some(d) = dispatch.iter().find(|d| d.relation == run.relation()) else {
+        let Some(plan) = plans.iter().find(|p| p.relation == run.relation()) else {
             continue;
         };
         let trigger = |sign| match sign {
-            UpdateSign::Insert => d.insert,
-            UpdateSign::Delete => d.delete,
+            UpdateSign::Insert => plan.insert,
+            UpdateSign::Delete => plan.delete,
         };
         let firings: u64 = run.entries().iter().map(|e| u64::from(e.firings())).sum();
-        let live = program.live_pass_for(run.relation());
-        let live = live.filter(|lp| !lp.statements.is_empty() && firings > 1);
         for e in run.entries() {
             let Some(t) = e.sign().and_then(trigger) else {
                 continue;
@@ -166,7 +164,7 @@ pub fn statements(
             let all = program.triggers[t].statements.iter().enumerate();
             n += all
                 .filter(|(_, s)| s.op == StmtOp::Increment)
-                .map(|(j, _)| match live.is_some_and(|lp| lp.lists(t, j)) {
+                .map(|(j, _)| match firings > 1 && plan.live.contains(&(t, j)) {
                     true => u64::from(e.firings()),
                     false => 1,
                 })
@@ -354,10 +352,9 @@ pub fn joined<T>(handle: thread::ScopedJoinHandle<T>) -> T {
     handle.join().unwrap_or_else(|e| panic::resume_unwind(e))
 }
 
-/// Whether `program`'s triggers on `relation` end in a `:=` tail.
-pub fn has_tail(program: &TriggerProgram, relation: &str) -> bool {
-    let mut triggers = program.triggers.iter().filter(|t| t.relation == relation);
-    triggers.any(|t| t.increments().len() < t.statements.len())
+/// `program`'s relation plans (every program a case runs derives them).
+pub fn plans(program: &TriggerProgram) -> Vec<RelationPlan> {
+    program.relation_plans().expect("the program derives")
 }
 
 /// A reader of the views in `map`.
@@ -621,13 +618,12 @@ pub fn census() -> BTreeMap<String, usize> {
 
 fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
-    for d in compiled.batch_dispatch() {
-        let pass = compiled.live_pass_for(&d.relation);
-        facts.push(match pass.is_some_and(|lp| !lp.statements.is_empty()) {
-            true => "non-empty live pass",
-            false => "empty live pass",
+    for plan in plans(&compiled) {
+        facts.push(match plan.live.is_empty() {
+            true => "empty live pass",
+            false => "non-empty live pass",
         });
-        if has_tail(&compiled, &d.relation) {
+        if plan.tail > 0 {
             facts.push("`:=` tail");
         }
     }

@@ -27,8 +27,8 @@
 
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{
-    compile, derive_live_passes, BatchDeltaBail, Catalog, CompileMode, CompileOptions, MapDecl,
-    QuerySpec, RelationMeta, Statement, StmtOp, Trigger, TriggerProgram,
+    compile, BatchDeltaBail, Catalog, CompileMode, CompileOptions, MapDecl, QuerySpec,
+    RelationMeta, Statement, StmtOp, Trigger, TriggerProgram,
 };
 use dbtoaster::gmr::Value;
 use dbtoaster::workloads::{self, Dataset, Family};
@@ -610,12 +610,10 @@ pub fn assemble(triggers: Vec<(UpdateSign, Vec<Stmt>)>, defs: &[(&str, Expr)]) -
             });
         }
     }
-    let live_passes = derive_live_passes(&triggers).unwrap_or_default();
     TriggerProgram {
         maps,
         triggers,
         stored_relations: ["R".to_string()].into(),
-        live_passes,
         ..TriggerProgram::default()
     }
 }
