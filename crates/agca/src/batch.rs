@@ -69,9 +69,8 @@
 //! once per firing). `compile` refuses such a program
 //! (`CompileError::Underivable`), and no bundled query needs it refused, so
 //! every run of every relation runs batch-delta, whatever its size or the
-//! state, and a WAL replay runs the same runs as the live run (counted by
-//! `EngineStats::batch_delta_runs`, recorded per run in `BatchReport::runs`
-//! under `Engine::set_run_recording`).
+//! state, and a WAL replay runs the same runs as the live run: the runs of
+//! the batch it rebuilds (counted by `EngineStats::batch_delta_runs`).
 //!
 //! Both arguments are exact in the GMR ring. Over floating-point
 //! multiplicities they are exact up to summation order: integer-weighted
@@ -425,7 +424,7 @@ impl DeltaBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_gmr::{Gmr, Value};
+    use dbtoaster_gmr::{Gmr, Schema, Value};
 
     fn ins(rel: &str, vals: &[i64]) -> UpdateEvent {
         UpdateEvent::insert(rel, vals.iter().map(|&v| Value::long(v)).collect())
@@ -500,16 +499,15 @@ mod tests {
             del("R", &[1, 2]),
         ];
         let b = DeltaBatch::from_events(&events);
-        let mut batch_gmr = Gmr::delta(2);
+        let schema = || Schema::new(["A", "B"]);
+        let mut batch_gmr = Gmr::new(schema());
         for e in b.runs()[0].entries() {
             batch_gmr.add_tuple(e.key.clone(), e.mult);
         }
         // Ring-sum the per-event singleton deltas.
-        let mut sum = Gmr::delta(2);
+        let mut sum = Gmr::new(schema());
         for e in &events {
-            let mut d = Gmr::delta(2);
-            d.add_tuple(Tuple::from(e.tuple.as_slice()), e.sign.multiplier());
-            sum.merge_delta(&d);
+            sum.add_tuple(Tuple::from(e.tuple.as_slice()), e.sign.multiplier());
         }
         assert!(batch_gmr.equivalent(&sum, 0.0));
     }

@@ -141,15 +141,6 @@ impl Catalog {
     pub fn relations(&self) -> &[RelationMeta] {
         &self.relations
     }
-
-    /// Names of all stream relations.
-    pub fn stream_names(&self) -> Vec<String> {
-        self.relations
-            .iter()
-            .filter(|r| r.kind == AtomKind::Stream)
-            .map(|r| r.name.clone())
-            .collect()
-    }
 }
 
 impl FromIterator<RelationMeta> for Catalog {
@@ -186,7 +177,8 @@ mod tests {
         assert_eq!(c.find("NATION").unwrap().name, "Nation");
         assert_eq!(c.get("Nation").unwrap().name, "Nation");
         assert!(c.get("r").is_none() && c.get("NATION").is_none());
-        assert_eq!(c.stream_names(), vec!["R"]);
+        let streams = c.relations().iter().filter(|r| r.kind == AtomKind::Stream);
+        assert_eq!(streams.map(|r| &r.name).collect::<Vec<_>>(), ["R"]);
         // Replacing an existing relation keeps a single entry, named as the
         // replacement names it.
         c.add(RelationMeta::table("r", ["A"]));

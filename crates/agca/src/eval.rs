@@ -37,7 +37,7 @@
 //!   `M(ok) * (ok := t)` into an indexed probe. The plan compiler bakes the
 //!   same order into compiled kernels.
 
-use crate::expr::{AtomKind, CmpOp, Expr, ScalarFn};
+use crate::expr::{AtomKind, Expr, ScalarFn};
 use dbtoaster_gmr::{Gmr, Schema, Tuple, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -840,12 +840,6 @@ pub fn like_match(pattern: &str, s: &str) -> bool {
         }
     }
     true
-}
-
-/// Convenience: evaluate a comparison operator symbolically when both sides are
-/// constants (used by the optimizer's partial evaluation).
-pub fn const_cmp(op: CmpOp, l: &Value, r: &Value) -> bool {
-    op.eval(l, r)
 }
 
 #[cfg(test)]

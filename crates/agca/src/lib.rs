@@ -64,9 +64,7 @@ pub use delta::{delta, higher_order_delta, TupleUpdate, UpdateEvent, UpdateSign}
 pub use eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelId, RelationSource};
 pub use expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
 pub use opt::{canonical_key, decorrelate, expand, simplify, Monomial, Polynomial};
-pub use plan::{
-    lower_statement, CompiledStmt, KernelCounters, KernelState, KernelWork, Unsupported,
-};
+pub use plan::{lower_statement, CompiledStmt, KernelState, Unsupported};
 pub use scope::{input_vars, output_vars, var_info, VarInfo};
 
 /// Convenience re-exports for downstream crates.
@@ -77,7 +75,7 @@ pub mod prelude {
     pub use crate::eval::{eval, eval_scalar, Bindings, EvalError, MemSource, RelationSource};
     pub use crate::expr::{AtomKind, CmpOp, Expr, RelRef, ScalarFn};
     pub use crate::opt::{canonical_key, decorrelate, expand, simplify, Monomial, Polynomial};
-    pub use crate::plan::{lower_statement, CompiledStmt, KernelCounters, KernelState, KernelWork};
+    pub use crate::plan::{lower_statement, CompiledStmt, KernelState};
     pub use crate::scope::{input_vars, output_vars, var_info, VarInfo};
     pub use dbtoaster_gmr::prelude::*;
 }

@@ -44,6 +44,10 @@
 //! names it) or a value error past the type checker (the message names the
 //! relations the statement reads).
 //!
+//! An execution counts its work into a [`LocalCounts`] block its caller
+//! hands it, by [`VIEW_VALUES`](dbtoaster_telemetry::VIEW_VALUES) slot: the
+//! kernel holds no counters and no notion of which view it works for.
+//!
 //! Grouping (`AggSum`) needs no runtime work in this model: multiplicities are
 //! combined additively by the accumulating sink, and multiplication
 //! distributes over addition in the GMR ring, so emitting ungrouped rows is
@@ -229,6 +233,7 @@
 use crate::eval::{product_order_by, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
+use dbtoaster_telemetry::{slot_of, LocalCounts};
 use std::cell::{Cell, RefCell};
 
 /// A pre-resolved frame index (see the module docs on slot discipline).
@@ -2004,64 +2009,20 @@ pub const MAX_RANGE_MEMBERS: usize = 8;
 // Execution
 // ---------------------------------------------------------------------------
 
-/// Work counters for one attribution slot (one target view, in the engine's
-/// use). Increments are plain `Cell` adds on L1-resident lines — about a
-/// cycle each, cheap enough to run unconditionally on the kernel hot paths —
-/// and the owner drains them with [`KernelCounters::take`] at its own
-/// (amortized) cadence.
-#[derive(Debug, Default)]
-pub struct KernelCounters {
-    /// Fully bound index probes executed ([`Op::Probe`]).
-    pub probes: Cell<u64>,
-    /// Full scans executed ([`Op::Scan`] plus fused-prelude traversals).
-    pub scans: Cell<u64>,
-    /// Entries visited by those scans.
-    pub entries_scanned: Cell<u64>,
-    /// Fused prelude traversals (one bucket walk answering every member).
-    pub fused_scans: Cell<u64>,
-    /// Range-sum scans answered from an ordered index (the entries their
-    /// binary searches compared count into `entries_scanned`).
-    pub range_sum_hits: Cell<u64>,
-    /// Range-sum scans that bailed to a full traversal: a bound or a group
-    /// outside the exactness contract, or a source without ordered indexes.
-    pub range_sum_bails: Cell<u64>,
-}
-
-/// A drained, plain-integer copy of one [`KernelCounters`] block.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct KernelWork {
-    /// See [`KernelCounters::probes`].
-    pub probes: u64,
-    /// See [`KernelCounters::scans`].
-    pub scans: u64,
-    /// See [`KernelCounters::entries_scanned`].
-    pub entries_scanned: u64,
-    /// See [`KernelCounters::fused_scans`].
-    pub fused_scans: u64,
-    /// See [`KernelCounters::range_sum_hits`].
-    pub range_sum_hits: u64,
-    /// See [`KernelCounters::range_sum_bails`].
-    pub range_sum_bails: u64,
-}
-
-impl KernelCounters {
-    /// Copy the counters out and reset them.
-    pub fn take(&self) -> KernelWork {
-        KernelWork {
-            probes: self.probes.take(),
-            scans: self.scans.take(),
-            entries_scanned: self.entries_scanned.take(),
-            fused_scans: self.fused_scans.take(),
-            range_sum_hits: self.range_sum_hits.take(),
-            range_sum_bails: self.range_sum_bails.take(),
-        }
-    }
-}
-
-#[inline]
-fn bump(c: &Cell<u64>) {
-    c.set(c.get() + 1);
-}
+/// The [`VIEW_VALUES`](dbtoaster_telemetry::VIEW_VALUES) slots an execution
+/// counts its work into ([`LocalCounts::add`]): fully bound probes
+/// ([`Op::Probe`]); full scans ([`Op::Scan`] plus fused-prelude traversals)
+/// and the entries they visit; fused prelude traversals (one bucket walk
+/// answering every member); range sums answered from an ordered index (the
+/// entries their binary searches compared count as visited) and those that
+/// bailed to a full traversal — a bound or a group outside the exactness
+/// contract, or a source without ordered indexes.
+const PROBES: usize = slot_of("probes");
+const SCANS: usize = slot_of("scans");
+const ENTRIES_SCANNED: usize = slot_of("entries_scanned");
+const FUSED_SCANS: usize = slot_of("fused_scans");
+const RANGE_SUM_HITS: usize = slot_of("range_sum_hits");
+const RANGE_SUM_BAILS: usize = slot_of("range_sum_bails");
 
 /// Reusable per-engine kernel execution state: the slot frame, one pattern
 /// buffer per atom, scratch group maps for `Exists`, and the buffered output
@@ -2084,14 +2045,6 @@ pub struct KernelState {
     cuts: Vec<Cut>,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
-    /// Work-counter blocks, one per attribution slot (the engine maps slots
-    /// to target views). Slot 0 always exists and doubles as the discard
-    /// block when no finer attribution is configured.
-    pub counter_slots: Vec<KernelCounters>,
-    /// The block the next execution's counters land in. Set by the engine
-    /// before [`CompiledStmt::execute`]; out-of-range values clamp to the
-    /// last block.
-    pub counter_slot: usize,
 }
 
 impl KernelState {
@@ -2133,13 +2086,6 @@ impl KernelState {
             self.cuts.resize(stmt.thresholds as usize, Cut::Unsearched);
         }
         self.out.clear();
-    }
-
-    /// Make sure at least `n` counter blocks exist (never shrinks).
-    pub fn ensure_counter_slots(&mut self, n: usize) {
-        while self.counter_slots.len() < n.max(1) {
-            self.counter_slots.push(KernelCounters::default());
-        }
     }
 }
 
@@ -2230,7 +2176,7 @@ struct Exec<'a> {
     accs: &'a [Cell<f64>],
     cached: &'a mut [Option<Value>],
     cuts: &'a mut [Cut],
-    counters: &'a KernelCounters,
+    counts: &'a LocalCounts,
     out: &'a mut Vec<(Tuple, f64)>,
     /// Rows below this index belong to earlier batch entries: the sink's
     /// consecutive-same-key collapse must never merge across them (each
@@ -2324,7 +2270,7 @@ impl Exec<'_> {
         binds: &[(u16, Slot)],
         mut on_match: impl FnMut(&mut Self, f64),
     ) {
-        bump(&self.counters.scans);
+        self.counts.add(SCANS, 1);
         let id = self.rel_id(rel);
         let pattern = self.take_pattern(buf, template);
         let src = self.src;
@@ -2344,8 +2290,7 @@ impl Exec<'_> {
             }
             on_match(self, m);
         });
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + walked);
+        self.counts.add(ENTRIES_SCANNED, walked);
         self.patterns[buf as usize] = pattern;
     }
 
@@ -2416,7 +2361,7 @@ impl Exec<'_> {
                 self.finish(mult * v, tail)
             }
             Op::Probe { rel, buf, template } => {
-                bump(&self.counters.probes);
+                self.counts.add(PROBES, 1);
                 let id = self.rel_id(*rel);
                 let mut pattern = std::mem::take(&mut self.patterns[*buf as usize]);
                 for (p, &slot) in pattern.iter_mut().zip(template.iter()) {
@@ -2545,9 +2490,8 @@ impl Exec<'_> {
         let Some(((lo, hi), evaluated)) = found else {
             return Cut::Fallback;
         };
-        bump(&self.counters.range_sum_hits);
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + evaluated);
+        self.counts.add(RANGE_SUM_HITS, 1);
+        self.counts.add(ENTRIES_SCANNED, evaluated);
         Cut::Keys(lo, hi)
     }
 
@@ -2562,12 +2506,12 @@ impl Exec<'_> {
         }
         if fs.band_pos.is_some() {
             if self.run_range_sums(fs) {
-                bump(&self.counters.range_sum_hits);
+                self.counts.add(RANGE_SUM_HITS, 1);
                 return;
             }
-            bump(&self.counters.range_sum_bails);
+            self.counts.add(RANGE_SUM_BAILS, 1);
         }
-        bump(&self.counters.fused_scans);
+        self.counts.add(FUSED_SCANS, 1);
         let accs = self.accs;
         for c in &accs[..fs.members.len()] {
             c.set(0.0);
@@ -2635,10 +2579,9 @@ impl Exec<'_> {
         let Some(touched) = walked else {
             return false;
         };
-        bump(&self.counters.scans);
-        bump(&self.counters.fused_scans);
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + touched);
+        self.counts.add(SCANS, 1);
+        self.counts.add(FUSED_SCANS, 1);
+        self.counts.add(ENTRIES_SCANNED, touched);
         self.frame[member.dest as usize] = Value::double(total);
         true
     }
@@ -2671,8 +2614,7 @@ impl Exec<'_> {
         let Some(compared) = answer else {
             return false;
         };
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + compared);
+        self.counts.add(ENTRIES_SCANNED, compared);
         for (m, &sum) in fs.members.iter().zip(&sums) {
             self.frame[m.dest as usize] = Value::double(sum);
         }
@@ -2700,11 +2642,11 @@ impl Exec<'_> {
             Scalar::SubSum(op) => self.sub_sum(op),
             Scalar::RangeSum { ranges, traverse } => match self.range_sum(ranges, traverse) {
                 Some(sum) => {
-                    bump(&self.counters.range_sum_hits);
+                    self.counts.add(RANGE_SUM_HITS, 1);
                     Value::double(sum)
                 }
                 None => {
-                    bump(&self.counters.range_sum_bails);
+                    self.counts.add(RANGE_SUM_BAILS, 1);
                     self.sub_sum(traverse)
                 }
             },
@@ -2742,8 +2684,7 @@ impl Exec<'_> {
             .src
             .range_sums_at(id, &pattern, bound_mag, &[interval], &mut sum);
         self.patterns[buf as usize] = pattern;
-        let scanned = &self.counters.entries_scanned;
-        scanned.set(scanned.get() + answer?);
+        self.counts.add(ENTRIES_SCANNED, answer?);
         Some(sum[0])
     }
 }
@@ -2752,7 +2693,10 @@ impl CompiledStmt {
     /// Execute the kernel against a relation source through the relation ids
     /// `rels` bound against it ([`CompiledStmt::bind`]), **appending** its
     /// `(key, multiplicity)` rows to `state.out`; a batch executor tracks
-    /// entry boundaries itself. The caller must have called
+    /// entry boundaries itself. Its work — probes, scans, entries visited,
+    /// fused scans, range-sum hits and bails — is counted into `counts` (in
+    /// the engine, the block of the view the statement writes). The caller
+    /// must have called
     /// [`KernelState::prepare`] and seeded `state.frame[0..trigger_slots]`
     /// from the event tuple.
     ///
@@ -2771,15 +2715,12 @@ impl CompiledStmt {
         src: &dyn RelationSource,
         rels: &[Option<RelId>],
         state: &mut KernelState,
+        counts: &LocalCounts,
         run_invariant_preludes: bool,
     ) {
         debug_assert!(state.frame.len() >= self.frame_size as usize);
         debug_assert_eq!(rels.len(), self.rels.len());
         let merge_floor = state.out.len();
-        if state.counter_slots.is_empty() {
-            state.counter_slots.push(KernelCounters::default());
-        }
-        let counter_slot = state.counter_slot.min(state.counter_slots.len() - 1);
         // Cached sums and cuts hold per execution: the store and the trigger
         // slots may have moved since.
         let cached = &mut state.cached[..self.cached_sums as usize];
@@ -2796,7 +2737,7 @@ impl CompiledStmt {
             accs: &state.fused_accs,
             cached,
             cuts,
-            counters: &state.counter_slots[counter_slot],
+            counts,
             out: &mut state.out,
             merge_floor,
             key_slots: &self.key_slots,
@@ -2816,6 +2757,7 @@ mod tests {
     use crate::eval::{eval, Bindings, MemSource};
     use crate::expr::CmpOp as OpC;
     use dbtoaster_gmr::{Gmr, Schema};
+    use dbtoaster_telemetry::ViewSummary;
 
     fn db() -> MemSource {
         let mut src = MemSource::new();
@@ -2844,7 +2786,13 @@ mod tests {
         for (i, (_, v)) in trigger.iter().enumerate() {
             state.frame[i] = Value::long(*v);
         }
-        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
+        stmt.execute(
+            &src,
+            &stmt.bind(&src),
+            &mut state,
+            &LocalCounts::default(),
+            true,
+        );
         let mut compiled = Gmr::new(Schema::new(key_vars.iter().copied()));
         for (k, m) in state.out.drain(..) {
             compiled.add_tuple(k, m);
@@ -2909,12 +2857,14 @@ mod tests {
     }
 
     /// Run `stmt` for trigger `y` against `src`; the rows and the work.
-    fn run_with(stmt: &CompiledStmt, src: &MemSource, y: i64) -> (Vec<(Tuple, f64)>, KernelWork) {
+    fn run_with(stmt: &CompiledStmt, src: &MemSource, y: i64) -> (Vec<(Tuple, f64)>, ViewSummary) {
         let mut state = KernelState::new();
         state.prepare(stmt);
         state.frame[0] = Value::long(y);
-        stmt.execute(src, &stmt.bind(src), &mut state, true);
-        let work = state.counter_slots[0].take();
+        let counts = LocalCounts::default();
+        stmt.execute(src, &stmt.bind(src), &mut state, &counts, true);
+        let mut work = ViewSummary::default();
+        counts.drain_into(&mut work.values);
         (std::mem::take(&mut state.out), work)
     }
 
@@ -2957,8 +2907,11 @@ mod tests {
         }
         // Three outer rows: one walk of `R` for the loop, one per lookup.
         let (rows, work) = run_with(&stmt, &db(), 1);
-        assert_eq!((work.range_sum_hits, work.range_sum_bails), (0, 3));
-        assert_eq!(work.scans, 4);
+        assert_eq!(
+            (work.get("range_sum_hits"), work.get("range_sum_bails")),
+            (0, 3)
+        );
+        assert_eq!(work.get("scans"), 4);
         let (walked, _) = run_with(&unhoisted(&e), &db(), 1);
         let bits = |rows: &[(Tuple, f64)]| rows.iter().map(|r| r.1.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&rows), bits(&walked));
@@ -3022,10 +2975,10 @@ mod tests {
         // One walk of `R` for the loop, one of `S` for the cached sum, and a
         // lookup for each of `S`'s two rows — a walk of `R`, without an index.
         let (rows, work) = run_with(&stmt, &db(), 1);
-        assert_eq!((work.scans, work.range_sum_bails), (4, 2));
+        assert_eq!((work.get("scans"), work.get("range_sum_bails")), (4, 2));
         let (walked, plain) = run_with(&unhoisted(&e), &db(), 1);
         assert_eq!(rows, walked);
-        assert_eq!(plain.scans, 1 + 3 * 3);
+        assert_eq!(plain.get("scans"), 1 + 3 * 3);
     }
 
     /// `Sum[](R(a, b) * a * [0.5 × Σ R(y, ·) > Σ R(y, b2) * (b2 band b)])`,
@@ -3124,7 +3077,7 @@ mod tests {
                     let (rows, work) = run_with(&stmt, &src, 1);
                     let (walked, _) = run_with(&unhoisted(&e), &src, 1);
                     assert_eq!(bits(&rows), bits(&walked), "{e} with {extra:?}");
-                    assert_eq!(work.range_sum_hits, 0, "{e} with {extra:?}");
+                    assert_eq!(work.get("range_sum_hits"), 0, "{e} with {extra:?}");
                 }
             }
         }
@@ -3263,7 +3216,13 @@ mod tests {
         let stmt = lower_statement(&[], &["x".into()], &e).unwrap();
         let mut state = KernelState::new();
         state.prepare(&stmt);
-        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
+        stmt.execute(
+            &src,
+            &stmt.bind(&src),
+            &mut state,
+            &LocalCounts::default(),
+            true,
+        );
         assert_eq!(state.out.len(), 1);
         assert_eq!(state.out[0].0.as_slice(), &[Value::long(1)]);
     }
@@ -3303,7 +3262,13 @@ mod tests {
         let mut state = KernelState::new();
         state.prepare(&stmt);
         let src = db();
-        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
+        stmt.execute(
+            &src,
+            &stmt.bind(&src),
+            &mut state,
+            &LocalCounts::default(),
+            true,
+        );
     }
 
     /// A value error is a corrupt program too (`compile`'s type checker
@@ -3324,6 +3289,12 @@ mod tests {
         let stmt = lower_statement(&[], &[], &q).unwrap();
         let mut state = KernelState::new();
         state.prepare(&stmt);
-        stmt.execute(&src, &stmt.bind(&src), &mut state, true);
+        stmt.execute(
+            &src,
+            &stmt.bind(&src),
+            &mut state,
+            &LocalCounts::default(),
+            true,
+        );
     }
 }

@@ -175,13 +175,6 @@ fn collect(expr: &Expr, bound: &BTreeSet<String>, info: &mut VarInfo) -> Result<
     Ok(())
 }
 
-/// Convenience: does the expression (in the given scope) have `var` as an input?
-pub fn has_input_var(expr: &Expr, var: &str, bound: &BTreeSet<String>) -> bool {
-    var_info(expr, bound)
-        .map(|i| i.inputs.contains(var))
-        .unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

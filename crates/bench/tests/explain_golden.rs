@@ -31,8 +31,8 @@ const EVENTS: usize = 400;
 const SEED: u64 = 7;
 const CHUNK: usize = 32;
 
-/// Replay a query's stream in multi-event delta batches, returning every run
-/// record's relation plus the engine for explaining.
+/// Replay a query's stream in multi-event delta batches, returning the
+/// relation of every run of every batch plus the engine for explaining.
 fn run_batched(q: &workloads::WorkloadQuery) -> (Engine, Vec<String>) {
     let data = dataset_for(q.family, EVENTS, SEED);
     let catalog = workloads::full_catalog();
@@ -49,7 +49,6 @@ fn run_batched(q: &workloads::WorkloadQuery) -> (Engine, Vec<String>) {
     }
     engine.init_static_views().unwrap();
     engine.set_telemetry(Telemetry::with_config(TelemetryConfig::default()));
-    engine.set_run_recording(true);
     let mut runs = Vec::new();
     for chunk in data.events.chunks(CHUNK) {
         let batch = DeltaBatch::from_events(chunk);
@@ -59,21 +58,29 @@ fn run_batched(q: &workloads::WorkloadQuery) -> (Engine, Vec<String>) {
             "{}: {:?}",
             q.name, report.first_error
         );
-        runs.extend(report.runs.iter().map(|r| r.relation.clone()));
+        runs.extend(batch.runs().iter().map(|r| r.relation().to_string()));
     }
     (engine, runs)
 }
 
 fn check_query(q: &workloads::WorkloadQuery) {
     let (mut engine, runs) = run_batched(q);
-    assert!(!runs.is_empty(), "{}: no batch runs recorded", q.name);
+    let ran = engine.stats().batch_delta_runs;
+    assert!(ran > 0, "{}: no batch-delta runs", q.name);
     let ex = engine.explain();
-    for relation in &runs {
-        let rel = ex
-            .relations
-            .iter()
-            .find(|r| &r.relation == relation)
-            .unwrap_or_else(|| panic!("{}: relation {relation} ran but is not explained", q.name));
+    // The runs that ran are exactly the runs of explained relations.
+    let explained: Vec<_> = runs
+        .iter()
+        .filter_map(|relation| ex.relations.iter().find(|r| &r.relation == relation))
+        .collect();
+    assert_eq!(
+        explained.len() as u64,
+        ran,
+        "{}: a relation ran but is not explained",
+        q.name
+    );
+    for rel in explained {
+        let relation = &rel.relation;
         assert!(
             !rel.live_pass.is_empty(),
             "{}: {relation} has no live-pass line",

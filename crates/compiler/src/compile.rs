@@ -16,7 +16,7 @@
 use crate::materialize::{contains_base_atoms, MapRegistry, Materializer};
 use crate::program::{
     Catalog, CompileMode, CompileOptions, CompileReport, MapDecl, QueryResult, QuerySpec,
-    ResultAccess, Statement, StmtOp, Trigger, TriggerProgram,
+    Statement, StmtOp, Trigger, TriggerProgram,
 };
 use crate::typecheck::check_types;
 use dbtoaster_agca::opt::{extract_range_restrictions, order_factors, unify_factors, Monomial};
@@ -139,7 +139,6 @@ pub fn compile(
         results.push(QueryResult {
             name: q.name.clone(),
             out_vars: q.out_vars.clone(),
-            access: ResultAccess::Map(q.name.clone()),
         });
 
         if options.mode == CompileMode::Reevaluate {

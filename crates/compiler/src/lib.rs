@@ -53,8 +53,8 @@ pub use explain::{
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
     BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl, MapDecl,
-    OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, ResultAccess, Statement, StmtOp,
-    Trigger, TriggerProgram,
+    OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, Statement, StmtOp, Trigger,
+    TriggerProgram,
 };
 
 /// Convenience re-exports for downstream crates.
@@ -64,8 +64,8 @@ pub mod prelude {
     pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{
         BatchDeltaBail, Catalog, CompileMode, CompileOptions, CompileReport, HashIndexDecl,
-        MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, ResultAccess, Statement,
-        StmtOp, Trigger, TriggerProgram,
+        MapDecl, OrderedIndexDecl, QueryResult, QuerySpec, RelationMeta, Statement, StmtOp,
+        Trigger, TriggerProgram,
     };
     pub use dbtoaster_agca::UpdateSign;
 }

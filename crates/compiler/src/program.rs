@@ -200,24 +200,15 @@ impl fmt::Display for Trigger {
     }
 }
 
-/// How a user-visible query result is obtained from the maintained maps: every
-/// result is one maintained map (derived columns such as `AVG = SUM / COUNT` are
-/// assembled from several results by the serving layer).
-#[derive(Clone, Debug, PartialEq)]
-pub enum ResultAccess {
-    /// The result is a single maintained map.
-    Map(String),
-}
-
-/// A named query result of the program.
+/// A named query result of the program: the maintained map of the same name
+/// (derived columns such as `AVG = SUM / COUNT` are assembled from several
+/// results by the serving layer).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
-    /// Query name (as given in the [`QuerySpec`]).
+    /// Query name (as given in the [`QuerySpec`]), which is also its map's.
     pub name: String,
     /// Result columns.
     pub out_vars: Vec<String>,
-    /// How to read the result.
-    pub access: ResultAccess,
 }
 
 /// Which rewrite rules and strategies fired during compilation of a query — the data

@@ -228,14 +228,6 @@ impl QueryEngine {
         Ok(self.engine.process_all(events)?)
     }
 
-    /// Record per-relation run execution into
-    /// [`BatchReport::runs`](dbtoaster_runtime::BatchReport::runs) (each
-    /// run's relation and event count). Off by default: recording costs one
-    /// small allocation per run.
-    pub fn set_run_recording(&mut self, on: bool) {
-        self.engine.set_run_recording(on);
-    }
-
     /// Process a [`DeltaBatch`](dbtoaster_agca::DeltaBatch) of per-relation
     /// GMR deltas — the engine's native unit since the batch-first refactor.
     /// Processing never stops at a refused event (the rest of the batch

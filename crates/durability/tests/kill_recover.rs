@@ -588,11 +588,11 @@ fn wal_replay_runs_the_same_runs_as_the_live_run() {
     // Run equivalence under recovery, at run granularity: replay rebuilds
     // one delta batch per WAL record and drives it through the same
     // `process_batch` as the live writer, so the full sequence of
-    // (relation, events) run records — across uneven micro-batches and a
-    // mid-batch refused event — must be identical. An aggregate counter
-    // check could mask compensating swaps; this one cannot.
+    // (relation, events) runs of the batches it builds — across uneven
+    // micro-batches and a mid-batch refused event — must be identical. An
+    // aggregate counter check could mask compensating swaps; this one cannot.
     use dbtoaster::agca::DeltaBatch;
-    use dbtoaster::runtime::{Engine, RunRecord};
+    use dbtoaster::runtime::Engine;
     use dbtoaster_durability::{program_fingerprint, WalReader, WalWriter};
 
     let dir: PathBuf = std::env::temp_dir().join(format!("dbt-runrec-{}", std::process::id()));
@@ -645,12 +645,18 @@ fn wal_replay_runs_the_same_runs_as_the_live_run() {
     // log it; both runs refuse it alike.)
     stream.insert(700, UpdateEvent::insert("Lineitem", vec![Value::long(3)]));
 
+    // The (relation, events) of every run of a batch.
+    let runs_of = |delta: &DeltaBatch| -> Vec<(String, u64)> {
+        let runs = delta.runs().iter();
+        runs.map(|r| (r.relation().to_string(), r.events()))
+            .collect()
+    };
+
     // Live run: uneven micro-batches, one WAL record each (the live writer's
-    // contract: record boundaries == batch boundaries), run recording on.
+    // contract: record boundaries == batch boundaries).
     let mut live = Engine::new(program.clone(), &ccat);
-    live.set_run_recording(true);
     let mut wal = WalWriter::open(&dir, fp, 1, FsyncPolicy::Never, u64::MAX).unwrap();
-    let mut live_runs: Vec<RunRecord> = Vec::new();
+    let mut live_runs: Vec<(String, u64)> = Vec::new();
     let mut live_failed = 0u64;
     let mut delta = DeltaBatch::new();
     let mut rest: &[UpdateEvent] = &stream;
@@ -665,9 +671,9 @@ fn wal_replay_runs_the_same_runs_as_the_live_run() {
         for ev in chunk {
             delta.push(ev);
         }
+        live_runs.extend(runs_of(&delta));
         let report = live.process_batch(&delta);
         live_failed += report.failed_events;
-        live_runs.extend(report.runs);
     }
     wal.sync().unwrap();
     drop(wal);
@@ -679,8 +685,8 @@ fn wal_replay_runs_the_same_runs_as_the_live_run() {
     // Replay: same records, same batches, same dispatch.
     let reader = WalReader::open(&dir, fp).unwrap();
     let mut replayed = Engine::new(program, &ccat);
-    replayed.set_run_recording(true);
-    let mut replay_runs: Vec<RunRecord> = Vec::new();
+    let mut replay_runs: Vec<(String, u64)> = Vec::new();
+    let mut replay_failed = 0u64;
     let mut delta = DeltaBatch::new();
     reader
         .replay_records(1, &mut |_first_seq, events| {
@@ -688,22 +694,28 @@ fn wal_replay_runs_the_same_runs_as_the_live_run() {
             for ev in events {
                 delta.push_owned(ev);
             }
-            let report = replayed.process_batch(&delta);
-            replay_runs.extend(report.runs);
+            replay_runs.extend(runs_of(&delta));
+            replay_failed += replayed.process_batch(&delta).failed_events;
             Ok(())
         })
         .unwrap();
 
-    assert!(!live_runs.is_empty(), "run recording produced nothing");
     assert!(
-        live_runs
-            .iter()
-            .any(|r| r.relation == "Lineitem" && r.events > 3),
+        live_runs.iter().any(|r| r.0 == "Lineitem" && r.1 > 3),
         "expected multi-firing Lineitem runs (the live pass): {live_runs:?}"
     );
     assert_eq!(
         live_runs, replay_runs,
         "live and replayed run sequences must be identical"
+    );
+    // Both ran every admitted run of a relation with triggers, alike.
+    assert_eq!(replay_failed, live_failed);
+    let ran = |e: &Engine| (e.stats().batch_delta_runs, e.stats().statements);
+    assert!(ran(&live).0 > 0, "no batch-delta runs");
+    assert_eq!(
+        ran(&live),
+        ran(&replayed),
+        "(runs, statements) live vs replayed"
     );
     // Identical runs must mean identical bits.
     for m in &live.program().maps {

@@ -108,33 +108,6 @@ impl Gmr {
         }
     }
 
-    /// An empty **delta** GMR of the given arity over a positional schema
-    /// (`$0, $1, …`): the representation of a batch of updates to one
-    /// relation, where insertions contribute `+1`, deletions `−1`, and
-    /// same-key contributions collapse by ring addition (exact zeros vanish).
-    /// See [`Gmr::merge_delta`] for combining deltas of the same relation.
-    pub fn delta(arity: usize) -> Self {
-        Gmr::new(Schema::positional(arity))
-    }
-
-    /// Ring-add another delta of the same relation into this one (tuple-wise
-    /// addition; cancelled keys disappear). Both sides must have the same
-    /// arity — deltas of one relation always do. Unlike [`Gmr::add_gmr`] this
-    /// matches columns positionally, which is the only meaningful matching
-    /// for position-addressed update tuples.
-    pub fn merge_delta(&mut self, other: &Gmr) {
-        assert_eq!(
-            self.schema.arity(),
-            other.schema.arity(),
-            "cannot merge deltas of arity {} and {}",
-            self.schema.arity(),
-            other.schema.arity()
-        );
-        for (t, m) in other.iter() {
-            self.add_tuple(t.clone(), m);
-        }
-    }
-
     /// The nullary scalar GMR `{<> -> mult}` (the representation of a constant).
     pub fn scalar(mult: f64) -> Self {
         let mut g = Gmr::new(Schema::empty());
@@ -342,12 +315,6 @@ impl Gmr {
             out.add_tuple(t.clone(), f(m));
         }
         out
-    }
-
-    /// Remove entries whose absolute multiplicity is below `eps`
-    /// (used to clean up floating-point residue in long-running streams).
-    pub fn prune(&mut self, eps: f64) {
-        self.data.make_owned().retain(|_, m| m.abs() > eps);
     }
 
     /// Total number of heap bytes used by this GMR (approximate; used for the memory

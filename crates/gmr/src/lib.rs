@@ -23,7 +23,7 @@
 //!   doubles and shared strings, 16 bytes each) with the coercion rules used
 //!   throughout the system.
 //! * [`mod@tuple`] — the shared [`Tuple`] key type (inline up to arity `INLINE_CAP` (3),
-//!   cheap to clone) plus helpers for projection and concatenation.
+//!   cheap to clone) plus a helper for projection.
 //! * [`hash`] — the fast deterministic hasher behind [`FastMap`], used
 //!   by every hot-path map in the system.
 //! * [`schema`] — ordered column-name lists and positional lookup.

@@ -39,26 +39,6 @@ impl Schema {
         Schema::default()
     }
 
-    /// A positional schema `$0, $1, …, $(arity-1)` for GMRs whose columns have
-    /// no meaningful names — e.g. the per-relation delta GMRs of a batch,
-    /// where tuples are addressed by position like the update events they came
-    /// from. Small arities are served from a static cache so building a delta
-    /// costs no allocation in steady state.
-    pub fn positional(arity: usize) -> Self {
-        use std::sync::OnceLock;
-        const CACHED: usize = 17;
-        static CACHE: OnceLock<Vec<Schema>> = OnceLock::new();
-        let cache = CACHE.get_or_init(|| {
-            (0..CACHED)
-                .map(|n| Schema::new((0..n).map(|i| format!("${i}"))))
-                .collect()
-        });
-        match cache.get(arity) {
-            Some(s) => s.clone(),
-            None => Schema::new((0..arity).map(|i| format!("${i}"))),
-        }
-    }
-
     /// Column names in order.
     pub fn columns(&self) -> &[String] {
         &self.columns

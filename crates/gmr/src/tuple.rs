@@ -298,19 +298,6 @@ pub fn project(tuple: &[Value], positions: &[usize]) -> Tuple {
     positions.iter().map(|&i| tuple[i].clone()).collect()
 }
 
-/// Concatenate two tuples.
-#[inline]
-pub fn concat(left: &[Value], right: &[Value]) -> Tuple {
-    left.iter().chain(right.iter()).cloned().collect()
-}
-
-/// Check whether two tuples agree on a set of position pairs
-/// (used when testing join consistency).
-#[inline]
-pub fn consistent_on(left: &[Value], right: &[Value], pairs: &[(usize, usize)]) -> bool {
-    pairs.iter().all(|&(l, r)| left[l] == right[r])
-}
-
 /// Build the empty (nullary) tuple, the key of scalar GMRs.
 #[inline]
 pub fn empty() -> Tuple {
@@ -333,21 +320,6 @@ mod tests {
         assert_eq!(project(&tup, &[2, 0]), t(&[30, 10]));
         assert_eq!(project(&tup, &[1, 1]), t(&[20, 20]));
         assert_eq!(project(&tup, &[]), empty());
-    }
-
-    #[test]
-    fn concat_appends() {
-        assert_eq!(concat(&t(&[1]), &t(&[2, 3])), t(&[1, 2, 3]));
-        assert_eq!(concat(&[], &t(&[2])), t(&[2]));
-    }
-
-    #[test]
-    fn consistency_checks_pairs() {
-        let a = t(&[1, 2, 3]);
-        let b = t(&[3, 2]);
-        assert!(consistent_on(&a, &b, &[(2, 0), (1, 1)]));
-        assert!(!consistent_on(&a, &b, &[(0, 0)]));
-        assert!(consistent_on(&a, &b, &[]));
     }
 
     #[test]

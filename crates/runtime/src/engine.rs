@@ -83,7 +83,7 @@
 //!   has a live pass and a `:=` tail, whether its base map is live) and two flags on
 //!   each statement: does it fire live, and is its target a live map;
 //! * every statement's target map and every relation's stored base map — to
-//!   [`MapId`]s, which also index the per-view telemetry counters;
+//!   [`MapId`]s, which also index the per-view work counts (below);
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
 //!   fused scans and band lookups read) — to the same ids, through which collection,
 //!   the live pass, the `:=` tail and static-view initialization all read;
@@ -97,17 +97,28 @@
 //! hash is one lookup per run: its relation's name → the relation's resolved record
 //! (its column types for the gate, its dispatch, its stored base map). An event of a
 //! relation no trigger reads and no map stores is gated and counted, and nothing else.
+//!
+//! ## Per-view work
+//!
+//! With telemetry attached ([`Engine::set_telemetry`]) each map declared by then has one
+//! [`LocalCounts`] block, by [`MapId`], beside its shared record: a statement's kernel
+//! is handed its target's block and counts its probes, scans and range sums there, and
+//! the rows the statement writes and its live firings land in the same block. Without
+//! telemetry every kernel counts into one discard block, as does static-view
+//! initialization. A flush reads each view's store readings, drains its block into them
+//! and publishes the result; it names no counter, so a new work count is one
+//! `VIEW_VALUES` row and the `add` where the work happens.
 
-use crate::store::{Database, MapId, Seg, SnapshotWork};
+use crate::store::{Database, MapId, Seg};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
-use dbtoaster_compiler::{Catalog, RelationMeta, ResultAccess, Statement, StmtOp, TriggerProgram};
+use dbtoaster_compiler::{Catalog, RelationMeta, Statement, StmtOp, TriggerProgram};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
-    slot_of, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry, ViewRecord,
-    ViewSummary, TRACE_ARM_MIN_EVENTS,
+    slot_of, LocalCounts, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry,
+    ViewRecord, ViewSummary, TRACE_ARM_MIN_EVENTS,
 };
 use std::fmt;
 use std::sync::Arc;
@@ -161,23 +172,6 @@ pub struct BatchReport {
     pub failed_events: u64,
     /// Why the first refused event was refused, if any was.
     pub first_error: Option<RuntimeError>,
-    /// The relation runs that fired triggers, in processing order. Runs with
-    /// no trigger under either sign — base-relation-only updates — are not
-    /// recorded. Deterministic for a given program and batch boundaries, so a
-    /// WAL replay produces the same sequence as live processing. Empty unless
-    /// [`Engine::set_run_recording`] is on (recording costs one small
-    /// allocation per run, which the zero-allocation steady-state contract
-    /// of the batch-of-1 path cannot afford by default).
-    pub runs: Vec<RunRecord>,
-}
-
-/// One relation run's execution record inside a [`BatchReport`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunRecord {
-    /// The run's relation name.
-    pub relation: String,
-    /// Stream events the run covered.
-    pub events: u64,
 }
 
 /// Runtime statistics: event counts, processing time and memory footprint.
@@ -188,8 +182,9 @@ pub struct RunRecord {
 /// `checkpoints_taken`; these stay zero on a plain single-threaded engine.
 /// Every counter is cumulative over the engine's life, across re-serves.
 /// `ViewServer::stats()` returns the writer's copy as of its last iteration.
-/// Snapshot work is not a field: a plain engine reads it from
-/// [`Engine::snapshot_work`], a server from its per-view telemetry.
+/// Snapshot work is not a field: a plain engine reads it per view from
+/// [`ViewMap::snapshot_work`](crate::ViewMap::snapshot_work), a server from
+/// its per-view telemetry.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct EngineStats {
     /// Events applied so far; refused events do not count. A durable serving
@@ -364,10 +359,11 @@ impl DispatchEntry {
 /// `first` marks the first of a series of back-to-back evaluations of
 /// `kernel` against an unchanged `db`: the kernel's buffers are sized and
 /// its loop-invariant fused scans run, and the rest of the series reuses
-/// both.
+/// both. The kernel counts its work into `counts` ([`view_counts`]).
 ///
 /// The kernel is total on what the gate admits (see the module docs): it
 /// returns nothing, and panics only on a corrupt program.
+#[allow(clippy::too_many_arguments)]
 fn kernel_rows(
     state: &mut KernelState,
     db: &Database,
@@ -376,6 +372,7 @@ fn kernel_rows(
     tuple: &[Value],
     first: bool,
     out: &mut Vec<(Tuple, f64)>,
+    counts: &LocalCounts,
 ) {
     if first {
         state.prepare(kernel);
@@ -389,7 +386,7 @@ fn kernel_rows(
     // The kernel appends to `state.out`: lend it the caller's buffer for the
     // call instead of copying rows across.
     std::mem::swap(&mut state.out, out);
-    kernel.execute(db, rels, state, first);
+    kernel.execute(db, rels, state, counts, first);
     std::mem::swap(&mut state.out, out);
 }
 
@@ -454,9 +451,12 @@ pub struct Engine {
 struct Executor {
     db: Database,
     stats: EngineStats,
-    /// Reusable kernel execution state (frame, pattern buffers, scratch maps,
-    /// work counters), shared by every execution path.
+    /// Reusable kernel execution state (frame, pattern buffers, scratch
+    /// maps), shared by every execution path.
     kernel: KernelState,
+    /// The work counts of a kernel whose view is not counted: every kernel
+    /// without telemetry, and static-view initialization. Never read.
+    discard: LocalCounts,
     /// Recycled row buffer of one statement firing (the `:=` tail, static
     /// views).
     rows: Vec<(Tuple, f64)>,
@@ -479,9 +479,6 @@ struct Executor {
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
     /// (default where the map has none).
     inits: Vec<Bound>,
-    /// Fill [`BatchReport::runs`] with per-run records (off by default; see
-    /// [`Engine::set_run_recording`]).
-    record_runs: bool,
     /// Telemetry buffers, present only after [`Engine::set_telemetry`] with
     /// an enabled handle. `None` keeps the hot path at one predictable
     /// branch per batch.
@@ -489,7 +486,7 @@ struct Executor {
 }
 
 /// How many delta batches between automatic telemetry flushes (local
-/// histogram buffers and per-view pendings folded into the shared atomics).
+/// histograms and per-view counts folded into the shared atomics).
 const TELEMETRY_FLUSH_BATCHES: u64 = 64;
 
 /// Reused scratch for one statement span of an armed batch (strings and
@@ -527,14 +524,11 @@ struct TelemetryState {
     batch_hist: LocalHistogram,
     /// Kernel-execute latency of the runs that fired triggers.
     kernel_hist: LocalHistogram,
-    /// Shared per-view records by [`MapId`], as are `pending_*` and the
-    /// kernel's [`dbtoaster_agca::KernelCounters`] slots: a statement's
-    /// counter slot is its target's id. A map declared after attachment
-    /// (one only a restored snapshot holds) is past these and uncounted.
-    views: Vec<Arc<ViewRecord>>,
-    /// Un-flushed per-view deltas (plain adds on the hot path).
-    pending_rows: Vec<u64>,
-    pending_live: Vec<u64>,
+    /// Per view, by [`MapId`]: its shared record and its work counts since
+    /// the last flush — what its statements' kernels count, the rows they
+    /// write and their live firings. A map declared after attachment (one
+    /// only a restored snapshot holds) is past these and uncounted.
+    views: Vec<(Arc<ViewRecord>, LocalCounts)>,
     /// Events/batches already folded into the telemetry counters.
     flushed_events: u64,
     flushed_batches: u64,
@@ -564,13 +558,18 @@ impl TelemetryState {
         self.runs_live += 1;
     }
 
+    /// The work counts of view `target`, if it is counted.
+    fn counts(&self, target: Option<MapId>) -> Option<&LocalCounts> {
+        self.views.get(target? as usize).map(|(_, c)| c)
+    }
+
     /// Count one live-pass evaluation of a statement writing `target`.
-    fn note_live_firing(&mut self, target: MapId) {
+    fn note_live_firing(&mut self, target: Option<MapId>) {
         if self.armed && self.runs_live > 0 {
             self.runs[self.runs_live - 1].live_firings += 1;
         }
-        if let Some(n) = self.pending_live.get_mut(target as usize) {
-            *n += 1;
+        if let Some(c) = self.counts(target) {
+            c.add(const { slot_of("live_firings") }, 1);
         }
     }
 
@@ -629,6 +628,19 @@ impl TelemetryState {
                 .collect(),
         }
     }
+}
+
+/// The block a kernel writing view `target` counts its work into: the view's
+/// own while telemetry is attached ([`TelemetryState::views`]), else
+/// `discard`.
+fn view_counts<'a>(
+    tel: &'a Option<Box<TelemetryState>>,
+    discard: &'a LocalCounts,
+    target: Option<MapId>,
+) -> &'a LocalCounts {
+    tel.as_deref()
+        .and_then(|ts| ts.counts(target))
+        .unwrap_or(discard)
 }
 
 /// Total rows one buffered statement will apply: emitted rows times the
@@ -725,6 +737,7 @@ impl Engine {
             db,
             stats: EngineStats::default(),
             kernel: KernelState::default(),
+            discard: LocalCounts::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
             single: DeltaBatch::new(),
@@ -734,7 +747,6 @@ impl Engine {
             run_rels: Vec::new(),
             stmts,
             inits: unbound(program.maps.len()),
-            record_runs: false,
             tel: None,
         };
         let mut engine = Engine {
@@ -792,14 +804,6 @@ impl Engine {
         }
     }
 
-    /// Enable or disable per-run records in [`BatchReport::runs`] (off by
-    /// default — recording allocates per run, which the batch-of-1 hot path
-    /// keeps at zero). The run *counter* in [`EngineStats`] is always
-    /// maintained.
-    pub fn set_run_recording(&mut self, enabled: bool) {
-        self.exec.record_runs = enabled;
-    }
-
     /// Restore a checkpointed snapshot in place: every map it names is
     /// replaced wholesale and the event counter resumes at `events_applied`,
     /// **without** re-running [`Engine::init_static_views`] — the snapshot
@@ -846,12 +850,6 @@ impl Engine {
     /// (see [`crate::store`]).
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
         self.exec.db.snapshot()
-    }
-
-    /// What the snapshots taken so far cost, summed over views: keys patched,
-    /// entries copied, full copies by reason.
-    pub fn snapshot_work(&self) -> SnapshotWork {
-        self.exec.db.snapshot_work()
     }
 
     /// Mutable access to the statistics (the serving layer records batch-level
@@ -936,6 +934,7 @@ impl Engine {
                 Executor {
                     db,
                     kernel,
+                    discard,
                     rows,
                     inits,
                     ..
@@ -944,7 +943,7 @@ impl Engine {
         for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
             rows.clear();
-            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows);
+            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows, discard);
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
@@ -1107,7 +1106,7 @@ impl Executor {
             } else {
                 None
             };
-            fired = self.process_run(program, run, rel, &mut report);
+            fired = self.process_run(program, run, rel);
             run_count += 1;
             if let Some(rt0) = rt0 {
                 let nanos = rt0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -1179,13 +1178,7 @@ impl Executor {
     /// Run one run of relation `rel` (its position in `relations`). Returns
     /// whether it fired triggers (`false` when it applied only a base
     /// update).
-    fn process_run(
-        &mut self,
-        program: &TriggerProgram,
-        run: &RelationDelta,
-        rel: u32,
-        report: &mut BatchReport,
-    ) -> bool {
+    fn process_run(&mut self, program: &TriggerProgram, run: &RelationDelta, rel: u32) -> bool {
         let rel = &self.relations[rel as usize];
         let Some(disp) = rel.dispatch else {
             // No trigger for this relation under either sign (e.g. an update
@@ -1196,22 +1189,7 @@ impl Executor {
         };
         self.run_batch_delta(program, disp, run);
         self.stats.batch_delta_runs += 1;
-        if self.record_runs {
-            report.runs.push(RunRecord {
-                relation: run.relation().to_string(),
-                events: run.events(),
-            });
-        }
         true
-    }
-
-    /// Route the kernel's work counters at the slot of a trigger
-    /// statement's target (no-op without telemetry).
-    #[inline]
-    fn set_counter_slot(&mut self, target: Option<MapId>) {
-        if let (Some(_), Some(id)) = (&self.tel, target) {
-            self.kernel.counter_slot = id as usize;
-        }
     }
 
     /// A statement-span start time, taken only when the current batch armed
@@ -1234,20 +1212,6 @@ impl Executor {
         }
     }
 
-    /// Credit rows written to the current counter slot's view (no-op without
-    /// telemetry).
-    #[inline]
-    fn note_rows(&mut self, rows: u64) {
-        if rows == 0 {
-            return;
-        }
-        if let Some(ts) = self.tel.as_deref_mut() {
-            if let Some(r) = ts.pending_rows.get_mut(self.kernel.counter_slot) {
-                *r += rows;
-            }
-        }
-    }
-
     /// Evaluate statement `j` of trigger `tidx` for one event tuple against
     /// the current state and apply its rows. Returns the rows produced.
     fn fire_statement(
@@ -1258,18 +1222,29 @@ impl Executor {
         tuple: &[Value],
     ) -> u64 {
         let stmt = &program.triggers[tidx as usize].statements[j];
-        self.set_counter_slot(self.stmts[tidx as usize][j].target);
         self.stats.statements += 1;
         let Executor {
             db,
             kernel,
+            discard,
             rows,
             stmts,
+            tel,
             ..
         } = self;
         let bound = &stmts[tidx as usize][j];
+        let counts = view_counts(tel, discard, bound.target);
         rows.clear();
-        kernel_rows(kernel, db, &stmt.kernel, &bound.rels, tuple, true, rows);
+        kernel_rows(
+            kernel,
+            db,
+            &stmt.kernel,
+            &bound.rels,
+            tuple,
+            true,
+            rows,
+            counts,
+        );
         let all = Seg {
             start: 0,
             end: rows.len(),
@@ -1277,7 +1252,7 @@ impl Executor {
         };
         let produced = rows.len() as u64;
         apply_statement_rows(db, stmt, bound.target, &[all], rows);
-        self.note_rows(produced);
+        counts.add(const { slot_of("rows_written") }, produced);
         produced
     }
 
@@ -1304,9 +1279,8 @@ impl Executor {
                 if !ds.applied {
                     apply_statement_rows(db, stmt, target, &ds.segs, &mut ds.rows);
                 }
-                let pending = tel.as_deref_mut().zip(target);
-                if let Some(r) = pending.and_then(|(ts, id)| ts.pending_rows.get_mut(id as usize)) {
-                    *r += segs_rows(&ds.segs);
+                if let Some(c) = tel.as_deref().and_then(|ts| ts.counts(target)) {
+                    c.add(const { slot_of("rows_written") }, segs_rows(&ds.segs));
                 }
             }
         }
@@ -1400,7 +1374,6 @@ impl Executor {
                     self.bd.acquire(tidx, j as u16);
                     continue;
                 }
-                self.set_counter_slot(bound.target);
                 let st0 = self.armed_instant();
                 self.collect_statement_over(stmt, run, sign, tidx, j as u16);
                 if st0.is_some() {
@@ -1436,6 +1409,7 @@ impl Executor {
         let Executor {
             db,
             kernel,
+            discard,
             bd,
             stats,
             tel,
@@ -1468,9 +1442,7 @@ impl Executor {
                     }
                     stats.statements += 1;
                     if let Some(ts) = tel.as_deref_mut() {
-                        let id = resolved(bound[j].target, stmt);
-                        ts.note_live_firing(id);
-                        kernel.counter_slot = id as usize;
+                        ts.note_live_firing(bound[j].target);
                     }
                     // The store moves between firings: every evaluation is
                     // the first against its state.
@@ -1485,6 +1457,7 @@ impl Executor {
                         &entry.key,
                         true,
                         &mut ds.rows,
+                        view_counts(tel, discard, bound[j].target),
                     );
                     let end = ds.rows.len();
                     evaluated += (end - start) as u64;
@@ -1540,13 +1513,16 @@ impl Executor {
         let Executor {
             db,
             kernel,
+            discard,
             bd,
             stats,
             stmts,
+            tel,
             ..
         } = self;
         let slot = bd.acquire(tidx, stmt_j);
-        let rels = &stmts[tidx as usize][stmt_j as usize].rels;
+        let bound = &stmts[tidx as usize][stmt_j as usize];
+        let counts = view_counts(tel, discard, bound.target);
         let mut first = true;
         for entry in run.entries() {
             if entry.sign() != Some(sign) {
@@ -1558,10 +1534,11 @@ impl Executor {
                 kernel,
                 db,
                 &stmt.kernel,
-                rels,
+                &bound.rels,
                 &entry.key,
                 std::mem::take(&mut first),
                 &mut slot.rows,
+                counts,
             );
             slot.segs.push(Seg {
                 start,
@@ -1591,26 +1568,9 @@ impl Executor {
             .flush_into(ts.tel.batch_hist().expect("enabled handle"));
         let kernel = ts.tel.stage_hist(Stage::KernelBatchDelta);
         ts.kernel_hist.flush_into(kernel.expect("enabled handle"));
-        for (i, record) in ts.views.iter().enumerate() {
+        for (i, (record, counts)) in ts.views.iter().enumerate() {
             let mut r = self.db.at(i as MapId).readings();
-            let w = self.kernel.counter_slots.get(i).map(|c| c.take());
-            let w = w.unwrap_or_default();
-            for (slot, n) in [
-                (const { slot_of("rows_written") }, &mut ts.pending_rows[i]),
-                (const { slot_of("live_firings") }, &mut ts.pending_live[i]),
-            ] {
-                r.values[slot] = std::mem::take(n);
-            }
-            for (slot, n) in [
-                (const { slot_of("probes") }, w.probes),
-                (const { slot_of("scans") }, w.scans),
-                (const { slot_of("entries_scanned") }, w.entries_scanned),
-                (const { slot_of("fused_scans") }, w.fused_scans),
-                (const { slot_of("range_sum_hits") }, w.range_sum_hits),
-                (const { slot_of("range_sum_bails") }, w.range_sum_bails),
-            ] {
-                r.values[slot] = n;
-            }
+            counts.drain_into(&mut r.values);
             record.publish(&r.values);
         }
         ts.tel.add_events(
@@ -1631,12 +1591,11 @@ impl Engine {
             .iter()
             .find(|r| r.name == query)
             .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
-        let ResultAccess::Map(name) = &qr.access;
         self.exec
             .db
-            .view(name)
+            .view(&qr.name)
             .map(|v| v.to_gmr())
-            .ok_or_else(|| RuntimeError::UnknownView(name.clone()))
+            .ok_or_else(|| RuntimeError::UnknownView(qr.name.clone()))
     }
 
     /// Direct access to a view's contents (for tests and debugging).
@@ -1709,7 +1668,6 @@ impl Engine {
     pub fn set_telemetry(&mut self, tel: Telemetry) {
         if !tel.is_enabled() {
             self.exec.tel = None;
-            self.exec.kernel.counter_slot = 0;
             return;
         }
         // Registered in name order (what the views' surfaces list), kept
@@ -1725,26 +1683,19 @@ impl Engine {
             })
             .collect();
         views.sort_unstable_by_key(|&(id, _)| id);
-        let views: Vec<Arc<ViewRecord>> = views.into_iter().map(|(_, v)| v).collect();
+        let views = views
+            .into_iter()
+            .map(|(_, v)| (v, LocalCounts::default()))
+            .collect();
         let slow_threshold_nanos = {
             let c = tel.config().expect("enabled handle");
             c.slow_batch_threshold.as_nanos().min(u64::MAX as u128) as u64
         };
-        // One kernel counter block per view; reset anything a previous
-        // attachment left behind so counts start from zero.
-        let n = views.len();
-        self.exec.kernel.ensure_counter_slots(n);
-        for c in &self.exec.kernel.counter_slots {
-            let _ = c.take();
-        }
-        self.exec.kernel.counter_slot = 0;
         self.exec.tel = Some(Box::new(TelemetryState {
             tel,
             batch_hist: LocalHistogram::new(),
             kernel_hist: LocalHistogram::new(),
             views,
-            pending_rows: vec![0; n],
-            pending_live: vec![0; n],
             flushed_events: self.exec.stats.events,
             flushed_batches: self.exec.stats.delta_batches,
             slow_threshold_nanos,
@@ -1760,8 +1711,8 @@ impl Engine {
     }
 
     /// Fold all locally buffered telemetry (latency histograms, event
-    /// totals, and per view its record: the rows and live firings buffered
-    /// here, the kernel's work counters and the store's
+    /// totals, and per view its record: its work counts since the last
+    /// flush and the store's
     /// [`ViewMap::readings`](crate::store::ViewMap::readings)) into the
     /// shared [`Telemetry`] atomics. Allocation-free; runs
     /// automatically every `TELEMETRY_FLUSH_BATCHES` (64) batches, and callers
@@ -2073,15 +2024,17 @@ mod tests {
             let mut per_event = Engine::new(program.clone(), &catalog());
             per_event.process_all(&events).unwrap();
             let mut batched = Engine::new(program, &catalog());
-            batched.set_run_recording(true);
-            let runs = batched
-                .process_batch(&DeltaBatch::from_events(&events))
-                .runs;
-            let runs: Vec<_> = runs
+            let batch = DeltaBatch::from_events(&events);
+            let runs: Vec<_> = batch
+                .runs()
                 .iter()
-                .map(|r| (r.relation.as_str(), r.events))
+                .map(|r| (r.relation(), r.events()))
                 .collect();
             assert_eq!(runs, [("R", 3), ("S", 2)], "mode {mode}");
+            // Every run of the admitted batch ran, once.
+            let report = batched.process_batch(&batch);
+            assert_eq!((report.failed_events, report.first_error), (0, None));
+            assert_eq!(batched.stats().batch_delta_runs, 2, "mode {mode}");
             for name in per_event.database().names() {
                 let (a, b) = (per_event.view(name).unwrap(), batched.view(name).unwrap());
                 assert!(a.equivalent(&b, 0.0), "view {name} differs in {mode}");

@@ -43,7 +43,7 @@ pub mod engine;
 mod ordered;
 pub mod store;
 
-pub use engine::{BatchReport, Engine, EngineStats, RunRecord, RuntimeError};
+pub use engine::{BatchReport, Engine, EngineStats, RuntimeError};
 pub use store::{Database, MapId, SnapshotWork, ViewMap};
 
 pub use dbtoaster_telemetry::{
@@ -52,7 +52,7 @@ pub use dbtoaster_telemetry::{
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::engine::{BatchReport, Engine, EngineStats, RunRecord, RuntimeError};
+    pub use crate::engine::{BatchReport, Engine, EngineStats, RuntimeError};
     pub use crate::store::{Database, MapId, SnapshotWork, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,

@@ -472,8 +472,8 @@ fn unpoisoned<G>(lock_result: Result<G, PoisonError<G>>) -> G {
 /// cheap one.
 const PATCH_BUDGET_DIVISOR: usize = 8;
 
-/// Work done by [`ViewMap::to_gmr`] since the view was created (summed over
-/// views by [`Database::snapshot_work`]). Timing-free: the counts depend only
+/// Work done by [`ViewMap::to_gmr`] since the view was created
+/// ([`ViewMap::snapshot_work`]). Timing-free: the counts depend only
 /// on the sequence of writes, snapshots and buffer holds.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotWork {
@@ -501,17 +501,6 @@ impl SnapshotWork {
     /// Full copies for any reason.
     pub fn full_copies(&self) -> u64 {
         self.first_copies + self.pinned_copies + self.abandoned_copies
-    }
-}
-
-impl std::ops::AddAssign for SnapshotWork {
-    fn add_assign(&mut self, o: SnapshotWork) {
-        self.keys_patched += o.keys_patched;
-        self.entries_copied += o.entries_copied;
-        self.first_copies += o.first_copies;
-        self.pinned_copies += o.pinned_copies;
-        self.abandoned_copies += o.abandoned_copies;
-        self.logs_abandoned += o.logs_abandoned;
     }
 }
 
@@ -1300,15 +1289,6 @@ impl Database {
             .zip(&self.maps)
             .map(|(n, v)| (n.clone(), v.to_gmr()))
             .collect()
-    }
-
-    /// Snapshot work summed over all views.
-    pub fn snapshot_work(&self) -> SnapshotWork {
-        let mut total = SnapshotWork::default();
-        for v in &self.maps {
-            total += v.snapshot_work();
-        }
-        total
     }
 }
 

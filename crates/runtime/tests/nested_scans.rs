@@ -11,6 +11,7 @@ use dbtoaster_agca::eval::{eval, Bindings};
 use dbtoaster_agca::{lower_statement, Expr, KernelState};
 use dbtoaster_gmr::Value;
 use dbtoaster_runtime::Database;
+use dbtoaster_telemetry::LocalCounts;
 
 #[test]
 fn nested_partial_scan_of_same_view_does_not_deadlock() {
@@ -44,7 +45,13 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     let mut state = KernelState::new();
     state.prepare(&stmt);
     state.frame[0] = Value::long(1);
-    stmt.execute(&db, &stmt.bind(&db), &mut state, true);
+    stmt.execute(
+        &db,
+        &stmt.bind(&db),
+        &mut state,
+        &LocalCounts::default(),
+        true,
+    );
     let totals = db.view("M").unwrap().index_totals();
     assert_eq!(
         (totals.get("indexes.hash"), totals.get("indexes.entries")),

@@ -6,9 +6,10 @@
 //! row by row, every sum in scan order — bit for bit, offenders included.
 
 use dbtoaster_agca::plan::template_mask;
-use dbtoaster_agca::{lower_statement, CmpOp, CompiledStmt, Expr, KernelState, KernelWork};
+use dbtoaster_agca::{lower_statement, CmpOp, CompiledStmt, Expr, KernelState};
 use dbtoaster_gmr::{Tuple, Value};
 use dbtoaster_runtime::Database;
+use dbtoaster_telemetry::{LocalCounts, ViewSummary};
 
 /// `R(A, B)`, `N(A)` and `P(B)`, filled with `rows`, with every ordered
 /// index `stmts` read declared when `indexed`.
@@ -35,22 +36,25 @@ fn database(rows: &[(&str, Vec<Value>, f64)], stmts: &[&CompiledStmt], indexed: 
 }
 
 /// Run `stmt` for trigger `y`: the rows' multiplicities as bits, and the work.
-fn run(stmt: &CompiledStmt, db: &Database, y: i64) -> (Vec<u64>, KernelWork) {
+fn run(stmt: &CompiledStmt, db: &Database, y: i64) -> (Vec<u64>, ViewSummary) {
     let mut state = KernelState::new();
     state.prepare(stmt);
     state.frame[0] = Value::long(y);
-    stmt.execute(db, &stmt.bind(db), &mut state, true);
+    let counts = LocalCounts::default();
+    stmt.execute(db, &stmt.bind(db), &mut state, &counts, true);
     let bits = state.out.iter().map(|r| r.1.to_bits()).collect();
-    (bits, state.counter_slots[0].take())
+    let mut work = ViewSummary::default();
+    counts.drain_into(&mut work.values);
+    (bits, work)
 }
 
 /// Run `stmt` over `rows` with and without its ordered indexes: the rows
 /// must be the same bits; the indexed run's work.
-fn same(stmt: &CompiledStmt, rows: &[(&str, Vec<Value>, f64)], y: i64) -> KernelWork {
+fn same(stmt: &CompiledStmt, rows: &[(&str, Vec<Value>, f64)], y: i64) -> ViewSummary {
     let (got, work) = run(stmt, &database(rows, &[stmt], true), y);
     let (walked, plain) = run(stmt, &database(rows, &[stmt], false), y);
     assert_eq!(got, walked, "with the indexes vs without, at y = {y}");
-    assert_eq!(plain.range_sum_hits, 0, "no index, no range sum");
+    assert_eq!(plain.get("range_sum_hits"), 0, "no index, no range sum");
     work
 }
 
@@ -100,11 +104,11 @@ fn band_sums_inside_a_loop_are_answered_from_the_ordered_index() {
         let work = same(&stmt, &book(None), y);
         // Eight outer rows, one lookup each; the loop is the one walk.
         assert_eq!(
-            (work.range_sum_hits, work.range_sum_bails),
+            (work.get("range_sum_hits"), work.get("range_sum_bails")),
             (8, 0),
             "y = {y}"
         );
-        assert_eq!(work.scans, 1);
+        assert_eq!(work.get("scans"), 1);
     }
     for (key, mult) in [
         (Value::double(0.5), 1.0),
@@ -114,7 +118,7 @@ fn band_sums_inside_a_loop_are_answered_from_the_ordered_index() {
         (Value::long(7), (1u64 << 53) as f64),
     ] {
         let work = same(&stmt, &book(Some((1, key.clone(), mult))), 1);
-        let (hits, bails) = (work.range_sum_hits, work.range_sum_bails);
+        let (hits, bails) = (work.get("range_sum_hits"), work.get("range_sum_bails"));
         assert!(bails > 0 && hits == 0, "{key} × {mult}: {work:?}");
     }
 }
@@ -164,7 +168,7 @@ fn quantile_filters_search_the_ordered_index_once_per_execution() {
             assert!(stmt.prelude.iter().all(|f| f.cut_pos.is_none()));
             for y in [1, 2, 9] {
                 let work = same(&stmt, &book(None), y);
-                let counts = (work.range_sum_hits, work.range_sum_bails);
+                let counts = (work.get("range_sum_hits"), work.get("range_sum_bails"));
                 assert_eq!(counts, (1, 0), "{band:?} {sum_left} {pass} at y = {y}");
             }
         }
@@ -183,7 +187,7 @@ fn quantile_filters_search_the_ordered_index_once_per_execution() {
         ] {
             let key = extra.1.clone();
             let work = same(&stmt, &book(Some(extra)), 1);
-            let got = (work.range_sum_hits, work.range_sum_bails);
+            let got = (work.get("range_sum_hits"), work.get("range_sum_bails"));
             assert_eq!(got, counts, "{key} (pass: {pass})");
         }
     }
@@ -233,9 +237,12 @@ fn quantile_filtered_sums_walk_only_the_cut() {
         assert_eq!(stmt.prelude.len(), 1);
         assert_eq!(stmt.prelude[0].cut_pos, Some(0));
         let work = same(&stmt, &prices(&[]), 0);
-        assert_eq!((work.range_sum_hits, work.range_sum_bails), (1, 0));
-        assert_eq!((work.fused_scans, work.scans), (1, 1));
-        assert!(work.entries_scanned < 30, "{work:?}");
+        assert_eq!(
+            (work.get("range_sum_hits"), work.get("range_sum_bails")),
+            (1, 0)
+        );
+        assert_eq!((work.get("fused_scans"), work.get("scans")), (1, 1));
+        assert!(work.get("entries_scanned") < 30, "{work:?}");
         let big = Value::long(1 << 50);
         for (extra, hits, walked) in [
             (vec![(Value::long(20), -5.0)], 40, true),
@@ -246,8 +253,8 @@ fn quantile_filtered_sums_walk_only_the_cut() {
         ] {
             let work = same(&stmt, &prices(&extra), 0);
             let ctx = format!("{extra:?}, weighted: {weighted}: {work:?}");
-            assert_eq!(work.range_sum_hits, hits, "{ctx}");
-            assert_eq!(work.entries_scanned > 40, walked, "{ctx}");
+            assert_eq!(work.get("range_sum_hits"), hits, "{ctx}");
+            assert_eq!(work.get("entries_scanned") > 40, walked, "{ctx}");
         }
     }
 }

@@ -8,6 +8,7 @@ use dbtoaster_agca::eval::{eval, matches_pattern, Bindings};
 use dbtoaster_agca::{lower_statement, Expr, KernelState};
 use dbtoaster_gmr::Value;
 use dbtoaster_runtime::Database;
+use dbtoaster_telemetry::LocalCounts;
 
 const ARITY: usize = 65;
 
@@ -94,7 +95,7 @@ fn check(trigger_vars: &[&str], var_at: impl Fn(usize) -> String, events: &[&[i6
             ctx.insert(name.clone(), Value::long(v));
         }
         state.out.clear();
-        stmt.execute(&db, &rels, &mut state, true);
+        stmt.execute(&db, &rels, &mut state, &LocalCounts::default(), true);
         let got: f64 = state.out.iter().map(|(_, m)| m).sum();
         let want: f64 = eval(&rhs, &db, &ctx).unwrap().iter().map(|(_, m)| m).sum();
         assert_eq!(got, want, "event {event:?} of {rhs}");

@@ -67,7 +67,7 @@ use crate::http::{HttpConfig, HttpExporter};
 use crate::results::{assemble_result, views_read, ResultRow, ResultTable};
 use crate::swap::EpochCell;
 use dbtoaster_agca::UpdateEvent;
-use dbtoaster_compiler::{ProgramExplain, ResultAccess, TriggerProgram};
+use dbtoaster_compiler::{ProgramExplain, TriggerProgram};
 use dbtoaster_durability::{DurabilityConfig, DurabilityError};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple};
 use dbtoaster_runtime::{Engine, EngineStats, MapId, RuntimeError};
@@ -306,10 +306,7 @@ impl PublishedViews {
             .flat_map(|q| &q.outputs)
             .flat_map(views_read)
             .collect();
-        for r in &engine.program().results {
-            let ResultAccess::Map(view) = &r.access;
-            wanted.push(view);
-        }
+        wanted.extend(engine.program().results.iter().map(|r| r.name.as_str()));
         wanted.sort_unstable();
         wanted.dedup();
         let db = engine.database();
@@ -519,23 +516,6 @@ impl ViewServer {
         })
     }
 
-    /// Start the HTTP exporter after the fact (no-op error if one is already
-    /// running); returns the bound address. Prefer [`ServerConfig::http`] so
-    /// the endpoints are live from the first event.
-    pub fn serve_http(&mut self, config: HttpConfig) -> Result<std::net::SocketAddr, ServeError> {
-        if let Some(h) = &self.http {
-            return Err(ServeError::Http(format!(
-                "exporter already listening on {}",
-                h.addr()
-            )));
-        }
-        let h = HttpExporter::spawn(self.shared.clone(), config)
-            .map_err(|e| ServeError::Http(e.to_string()))?;
-        let addr = h.addr();
-        self.http = Some(h);
-        Ok(addr)
-    }
-
     /// The HTTP exporter's bound address (useful with a `:0` config port),
     /// `None` when no exporter is running.
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
@@ -624,12 +604,8 @@ impl ViewServer {
                 });
             }
         }
-        // 2. A compiled program result (covers engine-level spawns).
-        if let Some(r) = self.shared.program.results.iter().find(|r| r.name == query) {
-            let ResultAccess::Map(view) = &r.access;
-            return Ok(view.clone());
-        }
-        // 3. A published view by its own name.
+        // 2. A published view by its own name, a compiled program result's
+        // included (covers engine-level spawns).
         if self.shared.published.slots.contains_key(query) {
             return Ok(query.to_string());
         }
@@ -980,13 +956,7 @@ impl ReaderHandle {
                     .map_err(ServeError::UnknownView);
             }
         }
-        if let Some(r) = self.shared.program.results.iter().find(|r| r.name == name) {
-            let ResultAccess::Map(v) = &r.access;
-            let gmr = snap
-                .view(v)
-                .ok_or_else(|| ServeError::UnknownView(v.clone()))?;
-            return Ok(table_from_gmr(name, gmr));
-        }
+        // A published view by its own name, a program result's included.
         match snap.view(name) {
             Some(g) => Ok(table_from_gmr(name, g)),
             None => Err(ServeError::UnknownQuery(name.to_string())),

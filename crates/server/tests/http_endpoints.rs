@@ -267,16 +267,6 @@ fn transport_rejects_what_it_must() {
     assert_eq!(garbage.status, 400);
 }
 
-#[test]
-fn exporter_can_start_after_spawn_but_only_once() {
-    let mut server = ViewServer::spawn(engine(), vec![], ServerConfig::default()).unwrap();
-    assert!(server.http_addr().is_none());
-    let addr = server.serve_http(HttpConfig::default()).unwrap();
-    assert_eq!(server.http_addr(), Some(addr));
-    assert_eq!(get(addr, "/healthz").status, 200);
-    assert!(server.serve_http(HttpConfig::default()).is_err());
-}
-
 /// A durable server over a scripted fault injector: quiet until the test
 /// flips `fail_writes_with`, so spawn's initial checkpoint + segment land.
 fn durable_server_with_fault() -> (

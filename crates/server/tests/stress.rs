@@ -23,7 +23,7 @@
 //!   snapshot the subscribed views between publishes.
 
 use dbtoaster_agca::{Expr, UpdateEvent};
-use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta, ResultAccess};
+use dbtoaster_compiler::{compile, Catalog, CompileOptions, QuerySpec, RelationMeta};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_runtime::Engine;
 use dbtoaster_server::{ServerConfig, Snapshot, ViewServer};
@@ -58,8 +58,7 @@ fn conservation_engine() -> (Engine, String, String) {
     let program = compile(&[total, cnt], &catalog(), &CompileOptions::default()).unwrap();
     let map_of = |name: &str| -> String {
         let r = program.results.iter().find(|r| r.name == name);
-        let ResultAccess::Map(m) = &r.expect("result present").access;
-        m.clone()
+        r.expect("result present").name.clone()
     };
     let (total_map, cnt_map) = (map_of("TOTAL"), map_of("CNT"));
     (Engine::new(program, &catalog()), total_map, cnt_map)
@@ -180,7 +179,7 @@ fn subscription_replay_reconstructs_final_view() {
         ),
     };
     let program = compile(&[per_key], &catalog(), &CompileOptions::default()).unwrap();
-    let ResultAccess::Map(view_name) = program.results[0].access.clone();
+    let view_name = program.results[0].name.clone();
     let engine = Engine::new(program, &catalog());
     let server = ViewServer::spawn(
         engine,
@@ -299,8 +298,8 @@ fn per_key_server() -> (ViewServer, [String; 3]) {
     ];
     let program = compile(&queries, &catalog(), &CompileOptions::default()).unwrap();
     let names = ["PER_KEY", "TOTAL", "CNT"].map(|q| {
-        let ResultAccess::Map(m) = &program.results.iter().find(|r| r.name == q).unwrap().access;
-        m.clone()
+        let r = program.results.iter().find(|r| r.name == q).unwrap();
+        r.name.clone()
     });
     let server = ViewServer::spawn(
         Engine::new(program, &catalog()),
@@ -510,8 +509,8 @@ fn subscriptions_stay_exact_under_checkpoints_and_cold_reads() {
     let queries = [spec("PER_KEY", vec!["a".into()]), spec("TOTAL", vec![])];
     let program = compile(&queries, &catalog(), &CompileOptions::default()).unwrap();
     let names = ["PER_KEY", "TOTAL"].map(|q| {
-        let ResultAccess::Map(m) = &program.results.iter().find(|r| r.name == q).unwrap().access;
-        m.clone()
+        let r = program.results.iter().find(|r| r.name == q).unwrap();
+        r.name.clone()
     });
     let dir = std::env::temp_dir().join(format!("dbt-sub-ckpt-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);

@@ -21,14 +21,17 @@
 //!    no fence. Readers never block writers: the only locks in the crate
 //!    guard the registration lists (touched once per name) and the trace
 //!    ring buffer (touched only by slow batches and by drains).
-//! 2. **Single-writer hot paths use [`LocalHistogram`].** A relaxed atomic add
+//! 2. **Single-writer hot paths use [`LocalHistogram`] and [`LocalCounts`].**
+//!    A relaxed atomic add
 //!    is cheap but not free (~5-10ns); the engine's fastest compiled queries
 //!    process an event in ~150ns, so even four atomic adds per event would
 //!    blow a few-percent overhead budget. A `LocalHistogram` is a plain
 //!    `u64` array owned by the writer — recording is an increment on an
 //!    L1-resident line (~1-2ns) — and is folded into the shared
 //!    [`Histogram`] by an explicit, amortized `flush_into` (the engine
-//!    flushes every 64 batches). Metrics readers therefore see engine-side
+//!    flushes every 64 batches). A view's work counts are the same idea per
+//!    [`VIEW_VALUES`] slot: a `LocalCounts` block per view, drained into its
+//!    [`ViewRecord`] on the same flush. Metrics readers therefore see engine-side
 //!    numbers with a bounded, documented lag; server-side stage guards
 //!    record straight into shared histograms because their rate is per
 //!    *micro-batch*, not per event.
@@ -61,8 +64,8 @@
 //! | path | cost | rate |
 //! |---|---|---|
 //! | `LocalHistogram::record` | ~1-2 ns (plain add) | per engine batch |
-//! | kernel counters (`Cell<u64>` in the executor) | ~1 ns | per scan/statement |
-//! | engine flush (fold locals + per-view pendings into atomics) | ~1-2 µs | every 64 batches |
+//! | [`LocalCounts::add`] (a view's work counts, `Cell<u64>`) | ~1 ns | per scan/statement |
+//! | engine flush (fold local histograms and counts into atomics) | ~1-2 µs | every 64 batches |
 //! | `Histogram::record` (shared, relaxed atomics) | ~20-30 ns | per server micro-batch / stage |
 //! | `StageGuard` (two `Instant::now` + record) | ~60 ns | per server micro-batch / stage |
 //! | trace assembly | allocates | only for batches over the slow threshold |
@@ -71,6 +74,7 @@
 //! enabled — is met by keeping everything that runs per *event* in the first
 //! two rows.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -604,6 +608,41 @@ impl ViewRecord {
         ViewSummary {
             name: name.to_string(),
             values: std::array::from_fn(|i| self.0[i].load(Relaxed)),
+        }
+    }
+}
+
+/// One view's work counts since the last flush: a plain `Cell<u64>` per
+/// [`VIEW_VALUES`] entry, owned by one writer — the per-view twin of
+/// [`LocalHistogram`]. Counting is an add on an L1-resident line, cheap
+/// enough for a kernel's inner loops (`add(const { slot_of("probes") }, 1)`);
+/// the owner folds the counts into the view's [`ViewRecord`] at its own
+/// cadence with [`LocalCounts::drain_into`].
+#[derive(Debug)]
+pub struct LocalCounts([Cell<u64>; N]);
+
+impl Default for LocalCounts {
+    fn default() -> Self {
+        LocalCounts(std::array::from_fn(|_| Cell::new(0)))
+    }
+}
+
+impl LocalCounts {
+    /// Count `n` into the value at position `slot` of [`VIEW_VALUES`].
+    #[inline]
+    pub fn add(&self, slot: usize, n: u64) {
+        let c = &self.0[slot];
+        c.set(c.get() + n);
+    }
+
+    /// Add the counts of every accumulating value
+    /// ([`ViewValue::accumulates`]) into `values` and zero them here; every
+    /// other slot of `values` is left as it is. Allocation-free.
+    pub fn drain_into(&self, values: &mut [u64; N]) {
+        for ((c, v), out) in self.0.iter().zip(&VIEW_VALUES).zip(values) {
+            if v.accumulates() {
+                *out += c.take();
+            }
         }
     }
 }
@@ -1384,6 +1423,32 @@ mod tests {
         assert_eq!(a.max_nanos, b.max_nanos);
         assert_eq!(a.p50_nanos, b.p50_nanos);
         assert_eq!(a.p99_nanos, b.p99_nanos);
+    }
+
+    #[test]
+    fn local_counts_drain_only_the_accumulating_values() {
+        let local = LocalCounts::default();
+        for slot in 0..N {
+            local.add(slot, 10 + slot as u64);
+        }
+        // Readings already in place, as a flush has them before the drain.
+        let readings = ViewSummary::default().with("map_size", 7).with("probes", 1);
+        let mut drained = readings.clone();
+        local.drain_into(&mut drained.values);
+        for (i, v) in VIEW_VALUES.iter().enumerate() {
+            let want = match v.accumulates() {
+                true => readings.values[i] + 10 + i as u64,
+                false => readings.values[i],
+            };
+            assert_eq!(drained.values[i], want, "{}", v.name);
+        }
+        assert_eq!(drained.get("probes"), 1 + 10 + slot_of("probes") as u64);
+        assert_eq!(drained.get("map_size"), 7);
+        assert_eq!(drained.get("snapshot_keys_patched"), 0);
+        // Everything drained: a second drain adds nothing.
+        let mut again = drained.clone();
+        local.drain_into(&mut again.values);
+        assert_eq!(again, drained);
     }
 
     /// Readers never block the writer: a recording thread pushes a known

@@ -9,8 +9,8 @@
 //!   per-event reference and the recomputed definitions (bit-exact on exact
 //!   data, [`FLOAT_EPS`] relative on float data); a held snapshot still holds
 //!   what it held; an engine recovered from a WAL cut equals one fed that
-//!   prefix bit for bit and, fed the rest, runs the same `RunRecord`s and
-//!   ends where the batched engine ended;
+//!   prefix bit for bit and, fed the rest, runs as many runs and statements
+//!   per batch and ends where the batched engine ended;
 //! * **work**: every batch runs exactly the statements its runs prescribe
 //!   ([`statements`]) — each `:=` tail once per run that changed anything —
 //!   and, on exact data, the kernels scan no more entries than each batch's
@@ -91,12 +91,21 @@ pub struct Work {
     pub range_sums: (u64, u64),
 }
 
-/// Attach the telemetry that counts [`Work`], and record runs.
+/// Attach the telemetry that counts [`Work`].
 pub fn instrument(engine: &mut Engine) -> Telemetry {
     let tel = Telemetry::with_config(TelemetryConfig::default());
     engine.set_telemetry(tel.clone());
-    engine.set_run_recording(true);
     tel
+}
+
+/// Process `batch`: its report, and the batch-delta runs and statements it
+/// ran.
+fn process(engine: &mut Engine, batch: &DeltaBatch) -> (BatchReport, (u64, u64)) {
+    let steps = |e: &Engine| (e.stats().batch_delta_runs, e.stats().statements);
+    let before = steps(engine);
+    let report = engine.process_batch(batch);
+    let after = steps(engine);
+    (report, (after.0 - before.0, after.1 - before.1))
 }
 
 pub fn work(engine: &mut Engine, tel: &Telemetry) -> Work {
@@ -273,6 +282,7 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     let imaged = imaged.unwrap_or_default();
     let mut images = BTreeMap::new();
     let mut reports = Vec::with_capacity(cuts.len());
+    let mut ran_per_batch = Vec::with_capacity(cuts.len());
     for i in 0..=cuts.len() {
         if hold_at == Some(i) {
             held = Some(hold(&batched, program));
@@ -284,7 +294,9 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
             let refused = case.ill_typed.filter(|at| r.contains(at));
             let b = batch(r);
             prescribed += statements(program, &b, refused.map(|at| &case.events[at]));
-            reports.push(batched.process_batch(&b));
+            let (report, ran) = process(&mut batched, &b);
+            reports.push(report);
+            ran_per_batch.push(ran);
         }
     }
     let done = work(&mut batched, &tel);
@@ -333,10 +345,13 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
 
     if let Some((stop, checkpoint)) = wal {
         let mut resumed = recovered(case, program, &cuts[..stop], checkpoint, &images, &ctx);
-        resumed.set_run_recording(true);
         for (i, r) in cuts.iter().enumerate().skip(stop) {
-            let runs = resumed.process_batch(&batch(r)).runs;
-            assert_eq!(runs, reports[i].runs, "{ctx}: batch {i} after recovery");
+            let (report, ran) = process(&mut resumed, &batch(r));
+            assert_eq!(
+                (ran, report.failed_events),
+                (ran_per_batch[i], reports[i].failed_events),
+                "{ctx}: batch {i} after recovery: (runs, statements) and refusals"
+            );
         }
         let resumed = resumed.snapshot();
         same("recovered and resumed", &view, &reader(&resumed), eps);
