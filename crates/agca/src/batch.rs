@@ -106,13 +106,16 @@
 //! statements that must be bound to it (re-evaluation statements fire once
 //! per run, as the last event's firing is the one whose output survives) —
 //! also in a run some of whose entries were taken out
-//! ([`DeltaBatch::retain_into`]). A run indexes its entries by key hash —
+//! ([`RelationDelta::retain_into`], how the engine's ingest gate drops a
+//! refused entry from its run). A run indexes its entries by key hash —
 //! positions, not keys, so a new key moves into its entry uncloned — only
 //! once it holds a second one: a one-entry run — every batch of one event —
 //! compares the next key with its entry instead, so it hashes nothing. All
 //! buffers — the run pool, the per-run entry list and collapse index — are
-//! recycled by [`DeltaBatch::clear`], so a steady-state producer (including
-//! the engine's own batch-of-1 wrapper around `process`) allocates nothing.
+//! recycled by [`DeltaBatch::clear`], so a steady-state producer allocates
+//! nothing but the keys it builds. The engine takes a single event as one
+//! recycled run ([`RelationDelta::assign`]), whose wide key is refilled in
+//! its own slab.
 
 use crate::delta::{UpdateEvent, UpdateSign};
 use dbtoaster_gmr::{FastMap, Tuple};
@@ -210,6 +213,34 @@ impl RelationDelta {
     pub fn collapsed_events(&self) -> u64 {
         let firings: u64 = self.entries.iter().map(|e| e.firings() as u64).sum();
         self.events.saturating_sub(firings)
+    }
+
+    /// Make this run the run of `event` alone, keeping its buffers: its one
+    /// entry's key is refilled in place ([`Tuple::assign`]), so a recycled
+    /// run allocates nothing for a wide event while nothing else holds the
+    /// key. How the engine takes a single event.
+    pub fn assign(&mut self, event: &UpdateEvent) {
+        self.entries.truncate(1);
+        let mut key = self.entries.pop().map_or_else(Tuple::new, |e| e.key);
+        key.assign(&event.tuple);
+        self.reset(&event.relation, key.len());
+        self.push_key(key, event.sign);
+    }
+
+    /// Rebuild this run into `out` without the entries `keep` refuses,
+    /// keeping the rest in order. Returns the stream events the refused
+    /// entries held. A kept entry keeps its last event's position, so the
+    /// run's last event is the last one kept.
+    pub fn retain_into(
+        &self,
+        out: &mut RelationDelta,
+        mut keep: impl FnMut(&DeltaEntry) -> bool,
+    ) -> u64 {
+        out.reset(&self.relation, self.arity);
+        for e in self.entries.iter().filter(|e| keep(e)) {
+            out.fold(e.key.clone(), e.mult, e.events, e.last);
+        }
+        self.events - out.events
     }
 
     /// Re-initialize this (pooled) run for a new relation, keeping buffer
@@ -384,40 +415,6 @@ impl DeltaBatch {
     /// Events across all runs whose work vanished through ring cancellation.
     pub fn collapsed_events(&self) -> u64 {
         self.runs().iter().map(|r| r.collapsed_events()).sum()
-    }
-
-    /// Rebuild this batch into `out` without the entries `keep` refuses,
-    /// keeping runs and entries in order and dropping a run left empty.
-    /// Returns the stream events the refused entries held. A kept entry
-    /// keeps its last event's position, so a run's last event is the last
-    /// one kept.
-    pub fn retain_into(
-        &self,
-        out: &mut DeltaBatch,
-        mut keep: impl FnMut(&RelationDelta, &DeltaEntry) -> bool,
-    ) -> u64 {
-        out.clear();
-        let mut refused = 0u64;
-        for run in self.runs() {
-            let mut dst: Option<usize> = None;
-            for e in &run.entries {
-                if !keep(run, e) {
-                    refused += e.events as u64;
-                    continue;
-                }
-                let at = *dst.get_or_insert_with(|| {
-                    if out.live == out.runs.len() {
-                        out.runs.push(RelationDelta::default());
-                    }
-                    out.runs[out.live].reset(&run.relation, run.arity);
-                    out.live += 1;
-                    out.live - 1
-                });
-                out.runs[at].fold(e.key.clone(), e.mult, e.events, e.last);
-            }
-        }
-        out.events = self.events - refused;
-        refused
     }
 }
 
@@ -617,8 +614,8 @@ mod tests {
         assert_eq!(r.entries()[0].mult, 0.0);
     }
 
-    /// Refused entries leave, with their events; a run left empty goes,
-    /// and the last event kept is the run's last event.
+    /// Refused entries leave, with their events, and the last event kept is
+    /// the run's last event.
     #[test]
     fn retain_into_drops_refused_entries_and_their_events() {
         let events = [
@@ -631,28 +628,49 @@ mod tests {
             ins("S", &[5, 5]),
         ];
         let b = DeltaBatch::from_events(&events);
-        let mut out = DeltaBatch::new();
+        let mut out = RelationDelta::default();
         let nines = |e: &DeltaEntry| e.key.as_slice() == [Value::long(9), Value::long(9)];
-        let refused = b.retain_into(&mut out, |_, e| !nines(e));
-        assert_eq!((refused, out.events()), (3, 4));
-        let runs = out.runs();
-        assert_eq!(runs.len(), 2);
-        assert_eq!((runs[0].relation(), runs[0].events()), ("R", 3));
-        assert_eq!(runs[0].entries()[0].mult, 2.0);
-        let (sign, key) = runs[0].last_event().unwrap();
+        let refused = b.runs()[0].retain_into(&mut out, |e| !nines(e));
+        assert_eq!((refused, out.events()), (2, 3));
+        assert_eq!((out.relation(), out.entries().len()), ("R", 2));
+        assert_eq!(out.entries()[0].mult, 2.0);
+        let (sign, key) = out.last_event().unwrap();
         assert_eq!(
             (sign, key.as_slice()),
             (UpdateSign::Insert, &[Value::long(1), Value::long(2)][..])
         );
-        assert_eq!((runs[1].relation(), runs[1].events()), ("S", 1));
+        let refused = b.runs()[1].retain_into(&mut out, |e| !nines(e));
+        assert_eq!((refused, out.relation(), out.events()), (1, "S", 1));
+        // A run left empty holds no event.
+        let refused = b.runs()[1].retain_into(&mut out, |_| false);
+        assert_eq!((refused, out.events()), (2, 0));
+        assert!(out.entries().is_empty() && out.last_event().is_none());
         // The run's last event, refused: the one before it is kept.
         let b = DeltaBatch::from_events(&events[..3]);
-        b.retain_into(&mut out, |_, e| !nines(e));
-        let (sign, key) = out.runs()[0].last_event().unwrap();
+        b.runs()[0].retain_into(&mut out, |e| !nines(e));
+        let (sign, key) = out.last_event().unwrap();
         assert_eq!(
             (sign, key.as_slice()),
             (UpdateSign::Delete, &[Value::long(3), Value::long(4)][..])
         );
+    }
+
+    /// A run assigned one event is that event's batch of one, whatever it
+    /// held, and a wide key's slab is refilled in place.
+    #[test]
+    fn an_assigned_run_is_the_batch_of_its_event() {
+        let wide = |v: i64| ins("R", &[v, v, v, v, v]);
+        let mut run =
+            DeltaBatch::from_events(&[ins("R", &[1, 2]), del("R", &[3, 4])]).runs()[0].clone();
+        for event in [wide(1), del("S", &[2]), wide(3), wide(4)] {
+            let slab = run.entries().first().map(|e| e.key.as_ptr());
+            run.assign(&event);
+            assert_same_run(&DeltaBatch::from_events([&event]).runs()[0], &run);
+            assert!(run.index.is_empty());
+            if event.tuple[0] == Value::long(4) {
+                assert_eq!(slab, Some(run.entries()[0].key.as_ptr()));
+            }
+        }
     }
 
     /// Assert two runs are the same run, entry for entry: relation, arity,

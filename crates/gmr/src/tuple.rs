@@ -12,8 +12,10 @@
 //! Both representations make `clone` cheap — at most [`INLINE_CAP`] `Value` clones
 //! (a `Value` clone is a memcpy or an `Arc` refcount bump) or a single refcount bump —
 //! which is what lets the runtime maintain secondary indexes without per-event
-//! allocations. Tuples are immutable after construction except for [`Tuple::push`],
-//! which is only used on cold paths.
+//! allocations. A spilled tuple built from a slice or an iterator of known length
+//! allocates its slab once. Tuples are immutable after construction except for
+//! [`Tuple::push`], which is only used on cold paths, and [`Tuple::assign`], which
+//! refills a recycled key (in its slab, when nothing else holds it).
 
 use crate::value::Value;
 use std::borrow::Borrow;
@@ -106,6 +108,19 @@ impl Tuple {
                 self.repr = Repr::Heap(values.into());
             }
         }
+    }
+
+    /// Make this tuple hold `values`: in place when it is the only holder of
+    /// a heap slab of that length, else rebuilt. A recycled wide key is
+    /// refilled without allocating.
+    pub fn assign(&mut self, values: &[Value]) {
+        if let Repr::Heap(slab) = &mut self.repr {
+            if let Some(slab) = Arc::get_mut(slab).filter(|s| s.len() == values.len()) {
+                slab.clone_from_slice(values);
+                return;
+            }
+        }
+        *self = Tuple::from(values);
     }
 
     /// Does the tuple live in the inline representation?
@@ -208,14 +223,11 @@ impl FromIterator<Value> for Tuple {
                 buf[len] = v;
                 len += 1;
             } else {
-                // Spill: move the inline prefix plus the rest into one Vec.
-                let (lo, _) = it.size_hint();
-                let mut values = Vec::with_capacity(INLINE_CAP + 1 + lo);
-                values.extend(buf);
-                values.push(v);
-                values.extend(it);
+                // Spill: the inline prefix plus the rest, straight into the
+                // slab — one allocation when the iterator knows its length.
+                let values = buf.into_iter().chain(std::iter::once(v)).chain(it);
                 return Tuple {
-                    repr: Repr::Heap(values.into()),
+                    repr: Repr::Heap(values.collect()),
                 };
             }
         }
@@ -244,7 +256,13 @@ impl From<Vec<Value>> for Tuple {
 impl From<&[Value]> for Tuple {
     #[inline]
     fn from(values: &[Value]) -> Tuple {
-        values.iter().cloned().collect()
+        if values.len() <= INLINE_CAP {
+            values.iter().cloned().collect()
+        } else {
+            Tuple {
+                repr: Repr::Heap(Arc::from(values)),
+            }
+        }
     }
 }
 
@@ -356,6 +374,27 @@ mod tests {
         assert_eq!(v, tup);
         assert_eq!(Vec::<Value>::from(tup.clone()), v);
         assert_eq!(tup.to_vec(), v);
+    }
+
+    #[test]
+    fn assign_refills_a_held_slab_and_rebuilds_a_shared_one() {
+        let mut tup = t(&[1, 2, 3, 4, 5]);
+        let slab = tup.as_slice().as_ptr();
+        tup.assign(&t(&[6, 7, 8, 9, 10]));
+        assert_eq!(
+            (tup.clone(), tup.as_slice().as_ptr()),
+            (t(&[6, 7, 8, 9, 10]), slab)
+        );
+        let shared = tup.clone();
+        tup.assign(&t(&[1, 1, 1, 1, 1]));
+        assert_eq!(
+            (tup.clone(), shared),
+            (t(&[1, 1, 1, 1, 1]), t(&[6, 7, 8, 9, 10]))
+        );
+        tup.assign(&t(&[4, 5]));
+        assert!(tup.is_inline() && tup == t(&[4, 5]));
+        tup.assign(&t(&[1, 2, 3, 4]));
+        assert_eq!(tup, t(&[1, 2, 3, 4]));
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! The engine owns the [`Database`] of views, stored base relations and static tables.
 //! Its native unit of work is the [`DeltaBatch`]: per-relation GMR deltas built from a
 //! slice of the update stream (insert = `+1`, delete = `−1`, same-key events collapsed
-//! by ring addition — see [`dbtoaster_agca::batch`]). [`Engine::process`] is the
-//! degenerate batch of one event; [`Engine::process_batch`] is the real entry point the
-//! serving writer and WAL replay use.
+//! by ring addition — see [`dbtoaster_agca::batch`]), each run gated and executed
+//! through one entry. [`Engine::process_batch`] hands it a batch's runs, as the
+//! serving writer and WAL replay do; [`Engine::process`] hands it one event as a
+//! recycled run of one entry.
 //!
 //! Per single-tuple firing the execution order is the paper's (Section 7.2):
 //!
@@ -52,7 +53,7 @@
 //!    degenerate run: an empty phase 1 and one re-evaluation per run instead of one per
 //!    event.
 //!
-//! A run of one firing — [`Engine::process`], the batch of one event — is the same
+//! A run of one firing — [`Engine::process`]'s run of one event — is the same
 //! sequence for one event. Every run of every relation takes this one executor, as
 //! its relation's plan (`TriggerProgram::relation_plans`) states it: `compile` refuses
 //! a program whose plans do not derive, and [`Engine::new`] panics on one, naming the
@@ -95,8 +96,10 @@
 //! not, is a corrupt program and panics where it runs. A map declared later — one only
 //! a restored snapshot holds — is resolved when it is declared. What stays a string
 //! hash is one lookup per run: its relation's name → the relation's resolved record
-//! (its column types for the gate, its dispatch, its stored base map). An event of a
-//! relation no trigger reads and no map stores is gated and counted, and nothing else.
+//! (its column types for the gate, its dispatch, its stored base map). The gate checks
+//! a run's entries against that record; when it refuses one, a recycled copy of that
+//! run without it runs instead, so no other run is copied. A run of a relation no
+//! trigger reads and no map stores is gated and counted, and nothing else.
 //!
 //! ## Per-view work
 //!
@@ -321,12 +324,6 @@ impl Relation {
                 reason,
             })
     }
-
-    /// Does an event of this relation touch nothing — no trigger reads it and
-    /// no map stores it? Such an event is gated and counted only.
-    fn is_inert(&self) -> bool {
-        self.dispatch.is_none() && self.base.is_none()
-    }
 }
 
 impl Bound {
@@ -462,18 +459,14 @@ struct Executor {
     rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
     bd: BdScratch,
-    /// Recycled batch-of-1 for [`Engine::process`] (zero-allocation wrapper).
-    single: DeltaBatch,
-    /// Recycled copy of a batch without the entries the gate refused.
-    admitted: DeltaBatch,
+    /// Recycled one-entry run [`Engine::process`] assigns its event.
+    event: RelationDelta,
+    /// Recycled copy of a run without the entries the gate refused.
+    admitted: RelationDelta,
     /// The catalog's relations, resolved ([`Relation`]), and their positions
     /// by name: the one string lookup of a run.
     relations: Vec<Relation>,
     relation_ids: FastMap<String, u32>,
-    /// Per run of the batch being processed: its position in `relations`
-    /// (`None`: a relation the catalog does not declare, which the gate
-    /// refuses).
-    run_rels: Vec<Option<u32>>,
     /// `[trigger][statement]` → the statement's kernel, resolved.
     stmts: Vec<Vec<Bound>>,
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
@@ -515,7 +508,7 @@ struct RunScratch {
 
 /// Engine-side telemetry buffers. Everything recorded per event or per batch
 /// lands in plain-integer locals (no atomics, no extra clock reads on the
-/// batch-of-1 path beyond the pre-existing busy-time pair); the shared
+/// single-event path beyond the pre-existing busy-time pair); the shared
 /// [`Telemetry`] atomics are touched only by [`Engine::flush_telemetry`],
 /// which runs automatically every [`TELEMETRY_FLUSH_BATCHES`] batches.
 struct TelemetryState {
@@ -534,7 +527,7 @@ struct TelemetryState {
     flushed_batches: u64,
     slow_threshold_nanos: u64,
     /// Span timing armed for the current batch (big enough to amortize the
-    /// per-run/per-statement clock reads; never the batch-of-1 path).
+    /// per-run/per-statement clock reads; never a single event).
     armed: bool,
     runs: Vec<RunScratch>,
     runs_live: usize,
@@ -643,6 +636,15 @@ fn view_counts<'a>(
         .unwrap_or(discard)
 }
 
+/// The gate's refusal of an event or a row of a relation the catalog does
+/// not declare.
+fn undeclared(relation: &str) -> RuntimeError {
+    RuntimeError::Refused {
+        relation: relation.to_string(),
+        reason: "the catalog declares no such relation".into(),
+    }
+}
+
 /// Total rows one buffered statement will apply: emitted rows times the
 /// per-entry repetition count.
 fn segs_rows(segs: &[Seg]) -> u64 {
@@ -740,11 +742,10 @@ impl Engine {
             discard: LocalCounts::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
-            single: DeltaBatch::new(),
-            admitted: DeltaBatch::new(),
+            event: RelationDelta::default(),
+            admitted: RelationDelta::default(),
             relations,
             relation_ids,
-            run_rels: Vec::new(),
             stmts,
             inits: unbound(program.maps.len()),
             tel: None,
@@ -897,7 +898,7 @@ impl Engine {
             self.exec.relation_ids.contains_key(name),
             self.exec.db.id(name),
         ) {
-            (false, _) => Err(refused("the catalog declares no such relation")),
+            (false, _) => Err(undeclared(name)),
             (true, None) => Err(refused("it is a stream no map stores")),
             (true, Some(_)) => rows.iter().try_for_each(|r| self.admits_row(name, r)),
         }
@@ -958,37 +959,41 @@ impl Engine {
         Ok(())
     }
 
-    /// Process a single update event: the degenerate batch of one. Exactly
-    /// equivalent to the historical per-event path — one run, one entry, one
-    /// firing — after one lookup of the event's relation. An event of a
-    /// relation no trigger reads and no map stores is gated and counted
-    /// only. Any other is copied into the recycled batch of one, so an event
-    /// of arity at most [`dbtoaster_gmr::tuple::INLINE_CAP`] (3), whose key
-    /// stays inline, allocates nothing in steady state; a wider one —
-    /// Lineitem's 16 columns, the order book's 5 — spills its key to one heap
-    /// slab per call. Past that copy each statement reads the event's columns
-    /// in place and fills a kernel slot only with a value it does not already
-    /// hold, and a map write moves the key its statement built.
+    /// Process a single update event: one run of one entry, through the
+    /// gated run every batch run takes (see [`Engine::process_batch`]), after
+    /// one lookup of the event's relation. The event is assigned to a
+    /// recycled one-entry run whose key is refilled in place
+    /// ([`RelationDelta::assign`]), so an event allocates nothing in steady
+    /// state at any arity — unless the previous event's key spilled past
+    /// [`dbtoaster_gmr::tuple::INLINE_CAP`] (3) and a stored base map kept
+    /// it: then the key is built in one new heap slab. Past that each
+    /// statement reads the event's columns in place and fills a kernel slot
+    /// only with a value it does not already hold, and a map write moves
+    /// the key its statement built.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
-        let report = self.exec.process(&self.program, event);
-        match report.first_error {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        let t0 = Instant::now();
+        let mut run = std::mem::take(&mut self.exec.event);
+        run.assign(event);
+        let report = self
+            .exec
+            .execute(&self.program, t0, std::slice::from_ref(&run), 1);
+        self.exec.event = run;
+        report.first_error.map_or(Ok(()), Err)
     }
 
     /// Process a delta batch, one batch-delta pass per relation run (see the
-    /// module docs). The gate goes first: an entry [`Engine::admits`] would
-    /// refuse is taken out of the batch, with its events counted in
-    /// [`BatchReport::failed_events`], and the rest is processed as if it had
-    /// never held them.
+    /// module docs), each run gated as it comes: an entry [`Engine::admits`]
+    /// would refuse is taken out of its run, with its events counted in
+    /// [`BatchReport::failed_events`], and the rest is processed as if the
+    /// batch had never held them. A run of a relation the catalog does not
+    /// declare is refused whole.
     pub fn process_batch(&mut self, batch: &DeltaBatch) -> BatchReport {
         if batch.is_empty() {
             return BatchReport::default();
         }
         let t0 = Instant::now();
-        self.exec.resolve_runs(batch);
-        self.exec.execute(&self.program, t0, batch)
+        self.exec
+            .execute(&self.program, t0, batch.runs(), batch.events())
     }
 
     /// Process a sequence of events one at a time, stopping at the first error
@@ -1010,130 +1015,88 @@ impl Executor {
     fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
         match self.relation_ids.get(relation) {
             Some(&r) => self.relations[r as usize].admits(row),
-            None => Err(RuntimeError::Refused {
-                relation: relation.to_string(),
-                reason: "the catalog declares no such relation".into(),
-            }),
+            None => Err(undeclared(relation)),
         }
-    }
-
-    /// Resolve each run of `batch` to its relation: `run_rels`, one lookup a
-    /// run.
-    fn resolve_runs(&mut self, batch: &DeltaBatch) {
-        self.run_rels.clear();
-        let ids = &self.relation_ids;
-        let runs = batch.runs().iter();
-        self.run_rels
-            .extend(runs.map(|run| ids.get(run.relation()).copied()));
     }
 
     // -----------------------------------------------------------------------
     // Batch execution
     // -----------------------------------------------------------------------
 
-    /// [`Engine::process`].
-    fn process(&mut self, program: &TriggerProgram, event: &UpdateEvent) -> BatchReport {
-        let t0 = Instant::now();
-        let rel = self.relation_ids.get(&event.relation).copied();
-        if let Some(r) = rel.filter(|&r| self.relations[r as usize].is_inert()) {
-            let mut report = BatchReport {
-                events: 1,
-                ..BatchReport::default()
-            };
-            if let Err(e) = self.relations[r as usize].admits(&event.tuple) {
-                report.failed_events = 1;
-                report.first_error = Some(e);
-            }
-            self.arm(report.events);
-            self.end_batch(t0, &report, false);
-            return report;
-        }
-        let mut single = std::mem::take(&mut self.single);
-        single.clear();
-        single.push(event);
-        self.run_rels.clear();
-        self.run_rels.push(rel);
-        let report = self.execute(program, t0, &single);
-        self.single = single;
-        report
-    }
-
-    /// [`Engine::process_batch`] of a non-empty batch, started at `t0`, whose
-    /// runs `run_rels` resolves.
+    /// Process the `runs` of a batch of `events` events, started at `t0`:
+    /// each run through [`Executor::run`] after one lookup of its relation.
     fn execute(
         &mut self,
         program: &TriggerProgram,
         t0: Instant,
-        batch: &DeltaBatch,
+        runs: &[RelationDelta],
+        events: u64,
     ) -> BatchReport {
         let mut report = BatchReport {
-            events: batch.events(),
+            events,
             ..BatchReport::default()
         };
-        // The ingest gate: a batch holding an entry it refuses is processed
-        // as a copy without that entry.
-        let mut admitted: Option<DeltaBatch> = None;
-        let admits_run = |(run, r): (&RelationDelta, &Option<u32>)| {
-            let rel = r.map(|r| &self.relations[r as usize]);
-            rel.is_some_and(|rel| run.entries().iter().all(|e| rel.admits(&e.key).is_ok()))
-        };
-        if !batch.runs().iter().zip(&self.run_rels).all(admits_run) {
-            let mut scratch = std::mem::take(&mut self.admitted);
-            let mut first = None;
-            report.failed_events = batch.retain_into(&mut scratch, |run, e| {
-                let refused = self.admits_row(run.relation(), &e.key).err();
-                let admitted = refused.is_none();
-                first = first.take().or(refused);
-                admitted
-            });
-            report.first_error = first;
-            self.resolve_runs(&scratch);
-            admitted = Some(scratch);
-        }
-        let source: &DeltaBatch = admitted.as_ref().unwrap_or(batch);
-        let armed = self.arm(report.events);
-        let mut run_count = 0u32;
-        let mut fired = false;
-        let run_rels = std::mem::take(&mut self.run_rels);
-        for (run, rel) in source.runs().iter().zip(&run_rels) {
-            let rel = rel.expect("the gate admits only relations the catalog declares");
-            let rt0 = if armed {
-                self.tel
-                    .as_deref_mut()
-                    .expect("armed implies tel")
-                    .begin_run(run.relation(), run.events(), run.entries().len());
-                Some(Instant::now())
-            } else {
-                None
-            };
-            fired = self.process_run(program, run, rel);
-            run_count += 1;
-            if let Some(rt0) = rt0 {
-                let nanos = rt0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-                self.tel
-                    .as_deref_mut()
-                    .expect("armed implies tel")
-                    .end_run(fired, nanos);
+        let armed = self.arm(events);
+        let (mut ran, mut fired) = (0u32, false);
+        for run in runs {
+            match self.relation_ids.get(run.relation()) {
+                Some(&rel) => {
+                    if let Some(f) = self.run(program, rel, run, &mut report) {
+                        (ran, fired) = (ran + 1, f);
+                    }
+                }
+                None => {
+                    report.failed_events += run.events();
+                    report
+                        .first_error
+                        .get_or_insert_with(|| undeclared(run.relation()));
+                }
             }
         }
-        self.run_rels = run_rels;
-        self.stats.batch_events_collapsed += source.collapsed_events();
-        if let Some(a) = admitted {
-            self.admitted = a;
-        }
-        // Kernel attribution without extra clock reads: a single-run batch
-        // (the overwhelmingly common case, and always the batch-of-1 path)
-        // is its one run, so the whole batch measurement is the run's
-        // kernel-execute time. Multi-run batches were attributed per run
-        // above when armed.
-        let whole = fired && run_count == 1 && !armed;
-        self.end_batch(t0, &report, whole);
+        // Kernel attribution without extra clock reads: a batch that ran one
+        // run (the overwhelmingly common case, and always a single event)
+        // is that run, so the whole batch measurement is the run's
+        // kernel-execute time. Armed batches were attributed per run.
+        self.end_batch(t0, &report, fired && ran == 1 && !armed);
         report
     }
 
+    /// The one entry of every run, a batch's or [`Engine::process`]'s: gate
+    /// `run` against relation `rel` (its position in `relations`), counting
+    /// each refused entry's events and the first refusal into `report`, and
+    /// process what the gate admits — the run itself, or a recycled copy of
+    /// it without the refused entries, unless that copy is empty. Returns
+    /// whether it fired triggers, or `None` when nothing was left to run.
+    fn run(
+        &mut self,
+        program: &TriggerProgram,
+        rel: u32,
+        run: &RelationDelta,
+        report: &mut BatchReport,
+    ) -> Option<bool> {
+        let relation = &self.relations[rel as usize];
+        if run
+            .entries()
+            .iter()
+            .all(|e| relation.admits(&e.key).is_ok())
+        {
+            return Some(self.process_run(program, run, rel));
+        }
+        let mut admitted = std::mem::take(&mut self.admitted);
+        report.failed_events += run.retain_into(&mut admitted, |e| {
+            let refused = relation.admits(&e.key).err();
+            let kept = refused.is_none();
+            report.first_error = report.first_error.take().or(refused);
+            kept
+        });
+        let fired = (admitted.events() > 0).then(|| self.process_run(program, &admitted, rel));
+        self.admitted = admitted;
+        fired
+    }
+
     /// Arm per-run/per-statement span timing for a batch of `events` events
-    /// if it is big enough to amortize the extra clock reads — never the
-    /// batch-of-1 path. Returns whether it armed.
+    /// if it is big enough to amortize the extra clock reads — never a
+    /// lone event. Returns whether it armed.
     fn arm(&mut self, events: u64) -> bool {
         match self.tel.as_deref_mut() {
             Some(ts) => {
@@ -1175,21 +1138,37 @@ impl Executor {
         }
     }
 
-    /// Run one run of relation `rel` (its position in `relations`). Returns
-    /// whether it fired triggers (`false` when it applied only a base
-    /// update).
+    /// Run one admitted run of relation `rel` (its position in `relations`),
+    /// in a span of its own when the batch armed span timing. Returns whether
+    /// it fired triggers (`false` when it applied at most a base update: a
+    /// relation no trigger reads, and no map either when it is not stored).
     fn process_run(&mut self, program: &TriggerProgram, run: &RelationDelta, rel: u32) -> bool {
+        let armed = self.tel.as_deref_mut().filter(|ts| ts.armed);
+        let rt0 = armed.map(|ts| {
+            ts.begin_run(run.relation(), run.events(), run.entries().len());
+            Instant::now()
+        });
+        self.stats.batch_events_collapsed += run.collapsed_events();
         let rel = &self.relations[rel as usize];
-        let Some(disp) = rel.dispatch else {
-            // No trigger for this relation under either sign (e.g. an update
-            // to a relation no query depends on): still keep the stored base
-            // relation consistent.
-            self.apply_base_run(rel.base, run);
-            return false;
+        let fired = match rel.dispatch {
+            Some(disp) => {
+                self.run_batch_delta(program, disp, run);
+                self.stats.batch_delta_runs += 1;
+                true
+            }
+            None => {
+                self.apply_base_run(rel.base, run);
+                false
+            }
         };
-        self.run_batch_delta(program, disp, run);
-        self.stats.batch_delta_runs += 1;
-        true
+        if let Some(rt0) = rt0 {
+            let nanos = rt0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+            self.tel
+                .as_deref_mut()
+                .expect("armed implies tel")
+                .end_run(fired, nanos);
+        }
+        fired
     }
 
     /// A statement-span start time, taken only when the current batch armed
@@ -1341,7 +1320,7 @@ impl Executor {
         self.bd.live = 0;
         self.bd.base_applied = false;
         // With at most one firing there is nothing for it to interact with —
-        // which also keeps the batch-of-1 path free of any live-pass work.
+        // which also keeps a single event free of any live-pass work.
         let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
         let live = disp.live_pass && firings > 1;
         // First deferred-statement slot of each sign's trigger (where there
@@ -2053,20 +2032,25 @@ mod tests {
         let mut engine = Engine::new(program, &catalog());
         let string = vec![Value::long(2), Value::str("x")];
         let events = vec![
-            UpdateEvent::insert("R", long_tuple(&[1, 1])),
-            UpdateEvent::insert("R", long_tuple(&[9])), // wrong arity: its own run
-            UpdateEvent::insert("R", string.clone()),   // a string in a number column
             UpdateEvent::insert("S", long_tuple(&[7, 7])),
+            UpdateEvent::insert("S", long_tuple(&[8, 8])),
+            UpdateEvent::delete("S", long_tuple(&[8, 8])), // collapses, admitted
+            UpdateEvent::insert("R", long_tuple(&[9])),    // wrong arity: its own run
+            UpdateEvent::delete("R", long_tuple(&[9])),    // collapses, refused
+            UpdateEvent::insert("R", long_tuple(&[1, 1])),
+            UpdateEvent::insert("R", string.clone()), // a string in a number column
             UpdateEvent::insert("Nope", long_tuple(&[7])), // not in the catalog
         ];
         let batch = DeltaBatch::from_events(&events);
         let report = engine.process_batch(&batch);
-        assert_eq!(report.events, 5);
-        assert_eq!(report.failed_events, 3);
-        assert!(matches!(
-            report.first_error,
-            Some(RuntimeError::Refused { .. })
-        ));
+        assert_eq!(report.events, 8);
+        assert_eq!(report.failed_events, 4);
+        // The first refusal in batch order: the wrong-arity run, which comes
+        // after the admitted `S` run and before `R`'s string entry.
+        assert_eq!(
+            report.first_error.map(|e| e.to_string()).as_deref(),
+            Some("event for R refused: 1 values for 2 columns")
+        );
         let refused = engine
             .admits(&UpdateEvent::insert("R", string))
             .unwrap_err();
@@ -2074,8 +2058,10 @@ mod tests {
             refused.to_string(),
             "event for R refused: column B is a number, not Str(\"x\")"
         );
-        // The good events around the refused ones are fully applied.
-        assert_eq!(engine.stats().events, 2);
+        // The good events around the refused ones are fully applied, and
+        // only the admitted runs' cancelled pairs count as collapsed.
+        assert_eq!(engine.stats().events, 4);
+        assert_eq!(engine.stats().batch_events_collapsed, 2);
         assert_eq!(engine.result("Q").unwrap().scalar_value(), 1.0);
     }
 }

@@ -181,6 +181,89 @@ fn compiled_path_with_telemetry_allocates_nothing_in_steady_state() {
     assert_eq!(snap.events, 3 * batch.len() as u64);
 }
 
+/// A spilled key built from a slice costs one allocation: its slab, filled
+/// in place, with no staging vector in between. So does one projected by
+/// an iterator of known length.
+#[test]
+fn a_wide_tuple_from_a_slice_allocates_once() {
+    use dbtoaster_gmr::tuple::{project, Tuple};
+    let values: Vec<Value> = (0..8).map(Value::long).collect();
+    let before = alloc_count();
+    let tuple = Tuple::from(values.as_slice());
+    let allocs = alloc_count() - before;
+    assert!(!tuple.is_inline());
+    assert_eq!(tuple, values);
+    assert_eq!(
+        allocs, 1,
+        "an arity-8 tuple from a slice allocated {allocs} times"
+    );
+    let before = alloc_count();
+    let projected = project(&values, &[7, 6, 5, 4, 3]);
+    let allocs = alloc_count() - before;
+    assert_eq!(projected.len(), 5);
+    assert_eq!(allocs, 1, "an arity-5 projection allocated {allocs} times");
+}
+
+/// An event wider than `INLINE_CAP` allocates nothing either: `process`
+/// refills its recycled run's key in place, so an arity-8 stream whose base
+/// map is not stored, churned through a keyed `+=` statement, reads 0 per
+/// call in steady state — and so does an arity-8 relation no view reads,
+/// interleaved in the same stream.
+#[test]
+fn wide_events_allocate_nothing_in_steady_state() {
+    let columns = ["A", "B", "C", "D", "E", "F", "G", "H"];
+    let catalog = [
+        RelationMeta::stream("W", columns),
+        RelationMeta::stream("INERT", columns),
+    ]
+    .into_iter()
+    .collect();
+    let vars = ["a", "b", "c", "d", "e", "f", "g", "h"];
+    let q = QuerySpec {
+        name: "BY_A".into(),
+        out_vars: vec!["a".into()],
+        expr: Expr::agg_sum(
+            ["a"],
+            Expr::product_of([Expr::rel("W", vars), Expr::var("h")]),
+        ),
+    };
+    let program = compile(
+        &[q],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    assert!(program.stored_relations.is_empty(), "no base map is stored");
+    let mut engine = Engine::new(program, &catalog);
+
+    let row = |k: i64| (0..8).map(|c| Value::long(k % 4 + c)).collect::<Vec<_>>();
+    let churn: Vec<UpdateEvent> = (0..64)
+        .flat_map(|k| {
+            [
+                UpdateEvent::insert("W", row(k)),
+                UpdateEvent::insert("INERT", row(k)),
+                UpdateEvent::delete("W", row(k)),
+                UpdateEvent::delete("INERT", row(k)),
+            ]
+        })
+        .collect();
+    engine.process_all(&churn).unwrap();
+    engine.process_all(&churn).unwrap();
+
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "arity-8 events allocated {allocs} times over {} steady-state calls",
+        churn.len()
+    );
+    // Not vacuous: every event was admitted and the statement ran.
+    assert_eq!(engine.stats().events, 3 * churn.len() as u64);
+    assert!(engine.stats().statements >= 3 * churn.len() as u64 / 2);
+}
+
 /// The batch-delta live pass reuses its buffers: a keyed self-join reads the
 /// auxiliary map its own run writes, so every multi-entry run fires that
 /// statement entry by entry and writes the map as it goes — deferred row

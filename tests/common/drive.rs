@@ -25,7 +25,7 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
-use dbtoaster::agca::{DeltaBatch, UpdateEvent, UpdateSign};
+use dbtoaster::agca::{DeltaBatch, RelationDelta, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{Catalog, CompileMode, RelationPlan, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
 use dbtoaster::durability::{program_fingerprint, recover, write_checkpoint, FsyncPolicy};
@@ -151,13 +151,14 @@ pub fn statements(
     batch: &DeltaBatch,
     refused: Option<&UpdateEvent>,
 ) -> u64 {
-    let mut admitted = DeltaBatch::default();
-    batch.retain_into(&mut admitted, |run, e| {
-        refused.is_none_or(|r| r.relation != run.relation() || r.tuple[..] != e.key[..])
-    });
     let plans = plans(program);
+    let mut admitted = RelationDelta::default();
     let mut n = 0;
-    for run in admitted.runs() {
+    for run in batch.runs() {
+        run.retain_into(&mut admitted, |e| {
+            refused.is_none_or(|r| r.relation != run.relation() || r.tuple[..] != e.key[..])
+        });
+        let run = &admitted;
         let Some(plan) = plans.iter().find(|p| p.relation == run.relation()) else {
             continue;
         };
