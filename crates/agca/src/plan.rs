@@ -229,6 +229,36 @@
 //! changes per row), a weight in the member (the sum is not of
 //! multiplicities), or another aggregate in the member — `psp`'s outer sum,
 //! which compares the scanned volume with `0.0001 ×` a total.
+//!
+//! ## Sibling statements fused into one kernel
+//!
+//! A trigger often holds statements that do the same work and differ only in
+//! what they add: TPC-H q1's six Lineitem statements share the key
+//! `[returnflag]` and the guard `shipdate <= 19980901`, and add the
+//! quantity, the price, the discounted price or one. [`CompiledStmt::fuse`]
+//! runs such siblings as one kernel. Each member's plan is taken apart into
+//! its **frame** — the plan with the value ops ([`Op::ConstMult`],
+//! [`Op::SlotMult`], and [`Op::ScalarMult`]s that read no map) taken out of
+//! each term — and its **value**, one [`SiblingTerm`] per term. The members
+//! must have the same frame, key slots, relation table and prelude. The
+//! fused kernel walks that frame once per execution, so the guard is tested
+//! once and the key built once per row; its [`Sink::Siblings`] applies every
+//! member's value ops to the row and pushes the member's row into the
+//! member's own buffer.
+//!
+//! **Exactness.** A member's multiplicity comes from the same `f64`
+//! products, in the same order, as its own plan, and a member emits a row
+//! exactly when its own plan would. Value ops that end a product stay where
+//! they are. A nonzero constant before them joins the value only when
+//! filters, lifts and other such constants are all that follows it: they
+//! pass a multiplicity on unchanged, so its products do not change.
+//! The executor's zero short-circuit is replayed per value op, and after a
+//! moved constant that ends the value (`zero_drops`). A slot or a probe
+//! never moves. A sum qualifies term by term only when its terms share one
+//! frame that emits at most one row, as q1's `extendedprice * (1 -
+//! discount)` does: its own plan emits each term's row back to back, and so
+//! does the fused sink. Each member's rows collapse by key in its own buffer
+//! as one statement's rows collapse in its own.
 
 use crate::eval::{product_order_by, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
@@ -632,6 +662,33 @@ pub struct CompiledStmt {
     /// 3–5 of 16 columns, and per-entry seeding is a large share of a small
     /// kernel's batch cost.
     pub used_trigger_slots: Vec<Slot>,
+    /// What becomes of a row the plan emits: one statement's row, or one row
+    /// per sibling statement fused into this kernel ([`CompiledStmt::fuse`]).
+    pub sink: Sink,
+}
+
+/// What a kernel does with each `(frame, multiplicity)` row its plan emits.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub enum Sink {
+    /// One statement: the row under the key, into [`KernelState::out`].
+    #[default]
+    Rows,
+    /// Sibling statements fused into one kernel (see the module docs on
+    /// sibling statements): per member, in statement order, the terms of its
+    /// value. Member `i`'s rows go into [`KernelState::siblings`]`[i]`.
+    Siblings(Vec<Vec<SiblingTerm>>),
+}
+
+/// One term of a fused member's value: what the member's own plan multiplies
+/// a row of the shared frame by.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SiblingTerm {
+    /// Its value ops — [`Op::ConstMult`], [`Op::SlotMult`] and
+    /// [`Op::ScalarMult`]s that read no map — in the member's plan order.
+    pub values: Vec<Op>,
+    /// Did a frame op follow the last of them in the member's own plan? Then
+    /// that op's zero short-circuit drops a row whose product is zero.
+    pub zero_drops: bool,
 }
 
 // ---------------------------------------------------------------------------
@@ -989,6 +1046,7 @@ pub fn lower_statement(
         scratch_maps: lw.scratch_maps,
         trigger_slots: trigger_vars.len() as u16,
         used_trigger_slots: Vec::new(),
+        sink: Sink::Rows,
     };
     hoist_invariant_subsums(&mut stmt);
     stmt.used_trigger_slots = used_trigger_slots(&stmt);
@@ -1882,6 +1940,175 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Sibling statements fused into one kernel
+// ---------------------------------------------------------------------------
+
+/// Is `op` a value op a fused member keeps for itself: a multiplier that
+/// reads no map?
+fn is_value_op(op: &Op) -> bool {
+    match op {
+        Op::ConstMult(_) | Op::SlotMult(_) => true,
+        Op::ScalarMult(s) => {
+            let mut pure = true;
+            Node::Scalar(s).walk(&mut |n| {
+                pure &= matches!(n, Node::Scalar(_));
+                pure
+            });
+            pure
+        }
+        _ => false,
+    }
+}
+
+/// Does `op` pass its multiplicity on unchanged (a filter or a lift), so a
+/// nonzero constant may cross it?
+fn passes_mult(op: &Op) -> bool {
+    matches!(
+        op,
+        Op::CmpFilter { .. } | Op::LiftBind { .. } | Op::LiftEq { .. }
+    )
+}
+
+/// Does a frame emit at most one row per walk: no scan, sum or `Exists`?
+fn single_row(frame: &[Op]) -> bool {
+    let mut one = true;
+    for op in frame {
+        Node::Op(op).walk(&mut |n| match n {
+            Node::Op(Op::Scan { .. } | Op::Sum(_) | Op::Exists { .. } | Op::Threshold(_)) => {
+                one = false;
+                false
+            }
+            // A scalar is one value, whatever it sums.
+            Node::Scalar(_) => false,
+            Node::Op(_) => one,
+        });
+    }
+    one
+}
+
+/// Are two plan parts the same, as they render? `==` would equate a
+/// `Long(2)` constant with a `Double(2.0)`, which bind different keys.
+fn same<T: std::fmt::Debug>(a: &T, b: &T) -> bool {
+    format!("{a:?}") == format!("{b:?}")
+}
+
+/// The factors of a plan term: a product's, or the op itself.
+fn factors(op: &Op) -> &[Op] {
+    match op {
+        Op::Product(ops) => ops,
+        _ => std::slice::from_ref(op),
+    }
+}
+
+/// Take a term's factors apart into its frame and its value. The trailing
+/// value ops are the value; before them a nonzero constant joins the value
+/// when only filters, lifts and other such constants follow it — the
+/// products it takes part in are then the same — and every other factor
+/// stays in the frame, in order.
+fn split_term(factors: &[Op]) -> (Vec<Op>, SiblingTerm) {
+    let (mut frame, mut values) = (Vec::new(), Vec::new());
+    let (mut trailing, mut crossable, mut zero_drops) = (true, true, false);
+    for op in factors.iter().rev() {
+        if trailing && is_value_op(op) {
+            values.push(op.clone());
+            continue;
+        }
+        trailing = false;
+        match op {
+            Op::ConstMult(c) if *c != 0.0 && crossable => {
+                zero_drops |= values.is_empty();
+                values.push(op.clone());
+            }
+            _ => {
+                crossable &= passes_mult(op);
+                frame.push(op.clone());
+            }
+        }
+    }
+    frame.reverse();
+    values.reverse();
+    (frame, SiblingTerm { values, zero_drops })
+}
+
+impl CompiledStmt {
+    /// This kernel with each term's value ops taken out — what fused
+    /// siblings must share, with `frame_size` and `used_trigger_slots`
+    /// cleared, which values may widen — and the terms taken out. A sum
+    /// whose terms share one single-row frame splits term by term: per row,
+    /// its terms emit back to back, as its own plan emits them; any other
+    /// plan is one term. `None` for a kernel that is already fused.
+    fn frame(&self) -> Option<(CompiledStmt, Vec<SiblingTerm>)> {
+        if self.sink != Sink::Rows {
+            return None;
+        }
+        let summed = match &self.plan {
+            Op::Sum(terms) => {
+                let split: Vec<_> = terms.iter().map(|t| split_term(factors(t))).collect();
+                match split.first() {
+                    Some((f, _)) if single_row(f) && split.iter().all(|(g, _)| same(g, f)) => {
+                        let f = f.clone();
+                        Some((f, split.into_iter().map(|(_, t)| t).collect()))
+                    }
+                    _ => None,
+                }
+            }
+            _ => None,
+        };
+        let (frame, terms) = summed.unwrap_or_else(|| {
+            let (frame, term) = split_term(factors(&self.plan));
+            (frame, vec![term])
+        });
+        let plan = match <[Op; 1]>::try_from(frame) {
+            Ok([op]) => op,
+            Err(ops) => Op::Product(ops),
+        };
+        let frame = CompiledStmt {
+            plan,
+            frame_size: 0,
+            used_trigger_slots: Vec::new(),
+            ..self.clone()
+        };
+        Some((frame, terms))
+    }
+
+    /// How this kernel's frame renders — kernels whose frames render the same
+    /// fuse ([`CompiledStmt::fuse`]) — or `None` for a fused kernel.
+    pub fn frame_shape(&self) -> Option<String> {
+        self.frame().map(|(frame, _)| format!("{frame:?}"))
+    }
+
+    /// Fuse sibling statements into one kernel: one walk of the frame they
+    /// share, and per row each member's own value ops into its own row
+    /// buffer (see the module docs on sibling statements). `None` unless
+    /// every member is one statement's kernel and all have the same frame
+    /// as it renders — the plan once each term's value ops are taken out,
+    /// with the same key slots, relation table, prelude and buffers.
+    pub fn fuse(members: &[&CompiledStmt]) -> Option<CompiledStmt> {
+        let mut frames = members.iter().map(|m| m.frame());
+        let (mut fused, lead) = frames.next()??;
+        let shape = format!("{fused:?}");
+        let mut sinks = vec![lead];
+        for f in frames {
+            let (frame, terms) = f?;
+            if format!("{frame:?}") != shape {
+                return None;
+            }
+            sinks.push(terms);
+        }
+        let mut used: Vec<Slot> = members
+            .iter()
+            .flat_map(|m| m.used_trigger_slots.iter().copied())
+            .collect();
+        used.sort_unstable();
+        used.dedup();
+        fused.frame_size = members.iter().map(|m| m.frame_size).max()?;
+        fused.used_trigger_slots = used;
+        fused.sink = Sink::Siblings(sinks);
+        Some(fused)
+    }
+}
+
 impl CompiledStmt {
     /// Every `(relation, template)` the kernel reads with a pattern that
     /// leaves a position free — plan scans wherever they sit (sub-sums,
@@ -2045,6 +2272,12 @@ pub struct KernelState {
     cuts: Vec<Cut>,
     /// Buffered `(key, multiplicity)` emissions of the last execution.
     pub out: Vec<(Tuple, f64)>,
+    /// A fused kernel's row buffers ([`Sink::Siblings`]): member `i`
+    /// appends to `siblings[i]`, which its caller lends it, one buffer per
+    /// member.
+    pub siblings: Vec<Vec<(Tuple, f64)>>,
+    /// Where each member's rows of the executing fused kernel start.
+    sibling_floors: Vec<usize>,
 }
 
 impl KernelState {
@@ -2053,8 +2286,9 @@ impl KernelState {
         KernelState::default()
     }
 
-    /// Size the buffers for a statement and clear the output. Must be called
-    /// (and the trigger slots seeded) before [`CompiledStmt::execute`].
+    /// Size the buffers for a statement. Must be called (and the trigger
+    /// slots seeded) before [`CompiledStmt::execute`], which appends to the
+    /// row buffers ([`KernelState::rows_of`]).
     pub fn prepare(&mut self, stmt: &CompiledStmt) {
         if self.frame.len() < stmt.frame_size as usize {
             self.frame.resize(stmt.frame_size as usize, Value::Long(0));
@@ -2085,7 +2319,22 @@ impl KernelState {
         if self.cuts.len() < stmt.thresholds as usize {
             self.cuts.resize(stmt.thresholds as usize, Cut::Unsearched);
         }
-        self.out.clear();
+    }
+
+    /// The row buffers an execution of `stmt` appends to: [`KernelState::out`],
+    /// or a fused kernel's one per member ([`KernelState::siblings`]). A
+    /// caller lends its own buffers by swapping them in, and takes them back
+    /// the same way.
+    pub fn rows_of(&mut self, stmt: &CompiledStmt) -> &mut [Vec<(Tuple, f64)>] {
+        match &stmt.sink {
+            Sink::Rows => std::slice::from_mut(&mut self.out),
+            Sink::Siblings(members) => {
+                if self.siblings.len() < members.len() {
+                    self.siblings.resize_with(members.len(), Vec::new);
+                }
+                &mut self.siblings[..members.len()]
+            }
+        }
     }
 }
 
@@ -2134,6 +2383,8 @@ fn loop_key(v: &Value) -> Option<f64> {
 enum Tail<'a> {
     /// Statement sink: materialize the key from `key_slots` and push a row.
     Rows,
+    /// Fused sink: per member, its value ops, then its row.
+    Siblings(&'a [Vec<SiblingTerm>]),
     /// Scalar sub-plan sink: add the multiplicity to the accumulator.
     Acc(&'a Cell<f64>),
     /// `Exists` sink: accumulate into a group map keyed by `slots`.
@@ -2183,6 +2434,10 @@ struct Exec<'a> {
     /// entry's rows are applied a different number of times).
     merge_floor: usize,
     key_slots: &'a [Slot],
+    /// A fused kernel's member buffers, and where each member's rows of this
+    /// execution start (its `merge_floor`).
+    siblings: &'a mut [Vec<(Tuple, f64)>],
+    sibling_floors: &'a [usize],
 }
 
 /// The value of a value operation, which the type checker has made total
@@ -2294,6 +2549,26 @@ impl Exec<'_> {
         self.patterns[buf as usize] = pattern;
     }
 
+    /// Does `key` hold the frame's key values?
+    #[inline]
+    fn holds_key(&self, key: &Tuple) -> bool {
+        key.len() == self.key_slots.len()
+            && self
+                .key_slots
+                .iter()
+                .enumerate()
+                .all(|(i, &s)| key[i] == self.frame[s as usize])
+    }
+
+    /// The frame's key, built.
+    #[inline]
+    fn key(&self) -> Tuple {
+        self.key_slots
+            .iter()
+            .map(|&s| self.frame[s as usize].clone())
+            .collect()
+    }
+
     /// Deliver an emission to the continuation.
     fn finish(&mut self, mult: f64, tail: &Tail) {
         match tail {
@@ -2303,27 +2578,15 @@ impl Exec<'_> {
                 // slots) collapse into one row, so applying the buffer costs
                 // one map write per key run instead of one per emission —
                 // never across an entry boundary (`merge_floor`).
-                if self.out.len() > self.merge_floor {
-                    if let Some(last) = self.out.last_mut() {
-                        if last.0.len() == self.key_slots.len()
-                            && self
-                                .key_slots
-                                .iter()
-                                .enumerate()
-                                .all(|(i, &s)| last.0[i] == self.frame[s as usize])
-                        {
-                            last.1 += mult;
-                            return;
-                        }
-                    }
+                let n = self.out.len();
+                if n > self.merge_floor && self.holds_key(&self.out[n - 1].0) {
+                    self.out[n - 1].1 += mult;
+                    return;
                 }
-                let key: Tuple = self
-                    .key_slots
-                    .iter()
-                    .map(|&s| self.frame[s as usize].clone())
-                    .collect();
+                let key = self.key();
                 self.out.push((key, mult));
             }
+            Tail::Siblings(members) => self.siblings(mult, members),
             Tail::Acc(acc) => acc.set(acc.get() + mult),
             Tail::Group { map, slots } => {
                 let key: Tuple = slots
@@ -2341,6 +2604,55 @@ impl Exec<'_> {
                 None => self.finish(mult, rest),
             },
         }
+    }
+
+    /// Deliver a row of a fused kernel's frame to every member, in statement
+    /// order (see the module docs on sibling statements): per term, its value
+    /// ops as the member's own plan applies them ([`Exec::term`]), then its
+    /// row, into the member's buffer — collapsed into the member's last row
+    /// under the same key, as [`Tail::Rows`] collapses, or pushed under a key
+    /// built once for the frame row and cloned for every later member.
+    fn siblings(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
+        // The member whose last row holds this frame row's key, once built.
+        let mut built: Option<usize> = None;
+        for (i, terms) in members.iter().enumerate() {
+            for term in terms {
+                let Some(m) = self.term(mult, term) else {
+                    continue;
+                };
+                let n = self.siblings[i].len();
+                if n > self.sibling_floors[i] && self.holds_key(&self.siblings[i][n - 1].0) {
+                    self.siblings[i][n - 1].1 += m;
+                    continue;
+                }
+                let key = match built {
+                    Some(b) => self.siblings[b].last().expect("the built key").0.clone(),
+                    None => self.key(),
+                };
+                self.siblings[i].push((key, m));
+                built = Some(i);
+            }
+        }
+    }
+
+    /// A member term's multiplicity for a frame row of multiplicity `m`: the
+    /// same products, in the same order, as the member's own plan, which
+    /// [`Exec::exec`] stops at a zero multiplicity before each value op —
+    /// and, where a filter or a lift followed the term's last value op,
+    /// after it (`zero_drops`). `None` where the member's plan emits no row.
+    fn term(&mut self, mut m: f64, term: &SiblingTerm) -> Option<f64> {
+        for op in &term.values {
+            if m == 0.0 {
+                return None;
+            }
+            m *= match op {
+                Op::ConstMult(c) => *c,
+                Op::SlotMult(slot) => total(self.names, self.frame[*slot as usize].as_f64()),
+                Op::ScalarMult(s) => total(self.names, self.eval_scalar(s).as_f64()),
+                _ => unreachable!("a fused member's value holds value ops only"),
+            };
+        }
+        (!(term.zero_drops && m == 0.0)).then_some(m)
     }
 
     /// Execute one op with an incoming multiplicity.
@@ -2692,13 +3004,14 @@ impl Exec<'_> {
 impl CompiledStmt {
     /// Execute the kernel against a relation source through the relation ids
     /// `rels` bound against it ([`CompiledStmt::bind`]), **appending** its
-    /// `(key, multiplicity)` rows to `state.out`; a batch executor tracks
-    /// entry boundaries itself. Its work — probes, scans, entries visited,
-    /// fused scans, range-sum hits and bails — is counted into `counts` (in
-    /// the engine, the block of the view the statement writes). The caller
-    /// must have called
-    /// [`KernelState::prepare`] and seeded `state.frame[0..trigger_slots]`
-    /// from the event tuple.
+    /// `(key, multiplicity)` rows to `state.out` — a fused kernel's, member
+    /// `i`'s rows to `state.siblings[i]` ([`KernelState::rows_of`]); a batch
+    /// executor tracks entry boundaries itself. Its work — probes, scans,
+    /// entries visited, fused scans, range-sum hits and bails — is counted
+    /// into `counts` (in the engine, the block of the view the statement
+    /// writes; a fused kernel's counts once for all its members). The caller
+    /// must have called [`KernelState::prepare`] and seeded
+    /// `state.frame[0..trigger_slots]` from the event tuple.
     ///
     /// For one entry of a delta batch after the first, `run_invariant_preludes`
     /// is `false`: prelude scans marked [`FusedScan::entry_invariant`] are
@@ -2727,6 +3040,15 @@ impl CompiledStmt {
         cached.fill(None);
         let cuts = &mut state.cuts[..self.thresholds as usize];
         cuts.fill(Cut::Unsearched);
+        let tail = match &self.sink {
+            Sink::Rows => Tail::Rows,
+            Sink::Siblings(members) => {
+                let lent = &state.siblings[..members.len()];
+                state.sibling_floors.clear();
+                state.sibling_floors.extend(lent.iter().map(Vec::len));
+                Tail::Siblings(members)
+            }
+        };
         let mut exec = Exec {
             src,
             rels,
@@ -2741,13 +3063,15 @@ impl CompiledStmt {
             out: &mut state.out,
             merge_floor,
             key_slots: &self.key_slots,
+            siblings: &mut state.siblings,
+            sibling_floors: &state.sibling_floors,
         };
         for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {
                 exec.run_prelude(fs);
             }
         }
-        exec.exec(&self.plan, 1.0, &Tail::Rows);
+        exec.exec(&self.plan, 1.0, &tail);
     }
 }
 
@@ -2868,6 +3192,69 @@ mod tests {
         (std::mem::take(&mut state.out), work)
     }
 
+    /// Sibling statements fused into one kernel hand every member exactly
+    /// the rows its own kernel emits, bit for bit: over a scan, weighted by a
+    /// column, by a float constant or by nothing; over a guard, with a
+    /// constant moved past it, a sum of two terms on it and no value at all,
+    /// where the guard passes and where it does not. A sum over a scan would
+    /// emit its terms' rows term after term, so it fuses with nothing, and
+    /// neither do different frames.
+    #[test]
+    fn fused_siblings_emit_each_members_own_rows() {
+        let lowered = |rhs: Expr, key: &str| {
+            lower_statement(&["y".to_string()], &[key.to_string()], &rhs).unwrap()
+        };
+        let fused_rows = |stmt: &CompiledStmt, src: &MemSource, y: i64| {
+            let Sink::Siblings(members) = &stmt.sink else {
+                panic!("not fused: {stmt:?}")
+            };
+            let mut state = KernelState::new();
+            state.siblings.resize_with(members.len(), Vec::new);
+            state.prepare(stmt);
+            state.frame[0] = Value::long(y);
+            let counts = LocalCounts::default();
+            stmt.execute(src, &stmt.bind(src), &mut state, &counts, true);
+            state.siblings
+        };
+        let bits = |rows: &[(Tuple, f64)]| -> Vec<(Tuple, u64)> {
+            rows.iter().map(|(k, m)| (k.clone(), m.to_bits())).collect()
+        };
+        let src = db();
+        let r = || Expr::rel("R", ["a", "b"]);
+        let guard = || Expr::cmp(OpC::Gt, Expr::var("y"), Expr::val(0i64));
+        let scan = [
+            Expr::product_of([r(), Expr::var("b")]),
+            Expr::product_of([r(), Expr::val(0.1)]),
+            r(),
+        ]
+        .map(|rhs| lowered(rhs, "a"));
+        let y = || Expr::var("y");
+        let guarded = [
+            Expr::product_of([Expr::val(-1i64), guard(), y()]),
+            Expr::product_of([Expr::val(-0.3), guard()]),
+            Expr::sum_of([
+                Expr::product_of([guard(), y()]),
+                Expr::product_of([Expr::val(-1i64), guard(), y(), y()]),
+            ]),
+            guard(),
+        ]
+        .map(|rhs| lowered(rhs, "y"));
+        for members in [&scan[..], &guarded[..]] {
+            let refs: Vec<&CompiledStmt> = members.iter().collect();
+            let fused = CompiledStmt::fuse(&refs).expect("siblings fuse");
+            for y in [-2, 0, 3] {
+                let got = fused_rows(&fused, &src, y);
+                for (m, rows) in members.iter().zip(&got) {
+                    let alone = run_with(m, &src, y).0;
+                    assert_eq!(bits(rows), bits(&alone), "{:?} at y = {y}", m.plan);
+                }
+            }
+        }
+        let summed = Expr::sum_of([r(), Expr::product_of([r(), Expr::var("b")])]);
+        assert!(CompiledStmt::fuse(&[&scan[2], &lowered(summed, "a")]).is_none());
+        assert!(CompiledStmt::fuse(&[&scan[0], &guarded[0]]).is_none());
+    }
+
     /// A band sum whose bound an enclosing scan binds becomes a lookup into
     /// the ordered index of the group it scans, which the kernel lists among
     /// its ordered reads. A source without ordered indexes answers none of
@@ -2935,6 +3322,7 @@ mod tests {
             scratch_maps: lw.scratch_maps,
             trigger_slots: 1,
             used_trigger_slots: vec![0],
+            sink: Sink::Rows,
         }
     }
 

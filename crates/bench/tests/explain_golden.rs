@@ -9,7 +9,9 @@
 //! (`vwap`) and one that reads them under a lift and a comparison (`q17a`). A
 //! census pins, per compile mode, how many relations the workload's programs
 //! trigger on and how many of them have a non-empty live pass, so a change
-//! that silently sends more statements firing by firing fails by name. `axf` pins the range-sum
+//! that silently sends more statements firing by firing fails by name;
+//! another pins the sibling groups of the benchmark's query sets, whose
+//! statements run as one kernel (`q1`'s `fused:` lines are a golden too). `axf` pins the range-sum
 //! story: its fused prelude scans print as `range-sum … ordered@t<i>`, each map
 //! they read gets a `== map … ==` block with its ordered index, and a second
 //! census pins which maps of which queries carry one. `vwap` and `mst` pin
@@ -141,6 +143,13 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 "none (no statement reads run-written state)"
             );
             assert!(!text.contains("run: live"), "{text}");
+            // The six aggregates run as one kernel per trigger, printed
+            // under the live pass.
+            let fused = "live pass: none (no statement reads run-written state)\n\
+                         fused: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on insert)\n\
+                         fused: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on delete)\n\
+                         on insert:\n";
+            assert!(text.contains(fused), "{text}");
         }
         "bsp" => {
             assert_eq!(
@@ -423,5 +432,99 @@ fn ordered_index_census_per_compile_mode() {
             _ => &[],
         };
         assert_eq!(declared, expected, "[{mode}]");
+    }
+}
+
+/// Sibling-group census: per bundled program (the benchmark's four query
+/// sets) and compile mode, every trigger with a group, as `relation/sign:
+/// statements → kernels [members]…`. A group runs its `+=` statements as one
+/// kernel, so a change to the rule that decides them fails here by name.
+/// q1's six aggregates are one group wherever q1 runs incrementally; in
+/// higher-order mode `tpch_dash`'s Lineitem also fuses q3's and q10's
+/// price and discounted-price maps, and the order-book programs fuse the
+/// volume-and-count map pairs each side keeps (`m_axf_3` adds the volume,
+/// `m_axf_4` one, under the same key, with nothing else to walk).
+/// Re-evaluation has no `+=` statements to fuse, and `vwap` no siblings.
+#[test]
+fn fused_group_census_per_compile_mode() {
+    const DURABLE: &[&str] = &["q1", "q6", "q12"];
+    const DASH: &[&str] = &["q1", "q3", "q6", "q10", "q12", "ssb4"];
+    const BOOK: &[&str] = &["axf", "bsp", "bsv"];
+    const Q1: &str = "[q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5]";
+    let census = |names: &[&str], mode: CompileMode| -> Vec<String> {
+        let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+        for name in names {
+            let q = workloads::query(name).unwrap();
+            builder = builder.add_query(q.name, q.sql);
+        }
+        let engine = builder
+            .build()
+            .unwrap_or_else(|e| panic!("{names:?} [{mode}]: {e}"));
+        let program = engine.program();
+        let mut lines = Vec::new();
+        for plan in program.relation_plans().expect("compiled programs derive") {
+            for t in [plan.insert, plan.delete].into_iter().flatten() {
+                let trigger = &program.triggers[t];
+                let groups: Vec<_> = plan.fused.iter().filter(|g| g.trigger == t).collect();
+                if groups.is_empty() {
+                    continue;
+                }
+                let n = trigger.statements.len();
+                let saved: usize = groups.iter().map(|g| g.members.len() - 1).sum();
+                let named = groups.iter().map(|g| {
+                    let targets = g
+                        .members
+                        .iter()
+                        .map(|&j| trigger.statements[j].target.as_str());
+                    format!("[{}]", targets.collect::<Vec<_>>().join(", "))
+                });
+                let named: Vec<String> = named.collect();
+                let (relation, sign) = (&trigger.relation, trigger.sign);
+                let kernels = n - saved;
+                lines.push(format!(
+                    "{relation}/{sign:?}: {n} → {kernels} {}",
+                    named.join(" ")
+                ));
+            }
+        }
+        lines
+    };
+    let both = |relation: &str, counts: &str, groups: &str| -> Vec<String> {
+        ["Insert", "Delete"]
+            .map(|sign| format!("{relation}/{sign}: {counts} {groups}"))
+            .to_vec()
+    };
+    let dash_ho = format!("{Q1} [m_q3_5, m_q3_6] [m_q10_12, m_q10_13]");
+    let dash_naive = format!("{Q1} [m_q3_4, m_q3_5] [m_mq31_19, m_mq32_20]");
+    let book = |bids: &str, groups: &str| -> Vec<String> {
+        let asks = both("Asks", "3 → 2", "[m_axf_3, m_axf_4]");
+        asks.into_iter().chain(both("Bids", bids, groups)).collect()
+    };
+    let none = Vec::<String>::new;
+    for (mode, durable, dash, book) in [
+        (
+            CompileMode::HigherOrder,
+            both("Lineitem", "9 → 4", Q1),
+            both("Lineitem", "26 → 19", &dash_ho),
+            book("8 → 6", "[m_axf_1, m_axf_2] [m_bsp_5, m_bsp_6]"),
+        ),
+        (
+            CompileMode::FirstOrder,
+            both("Lineitem", "8 → 3", Q1),
+            both("Lineitem", "11 → 6", Q1),
+            none(),
+        ),
+        (
+            CompileMode::NaiveViewlet,
+            both("Lineitem", "9 → 4", Q1),
+            both("Lineitem", "37 → 30", &dash_naive),
+            book("8 → 7", "[m_axf_1, m_axf_2]"),
+        ),
+        (CompileMode::Reevaluate, none(), none(), none()),
+    ] {
+        assert_eq!(census(DURABLE, mode), durable, "tpch_durable [{mode}]");
+        assert_eq!(census(DASH, mode), dash, "tpch_dash [{mode}]");
+        assert_eq!(census(BOOK, mode), book, "book_join [{mode}]");
+        assert_eq!(census(&["vwap"], mode), none(), "book_nested [{mode}]");
     }
 }

@@ -84,8 +84,26 @@
 //! What a relation's runs execute is one [`RelationPlan`], derived by that
 //! one function from the triggers and stored nowhere: `compile` calls it to
 //! refuse a program that does not derive, the engine once at construction,
-//! where it resolves each plan into trigger indexes and per-statement flags,
-//! and `explain` to render each relation's `live pass:` line.
+//! where it resolves each plan into trigger indexes, per-statement flags and
+//! fused kernels, and `explain` to render each relation's `live pass:` and
+//! `fused:` lines.
+//!
+//! ## Sibling statements
+//!
+//! Statements that do the same work and differ only in what they add run as
+//! one kernel. A **group** is a set of `+=` statements of one trigger, none
+//! of which fires live — so none reads another's target, which its run
+//! writes — with equal key and loop variables, whose plans are equal once
+//! each term's value ops are taken out — [`CompiledStmt::fuse`] decides
+//! that, and builds the kernel: one
+//! walk of the shared frame per entry, one key per row, and each member's
+//! row into that member's own buffer, with the products and the rows its
+//! own plan makes, bit for bit. TPC-H q1's six Lineitem aggregates are one
+//! group per sign. The same derivation lists each relation's groups
+//! ([`RelationPlan::fused`]): the engine resolves them with the rest of the
+//! plan, and `explain` prints a `fused:` line per group. A member keeps its
+//! own buffered rows at its own statement position, so the apply phase and
+//! the live pass see a group's members as they see any statement.
 //!
 //! ## Runs of one firing
 //!
@@ -97,7 +115,7 @@
 //! ill-typed event before any run forms.
 
 use crate::program::{BatchDeltaBail, StmtOp, Trigger, TriggerProgram};
-use dbtoaster_agca::{AtomKind, UpdateSign};
+use dbtoaster_agca::{AtomKind, CompiledStmt, UpdateSign};
 use std::collections::BTreeSet;
 
 /// How the runs of one stream relation execute (see the module docs): its
@@ -126,6 +144,22 @@ pub struct RelationPlan {
     /// re-evaluates the same targets): the run's tail, fired once for its
     /// last event.
     pub tail: usize,
+    /// The sibling groups of both triggers, insert first, each by its first
+    /// member: `+=` statements that run as one kernel (see the module docs).
+    pub fused: Vec<Siblings>,
+}
+
+/// Sibling `+=` statements of one trigger and the one kernel that runs them
+/// ([`CompiledStmt::fuse`]; see the module docs).
+#[derive(Clone, Debug, PartialEq)]
+pub struct Siblings {
+    /// Index into [`TriggerProgram::triggers`].
+    pub trigger: usize,
+    /// The members' positions in the trigger, in statement order; two or
+    /// more.
+    pub members: Vec<usize>,
+    /// The fused kernel: member `i`'s rows go to its `siblings[i]` buffer.
+    pub kernel: CompiledStmt,
 }
 
 impl TriggerProgram {
@@ -219,6 +253,10 @@ fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, B
         let t = &triggers[i];
         t.statements.len() - t.increments().len()
     });
+    let fused = rel_triggers
+        .iter()
+        .flat_map(|&(ti, t)| siblings(ti, t, &live))
+        .collect();
     Ok(RelationPlan {
         relation: relation.to_string(),
         insert,
@@ -226,7 +264,51 @@ fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, B
         live,
         live_maps: live_maps.into_iter().collect(),
         tail,
+        fused,
     })
+}
+
+/// The sibling groups of trigger `ti` (see the module docs): its `+=`
+/// statements that do not fire live, taken in statement order, each joining
+/// the first group whose first member has its key and loop variables and its
+/// frame ([`CompiledStmt::frame_shape`]). Groups of one are no groups. No
+/// member reads another's target: a statement that reads any target of its
+/// relation's triggers fires live.
+fn siblings(ti: usize, t: &Trigger, live: &[(usize, usize)]) -> Vec<Siblings> {
+    let stmts = t.increments();
+    let keyed = |j: usize| (&stmts[j].key_vars, &stmts[j].loop_vars);
+    // Only a statement that shares its key with another can have a sibling:
+    // the rest are not rendered.
+    let shapes: Vec<Option<String>> = (0..stmts.len())
+        .map(|j| {
+            let shared = (0..stmts.len()).any(|m| m != j && keyed(m) == keyed(j));
+            shared.then(|| stmts[j].kernel.frame_shape()).flatten()
+        })
+        .collect();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for j in 0..stmts.len() {
+        if live.contains(&(ti, j)) || shapes[j].is_none() {
+            continue;
+        }
+        let joins = |g: &&mut Vec<usize>| (keyed(g[0]), &shapes[g[0]]) == (keyed(j), &shapes[j]);
+        match groups.iter_mut().find(joins) {
+            Some(g) => g.push(j),
+            None => groups.push(vec![j]),
+        }
+    }
+    groups
+        .into_iter()
+        .filter(|g| g.len() > 1)
+        .map(|members| {
+            let kernels: Vec<&CompiledStmt> = members.iter().map(|&j| &stmts[j].kernel).collect();
+            let kernel = CompiledStmt::fuse(&kernels).expect("statements of one frame fuse");
+            Siblings {
+                trigger: ti,
+                members,
+                kernel,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -446,6 +528,45 @@ mod tests {
             bail_of(&[trigger(UpdateSign::Insert, vec![inc(), rep("Q")])]),
             Some(BatchDeltaBail::OneSidedReplace)
         );
+    }
+
+    #[test]
+    fn siblings_fuse_unless_one_reads_another_ones_target() {
+        // `M[a] += X[a] * b` and `N[a] += X[a]` walk the same probe of `X`
+        // under the same key and differ in their value: one group per
+        // trigger, which runs one kernel.
+        let pair = |x: &str| {
+            let probe = || Expr::view(x, ["a"]);
+            vec![
+                stmt(
+                    "M",
+                    &["a"],
+                    Increment,
+                    Expr::product_of([probe(), Expr::var("b")]),
+                ),
+                stmt("N", &["a"], Increment, probe()),
+            ]
+        };
+        let both = |x: &str| {
+            derive(&[
+                trigger(UpdateSign::Insert, pair(x)),
+                trigger(UpdateSign::Delete, pair(x)),
+            ])
+            .expect("R derives")
+        };
+        let plan = both("P");
+        let groups: Vec<(usize, &[usize])> = plan
+            .fused
+            .iter()
+            .map(|g| (g.trigger, &g.members[..]))
+            .collect();
+        assert_eq!(groups, [(0, &[0, 1][..]), (1, &[0, 1][..])]);
+        assert!(plan.live.is_empty());
+        // With `X = N` each reads the second one's target, which their run
+        // writes: both fire live, entry by entry, so nothing fuses.
+        let plan = both("N");
+        assert!(plan.fused.is_empty(), "{:?}", plan.fused);
+        assert_eq!(plan.live, [(0, 0), (0, 1), (1, 0), (1, 1)]);
     }
 
     fn count_of(view: &str) -> Expr {

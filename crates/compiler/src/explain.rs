@@ -4,8 +4,9 @@
 //! kernels; this module renders them back into an operator tree an operator
 //! can read. Per relation it reports how a run of a delta batch executes —
 //! its live pass (which statements read what their own run writes and so
-//! fire entry by entry, marked `run: live`, and which maps they read) and
-//! whether a `:=` tail fires once per run — and per statement the compiled
+//! fire entry by entry, marked `run: live`, and which maps they read),
+//! whether a `:=` tail fires once per run, and one `fused:` line per sibling
+//! group whose statements run as one kernel — and per statement the compiled
 //! plan: probes vs scans, product order, fused-prelude
 //! signatures (`range-sum` where the scan is answered from an ordered index),
 //! band specs and slot assignments, straight from [`dbtoaster_agca::plan`].
@@ -81,8 +82,22 @@ pub struct RelationExplain {
     /// Its live pass — the statements that fire entry by entry and the
     /// run-written maps they read, or none — and its `:=` tail, if any.
     pub live_pass: String,
+    /// Its sibling groups ([`RelationPlan::fused`]), each run as one kernel:
+    /// insert first, each by its first member.
+    pub fused: Vec<FusedExplain>,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
+}
+
+/// One sibling group: `+=` statements of one trigger run as one kernel (see
+/// [`crate::batch_delta`]). Its work counts (probes, scans, …) land on its
+/// first member's target; each member's `rows_written` on its own.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct FusedExplain {
+    /// `"insert"` or `"delete"`.
+    pub sign: String,
+    /// The members' targets, in statement order.
+    pub members: Vec<String>,
 }
 
 /// One ordered secondary index the compiler declared (see
@@ -138,8 +153,20 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
                 .flatten()
                 .map(|i| explain_trigger(program, &plan, i))
                 .collect();
+            let fused = plan.fused.iter().map(|g| {
+                let t = &program.triggers[g.trigger];
+                FusedExplain {
+                    sign: sign_str(t.sign),
+                    members: g
+                        .members
+                        .iter()
+                        .map(|&j| t.statements[j].target.clone())
+                        .collect(),
+                }
+            });
             RelationExplain {
                 live_pass: live_pass(&plan),
+                fused: fused.collect(),
                 relation: plan.relation,
                 triggers,
             }
@@ -586,6 +613,9 @@ impl ProgramExplain {
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "live pass: {}", rel.live_pass);
+            for g in &rel.fused {
+                let _ = writeln!(out, "fused: {} (on {})", g.members.join(", "), g.sign);
+            }
             for t in &rel.triggers {
                 let _ = writeln!(out, "on {}:", t.sign);
                 for s in &t.statements {
@@ -624,10 +654,19 @@ impl ProgramExplain {
             }
             let _ = write!(
                 out,
-                "{{\"relation\":\"{}\",\"live_pass\":\"{}\",\"triggers\":[",
+                "{{\"relation\":\"{}\",\"live_pass\":\"{}\",\"fused\":[",
                 json_escape(&rel.relation),
                 json_escape(&rel.live_pass)
             );
+            for (j, g) in rel.fused.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
+                }
+                let _ = write!(out, "{{\"sign\":\"{}\",\"members\":", json_escape(&g.sign));
+                strings_json(&mut out, &g.members);
+                out.push('}');
+            }
+            out.push_str("],\"triggers\":[");
             triggers_json(&mut out, &rel.triggers);
             out.push_str("]}");
         }
@@ -641,28 +680,16 @@ impl ProgramExplain {
                 if j > 0 {
                     out.push(',');
                 }
-                let bound: Vec<String> = idx
-                    .bound
-                    .iter()
-                    .map(|b| format!("\"{}\"", json_escape(b)))
-                    .collect();
-                let _ = write!(
-                    out,
-                    "{{\"bound\":[{}],\"key\":\"{}\"}}",
-                    bound.join(","),
-                    json_escape(&idx.key)
-                );
+                out.push_str("{\"bound\":");
+                strings_json(&mut out, &idx.bound);
+                let _ = write!(out, ",\"key\":\"{}\"}}", json_escape(&idx.key));
             }
             out.push_str("],\"hash\":[");
             for (j, bound) in m.hash.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                let bound: Vec<String> = bound
-                    .iter()
-                    .map(|b| format!("\"{}\"", json_escape(b)))
-                    .collect();
-                let _ = write!(out, "[{}]", bound.join(","));
+                strings_json(&mut out, bound);
             }
             out.push_str("],\"analyze\":");
             analyze_json(&mut out, m.analyze.as_ref(), ValueGroup::Resident);
@@ -681,9 +708,18 @@ impl ProgramExplain {
         for rv in obj.get("relations")?.as_array()? {
             let r = rv.as_object()?;
             let triggers = triggers_from_json(r.get("triggers")?)?;
+            let mut fused = Vec::new();
+            for gv in r.get("fused")?.as_array()? {
+                let g = gv.as_object()?;
+                fused.push(FusedExplain {
+                    sign: g.get("sign")?.as_str()?.to_string(),
+                    members: strings_from_json(g.get("members")?)?,
+                });
+            }
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 live_pass: r.get("live_pass")?.as_str()?.to_string(),
+                fused,
                 triggers,
             });
         }
@@ -694,23 +730,13 @@ impl ProgramExplain {
             for iv in m.get("ordered")?.as_array()? {
                 let i = iv.as_object()?;
                 ordered.push(OrderedIndexExplain {
-                    bound: i
-                        .get("bound")?
-                        .as_array()?
-                        .iter()
-                        .map(|b| b.as_str().map(str::to_string))
-                        .collect::<Option<_>>()?,
+                    bound: strings_from_json(i.get("bound")?)?,
                     key: i.get("key")?.as_str()?.to_string(),
                 });
             }
             let mut hash = Vec::new();
             for bv in m.get("hash")?.as_array()? {
-                hash.push(
-                    bv.as_array()?
-                        .iter()
-                        .map(|b| b.as_str().map(str::to_string))
-                        .collect::<Option<_>>()?,
-                );
+                hash.push(strings_from_json(bv)?);
             }
             let name = m.get("name")?.as_str()?.to_string();
             let analyze = analyze_from_json(m.get("analyze")?, &name, ValueGroup::Resident)?;
@@ -833,34 +859,36 @@ fn stmt_json(out: &mut String, s: &StmtExplain) {
         json_escape(&s.op),
         s.live
     );
-    out.push_str(",\"prelude\":[");
-    for (i, p) in s.prelude.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", json_escape(p));
-    }
-    out.push_str("],\"plan\":[");
-    for (i, p) in s.plan.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\"", json_escape(p));
-    }
-    out.push_str("],\"analyze\":");
+    out.push_str(",\"prelude\":");
+    strings_json(out, &s.prelude);
+    out.push_str(",\"plan\":");
+    strings_json(out, &s.plan);
+    out.push_str(",\"analyze\":");
     analyze_json(out, s.analyze.as_ref(), ValueGroup::Work);
     out.push('}');
 }
 
+/// A JSON array of strings.
+fn strings_json(out: &mut String, strings: &[String]) {
+    out.push('[');
+    for (i, s) in strings.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "\"{}\"", json_escape(s));
+    }
+    out.push(']');
+}
+
+/// A [`strings_json`] array, parsed back.
+fn strings_from_json(v: &json::Json) -> Option<Vec<String>> {
+    let items = v.as_array()?.iter();
+    items.map(|e| e.as_str().map(str::to_string)).collect()
+}
+
 fn stmt_from_json(v: &json::Json) -> Option<StmtExplain> {
     let o = v.as_object()?;
-    let strings = |key: &str| -> Option<Vec<String>> {
-        o.get(key)?
-            .as_array()?
-            .iter()
-            .map(|e| e.as_str().map(str::to_string))
-            .collect()
-    };
+    let strings = |key: &str| strings_from_json(o.get(key)?);
     let target = o.get("target")?.as_str()?.to_string();
     let analyze = analyze_from_json(o.get("analyze")?, &target, ValueGroup::Work)?;
     Some(StmtExplain {

@@ -45,10 +45,11 @@ pub mod materialize;
 pub mod program;
 pub mod typecheck;
 
-pub use batch_delta::RelationPlan;
+pub use batch_delta::{RelationPlan, Siblings};
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
-    explain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain, StmtExplain,
+    explain, FusedExplain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
+    StmtExplain,
 };
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{
@@ -59,7 +60,7 @@ pub use program::{
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::batch_delta::RelationPlan;
+    pub use crate::batch_delta::{RelationPlan, Siblings};
     pub use crate::compile::{compile, CompileError};
     pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{

@@ -60,14 +60,23 @@
 //! relation and the condition that bailed — a corrupt program, like an unresolved
 //! target. Nothing depends on a run's size
 //! or the state, so a WAL replay runs the same sequence as the live run. Statements are
-//! evaluated through one function, `kernel_rows`, which runs the statement's compiled
-//! kernel (reading maps through [`dbtoaster_agca::RelationSource`] by id, emitting
-//! `(key, multiplicity)` rows); the compiler rejects a program with a statement it
+//! evaluated only by their compiled kernels — `kernel_rows` for one firing, the
+//! collection loop for a run's entries — reading maps through
+//! [`dbtoaster_agca::RelationSource`] by id and emitting `(key, multiplicity)` rows;
+//! the compiler rejects a program with a statement it
 //! cannot lower, so there is no other evaluator in the engine. The references are
 //! per-event processing and the definitions recomputed by `dbtoaster_agca::eval` (the
 //! test suites' oracle). See the compiler's `batch_delta` module for the live-pass
 //! argument and the `:=` tail (bit-exact on integer-weighted streams; to summation
 //! order on float aggregates).
+//!
+//! Sibling `+=` statements — a group the relation's plan lists
+//! (`RelationPlan::fused`): same key, the same plan but for the values they add, none
+//! firing live — run as one fused kernel per entry: one walk of the shared plan, one
+//! key per row, and each member's row into the member's own deferred buffer at its own
+//! statement position, so the apply phase and the live pass see each member as they see
+//! any statement. Each member's rows are the ones its own kernel would emit, bit for bit
+//! (see `dbtoaster_agca::plan`). TPC-H q1's six Lineitem aggregates run as one kernel.
 //!
 //! A batch holds one run per relation, however its events interleave: every map is a
 //! function of the base relations, so processing the batch relation by relation ends
@@ -81,8 +90,9 @@
 //! [`Engine::new`] derives the relation plans once and resolves, once:
 //!
 //! * each plan — to its relation's dispatch record (its triggers' indexes, whether it
-//!   has a live pass and a `:=` tail, whether its base map is live) and two flags on
-//!   each statement: does it fire live, and is its target a live map;
+//!   has a live pass and a `:=` tail, whether its base map is live), two flags on
+//!   each statement: does it fire live, and is its target a live map, and its sibling
+//!   groups' fused kernels, each run where its first member stands;
 //! * every statement's target map and every relation's stored base map — to
 //!   [`MapId`]s, which also index the per-view work counts (below);
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
@@ -106,9 +116,12 @@
 //! With telemetry attached ([`Engine::set_telemetry`]) each map declared by then has one
 //! [`LocalCounts`] block, by [`MapId`], beside its shared record: a statement's kernel
 //! is handed its target's block and counts its probes, scans and range sums there, and
-//! the rows the statement writes and its live firings land in the same block. Without
-//! telemetry every kernel counts into one discard block, as does static-view
-//! initialization. A flush reads each view's store readings, drains its block into them
+//! the rows the statement writes and its live firings land in the same block. A fused
+//! kernel does one walk for all its members, so its probes and scans count once, in its
+//! first member's block; each member's `rows_written` is its own. An armed batch's
+//! trace names a fused kernel's span for its first member's target, with the rows of
+//! every member. Without telemetry every kernel counts into one discard block, as does
+//! static-view initialization. A flush reads each view's store readings, drains its block into them
 //! and publishes the result; it names no counter, so a new work count is one
 //! `VIEW_VALUES` row and the `add` where the work happens.
 
@@ -193,7 +206,9 @@ pub struct EngineStats {
     /// Events applied so far; refused events do not count. A durable serving
     /// writer logs only admitted events, so this is also its WAL watermark.
     pub events: u64,
-    /// Statements executed so far.
+    /// Kernel executions so far: one per statement evaluated, except that a
+    /// sibling group's fused kernel counts once for all its members (q1's six
+    /// Lineitem statements count 1 per event).
     pub statements: u64,
     /// Total time spent inside `process` / `process_batch`.
     pub busy: Duration,
@@ -298,6 +313,33 @@ struct Bound {
     /// [`RelationPlan::live`](dbtoaster_compiler::RelationPlan::live))? A
     /// multi-firing run evaluates it firing by firing.
     fires_live: bool,
+    /// Does the statement run in a fused kernel, and is it its first member?
+    fused: Fused,
+}
+
+/// A statement's place in its relation's sibling groups
+/// ([`RelationPlan::fused`](dbtoaster_compiler::RelationPlan::fused)).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Fused {
+    /// It runs its own kernel.
+    #[default]
+    No,
+    /// It is the first member of the group at this index of
+    /// `Executor::groups`: the group runs where it stands.
+    Lead(u16),
+    /// A later member: its group's kernel fills its rows.
+    Member,
+}
+
+/// A sibling group's fused kernel as the engine runs it: the members'
+/// statement positions in their trigger, and the kernel bound like a
+/// statement's, its work counted for its first member's target.
+#[derive(Clone, Debug)]
+struct Group {
+    trigger: u16,
+    members: Vec<u16>,
+    kernel: CompiledStmt,
+    bound: Bound,
 }
 
 /// One catalog relation as the per-event path reads it, resolved once (see
@@ -346,8 +388,9 @@ impl DispatchEntry {
 
 /// Run `kernel` for one event `tuple` against `db`, reading through its
 /// relation table bound to `rels`, appending its `(key, multiplicity)` rows
-/// to `out` and touching no view. Collection, the live pass, the `:=` tail
-/// and static-view initialization all come through here. `state` is reused
+/// to `out` and touching no view. The live pass, the `:=` tail and
+/// static-view initialization come through here; collection readies the
+/// state the same way ([`seed`]) and lends a run's buffers once. `state` is reused
 /// across events — zero per-event allocation in steady state. A trigger slot
 /// is written only when it does not already hold the event's very value
 /// ([`Value::is_same`]), so the statements of one event fill each column
@@ -371,6 +414,18 @@ fn kernel_rows(
     out: &mut Vec<(Tuple, f64)>,
     counts: &LocalCounts,
 ) {
+    seed(state, kernel, tuple, first);
+    // The kernel appends to `state.out`: lend it the caller's buffer for the
+    // call instead of copying rows across.
+    std::mem::swap(&mut state.out, out);
+    kernel.execute(db, rels, state, counts, first);
+    std::mem::swap(&mut state.out, out);
+}
+
+/// Ready `state` for an evaluation of `kernel` for event `tuple`: sized for
+/// it when `first` (see [`kernel_rows`]), and each trigger slot the kernel
+/// reads holding the event's value.
+fn seed(state: &mut KernelState, kernel: &CompiledStmt, tuple: &[Value], first: bool) {
     if first {
         state.prepare(kernel);
     }
@@ -380,11 +435,6 @@ fn kernel_rows(
             *held = v.clone();
         }
     }
-    // The kernel appends to `state.out`: lend it the caller's buffer for the
-    // call instead of copying rows across.
-    std::mem::swap(&mut state.out, out);
-    kernel.execute(db, rels, state, counts, first);
-    std::mem::swap(&mut state.out, out);
 }
 
 /// One statement's deferred (buffered but not yet applied) rows on the
@@ -472,6 +522,8 @@ struct Executor {
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
     /// (default where the map has none).
     inits: Vec<Bound>,
+    /// The sibling groups of every relation plan, resolved.
+    groups: Vec<Group>,
     /// Telemetry buffers, present only after [`Engine::set_telemetry`] with
     /// an enabled handle. `None` keeps the hot path at one predictable
     /// branch per batch.
@@ -713,7 +765,8 @@ impl Engine {
             .iter()
             .map(|t| unbound(t.statements.len()))
             .collect();
-        for plan in &plans {
+        let mut groups = Vec::new();
+        for plan in plans {
             for t in [plan.insert, plan.delete].into_iter().flatten() {
                 let statements = &program.triggers[t].statements;
                 for (b, s) in stmts[t].iter_mut().zip(statements) {
@@ -722,6 +775,20 @@ impl Engine {
             }
             for &(t, j) in &plan.live {
                 stmts[t][j].fires_live = true;
+            }
+            for g in plan.fused {
+                for (n, &j) in g.members.iter().enumerate() {
+                    stmts[g.trigger][j].fused = match n {
+                        0 => Fused::Lead(groups.len() as u16),
+                        _ => Fused::Member,
+                    };
+                }
+                groups.push(Group {
+                    trigger: g.trigger as u16,
+                    members: g.members.iter().map(|&j| j as u16).collect(),
+                    kernel: g.kernel,
+                    bound: Bound::default(),
+                });
             }
             // A relation the catalog does not declare never passes the gate.
             if let Some(&r) = relation_ids.get(&plan.relation) {
@@ -748,6 +815,7 @@ impl Engine {
             relation_ids,
             stmts,
             inits: unbound(program.maps.len()),
+            groups,
             tel: None,
         };
         let mut engine = Engine {
@@ -773,6 +841,7 @@ impl Engine {
                     relations,
                     stmts,
                     inits,
+                    groups,
                     ..
                 },
         } = self;
@@ -796,6 +865,10 @@ impl Engine {
             if let Some(init) = &m.init {
                 b.bind(db, &m.name, init);
             }
+        }
+        for g in groups.iter_mut() {
+            let lead = &program.triggers[g.trigger as usize].statements[g.members[0] as usize];
+            g.bound.bind(db, &lead.target, &g.kernel);
         }
         for r in relations.iter_mut() {
             r.base = db.id(&r.meta.name);
@@ -1339,26 +1412,20 @@ impl Executor {
             if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
                 continue;
             }
-            for (j, stmt) in program.triggers[tidx as usize]
-                .statements
-                .iter()
-                .enumerate()
-            {
-                if stmt.op != StmtOp::Increment {
-                    continue;
-                }
+            let statements = program.triggers[tidx as usize].increments();
+            for j in 0..statements.len() {
+                self.bd.acquire(tidx, j as u16);
+            }
+            for (j, stmt) in statements.iter().enumerate() {
                 let bound = &self.stmts[tidx as usize][j];
-                if live && bound.fires_live {
-                    // Left to the live pass, which fills this slot.
-                    self.bd.acquire(tidx, j as u16);
+                // The live pass fills the slot of a statement it fires, and a
+                // group's first member the slots of the rest.
+                if (live && bound.fires_live) || bound.fused == Fused::Member {
                     continue;
                 }
                 let st0 = self.armed_instant();
-                self.collect_statement_over(stmt, run, sign, tidx, j as u16);
-                if st0.is_some() {
-                    let rows = segs_rows(&self.bd.stmts[self.bd.live - 1].segs);
-                    self.note_stmt(st0, &stmt.target, rows);
-                }
+                let rows = self.collect_over(program, tidx, j, run, sign, base[s]);
+                self.note_stmt(st0, &stmt.target, rows);
             }
         }
         if !live {
@@ -1478,53 +1545,75 @@ impl Executor {
         evaluated
     }
 
-    /// Buffer one incremental statement's rows over all of a run's entries of
-    /// one sign without applying them: setup once, then back-to-back
-    /// evaluations against the unchanged pre-run store.
-    fn collect_statement_over(
+    /// Buffer incremental statement `j` of trigger `tidx`'s rows over all of
+    /// a run's entries of one sign without applying them — or, where it leads
+    /// a sibling group, every member's, through the group's fused kernel — in
+    /// each statement's slot `base + j`: each slot's rows lent to the kernel
+    /// for the run, setup once, then back-to-back evaluations against the
+    /// unchanged pre-run store, one segment per entry. A fused kernel counts
+    /// its work for its first member's target. Returns the rows buffered.
+    fn collect_over(
         &mut self,
-        stmt: &Statement,
+        program: &TriggerProgram,
+        tidx: u16,
+        j: usize,
         run: &RelationDelta,
         sign: UpdateSign,
-        tidx: u16,
-        stmt_j: u16,
-    ) {
+        base: usize,
+    ) -> u64 {
         let Executor {
             db,
-            kernel,
+            kernel: state,
             discard,
             bd,
             stats,
             stmts,
+            groups,
             tel,
             ..
         } = self;
-        let slot = bd.acquire(tidx, stmt_j);
-        let bound = &stmts[tidx as usize][stmt_j as usize];
+        let (t, own) = (tidx as usize, [j as u16]);
+        let (kernel, bound, members) = match stmts[t][j].fused {
+            Fused::Lead(g) => {
+                let g = &groups[g as usize];
+                (&g.kernel, &g.bound, &g.members[..])
+            }
+            _ => (
+                &program.triggers[t].statements[j].kernel,
+                &stmts[t][j],
+                &own[..],
+            ),
+        };
         let counts = view_counts(tel, discard, bound.target);
-        let mut first = true;
+        let lend = |state: &mut KernelState, bd: &mut BdScratch| {
+            for (lent, &m) in state.rows_of(kernel).iter_mut().zip(members) {
+                std::mem::swap(lent, &mut bd.stmts[base + m as usize].rows);
+            }
+        };
+        lend(state, bd);
+        let (mut fresh, mut rows) = (true, 0);
         for entry in run.entries() {
             if entry.sign() != Some(sign) {
                 continue;
             }
             stats.statements += 1;
-            let start = slot.rows.len();
-            kernel_rows(
-                kernel,
-                db,
-                &stmt.kernel,
-                &bound.rels,
-                &entry.key,
-                std::mem::take(&mut first),
-                &mut slot.rows,
-                counts,
-            );
-            slot.segs.push(Seg {
-                start,
-                end: slot.rows.len(),
-                reps: entry.firings(),
-            });
+            let first = std::mem::take(&mut fresh);
+            seed(state, kernel, &entry.key, first);
+            kernel.execute(db, &bound.rels, state, counts, first);
+            for (buf, &m) in state.rows_of(kernel).iter().zip(members) {
+                let segs = &mut bd.stmts[base + m as usize].segs;
+                let start = segs.last().map_or(0, |s| s.end);
+                let seg = Seg {
+                    start,
+                    end: buf.len(),
+                    reps: entry.firings(),
+                };
+                rows += segs_rows(std::slice::from_ref(&seg));
+                segs.push(seg);
+            }
         }
+        lend(state, bd);
+        rows
     }
 
     /// One base-update pass for a whole run into the relation's stored base

@@ -264,6 +264,91 @@ fn wide_events_allocate_nothing_in_steady_state() {
     assert!(engine.stats().statements >= 3 * churn.len() as u64 / 2);
 }
 
+/// A fused kernel lends its members' row buffers for a run and takes them
+/// back: three sibling `+=` statements keyed by a string column — weighted
+/// by a column, by a constant and by nothing, under one guard — run as one
+/// kernel whose one key per row is cloned for the other members, and a warm
+/// engine allocates nothing per event or per batch of 64.
+#[test]
+fn fused_siblings_allocate_nothing_in_steady_state() {
+    use dbtoaster_agca::{CmpOp, DeltaBatch};
+    let catalog = [RelationMeta::stream("W", ["S", "X", "Y"]).with_strings(["S"])]
+        .into_iter()
+        .collect();
+    let query = |name: &str, value: Option<Expr>| {
+        let w = Expr::rel("W", ["s", "x", "y"]);
+        let guard = Expr::cmp(CmpOp::Gt, Expr::var("x"), Expr::val(0i64));
+        let factors = [w, guard].into_iter().chain(value);
+        QuerySpec {
+            name: name.into(),
+            out_vars: vec!["s".into()],
+            expr: Expr::agg_sum(["s"], Expr::product_of(factors)),
+        }
+    };
+    let queries = [
+        query("BY_Y", Some(Expr::var("y"))),
+        query("HALF", Some(Expr::val(0.5))),
+        query("COUNT", None),
+    ];
+    let program = compile(
+        &queries,
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    let plans = program.relation_plans().expect("W derives");
+    let fused: Vec<usize> = plans[0].fused.iter().map(|g| g.members.len()).collect();
+    assert_eq!(fused, [3, 3], "one group of three per trigger");
+    let mut engine = Engine::new(program, &catalog);
+
+    let row = |k: i64| {
+        let key = Value::str(format!("key-{}", k % 4));
+        vec![key, Value::long(k % 3), Value::double(k as f64 / 4.0)]
+    };
+    let inserts: Vec<UpdateEvent> = (0..64).map(|k| UpdateEvent::insert("W", row(k))).collect();
+    let deletes: Vec<UpdateEvent> = (0..64).map(|k| UpdateEvent::delete("W", row(k))).collect();
+    let churn: Vec<UpdateEvent> = inserts.iter().chain(&deletes).cloned().collect();
+    let cycle = [
+        DeltaBatch::from_events(&inserts),
+        DeltaBatch::from_events(&deletes),
+    ];
+    let run_cycle = |engine: &mut Engine| {
+        for b in &cycle {
+            assert!(engine.process_batch(b).first_error.is_none());
+        }
+    };
+    for _ in 0..2 {
+        engine.process_all(&churn).unwrap();
+        run_cycle(&mut engine);
+    }
+
+    let statements = engine.stats().statements;
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let per_event = alloc_count() - before;
+    let before = alloc_count();
+    run_cycle(&mut engine);
+    let per_batch = alloc_count() - before;
+    assert_eq!(
+        (per_event, per_batch),
+        (0, 0),
+        "fused siblings allocated ({per_event}, {per_batch}) times over {} events, \
+         one at a time and in batches of 64",
+        churn.len()
+    );
+    // Not vacuous: the fused kernel ran once per entry, the guard passed
+    // for some, and the maps were left empty by the churn.
+    let entries: u64 = cycle
+        .iter()
+        .map(|b| b.runs()[0].entries().len() as u64)
+        .sum();
+    assert_eq!(
+        engine.stats().statements - statements,
+        churn.len() as u64 + entries
+    );
+    assert!(engine.view("BY_Y").unwrap().is_empty());
+}
+
 /// The batch-delta live pass reuses its buffers: a keyed self-join reads the
 /// auxiliary map its own run writes, so every multi-entry run fires that
 /// statement entry by entry and writes the map as it goes — deferred row

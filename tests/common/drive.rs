@@ -141,9 +141,10 @@ pub fn net_stream(batch: &DeltaBatch) -> Vec<UpdateEvent> {
     out
 }
 
-/// The statements `program` executes for `batch`, less the entry of the
+/// The kernels `program` executes for `batch`, less the entry of the
 /// `refused` event. A run executes each `+=` of an entry's sign once per
-/// entry — once per firing where it fires live in a multi-firing run —
+/// entry — once per firing where it fires live in a multi-firing run, and
+/// once for all the members of a sibling group (`RelationPlan::fused`) —
 /// and the `:=` statements of its last event's trigger once, unless every
 /// entry cancelled.
 pub fn statements(
@@ -179,6 +180,8 @@ pub fn statements(
                     false => 1,
                 })
                 .sum::<u64>();
+            let fused = plan.fused.iter().filter(|g| g.trigger == t);
+            n -= fused.map(|g| g.members.len() as u64 - 1).sum::<u64>();
         }
         let tail = run.last_event().and_then(|(sign, _)| trigger(sign));
         if let Some(t) = tail.filter(|_| firings > 0) {
@@ -634,7 +637,9 @@ pub fn census() -> BTreeMap<String, usize> {
 
 fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
+    let mut fused = false;
     for plan in plans(&compiled) {
+        fused |= !plan.fused.is_empty();
         facts.push(match plan.live.is_empty() {
             true => "empty live pass",
             false => "non-empty live pass",
@@ -656,6 +661,9 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
         facts.push("snapshot held across batches");
     }
     let mut facts: Vec<String> = facts.into_iter().map(String::from).collect();
+    if fused {
+        facts.push(format!("fused group [{:?}]", p.mode));
+    }
     let plans = compiled.triggers.iter().flat_map(|t| &t.statements);
     let plans: Vec<String> = plans.map(|s| format!("{:?}", s.kernel.plan)).collect();
     for (fact, op) in [
@@ -676,8 +684,9 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 /// a WAL cut after a checkpoint, a held snapshot, a hostile stream (one under
 /// a quantile filter, one weighing a query by its own group-by column, one
 /// holding `Long` and `Double` values past 2^53 in one key column), an
-/// ill-typed event, and a higher-order program with a band sum inside a loop
-/// fused into a threshold (the census counts them per mode).
+/// ill-typed event, a higher-order program with a band sum inside a loop
+/// fused into a threshold, and sibling statements run as one kernel in the
+/// higher-order and naive viewlet modes (the census counts them per mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -688,6 +697,7 @@ pub fn assert_census() {
     let rest = "non-empty live pass, empty live pass, `:=` tail, \
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
+        fused group [HigherOrder], fused group [NaiveViewlet], \
         hostile stream under a quantile filter, hostile stream weighing a group-by column, \
         hostile stream mixing Long and Double past 2^53 in a key";
     let facts = classes.into_iter().chain(shapes).chain(hands);
