@@ -26,9 +26,10 @@
 //!
 //! A plan executes as a *pipeline*: each [`Op`] binds frame slots and emits
 //! `(frame, multiplicity)` continuations downstream, bottoming out in the
-//! statement sink which materializes `(key, multiplicity)` rows from the
-//! statement's pre-resolved key slots into a reusable output buffer. The
-//! engine then applies the buffered rows to the target map — exactly the
+//! kernel's sink, which materializes `(key, multiplicity)` rows from the
+//! pre-resolved key slots into each member statement's reusable row buffer
+//! (see kernel units, below). The engine then applies the buffered rows to
+//! the target map — exactly the
 //! read-everything-then-write discipline of the interpreter, so statements
 //! whose right-hand side reads their own target keep their semantics.
 //!
@@ -230,7 +231,13 @@
 //! multiplicities), or another aggregate in the member — `psp`'s outer sum,
 //! which compares the scanned volume with `0.0001 ×` a total.
 //!
-//! ## Sibling statements fused into one kernel
+//! ## Kernel units: the statements one kernel fills
+//!
+//! Every kernel fills the rows of one or more statements, its **members**
+//! ([`CompiledStmt::members`]), each into a row buffer of its own
+//! ([`KernelState::rows_of`]). A lowered statement is a unit of one: one
+//! member whose one term is the identity ([`SiblingTerm::IDENTITY`]), so
+//! its sink builds the key and pushes the plan's row as it comes.
 //!
 //! A trigger often holds statements that do the same work and differ only in
 //! what they add: TPC-H q1's six Lineitem statements share the key
@@ -242,9 +249,9 @@
 //! each term — and its **value**, one [`SiblingTerm`] per term. The members
 //! must have the same frame, key slots, relation table and prelude. The
 //! fused kernel walks that frame once per execution, so the guard is tested
-//! once and the key built once per row; its [`Sink::Siblings`] applies every
-//! member's value ops to the row and pushes the member's row into the
-//! member's own buffer.
+//! once and the key built once per row; the sink applies every member's
+//! value ops to the row and pushes the member's row into the member's own
+//! buffer. A unit of one is the case with no value ops to apply.
 //!
 //! **Exactness.** A member's multiplicity comes from the same `f64`
 //! products, in the same order, as its own plan, and a member emits a row
@@ -257,8 +264,11 @@
 //! never moves. A sum qualifies term by term only when its terms share one
 //! frame that emits at most one row, as q1's `extendedprice * (1 -
 //! discount)` does: its own plan emits each term's row back to back, and so
-//! does the fused sink. Each member's rows collapse by key in its own buffer
-//! as one statement's rows collapse in its own.
+//! does the fused sink. Each member's consecutive rows under one key
+//! collapse into one row of its buffer, so applying the buffer costs one map
+//! write per key run — but never across executions: each execution's rows
+//! start at their member's **merge floor**, the buffer's length when it
+//! began (a batch applies each entry's rows a different number of times).
 
 use crate::eval::{product_order_by, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
@@ -662,25 +672,16 @@ pub struct CompiledStmt {
     /// 3–5 of 16 columns, and per-entry seeding is a large share of a small
     /// kernel's batch cost.
     pub used_trigger_slots: Vec<Slot>,
-    /// What becomes of a row the plan emits: one statement's row, or one row
-    /// per sibling statement fused into this kernel ([`CompiledStmt::fuse`]).
-    pub sink: Sink,
+    /// The statements whose rows the kernel fills (see the module docs on
+    /// kernel units): per member, in statement order, the terms of its
+    /// value. Member `i`'s rows go into row buffer `i`
+    /// ([`KernelState::rows_of`]). A lowered statement is one member with
+    /// one [`SiblingTerm::IDENTITY`]; [`CompiledStmt::fuse`] makes more.
+    pub members: Vec<Vec<SiblingTerm>>,
 }
 
-/// What a kernel does with each `(frame, multiplicity)` row its plan emits.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub enum Sink {
-    /// One statement: the row under the key, into [`KernelState::out`].
-    #[default]
-    Rows,
-    /// Sibling statements fused into one kernel (see the module docs on
-    /// sibling statements): per member, in statement order, the terms of its
-    /// value. Member `i`'s rows go into [`KernelState::siblings`]`[i]`.
-    Siblings(Vec<Vec<SiblingTerm>>),
-}
-
-/// One term of a fused member's value: what the member's own plan multiplies
-/// a row of the shared frame by.
+/// One term of a member's value: what the member's own plan multiplies a
+/// row of the kernel's frame by.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SiblingTerm {
     /// Its value ops — [`Op::ConstMult`], [`Op::SlotMult`] and
@@ -689,6 +690,14 @@ pub struct SiblingTerm {
     /// Did a frame op follow the last of them in the member's own plan? Then
     /// that op's zero short-circuit drops a row whose product is zero.
     pub zero_drops: bool,
+}
+
+impl SiblingTerm {
+    /// The term of a lowered statement: the plan's row as it comes.
+    pub const IDENTITY: SiblingTerm = SiblingTerm {
+        values: Vec::new(),
+        zero_drops: false,
+    };
 }
 
 // ---------------------------------------------------------------------------
@@ -1046,7 +1055,7 @@ pub fn lower_statement(
         scratch_maps: lw.scratch_maps,
         trigger_slots: trigger_vars.len() as u16,
         used_trigger_slots: Vec::new(),
-        sink: Sink::Rows,
+        members: vec![vec![SiblingTerm::IDENTITY]],
     };
     hoist_invariant_subsums(&mut stmt);
     stmt.used_trigger_slots = used_trigger_slots(&stmt);
@@ -1941,7 +1950,7 @@ fn hoist_invariant_subsums(stmt: &mut CompiledStmt) {
 }
 
 // ---------------------------------------------------------------------------
-// Sibling statements fused into one kernel
+// Kernel units: sibling statements fused into one kernel
 // ---------------------------------------------------------------------------
 
 /// Is `op` a value op a fused member keeps for itself: a multiplier that
@@ -2037,9 +2046,10 @@ impl CompiledStmt {
     /// cleared, which values may widen — and the terms taken out. A sum
     /// whose terms share one single-row frame splits term by term: per row,
     /// its terms emit back to back, as its own plan emits them; any other
-    /// plan is one term. `None` for a kernel that is already fused.
+    /// plan is one term. `None` for a kernel that is already fused: one
+    /// whose members are not one lowered statement's.
     fn frame(&self) -> Option<(CompiledStmt, Vec<SiblingTerm>)> {
-        if self.sink != Sink::Rows {
+        if !matches!(&self.members[..], [m] if m[..] == [SiblingTerm::IDENTITY]) {
             return None;
         }
         let summed = match &self.plan {
@@ -2080,8 +2090,8 @@ impl CompiledStmt {
 
     /// Fuse sibling statements into one kernel: one walk of the frame they
     /// share, and per row each member's own value ops into its own row
-    /// buffer (see the module docs on sibling statements). `None` unless
-    /// every member is one statement's kernel and all have the same frame
+    /// buffer (see the module docs on kernel units). `None` unless every
+    /// member is one lowered statement's kernel and all have the same frame
     /// as it renders — the plan once each term's value ops are taken out,
     /// with the same key slots, relation table, prelude and buffers.
     pub fn fuse(members: &[&CompiledStmt]) -> Option<CompiledStmt> {
@@ -2104,7 +2114,7 @@ impl CompiledStmt {
         used.dedup();
         fused.frame_size = members.iter().map(|m| m.frame_size).max()?;
         fused.used_trigger_slots = used;
-        fused.sink = Sink::Siblings(sinks);
+        fused.members = sinks;
         Some(fused)
     }
 }
@@ -2252,8 +2262,8 @@ const RANGE_SUM_HITS: usize = slot_of("range_sum_hits");
 const RANGE_SUM_BAILS: usize = slot_of("range_sum_bails");
 
 /// Reusable per-engine kernel execution state: the slot frame, one pattern
-/// buffer per atom, scratch group maps for `Exists`, and the buffered output
-/// rows. Steady-state execution allocates nothing — every buffer is sized on
+/// buffer per atom, scratch group maps for `Exists`, and one row buffer per
+/// member. Steady-state execution allocates nothing — every buffer is sized on
 /// first use and recycled.
 #[derive(Debug, Default)]
 pub struct KernelState {
@@ -2270,14 +2280,13 @@ pub struct KernelState {
     /// What the executing statement's [`Op::Threshold`]s found, once
     /// searched.
     cuts: Vec<Cut>,
-    /// Buffered `(key, multiplicity)` emissions of the last execution.
-    pub out: Vec<(Tuple, f64)>,
-    /// A fused kernel's row buffers ([`Sink::Siblings`]): member `i`
-    /// appends to `siblings[i]`, which its caller lends it, one buffer per
-    /// member.
-    pub siblings: Vec<Vec<(Tuple, f64)>>,
-    /// Where each member's rows of the executing fused kernel start.
-    sibling_floors: Vec<usize>,
+    /// The `(key, multiplicity)` row buffers: member `i` of the executing
+    /// kernel appends to `rows[i]`, which its caller may lend it
+    /// ([`KernelState::rows_of`]).
+    rows: Vec<Vec<(Tuple, f64)>>,
+    /// Where each member's rows of the executing kernel start: its merge
+    /// floor (see the module docs on kernel units).
+    floors: Vec<usize>,
 }
 
 impl KernelState {
@@ -2319,22 +2328,18 @@ impl KernelState {
         if self.cuts.len() < stmt.thresholds as usize {
             self.cuts.resize(stmt.thresholds as usize, Cut::Unsearched);
         }
+        self.rows_of(stmt);
     }
 
-    /// The row buffers an execution of `stmt` appends to: [`KernelState::out`],
-    /// or a fused kernel's one per member ([`KernelState::siblings`]). A
-    /// caller lends its own buffers by swapping them in, and takes them back
-    /// the same way.
+    /// The row buffers an execution of `stmt` appends to, one per member
+    /// ([`CompiledStmt::members`]). A caller lends its own buffers by
+    /// swapping them in, and takes them back the same way.
     pub fn rows_of(&mut self, stmt: &CompiledStmt) -> &mut [Vec<(Tuple, f64)>] {
-        match &stmt.sink {
-            Sink::Rows => std::slice::from_mut(&mut self.out),
-            Sink::Siblings(members) => {
-                if self.siblings.len() < members.len() {
-                    self.siblings.resize_with(members.len(), Vec::new);
-                }
-                &mut self.siblings[..members.len()]
-            }
+        let n = stmt.members.len();
+        if self.rows.len() < n {
+            self.rows.resize_with(n, Vec::new);
         }
+        &mut self.rows[..n]
     }
 }
 
@@ -2381,10 +2386,9 @@ fn loop_key(v: &Value) -> Option<f64> {
 /// Downstream continuation of an emission: the remaining pipeline stages plus
 /// the terminal sink.
 enum Tail<'a> {
-    /// Statement sink: materialize the key from `key_slots` and push a row.
-    Rows,
-    /// Fused sink: per member, its value ops, then its row.
-    Siblings(&'a [Vec<SiblingTerm>]),
+    /// The kernel's sink ([`CompiledStmt::members`]): per member, its value
+    /// ops, then its row under the key `key_slots` hold.
+    Members(&'a [Vec<SiblingTerm>]),
     /// Scalar sub-plan sink: add the multiplicity to the accumulator.
     Acc(&'a Cell<f64>),
     /// `Exists` sink: accumulate into a group map keyed by `slots`.
@@ -2428,16 +2432,13 @@ struct Exec<'a> {
     cached: &'a mut [Option<Value>],
     cuts: &'a mut [Cut],
     counts: &'a LocalCounts,
-    out: &'a mut Vec<(Tuple, f64)>,
-    /// Rows below this index belong to earlier batch entries: the sink's
-    /// consecutive-same-key collapse must never merge across them (each
-    /// entry's rows are applied a different number of times).
-    merge_floor: usize,
     key_slots: &'a [Slot],
-    /// A fused kernel's member buffers, and where each member's rows of this
-    /// execution start (its `merge_floor`).
-    siblings: &'a mut [Vec<(Tuple, f64)>],
-    sibling_floors: &'a [usize],
+    /// The members' row buffers, and where each member's rows of this
+    /// execution start: rows below a member's floor belong to earlier
+    /// executions (earlier batch entries), and the sink's same-key collapse
+    /// never merges across it.
+    rows: &'a mut [Vec<(Tuple, f64)>],
+    floors: &'a [usize],
 }
 
 /// The value of a value operation, which the type checker has made total
@@ -2572,21 +2573,7 @@ impl Exec<'_> {
     /// Deliver an emission to the continuation.
     fn finish(&mut self, mult: f64, tail: &Tail) {
         match tail {
-            Tail::Rows => {
-                // Consecutive emissions for the same key (the common case for
-                // loop-free statements, whose key comes entirely from trigger
-                // slots) collapse into one row, so applying the buffer costs
-                // one map write per key run instead of one per emission —
-                // never across an entry boundary (`merge_floor`).
-                let n = self.out.len();
-                if n > self.merge_floor && self.holds_key(&self.out[n - 1].0) {
-                    self.out[n - 1].1 += mult;
-                    return;
-                }
-                let key = self.key();
-                self.out.push((key, mult));
-            }
-            Tail::Siblings(members) => self.siblings(mult, members),
+            Tail::Members(members) => self.emit(mult, members),
             Tail::Acc(acc) => acc.set(acc.get() + mult),
             Tail::Group { map, slots } => {
                 let key: Tuple = slots
@@ -2606,13 +2593,16 @@ impl Exec<'_> {
         }
     }
 
-    /// Deliver a row of a fused kernel's frame to every member, in statement
-    /// order (see the module docs on sibling statements): per term, its value
-    /// ops as the member's own plan applies them ([`Exec::term`]), then its
-    /// row, into the member's buffer — collapsed into the member's last row
-    /// under the same key, as [`Tail::Rows`] collapses, or pushed under a key
-    /// built once for the frame row and cloned for every later member.
-    fn siblings(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
+    /// Deliver a row of the kernel's frame to every member, in statement
+    /// order (see the module docs on kernel units): per term, its value ops
+    /// as the member's own plan applies them ([`Exec::term`]), then its row,
+    /// into the member's buffer. Consecutive rows under one key (the common
+    /// case for loop-free statements, whose key comes entirely from trigger
+    /// slots) collapse into the member's last row above its floor, so
+    /// applying the buffer costs one map write per key run; any other row is
+    /// pushed under a key built once for the frame row and cloned for every
+    /// later member.
+    fn emit(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
         // The member whose last row holds this frame row's key, once built.
         let mut built: Option<usize> = None;
         for (i, terms) in members.iter().enumerate() {
@@ -2620,16 +2610,16 @@ impl Exec<'_> {
                 let Some(m) = self.term(mult, term) else {
                     continue;
                 };
-                let n = self.siblings[i].len();
-                if n > self.sibling_floors[i] && self.holds_key(&self.siblings[i][n - 1].0) {
-                    self.siblings[i][n - 1].1 += m;
+                let n = self.rows[i].len();
+                if n > self.floors[i] && self.holds_key(&self.rows[i][n - 1].0) {
+                    self.rows[i][n - 1].1 += m;
                     continue;
                 }
                 let key = match built {
-                    Some(b) => self.siblings[b].last().expect("the built key").0.clone(),
+                    Some(b) => self.rows[b].last().expect("the built key").0.clone(),
                     None => self.key(),
                 };
-                self.siblings[i].push((key, m));
+                self.rows[i].push((key, m));
                 built = Some(i);
             }
         }
@@ -2649,7 +2639,7 @@ impl Exec<'_> {
                 Op::ConstMult(c) => *c,
                 Op::SlotMult(slot) => total(self.names, self.frame[*slot as usize].as_f64()),
                 Op::ScalarMult(s) => total(self.names, self.eval_scalar(s).as_f64()),
-                _ => unreachable!("a fused member's value holds value ops only"),
+                _ => unreachable!("a member's value holds value ops only"),
             };
         }
         (!(term.zero_drops && m == 0.0)).then_some(m)
@@ -3003,13 +2993,13 @@ impl Exec<'_> {
 
 impl CompiledStmt {
     /// Execute the kernel against a relation source through the relation ids
-    /// `rels` bound against it ([`CompiledStmt::bind`]), **appending** its
-    /// `(key, multiplicity)` rows to `state.out` — a fused kernel's, member
-    /// `i`'s rows to `state.siblings[i]` ([`KernelState::rows_of`]); a batch
-    /// executor tracks entry boundaries itself. Its work — probes, scans,
-    /// entries visited, fused scans, range-sum hits and bails — is counted
-    /// into `counts` (in the engine, the block of the view the statement
-    /// writes; a fused kernel's counts once for all its members). The caller
+    /// `rels` bound against it ([`CompiledStmt::bind`]), **appending** member
+    /// `i`'s `(key, multiplicity)` rows to its row buffer `i`
+    /// ([`KernelState::rows_of`]); a batch executor tracks entry boundaries
+    /// itself. Its work — probes, scans, entries visited, fused scans,
+    /// range-sum hits and bails — is counted into `counts` (in the engine,
+    /// the block of the view its first member writes; a fused kernel's
+    /// counts once for all its members). The caller
     /// must have called [`KernelState::prepare`] and seeded
     /// `state.frame[0..trigger_slots]` from the event tuple.
     ///
@@ -3033,22 +3023,15 @@ impl CompiledStmt {
     ) {
         debug_assert!(state.frame.len() >= self.frame_size as usize);
         debug_assert_eq!(rels.len(), self.rels.len());
-        let merge_floor = state.out.len();
         // Cached sums and cuts hold per execution: the store and the trigger
         // slots may have moved since.
         let cached = &mut state.cached[..self.cached_sums as usize];
         cached.fill(None);
         let cuts = &mut state.cuts[..self.thresholds as usize];
         cuts.fill(Cut::Unsearched);
-        let tail = match &self.sink {
-            Sink::Rows => Tail::Rows,
-            Sink::Siblings(members) => {
-                let lent = &state.siblings[..members.len()];
-                state.sibling_floors.clear();
-                state.sibling_floors.extend(lent.iter().map(Vec::len));
-                Tail::Siblings(members)
-            }
-        };
+        let rows = &mut state.rows[..self.members.len()];
+        state.floors.clear();
+        state.floors.extend(rows.iter().map(Vec::len));
         let mut exec = Exec {
             src,
             rels,
@@ -3060,18 +3043,16 @@ impl CompiledStmt {
             cached,
             cuts,
             counts,
-            out: &mut state.out,
-            merge_floor,
             key_slots: &self.key_slots,
-            siblings: &mut state.siblings,
-            sibling_floors: &state.sibling_floors,
+            rows,
+            floors: &state.floors,
         };
         for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {
                 exec.run_prelude(fs);
             }
         }
-        exec.exec(&self.plan, 1.0, &tail);
+        exec.exec(&self.plan, 1.0, &Tail::Members(&self.members));
     }
 }
 
@@ -3118,7 +3099,7 @@ mod tests {
             true,
         );
         let mut compiled = Gmr::new(Schema::new(key_vars.iter().copied()));
-        for (k, m) in state.out.drain(..) {
+        for (k, m) in state.rows_of(&stmt)[0].drain(..) {
             compiled.add_tuple(k, m);
         }
 
@@ -3189,7 +3170,7 @@ mod tests {
         stmt.execute(src, &stmt.bind(src), &mut state, &counts, true);
         let mut work = ViewSummary::default();
         counts.drain_into(&mut work.values);
-        (std::mem::take(&mut state.out), work)
+        (std::mem::take(&mut state.rows_of(stmt)[0]), work)
     }
 
     /// Sibling statements fused into one kernel hand every member exactly
@@ -3205,16 +3186,12 @@ mod tests {
             lower_statement(&["y".to_string()], &[key.to_string()], &rhs).unwrap()
         };
         let fused_rows = |stmt: &CompiledStmt, src: &MemSource, y: i64| {
-            let Sink::Siblings(members) = &stmt.sink else {
-                panic!("not fused: {stmt:?}")
-            };
             let mut state = KernelState::new();
-            state.siblings.resize_with(members.len(), Vec::new);
             state.prepare(stmt);
             state.frame[0] = Value::long(y);
             let counts = LocalCounts::default();
             stmt.execute(src, &stmt.bind(src), &mut state, &counts, true);
-            state.siblings
+            state.rows_of(stmt).to_vec()
         };
         let bits = |rows: &[(Tuple, f64)]| -> Vec<(Tuple, u64)> {
             rows.iter().map(|(k, m)| (k.clone(), m.to_bits())).collect()
@@ -3244,6 +3221,7 @@ mod tests {
             let fused = CompiledStmt::fuse(&refs).expect("siblings fuse");
             for y in [-2, 0, 3] {
                 let got = fused_rows(&fused, &src, y);
+                assert_eq!(got.len(), members.len(), "fused: {:?}", fused.members);
                 for (m, rows) in members.iter().zip(&got) {
                     let alone = run_with(m, &src, y).0;
                     assert_eq!(bits(rows), bits(&alone), "{:?} at y = {y}", m.plan);
@@ -3253,6 +3231,41 @@ mod tests {
         let summed = Expr::sum_of([r(), Expr::product_of([r(), Expr::var("b")])]);
         assert!(CompiledStmt::fuse(&[&scan[2], &lowered(summed, "a")]).is_none());
         assert!(CompiledStmt::fuse(&[&scan[0], &guarded[0]]).is_none());
+    }
+
+    /// Rows under one key collapse within an execution and never across
+    /// two: each execution's rows start at its member's merge floor, the
+    /// length of the lent buffer when it began. Two executions of one kernel
+    /// into the same buffers — a unit of one and a fused unit, keyed by the
+    /// trigger so every row of a scan of `R` shares the key — leave one row
+    /// per execution in each member's buffer, each the execution's whole sum.
+    #[test]
+    fn same_key_rows_collapse_within_an_execution_not_across_two() {
+        let lowered = |rhs: Expr| {
+            lower_statement(&["y".to_string()], &["y".to_string()], &rhs).unwrap()
+        };
+        let r = || Expr::rel("R", ["a", "b"]);
+        let count = lowered(r());
+        let weighted = lowered(Expr::product_of([r(), Expr::var("b")]));
+        let fused = CompiledStmt::fuse(&[&weighted, &count]).expect("siblings fuse");
+        let src = db();
+        // `R` holds (1, 2) once, (3, 5) twice and (4, 2) once.
+        for (stmt, sums) in [(&count, &[4.0f64][..]), (&fused, &[14.0, 4.0][..])] {
+            let mut state = KernelState::new();
+            state.prepare(stmt);
+            state.frame[0] = Value::long(7);
+            for _ in 0..2 {
+                let counts = LocalCounts::default();
+                stmt.execute(&src, &stmt.bind(&src), &mut state, &counts, true);
+            }
+            let rows = state.rows_of(stmt);
+            assert_eq!(rows.len(), sums.len(), "{:?}", stmt.members);
+            for (rows, &sum) in rows.iter().zip(sums) {
+                let key: Tuple = [Value::long(7)].into_iter().collect();
+                let bits: Vec<_> = rows.iter().map(|(k, m)| (k, m.to_bits())).collect();
+                assert_eq!(bits, [(&key, sum.to_bits()); 2], "{:?}", stmt.members);
+            }
+        }
     }
 
     /// A band sum whose bound an enclosing scan binds becomes a lookup into
@@ -3322,7 +3335,7 @@ mod tests {
             scratch_maps: lw.scratch_maps,
             trigger_slots: 1,
             used_trigger_slots: vec![0],
-            sink: Sink::Rows,
+            members: vec![vec![SiblingTerm::IDENTITY]],
         }
     }
 
@@ -3611,8 +3624,9 @@ mod tests {
             &LocalCounts::default(),
             true,
         );
-        assert_eq!(state.out.len(), 1);
-        assert_eq!(state.out[0].0.as_slice(), &[Value::long(1)]);
+        let rows = &state.rows_of(&stmt)[0];
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].0.as_slice(), &[Value::long(1)]);
     }
 
     #[test]

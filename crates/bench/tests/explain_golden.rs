@@ -439,6 +439,10 @@ fn ordered_index_census_per_compile_mode() {
 /// sets) and compile mode, every trigger with a group, as `relation/sign:
 /// statements → kernels [members]…`. A group runs its `+=` statements as one
 /// kernel, so a change to the rule that decides them fails here by name.
+/// The engine fills every deferred slot from the relation plan's kernel
+/// units, so for these and for every workload query alone, in every mode,
+/// each `+=` statement sits in exactly one unit, and a trigger's units come
+/// in order of their first members.
 /// q1's six aggregates are one group wherever q1 runs incrementally; in
 /// higher-order mode `tpch_dash`'s Lineitem also fuses q3's and q10's
 /// price and discounted-price maps, and the order-book programs fuse the
@@ -465,12 +469,19 @@ fn fused_group_census_per_compile_mode() {
         for plan in program.relation_plans().expect("compiled programs derive") {
             for t in [plan.insert, plan.delete].into_iter().flatten() {
                 let trigger = &program.triggers[t];
-                let groups: Vec<_> = plan.fused.iter().filter(|g| g.trigger == t).collect();
+                let units: Vec<_> = plan.kernels.iter().filter(|u| u.trigger == t).collect();
+                let mut placed: Vec<usize> = units.iter().flat_map(|u| u.members.clone()).collect();
+                placed.sort_unstable();
+                let increments: Vec<usize> = (0..trigger.increments().len()).collect();
+                assert_eq!(placed, increments, "{names:?} [{mode}]: {trigger}");
+                let leads: Vec<usize> = units.iter().map(|u| u.members[0]).collect();
+                assert!(leads.is_sorted(), "{names:?} [{mode}]: units {leads:?}");
+                let groups: Vec<_> = units.iter().filter(|u| u.members.len() > 1).collect();
                 if groups.is_empty() {
                     continue;
                 }
                 let n = trigger.statements.len();
-                let saved: usize = groups.iter().map(|g| g.members.len() - 1).sum();
+                let kernels = units.len() + n - increments.len();
                 let named = groups.iter().map(|g| {
                     let targets = g
                         .members
@@ -480,7 +491,6 @@ fn fused_group_census_per_compile_mode() {
                 });
                 let named: Vec<String> = named.collect();
                 let (relation, sign) = (&trigger.relation, trigger.sign);
-                let kernels = n - saved;
                 lines.push(format!(
                     "{relation}/{sign:?}: {n} → {kernels} {}",
                     named.join(" ")
@@ -526,5 +536,8 @@ fn fused_group_census_per_compile_mode() {
         assert_eq!(census(DASH, mode), dash, "tpch_dash [{mode}]");
         assert_eq!(census(BOOK, mode), book, "book_join [{mode}]");
         assert_eq!(census(&["vwap"], mode), none(), "book_nested [{mode}]");
+        for q in workloads::all_queries() {
+            census(&[q.name], mode);
+        }
     }
 }

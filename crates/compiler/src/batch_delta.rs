@@ -85,25 +85,28 @@
 //! one function from the triggers and stored nowhere: `compile` calls it to
 //! refuse a program that does not derive, the engine once at construction,
 //! where it resolves each plan into trigger indexes, per-statement flags and
-//! fused kernels, and `explain` to render each relation's `live pass:` and
+//! kernel units, and `explain` to render each relation's `live pass:` and
 //! `fused:` lines.
 //!
 //! ## Sibling statements
 //!
-//! Statements that do the same work and differ only in what they add run as
-//! one kernel. A **group** is a set of `+=` statements of one trigger, none
-//! of which fires live — so none reads another's target, which its run
-//! writes — with equal key and loop variables, whose plans are equal once
-//! each term's value ops are taken out — [`CompiledStmt::fuse`] decides
-//! that, and builds the kernel: one
-//! walk of the shared frame per entry, one key per row, and each member's
-//! row into that member's own buffer, with the products and the rows its
-//! own plan makes, bit for bit. TPC-H q1's six Lineitem aggregates are one
-//! group per sign. The same derivation lists each relation's groups
-//! ([`RelationPlan::fused`]): the engine resolves them with the rest of the
-//! plan, and `explain` prints a `fused:` line per group. A member keeps its
-//! own buffered rows at its own statement position, so the apply phase and
-//! the live pass see a group's members as they see any statement.
+//! Every `+=` statement runs in exactly one **kernel unit**
+//! ([`KernelUnit`]): one kernel and the statements whose rows it fills. A
+//! statement alone is a unit of one, with its own kernel. Statements that do
+//! the same work and differ only in what they add share a unit. Such a
+//! **group** is a set of `+=` statements of one trigger, none of which fires
+//! live — so none reads another's target, which its run writes — with equal
+//! key and loop variables, whose plans are equal once each term's value ops
+//! are taken out — [`CompiledStmt::fuse`] decides that, and builds the
+//! kernel: one walk of the shared frame per entry, one key per row, and each
+//! member's row into that member's own buffer, with the products and the
+//! rows its own plan makes, bit for bit. TPC-H q1's six Lineitem aggregates
+//! are one group per sign. The same derivation lists each relation's units
+//! ([`RelationPlan::kernels`]): the engine resolves them with the rest of
+//! the plan and runs each where its first member stands, and `explain`
+//! prints a `fused:` line per group of two or more. A member keeps its own
+//! buffered rows at its own statement position, so the apply phase and the
+//! live pass see a unit's members as they see any statement.
 //!
 //! ## Runs of one firing
 //!
@@ -144,21 +147,23 @@ pub struct RelationPlan {
     /// re-evaluates the same targets): the run's tail, fired once for its
     /// last event.
     pub tail: usize,
-    /// The sibling groups of both triggers, insert first, each by its first
-    /// member: `+=` statements that run as one kernel (see the module docs).
-    pub fused: Vec<Siblings>,
+    /// The kernel units of both triggers, insert first, each trigger's in
+    /// order of their first members: every `+=` statement of a trigger sits
+    /// in exactly one (see the module docs).
+    pub kernels: Vec<KernelUnit>,
 }
 
-/// Sibling `+=` statements of one trigger and the one kernel that runs them
-/// ([`CompiledStmt::fuse`]; see the module docs).
+/// `+=` statements of one trigger and the one kernel that fills their rows
+/// (see the module docs): a statement alone with its own kernel, or a
+/// sibling group with the kernel [`CompiledStmt::fuse`] builds.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Siblings {
+pub struct KernelUnit {
     /// Index into [`TriggerProgram::triggers`].
     pub trigger: usize,
-    /// The members' positions in the trigger, in statement order; two or
-    /// more.
+    /// The members' positions in the trigger, in statement order.
     pub members: Vec<usize>,
-    /// The fused kernel: member `i`'s rows go to its `siblings[i]` buffer.
+    /// The kernel: member `i`'s rows go to its row buffer `i`
+    /// ([`CompiledStmt::members`]).
     pub kernel: CompiledStmt,
 }
 
@@ -253,9 +258,9 @@ fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, B
         let t = &triggers[i];
         t.statements.len() - t.increments().len()
     });
-    let fused = rel_triggers
+    let kernels = rel_triggers
         .iter()
-        .flat_map(|&(ti, t)| siblings(ti, t, &live))
+        .flat_map(|&(ti, t)| kernel_units(ti, t, &live))
         .collect();
     Ok(RelationPlan {
         relation: relation.to_string(),
@@ -264,17 +269,17 @@ fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, B
         live,
         live_maps: live_maps.into_iter().collect(),
         tail,
-        fused,
+        kernels,
     })
 }
 
-/// The sibling groups of trigger `ti` (see the module docs): its `+=`
-/// statements that do not fire live, taken in statement order, each joining
-/// the first group whose first member has its key and loop variables and its
-/// frame ([`CompiledStmt::frame_shape`]). Groups of one are no groups. No
-/// member reads another's target: a statement that reads any target of its
-/// relation's triggers fires live.
-fn siblings(ti: usize, t: &Trigger, live: &[(usize, usize)]) -> Vec<Siblings> {
+/// The kernel units of trigger `ti` (see the module docs): its `+=`
+/// statements taken in statement order, each that does not fire live joining
+/// the first unit whose first member has its key and loop variables and its
+/// frame ([`CompiledStmt::frame_shape`]), every other one a unit of its own.
+/// No member reads another's target: a statement that reads any target of
+/// its relation's triggers fires live.
+fn kernel_units(ti: usize, t: &Trigger, live: &[(usize, usize)]) -> Vec<KernelUnit> {
     let stmts = t.increments();
     let keyed = |j: usize| (&stmts[j].key_vars, &stmts[j].loop_vars);
     // Only a statement that shares its key with another can have a sibling:
@@ -282,27 +287,32 @@ fn siblings(ti: usize, t: &Trigger, live: &[(usize, usize)]) -> Vec<Siblings> {
     let shapes: Vec<Option<String>> = (0..stmts.len())
         .map(|j| {
             let shared = (0..stmts.len()).any(|m| m != j && keyed(m) == keyed(j));
-            shared.then(|| stmts[j].kernel.frame_shape()).flatten()
+            let fuses = shared && !live.contains(&(ti, j));
+            fuses.then(|| stmts[j].kernel.frame_shape()).flatten()
         })
         .collect();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut units: Vec<Vec<usize>> = Vec::new();
     for j in 0..stmts.len() {
-        if live.contains(&(ti, j)) || shapes[j].is_none() {
-            continue;
-        }
-        let joins = |g: &&mut Vec<usize>| (keyed(g[0]), &shapes[g[0]]) == (keyed(j), &shapes[j]);
-        match groups.iter_mut().find(joins) {
+        let joins = |g: &&mut Vec<usize>| {
+            shapes[j].is_some() && (keyed(g[0]), &shapes[g[0]]) == (keyed(j), &shapes[j])
+        };
+        match units.iter_mut().find(joins) {
             Some(g) => g.push(j),
-            None => groups.push(vec![j]),
+            None => units.push(vec![j]),
         }
     }
-    groups
+    units
         .into_iter()
-        .filter(|g| g.len() > 1)
         .map(|members| {
-            let kernels: Vec<&CompiledStmt> = members.iter().map(|&j| &stmts[j].kernel).collect();
-            let kernel = CompiledStmt::fuse(&kernels).expect("statements of one frame fuse");
-            Siblings {
+            let kernel = match members[..] {
+                [j] => stmts[j].kernel.clone(),
+                _ => {
+                    let kernels: Vec<&CompiledStmt> =
+                        members.iter().map(|&j| &stmts[j].kernel).collect();
+                    CompiledStmt::fuse(&kernels).expect("statements of one frame fuse")
+                }
+            };
+            KernelUnit {
                 trigger: ti,
                 members,
                 kernel,
@@ -554,19 +564,24 @@ mod tests {
             ])
             .expect("R derives")
         };
+        let units = |plan: &RelationPlan| -> Vec<(usize, Vec<usize>)> {
+            let units = plan.kernels.iter();
+            units.map(|u| (u.trigger, u.members.clone())).collect()
+        };
         let plan = both("P");
-        let groups: Vec<(usize, &[usize])> = plan
-            .fused
-            .iter()
-            .map(|g| (g.trigger, &g.members[..]))
-            .collect();
-        assert_eq!(groups, [(0, &[0, 1][..]), (1, &[0, 1][..])]);
+        assert_eq!(units(&plan), [(0, vec![0, 1]), (1, vec![0, 1])]);
         assert!(plan.live.is_empty());
         // With `X = N` each reads the second one's target, which their run
-        // writes: both fire live, entry by entry, so nothing fuses.
+        // writes: both fire live, entry by entry, so nothing fuses: each is
+        // a unit of one that runs its own kernel.
         let plan = both("N");
-        assert!(plan.fused.is_empty(), "{:?}", plan.fused);
+        let alone = [(0, vec![0]), (0, vec![1]), (1, vec![0]), (1, vec![1])];
+        assert_eq!(units(&plan), alone);
         assert_eq!(plan.live, [(0, 0), (0, 1), (1, 0), (1, 1)]);
+        for u in &plan.kernels {
+            let own = &pair("N")[u.members[0]].kernel;
+            assert_eq!(&u.kernel, own);
+        }
     }
 
     fn count_of(view: &str) -> Expr {

@@ -82,8 +82,9 @@ pub struct RelationExplain {
     /// Its live pass — the statements that fire entry by entry and the
     /// run-written maps they read, or none — and its `:=` tail, if any.
     pub live_pass: String,
-    /// Its sibling groups ([`RelationPlan::fused`]), each run as one kernel:
-    /// insert first, each by its first member.
+    /// Its sibling groups — the kernel units of two or more statements
+    /// ([`RelationPlan::kernels`]), each run as one kernel: insert first,
+    /// each by its first member.
     pub fused: Vec<FusedExplain>,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
@@ -153,7 +154,8 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
                 .flatten()
                 .map(|i| explain_trigger(program, &plan, i))
                 .collect();
-            let fused = plan.fused.iter().map(|g| {
+            let groups = plan.kernels.iter().filter(|u| u.members.len() > 1);
+            let fused = groups.map(|g| {
                 let t = &program.triggers[g.trigger];
                 FusedExplain {
                     sign: sign_str(t.sign),

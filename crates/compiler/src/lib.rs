@@ -45,7 +45,7 @@ pub mod materialize;
 pub mod program;
 pub mod typecheck;
 
-pub use batch_delta::{RelationPlan, Siblings};
+pub use batch_delta::{KernelUnit, RelationPlan};
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
     explain, FusedExplain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
@@ -60,7 +60,7 @@ pub use program::{
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::batch_delta::{RelationPlan, Siblings};
+    pub use crate::batch_delta::{KernelUnit, RelationPlan};
     pub use crate::compile::{compile, CompileError};
     pub use crate::explain::{explain, ProgramExplain};
     pub use crate::program::{

@@ -70,12 +70,14 @@
 //! argument and the `:=` tail (bit-exact on integer-weighted streams; to summation
 //! order on float aggregates).
 //!
-//! Sibling `+=` statements — a group the relation's plan lists
-//! (`RelationPlan::fused`): same key, the same plan but for the values they add, none
-//! firing live — run as one fused kernel per entry: one walk of the shared plan, one
-//! key per row, and each member's row into the member's own deferred buffer at its own
-//! statement position, so the apply phase and the live pass see each member as they see
-//! any statement. Each member's rows are the ones its own kernel would emit, bit for bit
+//! Collection runs **kernel units**, as the relation's plan lists them
+//! (`RelationPlan::kernels`): every `+=` statement sits in exactly one unit, one kernel
+//! and the statements whose rows it fills. A statement alone is a unit of one; sibling
+//! statements — same key, the same plan but for the values they add, none firing live
+//! — share a fused kernel: one walk of the shared plan per entry, one key per row, and
+//! each member's row into the member's own deferred buffer at its own statement
+//! position, so the apply phase and the live pass see each member as they see any
+//! statement. Each member's rows are the ones its own kernel would emit, bit for bit
 //! (see `dbtoaster_agca::plan`). TPC-H q1's six Lineitem aggregates run as one kernel.
 //!
 //! A batch holds one run per relation, however its events interleave: every map is a
@@ -91,8 +93,8 @@
 //!
 //! * each plan — to its relation's dispatch record (its triggers' indexes, whether it
 //!   has a live pass and a `:=` tail, whether its base map is live), two flags on
-//!   each statement: does it fire live, and is its target a live map, and its sibling
-//!   groups' fused kernels, each run where its first member stands;
+//!   each statement: does it fire live, and is its target a live map, and its kernel
+//!   units, by trigger, each run where its first member stands;
 //! * every statement's target map and every relation's stored base map — to
 //!   [`MapId`]s, which also index the per-view work counts (below);
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,
@@ -116,11 +118,11 @@
 //! With telemetry attached ([`Engine::set_telemetry`]) each map declared by then has one
 //! [`LocalCounts`] block, by [`MapId`], beside its shared record: a statement's kernel
 //! is handed its target's block and counts its probes, scans and range sums there, and
-//! the rows the statement writes and its live firings land in the same block. A fused
+//! the rows the statement writes and its live firings land in the same block. A unit's
 //! kernel does one walk for all its members, so its probes and scans count once, in its
 //! first member's block; each member's `rows_written` is its own. An armed batch's
-//! trace names a fused kernel's span for its first member's target, with the rows of
-//! every member. Without telemetry every kernel counts into one discard block, as does
+//! trace names a unit's span for its first member's target, with the rows of every
+//! member. Without telemetry every kernel counts into one discard block, as does
 //! static-view initialization. A flush reads each view's store readings, drains its block into them
 //! and publishes the result; it names no counter, so a new work count is one
 //! `VIEW_VALUES` row and the `add` where the work happens.
@@ -130,7 +132,7 @@ use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
-use dbtoaster_compiler::{Catalog, RelationMeta, Statement, StmtOp, TriggerProgram};
+use dbtoaster_compiler::{Catalog, KernelUnit, RelationMeta, Statement, StmtOp, TriggerProgram};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
 use dbtoaster_telemetry::{
     slot_of, LocalCounts, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry,
@@ -206,9 +208,9 @@ pub struct EngineStats {
     /// Events applied so far; refused events do not count. A durable serving
     /// writer logs only admitted events, so this is also its WAL watermark.
     pub events: u64,
-    /// Kernel executions so far: one per statement evaluated, except that a
-    /// sibling group's fused kernel counts once for all its members (q1's six
-    /// Lineitem statements count 1 per event).
+    /// Kernel executions so far: one per kernel unit or statement evaluated —
+    /// a sibling group's fused kernel counts once for all its members (q1's
+    /// six Lineitem statements count 1 per event).
     pub statements: u64,
     /// Total time spent inside `process` / `process_batch`.
     pub busy: Duration,
@@ -313,33 +315,6 @@ struct Bound {
     /// [`RelationPlan::live`](dbtoaster_compiler::RelationPlan::live))? A
     /// multi-firing run evaluates it firing by firing.
     fires_live: bool,
-    /// Does the statement run in a fused kernel, and is it its first member?
-    fused: Fused,
-}
-
-/// A statement's place in its relation's sibling groups
-/// ([`RelationPlan::fused`](dbtoaster_compiler::RelationPlan::fused)).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-enum Fused {
-    /// It runs its own kernel.
-    #[default]
-    No,
-    /// It is the first member of the group at this index of
-    /// `Executor::groups`: the group runs where it stands.
-    Lead(u16),
-    /// A later member: its group's kernel fills its rows.
-    Member,
-}
-
-/// A sibling group's fused kernel as the engine runs it: the members'
-/// statement positions in their trigger, and the kernel bound like a
-/// statement's, its work counted for its first member's target.
-#[derive(Clone, Debug)]
-struct Group {
-    trigger: u16,
-    members: Vec<u16>,
-    kernel: CompiledStmt,
-    bound: Bound,
 }
 
 /// One catalog relation as the per-event path reads it, resolved once (see
@@ -389,8 +364,9 @@ impl DispatchEntry {
 /// Run `kernel` for one event `tuple` against `db`, reading through its
 /// relation table bound to `rels`, appending its `(key, multiplicity)` rows
 /// to `out` and touching no view. The live pass, the `:=` tail and
-/// static-view initialization come through here; collection readies the
-/// state the same way ([`seed`]) and lends a run's buffers once. `state` is reused
+/// static-view initialization come through here, each with a lowered
+/// statement's kernel, a unit of one; collection readies the state the same
+/// way ([`seed`]) and lends a run's buffers once. `state` is reused
 /// across events — zero per-event allocation in steady state. A trigger slot
 /// is written only when it does not already hold the event's very value
 /// ([`Value::is_same`]), so the statements of one event fill each column
@@ -415,11 +391,11 @@ fn kernel_rows(
     counts: &LocalCounts,
 ) {
     seed(state, kernel, tuple, first);
-    // The kernel appends to `state.out`: lend it the caller's buffer for the
-    // call instead of copying rows across.
-    std::mem::swap(&mut state.out, out);
+    // The kernel appends to its member's row buffer: lend it the caller's
+    // buffer for the call instead of copying rows across.
+    std::mem::swap(&mut state.rows_of(kernel)[0], out);
     kernel.execute(db, rels, state, counts, first);
-    std::mem::swap(&mut state.out, out);
+    std::mem::swap(&mut state.rows_of(kernel)[0], out);
 }
 
 /// Ready `state` for an evaluation of `kernel` for event `tuple`: sized for
@@ -522,8 +498,11 @@ struct Executor {
     /// Per [`TriggerProgram::maps`] entry: its initializer kernel, resolved
     /// (default where the map has none).
     inits: Vec<Bound>,
-    /// The sibling groups of every relation plan, resolved.
-    groups: Vec<Group>,
+    /// `[trigger]` → its kernel units, in order of their first members
+    /// ([`RelationPlan::kernels`](dbtoaster_compiler::RelationPlan::kernels)).
+    /// A unit's kernel reads the relation table of its first member, whose
+    /// resolution it shares, and counts its work for that member's target.
+    units: Vec<Vec<KernelUnit>>,
     /// Telemetry buffers, present only after [`Engine::set_telemetry`] with
     /// an enabled handle. `None` keeps the hot path at one predictable
     /// branch per batch.
@@ -765,7 +744,7 @@ impl Engine {
             .iter()
             .map(|t| unbound(t.statements.len()))
             .collect();
-        let mut groups = Vec::new();
+        let mut units: Vec<Vec<KernelUnit>> = vec![Vec::new(); program.triggers.len()];
         for plan in plans {
             for t in [plan.insert, plan.delete].into_iter().flatten() {
                 let statements = &program.triggers[t].statements;
@@ -776,19 +755,8 @@ impl Engine {
             for &(t, j) in &plan.live {
                 stmts[t][j].fires_live = true;
             }
-            for g in plan.fused {
-                for (n, &j) in g.members.iter().enumerate() {
-                    stmts[g.trigger][j].fused = match n {
-                        0 => Fused::Lead(groups.len() as u16),
-                        _ => Fused::Member,
-                    };
-                }
-                groups.push(Group {
-                    trigger: g.trigger as u16,
-                    members: g.members.iter().map(|&j| j as u16).collect(),
-                    kernel: g.kernel,
-                    bound: Bound::default(),
-                });
+            for unit in plan.kernels {
+                units[unit.trigger].push(unit);
             }
             // A relation the catalog does not declare never passes the gate.
             if let Some(&r) = relation_ids.get(&plan.relation) {
@@ -815,7 +783,7 @@ impl Engine {
             relation_ids,
             stmts,
             inits: unbound(program.maps.len()),
-            groups,
+            units,
             tel: None,
         };
         let mut engine = Engine {
@@ -841,7 +809,6 @@ impl Engine {
                     relations,
                     stmts,
                     inits,
-                    groups,
                     ..
                 },
         } = self;
@@ -865,10 +832,6 @@ impl Engine {
             if let Some(init) = &m.init {
                 b.bind(db, &m.name, init);
             }
-        }
-        for g in groups.iter_mut() {
-            let lead = &program.triggers[g.trigger as usize].statements[g.members[0] as usize];
-            g.bound.bind(db, &lead.target, &g.kernel);
         }
         for r in relations.iter_mut() {
             r.base = db.id(&r.meta.name);
@@ -1412,20 +1375,21 @@ impl Executor {
             if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
                 continue;
             }
-            let statements = program.triggers[tidx as usize].increments();
+            let t = tidx as usize;
+            let statements = program.triggers[t].increments();
             for j in 0..statements.len() {
                 self.bd.acquire(tidx, j as u16);
             }
-            for (j, stmt) in statements.iter().enumerate() {
-                let bound = &self.stmts[tidx as usize][j];
-                // The live pass fills the slot of a statement it fires, and a
-                // group's first member the slots of the rest.
-                if (live && bound.fires_live) || bound.fused == Fused::Member {
+            for u in 0..self.units[t].len() {
+                let lead = self.units[t][u].members[0];
+                // The live pass fills the slot of a statement it fires: a
+                // unit of one.
+                if live && self.stmts[t][lead].fires_live {
                     continue;
                 }
                 let st0 = self.armed_instant();
-                let rows = self.collect_over(program, tidx, j, run, sign, base[s]);
-                self.note_stmt(st0, &stmt.target, rows);
+                let rows = self.collect_over(tidx, u, run, sign, base[s]);
+                self.note_stmt(st0, &statements[lead].target, rows);
             }
         }
         if !live {
@@ -1545,18 +1509,16 @@ impl Executor {
         evaluated
     }
 
-    /// Buffer incremental statement `j` of trigger `tidx`'s rows over all of
-    /// a run's entries of one sign without applying them — or, where it leads
-    /// a sibling group, every member's, through the group's fused kernel — in
-    /// each statement's slot `base + j`: each slot's rows lent to the kernel
-    /// for the run, setup once, then back-to-back evaluations against the
-    /// unchanged pre-run store, one segment per entry. A fused kernel counts
+    /// Buffer the rows of kernel unit `u` of trigger `tidx` over all of a
+    /// run's entries of one sign without applying them, each member `j`'s in
+    /// its statement's slot `base + j`: each slot's rows lent to the unit's
+    /// kernel for the run, setup once, then back-to-back evaluations against
+    /// the unchanged pre-run store, one segment per entry. The kernel counts
     /// its work for its first member's target. Returns the rows buffered.
     fn collect_over(
         &mut self,
-        program: &TriggerProgram,
         tidx: u16,
-        j: usize,
+        u: usize,
         run: &RelationDelta,
         sign: UpdateSign,
         base: usize,
@@ -1568,26 +1530,17 @@ impl Executor {
             bd,
             stats,
             stmts,
-            groups,
+            units,
             tel,
             ..
         } = self;
-        let (t, own) = (tidx as usize, [j as u16]);
-        let (kernel, bound, members) = match stmts[t][j].fused {
-            Fused::Lead(g) => {
-                let g = &groups[g as usize];
-                (&g.kernel, &g.bound, &g.members[..])
-            }
-            _ => (
-                &program.triggers[t].statements[j].kernel,
-                &stmts[t][j],
-                &own[..],
-            ),
-        };
+        let unit = &units[tidx as usize][u];
+        let (kernel, members) = (&unit.kernel, &unit.members);
+        let bound = &stmts[tidx as usize][members[0]];
         let counts = view_counts(tel, discard, bound.target);
         let lend = |state: &mut KernelState, bd: &mut BdScratch| {
             for (lent, &m) in state.rows_of(kernel).iter_mut().zip(members) {
-                std::mem::swap(lent, &mut bd.stmts[base + m as usize].rows);
+                std::mem::swap(lent, &mut bd.stmts[base + m].rows);
             }
         };
         lend(state, bd);
@@ -1601,7 +1554,7 @@ impl Executor {
             seed(state, kernel, &entry.key, first);
             kernel.execute(db, &bound.rels, state, counts, first);
             for (buf, &m) in state.rows_of(kernel).iter().zip(members) {
-                let segs = &mut bd.stmts[base + m as usize].segs;
+                let segs = &mut bd.stmts[base + m].segs;
                 let start = segs.last().map_or(0, |s| s.end);
                 let seg = Seg {
                     start,

@@ -297,7 +297,7 @@ fn fused_siblings_allocate_nothing_in_steady_state() {
     )
     .unwrap();
     let plans = program.relation_plans().expect("W derives");
-    let fused: Vec<usize> = plans[0].fused.iter().map(|g| g.members.len()).collect();
+    let fused: Vec<usize> = plans[0].kernels.iter().map(|u| u.members.len()).collect();
     assert_eq!(fused, [3, 3], "one group of three per trigger");
     let mut engine = Engine::new(program, &catalog);
 

@@ -63,8 +63,10 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
     let mut ctx = Bindings::new();
     ctx.insert("b".to_string(), Value::long(1));
     let expected = eval(&rhs, &db, &ctx).unwrap();
-    let mut got: Vec<(Vec<Value>, f64)> =
-        state.out.drain(..).map(|(k, m)| (k.to_vec(), m)).collect();
+    let mut got: Vec<(Vec<Value>, f64)> = state.rows_of(&stmt)[0]
+        .drain(..)
+        .map(|(k, m)| (k.to_vec(), m))
+        .collect();
     got.sort_by(|a, b| a.0[0].total_cmp(&b.0[0]));
     let xi = expected.schema().index_of("x").unwrap();
     let mut want: Vec<(Vec<Value>, f64)> = expected

@@ -42,7 +42,10 @@ fn run(stmt: &CompiledStmt, db: &Database, y: i64) -> (Vec<u64>, ViewSummary) {
     state.frame[0] = Value::long(y);
     let counts = LocalCounts::default();
     stmt.execute(db, &stmt.bind(db), &mut state, &counts, true);
-    let bits = state.out.iter().map(|r| r.1.to_bits()).collect();
+    let bits = state.rows_of(stmt)[0]
+        .iter()
+        .map(|r| r.1.to_bits())
+        .collect();
     let mut work = ViewSummary::default();
     counts.drain_into(&mut work.values);
     (bits, work)

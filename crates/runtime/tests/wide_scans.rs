@@ -94,9 +94,9 @@ fn check(trigger_vars: &[&str], var_at: impl Fn(usize) -> String, events: &[&[i6
             state.frame[slot] = Value::long(v);
             ctx.insert(name.clone(), Value::long(v));
         }
-        state.out.clear();
+        state.rows_of(&stmt)[0].clear();
         stmt.execute(&db, &rels, &mut state, &LocalCounts::default(), true);
-        let got: f64 = state.out.iter().map(|(_, m)| m).sum();
+        let got: f64 = state.rows_of(&stmt)[0].iter().map(|(_, m)| m).sum();
         let want: f64 = eval(&rhs, &db, &ctx).unwrap().iter().map(|(_, m)| m).sum();
         assert_eq!(got, want, "event {event:?} of {rhs}");
     }

@@ -142,11 +142,11 @@ pub fn net_stream(batch: &DeltaBatch) -> Vec<UpdateEvent> {
 }
 
 /// The kernels `program` executes for `batch`, less the entry of the
-/// `refused` event. A run executes each `+=` of an entry's sign once per
-/// entry — once per firing where it fires live in a multi-firing run, and
-/// once for all the members of a sibling group (`RelationPlan::fused`) —
-/// and the `:=` statements of its last event's trigger once, unless every
-/// entry cancelled.
+/// `refused` event. A run executes each kernel unit of an entry's sign
+/// (`RelationPlan::kernels`: a `+=` statement alone, or a sibling group)
+/// once per entry — once per firing where it fires live in a multi-firing
+/// run — and the `:=` statements of its last event's trigger once, unless
+/// every entry cancelled.
 pub fn statements(
     program: &TriggerProgram,
     batch: &DeltaBatch,
@@ -172,16 +172,15 @@ pub fn statements(
             let Some(t) = e.sign().and_then(trigger) else {
                 continue;
             };
-            let all = program.triggers[t].statements.iter().enumerate();
-            n += all
-                .filter(|(_, s)| s.op == StmtOp::Increment)
-                .map(|(j, _)| match firings > 1 && plan.live.contains(&(t, j)) {
-                    true => u64::from(e.firings()),
-                    false => 1,
-                })
+            let units = plan.kernels.iter().filter(|u| u.trigger == t);
+            n += units
+                .map(
+                    |u| match firings > 1 && plan.live.contains(&(t, u.members[0])) {
+                        true => u64::from(e.firings()),
+                        false => 1,
+                    },
+                )
                 .sum::<u64>();
-            let fused = plan.fused.iter().filter(|g| g.trigger == t);
-            n -= fused.map(|g| g.members.len() as u64 - 1).sum::<u64>();
         }
         let tail = run.last_event().and_then(|(sign, _)| trigger(sign));
         if let Some(t) = tail.filter(|_| firings > 0) {
@@ -639,7 +638,7 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
     let mut fused = false;
     for plan in plans(&compiled) {
-        fused |= !plan.fused.is_empty();
+        fused |= plan.kernels.iter().any(|u| u.members.len() > 1);
         facts.push(match plan.live.is_empty() {
             true => "empty live pass",
             false => "non-empty live pass",

@@ -57,15 +57,14 @@ fn engine(name: &str, sql: &str) -> (Engine, Telemetry) {
     (engine, tel)
 }
 
-/// How many kernels the `Lineitem` insert trigger runs as: one per
-/// statement, less one per member past the first of each sibling group.
+/// How many kernels the `Lineitem` insert trigger runs as: one per kernel
+/// unit (its statements are all `+=`).
 fn lineitem_kernels(engine: &Engine) -> usize {
     let program = engine.program();
     let plans = program.relation_plans().expect("compiled programs derive");
     let plan = plans.iter().find(|p| p.relation == "Lineitem").unwrap();
     let t = plan.insert.unwrap();
-    let fused = plan.fused.iter().filter(|g| g.trigger == t);
-    program.triggers[t].statements.len() - fused.map(|g| g.members.len() - 1).sum::<usize>()
+    plan.kernels.iter().filter(|u| u.trigger == t).count()
 }
 
 /// Feed `events` to `engine` one at a time (`chunk` 1) or in batches.
@@ -111,8 +110,9 @@ fn q1_matches_its_aggregates_run_alone(events: usize) {
             let (mut alone, alone_tel) = engine(name, &single(aggregate));
             assert_eq!(lineitem_kernels(&alone), 1, "{name} runs unfused");
             assert!(alone.program().relation_plans().unwrap()[0]
-                .fused
-                .is_empty());
+                .kernels
+                .iter()
+                .all(|u| u.members.len() == 1));
             feed(&mut alone, &events, chunk);
             // Both ran one kernel per entry.
             assert_eq!(fused.stats().statements, alone.stats().statements, "{name}");
