@@ -20,7 +20,14 @@
 //!   `M(ok) * (ok := t)` into an indexed probe — is chosen statically by the
 //!   same `product_order_by`/`scalar_ready_by` analysis the interpreter
 //!   uses per event, so compiled and interpreted execution agree by
-//!   construction.
+//!   construction. One step goes further: a comparison of trigger values and
+//!   constants alone — a guard on the event, like TPC-H q12's `shipdate`
+//!   window — moves to the front of a product that reads a map or a
+//!   sub-aggregate, so an event outside it probes nothing. A filter passes its multiplicity on unchanged or drops
+//!   the row, so every product stays the same; a product that ended in such
+//!   a filter after an op that may yield zero keeps a copy of it there,
+//!   whose zero short-circuit drops the zero rows the product's end dropped,
+//!   so every emitted row stays the same too.
 //!
 //! ## Execution model
 //!
@@ -724,6 +731,8 @@ struct Lowerer {
     scratch_maps: u16,
     /// The statement's relation table (see [`CompiledStmt::rels`]).
     rels: Vec<String>,
+    /// How many leading slots the trigger's event seeds.
+    trigger_slots: u32,
 }
 
 impl Lowerer {
@@ -735,6 +744,7 @@ impl Lowerer {
             pattern_arities: Vec::new(),
             scratch_maps: 0,
             rels: Vec::new(),
+            trigger_slots: 0,
         }
     }
 
@@ -937,7 +947,33 @@ impl Lowerer {
                 }
             }
         }
-        Ok(Op::Product(ops))
+        // Guards on the event lead a product that reads more than the frame,
+        // in stable order (see the module docs). One that ended in a guard
+        // after an op that may yield zero keeps a copy of it there: its zero
+        // short-circuit drops the zero rows the product's end dropped.
+        if ops.iter().all(|op| passes_mult(op) || is_value_op(op)) {
+            return Ok(Op::Product(ops));
+        }
+        let last = ops.iter().rposition(|op| !self.guards_event(op));
+        let end = match last {
+            Some(i) if i + 1 < ops.len() && may_zero(&ops[i]) => ops.last().cloned(),
+            _ => None,
+        };
+        let (mut guards, rest): (Vec<Op>, Vec<Op>) =
+            ops.into_iter().partition(|op| self.guards_event(op));
+        guards.extend(rest);
+        guards.extend(end);
+        Ok(Op::Product(guards))
+    }
+
+    /// Is `op` a filter whose operands are trigger slots and constants only?
+    fn guards_event(&self, op: &Op) -> bool {
+        let on_event = |s: &Scalar| match s {
+            Scalar::Slot(slot) => u32::from(*slot) < self.trigger_slots,
+            Scalar::Const(_) => true,
+            _ => false,
+        };
+        matches!(op, Op::CmpFilter { left, right, .. } if on_event(left) && on_event(right))
     }
 
     fn lower_sum(&mut self, terms: &[Expr]) -> Result<Op, Unsupported> {
@@ -1036,6 +1072,7 @@ pub fn lower_statement(
         // context: every position gets a slot, innermost lookup wins.
         lw.bind(v)?;
     }
+    lw.trigger_slots = lw.next_slot;
     let plan = lw.lower_op(rhs)?;
     // A bound name is never re-bound during lowering, so innermost lookup is
     // equivalent to the interpreter's trigger-bindings-first key resolution.
@@ -1977,6 +2014,15 @@ fn passes_mult(op: &Op) -> bool {
         op,
         Op::CmpFilter { .. } | Op::LiftBind { .. } | Op::LiftEq { .. }
     )
+}
+
+/// May `op` turn a nonzero multiplicity into zero? A filter or a lift
+/// passes it on, and a constant of magnitude one or more keeps it nonzero.
+fn may_zero(op: &Op) -> bool {
+    match op {
+        Op::ConstMult(c) => c.abs() < 1.0,
+        op => !passes_mult(op),
+    }
 }
 
 /// Does a frame emit at most one row per walk: no scan, sum or `Exists`?
@@ -3233,6 +3279,65 @@ mod tests {
         assert!(CompiledStmt::fuse(&[&scan[0], &guarded[0]]).is_none());
     }
 
+    /// A filter on trigger values and constants alone leads its product, as
+    /// TPC-H q12's `shipdate` window does: an event outside it probes
+    /// nothing and emits nothing, and one inside emits the row of the product
+    /// in the interpreter's order, bit for bit — none where that product's
+    /// value is zero, which the copy of the filter left at its end drops.
+    #[test]
+    fn guards_on_the_event_filter_before_anything_is_probed() {
+        let src = db();
+        let probe = Expr::product_of([
+            Expr::rel("R", ["k", "j"]),
+            Expr::lift("k", Expr::var("y")),
+            Expr::lift("j", Expr::val(5i64)),
+        ]);
+        let window = |cmp, bound: i64| Expr::cmp(cmp, Expr::var("z"), Expr::val(bound));
+        let rhs = Expr::product_of([
+            Expr::agg_sum(Vec::<String>::new(), probe),
+            window(OpC::Ge, 10),
+            window(OpC::Lt, 20),
+        ]);
+        let tvars = ["y".to_string(), "z".to_string()];
+        let stmt = lower_statement(&tvars, &[], &rhs).unwrap();
+        let Op::Product(ops) = &stmt.plan else {
+            panic!("{:?}", stmt.plan)
+        };
+        let filter = |op: &Op| matches!(op, Op::CmpFilter { .. });
+        let kinds: Vec<bool> = ops.iter().map(filter).collect();
+        assert_eq!(kinds, [true, true, false, true], "{:?}", stmt.plan);
+        // The interpreter's order: the same lowering, moving no guard.
+        let mut lw = Lowerer::new();
+        for v in &tvars {
+            lw.bind(v).unwrap();
+        }
+        let interpreted = CompiledStmt {
+            plan: lw.lower_op(&rhs).unwrap(),
+            ..stmt.clone()
+        };
+        let run = |stmt: &CompiledStmt, y: i64, z: i64| {
+            let mut state = KernelState::new();
+            state.prepare(stmt);
+            state.frame[0] = Value::long(y);
+            state.frame[1] = Value::long(z);
+            let counts = LocalCounts::default();
+            stmt.execute(&src, &stmt.bind(&src), &mut state, &counts, true);
+            let mut work = ViewSummary::default();
+            counts.drain_into(&mut work.values);
+            let rows = state.rows_of(stmt)[0].iter();
+            let bits: Vec<_> = rows.map(|(k, m)| (k.clone(), m.to_bits())).collect();
+            (bits, work.get("probes"))
+        };
+        assert_eq!(run(&stmt, 3, 25), (vec![], 0));
+        assert_eq!(run(&interpreted, 3, 25), (vec![], 1));
+        for (y, z, rows) in [(3, 15, 1), (9, 15, 0)] {
+            let got = run(&stmt, y, z);
+            assert_eq!(got, run(&interpreted, y, z), "y = {y}, z = {z}");
+            assert_eq!((got.0.len(), got.1), (rows, 1), "y = {y}, z = {z}");
+            check(&rhs, &[("y", y), ("z", z)], &[]);
+        }
+    }
+
     /// Rows under one key collapse within an execution and never across
     /// two: each execution's rows start at its member's merge floor, the
     /// length of the lent buffer when it began. Two executions of one kernel
@@ -3241,9 +3346,8 @@ mod tests {
     /// per execution in each member's buffer, each the execution's whole sum.
     #[test]
     fn same_key_rows_collapse_within_an_execution_not_across_two() {
-        let lowered = |rhs: Expr| {
-            lower_statement(&["y".to_string()], &["y".to_string()], &rhs).unwrap()
-        };
+        let lowered =
+            |rhs: Expr| lower_statement(&["y".to_string()], &["y".to_string()], &rhs).unwrap();
         let r = || Expr::rel("R", ["a", "b"]);
         let count = lowered(r());
         let weighted = lowered(Expr::product_of([r(), Expr::var("b")]));
