@@ -22,12 +22,12 @@
 //!   uses per event, so compiled and interpreted execution agree by
 //!   construction. One step goes further: a comparison of trigger values and
 //!   constants alone — a guard on the event, like TPC-H q12's `shipdate`
-//!   window — moves to the front of a product that reads a map or a
-//!   sub-aggregate, so an event outside it probes nothing. A filter passes its multiplicity on unchanged or drops
-//!   the row, so every product stays the same; a product that ended in such
-//!   a filter after an op that may yield zero keeps a copy of it there,
-//!   whose zero short-circuit drops the zero rows the product's end dropped,
-//!   so every emitted row stays the same too.
+//!   window — moves to the front of a product that reads a map, so an event
+//!   outside it probes nothing. A filter passes its multiplicity on
+//!   unchanged or drops the row, so every product stays the same; a product
+//!   that ended in such a filter after an op that may yield zero keeps a
+//!   copy of it there, whose zero short-circuit drops the zero rows the
+//!   product's end dropped, so every emitted row stays the same too.
 //!
 //! ## Execution model
 //!
@@ -947,9 +947,9 @@ impl Lowerer {
                 }
             }
         }
-        // Guards on the event lead a product that reads more than the frame,
-        // in stable order (see the module docs). One that ended in a guard
-        // after an op that may yield zero keeps a copy of it there: its zero
+        // Guards on the event lead a product that reads a map, in stable
+        // order (see the module docs). One that ended in a guard after an op
+        // that may yield zero keeps a copy of it there: its zero
         // short-circuit drops the zero rows the product's end dropped.
         if ops.iter().all(|op| passes_mult(op) || is_value_op(op)) {
             return Ok(Op::Product(ops));
