@@ -276,12 +276,57 @@
 //! write per key run — but never across executions: each execution's rows
 //! start at their member's **merge floor**, the buffer's length when it
 //! began (a batch applies each entry's rows a different number of times).
+//!
+//! ## Straight-line units and event guards
+//!
+//! The paper's trigger code for an O(1) statement is a few lines over the
+//! event's fields; interpreting a plan for it costs more than the work it
+//! does. When a kernel is lowered or fused it derives, once, a form that
+//! runs without [`CompiledStmt::execute`] ([`CompiledStmt::straight`],
+//! kept in the `straight` submodule), and the engine tries that form first
+//! ([`CompiledStmt::run_straight`]):
+//!
+//! * a **trigger-only unit** ([`Straight::Unit`]) reads no relation and
+//!   has no prelude, its key slots are all trigger slots, its frame — the
+//!   plan taken apart as fusion takes it apart — holds only constants and
+//!   event guards, and its members' values only value ops over trigger
+//!   slots and constants: TPC-H q1's unit, q6 and `m_q12_3` on Lineitem,
+//!   `m_q12_1` and `m_q12_2` on Orders. It runs from the event tuple in
+//!   place — no frame seeded, no [`KernelState`], no buffer lent — and
+//!   appends each member's row straight to the caller's buffer for it
+//!   ([`MemberRows`]). It runs step for step what the interpreter runs:
+//!   each guard through the same [`CmpOp::eval`] on the same `Value`s, each
+//!   member's multiplicity as the same `f64` products in plan order, with
+//!   the zero short-circuit before each value op and `zero_drops` replayed,
+//!   and the member's rows of one event — all under the event's one key —
+//!   summed in term order into one, as the sink collapses them above the
+//!   merge floor. The key is built once and cloned for each later member.
+//!   So its rows are the interpreter's bit for bit by construction, with
+//!   no numeric fallback: it never leaves `Value` arithmetic;
+//! * any other kernel whose top-level terms all begin with event guards —
+//!   lowering puts them first (see the lowering section) — and that has no
+//!   prelude keeps those guards ([`Straight::Guards`]). An event that fails
+//!   some guard of every term gets no rows, and the interpreter does not
+//!   run for it: q12's Lineitem kernel outside the `shipdate` window, its
+//!   Orders kernel for any priority but the two it counts. An execution the
+//!   guards stop would have probed and scanned nothing, so the work counts
+//!   are unchanged. A kernel with a prelude has no such form: its
+//!   entry-invariant scans fill their result slots at a run's first
+//!   execution, and every prelude scan counts its work, whatever the
+//!   guards say.
+//!
+//! There is no switch and no second path for the same shape: the
+//! interpreter never runs a trigger-only unit, and runs a guard-tested
+//! kernel only for an event that passes some term's guards.
 
 use crate::eval::{product_order_by, RelId, RelationSource};
 use crate::expr::{CmpOp, Expr, RelRef, ScalarFn};
 use dbtoaster_gmr::{FastMap, Tuple, Value};
 use dbtoaster_telemetry::{slot_of, LocalCounts};
 use std::cell::{Cell, RefCell};
+
+mod straight;
+pub use straight::{MemberRows, Straight, StraightUnit};
 
 /// A pre-resolved frame index (see the module docs on slot discipline).
 pub type Slot = u16;
@@ -685,6 +730,10 @@ pub struct CompiledStmt {
     /// ([`KernelState::rows_of`]). A lowered statement is one member with
     /// one [`SiblingTerm::IDENTITY`]; [`CompiledStmt::fuse`] makes more.
     pub members: Vec<Vec<SiblingTerm>>,
+    /// How the kernel runs without the interpreter, if it can (see the
+    /// module docs on straight-line units and event guards): derived when
+    /// it is lowered or fused.
+    pub straight: Option<Straight>,
 }
 
 /// One term of a member's value: what the member's own plan multiplies a
@@ -966,14 +1015,8 @@ impl Lowerer {
         Ok(Op::Product(guards))
     }
 
-    /// Is `op` a filter whose operands are trigger slots and constants only?
     fn guards_event(&self, op: &Op) -> bool {
-        let on_event = |s: &Scalar| match s {
-            Scalar::Slot(slot) => u32::from(*slot) < self.trigger_slots,
-            Scalar::Const(_) => true,
-            _ => false,
-        };
-        matches!(op, Op::CmpFilter { left, right, .. } if on_event(left) && on_event(right))
+        guards_event(op, self.trigger_slots as Slot)
     }
 
     fn lower_sum(&mut self, terms: &[Expr]) -> Result<Op, Unsupported> {
@@ -1056,6 +1099,17 @@ impl Lowerer {
     }
 }
 
+/// Is `op` an event guard: a filter whose operands are trigger slots and
+/// constants only?
+fn guards_event(op: &Op, trigger_slots: Slot) -> bool {
+    let on_event = |s: &Scalar| match s {
+        Scalar::Slot(slot) => *slot < trigger_slots,
+        Scalar::Const(_) => true,
+        _ => false,
+    };
+    matches!(op, Op::CmpFilter { left, right, .. } if on_event(left) && on_event(right))
+}
+
 /// Lower one trigger statement (or, with no trigger variables, a static
 /// view's definition) to a compiled kernel. `trigger_vars` seed frame slots
 /// `0..n` (positionally matching the event tuple); `key_vars` name the target
@@ -1093,9 +1147,11 @@ pub fn lower_statement(
         trigger_slots: trigger_vars.len() as u16,
         used_trigger_slots: Vec::new(),
         members: vec![vec![SiblingTerm::IDENTITY]],
+        straight: None,
     };
     hoist_invariant_subsums(&mut stmt);
     stmt.used_trigger_slots = used_trigger_slots(&stmt);
+    stmt.straight = Straight::of(&stmt);
     Ok(stmt)
 }
 
@@ -2123,6 +2179,7 @@ impl CompiledStmt {
             plan,
             frame_size: 0,
             used_trigger_slots: Vec::new(),
+            straight: None,
             ..self.clone()
         };
         Some((frame, terms))
@@ -2161,6 +2218,7 @@ impl CompiledStmt {
         fused.frame_size = members.iter().map(|m| m.frame_size).max()?;
         fused.used_trigger_slots = used;
         fused.members = sinks;
+        fused.straight = Straight::of(&fused);
         Some(fused)
     }
 }
@@ -3107,6 +3165,7 @@ mod tests {
     use super::*;
     use crate::eval::{eval, Bindings, MemSource};
     use crate::expr::CmpOp as OpC;
+    use crate::expr::ScalarFn;
     use dbtoaster_gmr::{Gmr, Schema};
     use dbtoaster_telemetry::ViewSummary;
 
@@ -3279,6 +3338,224 @@ mod tests {
         assert!(CompiledStmt::fuse(&[&scan[0], &guarded[0]]).is_none());
     }
 
+    /// Hostile event values: NaN, ±0.0, 2^53 ± 1 as `Long` and as `Double`,
+    /// the extreme `Long`s and equal `Long`/`Double` pairs — and, for a
+    /// column no value op reads, empty and non-empty strings.
+    fn hostile(strings: bool) -> Vec<Value> {
+        let big = 1i64 << 53;
+        let mut values = vec![
+            Value::double(f64::NAN),
+            Value::double(0.0),
+            Value::double(-0.0),
+        ];
+        for n in [big - 1, big, big + 1] {
+            values.extend([Value::long(n), Value::double(n as f64)]);
+        }
+        values.extend([Value::long(i64::MIN), Value::long(i64::MAX)]);
+        values.extend([
+            Value::long(0),
+            Value::long(3),
+            Value::double(3.0),
+            Value::double(0.5),
+        ]);
+        values.extend([Value::long(-2), Value::double(1e-200)]);
+        if strings {
+            values.extend([Value::str(""), Value::str("x")]);
+        }
+        values
+    }
+
+    /// `n` events `(a, b, c)` drawn from the hostile values, the same on
+    /// every run: `a` from all of them, `b` and `c` — which value ops read —
+    /// from the numbers.
+    fn hostile_events(n: usize) -> Vec<[Value; 3]> {
+        let (any, numbers) = (hostile(true), hostile(false));
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |from: &[Value]| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            from[(x % from.len() as u64) as usize].clone()
+        };
+        (0..n)
+            .map(|_| [draw(&any), draw(&numbers), draw(&numbers)])
+            .collect()
+    }
+
+    /// Rows as their keys render — telling `Long(3)` from `Double(3.0)` and
+    /// `-0.0` from `0.0` — and their multiplicities' bits.
+    fn rendered(rows: &[(Tuple, f64)]) -> Vec<(String, u64)> {
+        rows.iter()
+            .map(|(k, m)| (format!("{k:?}"), m.to_bits()))
+            .collect()
+    }
+
+    /// Run `stmt` for `event` as the engine does — its straight-line form
+    /// first, the interpreter for what that leaves — and with the
+    /// interpreter alone on a clone without the form, each member's buffer
+    /// holding a row of an earlier execution under the event's key first.
+    /// Both must hand every member the same rows, bit for bit, and count the
+    /// same work. Returns whether the form was the whole execution.
+    fn straight_agrees(stmt: &CompiledStmt, src: &MemSource, event: &[Value]) -> bool {
+        let earlier: Tuple = stmt
+            .key_slots
+            .iter()
+            .map(|&s| event[s as usize].clone())
+            .collect();
+        let run = |stmt: &CompiledStmt, straight: bool| {
+            let mut rows = vec![vec![(earlier.clone(), 1.0)]; stmt.members.len()];
+            let counts = LocalCounts::default();
+            let ran = straight && stmt.run_straight(event, &mut rows[..]);
+            if !ran {
+                let mut state = KernelState::new();
+                state.prepare(stmt);
+                state.frame[..event.len()].clone_from_slice(event);
+                state.rows_of(stmt).swap_with_slice(&mut rows);
+                stmt.execute(src, &stmt.bind(src), &mut state, &counts, true);
+                rows = state.rows_of(stmt).to_vec();
+            }
+            let mut work = ViewSummary::default();
+            counts.drain_into(&mut work.values);
+            (
+                ran,
+                rows.iter().map(|r| rendered(r)).collect::<Vec<_>>(),
+                work,
+            )
+        };
+        let interpreted = CompiledStmt {
+            straight: None,
+            ..stmt.clone()
+        };
+        let (ran, got, work) = run(stmt, true);
+        let (_, want, want_work) = run(&interpreted, false);
+        assert_eq!(got, want, "{:?} for {event:?}", stmt.plan);
+        assert_eq!(work, want_work, "{:?} for {event:?}", stmt.plan);
+        ran
+    }
+
+    /// Every straight-line unit and guard-tested kernel hands each member
+    /// exactly the rows the interpreter hands it, over the hostile grid: a
+    /// guard on any value (strings included) and on two slots, insert and
+    /// delete signs, a two-term sum like TPC-H q1's discounted price, a
+    /// constant moved past the guard — one that underflows to zero with
+    /// another, which the guard's zero short-circuit drops —, a zero before
+    /// a later value op, value ops over scalar functions, keys of zero, one
+    /// and two columns, a fused group, and kernels reading a relation whose
+    /// terms lead with guards. A value op before a guard keeps the kernel
+    /// interpreted.
+    fn straight_line_kernels_match_the_interpreter(events: usize) {
+        let trigger: Vec<String> = ["a", "b", "c"].map(String::from).into();
+        let lowered = |rhs: Expr, key: &[&str]| {
+            let key: Vec<String> = key.iter().map(|k| k.to_string()).collect();
+            lower_statement(&trigger, &key, &rhs).unwrap()
+        };
+        let (a, b, c) = (|| Expr::var("a"), || Expr::var("b"), || Expr::var("c"));
+        let on_a = || Expr::cmp(OpC::Gt, a(), Expr::val(0i64));
+        let a_le_b = || Expr::cmp(OpC::Le, a(), b());
+        let is_x = || Expr::cmp(OpC::Eq, a(), Expr::val(Value::str("x")));
+        let neg = |e: Expr| Expr::product_of([Expr::val(-1i64), e]);
+        // q1's `extendedprice * (1 - discount)`, inserted and deleted.
+        let disc = |sign: i64| {
+            Expr::sum_of([
+                Expr::product_of([Expr::val(sign), on_a(), b()]),
+                Expr::product_of([Expr::val(-sign), on_a(), b(), c()]),
+            ])
+        };
+        let div = || {
+            Expr::apply(
+                ScalarFn::Div,
+                vec![Expr::Add(vec![b(), c()]), Expr::val(3i64)],
+            )
+        };
+        let max = || {
+            Expr::apply(
+                ScalarFn::ListMax,
+                vec![b(), Expr::neg(c()), Expr::cmp(OpC::Lt, b(), c())],
+            )
+        };
+        let units = [
+            lowered(Expr::product_of([on_a(), b()]), &["a"]),
+            lowered(neg(Expr::product_of([on_a(), b()])), &["a"]),
+            lowered(disc(1), &["a"]),
+            lowered(disc(-1), &["a"]),
+            lowered(
+                Expr::product_of([Expr::val(0.5), a_le_b(), c()]),
+                &["a", "b"],
+            ),
+            lowered(Expr::product_of([Expr::val(-0.3), is_x()]), &[]),
+            lowered(
+                Expr::product_of([Expr::val(1e-200), Expr::val(1e-200), on_a()]),
+                &["a"],
+            ),
+            lowered(Expr::product_of([on_a(), b(), c()]), &["c"]),
+            lowered(Expr::product_of([a_le_b(), div(), max()]), &["a"]),
+            lowered(on_a(), &["a"]),
+        ];
+        for u in &units {
+            assert!(
+                matches!(u.straight, Some(Straight::Unit(_))),
+                "{:?}",
+                u.plan
+            );
+        }
+        let siblings = [&units[0], &units[2], &units[6], &units[9]];
+        let fused = CompiledStmt::fuse(&siblings).expect("one frame, one key");
+        assert!(matches!(fused.straight, Some(Straight::Unit(_))));
+        let r = || Expr::rel("R", ["a", "d"]);
+        let guarded = [
+            lowered(Expr::product_of([r(), on_a(), Expr::var("d")]), &["a"]),
+            lowered(
+                Expr::sum_of([
+                    Expr::product_of([r(), is_x()]),
+                    neg(Expr::product_of([r(), a_le_b(), c()])),
+                ]),
+                &["a"],
+            ),
+        ];
+        for g in &guarded {
+            assert!(
+                matches!(g.straight, Some(Straight::Guards(_))),
+                "{:?}",
+                g.plan
+            );
+        }
+        let interpreted = lowered(Expr::product_of([b(), on_a()]), &["a"]);
+        assert_eq!(interpreted.straight, None, "{:?}", interpreted.plan);
+        let src = db();
+        let kernels = units.iter().chain(&guarded).chain([&fused, &interpreted]);
+        let (mut straight, mut skipped) = (0, 0);
+        for k in kernels {
+            for event in hostile_events(events) {
+                let ran = straight_agrees(k, &src, &event);
+                match k.straight {
+                    Some(Straight::Unit(_)) => {
+                        assert!(ran);
+                        straight += 1;
+                    }
+                    Some(Straight::Guards(_)) => skipped += usize::from(ran),
+                    None => assert!(!ran),
+                }
+            }
+        }
+        assert_eq!(straight, 11 * events);
+        assert!(
+            skipped > events / 2,
+            "guard-tested kernels skipped {skipped} events"
+        );
+    }
+
+    #[test]
+    fn straight_line_kernels_hand_each_member_the_interpreters_rows() {
+        straight_line_kernels_match_the_interpreter(2_000);
+    }
+
+    /// The same at 100 times the events (CI, release).
+    #[test]
+    #[ignore]
+    fn straight_line_kernels_match_the_interpreter_at_scale() {
+        straight_line_kernels_match_the_interpreter(200_000);
+    }
+
     /// A filter on trigger values and constants alone leads its product, as
     /// TPC-H q12's `shipdate` window does: an event outside it probes
     /// nothing and emits nothing, and one inside emits the row of the product
@@ -3440,6 +3717,7 @@ mod tests {
             trigger_slots: 1,
             used_trigger_slots: vec![0],
             members: vec![vec![SiblingTerm::IDENTITY]],
+            straight: None,
         }
     }
 

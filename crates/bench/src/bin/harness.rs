@@ -8,13 +8,14 @@
 //!
 //! Subcommands: `fig2`, `fig6` (alias `fig7`), `fig8`, `fig9`, `fig10`,
 //! `fig11`, `traces` (Figures 13–18), `all` (the default), `explain`,
-//! `export`, `torture`. Timing the system is the `benchmark/` package's job.
+//! `export`, `torture`, `profile`. Timing the system is the `benchmark/`
+//! package's job.
 //!
 //! Flags: `--events N`, `--budget SECS`, `--seed N`, `--json PATH`
 //! (`explain`, `torture`), `--label NAME` (`torture`), `--query NAME`
 //! (`explain`), `--addr HOST:PORT` and `--hold SECS` (`export`), `--iters N`
-//! (`torture`). An unknown flag, a missing value or a value that does not
-//! parse exits with status 2.
+//! (`torture`), `--queries Q[,Q…]` and `--passes N` (`profile`). An unknown
+//! flag, a missing value or a value that does not parse exits with status 2.
 //!
 //! Observability:
 //!
@@ -22,6 +23,12 @@
 //!   invocation) runs each workload stream and prints EXPLAIN ANALYZE for the
 //!   compiled trigger program — operator trees, each relation's live pass and
 //!   `:=` tail, and live counters; `--json PATH` writes the JSON forms.
+//! * `harness profile --queries q1,q6,q12 [--events N --seed S --passes P]`
+//!   runs the queries over the `tpch_durable` stream, one `process` call per
+//!   event, P times, and prints where the samples of a CPU-time timer fell,
+//!   per outermost function (see [`dbtoaster_bench::profile`]; x86_64 Linux
+//!   and the host's `addr2line` only). `--events 250000` is the benchmark
+//!   workload's length.
 //! * `harness export [--addr HOST:PORT] [--hold SECS]` opens a durable
 //!   serving instance with the HTTP exporter enabled, ingests a finance
 //!   stream while a 1 Hz scraper polls `/metrics`, reports throughput, then
@@ -47,6 +54,8 @@ struct Args {
     addr: String,
     hold: Duration,
     iters: usize,
+    queries: Option<String>,
+    passes: usize,
 }
 
 /// Parse a command line (without the program name): the subcommand, then its
@@ -68,6 +77,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         addr: "127.0.0.1:0".to_string(),
         hold: Duration::from_secs(0),
         iters: 200,
+        queries: None,
+        passes: 10,
     };
     let mut rest = flags.iter();
     while let Some(flag) = rest.next() {
@@ -86,6 +97,8 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--addr" => args.addr = value()?,
             "--hold" => args.hold = Duration::from_secs(parse_value(flag, &value()?)?),
             "--iters" => args.iters = parse_value(flag, &value()?)?,
+            "--queries" => args.queries = Some(value()?),
+            "--passes" => args.passes = parse_value(flag, &value()?)?,
             "--explain" => args.command = "explain".to_string(),
             other => return Err(format!("unknown argument {other}")),
         }
@@ -760,6 +773,22 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
     }
 }
 
+/// `harness profile`: sample the per-event path (see the module docs).
+fn profile_cmd(args: &Args) {
+    let Some(queries) = args.queries.as_deref() else {
+        eprintln!("harness: profile needs --queries Q[,Q…]");
+        std::process::exit(2);
+    };
+    let queries: Vec<&str> = queries.split(',').collect();
+    match profile::profile(&queries, args.events, args.seed, args.passes) {
+        Ok(report) => print!("{}", profile::render(&report, &queries, 0.005)),
+        Err(e) => {
+            eprintln!("harness: profile: {e}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = parse_args(&argv).unwrap_or_else(|e| {
@@ -782,6 +811,7 @@ fn main() {
         "explain" => explain_cmd(&config, args.query.as_deref(), args.json.as_deref()),
         "export" => export(&config, &args.addr, args.hold),
         "torture" => torture(args.iters, args.seed, &args.label, args.json.as_deref()),
+        "profile" => profile_cmd(&args),
         "traces" => traces_for(
             &[
                 "q1", "q3", "q4", "q5", "q6", "q10", "q11a", "q12", "q17a", "q18a", "q22a", "ssb4",
@@ -800,7 +830,7 @@ fn main() {
         }
         other => {
             eprintln!(
-                "unknown command {other}; expected fig2|fig6|fig7|fig8|fig9|fig10|fig11|traces|all|explain|export|torture"
+                "unknown command {other}; expected fig2|fig6|fig7|fig8|fig9|fig10|fig11|traces|all|explain|export|torture|profile"
             );
             std::process::exit(2);
         }
@@ -827,6 +857,8 @@ mod tests {
         let args = parse("fig2 --explain --query bsp --events 4000").unwrap();
         assert_eq!(args.command, "explain");
         assert_eq!((args.query.as_deref(), args.events), (Some("bsp"), 4000));
+        let args = parse("profile --queries q1,q6 --passes 3").unwrap();
+        assert_eq!((args.queries.as_deref(), args.passes), (Some("q1,q6"), 3));
     }
 
     #[test]

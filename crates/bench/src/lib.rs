@@ -11,12 +11,15 @@
 //! | Figure 11 (stream-length scaling) | [`figure11_rows`] | `harness fig11` |
 //!
 //! Timing the system layer by layer is the job of the `benchmark/` package
-//! (`BENCHMARK.json`), not of this crate.
+//! (`BENCHMARK.json`), not of this crate; [`profile`] samples where a
+//! per-event `process` call spends its time (`harness profile`).
 //!
 //! The absolute numbers differ from the paper (compiled Rust kernels on different
 //! hardware rather than generated C++ on a 2009 Xeon), but the *shape* — which strategy
 //! wins, by how many orders of magnitude, and how it evolves along the stream — is the
 //! reproduction target.
+
+pub mod profile;
 
 use dbtoaster::prelude::*;
 use dbtoaster::workloads::{self, Family, WorkloadQuery};

@@ -22,8 +22,13 @@
 //! declared hash index's line in its map's block, and the map's own bytes
 //! (live, and in a snapshot buffer) beside it.
 //!
+//! A third census pins, per trigger, how many kernel units run
+//! straight-line and how many test their event guards first (`q1`'s
+//! `straight-line:` lines are a golden too).
+//!
 //! The JSON form must round-trip through [`ProgramExplain::parse_json`].
 
+use dbtoaster::compiler::{explain, UnitExplain};
 use dbtoaster::prelude::*;
 use dbtoaster::runtime::Engine;
 use dbtoaster::workloads;
@@ -143,11 +148,13 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
                 "none (no statement reads run-written state)"
             );
             assert!(!text.contains("run: live"), "{text}");
-            // The six aggregates run as one kernel per trigger, printed
-            // under the live pass.
+            // The six aggregates run as one kernel per trigger, straight
+            // from the event, printed under the live pass.
             let fused = "live pass: none (no statement reads run-written state)\n\
                          fused: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on insert)\n\
                          fused: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on delete)\n\
+                         straight-line: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on insert)\n\
+                         straight-line: q1_1, q1_2, q1_3, q1_4_sum, q1_4_cnt, q1_5 (on delete)\n\
                          on insert:\n";
             assert!(text.contains(fused), "{text}");
         }
@@ -539,5 +546,108 @@ fn fused_group_census_per_compile_mode() {
         for q in workloads::all_queries() {
             census(&[q.name], mode);
         }
+    }
+}
+
+/// The straight-line census: per trigger of the benchmark's query sets, in
+/// every compile mode, `units → S straight-line, G guard-tested`, for every
+/// trigger with either. A straight-line unit runs from the event's fields
+/// without the plan interpreter; a guard-tested kernel tests its event
+/// guards first and runs nothing for an event that fails them. In
+/// higher-order mode `tpch_durable`'s Lineitem runs q1's unit, q6 and
+/// `m_q12_3` straight-line and tests q12's shipdate window first, and its
+/// Orders runs `m_q12_1` and `m_q12_2` straight-line and tests q12's two
+/// priority guards first.
+#[test]
+fn straight_line_census_per_compile_mode() {
+    const DURABLE: &[&str] = &["q1", "q6", "q12"];
+    const DASH: &[&str] = &["q1", "q3", "q6", "q10", "q12", "ssb4"];
+    const BOOK: &[&str] = &["axf", "bsp", "bsv"];
+    let census = |names: &[&str], mode: CompileMode| -> Vec<String> {
+        let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+        for name in names {
+            let q = workloads::query(name).unwrap();
+            builder = builder.add_query(q.name, q.sql);
+        }
+        let engine = builder
+            .build()
+            .unwrap_or_else(|e| panic!("{names:?} [{mode}]: {e}"));
+        let ex = explain(engine.program());
+        let mut lines = Vec::new();
+        for plan in engine
+            .program()
+            .relation_plans()
+            .expect("compiled programs derive")
+        {
+            let rel = ex.relations.iter().find(|r| r.relation == plan.relation);
+            let rel = rel.expect("every relation explained");
+            for t in [plan.insert, plan.delete].into_iter().flatten() {
+                let sign = engine.program().triggers[t].sign;
+                let on = format!("{sign:?}").to_lowercase();
+                let count = |units: &[UnitExplain]| units.iter().filter(|u| u.sign == on).count();
+                let (s, g) = (count(&rel.straight_line), count(&rel.guard_tested));
+                if s + g > 0 {
+                    let units = plan.kernels.iter().filter(|u| u.trigger == t).count();
+                    lines.push(format!("{}/{sign:?}: {units} → {s}, {g}", plan.relation));
+                }
+            }
+        }
+        lines
+    };
+    let both = |relation: &str, counts: &str| -> Vec<String> {
+        ["Insert", "Delete"]
+            .map(|sign| format!("{relation}/{sign}: {counts}"))
+            .to_vec()
+    };
+    let pairs = |rows: &[(&str, &str)]| -> Vec<String> {
+        rows.iter().flat_map(|(r, c)| both(r, c)).collect()
+    };
+    let expected = |mode: CompileMode| -> [Vec<String>; 4] {
+        match mode {
+            CompileMode::HigherOrder => [
+                pairs(&[("Lineitem", "4 → 3, 1"), ("Orders", "3 → 2, 1")]),
+                pairs(&[
+                    ("Lineitem", "19 → 6, 7"),
+                    ("Customer", "10 → 2, 2"),
+                    ("Orders", "23 → 8, 15"),
+                ]),
+                pairs(&[("Asks", "2 → 1, 0"), ("Bids", "6 → 3, 0")]),
+                pairs(&[("Bids", "2 → 2, 0")]),
+            ],
+            CompileMode::FirstOrder => [
+                pairs(&[("Lineitem", "3 → 2, 1"), ("Orders", "1 → 0, 1")]),
+                pairs(&[
+                    ("Lineitem", "6 → 2, 3"),
+                    ("Customer", "3 → 0, 1"),
+                    ("Orders", "4 → 0, 2"),
+                ]),
+                pairs(&[]),
+                pairs(&[]),
+            ],
+            CompileMode::NaiveViewlet => [
+                pairs(&[("Lineitem", "4 → 1, 1"), ("Orders", "3 → 0, 1")]),
+                pairs(&[
+                    ("Lineitem", "30 → 1, 12"),
+                    ("Customer", "21 → 0, 4"),
+                    ("Orders", "28 → 0, 24"),
+                ]),
+                pairs(&[]),
+                pairs(&[("Bids", "3 → 1, 0")]),
+            ],
+            // Re-evaluation runs `:=` statements only: no kernel units.
+            CompileMode::Reevaluate => [pairs(&[]), pairs(&[]), pairs(&[]), pairs(&[])],
+        }
+    };
+    for mode in [
+        CompileMode::HigherOrder,
+        CompileMode::FirstOrder,
+        CompileMode::NaiveViewlet,
+        CompileMode::Reevaluate,
+    ] {
+        let [durable, dash, book, nested] = expected(mode);
+        assert_eq!(census(DURABLE, mode), durable, "tpch_durable [{mode}]");
+        assert_eq!(census(DASH, mode), dash, "tpch_dash [{mode}]");
+        assert_eq!(census(BOOK, mode), book, "book_join [{mode}]");
+        assert_eq!(census(&["vwap"], mode), nested, "book_nested [{mode}]");
     }
 }

@@ -5,8 +5,11 @@
 //! can read. Per relation it reports how a run of a delta batch executes —
 //! its live pass (which statements read what their own run writes and so
 //! fire entry by entry, marked `run: live`, and which maps they read),
-//! whether a `:=` tail fires once per run, and one `fused:` line per sibling
-//! group whose statements run as one kernel — and per statement the compiled
+//! whether a `:=` tail fires once per run, one `fused:` line per sibling
+//! group whose statements run as one kernel, one `straight-line:` line per
+//! kernel unit that runs from the event's fields without the plan
+//! interpreter and one `guard-tested:` line per kernel whose event guards
+//! are tested before it runs — and per statement the compiled
 //! plan: probes vs scans, product order, fused-prelude
 //! signatures (`range-sum` where the scan is answered from an ordered index),
 //! band specs and slot assignments, straight from [`dbtoaster_agca::plan`].
@@ -29,10 +32,10 @@
 //! [`ProgramExplain::parse_json`]) are provided; the server's `/explain`
 //! endpoint serves both.
 
-use crate::batch_delta::RelationPlan;
+use crate::batch_delta::{KernelUnit, RelationPlan};
 use crate::program::{StmtOp, TriggerProgram};
 use dbtoaster_agca::plan::{
-    range_sum_refusal, scan_body, FastOp, FusedScan, Node, NumExpr, Op, Scalar,
+    range_sum_refusal, scan_body, FastOp, FusedScan, Node, NumExpr, Op, Scalar, Straight,
 };
 use dbtoaster_agca::CmpOp;
 use dbtoaster_agca::CompiledStmt;
@@ -85,16 +88,23 @@ pub struct RelationExplain {
     /// Its sibling groups — the kernel units of two or more statements
     /// ([`RelationPlan::kernels`]), each run as one kernel: insert first,
     /// each by its first member.
-    pub fused: Vec<FusedExplain>,
+    pub fused: Vec<UnitExplain>,
+    /// Its kernel units that run straight-line, from the event's fields
+    /// alone ([`Straight::Unit`]), in the same order.
+    pub straight_line: Vec<UnitExplain>,
+    /// Its kernel units whose event guards are tested before the
+    /// interpreter runs ([`Straight::Guards`]), in the same order.
+    pub guard_tested: Vec<UnitExplain>,
     /// Sign triggers present for the relation.
     pub triggers: Vec<TriggerExplain>,
 }
 
-/// One sibling group: `+=` statements of one trigger run as one kernel (see
-/// [`crate::batch_delta`]). Its work counts (probes, scans, …) land on its
-/// first member's target; each member's `rows_written` on its own.
+/// One kernel unit: `+=` statements of one trigger run as one kernel (see
+/// [`crate::batch_delta`]) — a sibling group, or a unit of one. Its work
+/// counts (probes, scans, …) land on its first member's target; each
+/// member's `rows_written` on its own.
 #[derive(Clone, Debug, Default, PartialEq)]
-pub struct FusedExplain {
+pub struct UnitExplain {
     /// `"insert"` or `"delete"`.
     pub sign: String,
     /// The members' targets, in statement order.
@@ -154,21 +164,15 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
                 .flatten()
                 .map(|i| explain_trigger(program, &plan, i))
                 .collect();
-            let groups = plan.kernels.iter().filter(|u| u.members.len() > 1);
-            let fused = groups.map(|g| {
-                let t = &program.triggers[g.trigger];
-                FusedExplain {
-                    sign: sign_str(t.sign),
-                    members: g
-                        .members
-                        .iter()
-                        .map(|&j| t.statements[j].target.clone())
-                        .collect(),
-                }
-            });
+            let units = |keep: &dyn Fn(&KernelUnit) -> bool| {
+                let kept = plan.kernels.iter().filter(|u| keep(u));
+                kept.map(|u| unit_explain(program, u)).collect()
+            };
             RelationExplain {
                 live_pass: live_pass(&plan),
-                fused: fused.collect(),
+                fused: units(&|u| u.members.len() > 1),
+                straight_line: units(&|u| matches!(u.kernel.straight, Some(Straight::Unit(_)))),
+                guard_tested: units(&|u| matches!(u.kernel.straight, Some(Straight::Guards(_)))),
                 relation: plan.relation,
                 triggers,
             }
@@ -177,6 +181,19 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
     ProgramExplain {
         relations,
         maps: explain_maps(program),
+    }
+}
+
+/// A kernel unit by its sign and its members' targets.
+fn unit_explain(program: &TriggerProgram, unit: &KernelUnit) -> UnitExplain {
+    let t = &program.triggers[unit.trigger];
+    UnitExplain {
+        sign: sign_str(t.sign),
+        members: unit
+            .members
+            .iter()
+            .map(|&j| t.statements[j].target.clone())
+            .collect(),
     }
 }
 
@@ -615,8 +632,10 @@ impl ProgramExplain {
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "live pass: {}", rel.live_pass);
-            for g in &rel.fused {
-                let _ = writeln!(out, "fused: {} (on {})", g.members.join(", "), g.sign);
+            for (label, units) in rel.unit_lists() {
+                for u in units {
+                    let _ = writeln!(out, "{label}: {} (on {})", u.members.join(", "), u.sign);
+                }
             }
             for t in &rel.triggers {
                 let _ = writeln!(out, "on {}:", t.sign);
@@ -656,19 +675,23 @@ impl ProgramExplain {
             }
             let _ = write!(
                 out,
-                "{{\"relation\":\"{}\",\"live_pass\":\"{}\",\"fused\":[",
+                "{{\"relation\":\"{}\",\"live_pass\":\"{}\"",
                 json_escape(&rel.relation),
                 json_escape(&rel.live_pass)
             );
-            for (j, g) in rel.fused.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+            for (key, units) in rel.unit_lists() {
+                let _ = write!(out, ",\"{}\":[", key.replace('-', "_"));
+                for (j, u) in units.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    let _ = write!(out, "{{\"sign\":\"{}\",\"members\":", json_escape(&u.sign));
+                    strings_json(&mut out, &u.members);
+                    out.push('}');
                 }
-                let _ = write!(out, "{{\"sign\":\"{}\",\"members\":", json_escape(&g.sign));
-                strings_json(&mut out, &g.members);
-                out.push('}');
+                out.push(']');
             }
-            out.push_str("],\"triggers\":[");
+            out.push_str(",\"triggers\":[");
             triggers_json(&mut out, &rel.triggers);
             out.push_str("]}");
         }
@@ -710,18 +733,22 @@ impl ProgramExplain {
         for rv in obj.get("relations")?.as_array()? {
             let r = rv.as_object()?;
             let triggers = triggers_from_json(r.get("triggers")?)?;
-            let mut fused = Vec::new();
-            for gv in r.get("fused")?.as_array()? {
-                let g = gv.as_object()?;
-                fused.push(FusedExplain {
-                    sign: g.get("sign")?.as_str()?.to_string(),
-                    members: strings_from_json(g.get("members")?)?,
-                });
-            }
+            let units = |key: &str| -> Option<Vec<UnitExplain>> {
+                let unit = |uv: &json::Json| {
+                    let u = uv.as_object()?;
+                    Some(UnitExplain {
+                        sign: u.get("sign")?.as_str()?.to_string(),
+                        members: strings_from_json(u.get("members")?)?,
+                    })
+                };
+                r.get(key)?.as_array()?.iter().map(unit).collect()
+            };
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 live_pass: r.get("live_pass")?.as_str()?.to_string(),
-                fused,
+                fused: units("fused")?,
+                straight_line: units("straight_line")?,
+                guard_tested: units("guard_tested")?,
                 triggers,
             });
         }
@@ -750,6 +777,18 @@ impl ProgramExplain {
             });
         }
         Some(ProgramExplain { relations, maps })
+    }
+}
+
+impl RelationExplain {
+    /// Its unit lists, each with the label its text lines carry (its JSON
+    /// key, with `_` for `-`).
+    fn unit_lists(&self) -> [(&'static str, &[UnitExplain]); 3] {
+        [
+            ("fused", &self.fused),
+            ("straight-line", &self.straight_line),
+            ("guard-tested", &self.guard_tested),
+        ]
     }
 }
 

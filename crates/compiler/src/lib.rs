@@ -48,8 +48,8 @@ pub mod typecheck;
 pub use batch_delta::{KernelUnit, RelationPlan};
 pub use compile::{compile, fix_atom_kinds, CompileError};
 pub use explain::{
-    explain, FusedExplain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain,
-    StmtExplain,
+    explain, MapExplain, OrderedIndexExplain, ProgramExplain, RelationExplain, StmtExplain,
+    UnitExplain,
 };
 pub use materialize::{MapRegistry, Materializer};
 pub use program::{

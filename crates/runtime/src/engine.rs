@@ -21,8 +21,8 @@
 //! `LIKE` pattern, and [`Engine::admits`] — the ingest gate — refuses an event whose
 //! arity or value kinds do not match its relation before anything runs: a refused event
 //! writes nothing and counts in [`BatchReport::failed_events`]. Past the gate every
-//! kernel is total: `CompiledStmt::execute` has no error path, and `kernel_rows`
-//! returns nothing. A kernel panics only on a corrupt program — a relation the store
+//! kernel is total: `CompiledStmt::execute` has no error path, and neither has
+//! `kernel_rows`. A kernel panics only on a corrupt program — a relation the store
 //! does not hold, named in the message, or a value error past the type checker.
 //!
 //! ## Batch execution
@@ -80,6 +80,16 @@
 //! statement. Each member's rows are the ones its own kernel would emit, bit for bit
 //! (see `dbtoaster_agca::plan`). TPC-H q1's six Lineitem aggregates run as one kernel.
 //!
+//! Every evaluation — collection's, the live pass's, the `:=` tail's, a static view's —
+//! tries the kernel's straight-line form first (`CompiledStmt::run_straight`; see
+//! `dbtoaster_agca::plan` on straight-line units and event guards). A trigger-only unit
+//! runs from the entry's tuple in place and appends each member's row straight to its
+//! deferred slot: no trigger slot seeded, no buffer lent. A guard-tested kernel whose
+//! entry fails every term's guards has no rows, and its series of evaluations begins at
+//! the first entry the interpreter does run. [`EngineStats::statements`] counts one
+//! evaluation per unit and entry whichever way it ran; [`EngineStats::straight_line`]
+//! counts those the interpreter did not run.
+//!
 //! A batch holds one run per relation, however its events interleave: every map is a
 //! function of the base relations, so processing the batch relation by relation ends
 //! where stream order ends (see [`dbtoaster_agca::batch`]). An interleaved stream
@@ -130,7 +140,7 @@
 use crate::store::{Database, MapId, Seg};
 use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
 use dbtoaster_agca::eval::RelId;
-use dbtoaster_agca::plan::{CompiledStmt, KernelState};
+use dbtoaster_agca::plan::{CompiledStmt, KernelState, MemberRows, Straight};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{Catalog, KernelUnit, RelationMeta, Statement, StmtOp, TriggerProgram};
 use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
@@ -212,6 +222,11 @@ pub struct EngineStats {
     /// a sibling group's fused kernel counts once for all its members (q1's
     /// six Lineitem statements count 1 per event).
     pub statements: u64,
+    /// Of those, the executions the plan interpreter did not run (see
+    /// `dbtoaster_agca::plan` on straight-line units and event guards): a
+    /// trigger-only unit's, which ran straight-line, and a guard-tested
+    /// kernel's whose event failed every term's guards.
+    pub straight_line: u64,
     /// Total time spent inside `process` / `process_batch`.
     pub busy: Duration,
     /// Micro-batches drained by a serving writer loop (queue drains; see
@@ -365,42 +380,45 @@ impl DispatchEntry {
 /// relation table bound to `rels`, appending its `(key, multiplicity)` rows
 /// to `out` and touching no view. The live pass, the `:=` tail and
 /// static-view initialization come through here, each with a lowered
-/// statement's kernel, a unit of one; collection readies the state the same
-/// way ([`seed`]) and lends a run's buffers once. `state` is reused
-/// across events — zero per-event allocation in steady state. A trigger slot
-/// is written only when it does not already hold the event's very value
-/// ([`Value::is_same`]), so the statements of one event fill each column
-/// once.
-///
-/// `first` marks the first of a series of back-to-back evaluations of
-/// `kernel` against an unchanged `db`: the kernel's buffers are sized and
-/// its loop-invariant fused scans run, and the rest of the series reuses
-/// both. The kernel counts its work into `counts` ([`view_counts`]).
+/// statement's kernel, a unit of one, evaluated once against the state it
+/// reads; collection readies the state the same way ([`seed`]) and lends a
+/// run's buffers once. A kernel with a straight-line form tries it first
+/// ([`CompiledStmt::run_straight`]); the interpreter runs what it leaves.
+/// `state` is reused across events — zero per-event allocation in steady
+/// state. A trigger slot is written only when it does not already hold the
+/// event's very value ([`Value::is_same`]), so the statements of one event
+/// fill each column once. The kernel counts its work into `counts`
+/// ([`view_counts`]). Returns whether the straight-line form was the whole
+/// execution.
 ///
 /// The kernel is total on what the gate admits (see the module docs): it
-/// returns nothing, and panics only on a corrupt program.
-#[allow(clippy::too_many_arguments)]
+/// panics only on a corrupt program.
 fn kernel_rows(
     state: &mut KernelState,
     db: &Database,
     kernel: &CompiledStmt,
     rels: &[Option<RelId>],
     tuple: &[Value],
-    first: bool,
     out: &mut Vec<(Tuple, f64)>,
     counts: &LocalCounts,
-) {
-    seed(state, kernel, tuple, first);
+) -> bool {
+    if kernel.run_straight(tuple, std::slice::from_mut(out)) {
+        return true;
+    }
+    seed(state, kernel, tuple, true);
     // The kernel appends to its member's row buffer: lend it the caller's
     // buffer for the call instead of copying rows across.
     std::mem::swap(&mut state.rows_of(kernel)[0], out);
-    kernel.execute(db, rels, state, counts, first);
+    kernel.execute(db, rels, state, counts, true);
     std::mem::swap(&mut state.rows_of(kernel)[0], out);
+    false
 }
 
 /// Ready `state` for an evaluation of `kernel` for event `tuple`: sized for
-/// it when `first` (see [`kernel_rows`]), and each trigger slot the kernel
-/// reads holding the event's value.
+/// it when `first` — the first of a series of back-to-back evaluations of
+/// `kernel` against an unchanged store, which also runs its loop-invariant
+/// fused scans for the rest of the series — and each trigger slot the
+/// kernel reads holding the event's value.
 fn seed(state: &mut KernelState, kernel: &CompiledStmt, tuple: &[Value], first: bool) {
     if first {
         state.prepare(kernel);
@@ -441,6 +459,21 @@ struct BdScratch {
     /// The live pass already applied the run's base update, firing by firing
     /// (the relation's own stored slice is a map its statements read).
     base_applied: bool,
+}
+
+/// The deferred slots of a kernel unit's members, as its straight-line
+/// form appends to them ([`MemberRows`]): member `i` is statement
+/// `members[i]` of the trigger, in slot `base + members[i]`.
+struct Slots<'a> {
+    stmts: &'a mut [DeferredStmt],
+    base: usize,
+    members: &'a [usize],
+}
+
+impl MemberRows for Slots<'_> {
+    fn member(&mut self, i: usize) -> &mut Vec<(Tuple, f64)> {
+        &mut self.stmts[self.base + self.members[i]].rows
+    }
 }
 
 impl BdScratch {
@@ -485,8 +518,12 @@ struct Executor {
     rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
     bd: BdScratch,
-    /// Recycled one-entry run [`Engine::process`] assigns its event.
-    event: RelationDelta,
+    /// Recycled one-entry runs [`Engine::process`] assigns its event to, one
+    /// per catalog relation, by position in `relations`, and one last for an
+    /// event of a relation the catalog does not declare: each run's key
+    /// keeps its relation's arity, so refilling it in place allocates nothing
+    /// when the stream switches relations.
+    events: Vec<RelationDelta>,
     /// Recycled copy of a run without the entries the gate refused.
     admitted: RelationDelta,
     /// The catalog's relations, resolved ([`Relation`]), and their positions
@@ -777,7 +814,7 @@ impl Engine {
             discard: LocalCounts::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
-            event: RelationDelta::default(),
+            events: vec![RelationDelta::default(); relations.len() + 1],
             admitted: RelationDelta::default(),
             relations,
             relation_ids,
@@ -980,7 +1017,7 @@ impl Engine {
         for (m, bound) in program.maps.iter().zip(inits.iter()) {
             let Some(init) = &m.init else { continue };
             rows.clear();
-            kernel_rows(kernel, db, init, &bound.rels, &[], true, rows, discard);
+            kernel_rows(kernel, db, init, &bound.rels, &[], rows, discard);
             if let Some(id) = bound.target {
                 let view = db.at_mut(id);
                 view.clear();
@@ -997,23 +1034,28 @@ impl Engine {
 
     /// Process a single update event: one run of one entry, through the
     /// gated run every batch run takes (see [`Engine::process_batch`]), after
-    /// one lookup of the event's relation. The event is assigned to a
-    /// recycled one-entry run whose key is refilled in place
-    /// ([`RelationDelta::assign`]), so an event allocates nothing in steady
-    /// state at any arity — unless the previous event's key spilled past
+    /// one lookup of the event's relation. The event is assigned to its
+    /// relation's recycled one-entry run, whose key is refilled in place
+    /// ([`RelationDelta::assign`]): the run last held an event of the same
+    /// relation, so its key has the event's arity, and an event allocates
+    /// nothing in steady state at any arity, however the stream interleaves
+    /// relations (TPC-H's Orders and Lineitem, 5 and 8 columns) — unless
+    /// the run's previous key spilled past
     /// [`dbtoaster_gmr::tuple::INLINE_CAP`] (3) and a stored base map kept
-    /// it: then the key is built in one new heap slab. Past that each
-    /// statement reads the event's columns in place and fills a kernel slot
-    /// only with a value it does not already hold, and a map write moves
-    /// the key its statement built.
+    /// it: then the key is built in one new heap slab. Past that a
+    /// straight-line kernel reads the event's columns in place, any other
+    /// statement fills a kernel slot only with a value it does not already
+    /// hold, and a map write moves the key its statement built.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
-        let mut run = std::mem::take(&mut self.exec.event);
+        let exec = &mut self.exec;
+        let rel = exec.relation_ids.get(event.relation.as_str()).copied();
+        let slot = rel.map_or(exec.relations.len(), |r| r as usize);
+        let mut run = std::mem::take(&mut exec.events[slot]);
         run.assign(event);
-        let report = self
-            .exec
-            .execute(&self.program, t0, std::slice::from_ref(&run), 1);
-        self.exec.event = run;
+        let runs = std::slice::from_ref(&run);
+        let report = exec.execute(&self.program, t0, runs, 1, |_, _| rel);
+        exec.events[slot] = run;
         report.first_error.map_or(Ok(()), Err)
     }
 
@@ -1028,8 +1070,10 @@ impl Engine {
             return BatchReport::default();
         }
         let t0 = Instant::now();
+        let named =
+            |ids: &FastMap<String, u32>, run: &RelationDelta| ids.get(run.relation()).copied();
         self.exec
-            .execute(&self.program, t0, batch.runs(), batch.events())
+            .execute(&self.program, t0, batch.runs(), batch.events(), named)
     }
 
     /// Process a sequence of events one at a time, stopping at the first error
@@ -1060,13 +1104,16 @@ impl Executor {
     // -----------------------------------------------------------------------
 
     /// Process the `runs` of a batch of `events` events, started at `t0`:
-    /// each run through [`Executor::run`] after one lookup of its relation.
+    /// each run through [`Executor::run`] with its relation's position in
+    /// `relations`, as `relation` finds it in `relation_ids` (`None`: the
+    /// catalog does not declare it).
     fn execute(
         &mut self,
         program: &TriggerProgram,
         t0: Instant,
         runs: &[RelationDelta],
         events: u64,
+        relation: impl Fn(&FastMap<String, u32>, &RelationDelta) -> Option<u32>,
     ) -> BatchReport {
         let mut report = BatchReport {
             events,
@@ -1075,8 +1122,8 @@ impl Executor {
         let armed = self.arm(events);
         let (mut ran, mut fired) = (0u32, false);
         for run in runs {
-            match self.relation_ids.get(run.relation()) {
-                Some(&rel) => {
+            match relation(&self.relation_ids, run) {
+                Some(rel) => {
                     if let Some(f) = self.run(program, rel, run, &mut report) {
                         (ran, fired) = (ran + 1, f);
                     }
@@ -1237,29 +1284,22 @@ impl Executor {
         tuple: &[Value],
     ) -> u64 {
         let stmt = &program.triggers[tidx as usize].statements[j];
-        self.stats.statements += 1;
         let Executor {
             db,
             kernel,
             discard,
             rows,
             stmts,
+            stats,
             tel,
             ..
         } = self;
         let bound = &stmts[tidx as usize][j];
         let counts = view_counts(tel, discard, bound.target);
         rows.clear();
-        kernel_rows(
-            kernel,
-            db,
-            &stmt.kernel,
-            &bound.rels,
-            tuple,
-            true,
-            rows,
-            counts,
-        );
+        let straight = kernel_rows(kernel, db, &stmt.kernel, &bound.rels, tuple, rows, counts);
+        stats.statements += 1;
+        stats.straight_line += u64::from(straight);
         let all = Seg {
             start: 0,
             end: rows.len(),
@@ -1458,17 +1498,16 @@ impl Executor {
                     // the first against its state.
                     let ds = &mut bd.stmts[base[s] + j];
                     let start = ds.rows.len();
-                    let rels = &bound[j].rels;
-                    kernel_rows(
+                    let straight = kernel_rows(
                         kernel,
                         db,
                         &stmt.kernel,
-                        rels,
+                        &bound[j].rels,
                         &entry.key,
-                        true,
                         &mut ds.rows,
                         view_counts(tel, discard, bound[j].target),
                     );
+                    stats.straight_line += u64::from(straight);
                     let end = ds.rows.len();
                     evaluated += (end - start) as u64;
                     ds.segs.push(Seg {
@@ -1538,9 +1577,14 @@ impl Executor {
         let (kernel, members) = (&unit.kernel, &unit.members);
         let bound = &stmts[tidx as usize][members[0]];
         let counts = view_counts(tel, discard, bound.target);
+        // A trigger-only unit appends to the slots themselves; any other
+        // kernel is lent them for the run.
+        let lent = !matches!(kernel.straight, Some(Straight::Unit(_)));
         let lend = |state: &mut KernelState, bd: &mut BdScratch| {
-            for (lent, &m) in state.rows_of(kernel).iter_mut().zip(members) {
-                std::mem::swap(lent, &mut bd.stmts[base + m].rows);
+            if lent {
+                for (buf, &m) in state.rows_of(kernel).iter_mut().zip(members) {
+                    std::mem::swap(buf, &mut bd.stmts[base + m].rows);
+                }
             }
         };
         lend(state, bd);
@@ -1550,19 +1594,32 @@ impl Executor {
                 continue;
             }
             stats.statements += 1;
-            let first = std::mem::take(&mut fresh);
-            seed(state, kernel, &entry.key, first);
-            kernel.execute(db, &bound.rels, state, counts, first);
-            for (buf, &m) in state.rows_of(kernel).iter().zip(members) {
-                let segs = &mut bd.stmts[base + m].segs;
-                let start = segs.last().map_or(0, |s| s.end);
+            let mut slots = Slots {
+                stmts: &mut bd.stmts,
+                base,
+                members,
+            };
+            if kernel.run_straight(&entry.key, &mut slots) {
+                stats.straight_line += 1;
+            } else {
+                // The series begins at the first entry the interpreter runs.
+                let first = std::mem::take(&mut fresh);
+                seed(state, kernel, &entry.key, first);
+                kernel.execute(db, &bound.rels, state, counts, first);
+            }
+            for (k, &m) in members.iter().enumerate() {
+                let ds = &mut bd.stmts[base + m];
+                let end = match lent {
+                    true => state.rows_of(kernel)[k].len(),
+                    false => ds.rows.len(),
+                };
                 let seg = Seg {
-                    start,
-                    end: buf.len(),
+                    start: ds.segs.last().map_or(0, |s| s.end),
+                    end,
                     reps: entry.firings(),
                 };
                 rows += segs_rows(std::slice::from_ref(&seg));
-                segs.push(seg);
+                ds.segs.push(seg);
             }
         }
         lend(state, bd);

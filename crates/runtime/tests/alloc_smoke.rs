@@ -264,9 +264,79 @@ fn wide_events_allocate_nothing_in_steady_state() {
     assert!(engine.stats().statements >= 3 * churn.len() as u64 / 2);
 }
 
-/// A fused kernel lends its members' row buffers for a run and takes them
-/// back: three sibling `+=` statements keyed by a string column — weighted
-/// by a column, by a constant and by nothing, under one guard — run as one
+/// A stream that switches relations allocates nothing either: `process`
+/// keeps one recycled run per relation, so a key refilled in place always
+/// has its relation's arity. Two keyed relations of 5 and 8 columns, like
+/// TPC-H's Orders and Lineitem, alternate on every event (one shared run
+/// rebuilt its key slab at each switch: 1 allocation per call).
+#[test]
+fn alternating_arities_allocate_nothing_in_steady_state() {
+    let (five, eight) = (
+        ["A", "B", "C", "D", "E"],
+        ["A", "B", "C", "D", "E", "F", "G", "H"],
+    );
+    let catalog = [
+        RelationMeta::stream("FIVE", five),
+        RelationMeta::stream("EIGHT", eight),
+    ]
+    .into_iter()
+    .collect();
+    let query = |name: &str, rel: &str, arity: usize| {
+        let vars: Vec<String> = (0..arity).map(|c| format!("v{c}")).collect();
+        let last = vars[arity - 1].clone();
+        QuerySpec {
+            name: name.into(),
+            out_vars: vec!["v0".into()],
+            expr: Expr::agg_sum(
+                ["v0"],
+                Expr::product_of([Expr::rel(rel, vars), Expr::var(last)]),
+            ),
+        }
+    };
+    let program = compile(
+        &[query("BY_FIVE", "FIVE", 5), query("BY_EIGHT", "EIGHT", 8)],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    assert!(program.stored_relations.is_empty(), "no base map is stored");
+    let mut engine = Engine::new(program, &catalog);
+
+    let row = |k: i64, arity: i64| {
+        (0..arity)
+            .map(|c| Value::long(k % 4 + c))
+            .collect::<Vec<_>>()
+    };
+    let churn: Vec<UpdateEvent> = (0..64)
+        .flat_map(|k| {
+            [
+                UpdateEvent::insert("FIVE", row(k, 5)),
+                UpdateEvent::insert("EIGHT", row(k, 8)),
+                UpdateEvent::delete("FIVE", row(k, 5)),
+                UpdateEvent::delete("EIGHT", row(k, 8)),
+            ]
+        })
+        .collect();
+    engine.process_all(&churn).unwrap();
+    engine.process_all(&churn).unwrap();
+
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "alternating arity-5 and arity-8 events allocated {allocs} times over {} steady-state calls",
+        churn.len()
+    );
+    // Not vacuous: every event was admitted and its statement ran.
+    assert_eq!(engine.stats().events, 3 * churn.len() as u64);
+    assert_eq!(engine.stats().statements, 3 * churn.len() as u64);
+}
+
+/// A fused straight-line unit appends to its members' deferred slots: three
+/// sibling `+=` statements keyed by a string column — weighted by a column,
+/// by a constant and by nothing, under one guard — run as one trigger-only
 /// kernel whose one key per row is cloned for the other members, and a warm
 /// engine allocates nothing per event or per batch of 64.
 #[test]
@@ -322,7 +392,7 @@ fn fused_siblings_allocate_nothing_in_steady_state() {
         run_cycle(&mut engine);
     }
 
-    let statements = engine.stats().statements;
+    let (statements, straight) = (engine.stats().statements, engine.stats().straight_line);
     let before = alloc_count();
     engine.process_all(&churn).unwrap();
     let per_event = alloc_count() - before;
@@ -336,16 +406,15 @@ fn fused_siblings_allocate_nothing_in_steady_state() {
          one at a time and in batches of 64",
         churn.len()
     );
-    // Not vacuous: the fused kernel ran once per entry, the guard passed
-    // for some, and the maps were left empty by the churn.
+    // Not vacuous: the fused kernel ran once per entry, straight-line, the
+    // guard passed for some, and the maps were left empty by the churn.
     let entries: u64 = cycle
         .iter()
         .map(|b| b.runs()[0].entries().len() as u64)
         .sum();
-    assert_eq!(
-        engine.stats().statements - statements,
-        churn.len() as u64 + entries
-    );
+    let stats = engine.stats();
+    assert_eq!(stats.statements - statements, churn.len() as u64 + entries);
+    assert_eq!(stats.straight_line - straight, churn.len() as u64 + entries);
     assert!(engine.view("BY_Y").unwrap().is_empty());
 }
 

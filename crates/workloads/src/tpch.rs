@@ -128,6 +128,25 @@ fn random_date(rng: &mut StdRng) -> i64 {
     year * 10_000 + month * 100 + day
 }
 
+/// The first `events` events of the TPC-H stream the benchmark's
+/// `tpch_durable` workload feeds at `seed` (float prices and discounts): the
+/// generator at the scale the benchmark picks, five events per order, with
+/// its fixed working set of 30,000 orders and 120,000 line items, grown
+/// until it yields enough.
+pub fn ledger_events(events: usize, seed: u64) -> Vec<UpdateEvent> {
+    let mut raw = events;
+    loop {
+        let scale = (raw as f64 / 5.0 / 1_500_000.0).max(0.0002);
+        let config = TpchConfig::with_fixed_working_set(scale, seed, 30_000, 120_000);
+        let mut data = generate(&config);
+        if data.len() >= events {
+            data.truncate(events);
+            return data.events;
+        }
+        raw += raw / 2;
+    }
+}
+
 /// Generate the TPC-H-like workload: the static `Nation`/`Region` tables plus the
 /// FK-preserving update stream over the six stream relations.
 pub fn generate(config: &TpchConfig) -> Dataset {

@@ -25,6 +25,7 @@
 
 use super::gen::*;
 use super::{assert_views, view_names, views_differ, Recompute, Views, FLOAT_EPS};
+use dbtoaster::agca::plan::Straight;
 use dbtoaster::agca::{DeltaBatch, RelationDelta, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{Catalog, CompileMode, RelationPlan, StmtOp, TriggerProgram};
 use dbtoaster::durability::WalWriter;
@@ -636,9 +637,13 @@ pub fn census() -> BTreeMap<String, usize> {
 
 fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
-    let mut fused = false;
+    let (mut fused, mut straight, mut guarded) = (false, false, false);
     for plan in plans(&compiled) {
         fused |= plan.kernels.iter().any(|u| u.members.len() > 1);
+        for u in &plan.kernels {
+            straight |= matches!(u.kernel.straight, Some(Straight::Unit(_)));
+            guarded |= matches!(u.kernel.straight, Some(Straight::Guards(_)));
+        }
         facts.push(match plan.live.is_empty() {
             true => "empty live pass",
             false => "non-empty live pass",
@@ -660,8 +665,14 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
         facts.push("snapshot held across batches");
     }
     let mut facts: Vec<String> = facts.into_iter().map(String::from).collect();
-    if fused {
-        facts.push(format!("fused group [{:?}]", p.mode));
+    for (fact, reached) in [
+        ("fused group", fused),
+        ("straight-line unit", straight),
+        ("guard-skipped kernel", guarded),
+    ] {
+        if reached {
+            facts.push(format!("{fact} [{:?}]", p.mode));
+        }
     }
     let plans = compiled.triggers.iter().flat_map(|t| &t.statements);
     let plans: Vec<String> = plans.map(|s| format!("{:?}", s.kernel.plan)).collect();
@@ -697,6 +708,10 @@ pub fn assert_census() {
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
         fused group [HigherOrder], fused group [NaiveViewlet], \
+        straight-line unit [HigherOrder], straight-line unit [FirstOrder], \
+        straight-line unit [NaiveViewlet], straight-line unit [Reevaluate], \
+        guard-skipped kernel [HigherOrder], guard-skipped kernel [FirstOrder], \
+        guard-skipped kernel [NaiveViewlet], \
         hostile stream under a quantile filter, hostile stream weighing a group-by column, \
         hostile stream mixing Long and Double past 2^53 in a key";
     let facts = classes.into_iter().chain(shapes).chain(hands);

@@ -943,25 +943,6 @@ pub fn workload_data(family: Family, events: usize, seed: u64) -> Dataset {
     d
 }
 
-/// The first `events` events of the TPC-H stream the benchmark's
-/// `tpch_durable` workload feeds at `seed` (float prices and discounts): the
-/// generator at the scale the benchmark picks, five events per order, with
-/// its fixed working set of 30,000 orders and 120,000 line items, grown
-/// until it yields enough.
-pub fn ledger_tpch_events(events: usize, seed: u64) -> Vec<UpdateEvent> {
-    let mut raw = events;
-    loop {
-        let scale = (raw as f64 / 5.0 / 1_500_000.0).max(0.0002);
-        let config = workloads::TpchConfig::with_fixed_working_set(scale, seed, 30_000, 120_000);
-        let mut data = workloads::tpch::generate(&config);
-        if data.len() >= events {
-            data.truncate(events);
-            return data.events;
-        }
-        raw += raw / 2;
-    }
-}
-
 /// Workload queries `names` (one family) over `events` events of its
 /// dataset at `seed`: float data.
 pub fn workload_case(names: &[&'static str], events: usize, seed: u64) -> Case {

@@ -9,9 +9,10 @@
 //! each map must have written as many rows as its reference. The stream is
 //! the one the benchmark's `tpch_durable` workload feeds at seed 42; the
 //! tier-1 test takes a 20,000-event prefix, the ignored one the workload's
-//! whole 250,000 events (CI runs it in release).
-
-mod common;
+//! whole 250,000 events (CI runs it in release). q1's kernel is a
+//! trigger-only unit, so it runs straight-line on every Lineitem entry
+//! (`EngineStats::straight_line`); `dbtoaster_agca::plan`'s tests check that
+//! form against the interpreter, bit for bit.
 
 use dbtoaster::prelude::*;
 use dbtoaster::runtime::Engine;
@@ -100,12 +101,16 @@ fn rows_written(engine: &mut Engine, tel: &Telemetry, view: &str) -> u64 {
 }
 
 fn q1_matches_its_aggregates_run_alone(events: usize) {
-    let events = common::ledger_tpch_events(events, 42);
+    let events = workloads::tpch::ledger_events(events, 42);
     let q1 = workloads::query("q1").unwrap();
     for chunk in [1, 8, 512] {
         let (mut fused, fused_tel) = engine("q1", q1.sql);
         assert_eq!(lineitem_kernels(&fused), 1, "q1 runs as one kernel");
         feed(&mut fused, &events, chunk);
+        // Its one unit per trigger ran straight-line on every Lineitem entry.
+        let stats = fused.stats();
+        assert!(stats.statements > 0);
+        assert_eq!(stats.straight_line, stats.statements, "chunks of {chunk}");
         for (name, aggregate) in REFERENCES {
             let (mut alone, alone_tel) = engine(name, &single(aggregate));
             assert_eq!(lineitem_kernels(&alone), 1, "{name} runs unfused");
