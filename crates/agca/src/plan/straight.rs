@@ -194,7 +194,7 @@ impl StraightUnit {
     /// has one, to its buffer in `rows`: the key built from the event once
     /// and cloned for every later member. `names` is the kernel's relation
     /// table, for the panic of a corrupt program.
-    pub fn run(&self, tuple: &[Value], names: &[String], rows: &mut (impl MemberRows + ?Sized)) {
+    fn run(&self, tuple: &[Value], names: &[String], rows: &mut (impl MemberRows + ?Sized)) {
         let mut mult = 1.0;
         for op in &self.frame {
             if mult == 0.0 {

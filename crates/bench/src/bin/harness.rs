@@ -781,7 +781,7 @@ fn profile_cmd(args: &Args) {
     };
     let queries: Vec<&str> = queries.split(',').collect();
     match profile::profile(&queries, args.events, args.seed, args.passes) {
-        Ok(report) => print!("{}", profile::render(&report, &queries, 0.005)),
+        Ok(report) => print!("{}", profile::render(&report, &queries)),
         Err(e) => {
             eprintln!("harness: profile: {e}");
             std::process::exit(2);

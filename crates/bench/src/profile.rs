@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// What one `harness profile` run measured.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ProfileReport {
     /// Events per pass.
     pub events: usize,
@@ -34,12 +34,16 @@ pub struct ProfileReport {
     /// Samples taken.
     pub samples: u64,
     /// Samples per outermost function, most first; samples outside the
-    /// executable under [`OUTSIDE`].
+    /// executable under `(outside the executable)`.
     pub shares: Vec<(String, u64)>,
 }
 
 /// The name samples outside the executable are counted under.
-pub const OUTSIDE: &str = "(outside the executable)";
+const OUTSIDE: &str = "(outside the executable)";
+
+/// The smallest share [`render`] prints a line for; the functions below it
+/// share one line.
+const MIN_SHARE: f64 = 0.005;
 
 /// Profile `queries` (workload query names) over `events` events of the
 /// `tpch_durable` stream at `seed`, `passes` times, each pass on a fresh
@@ -146,9 +150,9 @@ pub fn fold(output: &str, counts: &BTreeMap<u64, u64>) -> Vec<(String, u64)> {
     folded
 }
 
-/// Render a report: one line per function down to `min_share` of the
+/// Render a report: one line per function down to half a percent of the
 /// samples, then the rest in one line.
-pub fn render(report: &ProfileReport, queries: &[&str], min_share: f64) -> String {
+pub fn render(report: &ProfileReport, queries: &[&str]) -> String {
     let mut out = format!(
         "=== profile: {} over {} events x {} passes, best pass {:.0} ns/event, {} samples ===\n",
         queries.join(","),
@@ -161,7 +165,7 @@ pub fn render(report: &ProfileReport, queries: &[&str], min_share: f64) -> Strin
     let mut rest = 0;
     for (f, n) in &report.shares {
         let share = *n as f64 / total;
-        if share >= min_share {
+        if share >= MIN_SHARE {
             out.push_str(&format!("{:6.2}%  {f}\n", 100.0 * share));
         } else {
             rest += n;
@@ -362,35 +366,35 @@ dbtoaster_agca::plan::Exec::exec
 ??:0
 ";
         let counts: BTreeMap<u64, u64> =
-            [(0x1000, 5), (0x2000, 3), (0x3000, 2), (0x4000, 1)].into();
+            [(0x1000, 500), (0x2000, 496), (0x3000, 2), (0x4000, 2)].into();
         assert_eq!(
             fold(output, &counts),
             [
-                ("dbtoaster_agca::plan::Exec::exec".to_string(), 7),
-                ("hashbrown::map::HashMap::get".to_string(), 3),
-                ("??".to_string(), 1),
+                ("dbtoaster_agca::plan::Exec::exec".to_string(), 502),
+                ("hashbrown::map::HashMap::get".to_string(), 496),
+                ("??".to_string(), 2),
             ]
         );
         let report = ProfileReport {
             events: 10,
             passes: 2,
             best_ns_per_event: 1500.0,
-            samples: 11,
+            samples: 1000,
             shares: fold(output, &counts),
         };
-        let text = render(&report, &["q1", "q6"], 0.2);
+        let text = render(&report, &["q1", "q6"]);
         assert!(
             text.starts_with("=== profile: q1,q6 over 10 events x 2 passes"),
             "{text}"
         );
         assert!(
-            text.contains(" 63.64%  dbtoaster_agca::plan::Exec::exec\n"),
+            text.contains(" 50.20%  dbtoaster_agca::plan::Exec::exec\n"),
             "{text}"
         );
         assert!(
-            text.contains(" 27.27%  hashbrown::map::HashMap::get\n"),
+            text.contains(" 49.60%  hashbrown::map::HashMap::get\n"),
             "{text}"
         );
-        assert!(text.ends_with("  9.09%  (the rest)\n"), "{text}");
+        assert!(text.ends_with("  0.20%  (the rest)\n"), "{text}");
     }
 }
