@@ -1003,20 +1003,16 @@ impl Lowerer {
         if ops.iter().all(|op| passes_mult(op) || is_value_op(op)) {
             return Ok(Op::Product(ops));
         }
-        let last = ops.iter().rposition(|op| !self.guards_event(op));
+        let on_event = |op: &Op| guards_event(op, self.trigger_slots);
+        let last = ops.iter().rposition(|op| !on_event(op));
         let end = match last {
             Some(i) if i + 1 < ops.len() && may_zero(&ops[i]) => ops.last().cloned(),
             _ => None,
         };
-        let (mut guards, rest): (Vec<Op>, Vec<Op>) =
-            ops.into_iter().partition(|op| self.guards_event(op));
+        let (mut guards, rest): (Vec<Op>, Vec<Op>) = ops.into_iter().partition(|op| on_event(op));
         guards.extend(rest);
         guards.extend(end);
         Ok(Op::Product(guards))
-    }
-
-    fn guards_event(&self, op: &Op) -> bool {
-        guards_event(op, self.trigger_slots as Slot)
     }
 
     fn lower_sum(&mut self, terms: &[Expr]) -> Result<Op, Unsupported> {
@@ -1101,9 +1097,9 @@ impl Lowerer {
 
 /// Is `op` an event guard: a filter whose operands are trigger slots and
 /// constants only?
-fn guards_event(op: &Op, trigger_slots: Slot) -> bool {
+fn guards_event(op: &Op, trigger_slots: u32) -> bool {
     let on_event = |s: &Scalar| match s {
-        Scalar::Slot(slot) => *slot < trigger_slots,
+        Scalar::Slot(slot) => u32::from(*slot) < trigger_slots,
         Scalar::Const(_) => true,
         _ => false,
     };

@@ -120,7 +120,7 @@ fn operand<'a>(s: &'a Scalar, tuple: &'a [Value]) -> &'a Value {
 /// when some term has none.
 fn leading_guards(stmt: &CompiledStmt) -> Option<Vec<Vec<Op>>> {
     fn lead(op: &Op, trigger_slots: u16) -> Vec<Op> {
-        let on_event = |op: &&Op| guards_event(op, trigger_slots);
+        let on_event = |op: &&Op| guards_event(op, trigger_slots.into());
         match op {
             Op::Product(ops) => ops.iter().take_while(on_event).cloned().collect(),
             // Both pass a nonzero multiplicity on nonzero.
@@ -175,7 +175,7 @@ impl StraightUnit {
             Op::Product(ops) => ops,
             op => vec![op],
         };
-        let framed = |op: &Op| matches!(op, Op::ConstMult(_)) || guards_event(op, ts);
+        let framed = |op: &Op| matches!(op, Op::ConstMult(_)) || guards_event(op, ts.into());
         let value = |op: &Op| match op {
             Op::ConstMult(_) => true,
             Op::SlotMult(slot) => *slot < ts,
