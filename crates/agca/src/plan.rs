@@ -2139,14 +2139,13 @@ fn split_term(factors: &[Op]) -> (Vec<Op>, SiblingTerm) {
 }
 
 impl CompiledStmt {
-    /// This kernel with each term's value ops taken out — what fused
-    /// siblings must share, with `frame_size` and `used_trigger_slots`
-    /// cleared, which values may widen — and the terms taken out. A sum
-    /// whose terms share one single-row frame splits term by term: per row,
-    /// its terms emit back to back, as its own plan emits them; any other
-    /// plan is one term. `None` for a kernel that is already fused: one
-    /// whose members are not one lowered statement's.
-    fn frame(&self) -> Option<(CompiledStmt, Vec<SiblingTerm>)> {
+    /// A lowered statement's plan taken apart into the factors of its frame
+    /// and its terms (see [`CompiledStmt::frame`]). A sum whose terms share
+    /// one single-row frame splits term by term: per row, its terms emit
+    /// back to back, as its own plan emits them; any other plan is one term.
+    /// `None` for a kernel that is already fused: one whose members are not
+    /// one lowered statement's.
+    fn split(&self) -> Option<(Vec<Op>, Vec<SiblingTerm>)> {
         if !matches!(&self.members[..], [m] if m[..] == [SiblingTerm::IDENTITY]) {
             return None;
         }
@@ -2163,10 +2162,18 @@ impl CompiledStmt {
             }
             _ => None,
         };
-        let (frame, terms) = summed.unwrap_or_else(|| {
+        Some(summed.unwrap_or_else(|| {
             let (frame, term) = split_term(factors(&self.plan));
             (frame, vec![term])
-        });
+        }))
+    }
+
+    /// This kernel with each term's value ops taken out — what fused
+    /// siblings must share, with `frame_size` and `used_trigger_slots`
+    /// cleared, which values may widen — and the terms taken out
+    /// ([`CompiledStmt::split`]). `None` for a fused kernel.
+    fn frame(&self) -> Option<(CompiledStmt, Vec<SiblingTerm>)> {
+        let (frame, terms) = self.split()?;
         let plan = match <[Op; 1]>::try_from(frame) {
             Ok([op]) => op,
             Err(ops) => Op::Product(ops),

@@ -6,7 +6,7 @@
 //! ([`CompiledStmt::straight`]), and read the event tuple in place: trigger
 //! slot `i` is the event's column `i`, so nothing is seeded into a frame.
 
-use super::{guards_event, total, CompiledStmt, Node, Op, Scalar, SiblingTerm, Slot};
+use super::{factors, guards_event, total, CompiledStmt, Node, Op, Scalar, SiblingTerm, Slot};
 use dbtoaster_gmr::{Tuple, Value};
 
 /// How a kernel runs without the plan interpreter.
@@ -167,13 +167,9 @@ impl StraightUnit {
         if !stmt.rels.is_empty() || stmt.key_slots.iter().any(|&s| s >= ts) {
             return None;
         }
-        let (plan, members) = match stmt.frame() {
-            Some((frame, terms)) => (frame.plan, vec![terms]),
-            None => (stmt.plan.clone(), stmt.members.clone()),
-        };
-        let frame = match plan {
-            Op::Product(ops) => ops,
-            op => vec![op],
+        let (frame, members) = match stmt.split() {
+            Some((frame, terms)) => (frame, vec![terms]),
+            None => (factors(&stmt.plan).to_vec(), stmt.members.clone()),
         };
         let framed = |op: &Op| matches!(op, Op::ConstMult(_)) || guards_event(op, ts.into());
         let value = |op: &Op| match op {
