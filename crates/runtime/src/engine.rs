@@ -1550,10 +1550,12 @@ impl Executor {
 
     /// Buffer the rows of kernel unit `u` of trigger `tidx` over all of a
     /// run's entries of one sign without applying them, each member `j`'s in
-    /// its statement's slot `base + j`: each slot's rows lent to the unit's
-    /// kernel for the run, setup once, then back-to-back evaluations against
-    /// the unchanged pre-run store, one segment per entry. The kernel counts
-    /// its work for its first member's target. Returns the rows buffered.
+    /// its statement's slot `base + j`: back-to-back evaluations against the
+    /// unchanged pre-run store, one segment per entry. A trigger-only unit
+    /// appends to the slots itself, entry by entry; any other kernel is lent
+    /// each slot's rows for the run and set up once, at the first entry the
+    /// interpreter runs. The kernel counts its work for its first member's
+    /// target. Returns the rows buffered.
     fn collect_over(
         &mut self,
         tidx: u16,
