@@ -247,7 +247,7 @@
 //! its sink builds the key and pushes the plan's row as it comes.
 //!
 //! A trigger often holds statements that do the same work and differ only in
-//! what they add: TPC-H q1's six Lineitem statements share the key
+//! what they add: TPC-H q1's four Lineitem statements share the key
 //! `[returnflag]` and the guard `shipdate <= 19980901`, and add the
 //! quantity, the price, the discounted price or one. [`CompiledStmt::fuse`]
 //! runs such siblings as one kernel. Each member's plan is taken apart into

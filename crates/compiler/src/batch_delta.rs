@@ -100,7 +100,7 @@
 //! are taken out — [`CompiledStmt::fuse`] decides that, and builds the
 //! kernel: one walk of the shared frame per entry, one key per row, and each
 //! member's row into that member's own buffer, with the products and the
-//! rows its own plan makes, bit for bit. TPC-H q1's six Lineitem aggregates
+//! rows its own plan makes, bit for bit. TPC-H q1's four Lineitem maps
 //! are one group per sign. The same derivation lists each relation's units
 //! ([`RelationPlan::kernels`]): the engine resolves them with the rest of
 //! the plan and runs each where its first member stands, and `explain`

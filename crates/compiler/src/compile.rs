@@ -3,7 +3,8 @@
 //! [`compile`] turns a set of AGCA queries into a [`TriggerProgram`]. The recursion
 //! follows Algorithm 2 of the paper:
 //!
-//! 1. the query itself is registered as a materialized view;
+//! 1. the query itself is registered as a materialized view (or, when an earlier
+//!    query's definition is the same up to variable names, reads that view);
 //! 2. for every view awaiting maintenance and every `(relation, ±)` pair, the delta is
 //!    taken, simplified and turned into an update statement whose subexpressions are
 //!    materialized by the [`crate::materialize::Materializer`];
@@ -136,13 +137,19 @@ pub fn compile(
         expr = decorrelate(&expr);
         let expr = simplify(&expr);
 
+        let (map, created) = registry.register_named(&q.name, expr.clone(), q.out_vars.clone(), 0);
         results.push(QueryResult {
             name: q.name.clone(),
             out_vars: q.out_vars.clone(),
+            map,
         });
+        if !created {
+            // An earlier query view is this one: its statements maintain both.
+            report.maps_deduplicated += 1;
+            continue;
+        }
 
         if options.mode == CompileMode::Reevaluate {
-            registry.register_named(&q.name, expr.clone(), q.out_vars.clone(), true, 0);
             for rel in expr.stream_relations() {
                 for sign in UpdateSign::both() {
                     let meta = catalog
@@ -161,8 +168,6 @@ pub fn compile(
                     push_statement(&mut triggers, &rel, sign, &update.trigger_vars, stmt);
                 }
             }
-        } else {
-            registry.register_named(&q.name, expr, q.out_vars.clone(), true, 0);
         }
     }
 
@@ -672,6 +677,47 @@ mod tests {
                     Expr::var("PRICE"),
                 ]),
             ),
+        }
+    }
+
+    /// A query view equal to an earlier one up to variable names — its
+    /// output column named differently — gets no map and no statements in
+    /// any mode: its result reads the earlier view's map under its own
+    /// columns, and the reuse is counted.
+    #[test]
+    fn equal_query_views_share_one_map_in_every_mode() {
+        let spec = |name: &str, a: &str, b: &str, c: &str| QuerySpec {
+            name: name.into(),
+            out_vars: vec![a.into()],
+            expr: Expr::agg_sum(
+                [a],
+                Expr::product_of([Expr::rel("R", [a, b]), Expr::rel("S", [b, c]), Expr::var(c)]),
+            ),
+        };
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let options = CompileOptions::for_mode(mode);
+            let twins = [spec("Q", "a", "b", "c"), spec("P", "x", "y", "z")];
+            let alone = compile(&twins[..1], &rs_catalog(), &options).unwrap();
+            let both = compile(&twins, &rs_catalog(), &options).unwrap();
+            assert_eq!(both.to_string(), alone.to_string(), "[{mode:?}]");
+            let (was, is) = (&alone.report, &both.report);
+            assert_eq!(
+                is.maps_deduplicated,
+                was.maps_deduplicated + 1,
+                "[{mode:?}]"
+            );
+            assert_eq!(is.statements, was.statements, "[{mode:?}]");
+            let reads: Vec<[&str; 3]> = both
+                .results
+                .iter()
+                .map(|r| [&*r.name, &*r.map, &*r.out_vars[0]])
+                .collect();
+            assert_eq!(reads, [["Q", "Q", "a"], ["P", "Q", "x"]], "[{mode:?}]");
         }
     }
 

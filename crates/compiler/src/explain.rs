@@ -144,6 +144,9 @@ pub struct ProgramExplain {
     pub relations: Vec<RelationExplain>,
     /// The maps that carry a declared secondary index, by name.
     pub maps: Vec<MapExplain>,
+    /// Each result that reads another query's map (see
+    /// [`crate::QueryResult::map`]), as `(result, map)`, in result order.
+    pub merged: Vec<(String, String)>,
 }
 
 /// Explain `program`: exactly the relation plans an engine running it
@@ -178,9 +181,11 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
             }
         })
         .collect();
+    let merged = program.results.iter().filter(|r| r.map != r.name);
     ProgramExplain {
         relations,
         maps: explain_maps(program),
+        merged: merged.map(|r| (r.name.clone(), r.map.clone())).collect(),
     }
 }
 
@@ -629,6 +634,9 @@ impl ProgramExplain {
     /// default).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
+        for (result, map) in &self.merged {
+            let _ = writeln!(out, "result {result} reads {map}");
+        }
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "live pass: {}", rel.live_pass);
@@ -720,7 +728,19 @@ impl ProgramExplain {
             analyze_json(&mut out, m.analyze.as_ref(), ValueGroup::Resident);
             out.push('}');
         }
-        out.push_str("]}");
+        out.push(']');
+        if !self.merged.is_empty() {
+            out.push_str(",\"merged\":[");
+            for (i, (result, map)) in self.merged.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                let (result, map) = (json_escape(result), json_escape(map));
+                let _ = write!(out, "{{\"result\":\"{result}\",\"reads\":\"{map}\"}}");
+            }
+            out.push(']');
+        }
+        out.push('}');
         out
     }
 
@@ -776,7 +796,20 @@ impl ProgramExplain {
                 analyze,
             });
         }
-        Some(ProgramExplain { relations, maps })
+        let mut merged = Vec::new();
+        for mv in obj
+            .get("merged")
+            .map_or(Some(&[][..]), json::Json::as_array)?
+        {
+            let m = mv.as_object()?;
+            let field = |key: &str| Some(m.get(key)?.as_str()?.to_string());
+            merged.push((field("result")?, field("reads")?));
+        }
+        Some(ProgramExplain {
+            relations,
+            maps,
+            merged,
+        })
     }
 }
 

@@ -25,7 +25,10 @@
 //!    deduplicate into another — `vwap`'s `price × volume` map is its volume map.
 //!
 //! Duplicate view elimination is performed by the [`MapRegistry`], which keys maps by
-//! the canonical form of their definition.
+//! the canonical form of their definition. Query views take part too: a query whose
+//! definition is alpha-equivalent to an earlier query's (TPC-H q1's `AVG(quantity)`
+//! halves repeat its `SUM(quantity)` and `COUNT(*)`) gets no map of its own, and its
+//! result reads the earlier query's map ([`crate::QueryResult::map`]).
 
 use crate::compile::CompileError;
 use crate::program::{CompileMode, CompileOptions, CompileReport, MapDecl, Statement, StmtOp};
@@ -88,28 +91,35 @@ impl MapRegistry {
         ))
     }
 
-    /// Register a view with an explicit name (used for query results). Returns its index.
+    /// Register a query view under its own name and return the name of the
+    /// map it reads, with `true` when that map is new. A query view whose
+    /// canonical key (definition and key order, as [`MapRegistry::register`]
+    /// keys it) equals a view registered before it reuses that map instead:
+    /// no second map, no pending derivation, so no statements. The first
+    /// view registered survives; the caller counts the reuse and makes the
+    /// query's result read the survivor.
     pub fn register_named(
         &mut self,
         name: &str,
         definition: Expr,
         out_vars: Vec<String>,
-        is_query_result: bool,
         depth: usize,
-    ) -> usize {
+    ) -> (String, bool) {
         let key = Self::key_of(&definition, &out_vars);
+        if let Some(idx) = self.canon_keys.iter().position(|k| *k == key) {
+            return (self.maps[idx].name.clone(), false);
+        }
         self.maps.push(MapDecl {
             name: name.to_string(),
             out_vars,
             definition,
-            is_query_result,
+            is_query_result: true,
             init: None,
         });
         self.canon_keys.push(key);
         self.depths.push(depth);
-        let idx = self.maps.len() - 1;
-        self.pending.push_back(idx);
-        idx
+        self.pending.push_back(self.maps.len() - 1);
+        (name.to_string(), true)
     }
 
     /// Register (or reuse) an auxiliary view for `definition` keyed by `out_vars`.

@@ -200,15 +200,21 @@ impl fmt::Display for Trigger {
     }
 }
 
-/// A named query result of the program: the maintained map of the same name
+/// A named query result of the program: the maintained map it reads
 /// (derived columns such as `AVG = SUM / COUNT` are assembled from several
 /// results by the serving layer).
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueryResult {
-    /// Query name (as given in the [`QuerySpec`]), which is also its map's.
+    /// Query name (as given in the [`QuerySpec`]).
     pub name: String,
-    /// Result columns.
+    /// Result columns, named as the query names them.
     pub out_vars: Vec<String>,
+    /// The map the result reads: the query's own (named `name`), or, when
+    /// an earlier query's definition is the same up to variable names, that
+    /// query's map, which then maintains both. Its key columns are
+    /// positionally the result's `out_vars`. Every reader of a result by
+    /// name resolves it through this field.
+    pub map: String,
 }
 
 /// Which rewrite rules and strategies fired during compilation of a query — the data

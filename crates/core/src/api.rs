@@ -14,7 +14,9 @@ use dbtoaster_durability::DurabilityConfig;
 use dbtoaster_gmr::{Gmr, Value};
 use dbtoaster_runtime::{Engine, EngineStats, RuntimeError};
 use dbtoaster_server::{ServeError, ServerConfig, ViewServer};
-use dbtoaster_sql::{parse_query, translate, ParseError, TranslateError, TranslatedQuery};
+use dbtoaster_sql::{
+    parse_query, translate, OutputColumn, ParseError, TranslateError, TranslatedQuery,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::PathBuf;
@@ -161,6 +163,28 @@ impl QueryEngineBuilder {
             plans.push(plan);
         }
         let program = compile(&specs, &self.catalog, &self.options)?;
+        // A view merged into another query's map is read by that map's name.
+        let map_of: HashMap<&str, &str> = program
+            .results
+            .iter()
+            .map(|r| (r.name.as_str(), r.map.as_str()))
+            .collect();
+        for out in plans.iter_mut().flat_map(|p| &mut p.outputs) {
+            let views = match out {
+                OutputColumn::GroupBy { .. } => vec![],
+                OutputColumn::Aggregate { view, .. } => vec![view],
+                OutputColumn::Average {
+                    sum_view,
+                    count_view,
+                    ..
+                } => vec![sum_view, count_view],
+            };
+            for view in views {
+                if let Some(&map) = map_of.get(view.as_str()) {
+                    *view = map.to_string();
+                }
+            }
+        }
         let engine = Engine::new(program, &self.catalog);
         Ok(QueryEngine {
             engine,

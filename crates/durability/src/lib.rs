@@ -366,9 +366,9 @@ pub fn program_fingerprint(program: &TriggerProgram) -> u64 {
     for r in &program.results {
         eat(r.name.as_bytes());
         eat(format!("{:?}", r.out_vars).as_bytes());
-        // A result reads its own map: hashed as `Map("name")`, the bytes
-        // existing checkpoints' fingerprints cover.
-        eat(format!("Map({:?})", r.name).as_bytes());
+        // The map the result reads: hashed as `Map("name")`, the bytes a
+        // result reading its own map always hashed.
+        eat(format!("Map({:?})", r.map).as_bytes());
     }
     eat(&[FORMAT_VERSION]);
     hash

@@ -116,7 +116,8 @@ fn events() -> Vec<UpdateEvent> {
 /// Bit-exact comparison of every map the server holds — read cold, the
 /// published views and the higher-order maps behind them — against a
 /// single-threaded engine. The published snapshot, which covers the same
-/// events once the cold read returns, must hold the same published views.
+/// events once the cold read returns, must hold the same published views,
+/// each result's under its name.
 fn assert_snapshot_matches_engine(
     server: &ViewServer,
     engine: &dbtoaster::QueryEngine,
@@ -124,8 +125,14 @@ fn assert_snapshot_matches_engine(
 ) {
     let maps = server.all_maps().unwrap();
     let snap = server.current_snapshot();
+    let results = &engine.program().results;
     for name in snap.names() {
-        let (published, cold) = (snap.view(name).unwrap(), &maps[name]);
+        // A result reads its map, which another result's may be.
+        let map = results
+            .iter()
+            .find(|r| r.name == name)
+            .map_or(name, |r| &r.map);
+        let (published, cold) = (snap.view(name).unwrap(), &maps[map]);
         assert_eq!(published.len(), cold.len(), "{context}: {name} published");
         for (t, m) in published.iter() {
             assert_eq!(

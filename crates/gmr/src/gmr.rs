@@ -338,6 +338,21 @@ impl Gmr {
             .sum()
     }
 
+    /// The same GMR with its columns renamed, position by position, to
+    /// `schema`'s (which must have as many): O(1) for a snapshot GMR, which
+    /// keeps sharing its map.
+    pub fn renamed(mut self, schema: Schema) -> Gmr {
+        assert_eq!(
+            self.schema.arity(),
+            schema.arity(),
+            "renaming {:?} to {:?}",
+            self.schema.columns(),
+            schema.columns()
+        );
+        self.schema = schema;
+        self
+    }
+
     /// Reorder the columns of this GMR to the given schema (must be the same column set).
     pub fn reorder(&self, target: &Schema) -> Gmr {
         assert!(

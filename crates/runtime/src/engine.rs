@@ -78,7 +78,7 @@
 //! each member's row into the member's own deferred buffer at its own statement
 //! position, so the apply phase and the live pass see each member as they see any
 //! statement. Each member's rows are the ones its own kernel would emit, bit for bit
-//! (see `dbtoaster_agca::plan`). TPC-H q1's six Lineitem aggregates run as one kernel.
+//! (see `dbtoaster_agca::plan`). TPC-H q1's four Lineitem maps run as one kernel.
 //!
 //! Every evaluation — collection's, the live pass's, the `:=` tail's, a static view's —
 //! tries the kernel's straight-line form first (`CompiledStmt::run_straight`; see
@@ -143,7 +143,7 @@ use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState, MemberRows, Straight};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{Catalog, KernelUnit, RelationMeta, Statement, StmtOp, TriggerProgram};
-use dbtoaster_gmr::{FastMap, Gmr, Tuple, Value};
+use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
 use dbtoaster_telemetry::{
     slot_of, LocalCounts, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry,
     ViewRecord, ViewSummary, TRACE_ARM_MIN_EVENTS,
@@ -1663,7 +1663,11 @@ impl Executor {
 }
 
 impl Engine {
-    /// Snapshot a query result as a GMR over its output columns.
+    /// Snapshot a query result as a GMR over its output columns: the map it
+    /// reads ([`QueryResult::map`], another query's when the two were
+    /// merged), with the columns its own query names.
+    ///
+    /// [`QueryResult::map`]: dbtoaster_compiler::QueryResult::map
     pub fn result(&self, query: &str) -> Result<Gmr, RuntimeError> {
         let qr = self
             .program
@@ -1671,11 +1675,9 @@ impl Engine {
             .iter()
             .find(|r| r.name == query)
             .ok_or_else(|| RuntimeError::UnknownQuery(query.to_string()))?;
-        self.exec
-            .db
-            .view(&qr.name)
-            .map(|v| v.to_gmr())
-            .ok_or_else(|| RuntimeError::UnknownView(qr.name.clone()))
+        let view = self.exec.db.view(&qr.map);
+        let view = view.ok_or_else(|| RuntimeError::UnknownView(qr.map.clone()))?;
+        Ok(view.to_gmr().renamed(Schema::new(qr.out_vars.clone())))
     }
 
     /// Direct access to a view's contents (for tests and debugging).

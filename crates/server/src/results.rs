@@ -90,6 +90,9 @@ pub fn assemble_result(
     let mut view_snapshots: HashMap<String, Gmr> = HashMap::new();
     for out in outputs {
         for name in views_read(out) {
+            if view_snapshots.contains_key(name) {
+                continue;
+            }
             let snapshot = lookup(name).ok_or_else(|| name.to_string())?;
             for (t, _) in snapshot.iter() {
                 if seen.insert(t.clone()) {

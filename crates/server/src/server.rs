@@ -286,10 +286,15 @@ impl Snapshot {
 type Written = Option<Vec<Tuple>>;
 
 /// The views every publish covers, resolved once at [`ViewServer::spawn`]
-/// and shared by every [`Snapshot`]: slot `i` holds map `ids[i]`, named
-/// `names[i]`.
+/// and shared by every [`Snapshot`]: slot `i` holds map `ids[i]`, and each
+/// published name reads one slot. A program result reads the slot of its
+/// map ([`QueryResult::map`]), so a result merged into another query's map
+/// shares that query's slot.
+///
+/// [`QueryResult::map`]: dbtoaster_compiler::QueryResult::map
 #[derive(Debug)]
 struct PublishedViews {
+    /// Every published name, sorted.
     names: Vec<String>,
     ids: Vec<MapId>,
     /// Name → slot.
@@ -301,24 +306,32 @@ impl PublishedViews {
     /// results. A name the engine does not hold is left out; reading it fails
     /// as a missing view would.
     fn resolve(engine: &Engine, queries: &[TranslatedQuery]) -> Self {
+        let results = &engine.program().results;
         let mut wanted: Vec<&str> = queries
             .iter()
             .flat_map(|q| &q.outputs)
             .flat_map(views_read)
             .collect();
-        wanted.extend(engine.program().results.iter().map(|r| r.name.as_str()));
+        wanted.extend(results.iter().map(|r| r.name.as_str()));
         wanted.sort_unstable();
         wanted.dedup();
         let db = engine.database();
-        let (names, ids): (Vec<String>, Vec<MapId>) = wanted
-            .into_iter()
-            .filter_map(|n| Some((n.to_string(), db.id(n)?)))
-            .unzip();
-        let slots = names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), i))
-            .collect();
+        let (mut names, mut ids, mut slots) = (Vec::new(), Vec::new(), FastMap::default());
+        for name in wanted {
+            let result = results.iter().find(|r| r.name == name);
+            let Some(id) = db.id(result.map_or(name, |r| &r.map)) else {
+                continue;
+            };
+            let slot = match ids.iter().position(|&held| held == id) {
+                Some(slot) => slot,
+                None => {
+                    ids.push(id);
+                    ids.len() - 1
+                }
+            };
+            names.push(name.to_string());
+            slots.insert(name.to_string(), slot);
+        }
         PublishedViews { names, ids, slots }
     }
 }
@@ -956,18 +969,24 @@ impl ReaderHandle {
                     .map_err(ServeError::UnknownView);
             }
         }
-        // A published view by its own name, a program result's included.
+        // A published view by its own name, or a program result's, whose
+        // key columns are named as its own query names them.
+        let results = &self.shared.program.results;
+        let result = results.iter().find(|r| r.name == name);
         match snap.view(name) {
-            Some(g) => Ok(table_from_gmr(name, g)),
+            Some(g) => {
+                let keys = result.map_or(g.schema().columns(), |r| &r.out_vars);
+                Ok(table_from_gmr(name, keys, g))
+            }
             None => Err(ServeError::UnknownQuery(name.to_string())),
         }
     }
 }
 
-/// Render a raw GMR as a result table: key columns followed by one
-/// multiplicity column named after the query.
-fn table_from_gmr(name: &str, gmr: &Gmr) -> ResultTable {
-    let mut columns: Vec<String> = gmr.schema().columns().to_vec();
+/// Render a raw GMR as a result table: its key columns, named `keys`,
+/// followed by one multiplicity column named after the query.
+fn table_from_gmr(name: &str, keys: &[String], gmr: &Gmr) -> ResultTable {
+    let mut columns: Vec<String> = keys.to_vec();
     columns.push(name.to_string());
     let rows = gmr
         .iter()

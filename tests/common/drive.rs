@@ -327,6 +327,14 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
         panic!("{ctx}: batched vs per event: {diff}");
     }
     oracle.check(&ctx, program, &view, eps);
+    let queries = match &case.source {
+        Source::Queries(specs) => &specs[..],
+        _ => &[],
+    };
+    for (how, engine) in [("batched", &batched), ("per event", reference)] {
+        let result = |n: &str| engine.result(n).ok();
+        oracle.check_results(&format!("{ctx}: {how}"), program, queries, &result, eps);
+    }
     if let Some([snapshot, then]) = held {
         same("held snapshot", &reader(&then), &reader(&snapshot), 0.0);
     }
@@ -615,6 +623,7 @@ pub fn census() -> BTreeMap<String, usize> {
             let facts = case.class().map(|c| format!("class {c:?}")).into_iter();
             let facts = facts.chain(case.shapes.iter().map(|s| format!("shape {s:?}")));
             let facts = facts.chain(case.hand.map(|h| format!("hand {h:?}")));
+            let facts = facts.chain(case.twin.map(|t| format!("twin {t:?}")));
             let flags = case.hostile.then_some("hostile stream").into_iter();
             let quantile = case.hostile && case.shapes.contains(&Shape::Quantile);
             let weighed_key = case.hostile && case.weighs_a_group_by_column();
@@ -665,7 +674,9 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
         facts.push("snapshot held across batches");
     }
     let mut facts: Vec<String> = facts.into_iter().map(String::from).collect();
+    let merged = compiled.results.iter().any(|r| r.map != r.name);
     for (fact, reached) in [
+        ("duplicate query view merged", merged),
         ("fused group", fused),
         ("straight-line unit", straight),
         ("guard-skipped kernel", guarded),
@@ -689,8 +700,9 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     }
 }
 
-/// The coverage guard: the slice hits all three classes, every shape and
-/// hand-assembled program, a non-empty and an empty live pass, a `:=` tail,
+/// The coverage guard: the slice hits all three classes, every shape,
+/// hand-assembled program and twin query (merged into its original's map in
+/// every compile mode), a non-empty and an empty live pass, a `:=` tail,
 /// a WAL cut after a checkpoint, a held snapshot, a hostile stream (one under
 /// a quantile filter, one weighing a query by its own group-by column, one
 /// holding `Long` and `Double` values past 2^53 in one key column), an
@@ -704,9 +716,12 @@ pub fn assert_census() {
     let classes = [QHierarchical, Hierarchical, NonHierarchical].map(|c| format!("class {c:?}"));
     let shapes = SHAPES.iter().map(|s| format!("shape {s:?}"));
     let hands = HANDS.iter().map(|h| format!("hand {h:?}"));
+    let twins = TWINS.iter().map(|t| format!("twin {t:?}"));
     let rest = "non-empty live pass, empty live pass, `:=` tail, \
         WAL cut after a checkpoint, snapshot held across batches, hostile stream, ill-typed event, \
         range sum in a loop [HigherOrder], threshold [HigherOrder], \
+        duplicate query view merged [HigherOrder], duplicate query view merged [FirstOrder], \
+        duplicate query view merged [NaiveViewlet], duplicate query view merged [Reevaluate], \
         fused group [HigherOrder], fused group [NaiveViewlet], \
         straight-line unit [HigherOrder], straight-line unit [FirstOrder], \
         straight-line unit [NaiveViewlet], straight-line unit [Reevaluate], \
@@ -714,7 +729,7 @@ pub fn assert_census() {
         guard-skipped kernel [NaiveViewlet], \
         hostile stream under a quantile filter, hostile stream weighing a group-by column, \
         hostile stream mixing Long and Double past 2^53 in a key";
-    let facts = classes.into_iter().chain(shapes).chain(hands);
+    let facts = classes.into_iter().chain(shapes).chain(hands).chain(twins);
     let facts = facts.chain(rest.split(", ").map(String::from));
     let missing: Vec<String> = facts.filter(|f| !seen.contains_key(f)).collect();
     assert!(missing.is_empty(), "not in the tier-1 slice: {missing:?}");

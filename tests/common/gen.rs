@@ -23,14 +23,17 @@
 //! outside the maps it looks entries up in) may draw 0.5 and −0.0 there
 //! ([`Case::weighs_a_group_by_column`]; the census finds it). One in ten
 //! cases with a weight column carries one ill-typed event: a string in that
-//! number column, or a tuple one value short.
+//! number column, or a tuple one value short. One in eight generated query
+//! sets carries a [`Twin`] of its first query, a view the compiler merges
+//! into the first query's map.
 
+use dbtoaster::agca::opt::canonicalize;
 use dbtoaster::agca::{CmpOp, Expr, UpdateEvent, UpdateSign};
 use dbtoaster::compiler::{
     compile, BatchDeltaBail, Catalog, CompileMode, CompileOptions, MapDecl, QuerySpec,
     RelationMeta, Statement, StmtOp, Trigger, TriggerProgram,
 };
-use dbtoaster::gmr::Value;
+use dbtoaster::gmr::{FastMap, Value};
 use dbtoaster::workloads::{self, Dataset, Family};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -276,6 +279,57 @@ fn random_query(rng: &mut Rng, name: String) -> (QuerySpec, Vec<Shape>) {
     let q = build(name, skeleton, &shapes, rng);
     shapes.insert(0, skeleton);
     (q, shapes)
+}
+
+/// A query repeated under another name, which the compiler does not
+/// materialize twice: the twin's result reads its original's map.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Twin {
+    /// The query again with every variable renamed, so its output columns
+    /// are named differently.
+    Renamed,
+    /// An `AVG` over the query's own sum, as SQL translates one: the sum
+    /// again under the average's name, and the count of the same rows.
+    Average,
+}
+
+pub const TWINS: [Twin; 2] = [Twin::Renamed, Twin::Average];
+
+impl Twin {
+    /// The queries that repeat `q`, named after `n` queries.
+    fn of(self, q: &QuerySpec, n: usize) -> Vec<QuerySpec> {
+        let named = |suffix: &str, expr: Expr, out_vars: Vec<String>| QuerySpec {
+            name: format!("Q{n}{suffix}"),
+            expr,
+            out_vars,
+        };
+        match self {
+            Twin::Renamed => {
+                // A prefix keeps the variables' order, which the compiler's
+                // rewrites may read.
+                let vars = canonicalize(&q.expr).1.into_keys();
+                let renamed: FastMap<String, String> =
+                    vars.map(|v| (v.clone(), format!("t{v}"))).collect();
+                let out_vars = q.out_vars.iter().map(|v| renamed[v].clone()).collect();
+                vec![named("", q.expr.rename_vars(&renamed), out_vars)]
+            }
+            Twin::Average => {
+                let Expr::AggSum(group, body) = &q.expr else {
+                    unreachable!("a generated query is a sum")
+                };
+                let factors = match &**body {
+                    Expr::Mul(factors) => factors.clone(),
+                    other => vec![other.clone()],
+                };
+                let rows = factors.into_iter().filter(|f| !matches!(f, Expr::Var(_)));
+                let count = Expr::agg_sum(group.clone(), Expr::product_of(rows));
+                vec![
+                    named("_avg_sum", q.expr.clone(), q.out_vars.clone()),
+                    named("_avg_cnt", count, q.out_vars.clone()),
+                ]
+            }
+        }
+    }
 }
 
 /// Olteanu's classes: q-hierarchical ⊂ hierarchical ⊂ all queries.
@@ -646,6 +700,7 @@ pub struct Case {
     pub events: Vec<UpdateEvent>,
     pub shapes: BTreeSet<Shape>,
     pub hand: Option<Hand>,
+    pub twin: Option<Twin>,
     /// Float data, where summation order shows in the last bits.
     pub float: bool,
     pub hostile: bool,
@@ -792,9 +847,16 @@ pub fn case(seed: u64) -> Case {
         return assembled(rng.pick(&HANDS), seed);
     }
     let queries = (0..1 + rng.below(3)).map(|i| random_query(&mut rng, format!("Q{i}")));
-    let (specs, shapes): (Vec<QuerySpec>, Vec<Vec<Shape>>) = queries.unzip();
+    let (mut specs, shapes): (Vec<QuerySpec>, Vec<Vec<Shape>>) = queries.unzip();
     let shapes: BTreeSet<Shape> = shapes.into_iter().flatten().collect();
     let [key_only, weights, plain_weights, compared] = columns(&specs);
+    // Drawn from its own stream after the columns, so a case without a twin
+    // stays what it was, and one with a twin keeps its stream.
+    let mut twins = Rng::new(seed, 7);
+    let twin = twins.percent(12).then(|| twins.pick(&TWINS));
+    if let Some(t) = twin {
+        specs.extend(t.of(&specs[0], specs.len()));
+    }
     let hostile = rng.percent(25);
     let mut unweighted = compared.clone();
     unweighted.retain(|c| !weights.contains(c));
@@ -836,6 +898,7 @@ pub fn case(seed: u64) -> Case {
         label: format!("common::case({seed})"),
         tables,
         shapes,
+        twin,
         hostile,
         ill_typed,
         ..Case::new(Source::Queries(specs), events)

@@ -38,7 +38,7 @@ pub use drive::*;
 pub use gen::*;
 
 use dbtoaster::agca::{eval, Bindings, Expr, MemSource, UpdateEvent};
-use dbtoaster::compiler::{Catalog, TriggerProgram};
+use dbtoaster::compiler::{Catalog, QuerySpec, TriggerProgram};
 use dbtoaster::gmr::{Gmr, Schema, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -93,13 +93,8 @@ impl Recompute {
         for m in program.maps.iter().filter(|m| !m.definition.is_zero()) {
             let got = view(&m.name).unwrap_or_else(|| panic!("{ctx}: no map {}", m.name));
             let grouped = Expr::agg_sum(m.out_vars.clone(), m.definition.clone());
-            let mut cache = self.cache.borrow_mut();
-            let want = cache.entry(grouped.to_string()).or_insert_with(|| {
-                let evaluate = |e: &Expr| eval(e, &self.src, &Bindings::new());
-                let evaluated = evaluate(&grouped).or_else(|_| evaluate(&atoms_first(&grouped)));
-                evaluated.unwrap_or_else(|e| panic!("{ctx}: recomputing {}: {e}", m.name))
-            });
-            let diff = differ(&m.name, want, &got, eps);
+            let want = self.recomputed(ctx, &m.name, &grouped);
+            let diff = differ(&m.name, &want, &got, eps);
             assert!(diff.is_none(), "{ctx}: recomputed: {}", diff.unwrap());
         }
         let (stored, tables) = (&program.stored_relations, &program.static_tables);
@@ -109,6 +104,51 @@ impl Recompute {
             let diff = differ(name, want, &got, 0.0);
             assert!(diff.is_none(), "{ctx}: net stream: {}", diff.unwrap());
         }
+    }
+}
+
+impl Recompute {
+    /// Assert that `result` reads every result of `program` under the
+    /// columns its own query names: for a query merged into another's map,
+    /// its definition in `queries` recomputed, else its map's (as
+    /// [`Recompute::check`] has it), within relative `eps`.
+    pub fn check_results(
+        &self,
+        ctx: &str,
+        program: &TriggerProgram,
+        queries: &[QuerySpec],
+        result: Views,
+        eps: f64,
+    ) {
+        for r in &program.results {
+            let got = result(&r.name).unwrap_or_else(|| panic!("{ctx}: no result {}", r.name));
+            let columns = got.schema().columns();
+            assert_eq!(columns, r.out_vars, "{ctx}: the columns of {}", r.name);
+            let query = queries.iter().find(|q| q.name == r.name && r.map != r.name);
+            let grouped = match query {
+                Some(q) => Expr::agg_sum(q.out_vars.clone(), q.expr.clone()),
+                None => {
+                    let m = program.maps.iter().find(|m| m.name == r.map);
+                    let m = m.unwrap_or_else(|| panic!("{ctx}: no map {}", r.map));
+                    Expr::agg_sum(m.out_vars.clone(), m.definition.clone())
+                }
+            };
+            let want = self.recomputed(ctx, &r.name, &grouped);
+            let want = want.renamed(Schema::new(r.out_vars.clone()));
+            let diff = differ(&r.name, &want, &got, eps);
+            assert!(diff.is_none(), "{ctx}: recomputed: {}", diff.unwrap());
+        }
+    }
+
+    /// `grouped` evaluated over the final relations, once per text.
+    fn recomputed(&self, ctx: &str, name: &str, grouped: &Expr) -> Gmr {
+        let mut cache = self.cache.borrow_mut();
+        let want = cache.entry(grouped.to_string()).or_insert_with(|| {
+            let evaluate = |e: &Expr| eval(e, &self.src, &Bindings::new());
+            let evaluated = evaluate(grouped).or_else(|_| evaluate(&atoms_first(grouped)));
+            evaluated.unwrap_or_else(|e| panic!("{ctx}: recomputing {name}: {e}"))
+        });
+        want.clone()
     }
 }
 
