@@ -101,11 +101,11 @@
 //! Entries keep their **first-arrival order** (a collapse folds a later event
 //! into the existing entry in place), so batch execution visits keys in a
 //! deterministic, stream-correlated order. Each entry remembers the position
-//! of its last event among its run's events, and that event's sign, so
-//! [`RelationDelta::last_event`] finds the final event of the run for the
-//! statements that must be bound to it (re-evaluation statements fire once
-//! per run, as the last event's firing is the one whose output survives) —
-//! also in a run some of whose entries were taken out
+//! of its last event among its run's events, and that event's sign, so the
+//! entry whose last event came latest holds the final event of the run, for
+//! the statements that must be bound to it (re-evaluation statements fire
+//! once per run, as the last event's firing is the one whose output survives)
+//! — also in a run some of whose entries were taken out
 //! ([`RelationDelta::retain_into`], how the engine's ingest gate drops a
 //! refused entry from its run). A run indexes its entries by key hash —
 //! positions, not keys, so a new key moves into its entry uncloned — only
@@ -113,19 +113,21 @@
 //! compares the next key with its entry instead, so it hashes nothing. All
 //! buffers — the run pool, the per-run entry list and collapse index — are
 //! recycled by [`DeltaBatch::clear`], so a steady-state producer allocates
-//! nothing but the keys it builds. The engine takes a single event as one
-//! recycled run ([`RelationDelta::assign`]), whose wide key is refilled in
-//! its own slab.
+//! nothing but the keys it builds. The engine builds no run for a single
+//! event: it reads the event's tuple in place, as one [`DeltaEntry`] that
+//! borrows it.
 
 use crate::delta::{UpdateEvent, UpdateSign};
 use dbtoaster_gmr::{FastMap, Tuple};
 
 /// One key of a per-relation delta: the net multiplicity of all events in the
-/// run that carried this tuple, plus how many events were folded in.
+/// run that carried this tuple, plus how many events were folded in. A run
+/// owns its keys; the engine reads a single event as one entry whose key
+/// borrows the event's tuple (`DeltaEntry<&[Value]>`).
 #[derive(Clone, Debug, PartialEq)]
-pub struct DeltaEntry {
+pub struct DeltaEntry<K = Tuple> {
     /// The updated tuple.
-    pub key: Tuple,
+    pub key: K,
     /// Net signed multiplicity (`+1` per insert, `−1` per delete, ring-added).
     /// Exactly `0.0` for a fully cancelled key — such entries stay in place
     /// (preserving arrival order and event accounting) and are skipped by the
@@ -138,7 +140,7 @@ pub struct DeltaEntry {
     pub last: (u32, UpdateSign),
 }
 
-impl DeltaEntry {
+impl<K> DeltaEntry<K> {
     /// How many single-tuple trigger firings this entry stands for
     /// (`|mult|`; 0 for a cancelled key).
     pub fn firings(&self) -> u32 {
@@ -200,31 +202,11 @@ impl RelationDelta {
         &self.entries
     }
 
-    /// Sign and tuple of the last event pushed into this run (the binding for
-    /// once-per-run re-evaluation statements): the entry whose last event
-    /// came latest.
-    pub fn last_event(&self) -> Option<(UpdateSign, &Tuple)> {
-        let e = self.entries.iter().max_by_key(|e| e.last.0)?;
-        Some((e.last.1, &e.key))
-    }
-
     /// Events whose work vanished through ring cancellation: the difference
     /// between the events pushed and the single-tuple firings that remain.
     pub fn collapsed_events(&self) -> u64 {
         let firings: u64 = self.entries.iter().map(|e| e.firings() as u64).sum();
         self.events.saturating_sub(firings)
-    }
-
-    /// Make this run the run of `event` alone, keeping its buffers: its one
-    /// entry's key is refilled in place ([`Tuple::assign`]), so a recycled
-    /// run allocates nothing for a wide event while nothing else holds the
-    /// key. How the engine takes a single event.
-    pub fn assign(&mut self, event: &UpdateEvent) {
-        self.entries.truncate(1);
-        let mut key = self.entries.pop().map_or_else(Tuple::new, |e| e.key);
-        key.assign(&event.tuple);
-        self.reset(&event.relation, key.len());
-        self.push_key(key, event.sign);
     }
 
     /// Rebuild this run into `out` without the entries `keep` refuses,
@@ -304,12 +286,6 @@ impl RelationDelta {
         e.events += events;
         e.last = last;
     }
-
-    /// Fold one tuple into the run (caller guarantees relation/arity match).
-    fn push_key(&mut self, key: Tuple, sign: UpdateSign) {
-        let at = self.events as u32;
-        self.fold(key, sign.multiplier(), 1, (at, sign));
-    }
 }
 
 /// A contiguous slice of the update stream as per-relation GMR deltas: the
@@ -377,7 +353,9 @@ impl DeltaBatch {
     /// [`DeltaBatch::push`] of an event given as its parts, the tuple already
     /// a key.
     fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
-        self.run_for(relation, key.len()).push_key(key, sign);
+        let run = self.run_for(relation, key.len());
+        let at = run.events as u32;
+        run.fold(key, sign.multiplier(), 1, (at, sign));
         self.events += 1;
     }
 
@@ -422,6 +400,13 @@ impl DeltaBatch {
 mod tests {
     use super::*;
     use dbtoaster_gmr::{Gmr, Schema, Value};
+
+    /// Sign and tuple of the last event pushed into `run`: the entry whose
+    /// last event came latest.
+    fn last_event(run: &RelationDelta) -> Option<(UpdateSign, &Tuple)> {
+        let e = run.entries().iter().max_by_key(|e| e.last.0)?;
+        Some((e.last.1, &e.key))
+    }
 
     fn ins(rel: &str, vals: &[i64]) -> UpdateEvent {
         UpdateEvent::insert(rel, vals.iter().map(|&v| Value::long(v)).collect())
@@ -482,7 +467,7 @@ mod tests {
         assert_eq!(run.entries()[0].sign(), None);
         assert_eq!(run.collapsed_events(), 2);
         // The cancelled key still anchors last_event for := binding.
-        let (sign, key) = run.last_event().unwrap();
+        let (sign, key) = last_event(run).unwrap();
         assert_eq!(sign, UpdateSign::Delete);
         assert_eq!(key.as_slice(), &[Value::long(1)]);
     }
@@ -529,7 +514,7 @@ mod tests {
         assert_eq!(runs[0].collapsed_events(), 2);
         assert_eq!(runs[1].relation(), "S");
         assert_eq!(runs[1].entries()[0].mult, 2.0);
-        let (sign, key) = runs[0].last_event().unwrap();
+        let (sign, key) = last_event(&runs[0]).unwrap();
         assert_eq!(sign, UpdateSign::Insert);
         assert_eq!(key.as_slice(), &[Value::long(3), Value::long(4)]);
     }
@@ -545,7 +530,7 @@ mod tests {
         assert!(run.index.is_empty());
         assert_eq!(run.entries().len(), 1);
         assert_eq!((run.entries()[0].mult, run.entries()[0].events), (0.0, 2));
-        assert_eq!(run.last_event().unwrap().0, UpdateSign::Delete);
+        assert_eq!(last_event(run).unwrap().0, UpdateSign::Delete);
         b.push(&ins("R", &[3, 4]));
         b.push(&ins("R", &[1, 2]));
         let run = &b.runs()[0];
@@ -553,7 +538,7 @@ mod tests {
         assert_eq!(run.entries()[0].mult, 1.0);
         assert_eq!(run.events(), 4);
         assert_eq!(
-            run.last_event().unwrap().1.as_slice(),
+            last_event(run).unwrap().1.as_slice(),
             &[Value::long(1), Value::long(2)]
         );
         // A pooled run that was indexed starts over without its index.
@@ -608,7 +593,7 @@ mod tests {
         let r = &b.runs()[0];
         assert_eq!((r.entries().len(), r.events()), (1, 2));
         assert!(r.index.is_empty());
-        let (sign, key) = r.last_event().unwrap();
+        let (sign, key) = last_event(r).unwrap();
         assert_eq!(sign, UpdateSign::Delete);
         assert_eq!(key.as_slice(), &[Value::long(1), Value::long(2)]);
         assert_eq!(r.entries()[0].mult, 0.0);
@@ -634,7 +619,7 @@ mod tests {
         assert_eq!((refused, out.events()), (2, 3));
         assert_eq!((out.relation(), out.entries().len()), ("R", 2));
         assert_eq!(out.entries()[0].mult, 2.0);
-        let (sign, key) = out.last_event().unwrap();
+        let (sign, key) = last_event(&out).unwrap();
         assert_eq!(
             (sign, key.as_slice()),
             (UpdateSign::Insert, &[Value::long(1), Value::long(2)][..])
@@ -644,40 +629,22 @@ mod tests {
         // A run left empty holds no event.
         let refused = b.runs()[1].retain_into(&mut out, |_| false);
         assert_eq!((refused, out.events()), (2, 0));
-        assert!(out.entries().is_empty() && out.last_event().is_none());
+        assert!(out.entries().is_empty() && last_event(&out).is_none());
         // The run's last event, refused: the one before it is kept.
         let b = DeltaBatch::from_events(&events[..3]);
         b.runs()[0].retain_into(&mut out, |e| !nines(e));
-        let (sign, key) = out.last_event().unwrap();
+        let (sign, key) = last_event(&out).unwrap();
         assert_eq!(
             (sign, key.as_slice()),
             (UpdateSign::Delete, &[Value::long(3), Value::long(4)][..])
         );
     }
 
-    /// A run assigned one event is that event's batch of one, whatever it
-    /// held, and a wide key's slab is refilled in place.
-    #[test]
-    fn an_assigned_run_is_the_batch_of_its_event() {
-        let wide = |v: i64| ins("R", &[v, v, v, v, v]);
-        let mut run =
-            DeltaBatch::from_events(&[ins("R", &[1, 2]), del("R", &[3, 4])]).runs()[0].clone();
-        for event in [wide(1), del("S", &[2]), wide(3), wide(4)] {
-            let slab = run.entries().first().map(|e| e.key.as_ptr());
-            run.assign(&event);
-            assert_same_run(&DeltaBatch::from_events([&event]).runs()[0], &run);
-            assert!(run.index.is_empty());
-            if event.tuple[0] == Value::long(4) {
-                assert_eq!(slab, Some(run.entries()[0].key.as_ptr()));
-            }
-        }
-    }
-
     /// Assert two runs are the same run, entry for entry: relation, arity,
     /// keys, multiplicity bits, events, last events and collapses.
     fn assert_same_run(want: &RelationDelta, got: &RelationDelta) {
         let run = |r: &RelationDelta| {
-            let last = r.last_event().map(|(sign, key)| (sign, key.clone()));
+            let last = last_event(r).map(|(sign, key)| (sign, key.clone()));
             let collapsed = r.collapsed_events();
             (
                 r.relation().to_owned(),
@@ -763,7 +730,7 @@ mod tests {
         ];
         assert_runs_are_per_relation_batches(&cancelling, &mut batch);
         assert_eq!(batch.collapsed_events(), 4);
-        assert_eq!(batch.runs()[0].last_event().unwrap().0, UpdateSign::Insert);
+        assert_eq!(last_event(&batch.runs()[0]).unwrap().0, UpdateSign::Insert);
 
         let arities = [
             ins("R", &[1, 2]),

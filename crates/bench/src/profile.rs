@@ -5,11 +5,12 @@
 //! process's CPU-time interval timer (`ITIMER_PROF`) armed: every `SIGPROF`
 //! records the interrupted instruction's address. The host's `addr2line`
 //! resolves the distinct addresses, with their inline chains, against the
-//! executable; each sample counts for the outermost function of its chain —
-//! the function the compiler emitted — and samples outside the executable
-//! (the C library, the vDSO clock) count apart. The kernel's tick limits the
-//! rate to a few hundred samples a second, so the stream runs several
-//! passes.
+//! executable. Each sample counts for the innermost engine phase of its chain
+//! (`PHASES`, which inlining would fold into one opaque bucket), else for the
+//! outermost function, the one the compiler emitted; samples outside the
+//! executable (the C library, the vDSO clock) count apart. The kernel's tick
+//! limits the rate to a few hundred samples a second, so the stream runs
+//! several passes.
 //!
 //! Sampling needs `sigaction` and `setitimer` (declared here by hand: the
 //! workspace has no libc crate), the `ucontext` layout of x86_64 Linux, and
@@ -33,10 +34,14 @@ pub struct ProfileReport {
     pub best_ns_per_event: f64,
     /// Samples taken.
     pub samples: u64,
-    /// Samples per outermost function, most first; samples outside the
-    /// executable under `(outside the executable)`.
+    /// Samples per phase or outermost function (see [`fold`]), most first;
+    /// samples outside the executable under `(outside the executable)`.
     pub shares: Vec<(String, u64)>,
 }
+
+/// The engine's phases, as function path suffixes (see [`fold`]).
+const PHASES: &str = "collect_over live_pass apply_base_run fire_replace_tail \
+                      process_run Executor::run Engine::process";
 
 /// The name samples outside the executable are counted under.
 const OUTSIDE: &str = "(outside the executable)";
@@ -118,11 +123,12 @@ fn resolve(counts: &BTreeMap<u64, u64>) -> Result<Vec<(String, u64)>, String> {
     Ok(fold(&text, counts))
 }
 
-/// Fold `addr2line -a -f -i -C` output into samples per outermost
-/// function: each address block (`0x…`, then a function and a location per
-/// frame of its inline chain, innermost first) counts `counts[address]`
-/// samples for its last function, in order of first appearance. An address
-/// the output does not name counts for `??`.
+/// Fold `addr2line -a -f -i -C` output into samples per phase or function:
+/// each address block (`0x…`, then a function and a location per frame of
+/// its inline chain, innermost first) counts `counts[address]` samples for
+/// its first function whose path ends in `::` and a `PHASES` entry, else for
+/// its last one, in order of first appearance. An address the output does
+/// not name counts for `??`.
 pub fn fold(output: &str, counts: &BTreeMap<u64, u64>) -> Vec<(String, u64)> {
     let mut blocks: Vec<(u64, Vec<&str>)> = Vec::new();
     for line in output.lines() {
@@ -137,14 +143,22 @@ pub fn fold(output: &str, counts: &BTreeMap<u64, u64>) -> Vec<(String, u64)> {
             }
         }
     }
+    let phase = |f: &&str| {
+        let named = |p| f.strip_suffix(p).is_some_and(|s: &str| s.ends_with("::"));
+        PHASES.split_whitespace().any(named)
+    };
     let mut folded: Vec<(String, u64)> = Vec::new();
     for (addr, lines) in blocks {
         // Function names sit at the even lines of a block, locations at the odd.
-        let outermost = lines.iter().step_by(2).next_back().copied().unwrap_or("??");
+        let mut frames = lines.iter().step_by(2).copied();
+        let credited = match frames.clone().find(phase) {
+            Some(f) => f,
+            None => frames.next_back().unwrap_or("??"),
+        };
         let n = counts.get(&addr).copied().unwrap_or(0);
-        match folded.iter_mut().find(|(f, _)| f == outermost) {
+        match folded.iter_mut().find(|(f, _)| f == credited) {
             Some((_, total)) => *total += n,
-            None => folded.push((outermost.to_string(), n)),
+            None => folded.push((credited.to_string(), n)),
         }
     }
     folded
@@ -343,8 +357,10 @@ mod tests {
 
     /// `addr2line -a -f -i -C` prints each address, then a function and a
     /// location per frame of its inline chain, innermost first: a sample
-    /// counts for the last function of its block, and blocks of one
-    /// function sum.
+    /// counts for the innermost phase of its block — a map probe inlined
+    /// into the base apply, inlined in turn into the run, is the base
+    /// apply's — or else for the last function of its block, and blocks of
+    /// one function sum. `QueryEngine::process` is not `Engine::process`.
     #[test]
     fn samples_fold_onto_their_outermost_function() {
         let output = "\
@@ -364,15 +380,39 @@ dbtoaster_agca::plan::Exec::exec
 0x0000000000004000
 ??
 ??:0
+0x0000000000005000
+hashbrown::map::HashMap::get_mut
+/src/map.rs:2
+dbtoaster_runtime::store::ViewMap::add_rows
+/src/store.rs:40
+dbtoaster_runtime::engine::Executor::apply_base_run
+/src/engine.rs:50
+dbtoaster_runtime::engine::Executor::process_run
+/src/engine.rs:60
+0x0000000000006000
+dbtoaster::api::QueryEngine::process
+/src/api.rs:7
 ";
-        let counts: BTreeMap<u64, u64> =
-            [(0x1000, 500), (0x2000, 496), (0x3000, 2), (0x4000, 2)].into();
+        let counts: BTreeMap<u64, u64> = [
+            (0x1000, 500),
+            (0x2000, 496),
+            (0x3000, 2),
+            (0x4000, 2),
+            (0x5000, 7),
+            (0x6000, 1),
+        ]
+        .into();
         assert_eq!(
             fold(output, &counts),
             [
                 ("dbtoaster_agca::plan::Exec::exec".to_string(), 502),
                 ("hashbrown::map::HashMap::get".to_string(), 496),
                 ("??".to_string(), 2),
+                (
+                    "dbtoaster_runtime::engine::Executor::apply_base_run".to_string(),
+                    7
+                ),
+                ("dbtoaster::api::QueryEngine::process".to_string(), 1),
             ]
         );
         let report = ProfileReport {
@@ -380,7 +420,7 @@ dbtoaster_agca::plan::Exec::exec
             passes: 2,
             best_ns_per_event: 1500.0,
             samples: 1000,
-            shares: fold(output, &counts),
+            shares: fold(output, &counts)[..3].to_vec(),
         };
         let text = render(&report, &["q1", "q6"]);
         assert!(

@@ -14,8 +14,7 @@
 //! which is what lets the runtime maintain secondary indexes without per-event
 //! allocations. A spilled tuple built from a slice or an iterator of known length
 //! allocates its slab once. Tuples are immutable after construction except for
-//! [`Tuple::push`], which is only used on cold paths, and [`Tuple::assign`], which
-//! refills a recycled key (in its slab, when nothing else holds it).
+//! [`Tuple::push`], which is only used on cold paths.
 
 use crate::value::Value;
 use std::borrow::Borrow;
@@ -108,19 +107,6 @@ impl Tuple {
                 self.repr = Repr::Heap(values.into());
             }
         }
-    }
-
-    /// Make this tuple hold `values`: in place when it is the only holder of
-    /// a heap slab of that length, else rebuilt. A recycled wide key is
-    /// refilled without allocating.
-    pub fn assign(&mut self, values: &[Value]) {
-        if let Repr::Heap(slab) = &mut self.repr {
-            if let Some(slab) = Arc::get_mut(slab).filter(|s| s.len() == values.len()) {
-                slab.clone_from_slice(values);
-                return;
-            }
-        }
-        *self = Tuple::from(values);
     }
 
     /// Does the tuple live in the inline representation?
@@ -374,27 +360,6 @@ mod tests {
         assert_eq!(v, tup);
         assert_eq!(Vec::<Value>::from(tup.clone()), v);
         assert_eq!(tup.to_vec(), v);
-    }
-
-    #[test]
-    fn assign_refills_a_held_slab_and_rebuilds_a_shared_one() {
-        let mut tup = t(&[1, 2, 3, 4, 5]);
-        let slab = tup.as_slice().as_ptr();
-        tup.assign(&t(&[6, 7, 8, 9, 10]));
-        assert_eq!(
-            (tup.clone(), tup.as_slice().as_ptr()),
-            (t(&[6, 7, 8, 9, 10]), slab)
-        );
-        let shared = tup.clone();
-        tup.assign(&t(&[1, 1, 1, 1, 1]));
-        assert_eq!(
-            (tup.clone(), shared),
-            (t(&[1, 1, 1, 1, 1]), t(&[6, 7, 8, 9, 10]))
-        );
-        tup.assign(&t(&[4, 5]));
-        assert!(tup.is_inline() && tup == t(&[4, 5]));
-        tup.assign(&t(&[1, 2, 3, 4]));
-        assert_eq!(tup, t(&[1, 2, 3, 4]));
     }
 
     #[test]

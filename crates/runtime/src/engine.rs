@@ -4,9 +4,9 @@
 //! Its native unit of work is the [`DeltaBatch`]: per-relation GMR deltas built from a
 //! slice of the update stream (insert = `+1`, delete = `−1`, same-key events collapsed
 //! by ring addition — see [`dbtoaster_agca::batch`]), each run gated and executed
-//! through one entry. [`Engine::process_batch`] hands it a batch's runs, as the
-//! serving writer and WAL replay do; [`Engine::process`] hands it one event as a
-//! recycled run of one entry.
+//! by one collection loop. [`Engine::process_batch`] hands it a batch's runs, as the
+//! serving writer and WAL replay do; [`Engine::process`] hands it one event, read in
+//! place, as one entry that borrows the event's tuple.
 //!
 //! Per single-tuple firing the execution order is the paper's (Section 7.2):
 //!
@@ -53,7 +53,7 @@
 //!    degenerate run: an empty phase 1 and one re-evaluation per run instead of one per
 //!    event.
 //!
-//! A run of one firing — [`Engine::process`]'s run of one event — is the same
+//! A run of one firing — [`Engine::process`]'s one entry — is the same
 //! sequence for one event. Every run of every relation takes this one executor, as
 //! its relation's plan (`TriggerProgram::relation_plans`) states it: `compile` refuses
 //! a program whose plans do not derive, and [`Engine::new`] panics on one, naming the
@@ -119,8 +119,9 @@
 //! a restored snapshot holds — is resolved when it is declared. What stays a string
 //! hash is one lookup per run: its relation's name → the relation's resolved record
 //! (its column types for the gate, its dispatch, its stored base map). The gate checks
-//! a run's entries against that record; when it refuses one, a recycled copy of that
-//! run without it runs instead, so no other run is copied. A run of a relation no
+//! a run's entries against that record; when it refuses an entry of a batch's run, a
+//! recycled copy of that run without it runs instead, so no other run is copied, and
+//! a single event is never copied: refused, it runs nothing. A run of a relation no
 //! trigger reads and no map stores is gated and counted, and nothing else.
 //!
 //! ## Per-view work
@@ -138,7 +139,7 @@
 //! `VIEW_VALUES` row and the `add` where the work happens.
 
 use crate::store::{Database, MapId, Seg};
-use dbtoaster_agca::batch::{DeltaBatch, RelationDelta};
+use dbtoaster_agca::batch::{DeltaBatch, DeltaEntry, RelationDelta};
 use dbtoaster_agca::eval::RelId;
 use dbtoaster_agca::plan::{CompiledStmt, KernelState, MemberRows, Straight};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
@@ -148,6 +149,7 @@ use dbtoaster_telemetry::{
     slot_of, LocalCounts, LocalHistogram, RunSpan, SlowBatchTrace, Stage, StmtSpan, Telemetry,
     ViewRecord, ViewSummary, TRACE_ARM_MIN_EVENTS,
 };
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -192,7 +194,7 @@ pub struct BatchReport {
     /// Stream events the batch covered (applied + refused).
     pub events: u64,
     /// Events the ingest gate refused ([`Engine::admits`]): each
-    /// [`DeltaEntry`](dbtoaster_agca::DeltaEntry) whose tuple does not match
+    /// [`DeltaEntry`] whose tuple does not match
     /// its relation counts its events, before any kernel runs, so the count is
     /// the same at every batch size. A refused event writes nothing, and the
     /// views are exactly those of the stream without it; `stats().events`
@@ -518,12 +520,6 @@ struct Executor {
     rows: Vec<(Tuple, f64)>,
     /// Batch-delta deferred-statement buffers (pooled across runs).
     bd: BdScratch,
-    /// Recycled one-entry runs [`Engine::process`] assigns its event to, one
-    /// per catalog relation, by position in `relations`, and one last for an
-    /// event of a relation the catalog does not declare: each run's key
-    /// keeps its relation's arity, so refilling it in place allocates nothing
-    /// when the stream switches relations.
-    events: Vec<RelationDelta>,
     /// Recycled copy of a run without the entries the gate refused.
     admitted: RelationDelta,
     /// The catalog's relations, resolved ([`Relation`]), and their positions
@@ -704,6 +700,11 @@ fn view_counts<'a>(
         .unwrap_or(discard)
 }
 
+/// The single-tuple firings `entries` stand for.
+fn firings<K>(entries: &[DeltaEntry<K>]) -> u64 {
+    entries.iter().map(|e| u64::from(e.firings())).sum()
+}
+
 /// The gate's refusal of an event or a row of a relation the catalog does
 /// not declare.
 fn undeclared(relation: &str) -> RuntimeError {
@@ -814,7 +815,6 @@ impl Engine {
             discard: LocalCounts::default(),
             rows: Vec::new(),
             bd: BdScratch::default(),
-            events: vec![RelationDelta::default(); relations.len() + 1],
             admitted: RelationDelta::default(),
             relations,
             relation_ids,
@@ -955,7 +955,7 @@ impl Engine {
     /// [`Engine::admits`] for a tuple of `relation`: an event's, or a table
     /// row's.
     pub fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
-        self.exec.admits_row(relation, row)
+        self.exec.gate(relation, row).map(drop)
     }
 
     /// May [`Engine::load_table`] load `rows` into `name`? It may when the
@@ -1032,31 +1032,26 @@ impl Engine {
         Ok(())
     }
 
-    /// Process a single update event: one run of one entry, through the
-    /// gated run every batch run takes (see [`Engine::process_batch`]), after
-    /// one lookup of the event's relation. The event is assigned to its
-    /// relation's recycled one-entry run, whose key is refilled in place
-    /// ([`RelationDelta::assign`]): the run last held an event of the same
-    /// relation, so its key has the event's arity, and an event allocates
-    /// nothing in steady state at any arity, however the stream interleaves
-    /// relations (TPC-H's Orders and Lineitem, 5 and 8 columns) — unless
-    /// the run's previous key spilled past
-    /// [`dbtoaster_gmr::tuple::INLINE_CAP`] (3) and a stored base map kept
-    /// it: then the key is built in one new heap slab. Past that a
-    /// straight-line kernel reads the event's columns in place, any other
-    /// statement fills a kernel slot only with a value it does not already
-    /// hold, and a map write moves the key its statement built.
+    /// Process a single update event: gated, then read in place as a run of
+    /// one entry (`±1`, one event) by the executor every batch run takes (see
+    /// [`Engine::process_batch`]). Nothing copies the event: kernels read its
+    /// columns in place, and a stored base map builds a key only when the
+    /// event brings one it does not hold. A lone event never arms span timing.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
         let t0 = Instant::now();
         let exec = &mut self.exec;
-        let rel = exec.relation_ids.get(event.relation.as_str()).copied();
-        let slot = rel.map_or(exec.relations.len(), |r| r as usize);
-        let mut run = std::mem::take(&mut exec.events[slot]);
-        run.assign(event);
-        let runs = std::slice::from_ref(&run);
-        let report = exec.execute(&self.program, t0, runs, 1, |_, _| rel);
-        exec.events[slot] = run;
-        report.first_error.map_or(Ok(()), Err)
+        let gated = exec.gate(&event.relation, &event.tuple);
+        let fired = gated.as_ref().is_ok_and(|&rel| {
+            let entry = DeltaEntry {
+                key: &event.tuple[..],
+                mult: event.sign.multiplier(),
+                events: 1,
+                last: (0, event.sign),
+            };
+            exec.process_run(&self.program, std::slice::from_ref(&entry), 1, rel)
+        });
+        exec.end_batch(t0, 1, u64::from(gated.is_err()), fired);
+        gated.map(drop)
     }
 
     /// Process a delta batch, one batch-delta pass per relation run (see the
@@ -1070,10 +1065,34 @@ impl Engine {
             return BatchReport::default();
         }
         let t0 = Instant::now();
-        let named =
-            |ids: &FastMap<String, u32>, run: &RelationDelta| ids.get(run.relation()).copied();
-        self.exec
-            .execute(&self.program, t0, batch.runs(), batch.events(), named)
+        let exec = &mut self.exec;
+        let mut report = BatchReport {
+            events: batch.events(),
+            ..BatchReport::default()
+        };
+        let armed = exec.arm(batch.events());
+        let (mut ran, mut fired) = (0u32, false);
+        for run in batch.runs() {
+            match exec.relation_ids.get(run.relation()) {
+                Some(&rel) => {
+                    if let Some(f) = exec.run(&self.program, rel, run, &mut report) {
+                        (ran, fired) = (ran + 1, f);
+                    }
+                }
+                None => {
+                    report.failed_events += run.events();
+                    let refusal = || undeclared(run.relation());
+                    report.first_error.get_or_insert_with(refusal);
+                }
+            }
+        }
+        // Kernel attribution without extra clock reads: a batch that ran one
+        // run (the overwhelmingly common case) is that run, so the whole
+        // batch measurement is the run's kernel-execute time. Armed batches
+        // were attributed per run.
+        let kernel = fired && ran == 1 && !armed;
+        exec.end_batch(t0, report.events, report.failed_events, kernel);
+        report
     }
 
     /// Process a sequence of events one at a time, stopping at the first error
@@ -1091,10 +1110,11 @@ impl Engine {
 }
 
 impl Executor {
-    /// [`Engine::admits_row`].
-    fn admits_row(&self, relation: &str, row: &[Value]) -> Result<(), RuntimeError> {
+    /// The gate ([`Engine::admits_row`]) for one row of `relation`: the
+    /// relation's position in `relations`, or the refusal.
+    fn gate(&self, relation: &str, row: &[Value]) -> Result<u32, RuntimeError> {
         match self.relation_ids.get(relation) {
-            Some(&r) => self.relations[r as usize].admits(row),
+            Some(&r) => self.relations[r as usize].admits(row).map(|()| r),
             None => Err(undeclared(relation)),
         }
     }
@@ -1103,53 +1123,12 @@ impl Executor {
     // Batch execution
     // -----------------------------------------------------------------------
 
-    /// Process the `runs` of a batch of `events` events, started at `t0`:
-    /// each run through [`Executor::run`] with its relation's position in
-    /// `relations`, as `relation` finds it in `relation_ids` (`None`: the
-    /// catalog does not declare it).
-    fn execute(
-        &mut self,
-        program: &TriggerProgram,
-        t0: Instant,
-        runs: &[RelationDelta],
-        events: u64,
-        relation: impl Fn(&FastMap<String, u32>, &RelationDelta) -> Option<u32>,
-    ) -> BatchReport {
-        let mut report = BatchReport {
-            events,
-            ..BatchReport::default()
-        };
-        let armed = self.arm(events);
-        let (mut ran, mut fired) = (0u32, false);
-        for run in runs {
-            match relation(&self.relation_ids, run) {
-                Some(rel) => {
-                    if let Some(f) = self.run(program, rel, run, &mut report) {
-                        (ran, fired) = (ran + 1, f);
-                    }
-                }
-                None => {
-                    report.failed_events += run.events();
-                    report
-                        .first_error
-                        .get_or_insert_with(|| undeclared(run.relation()));
-                }
-            }
-        }
-        // Kernel attribution without extra clock reads: a batch that ran one
-        // run (the overwhelmingly common case, and always a single event)
-        // is that run, so the whole batch measurement is the run's
-        // kernel-execute time. Armed batches were attributed per run.
-        self.end_batch(t0, &report, fired && ran == 1 && !armed);
-        report
-    }
-
-    /// The one entry of every run, a batch's or [`Engine::process`]'s: gate
-    /// `run` against relation `rel` (its position in `relations`), counting
-    /// each refused entry's events and the first refusal into `report`, and
-    /// process what the gate admits — the run itself, or a recycled copy of
-    /// it without the refused entries, unless that copy is empty. Returns
-    /// whether it fired triggers, or `None` when nothing was left to run.
+    /// The gate of a batch's run: gate `run` against relation `rel` (its
+    /// position in `relations`), counting each refused entry's events and
+    /// the first refusal into `report`, and process what the gate admits —
+    /// the run itself, or a recycled copy of it without the refused entries,
+    /// unless that copy is empty. Returns whether it fired triggers, or
+    /// `None` when nothing was left to run.
     fn run(
         &mut self,
         program: &TriggerProgram,
@@ -1163,7 +1142,7 @@ impl Executor {
             .iter()
             .all(|e| relation.admits(&e.key).is_ok())
         {
-            return Some(self.process_run(program, run, rel));
+            return Some(self.process_run(program, run.entries(), run.events(), rel));
         }
         let mut admitted = std::mem::take(&mut self.admitted);
         report.failed_events += run.retain_into(&mut admitted, |e| {
@@ -1172,7 +1151,8 @@ impl Executor {
             report.first_error = report.first_error.take().or(refused);
             kept
         });
-        let fired = (admitted.events() > 0).then(|| self.process_run(program, &admitted, rel));
+        let fired = (admitted.events() > 0)
+            .then(|| self.process_run(program, admitted.entries(), admitted.events(), rel));
         self.admitted = admitted;
         fired
     }
@@ -1191,12 +1171,13 @@ impl Executor {
         }
     }
 
-    /// Count a processed batch begun at `t0`: its events, its busy time and,
-    /// with telemetry, its latency — also as kernel time when the batch was
-    /// one unarmed run that fired triggers (`kernel`) — and a slow-batch
-    /// trace; every `TELEMETRY_FLUSH_BATCHES` batches, a flush.
-    fn end_batch(&mut self, t0: Instant, report: &BatchReport, kernel: bool) {
-        self.stats.events += report.events - report.failed_events;
+    /// Count a processed batch of `events` events, `failed` of them refused,
+    /// begun at `t0`: its events, its busy time and, with telemetry, its
+    /// latency — also as kernel time when the batch was one unarmed run that
+    /// fired triggers (`kernel`) — and a slow-batch trace; every
+    /// `TELEMETRY_FLUSH_BATCHES` batches, a flush.
+    fn end_batch(&mut self, t0: Instant, events: u64, failed: u64, kernel: bool) {
+        self.stats.events += events - failed;
         self.stats.delta_batches += 1;
         let elapsed = t0.elapsed();
         self.stats.busy += elapsed;
@@ -1207,7 +1188,7 @@ impl Executor {
                 ts.kernel_hist.record(nanos);
             }
             if ts.slow_threshold_nanos > 0 && nanos >= ts.slow_threshold_nanos {
-                let trace = ts.assemble_trace(nanos, report.events);
+                let trace = ts.assemble_trace(nanos, events);
                 ts.tel.push_trace(trace);
             }
             ts.armed = false;
@@ -1221,26 +1202,33 @@ impl Executor {
         }
     }
 
-    /// Run one admitted run of relation `rel` (its position in `relations`),
-    /// in a span of its own when the batch armed span timing. Returns whether
-    /// it fired triggers (`false` when it applied at most a base update: a
-    /// relation no trigger reads, and no map either when it is not stored).
-    fn process_run(&mut self, program: &TriggerProgram, run: &RelationDelta, rel: u32) -> bool {
-        let armed = self.tel.as_deref_mut().filter(|ts| ts.armed);
-        let rt0 = armed.map(|ts| {
-            ts.begin_run(run.relation(), run.events(), run.entries().len());
-            Instant::now()
-        });
-        self.stats.batch_events_collapsed += run.collapsed_events();
+    /// Run the admitted `entries` (a batch's run, or [`Engine::process`]'s
+    /// event) of `events` events of relation `rel` (its position in
+    /// `relations`), in a span of its own when the batch armed span timing.
+    /// Returns whether it fired triggers (`false` when it applied at most a
+    /// base update: a relation no trigger reads, and no map either when it
+    /// is not stored).
+    fn process_run<K: Borrow<[Value]>>(
+        &mut self,
+        program: &TriggerProgram,
+        entries: &[DeltaEntry<K>],
+        events: u64,
+        rel: u32,
+    ) -> bool {
         let rel = &self.relations[rel as usize];
+        if let Some(ts) = self.tel.as_deref_mut().filter(|ts| ts.armed) {
+            ts.begin_run(&rel.meta.name, events, entries.len());
+        }
+        let rt0 = self.armed_instant();
+        self.stats.batch_events_collapsed += events.saturating_sub(firings(entries));
         let fired = match rel.dispatch {
             Some(disp) => {
-                self.run_batch_delta(program, disp, run);
+                self.run_batch_delta(program, disp, entries);
                 self.stats.batch_delta_runs += 1;
                 true
             }
             None => {
-                self.apply_base_run(rel.base, run);
+                self.apply_base_run(rel.base, entries);
                 false
             }
         };
@@ -1317,13 +1305,13 @@ impl Executor {
     /// live pass: that pass in place of the statements it lists), apply
     /// the buffers in statement order, apply the base update, fire the last
     /// event's `:=` statements.
-    fn run_batch_delta(
+    fn run_batch_delta<K: Borrow<[Value]>>(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        run: &RelationDelta,
+        entries: &[DeltaEntry<K>],
     ) {
-        self.collect_batch_delta(program, disp, run);
+        self.collect_batch_delta(program, disp, entries);
         {
             let Executor {
                 db, bd, tel, stmts, ..
@@ -1341,9 +1329,9 @@ impl Executor {
         }
         self.bd.live = 0;
         if !self.bd.base_applied {
-            self.apply_base_run(disp.base, run);
+            self.apply_base_run(disp.base, entries);
         }
-        self.fire_replace_tail(program, disp, run);
+        self.fire_replace_tail(program, disp, entries);
     }
 
     /// The `:=` tail of a batch-delta run: the re-evaluation statements of
@@ -1355,19 +1343,20 @@ impl Executor {
     /// same targets; a run of one firing needs neither. A run whose every
     /// entry cancelled changed no state, so it fires no tail — as firing by
     /// firing it fires nothing.
-    fn fire_replace_tail(
+    fn fire_replace_tail<K: Borrow<[Value]>>(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        run: &RelationDelta,
+        entries: &[DeltaEntry<K>],
     ) {
-        if !disp.tail || run.entries().iter().all(|e| e.mult == 0.0) {
+        if !disp.tail || entries.iter().all(|e| e.mult == 0.0) {
             return;
         }
-        let Some((sign, key)) = run.last_event() else {
+        // The run's last event is the last event of the entry it came last in.
+        let Some(last) = entries.iter().max_by_key(|e| e.last.0) else {
             return;
         };
-        let Some(tidx) = disp.trigger(sign) else {
+        let Some(tidx) = disp.trigger(last.last.1) else {
             return;
         };
         let statements = &program.triggers[tidx as usize].statements;
@@ -1376,7 +1365,7 @@ impl Executor {
                 continue;
             }
             let st0 = self.armed_instant();
-            let rows = self.fire_statement(program, tidx, j, key);
+            let rows = self.fire_statement(program, tidx, j, last.key.borrow());
             self.note_stmt(st0, &stmt.target, rows);
         }
     }
@@ -1387,18 +1376,17 @@ impl Executor {
     /// view — except, when the run has more than one firing, the statements
     /// that fire live, which the live pass then evaluates (and whose inputs
     /// it writes) firing by firing.
-    fn collect_batch_delta(
+    fn collect_batch_delta<K: Borrow<[Value]>>(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        run: &RelationDelta,
+        entries: &[DeltaEntry<K>],
     ) {
         self.bd.live = 0;
         self.bd.base_applied = false;
         // With at most one firing there is nothing for it to interact with —
         // which also keeps a single event free of any live-pass work.
-        let firings: u64 = run.entries().iter().map(|e| e.firings() as u64).sum();
-        let live = disp.live_pass && firings > 1;
+        let live = disp.live_pass && firings(entries) > 1;
         // First deferred-statement slot of each sign's trigger (where there
         // is a live pass the `+=` statements lead their triggers, so
         // statement `j` of the trigger lands in slot `base + j`).
@@ -1412,7 +1400,7 @@ impl Executor {
         {
             base[s] = self.bd.live;
             let Some(tidx) = tidx else { continue };
-            if !run.entries().iter().any(|e| e.sign() == Some(sign)) {
+            if !entries.iter().any(|e| e.sign() == Some(sign)) {
                 continue;
             }
             let t = tidx as usize;
@@ -1428,7 +1416,7 @@ impl Executor {
                     continue;
                 }
                 let st0 = self.armed_instant();
-                let rows = self.collect_over(tidx, u, run, sign, base[s]);
+                let rows = self.collect_over(tidx, u, entries, sign, base[s]);
                 self.note_stmt(st0, &statements[lead].target, rows);
             }
         }
@@ -1436,7 +1424,7 @@ impl Executor {
             return;
         }
         let st0 = self.armed_instant();
-        let rows = self.live_pass(program, disp, run, base);
+        let rows = self.live_pass(program, disp, entries, base);
         self.note_stmt(st0, "(live pass)", rows);
     }
 
@@ -1449,11 +1437,11 @@ impl Executor {
     /// rows just evaluated, or the firing's segment of the rows buffered
     /// before the pass), the base update last. Returns the number of rows
     /// the pass evaluated.
-    fn live_pass(
+    fn live_pass<K: Borrow<[Value]>>(
         &mut self,
         program: &TriggerProgram,
         disp: DispatchEntry,
-        run: &RelationDelta,
+        entries: &[DeltaEntry<K>],
         base: [usize; 2],
     ) -> u64 {
         let Executor {
@@ -1477,8 +1465,9 @@ impl Executor {
         // pass.
         let mut seen = [0usize; 2];
         let mut evaluated = 0u64;
-        for entry in run.entries() {
+        for entry in entries {
             let Some(sign) = entry.sign() else { continue };
+            let key = entry.key.borrow();
             let s = usize::from(sign == UpdateSign::Delete);
             let k = seen[s];
             seen[s] += 1;
@@ -1503,7 +1492,7 @@ impl Executor {
                         db,
                         &stmt.kernel,
                         &bound[j].rels,
-                        &entry.key,
+                        key,
                         &mut ds.rows,
                         view_counts(tel, discard, bound[j].target),
                     );
@@ -1541,7 +1530,7 @@ impl Executor {
                     }
                 }
                 if let Some(id) = disp.base.filter(|_| disp.base_live) {
-                    db.at_mut(id).add(entry.key.clone(), sign.multiplier());
+                    db.at_mut(id).add_rows([(key, sign.multiplier())]);
                 }
             }
         }
@@ -1556,11 +1545,11 @@ impl Executor {
     /// each slot's rows for the run and set up once, at the first entry the
     /// interpreter runs. The kernel counts its work for its first member's
     /// target. Returns the rows buffered.
-    fn collect_over(
+    fn collect_over<K: Borrow<[Value]>>(
         &mut self,
         tidx: u16,
         u: usize,
-        run: &RelationDelta,
+        entries: &[DeltaEntry<K>],
         sign: UpdateSign,
         base: usize,
     ) -> u64 {
@@ -1591,22 +1580,23 @@ impl Executor {
         };
         lend(state, bd);
         let (mut fresh, mut rows) = (true, 0);
-        for entry in run.entries() {
+        for entry in entries {
             if entry.sign() != Some(sign) {
                 continue;
             }
+            let key = entry.key.borrow();
             stats.statements += 1;
             let mut slots = Slots {
                 stmts: &mut bd.stmts,
                 base,
                 members,
             };
-            if kernel.run_straight(&entry.key, &mut slots) {
+            if kernel.run_straight(key, &mut slots) {
                 stats.straight_line += 1;
             } else {
                 // The series begins at the first entry the interpreter runs.
                 let first = std::mem::take(&mut fresh);
-                seed(state, kernel, &entry.key, first);
+                seed(state, kernel, key, first);
                 kernel.execute(db, &bound.rels, state, counts, first);
             }
             for (k, &m) in members.iter().enumerate() {
@@ -1630,12 +1620,17 @@ impl Executor {
 
     /// One base-update pass for a whole run into the relation's stored base
     /// map `base`, if it keeps one: each entry's net multiplicity is applied
-    /// in one write (exact — net multiplicities are integers).
-    fn apply_base_run(&mut self, base: Option<MapId>, run: &RelationDelta) {
+    /// in one write (exact — net multiplicities are integers), the key
+    /// borrowed unless it enters the map.
+    fn apply_base_run<K: Borrow<[Value]>>(
+        &mut self,
+        base: Option<MapId>,
+        entries: &[DeltaEntry<K>],
+    ) {
         let Some(id) = base else {
             return;
         };
-        let rows = run.entries().iter().map(|e| (&e.key, e.mult));
+        let rows = entries.iter().map(|e| (e.key.borrow(), e.mult));
         self.db.at_mut(id).add_rows(rows);
     }
 
@@ -1680,7 +1675,10 @@ impl Engine {
         Ok(view.to_gmr().renamed(Schema::new(qr.out_vars.clone())))
     }
 
-    /// Direct access to a view's contents (for tests and debugging).
+    /// Direct access to a map's contents, by map name (for tests and
+    /// debugging). A result merged into another query's map has no map of
+    /// its own name — q1's `q1_4_sum` and `q1_5` give `None` here — so a
+    /// result is read through [`Engine::result`].
     pub fn view(&self, name: &str) -> Option<Gmr> {
         self.exec.db.view(name).map(|v| v.to_gmr())
     }
@@ -1991,6 +1989,52 @@ mod tests {
         );
         // A refused event is not counted as applied.
         assert_eq!(engine.stats().events, 0);
+    }
+
+    /// [`Engine::process`] reads its event in place, and counts and refuses
+    /// as the event's batch of one does: an insert, a delete, an event of a
+    /// relation the catalog does not declare and an ill-typed one, in every
+    /// mode (a stored base map in all but HigherOrder, a `:=` tail in
+    /// re-evaluation).
+    #[test]
+    fn an_event_is_processed_as_its_batch_of_one() {
+        let counts = |e: &Engine| {
+            let s = e.stats();
+            (s.events, s.delta_batches, s.statements, s.straight_line)
+        };
+        let events = [
+            UpdateEvent::insert("R", long_tuple(&[1, 2])),
+            UpdateEvent::insert("S", long_tuple(&[2, 3])),
+            UpdateEvent::delete("R", long_tuple(&[1, 2])),
+            UpdateEvent::insert("T", long_tuple(&[1])),
+            UpdateEvent::insert("S", vec![Value::long(4), Value::str("x")]),
+        ];
+        for mode in [
+            CompileMode::HigherOrder,
+            CompileMode::FirstOrder,
+            CompileMode::NaiveViewlet,
+            CompileMode::Reevaluate,
+        ] {
+            let options = CompileOptions::for_mode(mode);
+            let program = compile(&[example1_query()], &catalog(), &options).unwrap();
+            let mut single = Engine::new(program.clone(), &catalog());
+            let mut batched = Engine::new(program, &catalog());
+            for event in &events {
+                let refused = single.process(event).err();
+                let report = batched.process_batch(&DeltaBatch::from_events([event]));
+                let ctx = format!("{mode}: {event:?}");
+                assert_eq!(refused, report.first_error, "{ctx}");
+                assert_eq!(counts(&single), counts(&batched), "{ctx}");
+                for (name, view) in single.snapshot() {
+                    let same = batched
+                        .view(&name)
+                        .is_some_and(|b| b.equivalent(&view, 0.0));
+                    assert!(same, "{ctx}: {name}");
+                }
+            }
+            let refused = (single.stats().events, single.stats().delta_batches);
+            assert_eq!(refused, (3, 5), "{mode}: two events refused");
+        }
     }
 
     #[test]

@@ -397,7 +397,7 @@ impl OrderedIndex {
 
     /// Mirror one primary-map write: `full` (whose bound columns project to
     /// `group`) now has multiplicity `mult`, `0.0` meaning it is gone.
-    pub(crate) fn set(&mut self, group: Tuple, full: &Tuple, mult: f64) {
+    pub(crate) fn set(&mut self, group: Tuple, full: &[Value], mult: f64) {
         use std::collections::hash_map::Entry as Slot;
         let mut slot = match self.groups.entry(group) {
             Slot::Occupied(o) => o,
@@ -413,12 +413,13 @@ impl OrderedIndex {
             Some(key) => run.set(key, mult),
             None if mult == 0.0 => {
                 if run.rogue.remove(full).is_some() {
-                    self.bytes -= tuple_slot_bytes(full);
+                    self.bytes -= slot_bytes(full.len());
                 }
             }
             None => {
-                if run.rogue.insert(full.clone(), ()).is_none() {
-                    self.bytes += tuple_slot_bytes(full);
+                if !run.rogue.contains_key(full) {
+                    run.rogue.insert(Tuple::from(full), ());
+                    self.bytes += slot_bytes(full.len());
                 }
             }
         }

@@ -353,7 +353,7 @@ enum Index {
 
 impl Index {
     /// `key` entered the primary map with multiplicity `mult`.
-    fn insert(&mut self, mask: u64, key: &Tuple, mult: f64) {
+    fn insert(&mut self, mask: u64, key: &[Value], mult: f64) {
         match self {
             Index::Hash(h) => h.insert(mask, key),
             Index::Ordered(o) => o.set(project_mask(key, mask), key, mult),
@@ -361,7 +361,7 @@ impl Index {
     }
 
     /// `key` left the primary map.
-    fn remove(&mut self, mask: u64, key: &Tuple) {
+    fn remove(&mut self, mask: u64, key: &[Value]) {
         match self {
             Index::Hash(h) => h.remove(mask, key),
             Index::Ordered(o) => o.set(project_mask(key, mask), key, 0.0),
@@ -371,7 +371,7 @@ impl Index {
     /// `key` stayed in the primary map with the new multiplicity `mult`:
     /// only an ordered index, whose running sums hold multiplicities, keeps
     /// it.
-    fn update(&mut self, mask: u64, key: &Tuple, mult: f64) {
+    fn update(&mut self, mask: u64, key: &[Value], mult: f64) {
         if let Index::Ordered(o) = self {
             o.set(project_mask(key, mask), key, mult);
         }
@@ -391,6 +391,18 @@ impl Index {
         match self {
             Index::Hash(h) => h.bytes,
             Index::Ordered(o) => o.bytes(),
+        }
+    }
+}
+
+/// Index upkeep of both writers for a key the primary map held, whose
+/// multiplicity is now `v`: it stayed, or left when `v` is `0.0`.
+fn reindex(indexes: &mut [(u64, Index)], key: &[Value], v: f64) {
+    for (mask, index) in indexes {
+        if v != 0.0 {
+            index.update(*mask, key, v);
+        } else {
+            index.remove(*mask, key);
         }
     }
 }
@@ -665,16 +677,28 @@ impl ViewMap {
         }
     }
 
-    /// Apply a pre-buffered row batch: every surviving (non-zero) row is added
-    /// in iteration order. The rows are borrowed, so each written key is
-    /// cloned; a buffer the caller owns drains through `ViewMap::apply_rows`.
-    pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (&'a Tuple, f64)>) {
-        for (key, mult) in rows {
-            if mult == 0.0 {
+    /// Apply borrowed rows (a run's entries to its stored base map), every
+    /// non-zero row in order: a held key is found by its slice and written in
+    /// place, and only a key that enters the map is built, through
+    /// [`ViewMap::add`]. An owned buffer drains through `ViewMap::apply_rows`.
+    pub fn add_rows<'a>(&mut self, rows: impl IntoIterator<Item = (&'a [Value], f64)>) {
+        for (key, mult) in rows.into_iter().filter(|r| r.1 != 0.0) {
+            let Some(v) = self.data.get_mut(key) else {
+                self.add(Tuple::from(key), mult);
                 continue;
+            };
+            *v += mult;
+            let v = *v;
+            // `log_write` of the stored key: its clone shares the key's slab.
+            let s = unpoisoned(self.snapshots.get_mut());
+            if s.newer.is_some() {
+                let (held, _) = self.data.get_key_value(key).expect("a held key");
+                s.log_key(held, self.data.len());
             }
-            self.log_write(key);
-            self.add_unlogged(key.clone(), mult);
+            if v == 0.0 {
+                self.data.remove(key);
+            }
+            reindex(&mut self.indexes, key, v);
         }
     }
 
@@ -728,29 +752,19 @@ impl ViewMap {
         }
     }
 
-    /// The shared write path behind [`ViewMap::add`] / [`ViewMap::add_rows`]:
-    /// everything except the snapshot log. `mult` must be non-zero.
+    /// The owned write path behind [`ViewMap::add`]: everything except the
+    /// snapshot log. `mult` must be non-zero.
     fn add_unlogged(&mut self, key: Tuple, mult: f64) {
         debug_assert_eq!(key.len(), self.schema.arity(), "key arity mismatch");
         use std::collections::hash_map::Entry;
         // One primary probe says whether the key is born, dies or stays; a
         // hash index is written only on the first two, an ordered one on all.
         match self.data.entry(key) {
-            Entry::Occupied(mut o) => {
-                let v = o.get_mut();
-                *v += mult;
-                if *v != 0.0 {
-                    let v = *v;
-                    for (mask, index) in &mut self.indexes {
-                        index.update(*mask, o.key(), v);
-                    }
-                } else {
-                    let (key, _) = o.remove_entry();
-                    for (mask, index) in &mut self.indexes {
-                        index.remove(*mask, &key);
-                    }
-                }
+            Entry::Occupied(mut o) if *o.get() + mult != 0.0 => {
+                *o.get_mut() += mult;
+                reindex(&mut self.indexes, o.key(), *o.get());
             }
+            Entry::Occupied(o) => reindex(&mut self.indexes, &o.remove_entry().0, 0.0),
             Entry::Vacant(v) => {
                 for (mask, index) in &mut self.indexes {
                     index.insert(*mask, v.key(), mult);

@@ -205,10 +205,10 @@ fn a_wide_tuple_from_a_slice_allocates_once() {
 }
 
 /// An event wider than `INLINE_CAP` allocates nothing either: `process`
-/// refills its recycled run's key in place, so an arity-8 stream whose base
-/// map is not stored, churned through a keyed `+=` statement, reads 0 per
-/// call in steady state — and so does an arity-8 relation no view reads,
-/// interleaved in the same stream.
+/// reads the event's tuple in place, so an arity-8 stream whose base map is
+/// not stored, churned through a keyed `+=` statement, reads 0 per call in
+/// steady state — and so does an arity-8 relation no view reads, interleaved
+/// in the same stream.
 #[test]
 fn wide_events_allocate_nothing_in_steady_state() {
     let columns = ["A", "B", "C", "D", "E", "F", "G", "H"];
@@ -265,10 +265,9 @@ fn wide_events_allocate_nothing_in_steady_state() {
 }
 
 /// A stream that switches relations allocates nothing either: `process`
-/// keeps one recycled run per relation, so a key refilled in place always
-/// has its relation's arity. Two keyed relations of 5 and 8 columns, like
-/// TPC-H's Orders and Lineitem, alternate on every event (one shared run
-/// rebuilt its key slab at each switch: 1 allocation per call).
+/// reads each event in place, whatever the arity of the one before it. Two
+/// keyed relations of 5 and 8 columns, like TPC-H's Orders and Lineitem,
+/// alternate on every event.
 #[test]
 fn alternating_arities_allocate_nothing_in_steady_state() {
     let (five, eight) = (
@@ -332,6 +331,98 @@ fn alternating_arities_allocate_nothing_in_steady_state() {
     // Not vacuous: every event was admitted and its statement ran.
     assert_eq!(engine.stats().events, 3 * churn.len() as u64);
     assert_eq!(engine.stats().statements, 3 * churn.len() as u64);
+}
+
+/// A stored base map wider than `INLINE_CAP` takes a key only when the key
+/// enters it: first-order IVM of `Sum(W(a..e) * V(a..e))` stores both arity-5
+/// relations, and each event probes the other one fully bound and writes
+/// its own. An event of a key the map holds allocates nothing; one that
+/// brings a new key allocates exactly its slab.
+#[test]
+fn a_stored_wide_base_map_allocates_only_a_new_key() {
+    let columns = ["A", "B", "C", "D", "E"];
+    let catalog = [
+        RelationMeta::stream("W", columns),
+        RelationMeta::stream("V", columns),
+    ]
+    .into_iter()
+    .collect();
+    let vars = ["a", "b", "c", "d", "e"];
+    let q = QuerySpec {
+        name: "Q".into(),
+        out_vars: vec![],
+        expr: Expr::agg_sum(
+            Vec::<String>::new(),
+            Expr::product_of([Expr::rel("W", vars), Expr::rel("V", vars)]),
+        ),
+    };
+    let program = compile(
+        &[q],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::FirstOrder),
+    )
+    .unwrap();
+    assert!(
+        program.stored_relations.contains("W"),
+        "W's base map is stored"
+    );
+    let mut engine = Engine::new(program, &catalog);
+
+    let row = |k: i64| (0..5).map(|c| Value::long(k + c)).collect::<Vec<_>>();
+    let held: Vec<UpdateEvent> = (0..64)
+        .flat_map(|k| {
+            [
+                UpdateEvent::insert("W", row(k)),
+                UpdateEvent::insert("V", row(k)),
+            ]
+        })
+        .collect();
+    let churn: Vec<UpdateEvent> = (0..64)
+        .flat_map(|k| {
+            [
+                UpdateEvent::insert("W", row(k)),
+                UpdateEvent::insert("V", row(k)),
+                UpdateEvent::delete("W", row(k)),
+                UpdateEvent::delete("V", row(k)),
+            ]
+        })
+        .collect();
+    engine.process_all(&held).unwrap();
+    engine.process_all(&churn).unwrap();
+    engine.process_all(&churn).unwrap();
+
+    let before = alloc_count();
+    engine.process_all(&churn).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs,
+        0,
+        "events of held arity-5 keys allocated {allocs} times over {} calls",
+        churn.len()
+    );
+
+    // A new key: one slab, and none for the event that takes it out again.
+    let (fresh, gone) = (
+        UpdateEvent::insert("W", row(1000)),
+        UpdateEvent::delete("W", row(1000)),
+    );
+    let before = alloc_count();
+    engine.process(&fresh).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(
+        allocs, 1,
+        "an event of a new arity-5 key allocated {allocs} times"
+    );
+    let before = alloc_count();
+    engine.process(&gone).unwrap();
+    let allocs = alloc_count() - before;
+    assert_eq!(allocs, 0, "taking the new key out allocated {allocs} times");
+    // Not vacuous: every held key was written back to one, and the join
+    // counted every pair. (Reading a view starts its snapshot log, so it
+    // comes last.)
+    let w = engine.view("W").unwrap();
+    assert_eq!((w.len(), w.get(&row(7))), (64, 1.0));
+    assert_eq!(engine.result("Q").unwrap().scalar_value(), 64.0);
 }
 
 /// A fused straight-line unit appends to its members' deferred slots: three

@@ -280,7 +280,7 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
                         )
                     })
                     .collect();
-                view.add_rows(rows.iter().map(|(k, m)| (k, *m)));
+                view.add_rows(rows.iter().map(|(k, m)| (k.as_slice(), *m)));
             }
             17..=25 => {
                 // From kind 22 on, through the cursor of a held snapshot.

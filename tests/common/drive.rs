@@ -183,7 +183,8 @@ pub fn statements(
                 )
                 .sum::<u64>();
         }
-        let tail = run.last_event().and_then(|(sign, _)| trigger(sign));
+        let last = run.entries().iter().max_by_key(|e| e.last.0);
+        let tail = last.and_then(|e| trigger(e.last.1));
         if let Some(t) = tail.filter(|_| firings > 0) {
             let statements = program.triggers[t].statements.iter();
             n += statements.filter(|s| s.op == StmtOp::Replace).count() as u64;
@@ -325,6 +326,12 @@ fn visit(case: &Case, prep: &Prepared, p: &Point, oracle: &Recompute) -> Outcome
     let by_event = |n: &str| reference.view(n);
     if let Some(diff) = views_differ(program, &by_event, &view, &|_| eps) {
         panic!("{ctx}: batched vs per event: {diff}");
+    }
+    // `Engine::process` runs an event as its batch of one: it counts the
+    // same evaluations, and the same ones straight-line.
+    if p.partition == Partition::PerEvent {
+        let steps = |e: &Engine| (e.stats().statements, e.stats().straight_line);
+        assert_eq!(steps(reference), steps(&batched), "{ctx}: steps per event");
     }
     oracle.check(&ctx, program, &view, eps);
     let queries = match &case.source {

@@ -508,6 +508,39 @@ fn merged_results_read_as_their_own_served_subscribed_and_recovered() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `view` reads a map by its map name. A merged q1 result's name (`q1_4_sum`,
+/// `q1_5`) names no map, so `Engine::view` and `QueryEngine::view` give
+/// `None` for it, while `Engine::result` reads it through the map it shares
+/// and `QueryEngine::result` assembles q1's table from it.
+#[test]
+fn a_merged_result_name_reads_through_result_not_view() {
+    use dbtoaster::runtime::Engine;
+    let q1 = workloads::query("q1").unwrap();
+    let data = small_dataset(Family::Tpch);
+    let mut facade = QueryEngineBuilder::new(workloads::tpch_catalog())
+        .add_query(q1.name, q1.sql)
+        .mode(CompileMode::HigherOrder)
+        .build()
+        .unwrap();
+    let mut engine = Engine::new(facade.program().clone(), &workloads::tpch_catalog());
+    for e in &data.events {
+        facade.process(e).unwrap();
+        engine.process(e).unwrap();
+    }
+    for (result, map) in [("q1_4_sum", "q1_1"), ("q1_5", "q1_4_cnt")] {
+        assert!(engine.view(result).is_none(), "Engine::view({result})");
+        assert!(facade.view(result).is_none(), "QueryEngine::view({result})");
+        let (read, shared) = (engine.result(result).unwrap(), engine.view(map).unwrap());
+        assert!(!read.is_empty(), "{result} holds rows");
+        assert!(
+            read.equivalent(&shared.renamed(read.schema().clone()), 0.0),
+            "{result}"
+        );
+    }
+    let table = facade.result(q1.name).unwrap();
+    assert!(!table.rows.is_empty() && table.columns.contains(&"avg_qty".to_string()));
+}
+
 #[test]
 fn memory_and_trace_samples_are_monotone_in_events() {
     let catalog = workloads::finance_catalog();
