@@ -118,294 +118,17 @@
 //! since outgrow the patch budget: from then until the next checkpoint it is
 //! resident once, as a map that is never snapshotted is.
 
-use crate::ordered::{slot_bytes, tuple_slot_bytes, GroupKey, OrderedIndex};
+mod index;
+mod snapshot;
+
+use crate::ordered::{slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, RelId, RelationSource};
-use dbtoaster_gmr::hash::fast_set_with_capacity;
-use dbtoaster_gmr::tuple::project;
-use dbtoaster_gmr::{FastMap, FastSet, Gmr, Schema, Tuple, Value};
+use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
 use dbtoaster_telemetry::{slot_of, ViewSummary};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// A hash secondary index: projected key → the group of its members' free
-/// columns, the key columns the mask leaves unbound. Every member is an entry
-/// of the primary map, which alone holds its multiplicity, as the paper's
-/// multi-index containers link to an entry rather than copy it. So the index
-/// is written only when a key enters or leaves the map, and a scan rebuilds
-/// each member's full key from the pattern and probes the primary map.
-#[derive(Clone, Debug)]
-struct HashIndex {
-    /// The key positions the mask leaves free, ascending: what a group holds
-    /// of each member.
-    free: Box<[usize]>,
-    groups: FastMap<Tuple, Group>,
-    /// Footprint, maintained per write.
-    bytes: usize,
-}
-
-/// Groups of at most this many members are one flat vector; larger ones a
-/// set. Most groups of the bundled workloads hold one to seven members, and
-/// a per-group table pays a minimum capacity where a vector pays what it
-/// holds. The large groups (`tpch_dash`'s two `l_suppkey` indexes, about 72
-/// and 512 members) stay sets, so removing a member is still a probe, not a
-/// walk.
-const SMALL_GROUP: usize = 16;
-
-/// One group of a [`HashIndex`]: the free columns of its members, no
-/// multiplicities. Its size picks its form, so a group is the same whether it
-/// grew, shrank or was built at once.
-#[derive(Clone, Debug)]
-enum Group {
-    /// The one member of an index with one free column, held in the group
-    /// with no buffer of its own.
-    One(Value),
-    /// At most [`SMALL_GROUP`] members (and more than one, when a member is
-    /// one value), their free columns back to back, searched linearly; grown
-    /// one member at a time, so it holds no spare capacity it never used.
-    Small(Vec<Value>),
-    /// More than [`SMALL_GROUP`] members.
-    Large(Box<FastSet<Tuple>>),
-}
-
-impl Group {
-    /// The group of the one member `free`.
-    fn new(free: &[Value]) -> Group {
-        match free {
-            [one] => Group::One(one.clone()),
-            _ => Group::Small(free.to_vec()),
-        }
-    }
-
-    #[cfg(test)]
-    fn members(&self, width: usize) -> usize {
-        match self {
-            Group::One(_) => 1,
-            Group::Small(values) => values.len() / width,
-            Group::Large(set) => set.len(),
-        }
-    }
-
-    /// Add the member `free`, which the primary map says is new: no search.
-    fn push(&mut self, free: &[Value]) {
-        let width = free.len();
-        match self {
-            Group::One(one) => {
-                let mut values = Vec::with_capacity(2);
-                values.push(one.clone());
-                values.extend_from_slice(free);
-                *self = Group::Small(values);
-            }
-            Group::Small(values) if values.len() < SMALL_GROUP * width => {
-                values.reserve_exact(width);
-                values.extend_from_slice(free);
-            }
-            Group::Small(values) => {
-                let mut set = fast_set_with_capacity(SMALL_GROUP + 1);
-                set.extend(values.chunks_exact(width).map(Tuple::from));
-                set.insert(Tuple::from(free));
-                *self = Group::Large(Box::new(set));
-            }
-            Group::Large(set) => {
-                set.insert(Tuple::from(free));
-            }
-        }
-    }
-
-    /// Remove the member `free`. Was it there? An emptied group is an empty
-    /// `Small`, for its index to drop.
-    fn remove(&mut self, free: &[Value]) -> bool {
-        let width = free.len();
-        match self {
-            Group::One(one) => {
-                if std::slice::from_ref(one) != free {
-                    return false;
-                }
-                *self = Group::Small(Vec::new());
-            }
-            Group::Small(values) => {
-                let Some(at) = values.chunks_exact(width).position(|m| m == free) else {
-                    return false;
-                };
-                // Move the last member into the hole.
-                let last = values.len() - width;
-                for i in 0..width {
-                    values.swap(at * width + i, last + i);
-                }
-                values.truncate(last);
-                if let [one] = values.as_mut_slice() {
-                    *self = Group::One(std::mem::replace(one, Value::Long(0)));
-                }
-            }
-            Group::Large(set) => {
-                if !set.remove(free) {
-                    return false;
-                }
-                if set.len() <= SMALL_GROUP {
-                    let mut values = Vec::with_capacity(set.len() * width);
-                    values.extend(set.iter().flat_map(|m| m.iter().cloned()));
-                    *self = Group::Small(values);
-                }
-            }
-        }
-        true
-    }
-
-    fn is_empty(&self) -> bool {
-        matches!(self, Group::Small(values) if values.is_empty())
-    }
-
-    /// Hand each member's free columns to `visit`.
-    fn for_each(&self, width: usize, mut visit: impl FnMut(&[Value])) {
-        match self {
-            Group::One(one) => visit(std::slice::from_ref(one)),
-            Group::Small(values) => values.chunks_exact(width).for_each(visit),
-            Group::Large(set) => set.iter().for_each(|m| visit(m)),
-        }
-    }
-
-    /// What the members cost beyond the group's table slot (see the module
-    /// docs): nothing held inline, a value per free column in a vector, the
-    /// table of a set.
-    fn member_bytes(&self, width: usize) -> usize {
-        match self {
-            Group::One(_) => 0,
-            Group::Small(values) => values.len() * std::mem::size_of::<Value>(),
-            Group::Large(set) => set_bytes(set.len(), width),
-        }
-    }
-}
-
-/// What a set of `members` free-column tuples of `width` values holds: the
-/// smallest table that takes them at the hash table's 7/8 load limit, which
-/// is the table a set grown one member at a time has (one tuple and one
-/// control byte per bucket, a trailing group of control bytes), its header,
-/// and the value slab of each spilled tuple. A function of the size alone,
-/// so a set that shrank is charged what a set built at its size would hold.
-fn set_bytes(members: usize, width: usize) -> usize {
-    let buckets = (members * 8 / 7).next_power_of_two();
-    let spill = slot_bytes(width) - slot_bytes(0);
-    std::mem::size_of::<FastSet<Tuple>>()
-        + buckets * (std::mem::size_of::<Tuple>() + 1)
-        + 16
-        + members * spill
-}
-
-/// The table slot of a hash-index group keyed `key`: a primary slot (see
-/// [`slot_bytes`]) with a [`Group`] where the multiplicity would be.
-fn group_slot_bytes(key: &Tuple) -> usize {
-    tuple_slot_bytes(key) - std::mem::size_of::<f64>() + std::mem::size_of::<Group>()
-}
-
-impl HashIndex {
-    fn new(mask: u64, arity: usize) -> HashIndex {
-        HashIndex {
-            free: (0..arity)
-                .filter(|&i| i >= 63 || mask & (1 << i) == 0)
-                .collect(),
-            groups: FastMap::default(),
-            bytes: 0,
-        }
-    }
-
-    /// `key`, projecting to the group `mask` binds, entered the primary map.
-    fn insert(&mut self, mask: u64, key: &[Value]) {
-        use std::collections::hash_map::Entry;
-        let free = project(key, &self.free);
-        match self.groups.entry(project_mask(key, mask)) {
-            Entry::Occupied(mut o) => {
-                let group = o.get_mut();
-                let held = group.member_bytes(free.len());
-                group.push(&free);
-                self.bytes = self.bytes + group.member_bytes(free.len()) - held;
-            }
-            Entry::Vacant(v) => {
-                let group = Group::new(&free);
-                self.bytes += group_slot_bytes(v.key()) + group.member_bytes(free.len());
-                v.insert(group);
-            }
-        }
-    }
-
-    /// `key`, projecting to the group `mask` binds, left the primary map.
-    fn remove(&mut self, mask: u64, key: &[Value]) {
-        let free = project(key, &self.free);
-        let group_key = project_mask(key, mask);
-        let Some(group) = self.groups.get_mut(&group_key) else {
-            return;
-        };
-        let held = group.member_bytes(free.len());
-        if !group.remove(&free) {
-            return;
-        }
-        self.bytes = self.bytes + group.member_bytes(free.len()) - held;
-        if group.is_empty() {
-            self.groups.remove(&group_key);
-            self.bytes -= group_slot_bytes(&group_key);
-        }
-    }
-}
-
-/// The secondary index of one binding-pattern mask (see the module docs).
-#[derive(Clone, Debug)]
-enum Index {
-    Hash(HashIndex),
-    Ordered(OrderedIndex),
-}
-
-impl Index {
-    /// `key` entered the primary map with multiplicity `mult`.
-    fn insert(&mut self, mask: u64, key: &[Value], mult: f64) {
-        match self {
-            Index::Hash(h) => h.insert(mask, key),
-            Index::Ordered(o) => o.set(project_mask(key, mask), key, mult),
-        }
-    }
-
-    /// `key` left the primary map.
-    fn remove(&mut self, mask: u64, key: &[Value]) {
-        match self {
-            Index::Hash(h) => h.remove(mask, key),
-            Index::Ordered(o) => o.set(project_mask(key, mask), key, 0.0),
-        }
-    }
-
-    /// `key` stayed in the primary map with the new multiplicity `mult`:
-    /// only an ordered index, whose running sums hold multiplicities, keeps
-    /// it.
-    fn update(&mut self, mask: u64, key: &[Value], mult: f64) {
-        if let Index::Ordered(o) = self {
-            o.set(project_mask(key, mask), key, mult);
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Index::Hash(h) => {
-                h.groups.clear();
-                h.bytes = 0;
-            }
-            Index::Ordered(o) => o.clear(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Index::Hash(h) => h.bytes,
-            Index::Ordered(o) => o.bytes(),
-        }
-    }
-}
-
-/// Index upkeep of both writers for a key the primary map held, whose
-/// multiplicity is now `v`: it stayed, or left when `v` is `0.0`.
-fn reindex(indexes: &mut [(u64, Index)], key: &[Value], v: f64) {
-    for (mask, index) in indexes {
-        if v != 0.0 {
-            index.update(*mask, key, v);
-        } else {
-            index.remove(*mask, key);
-        }
-    }
-}
+use index::{reindex, HashIndex, Index};
+pub use snapshot::SnapshotWork;
+use snapshot::{unpoisoned, Buffer, SnapshotState};
+use std::sync::{Arc, Mutex};
 
 /// Keys of up to this many columns are rebuilt on the stack ([`KeyBuf`]).
 const KEY_BUF: usize = 8;
@@ -455,134 +178,6 @@ impl KeyBuf {
             key[i] = v.clone();
         }
         key
-    }
-}
-
-/// What readers get: an immutable shared copy of a view's primary map.
-type Buffer = Arc<FastMap<Tuple, f64>>;
-
-/// The snapshot lock of a [`ViewMap`] guards a value that is consistent
-/// after every single update (see [`SnapshotState`]), so a lock poisoned by
-/// a panicking reader is recovered rather than propagated.
-fn unpoisoned<G>(lock_result: Result<G, PoisonError<G>>) -> G {
-    lock_result.unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The write log is abandoned — and the next snapshots are full copies — once
-/// it holds more keys than `len() / PATCH_BUDGET_DIVISOR`. Measured on
-/// `tpch_dash` (310k entries in 45 views, seed 42, 2-core host; the
-/// benchmark's batch-512 pass, a snapshot every fourth batch): a full copy
-/// costs 46–65 ns per entry — building it and freeing the buffer it replaces,
-/// 14–20 ms per snapshot before buffers were recycled — and a patched key
-/// 265–490 ns (3.1–5.7 ms per 11.6k logged keys), because each one is a probe
-/// into the live map and an insert into a buffer that has fallen out of the
-/// caches. Run back to back, one logged key is worth 7–8 copied entries, so
-/// at 8 a patch costs at most about what the copy would have. The same bound
-/// keeps the log under an eighth of the view's key count however long a view
-/// goes between snapshots, and sends small hot views (a handful of groups,
-/// hundreds of writes per batch) down the copy branch, which for them is the
-/// cheap one.
-const PATCH_BUDGET_DIVISOR: usize = 8;
-
-/// Work done by [`ViewMap::to_gmr`] since the view was created
-/// ([`ViewMap::snapshot_work`]). Timing-free: the counts depend only
-/// on the sequence of writes, snapshots and buffer holds.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SnapshotWork {
-    /// Logged keys replayed into a reclaimed buffer (duplicates included).
-    pub keys_patched: u64,
-    /// Entries copied by full copies.
-    pub entries_copied: u64,
-    /// Full copies because the view had not yet handed out two buffers.
-    pub first_copies: u64,
-    /// Full copies because someone still held the buffer due for reuse — a
-    /// reader that never lets go, a subscriber baseline, a checkpoint being
-    /// written.
-    pub pinned_copies: u64,
-    /// Full copies (up to two per abandonment) because the write log was
-    /// abandoned: a `clear`/`load_gmr`, or more writes than the patch budget.
-    pub abandoned_copies: u64,
-    /// Write logs abandoned: a `clear`/`load_gmr` of a view that had handed
-    /// out a buffer, or more writes than the patch budget. Each costs the
-    /// next one or two snapshots a full copy, and a subscriber cursor a full
-    /// diff ([`ViewMap::to_gmr_since`]).
-    pub logs_abandoned: u64,
-}
-
-impl SnapshotWork {
-    /// Full copies for any reason.
-    pub fn full_copies(&self) -> u64 {
-        self.first_copies + self.pinned_copies + self.abandoned_copies
-    }
-}
-
-/// The buffers a view has handed out and the log that brings them up to date.
-/// Every update leaves it consistent: a buffer is taken out before it is
-/// patched, and the log is trimmed only after.
-#[derive(Debug, Default)]
-struct SnapshotState {
-    /// The buffer handed out last: `data` as of `log[mark..]` not yet applied.
-    /// `Some` is also what turns write logging on.
-    newer: Option<Buffer>,
-    /// The buffer handed out before it: `data` as of none of `log` applied.
-    older: Option<Buffer>,
-    /// Keys written since `older` was current (since `newer`, while there is
-    /// no `older`), in write order, duplicates included.
-    log: Vec<Tuple>,
-    /// `log[..mark]` was written before `newer` was handed out.
-    mark: usize,
-    /// The log was abandoned and no patch has succeeded since (the next full
-    /// copy is counted as an abandoned one).
-    abandoned: bool,
-    work: SnapshotWork,
-}
-
-impl SnapshotState {
-    /// Log one written key of a view that holds `entries` entries. Out of
-    /// line, so the write loop of a view that is never snapshotted stays as
-    /// small as it was before there was a log.
-    #[inline(never)]
-    fn log_key(&mut self, key: &Tuple, entries: usize) {
-        self.log.push(key.clone());
-        if self.log.len() * PATCH_BUDGET_DIVISOR > entries {
-            self.abandon();
-        }
-    }
-
-    /// The keys written since `earlier` was handed out, each once, when
-    /// `earlier` is one of the two buffers (see [`ViewMap::to_gmr_since`]).
-    /// Identity is sound: the caller holds `earlier`, so it is alive and was
-    /// not patched since, and a live `Arc` is the only one at its address.
-    fn written_since(&self, earlier: &Buffer) -> Option<Vec<Tuple>> {
-        let is = |b: &Option<Buffer>| b.as_ref().is_some_and(|b| Arc::ptr_eq(b, earlier));
-        let from = if is(&self.newer) {
-            self.mark
-        } else if is(&self.older) {
-            0
-        } else {
-            return None;
-        };
-        let mut seen = FastSet::default();
-        Some(
-            self.log[from..]
-                .iter()
-                .filter(|k| seen.insert(*k))
-                .cloned()
-                .collect(),
-        )
-    }
-
-    /// Give up on patching: forget both buffers (their holders keep them
-    /// alive) and stop logging until the next snapshot.
-    fn abandon(&mut self) {
-        if self.newer.is_some() {
-            self.newer = None;
-            self.older = None;
-            self.log.clear();
-            self.mark = 0;
-            self.abandoned = true;
-            self.work.logs_abandoned += 1;
-        }
     }
 }
 
@@ -1360,6 +955,8 @@ impl RelationSource for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbtoaster_gmr::FastSet;
+    use index::{Group, SMALL_GROUP};
 
     fn key(vals: &[i64]) -> Tuple {
         vals.iter().map(|&v| Value::long(v)).collect()
