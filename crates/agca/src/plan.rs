@@ -326,7 +326,9 @@ use dbtoaster_telemetry::{slot_of, LocalCounts};
 use std::cell::{Cell, RefCell};
 
 mod straight;
+mod table;
 pub use straight::{MemberRows, Straight, StraightUnit};
+pub use table::TableRows;
 
 /// A pre-resolved frame index (see the module docs on slot discipline).
 pub type Slot = u16;
@@ -2394,6 +2396,12 @@ pub struct KernelState {
     /// Where each member's rows of the executing kernel start: its merge
     /// floor (see the module docs on kernel units).
     floors: Vec<usize>,
+    /// The rows of a unit whose members' maps are one key table, while its
+    /// caller lends them: an execution appends here, not to `rows`.
+    pub table: Option<TableRows>,
+    /// Per member, its last row in `table` of the executing kernel, if it
+    /// has one yet.
+    last: Vec<Option<usize>>,
 }
 
 impl KernelState {
@@ -2546,6 +2554,11 @@ struct Exec<'a> {
     /// never merges across it.
     rows: &'a mut [Vec<(Tuple, f64)>],
     floors: &'a [usize],
+    /// A shared key table's rows, which take the members' rows instead of
+    /// `rows` when present, and each member's last row in it of this
+    /// execution.
+    table: Option<&'a mut TableRows>,
+    last: &'a mut [Option<usize>],
 }
 
 /// The value of a value operation, which the type checker has made total
@@ -2710,6 +2723,9 @@ impl Exec<'_> {
     /// pushed under a key built once for the frame row and cloned for every
     /// later member.
     fn emit(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
+        if self.table.is_some() {
+            return self.emit_row(mult, members);
+        }
         // The member whose last row holds this frame row's key, once built.
         let mut built: Option<usize> = None;
         for (i, terms) in members.iter().enumerate() {
@@ -2728,6 +2744,43 @@ impl Exec<'_> {
                 };
                 self.rows[i].push((key, m));
                 built = Some(i);
+            }
+        }
+    }
+
+    /// [`Exec::emit`] into a shared key table's rows ([`TableRows`]): a
+    /// member's row collapses into its last row of the execution when that
+    /// row holds the key, as it would in its own buffer, and otherwise
+    /// takes its value in this frame row's table row, pushed with the key
+    /// built for the first member that needs it. So each member's rows in
+    /// the table are the rows its own buffer would hold.
+    fn emit_row(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
+        // This frame row's table row, once pushed.
+        let mut row: Option<usize> = None;
+        for (i, terms) in members.iter().enumerate() {
+            for term in terms {
+                let Some(m) = self.term(mult, term) else {
+                    continue;
+                };
+                let held = self.last[i].filter(|&r| {
+                    let table = self.table.as_deref().expect("table rows");
+                    self.holds_key(table.key(r))
+                });
+                let r = match (held, row) {
+                    (Some(r), _) | (None, Some(r)) => r,
+                    (None, None) => {
+                        let key = self.key();
+                        let r = self.table.as_deref_mut().expect("table rows").push_key(key);
+                        *row.insert(r)
+                    }
+                };
+                let value = self
+                    .table
+                    .as_deref_mut()
+                    .expect("table rows")
+                    .value_mut(r, i);
+                *value = Some(value.map_or(m, |v| v + m));
+                self.last[i] = Some(r);
             }
         }
     }
@@ -3139,6 +3192,8 @@ impl CompiledStmt {
         let rows = &mut state.rows[..self.members.len()];
         state.floors.clear();
         state.floors.extend(rows.iter().map(Vec::len));
+        state.last.clear();
+        state.last.resize(self.members.len(), None);
         let mut exec = Exec {
             src,
             rels,
@@ -3153,6 +3208,8 @@ impl CompiledStmt {
             key_slots: &self.key_slots,
             rows,
             floors: &state.floors,
+            table: state.table.as_mut(),
+            last: &mut state.last,
         };
         for fs in &self.prelude {
             if run_invariant_preludes || !fs.entry_invariant {

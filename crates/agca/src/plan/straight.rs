@@ -6,7 +6,10 @@
 //! ([`CompiledStmt::straight`]), and read the event tuple in place: trigger
 //! slot `i` is the event's column `i`, so nothing is seeded into a frame.
 
-use super::{factors, guards_event, total, CompiledStmt, Node, Op, Scalar, SiblingTerm, Slot};
+use super::table::{Members, Sink};
+use super::{
+    factors, guards_event, total, CompiledStmt, Node, Op, Scalar, SiblingTerm, Slot, TableRows,
+};
 use dbtoaster_gmr::{Tuple, Value};
 
 /// How a kernel runs without the plan interpreter.
@@ -78,6 +81,19 @@ impl CompiledStmt {
     /// trigger-only unit never reaches.
     #[inline]
     pub fn run_straight(&self, tuple: &[Value], rows: &mut (impl MemberRows + ?Sized)) -> bool {
+        self.straight_into(tuple, &mut Members(rows))
+    }
+
+    /// [`CompiledStmt::run_straight`] for a unit whose members' maps are
+    /// one key table: a trigger-only unit appends one row per event with a
+    /// value per member that has a row ([`TableRows`]).
+    #[inline]
+    pub fn run_straight_table(&self, tuple: &[Value], rows: &mut TableRows) -> bool {
+        self.straight_into(tuple, rows)
+    }
+
+    #[inline]
+    fn straight_into(&self, tuple: &[Value], rows: &mut impl Sink) -> bool {
         match &self.straight {
             Some(Straight::Unit(unit)) => {
                 unit.run(tuple, &self.rels, rows);
@@ -186,11 +202,12 @@ impl StraightUnit {
         })
     }
 
-    /// Run the unit for event `tuple`, appending each member's row, if it
-    /// has one, to its buffer in `rows`: the key built from the event once
-    /// and cloned for every later member. `names` is the kernel's relation
-    /// table, for the panic of a corrupt program.
-    fn run(&self, tuple: &[Value], names: &[String], rows: &mut (impl MemberRows + ?Sized)) {
+    /// Run the unit for event `tuple`, handing each member's row, if it
+    /// has one, to `rows`, which builds the key from the event once: cloned
+    /// for every later member's buffer, or one row of a shared key table.
+    /// `names` is the kernel's relation table, for the panic of a corrupt
+    /// program.
+    fn run(&self, tuple: &[Value], names: &[String], rows: &mut impl Sink) {
         let mut mult = 1.0;
         for op in &self.frame {
             if mult == 0.0 {
@@ -202,7 +219,7 @@ impl StraightUnit {
                 _ => {}
             }
         }
-        // The member whose new last row holds the key, once built.
+        // The member whose row took the key last, once built.
         let mut built: Option<usize> = None;
         for (i, terms) in self.members.iter().enumerate() {
             let mut row: Option<f64> = None;
@@ -212,15 +229,13 @@ impl StraightUnit {
                 }
             }
             let Some(m) = row else { continue };
-            let key = match built {
-                Some(b) => rows.member(b).last().expect("the built key").0.clone(),
-                None => self
-                    .key
+            let key = || {
+                self.key
                     .iter()
                     .map(|&s| tuple[s as usize].clone())
-                    .collect(),
+                    .collect()
             };
-            rows.member(i).push((key, m));
+            rows.push(i, m, built, key);
             built = Some(i);
         }
     }

@@ -149,12 +149,14 @@ fn check_goldens(query: &str, ex: &ProgramExplain) {
             );
             assert!(!text.contains("run: live"), "{text}");
             // The AVG's halves read the SUM's and the COUNT's maps, and
-            // the four maps' aggregates run as one kernel per trigger,
-            // straight from the event, printed under the live pass.
+            // the four maps are one key table, whose aggregates run as one
+            // kernel per trigger, straight from the event, printed under
+            // the live pass.
             let fused = "result q1_4_sum reads q1_1\n\
                          result q1_5 reads q1_4_cnt\n\
                          == relation Lineitem ==\n\
                          live pass: none (no statement reads run-written state)\n\
+                         shared table: q1_1, q1_2, q1_3, q1_4_cnt\n\
                          fused: q1_1, q1_2, q1_3, q1_4_cnt (on insert)\n\
                          fused: q1_1, q1_2, q1_3, q1_4_cnt (on delete)\n\
                          straight-line: q1_1, q1_2, q1_3, q1_4_cnt (on insert)\n\
@@ -657,5 +659,68 @@ fn straight_line_census_per_compile_mode() {
         assert_eq!(census(DASH, mode), dash, "tpch_dash [{mode}]");
         assert_eq!(census(BOOK, mode), book, "book_join [{mode}]");
         assert_eq!(census(&["vwap"], mode), nested, "book_nested [{mode}]");
+    }
+}
+
+/// The shared-table census: per relation of the benchmark's query sets, in
+/// every compile mode, the key tables its sibling groups share (see the
+/// compiler's `batch_delta` module): maps that one fused unit writes and
+/// nothing reads or keeps apart are one table with a value column each.
+/// `tpch_durable`'s and `tpch_dash`'s Lineitem keep q1's four maps as one
+/// 4-column table; the order-book pairs carry ordered indexes their
+/// kernels read, so `book_join` and `book_nested` have none. Every table is
+/// a fused group of its relation, and every workload query alone derives.
+#[test]
+fn shared_table_census_per_compile_mode() {
+    const DURABLE: &[&str] = &["q1", "q6", "q12"];
+    const DASH: &[&str] = &["q1", "q3", "q6", "q10", "q12", "ssb4"];
+    const BOOK: &[&str] = &["axf", "bsp", "bsv"];
+    let census = |names: &[&str], mode: CompileMode| -> Vec<String> {
+        let mut builder = QueryEngineBuilder::new(workloads::full_catalog()).mode(mode);
+        for name in names {
+            let q = workloads::query(name).unwrap();
+            builder = builder.add_query(q.name, q.sql);
+        }
+        let engine = builder
+            .build()
+            .unwrap_or_else(|e| panic!("{names:?} [{mode}]: {e}"));
+        let ex = explain(engine.program());
+        let mut lines = Vec::new();
+        for rel in &ex.relations {
+            for table in &rel.shared {
+                assert!(
+                    rel.fused.iter().any(|u| &u.members == table),
+                    "{names:?} [{mode}]: {table:?} is no fused group of {}",
+                    rel.relation
+                );
+                lines.push(format!("{}: [{}]", rel.relation, table.join(", ")));
+            }
+        }
+        lines
+    };
+    let q1 = || vec!["Lineitem: [q1_1, q1_2, q1_3, q1_4_cnt]".to_string()];
+    for mode in [
+        CompileMode::HigherOrder,
+        CompileMode::FirstOrder,
+        CompileMode::NaiveViewlet,
+        CompileMode::Reevaluate,
+    ] {
+        // Re-evaluation has no `+=` statements, so no sibling groups.
+        let tpch = match mode {
+            CompileMode::Reevaluate => Vec::new(),
+            _ => q1(),
+        };
+        assert_eq!(census(DURABLE, mode), tpch, "tpch_durable [{mode}]");
+        assert_eq!(census(DASH, mode), tpch, "tpch_dash [{mode}]");
+        assert!(census(BOOK, mode).is_empty(), "book_join [{mode}]");
+        assert!(census(&["vwap"], mode).is_empty(), "book_nested [{mode}]");
+        for q in workloads::all_queries() {
+            let want = if q.name == "q1" {
+                tpch.clone()
+            } else {
+                Vec::new()
+            };
+            assert_eq!(census(&[q.name], mode), want, "{} [{mode}]", q.name);
+        }
     }
 }

@@ -119,7 +119,7 @@
 
 use crate::program::{BatchDeltaBail, StmtOp, Trigger, TriggerProgram};
 use dbtoaster_agca::{AtomKind, CompiledStmt, UpdateSign};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How the runs of one stream relation execute (see the module docs): its
 /// two sign triggers, the `+=` statements that fire live, the maps they read
@@ -151,6 +151,10 @@ pub struct RelationPlan {
     /// order of their first members: every `+=` statement of a trigger sits
     /// in exactly one (see the module docs).
     pub kernels: Vec<KernelUnit>,
+    /// The shared key tables its units write (see the module docs): each
+    /// the targets of a sibling group, in its first unit's statement order,
+    /// which is the order of the table's value columns.
+    pub shared: Vec<Vec<String>>,
 }
 
 /// `+=` statements of one trigger and the one kernel that fills their rows
@@ -179,8 +183,78 @@ impl TriggerProgram {
             }
         }
         let plan = |rel: &str| relation_plan(rel, &self.triggers).map_err(|b| (rel.to_string(), b));
-        relations.into_iter().map(plan).collect()
+        let mut plans = relations
+            .into_iter()
+            .map(plan)
+            .collect::<Result<Vec<_>, _>>()?;
+        let tables = shared_tables(self, &plans);
+        for plan in &mut plans {
+            let writes = |t: &&Vec<String>| plan.kernels.iter().any(|u| self.targets(u)[0] == t[0]);
+            plan.shared = tables.iter().filter(writes).cloned().collect();
+        }
+        Ok(plans)
     }
+
+    /// The targets of a kernel unit's members, in statement order.
+    fn targets(&self, unit: &KernelUnit) -> Vec<&str> {
+        let statements = &self.triggers[unit.trigger].statements;
+        unit.members
+            .iter()
+            .map(|&j| statements[j].target.as_str())
+            .collect()
+    }
+}
+
+/// The shared key tables of `program` (see the module docs): the targets of
+/// each sibling group that is exactly what writes them, wherever they are
+/// written, and that nothing reads or keeps apart — no kernel reads one, no
+/// `:=` rewrites one, and none is a live map, a stored relation or a static
+/// view. Each table once, in the order of its first unit.
+fn shared_tables(program: &TriggerProgram, plans: &[RelationPlan]) -> Vec<Vec<String>> {
+    let statements = || program.triggers.iter().flat_map(|t| &t.statements);
+    let inits = program.maps.iter().filter_map(|m| m.init.as_ref());
+    let read: BTreeSet<&str> = statements()
+        .map(|s| &s.kernel)
+        .chain(inits)
+        .flat_map(|k| k.rels.iter().map(String::as_str))
+        .collect();
+    let apart = |name: &str| {
+        read.contains(name)
+            || program.stored_relations.contains(name)
+            || program.static_tables.contains(name)
+            || program.map(name).is_none_or(|m| m.init.is_some())
+            || plans.iter().any(|p| p.live_maps.iter().any(|m| m == name))
+    };
+    // Per target, the target set of every statement that writes it: its
+    // unit's for a `+=`, none for a `:=`.
+    let mut writers: BTreeMap<&str, Vec<BTreeSet<&str>>> = BTreeMap::new();
+    for unit in plans.iter().flat_map(|p| &p.kernels) {
+        let targets = program.targets(unit);
+        for &t in &targets {
+            writers
+                .entry(t)
+                .or_default()
+                .push(targets.iter().copied().collect());
+        }
+    }
+    for s in statements().filter(|s| s.op == StmtOp::Replace) {
+        writers.entry(&s.target).or_default().push(BTreeSet::new());
+    }
+    let mut tables: Vec<Vec<String>> = Vec::new();
+    for unit in plans.iter().flat_map(|p| &p.kernels) {
+        let targets = program.targets(unit);
+        let set: BTreeSet<&str> = targets.iter().copied().collect();
+        let table = set.len() > 1
+            && set.len() == targets.len()
+            && targets
+                .iter()
+                .all(|t| !apart(t) && writers[t].iter().all(|w| *w == set))
+            && !tables.iter().any(|held| held[0] == targets[0]);
+        if table {
+            tables.push(targets.iter().map(|t| t.to_string()).collect());
+        }
+    }
+    tables
 }
 
 fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, BatchDeltaBail> {
@@ -270,6 +344,7 @@ fn relation_plan(relation: &str, triggers: &[Trigger]) -> Result<RelationPlan, B
         live_maps: live_maps.into_iter().collect(),
         tail,
         kernels,
+        shared: Vec::new(),
     })
 }
 

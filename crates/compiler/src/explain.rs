@@ -5,7 +5,8 @@
 //! can read. Per relation it reports how a run of a delta batch executes —
 //! its live pass (which statements read what their own run writes and so
 //! fire entry by entry, marked `run: live`, and which maps they read),
-//! whether a `:=` tail fires once per run, one `fused:` line per sibling
+//! whether a `:=` tail fires once per run, one `shared table:` line per
+//! sibling group whose maps are one key table, one `fused:` line per sibling
 //! group whose statements run as one kernel, one `straight-line:` line per
 //! kernel unit that runs from the event's fields without the plan
 //! interpreter and one `guard-tested:` line per kernel whose event guards
@@ -85,6 +86,10 @@ pub struct RelationExplain {
     /// Its live pass — the statements that fire entry by entry and the
     /// run-written maps they read, or none — and its `:=` tail, if any.
     pub live_pass: String,
+    /// The shared key tables its units write
+    /// ([`RelationPlan::shared`]): each a sibling group's targets, in
+    /// the order of the table's value columns.
+    pub shared: Vec<Vec<String>>,
     /// Its sibling groups — the kernel units of two or more statements
     /// ([`RelationPlan::kernels`]), each run as one kernel: insert first,
     /// each by its first member.
@@ -173,6 +178,7 @@ pub fn explain(program: &TriggerProgram) -> ProgramExplain {
             };
             RelationExplain {
                 live_pass: live_pass(&plan),
+                shared: plan.shared,
                 fused: units(&|u| u.members.len() > 1),
                 straight_line: units(&|u| matches!(u.kernel.straight, Some(Straight::Unit(_)))),
                 guard_tested: units(&|u| matches!(u.kernel.straight, Some(Straight::Guards(_)))),
@@ -640,6 +646,9 @@ impl ProgramExplain {
         for rel in &self.relations {
             let _ = writeln!(out, "== relation {} ==", rel.relation);
             let _ = writeln!(out, "live pass: {}", rel.live_pass);
+            for table in &rel.shared {
+                let _ = writeln!(out, "shared table: {}", table.join(", "));
+            }
             for (label, units) in rel.unit_lists() {
                 for u in units {
                     let _ = writeln!(out, "{label}: {} (on {})", u.members.join(", "), u.sign);
@@ -687,6 +696,16 @@ impl ProgramExplain {
                 json_escape(&rel.relation),
                 json_escape(&rel.live_pass)
             );
+            if !rel.shared.is_empty() {
+                out.push_str(",\"shared\":[");
+                for (j, table) in rel.shared.iter().enumerate() {
+                    if j > 0 {
+                        out.push(',');
+                    }
+                    strings_json(&mut out, table);
+                }
+                out.push(']');
+            }
             for (key, units) in rel.unit_lists() {
                 let _ = write!(out, ",\"{}\":[", key.replace('-', "_"));
                 for (j, u) in units.iter().enumerate() {
@@ -763,9 +782,16 @@ impl ProgramExplain {
                 };
                 r.get(key)?.as_array()?.iter().map(unit).collect()
             };
+            let shared = r
+                .get("shared")
+                .map_or(Some(&[][..]), json::Json::as_array)?;
             relations.push(RelationExplain {
                 relation: r.get("relation")?.as_str()?.to_string(),
                 live_pass: r.get("live_pass")?.as_str()?.to_string(),
+                shared: shared
+                    .iter()
+                    .map(strings_from_json)
+                    .collect::<Option<_>>()?,
                 fused: units("fused")?,
                 straight_line: units("straight_line")?,
                 guard_tested: units("guard_tested")?,

@@ -264,9 +264,10 @@ impl QueryEngine {
         self.engine.process_batch(batch)
     }
 
-    /// Snapshot a maintained map as a GMR, by map name (mainly for tests and
-    /// debugging). A result merged into another query's map has no map of
-    /// its own name — q1's `q1_4_sum` and `q1_5` give `None` here — so a
+    /// Copy a maintained map as a GMR, by map name (mainly for tests and
+    /// debugging), leaving its snapshot log as it was (see
+    /// `Engine::view`). A result merged into another query's map has no map
+    /// of its own name — q1's `q1_4_sum` and `q1_5` give `None` here — so a
     /// query's results are read through [`QueryEngine::result`].
     pub fn view(&self, name: &str) -> Option<Gmr> {
         self.engine.view(name)

@@ -141,7 +141,7 @@
 use crate::store::{Database, MapId, Seg};
 use dbtoaster_agca::batch::{DeltaBatch, DeltaEntry, RelationDelta};
 use dbtoaster_agca::eval::RelId;
-use dbtoaster_agca::plan::{CompiledStmt, KernelState, MemberRows, Straight};
+use dbtoaster_agca::plan::{CompiledStmt, KernelState, MemberRows, Straight, TableRows};
 use dbtoaster_agca::{AtomKind, UpdateEvent, UpdateSign};
 use dbtoaster_compiler::{Catalog, KernelUnit, RelationMeta, Statement, StmtOp, TriggerProgram};
 use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
@@ -446,6 +446,11 @@ struct DeferredStmt {
     segs: Vec<Seg>,
     /// Buffered `(key, multiplicity)` rows.
     rows: Vec<(Tuple, f64)>,
+    /// The unit, by its index in the trigger, whose members' maps are one
+    /// shared table and whose rows this slot — its first member's — holds
+    /// in `table`, for all its members; the others' slots stay empty.
+    shared: Option<usize>,
+    table: TableRows,
     /// The live pass already applied these rows (the target is a map the
     /// run's own statements read): the apply phase only accounts for them.
     applied: bool,
@@ -490,9 +495,19 @@ impl BdScratch {
         slot.stmt = stmt;
         slot.segs.clear();
         slot.rows.clear();
+        slot.shared = None;
         slot.applied = false;
         slot
     }
+}
+
+/// A kernel unit as a run executes it: the plan's unit and, when its
+/// members' maps are one shared table, that table and each member's column
+/// in it.
+#[derive(Debug)]
+struct Unit {
+    plan: KernelUnit,
+    table: Option<(u32, Box<[usize]>)>,
 }
 
 /// The DBToaster runtime engine.
@@ -535,7 +550,7 @@ struct Executor {
     /// ([`RelationPlan::kernels`](dbtoaster_compiler::RelationPlan::kernels)).
     /// A unit's kernel reads the relation table of its first member, whose
     /// resolution it shares, and counts its work for that member's target.
-    units: Vec<Vec<KernelUnit>>,
+    units: Vec<Vec<Unit>>,
     /// Telemetry buffers, present only after [`Engine::set_telemetry`] with
     /// an enabled handle. `None` keeps the hot path at one predictable
     /// branch per batch.
@@ -782,8 +797,15 @@ impl Engine {
             .iter()
             .map(|t| unbound(t.statements.len()))
             .collect();
-        let mut units: Vec<Vec<KernelUnit>> = vec![Vec::new(); program.triggers.len()];
+        let mut units: Vec<Vec<Unit>> = (0..program.triggers.len()).map(|_| Vec::new()).collect();
         for plan in plans {
+            // A table written by the runs of two relations is shared once.
+            for group in &plan.shared {
+                let ids: Vec<MapId> = group.iter().filter_map(|m| db.id(m)).collect();
+                if db.member(ids[0]).is_none() {
+                    db.share(&ids);
+                }
+            }
             for t in [plan.insert, plan.delete].into_iter().flatten() {
                 let statements = &program.triggers[t].statements;
                 for (b, s) in stmts[t].iter_mut().zip(statements) {
@@ -794,7 +816,17 @@ impl Engine {
                 stmts[t][j].fires_live = true;
             }
             for unit in plan.kernels {
-                units[unit.trigger].push(unit);
+                let t = &program.triggers[unit.trigger];
+                let columns = unit.members.iter().map(|&j| db.id(&t.statements[j].target));
+                let columns: Option<Vec<(u32, usize)>> = columns.map(|id| db.member(id?)).collect();
+                let table = match columns {
+                    Some(columns) if columns.len() > 1 => {
+                        let cols = columns.iter().map(|&(_, c)| c).collect();
+                        Some((columns[0].0, cols))
+                    }
+                    _ => None,
+                };
+                units[unit.trigger].push(Unit { plan: unit, table });
             }
             // A relation the catalog does not declare never passes the gate.
             if let Some(&r) = relation_ids.get(&plan.relation) {
@@ -900,7 +932,7 @@ impl Engine {
                     self.exec.db.declare(name, columns)
                 }
             };
-            self.exec.db.at_mut(id).load_gmr(&gmr);
+            self.exec.db.load_gmr(id, &gmr);
         }
         if declared {
             self.resolve();
@@ -918,10 +950,11 @@ impl Engine {
     pub fn take_changes(&mut self) {}
 
     /// A consistent point-in-time snapshot of every view and stored relation:
-    /// name → shared GMR. Costs O(number of views) plus the keys written since
-    /// the previous two snapshots — each written view patches a recycled
-    /// buffer — or a full copy of a view whose buffer a reader still holds
-    /// (see [`crate::store`]).
+    /// name → shared GMR, a shared table's members each as the map it stands
+    /// for. Costs O(number of views) plus the keys written since the previous
+    /// two snapshots — each written view patches a recycled buffer, and
+    /// arms its write log for the next — or a full copy of a view whose
+    /// buffer a reader still holds (see [`crate::store`]).
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
         self.exec.db.snapshot()
     }
@@ -1314,10 +1347,25 @@ impl Executor {
         self.collect_batch_delta(program, disp, entries);
         {
             let Executor {
-                db, bd, tel, stmts, ..
+                db,
+                bd,
+                tel,
+                stmts,
+                units,
+                ..
             } = self;
             for ds in &mut bd.stmts[..bd.live] {
                 let (t, j) = (ds.tidx as usize, ds.stmt as usize);
+                if let Some(u) = ds.shared {
+                    let unit = &units[t][u];
+                    let (table, cols) = unit.table.as_ref().expect("a shared unit");
+                    db.table_mut(*table)
+                        .apply_rows(&mut ds.table, &ds.segs, cols);
+                    if let Some(ts) = tel.as_deref() {
+                        count_member_rows(ts, &stmts[t], unit, ds);
+                    }
+                    continue;
+                }
                 let (stmt, target) = (&program.triggers[t].statements[j], stmts[t][j].target);
                 if !ds.applied {
                     apply_statement_rows(db, stmt, target, &ds.segs, &mut ds.rows);
@@ -1409,7 +1457,7 @@ impl Executor {
                 self.bd.acquire(tidx, j as u16);
             }
             for u in 0..self.units[t].len() {
-                let lead = self.units[t][u].members[0];
+                let lead = self.units[t][u].plan.members[0];
                 // The live pass fills the slot of a statement it fires: a
                 // unit of one.
                 if live && self.stmts[t][lead].fires_live {
@@ -1539,12 +1587,14 @@ impl Executor {
 
     /// Buffer the rows of kernel unit `u` of trigger `tidx` over all of a
     /// run's entries of one sign without applying them, each member `j`'s in
-    /// its statement's slot `base + j`: back-to-back evaluations against the
-    /// unchanged pre-run store, one segment per entry. A trigger-only unit
-    /// appends to the slots itself, entry by entry; any other kernel is lent
-    /// each slot's rows for the run and set up once, at the first entry the
-    /// interpreter runs. The kernel counts its work for its first member's
-    /// target. Returns the rows buffered.
+    /// its statement's slot `base + j` — or, when the members' maps are one
+    /// shared table, one row per key for all of them in the first member's
+    /// slot: back-to-back evaluations against the unchanged pre-run store,
+    /// one segment per entry. A trigger-only unit appends to the slots
+    /// itself, entry by entry; any other kernel is lent the slots' rows for
+    /// the run and set up once, at the first entry the interpreter runs.
+    /// The kernel counts its work for its first member's target. Returns the
+    /// rows buffered.
     fn collect_over<K: Borrow<[Value]>>(
         &mut self,
         tidx: u16,
@@ -1565,17 +1615,32 @@ impl Executor {
             ..
         } = self;
         let unit = &units[tidx as usize][u];
-        let (kernel, members) = (&unit.kernel, &unit.members);
+        let (kernel, members) = (&unit.plan.kernel, &unit.plan.members);
         let bound = &stmts[tidx as usize][members[0]];
         let counts = view_counts(tel, discard, bound.target);
+        let shared = unit.table.is_some();
+        if shared {
+            let lead = &mut bd.stmts[base + members[0]];
+            lead.shared = Some(u);
+            lead.table.reset(members.len());
+        }
         // A trigger-only unit appends to the slots themselves; any other
         // kernel is lent them for the run.
         let lent = !matches!(kernel.straight, Some(Straight::Unit(_)));
         let lend = |state: &mut KernelState, bd: &mut BdScratch| {
-            if lent {
-                for (buf, &m) in state.rows_of(kernel).iter_mut().zip(members) {
-                    std::mem::swap(buf, &mut bd.stmts[base + m].rows);
+            if !lent {
+                return;
+            }
+            if shared {
+                let lead = &mut bd.stmts[base + members[0]].table;
+                match state.table.take() {
+                    Some(rows) => *lead = rows,
+                    None => state.table = Some(std::mem::take(lead)),
                 }
+                return;
+            }
+            for (buf, &m) in state.rows_of(kernel).iter_mut().zip(members) {
+                std::mem::swap(buf, &mut bd.stmts[base + m].rows);
             }
         };
         lend(state, bd);
@@ -1586,12 +1651,18 @@ impl Executor {
             }
             let key = entry.key.borrow();
             stats.statements += 1;
-            let mut slots = Slots {
-                stmts: &mut bd.stmts,
-                base,
-                members,
+            let straight = match shared {
+                true => kernel.run_straight_table(key, &mut bd.stmts[base + members[0]].table),
+                false => {
+                    let mut slots = Slots {
+                        stmts: &mut bd.stmts,
+                        base,
+                        members,
+                    };
+                    kernel.run_straight(key, &mut slots)
+                }
             };
-            if kernel.run_straight(key, &mut slots) {
+            if straight {
                 stats.straight_line += 1;
             } else {
                 // The series begins at the first entry the interpreter runs.
@@ -1599,11 +1670,15 @@ impl Executor {
                 seed(state, kernel, key, first);
                 kernel.execute(db, &bound.rels, state, counts, first);
             }
-            for (k, &m) in members.iter().enumerate() {
+            // A shared table's rows are all in its first member's slot.
+            let slots = if shared { &members[..1] } else { &members[..] };
+            for (k, &m) in slots.iter().enumerate() {
                 let ds = &mut bd.stmts[base + m];
-                let end = match lent {
-                    true => state.rows_of(kernel)[k].len(),
-                    false => ds.rows.len(),
+                let end = match (lent, shared) {
+                    (false, false) => ds.rows.len(),
+                    (false, true) => ds.table.len(),
+                    (true, false) => state.rows_of(kernel)[k].len(),
+                    (true, true) => state.table.as_ref().map_or(0, TableRows::len),
                 };
                 let seg = Seg {
                     start: ds.segs.last().map_or(0, |s| s.end),
@@ -1644,7 +1719,7 @@ impl Executor {
         let kernel = ts.tel.stage_hist(Stage::KernelBatchDelta);
         ts.kernel_hist.flush_into(kernel.expect("enabled handle"));
         for (i, (record, counts)) in ts.views.iter().enumerate() {
-            let mut r = self.db.at(i as MapId).readings();
+            let mut r = self.db.view_at(i as MapId).readings();
             counts.drain_into(&mut r.values);
             record.publish(&r.values);
         }
@@ -1660,7 +1735,9 @@ impl Executor {
 impl Engine {
     /// Snapshot a query result as a GMR over its output columns: the map it
     /// reads ([`QueryResult::map`], another query's when the two were
-    /// merged), with the columns its own query names.
+    /// merged), with the columns its own query names. A repeated reader: the
+    /// snapshot arms the map's write log, so the next ones patch a recycled
+    /// buffer instead of copying the map (see [`crate::store`]).
     ///
     /// [`QueryResult::map`]: dbtoaster_compiler::QueryResult::map
     pub fn result(&self, query: &str) -> Result<Gmr, RuntimeError> {
@@ -1678,9 +1755,13 @@ impl Engine {
     /// Direct access to a map's contents, by map name (for tests and
     /// debugging). A result merged into another query's map has no map of
     /// its own name — q1's `q1_4_sum` and `q1_5` give `None` here — so a
-    /// result is read through [`Engine::result`].
+    /// result is read through [`Engine::result`]. A copy that leaves the
+    /// map's snapshot log as it was ([`crate::View::copy_gmr`]): a one-off
+    /// read does not make every later write of the map log its key, as
+    /// [`Engine::result`] and [`Engine::snapshot`], the repeated readers
+    /// whose snapshots patch recycled buffers, do.
     pub fn view(&self, name: &str) -> Option<Gmr> {
-        self.exec.db.view(name).map(|v| v.to_gmr())
+        self.exec.db.view(name).map(|v| v.copy_gmr())
     }
 
     /// The store itself, read-only (for tests and debugging: its views'
@@ -1800,6 +1881,21 @@ impl Engine {
     /// snapshot.
     pub fn flush_telemetry(&mut self) {
         self.exec.flush_telemetry();
+    }
+}
+
+/// Count each member's own `rows_written` for a shared unit's buffered
+/// rows: the rows holding a value of it, times their repetitions.
+fn count_member_rows(ts: &TelemetryState, bound: &[Bound], unit: &Unit, ds: &DeferredStmt) {
+    for (i, &m) in unit.plan.members.iter().enumerate() {
+        if let Some(c) = ts.counts(bound[m].target) {
+            let held = |s: &Seg| (s.start..s.end).filter(|&r| ds.table.values(r)[i].is_some());
+            let rows = ds
+                .segs
+                .iter()
+                .map(|s| held(s).count() as u64 * u64::from(s.reps));
+            c.add(const { slot_of("rows_written") }, rows.sum());
+        }
     }
 }
 

@@ -44,7 +44,7 @@ mod ordered;
 pub mod store;
 
 pub use engine::{BatchReport, Engine, EngineStats, RuntimeError};
-pub use store::{Database, MapId, SnapshotWork, ViewMap};
+pub use store::{Database, MapId, SharedTable, SnapshotWork, View, ViewMap};
 
 pub use dbtoaster_telemetry::{
     HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
@@ -53,7 +53,7 @@ pub use dbtoaster_telemetry::{
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::engine::{BatchReport, Engine, EngineStats, RuntimeError};
-    pub use crate::store::{Database, MapId, SnapshotWork, ViewMap};
+    pub use crate::store::{Database, MapId, SharedTable, SnapshotWork, View, ViewMap};
     pub use dbtoaster_telemetry::{
         HistogramSummary, MetricsSnapshot, SlowBatchTrace, Stage, Telemetry, TelemetryConfig,
     };

@@ -120,6 +120,7 @@
 
 mod index;
 mod snapshot;
+mod table;
 
 use crate::ordered::{slot_bytes, GroupKey, OrderedIndex};
 use dbtoaster_agca::eval::{matches_pattern, RelId, RelationSource};
@@ -127,8 +128,9 @@ use dbtoaster_gmr::{FastMap, Gmr, Schema, Tuple, Value};
 use dbtoaster_telemetry::{slot_of, ViewSummary};
 use index::{reindex, HashIndex, Index};
 pub use snapshot::SnapshotWork;
-use snapshot::{unpoisoned, Buffer, SnapshotState};
+use snapshot::{unpoisoned, SnapshotState};
 use std::sync::{Arc, Mutex};
+pub use table::SharedTable;
 
 /// Keys of up to this many columns are rebuilt on the stack ([`KeyBuf`]).
 const KEY_BUF: usize = 8;
@@ -595,48 +597,13 @@ impl ViewMap {
     /// [`ViewMap::to_gmr_since`]: the cursor is read before rotation trims
     /// the log.
     fn snapshot(&self, earlier: Option<&Gmr>) -> (Gmr, Option<Vec<Tuple>>) {
-        let mut guard = unpoisoned(self.snapshots.lock());
-        let s = &mut *guard;
-        let written = earlier
-            .and_then(Gmr::shared_data)
-            .and_then(|e| s.written_since(e));
-        if let Some(newer) = s.newer.as_ref().filter(|_| s.log.len() == s.mark) {
-            return (
-                Gmr::from_shared(self.schema.clone(), newer.clone()),
-                written,
-            );
-        }
-        let mut reused = s.older.take();
-        let current = match reused.as_mut().and_then(Arc::get_mut) {
-            Some(buffer) => {
-                for key in &s.log {
-                    match self.data.get(key) {
-                        Some(&m) => drop(buffer.insert(key.clone(), m)),
-                        None => drop(buffer.remove(key)),
-                    }
-                }
-                s.work.keys_patched += s.log.len() as u64;
-                s.abandoned = false;
-                reused.expect("patched in place")
-            }
-            None => {
-                if reused.is_some() {
-                    s.work.pinned_copies += 1;
-                } else if s.abandoned {
-                    s.work.abandoned_copies += 1;
-                } else {
-                    s.work.first_copies += 1;
-                }
-                s.work.entries_copied += self.data.len() as u64;
-                Arc::new(self.data.clone())
-            }
-        };
-        // Rotate: what was newer is now the older buffer, and the log keeps
-        // only what was written since it was handed out.
-        s.log.drain(..s.mark);
-        s.mark = s.log.len();
-        s.older = s.newer.replace(current.clone());
-        (Gmr::from_shared(self.schema.clone(), current), written)
+        let (buffer, written) = unpoisoned(self.snapshots.lock()).take(
+            earlier,
+            |key| self.data.get(key).copied(),
+            || self.data.clone(),
+            self.data.len(),
+        );
+        (Gmr::from_shared(self.schema.clone(), buffer), written)
     }
 
     /// Cumulative snapshot work of this view (see [`SnapshotWork`]).
@@ -660,22 +627,16 @@ impl ViewMap {
             }
             return;
         }
-        let positions: Option<Vec<usize>> = if gmr.schema().same_columns(&self.schema) {
-            self.schema
-                .columns()
-                .iter()
-                .map(|c| gmr.schema().index_of(c))
-                .collect()
-        } else {
-            None
-        };
-        for (t, m) in gmr.iter() {
-            let key: Tuple = match &positions {
-                Some(pos) => pos.iter().map(|&i| t[i].clone()).collect(),
-                None => t.clone(),
-            };
+        for (key, m) in keys_in(&self.schema, gmr) {
             self.add(key, m);
         }
+    }
+
+    /// The view's contents as a GMR, copied without arming its write log:
+    /// the cold read of [`Database::view`]'s one-off readers. A repeated
+    /// reader takes [`ViewMap::to_gmr`], which patches a recycled buffer.
+    pub fn copy_gmr(&self) -> Gmr {
+        Gmr::from_shared(self.schema.clone(), Arc::new(self.data.clone()))
     }
 
     /// Approximate heap footprint in bytes (entries plus secondary indexes).
@@ -694,9 +655,8 @@ impl ViewMap {
     /// module docs) hold under the same model. Not part of
     /// [`ViewMap::approx_bytes`]: a view that is never snapshotted keeps none.
     fn snapshot_bytes(&self) -> usize {
-        let s = unpoisoned(self.snapshots.lock());
-        let entries = |b: &Option<Buffer>| b.as_ref().map_or(0, |b| b.len());
-        (entries(&s.newer) + entries(&s.older)) * slot_bytes(self.schema.arity())
+        let buffered = unpoisoned(self.snapshots.lock()).buffered_entries();
+        buffered * slot_bytes(self.schema.arity())
     }
 
     /// The view's readings in the layout of its telemetry record
@@ -708,7 +668,6 @@ impl ViewMap {
     /// without telemetry attaches it.
     pub fn readings(&self) -> ViewSummary {
         let mut r = self.index_totals();
-        let w = self.snapshot_work();
         for (slot, n) in [
             (const { slot_of("map_size") }, self.len() as u64),
             (const { slot_of("map_bytes") }, self.map_bytes() as u64),
@@ -716,26 +675,10 @@ impl ViewMap {
                 const { slot_of("snapshot_bytes") },
                 self.snapshot_bytes() as u64,
             ),
-            (const { slot_of("snapshot_keys_patched") }, w.keys_patched),
-            (
-                const { slot_of("snapshot_entries_copied") },
-                w.entries_copied,
-            ),
-            (
-                const { slot_of("snapshot_full_copies.first") },
-                w.first_copies,
-            ),
-            (
-                const { slot_of("snapshot_full_copies.pinned") },
-                w.pinned_copies,
-            ),
-            (
-                const { slot_of("snapshot_full_copies.abandoned") },
-                w.abandoned_copies,
-            ),
         ] {
             r.values[slot] = n;
         }
+        self.snapshot_work().record(&mut r);
         r
     }
 
@@ -805,17 +748,131 @@ fn project_mask(key: &[Value], mask: u64) -> Tuple {
 /// It is also the [`RelId`] compiled kernels read the view by.
 pub type MapId = RelId;
 
+/// `gmr`'s entries with their keys in the column order of `schema`: columns
+/// matched by name when the two schemas share their column set,
+/// positionally otherwise.
+fn keys_in<'a>(schema: &Schema, gmr: &'a Gmr) -> impl Iterator<Item = (Tuple, f64)> + 'a {
+    let positions: Option<Vec<usize>> = match gmr.schema().same_columns(schema) {
+        true => (schema.columns().iter())
+            .map(|c| gmr.schema().index_of(c))
+            .collect(),
+        false => None,
+    };
+    gmr.iter().map(move |(t, m)| match &positions {
+        Some(pos) => (pos.iter().map(|&i| t[i].clone()).collect(), m),
+        None => (t.clone(), m),
+    })
+}
+
 /// The runtime database: the [`ViewMap`]s holding materialized views, stored
-/// base relations and static tables, addressed by [`MapId`] on the hot path
-/// and by name everywhere else.
+/// base relations and static tables, and the [`SharedTable`]s holding the
+/// maps of sibling groups, addressed by [`MapId`] on the hot path and by
+/// name everywhere else. A member of a shared table keeps its id and its
+/// name, and readers see it as the map it stands for ([`View`]).
 #[derive(Clone, Debug, Default)]
 pub struct Database {
-    /// The views; a view's index is its id.
+    /// The views; a view's index is its id. A member of a shared table has
+    /// an empty map here, which nothing writes.
     maps: Vec<ViewMap>,
+    /// `members[id]`: the shared table and column holding view `id`, if it
+    /// is a member of one.
+    members: Vec<Option<(u32, usize)>>,
+    tables: Vec<SharedTable>,
     /// `names[id]` names `maps[id]`.
     names: Vec<String>,
     /// Name → id, for the name-addressed API.
     ids: FastMap<String, MapId>,
+}
+
+/// A view as its readers see it: a map of its own, or the column of a
+/// shared table that stands for it.
+#[derive(Clone, Copy, Debug)]
+pub enum View<'a> {
+    /// A map of its own.
+    Map(&'a ViewMap),
+    /// Column `.1` of a shared table.
+    Member(&'a SharedTable, usize),
+}
+
+impl<'a> View<'a> {
+    /// The map, unless this is a member of a shared table.
+    pub fn map(self) -> Option<&'a ViewMap> {
+        match self {
+            View::Map(m) => Some(m),
+            View::Member(..) => None,
+        }
+    }
+
+    /// The key schema.
+    pub fn schema(self) -> &'a Schema {
+        match self {
+            View::Map(m) => m.schema(),
+            View::Member(t, c) => t.schema(c),
+        }
+    }
+
+    /// Number of entries: a member's keys whose value is non-zero.
+    pub fn len(self) -> usize {
+        match self {
+            View::Map(m) => m.len(),
+            View::Member(t, c) => t.member_len(c),
+        }
+    }
+
+    /// Is the view empty?
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Multiplicity of a key (0.0 when absent).
+    pub fn get(self, key: &[Value]) -> f64 {
+        match self {
+            View::Map(m) => m.get(key),
+            View::Member(t, c) => t.get(c, key),
+        }
+    }
+
+    /// [`ViewMap::to_gmr`]: a snapshot, patched from the view's write log
+    /// — which this arms — once the view has handed out two.
+    pub fn to_gmr(self) -> Gmr {
+        match self {
+            View::Map(m) => m.to_gmr(),
+            View::Member(t, c) => t.snapshot(c, None).0,
+        }
+    }
+
+    /// [`ViewMap::to_gmr_since`].
+    pub fn to_gmr_since(self, earlier: &Gmr) -> (Gmr, Option<Vec<Tuple>>) {
+        match self {
+            View::Map(m) => m.to_gmr_since(earlier),
+            View::Member(t, c) => t.snapshot(c, Some(earlier)),
+        }
+    }
+
+    /// [`ViewMap::copy_gmr`]: a copy that leaves the write log as it was.
+    pub fn copy_gmr(self) -> Gmr {
+        match self {
+            View::Map(m) => m.copy_gmr(),
+            View::Member(t, c) => t.copy(c),
+        }
+    }
+
+    /// [`ViewMap::snapshot_work`].
+    pub fn snapshot_work(self) -> SnapshotWork {
+        match self {
+            View::Map(m) => m.snapshot_work(),
+            View::Member(t, c) => t.snapshot_work(c),
+        }
+    }
+
+    /// [`ViewMap::readings`]; a member's bytes are its share of its table's
+    /// ([`SharedTable::approx_bytes`]).
+    pub fn readings(self) -> ViewSummary {
+        match self {
+            View::Map(m) => m.readings(),
+            View::Member(t, c) => t.readings(c),
+        }
+    }
 }
 
 impl Database {
@@ -841,7 +898,39 @@ impl Database {
         self.ids.insert(name.clone(), id);
         self.names.push(name);
         self.maps.push(view);
+        self.members.push(None);
         id
+    }
+
+    /// Keep the declared, empty views `ids` as one shared table, one value
+    /// column each, in this order; returns the table's index. Their ids and
+    /// names stay, and read as before ([`Database::view_at`]); their rows
+    /// are written through [`Database::table_mut`].
+    pub fn share(&mut self, ids: &[MapId]) -> u32 {
+        let t = u32::try_from(self.tables.len()).expect("fewer than 2^32 tables");
+        let schemas = ids.iter().map(|&id| self.at(id).schema().clone());
+        self.tables.push(SharedTable::new(schemas));
+        for (c, &id) in ids.iter().enumerate() {
+            debug_assert!(self.at(id).is_empty(), "a shared view starts empty");
+            self.members[id as usize] = Some((t, c));
+        }
+        t
+    }
+
+    /// The shared table and column holding view `id`, if it is a member of
+    /// one.
+    pub fn member(&self, id: MapId) -> Option<(u32, usize)> {
+        self.members[id as usize]
+    }
+
+    /// Shared table `t` ([`Database::share`]).
+    pub fn table(&self, t: u32) -> &SharedTable {
+        &self.tables[t as usize]
+    }
+
+    /// Mutable access to shared table `t`.
+    pub fn table_mut(&mut self, t: u32) -> &mut SharedTable {
+        &mut self.tables[t as usize]
     }
 
     /// The id of the named view, if it exists.
@@ -849,14 +938,25 @@ impl Database {
         self.ids.get(name).copied()
     }
 
-    /// The view with id `id`. Panics on an id this database never handed out.
+    /// The map with id `id`, which the hot path reads and writes: never a
+    /// member of a shared table, whose rows the table holds. Panics on an
+    /// id this database never handed out.
     pub fn at(&self, id: MapId) -> &ViewMap {
         &self.maps[id as usize]
     }
 
-    /// Mutable access to the view with id `id`.
+    /// Mutable access to the map with id `id`.
     pub fn at_mut(&mut self, id: MapId) -> &mut ViewMap {
         &mut self.maps[id as usize]
+    }
+
+    /// View `id` as its readers see it: its map, or its column of a shared
+    /// table.
+    pub fn view_at(&self, id: MapId) -> View<'_> {
+        match self.member(id) {
+            Some((t, c)) => View::Member(self.table(t), c),
+            None => View::Map(self.at(id)),
+        }
     }
 
     /// Does a view with this name exist?
@@ -864,15 +964,28 @@ impl Database {
         self.ids.contains_key(name)
     }
 
-    /// Immutable access to a view.
-    pub fn view(&self, name: &str) -> Option<&ViewMap> {
-        Some(self.at(self.id(name)?))
+    /// The named view as its readers see it ([`Database::view_at`]).
+    pub fn view(&self, name: &str) -> Option<View<'_>> {
+        Some(self.view_at(self.id(name)?))
     }
 
-    /// Mutable access to a view.
+    /// Mutable access to a map (`None` for a member of a shared table).
     pub fn view_mut(&mut self, name: &str) -> Option<&mut ViewMap> {
         let id = self.id(name)?;
-        Some(self.at_mut(id))
+        self.member(id).is_none().then(|| self.at_mut(id))
+    }
+
+    /// Replace the contents of view `id` from a GMR (see
+    /// [`ViewMap::load_gmr`]); a member of a shared table replaces its
+    /// column and leaves the others.
+    pub fn load_gmr(&mut self, id: MapId, gmr: &Gmr) {
+        match self.member(id) {
+            Some((t, c)) => {
+                let keys = keys_in(self.table(t).schema(c), gmr).collect::<Vec<_>>();
+                self.table_mut(t).load(c, keys);
+            }
+            None => self.at_mut(id).load_gmr(gmr),
+        }
     }
 
     /// Names of all views, sorted, borrowed from the store (no `String` clones).
@@ -882,28 +995,30 @@ impl Database {
         v.into_iter()
     }
 
-    /// Total approximate memory footprint of all views, in bytes.
+    /// Total approximate memory footprint of all views, in bytes: a shared
+    /// table counts its keys once.
     pub fn approx_bytes(&self) -> usize {
-        self.maps.iter().map(|m| m.approx_bytes()).sum()
+        let maps = self.maps.iter().map(|m| m.approx_bytes());
+        maps.chain(self.tables.iter().map(|t| t.approx_bytes()))
+            .sum()
     }
 
     /// A consistent point-in-time snapshot of every view: name → shared GMR
-    /// ([`ViewMap::to_gmr`]). Costs the name table (O(number of views)) plus,
+    /// ([`View::to_gmr`]). Costs the name table (O(number of views)) plus,
     /// per view, the keys written since the buffer it reuses was current — or
     /// a full copy of the view where that buffer is pinned or its log was
     /// abandoned.
     pub fn snapshot(&self) -> FastMap<String, Gmr> {
-        self.names
-            .iter()
-            .zip(&self.maps)
-            .map(|(n, v)| (n.clone(), v.to_gmr()))
+        let views = (0..self.maps.len()).map(|id| self.view_at(id as MapId));
+        (self.names.iter().cloned())
+            .zip(views.map(View::to_gmr))
             .collect()
     }
 }
 
 impl RelationSource for Database {
     fn relation_arity(&self, name: &str) -> Option<usize> {
-        self.view(name).map(|m| m.schema().arity())
+        self.view(name).map(|v| v.schema().arity())
     }
 
     fn relation_id(&self, name: &str) -> Option<RelId> {

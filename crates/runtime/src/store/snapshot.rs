@@ -3,7 +3,8 @@
 
 #[cfg(doc)]
 use super::ViewMap;
-use dbtoaster_gmr::{FastMap, FastSet, Tuple};
+use dbtoaster_gmr::{FastMap, FastSet, Gmr, Tuple};
+use dbtoaster_telemetry::{slot_of, ViewSummary};
 use std::sync::{Arc, PoisonError};
 
 /// What readers get: an immutable shared copy of a view's primary map.
@@ -62,6 +63,34 @@ impl SnapshotWork {
     pub fn full_copies(&self) -> u64 {
         self.first_copies + self.pinned_copies + self.abandoned_copies
     }
+
+    /// Write the counts into a view's telemetry record.
+    pub(super) fn record(&self, r: &mut ViewSummary) {
+        for (slot, n) in [
+            (
+                const { slot_of("snapshot_keys_patched") },
+                self.keys_patched,
+            ),
+            (
+                const { slot_of("snapshot_entries_copied") },
+                self.entries_copied,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.first") },
+                self.first_copies,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.pinned") },
+                self.pinned_copies,
+            ),
+            (
+                const { slot_of("snapshot_full_copies.abandoned") },
+                self.abandoned_copies,
+            ),
+        ] {
+            r.values[slot] = n;
+        }
+    }
 }
 
 /// The buffers a view has handed out and the log that brings them up to date.
@@ -118,6 +147,64 @@ impl SnapshotState {
                 .cloned()
                 .collect(),
         )
+    }
+
+    /// The one snapshot path of a view (see [`ViewMap::to_gmr_since`]):
+    /// the buffer to hand out and, when `earlier` is given, the keys written
+    /// since it. The view's live contents are read through `get` (a key's
+    /// multiplicity, `None` when it holds none) and copied whole by `copy`;
+    /// it holds `entries` keys. The cursor is read before rotation trims the
+    /// log.
+    pub(super) fn take(
+        &mut self,
+        earlier: Option<&Gmr>,
+        get: impl Fn(&Tuple) -> Option<f64>,
+        copy: impl FnOnce() -> FastMap<Tuple, f64>,
+        entries: usize,
+    ) -> (Buffer, Option<Vec<Tuple>>) {
+        let written = earlier
+            .and_then(Gmr::shared_data)
+            .and_then(|e| self.written_since(e));
+        if let Some(newer) = self.newer.as_ref().filter(|_| self.log.len() == self.mark) {
+            return (newer.clone(), written);
+        }
+        let mut reused = self.older.take();
+        let current = match reused.as_mut().and_then(Arc::get_mut) {
+            Some(buffer) => {
+                for key in &self.log {
+                    match get(key) {
+                        Some(m) => drop(buffer.insert(key.clone(), m)),
+                        None => drop(buffer.remove(key)),
+                    }
+                }
+                self.work.keys_patched += self.log.len() as u64;
+                self.abandoned = false;
+                reused.expect("patched in place")
+            }
+            None => {
+                if reused.is_some() {
+                    self.work.pinned_copies += 1;
+                } else if self.abandoned {
+                    self.work.abandoned_copies += 1;
+                } else {
+                    self.work.first_copies += 1;
+                }
+                self.work.entries_copied += entries as u64;
+                Arc::new(copy())
+            }
+        };
+        // Rotate: what was newer is now the older buffer, and the log keeps
+        // only what was written since it was handed out.
+        self.log.drain(..self.mark);
+        self.mark = self.log.len();
+        self.older = self.newer.replace(current.clone());
+        (current, written)
+    }
+
+    /// Entries held by the buffers kept for reuse.
+    pub(super) fn buffered_entries(&self) -> usize {
+        let entries = |b: &Option<Buffer>| b.as_ref().map_or(0, |b| b.len());
+        entries(&self.newer) + entries(&self.older)
     }
 
     /// Give up on patching: forget both buffers (their holders keep them

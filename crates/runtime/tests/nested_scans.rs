@@ -52,7 +52,7 @@ fn nested_partial_scan_of_same_view_does_not_deadlock() {
         &LocalCounts::default(),
         true,
     );
-    let totals = db.view("M").unwrap().index_totals();
+    let totals = db.view("M").and_then(|v| v.map()).unwrap().index_totals();
     assert_eq!(
         (totals.get("indexes.hash"), totals.get("indexes.entries")),
         (2, 8),

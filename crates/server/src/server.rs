@@ -227,14 +227,14 @@ impl Snapshot {
             .map(|(slot, &id)| match cursor {
                 Some((since, watched)) => {
                     let (gmr, keys) = if watched[slot] {
-                        db.at(id).to_gmr_since(&since.views[slot])
+                        db.view_at(id).to_gmr_since(&since.views[slot])
                     } else {
-                        (db.at(id).to_gmr(), None)
+                        (db.view_at(id).to_gmr(), None)
                     };
                     written.push(keys);
                     gmr
                 }
-                None => db.at(id).to_gmr(),
+                None => db.view_at(id).to_gmr(),
             })
             .collect();
         let snap = Snapshot {

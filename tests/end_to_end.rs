@@ -732,7 +732,8 @@ fn indexes_are_declared_before_the_first_event() {
             for k in &kernels {
                 for (rel, template) in k.scans() {
                     let mask = template_mask(template);
-                    let view = engine.database().view(&k.rels[rel as usize]).unwrap();
+                    let view = engine.database().view(&k.rels[rel as usize]);
+                    let view = view.and_then(|v| v.map()).expect("a kernel reads a map");
                     let partial = mask != 0 && mask != (1 << template.len()) - 1;
                     assert!(
                         !partial || view.has_index(mask),
