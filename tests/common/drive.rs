@@ -653,9 +653,10 @@ pub fn census() -> BTreeMap<String, usize> {
 
 fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     let (mut facts, compiled) = (vec!["points"], case.compile(p.mode));
-    let (mut fused, mut straight, mut guarded) = (false, false, false);
+    let (mut fused, mut shared, mut straight, mut guarded) = (false, false, false, false);
     for plan in plans(&compiled) {
         fused |= plan.kernels.iter().any(|u| u.members.len() > 1);
+        shared |= !plan.shared.is_empty();
         for u in &plan.kernels {
             straight |= matches!(u.kernel.straight, Some(Straight::Unit(_)));
             guarded |= matches!(u.kernel.straight, Some(Straight::Guards(_)));
@@ -685,6 +686,7 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
     for (fact, reached) in [
         ("duplicate query view merged", merged),
         ("fused group", fused),
+        ("shared key table", shared),
         ("straight-line unit", straight),
         ("guard-skipped kernel", guarded),
     ] {
@@ -714,8 +716,9 @@ fn tally(seen: &mut BTreeMap<String, usize>, case: &Case, p: &Point) {
 /// a quantile filter, one weighing a query by its own group-by column, one
 /// holding `Long` and `Double` values past 2^53 in one key column), an
 /// ill-typed event, a higher-order program with a band sum inside a loop
-/// fused into a threshold, and sibling statements run as one kernel in the
-/// higher-order and naive viewlet modes (the census counts them per mode).
+/// fused into a threshold, sibling statements run as one kernel in the
+/// higher-order and naive viewlet modes, and their maps kept as one shared
+/// key table in every incremental mode (the census counts them per mode).
 pub fn assert_census() {
     let seen = census();
     eprintln!("{seen:#?}");
@@ -730,6 +733,8 @@ pub fn assert_census() {
         duplicate query view merged [HigherOrder], duplicate query view merged [FirstOrder], \
         duplicate query view merged [NaiveViewlet], duplicate query view merged [Reevaluate], \
         fused group [HigherOrder], fused group [NaiveViewlet], \
+        shared key table [HigherOrder], shared key table [FirstOrder], \
+        shared key table [NaiveViewlet], \
         straight-line unit [HigherOrder], straight-line unit [FirstOrder], \
         straight-line unit [NaiveViewlet], straight-line unit [Reevaluate], \
         guard-skipped kernel [HigherOrder], guard-skipped kernel [FirstOrder], \

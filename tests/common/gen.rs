@@ -291,9 +291,17 @@ pub enum Twin {
     /// An `AVG` over the query's own sum, as SQL translates one: the sum
     /// again under the average's name, and the count of the same rows.
     Average,
+    /// Not a repeat: two sibling aggregates beside the query, shaped as
+    /// TPC-H q1's `COUNT(*)` and `SUM(x)` by one group — `R(a,b) T(b,e)`
+    /// over the static table `T`, grouped by `a`, counted and weighted by
+    /// `a`. Their statements share their frame, so they fuse, and nothing
+    /// reads or rewrites their maps: in every incremental mode they are one
+    /// shared key table, which the interpreter's sink fills (the frame
+    /// reads `T`).
+    Siblings,
 }
 
-pub const TWINS: [Twin; 2] = [Twin::Renamed, Twin::Average];
+pub const TWINS: [Twin; 3] = [Twin::Renamed, Twin::Average, Twin::Siblings];
 
 impl Twin {
     /// The queries that repeat `q`, named after `n` queries.
@@ -326,6 +334,18 @@ impl Twin {
                 vec![
                     named("_avg_sum", q.expr.clone(), q.out_vars.clone()),
                     named("_avg_cnt", count, q.out_vars.clone()),
+                ]
+            }
+            Twin::Siblings => {
+                let rows = || [Expr::rel("R", ["sa", "sb"]), Expr::table("T", ["sb", "se"])];
+                let group = vec!["sa".to_string()];
+                let sum = |weight: Option<Expr>| {
+                    let factors = rows().into_iter().chain(weight);
+                    Expr::agg_sum(group.clone(), Expr::product_of(factors))
+                };
+                vec![
+                    named("_cnt", sum(None), group.clone()),
+                    named("_sum", sum(Some(Expr::var("sa"))), group.clone()),
                 ]
             }
         }
@@ -849,14 +869,19 @@ pub fn case(seed: u64) -> Case {
     let queries = (0..1 + rng.below(3)).map(|i| random_query(&mut rng, format!("Q{i}")));
     let (mut specs, shapes): (Vec<QuerySpec>, Vec<Vec<Shape>>) = queries.unzip();
     let shapes: BTreeSet<Shape> = shapes.into_iter().flatten().collect();
-    let [key_only, weights, plain_weights, compared] = columns(&specs);
-    // Drawn from its own stream after the columns, so a case without a twin
-    // stays what it was, and one with a twin keeps its stream.
+    // Drawn from its own stream, so a case without a twin stays what it
+    // was, and one with a twin keeps its stream: a repeat uses the columns
+    // its original does. Siblings come from a fork of their own, so a case
+    // keeps the twin it drew, and their weight joins the columns.
     let mut twins = Rng::new(seed, 7);
-    let twin = twins.percent(12).then(|| twins.pick(&TWINS));
+    let mut twin = twins.percent(12).then(|| twins.pick(&TWINS[..2]));
+    if twin.is_none() && Rng::new(seed, 8).percent(12) {
+        twin = Some(Twin::Siblings);
+    }
     if let Some(t) = twin {
         specs.extend(t.of(&specs[0], specs.len()));
     }
+    let [key_only, weights, plain_weights, compared] = columns(&specs);
     let hostile = rng.percent(25);
     let mut unweighted = compared.clone();
     unweighted.retain(|c| !weights.contains(c));
