@@ -276,6 +276,11 @@
 //! write per key run — but never across executions: each execution's rows
 //! start at their member's **merge floor**, the buffer's length when it
 //! began (a batch applies each entry's rows a different number of times).
+//! When the members' maps are one shared key table, a caller lends the
+//! kernel [`TableRows`] instead (`KernelState::table`): one row per frame
+//! row with a value per member, each member's value collapsing into its own
+//! last row of the execution as it would in its own buffer, so the rows
+//! holding a member's values are the rows its buffer would hold.
 //!
 //! ## Straight-line units and event guards
 //!

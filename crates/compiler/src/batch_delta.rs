@@ -84,9 +84,9 @@
 //! What a relation's runs execute is one [`RelationPlan`], derived by that
 //! one function from the triggers and stored nowhere: `compile` calls it to
 //! refuse a program that does not derive, the engine once at construction,
-//! where it resolves each plan into trigger indexes, per-statement flags and
-//! kernel units, and `explain` to render each relation's `live pass:` and
-//! `fused:` lines.
+//! where it resolves each plan into trigger indexes, per-statement flags,
+//! kernel units and shared tables, and `explain` to render each relation's
+//! `live pass:`, `shared table:` and `fused:` lines.
 //!
 //! ## Sibling statements
 //!
@@ -107,6 +107,20 @@
 //! prints a `fused:` line per group of two or more. A member keeps its own
 //! buffered rows at its own statement position, so the apply phase and the
 //! live pass see a unit's members as they see any statement.
+//!
+//! ## Shared key tables
+//!
+//! A group's maps can go further and be one key table with a value column
+//! per member, so that the unit's row costs one key and one map write, not
+//! one per member. The same derivation lists those groups
+//! ([`RelationPlan::shared`]): the targets of a sibling group that is
+//! exactly the unit writing them in every trigger that writes any of them,
+//! where no kernel reads one, no `:=` rewrites one, and none is a live map,
+//! a stored relation or a static view. TPC-H q1's four maps are one; the
+//! order-book pairs are not, because kernels read them through their
+//! ordered indexes. Nothing is stored, so a program's fingerprint does not
+//! change; the engine builds the tables at construction and `explain`
+//! prints a `shared table:` line per table.
 //!
 //! ## Runs of one firing
 //!

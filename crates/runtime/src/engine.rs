@@ -78,7 +78,12 @@
 //! each member's row into the member's own deferred buffer at its own statement
 //! position, so the apply phase and the live pass see each member as they see any
 //! statement. Each member's rows are the ones its own kernel would emit, bit for bit
-//! (see `dbtoaster_agca::plan`). TPC-H q1's four Lineitem maps run as one kernel.
+//! (see `dbtoaster_agca::plan`). When the members' maps are one shared key table (the
+//! compiler's `RelationPlan::shared`, resolved in [`Engine::new`]), the unit emits one
+//! row per key with a value per member into its first member's slot instead, and the
+//! apply phase writes it with one probe ([`crate::store`] on shared tables). TPC-H q1's
+//! four Lineitem maps run as one kernel and write one table: one row per Lineitem
+//! event, not four.
 //!
 //! Every evaluation — collection's, the live pass's, the `:=` tail's, a static view's —
 //! tries the kernel's straight-line form first (`CompiledStmt::run_straight`; see
@@ -104,7 +109,9 @@
 //! * each plan — to its relation's dispatch record (its triggers' indexes, whether it
 //!   has a live pass and a `:=` tail, whether its base map is live), two flags on
 //!   each statement: does it fire live, and is its target a live map, and its kernel
-//!   units, by trigger, each run where its first member stands;
+//!   units, by trigger, each run where its first member stands; its shared key
+//!   tables — to [`Database::share`]d tables, and each unit that writes one to the
+//!   table and its members' columns;
 //! * every statement's target map and every relation's stored base map — to
 //!   [`MapId`]s, which also index the per-view work counts (below);
 //! * every kernel's relation table (`CompiledStmt::rels`, what its probes, scans,

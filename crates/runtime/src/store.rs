@@ -81,7 +81,28 @@
 //!   handle to a shared body, and dates are plain `yyyymmdd` longs, so the
 //!   slab estimate does not double-count string storage. The snapshot
 //!   buffers a view keeps are charged the same way but reported apart (on
-//!   EXPLAIN ANALYZE and `/views`): `approx_bytes` is the live state.
+//!   EXPLAIN ANALYZE and `/views`): `approx_bytes` is the live state. A
+//!   shared table (below) charges each key once — its map slot — plus a
+//!   value per member; its first member's readings carry the keys, and
+//!   every member's its own value column.
+//! * **Sibling maps share one key table** — the maps of a sibling group that
+//!   exactly one fused kernel unit writes, in every trigger that writes any
+//!   of them, and that nothing else reads or keeps apart (the compiler's
+//!   `RelationPlan::shared`: TPC-H q1's four Lineitem maps), are one
+//!   [`SharedTable`]: one hash map from a key to its row of `k` values, a
+//!   value per member. The unit's rows carry one key and a value per member
+//!   (`TableRows`), so a row costs one key built, one hash, one probe and
+//!   one write, not `k`. A key enters with its first non-zero value and
+//!   leaves with its last, so a member that nets to zero leaves the key to
+//!   the others; a freed row is reused, so a key costs no allocation of its
+//!   own. Each column receives exactly the writes its member's own rows
+//!   would make to its own map (`SharedTable::apply_rows`: the same
+//!   consecutive-key sums), so a member's contents are bit for bit a
+//!   separate map's — `0.0 + x == x`, and a stored value is never zero.
+//!   Readers see the members as maps ([`View`], [`Database::view_at`]):
+//!   each keeps its id, its name, its key count and its own snapshot
+//!   buffers and write log, and its snapshot holds the keys whose value is
+//!   non-zero. A member has no secondary index: no kernel reads one.
 //!
 //! ## Snapshots cost what was written, not what is stored
 //!
@@ -97,6 +118,10 @@
 //! was abandoned (`clear`, `load_gmr`, or more logged writes than
 //! `1/PATCH_BUDGET_DIVISOR` of the entries). Logging starts at a view's first
 //! snapshot, so a view that is never snapshotted pays one branch per write.
+//! The repeated readers arm it — a result (`Engine::result`), the serving
+//! layer's publishes, checkpoints (`Engine::snapshot`) — and a one-off read
+//! does not: [`ViewMap::copy_gmr`] (`Engine::view`) copies the map and
+//! leaves its log as it was.
 //!
 //! The log is the only record of what was written, and it has two consumers:
 //! the buffers, which it patches, and a subscriber's cursor. A subscriber

@@ -337,7 +337,8 @@ fn alternating_arities_allocate_nothing_in_steady_state() {
 /// enters it: first-order IVM of `Sum(W(a..e) * V(a..e))` stores both arity-5
 /// relations, and each event probes the other one fully bound and writes
 /// its own. An event of a key the map holds allocates nothing; one that
-/// brings a new key allocates exactly its slab.
+/// brings a new key allocates exactly its slab, also after a cold read of
+/// the map (`Engine::view`), which does not start its snapshot log.
 #[test]
 fn a_stored_wide_base_map_allocates_only_a_new_key() {
     let columns = ["A", "B", "C", "D", "E"];
@@ -401,6 +402,11 @@ fn a_stored_wide_base_map_allocates_only_a_new_key() {
         churn.len()
     );
 
+    // A cold read copies the map and leaves its snapshot log off, so the
+    // writes after it log nothing.
+    let cold = engine.view("W").unwrap();
+    assert_eq!((cold.len(), cold.get(&row(7))), (64, 1.0));
+
     // A new key: one slab, and none for the event that takes it out again.
     let (fresh, gone) = (
         UpdateEvent::insert("W", row(1000)),
@@ -418,7 +424,7 @@ fn a_stored_wide_base_map_allocates_only_a_new_key() {
     let allocs = alloc_count() - before;
     assert_eq!(allocs, 0, "taking the new key out allocated {allocs} times");
     // Not vacuous: every held key was written back to one, and the join
-    // counted every pair. (Reading a view starts its snapshot log, so it
+    // counted every pair. (A result's snapshot starts its map's log, so it
     // comes last.)
     let w = engine.view("W").unwrap();
     assert_eq!((w.len(), w.get(&row(7))), (64, 1.0));

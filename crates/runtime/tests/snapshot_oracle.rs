@@ -28,9 +28,10 @@
 //! exactness contract and refused (`None`) when one is not.
 
 use dbtoaster_gmr::{FastSet, Gmr, Schema, Tuple, Value};
-use dbtoaster_runtime::ViewMap;
+use dbtoaster_runtime::{Database, MapId, SnapshotWork, ViewMap};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::Arc;
 
 /// Multiplicities that stress bit-exactness: cancelling pairs, signed zeros,
 /// NaN, infinities (whose sum is NaN) and magnitudes that absorb small adds.
@@ -98,6 +99,8 @@ static PATCHED: AtomicU64 = AtomicU64::new(0);
 /// cursor check is vacuous unless the generator reaches both.
 static CURSOR_KEYS: AtomicU64 = AtomicU64::new(0);
 static CURSOR_UNKNOWN: AtomicU64 = AtomicU64::new(0);
+/// Member snapshots patched across the shared-table cases.
+static TABLE_PATCHED: AtomicU64 = AtomicU64::new(0);
 
 /// A snapshot kept alive, with what the view was when it was handed out.
 struct Held {
@@ -151,36 +154,8 @@ impl Subject {
     }
 
     fn check_cursor(&self, held: &Held, new: &Gmr, written: Option<Vec<Tuple>>) {
-        let Some(keys) = written else {
-            // Read before this snapshot rotated anything.
-            let abandoned = self.view.snapshot_work().logs_abandoned > held.abandoned;
-            let replaced = self.clones > held.clones;
-            let rotated_out = self.buffers - held.buffers >= 2;
-            assert!(
-                abandoned || replaced || rotated_out,
-                "the cursor answered \"unknown\" with its log intact and the held \
-                 snapshot still one of the view's two buffers"
-            );
-            CURSOR_UNKNOWN.fetch_add(1, Relaxed);
-            return;
-        };
-        let reported: FastSet<&Tuple> = keys.iter().collect();
-        assert_eq!(reported.len(), keys.len(), "a key reported twice");
-        let old = &held.snap;
-        let differs = old
-            .iter()
-            .chain(new.iter())
-            .map(|(k, _)| k)
-            .filter(|k| old.get(k).to_bits() != new.get(k).to_bits());
-        for key in differs {
-            assert!(
-                reported.contains(key),
-                "key {key:?} changed since the held snapshot but was not reported"
-            );
-        }
-        if !keys.is_empty() {
-            CURSOR_KEYS.fetch_add(1, Relaxed);
-        }
+        let now = (self.view.snapshot_work(), self.clones, self.buffers);
+        check_cursor(now, held, new, written);
     }
 
     /// Keep `snap`, handed out just now, alive.
@@ -192,6 +167,48 @@ impl Subject {
             clones: self.clones,
             buffers: self.buffers,
         }
+    }
+}
+
+/// The cursor's answer for `new`, taken against `held`, when the view's
+/// snapshot work, its clones and the buffers it has handed out are `now`:
+/// every key whose bits differ reported, each once, and "unknown" only
+/// when the log was abandoned, the view replaced or `held` rotated out.
+fn check_cursor(
+    (work, clones, buffers): (SnapshotWork, u64, u64),
+    held: &Held,
+    new: &Gmr,
+    written: Option<Vec<Tuple>>,
+) {
+    let Some(keys) = written else {
+        // Read before this snapshot rotated anything.
+        let abandoned = work.logs_abandoned > held.abandoned;
+        let replaced = clones > held.clones;
+        let rotated_out = buffers - held.buffers >= 2;
+        assert!(
+            abandoned || replaced || rotated_out,
+            "the cursor answered \"unknown\" with its log intact and the held \
+             snapshot still one of the view's two buffers"
+        );
+        CURSOR_UNKNOWN.fetch_add(1, Relaxed);
+        return;
+    };
+    let reported: FastSet<&Tuple> = keys.iter().collect();
+    assert_eq!(reported.len(), keys.len(), "a key reported twice");
+    let old = &held.snap;
+    let differs = old
+        .iter()
+        .chain(new.iter())
+        .map(|(k, _)| k)
+        .filter(|k| old.get(k).to_bits() != new.get(k).to_bits());
+    for key in differs {
+        assert!(
+            reported.contains(key),
+            "key {key:?} changed since the held snapshot but was not reported"
+        );
+    }
+    if !keys.is_empty() {
+        CURSOR_KEYS.fetch_add(1, Relaxed);
     }
 }
 
@@ -328,6 +345,124 @@ fn run_case(steps: Vec<Step>, ordered: bool) {
     assert_eq!(contents(&sub.view.to_gmr()), full_copy(&sub.view));
 }
 
+/// The members of a shared key table through the same kinds of steps: a
+/// member written alone, a key written across every column (one member
+/// netting to zero beside the others), snapshots — through the cursor too
+/// — held and dropped, a clone of the database, and a member reloaded or
+/// emptied by a restore. Every member's snapshot must equal a full copy of
+/// the member bit for bit, a held one must never change whatever the other
+/// columns do, and the table holds exactly the keys some member holds.
+fn run_table_case(steps: Vec<Step>) {
+    const WIDTH: usize = 3;
+    let mut db = Database::new();
+    let columns = || ["a", "b"].map(String::from);
+    let ids: Vec<MapId> = (0..WIDTH)
+        .map(|c| db.declare(format!("M{c}"), columns()))
+        .collect();
+    let t = db.share(&ids);
+    for a in 0..KEYS_A {
+        for b in 0..KEYS_B {
+            let values = [(0, 1.0 + a as f64), (1, 2.0), (2, b as f64)];
+            db.table_mut(t)
+                .add(key(a, b), &values[..1 + ((a + b) % 3) as usize]);
+        }
+    }
+    let copy = |db: &Database, c: usize| contents(&db.view_at(ids[c]).copy_gmr());
+    let (mut clones, mut buffers, mut newest) = (0, [0u64; WIDTH], [(); WIDTH].map(|_| None));
+    let mut held: Vec<(usize, Held)> = Vec::new();
+    for (kind, a, b, mi, n) in steps {
+        let c = n % WIDTH;
+        let k = key(a, b);
+        let get = |db: &Database, c: usize| db.view_at(ids[c]).get(&k);
+        match kind {
+            0..=9 => db.table_mut(t).add(k.clone(), &[(c, MULTS[mi])]),
+            10..=13 => {
+                let cancel = -get(&db, c);
+                db.table_mut(t).add(k.clone(), &[(c, cancel)]);
+            }
+            14..=16 => {
+                let row = [
+                    (c, -get(&db, c)),
+                    ((c + 1) % WIDTH, MULTS[mi]),
+                    ((c + 2) % WIDTH, MULTS[(mi + n) % MULTS.len()]),
+                ];
+                db.table_mut(t).add(k.clone(), &row);
+            }
+            17..=25 => {
+                let view = db.view_at(ids[c]);
+                let mut since = held.iter().filter(|(m, _)| *m == c).map(|(_, h)| h);
+                let since = (kind >= 22).then(|| since.next_back()).flatten();
+                let before = view.snapshot_work().keys_patched;
+                let snap = match since {
+                    Some(h) => {
+                        let (snap, written) = view.to_gmr_since(&h.snap);
+                        check_cursor(
+                            (view.snapshot_work(), clones, buffers[c]),
+                            h,
+                            &snap,
+                            written,
+                        );
+                        snap
+                    }
+                    None => view.to_gmr(),
+                };
+                assert_eq!(contents(&snap), copy(&db, c), "member {c}");
+                TABLE_PATCHED.fetch_add(view.snapshot_work().keys_patched - before, Relaxed);
+                let shared =
+                    |n: &Gmr| Arc::ptr_eq(n.shared_data().unwrap(), snap.shared_data().unwrap());
+                if !newest[c].as_ref().is_some_and(shared) {
+                    buffers[c] += 1;
+                }
+                newest[c] = Some(snap.clone());
+                if n % 2 == 0 {
+                    let hold = Held {
+                        expected: contents(&snap),
+                        snap,
+                        abandoned: view.snapshot_work().logs_abandoned,
+                        clones,
+                        buffers: buffers[c],
+                    };
+                    held.push((c, hold));
+                }
+            }
+            26 | 27 => {
+                if !held.is_empty() {
+                    held.swap_remove(a as usize % held.len());
+                }
+            }
+            28 | 29 => {
+                db = db.clone();
+                clones += 1;
+            }
+            30 => {
+                let mut g = Gmr::new(Schema::new(["b", "a"]));
+                for i in 0..(n as i64 + 1) * 8 {
+                    g.add_tuple(key((b + i / 3) % KEYS_B, (a + i) % KEYS_A), 0.5 + i as f64);
+                }
+                db.load_gmr(ids[c], &g);
+            }
+            _ => db.load_gmr(ids[c], &Gmr::new(Schema::new(["a", "b"]))),
+        }
+        for (c, h) in &held {
+            assert!(
+                holds(&h.snap, &h.expected),
+                "member {c}'s held snapshot changed (step {kind})"
+            );
+        }
+        let mut keys = FastSet::default();
+        for (c, &id) in ids.iter().enumerate() {
+            let member = copy(&db, c);
+            assert_eq!(db.view_at(id).len(), member.len(), "member {c}'s count");
+            keys.extend(member.into_iter().map(|(k, _)| k));
+        }
+        assert_eq!(
+            db.table(t).len(),
+            keys.len(),
+            "the table holds what its members hold"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
@@ -340,6 +475,11 @@ proptest! {
     fn an_ordered_index_agrees_with_the_primary_after_every_step(steps in steps()) {
         run_case(steps, true);
     }
+
+    #[test]
+    fn shared_table_members_snapshot_as_their_own_maps(steps in steps()) {
+        run_table_case(steps);
+    }
 }
 
 /// The same property at ten times the cases (CI runs it under the serving
@@ -351,6 +491,7 @@ fn snapshots_equal_full_copies_and_never_change_soak() {
     for _ in 0..2000 {
         run_case(steps().generate(&mut rng), false);
         run_case(steps().generate(&mut rng), true);
+        run_table_case(steps().generate(&mut rng));
     }
     assert!(
         PATCHED.load(Relaxed) > 0,
@@ -363,9 +504,10 @@ fn the_generator_reaches_the_patch_branch() {
     let mut rng = TestRng::from_name("the_generator_reaches_the_patch_branch");
     for _ in 0..50 {
         run_case(steps().generate(&mut rng), false);
+        run_table_case(steps().generate(&mut rng));
     }
     assert!(
-        PATCHED.load(Relaxed) > 0,
+        PATCHED.load(Relaxed) > 0 && TABLE_PATCHED.load(Relaxed) > 0,
         "no case reached the patch branch"
     );
     assert!(

@@ -394,7 +394,8 @@ fn a_served_snapshot_holds_the_query_views_not_the_higher_order_maps() {
 /// (`ReaderHandle::query`, the merged ones included) and every subscription
 /// to one, replayed from its baseline, equals the embedded engine's
 /// `Engine::result`, columns included; a durable q1 server killed and
-/// recovered reads all six results as it did before the crash, bit for bit.
+/// recovered reads all six results as it did before the crash, bit for bit,
+/// and keeps q1's four maps as one shared key table before and after.
 #[test]
 fn merged_results_read_as_their_own_served_subscribed_and_recovered() {
     use dbtoaster::runtime::Engine;
@@ -504,8 +505,26 @@ fn merged_results_read_as_their_own_served_subscribed_and_recovered() {
     for (name, got) in names.iter().zip(&before) {
         near(name, got, &embedded.result(name).unwrap());
     }
-    recovered.shutdown().unwrap();
+    let recovered = recovered.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
+    // q1's four maps are one key table with a column each, in the embedded
+    // engine and in the recovered one, which restored its members from the
+    // checkpoint and replayed the log into it: every result above was read
+    // through it.
+    let q1_maps = ["q1_1", "q1_2", "q1_3", "q1_4_cnt"];
+    for engine in [&embedded, &recovered] {
+        let db = engine.database();
+        let columns = q1_maps.map(|m| db.member(db.id(m).unwrap()));
+        assert_eq!(
+            columns,
+            [0, 1, 2, 3].map(|c| Some((0, c))),
+            "q1's maps share one table"
+        );
+        let table = db.table(0);
+        assert_eq!(table.width(), 4);
+        let keys = db.view("q1_4_cnt").unwrap().len();
+        assert!(keys > 0 && table.len() == keys, "one row per returnflag");
+    }
 }
 
 /// `view` reads a map by its map name. A merged q1 result's name (`q1_4_sum`,

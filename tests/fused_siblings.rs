@@ -6,11 +6,15 @@
 //! reads `q1_4_cnt`. The four Lineitem statements run as one fused kernel
 //! per trigger (one walk of the shared guard, one key, four values). Each of
 //! its aggregates is also a query of its own whose program has one statement
-//! per trigger, so it runs unfused. Fed the same float TPC-H stream — per
+//! per trigger, so it runs unfused. q1's four maps are one shared key table
+//! (a value column each), each reference's map a map of its own, so the
+//! comparison checks the table against separate maps. Fed the same float
+//! TPC-H stream — per
 //! event, and in `process_batch` chunks of 8 and 512 — every q1 result must
 //! equal its single-aggregate reference bit for bit, key by key
-//! (`f64::to_bits`), and each map must have written as many rows as its
-//! reference. The stream is the one the benchmark's `tpch_durable` workload
+//! (`f64::to_bits`), through `Engine::result` and, for the four members,
+//! read cold as maps through `Engine::view`, and each member must have
+//! written as many rows as its reference. The stream is the one the benchmark's `tpch_durable` workload
 //! feeds at seed 42; the tier-1 tests take a 20,000-event prefix, the
 //! ignored ones the workload's whole 250,000 events (CI runs them in
 //! release). q1's kernel is a trigger-only unit, so it runs straight-line on
@@ -55,6 +59,15 @@ const REFERENCES: [(&str, &str); 4] = [
 
 /// The results q1 reads through another of its results' map.
 const MERGED: [(&str, &str); 2] = [("q1_4_sum", "q1_1"), ("q1_5", "q1_4_cnt")];
+
+/// q1's four maps: one shared key table.
+const Q1_MAPS: [&str; 4] = ["q1_1", "q1_2", "q1_3", "q1_4_cnt"];
+
+/// The shared table and column of each of the maps `names`, if any.
+fn shared_columns<const N: usize>(engine: &Engine, names: &[&str; N]) -> [Option<(u32, usize)>; N] {
+    let db = engine.database();
+    names.map(|n| db.member(db.id(n).expect("a declared map")))
+}
 
 /// An engine running `sql` as query `name`, with per-view telemetry.
 fn engine(name: &str, sql: &str) -> (Engine, Telemetry) {
@@ -105,6 +118,11 @@ fn bits(engine: &Engine, result: &str) -> Vec<(Vec<Value>, u64)> {
     let gmr = engine
         .result(result)
         .unwrap_or_else(|e| panic!("result {result}: {e}"));
+    sorted_bits(&gmr)
+}
+
+/// `gmr`'s entries as `(key, multiplicity bits)`, sorted by key.
+fn sorted_bits(gmr: &Gmr) -> Vec<(Vec<Value>, u64)> {
     let mut rows: Vec<_> = gmr.iter().map(|(k, m)| (k.to_vec(), m.to_bits())).collect();
     rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("comparable keys"));
     rows
@@ -133,6 +151,10 @@ fn q1_matches_its_aggregates_run_alone(events: usize) {
     for chunk in [1, 8, 512] {
         let (mut fused, fused_tel) = engine("q1", q1.sql);
         assert_eq!(lineitem_kernels(&fused), 1, "q1 runs as one kernel");
+        assert_eq!(
+            shared_columns(&fused, &Q1_MAPS),
+            [0, 1, 2, 3].map(|c| Some((0, c)))
+        );
         let results = &fused.program().results;
         let merged = results.iter().filter(|r| r.map != r.name);
         let merged: Vec<(&str, &str)> = merged.map(|r| (&*r.name, &*r.map)).collect();
@@ -145,6 +167,7 @@ fn q1_matches_its_aggregates_run_alone(events: usize) {
         for (name, aggregate) in REFERENCES {
             let (mut alone, alone_tel) = engine(name, &single(aggregate));
             assert_eq!(lineitem_kernels(&alone), 1, "{name} runs unfused");
+            assert_eq!(shared_columns(&alone, &[name]), [None], "{name} is a map");
             assert!(alone.program().relation_plans().unwrap()[0]
                 .kernels
                 .iter()
@@ -158,6 +181,11 @@ fn q1_matches_its_aggregates_run_alone(events: usize) {
                 let want = bits(&alone, name);
                 assert!(want.len() >= 3, "{ctx}: {want:?}");
                 assert_eq!(bits(&fused, view), want, "{ctx}");
+                if Q1_MAPS.contains(view) {
+                    // The table's column, read cold as the map it stands for.
+                    let column = fused.view(view).expect("a member reads as a map");
+                    assert_eq!(sorted_bits(&column), want, "{ctx}: the column");
+                }
                 assert_eq!(rows_written(&mut fused, &fused_tel, view), written, "{ctx}");
             }
         }
