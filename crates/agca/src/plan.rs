@@ -2758,7 +2758,9 @@ impl Exec<'_> {
     /// row holds the key, as it would in its own buffer, and otherwise
     /// takes its value in this frame row's table row, pushed with the key
     /// built for the first member that needs it. So each member's rows in
-    /// the table are the rows its own buffer would hold.
+    /// the table are the rows its own buffer would hold. Out of line, so
+    /// the sink of every other kernel stays as small as it was.
+    #[inline(never)]
     fn emit_row(&mut self, mult: f64, members: &[Vec<SiblingTerm>]) {
         // This frame row's table row, once pushed.
         let mut row: Option<usize> = None;
@@ -3197,8 +3199,10 @@ impl CompiledStmt {
         let rows = &mut state.rows[..self.members.len()];
         state.floors.clear();
         state.floors.extend(rows.iter().map(Vec::len));
-        state.last.clear();
-        state.last.resize(self.members.len(), None);
+        if state.table.is_some() {
+            state.last.clear();
+            state.last.resize(self.members.len(), None);
+        }
         let mut exec = Exec {
             src,
             rels,

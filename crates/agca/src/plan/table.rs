@@ -83,6 +83,7 @@ pub(super) trait Sink {
 pub(super) struct Members<'a, M: ?Sized>(pub &'a mut M);
 
 impl<M: MemberRows + ?Sized> Sink for Members<'_, M> {
+    #[inline]
     fn push(&mut self, i: usize, m: f64, built: Option<usize>, key: impl FnOnce() -> Tuple) {
         let key = match built {
             Some(b) => self.0.member(b).last().expect("the built key").0.clone(),
@@ -95,6 +96,7 @@ impl<M: MemberRows + ?Sized> Sink for Members<'_, M> {
 /// One row per execution: pushed, with its key built, for the first
 /// member's row, which every later member's value joins.
 impl Sink for TableRows {
+    #[inline]
     fn push(&mut self, i: usize, m: f64, built: Option<usize>, key: impl FnOnce() -> Tuple) {
         if built.is_none() {
             self.push_key(key());

@@ -808,7 +808,10 @@ impl Engine {
         for plan in plans {
             // A table written by the runs of two relations is shared once.
             for group in &plan.shared {
-                let ids: Vec<MapId> = group.iter().filter_map(|m| db.id(m)).collect();
+                let ids: Vec<MapId> = group
+                    .iter()
+                    .map(|m| db.id(m).expect("a declared map"))
+                    .collect();
                 if db.member(ids[0]).is_none() {
                     db.share(&ids);
                 }
@@ -1632,25 +1635,20 @@ impl Executor {
             lead.table.reset(members.len());
         }
         // A trigger-only unit appends to the slots themselves; any other
-        // kernel is lent them for the run.
+        // kernel is lent them for the run: the members' rows, or a shared
+        // table's rows.
         let lent = !matches!(kernel.straight, Some(Straight::Unit(_)));
         let lend = |state: &mut KernelState, bd: &mut BdScratch| {
-            if !lent {
-                return;
-            }
-            if shared {
-                let lead = &mut bd.stmts[base + members[0]].table;
-                match state.table.take() {
-                    Some(rows) => *lead = rows,
-                    None => state.table = Some(std::mem::take(lead)),
+            if lent && !shared {
+                for (buf, &m) in state.rows_of(kernel).iter_mut().zip(members) {
+                    std::mem::swap(buf, &mut bd.stmts[base + m].rows);
                 }
-                return;
-            }
-            for (buf, &m) in state.rows_of(kernel).iter_mut().zip(members) {
-                std::mem::swap(buf, &mut bd.stmts[base + m].rows);
             }
         };
         lend(state, bd);
+        if lent && shared {
+            state.table = Some(std::mem::take(&mut bd.stmts[base + members[0]].table));
+        }
         let (mut fresh, mut rows) = (true, 0);
         for entry in entries {
             if entry.sign() != Some(sign) {
@@ -1697,6 +1695,9 @@ impl Executor {
             }
         }
         lend(state, bd);
+        if let Some(table) = state.table.take() {
+            bd.stmts[base + members[0]].table = table;
+        }
         rows
     }
 
