@@ -21,6 +21,7 @@ pub struct TableRows {
 
 impl TableRows {
     /// Empty the rows for a unit of `width` members, keeping the capacity.
+    #[inline]
     pub fn reset(&mut self, width: usize) {
         self.width = width;
         self.keys.clear();
@@ -28,37 +29,44 @@ impl TableRows {
     }
 
     /// Number of rows.
+    #[inline]
     pub fn len(&self) -> usize {
         self.keys.len()
     }
 
     /// Are there no rows?
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
 
     /// Members per row.
+    #[inline]
     pub fn width(&self) -> usize {
         self.width
     }
 
     /// Row `r`'s key.
+    #[inline]
     pub fn key(&self, r: usize) -> &Tuple {
         &self.keys[r]
     }
 
     /// Take row `r`'s key out, leaving an empty tuple.
+    #[inline]
     pub fn take_key(&mut self, r: usize) -> Tuple {
         std::mem::take(&mut self.keys[r])
     }
 
     /// Row `r`'s value of each member.
+    #[inline]
     pub fn values(&self, r: usize) -> &[Option<f64>] {
         &self.values[r * self.width..(r + 1) * self.width]
     }
 
     /// Append a row under `key` holding no member's value yet; returns its
     /// index.
+    #[inline]
     pub fn push_key(&mut self, key: Tuple) -> usize {
         self.keys.push(key);
         self.values.extend(std::iter::repeat_n(None, self.width));
@@ -66,6 +74,7 @@ impl TableRows {
     }
 
     /// Member `i`'s value in row `r`.
+    #[inline]
     pub fn value_mut(&mut self, r: usize, i: usize) -> &mut Option<f64> {
         &mut self.values[r * self.width + i]
     }
