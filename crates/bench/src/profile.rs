@@ -7,16 +7,17 @@
 //! resolves the distinct addresses, with their inline chains, against the
 //! executable. Each sample counts for the innermost engine phase of its chain
 //! (`PHASES`, which inlining would fold into one opaque bucket), else for the
-//! outermost function, the one the compiler emitted; samples outside the
-//! executable (the C library, the vDSO clock) count apart. The kernel's tick
+//! outermost function, the one the compiler emitted; a sample outside the
+//! executable counts for the mapping of `/proc/self/maps` that holds it
+//! (`libc.so.6`, `[vdso]`, …; see [`mapping_shares`]). The kernel's tick
 //! limits the rate to a few hundred samples a second, so the stream runs
 //! several passes.
 //!
 //! Sampling needs `sigaction` and `setitimer` (declared here by hand: the
 //! workspace has no libc crate), the `ucontext` layout of x86_64 Linux, and
 //! `/proc/self/maps`; on any other target [`profile`] says it is
-//! unsupported. Folding `addr2line`'s output ([`fold`]) is plain text work
-//! and runs everywhere.
+//! unsupported. Folding `addr2line`'s output ([`fold`]) and crediting
+//! mappings ([`mapping_shares`]) are plain text work and run everywhere.
 
 use dbtoaster::prelude::*;
 use dbtoaster::workloads;
@@ -35,7 +36,8 @@ pub struct ProfileReport {
     /// Samples taken.
     pub samples: u64,
     /// Samples per phase or outermost function (see [`fold`]), most first;
-    /// samples outside the executable under `(outside the executable)`.
+    /// samples outside the executable under the mapping that holds them
+    /// (see [`mapping_shares`]).
     pub shares: Vec<(String, u64)>,
 }
 
@@ -43,8 +45,8 @@ pub struct ProfileReport {
 const PHASES: &str = "collect_over live_pass apply_base_run fire_replace_tail \
                       process_run Executor::run Engine::process";
 
-/// The name samples outside the executable are counted under.
-const OUTSIDE: &str = "(outside the executable)";
+/// Samples per name, as [`fold`] and [`mapping_shares`] count them.
+type Shares = Vec<(String, u64)>;
 
 /// The smallest share [`render`] prints a line for; the functions below it
 /// share one line.
@@ -78,9 +80,7 @@ pub fn profile(
     }
     let (inside, outside) = sampler.stop()?;
     let mut shares = resolve(&inside)?;
-    if outside > 0 {
-        shares.push((OUTSIDE.to_string(), outside));
-    }
+    shares.extend(outside);
     shares.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     let samples = shares.iter().map(|s| s.1).sum();
     Ok(ProfileReport {
@@ -162,6 +162,60 @@ pub fn fold(output: &str, counts: &BTreeMap<u64, u64>) -> Vec<(String, u64)> {
         }
     }
     folded
+}
+
+/// Credit each of `addrs` to the mapping of `maps` (`/proc/self/maps` text)
+/// that holds it: the file name of its path (`libc.so.6`), a pseudo-path as
+/// it stands (`[vdso]`, `[heap]`), `(anonymous)` for a mapping without one,
+/// and `(unmapped)` when no mapping holds the address. Counts are in order
+/// of first appearance.
+pub fn mapping_shares(maps: &str, addrs: &[u64]) -> Vec<(String, u64)> {
+    let all: Vec<Mapping> = mappings(maps).collect();
+    let mut shares: Vec<(String, u64)> = Vec::new();
+    for &addr in addrs {
+        let name = match holding(&all, addr) {
+            None => "(unmapped)",
+            Some(m) if m.path.is_empty() => "(anonymous)",
+            Some(m) => m.path.rsplit('/').next().unwrap_or(m.path),
+        };
+        match shares.iter_mut().find(|(n, _)| n == name) {
+            Some((_, total)) => *total += 1,
+            None => shares.push((name.to_string(), 1)),
+        }
+    }
+    shares
+}
+
+/// One line of `/proc/self/maps`: its address range, file offset and path
+/// (empty for an anonymous mapping).
+struct Mapping<'a> {
+    lo: u64,
+    hi: u64,
+    offset: u64,
+    path: &'a str,
+}
+
+/// The mapping that holds `addr`.
+fn holding<'a>(all: &'a [Mapping<'a>], addr: u64) -> Option<&'a Mapping<'a>> {
+    all.iter().find(|m| m.lo <= addr && addr < m.hi)
+}
+
+/// The mappings of `/proc/self/maps` text, lines that do not parse skipped.
+fn mappings(maps: &str) -> impl Iterator<Item = Mapping<'_>> {
+    maps.lines().filter_map(|line| {
+        let hex = |s: &str| u64::from_str_radix(s, 16).ok();
+        let mut fields = line.splitn(6, ' ');
+        let (lo, hi) = fields.next()?.split_once('-')?;
+        let (lo, hi) = (hex(lo)?, hex(hi)?);
+        let offset = hex(fields.nth(1)?)?;
+        let path = fields.nth(2).unwrap_or("").trim();
+        Some(Mapping {
+            lo,
+            hi,
+            offset,
+            path,
+        })
+    })
 }
 
 /// Render a report: one line per function down to half a percent of the
@@ -291,46 +345,27 @@ mod sampler {
         }
 
         /// Disarm the timer; the samples inside the executable, by address
-        /// relative to its load base, and the number outside it.
-        pub fn stop(self) -> Result<(BTreeMap<u64, u64>, u64), String> {
+        /// relative to its load base, and those outside it, by mapping.
+        pub fn stop(self) -> Result<(BTreeMap<u64, u64>, super::Shares), String> {
             arm(0)?;
             let taken = TAKEN.load(Relaxed).min(CAP);
             let exe = std::env::current_exe().map_err(|e| e.to_string())?;
             let maps = std::fs::read_to_string("/proc/self/maps").map_err(|e| e.to_string())?;
-            let (base, ranges) = exe_mappings(&maps, &exe.to_string_lossy())
-                .ok_or("the executable is not in /proc/self/maps")?;
-            let (mut inside, mut outside) = (BTreeMap::new(), 0);
+            let (all, exe): (Vec<_>, _) = (super::mappings(&maps).collect(), exe.to_string_lossy());
+            // The load base: the start of the executable's mapping at file offset 0.
+            let at_0 = all.iter().filter(|m| m.path == exe && m.offset == 0);
+            let base = at_0.map(|m| m.lo).min();
+            let base = base.ok_or("the executable is not in /proc/self/maps")?;
+            let (mut inside, mut outside) = (BTreeMap::new(), Vec::new());
             for s in &SAMPLES[..taken] {
                 let addr = s.load(Relaxed);
-                match ranges.iter().any(|&(lo, hi)| lo <= addr && addr < hi) {
-                    true => *inside.entry(addr - base).or_insert(0) += 1,
-                    false => outside += 1,
+                match super::holding(&all, addr) {
+                    Some(m) if m.path == exe => *inside.entry(addr - base).or_insert(0) += 1,
+                    _ => outside.push(addr),
                 }
             }
-            Ok((inside, outside))
+            Ok((inside, super::mapping_shares(&maps, &outside)))
         }
-    }
-
-    /// The load base of `exe` (the start of its mapping at file offset 0)
-    /// and its executable ranges, from `/proc/self/maps` text.
-    fn exe_mappings(maps: &str, exe: &str) -> Option<(u64, Vec<(u64, u64)>)> {
-        let (mut base, mut ranges) = (None, Vec::new());
-        for line in maps.lines().filter(|l| l.ends_with(exe)) {
-            let mut fields = line.split_whitespace();
-            let (range, perms, offset) = (fields.next()?, fields.next()?, fields.next()?);
-            let (lo, hi) = range.split_once('-')?;
-            let (lo, hi) = (
-                u64::from_str_radix(lo, 16).ok()?,
-                u64::from_str_radix(hi, 16).ok()?,
-            );
-            if u64::from_str_radix(offset, 16).ok()? == 0 {
-                base = Some(base.map_or(lo, |b: u64| b.min(lo)));
-            }
-            if perms.contains('x') {
-                ranges.push((lo, hi));
-            }
-        }
-        Some((base?, ranges))
     }
 }
 
@@ -345,7 +380,7 @@ mod sampler {
             Err("profiling is unsupported on this target (it needs x86_64 Linux)".into())
         }
 
-        pub fn stop(self) -> Result<(BTreeMap<u64, u64>, u64), String> {
+        pub fn stop(self) -> Result<(BTreeMap<u64, u64>, super::Shares), String> {
             unreachable!("never started")
         }
     }
@@ -436,5 +471,40 @@ dbtoaster::api::QueryEngine::process
             "{text}"
         );
         assert!(text.ends_with("  0.20%  (the rest)\n"), "{text}");
+    }
+
+    /// A sample outside the executable counts for the mapping holding it,
+    /// by the file name of its path or its pseudo-path, and for
+    /// `(anonymous)` or `(unmapped)` when no file names it; the last
+    /// address of a mapping is its end, exclusive.
+    #[test]
+    fn outside_samples_count_for_their_mapping() {
+        let maps = "\
+55d000000000-55d000001000 r--p 00000000 08:01 1234                       /opt/app/harness
+55d000001000-55d000090000 r-xp 00001000 08:01 1234                       /opt/app/harness
+7f2a00000000-7f2a00028000 r--p 00000000 08:01 77                         /usr/lib/x86_64-linux-gnu/libc.so.6
+7f2a00028000-7f2a001bd000 r-xp 00028000 08:01 77                         /usr/lib/x86_64-linux-gnu/libc.so.6
+7f2a00300000-7f2a00321000 rw-p 00000000 00:00 0 
+7ffd1c5fe000-7ffd1c600000 r-xp 00000000 00:00 0                          [vdso]
+";
+        let addrs = [
+            0x7ffd1c5fe010,
+            0x7f2a00030000,
+            0x7ffd1c5ff000,
+            0x7f2a00300010,
+            0x7f2a001bd000,
+            0x7f2a00028000,
+            0x10,
+        ];
+        assert_eq!(
+            mapping_shares(maps, &addrs),
+            [
+                ("[vdso]".to_string(), 2),
+                ("libc.so.6".to_string(), 2),
+                ("(anonymous)".to_string(), 1),
+                ("(unmapped)".to_string(), 2),
+            ]
+        );
+        assert_eq!(mapping_shares(maps, &[]), []);
     }
 }

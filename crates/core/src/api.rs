@@ -323,7 +323,8 @@ impl QueryEngine {
         ViewServer::spawn(self.engine, queries, config).map_err(DbToasterError::from)
     }
 
-    /// Runtime statistics (events processed, refresh rate).
+    /// Runtime statistics: counts of events, batches and kernel executions
+    /// (the engine keeps no time; a caller times its own loop).
     pub fn stats(&self) -> &EngineStats {
         self.engine.stats()
     }

@@ -159,7 +159,7 @@ use dbtoaster_telemetry::{
 use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Errors raised while processing events.
 #[derive(Clone, Debug, PartialEq)]
@@ -221,8 +221,11 @@ pub struct BatchReport {
 /// `ViewServer::stats()` returns the writer's copy as of its last iteration.
 /// Snapshot work is not a field: a plain engine reads it per view from
 /// [`ViewMap::snapshot_work`](crate::ViewMap::snapshot_work), a server from
-/// its per-view telemetry.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
+/// its per-view telemetry. Time is not a field either: the engine reads the
+/// clock only for an attached [`Telemetry`] (its batch histogram), so the
+/// stats are counts alone, equal for equal streams, and a caller that wants
+/// a refresh rate times its own loop.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Events applied so far; refused events do not count. A durable serving
     /// writer logs only admitted events, so this is also its WAL watermark.
@@ -236,8 +239,6 @@ pub struct EngineStats {
     /// trigger-only unit's, which ran straight-line, and a guard-tested
     /// kernel's whose event failed every term's guards.
     pub straight_line: u64,
-    /// Total time spent inside `process` / `process_batch`.
-    pub busy: Duration,
     /// Micro-batches drained by a serving writer loop (queue drains; see
     /// [`EngineStats::delta_batches`] for the processing-side unit).
     pub batches: u64,
@@ -283,17 +284,6 @@ impl EngineStats {
     pub fn events_per_batch(&self) -> f64 {
         if self.delta_batches > 0 {
             self.events as f64 / self.delta_batches as f64
-        } else {
-            0.0
-        }
-    }
-
-    /// Average view refresh rate (events per second of processing time), the metric of
-    /// Figures 6 and 7.
-    pub fn refresh_rate(&self) -> f64 {
-        let secs = self.busy.as_secs_f64();
-        if secs > 0.0 {
-            self.events as f64 / secs
         } else {
             0.0
         }
@@ -593,13 +583,15 @@ struct RunScratch {
 }
 
 /// Engine-side telemetry buffers. Everything recorded per event or per batch
-/// lands in plain-integer locals (no atomics, no extra clock reads on the
-/// single-event path beyond the pre-existing busy-time pair); the shared
-/// [`Telemetry`] atomics are touched only by [`Engine::flush_telemetry`],
-/// which runs automatically every [`TELEMETRY_FLUSH_BATCHES`] batches.
+/// lands in plain-integer locals (no atomics, and on the single-event path
+/// one clock pair, the call's latency: the engine reads the clock for
+/// telemetry only); the shared [`Telemetry`] atomics are touched only by
+/// [`Engine::flush_telemetry`], which runs automatically every
+/// [`TELEMETRY_FLUSH_BATCHES`] batches.
 struct TelemetryState {
     tel: Telemetry,
-    /// Whole-batch latency (the existing busy-time `Instant` pair re-used).
+    /// Whole-batch latency (one `Instant` pair per `process` /
+    /// `process_batch` call).
     batch_hist: LocalHistogram,
     /// Kernel-execute latency of the runs that fired triggers.
     kernel_hist: LocalHistogram,
@@ -1081,7 +1073,7 @@ impl Engine {
     /// columns in place, and a stored base map builds a key only when the
     /// event brings one it does not hold. A lone event never arms span timing.
     pub fn process(&mut self, event: &UpdateEvent) -> Result<(), RuntimeError> {
-        let t0 = Instant::now();
+        let t0 = self.exec.clock();
         let exec = &mut self.exec;
         let gated = exec.gate(&event.relation, &event.tuple);
         let fired = gated.as_ref().is_ok_and(|&rel| {
@@ -1107,7 +1099,7 @@ impl Engine {
         if batch.is_empty() {
             return BatchReport::default();
         }
-        let t0 = Instant::now();
+        let t0 = self.exec.clock();
         let exec = &mut self.exec;
         let mut report = BatchReport {
             events: batch.events(),
@@ -1214,18 +1206,22 @@ impl Executor {
         }
     }
 
-    /// Count a processed batch of `events` events, `failed` of them refused,
-    /// begun at `t0`: its events, its busy time and, with telemetry, its
-    /// latency — also as kernel time when the batch was one unarmed run that
-    /// fired triggers (`kernel`) — and a slow-batch trace; every
-    /// `TELEMETRY_FLUSH_BATCHES` batches, a flush.
-    fn end_batch(&mut self, t0: Instant, events: u64, failed: u64, kernel: bool) {
+    /// The start of a batch's latency: the clock is read for telemetry only,
+    /// so an engine without an enabled handle reads none.
+    fn clock(&self) -> Option<Instant> {
+        self.tel.is_some().then(Instant::now)
+    }
+
+    /// Count a processed batch of `events` events, `failed` of them refused:
+    /// its events and, with telemetry (a batch begun at `t0`, from
+    /// [`Executor::clock`]), its latency — also as kernel time when the
+    /// batch was one unarmed run that fired triggers (`kernel`) — and a
+    /// slow-batch trace; every `TELEMETRY_FLUSH_BATCHES` batches, a flush.
+    fn end_batch(&mut self, t0: Option<Instant>, events: u64, failed: u64, kernel: bool) {
         self.stats.events += events - failed;
         self.stats.delta_batches += 1;
-        let elapsed = t0.elapsed();
-        self.stats.busy += elapsed;
-        if let Some(ts) = self.tel.as_deref_mut() {
-            let nanos = elapsed.as_nanos().min(u64::MAX as u128) as u64;
+        if let (Some(ts), Some(t0)) = (self.tel.as_deref_mut(), t0) {
+            let nanos = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
             ts.batch_hist.record(nanos);
             if kernel {
                 ts.kernel_hist.record(nanos);
@@ -2155,8 +2151,6 @@ mod tests {
             .process(&UpdateEvent::insert("R", long_tuple(&[1, 2])))
             .unwrap();
         assert!(engine.memory_bytes() >= before);
-        assert!(engine.stats().busy > Duration::ZERO);
-        assert!(engine.stats().refresh_rate() > 0.0);
         assert_eq!(engine.stats().events, 1);
         assert_eq!(engine.stats().delta_batches, 1);
         assert!(engine.total_entries() >= 1);

@@ -656,7 +656,8 @@ impl ViewServer {
     /// the engine's life (a re-served engine keeps counting). A caller
     /// returning from [`ViewServer::flush`] sees counters that cover its
     /// events; `checkpoints_taken` is read live from the checkpoint thread.
-    /// `busy` is time spent in `process_batch`, as on a plain engine.
+    /// The writer's time is in [`ViewServer::metrics`] (its batch
+    /// histogram and stage timings); the stats hold counts only.
     /// Snapshot work is per view, in [`ViewServer::metrics`].
     pub fn stats(&self) -> EngineStats {
         self.shared.stats()

@@ -10,6 +10,7 @@
 
 use dbtoaster::prelude::*;
 use dbtoaster::workloads::{self, FinanceConfig};
+use std::time::Instant;
 
 fn main() -> Result<(), DbToasterError> {
     let catalog = workloads::finance_catalog();
@@ -32,6 +33,8 @@ fn main() -> Result<(), DbToasterError> {
     });
     println!("order-book stream: {} events over 10 brokers", stream.len());
 
+    // The engine keeps no time: the example times its own loop, reads included.
+    let start = Instant::now();
     for (i, event) in stream.events.iter().enumerate() {
         engine.process(event)?;
         if (i + 1) % 10_000 == 0 {
@@ -51,12 +54,10 @@ fn main() -> Result<(), DbToasterError> {
         }
     }
 
-    let stats = engine.stats();
+    let (events, secs) = (engine.stats().events, start.elapsed().as_secs_f64());
     println!(
-        "\n{} events processed in {:.2} s ({:.0} refreshes/s across 3 simultaneously fresh views)",
-        stats.events,
-        stats.busy.as_secs_f64(),
-        stats.refresh_rate()
+        "\n{events} events processed in {secs:.2} s ({:.0} refreshes/s across 3 simultaneously fresh views)",
+        events as f64 / secs
     );
     Ok(())
 }

@@ -70,9 +70,9 @@ fn main() -> Result<(), DbToasterError> {
     // 4. Inspect runtime statistics.
     let stats = engine.stats();
     println!(
-        "\nprocessed {} events at {:.0} view refreshes/second, {} bytes of view state",
+        "\nprocessed {} events in {} delta batches, {} bytes of view state",
         stats.events,
-        stats.refresh_rate(),
+        stats.delta_batches,
         engine.memory_bytes()
     );
     Ok(())

@@ -10,6 +10,7 @@
 
 use dbtoaster::prelude::*;
 use dbtoaster::workloads::{self, TpchConfig};
+use std::time::Instant;
 
 fn main() -> Result<(), DbToasterError> {
     let catalog = workloads::tpch_catalog();
@@ -42,6 +43,8 @@ fn main() -> Result<(), DbToasterError> {
     println!("replaying {} updates...", data.len());
 
     let checkpoint = (data.len() / 5).max(1);
+    // The engine keeps no time: the example times its own loop, reads included.
+    let start = Instant::now();
     for (i, event) in data.events.iter().enumerate() {
         engine.process(event)?;
         if (i + 1) % checkpoint == 0 {
@@ -54,7 +57,7 @@ fn main() -> Result<(), DbToasterError> {
                 q1.len(),
                 q10.rows.iter().filter(|r| r.values[0] != 0.0).count(),
                 q18a.rows.iter().filter(|r| r.values[0] != 0.0).count(),
-                engine.stats().refresh_rate(),
+                (i + 1) as f64 / start.elapsed().as_secs_f64(),
             );
         }
     }

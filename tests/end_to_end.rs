@@ -87,7 +87,7 @@ fn every_query_processes_a_stream_with_higher_order_ivm() {
             }
         }
         assert_eq!(engine.stats().events as usize, data.events.len());
-        assert!(engine.stats().refresh_rate() > 0.0);
+        assert_eq!(engine.stats().delta_batches as usize, data.events.len());
     }
 }
 
@@ -571,11 +571,72 @@ fn memory_and_trace_samples_are_monotone_in_events() {
     let data = small_dataset(Family::Finance);
     let half = data.events.len() / 2;
     engine.process_all(&data.events[..half]).unwrap();
-    let busy = engine.stats().busy;
+    let (events, batches) = (engine.stats().events, engine.stats().delta_batches);
+    assert_eq!((events, batches), (half as u64, half as u64));
     engine.process_all(&data.events[half..]).unwrap();
-    assert!(engine.stats().busy >= busy);
-    assert!(engine.stats().refresh_rate() > 0.0);
+    let all = data.events.len() as u64;
+    assert_eq!(engine.stats().events, all);
+    assert_eq!(engine.stats().delta_batches, all);
     assert!(engine.memory_bytes() > 0);
+}
+
+/// The engine reads the clock for telemetry only. With an enabled handle
+/// every `process` call and every non-empty `process_batch` call is one
+/// sample of the batch histogram, and a 1 ns slow-batch threshold traces a
+/// lone event; without one the stats are counts alone, so an engine with a
+/// handle and one without, fed the same stream, report equal `EngineStats`.
+#[test]
+fn telemetry_times_every_call_and_stats_are_counts() {
+    use dbtoaster::runtime::Engine;
+    use std::time::Duration;
+    let q = workloads::query("bsv").unwrap();
+    let program = QueryEngineBuilder::new(workloads::finance_catalog())
+        .add_query(q.name, q.sql)
+        .build()
+        .unwrap()
+        .program()
+        .clone();
+    let catalog = workloads::finance_catalog();
+    let data = small_dataset(Family::Finance);
+    let (single, batched) = data.events.split_at(data.events.len() / 2);
+    let feed = |engine: &mut Engine| {
+        for e in single {
+            engine.process(e).unwrap();
+        }
+        let mut calls = single.len() as u64;
+        for chunk in batched.chunks(8) {
+            assert_eq!(engine.process_batch(&DeltaBatch::new()).events, 0);
+            let report = engine.process_batch(&DeltaBatch::from_events(chunk));
+            assert_eq!(report.failed_events, 0);
+            calls += 1;
+        }
+        calls
+    };
+    let mut untimed = Engine::new(program.clone(), &catalog);
+    let mut timed = Engine::new(program.clone(), &catalog);
+    let tel = Telemetry::enabled();
+    timed.set_telemetry(tel.clone());
+    let calls = feed(&mut untimed);
+    assert_eq!(feed(&mut timed), calls);
+    timed.flush_telemetry();
+    assert_eq!(tel.batch_hist().unwrap().summary().count, calls);
+    assert_eq!(timed.stats().delta_batches, calls);
+    assert_eq!(*untimed.stats(), *timed.stats());
+    assert_eq!(untimed.stats().events, data.events.len() as u64);
+    assert!(untimed.telemetry().is_none());
+
+    let mut traced = Engine::new(program, &catalog);
+    let tel = Telemetry::with_config(TelemetryConfig {
+        slow_batch_threshold: Duration::from_nanos(1),
+    });
+    traced.set_telemetry(tel.clone());
+    traced.process(&data.events[0]).unwrap();
+    traced.flush_telemetry();
+    let traces = tel.drain_traces();
+    assert_eq!(traces.len(), 1, "{traces:?}");
+    assert_eq!((traces[0].events, traces[0].threshold_nanos), (1, 1));
+    assert!(traces[0].elapsed_nanos >= 1);
+    assert_eq!(tel.batch_hist().unwrap().summary().count, 1);
 }
 
 #[test]
