@@ -107,25 +107,30 @@
 //! once per run, as the last event's firing is the one whose output survives)
 //! — also in a run some of whose entries were taken out
 //! ([`RelationDelta::retain_into`], how the engine's ingest gate drops a
-//! refused entry from its run). A run indexes its entries by key hash —
-//! positions, not keys, so a new key moves into its entry uncloned — only
-//! once it holds a second one: a one-entry run — every batch of one event —
-//! compares the next key with its entry instead, so it hashes nothing. All
-//! buffers — the run pool, the per-run entry list and collapse index — are
-//! recycled by [`DeltaBatch::clear`], so a steady-state producer allocates
-//! nothing but the keys it builds. The engine builds no run for a single
-//! event: it reads the event's tuple in place, as one [`DeltaEntry`] that
-//! borrows it.
+//! refused entry from its run). A run's key is its first event's own tuple
+//! (`Vec<Value>`): an owned event's tuple moves into its entry as it is, and
+//! a later event of the same key is dropped into the entry it folds into. A
+//! run indexes its entries by key hash — positions, not keys, so a new key
+//! moves into its entry uncloned — only once it holds a second one: a
+//! one-entry run — every batch of one event — compares the next key with its
+//! entry instead, so it hashes nothing. All buffers — the run pool, the
+//! per-run entry list and collapse index — are recycled by
+//! [`DeltaBatch::clear`], so a steady-state producer that owns its events
+//! ([`DeltaBatch::refill`]) allocates nothing, and one that borrows them
+//! ([`DeltaBatch::push`]) one clone of each tuple. The engine builds no run
+//! for a single event: it reads the event's tuple in place, as one
+//! [`DeltaEntry`] that borrows it.
 
 use crate::delta::{UpdateEvent, UpdateSign};
-use dbtoaster_gmr::{FastMap, Tuple};
+use dbtoaster_gmr::{FastMap, Value};
 
 /// One key of a per-relation delta: the net multiplicity of all events in the
 /// run that carried this tuple, plus how many events were folded in. A run
-/// owns its keys; the engine reads a single event as one entry whose key
-/// borrows the event's tuple (`DeltaEntry<&[Value]>`).
+/// owns its keys, each the tuple of the first event that carried it, moved
+/// in as the event held it; the engine reads a single event as one entry
+/// whose key borrows the event's tuple (`DeltaEntry<&[Value]>`).
 #[derive(Clone, Debug, PartialEq)]
-pub struct DeltaEntry<K = Tuple> {
+pub struct DeltaEntry<K = Vec<Value>> {
     /// The updated tuple.
     pub key: K,
     /// Net signed multiplicity (`+1` per insert, `−1` per delete, ring-added).
@@ -246,7 +251,7 @@ impl RelationDelta {
     /// with the first, and both are indexed only when they differ; from then
     /// on, one hash of the key either way. The index holds hashes and
     /// positions, not keys: a new key moves into its entry uncloned.
-    fn fold(&mut self, key: Tuple, mult: f64, events: u32, last: (u32, UpdateSign)) {
+    fn fold(&mut self, key: Vec<Value>, mult: f64, events: u32, last: (u32, UpdateSign)) {
         use std::hash::BuildHasher;
         self.events += events as u64;
         let n = self.entries.len() as u32;
@@ -325,24 +330,22 @@ impl DeltaBatch {
     /// events of one relation share a run — that is what lets opposite-sign
     /// same-key events cancel.
     pub fn push(&mut self, event: &UpdateEvent) {
-        self.push_key(
-            &event.relation,
-            Tuple::from(event.tuple.as_slice()),
-            event.sign,
-        );
+        self.push_key(&event.relation, event.tuple.clone(), event.sign);
     }
 
-    /// [`DeltaBatch::push`] taking the event by value: the tuple's values are
-    /// *moved* into the delta key instead of cloned — the cheapest conversion
-    /// for producers that own their events (the serving writer's drained
+    /// [`DeltaBatch::push`] taking the event by value: the event's tuple
+    /// *is* the delta key, moved in untouched — no copy, no allocation — for
+    /// producers that own their events (the serving writer's drained
     /// micro-batches, WAL replay records).
     pub fn push_owned(&mut self, event: UpdateEvent) {
-        self.push_key(&event.relation, Tuple::from(event.tuple), event.sign);
+        self.push_key(&event.relation, event.tuple, event.sign);
     }
 
-    /// Clear the batch and fold `events` into it by value: how the serving
-    /// writer builds each drained micro-batch and WAL replay each logged
-    /// record.
+    /// Clear the batch and fold `events` into it by value
+    /// ([`DeltaBatch::push_owned`]): how the serving writer builds each
+    /// drained micro-batch and WAL replay each logged record. A recycled
+    /// batch refilled with events of the shapes it held before allocates
+    /// nothing.
     pub fn refill(&mut self, events: impl IntoIterator<Item = UpdateEvent>) {
         self.clear();
         for e in events {
@@ -352,7 +355,7 @@ impl DeltaBatch {
 
     /// [`DeltaBatch::push`] of an event given as its parts, the tuple already
     /// a key.
-    fn push_key(&mut self, relation: &str, key: Tuple, sign: UpdateSign) {
+    fn push_key(&mut self, relation: &str, key: Vec<Value>, sign: UpdateSign) {
         let run = self.run_for(relation, key.len());
         let at = run.events as u32;
         run.fold(key, sign.multiplier(), 1, (at, sign));
@@ -399,11 +402,11 @@ impl DeltaBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbtoaster_gmr::{Gmr, Schema, Value};
+    use dbtoaster_gmr::{Gmr, Schema};
 
     /// Sign and tuple of the last event pushed into `run`: the entry whose
     /// last event came latest.
-    fn last_event(run: &RelationDelta) -> Option<(UpdateSign, &Tuple)> {
+    fn last_event(run: &RelationDelta) -> Option<(UpdateSign, &[Value])> {
         let e = run.entries().iter().max_by_key(|e| e.last.0)?;
         Some((e.last.1, &e.key))
     }
@@ -469,7 +472,7 @@ mod tests {
         // The cancelled key still anchors last_event for := binding.
         let (sign, key) = last_event(run).unwrap();
         assert_eq!(sign, UpdateSign::Delete);
-        assert_eq!(key.as_slice(), &[Value::long(1)]);
+        assert_eq!(key, &[Value::long(1)]);
     }
 
     #[test]
@@ -489,7 +492,7 @@ mod tests {
         // Ring-sum the per-event singleton deltas.
         let mut sum = Gmr::new(schema());
         for e in &events {
-            sum.add_tuple(Tuple::from(e.tuple.as_slice()), e.sign.multiplier());
+            sum.add_tuple(e.tuple.clone(), e.sign.multiplier());
         }
         assert!(batch_gmr.equivalent(&sum, 0.0));
     }
@@ -516,7 +519,7 @@ mod tests {
         assert_eq!(runs[1].entries()[0].mult, 2.0);
         let (sign, key) = last_event(&runs[0]).unwrap();
         assert_eq!(sign, UpdateSign::Insert);
-        assert_eq!(key.as_slice(), &[Value::long(3), Value::long(4)]);
+        assert_eq!(key, &[Value::long(3), Value::long(4)]);
     }
 
     /// A run of one entry hashes nothing; a second event of the same key
@@ -538,7 +541,7 @@ mod tests {
         assert_eq!(run.entries()[0].mult, 1.0);
         assert_eq!(run.events(), 4);
         assert_eq!(
-            last_event(run).unwrap().1.as_slice(),
+            last_event(run).unwrap().1,
             &[Value::long(1), Value::long(2)]
         );
         // A pooled run that was indexed starts over without its index.
@@ -547,12 +550,13 @@ mod tests {
         assert!(b.runs()[0].index.is_empty());
     }
 
-    /// The collapse index holds hashes: two keys of one 64-bit hash chain
-    /// and keep their own entries. The second key is built to collide under
-    /// the FxHash steps (the length, then one word per value).
+    /// The collapse index holds hashes: two distinct keys of one
+    /// collapse-index hash chain and fold apart, each into its own entry,
+    /// whether the batch clones them (`push`) or takes them (`refill`). The
+    /// second key is built to collide under the FxHash steps (the length,
+    /// then one word per value).
     #[test]
     fn colliding_keys_keep_their_own_entries() {
-        use dbtoaster_gmr::FxBuildHasher;
         use std::hash::BuildHasher;
         const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
         let step = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(SEED);
@@ -564,23 +568,85 @@ mod tests {
             .find(|(_, b2)| b2.is_finite() && *b2 != 0.0)
             .unwrap();
         let key = |x: f64, y: f64| vec![Value::double(x), Value::double(y)];
-        let (k1, k2) = (Tuple::from(key(a, b)), Tuple::from(key(a2, b2)));
-        let hash = |k: &Tuple| FxBuildHasher::default().hash_one(k);
-        assert_eq!(hash(&k1), hash(&k2), "the keys collide");
-        assert_ne!(k1, k2);
+        let (k1, k2, k3) = (key(a, b), key(a2, b2), key(9.5, 9.5));
         let events = [
-            UpdateEvent::insert("R", key(a, b)),
-            UpdateEvent::insert("R", key(a2, b2)),
-            UpdateEvent::delete("R", key(a, b)),
-            UpdateEvent::insert("R", key(a2, b2)),
-            UpdateEvent::insert("R", key(9.5, 9.5)),
+            UpdateEvent::insert("R", k1.clone()),
+            UpdateEvent::insert("R", k2.clone()),
+            UpdateEvent::delete("R", k1.clone()),
+            UpdateEvent::insert("R", k2.clone()),
+            UpdateEvent::insert("R", k3.clone()),
         ];
-        let b = DeltaBatch::from_events(&events);
-        let run = &b.runs()[0];
-        let entries: Vec<_> = run.entries().iter().map(|e| (&e.key, e.mult)).collect();
-        let k3 = Tuple::from(key(9.5, 9.5));
-        assert_eq!(entries, [(&k1, 0.0), (&k2, 2.0), (&k3, 1.0)]);
-        assert_eq!(run.index.len(), 2);
+        let mut owned = DeltaBatch::new();
+        owned.refill(events.iter().cloned());
+        for b in [DeltaBatch::from_events(&events), owned] {
+            let run = &b.runs()[0];
+            let hash = |k: &Vec<Value>| run.index.hasher().hash_one(k);
+            assert_eq!(hash(&k1), hash(&k2), "the keys collide");
+            assert_ne!(k1, k2);
+            let entries: Vec<_> = run.entries().iter().map(|e| (&e.key, e.mult)).collect();
+            assert_eq!(entries, [(&k1, 0.0), (&k2, 2.0), (&k3, 1.0)]);
+            assert_eq!(run.index.len(), 2);
+        }
+    }
+
+    /// A refilled batch takes each entry's key from the first event that
+    /// carried it, the very allocation that event held, and drops a later
+    /// event's tuple into the entry it folds into; `retain_into` and the
+    /// last event read those owned keys as they read pushed ones. Wide rows
+    /// (arity 8 and 5, like Lineitem and Orders), both signs, a pair that
+    /// cancels.
+    #[test]
+    fn an_owned_events_tuple_is_its_entrys_key() {
+        let row = |k: i64, arity: i64| (0..arity).map(|c| Value::long(10 * k + c)).collect();
+        let events = vec![
+            UpdateEvent::insert("L", row(1, 8)),
+            UpdateEvent::insert("O", row(1, 5)),
+            UpdateEvent::delete("L", row(2, 8)),
+            UpdateEvent::insert("L", row(3, 8)),
+            UpdateEvent::delete("L", row(1, 8)), // cancels the first
+            UpdateEvent::delete("O", row(4, 5)),
+            UpdateEvent::insert("O", row(1, 5)), // folds into the second
+        ];
+        let pushed = DeltaBatch::from_events(&events);
+        let at = |i: usize| events[i].tuple.as_ptr();
+        let (lineitem, orders) = ([at(0), at(2), at(3)], [at(1), at(5)]);
+        let mut batch = DeltaBatch::new();
+        batch.refill(events);
+        let keys = |r: &RelationDelta| {
+            r.entries()
+                .iter()
+                .map(|e| e.key.as_ptr())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(keys(&batch.runs()[0]), lineitem);
+        assert_eq!(keys(&batch.runs()[1]), orders);
+        for (want, got) in pushed.runs().iter().zip(batch.runs()) {
+            assert_same_run(want, got);
+        }
+
+        let run = &batch.runs()[0];
+        assert_eq!((run.entries()[0].mult, run.collapsed_events()), (0.0, 2));
+        assert_eq!(last_event(run), Some((UpdateSign::Delete, &row(1, 8)[..])));
+        let mut out = RelationDelta::default();
+        let refused = run.retain_into(&mut out, |e| e.key != row(3, 8));
+        assert_eq!((refused, out.events(), out.entries().len()), (1, 3, 2));
+        assert_eq!(last_event(&out), Some((UpdateSign::Delete, &row(1, 8)[..])));
+        let refused = run.retain_into(&mut out, |e| e.key != row(1, 8));
+        assert_eq!((refused, out.events(), out.entries().len()), (2, 2, 2));
+        assert_eq!(last_event(&out), Some((UpdateSign::Insert, &row(3, 8)[..])));
+        let run = &batch.runs()[1];
+        assert_eq!(run.retain_into(&mut out, |_| true), 0);
+        assert_same_run(run, &out);
+        assert_eq!(last_event(&out), Some((UpdateSign::Insert, &row(1, 5)[..])));
+        assert_eq!(out.entries()[0].mult, 2.0);
+    }
+
+    /// A run's entry is six words: its `Vec` key, the multiplicity, the
+    /// event count and the last event (`dbtoaster-gmr` pins `Value` and
+    /// `Tuple` the same way).
+    #[test]
+    fn a_delta_entry_is_six_words() {
+        assert_eq!(std::mem::size_of::<DeltaEntry>(), 48);
     }
 
     /// A one-entry run folds a later event of its key by comparison, without
@@ -595,7 +661,7 @@ mod tests {
         assert!(r.index.is_empty());
         let (sign, key) = last_event(r).unwrap();
         assert_eq!(sign, UpdateSign::Delete);
-        assert_eq!(key.as_slice(), &[Value::long(1), Value::long(2)]);
+        assert_eq!(key, &[Value::long(1), Value::long(2)]);
         assert_eq!(r.entries()[0].mult, 0.0);
     }
 
@@ -614,14 +680,14 @@ mod tests {
         ];
         let b = DeltaBatch::from_events(&events);
         let mut out = RelationDelta::default();
-        let nines = |e: &DeltaEntry| e.key.as_slice() == [Value::long(9), Value::long(9)];
+        let nines = |e: &DeltaEntry| e.key == [Value::long(9), Value::long(9)];
         let refused = b.runs()[0].retain_into(&mut out, |e| !nines(e));
         assert_eq!((refused, out.events()), (2, 3));
         assert_eq!((out.relation(), out.entries().len()), ("R", 2));
         assert_eq!(out.entries()[0].mult, 2.0);
         let (sign, key) = last_event(&out).unwrap();
         assert_eq!(
-            (sign, key.as_slice()),
+            (sign, key),
             (UpdateSign::Insert, &[Value::long(1), Value::long(2)][..])
         );
         let refused = b.runs()[1].retain_into(&mut out, |e| !nines(e));
@@ -635,7 +701,7 @@ mod tests {
         b.runs()[0].retain_into(&mut out, |e| !nines(e));
         let (sign, key) = last_event(&out).unwrap();
         assert_eq!(
-            (sign, key.as_slice()),
+            (sign, key),
             (UpdateSign::Delete, &[Value::long(3), Value::long(4)][..])
         );
     }
@@ -644,7 +710,7 @@ mod tests {
     /// keys, multiplicity bits, events, last events and collapses.
     fn assert_same_run(want: &RelationDelta, got: &RelationDelta) {
         let run = |r: &RelationDelta| {
-            let last = last_event(r).map(|(sign, key)| (sign, key.clone()));
+            let last = last_event(r).map(|(sign, key)| (sign, key.to_vec()));
             let collapsed = r.collapsed_events();
             (
                 r.relation().to_owned(),

@@ -14,7 +14,8 @@
 //! Flags: `--events N`, `--budget SECS`, `--seed N`, `--json PATH`
 //! (`explain`, `torture`), `--label NAME` (`torture`), `--query NAME`
 //! (`explain`), `--addr HOST:PORT` and `--hold SECS` (`export`), `--iters N`
-//! (`torture`), `--queries Q[,Q…]` and `--passes N` (`profile`). An unknown
+//! (`torture`), `--queries Q[,Q…]`, `--passes N` and
+//! `--path embedded|served|durable` (`profile`). An unknown
 //! flag, a missing value or a value that does not parse exits with status 2.
 //!
 //! Observability:
@@ -23,12 +24,15 @@
 //!   invocation) runs each workload stream and prints EXPLAIN ANALYZE for the
 //!   compiled trigger program — operator trees, each relation's live pass and
 //!   `:=` tail, and live counters; `--json PATH` writes the JSON forms.
-//! * `harness profile --queries q1,q6,q12 [--events N --seed S --passes P]`
-//!   runs the queries over the `tpch_durable` stream, one `process` call per
-//!   event, P times, and prints where the samples of a CPU-time timer fell,
-//!   per outermost function (see [`dbtoaster_bench::profile`]; x86_64 Linux
-//!   and the host's `addr2line` only). `--events 250000` is the benchmark
-//!   workload's length.
+//! * `harness profile --queries q1,q6,q12 [--events N --seed S --passes P
+//!   --path embedded|served|durable]` runs the queries over the
+//!   `tpch_durable` stream P times and prints where the samples of a
+//!   CPU-time timer fell, per outermost function (see
+//!   [`dbtoaster_bench::profile`]; x86_64 Linux and the host's `addr2line`
+//!   only). `embedded` (the default) makes one `process` call per event;
+//!   `served` and `durable` send 1,024 events per `send_batch`, then
+//!   `flush`, to a served or a durable server. `--events 250000` is the
+//!   benchmark workload's length.
 //! * `harness export [--addr HOST:PORT] [--hold SECS]` opens a durable
 //!   serving instance with the HTTP exporter enabled, ingests a finance
 //!   stream while a 1 Hz scraper polls `/metrics`, reports throughput, then
@@ -56,6 +60,7 @@ struct Args {
     iters: usize,
     queries: Option<String>,
     passes: usize,
+    path: profile::ProfilePath,
 }
 
 /// Parse a command line (without the program name): the subcommand, then its
@@ -79,6 +84,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         iters: 200,
         queries: None,
         passes: 10,
+        path: profile::ProfilePath::Embedded,
     };
     let mut rest = flags.iter();
     while let Some(flag) = rest.next() {
@@ -99,6 +105,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--iters" => args.iters = parse_value(flag, &value()?)?,
             "--queries" => args.queries = Some(value()?),
             "--passes" => args.passes = parse_value(flag, &value()?)?,
+            "--path" => args.path = parse_value(flag, &value()?)?,
             "--explain" => args.command = "explain".to_string(),
             other => return Err(format!("unknown argument {other}")),
         }
@@ -773,14 +780,14 @@ fn torture(iters: usize, base_seed: u64, label: &str, json: Option<&str>) {
     }
 }
 
-/// `harness profile`: sample the per-event path (see the module docs).
+/// `harness profile`: sample one path of the engine (see the module docs).
 fn profile_cmd(args: &Args) {
     let Some(queries) = args.queries.as_deref() else {
         eprintln!("harness: profile needs --queries Q[,Q…]");
         std::process::exit(2);
     };
     let queries: Vec<&str> = queries.split(',').collect();
-    match profile::profile(&queries, args.events, args.seed, args.passes) {
+    match profile::profile(&queries, args.events, args.seed, args.passes, args.path) {
         Ok(report) => print!("{}", profile::render(&report, &queries)),
         Err(e) => {
             eprintln!("harness: profile: {e}");
@@ -859,6 +866,26 @@ mod tests {
         assert_eq!((args.query.as_deref(), args.events), (Some("bsp"), 4000));
         let args = parse("profile --queries q1,q6 --passes 3").unwrap();
         assert_eq!((args.queries.as_deref(), args.passes), (Some("q1,q6"), 3));
+    }
+
+    /// `--path` names the path `profile` drives, `embedded` unless given;
+    /// any other word is an error.
+    #[test]
+    fn profile_path_parses_each_path_and_refuses_others() {
+        use profile::ProfilePath::*;
+        let path = |line: &str| parse(line).map(|a| a.path);
+        assert_eq!(path("profile --queries q6"), Ok(Embedded));
+        assert_eq!(path("profile --path embedded"), Ok(Embedded));
+        assert_eq!(path("profile --path served --queries q6"), Ok(Served));
+        assert_eq!(path("profile --queries q1 --path durable"), Ok(Durable));
+        assert_eq!(
+            path("profile --path serve").err().unwrap(),
+            "--path: cannot parse \"serve\""
+        );
+        assert_eq!(
+            path("profile --path").err().unwrap(),
+            "--path needs a value"
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
-//! A sampling profiler for the per-event path (`harness profile`).
+//! A sampling profiler for the engine's paths (`harness profile`).
 //!
 //! [`profile`] drives queries over the TPC-H stream the benchmark's
-//! `tpch_durable` workload feeds, one `process` call per event, with the
-//! process's CPU-time interval timer (`ITIMER_PROF`) armed: every `SIGPROF`
-//! records the interrupted instruction's address. The host's `addr2line`
+//! `tpch_durable` workload feeds, along one [`ProfilePath`] — one `process`
+//! call per event, or through a served or a durable server in the
+//! benchmark's served chunks — with the process's CPU-time interval timer
+//! (`ITIMER_PROF`) armed: every `SIGPROF` records the address of the
+//! instruction it interrupted, on whichever thread was running (the served
+//! writer's, the WAL sync thread's, the client's). The host's `addr2line`
 //! resolves the distinct addresses, with their inline chains, against the
 //! executable. Each sample counts for the innermost engine phase of its chain
 //! (`PHASES`, which inlining would fold into one opaque bucket), else for the
@@ -23,6 +26,37 @@ use dbtoaster::prelude::*;
 use dbtoaster::workloads;
 use std::collections::BTreeMap;
 use std::time::Instant;
+
+/// The path [`profile`] drives the stream through.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ProfilePath {
+    /// One `QueryEngine::process` call per event.
+    Embedded,
+    /// A served engine (`QueryEngine::serve`): [`SERVED_CHUNK`] events per
+    /// `send_batch`, then `flush`.
+    Served,
+    /// A durable server (`QueryEngine::open_or_create_with`, the default
+    /// `DurabilityConfig`) in a fresh directory per pass, fed as
+    /// [`ProfilePath::Served`] is.
+    Durable,
+}
+
+impl std::str::FromStr for ProfilePath {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        match s {
+            "embedded" => Ok(ProfilePath::Embedded),
+            "served" => Ok(ProfilePath::Served),
+            "durable" => Ok(ProfilePath::Durable),
+            _ => Err(()),
+        }
+    }
+}
+
+/// Events per `send_batch` on the served paths, as the benchmark's served
+/// phase sends them.
+pub const SERVED_CHUNK: usize = 1_024;
 
 /// What one `harness profile` run measured.
 #[derive(Clone, Debug)]
@@ -53,14 +87,17 @@ type Shares = Vec<(String, u64)>;
 const MIN_SHARE: f64 = 0.005;
 
 /// Profile `queries` (workload query names) over `events` events of the
-/// `tpch_durable` stream at `seed`, `passes` times, each pass on a fresh
-/// engine. `Err` says why it cannot: an unknown query, an unsupported
-/// target, or `addr2line` missing.
+/// `tpch_durable` stream at `seed`, driven along `path`, `passes` times,
+/// each pass on a fresh engine (and server, and directory). The served
+/// paths take their events by value: every pass's copy is made before the
+/// sampler starts, so no clone is sampled. `Err` says why it cannot: an
+/// unknown query, an unsupported target, or `addr2line` missing.
 pub fn profile(
     queries: &[&str],
     events: usize,
     seed: u64,
     passes: usize,
+    path: ProfilePath,
 ) -> Result<ProfileReport, String> {
     let mut builder = QueryEngineBuilder::new(workloads::full_catalog());
     for name in queries {
@@ -68,15 +105,40 @@ pub fn profile(
         builder = builder.add_query(q.name, q.sql);
     }
     let stream = workloads::tpch::ledger_events(events, seed);
+    let mut copies: Vec<Vec<Vec<UpdateEvent>>> = match path {
+        ProfilePath::Embedded => Vec::new(),
+        ProfilePath::Served | ProfilePath::Durable => (0..passes)
+            .map(|_| stream.chunks(SERVED_CHUNK).map(<[_]>::to_vec).collect())
+            .collect(),
+    };
+    let dir = std::env::temp_dir().join(format!("dbtoaster-profile-{}", std::process::id()));
     let mut best = f64::INFINITY;
     let sampler = sampler::Sampler::start()?;
     for _ in 0..passes {
-        let mut engine = builder.clone().build().map_err(|e| e.to_string())?;
-        let t0 = Instant::now();
-        for event in &stream {
-            engine.process(event).map_err(|e| e.to_string())?;
-        }
-        best = best.min(t0.elapsed().as_nanos() as f64 / stream.len().max(1) as f64);
+        let elapsed = match copies.pop() {
+            None => {
+                let mut engine = builder.clone().build().map_err(|e| e.to_string())?;
+                let t0 = Instant::now();
+                for event in &stream {
+                    engine.process(event).map_err(|e| e.to_string())?;
+                }
+                t0.elapsed()
+            }
+            Some(chunks) => {
+                let _ = std::fs::remove_dir_all(&dir);
+                let server = match path {
+                    ProfilePath::Durable => builder.clone().open_or_create_with(ServerConfig {
+                        durability: Some(DurabilityConfig::new(&dir)),
+                        ..ServerConfig::default()
+                    }),
+                    _ => builder.clone().serve(),
+                };
+                let served = serve_pass(server.map_err(|e| e.to_string())?, chunks);
+                let _ = std::fs::remove_dir_all(&dir);
+                served?
+            }
+        };
+        best = best.min(elapsed.as_nanos() as f64 / stream.len().max(1) as f64);
     }
     let (inside, outside) = sampler.stop()?;
     let mut shares = resolve(&inside)?;
@@ -90,6 +152,28 @@ pub fn profile(
         samples,
         shares,
     })
+}
+
+/// Send `chunks` to `server`, each `send_batch` followed by a `flush`, and
+/// shut it down: the time from the first send to the last flush, or `Err`
+/// when the server did not admit every event.
+fn serve_pass(
+    server: ViewServer,
+    chunks: Vec<Vec<UpdateEvent>>,
+) -> Result<std::time::Duration, String> {
+    let ingest = server.handle();
+    let sent: usize = chunks.iter().map(Vec::len).sum();
+    let t0 = Instant::now();
+    for chunk in chunks {
+        ingest.send_batch(chunk).map_err(|e| e.to_string())?;
+        server.flush().map_err(|e| e.to_string())?;
+    }
+    let elapsed = t0.elapsed();
+    let admitted = server.shutdown().map_err(|e| e.to_string())?.stats().events;
+    match admitted == sent as u64 {
+        true => Ok(elapsed),
+        false => Err(format!("the server admitted {admitted} of {sent} events")),
+    }
 }
 
 /// Resolve executable-relative addresses, with their sample counts, to

@@ -333,6 +333,100 @@ fn alternating_arities_allocate_nothing_in_steady_state() {
     assert_eq!(engine.stats().statements, 3 * churn.len() as u64);
 }
 
+/// A recycled batch refilled with owned events allocates nothing: each
+/// event's tuple moves in as its entry's key (the `Tuple` key made one slab
+/// per event wider than `INLINE_CAP`). Lineitem-shaped (arity 8) and
+/// Orders-shaped (arity 5) rows interleave, with both signs and one
+/// insert/delete pair that cancels; two batches alternate, each undoing the
+/// other, and `process_batch` over them allocates nothing either. The
+/// events are cloned before the count starts.
+#[test]
+fn refilling_a_batch_with_owned_events_allocates_nothing_in_steady_state() {
+    use dbtoaster_agca::{DeltaBatch, UpdateSign};
+    let (five, eight) = (
+        ["A", "B", "C", "D", "E"],
+        ["A", "B", "C", "D", "E", "F", "G", "H"],
+    );
+    let catalog = [
+        RelationMeta::stream("FIVE", five),
+        RelationMeta::stream("EIGHT", eight),
+    ]
+    .into_iter()
+    .collect();
+    let query = |name: &str, rel: &str, arity: usize| {
+        let vars: Vec<String> = (0..arity).map(|c| format!("v{c}")).collect();
+        let last = vars[arity - 1].clone();
+        QuerySpec {
+            name: name.into(),
+            out_vars: vec!["v0".into()],
+            expr: Expr::agg_sum(
+                ["v0"],
+                Expr::product_of([Expr::rel(rel, vars), Expr::var(last)]),
+            ),
+        }
+    };
+    let program = compile(
+        &[query("BY_FIVE", "FIVE", 5), query("BY_EIGHT", "EIGHT", 8)],
+        &catalog,
+        &CompileOptions::for_mode(CompileMode::HigherOrder),
+    )
+    .unwrap();
+    let mut engine = Engine::new(program, &catalog);
+
+    let row = |k: i64, arity: i64| {
+        (0..arity)
+            .map(|c| Value::long(10 * k + c))
+            .collect::<Vec<_>>()
+    };
+    // `up` inserts keys 0..32 and deletes 32..64; its mirror undoes it.
+    let mut up: Vec<UpdateEvent> = (0..32)
+        .flat_map(|k| {
+            [
+                UpdateEvent::insert("EIGHT", row(k, 8)),
+                UpdateEvent::insert("FIVE", row(k, 5)),
+                UpdateEvent::delete("EIGHT", row(k + 32, 8)),
+                UpdateEvent::delete("FIVE", row(k + 32, 5)),
+            ]
+        })
+        .collect();
+    up.insert(40, UpdateEvent::insert("EIGHT", row(99, 8)));
+    up.insert(90, UpdateEvent::delete("EIGHT", row(99, 8)));
+    let mirror = |e: &UpdateEvent| match e.sign {
+        UpdateSign::Insert => UpdateEvent::delete(&e.relation, e.tuple.clone()),
+        UpdateSign::Delete => UpdateEvent::insert(&e.relation, e.tuple.clone()),
+    };
+    let down: Vec<UpdateEvent> = up.iter().map(mirror).collect();
+    let passes: Vec<Vec<UpdateEvent>> = (0..8).map(|i| [&up, &down][i % 2].clone()).collect();
+    let mut delta = DeltaBatch::new();
+    let (mut refills, mut processing) = (Vec::new(), Vec::new());
+    for events in passes {
+        let before = alloc_count();
+        delta.refill(events);
+        refills.push(alloc_count() - before);
+        let before = alloc_count();
+        let report = engine.process_batch(&delta);
+        processing.push(alloc_count() - before);
+        assert!(report.first_error.is_none());
+    }
+    assert_eq!(
+        (&refills[2..], &processing[2..]),
+        (&[0; 6][..], &[0; 6][..]),
+        "refill and process_batch allocated {refills:?} and {processing:?} times per batch \
+         of {} owned events",
+        delta.events()
+    );
+    // Not vacuous: both runs are there, the pair cancelled, the rest ran.
+    let runs: Vec<_> = delta
+        .runs()
+        .iter()
+        .map(|r| (r.arity(), r.entries().len()))
+        .collect();
+    assert_eq!(runs, [(8, 65), (5, 64)]);
+    assert_eq!((delta.events(), delta.collapsed_events()), (130, 2));
+    assert_eq!(engine.stats().events, 8 * 130);
+    assert!(engine.view("BY_EIGHT").unwrap().is_empty());
+}
+
 /// A stored base map wider than `INLINE_CAP` takes a key only when the key
 /// enters it: first-order IVM of `Sum(W(a..e) * V(a..e))` stores both arity-5
 /// relations, and each event probes the other one fully bound and writes

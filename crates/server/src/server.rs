@@ -1164,8 +1164,8 @@ fn writer_loop(
             // one run, processed with per-batch (not per-event) kernel
             // dispatch. WAL replay rebuilds the same DeltaBatch per logged
             // record, so live and recovered state stay bit-exact. The events
-            // were already logged above, so their tuples can be *moved* into
-            // the delta keys.
+            // were already logged above, so each event's tuple becomes its
+            // delta key as it is, uncopied.
             delta.refill(batch.drain(..));
             engine.process_batch(&delta);
         }
