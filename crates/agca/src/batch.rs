@@ -107,9 +107,10 @@
 //! once per run, as the last event's firing is the one whose output survives)
 //! — also in a run some of whose entries were taken out
 //! ([`RelationDelta::retain_into`], how the engine's ingest gate drops a
-//! refused entry from its run). A run's key is its first event's own tuple
-//! (`Vec<Value>`): an owned event's tuple moves into its entry as it is, and
-//! a later event of the same key is dropped into the entry it folds into. A
+//! refused entry from its run). Each entry's key is the tuple of the first
+//! event that carried it (`Vec<Value>`): an owned event's tuple moves into
+//! its entry as it is, and a later event of the same key folds into that
+//! entry, its tuple dropped. A
 //! run indexes its entries by key hash — positions, not keys, so a new key
 //! moves into its entry uncloned — only once it holds a second one: a
 //! one-entry run — every batch of one event — compares the next key with its

@@ -264,12 +264,10 @@ fn wide_events_allocate_nothing_in_steady_state() {
     assert!(engine.stats().statements >= 3 * churn.len() as u64 / 2);
 }
 
-/// A stream that switches relations allocates nothing either: `process`
-/// reads each event in place, whatever the arity of the one before it. Two
-/// keyed relations of 5 and 8 columns, like TPC-H's Orders and Lineitem,
-/// alternate on every event.
-#[test]
-fn alternating_arities_allocate_nothing_in_steady_state() {
+/// Two keyed relations of 5 and 8 columns, like TPC-H's Orders and
+/// Lineitem, each summed by its first column (`BY_FIVE`, `BY_EIGHT`),
+/// neither base map stored.
+fn five_and_eight_engine() -> Engine {
     let (five, eight) = (
         ["A", "B", "C", "D", "E"],
         ["A", "B", "C", "D", "E", "F", "G", "H"],
@@ -299,7 +297,15 @@ fn alternating_arities_allocate_nothing_in_steady_state() {
     )
     .unwrap();
     assert!(program.stored_relations.is_empty(), "no base map is stored");
-    let mut engine = Engine::new(program, &catalog);
+    Engine::new(program, &catalog)
+}
+
+/// A stream that switches relations allocates nothing either: `process`
+/// reads each event in place, whatever the arity of the one before it: the
+/// two relations of [`five_and_eight_engine`] alternate on every event.
+#[test]
+fn alternating_arities_allocate_nothing_in_steady_state() {
+    let mut engine = five_and_eight_engine();
 
     let row = |k: i64, arity: i64| {
         (0..arity)
@@ -343,35 +349,7 @@ fn alternating_arities_allocate_nothing_in_steady_state() {
 #[test]
 fn refilling_a_batch_with_owned_events_allocates_nothing_in_steady_state() {
     use dbtoaster_agca::{DeltaBatch, UpdateSign};
-    let (five, eight) = (
-        ["A", "B", "C", "D", "E"],
-        ["A", "B", "C", "D", "E", "F", "G", "H"],
-    );
-    let catalog = [
-        RelationMeta::stream("FIVE", five),
-        RelationMeta::stream("EIGHT", eight),
-    ]
-    .into_iter()
-    .collect();
-    let query = |name: &str, rel: &str, arity: usize| {
-        let vars: Vec<String> = (0..arity).map(|c| format!("v{c}")).collect();
-        let last = vars[arity - 1].clone();
-        QuerySpec {
-            name: name.into(),
-            out_vars: vec!["v0".into()],
-            expr: Expr::agg_sum(
-                ["v0"],
-                Expr::product_of([Expr::rel(rel, vars), Expr::var(last)]),
-            ),
-        }
-    };
-    let program = compile(
-        &[query("BY_FIVE", "FIVE", 5), query("BY_EIGHT", "EIGHT", 8)],
-        &catalog,
-        &CompileOptions::for_mode(CompileMode::HigherOrder),
-    )
-    .unwrap();
-    let mut engine = Engine::new(program, &catalog);
+    let mut engine = five_and_eight_engine();
 
     let row = |k: i64, arity: i64| {
         (0..arity)
